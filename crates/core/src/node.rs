@@ -235,6 +235,10 @@ pub enum PierTimer {
     /// `system.metrics` tuple into the DHT (the dogfood loop — armed only
     /// when [`TelemetryConfig::publish_interval`] is set).
     MetricsPublish,
+    /// Zero-delay drain of the rows [`PierNode::ingest`] staged at this
+    /// virtual instant and no earlier trigger absorbed (armed on the first
+    /// staged row, like [`PierTimer::BatchFlush`]).
+    IngestFlush,
 }
 
 /// Values delivered to the client application attached to a node.
@@ -530,10 +534,13 @@ struct QueryState {
     ingest_seen: u64,
 }
 
+/// Proxy-side state of one submitted query, held from `submit_query` until
+/// [`PierTimer::ProxyDone`] removes it: a query id absent from
+/// [`PierNode::proxied`] is finished (or was never proxied here) and its
+/// late results are dropped.
 #[derive(Debug, Default)]
 struct ProxyState {
     results: u64,
-    done: bool,
     /// The standing plan, kept proxy-side for periodic re-dissemination.
     renew_plan: Option<QueryPlan>,
     /// Jittered exponential backoff driving the re-dissemination clock
@@ -554,6 +561,31 @@ struct RehashBuffer {
     tuples: usize,
 }
 
+/// Where arrivals in one namespace go, maintained by `install_query` /
+/// `uninstall_query` so routing is one map lookup per arrival instead of a
+/// `format!` scan over every installed query.
+#[derive(Debug)]
+enum NamespaceRoute {
+    /// `q{id}.windows`: closed-window partials of a continuous query.
+    WindowPartials(u64),
+    /// `q{id}.partials`: partial aggregates travelling up the tree.
+    AggPartials(u64),
+    /// A base table or rehash namespace: the `(query, graph index)` pairs
+    /// reading it, ascending.
+    Sources(Vec<(u64, usize)>),
+}
+
+/// Rows handed to [`PierNode::ingest`] that have not been absorbed yet: one
+/// table at a time, all observed at the virtual instant `at`.
+#[derive(Debug, Default)]
+struct IngestStage {
+    table: String,
+    at: SimTime,
+    rows: TupleBatch,
+    /// A zero-delay [`PierTimer::IngestFlush`] is in flight.
+    flush_armed: bool,
+}
+
 /// A PIER node: overlay + query processor, runnable under the simulator or
 /// the physical runtime.
 #[derive(Debug)]
@@ -569,6 +601,10 @@ pub struct PierNode {
     next_query_seq: u64,
     rehash_buf: HashMap<String, RehashBuffer>,
     batch_timer_armed: bool,
+    /// Namespace routing table over the installed queries.
+    routes: HashMap<String, NamespaceRoute>,
+    /// Streamed rows staged by `ingest`, drained through the chunk path.
+    stage: IngestStage,
     /// The multi-query sharing layer (`pier-mqo`), when configured.
     sharing: Option<Box<dyn MultiQuerySharing + Send>>,
     /// The admission-control layer (`pier-analyze`), when configured.
@@ -593,43 +629,23 @@ pub struct PierNode {
 impl PierNode {
     /// A node whose overlay routing state is precomputed from the full ring.
     pub fn with_static_ring(me: NodeRef, all: &[NodeRef], config: PierConfig) -> Self {
-        let tel = Telemetry::from_config(&config.telemetry);
-        let mut overlay = Overlay::with_static_ring(me, all, config.overlay);
-        overlay.set_telemetry(tel.clone());
-        let mut sharing = config.sharing.map(|factory| factory());
-        if let Some(layer) = sharing.as_mut() {
-            layer.set_telemetry(tel.clone());
-        }
-        let mut admission = config.admission.map(|factory| factory());
-        if let Some(layer) = admission.as_mut() {
-            layer.configure(&config.slo);
-            layer.set_telemetry(&tel);
-        }
-        PierNode {
-            overlay,
-            bootstrap: None,
-            rng: Rng64::new(me.id.0 ^ 0x9D5F),
-            sharing,
-            admission,
-            tel,
-            config,
-            local_tables: HashMap::new(),
-            queries: HashMap::new(),
-            proxied: HashMap::new(),
-            pending_fetches: HashMap::new(),
-            next_query_seq: 0,
-            rehash_buf: HashMap::new(),
-            batch_timer_armed: false,
-            next_span_seq: 0,
-            last_combine_span: HashMap::new(),
-            span_publish_cursor: 0,
-        }
+        let overlay = Overlay::with_static_ring(me, all, config.overlay);
+        Self::build(me, overlay, None, config)
     }
 
     /// A node that joins an existing overlay through `bootstrap` when started.
     pub fn joining(me: NodeRef, bootstrap: Option<NodeAddr>, config: PierConfig) -> Self {
+        let overlay = Overlay::new(me, config.overlay);
+        Self::build(me, overlay, bootstrap, config)
+    }
+
+    fn build(
+        me: NodeRef,
+        mut overlay: Overlay<QpObject>,
+        bootstrap: Option<NodeAddr>,
+        config: PierConfig,
+    ) -> Self {
         let tel = Telemetry::from_config(&config.telemetry);
-        let mut overlay = Overlay::new(me, config.overlay);
         overlay.set_telemetry(tel.clone());
         let mut sharing = config.sharing.map(|factory| factory());
         if let Some(layer) = sharing.as_mut() {
@@ -655,6 +671,8 @@ impl PierNode {
             next_query_seq: 0,
             rehash_buf: HashMap::new(),
             batch_timer_armed: false,
+            routes: HashMap::new(),
+            stage: IngestStage::default(),
             next_span_seq: 0,
             last_combine_span: HashMap::new(),
             span_publish_cursor: 0,
@@ -683,6 +701,11 @@ impl PierNode {
     /// was built without one).
     pub fn sharing_stats(&self) -> Option<SharingStats> {
         self.sharing.as_ref().map(|l| l.stats())
+    }
+
+    /// Queries this node proxies: submitted here and not yet `Done`.
+    pub fn proxied_queries(&self) -> usize {
+        self.proxied.len()
     }
 
     /// Queries currently holding admission budget at this proxy (`None`
@@ -756,6 +779,7 @@ impl PierNode {
         key: String,
         tuple: Tuple,
     ) {
+        self.drain_ingest(ctx);
         let name = ObjectName::new(table, key, self.rng.next_u64());
         let lifetime = self.config.publish_lifetime;
         let effects = self
@@ -809,6 +833,7 @@ impl PierNode {
     /// assigned query id; results arrive as [`PierOut::Result`] outputs and
     /// the stream is terminated by [`PierOut::Done`].
     pub fn submit_query(&mut self, ctx: &mut ProgramContext<Self>, mut plan: QueryPlan) -> u64 {
+        self.drain_ingest(ctx);
         if plan.query_id == 0 {
             self.next_query_seq += 1;
             plan.query_id = ((ctx.me().0 as u64) << 32) | self.next_query_seq;
@@ -957,12 +982,51 @@ impl PierNode {
         }
     }
 
+    /// Rows [`PierNode::ingest`] stages before an early drain.  64 is one
+    /// dictionary's worth (`column::DICT_MAX`): a staged string column never
+    /// spills to the arena layout.  Measured on the end-to-end benchmark,
+    /// 256- and 1,024-row stages are no faster and cost 7–9 % resident
+    /// memory on `netmon_stream`.
+    const INGEST_STAGE_ROWS: usize = 64;
+
     /// Feed a streamed tuple to every installed opgraph reading `table`
     /// without retaining it — the access method for transient monitoring
     /// streams (a packet trace is observed once, not stored).  Tuples
     /// arriving while no matching query is installed are simply dropped.
+    ///
+    /// The row is *staged*, not absorbed: rows of one table observed at one
+    /// virtual instant accumulate into a columnar chunk that drains through
+    /// the batch path ([`PierNode::route_new_batch`]) when it is full, when
+    /// a row of another table or instant arrives, at the top of every other
+    /// entry point, and on a zero-delay [`PierTimer::IngestFlush`] — always
+    /// with the instant the rows were observed as `now`, so windows, results
+    /// and traffic are those of absorbing each row on arrival.
     pub fn ingest(&mut self, ctx: &mut ProgramContext<Self>, table: &str, tuple: Tuple) {
-        let effects = self.route_new_tuple(ctx, table, tuple);
+        let now = ctx.now();
+        if self.stage.at != now || self.stage.table != table {
+            self.drain_ingest(ctx);
+            self.stage.at = now;
+            self.stage.table.clear();
+            self.stage.table.push_str(table);
+        }
+        self.stage.rows.push_tuple(tuple);
+        if self.stage.rows.len() >= Self::INGEST_STAGE_ROWS {
+            self.drain_ingest(ctx);
+        } else if !self.stage.flush_armed {
+            self.stage.flush_armed = true;
+            ctx.set_timer(0, PierTimer::IngestFlush);
+        }
+    }
+
+    /// Absorb the staged rows, as of the instant they were staged at.
+    fn drain_ingest(&mut self, ctx: &mut ProgramContext<Self>) {
+        if self.stage.rows.is_empty() {
+            return;
+        }
+        let rows = std::mem::take(&mut self.stage.rows);
+        let table = std::mem::take(&mut self.stage.table);
+        let effects = self.route_new_batch(ctx, &table, rows, self.stage.at);
+        self.stage.table = table;
         self.drive(ctx, effects);
     }
 
@@ -1055,7 +1119,7 @@ impl PierNode {
                         // to the dataflow batch-at-a-time — the dispatch
                         // (namespace routing, target lookup) happens once per
                         // batch and the operators consume whole chunks.
-                        self.route_new_batch(ctx, &object.name.namespace, batch)
+                        self.route_new_batch(ctx, &object.name.namespace, batch, ctx.now())
                     }
                 }
             }
@@ -1097,43 +1161,45 @@ impl PierNode {
                     _ => None,
                 };
                 if object.value.tuple_count() > 0 {
-                    if let Some(query_id) = self.query_for_partial_namespace(&object.name.namespace)
-                    {
-                        let mut absorbed = false;
-                        for partial in object.value.iter_tuples() {
-                            absorbed |= self.absorb_partial(query_id, &partial);
-                        }
-                        if absorbed {
-                            return self.overlay.resume_upcall(token, false, now);
-                        }
-                    }
-                    if let Some(query_id) = self.query_for_window_namespace(&object.name.namespace)
-                    {
-                        let mut absorbed = false;
-                        let mut refused: Vec<Tuple> = Vec::new();
-                        for partial in object.value.iter_tuples() {
-                            if self.absorb_window_partial(query_id, &partial) {
-                                absorbed = true;
-                            } else {
-                                refused.push(partial);
+                    match self.routes.get(&object.name.namespace) {
+                        Some(&NamespaceRoute::AggPartials(query_id)) => {
+                            let mut absorbed = false;
+                            for partial in object.value.iter_tuples() {
+                                absorbed |= self.absorb_partial(query_id, &partial);
+                            }
+                            if absorbed {
+                                return self.overlay.resume_upcall(token, false, now);
                             }
                         }
-                        if absorbed {
-                            // The absorbed share is ours now; anything this
-                            // node's state refused (budget shed, evicted
-                            // window) must still reach the root — exactly as
-                            // an unbatched per-tuple upcall would have
-                            // continued routing it.
-                            let mut effects = self.overlay.resume_upcall(token, false, now);
-                            if !refused.is_empty() {
-                                // Arm only when a send follows: `set_trace`
-                                // is consumed by the next overlay op and
-                                // must not leak onto unrelated traffic.
-                                self.overlay.set_trace(upcall_ctx);
+                        Some(&NamespaceRoute::WindowPartials(query_id)) => {
+                            let mut absorbed = false;
+                            let mut refused: Vec<Tuple> = Vec::new();
+                            for partial in object.value.iter_tuples() {
+                                if self.absorb_window_partial(query_id, &partial) {
+                                    absorbed = true;
+                                } else {
+                                    refused.push(partial);
+                                }
                             }
-                            effects.extend(self.reship_window_partials(query_id, refused, now));
-                            return effects;
+                            if absorbed {
+                                // The absorbed share is ours now; anything
+                                // this node's state refused (budget shed,
+                                // evicted window) must still reach the root
+                                // — exactly as an unbatched per-tuple upcall
+                                // would have continued routing it.
+                                let mut effects = self.overlay.resume_upcall(token, false, now);
+                                if !refused.is_empty() {
+                                    // Arm only when a send follows:
+                                    // `set_trace` is consumed by the next
+                                    // overlay op and must not leak onto
+                                    // unrelated traffic.
+                                    self.overlay.set_trace(upcall_ctx);
+                                }
+                                effects.extend(self.reship_window_partials(query_id, refused, now));
+                                return effects;
+                            }
                         }
+                        _ => {}
                     }
                     // Share-group window partials combine en route exactly
                     // like per-query ones, but into the group's single
@@ -1250,20 +1316,6 @@ impl PierNode {
             .send_routed(root_id, name, shipment, lifetime, now)
     }
 
-    fn query_for_partial_namespace(&self, namespace: &str) -> Option<u64> {
-        self.queries
-            .iter()
-            .find(|(_, q)| q.plan.partial_namespace() == namespace)
-            .map(|(id, _)| *id)
-    }
-
-    fn query_for_window_namespace(&self, namespace: &str) -> Option<u64> {
-        self.queries
-            .iter()
-            .find(|(_, q)| q.cq.is_some() && q.plan.window_namespace() == namespace)
-            .map(|(id, _)| *id)
-    }
-
     fn absorb_window_partial(&mut self, query_id: u64, partial: &Tuple) -> bool {
         let Some(q) = self.queries.get_mut(&query_id) else {
             return false;
@@ -1290,58 +1342,68 @@ impl PierNode {
         absorbed
     }
 
+    /// Merge arriving partial aggregates into the aggregation-tree root.
+    fn merge_agg_partials(&mut self, query_id: u64, partials: impl Iterator<Item = Tuple>) {
+        let Some(q) = self.queries.get_mut(&query_id) else {
+            return;
+        };
+        for tuple in partials {
+            for g in &mut q.graphs {
+                if let Some(root) = g.root_merge.as_mut() {
+                    root.merge_partial(&tuple);
+                }
+            }
+        }
+    }
+
+    /// The opgraphs reading `namespace`, ascending by `(query, graph)`.
+    fn source_targets(&self, namespace: &str) -> Vec<(u64, usize)> {
+        match self.routes.get(namespace) {
+            Some(NamespaceRoute::Sources(targets)) => targets.clone(),
+            _ => Vec::new(),
+        }
+    }
+
+    /// Route one DHT-delivered tuple (`newData` carrying a single object).
     fn route_new_tuple(
         &mut self,
         ctx: &mut ProgramContext<Self>,
         namespace: &str,
         tuple: Tuple,
     ) -> Vec<OverlayEffect<QpObject>> {
-        let mut effects = Vec::new();
-        // Closed-window partials arriving at (or relayed through) this node.
-        if let Some(query_id) = self.query_for_window_namespace(namespace) {
-            self.absorb_window_partial(query_id, &tuple);
-            return effects;
+        match self.routes.get(namespace) {
+            // Closed-window partials arriving at (or relayed through) this
+            // node.
+            Some(&NamespaceRoute::WindowPartials(query_id)) => {
+                self.absorb_window_partial(query_id, &tuple);
+                return Vec::new();
+            }
+            // Partial aggregates arriving at the aggregation-tree root.
+            Some(&NamespaceRoute::AggPartials(query_id)) => {
+                self.merge_agg_partials(query_id, std::iter::once(tuple));
+                return Vec::new();
+            }
+            _ => {}
         }
-        // Share-group window partials arriving at the group's root (a
-        // budget-refused arrival is dropped, exactly as per-query partials
-        // are when the root's store refuses them).
         if let Some(layer) = self.sharing.as_mut() {
+            // Share-group window partials arriving at the group's root (a
+            // budget-refused arrival is dropped, exactly as per-query
+            // partials are when the root's store refuses them).
             if layer.absorb_window_partial(namespace, &tuple).is_some() {
-                return effects;
+                return Vec::new();
             }
-        }
-        // Partial aggregates arriving at the aggregation-tree root.
-        if let Some(query_id) = self.query_for_partial_namespace(namespace) {
-            if let Some(q) = self.queries.get_mut(&query_id) {
-                for g in &mut q.graphs {
-                    if let Some(root) = g.root_merge.as_mut() {
-                        root.merge_partial(&tuple);
-                    }
-                }
-            }
-            return effects;
-        }
-        // Shared ingest: hand the tuple to the sharing layer once; its
-        // predicate index fans it out to every member query.  Independent
-        // queries over the same namespace still receive it below.
-        if let Some(layer) = self.sharing.as_mut() {
+            // Shared ingest: hand the tuple to the sharing layer once; its
+            // predicate index fans it out to every member query.
+            // Independent queries over the same namespace still receive it
+            // below.
             if layer.wants_namespace(namespace) {
-                layer.absorb_tuple(namespace, &tuple, ctx.now());
+                layer.absorb_chunk(namespace, &ColumnChunk::from_tuple(&tuple), ctx.now());
             }
         }
         // Base-table or rehash-namespace tuples feeding installed opgraphs.
-        let targets: Vec<(u64, usize)> = self
-            .queries
-            .iter()
-            .flat_map(|(qid, q)| {
-                q.graphs
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, g)| g.spec.source.namespace() == namespace)
-                    .map(move |(i, _)| (*qid, i))
-            })
-            .collect();
-        self.ingest_spans(ctx, &targets, 1, tuple.wire_size() as u64);
+        let targets = self.source_targets(namespace);
+        self.ingest_spans(ctx, &targets, ctx.now(), 1, || tuple.wire_size());
+        let mut effects = Vec::new();
         for (qid, gidx) in targets {
             effects.extend(self.feed_graph(ctx, qid, gidx, tuple.clone()));
         }
@@ -1349,27 +1411,30 @@ impl PierNode {
     }
 
     /// Record one `ingest` span per *sampled* query fed by an arriving
-    /// tuple or batch (rows = tuples routed, bytes = payload wire size).
-    /// Target qids are sorted before recording so span ordinals are
-    /// insertion-order independent.
+    /// tuple or batch (rows = tuples routed, bytes = payload wire size,
+    /// computed only when some target is sampled).
     fn ingest_spans(
         &mut self,
         ctx: &mut ProgramContext<Self>,
         targets: &[(u64, usize)],
+        now: SimTime,
         rows: u64,
-        bytes: u64,
+        bytes: impl FnOnce() -> usize,
     ) {
-        if !self.tel.is_enabled() || targets.is_empty() {
+        if !self.tel.is_enabled() {
             return;
         }
+        // Targets ascend by query id, so span ordinals are deterministic.
         let mut qids: Vec<u64> = targets
             .iter()
             .map(|(qid, _)| *qid)
             .filter(|qid| self.queries.get(qid).is_some_and(|q| q.plan.trace))
             .collect();
-        qids.sort_unstable();
         qids.dedup();
-        let now = ctx.now();
+        if qids.is_empty() {
+            return;
+        }
+        let bytes = bytes() as u64;
         for qid in qids {
             let trace_id = trace_id_for(qid);
             let span = self.next_span_id(ctx.me());
@@ -1379,27 +1444,37 @@ impl PierNode {
         }
     }
 
-    /// Batch counterpart of [`PierNode::route_new_tuple`]: the namespace
-    /// routing and target lookup happen once for the whole batch, and the
-    /// opgraphs consume columnar chunks instead of per-tuple pushes.
+    /// Route an arriving batch — a coalesced DHT transfer, or the rows
+    /// [`PierNode::ingest`] staged at `now`: the namespace lookup happens
+    /// once for the whole batch, and the opgraphs consume columnar chunks.
     fn route_new_batch(
         &mut self,
         ctx: &mut ProgramContext<Self>,
         namespace: &str,
         batch: TupleBatch,
+        now: SimTime,
     ) -> Vec<OverlayEffect<QpObject>> {
-        // Closed-window partials arriving at (or relayed through) this node:
-        // decoding is inherently per-partial (the accumulator is rebuilt
-        // from named columns), but the namespace lookup happens once.
-        if let Some(query_id) = self.query_for_window_namespace(namespace) {
-            for tuple in batch.iter() {
-                self.absorb_window_partial(query_id, &tuple);
+        match self.routes.get(namespace) {
+            // Closed-window partials arriving at (or relayed through) this
+            // node: decoding is inherently per-partial (the accumulator is
+            // rebuilt from named columns).
+            Some(&NamespaceRoute::WindowPartials(query_id)) => {
+                for tuple in batch.iter() {
+                    self.absorb_window_partial(query_id, &tuple);
+                }
+                return Vec::new();
             }
-            return Vec::new();
+            // Partial aggregates arriving at the aggregation-tree root.
+            Some(&NamespaceRoute::AggPartials(query_id)) => {
+                self.merge_agg_partials(query_id, batch.iter());
+                return Vec::new();
+            }
+            _ => {}
         }
-        // Share-group window partials: the first tuple decides whether the
-        // namespace belongs to a share group (namespaces are disjoint).
         if let Some(layer) = self.sharing.as_mut() {
+            // Share-group window partials: the first tuple decides whether
+            // the namespace belongs to a share group (namespaces are
+            // disjoint).
             let mut handled = false;
             for tuple in batch.iter() {
                 if layer.absorb_window_partial(namespace, &tuple).is_none() {
@@ -1410,46 +1485,21 @@ impl PierNode {
             if handled {
                 return Vec::new();
             }
-        }
-        // Partial aggregates arriving at the aggregation-tree root.
-        if let Some(query_id) = self.query_for_partial_namespace(namespace) {
-            if let Some(q) = self.queries.get_mut(&query_id) {
-                for tuple in batch.iter() {
-                    for g in &mut q.graphs {
-                        if let Some(root) = g.root_merge.as_mut() {
-                            root.merge_partial(&tuple);
-                        }
-                    }
-                }
-            }
-            return Vec::new();
-        }
-        // Shared ingest: each chunk is handed to the sharing layer once —
-        // the dispatch cost of N member queries is one predicate-index scan.
-        if let Some(layer) = self.sharing.as_mut() {
+            // Shared ingest: each chunk is handed to the sharing layer once
+            // — the dispatch cost of N member queries is one
+            // predicate-index scan.
             if layer.wants_namespace(namespace) {
-                let now = ctx.now();
                 for chunk in batch.chunks() {
                     layer.absorb_chunk(namespace, chunk, now);
                 }
             }
         }
         // Base-table or rehash-namespace batches feeding installed opgraphs.
-        let targets: Vec<(u64, usize)> = self
-            .queries
-            .iter()
-            .flat_map(|(qid, q)| {
-                q.graphs
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, g)| g.spec.source.namespace() == namespace)
-                    .map(move |(i, _)| (*qid, i))
-            })
-            .collect();
-        self.ingest_spans(ctx, &targets, batch.len() as u64, batch.wire_size() as u64);
+        let targets = self.source_targets(namespace);
+        self.ingest_spans(ctx, &targets, now, batch.len() as u64, || batch.wire_size());
         let mut effects = Vec::new();
         for (qid, gidx) in targets {
-            effects.extend(self.feed_graph_batch(ctx, qid, gidx, &batch));
+            effects.extend(self.feed_graph_batch(ctx, qid, gidx, &batch, now));
         }
         effects
     }
@@ -1584,6 +1634,24 @@ impl PierNode {
                 0,
             );
         }
+        // Partial namespaces are the query's own; a source that names one is
+        // shadowed, as partials were always tried first.
+        if has_cq {
+            let route = NamespaceRoute::WindowPartials(query_id);
+            self.routes.insert(plan.window_namespace(), route);
+        }
+        let route = NamespaceRoute::AggPartials(query_id);
+        self.routes.insert(plan.partial_namespace(), route);
+        for (gidx, g) in graphs.iter().enumerate() {
+            let route = self
+                .routes
+                .entry(g.spec.source.namespace().to_string())
+                .or_insert_with(|| NamespaceRoute::Sources(Vec::new()));
+            if let NamespaceRoute::Sources(targets) = route {
+                let at = targets.partition_point(|t| *t < (query_id, gidx));
+                targets.insert(at, (query_id, gidx));
+            }
+        }
         self.queries.insert(
             query_id,
             QueryState {
@@ -1651,6 +1719,17 @@ impl PierNode {
     fn uninstall_query(&mut self, query_id: u64) {
         self.last_combine_span.remove(&query_id);
         if let Some(q) = self.queries.remove(&query_id) {
+            self.routes.remove(&q.plan.window_namespace());
+            self.routes.remove(&q.plan.partial_namespace());
+            for g in &q.graphs {
+                let namespace = g.spec.source.namespace();
+                if let Some(NamespaceRoute::Sources(targets)) = self.routes.get_mut(namespace) {
+                    targets.retain(|(qid, _)| *qid != query_id);
+                    if targets.is_empty() {
+                        self.routes.remove(namespace);
+                    }
+                }
+            }
             self.tel.inc("query.teardowns");
             self.tel.event("query_teardown", || {
                 vec![("query_id", query_id.to_string())]
@@ -1772,26 +1851,34 @@ impl PierNode {
         query_id: u64,
         graph_idx: usize,
         batch: &TupleBatch,
+        now: SimTime,
     ) -> Vec<OverlayEffect<QpObject>> {
-        let now = ctx.now();
-        // A shed plan samples per row; the chunk fast path would keep or
-        // drop whole chunks.  Degrade to per-tuple feeding — shed mode is
-        // already the degraded mode, fidelity of the thinning matters more
-        // than batch throughput.
-        if self
-            .queries
-            .get(&query_id)
-            .is_some_and(|q| q.plan.sample_every > 1)
-        {
-            let mut effects = Vec::new();
-            for tuple in batch.iter() {
-                effects.extend(self.feed_graph(ctx, query_id, graph_idx, tuple));
-            }
-            return effects;
-        }
         let outputs = {
             let Some(q) = self.queries.get_mut(&query_id) else {
                 return Vec::new();
+            };
+            // Shed-to-sampling, chunk-wise: the same one-in-`sample_every`
+            // source rows [`PierNode::feed_graph`] keeps, gathered per chunk.
+            let sampled;
+            let batch = if q.plan.sample_every > 1 {
+                let every = u64::from(q.plan.sample_every);
+                let mut kept = TupleBatch::default();
+                for chunk in batch.chunks() {
+                    if is_query_scoped_table(chunk.schema().table()) {
+                        kept.push_chunk(chunk.clone());
+                        continue;
+                    }
+                    let seen = q.ingest_seen;
+                    q.ingest_seen += chunk.rows() as u64;
+                    let idx: Vec<u32> = (0..chunk.rows() as u32)
+                        .filter(|r| (seen + u64::from(*r)) % every == 0)
+                        .collect();
+                    kept.push_chunk(chunk.gather(&idx));
+                }
+                sampled = kept;
+                &sampled
+            } else {
+                batch
             };
             let cq_direct = q.cq.as_ref().is_some_and(|cq| cq.graph_idx == graph_idx)
                 && q.graphs
@@ -2064,10 +2151,9 @@ impl PierNode {
     }
 
     fn proxy_receive(&mut self, ctx: &mut ProgramContext<Self>, query_id: u64, tuples: Vec<Tuple>) {
-        let state = self.proxied.entry(query_id).or_default();
-        if state.done {
-            return;
-        }
+        let Some(state) = self.proxied.get_mut(&query_id) else {
+            return; // finished, or never proxied here
+        };
         state.results += tuples.len() as u64;
         for tuple in tuples {
             ctx.output(PierOut::Result { query_id, tuple });
@@ -2487,7 +2573,6 @@ impl PierNode {
         let Some(group_idxs) = cq.group_resolver.indices_for(schema) else {
             return; // malformed chunk: discard (best-effort policy)
         };
-        let group_idxs = group_idxs.to_vec();
         let time_idx = cq.time_ref.as_mut().and_then(|c| c.index_for(schema));
         let dedup_idxs: Vec<Option<usize>> = cq
             .dedup_refs
@@ -2500,31 +2585,30 @@ impl PierNode {
             .map(|input| input.as_mut().and_then(|c| c.index_for(schema)))
             .collect();
         let aggs = &cq.aggs;
+        // One key and one dedup buffer serve every row of the chunk.
+        let mut key = String::new();
+        let mut dedup = String::new();
         for r in 0..chunk.rows() {
             let event_time = time_idx
                 .and_then(|i| chunk.col(i).value_ref(r).as_i64())
                 .map_or(now, |v| v.max(0) as u64);
-            let key = chunk.key_at(&group_idxs, r);
-            let dedup = if dedup_idxs.is_empty() {
-                None
-            } else {
-                // A row missing a dedup column is treated as unique.
-                let mut out = String::with_capacity(12 * dedup_idxs.len());
-                for (i, idx) in dedup_idxs.iter().enumerate() {
-                    if i > 0 {
-                        out.push('|');
-                    }
-                    match idx {
-                        Some(c) => chunk.col(*c).value_ref(r).write_key(&mut out),
-                        None => out.push('∅'),
-                    }
+            key.clear();
+            chunk.write_key_at(group_idxs, r, &mut key);
+            dedup.clear();
+            // A row missing a dedup column is treated as unique.
+            for (i, idx) in dedup_idxs.iter().enumerate() {
+                if i > 0 {
+                    dedup.push('|');
                 }
-                Some(out)
-            };
+                match idx {
+                    Some(c) => chunk.col(*c).value_ref(r).write_key(&mut dedup),
+                    None => dedup.push('∅'),
+                }
+            }
             cq.store.push(
                 event_time,
                 &key,
-                dedup.as_deref(),
+                (!dedup_idxs.is_empty()).then_some(dedup.as_str()),
                 || GroupAgg {
                     vals: group_idxs.iter().map(|&i| chunk.col(i).value(r)).collect(),
                     states: aggs.iter().map(AggFunc::init).collect(),
@@ -2998,9 +3082,10 @@ impl PierNode {
         inserts: Vec<Tuple>,
         trace: Option<TraceContext>,
     ) {
-        if self.proxied.get(&query_id).is_some_and(|s| s.done) {
-            return;
-        }
+        let Some(state) = self.proxied.get_mut(&query_id) else {
+            return; // finished, or never proxied here
+        };
+        state.results += inserts.len() as u64;
         // The delivery at the proxy closes the span tree: `result.emit`
         // parents to the root's wire-carried `window.emit` span.
         if let Some(t) = trace {
@@ -3021,8 +3106,6 @@ impl PierNode {
                 );
             }
         }
-        let state = self.proxied.entry(query_id).or_default();
-        state.results += inserts.len() as u64;
         for tuple in retracts {
             ctx.output(PierOut::WindowResult {
                 query_id,
@@ -3207,6 +3290,7 @@ impl Program for PierNode {
     }
 
     fn on_message(&mut self, ctx: &mut ProgramContext<Self>, from: NodeAddr, msg: Self::Msg) {
+        self.drain_ingest(ctx);
         if self.tel.is_enabled() {
             self.tel.set_now(ctx.now());
             self.tel.inc("net.msgs_recv");
@@ -3243,8 +3327,10 @@ impl Program for PierNode {
     }
 
     fn on_timer(&mut self, ctx: &mut ProgramContext<Self>, timer: Self::Timer) {
+        self.drain_ingest(ctx);
         self.tel.set_now(ctx.now());
         match timer {
+            PierTimer::IngestFlush => self.stage.flush_armed = false,
             PierTimer::Overlay(t) => {
                 let now = ctx.now();
                 let effects = self.overlay.on_timer(t, now);
@@ -3256,16 +3342,12 @@ impl Program for PierNode {
                 self.uninstall_query(query_id);
             }
             PierTimer::ProxyDone { query_id } => {
-                if let Some(state) = self.proxied.get_mut(&query_id) {
-                    if !state.done {
-                        state.done = true;
-                        state.renew_plan = None;
-                        // The query's budget charge returns to its tenant.
-                        if let Some(layer) = self.admission.as_mut() {
-                            layer.release(query_id);
-                        }
-                        ctx.output(PierOut::Done { query_id });
+                if self.proxied.remove(&query_id).is_some() {
+                    // The query's budget charge returns to its tenant.
+                    if let Some(layer) = self.admission.as_mut() {
+                        layer.release(query_id);
                     }
+                    ctx.output(PierOut::Done { query_id });
                 }
             }
             PierTimer::WindowTick { query_id } => self.window_tick(ctx, query_id),
@@ -3288,10 +3370,10 @@ impl Program for PierNode {
                 // proxy, and the first successful round snaps back to the
                 // base interval.  Jitter desynchronises proxies after a
                 // partition heals.
-                let plan = match self.proxied.get(&query_id) {
-                    Some(state) if !state.done => state.renew_plan.clone(),
-                    _ => None,
-                };
+                let plan = self
+                    .proxied
+                    .get(&query_id)
+                    .and_then(|state| state.renew_plan.clone());
                 if let Some(plan) = plan {
                     let renew_every = plan.cq.map_or(10_000_000, |c| c.renew_every).max(1);
                     let lease = plan.cq.map_or(renew_every * 3, |c| c.lease);
@@ -3383,6 +3465,10 @@ impl Program for PierNode {
                 }
             }
         }
+    }
+
+    fn on_stop(&mut self, ctx: &mut ProgramContext<Self>) {
+        self.drain_ingest(ctx);
     }
 }
 

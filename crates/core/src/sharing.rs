@@ -185,19 +185,10 @@ pub trait MultiQuerySharing: std::fmt::Debug + Send {
     fn wants_namespace(&self, namespace: &str) -> bool;
 
     /// Absorb one arriving chunk of `namespace` into every share group
-    /// reading it (the shared ingest: one scan, N members).
+    /// reading it (the shared ingest: one scan, N members).  Streamed rows
+    /// arrive as the chunks the executor's ingest stage drains; a single
+    /// DHT-delivered tuple arrives as a one-row chunk.
     fn absorb_chunk(&mut self, namespace: &str, chunk: &ColumnChunk, now: SimTime);
-
-    /// Absorb one arriving tuple (the unbatched delivery path).  The
-    /// default wraps it into a one-row chunk and reuses
-    /// [`MultiQuerySharing::absorb_chunk`]; layers with a cheaper row path
-    /// can override.
-    fn absorb_tuple(&mut self, namespace: &str, tuple: &Tuple, now: SimTime) {
-        let batch = crate::tuple::TupleBatch::new(vec![tuple.clone()]);
-        for chunk in batch.chunks() {
-            self.absorb_chunk(namespace, chunk, now);
-        }
-    }
 
     /// Absorb a relayed closed-window partial if `namespace` belongs to a
     /// share group.  `None` when it does not (the executor continues its

@@ -162,8 +162,7 @@ impl<A: WindowAccumulator> WindowStore<A> {
         init: impl Fn() -> A,
         mut fold: impl FnMut(&mut A),
     ) {
-        let ids: Vec<WindowId> = self.spec.windows_containing(event_time).collect();
-        for id in ids {
+        for id in self.spec.windows_containing(event_time) {
             if self.closed_through.is_some_and(|c| id <= c) {
                 self.stats.late_tuples += 1;
                 continue;

@@ -197,7 +197,6 @@ impl ShareGroup {
         let Some(group_idxs) = self.group_resolver.indices_for(schema) else {
             return (rows, 0); // malformed chunk for this group: discard
         };
-        let group_idxs = group_idxs.to_vec();
         self.index.eval_chunk(chunk);
         let selected = self.index.union().count() as u64;
         if selected == 0 {
@@ -212,6 +211,7 @@ impl ShareGroup {
         let aggs = &self.aggs;
         let union = self.index.union();
         let store = self.state.local_mut();
+        let mut key = String::new();
         for r in 0..chunk.rows() {
             if !union.get(r) {
                 continue;
@@ -219,7 +219,8 @@ impl ShareGroup {
             let event_time = time_idx
                 .and_then(|i| chunk.col(i).value_ref(r).as_i64())
                 .map_or(now, |v| v.max(0) as u64);
-            let key = chunk.key_at(&group_idxs, r);
+            key.clear();
+            chunk.write_key_at(group_idxs, r, &mut key);
             store.push(
                 event_time,
                 &key,
@@ -549,13 +550,12 @@ impl MultiQuerySharing for MqoLayer {
         let Some(fps) = self.base_ns.get(namespace) else {
             return;
         };
-        let fps = fps.clone();
         let fanout = fps.len();
         self.chunks_absorbed += 1;
         let mut scanned_total = 0u64;
         let mut selected_total = 0u64;
         for fp in fps {
-            if let Some(group) = self.groups.get_mut(&fp) {
+            if let Some(group) = self.groups.get_mut(fp) {
                 let (scanned, selected) = group.absorb_chunk(chunk, now);
                 self.rows_absorbed += scanned;
                 self.rows_selected += selected;

@@ -88,6 +88,33 @@ fn window_flush_spans_reconcile_one_for_one_against_cq_counters() {
 }
 
 #[test]
+fn ingest_spans_are_one_per_drain_and_account_for_every_row() {
+    // 10 rows per node per 250 ms tick: each node stages its tick's rows
+    // and the zero-delay flush drains them as one chunk, so a sampled query
+    // records one `ingest` span per node per tick — not one per row — and
+    // the spans' row counts add up to the stream.
+    let mut cfg = traced_cfg(6, 8, 83);
+    cfg.events_per_node_per_sec = 40;
+    let (out, cluster) = continuous_netmon_observed(&cfg);
+    assert_eq!(out.telemetry.trace_dropped, 0, "export must be complete");
+    let merged = cluster.merged_spans();
+    let ingest: Vec<_> = merged
+        .iter()
+        .filter(|ns| ns.span.stage == "ingest" && ns.span.query_id == out.query_id)
+        .collect();
+    assert_eq!(
+        ingest.iter().map(|ns| ns.span.rows).sum::<u64>(),
+        out.events
+    );
+    assert!(
+        ingest.iter().all(|ns| ns.span.rows == 10),
+        "one tick's rows each"
+    );
+    // Stamped with the instant the rows were ingested: a tick boundary.
+    assert!(ingest.iter().all(|ns| ns.span.start % 250_000 == 0));
+}
+
+#[test]
 fn sampling_off_means_zero_spans_zero_wire_change_identical_results() {
     // Telemetry on, tracing off: no spans may be recorded and the wire
     // must look exactly like the plain untraced baseline.
