@@ -8,7 +8,7 @@
 //! be combined from constant-size state, which the classification here makes
 //! explicit.
 
-use crate::tuple::{Schema, Tuple};
+use crate::tuple::{ColumnChunk, Schema, Tuple};
 use crate::value::{Value, ValueRef};
 use pier_runtime::WireSize;
 
@@ -261,9 +261,10 @@ impl AggState {
 /// interned partial schema — the compiled counterpart of
 /// [`AggState::from_partial_tuple`].  The output column (and AVG's
 /// `_sum`/`_count` companions) resolve against the schema **once**; decoding
-/// a row is then pure index access.  Relays that absorb streams of
-/// closed-window partials compile one decoder per aggregate per schema
-/// instead of re-resolving names per partial.
+/// a row is then pure index access.  Relays that absorb chunks of
+/// closed-window partials ([`crate::partial::PartialCodec`]) compile one
+/// decoder per aggregate per schema instead of re-resolving names per
+/// partial.
 #[derive(Debug, Clone)]
 pub struct PartialDecoder {
     value: usize,
@@ -288,26 +289,29 @@ impl PartialDecoder {
         Some(PartialDecoder { value, avg })
     }
 
-    /// Decode one row's partial state by index, over values parallel to the
-    /// compiled schema — exactly the outcomes of
-    /// [`AggState::from_partial_tuple`] on the materialised tuple.
-    pub fn decode(&self, func: &AggFunc, values: &[Value]) -> Option<AggState> {
-        let v = &values[self.value];
-        match (func, v) {
-            (AggFunc::Count, Value::Int(n)) => Some(AggState::Count(*n as u64)),
-            (AggFunc::Sum(_), v) => v.as_f64().map(AggState::Sum),
-            (AggFunc::Min(_), v) => Some(AggState::Min(Some(v.clone()))),
-            (AggFunc::Max(_), v) => Some(AggState::Max(Some(v.clone()))),
-            (AggFunc::Avg(_), _) => {
+    /// Decode row `r`'s partial state from a chunk of the compiled schema —
+    /// exactly the outcomes of [`AggState::from_partial_tuple`] on the
+    /// materialised row, read from the typed columns (only MIN/MAX, which
+    /// keep the value, materialise one).
+    pub fn decode(&self, func: &AggFunc, chunk: &ColumnChunk, r: usize) -> Option<AggState> {
+        let cell = chunk.col(self.value);
+        match func {
+            AggFunc::Count => match cell.value_ref(r) {
+                ValueRef::Int(n) => Some(AggState::Count(n as u64)),
+                _ => None,
+            },
+            AggFunc::Sum(_) => cell.value_ref(r).as_f64().map(AggState::Sum),
+            AggFunc::Min(_) => Some(AggState::Min(Some(cell.value(r)))),
+            AggFunc::Max(_) => Some(AggState::Max(Some(cell.value(r)))),
+            AggFunc::Avg(_) => {
                 let (sum_idx, count_idx) = self.avg?;
-                let sum = values[sum_idx].as_f64()?;
-                let count = values[count_idx].as_i64()?;
+                let sum = chunk.col(sum_idx).value_ref(r).as_f64()?;
+                let count = chunk.col(count_idx).value_ref(r).as_i64()?;
                 Some(AggState::Avg {
                     sum,
                     count: count as u64,
                 })
             }
-            _ => None,
         }
     }
 }

@@ -26,6 +26,10 @@
 //!   duplicate elimination, group-by, top-k, limit, queues, Bloom filters,
 //!   Symmetric Hash join, and the push-based [`operators::Pipeline`]
 //!   realising the non-blocking local dataflow of §3.3.5.
+//! * [`partial`] — closed-window partials of continuous queries: the
+//!   per-group accumulator ([`partial::GroupAgg`]) and the one codec
+//!   ([`partial::PartialCodec`]) that ships drained windows as a columnar
+//!   chunk and merges arriving chunks into a window store in place.
 //! * [`plan`] — UFL-style physical plans: opgraphs, sources, sinks
 //!   (to-proxy, DHT rehash/Exchange, hierarchical aggregation), and the
 //!   dissemination strategies of §3.3.3.
@@ -69,6 +73,7 @@ pub mod eddy;
 pub mod expr;
 pub mod node;
 pub mod operators;
+pub mod partial;
 pub mod plan;
 pub mod range_index;
 pub mod recursive;
@@ -94,6 +99,7 @@ pub use operators::{
     nested_loop_join, BloomFilter, Distinct, GroupBy, JoinSide, Limit, LocalOperator, Pipeline,
     Projection, Queue, Selection, SymmetricHashJoin, TopK,
 };
+pub use partial::{GroupAgg, PartialCodec};
 pub use pier_cq::{CqBudget, DeltaMode, WindowSpec};
 pub use pier_telemetry::{SpanRecord, Telemetry, TelemetryConfig, TelemetryHub, TraceEvent};
 pub use pier_trace::{trace_id_for, TraceConfig, TraceContext};

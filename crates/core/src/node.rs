@@ -16,8 +16,9 @@
 //! stops when the query's timeout expires.
 
 use crate::admission::{AdmissionControl, AdmissionFactory, AdmissionVerdict, SloPolicy};
-use crate::aggregate::{AggFunc, AggState, PartialDecoder};
+use crate::aggregate::{AggFunc, AggState};
 use crate::operators::{GroupBy, JoinSide, LocalOperator, Pipeline, SymmetricHashJoin};
+use crate::partial::{GroupAgg, PartialCodec};
 use crate::plan::{CqSpec, Dissemination, OpGraph, OperatorSpec, QpObject, QueryPlan, SinkSpec};
 use crate::sharing::{
     is_share_scoped_table, InstallOutcome, MultiQuerySharing, SharingFactory, SharingStats,
@@ -28,7 +29,7 @@ use crate::tuple::{
 use crate::value::Value;
 use pier_cq::{
     Delta, DeltaTracker, DurableStore, Lease, LeaseStatus, RehydrateReport, RenewalBackoff,
-    SegmentCodec, SegmentLog, WindowAccumulator, WindowId, WindowSpec, WindowStats, WindowStore,
+    SegmentLog, WindowId, WindowSpec, WindowStats, WindowStore,
 };
 use pier_dht::{
     routing_id, DhtMessage, Id, NodeRef, ObjectName, Overlay, OverlayConfig, OverlayEffect,
@@ -316,162 +317,11 @@ struct GraphState {
     root_merge: Option<GroupBy>,
 }
 
-/// One group's mergeable window accumulator: the grouping values plus one
-/// partial [`AggState`] per aggregate — the window engine of `pier-cq`
-/// parameterised with `pier-core`'s aggregate machinery.
-#[derive(Debug, Clone)]
-struct GroupAgg {
-    vals: Vec<Value>,
-    states: Vec<AggState>,
-}
-
-impl WindowAccumulator for GroupAgg {
-    fn merge(&mut self, other: &Self) {
-        for (mine, theirs) in self.states.iter_mut().zip(&other.states) {
-            mine.merge(theirs);
-        }
-    }
-}
-
-// Lossless little-endian byte codec for the durable window segments of
-// `pier-cq`: floats are persisted as raw IEEE-754 bits, so a rehydrated
-// accumulator is *exactly* the one that was snapshotted and re-encoding it
-// reproduces identical bytes (the round-trip contract of [`SegmentCodec`]).
-// Scalars serialise through the shared wire codec ([`Value::encode`]) — one
-// tagged-LE value format for DHT messages and durable segments alike.
-
-fn seg_put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn seg_put_opt_value(buf: &mut Vec<u8>, v: &Option<Value>) {
-    match v {
-        None => buf.push(0),
-        Some(v) => {
-            buf.push(1);
-            v.encode(buf);
-        }
-    }
-}
-
-fn seg_put_state(buf: &mut Vec<u8>, state: &AggState) {
-    match state {
-        AggState::Count(n) => {
-            buf.push(0);
-            seg_put_u64(buf, *n);
-        }
-        AggState::Sum(s) => {
-            buf.push(1);
-            seg_put_u64(buf, s.to_bits());
-        }
-        AggState::Min(v) => {
-            buf.push(2);
-            seg_put_opt_value(buf, v);
-        }
-        AggState::Max(v) => {
-            buf.push(3);
-            seg_put_opt_value(buf, v);
-        }
-        AggState::Avg { sum, count } => {
-            buf.push(4);
-            seg_put_u64(buf, sum.to_bits());
-            seg_put_u64(buf, *count);
-        }
-    }
-}
-
-struct SegReader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> SegReader<'a> {
-    fn u8(&mut self) -> Option<u8> {
-        let b = *self.bytes.get(self.pos)?;
-        self.pos += 1;
-        Some(b)
-    }
-
-    fn u64(&mut self) -> Option<u64> {
-        let end = self.pos.checked_add(8)?;
-        let raw: [u8; 8] = self.bytes.get(self.pos..end)?.try_into().ok()?;
-        self.pos = end;
-        Some(u64::from_le_bytes(raw))
-    }
-
-    fn value(&mut self) -> Option<Value> {
-        let (v, used) = Value::decode(self.bytes.get(self.pos..)?)?;
-        self.pos += used;
-        Some(v)
-    }
-
-    fn opt_value(&mut self) -> Option<Option<Value>> {
-        Some(match self.u8()? {
-            0 => None,
-            1 => Some(self.value()?),
-            _ => return None,
-        })
-    }
-
-    fn state(&mut self) -> Option<AggState> {
-        Some(match self.u8()? {
-            0 => AggState::Count(self.u64()?),
-            1 => AggState::Sum(f64::from_bits(self.u64()?)),
-            2 => AggState::Min(self.opt_value()?),
-            3 => AggState::Max(self.opt_value()?),
-            4 => AggState::Avg {
-                sum: f64::from_bits(self.u64()?),
-                count: self.u64()?,
-            },
-            _ => return None,
-        })
-    }
-}
-
-impl SegmentCodec for GroupAgg {
-    fn encode_state(&self, buf: &mut Vec<u8>) {
-        seg_put_u64(buf, self.vals.len() as u64);
-        for v in &self.vals {
-            v.encode(buf);
-        }
-        seg_put_u64(buf, self.states.len() as u64);
-        for s in &self.states {
-            seg_put_state(buf, s);
-        }
-    }
-
-    fn decode_state(bytes: &[u8]) -> Option<Self> {
-        let mut r = SegReader { bytes, pos: 0 };
-        let nv = usize::try_from(r.u64()?).ok()?;
-        if nv > bytes.len() {
-            return None; // length prefix cannot exceed the payload
-        }
-        let mut vals = Vec::with_capacity(nv);
-        for _ in 0..nv {
-            vals.push(r.value()?);
-        }
-        let ns = usize::try_from(r.u64()?).ok()?;
-        if ns > bytes.len() {
-            return None;
-        }
-        let mut states = Vec::with_capacity(ns);
-        for _ in 0..ns {
-            states.push(r.state()?);
-        }
-        if r.pos != bytes.len() {
-            return None; // trailing garbage: not a clean snapshot
-        }
-        Some(GroupAgg { vals, states })
-    }
-}
-
 /// Runtime state of one continuous (windowed) query at one node.
 #[derive(Debug)]
 struct CqState {
     spec: CqSpec,
     window: WindowSpec,
-    group_cols: Vec<String>,
-    aggs: Vec<AggFunc>,
     final_ops: Vec<OperatorSpec>,
     /// Group columns resolved to schema indices once per input schema.
     group_resolver: ColumnResolver,
@@ -482,11 +332,9 @@ struct CqState {
     time_ref: Option<ColumnRef>,
     /// Window-scoped dedup columns (a missing column keys as "∅").
     dedup_refs: Vec<ColumnRef>,
-    /// Interned shape of the closed-window partials shipped to the root.
-    partial_schema: Arc<Schema>,
-    /// Compiled positional decode of arriving partials, cached per schema
-    /// (single entry, pointer-keyed — see [`PartialDecodeCache`]).
-    partial_decode: Option<PartialDecodeCache>,
+    /// Encodes closed windows for the trip to the root (`q{id}.wp`) and
+    /// merges arriving partials into `root_store`.
+    codec: PartialCodec,
     /// Interned shape of the per-window result rows emitted at the root.
     result_schema: Arc<Schema>,
     /// Index of the opgraph feeding the windows.
@@ -573,6 +421,31 @@ enum NamespaceRoute {
     /// A base table or rehash namespace: the `(query, graph index)` pairs
     /// reading it, ascending.
     Sources(Vec<(u64, usize)>),
+}
+
+/// Whose window store a namespace's closed-window partials merge into.
+#[derive(Debug, Clone, Copy)]
+enum PartialOwner {
+    /// An installed continuous query's root store.
+    Query(u64),
+    /// A share group's root store, inside the sharing layer.
+    Group(u64),
+}
+
+/// The transfers that carry closed-window partials one hop toward their
+/// root: with `batching` every row shares one [`QpObject::Batch`] (a lone
+/// partial still travels as a bare tuple), without it each row is its own
+/// [`QpObject::Tuple`].
+fn partial_shipments(chunks: Vec<ColumnChunk>, batching: bool) -> Vec<QpObject> {
+    if batching && chunks.iter().map(ColumnChunk::rows).sum::<usize>() > 1 {
+        vec![QpObject::Batch(TupleBatch::from_chunks(chunks))]
+    } else {
+        chunks
+            .iter()
+            .flat_map(ColumnChunk::iter_rows)
+            .map(QpObject::Tuple)
+            .collect()
+    }
 }
 
 /// Rows handed to [`PierNode::ingest`] that have not been absorbed yet: one
@@ -1132,10 +1005,9 @@ impl PierNode {
                 // Hierarchical aggregation: intercept partials travelling up
                 // the tree, fold them into our own buffered partials, and
                 // drop the original message (§3.3.4).  Closed-window partials
-                // of continuous queries combine the same way en route to the
-                // window root; batched partials absorb as a unit (tuples a
-                // merge refuses are malformed and would be discarded at the
-                // root anyway, per the best-effort policy).
+                // of continuous queries — and of share groups, into the
+                // group's single shared store — combine the same way en
+                // route to the window root, a chunk at a time.
                 let now = ctx.now();
                 // Sampled senders get the §3.2.4 upcall offer recorded as a
                 // `window.upcall` span; anything this node re-ships (refused
@@ -1160,76 +1032,38 @@ impl PierNode {
                     }
                     _ => None,
                 };
-                if object.value.tuple_count() > 0 {
-                    match self.routes.get(&object.name.namespace) {
-                        Some(&NamespaceRoute::AggPartials(query_id)) => {
-                            let mut absorbed = false;
-                            for partial in object.value.iter_tuples() {
-                                absorbed |= self.absorb_partial(query_id, &partial);
-                            }
-                            if absorbed {
-                                return self.overlay.resume_upcall(token, false, now);
-                            }
-                        }
-                        Some(&NamespaceRoute::WindowPartials(query_id)) => {
-                            let mut absorbed = false;
-                            let mut refused: Vec<Tuple> = Vec::new();
-                            for partial in object.value.iter_tuples() {
-                                if self.absorb_window_partial(query_id, &partial) {
-                                    absorbed = true;
-                                } else {
-                                    refused.push(partial);
-                                }
-                            }
-                            if absorbed {
-                                // The absorbed share is ours now; anything
-                                // this node's state refused (budget shed,
-                                // evicted window) must still reach the root
-                                // — exactly as an unbatched per-tuple upcall
-                                // would have continued routing it.
-                                let mut effects = self.overlay.resume_upcall(token, false, now);
-                                if !refused.is_empty() {
-                                    // Arm only when a send follows:
-                                    // `set_trace` is consumed by the next
-                                    // overlay op and must not leak onto
-                                    // unrelated traffic.
-                                    self.overlay.set_trace(upcall_ctx);
-                                }
-                                effects.extend(self.reship_window_partials(query_id, refused, now));
-                                return effects;
-                            }
-                        }
-                        _ => {}
-                    }
-                    // Share-group window partials combine en route exactly
-                    // like per-query ones, but into the group's single
-                    // shared store.
-                    if self.sharing.is_some() {
-                        let namespace = object.name.namespace.clone();
-                        let mut group = None;
+                let partials = object.value.tuple_count();
+                if partials > 0 {
+                    if let Some(&NamespaceRoute::AggPartials(query_id)) =
+                        self.routes.get(&object.name.namespace)
+                    {
                         let mut absorbed = false;
-                        let mut refused: Vec<Tuple> = Vec::new();
                         for partial in object.value.iter_tuples() {
-                            let layer = self.sharing.as_mut().expect("checked above");
-                            match layer.absorb_window_partial(&namespace, &partial) {
-                                None => break, // not a share-group namespace
-                                Some((g, ok)) => {
-                                    group = Some(g);
-                                    if ok {
-                                        absorbed = true;
-                                    } else {
-                                        refused.push(partial);
-                                    }
-                                }
-                            }
+                            absorbed |= self.absorb_partial(query_id, &partial);
                         }
                         if absorbed {
+                            return self.overlay.resume_upcall(token, false, now);
+                        }
+                    } else {
+                        let chunks = object.value.chunks();
+                        let absorbed = self
+                            .absorb_window_chunks(&object.name.namespace, &chunks)
+                            .filter(|(_, refused)| {
+                                refused.iter().map(Vec::len).sum::<usize>() < partials
+                            });
+                        if let Some((owner, refused)) = absorbed {
+                            // The absorbed share is ours now; anything this
+                            // node's state refused (budget shed, evicted
+                            // window) must still reach the root — exactly
+                            // as an unbatched per-tuple upcall would have
+                            // continued routing it.
                             let mut effects = self.overlay.resume_upcall(token, false, now);
-                            if let Some(group) = group {
-                                if !refused.is_empty() {
-                                    self.overlay.set_trace(upcall_ctx);
-                                }
-                                effects.extend(self.reship_group_partials(group, refused, now));
+                            if refused.iter().any(|rows| !rows.is_empty()) {
+                                // Arm only when a send follows: `set_trace`
+                                // is consumed by the next overlay op and
+                                // must not leak onto unrelated traffic.
+                                self.overlay.set_trace(upcall_ctx);
+                                effects.extend(self.reship_partials(owner, &chunks, &refused, now));
                             }
                             return effects;
                         }
@@ -1257,76 +1091,84 @@ impl PierNode {
         })
     }
 
-    /// Re-route window partials this node could not absorb toward the
-    /// query's window root (used when a batch was only partially absorbed
-    /// at an upcall hop).
-    fn reship_window_partials(
+    /// Re-route the window partials this node refused (`refused[i]` indexes
+    /// rows of `chunks[i]`, a batch that was only partly absorbed at an
+    /// upcall hop) toward their owner's window root, as one transfer.
+    fn reship_partials(
         &mut self,
-        query_id: u64,
-        partials: Vec<Tuple>,
+        owner: PartialOwner,
+        chunks: &[ColumnChunk],
+        refused: &[Vec<u32>],
         now: SimTime,
     ) -> Vec<OverlayEffect<QpObject>> {
-        if partials.is_empty() {
-            return Vec::new();
+        let (namespace, root_key, lifetime) = match owner {
+            PartialOwner::Query(query_id) => {
+                let Some(q) = self.queries.get(&query_id) else {
+                    return Vec::new();
+                };
+                let lease = q.cq.as_ref().map_or(0, |cq| cq.spec.lease);
+                (
+                    q.plan.window_namespace(),
+                    q.plan.agg_root_key(),
+                    lease.max(self.config.publish_lifetime),
+                )
+            }
+            PartialOwner::Group(group) => {
+                let Some(route) = self.sharing.as_ref().and_then(|l| l.group_route(group)) else {
+                    return Vec::new();
+                };
+                (
+                    route.namespace,
+                    route.root_key,
+                    self.config.publish_lifetime,
+                )
+            }
+        };
+        let root_id = routing_id(&namespace, &root_key);
+        let mut effects = Vec::new();
+        let refused = chunks
+            .iter()
+            .zip(refused)
+            .filter(|(_, rows)| !rows.is_empty())
+            .map(|(chunk, rows)| chunk.gather(rows))
+            .collect();
+        for shipment in partial_shipments(refused, true) {
+            let name = ObjectName::new(namespace.clone(), root_key.clone(), self.rng.next_u64());
+            effects.extend(
+                self.overlay
+                    .send_routed(root_id, name, shipment, lifetime, now),
+            );
         }
-        let Some(q) = self.queries.get(&query_id) else {
-            return Vec::new();
-        };
-        let window_ns = q.plan.window_namespace();
-        let root_key = q.plan.agg_root_key();
-        let root_id = routing_id(&window_ns, &root_key);
-        let lifetime =
-            q.cq.as_ref()
-                .map_or(0, |cq| cq.spec.lease)
-                .max(self.config.publish_lifetime);
-        let shipment = if partials.len() == 1 {
-            QpObject::Tuple(partials.into_iter().next().expect("len checked"))
-        } else {
-            QpObject::Batch(TupleBatch::new(partials))
-        };
-        let name = ObjectName::new(window_ns, root_key, self.rng.next_u64());
-        self.overlay
-            .send_routed(root_id, name, shipment, lifetime, now)
+        effects
     }
 
-    /// Re-route share-group window partials this node could not absorb
-    /// toward the group's window root (the shared counterpart of
-    /// [`PierNode::reship_window_partials`]).
-    fn reship_group_partials(
+    /// Offer arriving chunks to the window store that owns `namespace` — an
+    /// installed query's root store, or a share group's (asked second: the
+    /// namespaces are disjoint).  `None`, before any row is looked at, when
+    /// `namespace` carries no closed-window partials; otherwise the owner
+    /// and, per chunk, the indices of the rows its store refused.
+    fn absorb_window_chunks(
         &mut self,
-        group: u64,
-        partials: Vec<Tuple>,
-        now: SimTime,
-    ) -> Vec<OverlayEffect<QpObject>> {
-        if partials.is_empty() {
-            return Vec::new();
+        namespace: &str,
+        chunks: &[ColumnChunk],
+    ) -> Option<(PartialOwner, Vec<Vec<u32>>)> {
+        if let Some(&NamespaceRoute::WindowPartials(query_id)) = self.routes.get(namespace) {
+            let cq = self.queries.get_mut(&query_id)?.cq.as_mut()?;
+            let refused = chunks
+                .iter()
+                .map(|chunk| cq.codec.absorb(chunk, &mut cq.root_store))
+                .collect();
+            return Some((PartialOwner::Query(query_id), refused));
         }
-        let Some(route) = self.sharing.as_ref().and_then(|l| l.group_route(group)) else {
-            return Vec::new();
-        };
-        let root_id = routing_id(&route.namespace, &route.root_key);
-        let lifetime = self.config.publish_lifetime;
-        let shipment = if partials.len() == 1 {
-            QpObject::Tuple(partials.into_iter().next().expect("len checked"))
-        } else {
-            QpObject::Batch(TupleBatch::new(partials))
-        };
-        let name = ObjectName::new(route.namespace, route.root_key, self.rng.next_u64());
-        self.overlay
-            .send_routed(root_id, name, shipment, lifetime, now)
-    }
-
-    fn absorb_window_partial(&mut self, query_id: u64, partial: &Tuple) -> bool {
-        let Some(q) = self.queries.get_mut(&query_id) else {
-            return false;
-        };
-        let Some(cq) = q.cq.as_mut() else {
-            return false;
-        };
-        let Some((wid, key, acc)) = cq.decode_partial(partial) else {
-            return false;
-        };
-        cq.root_store.accept_refinement(wid, &key, acc)
+        let layer = self.sharing.as_mut()?;
+        let mut group = None;
+        let mut refused = Vec::with_capacity(chunks.len());
+        for chunk in chunks {
+            let (g, rows) = layer.absorb_window_partials(namespace, chunk)?;
+            group = Some(g);
+            refused.push(rows);
+        }
+        Some((PartialOwner::Group(group?), refused))
     }
 
     fn absorb_partial(&mut self, query_id: u64, partial: &Tuple) -> bool {
@@ -1371,33 +1213,34 @@ impl PierNode {
         namespace: &str,
         tuple: Tuple,
     ) -> Vec<OverlayEffect<QpObject>> {
-        match self.routes.get(namespace) {
-            // Closed-window partials arriving at (or relayed through) this
-            // node.
-            Some(&NamespaceRoute::WindowPartials(query_id)) => {
-                self.absorb_window_partial(query_id, &tuple);
-                return Vec::new();
-            }
-            // Partial aggregates arriving at the aggregation-tree root.
-            Some(&NamespaceRoute::AggPartials(query_id)) => {
-                self.merge_agg_partials(query_id, std::iter::once(tuple));
-                return Vec::new();
-            }
-            _ => {}
+        // Partial aggregates arriving at the aggregation-tree root.
+        if let Some(&NamespaceRoute::AggPartials(query_id)) = self.routes.get(namespace) {
+            self.merge_agg_partials(query_id, std::iter::once(tuple));
+            return Vec::new();
         }
-        if let Some(layer) = self.sharing.as_mut() {
-            // Share-group window partials arriving at the group's root (a
-            // budget-refused arrival is dropped, exactly as per-query
-            // partials are when the root's store refuses them).
-            if layer.absorb_window_partial(namespace, &tuple).is_some() {
+        let windowed = matches!(
+            self.routes.get(namespace),
+            Some(NamespaceRoute::WindowPartials(_))
+        );
+        if windowed || self.sharing.is_some() {
+            // Closed-window partials arriving at their root — a query's or
+            // a share group's (a budget-refused arrival is dropped: there
+            // is nowhere further to send it).
+            let chunk = ColumnChunk::from_tuple(&tuple);
+            if self
+                .absorb_window_chunks(namespace, std::slice::from_ref(&chunk))
+                .is_some()
+            {
                 return Vec::new();
             }
             // Shared ingest: hand the tuple to the sharing layer once; its
             // predicate index fans it out to every member query.
             // Independent queries over the same namespace still receive it
             // below.
-            if layer.wants_namespace(namespace) {
-                layer.absorb_chunk(namespace, &ColumnChunk::from_tuple(&tuple), ctx.now());
+            if let Some(layer) = self.sharing.as_mut() {
+                if layer.wants_namespace(namespace) {
+                    layer.absorb_chunk(namespace, &chunk, ctx.now());
+                }
             }
         }
         // Base-table or rehash-namespace tuples feeding installed opgraphs.
@@ -1454,37 +1297,21 @@ impl PierNode {
         batch: TupleBatch,
         now: SimTime,
     ) -> Vec<OverlayEffect<QpObject>> {
-        match self.routes.get(namespace) {
-            // Closed-window partials arriving at (or relayed through) this
-            // node: decoding is inherently per-partial (the accumulator is
-            // rebuilt from named columns).
-            Some(&NamespaceRoute::WindowPartials(query_id)) => {
-                for tuple in batch.iter() {
-                    self.absorb_window_partial(query_id, &tuple);
-                }
-                return Vec::new();
-            }
-            // Partial aggregates arriving at the aggregation-tree root.
-            Some(&NamespaceRoute::AggPartials(query_id)) => {
-                self.merge_agg_partials(query_id, batch.iter());
-                return Vec::new();
-            }
-            _ => {}
+        // Partial aggregates arriving at the aggregation-tree root.
+        if let Some(&NamespaceRoute::AggPartials(query_id)) = self.routes.get(namespace) {
+            self.merge_agg_partials(query_id, batch.iter());
+            return Vec::new();
+        }
+        // Closed-window partials arriving at their root — a query's or a
+        // share group's (budget-refused arrivals are dropped: there is
+        // nowhere further to send them).
+        if self
+            .absorb_window_chunks(namespace, batch.chunks())
+            .is_some()
+        {
+            return Vec::new();
         }
         if let Some(layer) = self.sharing.as_mut() {
-            // Share-group window partials: the first tuple decides whether
-            // the namespace belongs to a share group (namespaces are
-            // disjoint).
-            let mut handled = false;
-            for tuple in batch.iter() {
-                if layer.absorb_window_partial(namespace, &tuple).is_none() {
-                    break;
-                }
-                handled = true;
-            }
-            if handled {
-                return Vec::new();
-            }
             // Shared ingest: each chunk is handed to the sharing layer once
             // — the dispatch cost of N member queries is one
             // predicate-index scan.
@@ -1824,8 +1651,8 @@ impl PierNode {
             if let Some(cq) = q.cq.as_mut() {
                 if cq.graph_idx == graph_idx {
                     let now = ctx.now();
-                    for t in outputs.drain(..) {
-                        Self::cq_absorb(cq, &t, now);
+                    for chunk in TupleBatch::new(std::mem::take(&mut outputs)).chunks() {
+                        Self::cq_absorb_chunk(cq, chunk, now);
                     }
                 }
             }
@@ -2085,8 +1912,8 @@ impl PierNode {
                 let now = ctx.now();
                 if let Some(q) = self.queries.get_mut(&query_id) {
                     if let Some(cq) = q.cq.as_mut() {
-                        for t in tuples {
-                            Self::cq_absorb(cq, &t, now);
+                        for chunk in TupleBatch::new(tuples).chunks() {
+                            Self::cq_absorb_chunk(cq, chunk, now);
                         }
                     }
                 }
@@ -2267,87 +2094,6 @@ impl PierNode {
     }
 }
 
-/// The positional layout of a closed-window partial within one interned
-/// schema: `_w`, the group columns, and one [`PartialDecoder`] per
-/// aggregate.  Compiled once per schema (normally just the query's interned
-/// `q{id}.wp` shape) and reused for every relayed partial.
-#[derive(Debug)]
-struct CompiledPartialLayout {
-    w: usize,
-    groups: Vec<usize>,
-    aggs: Vec<PartialDecoder>,
-}
-
-/// Single-entry per-schema cache for [`CompiledPartialLayout`], keyed by
-/// schema pointer identity (sound because schemas are interned).  `compiled`
-/// is `None` when the schema is malformed for this query — every partial of
-/// that shape is then discarded without re-resolving names.
-#[derive(Debug)]
-struct PartialDecodeCache {
-    schema: Arc<Schema>,
-    compiled: Option<CompiledPartialLayout>,
-}
-
-impl CqState {
-    /// Decode a closed-window partial tuple into its window id, group key
-    /// and mergeable accumulator.  `None` for malformed tuples (best-effort
-    /// policy, as everywhere).  The `_w`/group/aggregate columns resolve to
-    /// positional indices **once per schema** — mirroring what
-    /// `cq_absorb_chunk` does for data chunks — so the per-partial work on
-    /// the relay path is index access only.
-    fn decode_partial(&mut self, tuple: &Tuple) -> Option<(WindowId, String, GroupAgg)> {
-        let schema = tuple.schema();
-        let hit = self
-            .partial_decode
-            .as_ref()
-            .is_some_and(|c| Arc::ptr_eq(&c.schema, schema));
-        if !hit {
-            let compiled = (|| {
-                let w = schema.position("_w")?;
-                let groups: Vec<usize> = self
-                    .group_cols
-                    .iter()
-                    .map(|c| schema.position(c))
-                    .collect::<Option<_>>()?;
-                let aggs: Vec<PartialDecoder> = self
-                    .aggs
-                    .iter()
-                    .map(|a| PartialDecoder::compile(a, schema))
-                    .collect::<Option<_>>()?;
-                Some(CompiledPartialLayout { w, groups, aggs })
-            })();
-            self.partial_decode = Some(PartialDecodeCache {
-                schema: Arc::clone(schema),
-                compiled,
-            });
-        }
-        let layout = self
-            .partial_decode
-            .as_ref()
-            .expect("cache populated above")
-            .compiled
-            .as_ref()?;
-        let values = tuple.values();
-        let wid = values[layout.w].as_i64()?;
-        let vals: Vec<Value> = layout.groups.iter().map(|&i| values[i].clone()).collect();
-        let key = tuple.key_at(&layout.groups);
-        let states: Option<Vec<AggState>> = layout
-            .aggs
-            .iter()
-            .zip(&self.aggs)
-            .map(|(decoder, agg)| decoder.decode(agg, values))
-            .collect();
-        Some((
-            wid.max(0) as u64,
-            key,
-            GroupAgg {
-                vals,
-                states: states?,
-            },
-        ))
-    }
-}
-
 /// Diagnostics of a continuous query installed at a node (tests and the
 /// bench harness assert bounded state through this).
 #[derive(Debug, Clone, Copy)]
@@ -2389,21 +2135,11 @@ impl PierNode {
         let spec = plan.cq.unwrap_or_default();
         // Both shipped shapes are fixed by the sink spec, so their schemas
         // intern once at installation rather than once per emitted tuple.
-        let partial_schema = {
-            let mut columns = vec!["_w".to_string()];
-            columns.extend(group_cols.iter().cloned());
-            for agg in aggs {
-                let col = agg.output_column();
-                if matches!(agg, AggFunc::Avg(_)) {
-                    columns.push(col.clone());
-                    columns.push(format!("{col}_sum"));
-                    columns.push(format!("{col}_count"));
-                } else {
-                    columns.push(col);
-                }
-            }
-            SchemaRegistry::global().intern_owned(format!("q{}.wp", plan.query_id), columns)
-        };
+        let codec = PartialCodec::new(
+            format!("q{}.wp", plan.query_id),
+            group_cols.clone(),
+            aggs.clone(),
+        );
         let result_schema = {
             let mut columns = vec!["window_start".to_string(), "window_end".to_string()];
             columns.extend(group_cols.iter().cloned());
@@ -2413,8 +2149,6 @@ impl PierNode {
         Some(CqState {
             spec,
             window: *window,
-            group_cols: group_cols.clone(),
-            aggs: aggs.clone(),
             final_ops: final_ops.clone(),
             group_resolver: ColumnResolver::new(group_cols.clone()),
             agg_inputs: aggs
@@ -2423,8 +2157,7 @@ impl PierNode {
                 .collect(),
             time_ref: time_col.clone().map(ColumnRef::new),
             dedup_refs: dedup_cols.iter().cloned().map(ColumnRef::new).collect(),
-            partial_schema,
-            partial_decode: None,
+            codec,
             result_schema,
             graph_idx,
             store: WindowStore::new(*window, spec.budget),
@@ -2511,63 +2244,10 @@ impl PierNode {
         }
     }
 
-    /// Fold one dataflow output into the query's window store.  Columns are
-    /// resolved to schema indices once per input schema, not per tuple.
-    fn cq_absorb(cq: &mut CqState, tuple: &Tuple, now: SimTime) {
-        let event_time = cq
-            .time_ref
-            .as_mut()
-            .and_then(|c| c.get(tuple))
-            .and_then(Value::as_i64)
-            .map_or(now, |v| v.max(0) as u64);
-        let Some(indices) = cq.group_resolver.indices(tuple) else {
-            return; // malformed tuple: discard
-        };
-        let key = tuple.key_at(indices);
-        let vals: Vec<Value> = indices.iter().map(|&i| tuple.values()[i].clone()).collect();
-        let dedup = if cq.dedup_refs.is_empty() {
-            None
-        } else {
-            // A tuple missing a dedup column is treated as unique.
-            let mut out = String::with_capacity(12 * cq.dedup_refs.len());
-            for (i, col) in cq.dedup_refs.iter_mut().enumerate() {
-                if i > 0 {
-                    out.push('|');
-                }
-                match col.get(tuple) {
-                    Some(v) => v.write_key(&mut out),
-                    None => out.push('∅'),
-                }
-            }
-            Some(out)
-        };
-        let agg_values: Vec<Option<&Value>> = cq
-            .agg_inputs
-            .iter_mut()
-            .map(|input| input.as_mut().and_then(|c| c.get(tuple)))
-            .collect();
-        let aggs = &cq.aggs;
-        cq.store.push(
-            event_time,
-            &key,
-            dedup.as_deref(),
-            || GroupAgg {
-                vals: vals.clone(),
-                states: aggs.iter().map(AggFunc::init).collect(),
-            },
-            |acc| {
-                for ((agg, value), state) in aggs.iter().zip(&agg_values).zip(acc.states.iter_mut())
-                {
-                    state.update_with(agg, *value);
-                }
-            },
-        );
-    }
-
-    /// Chunk-at-a-time counterpart of [`PierNode::cq_absorb`] — the batch
-    /// path of the CQ window absorb loop.  The event-time, group, dedup and
-    /// aggregate-input columns all resolve against the chunk's schema once;
-    /// the per-row work is column indexing only.
+    /// Fold one chunk of dataflow output into the query's window store.  The
+    /// event-time, group, dedup and aggregate-input columns all resolve
+    /// against the chunk's schema once; the per-row work is column indexing
+    /// only.
     fn cq_absorb_chunk(cq: &mut CqState, chunk: &ColumnChunk, now: SimTime) {
         let schema = chunk.schema();
         let Some(group_idxs) = cq.group_resolver.indices_for(schema) else {
@@ -2584,7 +2264,7 @@ impl PierNode {
             .iter_mut()
             .map(|input| input.as_mut().and_then(|c| c.index_for(schema)))
             .collect();
-        let aggs = &cq.aggs;
+        let aggs = cq.codec.aggs();
         // One key and one dedup buffer serve every row of the chunk.
         let mut key = String::new();
         let mut dedup = String::new();
@@ -2623,20 +2303,6 @@ impl PierNode {
         }
     }
 
-    fn encode_window_partial(partial_schema: &Arc<Schema>, wid: WindowId, acc: &GroupAgg) -> Tuple {
-        let mut values = Vec::with_capacity(partial_schema.arity());
-        values.push(Value::Int(wid as i64));
-        values.extend(acc.vals.iter().cloned());
-        for state in &acc.states {
-            values.push(state.finish());
-            if let AggState::Avg { sum, count } = state {
-                values.push(Value::Float(*sum));
-                values.push(Value::Int(*count as i64));
-            }
-        }
-        Tuple::from_schema(Arc::clone(partial_schema), values)
-    }
-
     /// Periodic window maintenance (fires every slide): close due windows,
     /// forward their partials toward the window root — combining en route —
     /// and, at the root, merge arrived partials and stream per-window
@@ -2658,8 +2324,8 @@ impl PierNode {
         // 1. Close this node's due windows.  At the root the partials merge
         //    straight into the root store; elsewhere they are encoded for
         //    the trip up (along with anything absorbed from upcall relays).
-        let closed = cq.store.close_due(now);
-        let mut to_send: Vec<Tuple> = Vec::new();
+        let mut closed = cq.store.close_due(now);
+        let mut to_send = None;
         // Distinct windows whose partials this flush bundles (a tick that
         // catches up after an EVERY-cadence gap ships several windows at
         // once); the flush span's `aux` records it so the per-*window*
@@ -2672,14 +2338,9 @@ impl PierNode {
                 }
             }
         } else {
-            for (wid, groups) in closed.into_iter().chain(cq.root_store.close_due(now)) {
-                if !groups.is_empty() {
-                    flushed_windows.insert(wid);
-                }
-                for (_, acc) in groups {
-                    to_send.push(Self::encode_window_partial(&cq.partial_schema, wid, &acc));
-                }
-            }
+            closed.extend(cq.root_store.close_due(now));
+            flushed_windows.extend(closed.iter().map(|(wid, _)| *wid));
+            to_send = cq.codec.encode(&closed);
         }
 
         // 2. At the root: snapshot every due window that changed — state is
@@ -2741,11 +2402,7 @@ impl PierNode {
         //    tick shares the window-root destination, so batching collapses
         //    the per-group message train into one transfer per tick.
         let mut effects = Vec::new();
-        let shipments: Vec<QpObject> = if self.config.batching && to_send.len() > 1 {
-            vec![QpObject::Batch(TupleBatch::new(to_send))]
-        } else {
-            to_send.into_iter().map(QpObject::Tuple).collect()
-        };
+        let shipments = partial_shipments(to_send.into_iter().collect(), self.config.batching);
         // Flush instrumentation: every shipping flush ticks
         // `cq.window_flushes` / `cq.flush_partials` (the counters the
         // span-reconciliation tests anchor to), and a sampled query's flush
@@ -2953,11 +2610,7 @@ impl PierNode {
         let mut effects = Vec::new();
         // One transfer per tick per group: every partial shares the group's
         // window-root destination, so batching collapses the train.
-        let shipments: Vec<QpObject> = if self.config.batching && out.partials.len() > 1 {
-            vec![QpObject::Batch(TupleBatch::new(out.partials))]
-        } else {
-            out.partials.into_iter().map(QpObject::Tuple).collect()
-        };
+        let shipments = partial_shipments(out.partials.into_iter().collect(), self.config.batching);
         // Share-group attribution: shared work is charged to the group's
         // canonical (lowest-id) member — one `share.flush` span per
         // shipping tick when tracing is in trace-all mode (per-query
@@ -3501,6 +3154,59 @@ mod tests {
         PierNode::build_cq_state(&plan, 0).expect("plan has a windowed sink")
     }
 
+    /// The per-tuple absorb `cq_absorb_chunk` replaced, kept as the reference
+    /// the chunk path is compared against.
+    fn cq_absorb(cq: &mut CqState, tuple: &Tuple, now: SimTime) {
+        let event_time = cq
+            .time_ref
+            .as_mut()
+            .and_then(|c| c.get(tuple))
+            .and_then(Value::as_i64)
+            .map_or(now, |v| v.max(0) as u64);
+        let Some(indices) = cq.group_resolver.indices(tuple) else {
+            return; // malformed tuple: discard
+        };
+        let key = tuple.key_at(indices);
+        let vals: Vec<Value> = indices.iter().map(|&i| tuple.values()[i].clone()).collect();
+        let dedup = if cq.dedup_refs.is_empty() {
+            None
+        } else {
+            // A tuple missing a dedup column is treated as unique.
+            let mut out = String::with_capacity(12 * cq.dedup_refs.len());
+            for (i, col) in cq.dedup_refs.iter_mut().enumerate() {
+                if i > 0 {
+                    out.push('|');
+                }
+                match col.get(tuple) {
+                    Some(v) => v.write_key(&mut out),
+                    None => out.push('∅'),
+                }
+            }
+            Some(out)
+        };
+        let agg_values: Vec<Option<&Value>> = cq
+            .agg_inputs
+            .iter_mut()
+            .map(|input| input.as_mut().and_then(|c| c.get(tuple)))
+            .collect();
+        let aggs = cq.codec.aggs();
+        cq.store.push(
+            event_time,
+            &key,
+            dedup.as_deref(),
+            || GroupAgg {
+                vals: vals.clone(),
+                states: aggs.iter().map(AggFunc::init).collect(),
+            },
+            |acc| {
+                for ((agg, value), state) in aggs.iter().zip(&agg_values).zip(acc.states.iter_mut())
+                {
+                    state.update_with(agg, *value);
+                }
+            },
+        );
+    }
+
     /// Canonical view of a window store's content after closing everything:
     /// `(window, group key, group values, finished aggregates)` rows.
     fn drain_canonical(cq: &mut CqState) -> Vec<(u64, String, Vec<Value>, Vec<Value>)> {
@@ -3526,7 +3232,7 @@ mod tests {
         let mut chunked = windowed_cq_state();
         let now = 1_000_000;
         for t in &rows {
-            PierNode::cq_absorb(&mut per_tuple, t, now);
+            cq_absorb(&mut per_tuple, t, now);
         }
         let batch = TupleBatch::new(rows);
         for chunk in batch.chunks() {
@@ -3552,46 +3258,10 @@ mod tests {
     }
 
     #[test]
-    fn group_agg_segment_codec_round_trips_every_variant() {
-        let agg = GroupAgg {
-            vals: vec![
-                Value::Null,
-                Value::Bool(true),
-                Value::Int(-5),
-                Value::Float(2.5),
-                Value::str("host-α"),
-                Value::bytes([0u8, 255, 7]),
-            ],
-            states: vec![
-                AggState::Count(3),
-                AggState::Sum(1.5),
-                AggState::Min(Some(Value::Int(-9))),
-                AggState::Max(None),
-                AggState::Avg { sum: 2.0, count: 4 },
-            ],
-        };
-        let mut buf = Vec::new();
-        agg.encode_state(&mut buf);
-        let back = GroupAgg::decode_state(&buf).expect("clean bytes decode");
-        assert_eq!(back.vals, agg.vals);
-        assert_eq!(back.states, agg.states);
-        // Byte-for-byte: re-encoding the decoded state reproduces the bytes.
-        let mut again = Vec::new();
-        back.encode_state(&mut again);
-        assert_eq!(buf, again);
-        // A truncated payload is rejected, not half-decoded.
-        assert!(GroupAgg::decode_state(&buf[..buf.len() - 1]).is_none());
-        // Trailing garbage is rejected too.
-        let mut padded = buf.clone();
-        padded.push(0);
-        assert!(GroupAgg::decode_state(&padded).is_none());
-    }
-
-    #[test]
     fn persisted_cq_state_rehydrates_warm() {
         let mut cq = windowed_cq_state();
         for t in netmon_rows(120) {
-            PierNode::cq_absorb(&mut cq, &t, 0);
+            cq_absorb(&mut cq, &t, 0);
         }
         let durable = DurableStore::new();
         PierNode::persist_cq(&durable, 7, &cq);
@@ -3611,7 +3281,7 @@ mod tests {
     fn persist_compacts_once_the_log_outgrows_the_bound() {
         let mut cq = windowed_cq_state();
         for t in netmon_rows(50) {
-            PierNode::cq_absorb(&mut cq, &t, 0);
+            cq_absorb(&mut cq, &t, 0);
         }
         let durable = DurableStore::new();
         PierNode::persist_cq(&durable, 1, &cq);

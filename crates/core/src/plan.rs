@@ -18,9 +18,10 @@ use crate::expr::Expr;
 use crate::operators::{
     Distinct, GroupBy, Limit, LocalOperator, Projection, Queue, Selection, TopK,
 };
-use crate::tuple::{Tuple, TupleBatch};
+use crate::tuple::{ColumnChunk, Tuple, TupleBatch};
 use pier_cq::{CqBudget, DeltaMode, WindowSpec};
 use pier_runtime::{Duration, NodeAddr, WireSize};
+use std::borrow::Cow;
 
 /// Serializable description of a local physical operator.
 #[derive(Debug, Clone, PartialEq)]
@@ -455,6 +456,17 @@ impl QpObject {
             QpObject::Plan(_) => (None, None),
         };
         single.into_iter().chain(batch.into_iter().flatten())
+    }
+
+    /// The data this object carries as columnar chunks: a batch's own, a
+    /// single tuple as a one-row chunk, none for plans — what chunk-native
+    /// consumers walk whichever way the sender shipped.
+    pub fn chunks(&self) -> Cow<'_, [ColumnChunk]> {
+        match self {
+            QpObject::Tuple(t) => Cow::Owned(vec![ColumnChunk::from_tuple(t)]),
+            QpObject::Batch(b) => Cow::Borrowed(b.chunks()),
+            QpObject::Plan(_) => Cow::Borrowed(&[]),
+        }
     }
 
     /// Consume the object into its data tuples (empty for plans).

@@ -127,9 +127,9 @@ pub struct SharedEmission {
 /// What one group tick produced.
 #[derive(Debug, Default)]
 pub struct TickOutput {
-    /// Closed-window partials to ship one hop toward the group's root —
-    /// one stream per group, however many members it serves.
-    pub partials: Vec<Tuple>,
+    /// Closed-window partials to ship one hop toward the group's root, one
+    /// row each — one stream per group, however many members it serves.
+    pub partials: Option<ColumnChunk>,
     /// Per-member emissions (non-empty only at the group's root).
     pub emissions: Vec<SharedEmission>,
 }
@@ -190,14 +190,21 @@ pub trait MultiQuerySharing: std::fmt::Debug + Send {
     /// DHT-delivered tuple arrives as a one-row chunk.
     fn absorb_chunk(&mut self, namespace: &str, chunk: &ColumnChunk, now: SimTime);
 
-    /// Absorb a relayed closed-window partial if `namespace` belongs to a
-    /// share group.  `None` when it does not (the executor continues its
-    /// own routing); `Some((group, absorbed))` otherwise — `absorbed` is
-    /// `false` when the group's budget refused the partial.  At **upcall
-    /// (en-route) hops** the executor re-ships refused partials toward the
-    /// root so a relay's budget cannot lose them; a refusal at the root
-    /// itself is a drop, exactly like the per-query best-effort policy.
-    fn absorb_window_partial(&mut self, namespace: &str, tuple: &Tuple) -> Option<(u64, bool)>;
+    /// Absorb a chunk of relayed closed-window partials if `namespace`
+    /// belongs to a share group.  `None` when it does not — answered from
+    /// the namespace alone, before any row is looked at, because the
+    /// executor asks this of every arriving batch — and the executor
+    /// continues its own routing; `Some((group, refused))` otherwise, where
+    /// `refused` indexes the rows the group's budget (or their own
+    /// malformation) turned away.  At **upcall (en-route) hops** the
+    /// executor re-ships refused rows toward the root so a relay's budget
+    /// cannot lose them; a refusal at the root itself is a drop, exactly
+    /// like the per-query best-effort policy.
+    fn absorb_window_partials(
+        &mut self,
+        namespace: &str,
+        chunk: &ColumnChunk,
+    ) -> Option<(u64, Vec<u32>)>;
 
     /// The partial route of a live group; `None` once the group is retired
     /// (which also stops the executor's tick chain).

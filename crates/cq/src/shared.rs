@@ -128,10 +128,11 @@ impl<A: WindowAccumulator + Clone, R: Clone + PartialEq> SharedWindowState<A, R>
         &mut self.local
     }
 
-    /// Merge a relayed partial into the root-side store (arrival at, or
-    /// relay through, the group's window root).
-    pub fn absorb_partial(&mut self, id: WindowId, group_key: &str, partial: A) -> bool {
-        self.root.accept_refinement(id, group_key, partial)
+    /// The shared root-side store (the relay entry point: closed-window
+    /// partials arriving at, or relayed through, the group's window root
+    /// merge into it as refinements).
+    pub fn root_mut(&mut self) -> &mut WindowStore<A> {
+        &mut self.root
     }
 
     /// Non-root tick: drain every due window from both stores for shipment
@@ -298,12 +299,12 @@ mod tests {
         let mut s: SharedWindowState<Count, (String, u64)> = shared();
         s.add_member(1, DeltaMode::Deltas);
         s.add_member(2, DeltaMode::Deltas);
-        s.absorb_partial(0, "g1a", Count(4));
-        s.absorb_partial(0, "g2a", Count(7));
+        s.root_mut().accept_refinement(0, "g1a", Count(4));
+        s.root_mut().accept_refinement(0, "g2a", Count(7));
         assert_eq!(s.emit_due(60, derive_prefix).len(), 2);
         // A late partial refines only member 1's group: member 2's tracker
         // stays silent, member 1 sees retract+insert.
-        s.absorb_partial(0, "g1a", Count(1));
+        s.root_mut().accept_refinement(0, "g1a", Count(1));
         let refined = s.emit_due(70, derive_prefix);
         assert_eq!(refined.len(), 1);
         assert_eq!(refined[0].member, 1);
@@ -338,7 +339,7 @@ mod tests {
         // Stream through many windows; retirement keeps both the shared
         // store and the tracker bounded.
         for w in 0..200u64 {
-            s.absorb_partial(w, "g7", Count(1));
+            s.root_mut().accept_refinement(w, "g7", Count(1));
             s.emit_due(w * 10 + 25, derive_prefix);
         }
         let retain = s.retention_windows() as usize;

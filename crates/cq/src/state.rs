@@ -24,6 +24,7 @@ use crate::lifecycle::CqBudget;
 use crate::segment::{RehydrateReport, SegmentCodec, SegmentLog, SegmentRecord, WindowSegment};
 use crate::window::{WindowId, WindowSpec};
 use pier_runtime::SimTime;
+use std::cell::Cell;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt::Debug;
 
@@ -214,56 +215,58 @@ impl<A: WindowAccumulator> WindowStore<A> {
             self.stats.late_tuples += 1;
             return false;
         }
-        self.ensure_window(id);
-        let Some(win) = self.windows.get_mut(&id) else {
-            return false;
-        };
-        let at_capacity = win.groups.len() >= self.budget.max_groups_per_window as usize;
-        match win.groups.get_mut(group_key) {
-            Some(acc) => {
-                acc.merge(&partial);
-                win.dirty = true;
-                true
-            }
-            None if at_capacity => {
-                self.stats.shed_groups += 1;
-                false
-            }
-            None => {
-                win.groups.insert(group_key.to_string(), partial);
-                win.dirty = true;
-                true
-            }
-        }
+        self.accept_refinement(id, group_key, partial)
     }
 
-    /// Re-open acceptance for a window that was drained but received late
-    /// refinements (used by relay nodes that must forward refinements up the
-    /// tree).  The caller takes responsibility for not double-counting.
+    /// [`WindowStore::accept_refinement_with`] for an already-built partial.
     pub fn accept_refinement(&mut self, id: WindowId, group_key: &str, partial: A) -> bool {
+        // Exactly one of the two closures runs; the cell lets either take
+        // the partial.
+        let partial = Cell::new(Some(partial));
+        let take = || partial.take().expect("hit and make are exclusive");
+        self.accept_refinement_with(id, group_key, |acc| acc.merge(&take()), &take)
+    }
+
+    /// Fold a relayed partial for (`id`, `group_key`) into the store: `hit`
+    /// merges it into the group's accumulator in place, `make` builds the
+    /// accumulator of a group this window has not seen — so the common case,
+    /// a partial for a known group, allocates nothing.  A window that was
+    /// already drained here re-opens for the refinement (relay nodes must
+    /// forward refinements up the tree, and the next close drains the entry
+    /// again; a re-opened window is not held to the group budget); the
+    /// caller takes responsibility for not double-counting.  Returns `false`
+    /// — having run neither closure — when the window is retired or was
+    /// refused by the budget.
+    pub fn accept_refinement_with(
+        &mut self,
+        id: WindowId,
+        group_key: &str,
+        hit: impl FnOnce(&mut A),
+        make: impl FnOnce() -> A,
+    ) -> bool {
         if self.retired_through.is_some_and(|r| id <= r) {
             self.stats.late_tuples += 1;
             return false;
         }
-        if let Some(c) = self.closed_through {
-            if id <= c {
-                // Deliberately allow: refinements merge into a fresh window
-                // entry that the next close drains again.
-                self.ensure_window_unchecked(id);
-                let Some(win) = self.windows.get_mut(&id) else {
-                    return false;
-                };
-                match win.groups.get_mut(group_key) {
-                    Some(acc) => acc.merge(&partial),
-                    None => {
-                        win.groups.insert(group_key.to_string(), partial);
-                    }
-                }
-                win.dirty = true;
-                return true;
+        let reopened = self.closed_through.is_some_and(|c| id <= c);
+        self.ensure_window(id);
+        let Some(win) = self.windows.get_mut(&id) else {
+            return false; // evicted by the cap (id was the oldest)
+        };
+        let at_capacity =
+            !reopened && win.groups.len() >= self.budget.max_groups_per_window as usize;
+        match win.groups.get_mut(group_key) {
+            Some(acc) => hit(acc),
+            None if at_capacity => {
+                self.stats.shed_groups += 1;
+                return false;
+            }
+            None => {
+                win.groups.insert(group_key.to_string(), make());
             }
         }
-        self.merge_partial(id, group_key, partial)
+        win.dirty = true;
+        true
     }
 
     /// Close (drain) every window whose close time has passed at `now`,
@@ -279,9 +282,11 @@ impl<A: WindowAccumulator> WindowStore<A> {
             if let Some(win) = self.windows.remove(&id) {
                 if !win.groups.is_empty() {
                     // Drain in key order: group order feeds message order,
-                    // and equal-seed runs must replay byte-for-byte.
+                    // and equal-seed runs must replay byte-for-byte.  Map
+                    // keys are unique, so the unstable sort (no scratch
+                    // buffer) yields the one possible order.
                     let mut groups: Vec<(String, A)> = win.groups.into_iter().collect();
-                    groups.sort_by(|a, b| a.0.cmp(&b.0));
+                    groups.sort_unstable_by(|a, b| a.0.cmp(&b.0));
                     out.push((id, groups));
                 }
                 self.stats.closed_windows += 1;
@@ -316,7 +321,7 @@ impl<A: WindowAccumulator> WindowStore<A> {
                     .iter()
                     .map(|(k, a)| (k.clone(), a.clone()))
                     .collect();
-                groups.sort_by(|a, b| a.0.cmp(&b.0));
+                groups.sort_unstable_by(|a, b| a.0.cmp(&b.0));
                 out.push((id, groups));
             }
         }
@@ -353,7 +358,7 @@ impl<A: WindowAccumulator> WindowStore<A> {
                     (k.clone(), state)
                 })
                 .collect();
-            groups.sort_by(|a, b| a.0.cmp(&b.0));
+            groups.sort_unstable_by(|a, b| a.0.cmp(&b.0));
             let mut seen: Vec<String> = win.seen.iter().cloned().collect();
             seen.sort();
             log.append(&SegmentRecord::Window(WindowSegment {
@@ -437,14 +442,8 @@ impl<A: WindowAccumulator> WindowStore<A> {
         report
     }
 
+    /// Open window `id` if it is not, evicting the oldest to respect the cap.
     fn ensure_window(&mut self, id: WindowId) {
-        if self.closed_through.is_some_and(|c| id <= c) {
-            return;
-        }
-        self.ensure_window_unchecked(id);
-    }
-
-    fn ensure_window_unchecked(&mut self, id: WindowId) {
         if self.windows.contains_key(&id) {
             return;
         }
@@ -561,6 +560,46 @@ mod tests {
             v
         };
         assert_eq!(norm(fwd.close_due(1_000)), norm(rev.close_due(1_000)));
+    }
+
+    #[test]
+    fn refinement_hits_merge_in_place_and_only_misses_build() {
+        let budget = CqBudget {
+            max_groups_per_window: 1,
+            ..CqBudget::default()
+        };
+        let mut s = store(WindowSpec::tumbling(10), budget);
+        let built = Cell::new(0u32);
+        let refine = |s: &mut WindowStore<Count>, id, key: &str, n| {
+            s.accept_refinement_with(
+                id,
+                key,
+                |acc| acc.0 += n,
+                || {
+                    built.set(built.get() + 1);
+                    Count(n)
+                },
+            )
+        };
+        assert!(refine(&mut s, 0, "a", 2));
+        assert!(refine(&mut s, 0, "a", 3), "a hit merges");
+        assert_eq!(built.get(), 1, "and builds nothing");
+        // The group budget refuses a second group without running either
+        // closure.
+        assert!(!refine(&mut s, 0, "b", 7));
+        assert_eq!((built.get(), s.stats().shed_groups), (1, 1));
+        assert_eq!(s.close_due(50), [(0, vec![("a".to_string(), Count(5))])]);
+        // A drained window re-opens for refinements, past the group budget
+        // (the next close drains it again) ...
+        assert!(refine(&mut s, 0, "a", 1) && refine(&mut s, 0, "b", 1));
+        assert_eq!(s.close_due(60)[0].1.len(), 2);
+        // ... but not for `merge_partial`, and not once retired.
+        assert!(!s.merge_partial(0, "a", Count(1)));
+        s.retire_before(1);
+        assert!(!refine(&mut s, 0, "a", 1));
+        assert_eq!(s.stats().late_tuples, 2);
+        assert_eq!(built.get(), 3);
+        assert_eq!(s.open_windows(), 0);
     }
 
     #[test]

@@ -32,9 +32,10 @@ use pier_core::sharing::{
 };
 use pier_core::tuple::{ColumnChunk, ColumnRef, ColumnResolver, Schema, SchemaRegistry, Tuple};
 use pier_core::{
-    AggFunc, AggState, CompiledExpr, OperatorSpec, PartialDecoder, Pipeline, Value, WindowSpec,
+    AggFunc, AggState, CompiledExpr, GroupAgg, OperatorSpec, PartialCodec, Pipeline, Value,
+    WindowSpec,
 };
-use pier_cq::{Delta, Lease, SharedWindowState, WindowAccumulator, WindowId};
+use pier_cq::{Delta, Lease, SharedWindowState};
 use pier_runtime::{NodeAddr, SimTime};
 use pier_telemetry::Telemetry;
 use std::collections::HashMap;
@@ -44,40 +45,6 @@ use std::sync::Arc;
 /// [`PierConfig::sharing`](pier_core::PierConfig).
 pub fn layer() -> Box<dyn MultiQuerySharing + Send> {
     Box::new(MqoLayer::default())
-}
-
-/// One group's mergeable window accumulator: the grouping values plus one
-/// partial [`AggState`] per aggregate (the same shape the per-query
-/// executor accumulates, shared across members here).
-#[derive(Debug, Clone)]
-pub struct GroupAcc {
-    /// The grouping-column values identifying this group.
-    pub vals: Vec<Value>,
-    /// One mergeable partial per aggregate.
-    pub states: Vec<AggState>,
-}
-
-impl WindowAccumulator for GroupAcc {
-    fn merge(&mut self, other: &Self) {
-        for (mine, theirs) in self.states.iter_mut().zip(&other.states) {
-            mine.merge(theirs);
-        }
-    }
-}
-
-/// Compiled positional decode of one partial schema (`_w`, group columns,
-/// aggregate columns), cached per schema pointer.
-#[derive(Debug)]
-struct PartialLayout {
-    w: usize,
-    groups: Vec<usize>,
-    aggs: Vec<PartialDecoder>,
-}
-
-#[derive(Debug)]
-struct PartialDecodeCache {
-    schema: Arc<Schema>,
-    compiled: Option<PartialLayout>,
 }
 
 /// Per-member residue within a share group.
@@ -103,19 +70,18 @@ struct ShareGroup {
     epoch: u64,
     namespace: String,
     window: WindowSpec,
-    aggs: Vec<AggFunc>,
     index: PredicateIndex,
     members: HashMap<u64, MemberState>,
-    state: SharedWindowState<GroupAcc, Tuple>,
-    /// `g{fp:016x}.wp` — the shape of relayed closed-window partials.
-    partial_schema: Arc<Schema>,
+    state: SharedWindowState<GroupAgg, Tuple>,
+    /// Encodes drained windows as `g{fp:016x}.wp` chunks and merges
+    /// relayed ones into the shared root store.
+    codec: PartialCodec,
     /// `g{fp:016x}.gv` — the synthetic schema derivation predicates compile
     /// against (columns = the GROUP BY columns).
     gv_schema: Arc<Schema>,
     group_resolver: ColumnResolver,
     time_ref: Option<ColumnRef>,
     agg_inputs: Vec<Option<ColumnRef>>,
-    partial_decode: Option<PartialDecodeCache>,
 }
 
 fn window_namespace(fingerprint: u64) -> String {
@@ -129,21 +95,7 @@ fn root_key(fingerprint: u64) -> String {
 impl ShareGroup {
     fn new(c: &ShareCandidate, epoch: u64) -> ShareGroup {
         let tag = format!("g{:016x}", c.fingerprint);
-        let partial_schema = {
-            let mut columns = vec!["_w".to_string()];
-            columns.extend(c.group_cols.iter().cloned());
-            for agg in &c.aggs {
-                let col = agg.output_column();
-                if matches!(agg, AggFunc::Avg(_)) {
-                    columns.push(col.clone());
-                    columns.push(format!("{col}_sum"));
-                    columns.push(format!("{col}_count"));
-                } else {
-                    columns.push(col);
-                }
-            }
-            SchemaRegistry::global().intern_owned(format!("{tag}.wp"), columns)
-        };
+        let codec = PartialCodec::new(format!("{tag}.wp"), c.group_cols.clone(), c.aggs.clone());
         let gv_schema =
             SchemaRegistry::global().intern_owned(format!("{tag}.gv"), c.group_cols.clone());
         ShareGroup {
@@ -151,11 +103,10 @@ impl ShareGroup {
             epoch,
             namespace: c.namespace.clone(),
             window: c.window,
-            aggs: c.aggs.clone(),
             index: PredicateIndex::new(),
             members: HashMap::new(),
             state: SharedWindowState::new(c.window, c.budget),
-            partial_schema,
+            codec,
             gv_schema,
             group_resolver: ColumnResolver::new(c.group_cols.clone()),
             time_ref: c.time_col.clone().map(ColumnRef::new),
@@ -164,7 +115,6 @@ impl ShareGroup {
                 .iter()
                 .map(|a| a.input_column().map(ColumnRef::new))
                 .collect(),
-            partial_decode: None,
         }
     }
 
@@ -172,7 +122,7 @@ impl ShareGroup {
         let result_schema = {
             let mut columns = vec!["window_start".to_string(), "window_end".to_string()];
             columns.extend(self.group_resolver.columns().iter().cloned());
-            columns.extend(self.aggs.iter().map(AggFunc::output_column));
+            columns.extend(self.codec.aggs().iter().map(AggFunc::output_column));
             SchemaRegistry::global().intern_owned(format!("q{query_id}.win"), columns)
         };
         self.index.insert(query_id, c.predicate.clone());
@@ -208,7 +158,7 @@ impl ShareGroup {
             .iter_mut()
             .map(|input| input.as_mut().and_then(|c| c.index_for(schema)))
             .collect();
-        let aggs = &self.aggs;
+        let aggs = self.codec.aggs();
         let union = self.index.union();
         let store = self.state.local_mut();
         let mut key = String::new();
@@ -225,7 +175,7 @@ impl ShareGroup {
                 event_time,
                 &key,
                 None,
-                || GroupAcc {
+                || GroupAgg {
                     vals: group_idxs.iter().map(|&i| chunk.col(i).value(r)).collect(),
                     states: aggs.iter().map(AggFunc::init).collect(),
                 },
@@ -238,74 +188,6 @@ impl ShareGroup {
             );
         }
         (rows, selected)
-    }
-
-    fn encode_partial(&self, wid: WindowId, acc: &GroupAcc) -> Tuple {
-        let mut values = Vec::with_capacity(self.partial_schema.arity());
-        values.push(Value::Int(wid as i64));
-        values.extend(acc.vals.iter().cloned());
-        for state in &acc.states {
-            values.push(state.finish());
-            if let AggState::Avg { sum, count } = state {
-                values.push(Value::Float(*sum));
-                values.push(Value::Int(*count as i64));
-            }
-        }
-        Tuple::from_schema(Arc::clone(&self.partial_schema), values)
-    }
-
-    /// Decode a relayed closed-window partial (positional layout compiled
-    /// once per schema; `None` for malformed tuples, best-effort policy).
-    fn decode_partial(&mut self, tuple: &Tuple) -> Option<(WindowId, String, GroupAcc)> {
-        let schema = tuple.schema();
-        let hit = self
-            .partial_decode
-            .as_ref()
-            .is_some_and(|c| Arc::ptr_eq(&c.schema, schema));
-        if !hit {
-            let group_cols = self.group_resolver.columns();
-            let compiled = (|| {
-                let w = schema.position("_w")?;
-                let groups: Vec<usize> = group_cols
-                    .iter()
-                    .map(|c| schema.position(c))
-                    .collect::<Option<_>>()?;
-                let aggs: Vec<PartialDecoder> = self
-                    .aggs
-                    .iter()
-                    .map(|a| PartialDecoder::compile(a, schema))
-                    .collect::<Option<_>>()?;
-                Some(PartialLayout { w, groups, aggs })
-            })();
-            self.partial_decode = Some(PartialDecodeCache {
-                schema: Arc::clone(schema),
-                compiled,
-            });
-        }
-        let layout = self
-            .partial_decode
-            .as_ref()
-            .expect("cache populated above")
-            .compiled
-            .as_ref()?;
-        let values = tuple.values();
-        let wid = values[layout.w].as_i64()?;
-        let vals: Vec<Value> = layout.groups.iter().map(|&i| values[i].clone()).collect();
-        let key = tuple.key_at(&layout.groups);
-        let states: Option<Vec<AggState>> = layout
-            .aggs
-            .iter()
-            .zip(&self.aggs)
-            .map(|(decoder, agg)| decoder.decode(agg, values))
-            .collect();
-        Some((
-            wid.max(0) as u64,
-            key,
-            GroupAcc {
-                vals,
-                states: states?,
-            },
-        ))
     }
 
     /// One window tick: at the root, roll local windows up and derive every
@@ -373,11 +255,7 @@ impl ShareGroup {
                 });
             }
         } else {
-            for (wid, groups) in self.state.drain_closed(now) {
-                for (_, acc) in groups {
-                    out.partials.push(self.encode_partial(wid, &acc));
-                }
-            }
+            out.partials = self.codec.encode(&self.state.drain_closed(now));
         }
         out
     }
@@ -571,13 +449,14 @@ impl MultiQuerySharing for MqoLayer {
         }
     }
 
-    fn absorb_window_partial(&mut self, namespace: &str, tuple: &Tuple) -> Option<(u64, bool)> {
+    fn absorb_window_partials(
+        &mut self,
+        namespace: &str,
+        chunk: &ColumnChunk,
+    ) -> Option<(u64, Vec<u32>)> {
         let fp = *self.window_ns.get(namespace)?;
         let group = self.groups.get_mut(&fp)?;
-        match group.decode_partial(tuple) {
-            Some((wid, key, acc)) => Some((fp, group.state.absorb_partial(wid, &key, acc))),
-            None => Some((fp, false)), // malformed: refused, best effort
-        }
+        Some((fp, group.codec.absorb(chunk, group.state.root_mut())))
     }
 
     fn group_route(&self, group: u64) -> Option<GroupRoute> {
@@ -681,7 +560,7 @@ mod tests {
         // Tick as root far enough in the future to close every window.
         let group = *layer.by_query.get(&1).unwrap();
         let out = layer.tick(group, 60_000_000, true);
-        assert!(out.partials.is_empty(), "the root ships no partials");
+        assert!(out.partials.is_none(), "the root ships no partials");
         // Each member sees exactly its own source's counts, per window,
         // matching ground truth computed with the same window arithmetic.
         let spec = pier_cq::WindowSpec::sliding(2_000_000, 1_000_000);
@@ -731,28 +610,23 @@ mod tests {
         }
         let group = *relay.by_query.get(&1).unwrap();
         let shipped = relay.tick(group, 60_000_000, false);
-        assert!(
-            !shipped.partials.is_empty(),
-            "non-root ticks ship closed-window partials"
-        );
+        let partials = shipped
+            .partials
+            .expect("non-root ticks ship closed-window partials");
         assert!(shipped.emissions.is_empty());
         let route = relay.group_route(group).expect("group is live");
         // The root absorbs the relayed partials and derives per-member
         // results from them.
-        for partial in &shipped.partials {
-            let (g, absorbed) = root
-                .absorb_window_partial(&route.namespace, partial)
-                .expect("group namespace");
-            assert_eq!(g, group);
-            assert!(absorbed);
-        }
+        let (g, refused) = root
+            .absorb_window_partials(&route.namespace, &partials)
+            .expect("group namespace");
+        assert_eq!(g, group);
+        assert!(refused.is_empty());
         let out = root.tick(group, 120_000_000, true);
         assert!(out.emissions.iter().any(|e| e.query_id == 1));
         assert!(out.emissions.iter().any(|e| e.query_id == 2));
         // Unknown namespaces are not the layer's.
-        assert!(root
-            .absorb_window_partial("packets", &shipped.partials[0])
-            .is_none());
+        assert!(root.absorb_window_partials("packets", &partials).is_none());
     }
 
     #[test]

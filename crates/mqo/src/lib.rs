@@ -55,5 +55,5 @@ pub mod mask;
 
 pub use fingerprint::{normalize, predicate_columns, ShareCandidate};
 pub use index::{decompose, Atom, PredicateIndex};
-pub use layer::{layer, GroupAcc, MqoLayer};
+pub use layer::{layer, MqoLayer};
 pub use mask::SelMask;

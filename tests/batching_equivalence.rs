@@ -6,7 +6,7 @@
 //! strictly fewer messages and bytes.
 
 use pier::harness::continuous::{continuous_netmon, ContinuousNetmonConfig};
-use pier::harness::{Cluster, ClusterConfig};
+use pier::harness::{many_tenants, Cluster, ClusterConfig, ManyTenantsConfig};
 use pier::qp::{sqlish, JoinSpec, OpGraph, PlanBuilder, SinkSpec, SourceSpec, Tuple, Value};
 
 /// Mix the CI seed matrix into a test's default seed: `PIER_SEED`, when
@@ -217,6 +217,39 @@ fn continuous_netmon_batching_preserves_results_with_less_traffic() {
         "continuous netmon",
         run_continuous(false),
         run_continuous(true),
+    );
+}
+
+/// Eight constant-varied tenants through one `pier-mqo` share group: every
+/// tenant's final per-window rows, plus the run's traffic.
+fn run_shared_tenants(batching: bool) -> (Vec<String>, u64, u64) {
+    let mut cfg = ManyTenantsConfig::new(8, 8, 12, seeded(77));
+    cfg.pier.batching = batching;
+    let out = many_tenants(&cfg);
+    assert_eq!(out.max_shared_groups, 1, "the tenants must share one group");
+    let mut rows: Vec<String> = out
+        .tenants
+        .iter()
+        .flat_map(|t| {
+            t.windows.iter().flat_map(move |(&(start, end), rows)| {
+                rows.iter()
+                    .map(move |row| format!("q{} [{start},{end}) {row}", t.query_id))
+            })
+        })
+        .collect();
+    rows.sort();
+    (rows, out.total_msgs, out.total_bytes)
+}
+
+/// The share group's tick ships its closed windows through the same codec
+/// as the per-query tick: one chunk per tick with batching, the chunk's
+/// rows as bare tuples without — same per-tenant answers either way.
+#[test]
+fn shared_tenants_batching_preserves_results_with_less_traffic() {
+    assert_equivalent_and_cheaper(
+        "8 shared tenants",
+        run_shared_tenants(false),
+        run_shared_tenants(true),
     );
 }
 
