@@ -13,14 +13,14 @@
 //! [`SloAdmission`] implements the executor's
 //! [`pier_core::admission::AdmissionControl`] seam over those reports: each
 //! tenant's predicted spend accumulates against its
-//! [`SloBudget`](pier_core::admission::SloBudget), and a submitted plan is
+//! [`SloBudget`], and a submitted plan is
 //! admitted, degraded to a sampled plan (shed-to-sampling), or rejected with
 //! the machine-readable report.  Share-eligible plans are charged to the
 //! group member that *drives* the group — follow-on members ride at marginal
 //! cost, and the charge migrates when the driver ends.
 //!
 //! Every estimate is an **upper bound** under the declared
-//! [`EnvModel`](pier_core::admission::EnvModel): the admission soundness
+//! [`EnvModel`]: the admission soundness
 //! suite (`tests/admission_soundness.rs` at the workspace root) checks the
 //! static figures against measured telemetry counters for the netmon,
 //! many-tenants and chaos workloads.  See `docs/ANALYSIS.md` for the cost

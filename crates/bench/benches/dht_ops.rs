@@ -143,13 +143,13 @@ fn main() {
     emit_metric("dht_ops", "tuple_clone_ns_per_op", clone_ns);
     emit_metric("dht_ops", "tuple_clone_allocs_per_op", clone_allocs);
 
-    // Symmetric-hash-join push.  The production entry point is chunk-native
+    // Symmetric-hash-join push.  The one entry point is chunk-native
     // (`push_chunk_batch`): the executor hands the join DHT-arrival-sized
     // chunks, probe rows are matched per stored chunk and the output is
     // *gathered* into joined typed chunks — no per-row tuple is ever built.
-    // `symmetric_hash_join_push` therefore times the chunk path per pushed
-    // row; the single-tuple escape hatch (`push_side`, which wraps each
-    // tuple in a one-row chunk) is reported separately so its cost stays
+    // `symmetric_hash_join_push` therefore times 64-row chunks per pushed
+    // row; a single-tuple arrival (the same entry, handed a one-row chunk
+    // built from the tuple) is reported separately so its cost stays
     // visible.
     let key = vec!["b".to_string()];
     let mut join = SymmetricHashJoin::new(key.clone(), key.clone(), "rs");
@@ -166,15 +166,17 @@ fn main() {
                 Tuple::new("s", vec![("b", Value::Int(i % 64)), ("c", Value::Int(i))]),
             )
         };
-        std::hint::black_box(join.push_side(side, t).len());
+        let chunk = pier_core::tuple::ColumnChunk::from_tuple(&t);
+        std::hint::black_box(join.push_chunk_batch(side, &chunk).len());
     });
 
     // Pre-built 64-row probe chunks (the default `batch_max_tuples`), with
-    // the same key distribution and left/right alternation as the per-tuple
-    // loop — left rows carry even key residues and right rows odd ones, so
-    // both paths measure the steady-state probe+insert cost without an
-    // ever-growing result set.  The join is restarted every 512 pushes to
-    // keep state at the same order of magnitude as the per-tuple loop's.
+    // the same key distribution and left/right alternation as the
+    // single-tuple loop — left rows carry even key residues and right rows
+    // odd ones, so both loops measure the steady-state probe+insert cost
+    // without an ever-growing result set.  The join is restarted every 512
+    // pushes to keep state at the same order of magnitude as the
+    // single-tuple loop's.
     const JOIN_CHUNK_ROWS: i64 = 64;
     let join_chunks: Vec<(JoinSide, pier_core::tuple::ColumnChunk)> = (0..64i64)
         .map(|c| {
@@ -238,7 +240,7 @@ fn main() {
     );
     assert!(
         join_speedup >= 2.0,
-        "chunk-native gather join must beat the per-tuple path by >= 2x \
+        "64-row chunks must beat single-tuple arrivals by >= 2x per row \
          ({chunk_join_ns:.1} ns/row vs {per_tuple_join_ns:.1} ns/op)"
     );
     // The gather path's only steady-state allocations are the per-push
@@ -318,11 +320,12 @@ fn main() {
     emit_metric("dht_ops", "batch_scan_columnar_speedup", speedup);
 
     // Chunk-to-chunk pipeline scan: selection → projection over the same
-    // 1024-row single-schema batch.  The per-tuple baseline drives
-    // `Pipeline::push` row by row (each stage allocating per-row vectors and
-    // output tuples); the chunked path hands the whole batch through
-    // `Pipeline::push_batch`, where the selection emits one filtered chunk
-    // per input chunk and the projection gathers whole columns.  The
+    // 1024-row single-schema batch.  The baseline hands `Pipeline::push_batch`
+    // the rows as single-tuple arrivals — 1024 one-row batches, each built
+    // from its tuple — so every per-chunk cost (schema resolution, mask,
+    // output chunk) is paid per row; the chunked run hands it the whole
+    // batch, where the selection emits one filtered chunk per input chunk
+    // and the projection gathers whole columns.  The
     // counting allocator *measures* the headline claim — the chunked
     // survivor path materialises zero per-row tuples, so its allocations per
     // row are a small constant divided by the batch size.
@@ -332,12 +335,13 @@ fn main() {
             Box::new(Projection::new(vec!["src".into(), "len".into()])),
         ])
     };
-    let mut per_tuple = mk();
+    let mut one_row = mk();
     let t0 = Instant::now();
-    let mut survivors_per_tuple = 0u64;
+    let mut survivors_one_row = 0u64;
     for _ in 0..scans {
         for t in &rows {
-            survivors_per_tuple += per_tuple.push(t.clone()).len() as u64;
+            let arrival = TupleBatch::new(vec![t.clone()]);
+            survivors_one_row += one_row.push_batch(&arrival).len() as u64;
         }
     }
     let pipeline_row_ns = t0.elapsed().as_nanos() as f64 / (scans * rows.len() as u64) as f64;
@@ -352,8 +356,8 @@ fn main() {
     let pipeline_allocs_per_row =
         (allocations() - before) as f64 / (scans * rows.len() as u64) as f64;
     assert_eq!(
-        survivors_per_tuple, survivors_chunked,
-        "both pipeline paths must agree on the survivor count"
+        survivors_one_row, survivors_chunked,
+        "both chunkings must agree on the survivor count"
     );
     assert!(
         pipeline_allocs_per_row < 0.25,
@@ -361,13 +365,13 @@ fn main() {
          ({pipeline_allocs_per_row:.3} allocs/row)"
     );
     let pipeline_speedup = pipeline_row_ns / pipeline_batch_ns;
-    println!("pipeline_batch_scan_per_tuple        {pipeline_row_ns:>10.1} ns/row");
+    println!("pipeline_batch_scan_one_row_chunks   {pipeline_row_ns:>10.1} ns/row");
     println!(
         "pipeline_batch_scan                  {pipeline_batch_ns:>10.1} ns/row   ({pipeline_speedup:.2}x, {pipeline_allocs_per_row:.3} allocs/row)"
     );
     emit_metric(
         "dht_ops",
-        "pipeline_batch_scan_per_tuple_ns_per_row",
+        "pipeline_batch_scan_one_row_chunks_ns_per_row",
         pipeline_row_ns,
     );
     emit_metric(
@@ -383,7 +387,7 @@ fn main() {
     );
     assert!(
         pipeline_speedup >= 2.0,
-        "chunked pipeline must beat per-tuple dispatch by >= 2x \
+        "one 1024-row chunk must beat 1024 one-row chunks by >= 2x \
          ({pipeline_batch_ns:.1} vs {pipeline_row_ns:.1} ns/row)"
     );
     if !smoke() {

@@ -1,14 +1,14 @@
 //! Eddies: adaptive, run-time reordering of query operators (§4.2.2).
 //!
 //! PIER's answer to query optimization without a catalog is *runtime*
-//! reoptimization: "we have implemented a prototype version of an eddy [2]
+//! reoptimization: "we have implemented a prototype version of an eddy \[2\]
 //! as an optional operator that can be employed in UFL plans.  A set of UFL
 //! operators can be 'wired up' to an eddy, and in principle benefit from the
 //! eddy's ability to reorder the operators."
 //!
-//! An [`Eddy`] holds a set of commutative tuple-at-a-time operators
-//! (selections and other filters) and decides, per tuple, which operator to
-//! visit next.  The two ingredients the paper names — **observation** of
+//! An [`Eddy`] holds a set of commutative row-at-a-time filters
+//! (selections) and decides, every [`EDDY_REORDER_ROWS`] rows, which filter
+//! to visit first.  The two ingredients the paper names — **observation** of
 //! per-operator dataflow rates and a **decision mechanism** for routing —
 //! are the [`OperatorObservation`] statistics and the [`RoutingPolicy`]:
 //!
@@ -41,36 +41,20 @@ use pier_telemetry::Telemetry;
 /// selectivity flip can go unnoticed, independent of chunk size.
 pub const EDDY_REORDER_ROWS: usize = 32;
 
-/// A filter-style operator an eddy can route tuples through: it either
-/// passes the tuple (possibly transformed) or drops it.  Unlike a full
-/// [`LocalOperator`] it cannot multiply tuples, which is what makes
-/// reordering safe.
+/// A filter-style operator an eddy can route rows through: it either passes
+/// a row or drops it.  Unlike a full [`LocalOperator`] it can neither
+/// multiply nor transform rows, which is what makes reordering safe.
 pub trait EddyFilter: std::fmt::Debug {
     /// A short name used in observations and experiment output.
     fn name(&self) -> &str;
-    /// Process one tuple; `None` drops it.
-    fn apply(&mut self, tuple: Tuple) -> Option<Tuple>;
-    /// Decide row `r` of a columnar chunk without materialising it, for
-    /// filters that only pass or drop (never transform): `Some(true)` passes
-    /// the row, `Some(false)` drops it, `None` means the filter cannot
-    /// decide chunk-wise and the eddy falls back to [`EddyFilter::apply`] on
-    /// a materialised row.  Implementors that return `Some` here must also
-    /// report [`EddyFilter::supports_chunks`] and must never transform
-    /// tuples in `apply`.
-    fn apply_row(&mut self, _chunk: &ColumnChunk, _r: usize) -> Option<bool> {
-        None
-    }
-    /// True when [`EddyFilter::apply_row`] always decides (pure pass/drop
-    /// filter); enables the zero-materialisation mask path of
-    /// [`Eddy::route_batch`].
-    fn supports_chunks(&self) -> bool {
-        false
-    }
+    /// Decide row `r` of a columnar chunk without materialising it: `true`
+    /// passes the row, `false` drops it.
+    fn apply_row(&mut self, chunk: &ColumnChunk, r: usize) -> bool;
 }
 
 /// A selection predicate as an eddy filter.  The predicate is compiled
 /// against each schema it meets once ([`CompiledPredicate`]), so routing a
-/// tuple evaluates by column index — no per-tuple name lookups.
+/// row evaluates by column index — no per-row name lookups.
 #[derive(Debug)]
 pub struct PredicateFilter {
     name: String,
@@ -92,24 +76,10 @@ impl EddyFilter for PredicateFilter {
         &self.name
     }
 
-    fn apply(&mut self, tuple: Tuple) -> Option<Tuple> {
-        if self.predicate.matches_tuple(&tuple) {
-            Some(tuple)
-        } else {
-            None
-        }
-    }
-
-    fn apply_row(&mut self, chunk: &ColumnChunk, r: usize) -> Option<bool> {
-        Some(
-            self.predicate
-                .for_schema(chunk.schema())
-                .matches_view(&chunk.row_view(r)),
-        )
-    }
-
-    fn supports_chunks(&self) -> bool {
-        true
+    fn apply_row(&mut self, chunk: &ColumnChunk, r: usize) -> bool {
+        self.predicate
+            .for_schema(chunk.schema())
+            .matches_view(&chunk.row_view(r))
     }
 }
 
@@ -196,14 +166,14 @@ impl OperatorObservation {
 pub enum RoutingPolicy {
     /// Visit operators in wiring order — equivalent to a static plan.
     Fixed,
-    /// Rotate the starting operator per tuple, no learning.
+    /// Rotate the starting operator per draw, no learning.
     RoundRobin,
     /// Lottery scheduling on observed drop rates: operators that fail tuples
     /// faster get visited earlier.
     Lottery,
 }
 
-/// The eddy operator: routes each tuple through every filter until one drops
+/// The eddy operator: routes each row through every filter until one drops
 /// it or all have passed it.
 #[derive(Debug)]
 pub struct Eddy {
@@ -327,7 +297,7 @@ impl Eddy {
         }
     }
 
-    /// Decide the visiting order for the next tuple.
+    /// Decide the visiting order for the next run of rows.
     fn route_order(&mut self) -> Vec<usize> {
         let n = self.filters.len();
         match self.policy {
@@ -355,117 +325,47 @@ impl Eddy {
         }
     }
 
-    /// Apply `order`'s filters to an owned tuple with full
-    /// observation/invocation bookkeeping — the single materialised filter
-    /// loop shared by per-tuple routing and the chunk path's fallbacks.
-    fn apply_filters(&mut self, order: &[usize], tuple: Tuple) -> Option<Tuple> {
-        let mut current = tuple;
-        for &idx in order {
-            self.invocations += 1;
-            match self.filters[idx].apply(current) {
-                Some(t) => {
-                    self.observations[idx].record(false);
-                    current = t;
-                }
-                None => {
-                    self.observations[idx].record(true);
-                    return None;
-                }
-            }
-        }
-        Some(current)
-    }
-
-    /// Route one tuple through the filters in the given order, maintaining
-    /// all observation/throughput bookkeeping — shared by [`Eddy::route`]
-    /// and [`Eddy::route_batch`]'s materialised path.
-    fn route_with_order(&mut self, order: &[usize], tuple: Tuple) -> Option<Tuple> {
-        self.tuples_in += 1;
-        let survivor = self.apply_filters(order, tuple)?;
-        self.tuples_out += 1;
-        Some(survivor)
-    }
-
-    /// Route one borrowed chunk row through the filters in the given order,
-    /// with the same observation/throughput bookkeeping as
-    /// [`Eddy::route_with_order`] but no tuple materialisation.  Returns
-    /// whether the row survives.  A filter that unexpectedly declines the
-    /// chunk-wise decision (contract slip) finishes the row materialised;
-    /// chunk-capable filters never transform, so survival is all that
-    /// matters for the output mask.
+    /// Route one borrowed chunk row through the filters in the given order
+    /// with full observation/throughput bookkeeping and no tuple
+    /// materialisation.  Returns whether the row survives.
     fn route_row_in_chunk(&mut self, order: &[usize], chunk: &ColumnChunk, r: usize) -> bool {
         self.tuples_in += 1;
-        for (pos, &idx) in order.iter().enumerate() {
+        for &idx in order {
             self.invocations += 1;
-            match self.filters[idx].apply_row(chunk, r) {
-                Some(true) => self.observations[idx].record(false),
-                Some(false) => {
-                    self.observations[idx].record(true);
-                    return false;
-                }
-                None => {
-                    debug_assert!(false, "supports_chunks filter declined apply_row");
-                    // Nothing was recorded for this filter yet: roll back the
-                    // invocation count and finish the row through the shared
-                    // materialised loop from this filter onward;
-                    // chunk-capable filters never transform, so survival is
-                    // all that matters for the mask.
-                    self.invocations -= 1;
-                    let survived = self.apply_filters(&order[pos..], chunk.row(r)).is_some();
-                    if survived {
-                        self.tuples_out += 1;
-                    }
-                    return survived;
-                }
+            let passed = self.filters[idx].apply_row(chunk, r);
+            self.observations[idx].record(!passed);
+            if !passed {
+                return false;
             }
         }
         self.tuples_out += 1;
         true
     }
 
-    /// Route one tuple; returns the tuple if it survives every filter.
-    pub fn route(&mut self, tuple: Tuple) -> Option<Tuple> {
-        let order = self.next_order();
-        self.route_with_order(&order, tuple)
-    }
-
-    /// Route a whole batch, emitting the survivors as re-chunked columnar
-    /// output.  When every filter is chunk-capable
-    /// ([`EddyFilter::supports_chunks`]) rows are decided over borrowed
-    /// [`ChunkRow`](crate::tuple::ChunkRow) views and survivors leave as one
-    /// filtered chunk per input chunk — zero per-row tuple materialisations;
-    /// transforming filters fall back to materialised per-row routing.
+    /// Route a batch, emitting the survivors as re-chunked columnar output:
+    /// rows are decided over borrowed [`ChunkRow`](crate::tuple::ChunkRow)
+    /// views and survivors leave as one filtered chunk per input chunk —
+    /// zero per-row tuple materialisations.
     ///
-    /// The visiting order is re-drawn every [`EDDY_REORDER_ROWS`] rows (not
-    /// once per chunk), so observations keep feeding back into routing at a
-    /// granularity independent of how arrivals were batched — a mid-stream
-    /// selectivity flip re-orders the filters within a bounded number of
-    /// rows even inside one huge chunk.  Produces the same survivor
-    /// multiset as per-tuple routing, since the filters are commutative.
+    /// The visiting order is drawn at the start of every chunk and re-drawn
+    /// every [`EDDY_REORDER_ROWS`] rows inside it, so observations keep
+    /// feeding back into routing however arrivals were batched — a stream of
+    /// one-row chunks re-draws per row, and a mid-stream selectivity flip
+    /// re-orders the filters within a bounded number of rows even inside one
+    /// huge chunk.  The survivors never depend on the order, since the
+    /// filters are commutative.
     pub fn route_batch(&mut self, batch: &TupleBatch) -> TupleBatch {
-        let chunkable = self.filters.iter().all(|f| f.supports_chunks());
         let mut out = TupleBatch::default();
         for chunk in batch.chunks() {
             let mut order = self.next_order();
-            if chunkable {
-                let mut mask = vec![false; chunk.rows()];
-                for (r, kept) in mask.iter_mut().enumerate() {
-                    if r > 0 && r % EDDY_REORDER_ROWS == 0 {
-                        order = self.next_order();
-                    }
-                    *kept = self.route_row_in_chunk(&order, chunk, r);
+            let mut mask = vec![false; chunk.rows()];
+            for (r, kept) in mask.iter_mut().enumerate() {
+                if r > 0 && r % EDDY_REORDER_ROWS == 0 {
+                    order = self.next_order();
                 }
-                out.push_chunk(chunk.filter(&mask));
-            } else {
-                for r in 0..chunk.rows() {
-                    if r > 0 && r % EDDY_REORDER_ROWS == 0 {
-                        order = self.next_order();
-                    }
-                    if let Some(t) = self.route_with_order(&order, chunk.row(r)) {
-                        out.push_tuple(t);
-                    }
-                }
+                *kept = self.route_row_in_chunk(&order, chunk, r);
             }
+            out.push_chunk(chunk.filter(&mask));
         }
         out
     }
@@ -474,10 +374,6 @@ impl Eddy {
 impl LocalOperator for Eddy {
     fn name(&self) -> &'static str {
         "eddy"
-    }
-
-    fn push(&mut self, tuple: Tuple) -> Vec<Tuple> {
-        self.route(tuple).into_iter().collect()
     }
 
     fn push_batch(&mut self, batch: &TupleBatch) -> TupleBatch {
@@ -496,6 +392,7 @@ impl LocalOperator for Eddy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::operators::tests::{chunkings, one};
     use crate::value::Value;
 
     fn row(a: i64, b: i64, c: i64) -> Tuple {
@@ -530,6 +427,15 @@ mod tests {
         (0..n).map(|i| row(i, i % 100, i % 100)).collect()
     }
 
+    /// Stream `tuples` through `eddy` one arrival at a time (one-row
+    /// batches: the routing order is drawn per tuple); returns the survivors.
+    fn stream(eddy: &mut Eddy, tuples: &[Tuple]) -> Vec<Tuple> {
+        tuples
+            .iter()
+            .flat_map(|t| eddy.route_batch(&one(t.clone())).into_tuples())
+            .collect()
+    }
+
     #[test]
     fn all_policies_produce_the_same_result_set() {
         let tuples = workload(500);
@@ -540,12 +446,7 @@ mod tests {
             RoutingPolicy::Lottery,
         ] {
             let mut eddy = Eddy::over_predicates(three_predicates(), policy, 1);
-            let survived: Vec<Tuple> = tuples
-                .iter()
-                .cloned()
-                .filter_map(|t| eddy.route(t))
-                .collect();
-            results.push(survived.len());
+            results.push(stream(&mut eddy, &tuples).len());
         }
         assert_eq!(results[0], results[1]);
         assert_eq!(results[1], results[2]);
@@ -559,10 +460,8 @@ mod tests {
         let mut fixed = Eddy::over_predicates(three_predicates(), RoutingPolicy::Fixed, 1);
         // Lottery learns to put the strong predicate first.
         let mut lottery = Eddy::over_predicates(three_predicates(), RoutingPolicy::Lottery, 1);
-        for t in &tuples {
-            fixed.route(t.clone());
-            lottery.route(t.clone());
-        }
+        stream(&mut fixed, &tuples);
+        stream(&mut lottery, &tuples);
         assert!(
             lottery.invocations() < fixed.invocations(),
             "lottery {} must beat bad fixed order {}",
@@ -574,9 +473,7 @@ mod tests {
     #[test]
     fn observations_record_selectivity() {
         let mut eddy = Eddy::over_predicates(three_predicates(), RoutingPolicy::Fixed, 1);
-        for t in workload(200) {
-            eddy.route(t);
-        }
+        stream(&mut eddy, &workload(200));
         let obs = eddy.observations();
         assert_eq!(obs[0].seen, 200);
         assert!(
@@ -653,16 +550,12 @@ mod tests {
         // with near-optimal routing.
         let tuples = workload(1_000);
         let mut remote = Eddy::over_predicates(three_predicates(), RoutingPolicy::Lottery, 3);
-        for t in &tuples {
-            remote.route(t.clone());
-        }
+        stream(&mut remote, &tuples);
         let mut cold = Eddy::over_predicates(three_predicates(), RoutingPolicy::Lottery, 4);
         let mut warmed = Eddy::over_predicates(three_predicates(), RoutingPolicy::Lottery, 4);
         warmed.absorb_observations(remote.observations());
-        for t in &tuples {
-            cold.route(t.clone());
-            warmed.route(t.clone());
-        }
+        stream(&mut cold, &tuples);
+        stream(&mut warmed, &tuples);
         assert!(
             warmed.invocations() <= cold.invocations(),
             "warm start {} should not do more work than cold start {}",
@@ -678,27 +571,48 @@ mod tests {
         let mut p = Pipeline::new(vec![Box::new(eddy)]);
         let mut kept = 0;
         for t in workload(300) {
-            kept += p.push(t).len();
+            kept += p.push_batch(&one(t)).len();
         }
         assert_eq!(kept, 3, "c = 7 matches rows 7, 107, 207");
     }
 
     #[test]
-    fn route_batch_survivors_match_per_tuple_routing_and_stay_chunked() {
-        let tuples = workload(500);
-        let mut per_tuple = Eddy::over_predicates(three_predicates(), RoutingPolicy::Fixed, 5);
-        let mut batched = Eddy::over_predicates(three_predicates(), RoutingPolicy::Fixed, 5);
+    fn chunking_is_invisible_under_every_policy_and_survivors_stay_chunked() {
+        // Every third row is of another shape (no `c`: the strong predicate
+        // discards it), so every cut carries mixed-schema runs.
+        let tuples: Vec<Tuple> = workload(500)
+            .into_iter()
+            .enumerate()
+            .map(|(i, t)| match i % 3 {
+                2 => Tuple::new("u", vec![("a", Value::Int(i as i64))]),
+                _ => t,
+            })
+            .collect();
         let expected: Vec<Tuple> = tuples
             .iter()
+            .filter(|t| t.get("c") == Some(&Value::Int(7)))
             .cloned()
-            .filter_map(|t| per_tuple.route(t))
             .collect();
-        let got = batched.route_batch(&TupleBatch::new(tuples));
-        // Pure predicate filters take the mask path: survivors come back as
-        // one filtered chunk, not per-row tuples.
-        assert!(got.chunks().len() <= 1);
-        assert_eq!(got.into_tuples(), expected);
-        assert_eq!(batched.throughput(), per_tuple.throughput());
+        assert_eq!(expected.len(), 3, "rows 7, 207 and 307");
+        for policy in [
+            RoutingPolicy::Fixed,
+            RoutingPolicy::RoundRobin,
+            RoutingPolicy::Lottery,
+        ] {
+            for batches in chunkings(&tuples) {
+                let mut eddy = Eddy::over_predicates(three_predicates(), policy, 5);
+                let mut got = Vec::new();
+                for b in &batches {
+                    let out = eddy.route_batch(b);
+                    // Survivors leave as one filtered chunk per input chunk.
+                    assert!(out.chunks().len() <= b.chunks().len());
+                    got.extend(out.into_tuples());
+                }
+                assert_eq!(got, expected, "{policy:?}");
+                assert_eq!(eddy.throughput(), (500, 3), "{policy:?}");
+                assert!(eddy.flush().is_empty());
+            }
+        }
     }
 
     #[test]
@@ -758,7 +672,7 @@ mod tests {
         // of rotation.
         let survivor = row(7, 7, 7);
         for _ in 0..6 {
-            assert!(eddy.route(survivor.clone()).is_some());
+            assert_eq!(eddy.route_batch(&one(survivor.clone())).len(), 1);
         }
         assert_eq!(eddy.invocations(), 18);
         assert_eq!(eddy.filter_count(), 3);

@@ -12,7 +12,7 @@
 //! names become positional indices, mirroring what
 //! [`ColumnResolver`](crate::tuple::ColumnResolver) does for key columns —
 //! and then evaluate row after row by index, over either a row-major value
-//! slice or a columnar [`ColumnChunk`](crate::tuple::ColumnChunk).
+//! slice or a columnar [`ColumnChunk`].
 //! [`CompiledPredicate`] packages the per-schema compilation cache the way
 //! selections and eddies use it.
 

@@ -4,7 +4,7 @@
 //! processor designed to run on thousands of Internet nodes over a DHT
 //! overlay (`pier-dht`) and an event-driven runtime (`pier-runtime`).
 //!
-//! * [`value`] / [`tuple`] — self-describing tuples with best-effort typing
+//! * [`value`] / [`mod@tuple`] — self-describing tuples with best-effort typing
 //!   (no catalog, §3.3.1), held zero-copy: values share string/bytes
 //!   payloads behind `Arc`s, tuples pair an interned `Arc<Schema>` with an
 //!   `Arc<[Value]>` (cloning is allocation-free), and [`tuple::TupleBatch`]
@@ -104,8 +104,8 @@ pub use pier_cq::{CqBudget, DeltaMode, WindowSpec};
 pub use pier_telemetry::{SpanRecord, Telemetry, TelemetryConfig, TelemetryHub, TraceEvent};
 pub use pier_trace::{trace_id_for, TraceConfig, TraceContext};
 pub use plan::{
-    CqSpec, Dissemination, JoinSpec, OpGraph, OperatorSpec, PlanBuilder, QpObject, QueryPlan,
-    SinkSpec, SourceSpec,
+    finish_rows, CqSpec, Dissemination, JoinSpec, OpGraph, OperatorSpec, PlanBuilder, QpObject,
+    QueryPlan, SinkSpec, SourceSpec,
 };
 pub use range_index::RangeIndexConfig;
 pub use recursive::TransitiveClosure;

@@ -19,7 +19,9 @@ use crate::admission::{AdmissionControl, AdmissionFactory, AdmissionVerdict, Slo
 use crate::aggregate::{AggFunc, AggState};
 use crate::operators::{GroupBy, JoinSide, LocalOperator, Pipeline, SymmetricHashJoin};
 use crate::partial::{GroupAgg, PartialCodec};
-use crate::plan::{CqSpec, Dissemination, OpGraph, OperatorSpec, QpObject, QueryPlan, SinkSpec};
+use crate::plan::{
+    finish_rows, CqSpec, Dissemination, OpGraph, OperatorSpec, QpObject, QueryPlan, SinkSpec,
+};
 use crate::sharing::{
     is_share_scoped_table, InstallOutcome, MultiQuerySharing, SharingFactory, SharingStats,
 };
@@ -869,7 +871,7 @@ impl PierNode {
     ///
     /// The row is *staged*, not absorbed: rows of one table observed at one
     /// virtual instant accumulate into a columnar chunk that drains through
-    /// the batch path ([`PierNode::route_new_batch`]) when it is full, when
+    /// the chunk path (`PierNode::route_new_batch`) when it is full, when
     /// a row of another table or instant arrives, at the top of every other
     /// entry point, and on a zero-delay [`PierTimer::IngestFlush`] — always
     /// with the instant the rows were observed as `now`, so windows, results
@@ -898,7 +900,7 @@ impl PierNode {
         }
         let rows = std::mem::take(&mut self.stage.rows);
         let table = std::mem::take(&mut self.stage.table);
-        let effects = self.route_new_batch(ctx, &table, rows, self.stage.at);
+        let effects = self.route_new_batch(ctx, &table, &rows, self.stage.at, || rows.wire_size());
         self.stage.table = table;
         self.drive(ctx, effects);
     }
@@ -979,20 +981,30 @@ impl PierNode {
                         self.last_combine_span.insert(t.query_id, span);
                     }
                 }
+                let namespace = &object.name.namespace;
+                let now = ctx.now();
                 match object.value {
                     QpObject::Plan(plan) => {
                         self.install_query(ctx, plan);
                         Vec::new()
                     }
                     QpObject::Tuple(tuple) => {
-                        self.route_new_tuple(ctx, &object.name.namespace, tuple)
+                        // Most single-object arrivals are published rows
+                        // landing at their owner while nothing here reads
+                        // the namespace: don't build a chunk nobody reads.
+                        if !self.routes.contains_key(namespace) && self.sharing.is_none() {
+                            return Vec::new();
+                        }
+                        // A lone tuple is a one-row chunk; its `ingest` span
+                        // still reports the bytes that arrived.
+                        let batch = TupleBatch::from_chunks(vec![ColumnChunk::from_tuple(&tuple)]);
+                        self.route_new_batch(ctx, namespace, &batch, now, || tuple.wire_size())
                     }
+                    // A coalesced transfer: the dispatch (namespace routing,
+                    // target lookup) happens once per batch and the
+                    // operators consume whole chunks.
                     QpObject::Batch(batch) => {
-                        // A coalesced transfer arrives: feed the columnar batch
-                        // to the dataflow batch-at-a-time — the dispatch
-                        // (namespace routing, target lookup) happens once per
-                        // batch and the operators consume whole chunks.
-                        self.route_new_batch(ctx, &object.name.namespace, batch, ctx.now())
+                        self.route_new_batch(ctx, namespace, &batch, now, || batch.wire_size())
                     }
                 }
             }
@@ -1198,64 +1210,9 @@ impl PierNode {
         }
     }
 
-    /// The opgraphs reading `namespace`, ascending by `(query, graph)`.
-    fn source_targets(&self, namespace: &str) -> Vec<(u64, usize)> {
-        match self.routes.get(namespace) {
-            Some(NamespaceRoute::Sources(targets)) => targets.clone(),
-            _ => Vec::new(),
-        }
-    }
-
-    /// Route one DHT-delivered tuple (`newData` carrying a single object).
-    fn route_new_tuple(
-        &mut self,
-        ctx: &mut ProgramContext<Self>,
-        namespace: &str,
-        tuple: Tuple,
-    ) -> Vec<OverlayEffect<QpObject>> {
-        // Partial aggregates arriving at the aggregation-tree root.
-        if let Some(&NamespaceRoute::AggPartials(query_id)) = self.routes.get(namespace) {
-            self.merge_agg_partials(query_id, std::iter::once(tuple));
-            return Vec::new();
-        }
-        let windowed = matches!(
-            self.routes.get(namespace),
-            Some(NamespaceRoute::WindowPartials(_))
-        );
-        if windowed || self.sharing.is_some() {
-            // Closed-window partials arriving at their root — a query's or
-            // a share group's (a budget-refused arrival is dropped: there
-            // is nowhere further to send it).
-            let chunk = ColumnChunk::from_tuple(&tuple);
-            if self
-                .absorb_window_chunks(namespace, std::slice::from_ref(&chunk))
-                .is_some()
-            {
-                return Vec::new();
-            }
-            // Shared ingest: hand the tuple to the sharing layer once; its
-            // predicate index fans it out to every member query.
-            // Independent queries over the same namespace still receive it
-            // below.
-            if let Some(layer) = self.sharing.as_mut() {
-                if layer.wants_namespace(namespace) {
-                    layer.absorb_chunk(namespace, &chunk, ctx.now());
-                }
-            }
-        }
-        // Base-table or rehash-namespace tuples feeding installed opgraphs.
-        let targets = self.source_targets(namespace);
-        self.ingest_spans(ctx, &targets, ctx.now(), 1, || tuple.wire_size());
-        let mut effects = Vec::new();
-        for (qid, gidx) in targets {
-            effects.extend(self.feed_graph(ctx, qid, gidx, tuple.clone()));
-        }
-        effects
-    }
-
     /// Record one `ingest` span per *sampled* query fed by an arriving
-    /// tuple or batch (rows = tuples routed, bytes = payload wire size,
-    /// computed only when some target is sampled).
+    /// batch (rows = tuples routed, bytes = wire size of the payload as it
+    /// arrived, computed only when some target is sampled).
     fn ingest_spans(
         &mut self,
         ctx: &mut ProgramContext<Self>,
@@ -1287,15 +1244,18 @@ impl PierNode {
         }
     }
 
-    /// Route an arriving batch — a coalesced DHT transfer, or the rows
+    /// Route arriving rows — a coalesced DHT transfer, a single
+    /// DHT-delivered tuple (a one-row chunk), or the rows
     /// [`PierNode::ingest`] staged at `now`: the namespace lookup happens
     /// once for the whole batch, and the opgraphs consume columnar chunks.
+    /// `wire_bytes` is the size of the payload as it arrived.
     fn route_new_batch(
         &mut self,
         ctx: &mut ProgramContext<Self>,
         namespace: &str,
-        batch: TupleBatch,
+        batch: &TupleBatch,
         now: SimTime,
+        wire_bytes: impl FnOnce() -> usize,
     ) -> Vec<OverlayEffect<QpObject>> {
         // Partial aggregates arriving at the aggregation-tree root.
         if let Some(&NamespaceRoute::AggPartials(query_id)) = self.routes.get(namespace) {
@@ -1321,12 +1281,21 @@ impl PierNode {
                 }
             }
         }
-        // Base-table or rehash-namespace batches feeding installed opgraphs.
-        let targets = self.source_targets(namespace);
-        self.ingest_spans(ctx, &targets, now, batch.len() as u64, || batch.wire_size());
+        // Base-table or rehash-namespace batches feeding installed
+        // opgraphs, ascending by `(query, graph)`.  The target list is
+        // taken for the loop and put back: nothing below installs or
+        // uninstalls a query.
+        let targets = match self.routes.get_mut(namespace) {
+            Some(NamespaceRoute::Sources(targets)) => std::mem::take(targets),
+            _ => return Vec::new(),
+        };
+        self.ingest_spans(ctx, &targets, now, batch.len() as u64, wire_bytes);
         let mut effects = Vec::new();
-        for (qid, gidx) in targets {
-            effects.extend(self.feed_graph_batch(ctx, qid, gidx, &batch, now));
+        for &(qid, gidx) in &targets {
+            effects.extend(self.feed_graph_batch(ctx, qid, gidx, batch, now));
+        }
+        if let Some(NamespaceRoute::Sources(slot)) = self.routes.get_mut(namespace) {
+            *slot = targets;
         }
         effects
     }
@@ -1529,10 +1498,12 @@ impl PierNode {
             initial_rows.push(rows);
         }
         for (gidx, rows) in initial_rows.into_iter().enumerate() {
-            for row in rows {
-                let effects = self.feed_graph(ctx, query_id, gidx, row);
-                self.drive(ctx, effects);
+            if rows.is_empty() {
+                continue;
             }
+            let batch = TupleBatch::new(rows);
+            let effects = self.feed_graph_batch(ctx, query_id, gidx, &batch, ctx.now());
+            self.drive(ctx, effects);
         }
     }
 
@@ -1597,81 +1568,15 @@ impl PierNode {
         }
     }
 
-    fn feed_graph(
-        &mut self,
-        ctx: &mut ProgramContext<Self>,
-        query_id: u64,
-        graph_idx: usize,
-        tuple: Tuple,
-    ) -> Vec<OverlayEffect<QpObject>> {
-        let outputs = {
-            let Some(q) = self.queries.get_mut(&query_id) else {
-                return Vec::new();
-            };
-            // Shed-to-sampling: a degraded plan keeps one in `sample_every`
-            // *source* rows (query-scoped namespaces — rehashed join sides,
-            // shipped partials — are derived data and pass untouched).  The
-            // counter is per query per node, so equal-seed runs thin
-            // identically.
-            if q.plan.sample_every > 1 && !is_query_scoped_table(tuple.table()) {
-                q.ingest_seen += 1;
-                if (q.ingest_seen - 1) % u64::from(q.plan.sample_every) != 0 {
-                    return Vec::new();
-                }
-            }
-            let Some(g) = q.graphs.get_mut(graph_idx) else {
-                return Vec::new();
-            };
-            // Two-input join fed from the rehash namespace: the tuple's table
-            // name tells us which side it belongs to.
-            let staged: Vec<Tuple> = match (&mut g.join, &g.spec.join) {
-                (Some(join), Some(join_spec)) => {
-                    if tuple.table() == join_spec.left_table {
-                        join.push_side(JoinSide::Left, tuple)
-                    } else if tuple.table() == join_spec.right_table {
-                        join.push_side(JoinSide::Right, tuple)
-                    } else {
-                        Vec::new() // unknown table: discard (best effort)
-                    }
-                }
-                _ => vec![tuple],
-            };
-            let mut outputs = Vec::new();
-            for t in staged {
-                outputs.extend(g.pipeline.push(t));
-            }
-            // Hierarchical aggregation absorbs outputs into the uplink buffer.
-            if let Some(uplink) = g.uplink.as_mut() {
-                for t in outputs.drain(..) {
-                    uplink.push(t);
-                }
-            }
-            // Windowed continuous aggregation folds outputs into the window
-            // store; per-window results travel at window ticks, not now.
-            if let Some(cq) = q.cq.as_mut() {
-                if cq.graph_idx == graph_idx {
-                    let now = ctx.now();
-                    for chunk in TupleBatch::new(std::mem::take(&mut outputs)).chunks() {
-                        Self::cq_absorb_chunk(cq, chunk, now);
-                    }
-                }
-            }
-            outputs
-        };
-        if outputs.is_empty() {
-            return Vec::new();
-        }
-        self.deliver_sink(ctx, query_id, graph_idx, outputs)
-    }
-
-    /// Batch counterpart of [`PierNode::feed_graph`]: joins consume whole
-    /// columnar chunks ([`SymmetricHashJoin::push_chunk`]), plain pipelines
-    /// consume the batch **chunk-to-chunk** via `Pipeline::push_batch`
-    /// (every stage hands the next a re-chunked survivor batch), uplink
-    /// aggregation absorbs the survivors chunk-wise, and a windowed graph
-    /// with a pass-through pipeline absorbs chunks straight into the window
-    /// store ([`PierNode::cq_absorb_chunk`]) — no per-tuple dispatch on any
-    /// of these paths; rows materialise only at the sink boundary.
+    /// Feed a batch of source rows to one opgraph: joins consume whole
+    /// columnar chunks ([`SymmetricHashJoin::push_chunk_batch`]), plain
+    /// pipelines consume the batch **chunk-to-chunk** via
+    /// `Pipeline::push_batch` (every stage hands the next a re-chunked
+    /// survivor batch), uplink aggregation absorbs the survivors chunk-wise,
+    /// and a windowed graph with a pass-through pipeline absorbs chunks
+    /// straight into the window store ([`PierNode::cq_absorb_chunk`]) — no
+    /// per-tuple dispatch anywhere; rows materialise only at the sink
+    /// boundary.
     fn feed_graph_batch(
         &mut self,
         ctx: &mut ProgramContext<Self>,
@@ -1684,8 +1589,11 @@ impl PierNode {
             let Some(q) = self.queries.get_mut(&query_id) else {
                 return Vec::new();
             };
-            // Shed-to-sampling, chunk-wise: the same one-in-`sample_every`
-            // source rows [`PierNode::feed_graph`] keeps, gathered per chunk.
+            // Shed-to-sampling, chunk-wise: a degraded plan keeps one in
+            // `sample_every` *source* rows (query-scoped namespaces —
+            // rehashed join sides, shipped partials — are derived data and
+            // pass untouched).  The counter is per query per node, so
+            // equal-seed runs thin identically.
             let sampled;
             let batch = if q.plan.sample_every > 1 {
                 let every = u64::from(q.plan.sample_every);
@@ -1866,21 +1774,28 @@ impl PierNode {
                 let now = ctx.now();
                 if self.config.batching {
                     // Coalesce: buffer per (namespace, partition key); one
-                    // overlay put per key per flush, triggered by the size
-                    // threshold here or by the periodic flush tick.
-                    let buf = self.rehash_buf.entry(namespace.clone()).or_default();
+                    // overlay put per key per flush.  The policy is stated
+                    // per appended row — ship the moment the buffer holds
+                    // `batch_max_tuples`, otherwise make sure the periodic
+                    // flush tick is armed — so the puts and timers do not
+                    // depend on how the rows were chunked on their way here.
+                    let mut buf = self.rehash_buf.remove(&namespace).unwrap_or_default();
                     for t in tuples {
                         let Some(key) = t.partition_key(&key_cols) else {
                             continue;
                         };
                         buf.by_key.entry(key).or_default().push(t);
                         buf.tuples += 1;
+                        if buf.tuples >= self.config.batch_max_tuples {
+                            let full = std::mem::take(&mut buf);
+                            effects.extend(self.flush_rehash(&namespace, full, now));
+                        } else if !self.batch_timer_armed {
+                            self.batch_timer_armed = true;
+                            ctx.set_timer(self.config.batch_flush_interval, PierTimer::BatchFlush);
+                        }
                     }
-                    if buf.tuples >= self.config.batch_max_tuples {
-                        effects.extend(self.flush_rehash(&namespace, now));
-                    } else if !self.batch_timer_armed {
-                        self.batch_timer_armed = true;
-                        ctx.set_timer(self.config.batch_flush_interval, PierTimer::BatchFlush);
+                    if buf.tuples > 0 {
+                        self.rehash_buf.insert(namespace, buf);
                     }
                 } else {
                     for t in tuples {
@@ -1893,15 +1808,13 @@ impl PierNode {
                 }
             }
             SinkSpec::HierarchicalAgg { .. } => {
-                // Handled in feed_graph (outputs are absorbed into uplink);
-                // reaching here means a fetch-join result fed an agg graph,
-                // which we also absorb.
+                // Handled in feed_graph_batch (outputs are absorbed into
+                // uplink); reaching here means a fetch-join result fed an
+                // agg graph, which we also absorb.
                 if let Some(q) = self.queries.get_mut(&query_id) {
                     if let Some(g) = q.graphs.get_mut(graph_idx) {
                         if let Some(uplink) = g.uplink.as_mut() {
-                            for t in tuples {
-                                uplink.push(t);
-                            }
+                            uplink.push_batch(&TupleBatch::new(tuples));
                         }
                     }
                 }
@@ -1927,10 +1840,12 @@ impl PierNode {
     /// only one accumulated), handed to the overlay's batched put so
     /// same-owner keys share a single transfer when local routing state
     /// identifies the owner.
-    fn flush_rehash(&mut self, namespace: &str, now: SimTime) -> Vec<OverlayEffect<QpObject>> {
-        let Some(buf) = self.rehash_buf.remove(namespace) else {
-            return Vec::new();
-        };
+    fn flush_rehash(
+        &mut self,
+        namespace: &str,
+        buf: RehashBuffer,
+        now: SimTime,
+    ) -> Vec<OverlayEffect<QpObject>> {
         let lifetime = self.config.publish_lifetime;
         let mut entries = Vec::with_capacity(buf.by_key.len());
         // Key order feeds both the rng stream (name suffixes) and the
@@ -1955,7 +1870,9 @@ impl PierNode {
         namespaces.sort_unstable();
         let mut effects = Vec::new();
         for ns in namespaces {
-            effects.extend(self.flush_rehash(&ns, now));
+            if let Some(buf) = self.rehash_buf.remove(&ns) {
+                effects.extend(self.flush_rehash(&ns, buf, now));
+            }
         }
         effects
     }
@@ -2019,20 +1936,12 @@ impl PierNode {
                 }
                 if final_flush && is_root {
                     if let Some(root) = g.root_merge.as_mut() {
-                        let merged = root.flush();
-                        let final_ops = match &g.spec.sink {
-                            SinkSpec::HierarchicalAgg { final_ops, .. } => final_ops.clone(),
-                            _ => Vec::new(),
+                        let merged = TupleBatch::new(root.flush());
+                        let final_ops: &[OperatorSpec] = match &g.spec.sink {
+                            SinkSpec::HierarchicalAgg { final_ops, .. } => final_ops,
+                            _ => &[],
                         };
-                        let mut finisher = Pipeline::new(
-                            final_ops.iter().filter_map(OperatorSpec::build).collect(),
-                        );
-                        let mut out = Vec::new();
-                        for t in merged {
-                            out.extend(finisher.push(t));
-                        }
-                        out.extend(finisher.flush());
-                        final_results.extend(out);
+                        final_results.extend(finish_rows(final_ops, &merged));
                     }
                 }
             }
@@ -2364,18 +2273,7 @@ impl PierNode {
                     .collect();
                 rows.sort_by_cached_key(std::string::ToString::to_string);
                 if !cq.final_ops.is_empty() {
-                    let mut finisher = Pipeline::new(
-                        cq.final_ops
-                            .iter()
-                            .filter_map(OperatorSpec::build)
-                            .collect(),
-                    );
-                    let mut finished = Vec::new();
-                    for t in rows {
-                        finished.extend(finisher.push(t));
-                    }
-                    finished.extend(finisher.flush());
-                    rows = finished;
+                    rows = finish_rows(&cq.final_ops, &TupleBatch::new(rows));
                 }
                 let deltas = cq.tracker.emit(wid, rows);
                 if !deltas.is_empty() {

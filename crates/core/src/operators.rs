@@ -3,14 +3,16 @@
 //! PIER's local dataflow (§3.3.5) pushes tuples from children to parents
 //! through simple function calls; operators either pass a (possibly
 //! transformed) tuple on, absorb it into state (joins, group-by), or drop it
-//! (selection, duplicate elimination).  Stateful operators emit their
+//! (selection, duplicate elimination).  Here the unit of that call is the
+//! columnar chunk — a lone tuple is a one-row chunk — so there is exactly
+//! one way into an operator.  Stateful operators emit their
 //! buffered results when the dataflow is *flushed* — at a probe boundary for
 //! snapshot queries or periodically for continuous ones.
 //!
 //! The [`LocalOperator`] trait captures that contract.  The distributed
 //! operators of the paper — Put/Exchange (rehashing through the DHT),
 //! Fetch Matches index joins, hierarchical aggregation — are coordinated by
-//! the [`executor`](crate::executor) because they need the overlay; the
+//! the [`executor`](crate::node) because they need the overlay; the
 //! building blocks they use (Bloom filters, symmetric-hash join state,
 //! partial group-by) live here so they can be tested exhaustively in
 //! isolation.
@@ -30,29 +32,17 @@ use std::sync::Arc;
 
 /// A push-based local operator.
 pub trait LocalOperator: std::fmt::Debug {
-    /// Push one tuple in; returns zero or more output tuples that flow to the
-    /// parent immediately.
-    fn push(&mut self, tuple: Tuple) -> Vec<Tuple>;
-
-    /// Push a whole [`TupleBatch`] in; the survivors come back as a
+    /// Push a [`TupleBatch`] in — the operator's only data entry; a lone
+    /// tuple arrives as a one-row chunk.  The survivors come back as a
     /// **re-chunked batch** (same-schema runs preserved), so a stack of
     /// stages passes columnar chunks from one to the next without ever
-    /// exploding into per-tuple dispatch.  The default materialises each row
-    /// and calls [`LocalOperator::push`]; operators on the batched hot path
-    /// (selection, projection, group-by, distinct, the eddy) override it to
-    /// resolve columns once per [`ColumnChunk`] and scan — or mask-filter —
-    /// the chunk's columns directly.  Overrides must produce exactly the
-    /// rows the per-row default would, in the same order (the
-    /// batching-equivalence and property tests pin this).
-    fn push_batch(&mut self, batch: &TupleBatch) -> TupleBatch {
-        let mut out = TupleBatch::default();
-        for t in batch.iter() {
-            for produced in self.push(t) {
-                out.push_tuple(produced);
-            }
-        }
-        out
-    }
+    /// exploding into per-tuple dispatch: implementations resolve columns
+    /// once per [`ColumnChunk`] and scan — or mask-filter — the chunk's
+    /// columns directly.  How the rows were cut into chunks and batches must
+    /// be invisible: any partition of the same row sequence yields the same
+    /// output rows in the same order, and the same [`LocalOperator::flush`]
+    /// (the chunking-invariance tests pin this).
+    fn push_batch(&mut self, batch: &TupleBatch) -> TupleBatch;
 
     /// Emit whatever the operator has been buffering (group-by results,
     /// top-k heaps, …).  Pass-through operators return nothing.
@@ -72,9 +62,8 @@ pub trait LocalOperator: std::fmt::Debug {
 /// dropped too — the best-effort policy of §3.3.4.
 ///
 /// The predicate is compiled against each input schema once
-/// ([`CompiledPredicate`]), so the per-tuple cost is positional evaluation;
-/// the batch path evaluates straight over a chunk's columns and only
-/// materialises the surviving rows.
+/// ([`CompiledPredicate`]) and evaluates straight over a chunk's columns;
+/// only the surviving rows are copied out.
 #[derive(Debug)]
 pub struct Selection {
     predicate: CompiledPredicate,
@@ -92,14 +81,6 @@ impl Selection {
 impl LocalOperator for Selection {
     fn name(&self) -> &'static str {
         "selection"
-    }
-
-    fn push(&mut self, tuple: Tuple) -> Vec<Tuple> {
-        if self.predicate.matches_tuple(&tuple) {
-            vec![tuple]
-        } else {
-            Vec::new()
-        }
     }
 
     fn push_batch(&mut self, batch: &TupleBatch) -> TupleBatch {
@@ -161,18 +142,6 @@ impl LocalOperator for Projection {
         "projection"
     }
 
-    fn push(&mut self, tuple: Tuple) -> Vec<Tuple> {
-        let (_, out, srcs) = self.ensure(tuple.schema());
-        let values = srcs
-            .iter()
-            .map(|src| match src {
-                Some(i) => tuple.values()[*i].clone(),
-                None => Value::Null,
-            })
-            .collect();
-        vec![Tuple::from_schema(Arc::clone(out), values)]
-    }
-
     fn push_batch(&mut self, batch: &TupleBatch) -> TupleBatch {
         // Column gather: each projected output column is the source column's
         // typed buffer cloned whole (or a NULL run) — the output chunk is
@@ -209,35 +178,11 @@ impl Distinct {
             seen: HashSet::new(),
         }
     }
-
-    fn key_of(&mut self, tuple: &Tuple) -> String {
-        if self.key.columns().is_empty() {
-            let mut out = String::with_capacity(12 * tuple.arity());
-            for (i, v) in tuple.values().iter().enumerate() {
-                if i > 0 {
-                    out.push('|');
-                }
-                v.write_key(&mut out);
-            }
-            out
-        } else {
-            self.key.key(tuple).unwrap_or_else(|| "∅".into())
-        }
-    }
 }
 
 impl LocalOperator for Distinct {
     fn name(&self) -> &'static str {
         "distinct"
-    }
-
-    fn push(&mut self, tuple: Tuple) -> Vec<Tuple> {
-        let key = self.key_of(&tuple);
-        if self.seen.insert(key) {
-            vec![tuple]
-        } else {
-            Vec::new()
-        }
     }
 
     fn push_batch(&mut self, batch: &TupleBatch) -> TupleBatch {
@@ -259,8 +204,8 @@ impl LocalOperator for Distinct {
                             .map(|r| self.seen.insert(chunk.key_at(&idxs, r)))
                             .collect()
                     }
-                    // Chunks missing a key column all key as "∅", exactly
-                    // like the per-tuple path: only the first ever survives.
+                    // Chunks missing a key column all key as "∅": only
+                    // the first such row ever survives.
                     None => (0..chunk.rows())
                         .map(|_| self.seen.insert("∅".into()))
                         .collect(),
@@ -288,14 +233,6 @@ impl Limit {
 impl LocalOperator for Limit {
     fn name(&self) -> &'static str {
         "limit"
-    }
-
-    fn push(&mut self, tuple: Tuple) -> Vec<Tuple> {
-        if self.remaining == 0 {
-            return Vec::new();
-        }
-        self.remaining -= 1;
-        vec![tuple]
     }
 
     fn push_batch(&mut self, batch: &TupleBatch) -> TupleBatch {
@@ -331,13 +268,8 @@ impl LocalOperator for Queue {
         "queue"
     }
 
-    fn push(&mut self, tuple: Tuple) -> Vec<Tuple> {
-        self.yields += 1;
-        vec![tuple]
-    }
-
     fn push_batch(&mut self, batch: &TupleBatch) -> TupleBatch {
-        // One yield point per tuple, exactly as per-row dispatch counts.
+        // One yield point per tuple, however the tuples were chunked.
         self.yields += batch.len() as u64;
         batch.clone()
     }
@@ -348,7 +280,7 @@ impl LocalOperator for Queue {
 ///
 /// The group columns and every aggregate's input column are resolved to
 /// schema indices once per input schema, and the output shape is interned
-/// once at construction, so the per-tuple path is index lookups only.
+/// once at construction, so the per-row work is index lookups only.
 #[derive(Debug)]
 pub struct GroupBy {
     group_cols: ColumnResolver,
@@ -448,32 +380,6 @@ impl LocalOperator for GroupBy {
         "groupby"
     }
 
-    fn push(&mut self, tuple: Tuple) -> Vec<Tuple> {
-        let Some(key) = self.group_cols.key(&tuple) else {
-            return Vec::new(); // malformed tuple: discard
-        };
-        let entry = match self.groups.entry(key) {
-            std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
-            std::collections::hash_map::Entry::Vacant(e) => {
-                let vals = self
-                    .group_cols
-                    .values(&tuple)
-                    .expect("key resolved above implies values resolve");
-                e.insert((vals, self.aggs.iter().map(AggFunc::init).collect()))
-            }
-        };
-        for ((agg, input), state) in self
-            .aggs
-            .iter()
-            .zip(self.agg_inputs.iter_mut())
-            .zip(entry.1.iter_mut())
-        {
-            let value = input.as_mut().and_then(|c| c.get(&tuple));
-            state.update_with(agg, value);
-        }
-        Vec::new()
-    }
-
     fn push_batch(&mut self, batch: &TupleBatch) -> TupleBatch {
         // Absorb chunk-at-a-time: group columns and aggregate inputs resolve
         // once per chunk, the inner loop is column indexing only.
@@ -546,13 +452,6 @@ impl TopK {
 impl LocalOperator for TopK {
     fn name(&self) -> &'static str {
         "topk"
-    }
-
-    fn push(&mut self, tuple: Tuple) -> Vec<Tuple> {
-        if self.order_col.get(&tuple).and_then(Value::as_f64).is_some() {
-            self.buffer.push(tuple);
-        }
-        Vec::new()
     }
 
     fn push_batch(&mut self, batch: &TupleBatch) -> TupleBatch {
@@ -647,9 +546,8 @@ impl BloomFilter {
 /// keys to `(chunk, row)` locations instead of owned tuples.
 #[derive(Debug, Default)]
 struct JoinSideState {
-    /// Every chunk pushed on this side, in arrival order.  Single-tuple
-    /// pushes land as one-row chunks so both ingest paths share one state
-    /// shape (and one equivalence argument).
+    /// Every chunk pushed on this side, in arrival order (a single-tuple
+    /// arrival is a one-row chunk).
     chunks: Vec<ColumnChunk>,
     /// `join key → stored (chunk, row) locations`, in arrival order (which
     /// is ascending `(chunk, row)` — chunks are appended, rows scanned in
@@ -668,9 +566,9 @@ struct JoinSideState {
 /// `key → (chunk, row)` match locations.  A probing chunk collects its match
 /// indices per stored chunk and emits joined output via
 /// [`ColumnChunk::gather`] — whole typed chunks, no per-row `Tuple`
-/// materialisation on the batch path.  Key columns resolve to schema indices
-/// once per side schema, and the joined output schema is interned once per
-/// (left, right) schema pair.
+/// materialisation.  Key columns resolve to schema indices once per side
+/// schema, and the joined output schema is interned once per (left, right)
+/// schema pair.
 /// Parallel (probe row, stored row) gather index lists for one stored chunk.
 type GatherPair = (Vec<u32>, Vec<u32>);
 
@@ -716,23 +614,8 @@ impl SymmetricHashJoin {
         (self.left.rows, self.right.rows)
     }
 
-    /// Insert a tuple arriving on `side`; returns the join results it
-    /// produces immediately.  The tuple lands in the shared chunk-native
-    /// state as a one-row chunk.
-    pub fn push_side(&mut self, side: JoinSide, tuple: Tuple) -> Vec<Tuple> {
-        let chunk = ColumnChunk::from_tuple(&tuple);
-        self.push_chunk_batch(side, &chunk).into_tuples()
-    }
-
-    /// Insert a whole columnar chunk arriving on `side`, materialising the
-    /// joined output as owned tuples — a compatibility wrapper over
-    /// [`SymmetricHashJoin::push_chunk_batch`] for per-tuple consumers.
-    pub fn push_chunk(&mut self, side: JoinSide, chunk: &ColumnChunk) -> Vec<Tuple> {
-        self.push_chunk_batch(side, chunk).into_tuples()
-    }
-
-    /// Insert a whole columnar chunk arriving on `side` and emit the joined
-    /// rows as typed chunks.
+    /// Insert a columnar chunk arriving on `side` (a single tuple is a
+    /// one-row chunk) and emit the joined rows as typed chunks.
     ///
     /// The key columns resolve against the chunk's schema once; every row is
     /// keyed by direct column indexing, records its `(chunk, row)` location
@@ -741,9 +624,10 @@ impl SymmetricHashJoin {
     /// emitted via [`ColumnChunk::gather`] — one joined typed chunk per
     /// (probe chunk, stored chunk) pair, never a per-row tuple build.
     ///
-    /// Produces exactly the rows the per-tuple path would, as a multiset:
-    /// output is grouped stored-chunk-major (then probe-row order within a
-    /// group) rather than probe-row-major.
+    /// However the arrivals were chunked, the joined rows are the same
+    /// multiset (what [`nested_loop_join`] produces); only their order
+    /// depends on chunking — output is grouped stored-chunk-major, then
+    /// probe-row order within a group.
     pub fn push_chunk_batch(&mut self, side: JoinSide, chunk: &ColumnChunk) -> TupleBatch {
         if chunk.rows() == 0 {
             return TupleBatch::default();
@@ -866,12 +750,12 @@ struct StageMeter {
     chunks_in: String,
 }
 
-/// A pipeline of local operators: tuples pushed in flow through every stage;
-/// flush drains stateful stages in order.
+/// A pipeline of local operators: batches pushed in flow through every
+/// stage; flush drains stateful stages in order.
 ///
 /// With a telemetry hub attached ([`Pipeline::set_telemetry`]) every stage
-/// accumulates `op.<name>.rows_in`, `op.<name>.rows_out` and (on the batch
-/// path) `op.<name>.chunks_in` counters — for a [`Selection`] the
+/// accumulates `op.<name>.rows_in`, `op.<name>.rows_out` and
+/// `op.<name>.chunks_in` counters — for a [`Selection`] the
 /// rows-out/rows-in ratio is exactly the compiled predicate's observed
 /// selectivity.  Counters are keyed by operator kind, so pipelines of many
 /// queries aggregate into one per-node view.
@@ -911,35 +795,12 @@ impl Pipeline {
         self.meters = Some((tel.clone(), meters));
     }
 
-    /// Push one tuple through every stage.
-    pub fn push(&mut self, tuple: Tuple) -> Vec<Tuple> {
-        let mut current = vec![tuple];
-        for (i, stage) in self.stages.iter_mut().enumerate() {
-            let rows_in = current.len();
-            let mut next = Vec::new();
-            for t in current {
-                next.extend(stage.push(t));
-            }
-            current = next;
-            if let Some((tel, meters)) = &self.meters {
-                let m = &meters[i];
-                tel.add(&m.rows_in, rows_in as u64);
-                tel.add(&m.rows_out, current.len() as u64);
-            }
-            if current.is_empty() {
-                break;
-            }
-        }
-        current
-    }
-
-    /// Push a whole batch through the pipeline **chunk-to-chunk**: every
-    /// stage consumes the previous stage's re-chunked survivor batch via
+    /// Push a batch through the pipeline **chunk-to-chunk**: every stage
+    /// consumes the previous stage's re-chunked survivor batch via
     /// [`LocalOperator::push_batch`], so a selection→projection→group-by
     /// stack stays columnar end to end — a single-schema batch travels as
     /// one chunk per stage and no stage boundary materialises per-row
-    /// tuples.  Produces exactly the rows [`Pipeline::push`] would, in the
-    /// same order.
+    /// tuples.
     pub fn push_batch(&mut self, batch: &TupleBatch) -> TupleBatch {
         let Some((first, rest)) = self.stages.split_first_mut() else {
             return batch.clone(); // pass-through pipeline
@@ -969,8 +830,8 @@ impl Pipeline {
         current
     }
 
-    /// Flush every stage, cascading buffered tuples downstream through the
-    /// batch path (a stateful stage's emissions form same-schema runs, so
+    /// Flush every stage, cascading buffered tuples downstream through
+    /// `push_batch` (a stateful stage's emissions form same-schema runs, so
     /// downstream stages consume them as chunks).
     pub fn flush(&mut self) -> Vec<Tuple> {
         let mut carried = TupleBatch::default();
@@ -1010,7 +871,7 @@ impl Pipeline {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::expr::CmpOp;
 
@@ -1025,38 +886,43 @@ mod tests {
         )
     }
 
+    /// A lone tuple the way it enters an operator: a one-row batch.
+    pub(crate) fn one(t: Tuple) -> TupleBatch {
+        TupleBatch::new(vec![t])
+    }
+
     #[test]
     fn selection_filters_and_discards_malformed() {
         let mut sel = Selection::new(Expr::cmp(CmpOp::Gt, Expr::col("amount"), Expr::lit(10i64)));
-        assert_eq!(sel.push(row("t", 1, "a", 50)).len(), 1);
-        assert_eq!(sel.push(row("t", 2, "a", 5)).len(), 0);
+        assert_eq!(sel.push_batch(&one(row("t", 1, "a", 50))).len(), 1);
+        assert_eq!(sel.push_batch(&one(row("t", 2, "a", 5))).len(), 0);
         // Malformed: no amount column.
         let malformed = Tuple::new("t", vec![("id", Value::Int(3))]);
-        assert_eq!(sel.push(malformed).len(), 0);
+        assert_eq!(sel.push_batch(&one(malformed)).len(), 0);
     }
 
     #[test]
     fn projection_and_limit() {
         let mut proj = Projection::new(vec!["id".into()]);
-        let out = proj.push(row("t", 7, "x", 1));
+        let out = proj.push_batch(&one(row("t", 7, "x", 1))).into_tuples();
         assert_eq!(out[0].columns(), &["id".to_string()]);
         let mut lim = Limit::new(2);
-        assert_eq!(lim.push(row("t", 1, "a", 1)).len(), 1);
-        assert_eq!(lim.push(row("t", 2, "a", 1)).len(), 1);
-        assert_eq!(lim.push(row("t", 3, "a", 1)).len(), 0);
+        assert_eq!(lim.push_batch(&one(row("t", 1, "a", 1))).len(), 1);
+        assert_eq!(lim.push_batch(&one(row("t", 2, "a", 1))).len(), 1);
+        assert_eq!(lim.push_batch(&one(row("t", 3, "a", 1))).len(), 0);
     }
 
     #[test]
     fn distinct_deduplicates_on_key() {
         let mut d = Distinct::new(vec!["category".into()]);
-        assert_eq!(d.push(row("t", 1, "a", 1)).len(), 1);
-        assert_eq!(d.push(row("t", 2, "a", 2)).len(), 0);
-        assert_eq!(d.push(row("t", 3, "b", 3)).len(), 1);
+        assert_eq!(d.push_batch(&one(row("t", 1, "a", 1))).len(), 1);
+        assert_eq!(d.push_batch(&one(row("t", 2, "a", 2))).len(), 0);
+        assert_eq!(d.push_batch(&one(row("t", 3, "b", 3))).len(), 1);
         // Full-tuple dedup when no key given.
         let mut d = Distinct::new(vec![]);
-        assert_eq!(d.push(row("t", 1, "a", 1)).len(), 1);
-        assert_eq!(d.push(row("t", 1, "a", 1)).len(), 0);
-        assert_eq!(d.push(row("t", 1, "a", 2)).len(), 1);
+        assert_eq!(d.push_batch(&one(row("t", 1, "a", 1))).len(), 1);
+        assert_eq!(d.push_batch(&one(row("t", 1, "a", 1))).len(), 0);
+        assert_eq!(d.push_batch(&one(row("t", 1, "a", 2))).len(), 1);
     }
 
     #[test]
@@ -1067,7 +933,7 @@ mod tests {
             "out",
         );
         for (cat, amount) in [("a", 10), ("b", 5), ("a", 20), ("a", 30), ("b", 5)] {
-            assert!(g.push(row("t", 0, cat, amount)).is_empty());
+            assert!(g.push_batch(&one(row("t", 0, cat, amount))).is_empty());
         }
         let out = g.flush();
         assert_eq!(out.len(), 2);
@@ -1096,13 +962,13 @@ mod tests {
             .iter()
             .enumerate()
         {
-            let t = row("t", i as i64, cat, *amount);
+            let t = one(row("t", i as i64, cat, *amount));
             if i % 2 == 0 {
-                node1.push(t.clone());
+                node1.push_batch(&t);
             } else {
-                node2.push(t.clone());
+                node2.push_batch(&t);
             }
-            reference.push(t);
+            reference.push_batch(&t);
         }
         let mut root = mk();
         for partial in node1.flush().into_iter().chain(node2.flush()) {
@@ -1123,10 +989,10 @@ mod tests {
     fn top_k_orders_descending() {
         let mut t = TopK::new(2, "count");
         for (src, n) in [("a", 5), ("b", 50), ("c", 20)] {
-            t.push(Tuple::new(
+            t.push_batch(&one(Tuple::new(
                 "g",
                 vec![("src", Value::Str(src.into())), ("count", Value::Int(n))],
-            ));
+            )));
         }
         let out = t.flush();
         assert_eq!(out.len(), 2);
@@ -1152,12 +1018,11 @@ mod tests {
         assert_eq!(f.size_bytes() * 8, f.bit_len());
     }
 
-    #[test]
-    fn symmetric_hash_join_equals_nested_loop() {
-        let left: Vec<Tuple> = (0..20)
+    fn join_inputs(left: i64, right: i64) -> (Vec<Tuple>, Vec<Tuple>) {
+        let left = (0..left)
             .map(|i| row("r", i, ["a", "b", "c"][(i % 3) as usize], i))
             .collect();
-        let right: Vec<Tuple> = (0..15)
+        let right = (0..right)
             .map(|i| {
                 Tuple::new(
                     "s",
@@ -1171,21 +1036,27 @@ mod tests {
                 )
             })
             .collect();
+        (left, right)
+    }
+
+    #[test]
+    fn symmetric_hash_join_equals_nested_loop() {
+        let (left, right) = join_inputs(20, 15);
         let key = vec!["category".to_string()];
         let mut shj = SymmetricHashJoin::new(key.clone(), key.clone(), "rs");
         let mut streamed = Vec::new();
-        // Interleave arrivals, as the network would.
+        // Interleave single-tuple arrivals, as the network would.
         let mut l = left.iter();
         let mut r = right.iter();
         loop {
             match (l.next(), r.next()) {
                 (None, None) => break,
                 (lt, rt) => {
-                    if let Some(t) = lt {
-                        streamed.extend(shj.push_side(JoinSide::Left, t.clone()));
-                    }
-                    if let Some(t) = rt {
-                        streamed.extend(shj.push_side(JoinSide::Right, t.clone()));
+                    for (side, t) in [(JoinSide::Left, lt), (JoinSide::Right, rt)] {
+                        if let Some(t) = t {
+                            let chunk = ColumnChunk::from_tuple(t);
+                            streamed.extend(shj.push_chunk_batch(side, &chunk).into_tuples());
+                        }
                     }
                 }
             }
@@ -1215,7 +1086,7 @@ mod tests {
             Box::new(TopK::new(1, "count")),
         ]);
         for (cat, amount) in [("a", 10), ("a", 20), ("b", 100), ("b", 1), ("c", 3)] {
-            assert!(p.push(row("t", 0, cat, amount)).is_empty());
+            assert!(p.push_batch(&one(row("t", 0, cat, amount))).is_empty());
         }
         let out = p.flush();
         assert_eq!(out.len(), 1);
@@ -1228,13 +1099,19 @@ mod tests {
     fn empty_pipeline_is_pass_through() {
         let mut p = Pipeline::new(vec![]);
         assert!(p.is_empty());
-        assert_eq!(p.push(row("t", 1, "a", 1)).len(), 1);
+        assert_eq!(p.push_batch(&one(row("t", 1, "a", 1))).len(), 1);
         assert!(p.flush().is_empty());
     }
 
+    /// Netmon events with, every eleventh row, an `audit` row of another
+    /// shape (no `port`, no `len`, no `src`), so every cut of the stream has
+    /// mixed-schema runs to carry.
     fn netmon_rows(n: i64) -> Vec<Tuple> {
         (0..n)
             .map(|i| {
+                if i % 11 == 10 {
+                    return Tuple::new("audit", vec![("note", Value::Int(i))]);
+                }
                 Tuple::new(
                     "events",
                     vec![
@@ -1247,120 +1124,150 @@ mod tests {
             .collect()
     }
 
-    #[test]
-    fn selection_batch_path_equals_per_tuple_path() {
-        use crate::tuple::TupleBatch;
-        let rows = netmon_rows(200);
-        let pred = || Expr::cmp(CmpOp::Ge, Expr::col("port"), Expr::lit(100i64));
-        let mut per_tuple = Selection::new(pred());
-        let mut batched = Selection::new(pred());
-        let expected: Vec<Tuple> = rows
-            .iter()
-            .cloned()
-            .flat_map(|t| per_tuple.push(t))
-            .collect();
-        let got = batched.push_batch(&TupleBatch::new(rows));
-        assert_eq!(
-            got.chunks().len(),
-            1,
-            "single-schema survivors stay one chunk"
-        );
-        let got = got.into_tuples();
-        assert_eq!(got, expected);
-        assert!(!got.is_empty());
+    /// Piece lengths the chunking-invariance checks cut their input at,
+    /// cycled: empty pieces, single rows, and the lengths around the eddy's
+    /// re-draw stride (32) and the ingest stage / `batch_max_tuples` (64).
+    const PIECES: [usize; 7] = [0, 1, 31, 32, 33, 64, 65];
+
+    /// Cut `rows` into consecutive batches of the given lengths (cycled).
+    fn cut(rows: &[Tuple], pieces: &[usize]) -> Vec<TupleBatch> {
+        let mut out = Vec::new();
+        let mut rest = rows;
+        for len in pieces.iter().cycle() {
+            if rest.is_empty() {
+                break;
+            }
+            let (piece, tail) = rest.split_at((*len).min(rest.len()));
+            out.push(TupleBatch::new(piece.to_vec()));
+            rest = tail;
+        }
+        out
+    }
+
+    /// The three ways every invariance check feeds the same rows: as one
+    /// batch, as all one-row batches, and cut at [`PIECES`].
+    pub(crate) fn chunkings(rows: &[Tuple]) -> [Vec<TupleBatch>; 3] {
+        [
+            vec![TupleBatch::new(rows.to_vec())],
+            rows.iter().cloned().map(one).collect(),
+            cut(rows, &PIECES),
+        ]
+    }
+
+    /// Chunk boundaries are invisible: however `rows` are cut, the pipeline
+    /// `mk` builds streams the same rows in the same order and flushes the
+    /// same rows.  Returns that `(streamed, flushed)` pair.
+    fn assert_chunking_invisible(
+        mk: impl Fn() -> Vec<Box<dyn LocalOperator + Send>>,
+        rows: &[Tuple],
+    ) -> (Vec<Tuple>, Vec<Tuple>) {
+        let [whole, single, pieces] = chunkings(rows).map(|batches| {
+            let mut p = Pipeline::new(mk());
+            let mut streamed = Vec::new();
+            for b in &batches {
+                streamed.extend(p.push_batch(b).into_tuples());
+            }
+            (streamed, p.flush())
+        });
+        assert_eq!(single, whole, "one-row chunks vs one chunk");
+        assert_eq!(pieces, whole, "cut at {PIECES:?} vs one chunk");
+        whole
     }
 
     #[test]
-    fn projection_batch_path_equals_per_tuple_path() {
-        use crate::tuple::TupleBatch;
+    fn selection_chunking_is_invisible() {
+        let rows = netmon_rows(200);
+        let mk = || {
+            let pred = Expr::cmp(CmpOp::Ge, Expr::col("port"), Expr::lit(100i64));
+            vec![Box::new(Selection::new(pred)) as Box<dyn LocalOperator + Send>]
+        };
+        let (streamed, flushed) = assert_chunking_invisible(mk, &rows);
+        let expected: Vec<Tuple> = rows
+            .iter()
+            .filter(|t| {
+                t.get("port")
+                    .and_then(Value::as_i64)
+                    .is_some_and(|p| p >= 100)
+            })
+            .cloned()
+            .collect();
+        assert_eq!(streamed, expected);
+        assert!(!streamed.is_empty() && flushed.is_empty());
+        // Single-schema survivors of one chunk stay one chunk.
+        let events: Vec<Tuple> = rows.into_iter().filter(|t| t.table() == "events").collect();
+        let got = Pipeline::new(mk()).push_batch(&TupleBatch::new(events));
+        assert_eq!(got.chunks().len(), 1);
+    }
+
+    #[test]
+    fn projection_chunking_is_invisible() {
         let rows = netmon_rows(50);
         let cols = vec!["src".to_string(), "missing".to_string()];
-        let mut per_tuple = Projection::new(cols.clone());
-        let mut batched = Projection::new(cols);
-        let expected: Vec<Tuple> = rows
-            .iter()
-            .cloned()
-            .flat_map(|t| per_tuple.push(t))
-            .collect();
-        assert_eq!(
-            batched.push_batch(&TupleBatch::new(rows)).into_tuples(),
-            expected
-        );
+        let mk = || vec![Box::new(Projection::new(cols.clone())) as Box<dyn LocalOperator + Send>];
+        let (streamed, _) = assert_chunking_invisible(mk, &rows);
+        let expected: Vec<Tuple> = rows.iter().map(|t| t.project(&cols)).collect();
+        assert_eq!(streamed, expected);
     }
 
     #[test]
-    fn group_by_batch_absorb_equals_per_tuple_absorb() {
-        use crate::tuple::TupleBatch;
+    fn group_by_chunking_is_invisible() {
         let rows = netmon_rows(300);
         let mk = || {
-            GroupBy::new(
+            vec![Box::new(GroupBy::new(
                 vec!["src".into()],
                 vec![AggFunc::Count, AggFunc::Sum("len".into())],
                 "out",
-            )
+            )) as Box<dyn LocalOperator + Send>]
         };
-        let mut per_tuple = mk();
-        let mut batched = mk();
-        for t in rows.iter().cloned() {
-            per_tuple.push(t);
-        }
-        assert!(batched.push_batch(&TupleBatch::new(rows)).is_empty());
-        assert_eq!(batched.flush(), per_tuple.flush());
+        let (streamed, flushed) = assert_chunking_invisible(mk, &rows);
+        assert!(streamed.is_empty());
+        assert_eq!(flushed.len(), 7, "seven sources; audit rows are discarded");
+        let counted: i64 = flushed
+            .iter()
+            .map(|t| t.get("count").and_then(Value::as_i64).unwrap())
+            .sum();
+        assert_eq!(counted, 300 - 300 / 11);
     }
 
     #[test]
-    fn join_chunk_path_equals_per_tuple_path() {
-        use crate::tuple::TupleBatch;
-        let left: Vec<Tuple> = (0..30)
-            .map(|i| row("r", i, ["a", "b", "c"][(i % 3) as usize], i))
-            .collect();
-        let right: Vec<Tuple> = (0..20)
-            .map(|i| {
-                Tuple::new(
-                    "s",
-                    vec![
-                        (
-                            "category",
-                            Value::Str(["a", "b", "c", "d"][(i % 4) as usize].into()),
-                        ),
-                        ("weight", Value::Int(i * 10)),
-                    ],
-                )
-            })
-            .collect();
+    fn join_chunking_is_invisible() {
+        let (left, right) = join_inputs(130, 70);
         let key = vec!["category".to_string()];
-        let mut per_tuple = SymmetricHashJoin::new(key.clone(), key.clone(), "rs");
-        let mut chunked = SymmetricHashJoin::new(key.clone(), key, "rs");
-        let mut expected = Vec::new();
-        for t in left.iter().cloned() {
-            expected.extend(per_tuple.push_side(JoinSide::Left, t));
-        }
-        for t in right.iter().cloned() {
-            expected.extend(per_tuple.push_side(JoinSide::Right, t));
-        }
-        let mut got = Vec::new();
-        for chunk in TupleBatch::new(left).chunks() {
-            got.extend(chunked.push_chunk(JoinSide::Left, chunk));
-        }
-        for chunk in TupleBatch::new(right).chunks() {
-            got.extend(chunked.push_chunk(JoinSide::Right, chunk));
-        }
-        assert_eq!(got.len(), expected.len());
         let canon = |v: &[Tuple]| {
             let mut s: Vec<String> = v.iter().map(std::string::ToString::to_string).collect();
             s.sort();
             s
         };
-        assert_eq!(canon(&got), canon(&expected));
-        assert_eq!(chunked.state_size(), per_tuple.state_size());
+        let expected = canon(&nested_loop_join(&left, &right, &key, &key, "rs"));
+        assert!(!expected.is_empty());
+        for (l, r) in chunkings(&left).into_iter().zip(chunkings(&right)) {
+            let mut join = SymmetricHashJoin::new(key.clone(), key.clone(), "rs");
+            let mut got = Vec::new();
+            // Alternate the sides piece by piece, so probes hit stored
+            // chunks of every size on both sides.
+            let mut l = l.iter();
+            let mut r = r.iter();
+            loop {
+                let (lb, rb) = (l.next(), r.next());
+                if lb.is_none() && rb.is_none() {
+                    break;
+                }
+                for (side, batch) in [(JoinSide::Left, lb), (JoinSide::Right, rb)] {
+                    for chunk in batch.map_or(&[][..], TupleBatch::chunks) {
+                        got.extend(join.push_chunk_batch(side, chunk).into_tuples());
+                    }
+                }
+            }
+            assert_eq!(canon(&got), expected);
+            assert_eq!(join.state_size(), (130, 70));
+        }
     }
 
     #[test]
-    fn pipeline_batch_path_equals_per_tuple_path() {
-        use crate::tuple::TupleBatch;
+    fn pipeline_chunking_is_invisible() {
         let rows = netmon_rows(400);
         let mk = || {
-            Pipeline::new(vec![
+            vec![
                 Box::new(Selection::new(Expr::cmp(
                     CmpOp::Lt,
                     Expr::col("port"),
@@ -1372,25 +1279,22 @@ mod tests {
                     vec![AggFunc::Count, AggFunc::Avg("len".into())],
                     "out",
                 )),
-            ])
+            ]
         };
-        let mut per_tuple = mk();
-        let mut batched = mk();
-        let mut expected = Vec::new();
-        for t in rows.iter().cloned() {
-            expected.extend(per_tuple.push(t));
-        }
-        let got = batched.push_batch(&TupleBatch::new(rows));
-        assert_eq!(got.into_tuples(), expected);
-        assert_eq!(batched.flush(), per_tuple.flush());
+        let (streamed, flushed) = assert_chunking_invisible(mk, &rows);
+        assert!(streamed.is_empty(), "the group-by tail absorbs everything");
+        assert_eq!(flushed.len(), 7);
     }
 
     #[test]
     fn chunked_pipeline_stays_columnar_between_stages() {
-        use crate::tuple::TupleBatch;
         // selection → projection → distinct over a single-schema batch: the
         // survivors leave every stage as one chunk (no per-tuple explosion).
-        let rows = netmon_rows(100);
+        let rows: Vec<Tuple> = netmon_rows(110)
+            .into_iter()
+            .filter(|t| t.table() == "events")
+            .collect();
+        assert_eq!(rows.len(), 100);
         let mut p = Pipeline::new(vec![
             Box::new(Selection::new(Expr::cmp(
                 CmpOp::Lt,
@@ -1409,24 +1313,33 @@ mod tests {
     }
 
     #[test]
-    fn limit_and_queue_batch_paths_match_per_tuple() {
-        use crate::tuple::TupleBatch;
-        let rows = netmon_rows(50);
-        let mut lim_ref = Limit::new(17);
-        let mut lim_batch = Limit::new(17);
-        let expected: Vec<Tuple> = rows.iter().cloned().flat_map(|t| lim_ref.push(t)).collect();
-        let mut got = Vec::new();
-        for window in rows.chunks(20) {
-            got.extend(
-                lim_batch
-                    .push_batch(&TupleBatch::new(window.to_vec()))
-                    .into_tuples(),
-            );
-        }
-        assert_eq!(got, expected);
+    fn limit_queue_distinct_and_top_k_chunking_is_invisible() {
+        let rows = netmon_rows(150);
+        let (streamed, _) = assert_chunking_invisible(|| vec![Box::new(Limit::new(67))], &rows);
+        assert_eq!(streamed, rows[..67]);
+        let (streamed, _) = assert_chunking_invisible(|| vec![Box::new(Queue::default())], &rows);
+        assert_eq!(streamed, rows);
         let mut q = Queue::default();
-        let echoed = q.push_batch(&TupleBatch::new(rows.clone()));
-        assert_eq!(echoed.into_tuples(), rows);
-        assert_eq!(q.yields, 50);
+        for b in cut(&rows, &PIECES) {
+            q.push_batch(&b);
+        }
+        assert_eq!(q.yields, 150, "one yield per row, however they were cut");
+        // Keyed dedup (audit rows lack the key: only the first survives),
+        // then full-row dedup.
+        let keyed = || vec![Box::new(Distinct::new(vec!["src".into()])) as _];
+        let (streamed, _) = assert_chunking_invisible(keyed, &rows);
+        assert_eq!(streamed.len(), 7 + 1);
+        let doubled: Vec<Tuple> = rows.iter().chain(&rows).cloned().collect();
+        let (streamed, _) =
+            assert_chunking_invisible(|| vec![Box::new(Distinct::new(vec![])) as _], &doubled);
+        assert_eq!(streamed, rows);
+        let (streamed, flushed) =
+            assert_chunking_invisible(|| vec![Box::new(TopK::new(5, "len")) as _], &rows);
+        assert!(streamed.is_empty());
+        let lens: Vec<i64> = flushed
+            .iter()
+            .map(|t| t.get("len").and_then(Value::as_i64).unwrap())
+            .collect();
+        assert_eq!(lens, [189, 188, 187, 186, 185]);
     }
 }

@@ -16,7 +16,7 @@
 use crate::aggregate::AggFunc;
 use crate::expr::Expr;
 use crate::operators::{
-    Distinct, GroupBy, Limit, LocalOperator, Projection, Queue, Selection, TopK,
+    Distinct, GroupBy, Limit, LocalOperator, Pipeline, Projection, Queue, Selection, TopK,
 };
 use crate::tuple::{ColumnChunk, Tuple, TupleBatch};
 use pier_cq::{CqBudget, DeltaMode, WindowSpec};
@@ -117,6 +117,16 @@ impl OperatorSpec {
             OperatorSpec::FetchMatches { .. } | OperatorSpec::FetchByTupleId { .. } => None,
         }
     }
+}
+
+/// Run `rows` through the finishing pipeline `final_ops` describes (the
+/// `TOP k` / `LIMIT` tail applied to merged aggregates at a root) and flush
+/// it: what streamed out, then what the stateful stages had buffered.
+pub fn finish_rows(final_ops: &[OperatorSpec], rows: &TupleBatch) -> Vec<Tuple> {
+    let mut finisher = Pipeline::new(final_ops.iter().filter_map(OperatorSpec::build).collect());
+    let mut out = finisher.push_batch(rows).into_tuples();
+    out.extend(finisher.flush());
+    out
 }
 
 impl WireSize for OperatorSpec {

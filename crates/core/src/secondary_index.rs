@@ -8,7 +8,7 @@
 //! PIER provides no automated logic to maintain consistency between the
 //! secondary index and the base tuples."
 //!
-//! To use one, "a query explicitly specif[ies] a semi-join between the
+//! To use one, "a query explicitly specif\[ies\] a semi-join between the
 //! secondary index and the original table; the index serves as the 'outer'
 //! relation of a Fetch Matches join that follows the tupleID to fetch the
 //! correct tuples from the correct nodes."

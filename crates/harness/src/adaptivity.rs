@@ -19,7 +19,7 @@
 //! All variants must return exactly the same tuples; only the work differs.
 
 use pier_core::eddy::{Eddy, OperatorObservation, RoutingPolicy};
-use pier_core::{CmpOp, Expr, Tuple, Value};
+use pier_core::{CmpOp, Expr, Tuple, TupleBatch, Value};
 use pier_runtime::Rng64;
 
 /// One row of the EXP-H output.
@@ -73,13 +73,17 @@ fn workload(tuples: usize, seed: u64) -> Vec<Tuple> {
         .collect()
 }
 
+/// Stream `tuples` through `eddy` one arrival at a time — each a one-row
+/// batch, so the routing order is drawn per tuple — and count the survivors.
+fn stream_through(eddy: &mut Eddy, tuples: &[Tuple]) -> u64 {
+    tuples
+        .iter()
+        .map(|t| eddy.route_batch(&TupleBatch::new(vec![t.clone()])).len() as u64)
+        .sum()
+}
+
 fn run_eddy(mut eddy: Eddy, stream: &[Tuple], label: &str) -> EddyResult {
-    let mut results = 0u64;
-    for t in stream {
-        if eddy.route(t.clone()).is_some() {
-            results += 1;
-        }
-    }
+    let results = stream_through(&mut eddy, stream);
     EddyResult {
         strategy: label.to_string(),
         invocations: eddy.invocations(),
@@ -127,9 +131,7 @@ pub fn eddy_policies(tuples: usize, seed: u64) -> Vec<EddyResult> {
     // that has already processed a similar stream (distributed eddies
     // aggregating their observations, §4.2.2).
     let mut trainer = Eddy::over_predicates(predicates(), RoutingPolicy::Lottery, seed ^ 1);
-    for t in workload(tuples / 4, seed ^ 2) {
-        trainer.route(t);
-    }
+    stream_through(&mut trainer, &workload(tuples / 4, seed ^ 2));
     let remote: Vec<OperatorObservation> = trainer.observations().to_vec();
     let mut warmed = Eddy::over_predicates(predicates(), RoutingPolicy::Lottery, seed);
     warmed.absorb_observations(&remote);

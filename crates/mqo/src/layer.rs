@@ -30,9 +30,11 @@ use pier_core::sharing::{
     GroupRoute, InstallOutcome, MultiQuerySharing, SharedEmission, SharingStats, TickOutput,
     UninstallOutcome,
 };
-use pier_core::tuple::{ColumnChunk, ColumnRef, ColumnResolver, Schema, SchemaRegistry, Tuple};
+use pier_core::tuple::{
+    ColumnChunk, ColumnRef, ColumnResolver, Schema, SchemaRegistry, Tuple, TupleBatch,
+};
 use pier_core::{
-    AggFunc, AggState, CompiledExpr, GroupAgg, OperatorSpec, PartialCodec, Pipeline, Value,
+    finish_rows, AggFunc, AggState, CompiledExpr, GroupAgg, OperatorSpec, PartialCodec, Value,
     WindowSpec,
 };
 use pier_cq::{Delta, Lease, SharedWindowState};
@@ -221,14 +223,7 @@ impl ShareGroup {
                 // twice per comparison.
                 rows.sort_by_cached_key(std::string::ToString::to_string);
                 if !m.final_ops.is_empty() {
-                    let mut finisher =
-                        Pipeline::new(m.final_ops.iter().filter_map(OperatorSpec::build).collect());
-                    let mut finished = Vec::new();
-                    for t in rows {
-                        finished.extend(finisher.push(t));
-                    }
-                    finished.extend(finisher.flush());
-                    rows = finished;
+                    rows = finish_rows(&m.final_ops, &TupleBatch::new(rows));
                 }
                 rows
             });

@@ -25,10 +25,10 @@
 //!   compare defenses.
 //! * [`rate_limit`] — token buckets, per-client resource accounting over a
 //!   sliding window with cluster-wide aggregation hooks, and the
-//!   reciprocative peer strategy of [21] / [47].
+//!   reciprocative peer strategy of \[21\] / \[47\].
 //! * [`spot_check`] — early commitment of aggregation inputs through a
 //!   Merkle tree plus probabilistic spot-checking of the committed inputs
-//!   (the SIA-style verification of [55]).
+//!   (the SIA-style verification of \[55\]).
 //! * [`reputation`] — an accountability ledger recording per-node verified
 //!   misbehaviour and producing an exclusion set for query retry / node
 //!   selection.

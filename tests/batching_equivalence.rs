@@ -253,6 +253,100 @@ fn shared_tenants_batching_preserves_results_with_less_traffic() {
     );
 }
 
+/// The rehash buffer's policy is stated per appended row, so a plan installed
+/// on a node that already holds N rows — scanned as **one** chunk — ships
+/// them exactly as N single-row feeds would: a flush the moment the buffer
+/// holds `batch_max_tuples`, the remainder left behind one armed
+/// `BatchFlush`.  Driven by hand on a bare node: its ring peer owns every
+/// rehash key, so each flush is one DHT put message whose rows can be counted.
+#[test]
+fn an_install_time_scan_flushes_the_rehash_buffer_every_batch_max_tuples() {
+    use pier::dht::{DhtMessage, Id, NodeRef};
+    use pier::qp::{Dissemination, PierConfig, PierMsg, PierNode, PierTimer};
+    use pier::runtime::{Action, Context, NodeAddr, Program};
+
+    // Rows carried by each DHT put message among `actions`, in send order,
+    // and the number of `BatchFlush` timers armed.
+    fn puts_and_flush_timers<O>(
+        actions: Vec<Action<PierMsg, PierTimer, O>>,
+    ) -> (Vec<usize>, usize) {
+        let mut puts = Vec::new();
+        let mut timers = 0;
+        for action in actions {
+            match action {
+                Action::Send {
+                    msg: PierMsg::Dht(DhtMessage::PutBatch { entries, .. }),
+                    ..
+                } => puts.push(entries.iter().map(|(_, v, _)| v.tuple_count()).sum()),
+                Action::Send {
+                    msg: PierMsg::Dht(DhtMessage::PutRequest { value, .. }),
+                    ..
+                } => puts.push(value.tuple_count()),
+                Action::SetTimer {
+                    timer: PierTimer::BatchFlush,
+                    ..
+                } => timers += 1,
+                _ => {}
+            }
+        }
+        (puts, timers)
+    }
+
+    const MAX: usize = 64;
+    // `me` owns the single identifier 1; the peer owns the rest of the ring.
+    let me = NodeRef {
+        id: Id(1),
+        addr: NodeAddr(0),
+    };
+    let peer = NodeRef {
+        id: Id(0),
+        addr: NodeAddr(1),
+    };
+    for held in [0, 1, MAX - 1, MAX, MAX + 1, 200] {
+        let config = PierConfig {
+            batch_max_tuples: MAX,
+            ..PierConfig::default()
+        };
+        assert!(config.batching);
+        let mut node = PierNode::with_static_ring(me, &[me, peer], config);
+        for i in 0..held as i64 {
+            let row = Tuple::new("r", vec![("a", Value::Int(i)), ("b", Value::Int(i % 8))]);
+            node.add_local_row("r", row);
+        }
+        let plan = PlanBuilder::new(me.addr)
+            .dissemination(Dissemination::Local)
+            .opgraph(OpGraph {
+                id: 0,
+                source: SourceSpec::Table {
+                    namespace: "r".into(),
+                },
+                join: None,
+                ops: vec![],
+                sink: SinkSpec::Rehash {
+                    namespace: "q.join".into(),
+                    key_cols: vec!["b".into()],
+                },
+            })
+            .build();
+        let mut ctx = Context::new(1_000_000, me.addr);
+        node.submit_query(&mut ctx, plan);
+        let (early, armed) = puts_and_flush_timers(ctx.into_actions());
+        assert_eq!(
+            early,
+            vec![MAX; held / MAX],
+            "{held} rows held: every early flush ships exactly {MAX}"
+        );
+        assert_eq!(armed, usize::from(held > 0), "{held} rows held");
+
+        // The remainder waits for the tick, and is all the tick ships.
+        let mut ctx = Context::new(1_050_000, me.addr);
+        node.on_timer(&mut ctx, PierTimer::BatchFlush);
+        let (late, _) = puts_and_flush_timers(ctx.into_actions());
+        let remainder: Vec<usize> = Some(held % MAX).filter(|r| *r > 0).into_iter().collect();
+        assert_eq!(late, remainder, "{held} rows held");
+    }
+}
+
 /// The netmon event stream used by the operator-level equivalence test.
 fn netmon_stream(n: i64) -> Vec<Tuple> {
     (0..n)
@@ -269,11 +363,12 @@ fn netmon_stream(n: i64) -> Vec<Tuple> {
         .collect()
 }
 
-/// The batch-at-a-time operator path (`Pipeline::push_batch`, columnar
-/// chunks) must yield exactly the result multisets of per-tuple dispatch on
-/// the netmon workload — filter, project and aggregate alike.
+/// Chunk boundaries are invisible to the operator path: the netmon workload
+/// arriving in DHT-transfer-sized batches yields exactly the rows it yields
+/// arriving one tuple at a time (one-row batches — what `batching = false`
+/// delivers) — filter, project and aggregate alike.
 #[test]
-fn batch_at_a_time_operator_path_matches_per_tuple_dispatch() {
+fn arrival_batches_match_single_tuple_arrivals_on_the_operator_path() {
     use pier::qp::{
         AggFunc, CmpOp, Expr, GroupBy, LocalOperator, Pipeline, Projection, Selection, TupleBatch,
     };
@@ -297,7 +392,11 @@ fn batch_at_a_time_operator_path_matches_per_tuple_dispatch() {
     let mut batched = mk();
     let mut streamed = Vec::new();
     for t in rows.iter().cloned() {
-        streamed.extend(per_tuple.push(t));
+        streamed.extend(
+            per_tuple
+                .push_batch(&TupleBatch::new(vec![t]))
+                .into_tuples(),
+        );
     }
     // Feed the same stream as DHT-arrival-sized batches (64, the default
     // `batch_max_tuples`), as the executor's PutBatch receive path would.
@@ -319,10 +418,10 @@ fn batch_at_a_time_operator_path_matches_per_tuple_dispatch() {
 /// stream interleaves two shapes of `events` rows (one with an extra
 /// column) plus rows of an unrelated table that the selection must discard
 /// for lacking the filtered column — exercising the per-run row-major
-/// escape hatch between every stage.  Chunked `push_batch` + `flush` must
-/// equal per-tuple `push` + `flush` exactly.
+/// escape hatch between every stage.  48-row arrival batches + `flush` must
+/// equal one-row arrival batches + `flush` exactly.
 #[test]
-fn multi_stage_pipeline_matches_per_tuple_on_mixed_schema_batches() {
+fn multi_stage_pipeline_is_chunking_invariant_on_mixed_schema_batches() {
     use pier::qp::{
         AggFunc, CmpOp, Expr, GroupBy, LocalOperator, Pipeline, Projection, Selection, TupleBatch,
     };
@@ -367,7 +466,11 @@ fn multi_stage_pipeline_matches_per_tuple_on_mixed_schema_batches() {
     let mut chunked = mk();
     let mut streamed = Vec::new();
     for t in rows.iter().cloned() {
-        streamed.extend(per_tuple.push(t));
+        streamed.extend(
+            per_tuple
+                .push_batch(&TupleBatch::new(vec![t]))
+                .into_tuples(),
+        );
     }
     let mut batch_out = Vec::new();
     for window in rows.chunks(48) {
@@ -384,12 +487,13 @@ fn multi_stage_pipeline_matches_per_tuple_on_mixed_schema_batches() {
     assert_eq!(multiset(&flushed), multiset(&per_tuple.flush()));
 }
 
-/// Chunk-wise probes of the symmetric-hash join (the rehash-join batch
-/// path) produce the same join-result multiset as per-tuple probes, under
-/// interleaved mixed-table arrival batches.
+/// Chunk-wise probes of the symmetric-hash join (the rehash-join arrival
+/// batches) produce the same join-result multiset as single-tuple probes —
+/// the nested-loop reference's — under interleaved mixed-table arrival
+/// batches.
 #[test]
-fn join_chunk_probe_matches_per_tuple_probe_on_netmon_rehash() {
-    use pier::qp::{JoinSide, SymmetricHashJoin, TupleBatch};
+fn join_chunk_probe_matches_single_tuple_probe_on_netmon_rehash() {
+    use pier::qp::{nested_loop_join, JoinSide, SymmetricHashJoin, TupleBatch};
     let flows: Vec<Tuple> = (0..300)
         .map(|i| {
             Tuple::new(
@@ -411,14 +515,18 @@ fn join_chunk_probe_matches_per_tuple_probe_on_netmon_rehash() {
         .collect();
     let key = vec!["src".to_string()];
     let mut per_tuple = SymmetricHashJoin::new(key.clone(), key.clone(), "hits");
-    let mut chunked = SymmetricHashJoin::new(key.clone(), key, "hits");
+    let mut chunked = SymmetricHashJoin::new(key.clone(), key.clone(), "hits");
     let mut expected = Vec::new();
-    for t in flows.iter().cloned() {
-        expected.extend(per_tuple.push_side(JoinSide::Left, t));
+    for t in &flows {
+        expected.extend(push_one(&mut per_tuple, JoinSide::Left, t));
     }
-    for t in blocked.iter().cloned() {
-        expected.extend(per_tuple.push_side(JoinSide::Right, t));
+    for t in &blocked {
+        expected.extend(push_one(&mut per_tuple, JoinSide::Right, t));
     }
+    assert_eq!(
+        multiset(&expected),
+        multiset(&nested_loop_join(&flows, &blocked, &key, &key, "hits"))
+    );
     // Mixed-schema batches: runs of flows and blocked interleave, so the
     // columnar batch degrades to per-run chunks — the escape hatch path.
     let mut mixed: Vec<(JoinSide, Tuple)> = Vec::new();
@@ -439,7 +547,7 @@ fn join_chunk_probe_matches_per_tuple_probe_on_netmon_rehash() {
                 Some(s) if s == *side => run.push(t.clone()),
                 Some(s) => {
                     for chunk in TupleBatch::new(std::mem::take(&mut run)).chunks() {
-                        got.extend(chunked.push_chunk(s, chunk));
+                        got.extend(chunked.push_chunk_batch(s, chunk).into_tuples());
                     }
                     run_side = Some(*side);
                     run.push(t.clone());
@@ -452,7 +560,7 @@ fn join_chunk_probe_matches_per_tuple_probe_on_netmon_rehash() {
         }
         if let Some(s) = run_side {
             for chunk in TupleBatch::new(run).chunks() {
-                got.extend(chunked.push_chunk(s, chunk));
+                got.extend(chunked.push_chunk_batch(s, chunk).into_tuples());
             }
         }
     }
@@ -461,15 +569,15 @@ fn join_chunk_probe_matches_per_tuple_probe_on_netmon_rehash() {
     assert_eq!(chunked.state_size(), per_tuple.state_size());
 }
 
-/// The gather-based `push_chunk_batch` — the join's chunk-native fast path,
-/// which emits joined **typed chunks** directly instead of materialising
-/// row tuples — produces the same result multiset as per-tuple `push_side`
-/// on the netmon rehash workload, and its output chunks stay columnar:
+/// The gather-based `push_chunk_batch`, which emits joined **typed chunks**
+/// directly instead of materialising row tuples, produces the same result
+/// multiset fed 64-row chunks as fed one-row chunks on the netmon rehash
+/// workload, and its output chunks stay columnar:
 /// every chunk carries the cached joined schema and the gathered key column
 /// keeps its dictionary layout end to end (no degrade to the reference
 /// layout mid-join).
 #[test]
-fn gather_join_batch_matches_per_tuple_and_stays_typed() {
+fn gather_join_is_chunking_invariant_and_stays_typed() {
     use pier::qp::tuple::ColumnChunk;
     use pier::qp::{JoinSide, SymmetricHashJoin, TupleBatch};
     // Netmon rehash shape: flows keyed by a low-cardinality source address
@@ -500,11 +608,11 @@ fn gather_join_batch_matches_per_tuple_and_stays_typed() {
     let mut per_tuple = SymmetricHashJoin::new(key.clone(), key.clone(), "hits");
     let mut gathered = SymmetricHashJoin::new(key.clone(), key, "hits");
     let mut expected = Vec::new();
-    for t in flows.iter().cloned() {
-        expected.extend(per_tuple.push_side(JoinSide::Left, t));
+    for t in &flows {
+        expected.extend(push_one(&mut per_tuple, JoinSide::Left, t));
     }
-    for t in blocked.iter().cloned() {
-        expected.extend(per_tuple.push_side(JoinSide::Right, t));
+    for t in &blocked {
+        expected.extend(push_one(&mut per_tuple, JoinSide::Right, t));
     }
     let mut got: Vec<Tuple> = Vec::new();
     let mut out_chunks: Vec<ColumnChunk> = Vec::new();
@@ -543,11 +651,11 @@ fn gather_join_batch_matches_per_tuple_and_stays_typed() {
 /// Same equivalence on the mqo **shared-workload** shape: many tenants'
 /// per-flow streams share one join against a slowly-changing reference
 /// table, with mixed column types (ints, floats with nulls, dictionary
-/// strings).  Chunked gather output must equal per-tuple output as a
-/// multiset even when probe chunks match rows spread over many stored
+/// strings).  100-row probe chunks must produce the multiset one-row probe
+/// chunks produce, even when they match rows spread over many stored
 /// chunks.
 #[test]
-fn gather_join_matches_per_tuple_on_mqo_shared_workload() {
+fn gather_join_is_chunking_invariant_on_mqo_shared_workload() {
     use pier::qp::{JoinSide, SymmetricHashJoin, TupleBatch};
     let packets: Vec<Tuple> = (0..500)
         .map(|i| {
@@ -586,16 +694,12 @@ fn gather_join_matches_per_tuple_on_mqo_shared_workload() {
     for (round, window) in packets.chunks(100).enumerate() {
         if round % 2 == 0 {
             for t in fi.by_ref().take(8) {
-                expected.extend(per_tuple.push_side(JoinSide::Right, t.clone()));
-                got.extend(
-                    gathered
-                        .push_chunk_batch(JoinSide::Right, &ColumnChunkFromTuple::chunk(&t))
-                        .into_tuples(),
-                );
+                expected.extend(push_one(&mut per_tuple, JoinSide::Right, &t));
+                got.extend(push_one(&mut gathered, JoinSide::Right, &t));
             }
         }
-        for t in window.iter().cloned() {
-            expected.extend(per_tuple.push_side(JoinSide::Left, t));
+        for t in window {
+            expected.extend(push_one(&mut per_tuple, JoinSide::Left, t));
         }
         for chunk in TupleBatch::new(window.to_vec()).chunks() {
             got.extend(
@@ -610,11 +714,12 @@ fn gather_join_matches_per_tuple_on_mqo_shared_workload() {
     assert_eq!(gathered.state_size(), per_tuple.state_size());
 }
 
-/// Helper: a one-row chunk for single-tuple reference-table updates.
-struct ColumnChunkFromTuple;
-
-impl ColumnChunkFromTuple {
-    fn chunk(t: &Tuple) -> pier::qp::tuple::ColumnChunk {
-        pier::qp::tuple::ColumnChunk::from_tuple(t)
-    }
+/// A single-tuple arrival at the join: a one-row chunk.
+fn push_one(
+    join: &mut pier::qp::SymmetricHashJoin,
+    side: pier::qp::JoinSide,
+    t: &Tuple,
+) -> Vec<Tuple> {
+    let chunk = pier::qp::tuple::ColumnChunk::from_tuple(t);
+    join.push_chunk_batch(side, &chunk).into_tuples()
 }

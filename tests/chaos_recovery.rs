@@ -123,9 +123,10 @@ fn trace_fault_events_reconcile_with_the_plan() {
 /// (churn), and at each pre-drawn storm restart the operator is rebuilt
 /// from scratch by replaying the surviving event log — exactly the warm
 /// restart the durable-segment path performs.  After every rebuild and at
-/// the end of the run, the chunk-native join, the per-tuple join and a
-/// brute-force nested-loop reference computed directly from the surviving
-/// inputs must agree as multisets, with identical state sizes.
+/// the end of the run, the join replayed in arrival-run chunks, the join
+/// replayed one tuple (one-row chunk) at a time and a brute-force
+/// nested-loop reference computed directly from the surviving inputs must
+/// agree as multisets, with identical state sizes.
 #[test]
 fn join_rebuild_under_faultplan_loss_and_restart_matches_reference() {
     use pier::qp::tuple::ColumnChunk;
@@ -198,8 +199,9 @@ fn join_rebuild_under_faultplan_loss_and_restart_matches_reference() {
         out.sort();
         out
     };
-    // Replay `log` through fresh instances of both join paths (the warm
-    // restart), returning their emissions and final states.
+    // Replay `log` through two fresh joins (the warm restart), one fed
+    // arrival-run chunks and one fed single tuples, returning their
+    // emissions and final states.
     let replay = |log: &[(u64, JoinSide, Tuple)]| {
         let mut chunked = SymmetricHashJoin::new(key(), key(), "hits");
         let mut per_tuple = SymmetricHashJoin::new(key(), key(), "hits");
@@ -210,7 +212,8 @@ fn join_rebuild_under_faultplan_loss_and_restart_matches_reference() {
         let mut run: Vec<Tuple> = Vec::new();
         let mut run_side = JoinSide::Left;
         for (_, side, t) in log {
-            tuple_out.extend(per_tuple.push_side(*side, t.clone()));
+            let single = ColumnChunk::from_tuple(t);
+            tuple_out.extend(per_tuple.push_chunk_batch(*side, &single).into_tuples());
             if *side != run_side && !run.is_empty() {
                 for chunk in TupleBatch::new(std::mem::take(&mut run)).chunks() {
                     chunk_out.extend(chunked.push_chunk_batch(run_side, chunk).into_tuples());

@@ -15,6 +15,42 @@ use pier::qp::{
 };
 use proptest::prelude::*;
 
+/// The piece lengths a drawn partition cuts its input at: empty pieces,
+/// single rows, and the lengths around the eddy's re-draw stride (32) and
+/// the ingest stage / `batch_max_tuples` (64).
+const PIECES: [usize; 7] = [0, 1, 31, 32, 33, 64, 65];
+
+/// Cut `rows` into consecutive batches whose lengths are `PIECES[cuts[i]]`
+/// (cycled).
+fn cut(rows: &[Tuple], cuts: &[usize]) -> Vec<TupleBatch> {
+    let mut out = Vec::new();
+    let mut rest = rows;
+    for &c in cuts.iter().cycle() {
+        if rest.is_empty() {
+            break;
+        }
+        let (piece, tail) = rest.split_at(PIECES[c].min(rest.len()));
+        out.push(TupleBatch::new(piece.to_vec()));
+        rest = tail;
+    }
+    out
+}
+
+/// The same rows as one batch, as all one-row batches, and cut by `cuts`.
+fn chunkings(rows: &[Tuple], cuts: &[usize]) -> [Vec<TupleBatch>; 3] {
+    // All-empty pieces would never consume the input: end each cycle with
+    // a one-row piece.
+    let mut cuts = cuts.to_vec();
+    cuts.push(1);
+    [
+        vec![TupleBatch::new(rows.to_vec())],
+        rows.iter()
+            .map(|t| TupleBatch::new(vec![t.clone()]))
+            .collect(),
+        cut(rows, &cuts),
+    ]
+}
+
 /// Toy mergeable sum used by the window-state properties.
 #[derive(Debug, Clone, PartialEq)]
 struct PSum(i64);
@@ -62,12 +98,14 @@ proptest! {
         }
     }
 
-    /// The streaming Symmetric Hash join produces exactly the same result
-    /// multiset size as a nested-loop reference join, for any interleaving.
+    /// The streaming Symmetric Hash join produces exactly the result
+    /// multiset of a nested-loop reference join and holds every input row,
+    /// however the two sides' arrivals are cut into chunks and interleaved.
     #[test]
     fn symmetric_hash_join_matches_nested_loop(
-        left_keys in proptest::collection::vec(0i64..8, 0..40),
-        right_keys in proptest::collection::vec(0i64..8, 0..40),
+        left_keys in proptest::collection::vec(0i64..8, 0..160),
+        right_keys in proptest::collection::vec(0i64..8, 0..160),
+        cuts in proptest::collection::vec(0usize..7, 1..12),
     ) {
         let key = vec!["b".to_string()];
         let left: Vec<Tuple> = left_keys
@@ -80,25 +118,31 @@ proptest! {
             .enumerate()
             .map(|(i, b)| Tuple::new("s", vec![("b", Value::Int(*b)), ("c", Value::Int(i as i64))]))
             .collect();
-        let mut join = SymmetricHashJoin::new(key.clone(), key.clone(), "rs");
-        let mut streamed = 0usize;
-        let mut l = left.iter();
-        let mut r = right.iter();
-        loop {
-            match (l.next(), r.next()) {
-                (None, None) => break,
-                (lt, rt) => {
-                    if let Some(t) = lt {
-                        streamed += join.push_side(JoinSide::Left, t.clone()).len();
-                    }
-                    if let Some(t) = rt {
-                        streamed += join.push_side(JoinSide::Right, t.clone()).len();
+        let canon = |v: &[Tuple]| {
+            let mut rows: Vec<String> = v.iter().map(Tuple::to_string).collect();
+            rows.sort();
+            rows
+        };
+        let reference = canon(&nested_loop_join(&left, &right, &key, &key, "rs"));
+        for (l, r) in chunkings(&left, &cuts).into_iter().zip(chunkings(&right, &cuts)) {
+            let mut join = SymmetricHashJoin::new(key.clone(), key.clone(), "rs");
+            let mut streamed = Vec::new();
+            let mut l = l.iter();
+            let mut r = r.iter();
+            loop {
+                let (lb, rb) = (l.next(), r.next());
+                if lb.is_none() && rb.is_none() {
+                    break;
+                }
+                for (side, batch) in [(JoinSide::Left, lb), (JoinSide::Right, rb)] {
+                    for chunk in batch.map_or(&[][..], TupleBatch::chunks) {
+                        streamed.extend(join.push_chunk_batch(side, chunk).into_tuples());
                     }
                 }
             }
+            prop_assert_eq!(&canon(&streamed), &reference);
+            prop_assert_eq!(join.state_size(), (left.len(), right.len()));
         }
-        let reference = nested_loop_join(&left, &right, &key, &key, "rs").len();
-        prop_assert_eq!(streamed, reference);
     }
 
     /// Merging per-partition partial aggregates equals aggregating all the
@@ -113,9 +157,12 @@ proptest! {
         let mut reference = mk();
         let mut partials: Vec<GroupBy> = (0..split).map(|_| mk()).collect();
         for (i, (g, v)) in values.iter().enumerate() {
-            let t = Tuple::new("t", vec![("g", Value::Int(*g)), ("v", Value::Int(*v))]);
-            reference.push(t.clone());
-            partials[i % split].push(t);
+            let t = TupleBatch::new(vec![Tuple::new(
+                "t",
+                vec![("g", Value::Int(*g)), ("v", Value::Int(*v))],
+            )]);
+            reference.push_batch(&t);
+            partials[i % split].push_batch(&t);
         }
         let mut root = mk();
         for p in &mut partials {
@@ -379,20 +426,28 @@ proptest! {
         prop_assert_eq!(compiled.matches(tuple.values()), expr.matches(&tuple));
     }
 
-    /// Chunk-to-chunk `push_batch` + `flush` is equivalent to per-tuple
-    /// `push` + `flush` for arbitrary selection→projection→group-by stacks
-    /// over arbitrarily mixed-schema streams and arbitrary arrival batch
-    /// sizes — including shapes that lack the filtered column (discarded by
-    /// the best-effort policy) and the per-run row-major escape hatch for
+    /// Chunk boundaries are invisible: an arbitrary filter → projection →
+    /// tail stack — the filter a selection or an eddy under any of its three
+    /// policies, the tail any stateful or order-sensitive operator — yields
+    /// the same rows in the same order, and the same `flush`, whether an
+    /// arbitrarily mixed-schema stream arrives as one batch, as one-row
+    /// batches, or cut at a drawn sequence of 0/1/31/32/33/64/65-row pieces
+    /// — including shapes that lack the filtered column (discarded by the
+    /// best-effort policy) and the per-run row-major escape hatch for
     /// interleaved schemas.
     #[test]
-    fn chunked_pipeline_stack_matches_per_tuple_dispatch(
+    fn chunk_boundaries_are_invisible_to_a_pipeline_stack(
         threshold in -20i64..20,
-        batch_size in 1usize..48,
-        shape_picks in proptest::collection::vec(0usize..3, 1..120),
+        head in 0usize..4,
+        tail in 0usize..5,
+        cuts in proptest::collection::vec(0usize..7, 1..12),
+        shape_picks in proptest::collection::vec(0usize..3, 1..300),
         vals in proptest::collection::vec(-30i64..30, 8..9),
     ) {
-        use pier::qp::{CmpOp, Expr, Pipeline, Projection, Selection};
+        use pier::qp::{
+            CmpOp, Distinct, Eddy, Expr, Limit, Pipeline, Projection, RoutingPolicy, Selection,
+            TopK,
+        };
         let rows: Vec<Tuple> = shape_picks
             .iter()
             .enumerate()
@@ -411,20 +466,27 @@ proptest! {
                             ("extra", Value::Bool(v % 2 == 0)),
                         ],
                     ),
-                    // No `x`: the selection must discard these wholesale.
+                    // No `x`: the filter must discard these wholesale.
                     _ => Tuple::new("u", vec![("g", Value::Int(v.rem_euclid(4)))]),
                 }
             })
             .collect();
         let mk = || {
-            Pipeline::new(vec![
-                Box::new(Selection::new(Expr::cmp(
-                    CmpOp::Ge,
-                    Expr::col("x"),
-                    Expr::lit(threshold),
-                ))) as Box<dyn LocalOperator + Send>,
-                Box::new(Projection::new(vec!["g".into(), "x".into()])),
-                Box::new(GroupBy::new(
+            let pred = Expr::cmp(CmpOp::Ge, Expr::col("x"), Expr::lit(threshold));
+            let filter: Box<dyn LocalOperator + Send> = if head == 0 {
+                Box::new(Selection::new(pred))
+            } else {
+                let policy = [
+                    RoutingPolicy::Fixed,
+                    RoutingPolicy::RoundRobin,
+                    RoutingPolicy::Lottery,
+                ][head - 1];
+                let low_group = Expr::cmp(CmpOp::Lt, Expr::col("g"), Expr::lit(3i64));
+                let preds = vec![("x".to_string(), pred), ("g".to_string(), low_group)];
+                Box::new(Eddy::over_predicates(preds, policy, 9))
+            };
+            let tail: Box<dyn LocalOperator + Send> = match tail {
+                0 => Box::new(GroupBy::new(
                     vec!["g".into()],
                     vec![
                         AggFunc::Count,
@@ -433,27 +495,27 @@ proptest! {
                     ],
                     "out",
                 )),
+                1 => Box::new(Distinct::new(vec!["x".into()])),
+                2 => Box::new(Distinct::new(vec![])),
+                3 => Box::new(Limit::new(40)),
+                _ => Box::new(TopK::new(5, "x")),
+            };
+            Pipeline::new(vec![
+                filter,
+                Box::new(Projection::new(vec!["g".into(), "x".into()])),
+                tail,
             ])
         };
-        let mut per_tuple = mk();
-        let mut chunked = mk();
-        let mut streamed = Vec::new();
-        for t in rows.iter().cloned() {
-            streamed.extend(per_tuple.push(t));
-        }
-        let mut batch_out = Vec::new();
-        for window in rows.chunks(batch_size) {
-            batch_out.extend(
-                chunked
-                    .push_batch(&TupleBatch::new(window.to_vec()))
-                    .into_tuples(),
-            );
-        }
-        // A group-by tail absorbs everything before flush, on both paths.
-        prop_assert_eq!(&batch_out, &streamed);
-        let a = chunked.flush();
-        let b = per_tuple.flush();
-        prop_assert_eq!(a, b);
+        let [whole, single, drawn] = chunkings(&rows, &cuts).map(|batches| {
+            let mut p = mk();
+            let mut streamed = Vec::new();
+            for b in &batches {
+                streamed.extend(p.push_batch(b).into_tuples());
+            }
+            (streamed, p.flush())
+        });
+        prop_assert_eq!(&single, &whole);
+        prop_assert_eq!(&drawn, &whole);
     }
 
     /// PHT range queries return exactly the keys a sorted scan would.
