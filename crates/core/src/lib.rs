@@ -82,6 +82,7 @@ pub mod sharing;
 pub mod sqlish;
 pub mod tuple;
 pub mod value;
+pub mod window_engine;
 
 pub use admission::{
     AdmissionControl, AdmissionDecision, AdmissionFactory, AdmissionVerdict, EnvModel, SloBudget,
@@ -94,7 +95,7 @@ pub use eddy::{
     OBS_HALF_LIFE_ROWS,
 };
 pub use expr::{ArithOp, CmpOp, CompiledExpr, CompiledPredicate, EvalError, Expr};
-pub use node::{CqDiagnostics, PierConfig, PierMsg, PierNode, PierOut, PierTimer};
+pub use node::{PierConfig, PierMsg, PierNode, PierOut, PierTimer};
 pub use operators::{
     nested_loop_join, BloomFilter, Distinct, GroupBy, JoinSide, Limit, LocalOperator, Pipeline,
     Projection, Queue, Selection, SymmetricHashJoin, TopK,
@@ -110,10 +111,12 @@ pub use plan::{
 pub use range_index::RangeIndexConfig;
 pub use recursive::TransitiveClosure;
 pub use sharing::{
-    GroupRoute, InstallOutcome, MultiQuerySharing, SharedEmission, SharingFactory, SharingStats,
-    TickOutput, UninstallOutcome,
+    InstallOutcome, Membership, MultiQuerySharing, SharingFactory, SharingStats, UninstallOutcome,
 };
 pub use tuple::{
     ChunkRow, ColumnChunk, ColumnRef, ColumnResolver, Schema, SchemaRegistry, Tuple, TupleBatch,
 };
 pub use value::{Value, ValueRef};
+pub use window_engine::{
+    CqDiagnostics, Emission, EngineNames, EngineSpec, MemberSpec, TickOutput, WindowEngine,
+};

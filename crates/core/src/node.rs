@@ -16,23 +16,18 @@
 //! stops when the query's timeout expires.
 
 use crate::admission::{AdmissionControl, AdmissionFactory, AdmissionVerdict, SloPolicy};
-use crate::aggregate::{AggFunc, AggState};
 use crate::operators::{GroupBy, JoinSide, LocalOperator, Pipeline, SymmetricHashJoin};
-use crate::partial::{GroupAgg, PartialCodec};
 use crate::plan::{
     finish_rows, CqSpec, Dissemination, OpGraph, OperatorSpec, QpObject, QueryPlan, SinkSpec,
 };
 use crate::sharing::{
-    is_share_scoped_table, InstallOutcome, MultiQuerySharing, SharingFactory, SharingStats,
+    is_share_scoped_table, InstallOutcome, Membership, MultiQuerySharing, SharingFactory,
+    SharingStats,
 };
-use crate::tuple::{
-    ColumnChunk, ColumnRef, ColumnResolver, Schema, SchemaRegistry, Tuple, TupleBatch,
-};
+use crate::tuple::{ColumnChunk, SchemaRegistry, Tuple, TupleBatch};
 use crate::value::Value;
-use pier_cq::{
-    Delta, DeltaTracker, DurableStore, Lease, LeaseStatus, RehydrateReport, RenewalBackoff,
-    SegmentLog, WindowId, WindowSpec, WindowStats, WindowStore,
-};
+use crate::window_engine::{CqDiagnostics, EngineSpec, WindowEngine, OCCUPANCY_GAUGES};
+use pier_cq::{DurableStore, LeaseStatus, RenewalBackoff};
 use pier_dht::{
     routing_id, DhtMessage, Id, NodeRef, ObjectName, Overlay, OverlayConfig, OverlayEffect,
     OverlayEvent, OverlayTimer,
@@ -40,7 +35,7 @@ use pier_dht::{
 use pier_runtime::{Duration, NodeAddr, Program, ProgramContext, Rng64, SimTime, WireSize};
 use pier_telemetry::{SpanRecord, Telemetry, TelemetryConfig};
 use pier_trace::{trace_id_for, TraceConfig, TraceContext};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 /// Tuning knobs for a PIER node.
@@ -77,11 +72,13 @@ pub struct PierConfig {
     /// cluster through PIER itself.
     pub telemetry: TelemetryConfig,
     /// Durable window segments: when set, every window tick snapshots the
-    /// node's continuous-query window state into this [`DurableStore`]
-    /// (keys `q{id}.local` / `q{id}.root`), and a node restarted with the
-    /// *same* store handle rehydrates warm windows when the query's next
-    /// re-dissemination re-installs it, instead of recomputing retained
-    /// panes from scratch.  `None` (the default) keeps all state soft.
+    /// ticking engine's window state into this [`DurableStore`] (keys
+    /// `q{id}.local` / `q{id}.root` for an unshared query,
+    /// `g{fp:016x}.local` / `g{fp:016x}.root` for a share group), and a
+    /// node restarted with the *same* store handle rehydrates warm windows
+    /// when the next re-dissemination re-installs the query, instead of
+    /// recomputing retained panes from scratch.  `None` (the default) keeps
+    /// all state soft.
     pub durable: Option<DurableStore>,
     /// Optional admission-control layer constructor (`pier_analyze`): when
     /// set, every plan submitted at this node is statically costed *before
@@ -319,66 +316,14 @@ struct GraphState {
     root_merge: Option<GroupBy>,
 }
 
-/// Runtime state of one continuous (windowed) query at one node.
-#[derive(Debug)]
-struct CqState {
-    spec: CqSpec,
-    window: WindowSpec,
-    final_ops: Vec<OperatorSpec>,
-    /// Group columns resolved to schema indices once per input schema.
-    group_resolver: ColumnResolver,
-    /// Per-aggregate input column (`None` for `COUNT(*)`), resolved once
-    /// per input schema.
-    agg_inputs: Vec<Option<ColumnRef>>,
-    /// Event-time column, resolved once per input schema.
-    time_ref: Option<ColumnRef>,
-    /// Window-scoped dedup columns (a missing column keys as "∅").
-    dedup_refs: Vec<ColumnRef>,
-    /// Encodes closed windows for the trip to the root (`q{id}.wp`) and
-    /// merges arriving partials into `root_store`.
-    codec: PartialCodec,
-    /// Interned shape of the per-window result rows emitted at the root.
-    result_schema: Arc<Schema>,
-    /// Index of the opgraph feeding the windows.
-    graph_idx: usize,
-    /// Node-local window accumulation over this node's share of the stream.
-    store: WindowStore<GroupAgg>,
-    /// Partials absorbed while travelling toward (or arriving at) the
-    /// query's window root; closes one slide after `store` so relayed
-    /// partials have time to arrive.
-    root_store: WindowStore<GroupAgg>,
-    /// Root-side emission tracker implementing snapshot/delta output.
-    tracker: DeltaTracker<Tuple>,
-    /// Soft-state lease granted by (re)dissemination.
-    lease: Lease,
-    /// Windows this node emitted to the proxy as root.
-    windows_emitted: u64,
-    /// Shed tuples+groups already reported to telemetry (delta baseline for
-    /// the `window_shed` trace event).
-    tel_shed: u64,
-    /// Evicted windows already reported to telemetry (delta baseline for
-    /// the `window_evict` trace event).
-    tel_evicted: u64,
-    /// Windows restored from durable segments when this installation
-    /// rehydrated (0 for a cold install) — the warm-restart diagnostic.
-    rehydrated_windows: u64,
-}
-
-impl CqState {
-    /// Per-window result rows are retired from the delta tracker once they
-    /// are this many windows old (late refinements beyond that are dropped).
-    fn retention_windows(&self) -> u64 {
-        self.window.windows_per_event() + 4
-    }
-}
-
 #[derive(Debug)]
 struct QueryState {
     plan: QueryPlan,
     graphs: Vec<GraphState>,
     agg_root_id: Id,
-    /// Continuous-query runtime, present when the plan has a windowed sink.
-    cq: Option<CqState>,
+    /// The opgraph feeding the query's own window engine
+    /// (`EngineKey::Query`), when the plan has a windowed sink.
+    cq_graph: Option<usize>,
     /// Source rows seen by a shed plan (`sample_every > 1`): the
     /// deterministic per-query per-node sampling counter.
     ingest_seen: u64,
@@ -416,8 +361,9 @@ struct RehashBuffer {
 /// `format!` scan over every installed query.
 #[derive(Debug)]
 enum NamespaceRoute {
-    /// `q{id}.windows`: closed-window partials of a continuous query.
-    WindowPartials(u64),
+    /// `q{id}.windows` / `g{fp}.windows`: closed-window partials of an
+    /// engine.
+    WindowPartials(EngineKey),
     /// `q{id}.partials`: partial aggregates travelling up the tree.
     AggPartials(u64),
     /// A base table or rehash namespace: the `(query, graph index)` pairs
@@ -425,13 +371,26 @@ enum NamespaceRoute {
     Sources(Vec<(u64, usize)>),
 }
 
-/// Whose window store a namespace's closed-window partials merge into.
-#[derive(Debug, Clone, Copy)]
-enum PartialOwner {
-    /// An installed continuous query's root store.
+/// Which of this node's [`WindowEngine`]s: an unshared query's own, or a
+/// share group's.  [`PierTimer::WindowTick`] and [`PierTimer::ShareTick`]
+/// are the timer addresses of the two.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum EngineKey {
     Query(u64),
-    /// A share group's root store, inside the sharing layer.
     Group(u64),
+}
+
+/// An engine and what the node needs to drive it.
+#[derive(Debug)]
+struct EngineSlot {
+    engine: WindowEngine,
+    /// Routing identifier of the engine's window root.
+    root_id: Id,
+    /// The incarnation a firing tick timer must be for: the one a
+    /// [`PierTimer::ShareTick`] carries, 0 for a query's own engine.
+    epoch: u64,
+    /// The timer that ticks this engine, re-armed every slide.
+    tick: PierTimer,
 }
 
 /// The transfers that carry closed-window partials one hop toward their
@@ -476,7 +435,13 @@ pub struct PierNode {
     next_query_seq: u64,
     rehash_buf: HashMap<String, RehashBuffer>,
     batch_timer_armed: bool,
-    /// Namespace routing table over the installed queries.
+    /// Every window engine at this node, and the engine each windowed
+    /// query (unshared or share-group member) lives in.
+    engines: BTreeMap<EngineKey, EngineSlot>,
+    engine_of: HashMap<u64, EngineKey>,
+    /// The instant the `cq.*` occupancy gauges were last summed.
+    gauges_at: Option<SimTime>,
+    /// Namespace routing table over the installed queries and engines.
     routes: HashMap<String, NamespaceRoute>,
     /// Streamed rows staged by `ingest`, drained through the chunk path.
     stage: IngestStage,
@@ -546,6 +511,9 @@ impl PierNode {
             next_query_seq: 0,
             rehash_buf: HashMap::new(),
             batch_timer_armed: false,
+            engines: BTreeMap::new(),
+            engine_of: HashMap::new(),
+            gauges_at: None,
             routes: HashMap::new(),
             stage: IngestStage::default(),
             next_span_seq: 0,
@@ -597,18 +565,6 @@ impl PierNode {
     fn next_span_id(&mut self, me: NodeAddr) -> u64 {
         self.next_span_seq += 1;
         ((u64::from(me.0) + 1) << 32) | self.next_span_seq
-    }
-
-    /// The trace id of `query_id` when the query is installed at this node,
-    /// was sampled at its proxy, and telemetry can record the span.
-    fn traced(&self, query_id: u64) -> Option<u64> {
-        if !self.tel.is_enabled() {
-            return None;
-        }
-        self.queries
-            .get(&query_id)
-            .filter(|q| q.plan.trace)
-            .map(|_| trace_id_for(query_id))
     }
 
     /// Rows of a node-local table (the decoupled-storage access method over
@@ -992,7 +948,10 @@ impl PierNode {
                         // Most single-object arrivals are published rows
                         // landing at their owner while nothing here reads
                         // the namespace: don't build a chunk nobody reads.
-                        if !self.routes.contains_key(namespace) && self.sharing.is_none() {
+                        let shared = self.sharing.as_ref();
+                        if !self.routes.contains_key(namespace)
+                            && !shared.is_some_and(|l| l.wants_namespace(namespace))
+                        {
                             return Vec::new();
                         }
                         // A lone tuple is a one-row chunk; its `ingest` span
@@ -1017,9 +976,8 @@ impl PierNode {
                 // Hierarchical aggregation: intercept partials travelling up
                 // the tree, fold them into our own buffered partials, and
                 // drop the original message (§3.3.4).  Closed-window partials
-                // of continuous queries — and of share groups, into the
-                // group's single shared store — combine the same way en
-                // route to the window root, a chunk at a time.
+                // combine the same way en route to their engine's window
+                // root, a chunk at a time.
                 let now = ctx.now();
                 // Sampled senders get the §3.2.4 upcall offer recorded as a
                 // `window.upcall` span; anything this node re-ships (refused
@@ -1063,7 +1021,7 @@ impl PierNode {
                             .filter(|(_, refused)| {
                                 refused.iter().map(Vec::len).sum::<usize>() < partials
                             });
-                        if let Some((owner, refused)) = absorbed {
+                        if let Some((key, refused)) = absorbed {
                             // The absorbed share is ours now; anything this
                             // node's state refused (budget shed, evicted
                             // window) must still reach the root — exactly
@@ -1071,11 +1029,14 @@ impl PierNode {
                             // continued routing it.
                             let mut effects = self.overlay.resume_upcall(token, false, now);
                             if refused.iter().any(|rows| !rows.is_empty()) {
-                                // Arm only when a send follows: `set_trace`
-                                // is consumed by the next overlay op and
-                                // must not leak onto unrelated traffic.
-                                self.overlay.set_trace(upcall_ctx);
-                                effects.extend(self.reship_partials(owner, &chunks, &refused, now));
+                                let refused = chunks
+                                    .iter()
+                                    .zip(&refused)
+                                    .filter(|(_, rows)| !rows.is_empty())
+                                    .map(|(chunk, rows)| chunk.gather(rows))
+                                    .collect();
+                                let shipments = partial_shipments(refused, self.config.batching);
+                                effects.extend(self.ship_partials(key, shipments, upcall_ctx, now));
                             }
                             return effects;
                         }
@@ -1103,84 +1064,55 @@ impl PierNode {
         })
     }
 
-    /// Re-route the window partials this node refused (`refused[i]` indexes
-    /// rows of `chunks[i]`, a batch that was only partly absorbed at an
-    /// upcall hop) toward their owner's window root, as one transfer.
-    fn reship_partials(
+    /// Send closed-window partials one hop toward engine `key`'s window root
+    /// (upcalls combine them en route): what a tick drained, or what this
+    /// node refused of a batch it only partly absorbed at an upcall hop.
+    /// `trace` rides every shipment — armed per send, because `set_trace`
+    /// is consumed by the next overlay op and must not leak onto unrelated
+    /// traffic.
+    fn ship_partials(
         &mut self,
-        owner: PartialOwner,
-        chunks: &[ColumnChunk],
-        refused: &[Vec<u32>],
+        key: EngineKey,
+        shipments: Vec<QpObject>,
+        trace: Option<TraceContext>,
         now: SimTime,
     ) -> Vec<OverlayEffect<QpObject>> {
-        let (namespace, root_key, lifetime) = match owner {
-            PartialOwner::Query(query_id) => {
-                let Some(q) = self.queries.get(&query_id) else {
-                    return Vec::new();
-                };
-                let lease = q.cq.as_ref().map_or(0, |cq| cq.spec.lease);
-                (
-                    q.plan.window_namespace(),
-                    q.plan.agg_root_key(),
-                    lease.max(self.config.publish_lifetime),
-                )
-            }
-            PartialOwner::Group(group) => {
-                let Some(route) = self.sharing.as_ref().and_then(|l| l.group_route(group)) else {
-                    return Vec::new();
-                };
-                (
-                    route.namespace,
-                    route.root_key,
-                    self.config.publish_lifetime,
-                )
-            }
+        let Some(slot) = self.engines.get(&key) else {
+            return Vec::new();
         };
-        let root_id = routing_id(&namespace, &root_key);
+        let spec = slot.engine.spec();
+        let lifetime = spec.min_lifetime.max(self.config.publish_lifetime);
         let mut effects = Vec::new();
-        let refused = chunks
-            .iter()
-            .zip(refused)
-            .filter(|(_, rows)| !rows.is_empty())
-            .map(|(chunk, rows)| chunk.gather(rows))
-            .collect();
-        for shipment in partial_shipments(refused, true) {
-            let name = ObjectName::new(namespace.clone(), root_key.clone(), self.rng.next_u64());
+        for shipment in shipments {
+            let name = ObjectName::new(
+                spec.namespace.clone(),
+                spec.root_key.clone(),
+                self.rng.next_u64(),
+            );
+            self.overlay.set_trace(trace);
             effects.extend(
                 self.overlay
-                    .send_routed(root_id, name, shipment, lifetime, now),
+                    .send_routed(slot.root_id, name, shipment, lifetime, now),
             );
         }
         effects
     }
 
-    /// Offer arriving chunks to the window store that owns `namespace` — an
-    /// installed query's root store, or a share group's (asked second: the
-    /// namespaces are disjoint).  `None`, before any row is looked at, when
-    /// `namespace` carries no closed-window partials; otherwise the owner
-    /// and, per chunk, the indices of the rows its store refused.
+    /// Offer arriving chunks to the engine whose window-partial namespace
+    /// `namespace` is.  `None`, before any row is looked at, when it is
+    /// none's; otherwise the engine and, per chunk, the indices of the rows
+    /// its root store refused.
     fn absorb_window_chunks(
         &mut self,
         namespace: &str,
         chunks: &[ColumnChunk],
-    ) -> Option<(PartialOwner, Vec<Vec<u32>>)> {
-        if let Some(&NamespaceRoute::WindowPartials(query_id)) = self.routes.get(namespace) {
-            let cq = self.queries.get_mut(&query_id)?.cq.as_mut()?;
-            let refused = chunks
-                .iter()
-                .map(|chunk| cq.codec.absorb(chunk, &mut cq.root_store))
-                .collect();
-            return Some((PartialOwner::Query(query_id), refused));
-        }
-        let layer = self.sharing.as_mut()?;
-        let mut group = None;
-        let mut refused = Vec::with_capacity(chunks.len());
-        for chunk in chunks {
-            let (g, rows) = layer.absorb_window_partials(namespace, chunk)?;
-            group = Some(g);
-            refused.push(rows);
-        }
-        Some((PartialOwner::Group(group?), refused))
+    ) -> Option<(EngineKey, Vec<Vec<u32>>)> {
+        let Some(&NamespaceRoute::WindowPartials(key)) = self.routes.get(namespace) else {
+            return None;
+        };
+        let engine = &mut self.engines.get_mut(&key)?.engine;
+        let refused = chunks.iter().map(|c| engine.absorb_partials(c)).collect();
+        Some((key, refused))
     }
 
     fn absorb_partial(&mut self, query_id: u64, partial: &Tuple) -> bool {
@@ -1262,9 +1194,9 @@ impl PierNode {
             self.merge_agg_partials(query_id, batch.iter());
             return Vec::new();
         }
-        // Closed-window partials arriving at their root — a query's or a
-        // share group's (budget-refused arrivals are dropped: there is
-        // nowhere further to send them).
+        // Closed-window partials arriving at their engine's root
+        // (budget-refused arrivals are dropped: there is nowhere further to
+        // send them).
         if self
             .absorb_window_chunks(namespace, batch.chunks())
             .is_some()
@@ -1274,10 +1206,16 @@ impl PierNode {
         if let Some(layer) = self.sharing.as_mut() {
             // Shared ingest: each chunk is handed to the sharing layer once
             // — the dispatch cost of N member queries is one
-            // predicate-index scan.
+            // predicate-index scan — and each group's engine absorbs the
+            // rows some member selected.
             if layer.wants_namespace(namespace) {
+                let engines = &mut self.engines;
                 for chunk in batch.chunks() {
-                    layer.absorb_chunk(namespace, chunk, now);
+                    layer.select(namespace, chunk, &mut |group, selected| {
+                        if let Some(slot) = engines.get_mut(&EngineKey::Group(group)) {
+                            slot.engine.absorb(chunk, Some(selected), now);
+                        }
+                    });
                 }
             }
         }
@@ -1304,56 +1242,79 @@ impl PierNode {
 
     fn install_query(&mut self, ctx: &mut ProgramContext<Self>, plan: QueryPlan) {
         let query_id = plan.query_id;
-        if let Some(q) = self.queries.get_mut(&query_id) {
-            // Re-dissemination of a standing query: renew the lease.
-            if let Some(cq) = q.cq.as_mut() {
-                cq.lease.renew(ctx.now());
-                self.tel.inc("cq.lease_renewals");
-                self.tel
-                    .event("lease_renew", || vec![("query_id", query_id.to_string())]);
+        let now = ctx.now();
+        // Re-dissemination of a standing query: renew the lease.
+        if let Some(key) = self.engine_of.get(&query_id) {
+            let slot = self.engines.get_mut(key);
+            if let Some(lease) = slot.and_then(|s| s.engine.lease_mut(query_id)) {
+                lease.renew(now);
             }
+            self.tel.inc("cq.lease_renewals");
+            self.tel
+                .event("lease_renew", || vec![("query_id", query_id.to_string())]);
+            return;
+        }
+        if self.queries.contains_key(&query_id) {
             return;
         }
         // Multi-query sharing: offer the plan to the layer first.  A plan
-        // that normalizes into a share group installs as a *member* — the
-        // executor arms its lifecycle timers but builds no dataflow; the
-        // group's single tick chain starts with its first member.  Plans
-        // marked exclusive skip the offer: shared state is not persisted,
-        // so a durable query keeps its own (rehydratable) stores.
-        let exclusive = plan.cq.as_ref().is_some_and(|cq| cq.exclusive);
-        if let Some(layer) = self.sharing.as_mut().filter(|_| !exclusive) {
-            if layer.renew(query_id, ctx.now()) {
-                return; // re-dissemination of a shared standing query
-            }
-            if let InstallOutcome::Member {
+        // that normalizes into a share group installs as a *member* of the
+        // group's engine — the executor arms its lifecycle timers but
+        // builds no dataflow; the engine's tick chain starts with its first
+        // member.
+        let shared = self.sharing.as_mut().map(|layer| layer.try_install(&plan));
+        if let Some(InstallOutcome::Member(membership)) = shared {
+            let Membership {
                 group,
-                new_group,
                 epoch,
-                slide,
-                lease,
-            } = layer.try_install(&plan, ctx.now())
-            {
-                self.tel.event("share_join", || {
-                    vec![
-                        ("query_id", query_id.to_string()),
-                        ("group", format!("{group:016x}")),
-                        ("new_group", new_group.to_string()),
-                    ]
-                });
-                ctx.set_timer(plan.timeout, PierTimer::QueryEnd { query_id });
-                ctx.set_timer(lease, PierTimer::CqLease { query_id });
-                if new_group {
-                    ctx.set_timer(slide, PierTimer::ShareTick { group, epoch });
-                }
-                return;
+                engine,
+                member,
+            } = *membership;
+            let key = EngineKey::Group(group);
+            let lease = member.lease;
+            // The group's first member opens its engine and, below, starts
+            // its tick chain.
+            let tick = engine.map(|spec| {
+                let tick = PierTimer::ShareTick { group, epoch };
+                let slide = spec.window.slide;
+                self.open_engine(key, epoch, tick.clone(), spec, query_id);
+                (slide, tick)
+            });
+            // Per-query sampling decisions are meaningless for work N
+            // queries share: a group's members trace in trace-all mode only.
+            let trace = self.config.trace.sample_every == 1;
+            if let Some(slot) = self.engines.get_mut(&key) {
+                slot.engine.add_member(query_id, member, trace, now);
+                self.engine_of.insert(query_id, key);
             }
+            self.tel.event("share_join", || {
+                vec![
+                    ("query_id", query_id.to_string()),
+                    ("group", format!("{group:016x}")),
+                    ("new_group", tick.is_some().to_string()),
+                ]
+            });
+            ctx.set_timer(plan.timeout, PierTimer::QueryEnd { query_id });
+            ctx.set_timer(lease, PierTimer::CqLease { query_id });
+            if let Some((slide, tick)) = tick {
+                ctx.set_timer(slide, tick);
+            }
+            return;
         }
         let agg_root_id = routing_id(&plan.partial_namespace(), &plan.agg_root_key());
-        let mut cq = Self::build_cq_state(&plan, ctx.now());
-        if let Some(cq) = cq.as_mut() {
-            // Warm restart: rehydrate retained panes from durable segments
-            // (a no-op on cold installs or without a durable store).
-            self.rehydrate_cq(query_id, cq);
+        // A windowed plan gets an engine of its own, rehydrated warm from
+        // durable segments when this is a restart.
+        let mut cq_graph = None;
+        let mut cq_timers = None;
+        if let Some((graph_idx, engine, member)) = EngineSpec::unshared(&plan) {
+            let key = EngineKey::Query(query_id);
+            cq_graph = Some(graph_idx);
+            cq_timers = Some((engine.window.slide, member.lease));
+            self.open_engine(key, 0, PierTimer::WindowTick { query_id }, engine, query_id);
+            if let Some(slot) = self.engines.get_mut(&key) {
+                slot.engine.add_member(query_id, member, plan.trace, now);
+                self.engine_of.insert(query_id, key);
+            }
         }
         let mut graphs = Vec::new();
         let mut has_agg = false;
@@ -1402,9 +1363,7 @@ impl PierNode {
                 _ => None,
             })
             .unwrap_or(2_000_000);
-        let has_cq = cq.is_some();
-        let cq_slide = cq.as_ref().map_or(0, |c| c.window.slide);
-        let cq_lease = cq.as_ref().map_or(0, |c| c.spec.lease);
+        let has_cq = cq_graph.is_some();
         self.tel.inc("query.installs");
         self.tel.event("query_install", || {
             vec![
@@ -1430,12 +1389,9 @@ impl PierNode {
                 0,
             );
         }
-        // Partial namespaces are the query's own; a source that names one is
-        // shadowed, as partials were always tried first.
-        if has_cq {
-            let route = NamespaceRoute::WindowPartials(query_id);
-            self.routes.insert(plan.window_namespace(), route);
-        }
+        // Partial namespaces are the query's own (the engine's was routed
+        // when it opened); a source that names one is shadowed, as partials
+        // were always tried first.
         let route = NamespaceRoute::AggPartials(query_id);
         self.routes.insert(plan.partial_namespace(), route);
         for (gidx, g) in graphs.iter().enumerate() {
@@ -1454,7 +1410,7 @@ impl PierNode {
                 plan,
                 graphs,
                 agg_root_id,
-                cq,
+                cq_graph,
                 ingest_seen: 0,
             },
         );
@@ -1466,9 +1422,9 @@ impl PierNode {
                 PierTimer::AggFinal { query_id },
             );
         }
-        if has_cq {
-            ctx.set_timer(cq_slide, PierTimer::WindowTick { query_id });
-            ctx.set_timer(cq_lease, PierTimer::CqLease { query_id });
+        if let Some((slide, lease)) = cq_timers {
+            ctx.set_timer(slide, PierTimer::WindowTick { query_id });
+            ctx.set_timer(lease, PierTimer::CqLease { query_id });
         }
         // Feed the opgraphs their initial data: node-local rows plus the
         // DHT-partitioned rows this node is responsible for.  The snapshot of
@@ -1507,6 +1463,46 @@ impl PierNode {
         }
     }
 
+    /// Open engine `key` — cold, or rehydrated warm from this node's durable
+    /// segments — for `query_id`, its first member, and route its
+    /// window-partial namespace to it.  `tick` is the timer that will drive
+    /// it; the caller arms it.
+    fn open_engine(
+        &mut self,
+        key: EngineKey,
+        epoch: u64,
+        tick: PierTimer,
+        spec: EngineSpec,
+        query_id: u64,
+    ) {
+        let mut engine = WindowEngine::new(spec);
+        let durable = self.config.durable.as_ref();
+        if let Some(report) = durable.and_then(|d| engine.rehydrate(d)) {
+            self.tel.add("cq.rehydrated_windows", report.windows as u64);
+            self.tel.event("window.rehydrate", || {
+                vec![
+                    ("query_id", query_id.to_string()),
+                    ("windows", report.windows.to_string()),
+                    ("groups", report.groups.to_string()),
+                    ("tuples", report.tuples.to_string()),
+                    ("skipped", report.skipped.to_string()),
+                    ("torn_tail", report.torn_tail.to_string()),
+                ]
+            });
+        }
+        let spec = engine.spec();
+        let root_id = routing_id(&spec.namespace, &spec.root_key);
+        let route = NamespaceRoute::WindowPartials(key);
+        self.routes.insert(spec.namespace.clone(), route);
+        let slot = EngineSlot {
+            engine,
+            root_id,
+            epoch,
+            tick,
+        };
+        self.engines.insert(key, slot);
+    }
+
     /// Uninstall a query and release query-scoped interned schemas
     /// (`q{id}.agg`, `q{id}.wp`, `q{id}.win`, …) from the process-wide
     /// [`SchemaRegistry`].  The sweep covers *every* no-longer-referenced
@@ -1516,8 +1512,23 @@ impl PierNode {
     /// working set instead of growing with every query ever installed.
     fn uninstall_query(&mut self, query_id: u64) {
         self.last_combine_span.remove(&query_id);
+        // Leave the window engine.  The last member out retires it, and a
+        // deliberate teardown means the engine is over everywhere it
+        // matters: its durable segments will never be rehydrated, so drop
+        // them rather than leak "disk".
+        if let Some(key) = self.engine_of.remove(&query_id) {
+            if let Some(slot) = self.engines.get_mut(&key) {
+                slot.engine.remove_member(query_id);
+                if slot.engine.members().is_empty() {
+                    self.routes.remove(&slot.engine.spec().namespace);
+                    if let Some(durable) = self.config.durable.as_ref() {
+                        slot.engine.forget(durable);
+                    }
+                    self.engines.remove(&key);
+                }
+            }
+        }
         if let Some(q) = self.queries.remove(&query_id) {
-            self.routes.remove(&q.plan.window_namespace());
             self.routes.remove(&q.plan.partial_namespace());
             for g in &q.graphs {
                 let namespace = g.spec.source.namespace();
@@ -1532,22 +1543,12 @@ impl PierNode {
             self.tel.event("query_teardown", || {
                 vec![("query_id", query_id.to_string())]
             });
-            // A deliberate teardown means the query is over everywhere it
-            // matters: its durable segments will never be rehydrated, so
-            // drop them rather than leak "disk".
-            if q.cq.is_some() {
-                if let Some(durable) = self.config.durable.as_ref() {
-                    let (local_key, root_key) = Self::segment_keys(query_id);
-                    durable.remove(&local_key);
-                    durable.remove(&root_key);
-                }
-            }
             SchemaRegistry::global().sweep_matching(is_query_scoped_table);
             return;
         }
-        // Share-group members tear down through the layer: the group's
-        // refcount drops, and retiring its last member sweeps both the
-        // group's interned shapes (`g{fp:016x}.…`) and any unreferenced
+        // Share-group members also leave the layer: the group's refcount
+        // drops, and retiring its last member sweeps both the group's
+        // interned shapes (`g{fp:016x}.…`) and any unreferenced
         // query-scoped ones (the member's result schema).
         if let Some(layer) = self.sharing.as_mut() {
             let out = layer.uninstall(query_id);
@@ -1573,10 +1574,10 @@ impl PierNode {
     /// pipelines consume the batch **chunk-to-chunk** via
     /// `Pipeline::push_batch` (every stage hands the next a re-chunked
     /// survivor batch), uplink aggregation absorbs the survivors chunk-wise,
-    /// and a windowed graph with a pass-through pipeline absorbs chunks
-    /// straight into the window store ([`PierNode::cq_absorb_chunk`]) — no
-    /// per-tuple dispatch anywhere; rows materialise only at the sink
-    /// boundary.
+    /// and a windowed graph's engine absorbs them chunk-wise
+    /// ([`WindowEngine::absorb`]) — the source chunks themselves when the
+    /// pipeline is a pass-through — so there is no per-tuple dispatch
+    /// anywhere; rows materialise only at the sink boundary.
     fn feed_graph_batch(
         &mut self,
         ctx: &mut ProgramContext<Self>,
@@ -1615,63 +1616,54 @@ impl PierNode {
             } else {
                 batch
             };
-            let cq_direct = q.cq.as_ref().is_some_and(|cq| cq.graph_idx == graph_idx)
-                && q.graphs
-                    .get(graph_idx)
-                    .is_some_and(|g| g.join.is_none() && g.pipeline.is_empty());
-            if cq_direct {
-                let cq = q.cq.as_mut().expect("checked above");
-                for chunk in batch.chunks() {
-                    Self::cq_absorb_chunk(cq, chunk, now);
-                }
-                TupleBatch::default()
-            } else {
-                let Some(g) = q.graphs.get_mut(graph_idx) else {
-                    return Vec::new();
-                };
-                let mut outputs = match (&mut g.join, &g.spec.join) {
-                    (Some(join), Some(join_spec)) => {
-                        // Two-input join fed from the rehash namespace: each
-                        // chunk's table name decides the side it belongs to.
-                        // The join emits whole typed chunks (gathered from
-                        // both sides' stored buffers), which share one output
-                        // schema — so the staged batch flows into the
-                        // pipeline's chunk-to-chunk traversal without ever
-                        // materialising per-row tuples.
-                        let mut staged = TupleBatch::default();
-                        for chunk in batch.chunks() {
-                            let table = chunk.schema().table();
-                            if table == join_spec.left_table {
-                                staged.append(join.push_chunk_batch(JoinSide::Left, chunk));
-                            } else if table == join_spec.right_table {
-                                staged.append(join.push_chunk_batch(JoinSide::Right, chunk));
-                            } // unknown table: discard (best effort)
-                        }
-                        if staged.is_empty() {
-                            TupleBatch::default()
-                        } else {
-                            g.pipeline.push_batch(&staged)
-                        }
+            let Some(g) = q.graphs.get_mut(graph_idx) else {
+                return Vec::new();
+            };
+            let windows = (q.cq_graph == Some(graph_idx))
+                .then(|| self.engines.get_mut(&EngineKey::Query(query_id)))
+                .flatten();
+            let direct = windows.is_some() && g.join.is_none() && g.pipeline.is_empty();
+            let mut outputs = match (&mut g.join, &g.spec.join) {
+                _ if direct => TupleBatch::default(), // absorbed below, unscanned
+                (Some(join), Some(join_spec)) => {
+                    // Two-input join fed from the rehash namespace: each
+                    // chunk's table name decides the side it belongs to.
+                    // The join emits whole typed chunks (gathered from
+                    // both sides' stored buffers), which share one output
+                    // schema — so the staged batch flows into the
+                    // pipeline's chunk-to-chunk traversal without ever
+                    // materialising per-row tuples.
+                    let mut staged = TupleBatch::default();
+                    for chunk in batch.chunks() {
+                        let table = chunk.schema().table();
+                        if table == join_spec.left_table {
+                            staged.append(join.push_chunk_batch(JoinSide::Left, chunk));
+                        } else if table == join_spec.right_table {
+                            staged.append(join.push_chunk_batch(JoinSide::Right, chunk));
+                        } // unknown table: discard (best effort)
                     }
-                    _ => g.pipeline.push_batch(batch),
-                };
-                // Hierarchical aggregation absorbs the survivors chunk-wise.
-                if let Some(uplink) = g.uplink.as_mut() {
-                    uplink.push_batch(&outputs);
-                    outputs = TupleBatch::default();
-                }
-                // A windowed graph folds the survivors into the window store
-                // chunk-wise.
-                if let Some(cq) = q.cq.as_mut() {
-                    if cq.graph_idx == graph_idx {
-                        for chunk in outputs.chunks() {
-                            Self::cq_absorb_chunk(cq, chunk, now);
-                        }
-                        outputs = TupleBatch::default();
+                    if staged.is_empty() {
+                        TupleBatch::default()
+                    } else {
+                        g.pipeline.push_batch(&staged)
                     }
                 }
-                outputs
+                _ => g.pipeline.push_batch(batch),
+            };
+            // Hierarchical aggregation absorbs the survivors chunk-wise.
+            if let Some(uplink) = g.uplink.as_mut() {
+                uplink.push_batch(&outputs);
+                outputs = TupleBatch::default();
             }
+            // A windowed graph folds the survivors into its engine.
+            if let Some(slot) = windows {
+                let survivors = if direct { batch } else { &outputs };
+                for chunk in survivors.chunks() {
+                    slot.engine.absorb(chunk, None, now);
+                }
+                outputs = TupleBatch::default();
+            }
+            outputs
         };
         if outputs.is_empty() {
             return Vec::new();
@@ -1823,11 +1815,9 @@ impl PierNode {
                 // Like hierarchical aggregation: a fetch-join result feeding
                 // a windowed graph is folded into the window store.
                 let now = ctx.now();
-                if let Some(q) = self.queries.get_mut(&query_id) {
-                    if let Some(cq) = q.cq.as_mut() {
-                        for chunk in TupleBatch::new(tuples).chunks() {
-                            Self::cq_absorb_chunk(cq, chunk, now);
-                        }
+                if let Some(slot) = self.engines.get_mut(&EngineKey::Query(query_id)) {
+                    for chunk in TupleBatch::new(tuples).chunks() {
+                        slot.engine.absorb(chunk, None, now);
                     }
                 }
             }
@@ -2003,316 +1993,56 @@ impl PierNode {
     }
 }
 
-/// Diagnostics of a continuous query installed at a node (tests and the
-/// bench harness assert bounded state through this).
-#[derive(Debug, Clone, Copy)]
-pub struct CqDiagnostics {
-    /// Activity counters of the node-local window store.
-    pub local: WindowStats,
-    /// Activity counters of the relay/root window store.
-    pub root: WindowStats,
-    /// Open windows across both stores.
-    pub open_windows: usize,
-    /// Groups held across both stores (the node's CQ state footprint).
-    pub total_groups: usize,
-    /// Windows the root-side delta tracker currently remembers.
-    pub tracked_emissions: usize,
-    /// Per-window emissions this node sent to the proxy as root.
-    pub windows_emitted: u64,
-    /// Lease renewals observed since installation.
-    pub lease_renewals: u32,
-    /// Windows rehydrated from durable segments at installation (0 on a
-    /// cold install): nonzero means this node restarted warm.
-    pub rehydrated_windows: u64,
-}
-
 impl PierNode {
-    fn build_cq_state(plan: &QueryPlan, now: SimTime) -> Option<CqState> {
-        let (graph_idx, sink) = plan.windowed_sink()?;
-        let SinkSpec::WindowedAgg {
-            window,
-            group_cols,
-            aggs,
-            time_col,
-            dedup_cols,
-            delta,
-            final_ops,
-        } = sink
-        else {
-            return None;
-        };
-        let spec = plan.cq.unwrap_or_default();
-        // Both shipped shapes are fixed by the sink spec, so their schemas
-        // intern once at installation rather than once per emitted tuple.
-        let codec = PartialCodec::new(
-            format!("q{}.wp", plan.query_id),
-            group_cols.clone(),
-            aggs.clone(),
-        );
-        let result_schema = {
-            let mut columns = vec!["window_start".to_string(), "window_end".to_string()];
-            columns.extend(group_cols.iter().cloned());
-            columns.extend(aggs.iter().map(AggFunc::output_column));
-            SchemaRegistry::global().intern_owned(format!("q{}.win", plan.query_id), columns)
-        };
-        Some(CqState {
-            spec,
-            window: *window,
-            final_ops: final_ops.clone(),
-            group_resolver: ColumnResolver::new(group_cols.clone()),
-            agg_inputs: aggs
-                .iter()
-                .map(|a| a.input_column().map(ColumnRef::new))
-                .collect(),
-            time_ref: time_col.clone().map(ColumnRef::new),
-            dedup_refs: dedup_cols.iter().cloned().map(ColumnRef::new).collect(),
-            codec,
-            result_schema,
-            graph_idx,
-            store: WindowStore::new(*window, spec.budget),
-            // The root store closes one slide later so partials relayed
-            // from other nodes have time to arrive and combine.
-            root_store: WindowStore::new(
-                window.with_grace(window.grace + window.slide),
-                spec.budget,
-            ),
-            tracker: DeltaTracker::new(*delta),
-            lease: Lease::granted(now, spec.lease),
-            windows_emitted: 0,
-            tel_shed: 0,
-            tel_evicted: 0,
-            rehydrated_windows: 0,
-        })
-    }
-
-    /// A per-store segment log larger than this is compacted (rewritten as
-    /// one fresh snapshot) on the next persist.
-    const SEGMENT_COMPACT_BYTES: usize = 1 << 20;
-
-    /// Durable-store keys of one query's two window stores.
-    fn segment_keys(query_id: u64) -> (String, String) {
-        (format!("q{query_id}.local"), format!("q{query_id}.root"))
-    }
-
-    /// Rehydrate a freshly built [`CqState`] from durable window segments,
-    /// if the node has a [`DurableStore`] holding any.  Called on the
-    /// install path *before* the state is inserted, so a restarted node
-    /// serves warm windows from its first tick: re-dissemination re-installs
-    /// the query and the retained panes come back from the segment log
-    /// instead of being recomputed.
-    fn rehydrate_cq(&self, query_id: u64, cq: &mut CqState) {
-        let Some(durable) = self.config.durable.as_ref() else {
-            return;
-        };
-        let (local_key, root_key) = Self::segment_keys(query_id);
-        let mut total = RehydrateReport::default();
-        for (key, store) in [(local_key, &mut cq.store), (root_key, &mut cq.root_store)] {
-            let Some(log) = durable.get(&key) else {
-                continue;
-            };
-            let report = store.rehydrate_from(&log);
-            total.windows += report.windows;
-            total.groups += report.groups;
-            total.tuples += report.tuples;
-            total.records += report.records;
-            total.skipped += report.skipped;
-            total.torn_tail |= report.torn_tail;
-        }
-        if total.records == 0 && !total.torn_tail {
-            return; // nothing durable for this query: a genuinely cold start
-        }
-        cq.rehydrated_windows = total.windows as u64;
-        self.tel.add("cq.rehydrated_windows", total.windows as u64);
-        self.tel.event("window.rehydrate", || {
-            vec![
-                ("query_id", query_id.to_string()),
-                ("windows", total.windows.to_string()),
-                ("groups", total.groups.to_string()),
-                ("tuples", total.tuples.to_string()),
-                ("skipped", total.skipped.to_string()),
-                ("torn_tail", total.torn_tail.to_string()),
-            ]
-        });
-    }
-
-    /// Snapshot a continuous query's window state into the durable store
-    /// (both the local and the relay/root [`WindowStore`]).  Appends one
-    /// snapshot per tick; once a log outgrows
-    /// [`PierNode::SEGMENT_COMPACT_BYTES`] it is rewritten from scratch —
-    /// rehydration only reads the *latest* snapshot of each window, so
-    /// compaction loses nothing.
-    fn persist_cq(durable: &DurableStore, query_id: u64, cq: &CqState) {
-        let (local_key, root_key) = Self::segment_keys(query_id);
-        for (key, store) in [(local_key, &cq.store), (root_key, &cq.root_store)] {
-            durable.with_log(&key, |log| {
-                if log.len() > Self::SEGMENT_COMPACT_BYTES {
-                    *log = SegmentLog::new();
-                }
-                store.write_segments(log);
-            });
-        }
-    }
-
-    /// Fold one chunk of dataflow output into the query's window store.  The
-    /// event-time, group, dedup and aggregate-input columns all resolve
-    /// against the chunk's schema once; the per-row work is column indexing
-    /// only.
-    fn cq_absorb_chunk(cq: &mut CqState, chunk: &ColumnChunk, now: SimTime) {
-        let schema = chunk.schema();
-        let Some(group_idxs) = cq.group_resolver.indices_for(schema) else {
-            return; // malformed chunk: discard (best-effort policy)
-        };
-        let time_idx = cq.time_ref.as_mut().and_then(|c| c.index_for(schema));
-        let dedup_idxs: Vec<Option<usize>> = cq
-            .dedup_refs
-            .iter_mut()
-            .map(|c| c.index_for(schema))
-            .collect();
-        let agg_idxs: Vec<Option<usize>> = cq
-            .agg_inputs
-            .iter_mut()
-            .map(|input| input.as_mut().and_then(|c| c.index_for(schema)))
-            .collect();
-        let aggs = cq.codec.aggs();
-        // One key and one dedup buffer serve every row of the chunk.
-        let mut key = String::new();
-        let mut dedup = String::new();
-        for r in 0..chunk.rows() {
-            let event_time = time_idx
-                .and_then(|i| chunk.col(i).value_ref(r).as_i64())
-                .map_or(now, |v| v.max(0) as u64);
-            key.clear();
-            chunk.write_key_at(group_idxs, r, &mut key);
-            dedup.clear();
-            // A row missing a dedup column is treated as unique.
-            for (i, idx) in dedup_idxs.iter().enumerate() {
-                if i > 0 {
-                    dedup.push('|');
-                }
-                match idx {
-                    Some(c) => chunk.col(*c).value_ref(r).write_key(&mut dedup),
-                    None => dedup.push('∅'),
-                }
-            }
-            cq.store.push(
-                event_time,
-                &key,
-                (!dedup_idxs.is_empty()).then_some(dedup.as_str()),
-                || GroupAgg {
-                    vals: group_idxs.iter().map(|&i| chunk.col(i).value(r)).collect(),
-                    states: aggs.iter().map(AggFunc::init).collect(),
-                },
-                |acc| {
-                    for ((agg, idx), state) in aggs.iter().zip(&agg_idxs).zip(acc.states.iter_mut())
-                    {
-                        state.update_ref(agg, idx.map(|i| chunk.col(i).value_ref(r)));
-                    }
-                },
-            );
-        }
-    }
-
-    /// Periodic window maintenance (fires every slide): close due windows,
-    /// forward their partials toward the window root — combining en route —
-    /// and, at the root, merge arrived partials and stream per-window
-    /// results to the proxy.
-    fn window_tick(&mut self, ctx: &mut ProgramContext<Self>, query_id: u64) {
+    /// Periodic window maintenance of one engine (fires every slide, once
+    /// per engine however many member queries it serves): close due
+    /// windows, ship their partials one hop toward the engine's window root
+    /// — combining en route — and, at the root, stream each member's
+    /// per-window results to its proxy; then report window health, persist
+    /// the surviving state and re-arm.  `epoch` is the incarnation the
+    /// firing timer was armed for.
+    fn engine_tick(&mut self, ctx: &mut ProgramContext<Self>, key: EngineKey, epoch: u64) {
         let now = ctx.now();
-        let Some(q) = self.queries.get_mut(&query_id) else {
-            return; // query uninstalled: the tick chain stops
+        let Some(slot) = self.engines.get_mut(&key) else {
+            return; // engine retired: the tick chain stops
         };
-        let Some(cq) = q.cq.as_mut() else {
+        if epoch != slot.epoch {
+            // The group was retired and re-created since this chain was
+            // armed; the new incarnation drives its own chain — a stale
+            // timer must not stack a duplicate one.
             return;
-        };
-        let window_ns = q.plan.window_namespace();
-        let root_key = q.plan.agg_root_key();
-        let root_id = routing_id(&window_ns, &root_key);
-        let proxy = q.plan.proxy;
-        let is_root = self.overlay.router().is_responsible(root_id);
-
-        // 1. Close this node's due windows.  At the root the partials merge
-        //    straight into the root store; elsewhere they are encoded for
-        //    the trip up (along with anything absorbed from upcall relays).
-        let mut closed = cq.store.close_due(now);
-        let mut to_send = None;
-        // Distinct windows whose partials this flush bundles (a tick that
-        // catches up after an EVERY-cadence gap ships several windows at
-        // once); the flush span's `aux` records it so the per-*window*
-        // static bound can be reconciled against a per-*tick* measurement.
-        let mut flushed_windows: BTreeSet<WindowId> = BTreeSet::new();
-        if is_root {
-            for (wid, groups) in closed {
-                for (key, acc) in groups {
-                    cq.root_store.accept_refinement(wid, &key, acc);
-                }
-            }
-        } else {
-            closed.extend(cq.root_store.close_due(now));
-            flushed_windows.extend(closed.iter().map(|(wid, _)| *wid));
-            to_send = cq.codec.encode(&closed);
         }
+        let is_root = self.overlay.router().is_responsible(slot.root_id);
+        let out = slot.engine.tick(now, is_root);
+        let names = slot.engine.spec().names;
+        let slide = slot.engine.spec().window.slide;
+        let tick = slot.tick.clone();
+        // Shared work is charged to the engine's lowest member.
+        let members = slot.engine.members();
+        let charged = members.iter().next().map(|(id, m)| (*id, m.trace));
+        let members = members.len() as u64;
+        let (shed, evicted) = slot.engine.take_shed_evicted();
 
-        // 2. At the root: snapshot every due window that changed — state is
-        //    *retained* so late partials keep merging and re-emit refined
-        //    results — and turn each snapshot into result rows.
-        let mut emissions: Vec<(WindowId, Vec<Delta<Tuple>>)> = Vec::new();
-        if is_root {
-            let mut emitted_max = None;
-            for (wid, groups) in cq.root_store.emit_due(now) {
-                let (ws, we) = cq.window.bounds(wid);
-                let mut rows: Vec<Tuple> = groups
-                    .into_iter()
-                    .map(|(_, acc)| {
-                        let mut values = Vec::with_capacity(cq.result_schema.arity());
-                        values.push(Value::Int(ws as i64));
-                        values.push(Value::Int(we as i64));
-                        values.extend(acc.vals.iter().cloned());
-                        values.extend(acc.states.iter().map(AggState::finish));
-                        Tuple::from_schema(Arc::clone(&cq.result_schema), values)
-                    })
-                    .collect();
-                rows.sort_by_cached_key(std::string::ToString::to_string);
-                if !cq.final_ops.is_empty() {
-                    rows = finish_rows(&cq.final_ops, &TupleBatch::new(rows));
-                }
-                let deltas = cq.tracker.emit(wid, rows);
-                if !deltas.is_empty() {
-                    cq.windows_emitted += 1;
-                    emissions.push((wid, deltas));
-                }
-                emitted_max = Some(emitted_max.unwrap_or(0u64).max(wid));
-            }
-            // Retire windows past the refinement horizon from both the
-            // retained root state and the delta tracker (bounded memory).
-            if let Some(newest) = emitted_max {
-                let retain = cq.retention_windows();
-                if newest > retain {
-                    cq.root_store.retire_before(newest - retain);
-                    cq.tracker.retire(newest - retain - 1);
-                }
-            }
-        }
-        let window = cq.window;
-        let lifetime = cq.spec.lease.max(self.config.publish_lifetime);
-
-        // 3. Ship partials one hop toward the root (upcalls combine en
-        //    route) and stream emissions to the proxy.  Every partial of a
-        //    tick shares the window-root destination, so batching collapses
-        //    the per-group message train into one transfer per tick.
-        let mut effects = Vec::new();
-        let shipments = partial_shipments(to_send.into_iter().collect(), self.config.batching);
-        // Flush instrumentation: every shipping flush ticks
-        // `cq.window_flushes` / `cq.flush_partials` (the counters the
-        // span-reconciliation tests anchor to), and a sampled query's flush
-        // additionally records a `window.flush` span whose context rides
-        // the wire on every shipment of this tick.
+        // 1. Ship partials one hop toward the root and stream emissions to
+        //    the proxies.  Every partial of a tick shares the window-root
+        //    destination, so batching collapses the per-group message train
+        //    into one transfer per tick.
+        let shipments = partial_shipments(out.partials.into_iter().collect(), self.config.batching);
+        // Flush instrumentation: every shipping flush ticks the engine's
+        // flush counters (the ones the span-reconciliation tests anchor
+        // to), and a traced engine's flush additionally records a flush
+        // span whose context rides the wire on every shipment of this tick.
+        // Its `aux` is the distinct windows bundled, so the per-*window*
+        // static bound can be reconciled against a per-*tick* measurement —
+        // or, for shared work, the members riding it.
         let mut flush_ctx: Option<TraceContext> = None;
         if self.tel.is_enabled() && !shipments.is_empty() {
             let partials: u64 = shipments.iter().map(|s| s.tuple_count() as u64).sum();
-            let bytes: u64 = shipments.iter().map(|s| s.wire_size() as u64).sum();
-            self.tel.inc("cq.window_flushes");
-            self.tel.add("cq.flush_partials", partials);
-            if let Some(trace_id) = self.traced(query_id) {
+            self.tel.inc(names.flushes);
+            self.tel.add(names.flush_partials, partials);
+            if let Some((query_id, true)) = charged {
+                let bytes: u64 = shipments.iter().map(|s| s.wire_size() as u64).sum();
+                let trace_id = trace_id_for(query_id);
                 let span = self.next_span_id(ctx.me());
                 self.tel.record_span(
                     now,
@@ -2321,10 +2051,10 @@ impl PierNode {
                     span,
                     trace_id,
                     query_id,
-                    "window.flush",
+                    names.flush_span,
                     partials,
                     bytes,
-                    flushed_windows.len() as u64,
+                    if names.shared { members } else { out.windows },
                 );
                 flush_ctx = Some(TraceContext {
                     trace_id,
@@ -2333,306 +2063,103 @@ impl PierNode {
                 });
             }
         }
-        for shipment in shipments {
-            let name = ObjectName::new(window_ns.clone(), root_key.clone(), self.rng.next_u64());
-            self.overlay.set_trace(flush_ctx);
-            effects.extend(
-                self.overlay
-                    .send_routed(root_id, name, shipment, lifetime, now),
-            );
-        }
+        let effects = self.ship_partials(key, shipments, flush_ctx, now);
         self.drive(ctx, effects);
-        for (wid, deltas) in emissions {
-            let (window_start, window_end) = window.bounds(wid);
-            let mut retracts = Vec::new();
-            let mut inserts = Vec::new();
-            for d in deltas {
-                match d {
-                    Delta::Retract(t) => retracts.push(t),
-                    Delta::Insert(t) => inserts.push(t),
-                }
-            }
-            // A sampled query's per-window emission: the `window.emit`
-            // span parents to the newest absorption at this root and its
-            // context travels to the proxy on the results message.
-            let emit_ctx = self.traced(query_id).map(|trace_id| {
+        for e in out.emissions {
+            // A traced member's per-window emission: the `window.emit` span
+            // parents to the newest absorption at this root (shared work:
+            // to the member's own trace root) and its context travels to
+            // the proxy on the results message.
+            let emit_ctx = (self.tel.is_enabled() && e.trace).then(|| {
+                let trace_id = trace_id_for(e.query_id);
                 let span = self.next_span_id(ctx.me());
-                let parent = self
-                    .last_combine_span
-                    .get(&query_id)
-                    .copied()
-                    .unwrap_or(trace_id);
+                let combined = self.last_combine_span.get(&e.query_id);
+                let parent = combined.filter(|_| !names.shared).map_or(trace_id, |s| *s);
                 self.tel.record_span(
                     now,
                     now,
                     trace_id,
                     span,
                     parent,
-                    query_id,
-                    "window.emit",
-                    (retracts.len() + inserts.len()) as u64,
-                    0,
-                    window_start,
-                );
-                TraceContext {
-                    trace_id,
-                    span_id: span,
-                    query_id,
-                }
-            });
-            if proxy == ctx.me() {
-                self.proxy_receive_window(
-                    ctx,
-                    query_id,
-                    window_start,
-                    window_end,
-                    retracts,
-                    inserts,
-                    emit_ctx,
-                );
-            } else {
-                ctx.send(
-                    proxy,
-                    PierMsg::WindowResults {
-                        query_id,
-                        window_start,
-                        window_end,
-                        retracts,
-                        inserts,
-                        trace: emit_ctx,
-                    },
-                );
-            }
-        }
-        // 4. Window health into telemetry: absolute occupancy/shed gauges
-        //    summed over every installed continuous query, plus shed/evict
-        //    *deltas* of this query as trace events.
-        if self.tel.is_enabled() {
-            if let Some(cq) = self.queries.get_mut(&query_id).and_then(|q| q.cq.as_mut()) {
-                let local = cq.store.stats();
-                let root = cq.root_store.stats();
-                let shed =
-                    local.shed_tuples + local.shed_groups + root.shed_tuples + root.shed_groups;
-                let evicted = local.evicted_windows + root.evicted_windows;
-                if shed > cq.tel_shed {
-                    let delta = shed - cq.tel_shed;
-                    cq.tel_shed = shed;
-                    self.tel.event("window_shed", || {
-                        vec![
-                            ("query_id", query_id.to_string()),
-                            ("shed", delta.to_string()),
-                        ]
-                    });
-                }
-                if evicted > cq.tel_evicted {
-                    let delta = evicted - cq.tel_evicted;
-                    cq.tel_evicted = evicted;
-                    self.tel.event("window_evict", || {
-                        vec![
-                            ("query_id", query_id.to_string()),
-                            ("evicted", delta.to_string()),
-                        ]
-                    });
-                }
-            }
-            let mut accepted = 0u64;
-            let mut shed = 0u64;
-            let mut evicted = 0u64;
-            let mut open = 0u64;
-            let mut groups = 0u64;
-            let mut state_bytes = 0u64;
-            let acc_bytes = |g: &GroupAgg| -> usize {
-                g.vals.iter().map(WireSize::wire_size).sum::<usize>()
-                    + g.states.iter().map(WireSize::wire_size).sum::<usize>()
-            };
-            for q in self.queries.values() {
-                let Some(cq) = q.cq.as_ref() else { continue };
-                for stats in [cq.store.stats(), cq.root_store.stats()] {
-                    accepted += stats.accepted;
-                    shed += stats.shed_tuples + stats.shed_groups;
-                    evicted += stats.evicted_windows;
-                }
-                open += (cq.store.open_windows() + cq.root_store.open_windows()) as u64;
-                groups += (cq.store.total_groups() + cq.root_store.total_groups()) as u64;
-                state_bytes += (cq.store.approx_state_bytes(&acc_bytes)
-                    + cq.root_store.approx_state_bytes(&acc_bytes))
-                    as u64;
-            }
-            self.tel.gauge("cq.accepted", accepted as f64);
-            self.tel.gauge("cq.shed", shed as f64);
-            self.tel.gauge("cq.evicted_windows", evicted as f64);
-            self.tel.gauge("cq.open_windows", open as f64);
-            self.tel.gauge("cq.state_groups", groups as f64);
-            self.tel.gauge("cq.state_bytes", state_bytes as f64);
-        }
-
-        // 5. Persist the surviving window state as durable segments, so a
-        //    crash after this tick restarts warm.
-        if let Some(durable) = self.config.durable.as_ref() {
-            if let Some(cq) = self.queries.get(&query_id).and_then(|q| q.cq.as_ref()) {
-                Self::persist_cq(durable, query_id, cq);
-            }
-        }
-
-        // 6. Re-arm while the query is installed.
-        if self.queries.contains_key(&query_id) {
-            ctx.set_timer(window.slide, PierTimer::WindowTick { query_id });
-        }
-    }
-
-    /// Periodic window maintenance for one share group (fires every slide,
-    /// once per group — the shared counterpart of
-    /// [`PierNode::window_tick`]): the layer closes due windows and hands
-    /// back one partial stream to ship toward the group's root plus, at the
-    /// root, per-member emissions the executor forwards to each member's
-    /// proxy.
-    fn share_tick(&mut self, ctx: &mut ProgramContext<Self>, group: u64, epoch: u64) {
-        let now = ctx.now();
-        let Some(route) = self.sharing.as_ref().and_then(|l| l.group_route(group)) else {
-            return; // group retired: the tick chain stops
-        };
-        if route.epoch != epoch {
-            // The group was retired and re-created since this chain was
-            // armed; the new incarnation drives its own chain — a stale
-            // timer must not stack a duplicate one.
-            return;
-        }
-        let root_id = routing_id(&route.namespace, &route.root_key);
-        let is_root = self.overlay.router().is_responsible(root_id);
-        let out = self
-            .sharing
-            .as_mut()
-            .expect("route resolved above")
-            .tick(group, now, is_root);
-        let lifetime = self.config.publish_lifetime;
-        let mut effects = Vec::new();
-        // One transfer per tick per group: every partial shares the group's
-        // window-root destination, so batching collapses the train.
-        let shipments = partial_shipments(out.partials.into_iter().collect(), self.config.batching);
-        // Share-group attribution: shared work is charged to the group's
-        // canonical (lowest-id) member — one `share.flush` span per
-        // shipping tick when tracing is in trace-all mode (per-query
-        // sampling decisions are meaningless for work N queries share).
-        let mut share_ctx: Option<TraceContext> = None;
-        if self.tel.is_enabled() && !shipments.is_empty() {
-            let partials: u64 = shipments.iter().map(|s| s.tuple_count() as u64).sum();
-            self.tel.inc("mqo.share_flushes");
-            self.tel.add("mqo.share_flush_partials", partials);
-            if self.config.trace.sample_every == 1 {
-                let members = self
-                    .sharing
-                    .as_ref()
-                    .map_or_else(Vec::new, |l| l.member_ids(group));
-                if let Some(&canonical) = members.first() {
-                    let bytes: u64 = shipments.iter().map(|s| s.wire_size() as u64).sum();
-                    let trace_id = trace_id_for(canonical);
-                    let span = self.next_span_id(ctx.me());
-                    self.tel.record_span(
-                        now,
-                        now,
-                        trace_id,
-                        span,
-                        trace_id,
-                        canonical,
-                        "share.flush",
-                        partials,
-                        bytes,
-                        members.len() as u64,
-                    );
-                    share_ctx = Some(TraceContext {
-                        trace_id,
-                        span_id: span,
-                        query_id: canonical,
-                    });
-                }
-            }
-        }
-        for shipment in shipments {
-            let name = ObjectName::new(
-                route.namespace.clone(),
-                route.root_key.clone(),
-                self.rng.next_u64(),
-            );
-            self.overlay.set_trace(share_ctx);
-            effects.extend(
-                self.overlay
-                    .send_routed(root_id, name, shipment, lifetime, now),
-            );
-        }
-        self.drive(ctx, effects);
-        for e in out.emissions {
-            // Per-member emission spans (trace-all mode only): each member
-            // gets a top-level `window.emit` in its *own* trace, so shared
-            // execution still yields per-query profiles.
-            let emit_ctx = if self.tel.is_enabled() && self.config.trace.sample_every == 1 {
-                let trace_id = trace_id_for(e.query_id);
-                let span = self.next_span_id(ctx.me());
-                self.tel.record_span(
-                    now,
-                    now,
-                    trace_id,
-                    span,
-                    trace_id,
                     e.query_id,
                     "window.emit",
                     (e.retracts.len() + e.inserts.len()) as u64,
                     0,
                     e.window_start,
                 );
-                Some(TraceContext {
+                TraceContext {
                     trace_id,
                     span_id: span,
                     query_id: e.query_id,
-                })
-            } else {
-                None
+                }
+            });
+            let results = PierMsg::WindowResults {
+                query_id: e.query_id,
+                window_start: e.window_start,
+                window_end: e.window_end,
+                retracts: e.retracts,
+                inserts: e.inserts,
+                trace: emit_ctx,
             };
             if e.proxy == ctx.me() {
-                self.proxy_receive_window(
-                    ctx,
-                    e.query_id,
-                    e.window_start,
-                    e.window_end,
-                    e.retracts,
-                    e.inserts,
-                    emit_ctx,
-                );
+                self.proxy_receive_window(ctx, results);
             } else {
-                ctx.send(
-                    e.proxy,
-                    PierMsg::WindowResults {
-                        query_id: e.query_id,
-                        window_start: e.window_start,
-                        window_end: e.window_end,
-                        retracts: e.retracts,
-                        inserts: e.inserts,
-                        trace: emit_ctx,
-                    },
-                );
+                ctx.send(e.proxy, results);
             }
         }
-        // Re-arm while this incarnation of the group lives.
-        if self
-            .sharing
-            .as_ref()
-            .and_then(|l| l.group_route(group))
-            .is_some_and(|r| r.epoch == epoch)
-        {
-            ctx.set_timer(route.slide, PierTimer::ShareTick { group, epoch });
+        // 2. Window health into telemetry: this engine's shed/evict
+        //    *deltas* as trace events, and — once per instant, however many
+        //    engines tick at it — absolute occupancy gauges summed over
+        //    every engine at this node.
+        if self.tel.is_enabled() {
+            let query_id = charged.map_or(0, |(id, _)| id);
+            let pressure = [
+                ("window_shed", "shed", shed),
+                ("window_evict", "evicted", evicted),
+            ];
+            for (event, field, n) in pressure.into_iter().filter(|p| p.2 > 0) {
+                self.tel.event(event, || {
+                    vec![("query_id", query_id.to_string()), (field, n.to_string())]
+                });
+            }
+            if self.gauges_at != Some(now) {
+                self.gauges_at = Some(now);
+                let mut totals = [0u64; 6];
+                for slot in self.engines.values() {
+                    for (total, v) in totals.iter_mut().zip(slot.engine.occupancy()) {
+                        *total += v;
+                    }
+                }
+                for (name, total) in OCCUPANCY_GAUGES.iter().zip(totals) {
+                    self.tel.gauge(name, total as f64);
+                }
+            }
+        }
+        // 3. Persist the surviving window state as durable segments, so a
+        //    crash after this tick restarts warm; re-arm while the engine
+        //    lives.
+        if let Some(slot) = self.engines.get(&key) {
+            if let Some(durable) = self.config.durable.as_ref() {
+                slot.engine.persist(durable);
+            }
+            ctx.set_timer(slide, tick);
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn proxy_receive_window(
-        &mut self,
-        ctx: &mut ProgramContext<Self>,
-        query_id: u64,
-        window_start: SimTime,
-        window_end: SimTime,
-        retracts: Vec<Tuple>,
-        inserts: Vec<Tuple>,
-        trace: Option<TraceContext>,
-    ) {
+    /// Hand a [`PierMsg::WindowResults`] — off the wire, or straight from
+    /// this node's own tick when it is both root and proxy — to the client.
+    fn proxy_receive_window(&mut self, ctx: &mut ProgramContext<Self>, results: PierMsg) {
+        let PierMsg::WindowResults {
+            query_id,
+            window_start,
+            window_end,
+            retracts,
+            inserts,
+            trace,
+        } = results
+        else {
+            return;
+        };
         let Some(state) = self.proxied.get_mut(&query_id) else {
             return; // finished, or never proxied here
         };
@@ -2805,21 +2332,12 @@ impl PierNode {
         }
     }
 
-    /// Diagnostics of an installed continuous query (`None` when the query
-    /// is not installed here or is not continuous).
+    /// Diagnostics of a continuous query installed here, unshared or a
+    /// share-group member (`None` when the query is not installed here or
+    /// is not continuous).
     pub fn cq_diagnostics(&self, query_id: u64) -> Option<CqDiagnostics> {
-        let q = self.queries.get(&query_id)?;
-        let cq = q.cq.as_ref()?;
-        Some(CqDiagnostics {
-            local: cq.store.stats(),
-            root: cq.root_store.stats(),
-            open_windows: cq.store.open_windows() + cq.root_store.open_windows(),
-            total_groups: cq.store.total_groups() + cq.root_store.total_groups(),
-            tracked_emissions: cq.tracker.tracked_windows(),
-            windows_emitted: cq.windows_emitted,
-            lease_renewals: cq.lease.renewals,
-            rehydrated_windows: cq.rehydrated_windows,
-        })
+        let slot = self.engines.get(self.engine_of.get(&query_id)?)?;
+        slot.engine.diagnostics(query_id)
     }
 }
 
@@ -2856,24 +2374,7 @@ impl Program for PierNode {
             PierMsg::Results { query_id, tuples } => {
                 self.proxy_receive(ctx, query_id, tuples);
             }
-            PierMsg::WindowResults {
-                query_id,
-                window_start,
-                window_end,
-                retracts,
-                inserts,
-                trace,
-            } => {
-                self.proxy_receive_window(
-                    ctx,
-                    query_id,
-                    window_start,
-                    window_end,
-                    retracts,
-                    inserts,
-                    trace,
-                );
-            }
+            results @ PierMsg::WindowResults { .. } => self.proxy_receive_window(ctx, results),
         }
     }
 
@@ -2901,8 +2402,12 @@ impl Program for PierNode {
                     ctx.output(PierOut::Done { query_id });
                 }
             }
-            PierTimer::WindowTick { query_id } => self.window_tick(ctx, query_id),
-            PierTimer::ShareTick { group, epoch } => self.share_tick(ctx, group, epoch),
+            PierTimer::WindowTick { query_id } => {
+                self.engine_tick(ctx, EngineKey::Query(query_id), 0);
+            }
+            PierTimer::ShareTick { group, epoch } => {
+                self.engine_tick(ctx, EngineKey::Group(group), epoch);
+            }
             PierTimer::MetricsPublish => self.publish_metrics(ctx),
             PierTimer::BatchFlush => {
                 let now = ctx.now();
@@ -2963,252 +2468,42 @@ impl Program for PierNode {
             }
             PierTimer::CqLease { query_id } => {
                 let now = ctx.now();
-                let (lease, shared) = match self.queries.get(&query_id) {
-                    Some(q) => match q.cq.as_ref() {
-                        Some(cq) => (cq.lease, false),
-                        None => return,
-                    },
-                    // Share-group members keep their lease in the layer.
-                    None => match self
-                        .sharing
-                        .as_ref()
-                        .and_then(|l| l.lease_expires_at(query_id))
-                    {
-                        Some(expires_at) => (Lease::granted(expires_at, 0), true),
-                        None => return,
-                    },
+                let engine = self.engine_of.get(&query_id);
+                let engine = engine.and_then(|key| self.engines.get(key));
+                let Some(lease) = engine.and_then(|s| s.engine.members().get(&query_id)) else {
+                    return;
                 };
+                let lease = lease.lease;
                 // With durable segments the owner may be a *restarted* node
                 // whose renewals resume once it rejoins: a lapsed lease
                 // parks in a grace window (one lease duration) before the
-                // query is swept; shared members and soft-only nodes keep
-                // the original hard expiry.
-                let grace = if !shared && self.config.durable.is_some() {
+                // query is swept; soft-only nodes keep the original hard
+                // expiry.
+                let grace = if self.config.durable.is_some() {
                     lease.duration
                 } else {
                     0
                 };
-                match lease.status(now, grace) {
+                let recheck_at = match lease.status(now, grace) {
                     LeaseStatus::Gone => {
                         // The owner stopped renewing (or we are partitioned
                         // away): the soft state lapses.
                         self.uninstall_query(query_id);
+                        return;
                     }
-                    LeaseStatus::Active => {
-                        ctx.set_timer(
-                            lease.expires_at.saturating_sub(now).max(1),
-                            PierTimer::CqLease { query_id },
-                        );
-                    }
-                    LeaseStatus::Rehydrating => {
-                        // Parked: hold the state through the grace window
-                        // and re-check at its end (a renewal arriving in
-                        // between pushes `expires_at` forward again).
-                        ctx.set_timer(
-                            lease
-                                .expires_at
-                                .saturating_add(grace)
-                                .saturating_sub(now)
-                                .max(1),
-                            PierTimer::CqLease { query_id },
-                        );
-                    }
-                }
+                    LeaseStatus::Active => lease.expires_at,
+                    // Parked: hold the state through the grace window and
+                    // re-check at its end (a renewal arriving in between
+                    // pushes `expires_at` forward again).
+                    LeaseStatus::Rehydrating => lease.expires_at.saturating_add(grace),
+                };
+                let delay = recheck_at.saturating_sub(now).max(1);
+                ctx.set_timer(delay, PierTimer::CqLease { query_id });
             }
         }
     }
 
     fn on_stop(&mut self, ctx: &mut ProgramContext<Self>) {
         self.drain_ingest(ctx);
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn netmon_rows(n: i64) -> Vec<Tuple> {
-        (0..n)
-            .map(|i| {
-                Tuple::new(
-                    "packets",
-                    vec![
-                        ("src", Value::Str(format!("10.0.0.{}", i % 5).into())),
-                        ("len", Value::Int(40 + i % 1400)),
-                        ("ts", Value::Int(i * 250_000)),
-                    ],
-                )
-            })
-            .collect()
-    }
-
-    fn windowed_cq_state() -> CqState {
-        let plan = crate::sqlish::compile(
-            "SELECT src, COUNT(*), SUM(len) FROM packets GROUP BY src WINDOW 30s SLIDE 10s",
-            pier_runtime::NodeAddr(1),
-            60_000_000,
-        )
-        .expect("windowed netmon query must compile");
-        PierNode::build_cq_state(&plan, 0).expect("plan has a windowed sink")
-    }
-
-    /// The per-tuple absorb `cq_absorb_chunk` replaced, kept as the reference
-    /// the chunk path is compared against.
-    fn cq_absorb(cq: &mut CqState, tuple: &Tuple, now: SimTime) {
-        let event_time = cq
-            .time_ref
-            .as_mut()
-            .and_then(|c| c.get(tuple))
-            .and_then(Value::as_i64)
-            .map_or(now, |v| v.max(0) as u64);
-        let Some(indices) = cq.group_resolver.indices(tuple) else {
-            return; // malformed tuple: discard
-        };
-        let key = tuple.key_at(indices);
-        let vals: Vec<Value> = indices.iter().map(|&i| tuple.values()[i].clone()).collect();
-        let dedup = if cq.dedup_refs.is_empty() {
-            None
-        } else {
-            // A tuple missing a dedup column is treated as unique.
-            let mut out = String::with_capacity(12 * cq.dedup_refs.len());
-            for (i, col) in cq.dedup_refs.iter_mut().enumerate() {
-                if i > 0 {
-                    out.push('|');
-                }
-                match col.get(tuple) {
-                    Some(v) => v.write_key(&mut out),
-                    None => out.push('∅'),
-                }
-            }
-            Some(out)
-        };
-        let agg_values: Vec<Option<&Value>> = cq
-            .agg_inputs
-            .iter_mut()
-            .map(|input| input.as_mut().and_then(|c| c.get(tuple)))
-            .collect();
-        let aggs = cq.codec.aggs();
-        cq.store.push(
-            event_time,
-            &key,
-            dedup.as_deref(),
-            || GroupAgg {
-                vals: vals.clone(),
-                states: aggs.iter().map(AggFunc::init).collect(),
-            },
-            |acc| {
-                for ((agg, value), state) in aggs.iter().zip(&agg_values).zip(acc.states.iter_mut())
-                {
-                    state.update_with(agg, *value);
-                }
-            },
-        );
-    }
-
-    /// Canonical view of a window store's content after closing everything:
-    /// `(window, group key, group values, finished aggregates)` rows.
-    fn drain_canonical(cq: &mut CqState) -> Vec<(u64, String, Vec<Value>, Vec<Value>)> {
-        let mut out = Vec::new();
-        for (wid, groups) in cq.store.close_due(1_000_000_000_000) {
-            for (key, acc) in groups {
-                out.push((
-                    wid,
-                    key,
-                    acc.vals.clone(),
-                    acc.states.iter().map(AggState::finish).collect(),
-                ));
-            }
-        }
-        out.sort_by(|a, b| (a.0, &a.1).cmp(&(b.0, &b.1)));
-        out
-    }
-
-    #[test]
-    fn cq_chunk_absorb_equals_per_tuple_absorb() {
-        let rows = netmon_rows(400);
-        let mut per_tuple = windowed_cq_state();
-        let mut chunked = windowed_cq_state();
-        let now = 1_000_000;
-        for t in &rows {
-            cq_absorb(&mut per_tuple, t, now);
-        }
-        let batch = TupleBatch::new(rows);
-        for chunk in batch.chunks() {
-            PierNode::cq_absorb_chunk(&mut chunked, chunk, now);
-        }
-        let a = drain_canonical(&mut per_tuple);
-        let b = drain_canonical(&mut chunked);
-        assert!(!a.is_empty(), "the workload must populate windows");
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn cq_chunk_absorb_discards_malformed_chunks() {
-        let mut cq = windowed_cq_state();
-        let rows: Vec<Tuple> = (0..10)
-            .map(|i| Tuple::new("packets", vec![("nothing", Value::Int(i))]))
-            .collect();
-        let batch = TupleBatch::new(rows);
-        for chunk in batch.chunks() {
-            PierNode::cq_absorb_chunk(&mut cq, chunk, 0);
-        }
-        assert!(drain_canonical(&mut cq).is_empty());
-    }
-
-    #[test]
-    fn persisted_cq_state_rehydrates_warm() {
-        let mut cq = windowed_cq_state();
-        for t in netmon_rows(120) {
-            cq_absorb(&mut cq, &t, 0);
-        }
-        let durable = DurableStore::new();
-        PierNode::persist_cq(&durable, 7, &cq);
-        let (local_key, _) = PierNode::segment_keys(7);
-        let log = durable.get(&local_key).expect("snapshot was written");
-
-        // A cold store (what a restarted node builds) rehydrates to the
-        // same canonical contents the crashed node held.
-        let mut cold = windowed_cq_state();
-        let report = cold.store.rehydrate_from(&log);
-        assert!(report.windows > 0, "open windows came back");
-        assert!(!report.torn_tail);
-        assert_eq!(drain_canonical(&mut cold), drain_canonical(&mut cq));
-    }
-
-    #[test]
-    fn persist_compacts_once_the_log_outgrows_the_bound() {
-        let mut cq = windowed_cq_state();
-        for t in netmon_rows(50) {
-            cq_absorb(&mut cq, &t, 0);
-        }
-        let durable = DurableStore::new();
-        PierNode::persist_cq(&durable, 1, &cq);
-        let after_one = durable.total_bytes();
-        // Snapshots append...
-        PierNode::persist_cq(&durable, 1, &cq);
-        assert!(durable.total_bytes() > after_one);
-        // ...until the log crosses the compaction bound, which rewrites it
-        // as a single fresh snapshot.
-        let (local_key, _) = PierNode::segment_keys(1);
-        loop {
-            let over = durable
-                .get(&local_key)
-                .is_some_and(|log| log.len() > PierNode::SEGMENT_COMPACT_BYTES);
-            if over {
-                break;
-            }
-            PierNode::persist_cq(&durable, 1, &cq);
-        }
-        PierNode::persist_cq(&durable, 1, &cq);
-        durable.with_log(&local_key, |log| {
-            assert!(
-                log.len() <= PierNode::SEGMENT_COMPACT_BYTES,
-                "compaction rewrote the oversized log"
-            );
-        });
-        let mut cold = windowed_cq_state();
-        let log = durable.get(&local_key).expect("compacted snapshot");
-        cold.store.rehydrate_from(&log);
-        assert_eq!(drain_canonical(&mut cold), drain_canonical(&mut cq));
     }
 }

@@ -289,12 +289,6 @@ pub struct CqSpec {
     pub lease: Duration,
     /// Per-node work/state bound for the query's window state.
     pub budget: CqBudget,
-    /// Refuse multi-query sharing: install with a private dataflow even
-    /// when a sharing layer is configured.  Durable standing queries want
-    /// this — shared group state lives outside the per-query window stores
-    /// and is not persisted to segment logs, so only an exclusive query
-    /// rehydrates warm after a restart.
-    pub exclusive: bool,
 }
 
 impl Default for CqSpec {
@@ -304,7 +298,6 @@ impl Default for CqSpec {
             renew_every,
             lease: renew_every * 3,
             budget: CqBudget::default(),
-            exclusive: false,
         }
     }
 }
@@ -322,19 +315,12 @@ impl CqSpec {
             renew_every,
             lease: renew_every.saturating_mul(3),
             budget: CqBudget::default(),
-            exclusive: false,
         }
     }
 
     /// Override the per-node budget.
     pub fn with_budget(mut self, budget: CqBudget) -> Self {
         self.budget = budget;
-        self
-    }
-
-    /// Opt out of multi-query sharing (see [`CqSpec::exclusive`]).
-    pub fn exclusive(mut self) -> Self {
-        self.exclusive = true;
         self
     }
 }

@@ -4,37 +4,37 @@
 //! network-monitoring deployments where many users install near-identical
 //! standing queries differing only in constants.  Cross-query work sharing
 //! is the decisive optimization at that scale, and it is a *separable
-//! subsystem*: plan normalization, predicate indexing and share-group state
+//! subsystem*: plan normalization, predicate indexing and group membership
 //! live in the `pier-mqo` crate, while the executor ([`crate::node`]) only
 //! knows this trait.  A node constructed with a
 //! [`SharingFactory`](crate::node::PierConfig::sharing) routes query
-//! install/uninstall, ingest chunks, window-partial relays and window ticks
-//! through the layer; without one it behaves exactly as before.
+//! install/uninstall and ingest chunks through the layer; without one it
+//! behaves exactly as before.
 //!
 //! The protocol, in the order a query experiences it:
 //!
 //! 1. **Install** — a disseminated plan is offered to the layer first
 //!    ([`MultiQuerySharing::try_install`]).  If the plan normalizes into a
-//!    share group (see `pier-mqo`), the layer absorbs the query as a
-//!    *member* and the executor builds **no** per-query dataflow; the
-//!    executor arms the member's lease/timeout timers and — for a group's
-//!    first member — the group's window-tick chain.
+//!    share group (see `pier-mqo`), the layer answers with a
+//!    [`Membership`]: this query's [`MemberSpec`] and — for a group's
+//!    first member — the group's [`EngineSpec`].  The executor builds
+//!    **no** per-query dataflow; it adds the member to the group's
+//!    [`crate::window_engine::WindowEngine`] (opening and ticking it when
+//!    handed the spec) and arms the member's lease/timeout timers.
 //! 2. **Ingest** — each arriving [`ColumnChunk`] of a namespace some group
-//!    reads is handed to the layer **once**
-//!    ([`MultiQuerySharing::absorb_chunk`]); the layer fans it out to all
-//!    members via its predicate index.
-//! 3. **Ticks** — per group (not per member), the executor drives window
-//!    maintenance ([`MultiQuerySharing::tick`]): the layer returns one
-//!    partial stream to ship toward the group's root and per-member
-//!    emissions the executor forwards to each member's proxy.
+//!    reads is handed to the layer **once** ([`MultiQuerySharing::select`]);
+//!    the layer scans it with the group's predicate index and hands back
+//!    the union mask, under which the executor's engine absorbs the chunk.
+//! 3. **Ticks, partials, leases, durability** — the executor's, through the
+//!    same engine code an unshared query runs.
 //! 4. **Teardown** — timeouts and lease lapses route through
 //!    [`MultiQuerySharing::uninstall`]; when a group loses its last member
-//!    the layer retires it and the executor sweeps its interned schemas
-//!    ([`is_share_scoped_table`]), so nothing leaks.
+//!    the layer retires it and the executor drops the engine and sweeps its
+//!    interned schemas ([`is_share_scoped_table`]), so nothing leaks.
 
 use crate::plan::QueryPlan;
-use crate::tuple::{ColumnChunk, Tuple};
-use pier_runtime::{Duration, NodeAddr, SimTime};
+use crate::tuple::ColumnChunk;
+use crate::window_engine::{EngineSpec, MemberSpec};
 
 /// Constructor hook for a sharing layer, carried by
 /// [`PierConfig`](crate::node::PierConfig) (a plain function pointer so the
@@ -47,55 +47,15 @@ pub enum InstallOutcome {
     /// The plan does not normalize into a share group; the executor must
     /// install it independently, exactly as without a sharing layer.
     NotShareable,
-    /// The query joined a share group; the executor owns its timers.
-    Member {
-        /// The share-group identifier (the plan fingerprint).
-        group: u64,
-        /// True when this member created the group — the executor must
-        /// start the group's window-tick chain.
-        new_group: bool,
-        /// The group's incarnation (see [`GroupRoute::epoch`]): the tick
-        /// chain the executor starts is stamped with it, so a chain armed
-        /// for a retired incarnation stops instead of double-driving a
-        /// later group with the same fingerprint.
-        epoch: u64,
-        /// The group's window slide (tick period).
-        slide: Duration,
-        /// The member's soft-state lease duration.
-        lease: Duration,
-    },
+    /// The query joined a share group; the executor owns its engine.
+    Member(Box<Membership>),
 }
 
-/// Outcome of removing a member query.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct UninstallOutcome {
-    /// True when the query was a share-group member here.
-    pub was_member: bool,
-    /// Set when the member was its group's last: the group has been retired
-    /// and the executor should sweep its interned schemas.
-    pub retired_group: Option<u64>,
-}
-
-impl UninstallOutcome {
-    /// The "not ours" outcome.
-    pub fn not_member() -> Self {
-        UninstallOutcome {
-            was_member: false,
-            retired_group: None,
-        }
-    }
-}
-
-/// Where a group's closed-window partials travel: the DHT namespace/key
-/// whose routing identifier names the group's window root.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct GroupRoute {
-    /// The group's window-partial namespace (`g{fingerprint:016x}.windows`).
-    pub namespace: String,
-    /// The root key hashed to locate the group's window root.
-    pub root_key: String,
-    /// The group's window slide (tick re-arm period).
-    pub slide: Duration,
+/// A query's place in a share group.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Membership {
+    /// The share-group identifier (the plan fingerprint).
+    pub group: u64,
     /// The group's **incarnation**: groups share a fingerprint across
     /// retire/re-create cycles (the last member leaves, a new
     /// constant-varied query re-forms the group), but every incarnation
@@ -104,34 +64,23 @@ pub struct GroupRoute {
     /// pending timer from a retired incarnation cannot stack a duplicate
     /// permanent tick chain onto the new one.
     pub epoch: u64,
+    /// Set when this member created the group (a new incarnation): the
+    /// engine the executor must open and start ticking.  Its namespaces
+    /// `g{fp:016x}.windows` / `g{fp:016x}.root` are identical on every
+    /// node, so partials combine across the overlay with no coordination.
+    pub engine: Option<EngineSpec>,
+    /// This query's member-level residue.
+    pub member: MemberSpec,
 }
 
-/// One member query's per-window result emission, produced at the group's
-/// window root and forwarded by the executor to the member's proxy.
-#[derive(Debug, Clone)]
-pub struct SharedEmission {
-    /// The member query.
-    pub query_id: u64,
-    /// The member's proxy node (results destination).
-    pub proxy: NodeAddr,
-    /// Window start (inclusive).
-    pub window_start: SimTime,
-    /// Window end (exclusive).
-    pub window_end: SimTime,
-    /// Rows retracted by this emission (delta mode).
-    pub retracts: Vec<Tuple>,
-    /// Rows inserted by this emission.
-    pub inserts: Vec<Tuple>,
-}
-
-/// What one group tick produced.
-#[derive(Debug, Default)]
-pub struct TickOutput {
-    /// Closed-window partials to ship one hop toward the group's root, one
-    /// row each — one stream per group, however many members it serves.
-    pub partials: Option<ColumnChunk>,
-    /// Per-member emissions (non-empty only at the group's root).
-    pub emissions: Vec<SharedEmission>,
+/// Outcome of removing a member query (the default: it was not one).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct UninstallOutcome {
+    /// True when the query was a share-group member here.
+    pub was_member: bool,
+    /// Set when the member was its group's last: the group has been retired
+    /// and the executor should sweep its interned schemas.
+    pub retired_group: Option<u64>,
 }
 
 /// Diagnostics of the sharing layer at one node.
@@ -141,11 +90,7 @@ pub struct SharingStats {
     pub groups: usize,
     /// Member queries across all groups.
     pub members: usize,
-    /// Open windows across all shared stores.
-    pub open_windows: usize,
-    /// Accumulator groups across all shared stores (state footprint).
-    pub state_groups: usize,
-    /// Ingest chunks absorbed.
+    /// Ingest chunks scanned.
     pub chunks_absorbed: u64,
     /// Rows scanned by the predicate index.
     pub rows_absorbed: u64,
@@ -156,10 +101,10 @@ pub struct SharingStats {
 /// A pluggable cross-query sharing layer (implemented by `pier-mqo`).
 ///
 /// All methods are infallible from the executor's point of view: a layer
-/// that cannot handle something answers `NotShareable` / `None` / `false`
-/// and the executor falls back to independent per-query execution, so
-/// plugging a layer in can never change *which* queries run — only how
-/// much work they share.
+/// that cannot handle something answers `NotShareable` / `false` and the
+/// executor falls back to independent per-query execution, so plugging a
+/// layer in can never change *which* queries run — only how much work they
+/// share.
 pub trait MultiQuerySharing: std::fmt::Debug + Send {
     /// Attach the node's telemetry hub.  Layers that instrument themselves
     /// (share-group membership events, predicate-index fan-out counters —
@@ -168,59 +113,22 @@ pub trait MultiQuerySharing: std::fmt::Debug + Send {
     fn set_telemetry(&mut self, _tel: pier_telemetry::Telemetry) {}
 
     /// Offer a freshly disseminated plan for shared installation.
-    fn try_install(&mut self, plan: &QueryPlan, now: SimTime) -> InstallOutcome;
-
-    /// Renew a member's soft-state lease (a re-dissemination arrived).
-    /// `false` when the query is not a member here.
-    fn renew(&mut self, query_id: u64, now: SimTime) -> bool;
+    fn try_install(&mut self, plan: &QueryPlan) -> InstallOutcome;
 
     /// Remove a member query (timeout or lease lapse), refcounting its
     /// group down and retiring the group when it was the last member.
     fn uninstall(&mut self, query_id: u64) -> UninstallOutcome;
 
-    /// The member's lease expiry instant; `None` when not a member.
-    fn lease_expires_at(&self, query_id: u64) -> Option<SimTime>;
-
     /// True when some share group consumes `namespace`'s tuple stream.
     fn wants_namespace(&self, namespace: &str) -> bool;
 
-    /// Absorb one arriving chunk of `namespace` into every share group
-    /// reading it (the shared ingest: one scan, N members).  Streamed rows
-    /// arrive as the chunks the executor's ingest stage drains; a single
-    /// DHT-delivered tuple arrives as a one-row chunk.
-    fn absorb_chunk(&mut self, namespace: &str, chunk: &ColumnChunk, now: SimTime);
-
-    /// Absorb a chunk of relayed closed-window partials if `namespace`
-    /// belongs to a share group.  `None` when it does not — answered from
-    /// the namespace alone, before any row is looked at, because the
-    /// executor asks this of every arriving batch — and the executor
-    /// continues its own routing; `Some((group, refused))` otherwise, where
-    /// `refused` indexes the rows the group's budget (or their own
-    /// malformation) turned away.  At **upcall (en-route) hops** the
-    /// executor re-ships refused rows toward the root so a relay's budget
-    /// cannot lose them; a refusal at the root itself is a drop, exactly
-    /// like the per-query best-effort policy.
-    fn absorb_window_partials(
-        &mut self,
-        namespace: &str,
-        chunk: &ColumnChunk,
-    ) -> Option<(u64, Vec<u32>)>;
-
-    /// The partial route of a live group; `None` once the group is retired
-    /// (which also stops the executor's tick chain).
-    fn group_route(&self, group: u64) -> Option<GroupRoute>;
-
-    /// Member query ids of a live group, ascending (empty when the group is
-    /// unknown).  Tracing charges shared work to the first — the group's
-    /// canonical member — so `share.flush` spans have a stable attribution
-    /// however many queries ride the group.
-    fn member_ids(&self, _group: u64) -> Vec<u64> {
-        Vec::new()
-    }
-
-    /// One window-maintenance tick for `group`: close due windows, return
-    /// the partial stream to ship and (at the root) per-member emissions.
-    fn tick(&mut self, group: u64, now: SimTime, is_root: bool) -> TickOutput;
+    /// Scan one arriving chunk of `namespace` for every share group reading
+    /// it (one scan, N members) and hand `absorb` each group with the union
+    /// of its members' selections — bit `r % 64` of word `r / 64` set when
+    /// some member wants row `r`; groups selecting no row are skipped.
+    /// Streamed rows arrive as the chunks the executor's ingest stage
+    /// drains; a single DHT-delivered tuple arrives as a one-row chunk.
+    fn select(&mut self, namespace: &str, chunk: &ColumnChunk, absorb: &mut dyn FnMut(u64, &[u64]));
 
     /// Diagnostics snapshot.
     fn stats(&self) -> SharingStats;
@@ -257,7 +165,7 @@ mod tests {
 
     #[test]
     fn uninstall_outcome_default_is_not_member() {
-        let out = UninstallOutcome::not_member();
+        let out = UninstallOutcome::default();
         assert!(!out.was_member);
         assert!(out.retired_group.is_none());
     }

@@ -1,0 +1,857 @@
+//! The one window executor: every windowed standing query at a node runs
+//! inside a [`WindowEngine`].
+//!
+//! An engine is a share group's worth of window state — one local and one
+//! root [`pier_cq::WindowStore`] behind a [`SharedWindowState`], one
+//! [`PartialCodec`], and per [`Member`] a derivation predicate, a proxy, a
+//! lease and a delta tracker.  An **unshared** query
+//! is an engine of one member with no predicate, tagged `q{id}` and fed its
+//! pipeline's survivor chunks; a **share group** (`pier-mqo`) is an engine
+//! tagged `g{fp:016x}` fed the ingest chunk under the predicate index's
+//! union mask.  Which of the two an engine is shows only in its
+//! [`EngineSpec`] — data, set by whoever built it.
+//!
+//! The engine is a plain struct: chunks and instants in, partial chunks and
+//! [`Emission`]s out.  It sends nothing and arms no timer; the node
+//! ([`crate::node`]) owns the engines, ships what a tick returns and
+//! forwards the emissions.
+
+use crate::aggregate::{AggFunc, AggState};
+use crate::expr::{CompiledExpr, Expr};
+use crate::partial::{GroupAgg, PartialCodec};
+use crate::plan::{finish_rows, OperatorSpec, QueryPlan, SinkSpec};
+use crate::tuple::{
+    ColumnChunk, ColumnRef, ColumnResolver, Schema, SchemaRegistry, Tuple, TupleBatch,
+};
+use crate::value::Value;
+use pier_cq::{
+    CqBudget, Delta, DeltaMode, DeltaTracker, DurableStore, Lease, RehydrateReport, SegmentLog,
+    SharedWindowState, WindowSpec, WindowStats,
+};
+use pier_runtime::{Duration, NodeAddr, SimTime, WireSize};
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
+
+/// What an engine's shipping flush is called in telemetry, and how the
+/// spans of its work are attributed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct EngineNames {
+    /// Counter ticked once per shipping flush.
+    pub flushes: &'static str,
+    /// Counter of partials shipped.
+    pub flush_partials: &'static str,
+    /// Stage name of the flush span (charged to the lowest member id).
+    pub flush_span: &'static str,
+    /// The work is shared by many queries: the flush span's `aux` counts
+    /// the members riding it instead of the windows it bundles, and every
+    /// member's `window.emit` is a top-level span of its own trace.
+    pub shared: bool,
+}
+
+/// The vocabulary of an unshared query's engine.
+pub const QUERY_NAMES: EngineNames = EngineNames {
+    flushes: "cq.window_flushes",
+    flush_partials: "cq.flush_partials",
+    flush_span: "window.flush",
+    shared: false,
+};
+
+/// Everything that tells one engine from another.
+#[derive(Debug, Clone, PartialEq)]
+pub struct EngineSpec {
+    /// `q{id}` or `g{fp:016x}`: prefixes the partial schema (`{tag}.wp`),
+    /// the derivation schema (`{tag}.gv`) and the durable segment keys
+    /// (`{tag}.local` / `{tag}.root`).
+    pub tag: String,
+    /// DHT namespace the closed-window partials travel under.
+    pub namespace: String,
+    /// Key hashed (with `namespace`) to locate the window root.
+    pub root_key: String,
+    /// The window every member shares.
+    pub window: WindowSpec,
+    /// Per-node work/state budget of each of the two stores.
+    pub budget: CqBudget,
+    /// GROUP BY columns.
+    pub group_cols: Vec<String>,
+    /// Aggregates computed per window and group.
+    pub aggs: Vec<AggFunc>,
+    /// Event-time column (arrival time when absent).
+    pub time_col: Option<String>,
+    /// Window-scoped dedup columns (a missing column keys as "∅").
+    pub dedup_cols: Vec<String>,
+    /// Shipped partials live at least this long, whatever the node's
+    /// publish lifetime.
+    pub min_lifetime: Duration,
+    /// Telemetry vocabulary.
+    pub names: EngineNames,
+}
+
+/// One member query, as handed to [`WindowEngine::add_member`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct MemberSpec {
+    /// Which of the engine's groups are this member's: a predicate over the
+    /// GROUP BY columns, evaluated per group at emission.  `None` = all.
+    pub derive: Option<Expr>,
+    /// Where the member's results go.
+    pub proxy: NodeAddr,
+    /// Soft-state lease granted per (re)dissemination.
+    pub lease: Duration,
+    /// Snapshot or insert/retract output.
+    pub delta: DeltaMode,
+    /// Finishers applied to the member's rows at the root (e.g. `TOP k`).
+    pub final_ops: Vec<OperatorSpec>,
+}
+
+impl EngineSpec {
+    /// The one-member engine of an unshared windowed plan: the index of the
+    /// opgraph that feeds it, its spec and its sole member.
+    pub fn unshared(plan: &QueryPlan) -> Option<(usize, EngineSpec, MemberSpec)> {
+        let (graph_idx, sink) = plan.windowed_sink()?;
+        let SinkSpec::WindowedAgg {
+            window,
+            group_cols,
+            aggs,
+            time_col,
+            dedup_cols,
+            delta,
+            final_ops,
+        } = sink
+        else {
+            return None;
+        };
+        let cq = plan.cq.unwrap_or_default();
+        let engine = EngineSpec {
+            tag: format!("q{}", plan.query_id),
+            namespace: plan.window_namespace(),
+            root_key: plan.agg_root_key(),
+            window: *window,
+            budget: cq.budget,
+            group_cols: group_cols.clone(),
+            aggs: aggs.clone(),
+            time_col: time_col.clone(),
+            dedup_cols: dedup_cols.clone(),
+            min_lifetime: cq.lease,
+            names: QUERY_NAMES,
+        };
+        let member = MemberSpec {
+            derive: None,
+            proxy: plan.proxy,
+            lease: cq.lease,
+            delta: *delta,
+            final_ops: final_ops.clone(),
+        };
+        Some((graph_idx, engine, member))
+    }
+}
+
+/// One member's per-window result emission, produced at the window root.
+#[derive(Debug, Clone)]
+pub struct Emission {
+    /// The member query.
+    pub query_id: u64,
+    /// The member's proxy node (results destination).
+    pub proxy: NodeAddr,
+    /// The member records trace spans.
+    pub trace: bool,
+    /// Window start (inclusive).
+    pub window_start: SimTime,
+    /// Window end (exclusive).
+    pub window_end: SimTime,
+    /// Rows retracted by this emission (delta mode).
+    pub retracts: Vec<Tuple>,
+    /// Rows inserted by this emission.
+    pub inserts: Vec<Tuple>,
+}
+
+/// What one [`WindowEngine::tick`] produced.
+#[derive(Debug, Default)]
+pub struct TickOutput {
+    /// Closed-window partials to ship one hop toward the root, one row per
+    /// group (`None` at the root, or when nothing closed).
+    pub partials: Option<ColumnChunk>,
+    /// Distinct windows `partials` bundles (a tick catching up after an
+    /// EVERY-cadence gap ships several at once).
+    pub windows: u64,
+    /// Per-member emissions (non-empty only at the root).
+    pub emissions: Vec<Emission>,
+}
+
+/// Diagnostics of a continuous query installed at a node (tests and the
+/// bench harness assert bounded state through this).  The store figures are
+/// the engine's — shared by every member of a share group — the tracker,
+/// emission and lease figures are the member's own.
+#[derive(Debug, Clone, Copy)]
+pub struct CqDiagnostics {
+    /// Activity counters of the node-local window store.
+    pub local: WindowStats,
+    /// Activity counters of the relay/root window store.
+    pub root: WindowStats,
+    /// Open windows across both stores.
+    pub open_windows: usize,
+    /// Groups held across both stores (the node's CQ state footprint).
+    pub total_groups: usize,
+    /// Windows the root-side delta tracker currently remembers.
+    pub tracked_emissions: usize,
+    /// Per-window emissions this node sent to the proxy as root.
+    pub windows_emitted: u64,
+    /// Lease renewals observed since installation.
+    pub lease_renewals: u32,
+    /// Windows rehydrated from durable segments at installation (0 on a
+    /// cold install): nonzero means this node restarted warm.
+    pub rehydrated_windows: u64,
+}
+
+/// The occupancy gauges, in the order of [`WindowEngine::occupancy`].
+pub const OCCUPANCY_GAUGES: [&str; 6] = [
+    "cq.accepted",
+    "cq.shed",
+    "cq.evicted_windows",
+    "cq.open_windows",
+    "cq.state_groups",
+    "cq.state_bytes",
+];
+
+/// One member query's residue within an engine.
+#[derive(Debug)]
+pub struct Member {
+    /// Where the member's results go.
+    pub proxy: NodeAddr,
+    /// Soft-state lease, renewed by every re-dissemination.
+    pub lease: Lease,
+    /// The member's emissions (and, for the lowest member, the engine's
+    /// flushes) record spans.
+    pub trace: bool,
+    derive: Option<CompiledExpr>,
+    /// `q{id}.win`, whatever engine the member rides: clients cannot tell
+    /// shared from unshared results.
+    result_schema: Arc<Schema>,
+    final_ops: Vec<OperatorSpec>,
+    /// Snapshot/delta output against this member's previous emissions.
+    tracker: DeltaTracker<Tuple>,
+    windows_emitted: u64,
+}
+
+/// The window state and member residue of one engine at one node.
+#[derive(Debug)]
+pub struct WindowEngine {
+    spec: EngineSpec,
+    state: SharedWindowState<GroupAgg>,
+    /// Encodes drained windows as `{tag}.wp` chunks and merges relayed ones
+    /// into the root store.
+    codec: PartialCodec,
+    group_resolver: ColumnResolver,
+    time_ref: Option<ColumnRef>,
+    agg_inputs: Vec<Option<ColumnRef>>,
+    dedup_refs: Vec<ColumnRef>,
+    /// `{tag}.gv` — the schema derivation predicates compile against
+    /// (columns = the GROUP BY columns); interned with the first predicate.
+    gv_schema: Option<Arc<Schema>>,
+    members: BTreeMap<u64, Member>,
+    rehydrated_windows: u64,
+    /// Shed tuples+groups / evicted windows already handed out by
+    /// [`WindowEngine::take_shed_evicted`].
+    reported: (u64, u64),
+}
+
+impl WindowEngine {
+    /// A log larger than this is compacted (rewritten as one fresh
+    /// snapshot) on the next persist.
+    pub const SEGMENT_COMPACT_BYTES: usize = 1 << 20;
+
+    /// An engine with no members and cold stores.
+    pub fn new(spec: EngineSpec) -> WindowEngine {
+        WindowEngine {
+            state: SharedWindowState::new(spec.window, spec.budget),
+            codec: PartialCodec::new(
+                format!("{}.wp", spec.tag),
+                spec.group_cols.clone(),
+                spec.aggs.clone(),
+            ),
+            group_resolver: ColumnResolver::new(spec.group_cols.clone()),
+            time_ref: spec.time_col.clone().map(ColumnRef::new),
+            agg_inputs: spec
+                .aggs
+                .iter()
+                .map(|a| a.input_column().map(ColumnRef::new))
+                .collect(),
+            dedup_refs: spec
+                .dedup_cols
+                .iter()
+                .cloned()
+                .map(ColumnRef::new)
+                .collect(),
+            gv_schema: None,
+            members: BTreeMap::new(),
+            rehydrated_windows: 0,
+            reported: (0, 0),
+            spec,
+        }
+    }
+
+    /// The engine's spec.
+    pub fn spec(&self) -> &EngineSpec {
+        &self.spec
+    }
+
+    // ----- members ----------------------------------------------------------
+
+    /// Add member `query_id`, leased from `now` ([`Member::trace`] as given).
+    pub fn add_member(&mut self, query_id: u64, member: MemberSpec, trace: bool, now: SimTime) {
+        let result_schema = {
+            let mut columns = vec!["window_start".to_string(), "window_end".to_string()];
+            columns.extend(self.spec.group_cols.iter().cloned());
+            columns.extend(self.spec.aggs.iter().map(AggFunc::output_column));
+            SchemaRegistry::global().intern_owned(format!("q{query_id}.win"), columns)
+        };
+        let derive = member.derive.map(|predicate| {
+            let spec = &self.spec;
+            let gv = self.gv_schema.get_or_insert_with(|| {
+                SchemaRegistry::global()
+                    .intern_owned(format!("{}.gv", spec.tag), spec.group_cols.clone())
+            });
+            predicate.compile(gv)
+        });
+        self.members.insert(
+            query_id,
+            Member {
+                derive,
+                proxy: member.proxy,
+                lease: Lease::granted(now, member.lease),
+                result_schema,
+                final_ops: member.final_ops,
+                trace,
+                tracker: DeltaTracker::new(member.delta),
+                windows_emitted: 0,
+            },
+        );
+    }
+
+    /// Remove a member; `true` when it was one.
+    pub fn remove_member(&mut self, query_id: u64) -> bool {
+        self.members.remove(&query_id).is_some()
+    }
+
+    /// The members, ascending: shared work is charged to the first, and an
+    /// engine without any can be retired.
+    pub fn members(&self) -> &BTreeMap<u64, Member> {
+        &self.members
+    }
+
+    /// A member's lease, to renew when a re-dissemination arrives.
+    pub fn lease_mut(&mut self, query_id: u64) -> Option<&mut Lease> {
+        self.members.get_mut(&query_id).map(|m| &mut m.lease)
+    }
+
+    // ----- data -------------------------------------------------------------
+
+    /// Fold the rows of `chunk` into the local store — all of them, or only
+    /// those whose bit is set in `selected` (bit `r % 64` of word `r / 64`;
+    /// bits past the chunk select nothing).
+    /// The event-time, group, dedup and aggregate-input columns resolve
+    /// against the chunk's schema once; a chunk lacking a group column is
+    /// discarded (best effort).
+    pub fn absorb(&mut self, chunk: &ColumnChunk, selected: Option<&[u64]>, now: SimTime) {
+        let schema = chunk.schema();
+        let Some(group_idxs) = self.group_resolver.indices_for(schema) else {
+            return;
+        };
+        let time_idx = self.time_ref.as_mut().and_then(|c| c.index_for(schema));
+        let dedup_idxs: Vec<Option<usize>> = self
+            .dedup_refs
+            .iter_mut()
+            .map(|c| c.index_for(schema))
+            .collect();
+        let agg_idxs: Vec<Option<usize>> = self
+            .agg_inputs
+            .iter_mut()
+            .map(|input| input.as_mut().and_then(|c| c.index_for(schema)))
+            .collect();
+        let aggs = self.codec.aggs();
+        let store = self.state.local_mut();
+        // One key and one dedup buffer serve every row of the chunk.
+        let mut key = String::new();
+        let mut dedup = String::new();
+        let dedup_on = !dedup_idxs.is_empty();
+        let mut absorb_row = |r: usize| {
+            let event_time = time_idx
+                .and_then(|i| chunk.col(i).value_ref(r).as_i64())
+                .map_or(now, |v| v.max(0) as u64);
+            key.clear();
+            chunk.write_key_at(group_idxs, r, &mut key);
+            dedup.clear();
+            // A row missing a dedup column is treated as unique.
+            for (i, idx) in dedup_idxs.iter().enumerate() {
+                if i > 0 {
+                    dedup.push('|');
+                }
+                match idx {
+                    Some(c) => chunk.col(*c).value_ref(r).write_key(&mut dedup),
+                    None => dedup.push('∅'),
+                }
+            }
+            store.push(
+                event_time,
+                &key,
+                dedup_on.then_some(dedup.as_str()),
+                || GroupAgg {
+                    vals: group_idxs.iter().map(|&i| chunk.col(i).value(r)).collect(),
+                    states: aggs.iter().map(AggFunc::init).collect(),
+                },
+                |acc| {
+                    for ((agg, idx), state) in aggs.iter().zip(&agg_idxs).zip(acc.states.iter_mut())
+                    {
+                        state.update_ref(agg, idx.map(|i| chunk.col(i).value_ref(r)));
+                    }
+                },
+            );
+        };
+        match selected {
+            None => (0..chunk.rows()).for_each(absorb_row),
+            // Walk the set bits; bits past the chunk select nothing.
+            Some(words) => {
+                for (w, &word) in words.iter().enumerate() {
+                    let mut bits = word;
+                    while bits != 0 {
+                        let r = w * 64 + bits.trailing_zeros() as usize;
+                        if r >= chunk.rows() {
+                            return;
+                        }
+                        absorb_row(r);
+                        bits &= bits - 1;
+                    }
+                }
+            }
+        }
+    }
+
+    /// Merge a chunk of relayed closed-window partials into the root store
+    /// and return the indices of the rows it refused
+    /// ([`PartialCodec::absorb`]).
+    pub fn absorb_partials(&mut self, chunk: &ColumnChunk) -> Vec<u32> {
+        self.codec.absorb(chunk, self.state.root_mut())
+    }
+
+    /// One window-maintenance tick.  Away from the root: drain every due
+    /// window of both stores into one partial stream.  At the root: roll
+    /// the local store up into the retained root state, snapshot every due
+    /// window that changed and derive each member's rows from it — the
+    /// member's groups, in display order, through its finishers — which
+    /// the member's delta tracker turns into its snapshot or insert/retract
+    /// stream; an unchanged answer emits nothing.
+    pub fn tick(&mut self, now: SimTime, is_root: bool) -> TickOutput {
+        let mut out = TickOutput::default();
+        if !is_root {
+            let closed = self.state.drain_closed(now);
+            let windows: BTreeSet<u64> = closed.iter().map(|(wid, _)| *wid).collect();
+            out.windows = windows.len() as u64;
+            out.partials = self.codec.encode(&closed);
+            return out;
+        }
+        self.state.roll_up_local(now);
+        let (members, window) = (&mut self.members, self.spec.window);
+        let retired = self.state.emit_due(now, |wid, groups| {
+            let (window_start, window_end) = window.bounds(wid);
+            for (&query_id, m) in members.iter_mut() {
+                // A member without a predicate takes every group: size for it.
+                let mut rows = Vec::with_capacity(m.derive.as_ref().map_or(groups.len(), |_| 0));
+                rows.extend(
+                    groups
+                        .iter()
+                        .filter(|(_, acc)| m.derive.as_ref().is_none_or(|d| d.matches(&acc.vals)))
+                        .map(|(_, acc)| {
+                            let mut values = Vec::with_capacity(m.result_schema.arity());
+                            values.push(Value::Int(window_start as i64));
+                            values.push(Value::Int(window_end as i64));
+                            values.extend(acc.vals.iter().cloned());
+                            values.extend(acc.states.iter().map(AggState::finish));
+                            Tuple::from_schema(Arc::clone(&m.result_schema), values)
+                        }),
+                );
+                // Cached keys render each row once, not twice per comparison.
+                rows.sort_by_cached_key(std::string::ToString::to_string);
+                if !m.final_ops.is_empty() {
+                    rows = finish_rows(&m.final_ops, &TupleBatch::new(rows));
+                }
+                let deltas = m.tracker.emit(wid, rows);
+                if deltas.is_empty() {
+                    continue;
+                }
+                m.windows_emitted += 1;
+                let mut retracts = Vec::new();
+                let mut inserts = Vec::new();
+                for d in deltas {
+                    match d {
+                        Delta::Retract(t) => retracts.push(t),
+                        Delta::Insert(t) => inserts.push(t),
+                    }
+                }
+                out.emissions.push(Emission {
+                    query_id,
+                    proxy: m.proxy,
+                    trace: m.trace,
+                    window_start,
+                    window_end,
+                    retracts,
+                    inserts,
+                });
+            }
+        });
+        // Past the refinement horizon a tracker forgets too (bounded memory).
+        if let Some(through) = retired {
+            for m in self.members.values_mut() {
+                m.tracker.retire(through);
+            }
+        }
+        out
+    }
+
+    // ----- durability -------------------------------------------------------
+
+    fn segment_keys(&self) -> [String; 2] {
+        [
+            format!("{}.local", self.spec.tag),
+            format!("{}.root", self.spec.tag),
+        ]
+    }
+
+    /// Append a snapshot of both stores to the engine's two segment logs in
+    /// `durable`.  A log that has outgrown
+    /// [`WindowEngine::SEGMENT_COMPACT_BYTES`] is rewritten from scratch —
+    /// rehydration only reads the *latest* snapshot of each window, so
+    /// compaction loses nothing.
+    pub fn persist(&self, durable: &DurableStore) {
+        let keys = self.segment_keys();
+        let [mut local, mut root] = keys.each_ref().map(|k| durable.with_log(k, std::mem::take));
+        for log in [&mut local, &mut root] {
+            if log.len() > Self::SEGMENT_COMPACT_BYTES {
+                *log = SegmentLog::new();
+            }
+        }
+        self.state.write_segments(&mut local, &mut root);
+        for (key, log) in keys.iter().zip([local, root]) {
+            durable.with_log(key, |slot| *slot = log);
+        }
+    }
+
+    /// Rehydrate freshly built stores from `durable` (warm restart: called
+    /// before the first chunk is absorbed).  `None` when nothing durable
+    /// exists for this engine — a genuinely cold start.
+    pub fn rehydrate(&mut self, durable: &DurableStore) -> Option<RehydrateReport> {
+        let [local, root] = self.segment_keys().map(|k| durable.get(&k));
+        let report = self.state.rehydrate(local.as_ref(), root.as_ref());
+        if report.records == 0 && !report.torn_tail {
+            return None;
+        }
+        self.rehydrated_windows = report.windows as u64;
+        Some(report)
+    }
+
+    /// Drop the engine's segments: it was torn down deliberately and will
+    /// never be rehydrated.
+    pub fn forget(&self, durable: &DurableStore) {
+        for key in self.segment_keys() {
+            durable.remove(&key);
+        }
+    }
+
+    // ----- diagnostics ------------------------------------------------------
+
+    /// Diagnostics of member `query_id` (`None` when it is not a member).
+    pub fn diagnostics(&self, query_id: u64) -> Option<CqDiagnostics> {
+        let m = self.members.get(&query_id)?;
+        let (local, root) = self.state.stats();
+        Some(CqDiagnostics {
+            local,
+            root,
+            open_windows: self.state.open_windows(),
+            total_groups: self.state.total_groups(),
+            tracked_emissions: m.tracker.tracked_windows(),
+            windows_emitted: m.windows_emitted,
+            lease_renewals: m.lease.renewals,
+            rehydrated_windows: self.rehydrated_windows,
+        })
+    }
+
+    /// Accepted rows, shed rows+groups, evicted windows, open windows,
+    /// groups and approximate state bytes over both stores — the values of
+    /// [`OCCUPANCY_GAUGES`].
+    pub fn occupancy(&self) -> [u64; 6] {
+        let (local, root) = self.state.stats();
+        let (shed, evicted) = Self::shed_evicted(local, root);
+        let acc_bytes = |g: &GroupAgg| -> usize {
+            g.vals.iter().map(WireSize::wire_size).sum::<usize>()
+                + g.states.iter().map(WireSize::wire_size).sum::<usize>()
+        };
+        [
+            local.accepted + root.accepted,
+            shed,
+            evicted,
+            self.state.open_windows() as u64,
+            self.state.total_groups() as u64,
+            self.state.approx_state_bytes(&acc_bytes) as u64,
+        ]
+    }
+
+    fn shed_evicted(local: WindowStats, root: WindowStats) -> (u64, u64) {
+        (
+            local.shed_tuples + local.shed_groups + root.shed_tuples + root.shed_groups,
+            local.evicted_windows + root.evicted_windows,
+        )
+    }
+
+    /// Rows+groups shed and windows evicted since the previous call.
+    pub fn take_shed_evicted(&mut self) -> (u64, u64) {
+        let (local, root) = self.state.stats();
+        let now = Self::shed_evicted(local, root);
+        let delta = (now.0 - self.reported.0, now.1 - self.reported.1);
+        self.reported = now;
+        delta
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn netmon_rows(n: i64) -> Vec<Tuple> {
+        (0..n)
+            .map(|i| {
+                Tuple::new(
+                    "packets",
+                    vec![
+                        ("src", Value::Str(format!("10.0.0.{}", i % 5).into())),
+                        ("len", Value::Int(40 + i % 1400)),
+                        ("ts", Value::Int(i * 250_000)),
+                    ],
+                )
+            })
+            .collect()
+    }
+
+    fn netmon_engine() -> WindowEngine {
+        let plan = crate::sqlish::compile(
+            "SELECT src, COUNT(*), SUM(len) FROM packets GROUP BY src WINDOW 30s SLIDE 10s",
+            pier_runtime::NodeAddr(1),
+            60_000_000,
+        )
+        .expect("windowed netmon query must compile");
+        let (graph_idx, spec, member) = EngineSpec::unshared(&plan).expect("windowed sink");
+        assert_eq!(graph_idx, 0);
+        assert_eq!(spec.tag, format!("q{}", plan.query_id));
+        let mut engine = WindowEngine::new(spec);
+        engine.add_member(plan.query_id, member, false, 0);
+        engine
+    }
+
+    /// The per-tuple absorb [`WindowEngine::absorb`] replaced, kept as the
+    /// reference the chunk path is compared against.
+    fn absorb_tuple(e: &mut WindowEngine, tuple: &Tuple, now: SimTime) {
+        let event_time = e
+            .time_ref
+            .as_mut()
+            .and_then(|c| c.get(tuple))
+            .and_then(Value::as_i64)
+            .map_or(now, |v| v.max(0) as u64);
+        let Some(indices) = e.group_resolver.indices(tuple) else {
+            return; // malformed tuple: discard
+        };
+        let key = tuple.key_at(indices);
+        let vals: Vec<Value> = indices.iter().map(|&i| tuple.values()[i].clone()).collect();
+        let dedup = if e.dedup_refs.is_empty() {
+            None
+        } else {
+            // A tuple missing a dedup column is treated as unique.
+            let mut out = String::with_capacity(12 * e.dedup_refs.len());
+            for (i, col) in e.dedup_refs.iter_mut().enumerate() {
+                if i > 0 {
+                    out.push('|');
+                }
+                match col.get(tuple) {
+                    Some(v) => v.write_key(&mut out),
+                    None => out.push('∅'),
+                }
+            }
+            Some(out)
+        };
+        let agg_values: Vec<Option<&Value>> = e
+            .agg_inputs
+            .iter_mut()
+            .map(|input| input.as_mut().and_then(|c| c.get(tuple)))
+            .collect();
+        let aggs = e.codec.aggs();
+        e.state.local_mut().push(
+            event_time,
+            &key,
+            dedup.as_deref(),
+            || GroupAgg {
+                vals: vals.clone(),
+                states: aggs.iter().map(AggFunc::init).collect(),
+            },
+            |acc| {
+                for ((agg, value), state) in aggs.iter().zip(&agg_values).zip(acc.states.iter_mut())
+                {
+                    state.update_with(agg, *value);
+                }
+            },
+        );
+    }
+
+    /// Canonical view of the local store's content after closing
+    /// everything: `(window, group key, group values, finished aggregates)`.
+    fn drain_canonical(e: &mut WindowEngine) -> Vec<(u64, String, Vec<Value>, Vec<Value>)> {
+        let mut out = Vec::new();
+        for (wid, groups) in e.state.local_mut().close_due(1_000_000_000_000) {
+            for (key, acc) in groups {
+                let finished = acc.states.iter().map(AggState::finish).collect();
+                out.push((wid, key, acc.vals.clone(), finished));
+            }
+        }
+        out.sort_by(|a, b| (a.0, &a.1).cmp(&(b.0, &b.1)));
+        out
+    }
+
+    #[test]
+    fn chunk_absorb_equals_per_tuple_absorb() {
+        let rows = netmon_rows(400);
+        let mut per_tuple = netmon_engine();
+        let mut chunked = netmon_engine();
+        let now = 1_000_000;
+        for t in &rows {
+            absorb_tuple(&mut per_tuple, t, now);
+        }
+        for chunk in TupleBatch::new(rows).chunks() {
+            chunked.absorb(chunk, None, now);
+        }
+        let a = drain_canonical(&mut per_tuple);
+        let b = drain_canonical(&mut chunked);
+        assert!(!a.is_empty(), "the workload must populate windows");
+        assert_eq!(a, b);
+    }
+
+    #[test]
+    fn a_mask_selects_exactly_its_rows_and_a_long_one_is_clipped() {
+        let rows = netmon_rows(130);
+        let mut masked = netmon_engine();
+        let mut filtered = netmon_engine();
+        // Every third row, plus phantom bits past the chunk's end.
+        let mut words = vec![0u64; 4];
+        for r in (0..256).step_by(3) {
+            words[r / 64] |= 1 << (r % 64);
+        }
+        let batch = TupleBatch::new(rows.clone());
+        assert_eq!(batch.chunks().len(), 1);
+        masked.absorb(&batch.chunks()[0], Some(&words), 0);
+        for t in rows.iter().step_by(3) {
+            absorb_tuple(&mut filtered, t, 0);
+        }
+        assert_eq!(drain_canonical(&mut masked), drain_canonical(&mut filtered));
+    }
+
+    #[test]
+    fn chunk_absorb_discards_malformed_chunks() {
+        let mut engine = netmon_engine();
+        let rows: Vec<Tuple> = (0..10)
+            .map(|i| Tuple::new("packets", vec![("nothing", Value::Int(i))]))
+            .collect();
+        for chunk in TupleBatch::new(rows).chunks() {
+            engine.absorb(chunk, None, 0);
+        }
+        assert!(drain_canonical(&mut engine).is_empty());
+    }
+
+    #[test]
+    fn persisted_state_rehydrates_warm() {
+        let mut engine = netmon_engine();
+        for t in netmon_rows(120) {
+            absorb_tuple(&mut engine, &t, 0);
+        }
+        let durable = DurableStore::new();
+        engine.persist(&durable);
+        let tag = engine.spec().tag.clone();
+        assert_eq!(
+            durable.keys(),
+            [format!("{tag}.local"), format!("{tag}.root")]
+        );
+
+        // A cold engine (what a restarted node builds) rehydrates to the
+        // same canonical contents the crashed node held.
+        let mut cold = netmon_engine();
+        let report = cold.rehydrate(&durable).expect("snapshot was written");
+        assert!(report.windows > 0, "open windows came back");
+        assert!(!report.torn_tail);
+        let member = *cold.members().keys().next().expect("one member");
+        let diag = cold.diagnostics(member).expect("member");
+        assert_eq!(diag.rehydrated_windows, report.windows as u64);
+        assert_eq!(drain_canonical(&mut cold), drain_canonical(&mut engine));
+        // A deliberate teardown leaves no "disk" behind, and nothing
+        // durable means a cold start.
+        engine.forget(&durable);
+        assert!(durable.keys().is_empty());
+        assert!(netmon_engine().rehydrate(&durable).is_none());
+    }
+
+    #[test]
+    fn persist_compacts_once_the_log_outgrows_the_bound() {
+        let mut engine = netmon_engine();
+        for t in netmon_rows(50) {
+            absorb_tuple(&mut engine, &t, 0);
+        }
+        let durable = DurableStore::new();
+        engine.persist(&durable);
+        let after_one = durable.total_bytes();
+        // Snapshots append...
+        engine.persist(&durable);
+        assert!(durable.total_bytes() > after_one);
+        // ...until the log crosses the compaction bound, which rewrites it
+        // as a single fresh snapshot.
+        let local_key = format!("{}.local", engine.spec().tag);
+        let len = || durable.get(&local_key).map_or(0, |log| log.len());
+        while len() <= WindowEngine::SEGMENT_COMPACT_BYTES {
+            engine.persist(&durable);
+        }
+        engine.persist(&durable);
+        assert!(
+            len() <= WindowEngine::SEGMENT_COMPACT_BYTES,
+            "compaction rewrote the oversized log"
+        );
+        let mut cold = netmon_engine();
+        cold.rehydrate(&durable).expect("compacted snapshot");
+        assert_eq!(drain_canonical(&mut cold), drain_canonical(&mut engine));
+    }
+
+    #[test]
+    fn leases_renew_per_member_and_the_last_member_out_empties_the_engine() {
+        let mut engine = netmon_engine();
+        let first = *engine.members().keys().next().expect("one member");
+        let member = MemberSpec {
+            derive: Some(Expr::eq("src", "10.0.0.1")),
+            proxy: NodeAddr(2),
+            lease: 5_000_000,
+            delta: DeltaMode::Snapshot,
+            final_ops: Vec::new(),
+        };
+        engine.add_member(first + 1, member, true, 100);
+        let lowest = |e: &WindowEngine| e.members().iter().next().map(|(id, m)| (*id, m.trace));
+        assert_eq!(engine.members().len(), 2);
+        assert_eq!(lowest(&engine), Some((first, false)));
+        let initial = engine.members()[&(first + 1)].lease;
+        assert_eq!(initial.expires_at, 5_000_100);
+        engine
+            .lease_mut(first + 1)
+            .expect("member has a lease")
+            .renew(initial.expires_at);
+        assert!(engine.members()[&(first + 1)].lease.expires_at > initial.expires_at);
+        assert_eq!(engine.diagnostics(first + 1).unwrap().lease_renewals, 1);
+        assert_eq!(engine.diagnostics(first).unwrap().lease_renewals, 0);
+        assert!(
+            engine.lease_mut(99).is_none(),
+            "unknown queries do not renew"
+        );
+        assert!(engine.diagnostics(99).is_none());
+        assert!(engine.remove_member(first));
+        assert!(!engine.remove_member(first));
+        assert_eq!(lowest(&engine), Some((first + 1, true)));
+        assert!(engine.remove_member(first + 1));
+        assert!(engine.members().is_empty());
+    }
+}

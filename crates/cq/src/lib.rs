@@ -15,11 +15,12 @@
 //! * [`delta`] — delta-output semantics: per-window snapshot results or
 //!   insert/retract streams computed against the previous emission of the
 //!   same window ([`delta::DeltaTracker`]).
-//! * [`shared`] — multi-query **share-group** window state: one
-//!   local/root [`state::WindowStore`] pair serving N constant-varied
-//!   member queries, each member's per-window answer derived from the
-//!   shared accumulators at flush through its own [`delta::DeltaTracker`]
-//!   (the state half of the `pier-mqo` subsystem).
+//! * [`shared`] — the window state of one engine: one local/root
+//!   [`state::WindowStore`] pair serving every member query (one for an
+//!   unshared query, N constant-varied ones for a `pier-mqo` share group),
+//!   rolled up, snapshotted, retired and persisted together; each member's
+//!   per-window answer is derived from the shared accumulators at flush by
+//!   the caller, through the member's own [`delta::DeltaTracker`].
 //! * [`lifecycle`] — the soft-state continuous-query lifecycle: leases that
 //!   must be renewed by periodic re-dissemination (so a query dies everywhere
 //!   once its owner stops renewing, and reaches nodes that joined after it
@@ -72,6 +73,6 @@ pub use segment::{
     DurableStore, RehydrateReport, SegmentCodec, SegmentLog, SegmentRecord, SegmentScan,
     WindowSegment,
 };
-pub use shared::{MemberEmission, SharedWindowState};
+pub use shared::SharedWindowState;
 pub use state::{WindowAccumulator, WindowStats, WindowStore};
 pub use window::{WindowId, WindowSpec};

@@ -137,6 +137,8 @@ pub struct ChaosOutcome {
     /// Largest warm-restart evidence on any restarted node: windows the
     /// netmon query rehydrated from durable segments after coming back.
     pub rehydrated_windows: u64,
+    /// The same for the riding tenants' share group.
+    pub tenant_rehydrated_windows: u64,
     /// Fraction of expected tenant windows that received at least one row.
     pub tenant_coverage: f64,
     /// Aggregate fault-injection counts from the plan's log.
@@ -288,13 +290,10 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosOutcome {
     // windows can close and travel.
     let netmon_sql =
         "SELECT src, COUNT(*) FROM packets GROUP BY src WINDOW 2s SLIDE 1s EVERY 5s".to_string();
-    let mut plan = sqlish::compile(&netmon_sql, proxy, stream_micros + 40_000_000)
+    // With the sharing layer on, the netmon query runs as a share group of
+    // one beside the tenants' group; both persist through the same segments.
+    let plan = sqlish::compile(&netmon_sql, proxy, stream_micros + 40_000_000)
         .expect("chaos netmon query must compile");
-    // The netmon query opts out of the mqo layer: shared group state is not
-    // persisted, and this query is the one whose warm restart we measure.
-    if let Some(cq) = plan.cq.as_mut() {
-        cq.exclusive = true;
-    }
     let window_spec = match plan.windowed_sink() {
         Some((_, pier_core::SinkSpec::WindowedAgg { window, .. })) => *window,
         _ => panic!("chaos netmon query must have a WINDOW clause"),
@@ -490,18 +489,16 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosOutcome {
             }
         }
     }
-    // Warm-restart evidence: the restarted nodes' re-installed netmon query
-    // reports how many windows it rehydrated from durable segments.
-    let mut rehydrated_windows = 0u64;
-    for &i in &restarted {
-        if let Some(diag) = cluster
-            .sim
-            .node(cluster.addr(i))
-            .and_then(|n| n.cq_diagnostics(query_id))
-        {
-            rehydrated_windows = rehydrated_windows.max(diag.rehydrated_windows);
-        }
-    }
+    // Warm-restart evidence: the restarted nodes' re-installed queries
+    // report how many windows their engine rehydrated from durable segments.
+    let rehydrated = |query: u64| {
+        let nodes = restarted.iter().map(|&i| cluster.sim.node(cluster.addr(i)));
+        let diags = nodes.filter_map(|n| n?.cq_diagnostics(query));
+        diags.map(|d| d.rehydrated_windows).max().unwrap_or(0)
+    };
+    let rehydrated_windows = rehydrated(query_id);
+    let tenant_rehydrated_windows = tenants.iter().map(|t| rehydrated(t.query_id)).max();
+    let tenant_rehydrated_windows = tenant_rehydrated_windows.unwrap_or(0);
     // Tenant liveness: of the windows a tenant's source actually appeared
     // in (and that closed before the stream ended), how many produced at
     // least one row at that tenant's proxy?
@@ -549,6 +546,7 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosOutcome {
         },
         restarted,
         rehydrated_windows,
+        tenant_rehydrated_windows,
         tenant_coverage,
         fault_counts,
         trace,

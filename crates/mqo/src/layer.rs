@@ -1,47 +1,35 @@
 //! Share groups and the [`MultiQuerySharing`] implementation.
 //!
-//! A `ShareGroup` is the runtime of one plan fingerprint at one node: the
-//! [`PredicateIndex`] over its members' predicates, the single
-//! [`SharedWindowState`] their windows accumulate in, and the per-member
-//! residue (compiled derivation predicate, proxy address, lease, result
-//! schema, finishers).  [`MqoLayer`] is the registry the executor talks to
-//! through the [`MultiQuerySharing`] trait: fingerprint → group,
-//! query → group, and the namespace routing tables for ingest chunks and
-//! relayed window partials.
+//! What only this crate knows about a share group is *who is in it and
+//! which rows they want*: a `ShareGroup` is the [`PredicateIndex`] over its
+//! members' predicates plus the group's incarnation epoch.  The group's
+//! window state, partial stream, per-member derivation, leases and durable
+//! segments are a [`pier_core::WindowEngine`] owned by the executor — the
+//! same engine an unshared query runs in — which [`MqoLayer`] describes
+//! ([`EngineSpec`], [`MemberSpec`]) when a plan joins.
 //!
 //! Life of a shared chunk: the executor hands each arriving chunk of a
-//! subscribed namespace to the layer once; the predicate index scans every
-//! referenced column and produces per-member masks plus their union; rows
-//! in the union fold into the group's shared local store (group key,
-//! event time and aggregate inputs resolved once per schema).  At each
-//! window tick the group ships **one** partial stream toward its window
-//! root (`g{fp:016x}.windows` / `g{fp:016x}.root` — identical on every
-//! node, so partials combine across the overlay with no coordination); the
-//! root derives each member's rows from the shared per-group accumulators
-//! by evaluating the member's predicate against the group *values* (sound
-//! because eligibility required the predicate to reference GROUP BY
-//! columns only), applies the member's finishers, and routes the member's
-//! snapshot/delta stream to the member's own proxy.
+//! subscribed namespace to the layer once ([`MultiQuerySharing::select`]);
+//! the predicate index scans every referenced column and produces
+//! per-member masks plus their union; the executor's engine folds the
+//! union's rows into the group's one local store.  From there on a group is
+//! an engine like any other (`ARCHITECTURE.md`, "Life of a closed window"):
+//! **one** partial stream toward `g{fp:016x}.windows` / `g{fp:016x}.root`,
+//! and at the root each member's rows derived from the shared per-group
+//! accumulators by evaluating the member's predicate against the group
+//! *values* (sound because eligibility required the predicate to reference
+//! GROUP BY columns only).
 
 use crate::fingerprint::{normalize, ShareCandidate};
 use crate::index::PredicateIndex;
 use pier_core::plan::QueryPlan;
 use pier_core::sharing::{
-    GroupRoute, InstallOutcome, MultiQuerySharing, SharedEmission, SharingStats, TickOutput,
-    UninstallOutcome,
+    InstallOutcome, Membership, MultiQuerySharing, SharingStats, UninstallOutcome,
 };
-use pier_core::tuple::{
-    ColumnChunk, ColumnRef, ColumnResolver, Schema, SchemaRegistry, Tuple, TupleBatch,
-};
-use pier_core::{
-    finish_rows, AggFunc, AggState, CompiledExpr, GroupAgg, OperatorSpec, PartialCodec, Value,
-    WindowSpec,
-};
-use pier_cq::{Delta, Lease, SharedWindowState};
-use pier_runtime::{NodeAddr, SimTime};
+use pier_core::tuple::ColumnChunk;
+use pier_core::{EngineNames, EngineSpec, MemberSpec};
 use pier_telemetry::Telemetry;
 use std::collections::HashMap;
-use std::sync::Arc;
 
 /// Construct the sharing layer — the value to plug into
 /// [`PierConfig::sharing`](pier_core::PierConfig).
@@ -49,210 +37,43 @@ pub fn layer() -> Box<dyn MultiQuerySharing + Send> {
     Box::new(MqoLayer::default())
 }
 
-/// Per-member residue within a share group.
-#[derive(Debug)]
-struct MemberState {
-    /// The member's predicate compiled against the group-values schema:
-    /// derivation evaluates it per *group*, not per row.
-    derive: CompiledExpr,
-    proxy: NodeAddr,
-    lease: Lease,
-    /// `q{id}.win` — identical to the shape independent execution emits,
-    /// so clients cannot tell shared from independent results.
-    result_schema: Arc<Schema>,
-    final_ops: Vec<OperatorSpec>,
-}
+/// The telemetry vocabulary of a share group's engine.
+const GROUP_NAMES: EngineNames = EngineNames {
+    flushes: "mqo.share_flushes",
+    flush_partials: "mqo.share_flush_partials",
+    flush_span: "share.flush",
+    shared: true,
+};
 
-/// The runtime of one share group at one node.
+/// What the layer keeps per share group at one node.
 #[derive(Debug)]
 struct ShareGroup {
-    fingerprint: u64,
     /// This incarnation's epoch (see
-    /// [`GroupRoute::epoch`](pier_core::sharing::GroupRoute::epoch)).
+    /// [`Membership::epoch`](pier_core::sharing::Membership::epoch)).
     epoch: u64,
+    /// Base table the group ingests.
     namespace: String,
-    window: WindowSpec,
+    /// The members' predicates; its member set *is* the membership.
     index: PredicateIndex,
-    members: HashMap<u64, MemberState>,
-    state: SharedWindowState<GroupAgg, Tuple>,
-    /// Encodes drained windows as `g{fp:016x}.wp` chunks and merges
-    /// relayed ones into the shared root store.
-    codec: PartialCodec,
-    /// `g{fp:016x}.gv` — the synthetic schema derivation predicates compile
-    /// against (columns = the GROUP BY columns).
-    gv_schema: Arc<Schema>,
-    group_resolver: ColumnResolver,
-    time_ref: Option<ColumnRef>,
-    agg_inputs: Vec<Option<ColumnRef>>,
 }
 
-fn window_namespace(fingerprint: u64) -> String {
-    format!("g{fingerprint:016x}.windows")
-}
-
-fn root_key(fingerprint: u64) -> String {
-    format!("g{fingerprint:016x}.root")
-}
-
-impl ShareGroup {
-    fn new(c: &ShareCandidate, epoch: u64) -> ShareGroup {
-        let tag = format!("g{:016x}", c.fingerprint);
-        let codec = PartialCodec::new(format!("{tag}.wp"), c.group_cols.clone(), c.aggs.clone());
-        let gv_schema =
-            SchemaRegistry::global().intern_owned(format!("{tag}.gv"), c.group_cols.clone());
-        ShareGroup {
-            fingerprint: c.fingerprint,
-            epoch,
-            namespace: c.namespace.clone(),
-            window: c.window,
-            index: PredicateIndex::new(),
-            members: HashMap::new(),
-            state: SharedWindowState::new(c.window, c.budget),
-            codec,
-            gv_schema,
-            group_resolver: ColumnResolver::new(c.group_cols.clone()),
-            time_ref: c.time_col.clone().map(ColumnRef::new),
-            agg_inputs: c
-                .aggs
-                .iter()
-                .map(|a| a.input_column().map(ColumnRef::new))
-                .collect(),
-        }
-    }
-
-    fn add_member(&mut self, query_id: u64, c: &ShareCandidate, proxy: NodeAddr, now: SimTime) {
-        let result_schema = {
-            let mut columns = vec!["window_start".to_string(), "window_end".to_string()];
-            columns.extend(self.group_resolver.columns().iter().cloned());
-            columns.extend(self.codec.aggs().iter().map(AggFunc::output_column));
-            SchemaRegistry::global().intern_owned(format!("q{query_id}.win"), columns)
-        };
-        self.index.insert(query_id, c.predicate.clone());
-        self.state.add_member(query_id, c.delta);
-        self.members.insert(
-            query_id,
-            MemberState {
-                derive: c.predicate.compile(&self.gv_schema),
-                proxy,
-                lease: Lease::granted(now, c.lease),
-                result_schema,
-                final_ops: c.final_ops.clone(),
-            },
-        );
-    }
-
-    /// Absorb one ingest chunk: one predicate-index scan, union rows folded
-    /// into the shared store.  Returns `(rows scanned, rows selected)`.
-    fn absorb_chunk(&mut self, chunk: &ColumnChunk, now: SimTime) -> (u64, u64) {
-        let rows = chunk.rows() as u64;
-        let schema = chunk.schema();
-        let Some(group_idxs) = self.group_resolver.indices_for(schema) else {
-            return (rows, 0); // malformed chunk for this group: discard
-        };
-        self.index.eval_chunk(chunk);
-        let selected = self.index.union().count() as u64;
-        if selected == 0 {
-            return (rows, 0);
-        }
-        let time_idx = self.time_ref.as_mut().and_then(|c| c.index_for(schema));
-        let agg_idxs: Vec<Option<usize>> = self
-            .agg_inputs
-            .iter_mut()
-            .map(|input| input.as_mut().and_then(|c| c.index_for(schema)))
-            .collect();
-        let aggs = self.codec.aggs();
-        let union = self.index.union();
-        let store = self.state.local_mut();
-        let mut key = String::new();
-        for r in 0..chunk.rows() {
-            if !union.get(r) {
-                continue;
-            }
-            let event_time = time_idx
-                .and_then(|i| chunk.col(i).value_ref(r).as_i64())
-                .map_or(now, |v| v.max(0) as u64);
-            key.clear();
-            chunk.write_key_at(group_idxs, r, &mut key);
-            store.push(
-                event_time,
-                &key,
-                None,
-                || GroupAgg {
-                    vals: group_idxs.iter().map(|&i| chunk.col(i).value(r)).collect(),
-                    states: aggs.iter().map(AggFunc::init).collect(),
-                },
-                |acc| {
-                    for ((agg, idx), state) in aggs.iter().zip(&agg_idxs).zip(acc.states.iter_mut())
-                    {
-                        state.update_ref(agg, idx.map(|i| chunk.col(i).value_ref(r)));
-                    }
-                },
-            );
-        }
-        (rows, selected)
-    }
-
-    /// One window tick: at the root, roll local windows up and derive every
-    /// member's emissions; elsewhere, drain due windows into the group's
-    /// single partial stream.
-    fn tick(&mut self, now: SimTime, is_root: bool) -> TickOutput {
-        let mut out = TickOutput::default();
-        if is_root {
-            self.state.roll_up_local(now);
-            let members = &self.members;
-            let window = self.window;
-            let emissions = self.state.emit_due(now, |member_id, wid, groups| {
-                let Some(m) = members.get(&member_id) else {
-                    return Vec::new();
-                };
-                let (ws, we) = window.bounds(wid);
-                let mut rows: Vec<Tuple> = groups
-                    .iter()
-                    .filter(|(_, acc)| m.derive.matches(&acc.vals))
-                    .map(|(_, acc)| {
-                        let mut values = Vec::with_capacity(m.result_schema.arity());
-                        values.push(Value::Int(ws as i64));
-                        values.push(Value::Int(we as i64));
-                        values.extend(acc.vals.iter().cloned());
-                        values.extend(acc.states.iter().map(AggState::finish));
-                        Tuple::from_schema(Arc::clone(&m.result_schema), values)
-                    })
-                    .collect();
-                // Same deterministic order as the independent path's
-                // window_tick; cached keys render each row once instead of
-                // twice per comparison.
-                rows.sort_by_cached_key(std::string::ToString::to_string);
-                if !m.final_ops.is_empty() {
-                    rows = finish_rows(&m.final_ops, &TupleBatch::new(rows));
-                }
-                rows
-            });
-            for e in emissions {
-                let Some(m) = self.members.get(&e.member) else {
-                    continue;
-                };
-                let (window_start, window_end) = self.window.bounds(e.window);
-                let mut retracts = Vec::new();
-                let mut inserts = Vec::new();
-                for d in e.deltas {
-                    match d {
-                        Delta::Retract(t) => retracts.push(t),
-                        Delta::Insert(t) => inserts.push(t),
-                    }
-                }
-                out.emissions.push(SharedEmission {
-                    query_id: e.member,
-                    proxy: m.proxy,
-                    window_start,
-                    window_end,
-                    retracts,
-                    inserts,
-                });
-            }
-        } else {
-            out.partials = self.codec.encode(&self.state.drain_closed(now));
-        }
-        out
+/// The engine every member of `c`'s group shares — a function of the
+/// group-level shape only, so every node derives the same.
+fn engine_spec(c: &ShareCandidate) -> EngineSpec {
+    let tag = format!("g{:016x}", c.fingerprint);
+    EngineSpec {
+        namespace: format!("{tag}.windows"),
+        root_key: format!("{tag}.root"),
+        tag,
+        window: c.window,
+        budget: c.budget,
+        group_cols: c.group_cols.clone(),
+        aggs: c.aggs.clone(),
+        time_col: c.time_col.clone(),
+        // Window-scoped dedup is store-wide, so such plans never normalize.
+        dedup_cols: Vec::new(),
+        min_lifetime: 0,
+        names: GROUP_NAMES,
     }
 }
 
@@ -261,8 +82,6 @@ impl ShareGroup {
 pub struct MqoLayer {
     groups: HashMap<u64, ShareGroup>,
     by_query: HashMap<u64, u64>,
-    /// `g{fp:016x}.windows` → fingerprint.
-    window_ns: HashMap<String, u64>,
     /// Base table namespace → fingerprints ingesting it.
     base_ns: HashMap<String, Vec<u64>>,
     /// Monotone incarnation counter: every created group gets a fresh
@@ -293,7 +112,7 @@ impl MqoLayer {
         self.tel.gauge("mqo.members", self.by_query.len() as f64);
         if let Some(size) = joined
             .and_then(|fp| self.groups.get(&fp))
-            .map(|g| g.members.len())
+            .map(|g| g.index.len())
         {
             self.tel.observe_count("mqo.group_size", size as f64);
         }
@@ -305,177 +124,108 @@ impl MultiQuerySharing for MqoLayer {
         self.tel = tel;
     }
 
-    fn try_install(&mut self, plan: &QueryPlan, now: SimTime) -> InstallOutcome {
+    fn try_install(&mut self, plan: &QueryPlan) -> InstallOutcome {
         let Some(candidate) = normalize(plan) else {
             return InstallOutcome::NotShareable;
         };
         let query_id = plan.query_id;
-        if self.by_query.contains_key(&query_id) {
-            // Defensive: the executor renews before offering, but a re-offer
-            // of a live member is just a renewal.
-            self.renew(query_id, now);
-            let group = self.by_query[&query_id];
-            let epoch = self.groups.get(&group).map_or(0, |g| g.epoch);
-            return InstallOutcome::Member {
-                group,
-                new_group: false,
-                epoch,
-                slide: candidate.window.slide,
-                lease: candidate.lease,
-            };
-        }
         let fingerprint = candidate.fingerprint;
-        let new_group = !self.groups.contains_key(&fingerprint);
-        if new_group {
+        let mut engine = None;
+        if !self.groups.contains_key(&fingerprint) {
             self.next_epoch += 1;
-        }
-        let next_epoch = self.next_epoch;
-        let group = self
-            .groups
-            .entry(fingerprint)
-            .or_insert_with(|| ShareGroup::new(&candidate, next_epoch));
-        group.add_member(query_id, &candidate, plan.proxy, now);
-        let epoch = group.epoch;
-        if new_group {
-            self.window_ns
-                .insert(window_namespace(fingerprint), fingerprint);
+            let group = ShareGroup {
+                epoch: self.next_epoch,
+                namespace: candidate.namespace.clone(),
+                index: PredicateIndex::new(),
+            };
+            self.groups.insert(fingerprint, group);
             self.base_ns
                 .entry(candidate.namespace.clone())
                 .or_default()
                 .push(fingerprint);
+            engine = Some(engine_spec(&candidate));
         }
+        let group = self.groups.get_mut(&fingerprint).expect("present above");
+        // (A re-offer of a live member keeps the predicate it has.)
+        group.index.insert(query_id, candidate.predicate.clone());
+        let epoch = group.epoch;
         self.by_query.insert(query_id, fingerprint);
         self.sync_membership(Some(fingerprint));
-        InstallOutcome::Member {
+        InstallOutcome::Member(Box::new(Membership {
             group: fingerprint,
-            new_group,
             epoch,
-            slide: candidate.window.slide,
-            lease: candidate.lease,
-        }
-    }
-
-    fn renew(&mut self, query_id: u64, now: SimTime) -> bool {
-        let Some(fp) = self.by_query.get(&query_id) else {
-            return false;
-        };
-        let Some(member) = self
-            .groups
-            .get_mut(fp)
-            .and_then(|g| g.members.get_mut(&query_id))
-        else {
-            return false;
-        };
-        member.lease.renew(now);
-        true
+            engine,
+            member: MemberSpec {
+                derive: Some(candidate.predicate),
+                proxy: plan.proxy,
+                lease: candidate.lease,
+                delta: candidate.delta,
+                final_ops: candidate.final_ops,
+            },
+        }))
     }
 
     fn uninstall(&mut self, query_id: u64) -> UninstallOutcome {
         let Some(fp) = self.by_query.remove(&query_id) else {
-            return UninstallOutcome::not_member();
+            return UninstallOutcome::default();
         };
-        let Some(group) = self.groups.get_mut(&fp) else {
-            return UninstallOutcome {
-                was_member: true,
-                retired_group: None,
-            };
-        };
-        group.index.remove(query_id);
-        group.state.remove_member(query_id);
-        group.members.remove(&query_id);
-        if group.members.is_empty() {
-            let namespace = group.namespace.clone();
-            self.groups.remove(&fp);
-            self.window_ns.retain(|_, g| *g != fp);
-            if let Some(fps) = self.base_ns.get_mut(&namespace) {
-                fps.retain(|g| *g != fp);
-                if fps.is_empty() {
-                    self.base_ns.remove(&namespace);
+        let mut retired_group = None;
+        if let Some(group) = self.groups.get_mut(&fp) {
+            group.index.remove(query_id);
+            if group.index.is_empty() {
+                let namespace = std::mem::take(&mut group.namespace);
+                self.groups.remove(&fp);
+                if let Some(fps) = self.base_ns.get_mut(&namespace) {
+                    fps.retain(|g| *g != fp);
+                    if fps.is_empty() {
+                        self.base_ns.remove(&namespace);
+                    }
                 }
-            }
-            self.sync_membership(None);
-            UninstallOutcome {
-                was_member: true,
-                retired_group: Some(fp),
-            }
-        } else {
-            self.sync_membership(None);
-            UninstallOutcome {
-                was_member: true,
-                retired_group: None,
+                retired_group = Some(fp);
             }
         }
-    }
-
-    fn lease_expires_at(&self, query_id: u64) -> Option<SimTime> {
-        let fp = self.by_query.get(&query_id)?;
-        self.groups
-            .get(fp)
-            .and_then(|g| g.members.get(&query_id))
-            .map(|m| m.lease.expires_at)
+        self.sync_membership(None);
+        UninstallOutcome {
+            was_member: true,
+            retired_group,
+        }
     }
 
     fn wants_namespace(&self, namespace: &str) -> bool {
         self.base_ns.contains_key(namespace)
     }
 
-    fn absorb_chunk(&mut self, namespace: &str, chunk: &ColumnChunk, now: SimTime) {
+    fn select(
+        &mut self,
+        namespace: &str,
+        chunk: &ColumnChunk,
+        absorb: &mut dyn FnMut(u64, &[u64]),
+    ) {
         let Some(fps) = self.base_ns.get(namespace) else {
             return;
         };
         let fanout = fps.len();
         self.chunks_absorbed += 1;
-        let mut scanned_total = 0u64;
-        let mut selected_total = 0u64;
+        let scanned = chunk.rows() as u64 * fanout as u64;
+        let mut selected = 0u64;
         for fp in fps {
             if let Some(group) = self.groups.get_mut(fp) {
-                let (scanned, selected) = group.absorb_chunk(chunk, now);
-                self.rows_absorbed += scanned;
-                self.rows_selected += selected;
-                scanned_total += scanned;
-                selected_total += selected;
+                group.index.eval_chunk(chunk);
+                let union = group.index.union();
+                let rows = union.count() as u64;
+                if rows > 0 {
+                    absorb(*fp, union.words());
+                    selected += rows;
+                }
             }
         }
+        self.rows_absorbed += scanned;
+        self.rows_selected += selected;
         if self.tel.is_enabled() {
             self.tel.inc("mqo.chunks_absorbed");
             self.tel.observe_count("mqo.index_fanout", fanout as f64);
-            self.tel.add("mqo.rows_scanned", scanned_total);
-            self.tel.add("mqo.rows_selected", selected_total);
-        }
-    }
-
-    fn absorb_window_partials(
-        &mut self,
-        namespace: &str,
-        chunk: &ColumnChunk,
-    ) -> Option<(u64, Vec<u32>)> {
-        let fp = *self.window_ns.get(namespace)?;
-        let group = self.groups.get_mut(&fp)?;
-        Some((fp, group.codec.absorb(chunk, group.state.root_mut())))
-    }
-
-    fn group_route(&self, group: u64) -> Option<GroupRoute> {
-        self.groups.get(&group).map(|g| GroupRoute {
-            namespace: window_namespace(g.fingerprint),
-            root_key: root_key(g.fingerprint),
-            slide: g.window.slide,
-            epoch: g.epoch,
-        })
-    }
-
-    fn member_ids(&self, group: u64) -> Vec<u64> {
-        let Some(g) = self.groups.get(&group) else {
-            return Vec::new();
-        };
-        let mut ids: Vec<u64> = g.members.keys().copied().collect();
-        ids.sort_unstable();
-        ids
-    }
-
-    fn tick(&mut self, group: u64, now: SimTime, is_root: bool) -> TickOutput {
-        match self.groups.get_mut(&group) {
-            Some(g) => g.tick(now, is_root),
-            None => TickOutput::default(),
+            self.tel.add("mqo.rows_scanned", scanned);
+            self.tel.add("mqo.rows_selected", selected);
         }
     }
 
@@ -483,8 +233,6 @@ impl MultiQuerySharing for MqoLayer {
         SharingStats {
             groups: self.groups.len(),
             members: self.by_query.len(),
-            open_windows: self.groups.values().map(|g| g.state.open_windows()).sum(),
-            state_groups: self.groups.values().map(|g| g.state.total_groups()).sum(),
             chunks_absorbed: self.chunks_absorbed,
             rows_absorbed: self.rows_absorbed,
             rows_selected: self.rows_selected,
@@ -495,8 +243,8 @@ impl MultiQuerySharing for MqoLayer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pier_core::sqlish;
-    use pier_core::{TupleBatch, Value};
+    use pier_core::{sqlish, Tuple, TupleBatch, Value, WindowEngine};
+    use pier_runtime::NodeAddr;
 
     fn tenant_plan(query_id: u64, src: &str) -> QueryPlan {
         let mut plan = sqlish::compile(
@@ -527,41 +275,79 @@ mod tests {
             .collect()
     }
 
-    #[test]
-    fn constant_varied_tenants_share_one_group_and_get_their_own_answers() {
-        let mut layer = MqoLayer::default();
-        for (qid, src) in [(1u64, "10.0.0.1"), (2, "10.0.0.2"), (3, "10.0.0.3")] {
-            let out = layer.try_install(&tenant_plan(qid, src), 0);
-            match out {
-                InstallOutcome::Member { new_group, .. } => {
-                    assert_eq!(
-                        new_group,
-                        qid == 1,
-                        "only the first member creates the group"
-                    );
-                }
-                other => panic!("expected membership, got {other:?}"),
+    fn membership(outcome: InstallOutcome) -> Membership {
+        match outcome {
+            InstallOutcome::Member(m) => *m,
+            other => panic!("expected membership, got {other:?}"),
+        }
+    }
+
+    /// The layer plus the engines it describes, wired as the executor wires
+    /// them: one engine per group, fed under the layer's union mask.
+    #[derive(Default)]
+    struct Node {
+        layer: MqoLayer,
+        engines: HashMap<u64, WindowEngine>,
+    }
+
+    impl Node {
+        fn install(&mut self, plan: &QueryPlan) -> Membership {
+            let m = membership(self.layer.try_install(plan));
+            if let Some(spec) = m.engine.clone() {
+                let stale = self.engines.insert(m.group, WindowEngine::new(spec));
+                assert!(stale.is_none(), "only a new group hands out an engine");
+            }
+            let engine = self
+                .engines
+                .get_mut(&m.group)
+                .expect("opened by its first member");
+            engine.add_member(plan.query_id, m.member.clone(), false, 0);
+            m
+        }
+
+        fn ingest(&mut self, rows: Vec<Tuple>) {
+            let engines = &mut self.engines;
+            for chunk in TupleBatch::new(rows).chunks() {
+                self.layer.select("packets", chunk, &mut |group, selected| {
+                    let engine = engines
+                        .get_mut(&group)
+                        .expect("selected group has an engine");
+                    engine.absorb(chunk, Some(selected), 0);
+                });
             }
         }
-        let stats = layer.stats();
+    }
+
+    #[test]
+    fn constant_varied_tenants_share_one_group_and_get_their_own_answers() {
+        let mut node = Node::default();
+        let mut first = None;
+        for (qid, src) in [(1u64, "10.0.0.1"), (2, "10.0.0.2"), (3, "10.0.0.3")] {
+            let m = node.install(&tenant_plan(qid, src));
+            assert_eq!(
+                m.engine.is_some(),
+                qid == 1,
+                "only the first member creates the group"
+            );
+            let incarnation = first.get_or_insert((m.group, m.epoch));
+            assert_eq!((m.group, m.epoch), *incarnation, "one incarnation");
+        }
+        let stats = node.layer.stats();
         assert_eq!(stats.groups, 1);
         assert_eq!(stats.members, 3);
         // Absorb a stream; every chunk is scanned once for all members.
-        let batch = TupleBatch::new(packets(400));
-        for chunk in batch.chunks() {
-            layer.absorb_chunk("packets", chunk, 0);
-        }
-        assert!(layer.stats().rows_absorbed >= 400);
+        node.ingest(packets(400));
+        assert!(node.layer.stats().rows_absorbed >= 400);
         // Tick as root far enough in the future to close every window.
-        let group = *layer.by_query.get(&1).unwrap();
-        let out = layer.tick(group, 60_000_000, true);
+        let group = node.layer.group_of(1).unwrap();
+        let out = node.engines.get_mut(&group).unwrap().tick(60_000_000, true);
         assert!(out.partials.is_none(), "the root ships no partials");
         // Each member sees exactly its own source's counts, per window,
         // matching ground truth computed with the same window arithmetic.
         let spec = pier_cq::WindowSpec::sliding(2_000_000, 1_000_000);
+        let mut folded = 0u64;
         for qid in 1u64..=3 {
-            let mine: Vec<&SharedEmission> =
-                out.emissions.iter().filter(|e| e.query_id == qid).collect();
+            let mine: Vec<_> = out.emissions.iter().filter(|e| e.query_id == qid).collect();
             assert!(!mine.is_empty(), "member {qid} must receive emissions");
             let src = format!("10.0.0.{qid}");
             let mut total = 0i64;
@@ -585,50 +371,56 @@ mod tests {
                 })
                 .sum();
             assert_eq!(total, expected, "member {qid} count across windows");
+            folded += expected as u64;
         }
         // Rows no member selects never enter the shared store: only the
         // three watched sources hold state.
-        assert!(layer.stats().rows_selected < layer.stats().rows_absorbed);
+        assert!(node.layer.stats().rows_selected < node.layer.stats().rows_absorbed);
+        let diag = node.engines[&group].diagnostics(1).expect("member");
+        assert_eq!(diag.local.accepted, folded);
     }
 
     #[test]
     fn non_root_ticks_ship_one_partial_stream_that_roots_can_decode() {
-        let mut relay = MqoLayer::default();
-        let mut root = MqoLayer::default();
-        for l in [&mut relay, &mut root] {
-            l.try_install(&tenant_plan(1, "10.0.0.1"), 0);
-            l.try_install(&tenant_plan(2, "10.0.0.2"), 0);
+        let mut relay = Node::default();
+        let mut root = Node::default();
+        for n in [&mut relay, &mut root] {
+            n.install(&tenant_plan(1, "10.0.0.1"));
+            n.install(&tenant_plan(2, "10.0.0.2"));
         }
-        let batch = TupleBatch::new(packets(200));
-        for chunk in batch.chunks() {
-            relay.absorb_chunk("packets", chunk, 0);
-        }
-        let group = *relay.by_query.get(&1).unwrap();
-        let shipped = relay.tick(group, 60_000_000, false);
+        relay.ingest(packets(200));
+        let group = relay.layer.group_of(1).unwrap();
+        let shipped = relay
+            .engines
+            .get_mut(&group)
+            .unwrap()
+            .tick(60_000_000, false);
         let partials = shipped
             .partials
             .expect("non-root ticks ship closed-window partials");
         assert!(shipped.emissions.is_empty());
-        let route = relay.group_route(group).expect("group is live");
+        // Both nodes derived the same group and the same partial route
+        // from the plans alone.
+        assert_eq!(root.layer.group_of(1), Some(group));
+        let root_engine = root.engines.get_mut(&group).unwrap();
+        assert_eq!(root_engine.spec(), relay.engines[&group].spec());
+        assert_eq!(
+            root_engine.spec().namespace,
+            format!("g{group:016x}.windows")
+        );
         // The root absorbs the relayed partials and derives per-member
         // results from them.
-        let (g, refused) = root
-            .absorb_window_partials(&route.namespace, &partials)
-            .expect("group namespace");
-        assert_eq!(g, group);
-        assert!(refused.is_empty());
-        let out = root.tick(group, 120_000_000, true);
+        assert!(root_engine.absorb_partials(&partials).is_empty());
+        let out = root_engine.tick(120_000_000, true);
         assert!(out.emissions.iter().any(|e| e.query_id == 1));
         assert!(out.emissions.iter().any(|e| e.query_id == 2));
-        // Unknown namespaces are not the layer's.
-        assert!(root.absorb_window_partials("packets", &partials).is_none());
     }
 
     #[test]
     fn refcounted_teardown_leaves_no_groups_behind() {
         let mut layer = MqoLayer::default();
         for qid in 1u64..=4 {
-            layer.try_install(&tenant_plan(qid, &format!("10.0.0.{qid}")), 0);
+            layer.try_install(&tenant_plan(qid, &format!("10.0.0.{qid}")));
         }
         assert_eq!(layer.stats().groups, 1);
         assert!(layer.wants_namespace("packets"));
@@ -638,16 +430,14 @@ mod tests {
             assert!(out.retired_group.is_none(), "group still has members");
         }
         assert_eq!(layer.stats().members, 1);
+        let group = layer.group_of(4);
         let last = layer.uninstall(4);
         assert!(last.was_member);
-        assert!(
-            last.retired_group.is_some(),
-            "last member retires the group"
-        );
+        assert_eq!(last.retired_group, group, "last member retires the group");
         assert_eq!(layer.stats().groups, 0);
         assert_eq!(layer.stats().members, 0);
         assert!(!layer.wants_namespace("packets"));
-        assert!(layer.group_route(last.retired_group.unwrap()).is_none());
+        assert!(layer.group_of(4).is_none());
         assert!(
             !layer.uninstall(4).was_member,
             "double uninstall is a no-op"
@@ -660,56 +450,24 @@ mod tests {
         // distinguishable, so a stale tick chain armed for the first
         // incarnation stops instead of double-driving the second.
         let mut layer = MqoLayer::default();
-        let first = match layer.try_install(&tenant_plan(1, "10.0.0.1"), 0) {
-            InstallOutcome::Member {
-                group,
-                new_group,
-                epoch,
-                ..
-            } => {
-                assert!(new_group);
-                (group, epoch)
-            }
-            other => panic!("expected membership, got {other:?}"),
-        };
-        assert_eq!(layer.group_route(first.0).unwrap().epoch, first.1);
+        let first = membership(layer.try_install(&tenant_plan(1, "10.0.0.1")));
         assert!(layer.uninstall(1).retired_group.is_some());
-        let second = match layer.try_install(&tenant_plan(2, "10.0.0.2"), 5) {
-            InstallOutcome::Member {
-                group,
-                new_group,
-                epoch,
-                ..
-            } => {
-                assert!(new_group, "re-creation is a new incarnation");
-                (group, epoch)
-            }
-            other => panic!("expected membership, got {other:?}"),
-        };
-        assert_eq!(first.0, second.0, "same fingerprint");
-        assert_ne!(first.1, second.1, "fresh epoch per incarnation");
-        assert_eq!(layer.group_route(second.0).unwrap().epoch, second.1);
+        let second = membership(layer.try_install(&tenant_plan(2, "10.0.0.2")));
+        assert_eq!(first.group, second.group, "same fingerprint");
+        assert!(
+            first.engine.is_some(),
+            "re-creation is a new incarnation..."
+        );
+        assert_eq!(first.engine, second.engine, "...namespaces and all");
+        assert_ne!(first.epoch, second.epoch, "fresh epoch per incarnation");
         // A member joining the live incarnation reports the same epoch and
-        // does not start a new chain.
-        match layer.try_install(&tenant_plan(3, "10.0.0.3"), 6) {
-            InstallOutcome::Member {
-                new_group, epoch, ..
-            } => {
-                assert!(!new_group);
-                assert_eq!(epoch, second.1);
-            }
-            other => panic!("expected membership, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn leases_renew_and_expire_per_member() {
-        let mut layer = MqoLayer::default();
-        layer.try_install(&tenant_plan(1, "10.0.0.1"), 0);
-        let initial = layer.lease_expires_at(1).expect("member has a lease");
-        assert!(layer.renew(1, initial));
-        assert!(layer.lease_expires_at(1).unwrap() > initial);
-        assert!(!layer.renew(99, 0), "unknown queries do not renew");
-        assert!(layer.lease_expires_at(99).is_none());
+        // no engine, so the executor does not start a new chain.
+        let third = membership(layer.try_install(&tenant_plan(3, "10.0.0.3")));
+        assert_eq!(third.epoch, second.epoch);
+        assert!(third.engine.is_none());
+        // A re-offer of a live member changes nothing.
+        let again = membership(layer.try_install(&tenant_plan(3, "10.0.0.3")));
+        assert_eq!(again, third);
+        assert_eq!(layer.stats().members, 2);
     }
 }

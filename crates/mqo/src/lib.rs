@@ -19,13 +19,14 @@
 //!   produce per-member selection [`mask`]s combined with bitwise ops —
 //!   the per-chunk cost of N members is one scan per referenced column,
 //!   not N expression walks per row.
-//! * [`mod@layer`] — share-group execution implementing `pier-core`'s
-//!   [`MultiQuerySharing`](pier_core::MultiQuerySharing) seam: each
-//!   group keeps **one** shared window store
-//!   ([`pier_cq::SharedWindowState`]) fed by the union mask, ships **one**
-//!   partial stream toward its window root, and derives each member's
-//!   per-window snapshot/delta answer from the shared per-group
-//!   accumulators at flush.
+//! * [`mod@layer`] — share-group membership implementing `pier-core`'s
+//!   [`MultiQuerySharing`](pier_core::MultiQuerySharing) seam: the layer
+//!   describes each group's [`WindowEngine`](pier_core::WindowEngine) —
+//!   **one** shared window store fed by the union mask, **one** partial
+//!   stream toward its window root, each member's per-window
+//!   snapshot/delta answer derived from the shared per-group accumulators
+//!   at flush — and the executor runs it, exactly as it runs an unshared
+//!   query's.
 //!
 //! ## Soundness
 //!

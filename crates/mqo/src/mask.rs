@@ -51,6 +51,11 @@ impl SelMask {
         self.rows
     }
 
+    /// The packed bits: bit `r % 64` of word `r / 64` is row `r`.
+    pub fn words(&self) -> &[u64] {
+        &self.words
+    }
+
     /// Set bit `r`.
     pub fn set(&mut self, r: usize) {
         debug_assert!(r < self.rows);

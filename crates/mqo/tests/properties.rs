@@ -14,7 +14,7 @@
 //!   computation of each query in isolation produces.
 
 use pier_core::sharing::MultiQuerySharing;
-use pier_core::{sqlish, CmpOp, CompiledPredicate, Expr, Tuple, TupleBatch, Value};
+use pier_core::{sqlish, CmpOp, CompiledPredicate, Expr, Tuple, TupleBatch, Value, WindowEngine};
 use pier_mqo::{MqoLayer, PredicateIndex};
 use pier_runtime::NodeAddr;
 use proptest::prelude::*;
@@ -117,6 +117,8 @@ proptest! {
         // Member i watches src = "h{consts[i]}" (duplicate constants are
         // legal: two identical queries must still get their own answers).
         let mut layer = MqoLayer::default();
+        // The group's engine, as the executor would hold it.
+        let mut engine: Option<WindowEngine> = None;
         let query_ids: Vec<u64> = consts
             .iter()
             .enumerate()
@@ -132,10 +134,13 @@ proptest! {
                 )
                 .expect("compiles");
                 plan.query_id = qid;
-                assert!(matches!(
-                    layer.try_install(&plan, 0),
-                    pier_core::InstallOutcome::Member { .. }
-                ));
+                let pier_core::InstallOutcome::Member(m) = layer.try_install(&plan) else {
+                    panic!("constant-varied plans are shareable");
+                };
+                if let Some(spec) = m.engine {
+                    engine = Some(WindowEngine::new(spec));
+                }
+                engine.as_mut().expect("opened").add_member(qid, m.member, false, 0);
                 qid
             })
             .collect();
@@ -159,12 +164,13 @@ proptest! {
             }
             let batch = TupleBatch::new(part.to_vec());
             for chunk in batch.chunks() {
-                layer.absorb_chunk("pkts", chunk, 0);
+                layer.select("pkts", chunk, &mut |_, selected| {
+                    engine.as_mut().expect("installed").absorb(chunk, Some(selected), 0);
+                });
             }
         }
         // Tick as root far past every event: all windows emit.
-        let group = layer.group_of(query_ids[0]).expect("member has a group");
-        let out = layer.tick(group, 1_000_000_000, true);
+        let out = engine.as_mut().expect("installed").tick(1_000_000_000, true);
         // Reference: each query in isolation — filter, window, count.
         let spec = pier_cq::WindowSpec::sliding(2_000_000, 1_000_000);
         for (i, qid) in query_ids.iter().enumerate() {

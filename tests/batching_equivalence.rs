@@ -9,17 +9,8 @@ use pier::harness::continuous::{continuous_netmon, ContinuousNetmonConfig};
 use pier::harness::{many_tenants, Cluster, ClusterConfig, ManyTenantsConfig};
 use pier::qp::{sqlish, JoinSpec, OpGraph, PlanBuilder, SinkSpec, SourceSpec, Tuple, Value};
 
-/// Mix the CI seed matrix into a test's default seed: `PIER_SEED`, when
-/// set, perturbs every cluster/workload seed so the equivalence properties
-/// are exercised under several distinct topologies and fault realisations
-/// (the assertions here are structural — equality between two runs over the
-/// same seed — so they must hold for *any* seed).
-fn seeded(default: u64) -> u64 {
-    match std::env::var("PIER_SEED") {
-        Ok(s) => default ^ s.trim().parse::<u64>().expect("PIER_SEED must be a u64"),
-        Err(_) => default,
-    }
-}
+mod common;
+use common::seeded;
 
 /// Sorted display strings — a canonical multiset representation.
 fn multiset(tuples: &[Tuple]) -> Vec<String> {

@@ -18,16 +18,8 @@
 
 use pier::harness::{run_chaos, ChaosConfig};
 
-/// Mix the CI seed matrix into a test's default seed: `PIER_SEED`, when
-/// set, perturbs the chaos seed so replayability and reconciliation are
-/// checked over distinct fault realisations (every assertion here is
-/// structural and must hold for any seed).
-fn seeded(default: u64) -> u64 {
-    match std::env::var("PIER_SEED") {
-        Ok(s) => default ^ s.trim().parse::<u64>().expect("PIER_SEED must be a u64"),
-        Err(_) => default,
-    }
-}
+mod common;
+use common::seeded;
 
 /// A deliberately small gauntlet so the debug-build test stays fast while
 /// still exercising every phase: loss, partition + heal, and a one-node
@@ -116,6 +108,85 @@ fn trace_fault_events_reconcile_with_the_plan() {
     // The storm's armed crash/restart pairs all fired.
     assert_eq!(c.restarts as usize, out.restarted.len());
     assert!(!out.restarted.is_empty(), "the storm must restart a node");
+}
+
+/// Shared window state is durable: no plan is marked exclusive — the netmon
+/// query runs as a share group of one beside the tenants' group — and a
+/// crashed-and-restarted node rehydrates the windows of both from its
+/// segment logs instead of starting them cold.
+#[test]
+fn a_restarted_node_rehydrates_share_group_windows_warm() {
+    let out = run_chaos(&small_config(seeded(7)));
+    assert!(!out.restarted.is_empty(), "the storm must restart a node");
+    assert!(
+        out.rehydrated_windows > 0,
+        "the netmon group of one restarts warm"
+    );
+    assert!(
+        out.tenant_rehydrated_windows > 0,
+        "a shared tenant restarts warm"
+    );
+}
+
+/// Lease grace is per engine, not per executor.  The proxy of a standing
+/// query dies, so renewals stop: on a durable node the query parks through
+/// one more lease duration before it is swept — whether it runs unshared or
+/// as a share-group member — and the sweep, a deliberate teardown, removes
+/// the engine's segments from the node's disk; a soft-only node sweeps at
+/// the hard expiry.  Returns, for an observer node, `(installed, segment
+/// keys on disk)` two seconds after the lease lapsed and again after the
+/// grace window.
+fn orphaned_query_profile(sharing: bool, durable: bool) -> [(bool, usize); 2] {
+    use pier::harness::{Cluster, ClusterConfig};
+    use pier::qp::sqlish;
+    const SEC: u64 = 1_000_000;
+
+    let mut cfg = ClusterConfig::lan(6, 4242);
+    cfg.pier.sharing = sharing.then_some(pier::mqo::layer);
+    let cfg = if durable { cfg.with_durable() } else { cfg };
+    let mut cluster = Cluster::start(&cfg);
+    let (proxy, observer) = (1, 3);
+    // EVERY 2s: renewals every 2 s, a 6 s lease.
+    let plan = sqlish::compile(
+        "SELECT src, COUNT(*) FROM packets WHERE src = '10.0.0.1' \
+         GROUP BY src WINDOW 2s SLIDE 1s EVERY 2s",
+        cluster.addr(proxy),
+        120 * SEC,
+    )
+    .expect("tenant query compiles");
+    let mut query = 0;
+    cluster.sim.invoke(cluster.addr(proxy), |node, ctx| {
+        query = node.submit_query(ctx, plan);
+    });
+    cluster.settle(3 * SEC);
+    let orphaned_at = cluster.sim.now();
+    cluster.crash_node_at(proxy, orphaned_at);
+    let mut observe = |until: u64| {
+        cluster.sim.run_for(orphaned_at + until - cluster.sim.now());
+        let node = cluster.sim.node(cluster.addr(observer)).expect("alive");
+        let shared = node.sharing_stats().is_some_and(|s| s.members > 0);
+        assert_eq!(shared, sharing && node.cq_diagnostics(query).is_some());
+        let keys = cluster
+            .durable_store(observer)
+            .map_or(0, |d| d.keys().len());
+        (node.cq_diagnostics(query).is_some(), keys)
+    };
+    // The last renewal left before the crash, so the lease lapses by 6 s.
+    [observe(8 * SEC), observe(15 * SEC)]
+}
+
+#[test]
+fn an_orphaned_share_group_member_parks_through_the_lease_grace_like_an_unshared_query() {
+    let parked = [(true, 2), (false, 0)];
+    assert_eq!(orphaned_query_profile(false, true), parked, "unshared");
+    assert_eq!(orphaned_query_profile(true, true), parked, "shared");
+    let swept = [(false, 0), (false, 0)];
+    assert_eq!(
+        orphaned_query_profile(false, false),
+        swept,
+        "unshared, soft"
+    );
+    assert_eq!(orphaned_query_profile(true, false), swept, "shared, soft");
 }
 
 /// The gather-based symmetric-hash join survives a [`FaultPlan`]

@@ -16,6 +16,9 @@ use pier::qp::Value;
 use pier::runtime::SimTime;
 use std::collections::BTreeMap;
 
+mod common;
+use common::seeded;
+
 /// Canonical view of one tenant's windows restricted to `[from, to]`:
 /// window bounds → sorted row renderings (a multiset fingerprint).
 fn canonical(
@@ -112,7 +115,7 @@ fn assert_no_leaked_groups(shared: &ManyTenantsOutcome, label: &str) {
 
 #[test]
 fn shared_execution_matches_independent_execution_steady_state() {
-    let mut cfg = ManyTenantsConfig::new(10, 24, 12, 61);
+    let mut cfg = ManyTenantsConfig::new(10, 24, 12, seeded(61));
     cfg.sharing = true;
     let shared = many_tenants(&cfg);
     cfg.sharing = false;
@@ -144,7 +147,7 @@ fn shared_execution_matches_independent_execution_steady_state() {
 
 #[test]
 fn shared_execution_matches_independent_under_install_uninstall_mid_stream() {
-    let mut cfg = ManyTenantsConfig::new(8, 16, 15, 77);
+    let mut cfg = ManyTenantsConfig::new(8, 16, 15, seeded(77));
     cfg.late_installs = 4;
     cfg.early_uninstalls = 4;
     cfg.sharing = true;
@@ -166,7 +169,11 @@ fn shared_execution_matches_independent_under_install_uninstall_mid_stream() {
 #[test]
 fn shared_execution_matches_independent_under_node_churn() {
     // 28 s of stream keeps the post-repair comparison span (churn + 12 s
-    // onward) wide enough that the equivalence check is not vacuous.
+    // onward) wide enough that the equivalence check is not vacuous.  The
+    // seed stays pinned: which in-flight partials a kill loses depends on
+    // where each mode's window roots sit, so unlike the two tests above
+    // this comparison is calibrated, not an any-seed property (under
+    // `PIER_SEED=987654321` the two modes differ past the guard band).
     let mut cfg = ManyTenantsConfig::new(10, 12, 28, 93);
     cfg.churn = Some((6, 2, 2));
     cfg.sharing = true;
