@@ -181,8 +181,21 @@ fn escape_into(out: &mut String, s: &str) {
     }
 }
 
-/// Fixed overhead charged per resident hash-map entry (bucket + string
-/// header), mirroring `WindowStore::approx_state_bytes`.
+/// Fixed overhead charged per resident (window, group) — and per dedup-set
+/// entry (bucket + string header).  `WindowStore::approx_state_bytes`, the
+/// measured side, charges a group's key, identity and directory entry once
+/// and a slot per window holding it: less than this per window as soon as
+/// two windows share the group; while exactly one does, about half as much
+/// again, and four bytes more for every open window (a window's `id →
+/// slot` map spans the directory's ids).  The bound is stated at the
+/// budget's cap — every window it allows open, every one full — for windows
+/// that overlap in their groups, which is what a sliding window over a
+/// stream reaches; `tests/admission_soundness.rs` fills a store pair to
+/// that cap and compares, and pins the other case — eight tumbling windows
+/// that share no key — within twice the bound.  Such a query stays under
+/// the bound itself as long as `max_open_windows` is twice what it really
+/// holds open: one window per slide in flight, and at the root
+/// `windows_per_event + 4` retained for refinement.
 const ENTRY_OVERHEAD: u64 = 48;
 /// Charged per open window (container headers, stats).
 const WINDOW_OVERHEAD: u64 = 256;

@@ -130,6 +130,87 @@ impl Bitmap {
     }
 }
 
+/// The find-or-insert index of a dictionary column: content hash → code, so
+/// a push costs one probe and one verifying compare instead of a scan of
+/// the dictionary.  It is derived state — never encoded, not compared, and
+/// a clone starts without one: whoever pushes to a decoded, gathered or
+/// cloned column rebuilds it from the dictionary first.
+#[derive(Debug, Default)]
+pub struct DictIndex {
+    /// Open-addressed, linearly probed, at most half full: `tag << 9 |
+    /// code + 1`, 0 where vacant.  Empty until the first push.
+    slots: Vec<u16>,
+}
+
+impl Clone for DictIndex {
+    fn clone(&self) -> Self {
+        DictIndex::default()
+    }
+}
+
+impl DictIndex {
+    /// Find `s` in `dict`, or append it (`arc` itself when given, so equal
+    /// pushes share the entry) unless the dictionary already holds
+    /// [`DICT_MAX`] entries — then `None`, the spill trigger.
+    fn code(&mut self, dict: &mut Vec<Arc<str>>, s: &str, arc: Option<&Arc<str>>) -> Option<u8> {
+        if self.slots.is_empty() {
+            // 128 slots for a dictionary built here; a decoded one may hold
+            // up to 256 entries (and repeat some: the first stays findable).
+            self.slots = vec![0; (2 * dict.len().max(DICT_MAX)).next_power_of_two()];
+            for (code, entry) in dict.iter().enumerate() {
+                let hash = Self::hash(entry);
+                if let Err(vacant) = self.probe(dict, entry, None, hash) {
+                    self.slots[vacant] = Self::slot(hash, code);
+                }
+            }
+        }
+        let hash = Self::hash(s);
+        match self.probe(dict, s, arc, hash) {
+            Ok(code) => Some(code),
+            Err(_) if dict.len() >= DICT_MAX => None,
+            Err(vacant) => {
+                self.slots[vacant] = Self::slot(hash, dict.len());
+                dict.push(arc.map_or_else(|| Arc::from(s), Arc::clone));
+                Some((dict.len() - 1) as u8)
+            }
+        }
+    }
+
+    fn hash(s: &str) -> u64 {
+        pier_runtime::fold_hash(0, s.as_bytes())
+    }
+
+    fn slot(hash: u64, code: usize) -> u16 {
+        ((hash >> 57) as u16) << 9 | (code as u16 + 1)
+    }
+
+    /// The code of `s`, or the vacant slot its probe chain ends at.
+    fn probe(
+        &self,
+        dict: &[Arc<str>],
+        s: &str,
+        arc: Option<&Arc<str>>,
+        hash: u64,
+    ) -> Result<u8, usize> {
+        let mask = self.slots.len() - 1;
+        let mut at = hash as usize & mask;
+        loop {
+            let slot = self.slots[at];
+            if slot == 0 {
+                return Err(at);
+            }
+            if slot >> 9 == (hash >> 57) as u16 {
+                let code = usize::from(slot & 0x1FF) - 1;
+                let entry = &dict[code];
+                if arc.is_some_and(|a| Arc::ptr_eq(a, entry)) || entry.as_ref() == s {
+                    return Ok(code as u8);
+                }
+            }
+            at = (at + 1) & mask;
+        }
+    }
+}
+
 /// One column of a chunk, laid out as typed native buffers.
 ///
 /// The variant fields are public so kernels (including the predicate-index
@@ -176,6 +257,8 @@ pub enum Column {
         dict: Vec<Arc<str>>,
         /// Null rows, if any.
         validity: Option<Bitmap>,
+        /// Find-or-insert index over `dict` (derived; see [`DictIndex`]).
+        index: DictIndex,
     },
     /// Arena-encoded strings (high cardinality).
     Str {
@@ -319,6 +402,7 @@ impl Column {
                 codes,
                 dict,
                 validity,
+                ..
             } => match validity {
                 Some(v) if !v.get(r) => ValueRef::Null,
                 _ => ValueRef::Str(&dict[codes[r] as usize]),
@@ -348,6 +432,7 @@ impl Column {
                 codes,
                 dict,
                 validity,
+                ..
             } => match validity {
                 Some(v) if !v.get(r) => Value::Null,
                 _ => Value::Str(Arc::clone(&dict[codes[r] as usize])),
@@ -508,26 +593,6 @@ impl Column {
         }
     }
 
-    /// Find or insert `s` in the dictionary; `None` when the dictionary is
-    /// full and `s` is new (the spill trigger).
-    fn dict_code(dict: &mut Vec<Arc<str>>, s: &str, arc: Option<&Arc<str>>) -> Option<u8> {
-        for (i, entry) in dict.iter().enumerate() {
-            if let Some(a) = arc {
-                if Arc::ptr_eq(a, entry) {
-                    return Some(i as u8);
-                }
-            }
-            if entry.as_ref() == s {
-                return Some(i as u8);
-            }
-        }
-        if dict.len() >= DICT_MAX {
-            return None;
-        }
-        dict.push(arc.map_or_else(|| Arc::from(s), Arc::clone));
-        Some((dict.len() - 1) as u8)
-    }
-
     fn push_str(&mut self, s: &str) {
         self.push_str_inner(s, None);
     }
@@ -558,7 +623,8 @@ impl Column {
                 codes,
                 dict,
                 validity,
-            } => match Self::dict_code(dict, s, arc) {
+                index,
+            } => match index.code(dict, s, arc) {
                 Some(code) => {
                     codes.push(code);
                     if let Some(v) = validity {
@@ -583,14 +649,15 @@ impl Column {
             }
             Column::Values(vals) if is_all_null(vals) => {
                 let nulls = vals.len();
-                let mut dict = Vec::new();
-                let code = Self::dict_code(&mut dict, s, arc).expect("fresh dict");
+                let (mut dict, mut index) = (Vec::new(), DictIndex::default());
+                let code = index.code(&mut dict, s, arc).expect("fresh dict");
                 let mut codes = vec![0u8; nulls];
                 codes.push(code);
                 *self = Column::Dict {
                     codes,
                     dict,
                     validity: promo_validity(nulls),
+                    index,
                 };
             }
             _ => {
@@ -609,6 +676,7 @@ impl Column {
             codes,
             dict,
             validity,
+            ..
         } = self
         else {
             return;
@@ -668,10 +736,12 @@ impl Column {
                 codes,
                 dict,
                 validity,
+                ..
             } => Column::Dict {
                 codes: idx.iter().map(|&i| codes[i as usize]).collect(),
                 dict: dict.clone(),
                 validity: gather_validity(validity),
+                index: DictIndex::default(),
             },
             Column::Str {
                 arena,
@@ -776,6 +846,7 @@ impl Column {
                 codes,
                 dict,
                 validity,
+                ..
             } => {
                 buf.push(4);
                 encode_validity(buf, validity);
@@ -896,6 +967,7 @@ impl Column {
                         codes,
                         dict,
                         validity,
+                        index: DictIndex::default(),
                     },
                     1 + at,
                 ))
@@ -1030,6 +1102,55 @@ mod tests {
         col.push_value(&s);
         match (&col.value(1), &s) {
             (Value::Str(a), Value::Str(b)) => assert!(Arc::ptr_eq(a, b)),
+            _ => panic!("expected dict layout"),
+        }
+    }
+
+    /// The dictionary of a dict-layout column.
+    fn dict_of(col: &Column) -> Vec<String> {
+        match col {
+            Column::Dict { dict, .. } => dict.iter().map(ToString::to_string).collect(),
+            other => panic!("expected dict layout, got {}", other.layout_name()),
+        }
+    }
+
+    #[test]
+    fn a_cloned_gathered_or_decoded_dict_column_reindexes_on_the_next_push() {
+        if FORCE_REFERENCE {
+            return;
+        }
+        // 40 distinct strings pushed twice: first-seen order, no repeats.
+        let names: Vec<String> = (0..40).map(|i| format!("10.0.0.{i}")).collect();
+        let mut col = Column::new();
+        for n in names.iter().chain(names.iter().rev()) {
+            col.push_ref(ValueRef::Str(n));
+        }
+        assert_eq!(dict_of(&col), names);
+        let mut bytes = Vec::new();
+        col.encode_body(&mut bytes);
+        let (decoded, _) = Column::decode_body(col.len(), &bytes).expect("own bytes");
+        for mut copy in [col.clone(), col.gather(&[5, 1]), decoded] {
+            // Known strings find their codes, a new one takes the next.
+            copy.push_ref(ValueRef::Str("10.0.0.7"));
+            copy.push_ref(ValueRef::Str("fresh"));
+            let rows = copy.len();
+            assert_eq!(copy.value_ref(rows - 2), ValueRef::Str("10.0.0.7"));
+            let mut expected = names.clone();
+            expected.push("fresh".to_string());
+            assert_eq!(dict_of(&copy), expected);
+        }
+        // A decoded dictionary may repeat an entry (decode checks codes,
+        // not uniqueness): pushes find the first, as the scan did.
+        let repeated = Column::Dict {
+            codes: vec![0, 1],
+            dict: vec!["a".into(), "a".into()],
+            validity: None,
+            index: DictIndex::default(),
+        };
+        let mut pushed = repeated.clone();
+        pushed.push_ref(ValueRef::Str("a"));
+        match pushed {
+            Column::Dict { codes, dict, .. } => assert_eq!((codes, dict.len()), (vec![0, 1, 0], 2)),
             _ => panic!("expected dict layout"),
         }
     }

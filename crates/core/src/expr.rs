@@ -578,6 +578,7 @@ impl CompiledNode {
                             codes,
                             dict,
                             validity,
+                            ..
                         } => {
                             // One substring scan per *distinct* value, then a
                             // code-indexed table lookup per row.
@@ -803,6 +804,7 @@ pub fn cmp_col_const(
                 codes,
                 dict,
                 validity,
+                ..
             },
             Value::Str(k),
         ) => {

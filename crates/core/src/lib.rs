@@ -100,7 +100,7 @@ pub use operators::{
     nested_loop_join, BloomFilter, Distinct, GroupBy, JoinSide, Limit, LocalOperator, Pipeline,
     Projection, Queue, Selection, SymmetricHashJoin, TopK,
 };
-pub use partial::{GroupAgg, PartialCodec};
+pub use partial::{GroupAgg, PartialCodec, PartialEncoder};
 pub use pier_cq::{CqBudget, DeltaMode, WindowSpec};
 pub use pier_telemetry::{SpanRecord, Telemetry, TelemetryConfig, TelemetryHub, TraceEvent};
 pub use pier_trace::{trace_id_for, TraceConfig, TraceContext};

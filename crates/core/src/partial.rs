@@ -8,9 +8,9 @@
 //! the merge into a [`WindowStore`] at a relay or the root, the only
 //! representation of those partials is a [`ColumnChunk`] of the interned
 //! partial schema (`q{id}.wp` for a query, `g{fp}.wp` for a share group):
-//! [`PartialCodec::encode`] pushes drained groups straight into typed
-//! columns, [`PartialCodec::absorb`] merges a chunk's rows into a store in
-//! place.  The per-query executor ([`crate::node`]) and the share-group
+//! a [`PartialEncoder`] pushes the groups a closing store lends straight
+//! into typed columns, [`PartialCodec::absorb`] merges a chunk's rows into a
+//! store in place.  The per-query executor ([`crate::node`]) and the share-group
 //! executor (`pier-mqo`) both use it, so the wire shape, the validation
 //! rules and the refusal semantics exist once.
 
@@ -23,7 +23,9 @@ use std::sync::Arc;
 
 /// One group's mergeable window accumulator: the grouping values plus one
 /// partial [`AggState`] per aggregate — the window engine of `pier-cq`
-/// parameterised with `pier-core`'s aggregate machinery.
+/// parameterised with `pier-core`'s aggregate machinery.  Inside a
+/// [`WindowStore`] the values are the group's *identity*: kept once in the
+/// store's directory, empty in the per-window accumulators.
 #[derive(Debug, Clone)]
 pub struct GroupAgg {
     /// The grouping-column values identifying this group.
@@ -35,6 +37,17 @@ pub struct GroupAgg {
 impl WindowAccumulator for GroupAgg {
     fn merge(&mut self, other: &Self) {
         merge_states(&mut self.states, &other.states);
+    }
+
+    fn take_identity(&mut self) -> Option<Self> {
+        Some(GroupAgg {
+            vals: std::mem::take(&mut self.vals),
+            states: Vec::new(),
+        })
+    }
+
+    fn set_identity(&mut self, identity: &Self) {
+        self.vals.clone_from(&identity.vals);
     }
 }
 
@@ -141,8 +154,12 @@ impl SegReader<'_> {
 
 impl SegmentCodec for GroupAgg {
     fn encode_state(&self, buf: &mut Vec<u8>) {
-        seg_put_u64(buf, self.vals.len() as u64);
-        for v in &self.vals {
+        self.encode_split(self, buf);
+    }
+
+    fn encode_split(&self, identity: &Self, buf: &mut Vec<u8>) {
+        seg_put_u64(buf, identity.vals.len() as u64);
+        for v in &identity.vals {
             v.encode(buf);
         }
         seg_put_u64(buf, self.states.len() as u64);
@@ -236,54 +253,26 @@ impl PartialCodec {
         &self.aggs
     }
 
+    /// An encoder of this codec's partials, to be fed group by group.
+    pub fn encoder(&self) -> PartialEncoder<'_> {
+        PartialEncoder {
+            codec: self,
+            cols: Vec::new(),
+            rows: 0,
+        }
+    }
+
     /// Encode drained windows (the output of [`WindowStore::close_due`],
     /// possibly of several stores back to back) as one chunk, one row per
     /// group in the order given; `None` when there is no group to ship.
-    /// Cells go straight into typed columns — the chunk equals, layout for
-    /// layout, what batching the per-group tuples would have inferred.
     pub fn encode(&self, closed: &[(WindowId, Vec<(String, GroupAgg)>)]) -> Option<ColumnChunk> {
-        let rows: usize = closed.iter().map(|(_, groups)| groups.len()).sum();
-        if rows == 0 {
-            return None;
-        }
-        let mut cols: Vec<Column> = (0..self.schema.arity()).map(|_| Column::new()).collect();
+        let mut enc = self.encoder();
         for (wid, groups) in closed {
             for (_, acc) in groups {
-                cols[0].push_ref(ValueRef::Int(*wid as i64));
-                // The shape is the plan's, whatever the accumulator holds (a
-                // segment rehydrated under a reused query id may be another
-                // plan's): every column gets exactly one cell per row, NULL
-                // where the accumulator has none.
-                let mut c = 1;
-                for g in 0..self.group_cols.len() {
-                    match acc.vals.get(g) {
-                        Some(v) => cols[c].push_value(v),
-                        None => cols[c].push_null(),
-                    }
-                    c += 1;
-                }
-                for (a, agg) in self.aggs.iter().enumerate() {
-                    let state = acc.states.get(a);
-                    cols[c].push_value(&state.map_or(Value::Null, AggState::finish));
-                    c += 1;
-                    if matches!(agg, AggFunc::Avg(_)) {
-                        if let Some(AggState::Avg { sum, count }) = state {
-                            cols[c].push_ref(ValueRef::Float(*sum));
-                            cols[c + 1].push_ref(ValueRef::Int(*count as i64));
-                        } else {
-                            cols[c].push_null();
-                            cols[c + 1].push_null();
-                        }
-                        c += 2;
-                    }
-                }
+                enc.push(*wid, &acc.vals, &acc.states);
             }
         }
-        Some(ColumnChunk::from_columns(
-            Arc::clone(&self.schema),
-            cols,
-            rows,
-        ))
+        enc.finish()
     }
 
     /// Merge every row of an arriving chunk into `store` as a refinement
@@ -343,16 +332,18 @@ impl PartialCodec {
                 Some(wid) if states.len() == aggs.len() => {
                     key.clear();
                     chunk.write_key_at(&layout.groups, r, key);
-                    store.accept_refinement_with(
+                    store.refine_with(
                         wid.max(0) as u64,
                         key,
                         |acc| merge_states(&mut acc.states, states),
-                        || GroupAgg {
-                            vals: layout
-                                .groups
-                                .iter()
-                                .map(|&i| chunk.col(i).value(r))
-                                .collect(),
+                        |new| GroupAgg {
+                            // Only a group new to the store keeps its values.
+                            vals: if new {
+                                let vals = layout.groups.iter();
+                                vals.map(|&i| chunk.col(i).value(r)).collect()
+                            } else {
+                                Vec::new()
+                            },
                             states: states.clone(),
                         },
                     )
@@ -364,6 +355,63 @@ impl PartialCodec {
             }
         }
         refused
+    }
+}
+
+/// Builds one chunk of closed-window partials, a row per pushed group.
+/// Cells go straight into typed columns — the chunk equals, layout for
+/// layout, what batching the per-group tuples would have inferred.
+#[derive(Debug)]
+pub struct PartialEncoder<'c> {
+    codec: &'c PartialCodec,
+    cols: Vec<Column>,
+    rows: usize,
+}
+
+impl PartialEncoder<'_> {
+    /// Append the partial of window `wid` for the group valued `vals` with
+    /// aggregate partials `states`.
+    pub fn push(&mut self, wid: WindowId, vals: &[Value], states: &[AggState]) {
+        let (codec, cols) = (self.codec, &mut self.cols);
+        if cols.is_empty() {
+            cols.resize_with(codec.schema.arity(), Column::new);
+        }
+        self.rows += 1;
+        cols[0].push_ref(ValueRef::Int(wid as i64));
+        // The shape is the plan's, whatever the accumulator holds (a
+        // segment rehydrated under a reused query id may be another
+        // plan's): every column gets exactly one cell per row, NULL
+        // where the accumulator has none.
+        let mut c = 1;
+        for g in 0..codec.group_cols.len() {
+            match vals.get(g) {
+                Some(v) => cols[c].push_value(v),
+                None => cols[c].push_null(),
+            }
+            c += 1;
+        }
+        for (a, agg) in codec.aggs.iter().enumerate() {
+            let state = states.get(a);
+            cols[c].push_value(&state.map_or(Value::Null, AggState::finish));
+            c += 1;
+            if matches!(agg, AggFunc::Avg(_)) {
+                if let Some(AggState::Avg { sum, count }) = state {
+                    cols[c].push_ref(ValueRef::Float(*sum));
+                    cols[c + 1].push_ref(ValueRef::Int(*count as i64));
+                } else {
+                    cols[c].push_null();
+                    cols[c + 1].push_null();
+                }
+                c += 2;
+            }
+        }
+    }
+
+    /// The chunk; `None` when no group was pushed.
+    pub fn finish(self) -> Option<ColumnChunk> {
+        (self.rows > 0).then(|| {
+            ColumnChunk::from_columns(Arc::clone(&self.codec.schema), self.cols, self.rows)
+        })
     }
 }
 

@@ -29,7 +29,7 @@ use pier_cq::{
     SharedWindowState, WindowSpec, WindowStats,
 };
 use pier_runtime::{Duration, NodeAddr, SimTime, WireSize};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// What an engine's shipping flush is called in telemetry, and how the
@@ -251,6 +251,13 @@ pub struct WindowEngine {
     /// Shed tuples+groups / evicted windows already handed out by
     /// [`WindowEngine::take_shed_evicted`].
     reported: (u64, u64),
+    /// Buffers one [`WindowEngine::absorb`] fills and the next reuses: the
+    /// dedup and aggregate-input columns of the chunk's schema, the group
+    /// and the dedup key of the row at hand.
+    dedup_idxs: Vec<Option<usize>>,
+    agg_idxs: Vec<Option<usize>>,
+    key: String,
+    dedup: String,
 }
 
 impl WindowEngine {
@@ -284,6 +291,10 @@ impl WindowEngine {
             members: BTreeMap::new(),
             rehydrated_windows: 0,
             reported: (0, 0),
+            dedup_idxs: Vec::new(),
+            agg_idxs: Vec::new(),
+            key: String::new(),
+            dedup: String::new(),
             spec,
         }
     }
@@ -356,28 +367,23 @@ impl WindowEngine {
             return;
         };
         let time_idx = self.time_ref.as_mut().and_then(|c| c.index_for(schema));
-        let dedup_idxs: Vec<Option<usize>> = self
-            .dedup_refs
-            .iter_mut()
-            .map(|c| c.index_for(schema))
-            .collect();
-        let agg_idxs: Vec<Option<usize>> = self
-            .agg_inputs
-            .iter_mut()
-            .map(|input| input.as_mut().and_then(|c| c.index_for(schema)))
-            .collect();
+        self.dedup_idxs.clear();
+        let dedups = self.dedup_refs.iter_mut();
+        self.dedup_idxs.extend(dedups.map(|c| c.index_for(schema)));
+        self.agg_idxs.clear();
+        let inputs = self.agg_inputs.iter_mut();
+        let inputs = inputs.map(|input| input.as_mut().and_then(|c| c.index_for(schema)));
+        self.agg_idxs.extend(inputs);
+        let (dedup_idxs, agg_idxs) = (&self.dedup_idxs, &self.agg_idxs);
+        let (key, dedup) = (&mut self.key, &mut self.dedup);
         let aggs = self.codec.aggs();
         let store = self.state.local_mut();
-        // One key and one dedup buffer serve every row of the chunk.
-        let mut key = String::new();
-        let mut dedup = String::new();
-        let dedup_on = !dedup_idxs.is_empty();
         let mut absorb_row = |r: usize| {
             let event_time = time_idx
                 .and_then(|i| chunk.col(i).value_ref(r).as_i64())
                 .map_or(now, |v| v.max(0) as u64);
             key.clear();
-            chunk.write_key_at(group_idxs, r, &mut key);
+            chunk.write_key_at(group_idxs, r, key);
             dedup.clear();
             // A row missing a dedup column is treated as unique.
             for (i, idx) in dedup_idxs.iter().enumerate() {
@@ -385,21 +391,26 @@ impl WindowEngine {
                     dedup.push('|');
                 }
                 match idx {
-                    Some(c) => chunk.col(*c).value_ref(r).write_key(&mut dedup),
+                    Some(c) => chunk.col(*c).value_ref(r).write_key(dedup),
                     None => dedup.push('∅'),
                 }
             }
-            store.push(
+            store.push_with(
                 event_time,
-                &key,
-                dedup_on.then_some(dedup.as_str()),
-                || GroupAgg {
-                    vals: group_idxs.iter().map(|&i| chunk.col(i).value(r)).collect(),
+                key,
+                (!dedup_idxs.is_empty()).then_some(dedup.as_str()),
+                |new| GroupAgg {
+                    // Only a group new to the store keeps its values.
+                    vals: if new {
+                        group_idxs.iter().map(|&i| chunk.col(i).value(r)).collect()
+                    } else {
+                        Vec::new()
+                    },
                     states: aggs.iter().map(AggFunc::init).collect(),
                 },
                 |acc| {
-                    for ((agg, idx), state) in aggs.iter().zip(&agg_idxs).zip(acc.states.iter_mut())
-                    {
+                    let inputs = aggs.iter().zip(agg_idxs);
+                    for ((agg, idx), state) in inputs.zip(acc.states.iter_mut()) {
                         state.update_ref(agg, idx.map(|i| chunk.col(i).value_ref(r)));
                     }
                 },
@@ -441,10 +452,19 @@ impl WindowEngine {
     pub fn tick(&mut self, now: SimTime, is_root: bool) -> TickOutput {
         let mut out = TickOutput::default();
         if !is_root {
-            let closed = self.state.drain_closed(now);
-            let windows: BTreeSet<u64> = closed.iter().map(|(wid, _)| *wid).collect();
-            out.windows = windows.len() as u64;
-            out.partials = self.codec.encode(&closed);
+            let mut partials = self.codec.encoder();
+            let mut wids = Vec::new();
+            self.state.drain_closed(now, |wid, groups| {
+                wids.push(wid);
+                for g in groups {
+                    partials.push(wid, &g.identity.vals, &g.acc.states);
+                }
+            });
+            // Each store drains ascending; both may hold the same window.
+            wids.sort_unstable();
+            wids.dedup();
+            out.windows = wids.len() as u64;
+            out.partials = partials.finish();
             return out;
         }
         self.state.roll_up_local(now);
@@ -457,13 +477,14 @@ impl WindowEngine {
                 rows.extend(
                     groups
                         .iter()
-                        .filter(|(_, acc)| m.derive.as_ref().is_none_or(|d| d.matches(&acc.vals)))
-                        .map(|(_, acc)| {
+                        .map(|g| (&g.identity.vals, &g.acc.states))
+                        .filter(|(vals, _)| m.derive.as_ref().is_none_or(|d| d.matches(vals)))
+                        .map(|(vals, states)| {
                             let mut values = Vec::with_capacity(m.result_schema.arity());
                             values.push(Value::Int(window_start as i64));
                             values.push(Value::Int(window_end as i64));
-                            values.extend(acc.vals.iter().cloned());
-                            values.extend(acc.states.iter().map(AggState::finish));
+                            values.extend(vals.iter().cloned());
+                            values.extend(states.iter().map(AggState::finish));
                             Tuple::from_schema(Arc::clone(&m.result_schema), values)
                         }),
                 );

@@ -61,6 +61,7 @@
 //!   retention horizon retires the window.
 
 pub mod delta;
+mod directory;
 pub mod lifecycle;
 pub mod segment;
 pub mod shared;
@@ -68,11 +69,12 @@ pub mod state;
 pub mod window;
 
 pub use delta::{Delta, DeltaMode, DeltaTracker};
+pub use directory::DirectoryStats;
 pub use lifecycle::{CqBudget, Lease, LeaseStatus, RenewalBackoff};
 pub use segment::{
     DurableStore, RehydrateReport, SegmentCodec, SegmentLog, SegmentRecord, SegmentScan,
     WindowSegment,
 };
 pub use shared::SharedWindowState;
-pub use state::{WindowAccumulator, WindowStats, WindowStore};
+pub use state::{Group, WindowAccumulator, WindowStats, WindowStore};
 pub use window::{WindowId, WindowSpec};

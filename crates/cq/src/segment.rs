@@ -40,6 +40,22 @@ use std::sync::{Arc, Mutex};
 pub trait SegmentCodec: Sized {
     /// Append this accumulator's state to `buf`.
     fn encode_state(&self, buf: &mut Vec<u8>);
+    /// Append what [`encode_state`] appends for the whole accumulator, given
+    /// its two parts: `self` without, and `identity` holding, what
+    /// [`WindowAccumulator::take_identity`] moved out — `identity` is `self`
+    /// for a type that moves nothing out, which the default serves.  A type
+    /// that overrides `take_identity` overrides this too: a snapshot is
+    /// written from the parts, with no copy made to join them.
+    ///
+    /// [`encode_state`]: SegmentCodec::encode_state
+    /// [`WindowAccumulator::take_identity`]: crate::state::WindowAccumulator::take_identity
+    fn encode_split(&self, identity: &Self, buf: &mut Vec<u8>) {
+        assert!(
+            std::ptr::eq(self, identity),
+            "an accumulator with an identity part encodes its two parts itself"
+        );
+        self.encode_state(buf);
+    }
     /// Rebuild an accumulator from bytes produced by [`encode_state`].
     /// Returns `None` on malformed input.
     ///

@@ -23,7 +23,7 @@
 
 use crate::lifecycle::CqBudget;
 use crate::segment::{RehydrateReport, SegmentCodec, SegmentLog};
-use crate::state::{WindowAccumulator, WindowStats, WindowStore};
+use crate::state::{Group, WindowAccumulator, WindowStats, WindowStore};
 use crate::window::{WindowId, WindowSpec};
 use pier_runtime::SimTime;
 
@@ -39,7 +39,7 @@ pub struct SharedWindowState<A> {
     root: WindowStore<A>,
 }
 
-impl<A: WindowAccumulator + Clone> SharedWindowState<A> {
+impl<A: WindowAccumulator> SharedWindowState<A> {
     /// Fresh state windowing by `window` under `budget`.
     pub fn new(window: WindowSpec, budget: CqBudget) -> Self {
         SharedWindowState {
@@ -64,11 +64,11 @@ impl<A: WindowAccumulator + Clone> SharedWindowState<A> {
 
     /// Non-root tick: drain every due window from both stores for shipment
     /// toward the root — **one** partial stream, however many members the
-    /// state serves.
-    pub fn drain_closed(&mut self, now: SimTime) -> Vec<(WindowId, Vec<(String, A)>)> {
-        let mut out = self.local.close_due(now);
-        out.extend(self.root.close_due(now));
-        out
+    /// state serves — lending `visit` each window's groups in key order,
+    /// the local store's windows first.
+    pub fn drain_closed(&mut self, now: SimTime, mut visit: impl FnMut(WindowId, &[Group<'_, A>])) {
+        self.local.close_due_with(now, &mut visit);
+        self.root.close_due_with(now, &mut visit);
     }
 
     /// Root tick, step 1: fold this node's own due windows into the
@@ -81,22 +81,22 @@ impl<A: WindowAccumulator + Clone> SharedWindowState<A> {
         }
     }
 
-    /// Root tick, step 2: hand `emit` every due window that changed, with a
-    /// snapshot of its groups in key order (state is retained so late
-    /// partials keep refining and re-emit), then retire windows past the
-    /// refinement horizon from the root store, bounding memory.  Returns
-    /// the window through which the caller's per-member trackers should
-    /// retire too, when the horizon moved.
+    /// Root tick, step 2: lend `emit` every due window that changed, its
+    /// groups in key order (state is retained so late partials keep
+    /// refining and re-emit), then retire windows past the refinement
+    /// horizon from the root store, bounding memory.  Returns the window
+    /// through which the caller's per-member trackers should retire too,
+    /// when the horizon moved.
     pub fn emit_due(
         &mut self,
         now: SimTime,
-        mut emit: impl FnMut(WindowId, &[(String, A)]),
+        mut emit: impl FnMut(WindowId, &[Group<'_, A>]),
     ) -> Option<WindowId> {
         let mut newest = None;
-        for (wid, groups) in self.root.emit_due(now) {
-            emit(wid, &groups);
+        self.root.emit_due_with(now, |wid, groups| {
+            emit(wid, groups);
             newest = Some(newest.unwrap_or(0u64).max(wid));
-        }
+        });
         let retain = self.retention_windows();
         let horizon = newest?.checked_sub(retain).filter(|h| *h > 0)?;
         self.root.retire_before(horizon);
@@ -198,7 +198,16 @@ mod tests {
     fn emitted(s: &mut SharedWindowState<Count>, now: SimTime) -> Vec<(WindowId, String, u64)> {
         let mut out = Vec::new();
         s.emit_due(now, |wid, groups| {
-            out.extend(groups.iter().map(|(k, c)| (wid, k.clone(), c.0)));
+            out.extend(groups.iter().map(|g| (wid, g.key.to_string(), g.acc.0)));
+        });
+        out
+    }
+
+    /// Every `(window, key, count)` a `drain_closed` hands out.
+    fn drained(s: &mut SharedWindowState<Count>, now: SimTime) -> Vec<(WindowId, String, u64)> {
+        let mut out = Vec::new();
+        s.drain_closed(now, |wid, groups| {
+            out.extend(groups.iter().map(|g| (wid, g.key.to_string(), g.acc.0)));
         });
         out
     }
@@ -243,11 +252,12 @@ mod tests {
         let mut s = shared();
         s.local_mut().push(3, "g1", None, || Count(0), |c| c.0 += 1);
         s.local_mut().push(4, "g2", None, || Count(0), |c| c.0 += 1);
-        let drained = s.drain_closed(100);
         // One window, two groups — shipped once for the whole group, not
         // once per member.
-        assert_eq!(drained.len(), 1);
-        assert_eq!(drained[0].1.len(), 2);
+        assert_eq!(
+            drained(&mut s, 100),
+            [(0, "g1".into(), 1), (0, "g2".into(), 1)]
+        );
     }
 
     #[test]
@@ -283,6 +293,6 @@ mod tests {
         let mut half = shared();
         assert_eq!(half.rehydrate(None, Some(&root)).windows, 1);
         assert_eq!(half.local.open_windows(), 0);
-        assert_eq!(half.drain_closed(1_000), s.drain_closed(1_000)[1..]);
+        assert_eq!(drained(&mut half, 1_000), drained(&mut s, 1_000)[1..]);
     }
 }

@@ -1,12 +1,21 @@
 //! Per-node window state: grouped accumulators with budgets and eviction.
 //!
-//! A [`WindowStore`] holds, for every *open* window, a map from group key to
-//! an accumulator plus an optional window-scoped duplicate-elimination set.
-//! Closing a window **drains** it: the caller receives the accumulated
-//! groups and the store forgets the window, so state never outlives the
-//! windows it belongs to.  Partial state relayed from other nodes merges
-//! into the same structure order-insensitively (the accumulator contract
-//! requires commutative, associative `merge`).
+//! A [`WindowStore`] holds one **group directory** (`key → id`; the key
+//! string and the group's identity stored once, refcounted by the open
+//! windows holding it) and, for every *open* window, a dense `id → slot`
+//! map over a compact vector of accumulators plus an optional
+//! window-scoped duplicate-elimination set.  A row looks its group up once,
+//! then folds into one indexed slot per covering window.  Closing a window **drains** it: the caller is lent the
+//! accumulated groups in key order and the store forgets the window — and
+//! every group no other window holds — so state never outlives the windows
+//! it belongs to, and neither does the capacity a burst of keys grew: a
+//! window's vectors go with the window, and once most directory ids are
+//! free the live ones are renumbered, so the `id → slot` maps of the
+//! windows still open, and of those to come, span the groups that are
+//! left.  Partial
+//! state relayed from other nodes merges into the same structure
+//! order-insensitively (the accumulator contract requires commutative,
+//! associative `merge`).
 //!
 //! Unbounded state is the cardinal sin of long-running queries on shared
 //! nodes, so every store enforces a [`CqBudget`]: tuples beyond the
@@ -20,43 +29,97 @@
 //! creates state for it, so the per-tuple path allocates nothing for
 //! already-seen groups and duplicates.
 
+use crate::directory::{Directory, DirectoryStats, GroupId};
 use crate::lifecycle::CqBudget;
 use crate::segment::{RehydrateReport, SegmentCodec, SegmentLog, SegmentRecord, WindowSegment};
 use crate::window::{WindowId, WindowSpec};
 use pier_runtime::SimTime;
-use std::cell::Cell;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashSet};
 use std::fmt::Debug;
 
 /// Mergeable per-group accumulator state (the contract `pier-core`'s
 /// aggregate partials satisfy): `merge` must be commutative and associative
 /// so relayed partials can arrive in any order.
-pub trait WindowAccumulator: Debug {
+pub trait WindowAccumulator: Debug + Sized {
     /// Fold another partial of the same shape into this one.
     fn merge(&mut self, other: &Self);
+
+    /// Move out the part of a fresh accumulator that identifies its *group*
+    /// and is therefore equal in every window holding it (the grouping
+    /// values).  The store keeps it once per group and lends it back as
+    /// [`Group::identity`].  Default: an accumulator is all per-window state.
+    fn take_identity(&mut self) -> Option<Self> {
+        None
+    }
+
+    /// Copy an identity [`WindowAccumulator::take_identity`] moved out back
+    /// in (owned drains and durable segments carry whole accumulators).
+    fn set_identity(&mut self, _identity: &Self) {}
 }
+
+/// One group of a window being closed or emitted, lent by the store.
+#[derive(Debug)]
+pub struct Group<'a, A> {
+    /// The canonical group key.
+    pub key: &'a str,
+    /// What [`WindowAccumulator::take_identity`] moved out when the group
+    /// entered the store — `acc` itself for a type that shares nothing.
+    pub identity: &'a A,
+    /// This window's accumulator, without the identity.
+    pub acc: &'a A,
+}
+
+/// "No slot" in a window's `id → slot` map.
+const VACANT: u32 = u32::MAX;
 
 /// State of one open window.
 #[derive(Debug)]
 struct OpenWindow<A> {
-    /// Group key → accumulator.
-    groups: HashMap<String, A>,
+    id: WindowId,
+    /// Directory id → index into `accs` ([`VACANT`] where the window does
+    /// not hold the group); as long as the largest id it holds.
+    slot_of: Vec<u32>,
+    /// Index into `accs` → directory id.
+    gids: Vec<GroupId>,
+    accs: Vec<A>,
     /// Window-scoped duplicate-elimination keys.
     seen: HashSet<String>,
     /// Tuples folded into this window at this node.
     tuples: u64,
-    /// Changed since the last [`WindowStore::emit_due`] snapshot.
+    /// Changed since [`WindowStore::emit_due_with`] last lent it.
     dirty: bool,
 }
 
-impl<A> Default for OpenWindow<A> {
-    fn default() -> Self {
+impl<A> OpenWindow<A> {
+    fn new(id: WindowId, tuples: u64, dirty: bool) -> Self {
         OpenWindow {
-            groups: HashMap::new(),
+            id,
+            slot_of: Vec::new(),
+            gids: Vec::new(),
+            accs: Vec::new(),
             seen: HashSet::new(),
-            tuples: 0,
-            dirty: false,
+            tuples,
+            dirty,
         }
+    }
+
+    fn slot(&self, gid: GroupId) -> Option<usize> {
+        let slot = *self.slot_of.get(gid as usize)?;
+        (slot != VACANT).then_some(slot as usize)
+    }
+
+    /// Map every id in `gids` to its index there.
+    fn index(&mut self, from: usize) {
+        for (slot, &gid) in self.gids.iter().enumerate().skip(from) {
+            if self.slot_of.len() <= gid as usize {
+                self.slot_of.resize(gid as usize + 1, VACANT);
+            }
+            self.slot_of[gid as usize] = slot as u32;
+        }
+    }
+
+    fn emittable(&self) -> bool {
+        self.dirty && !self.accs.is_empty()
     }
 }
 
@@ -85,8 +148,11 @@ pub struct WindowStats {
 pub struct WindowStore<A> {
     spec: WindowSpec,
     budget: CqBudget,
-    /// Open windows, ordered so the oldest evicts first.
-    windows: BTreeMap<WindowId, OpenWindow<A>>,
+    dir: Directory<A>,
+    /// Open windows by ascending id, so the oldest evicts first.
+    windows: Vec<OpenWindow<A>>,
+    /// Their ids, in step: what locating a window reads.
+    ids: Vec<WindowId>,
     /// Everything at or below this id has been closed; late tuples for those
     /// windows are dropped (and counted) instead of resurrecting state.
     closed_through: Option<WindowId>,
@@ -103,7 +169,9 @@ impl<A: WindowAccumulator> WindowStore<A> {
         WindowStore {
             spec,
             budget,
-            windows: BTreeMap::new(),
+            dir: Directory::new(),
+            windows: Vec::new(),
+            ids: Vec::new(),
             closed_through: None,
             retired_through: None,
             stats: WindowStats::default(),
@@ -120,6 +188,11 @@ impl<A: WindowAccumulator> WindowStore<A> {
         self.stats
     }
 
+    /// Counters of the group directory.
+    pub fn directory_stats(&self) -> DirectoryStats {
+        self.dir.stats()
+    }
+
     /// Number of currently open windows.
     pub fn open_windows(&self) -> usize {
         self.windows.len()
@@ -127,28 +200,26 @@ impl<A: WindowAccumulator> WindowStore<A> {
 
     /// Total groups across all open windows (the node's state footprint).
     pub fn total_groups(&self) -> usize {
-        self.windows.values().map(|w| w.groups.len()).sum()
+        self.windows.iter().map(|w| w.accs.len()).sum()
     }
 
-    /// Approximate resident bytes of the open-window state: group keys,
-    /// accumulators (sized by the caller-supplied estimator), the
-    /// window-scoped dedup set, plus a fixed per-entry container overhead.
-    /// This is the measured counterpart of the static analyzer's
-    /// worst-case state-bytes bound (gauge `cq.state_bytes`).
+    /// Approximate resident bytes of the open-window state: the directory
+    /// (each group's key, identity and entry, once), every window's three
+    /// slot vectors at their capacities, what the caller-supplied estimator
+    /// says each accumulator holds, and the dedup sets.  This is the measured
+    /// counterpart of the static analyzer's worst-case state-bytes bound
+    /// (gauge `cq.state_bytes`).
     pub fn approx_state_bytes(&self, acc_bytes: &dyn Fn(&A) -> usize) -> usize {
-        const ENTRY_OVERHEAD: usize = 48; // hash bucket + String header
-        self.windows
-            .values()
-            .map(|w| {
-                let groups: usize = w
-                    .groups
-                    .iter()
-                    .map(|(k, a)| k.len() + acc_bytes(a) + ENTRY_OVERHEAD)
-                    .sum();
-                let seen: usize = w.seen.iter().map(|k| k.len() + ENTRY_OVERHEAD).sum();
-                groups + seen + std::mem::size_of::<OpenWindow<A>>()
-            })
-            .sum()
+        use std::mem::size_of;
+        const SEEN_OVERHEAD: usize = 48; // hash bucket + String header
+        let windows = self.windows.iter().map(|w| {
+            let held: usize = w.accs.iter().map(acc_bytes).sum();
+            let seen: usize = w.seen.iter().map(|k| k.len() + SEEN_OVERHEAD).sum();
+            let slots = w.accs.capacity() * size_of::<A>()
+                + (w.gids.capacity() + w.slot_of.capacity()) * size_of::<u32>();
+            held + seen + slots + size_of::<OpenWindow<A>>() + size_of::<WindowId>()
+        });
+        self.dir.resident_bytes(acc_bytes) + windows.sum::<usize>()
     }
 
     /// Fold one tuple with event time `event_time` into every window that
@@ -161,17 +232,38 @@ impl<A: WindowAccumulator> WindowStore<A> {
         group_key: &str,
         dedup_key: Option<&str>,
         init: impl Fn() -> A,
+        fold: impl FnMut(&mut A),
+    ) {
+        self.push_with(event_time, group_key, dedup_key, |_| init(), fold);
+    }
+
+    /// [`WindowStore::push`] whose `init` is told whether the group is new
+    /// to the store: only then is the identity of what it builds kept, so a
+    /// known group entering another window need not build one.
+    pub fn push_with(
+        &mut self,
+        event_time: SimTime,
+        group_key: &str,
+        dedup_key: Option<&str>,
+        init: impl Fn(bool) -> A,
         mut fold: impl FnMut(&mut A),
     ) {
+        // The one directory probe the row costs, however many windows it
+        // then folds into.
+        let mut gid = self.dir.find(group_key);
         for id in self.spec.windows_containing(event_time) {
             if self.closed_through.is_some_and(|c| id <= c) {
                 self.stats.late_tuples += 1;
                 continue;
             }
-            self.ensure_window(id);
-            let Some(win) = self.windows.get_mut(&id) else {
+            let evicted = self.stats.evicted_windows;
+            let Some(pos) = self.ensure_window(id) else {
                 continue; // evicted by the cap (id was the oldest)
             };
+            if evicted != self.stats.evicted_windows {
+                gid = self.dir.find(group_key); // the eviction may have freed it
+            }
+            let win = &mut self.windows[pos];
             if let Some(dk) = dedup_key {
                 // Membership test first: the common duplicate case must not
                 // pay for an owned copy of the key.
@@ -185,25 +277,42 @@ impl<A: WindowAccumulator> WindowStore<A> {
                 self.stats.shed_tuples += 1;
                 continue;
             }
-            let at_capacity = win.groups.len() >= self.budget.max_groups_per_window as usize;
-            match win.groups.get_mut(group_key) {
-                Some(acc) => {
-                    fold(acc);
-                    win.tuples += 1;
-                    win.dirty = true;
-                    self.stats.accepted += 1;
+            let slot = match gid.and_then(|g| win.slot(g)) {
+                Some(slot) => slot,
+                None if win.accs.len() >= self.budget.max_groups_per_window as usize => {
+                    self.stats.shed_groups += 1;
+                    continue;
                 }
-                None if at_capacity => self.stats.shed_groups += 1,
-                None => {
-                    let mut acc = init();
-                    fold(&mut acc);
-                    win.groups.insert(group_key.to_string(), acc);
-                    win.tuples += 1;
-                    win.dirty = true;
-                    self.stats.accepted += 1;
-                }
-            }
+                None => Self::enter(&mut self.dir, win, group_key, &mut gid, &init),
+            };
+            fold(&mut win.accs[slot]);
+            win.tuples += 1;
+            win.dirty = true;
+            self.stats.accepted += 1;
         }
+    }
+
+    /// Have `win` hold the group of `key` with the accumulator `make`
+    /// builds — entering the group into the directory, with that
+    /// accumulator's identity, if it is new to the store — and return the
+    /// window's slot for it.
+    fn enter(
+        dir: &mut Directory<A>,
+        win: &mut OpenWindow<A>,
+        key: &str,
+        gid: &mut Option<GroupId>,
+        make: impl FnOnce(bool) -> A,
+    ) -> usize {
+        let mut acc = make(gid.is_none());
+        let identity = acc.take_identity();
+        match *gid {
+            Some(gid) => dir.retain(gid),
+            None => *gid = Some(dir.insert(key, identity)),
+        }
+        win.gids.push(gid.expect("entered"));
+        win.accs.push(acc);
+        win.index(win.accs.len() - 1);
+        win.accs.len() - 1
     }
 
     /// Merge a relayed partial accumulator for (`id`, `group_key`) into the
@@ -218,114 +327,172 @@ impl<A: WindowAccumulator> WindowStore<A> {
         self.accept_refinement(id, group_key, partial)
     }
 
-    /// [`WindowStore::accept_refinement_with`] for an already-built partial.
+    /// [`WindowStore::refine_with`] for an already-built partial.
     pub fn accept_refinement(&mut self, id: WindowId, group_key: &str, partial: A) -> bool {
         // Exactly one of the two closures runs; the cell lets either take
         // the partial.
-        let partial = Cell::new(Some(partial));
+        let partial = std::cell::Cell::new(Some(partial));
         let take = || partial.take().expect("hit and make are exclusive");
-        self.accept_refinement_with(id, group_key, |acc| acc.merge(&take()), &take)
+        self.refine_with(id, group_key, |acc| acc.merge(&take()), |_| take())
     }
 
     /// Fold a relayed partial for (`id`, `group_key`) into the store: `hit`
     /// merges it into the group's accumulator in place, `make` builds the
     /// accumulator of a group this window has not seen — so the common case,
-    /// a partial for a known group, allocates nothing.  A window that was
-    /// already drained here re-opens for the refinement (relay nodes must
-    /// forward refinements up the tree, and the next close drains the entry
-    /// again; a re-opened window is not held to the group budget); the
-    /// caller takes responsibility for not double-counting.  Returns `false`
-    /// — having run neither closure — when the window is retired or was
-    /// refused by the budget.
-    pub fn accept_refinement_with(
+    /// a partial for a known group, allocates nothing — and is told whether
+    /// the group is new to the store (see [`WindowStore::push_with`]).  A
+    /// window that was already drained here re-opens for the refinement
+    /// (relay nodes must forward refinements up the tree, and the next close
+    /// drains the entry again; a re-opened window is not held to the group
+    /// budget); the caller takes responsibility for not double-counting.
+    /// Returns `false` — having run neither closure — when the window is
+    /// retired or was refused by the budget.
+    pub fn refine_with(
         &mut self,
         id: WindowId,
         group_key: &str,
         hit: impl FnOnce(&mut A),
-        make: impl FnOnce() -> A,
+        make: impl FnOnce(bool) -> A,
     ) -> bool {
         if self.retired_through.is_some_and(|r| id <= r) {
             self.stats.late_tuples += 1;
             return false;
         }
         let reopened = self.closed_through.is_some_and(|c| id <= c);
-        self.ensure_window(id);
-        let Some(win) = self.windows.get_mut(&id) else {
+        let Some(pos) = self.ensure_window(id) else {
             return false; // evicted by the cap (id was the oldest)
         };
-        let at_capacity =
-            !reopened && win.groups.len() >= self.budget.max_groups_per_window as usize;
-        match win.groups.get_mut(group_key) {
-            Some(acc) => hit(acc),
-            None if at_capacity => {
+        let mut gid = self.dir.find(group_key);
+        let win = &mut self.windows[pos];
+        match gid.and_then(|g| win.slot(g)) {
+            Some(slot) => hit(&mut win.accs[slot]),
+            None if !reopened && win.accs.len() >= self.budget.max_groups_per_window as usize => {
                 self.stats.shed_groups += 1;
                 return false;
             }
             None => {
-                win.groups.insert(group_key.to_string(), make());
+                Self::enter(&mut self.dir, win, group_key, &mut gid, make);
             }
         }
         win.dirty = true;
         true
     }
 
-    /// Close (drain) every window whose close time has passed at `now`,
-    /// oldest first.  Returns `(window_id, groups)` pairs; the store forgets
-    /// the drained windows.
-    pub fn close_due(&mut self, now: SimTime) -> Vec<(WindowId, Vec<(String, A)>)> {
+    /// Lend `visit` the groups of each of `windows`, in key order.
+    fn walk<'w>(
+        dir: &Directory<A>,
+        windows: impl Iterator<Item = &'w OpenWindow<A>>,
+        mut visit: impl FnMut(&OpenWindow<A>, &[Group<'_, A>]),
+    ) where
+        A: 'w,
+    {
+        let order = dir.sorted();
+        let mut groups = Vec::new();
+        for win in windows {
+            groups.clear();
+            groups.extend(order.iter().filter_map(|&gid| {
+                let acc = &win.accs[win.slot(gid)?];
+                Some(Group {
+                    key: dir.key(gid),
+                    identity: dir.identity(gid).unwrap_or(acc),
+                    acc,
+                })
+            }));
+            visit(win, &groups);
+        }
+    }
+
+    /// `gone` are closed, retired or evicted: every group no other window
+    /// holds leaves the directory, and should that leave most ids free the
+    /// open windows re-map their slots by the renumbered ones.
+    fn release(&mut self, gone: &[OpenWindow<A>]) {
+        let held = gone.iter().flat_map(|win| &win.gids);
+        held.for_each(|&gid| self.dir.release(gid));
+        if let Some(renumbered) = self.dir.compact() {
+            for win in &mut self.windows {
+                let gids = win.gids.iter_mut();
+                gids.for_each(|gid| *gid = renumbered[*gid as usize]);
+                win.slot_of = Vec::new();
+                win.index(0);
+            }
+        }
+    }
+
+    /// Take every window whose close time has passed at `now` out of the
+    /// store, oldest first, with the directory in order for walking them;
+    /// the caller [`WindowStore::release`]s their groups.
+    fn take_due(&mut self, now: SimTime) -> Vec<OpenWindow<A>> {
         let Some(last) = self.spec.last_closable(now) else {
             return Vec::new();
         };
-        let mut out = Vec::new();
-        let due: Vec<WindowId> = self.windows.range(..=last).map(|(id, _)| *id).collect();
-        for id in due {
-            if let Some(win) = self.windows.remove(&id) {
-                if !win.groups.is_empty() {
-                    // Drain in key order: group order feeds message order,
-                    // and equal-seed runs must replay byte-for-byte.  Map
-                    // keys are unique, so the unstable sort (no scratch
-                    // buffer) yields the one possible order.
-                    let mut groups: Vec<(String, A)> = win.groups.into_iter().collect();
-                    groups.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-                    out.push((id, groups));
-                }
-                self.stats.closed_windows += 1;
-            }
-        }
         // Advance the late-data horizon even for windows that never opened.
-        self.closed_through = Some(self.closed_through.map_or(last, |c| c.max(last)));
+        self.closed_through = self.closed_through.max(Some(last));
+        let due = self.ids.partition_point(|&id| id <= last);
+        if due > 0 {
+            self.dir.sort();
+        }
+        self.stats.closed_windows += due as u64;
+        self.ids.drain(..due);
+        self.windows.drain(..due).collect()
+    }
+
+    /// Close (drain) every window whose close time has passed at `now`,
+    /// oldest first: `visit` is lent each non-empty one's groups in key
+    /// order (group order feeds message order, and equal-seed runs must
+    /// replay byte-for-byte), then the store forgets the drained windows.
+    pub fn close_due_with(
+        &mut self,
+        now: SimTime,
+        mut visit: impl FnMut(WindowId, &[Group<'_, A>]),
+    ) {
+        let due = self.take_due(now);
+        let full = due.iter().filter(|win| !win.accs.is_empty());
+        Self::walk(&self.dir, full, |win, groups| visit(win.id, groups));
+        self.release(&due);
+    }
+
+    /// [`WindowStore::close_due_with`] handing the accumulators over, whole:
+    /// owned `(window_id, groups)` pairs.
+    pub fn close_due(&mut self, now: SimTime) -> Vec<(WindowId, Vec<(String, A)>)> {
+        let (mut due, dir) = (self.take_due(now), &self.dir);
+        let (order, mut out) = (dir.sorted(), Vec::new());
+        for win in due.iter_mut().filter(|win| !win.accs.is_empty()) {
+            let accs = std::mem::take(&mut win.accs).into_iter();
+            let mut accs: Vec<Option<A>> = accs.map(Some).collect();
+            let whole = order.iter().filter_map(|&gid| {
+                let mut acc = accs[win.slot(gid)?].take()?;
+                if let Some(identity) = dir.identity(gid) {
+                    acc.set_identity(identity);
+                }
+                Some((dir.key(gid).to_string(), acc))
+            });
+            out.push((win.id, whole.collect()));
+        }
+        self.release(&due);
         out
     }
 
-    /// Snapshot every due window that changed since its last snapshot,
+    /// Lend `visit` every due window that changed since it was last lent,
     /// **retaining** the state so late partials can still merge and trigger
     /// a refined re-emission.  This is the root-side counterpart of
-    /// [`WindowStore::close_due`] (which drains — right for nodes that
+    /// [`WindowStore::close_due_with`] (which drains — right for nodes that
     /// forward partials and must not re-send).  Pair with
     /// [`WindowStore::retire_before`] to bound memory.
-    pub fn emit_due(&mut self, now: SimTime) -> Vec<(WindowId, Vec<(String, A)>)>
-    where
-        A: Clone,
-    {
+    pub fn emit_due_with(
+        &mut self,
+        now: SimTime,
+        mut visit: impl FnMut(WindowId, &[Group<'_, A>]),
+    ) {
         let Some(last) = self.spec.last_closable(now) else {
-            return Vec::new();
+            return;
         };
-        let mut out = Vec::new();
-        for (&id, win) in self.windows.range_mut(..=last) {
-            if win.dirty && !win.groups.is_empty() {
-                win.dirty = false;
-                // Snapshot in key order (see close_due): deterministic
-                // emission order regardless of hash seeding.
-                let mut groups: Vec<(String, A)> = win
-                    .groups
-                    .iter()
-                    .map(|(k, a)| (k.clone(), a.clone()))
-                    .collect();
-                groups.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-                out.push((id, groups));
-            }
+        let due = &mut self.windows[..self.ids.partition_point(|&id| id <= last)];
+        if due.iter().any(OpenWindow::emittable) {
+            self.dir.sort();
+            let changed = due.iter().filter(|w| w.emittable());
+            Self::walk(&self.dir, changed, |win, groups| visit(win.id, groups));
+            due.iter_mut().for_each(|win| win.dirty = false);
         }
-        out
     }
 
     /// Drop every window strictly below `horizon` and refuse future state
@@ -335,10 +502,12 @@ impl<A: WindowAccumulator> WindowStore<A> {
         if horizon == 0 {
             return;
         }
-        self.windows = self.windows.split_off(&horizon);
-        let through = horizon - 1;
-        self.closed_through = Some(self.closed_through.map_or(through, |c| c.max(through)));
-        self.retired_through = Some(self.retired_through.map_or(through, |c| c.max(through)));
+        let gone = self.ids.partition_point(|&id| id < horizon);
+        self.ids.drain(..gone);
+        let gone: Vec<_> = self.windows.drain(..gone).collect();
+        self.release(&gone);
+        self.closed_through = self.closed_through.max(Some(horizon - 1));
+        self.retired_through = self.retired_through.max(Some(horizon - 1));
     }
 
     /// Append a snapshot of every open window (plus the close/retire
@@ -348,27 +517,25 @@ impl<A: WindowAccumulator> WindowStore<A> {
     where
         A: SegmentCodec,
     {
-        for (&id, win) in &self.windows {
-            let mut groups: Vec<(String, Vec<u8>)> = win
-                .groups
+        Self::walk(&self.dir, self.windows.iter(), |win, groups| {
+            let groups = groups
                 .iter()
-                .map(|(k, a)| {
+                .map(|g| {
                     let mut state = Vec::new();
-                    a.encode_state(&mut state);
-                    (k.clone(), state)
+                    g.acc.encode_split(g.identity, &mut state);
+                    (g.key.to_string(), state)
                 })
                 .collect();
-            groups.sort_unstable_by(|a, b| a.0.cmp(&b.0));
             let mut seen: Vec<String> = win.seen.iter().cloned().collect();
             seen.sort();
             log.append(&SegmentRecord::Window(WindowSegment {
-                id,
+                id: win.id,
                 tuples: win.tuples,
                 dirty: win.dirty,
                 groups,
                 seen,
             }));
-        }
+        });
         log.append(&SegmentRecord::Watermark {
             closed_through: self.closed_through,
             retired_through: self.retired_through,
@@ -400,64 +567,73 @@ impl<A: WindowAccumulator> WindowStore<A> {
                     closed_through,
                     retired_through,
                 } => {
-                    if let Some(c) = closed_through {
-                        self.closed_through = Some(self.closed_through.map_or(c, |cur| cur.max(c)));
-                    }
-                    if let Some(r) = retired_through {
-                        self.retired_through =
-                            Some(self.retired_through.map_or(r, |cur| cur.max(r)));
-                    }
+                    // `None` orders below every id.
+                    self.closed_through = self.closed_through.max(closed_through);
+                    self.retired_through = self.retired_through.max(retired_through);
                 }
             }
         }
         for (id, seg) in restored {
-            let closed = self.closed_through.is_some_and(|c| id <= c);
-            let retired = self.retired_through.is_some_and(|r| id <= r);
-            if closed || retired {
+            if self.closed_through.max(self.retired_through) >= Some(id) {
                 report.skipped += 1;
                 continue;
             }
-            let mut win = OpenWindow {
-                groups: HashMap::new(),
-                seen: HashSet::new(),
-                tuples: seg.tuples,
-                dirty: seg.dirty,
-            };
+            let mut win = OpenWindow::new(id, seg.tuples, seg.dirty);
             for (key, state) in seg.groups {
-                match A::decode_state(&state) {
-                    Some(acc) => {
-                        win.groups.insert(key, acc);
-                    }
+                let Some(acc) = A::decode_state(&state) else {
+                    report.skipped += 1;
+                    continue;
+                };
+                let mut gid = self.dir.find(&key);
+                match gid.and_then(|g| win.slot(g)) {
+                    // A key the segment repeats: the later state wins.
+                    Some(slot) => win.accs[slot] = acc,
                     None => {
-                        report.skipped += 1;
+                        Self::enter(&mut self.dir, &mut win, &key, &mut gid, |_| acc);
                     }
                 }
             }
             win.seen.extend(seg.seen);
             report.windows += 1;
-            report.groups += win.groups.len();
+            report.groups += win.accs.len();
             report.tuples += win.tuples;
-            self.windows.insert(id, win);
+            match self.ids.binary_search(&id) {
+                Ok(pos) => {
+                    let stale = std::mem::replace(&mut self.windows[pos], win);
+                    self.release(&[stale]);
+                }
+                Err(pos) => {
+                    self.ids.insert(pos, id);
+                    self.windows.insert(pos, win);
+                }
+            }
         }
         report
     }
 
-    /// Open window `id` if it is not, evicting the oldest to respect the cap.
-    fn ensure_window(&mut self, id: WindowId) {
-        if self.windows.contains_key(&id) {
-            return;
+    fn position(&self, id: WindowId) -> Option<usize> {
+        self.ids.binary_search(&id).ok()
+    }
+
+    /// The position of window `id`, opened if it is not — evicting the
+    /// oldest to respect the cap, or `None` when `id` itself is the oldest.
+    fn ensure_window(&mut self, id: WindowId) -> Option<usize> {
+        if let Some(pos) = self.position(id) {
+            return Some(pos);
         }
         while self.windows.len() >= self.budget.max_open_windows as usize {
-            // Evict the oldest window to stay within the cap; if the new
-            // window *is* the oldest, refuse it instead.
-            let oldest = *self.windows.keys().next().expect("non-empty");
-            if oldest > id {
-                return;
+            if self.windows.first()?.id > id {
+                return None;
             }
-            self.windows.remove(&oldest);
+            self.ids.remove(0);
+            let oldest = self.windows.remove(0);
+            self.release(&[oldest]);
             self.stats.evicted_windows += 1;
         }
-        self.windows.insert(id, OpenWindow::default());
+        let pos = self.ids.partition_point(|&open| open < id);
+        self.ids.insert(pos, id);
+        self.windows.insert(pos, OpenWindow::new(id, 0, false));
+        Some(pos)
     }
 }
 
@@ -465,6 +641,7 @@ impl<A: WindowAccumulator> WindowStore<A> {
 mod tests {
     use super::*;
     use crate::window::WindowSpec;
+    use std::cell::Cell;
 
     /// A toy mergeable count.
     #[derive(Debug, Clone, PartialEq)]
@@ -571,11 +748,11 @@ mod tests {
         let mut s = store(WindowSpec::tumbling(10), budget);
         let built = Cell::new(0u32);
         let refine = |s: &mut WindowStore<Count>, id, key: &str, n| {
-            s.accept_refinement_with(
+            s.refine_with(
                 id,
                 key,
                 |acc| acc.0 += n,
-                || {
+                |_| {
                     built.set(built.get() + 1);
                     Count(n)
                 },
@@ -666,6 +843,34 @@ mod tests {
                 v
             }
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "encodes its two parts itself")]
+    fn an_identity_kept_apart_must_bring_its_own_split_encoding() {
+        /// Moves its name out as identity, but encodes only as a whole.
+        #[derive(Debug)]
+        struct Named(String, u64);
+        impl WindowAccumulator for Named {
+            fn merge(&mut self, other: &Self) {
+                self.1 += other.1;
+            }
+            fn take_identity(&mut self) -> Option<Self> {
+                Some(Named(std::mem::take(&mut self.0), 0))
+            }
+        }
+        impl crate::segment::SegmentCodec for Named {
+            fn encode_state(&self, buf: &mut Vec<u8>) {
+                buf.extend_from_slice(self.0.as_bytes());
+            }
+            fn decode_state(_: &[u8]) -> Option<Self> {
+                None
+            }
+        }
+        let mut s = WindowStore::new(WindowSpec::tumbling(10), CqBudget::default());
+        s.push(1, "g", None, || Named("g".into(), 0), |n| n.1 += 1);
+        // Writing `g` without its name would be silent loss.
+        s.write_segments(&mut crate::segment::SegmentLog::new());
     }
 
     #[test]

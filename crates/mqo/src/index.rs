@@ -394,6 +394,7 @@ impl PredicateIndex {
                         codes,
                         dict,
                         validity,
+                        ..
                     } => {
                         let per_code: Vec<&[u32]> = dict
                             .iter()

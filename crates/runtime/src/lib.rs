@@ -32,6 +32,7 @@
 //! small deterministic PRNG used throughout the workspace so that every
 //! simulation run is reproducible from a seed.
 
+pub mod hash;
 pub mod metrics;
 pub mod node;
 pub mod physical;
@@ -41,6 +42,7 @@ pub mod time;
 pub mod udpcc;
 pub mod wire;
 
+pub use hash::{fold_hash, FoldState};
 pub use metrics::{percentile_rank, weighted_percentile, LatencyCdf, NetStats, NodeStats};
 pub use node::{Action, Context, NodeAddr, Program, ProgramContext};
 pub use rng::{Rng64, Zipf};

@@ -16,11 +16,12 @@
 //! modulus.
 
 use pier::analyze::{admission_factory, analyze, Boundedness, CostReport, EnvModel};
+use pier::cq::CqBudget;
 use pier::harness::{
     continuous_netmon, many_tenants, run_chaos, ChaosConfig, Cluster, ClusterConfig,
     ClusterTelemetrySummary, ContinuousNetmonConfig, ManyTenantsConfig,
 };
-use pier::qp::sqlish;
+use pier::qp::{sqlish, CqSpec, EngineSpec, Tuple, TupleBatch, Value, WindowEngine};
 use pier::runtime::NodeAddr;
 use pier::telemetry::TelemetryConfig;
 use proptest::prelude::*;
@@ -128,6 +129,88 @@ fn netmon_static_report_bounds_measured_telemetry() {
     );
     let bounds = run_bounds(&[report], cfg.run_secs * 1_000_000);
     assert_sound(&out.telemetry, &bounds, "netmon");
+}
+
+/// A standing `COUNT(*), SUM(len) ... GROUP BY src` windowed by `window`
+/// under a budget of eight open windows of 256 groups, its static report,
+/// and two engines of it — a relay's and the root's — filled to that cap:
+/// `sources(w)` names the 256 sources of the rows folded at second `20 + w`,
+/// `w` in `0..seconds`.  Returns the report and what the root measures.
+fn filled_to_the_cap(
+    window: &str,
+    seconds: u64,
+    sources: impl Fn(u64) -> std::ops::Range<u64>,
+) -> (CostReport, [u64; 6]) {
+    let budget = CqBudget {
+        max_open_windows: 8,
+        max_groups_per_window: 256,
+        max_tuples_per_window: 1_000_000,
+    };
+    let sql = format!("SELECT src, COUNT(*), SUM(len) FROM packets GROUP BY src {window}");
+    let mut plan = sqlish::compile(&sql, NodeAddr(0), 60_000_000).expect("query compiles");
+    plan.cq = Some(CqSpec {
+        budget,
+        ..plan.cq.unwrap_or_default()
+    });
+    let env = EnvModel {
+        events_per_node_per_sec: 256,
+        ..EnvModel::default()
+    };
+    let report = analyze(&plan, &env);
+    assert_eq!(report.groups_per_window, 256);
+
+    let (_, spec, _) = EngineSpec::unshared(&plan).expect("a windowed plan");
+    let mut relay = WindowEngine::new(spec.clone());
+    let mut root = WindowEngine::new(spec);
+    for w in 0..seconds {
+        let rows = sources(w).map(|h| {
+            let src = Value::str(format!("10.{}.{}.{}", h >> 16, (h >> 8) & 255, h & 255));
+            Tuple::new("packets", vec![("src", src), ("len", Value::Int(40))])
+        });
+        let batch = TupleBatch::new(rows.collect());
+        relay.absorb(&batch.chunks()[0], None, (20 + w) * 1_000_000);
+        root.absorb(&batch.chunks()[0], None, (20 + w) * 1_000_000);
+    }
+    let relayed = relay.tick(60_000_000, false).partials.expect("partials");
+    assert!(root.absorb_partials(&relayed).is_empty());
+    (report, root.occupancy())
+}
+
+/// The state bound is stated for a store pair at its budget's cap — every
+/// window the budget allows open, every one full — so fill one: both
+/// stores of an engine, every window covering one instant, every group the
+/// budget admits (and one more, which is shed).
+#[test]
+fn an_engine_filled_to_its_budget_measures_within_the_static_state_bound() {
+    let (report, measured) = filled_to_the_cap("WINDOW 8s SLIDE 1s", 1, |_| 0..257);
+    let [accepted, shed, _, open_windows, groups, state_bytes] = measured;
+    assert_eq!(
+        (accepted, shed),
+        (8 * 256, 8),
+        "eight windows cover an instant"
+    );
+    assert_eq!((open_windows, groups), (2 * 8, 2 * 8 * 256));
+    assert!(
+        state_bytes <= report.state_bytes_per_node,
+        "{state_bytes} B measured at the cap, static bound {}",
+        report.state_bytes_per_node
+    );
+}
+
+/// Windows that share no group pay for a directory entry per (window,
+/// group): the measured side may then pass the bound, by the factor
+/// `pier-analyze` states beside `ENTRY_OVERHEAD` and no more.
+#[test]
+fn windows_that_share_no_group_measure_within_twice_the_static_state_bound() {
+    let (report, measured) = filled_to_the_cap("WINDOW 1s", 8, |w| w * 256..(w + 1) * 256);
+    let [accepted, shed, _, open_windows, groups, state_bytes] = measured;
+    assert_eq!((accepted, shed), (8 * 256, 0));
+    assert_eq!((open_windows, groups), (2 * 8, 2 * 8 * 256));
+    assert!(
+        state_bytes <= 2 * report.state_bytes_per_node,
+        "{state_bytes} B measured, twice the static bound is {}",
+        2 * report.state_bytes_per_node
+    );
 }
 
 #[test]

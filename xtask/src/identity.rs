@@ -1,0 +1,240 @@
+//! `cargo xtask identity` — the mechanical identity check.
+//!
+//! A behaviour-preserving change must leave every fixed-work figure of the
+//! end-to-end benchmark untouched: for an equal seed and `--segments`, the
+//! result digest, the work done, the failures, the simulated latencies and
+//! the traffic per operation are functions of the program's behaviour, not
+//! of its speed.  This runs each workload `BENCHMARK.json` declares, with
+//! the command it declares, and compares those figures to
+//! `docs/baselines/identity.json`; `--bless` rewrites the baseline instead
+//! (for a change that *means* to alter behaviour, in its own commit).
+
+use std::fmt::Write as _;
+use std::path::Path;
+use std::process::Command;
+
+/// The fixed-work arguments every workload is run with.
+pub const RUN_ARGS: [&str; 6] = ["--seed", "1", "--segments", "6", "--trace", "0"];
+
+/// Where the baseline lives, relative to the workspace root.
+pub const BASELINE: &str = "docs/baselines/identity.json";
+
+/// `# name value` notes of the benchmark's output that must not move.
+const NOTES: [&str; 2] = ["result_digest", "work_units"];
+/// Fields of its closing JSON line that must not move.
+const COUNTS: [&str; 2] = ["attempted", "failed"];
+/// `name value unit` metric lines that must not move.
+const METRICS: [&str; 4] = [
+    "result_latency_ms_p50",
+    "result_latency_ms_p99",
+    "net_bytes_per_op",
+    "net_msgs_per_op",
+];
+
+/// The string literals of `json` (escapes left as written), in order.
+fn literals(json: &str) -> Vec<&str> {
+    let mut out = Vec::new();
+    let mut open = None;
+    let mut escaped = false;
+    for (i, c) in json.char_indices() {
+        match (open, c) {
+            (Some(_), _) if escaped => escaped = false,
+            (Some(_), '\\') => escaped = true,
+            (Some(start), '"') => {
+                out.push(&json[start..i]);
+                open = None;
+            }
+            (None, '"') => open = Some(i + 1),
+            _ => {}
+        }
+    }
+    out
+}
+
+/// The string literals of the array that follows `"key":` in `json` — all
+/// of them, or the values of `field` when the array holds flat objects of
+/// strings.  (No string here holds a `]`, so the first one ends the array.)
+fn strings_after<'a>(json: &'a str, key: &str, field: Option<&str>) -> Vec<&'a str> {
+    let Some(at) = json.find(&format!("\"{key}\"")) else {
+        return Vec::new();
+    };
+    let rest = &json[at + key.len() + 2..];
+    let Some(open) = rest.find('[') else {
+        return Vec::new();
+    };
+    let body = &rest[open + 1..];
+    let body = literals(&body[..body.find(']').unwrap_or(body.len())]);
+    match field {
+        None => body,
+        Some(field) => body
+            .chunks(2)
+            .filter(|pair| pair[0] == field)
+            .filter_map(|pair| pair.get(1).copied())
+            .collect(),
+    }
+}
+
+/// The benchmark's command line and workload names, as `BENCHMARK.json`
+/// declares them.
+pub fn declared(benchmark_json: &str) -> (Vec<&str>, Vec<&str>) {
+    (
+        strings_after(benchmark_json, "command", None),
+        strings_after(benchmark_json, "workloads", Some("name")),
+    )
+}
+
+/// The identity figures in one run's output, as `(name, value)` text pairs
+/// in a fixed order; a figure the output lacks is reported as `missing`.
+pub fn figures(output: &str) -> Vec<(&'static str, String)> {
+    let missing = || "missing".to_string();
+    let mut out = Vec::new();
+    for name in NOTES {
+        let prefix = format!("# {name} ");
+        let value = output.lines().find_map(|l| l.strip_prefix(&prefix));
+        out.push((name, value.map_or_else(missing, |v| v.trim().to_string())));
+    }
+    let json = output.lines().rev().find(|l| l.starts_with('{'));
+    for name in COUNTS {
+        let value = json.and_then(|l| {
+            let rest = &l[l.find(&format!("\"{name}\": "))? + name.len() + 4..];
+            Some(rest[..rest.find([',', '}'])?].trim().to_string())
+        });
+        out.push((name, value.unwrap_or_else(missing)));
+    }
+    for name in METRICS {
+        let value = output.lines().find_map(|l| {
+            let mut words = l.split_whitespace();
+            (words.next() == Some(name)).then(|| words.next()).flatten()
+        });
+        out.push((name, value.map_or_else(missing, str::to_string)));
+    }
+    out
+}
+
+/// The baseline file for `runs` (workload name, figures), one figure a line
+/// so a mismatch shows as a line diff.
+pub fn render(runs: &[(String, Vec<(&'static str, String)>)]) -> String {
+    let mut out = String::from("{\n");
+    let _ = writeln!(out, "  \"args\": \"{}\",", RUN_ARGS.join(" "));
+    out.push_str("  \"workloads\": {\n");
+    for (w, (name, figures)) in runs.iter().enumerate() {
+        let _ = writeln!(out, "    \"{name}\": {{");
+        for (f, (figure, value)) in figures.iter().enumerate() {
+            let comma = if f + 1 < figures.len() { "," } else { "" };
+            let _ = writeln!(out, "      \"{figure}\": \"{value}\"{comma}");
+        }
+        let comma = if w + 1 < runs.len() { "," } else { "" };
+        let _ = writeln!(out, "    }}{comma}");
+    }
+    out.push_str("  }\n}\n");
+    out
+}
+
+/// Run every declared workload under `root` and check (or, with `bless`,
+/// rewrite) the baseline.  `Err` carries what to print.
+pub fn run(root: &Path, bless: bool) -> Result<(), String> {
+    let spec = std::fs::read_to_string(root.join("BENCHMARK.json"))
+        .map_err(|e| format!("BENCHMARK.json: {e}"))?;
+    let (command, workloads) = declared(&spec);
+    let (Some(program), false) = (command.first(), workloads.is_empty()) else {
+        return Err("BENCHMARK.json declares no command or no workloads".to_string());
+    };
+    let mut runs = Vec::new();
+    for workload in workloads {
+        eprintln!("xtask identity: {workload}");
+        let out = Command::new(program)
+            .args(&command[1..])
+            .args(["--workload", workload])
+            .args(RUN_ARGS)
+            .current_dir(root)
+            .output()
+            .map_err(|e| format!("{program}: {e}"))?;
+        if !out.status.success() {
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            return Err(format!("{workload}: benchmark failed\n{stderr}"));
+        }
+        let figures = figures(&String::from_utf8_lossy(&out.stdout));
+        runs.push((workload.to_string(), figures));
+    }
+    let now = render(&runs);
+    let path = root.join(BASELINE);
+    if bless {
+        if let Some(dir) = path.parent() {
+            std::fs::create_dir_all(dir).map_err(|e| format!("{}: {e}", dir.display()))?;
+        }
+        return std::fs::write(&path, now).map_err(|e| format!("{}: {e}", path.display()));
+    }
+    let baseline =
+        std::fs::read_to_string(&path).map_err(|e| format!("{}: {e}", path.display()))?;
+    if baseline == now {
+        return Ok(());
+    }
+    let mut report = format!("fixed-work figures differ from {BASELINE}:\n");
+    let (old, new) = (baseline.lines(), now.lines());
+    for (was, is) in old.zip(new).filter(|(was, is)| was != is) {
+        let _ = writeln!(report, "  - {}\n  + {}", was.trim(), is.trim());
+    }
+    if baseline.lines().count() != now.lines().count() {
+        report.push_str("  (and the set of workloads or figures changed)\n");
+    }
+    Err(report)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const SPEC: &str = r#"{
+ "command": [ "cargo", "run", "--release", "--" ],
+ "paths": [ "benchmark" ],
+ "workloads": [
+  { "name": "netmon_stream", "why": "the \"single\" path" },
+  { "name": "join_publish", "why": "joins" }
+ ],
+ "end_to_end": [ { "name": "setup_s", "unit": "s" } ]
+}"#;
+
+    const OUTPUT: &str = "# workload join_publish seed 1 trace 0\n\
+# work_units 78980\n# result_digest f4dd7d21d094c8e3\n\
+setup_s                         0.082003 s\n\
+result_latency_ms_p50         818.240000 ms\n\
+result_latency_ms_p99        2037.888000 ms\n\
+net_bytes_per_op              315.951874 B\n\
+net_msgs_per_op                 2.728805 count\n\
+{\"correct\": true, \"attempted\": 66992, \"failed\": 0, \"metrics\": {}}\n";
+
+    #[test]
+    fn the_declared_command_and_workloads_are_read_from_the_spec() {
+        let (command, workloads) = declared(SPEC);
+        assert_eq!(command, ["cargo", "run", "--release", "--"]);
+        // Only the workloads' names: not their reasons, not the metrics'.
+        assert_eq!(workloads, ["netmon_stream", "join_publish"]);
+        assert_eq!(declared("{}"), (Vec::new(), Vec::new()));
+    }
+
+    #[test]
+    fn figures_are_picked_by_name_and_a_lost_one_says_so() {
+        let got = figures(OUTPUT);
+        let value = |name: &str| {
+            let found = got.iter().find(|(n, _)| *n == name);
+            found.map(|(_, v)| v.as_str()).expect("figure listed")
+        };
+        assert_eq!(got.len(), 8);
+        assert_eq!(value("result_digest"), "f4dd7d21d094c8e3");
+        assert_eq!(value("work_units"), "78980");
+        assert_eq!((value("attempted"), value("failed")), ("66992", "0"));
+        assert_eq!(value("result_latency_ms_p99"), "2037.888000");
+        assert_eq!(value("net_msgs_per_op"), "2.728805");
+        // Wall-clock figures are not identity figures.
+        assert!(got.iter().all(|(n, _)| *n != "setup_s"));
+        assert!(figures("").iter().all(|(_, v)| v == "missing"));
+    }
+
+    #[test]
+    fn the_baseline_renders_one_figure_a_line() {
+        let text = render(&[("join_publish".to_string(), figures(OUTPUT))]);
+        assert!(text.contains("\"args\": \"--seed 1 --segments 6 --trace 0\""));
+        assert!(text.contains("      \"result_digest\": \"f4dd7d21d094c8e3\",\n"));
+        assert!(text.ends_with("      \"net_msgs_per_op\": \"2.728805\"\n    }\n  }\n}\n"));
+    }
+}

@@ -1,7 +1,9 @@
-//! Workspace automation library: the send-path determinism lint.
+//! Workspace automation library: the send-path determinism lint and the
+//! benchmark identity check.
 //!
-//! The `xtask` binary (`cargo xtask lint`) is a thin wrapper over
-//! [`lint::lint_tree`]; the logic lives here so the fixture tests can drive
-//! it in-process.
+//! The `xtask` binary (`cargo xtask lint`, `cargo xtask identity`) is a thin
+//! wrapper over [`lint::lint_tree`] and [`identity::run`]; the logic lives
+//! here so tests can drive it in-process.
 
+pub mod identity;
 pub mod lint;

@@ -1,15 +1,19 @@
 //! `cargo xtask` — workspace automation.
 //!
-//! The one subcommand today is `lint`: the send-path determinism lint that
-//! mechanically enforces the invariant PR 7 established by hand — nothing
-//! iterates a `HashMap`/`HashSet` in unordered order on a path that sends
-//! messages, emits trace events, or persists state.  See
-//! `docs/ANALYSIS.md` ("The determinism lint") for the rule, the
-//! suppressions, and the allowlist-annotation workflow.
+//! `lint` is the send-path determinism lint that mechanically enforces the
+//! invariant PR 7 established by hand — nothing iterates a
+//! `HashMap`/`HashSet` in unordered order on a path that sends messages,
+//! emits trace events, or persists state.  See `docs/ANALYSIS.md` ("The
+//! determinism lint") for the rule, the suppressions, and the
+//! allowlist-annotation workflow.
+//!
+//! `identity [--bless]` runs the end-to-end benchmark's workloads at fixed
+//! work and compares their behaviour-determined figures with
+//! `docs/baselines/identity.json` (see `docs/BENCHMARKS.md`).
 
 use std::path::PathBuf;
 use std::process::ExitCode;
-use xtask::lint;
+use xtask::{identity, lint};
 
 fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
@@ -38,8 +42,27 @@ fn main() -> ExitCode {
                 ExitCode::FAILURE
             }
         }
+        Some("identity") => {
+            let bless = match args.next().as_deref() {
+                None => false,
+                Some("--bless") => true,
+                Some(other) => {
+                    eprintln!("xtask identity: unknown argument `{other}`");
+                    return ExitCode::FAILURE;
+                }
+            };
+            match identity::run(&workspace_root(), bless) {
+                Ok(()) if bless => eprintln!("xtask identity: wrote {}", identity::BASELINE),
+                Ok(()) => eprintln!("xtask identity: ok"),
+                Err(report) => {
+                    eprintln!("xtask identity: {report}");
+                    return ExitCode::FAILURE;
+                }
+            }
+            ExitCode::SUCCESS
+        }
         _ => {
-            eprintln!("usage: cargo xtask lint [dir]");
+            eprintln!("usage: cargo xtask lint [dir] | cargo xtask identity [--bless]");
             ExitCode::FAILURE
         }
     }
