@@ -4,58 +4,9 @@
 //! detection-rate study.
 //!
 //! Run with `cargo bench -p pier-bench --bench adversary_fidelity`.
-
-use pier_bench::{emit_metric, slug};
-use pier_harness::robustness::{fidelity_sweep, spot_check_detection};
-use pier_security::adversary::Malice;
+//! `tests/paper_tables.rs` compares what this prints with
+//! `docs/baselines/tables/adversary_fidelity.txt`.
 
 fn main() {
-    println!("# EXP-I — aggregation fidelity under a suppression adversary (200 members)");
-    println!("# compromised  strategy             suppressed  rel_error  bytes");
-    let fractions = [0.0, 0.05, 0.10, 0.20, 0.30];
-    for row in fidelity_sweep(200, 10, &fractions, Malice::Suppress, 20, 77) {
-        println!(
-            "{:>11.0}%  {:<20} {:>9.3} {:>10.3} {:>8}",
-            row.compromised_fraction * 100.0,
-            row.strategy,
-            row.suppressed_fraction,
-            row.relative_error,
-            row.bytes_shipped
-        );
-        if (row.compromised_fraction - 0.30).abs() < 1e-9 {
-            emit_metric(
-                "adversary_fidelity",
-                &format!("rel_error_{}_30pct", slug(&row.strategy)),
-                row.relative_error,
-            );
-        }
-    }
-    println!();
-    println!("# EXP-I (poisoning variant): 10% compromised nodes inject 1000 bogus units each");
-    for row in fidelity_sweep(200, 10, &[0.10], Malice::Poison { units: 1_000 }, 20, 77) {
-        println!(
-            "{:>11.0}%  {:<20} {:>9.3} {:>10.3} {:>8}",
-            row.compromised_fraction * 100.0,
-            row.strategy,
-            row.suppressed_fraction,
-            row.relative_error,
-            row.bytes_shipped
-        );
-    }
-    println!();
-    println!("# EXP-I (spot checking): detection rate vs sample size, 20% of inputs suppressed");
-    println!("# sample_size  detection_rate  predicted");
-    for row in spot_check_detection(200, 0.20, &[1, 2, 4, 8, 16, 32], 200, 5) {
-        println!(
-            "{:>11} {:>15.2} {:>10.2}",
-            row.sample_size, row.detection_rate, row.predicted_rate
-        );
-        if row.sample_size == 32 {
-            emit_metric(
-                "adversary_fidelity",
-                "spot_check_detection_s32",
-                row.detection_rate,
-            );
-        }
-    }
+    print!("{}", pier_harness::robustness::adversary_fidelity_table());
 }

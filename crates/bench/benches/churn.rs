@@ -2,20 +2,9 @@
 //! network (soft state and routing resilience, §2.1.1, §3.2.3).
 //!
 //! Run with `cargo bench -p pier-bench --bench churn`.
-
-use pier_bench::emit_metric;
-use pier_harness::experiments::churn;
+//! `tests/paper_tables.rs` compares what this prints with
+//! `docs/baselines/tables/churn.txt`.
 
 fn main() {
-    println!("# EXP-E — recall under node failures (100 nodes, 200 published rows)");
-    println!("# failed_fraction   recall");
-    for failed in [0.0, 0.05, 0.1, 0.2, 0.3] {
-        let row = churn(100, 200, failed, 31);
-        println!("{:>16.2}   {:>6.3}", row.failed_fraction, row.recall);
-        emit_metric(
-            "churn",
-            &format!("recall_at_{}pct_failed", (failed * 100.0) as u32),
-            row.recall,
-        );
-    }
+    print!("{}", pier_harness::experiments::churn_table());
 }

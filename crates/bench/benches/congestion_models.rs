@@ -2,22 +2,9 @@
 //! Figure-2 aggregation query under the simulator's three congestion models.
 //!
 //! Run with `cargo bench -p pier-bench --bench congestion_models`.
-
-use pier_bench::{emit_metric, slug};
-use pier_harness::experiments::congestion_models;
+//! `tests/paper_tables.rs` compares what this prints with
+//! `docs/baselines/tables/congestion_models.txt`.
 
 fn main() {
-    println!("# EXP-F — congestion models (100 nodes, 20k events)");
-    println!("# model        last_result_s   results");
-    for row in congestion_models(100, 20_000, 19) {
-        println!(
-            "{:<12} {:>13.2} {:>9}",
-            row.model, row.last_result_secs, row.results
-        );
-        emit_metric(
-            "congestion_models",
-            &format!("last_result_secs_{}", slug(&row.model)),
-            row.last_result_secs,
-        );
-    }
+    print!("{}", pier_harness::experiments::congestion_models_table());
 }

@@ -3,66 +3,9 @@
 //! aggregate, in steady state and under churn.
 //!
 //! Run with `cargo bench -p pier-bench --bench cq_continuous`.
-
-use pier_bench::{emit_metric, slug};
-use pier_harness::continuous::{continuous_netmon, ContinuousNetmonConfig};
-
-fn row(label: &str, cfg: &ContinuousNetmonConfig) {
-    let out = continuous_netmon(cfg);
-    // Delivery over the steady tail (skips ramp-up and healing windows).
-    let steady: Vec<(u64, u64)> = out
-        .generated
-        .iter()
-        .filter(|(&(s, e), _)| s >= 15_000_000 && e + 8_000_000 <= cfg.run_secs * 1_000_000)
-        .map(|(&w, &g)| (out.total_for(w).max(0) as u64, g))
-        .collect();
-    let (del, gen): (u64, u64) = steady
-        .iter()
-        .fold((0, 0), |(d, g), (dw, gw)| (d + dw, g + gw));
-    let delivery = if gen == 0 {
-        0.0
-    } else {
-        del as f64 / gen as f64
-    };
-    println!(
-        "{label:<26} {:>5} nodes  {:>8.0} tup/s  {:>4} windows  {:>6.2}s mean latency  {:>6.3} delivery",
-        cfg.nodes,
-        out.tuples_per_sec,
-        out.windows.len(),
-        out.mean_window_latency_secs,
-        delivery,
-    );
-    let tag = format!("{}_{}n", slug(label), cfg.nodes);
-    emit_metric(
-        "cq_continuous",
-        &format!("tuples_per_sec_{tag}"),
-        out.tuples_per_sec,
-    );
-    emit_metric(
-        "cq_continuous",
-        &format!("mean_window_latency_secs_{tag}"),
-        out.mean_window_latency_secs,
-    );
-    emit_metric("cq_continuous", &format!("delivery_{tag}"), delivery);
-}
+//! `tests/paper_tables.rs` compares what this prints with
+//! `docs/baselines/tables/cq_continuous.txt`.
 
 fn main() {
-    println!("# EXP-L — continuous netmon: sustained tuples/sec and per-window latency");
-    for nodes in [10, 25, 50] {
-        let mut cfg = ContinuousNetmonConfig::steady(nodes, 40, 11);
-        cfg.events_per_node_per_sec = 16;
-        row("steady", &cfg);
-    }
-    // The same steady workload with batching disabled — pins what the
-    // coalesced `TupleBatch`/`PutBatch` path buys the window pipeline (the
-    // batched run must not deliver fewer windows, and moves fewer messages;
-    // the batching-equivalence tests assert the result multisets match).
-    let mut unbatched = ContinuousNetmonConfig::steady(25, 40, 11);
-    unbatched.events_per_node_per_sec = 16;
-    unbatched.pier.batching = false;
-    row("steady unbatched", &unbatched);
-    let mut cfg = ContinuousNetmonConfig::steady(25, 40, 13);
-    cfg.events_per_node_per_sec = 16;
-    cfg.churn = Some((18, 5, 3));
-    row("churn (kill 5, join 3)", &cfg);
+    print!("{}", pier_harness::continuous::cq_continuous_table());
 }

@@ -2,22 +2,9 @@
 //! network grows (§3.2.2: per-operation overheads grow logarithmically).
 //!
 //! Run with `cargo bench -p pier-bench --bench dht_scalability`.
-
-use pier_bench::emit_metric;
-use pier_harness::experiments::dht_scalability;
+//! `tests/paper_tables.rs` compares what this prints with
+//! `docs/baselines/tables/dht_scalability.txt`.
 
 fn main() {
-    println!("# EXP-D — DHT lookup hop counts vs network size");
-    println!("# nodes   mean_hops   p95_hops");
-    for nodes in [16, 32, 64, 128, 256, 512, 1024] {
-        let row = dht_scalability(nodes, 200, 13);
-        println!(
-            "{:>6}   {:>9.2}   {:>8.2}",
-            row.nodes, row.mean_hops, row.p95_hops
-        );
-        if nodes == 1024 {
-            emit_metric("dht_scalability", "mean_hops_1024", row.mean_hops);
-            emit_metric("dht_scalability", "p95_hops_1024", row.p95_hops);
-        }
-    }
+    print!("{}", pier_harness::experiments::dht_scalability_table());
 }

@@ -2,26 +2,9 @@
 //! equality index (§3.3.3), for identical answers.
 //!
 //! Run with `cargo bench -p pier-bench --bench dissemination`.
-
-use pier_bench::{emit_metric, slug};
-use pier_harness::experiments::dissemination;
+//! `tests/paper_tables.rs` compares what this prints with
+//! `docs/baselines/tables/dissemination.txt`.
 
 fn main() {
-    println!("# EXP-C — query dissemination strategies");
-    println!("# nodes  strategy          messages  results");
-    for nodes in [16, 64, 128, 256] {
-        for row in dissemination(nodes, 5) {
-            println!(
-                "{:>6}  {:<16} {:>9} {:>8}",
-                row.nodes, row.strategy, row.messages, row.results
-            );
-            if nodes == 256 {
-                emit_metric(
-                    "dissemination",
-                    &format!("messages_{}_256", slug(&row.strategy)),
-                    row.messages as f64,
-                );
-            }
-        }
-    }
+    print!("{}", pier_harness::experiments::dissemination_table());
 }

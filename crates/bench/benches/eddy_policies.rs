@@ -3,22 +3,9 @@
 //! orders and eddy routing policies.
 //!
 //! Run with `cargo bench -p pier-bench --bench eddy_policies`.
-
-use pier_bench::{emit_metric, slug};
-use pier_harness::adaptivity::eddy_policies;
+//! `tests/paper_tables.rs` compares what this prints with
+//! `docs/baselines/tables/eddy_policies.txt`.
 
 fn main() {
-    println!("# EXP-H — eddy routing policies over a 3-predicate filter query");
-    println!("# strategy                  tuples  invocations  results");
-    for row in eddy_policies(50_000, 29) {
-        println!(
-            "{:<26} {:>7} {:>12} {:>8}",
-            row.strategy, row.tuples, row.invocations, row.results
-        );
-        emit_metric(
-            "eddy_policies",
-            &format!("invocations_{}", slug(&row.strategy)),
-            row.invocations as f64,
-        );
-    }
+    print!("{}", pier_harness::adaptivity::eddy_policies_table());
 }

@@ -3,39 +3,9 @@
 //! baseline (all queries and rare queries).
 //!
 //! Run with `cargo bench -p pier-bench --bench fig1_filesharing`.
-
-use pier_bench::emit_metric;
-use pier_harness::experiments::fig1_filesharing;
+//! `tests/paper_tables.rs` compares what this prints with
+//! `docs/baselines/tables/fig1_filesharing.txt`.
 
 fn main() {
-    let nodes = 50; // the paper's PlanetLab deployment size for this figure
-    let result = fig1_filesharing(nodes, 3_000, 120, 42);
-    println!("# Figure 1 — CDF of first-result latency ({nodes} nodes, synthetic Zipf corpus)");
-    println!("# columns: latency_s  pier_rare  gnutella_all  gnutella_rare  (fraction of queries answered)");
-    for ((x, pier), (ga, gr)) in result
-        .pier_rare
-        .iter()
-        .zip(result.gnutella_all.iter().zip(result.gnutella_rare.iter()))
-    {
-        println!("{:6.1}  {:8.3}  {:8.3}  {:8.3}", x, pier, ga.1, gr.1);
-    }
-    println!(
-        "# no-answer rate: PIER rare = {:.1}%, Gnutella rare = {:.1}%",
-        result.pier_rare_no_answer * 100.0,
-        result.gnutella_rare_no_answer * 100.0
-    );
-    assert!(
-        result.pier_rare_no_answer <= result.gnutella_rare_no_answer,
-        "PIER must answer at least as many rare queries as flooding"
-    );
-    emit_metric(
-        "fig1_filesharing",
-        "pier_rare_no_answer_pct",
-        result.pier_rare_no_answer * 100.0,
-    );
-    emit_metric(
-        "fig1_filesharing",
-        "gnutella_rare_no_answer_pct",
-        result.gnutella_rare_no_answer * 100.0,
-    );
+    print!("{}", pier_harness::experiments::fig1_filesharing_table());
 }

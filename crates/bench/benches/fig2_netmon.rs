@@ -3,31 +3,9 @@
 //! aggregation query with hierarchical (in-network) combining.
 //!
 //! Run with `cargo bench -p pier-bench --bench fig2_netmon`.
-
-use pier_bench::emit_metric;
-use pier_harness::experiments::fig2_netmon;
+//! `tests/paper_tables.rs` compares what this prints with
+//! `docs/baselines/tables/fig2_netmon.txt`.
 
 fn main() {
-    let nodes = 350; // the paper's PlanetLab deployment size for this figure
-    let result = fig2_netmon(nodes, 60_000, 10, 7);
-    println!("# Figure 2 — top 10 sources of firewall events ({nodes} nodes)");
-    println!("# rank  reported_source      reported_count   true_source          true_count");
-    for (i, ((rs, rc), (ts, tc))) in result
-        .reported
-        .iter()
-        .zip(result.ground_truth.iter())
-        .enumerate()
-    {
-        println!("{:4}  {:<20} {:>10}   {:<20} {:>10}", i + 1, rs, rc, ts, tc);
-    }
-    println!(
-        "# overlap with ground truth: {}/{}",
-        result.overlap,
-        result.ground_truth.len()
-    );
-    assert!(
-        result.overlap >= 7,
-        "top-10 should largely match ground truth"
-    );
-    emit_metric("fig2_netmon", "top10_overlap", result.overlap as f64);
+    print!("{}", pier_harness::experiments::fig2_netmon_table());
 }

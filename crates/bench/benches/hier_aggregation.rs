@@ -2,31 +2,9 @@
 //! per-node in-bandwidth hot spot and total traffic (§3.3.4).
 //!
 //! Run with `cargo bench -p pier-bench --bench hier_aggregation`.
-
-use pier_bench::{emit_metric, slug};
-use pier_harness::experiments::hierarchical_aggregation;
+//! `tests/paper_tables.rs` compares what this prints with
+//! `docs/baselines/tables/hier_aggregation.txt`.
 
 fn main() {
-    println!("# EXP-B — hierarchical vs flat aggregation");
-    println!("# nodes  mode           max_in_bytes   total_bytes   groups");
-    for nodes in [25, 50, 100, 200] {
-        for row in hierarchical_aggregation(nodes, 40, 23) {
-            println!(
-                "{:>6}  {:<13} {:>12} {:>12} {:>8}",
-                row.nodes, row.mode, row.max_in_bytes, row.total_bytes, row.groups_reported
-            );
-            if nodes == 200 {
-                emit_metric(
-                    "hier_aggregation",
-                    &format!("max_in_bytes_{}_200", slug(&row.mode)),
-                    row.max_in_bytes as f64,
-                );
-                emit_metric(
-                    "hier_aggregation",
-                    &format!("total_bytes_{}_200", slug(&row.mode)),
-                    row.total_bytes as f64,
-                );
-            }
-        }
-    }
+    print!("{}", pier_harness::experiments::hier_aggregation_table());
 }

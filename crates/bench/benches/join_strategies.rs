@@ -3,31 +3,9 @@
 //! bytes shipped, first-result latency.
 //!
 //! Run with `cargo bench -p pier-bench --bench join_strategies`.
-
-use pier_bench::{emit_metric, slug};
-use pier_harness::experiments::join_strategies;
+//! `tests/paper_tables.rs` compares what this prints with
+//! `docs/baselines/tables/join_strategies.txt`.
 
 fn main() {
-    println!("# EXP-A — join strategies, 32 nodes");
-    println!("# strategy          results      bytes    first_result_s");
-    for row in join_strategies(32, 600, 17) {
-        println!(
-            "{:<18} {:>8} {:>10} {:>12}",
-            row.strategy,
-            row.results,
-            row.bytes,
-            row.first_result_secs
-                .map_or_else(|| "-".into(), |s| format!("{s:.2}"))
-        );
-        emit_metric(
-            "join_strategies",
-            &format!("bytes_{}", slug(&row.strategy)),
-            row.bytes as f64,
-        );
-        emit_metric(
-            "join_strategies",
-            &format!("results_{}", slug(&row.strategy)),
-            row.results as f64,
-        );
-    }
+    print!("{}", pier_harness::experiments::join_strategies_table());
 }

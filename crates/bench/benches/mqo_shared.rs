@@ -1,73 +1,44 @@
 //! Multi-query sharing benchmark (`pier-mqo`): N constant-varied standing
 //! queries executed shared vs independent.
 //!
-//! Two levels:
+//! `many_tenants` runs 64 constant-varied continuous queries over a live
+//! simulated cluster twice from one seed, through share groups and
+//! independently.  Standard output is the pair's traffic and result
+//! latency — virtual time, so exact: `tests/paper_tables.rs` compares it
+//! with `docs/baselines/tables/mqo_shared.txt`.  Standard error carries
+//! what only this binary can measure and no file records: the pair's
+//! aggregate ingest throughput in rows per wall-clock second, with the ≥2x
+//! shared-vs-independent bar asserted (the benchmark's `tenants_shared`
+//! workload times the shared path alone, not the ratio), and the
+//! allocations the shared [`PredicateIndex`] scan makes per row, counted by
+//! a counting allocator.  What the index scan costs in time is the
+//! benchmark's `mqo.index.eval_ns_per_row` probe.
 //!
-//! 1. **Predicate-index micro-benchmark** — the per-chunk fan-out cost of
-//!    64 constant-varied predicates: independent execution evaluates each
-//!    member's compiled predicate over the chunk (64 column scans per
-//!    chunk); the shared [`PredicateIndex`] answers all 64 members with one
-//!    hash-kernel scan per referenced column.  The counting allocator
-//!    additionally reports allocations per scanned row on the shared path.
-//! 2. **`many_tenants` end-to-end** — 64 constant-varied continuous
-//!    queries over a live simulated cluster, run through share groups and
-//!    independently from the same seed: aggregate ingest throughput
-//!    (rows per wall-clock second) and delivered network traffic.
-//!
-//! Emits the standard JSON metric lines; `BENCH_mqo_shared.json` records a
-//! baseline (see `docs/BENCHMARKS.md`).  The ≥2x shared-vs-independent
-//! throughput acceptance bar is asserted in-bench, so CI's smoke run fails
-//! if sharing regresses below it.
+//! Run with `cargo bench -p pier-bench --bench mqo_shared`.
 
-// The counting allocator below is the one justified unsafe block in the
-// workspace: it delegates to the system allocator verbatim and only bumps
-// a relaxed counter, so the alloc/dealloc contracts are inherited.
-#![allow(unsafe_code)]
-
-use pier_bench::emit_metric;
-use pier_core::{CompiledPredicate, Expr, Tuple, TupleBatch, Value};
-use pier_harness::tenants::{many_tenants, ManyTenantsConfig};
+use pier_bench::{allocations, CountingAlloc};
+use pier_core::{Expr, Tuple, TupleBatch, Value};
+use pier_harness::metric_line;
+use pier_harness::tenants::{many_tenants, mqo_shared_table, ManyTenantsConfig};
 use pier_mqo::PredicateIndex;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
 
-/// Smoke mode (`PIER_BENCH_SMOKE=1`, used by CI) shrinks iteration counts
-/// and the cluster run while still emitting every metric line and running
-/// every assertion — including the ≥2x sharing bar.
+/// Smoke mode (`PIER_BENCH_SMOKE=1`, used by CI) shrinks the scan count and
+/// the cluster run while still running every assertion — including the
+/// sharing bar.
 fn smoke() -> bool {
     std::env::var_os("PIER_BENCH_SMOKE").is_some()
-}
-
-struct CountingAlloc;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: delegates directly to the system allocator; the counter is a
-// relaxed atomic with no effect on allocation behaviour.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
 }
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
-}
-
 fn main() {
-    println!("# multi-query sharing: 64 constant-varied queries, shared vs independent");
     let tenants = 64usize;
+    // What this binary measures goes to standard error, leaving standard
+    // output to the recorded table.
+    let measured = |metric, value| eprintln!("{}", metric_line("mqo_shared", metric, value));
 
-    // ---- predicate-index micro-benchmark --------------------------------
+    // ---- allocations of the shared predicate-index scan -----------------
     let rows: Vec<Tuple> = (0..1024i64)
         .map(|i| {
             Tuple::new(
@@ -85,79 +56,31 @@ fn main() {
         .collect();
     let batch = TupleBatch::new(rows);
     let chunk = &batch.chunks()[0];
-    let predicates: Vec<Expr> = (0..tenants)
-        .map(|t| {
-            Expr::eq(
-                "src",
-                format!("10.0.{}.{}", (t / 256) % 4, t % 256).as_str(),
-            )
-        })
-        .collect();
-
-    // Independent: each member evaluates its own compiled predicate over
-    // the chunk (what 64 per-query Selections cost per arriving chunk).
-    let mut independent: Vec<CompiledPredicate> = predicates
-        .iter()
-        .map(|p| CompiledPredicate::new(p.clone()))
-        .collect();
-    let scans: u64 = if smoke() { 20 } else { 500 };
-    let mut hits_independent = 0u64;
-    let t0 = Instant::now();
-    for _ in 0..scans {
-        for member in &mut independent {
-            let mask = member.for_schema(chunk.schema()).eval_column(chunk);
-            hits_independent += mask.iter().filter(|b| **b).count() as u64;
-        }
-    }
-    let rows_scanned = scans * chunk.rows() as u64;
-    let independent_ns = t0.elapsed().as_nanos() as f64 / rows_scanned as f64;
-
-    // Shared: one predicate-index scan answers every member.
     let mut index = PredicateIndex::new();
-    for (t, p) in predicates.iter().enumerate() {
-        index.insert(t as u64, p.clone());
+    for t in 0..tenants {
+        let src = format!("10.0.{}.{}", (t / 256) % 4, t % 256);
+        index.insert(t as u64, Expr::eq("src", src.as_str()));
     }
     index.eval_chunk(chunk); // warm the per-schema compilation
-    let mut hits_shared = 0u64;
+    let scans: u64 = if smoke() { 20 } else { 500 };
+    let mut hits = 0u64;
     let before = allocations();
-    let t0 = Instant::now();
     for _ in 0..scans {
         index.eval_chunk(chunk);
         for t in 0..tenants {
-            hits_shared += index.member_mask(t as u64).expect("member").count() as u64;
+            hits += index.member_mask(t as u64).expect("member").count() as u64;
         }
     }
-    let shared_ns = t0.elapsed().as_nanos() as f64 / rows_scanned as f64;
-    let shared_allocs_per_row = (allocations() - before) as f64 / rows_scanned as f64;
+    let allocs_per_row = (allocations() - before) as f64 / (scans * chunk.rows() as u64) as f64;
     assert_eq!(
-        hits_independent, hits_shared,
-        "shared and independent fan-out must select the same rows"
+        hits,
+        scans * tenants as u64,
+        "each member's source occurs once in the chunk"
     );
-    let index_speedup = independent_ns / shared_ns;
-    println!("predindex_fanout_independent         {independent_ns:>10.1} ns/row (64 members)");
-    println!(
-        "predindex_fanout_shared              {shared_ns:>10.1} ns/row   ({index_speedup:.2}x, {shared_allocs_per_row:.3} allocs/row)"
-    );
-    emit_metric(
-        "mqo_shared",
-        "predindex_independent_ns_per_row",
-        independent_ns,
-    );
-    emit_metric("mqo_shared", "predindex_shared_ns_per_row", shared_ns);
-    emit_metric("mqo_shared", "predindex_speedup", index_speedup);
-    emit_metric(
-        "mqo_shared",
-        "predindex_shared_allocs_per_row",
-        shared_allocs_per_row,
-    );
+    measured("predindex_shared_allocs_per_row", allocs_per_row);
     assert!(
-        index_speedup >= 2.0,
-        "the predicate index must beat independent evaluation ≥2x for \
-         {tenants} members, got {index_speedup:.2}x"
-    );
-    assert!(
-        shared_allocs_per_row < 0.5,
-        "the shared scan must not allocate per row ({shared_allocs_per_row:.3} allocs/row)"
+        allocs_per_row < 0.5,
+        "the shared scan must not allocate per row ({allocs_per_row:.3} allocs/row)"
     );
 
     // ---- many_tenants end-to-end ---------------------------------------
@@ -181,57 +104,14 @@ fn main() {
         (0, 0),
         "no share group may outlive its members"
     );
+    print!("{}", mqo_shared_table(&mut shared, &mut independent));
+
     let shared_rps = shared.rows_per_wall_sec();
     let independent_rps = independent.rows_per_wall_sec();
     let throughput_speedup = shared_rps / independent_rps.max(1e-9);
-    let msgs_ratio = independent.total_msgs as f64 / shared.total_msgs.max(1) as f64;
-    let bytes_ratio = independent.total_bytes as f64 / shared.total_bytes.max(1) as f64;
-    println!(
-        "tenants_shared                       {shared_rps:>10.0} rows/s wall  ({} events, {} msgs)",
-        shared.events, shared.total_msgs
-    );
-    println!(
-        "tenants_independent                  {independent_rps:>10.0} rows/s wall  ({} msgs)",
-        independent.total_msgs
-    );
-    println!(
-        "tenants_speedup                      {throughput_speedup:>10.2} x      (msgs {msgs_ratio:.2}x, bytes {bytes_ratio:.2}x)"
-    );
-    emit_metric("mqo_shared", "tenants_shared_rows_per_wall_sec", shared_rps);
-    emit_metric(
-        "mqo_shared",
-        "tenants_independent_rows_per_wall_sec",
-        independent_rps,
-    );
-    emit_metric(
-        "mqo_shared",
-        "tenants_throughput_speedup",
-        throughput_speedup,
-    );
-    emit_metric("mqo_shared", "tenants_msgs_ratio", msgs_ratio);
-    emit_metric("mqo_shared", "tenants_bytes_ratio", bytes_ratio);
-    // Per-tenant result latency (window close → proxy delivery): the median
-    // tenant's p50 and the worst tenant's p99, for both execution modes —
-    // sharing must not trade throughput for delivery tail latency.
-    for (mode, outcome) in [("shared", &mut shared), ("independent", &mut independent)] {
-        let (p50, p99) = outcome
-            .result_latency_summary_us()
-            .expect("tenants received results");
-        println!(
-            "tenants_{mode}_result_latency        p50 {:>8.0} us   p99 {:>8.0} us",
-            p50, p99
-        );
-        emit_metric(
-            "mqo_shared",
-            &format!("tenants_{mode}_result_latency_p50_us"),
-            p50,
-        );
-        emit_metric(
-            "mqo_shared",
-            &format!("tenants_{mode}_result_latency_p99_us"),
-            p99,
-        );
-    }
+    measured("tenants_shared_rows_per_wall_sec", shared_rps);
+    measured("tenants_independent_rows_per_wall_sec", independent_rps);
+    measured("tenants_throughput_speedup", throughput_speedup);
     // The acceptance bar is ≥2x at full scale; the smoke run is too short
     // for stable wall-clock ratios (measured ~2.6x), so CI asserts a softer
     // floor that still catches a sharing regression.

@@ -2,227 +2,31 @@
 //!
 //! Runs the continuous netmon workload under `EXPLAIN ANALYZE` (tracing
 //! forced on, every node's span ring merged into one stably ordered
-//! stream) and asserts the acceptance bars in-bench:
+//! stream) and prints the profile.  That the measured profile reconciles
+//! under the static `pier-analyze` bounds, that the critical path ends at
+//! the proxy's `result.emit` and that equal seeds export byte-identical
+//! span JSONL are asserted in `tests/span_profile.rs`; what enabled
+//! telemetry and tracing cost is the end-to-end benchmark's
+//! `telemetry.hub.enabled_overhead_share`.
 //!
-//! * the measured profile **reconciles** — per-stage rows/bytes/fan-in
-//!   never exceed the static `pier-analyze` `CostReport` bounds;
-//! * the critical path is non-trivial and ends at the proxy's
-//!   `result.emit`;
-//! * equal seeds export **byte-identical** merged span JSONL;
-//! * the tracing hot path costs ≤ 1% on the ingest batch scan (paired
-//!   min-ratio, same protocol as the telemetry overhead bar in
-//!   `dht_ops`).
-//!
-//! When `PIER_SPANS_OUT` names a file, the merged all-nodes span export is
-//! written there as JSONL (CI validates each line against the span schema
-//! in `docs/OBSERVABILITY.md`); `PIER_CHROME_OUT` writes the Chrome
-//! `trace_event` JSON profile.
+//! Run with `cargo bench -p pier-bench --bench query_profile`.
+//! `tests/paper_tables.rs` compares what this prints with
+//! `docs/baselines/tables/query_profile.txt`.  When `PIER_SPANS_OUT` names
+//! a file, the merged all-nodes span export is written there as JSONL;
+//! `PIER_CHROME_OUT` writes the Chrome `trace_event` JSON profile.
 
-use pier_bench::emit_metric;
-use pier_core::{
-    CmpOp, Expr, LocalOperator, Pipeline, Projection, Selection, Telemetry, Tuple, TupleBatch,
-    Value,
-};
-use pier_harness::{explain_analyze_netmon, ContinuousNetmonConfig};
-use std::time::Instant;
-
-/// Smoke mode (`PIER_BENCH_SMOKE=1`, used by CI) shrinks the cluster and
-/// run length while still emitting every metric line and assertion.
-fn smoke() -> bool {
-    std::env::var_os("PIER_BENCH_SMOKE").is_some()
-}
+use pier_harness::profile::{explain_analyze_netmon, query_profile_config, query_profile_table};
 
 fn main() {
-    println!("# query profile: EXPLAIN ANALYZE over continuous netmon");
-    let (nodes, run_secs) = if smoke() { (8, 10) } else { (16, 24) };
-    let mut cfg = ContinuousNetmonConfig::steady(nodes, run_secs, 53);
-    // A predicate puts a Selection stage in the pipeline so the profile's
-    // operator table (fed by the `op.*` meters) has rows to show.
-    cfg.sql = "SELECT src, COUNT(*) FROM packets WHERE port > 0 \
-               GROUP BY src WINDOW 2s SLIDE 1s EVERY 5s"
-        .to_string();
-    let profiled = explain_analyze_netmon(&cfg);
-    print!("{}", profiled.explain);
-
-    let p = &profiled.profile;
-    emit_metric("query_profile", "spans_total", p.total_spans as f64);
-    emit_metric(
-        "query_profile",
-        "windows_observed",
-        p.windows_observed as f64,
-    );
-    emit_metric(
-        "query_profile",
-        "result_latency_us",
-        p.result_latency_us as f64,
-    );
-    emit_metric(
-        "query_profile",
-        "critical_path_hops",
-        p.critical_path.len() as f64,
-    );
-    emit_metric(
-        "query_profile",
-        "flush_entries_per_window",
-        p.max_flush_entries_per_window as f64,
-    );
-    emit_metric(
-        "query_profile",
-        "reconcile_violations",
-        profiled.violations.len() as f64,
-    );
-    emit_metric(
-        "query_profile",
-        "trace_dropped",
-        profiled.trace_dropped as f64,
-    );
-
-    assert!(
-        profiled.violations.is_empty(),
-        "measured profile must stay under the static CostReport bounds: {:?}",
-        profiled.violations
-    );
-    assert_eq!(profiled.trace_dropped, 0, "span export must be complete");
-    assert!(p.total_spans > 0 && p.windows_observed > 0);
-    assert!(
-        p.critical_path.len() >= 2
-            && p.critical_path.last().map(|h| h.stage) == Some("result.emit"),
-        "critical path must end at the proxy's result.emit: {:?}",
-        p.critical_path
-    );
-    assert!(
-        !p.operators.is_empty(),
-        "pipeline meters must fill the operator table"
-    );
-
-    if let Some(path) = std::env::var_os("PIER_SPANS_OUT") {
-        std::fs::write(&path, &profiled.span_jsonl).expect("write span JSONL");
-        println!("merged spans written to {}", path.to_string_lossy());
-    }
-    if let Some(path) = std::env::var_os("PIER_CHROME_OUT") {
-        std::fs::write(&path, &profiled.chrome_json).expect("write Chrome trace");
-        println!("chrome profile written to {}", path.to_string_lossy());
-    }
-
-    // Equal seeds must export byte-identical merged span JSONL — rerun the
-    // identical configuration and compare the artifacts.
-    let replay = explain_analyze_netmon(&cfg);
-    assert_eq!(
-        profiled.span_jsonl, replay.span_jsonl,
-        "equal seeds must export byte-identical merged span JSONL"
-    );
-    assert_eq!(profiled.chrome_json, replay.chrome_json);
-    emit_metric(
-        "query_profile",
-        "span_export_bytes",
-        profiled.span_jsonl.len() as f64,
-    );
-    println!(
-        "query_profile_replay                  byte-identical ({} span bytes)",
-        profiled.span_jsonl.len()
-    );
-
-    // Tracing overhead on the ingest hot path: a traced ingest adds one
-    // span-ring append per arriving batch on top of the metered pipeline
-    // scan.  Both arms run with telemetry *enabled* (isolating the span
-    // cost from the already-bounded meter cost) and the asserted statistic
-    // is the minimum paired ratio, exactly like the telemetry bar in
-    // `dht_ops`: noise only inflates rounds, so one clean pair proves the
-    // true cost, while a real regression shows up in every pair.
-    let rows: Vec<Tuple> = (0..1024i64)
-        .map(|i| {
-            Tuple::new(
-                "packets",
-                vec![
-                    (
-                        "src",
-                        Value::Str(format!("10.0.{}.{}", i % 4, i % 256).into()),
-                    ),
-                    ("port", Value::Int(i % 1024)),
-                    ("len", Value::Int(40 + i % 1400)),
-                ],
-            )
-        })
-        .collect();
-    let batch = TupleBatch::new(rows.clone());
-    let pred = Expr::cmp(CmpOp::Ge, Expr::col("port"), Expr::lit(256i64));
-    let mk = || {
-        Pipeline::new(vec![
-            Box::new(Selection::new(pred.clone())) as Box<dyn LocalOperator + Send>,
-            Box::new(Projection::new(vec!["src".into(), "len".into()])),
-        ])
-    };
-    let scans: u64 = 200;
-    let measure = |tel: &Telemetry, traced: bool| -> f64 {
-        let mut p = mk();
-        p.set_telemetry(tel);
-        let t0 = Instant::now();
-        let mut survivors = 0u64;
-        for i in 0..scans {
-            let out = p.push_batch(&batch);
-            survivors += out.len() as u64;
-            if traced {
-                // What a sampled query's ingest adds per batch: one
-                // instantaneous span into the bounded ring.
-                tel.record_span(
-                    i,
-                    i,
-                    0xDEAD_BEEF,
-                    i + 1,
-                    0xDEAD_BEEF,
-                    42,
-                    "ingest",
-                    batch.len() as u64,
-                    0,
-                    0,
-                );
-            }
+    let run = explain_analyze_netmon(&query_profile_config());
+    print!("{}", query_profile_table(&run));
+    for (var, what, text) in [
+        ("PIER_SPANS_OUT", "merged spans", &run.span_jsonl),
+        ("PIER_CHROME_OUT", "chrome profile", &run.chrome_json),
+    ] {
+        if let Some(path) = std::env::var_os(var) {
+            std::fs::write(&path, text).expect("write profile export");
+            eprintln!("{what} written to {}", path.to_string_lossy());
         }
-        assert!(survivors > 0, "the scan must keep survivors");
-        t0.elapsed().as_nanos() as f64 / (scans * rows.len() as u64) as f64
-    };
-    let plain = Telemetry::attached();
-    let traced = Telemetry::attached();
-    let mut best_plain = f64::INFINITY;
-    let mut best_traced = f64::INFINITY;
-    let mut overhead = f64::INFINITY;
-    for round in 0..15 {
-        let (a, b) = if round % 2 == 0 {
-            let a = measure(&plain, false);
-            (a, measure(&traced, true))
-        } else {
-            let b = measure(&traced, true);
-            (measure(&plain, false), b)
-        };
-        best_plain = best_plain.min(a);
-        best_traced = best_traced.min(b);
-        overhead = overhead.min((b + 0.05) / (a + 0.05));
     }
-    // True overhead cannot be negative: a sub-1.0 paired ratio is pure
-    // measurement noise, so clamp before reporting/asserting.
-    let overhead = overhead.max(1.0);
-    println!(
-        "ingest_batch_scan_tracing            {best_traced:>10.1} ns/row   ({overhead:.3}x of {best_plain:.1})"
-    );
-    emit_metric(
-        "query_profile",
-        "ingest_batch_scan_tracing_ns_per_row",
-        best_traced,
-    );
-    emit_metric(
-        "query_profile",
-        "ingest_batch_scan_tracing_overhead",
-        overhead,
-    );
-    assert!(
-        overhead <= 1.01,
-        "enabled tracing must cost <= 1% on the ingest batch scan \
-         (best paired ratio {overhead:.4}x; traced {best_traced:.2} ns/row \
-         vs plain {best_plain:.2} ns/row)"
-    );
-    let recorded = traced.with(|h| h.spans().count()).unwrap_or(0);
-    assert!(
-        recorded > 0,
-        "the traced arm must actually record spans into the ring"
-    );
 }

@@ -3,38 +3,9 @@
 //! opgraph only to the PHT-style buckets overlapping the range.
 //!
 //! Run with `cargo bench -p pier-bench --bench range_dissemination`.
-
-use pier_bench::{emit_metric, slug};
-use pier_harness::indexes::range_dissemination;
+//! `tests/paper_tables.rs` compares what this prints with
+//! `docs/baselines/tables/range_dissemination.txt`.
 
 fn main() {
-    println!("# EXP-G — range-index vs broadcast dissemination");
-    println!("# nodes  range%  strategy       buckets  messages  nodes_running_query  results");
-    for nodes in [32, 64, 128] {
-        for fraction in [0.05, 0.20] {
-            for row in range_dissemination(nodes, 400, fraction, 13) {
-                println!(
-                    "{:>6}  {:>5.0}%  {:<13} {:>7} {:>9} {:>19} {:>8}",
-                    row.nodes,
-                    row.range_fraction * 100.0,
-                    row.strategy,
-                    row.buckets,
-                    row.messages,
-                    row.nodes_running_query,
-                    row.results
-                );
-                if nodes == 128 {
-                    emit_metric(
-                        "range_dissemination",
-                        &format!(
-                            "messages_{}_128_{}pct",
-                            slug(&row.strategy),
-                            (fraction * 100.0) as u32
-                        ),
-                        row.messages as f64,
-                    );
-                }
-            }
-        }
-    }
+    print!("{}", pier_harness::indexes::range_dissemination_table());
 }

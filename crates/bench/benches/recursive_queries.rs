@@ -2,29 +2,9 @@
 //! index joins (§3.3.2, declarative-routing workload).
 //!
 //! Run with `cargo bench -p pier-bench --bench recursive_queries`.
-
-use pier_bench::emit_metric;
-use pier_harness::recursion::distributed_reachability;
+//! `tests/paper_tables.rs` compares what this prints with
+//! `docs/baselines/tables/recursive_queries.txt`.
 
 fn main() {
-    println!("# EXP-K — distributed reachability (semi-naive rounds of Fetch Matches joins)");
-    println!("# pier_nodes  graph_nodes  edges  reached  rounds  messages  matches_reference");
-    for (pier_nodes, graph_nodes, degree) in [(16, 30, 2), (32, 60, 2), (32, 60, 3)] {
-        let r = distributed_reachability(pier_nodes, graph_nodes, degree, 5);
-        println!(
-            "{:>11} {:>12} {:>6} {:>8} {:>7} {:>9} {:>18}",
-            r.nodes,
-            graph_nodes,
-            r.edges,
-            r.reached_distributed,
-            r.rounds,
-            r.messages,
-            r.matches_reference
-        );
-        emit_metric(
-            "recursive_queries",
-            &format!("messages_{pier_nodes}n_{graph_nodes}g_{degree}d"),
-            r.messages as f64,
-        );
-    }
+    print!("{}", pier_harness::recursion::recursive_queries_table());
 }

@@ -4,26 +4,9 @@
 //! the base table).
 //!
 //! Run with `cargo bench -p pier-bench --bench secondary_index`.
-
-use pier_bench::{emit_metric, slug};
-use pier_harness::indexes::secondary_index_lookup;
+//! `tests/paper_tables.rs` compares what this prints with
+//! `docs/baselines/tables/secondary_index.txt`.
 
 fn main() {
-    println!("# EXP-J — secondary-index semi-join vs broadcast scan");
-    println!("# nodes  strategy          messages  nodes_running_query  results");
-    for nodes in [32, 64, 128] {
-        for row in secondary_index_lookup(nodes, 300, 12, 21) {
-            println!(
-                "{:>6}  {:<16} {:>9} {:>19} {:>8}",
-                row.nodes, row.strategy, row.messages, row.nodes_running_query, row.results
-            );
-            if nodes == 128 {
-                emit_metric(
-                    "secondary_index",
-                    &format!("messages_{}_128", slug(&row.strategy)),
-                    row.messages as f64,
-                );
-            }
-        }
-    }
+    print!("{}", pier_harness::indexes::secondary_index_table());
 }

@@ -4,88 +4,35 @@
 //! telemetry hub into the `system.metrics` DHT namespace and two standing
 //! sqlish queries (per-node windowed `MAX(bytes_recv)` and
 //! `MAX(lookup_p99_us)`) monitor the cluster through PIER itself — and
-//! asserts the acceptance bar: the monitoring queries return live values
-//! for *every* node.  Emits the standard JSON metric lines.
+//! prints what the monitoring queries saw.  That they see every node is
+//! asserted by the harness's own test of the workload; the exported
+//! events' schema in `tests/telemetry_determinism.rs`.
 //!
-//! When `PIER_TRACE_OUT` names a file, node 0's structured event trace is
-//! written there as JSONL; CI validates each line against the event schema
-//! documented in `docs/OBSERVABILITY.md`.  `PIER_TRACE_MERGED_OUT` writes
-//! the merged all-nodes trace (stably ordered, byte-reproducible under
-//! equal seeds), and `PIER_SPANS_OUT` the merged all-nodes span export.
+//! Run with `cargo bench -p pier-bench --bench self_monitoring`.
+//! `tests/paper_tables.rs` compares what this prints with
+//! `docs/baselines/tables/self_monitoring.txt`.  When `PIER_TRACE_OUT`
+//! names a file, node 0's structured event trace is written there as JSONL;
+//! `PIER_TRACE_MERGED_OUT` writes the merged all-nodes trace (stably
+//! ordered, byte-reproducible under equal seeds), and `PIER_SPANS_OUT` the
+//! merged all-nodes span export.
 
-use pier_bench::emit_metric;
-use pier_harness::{self_monitoring, SelfMonitoringConfig};
-
-/// Smoke mode (`PIER_BENCH_SMOKE=1`, used by CI) shrinks the cluster and
-/// run length while still emitting every metric line and assertion.
-fn smoke() -> bool {
-    std::env::var_os("PIER_BENCH_SMOKE").is_some()
-}
+use pier_harness::self_monitoring::{self_monitoring, self_monitoring_table, SelfMonitoringConfig};
 
 fn main() {
-    println!("# self-monitoring: standing queries over system.metrics");
-    let (nodes, run_secs) = if smoke() { (8, 12) } else { (24, 30) };
-    let cfg = SelfMonitoringConfig::new(nodes, run_secs, 11);
-    let out = self_monitoring(&cfg);
-
-    let windows = out.bytes_recv.len() as f64;
-    let reporting = out.nodes_reporting() as f64;
-    println!(
-        "self_monitoring                      {:>10.0} publishes  ({} windows, {}/{} nodes reporting)",
-        out.publishes,
-        out.bytes_recv.len(),
-        out.nodes_reporting(),
-        nodes
-    );
-    println!(
-        "self_monitoring_peaks                  bytes_recv {:>10.0}   lookup_p99 {:>8.0} us",
-        out.peak_bytes_recv(),
-        out.peak_lookup_p99()
-    );
-    emit_metric("self_monitoring", "metrics_publishes", out.publishes as f64);
-    emit_metric("self_monitoring", "bytes_recv_windows", windows);
-    emit_metric("self_monitoring", "nodes_reporting", reporting);
-    emit_metric("self_monitoring", "peak_bytes_recv", out.peak_bytes_recv());
-    emit_metric(
-        "self_monitoring",
-        "peak_lookup_p99_us",
-        out.peak_lookup_p99(),
-    );
-    let trace_events = out.trace_jsonl.lines().count() as f64;
-    emit_metric("self_monitoring", "trace_events_node0", trace_events);
-    let merged_events = out.merged_trace_jsonl.lines().count() as f64;
-    emit_metric("self_monitoring", "trace_events_all_nodes", merged_events);
-    emit_metric("self_monitoring", "trace_dropped", out.trace_dropped as f64);
-
-    if let Some(path) = std::env::var_os("PIER_TRACE_OUT") {
-        std::fs::write(&path, &out.trace_jsonl).expect("write trace JSONL");
-        println!("trace written to {}", path.to_string_lossy());
+    let run = self_monitoring(&SelfMonitoringConfig::new(24, 30, 11));
+    print!("{}", self_monitoring_table(&run));
+    for (var, what, text) in [
+        ("PIER_TRACE_OUT", "trace", &run.trace_jsonl),
+        (
+            "PIER_TRACE_MERGED_OUT",
+            "merged trace",
+            &run.merged_trace_jsonl,
+        ),
+        ("PIER_SPANS_OUT", "merged spans", &run.merged_span_jsonl),
+    ] {
+        if let Some(path) = std::env::var_os(var) {
+            std::fs::write(&path, text).expect("write JSONL export");
+            eprintln!("{what} written to {}", path.to_string_lossy());
+        }
     }
-    if let Some(path) = std::env::var_os("PIER_TRACE_MERGED_OUT") {
-        std::fs::write(&path, &out.merged_trace_jsonl).expect("write merged trace JSONL");
-        println!("merged trace written to {}", path.to_string_lossy());
-    }
-    if let Some(path) = std::env::var_os("PIER_SPANS_OUT") {
-        std::fs::write(&path, &out.merged_span_jsonl).expect("write merged span JSONL");
-        println!("merged spans written to {}", path.to_string_lossy());
-    }
-
-    assert!(out.publishes > 0, "nodes must publish metrics tuples");
-    assert_eq!(
-        out.nodes_reporting(),
-        nodes,
-        "the monitoring query must observe every node"
-    );
-    assert!(
-        out.peak_bytes_recv() > 0.0 && out.peak_lookup_p99() > 0.0,
-        "monitored metrics must move during the run"
-    );
-    assert!(
-        trace_events > 0.0,
-        "node 0 must record trace events (query installs at minimum)"
-    );
-    assert!(
-        merged_events >= trace_events,
-        "the merged all-nodes export must contain at least node 0's events"
-    );
 }

@@ -1,29 +1,48 @@
-//! Support library for the PIER benchmark harness (see `benches/`).
+//! Support library for the PIER experiment drivers (see `benches/`).
+//!
+//! Most drivers print one table rendered by `pier-harness`; the two that
+//! also measure something on this machine (`dht_ops`, `mqo_shared`) count
+//! allocations through [`CountingAlloc`].
 
-/// Print one machine-readable metric line:
-/// `{"bench": "...", "metric": "...", "value": ...}`.
-///
-/// Every bench binary emits its headline numbers through this so the perf
-/// trajectory can be tracked across PRs by grepping bench output for lines
-/// starting with `{"bench"` (see `BENCH_dht_ops.json` for a recorded
-/// baseline).  Values are finite floats; metric names carry their unit as a
-/// suffix (`_ns_per_op`, `_msgs`, `_secs`, …).
-pub fn emit_metric(bench: &str, metric: &str, value: f64) {
-    println!("{{\"bench\": \"{bench}\", \"metric\": \"{metric}\", \"value\": {value}}}");
+// The counting allocator is the one justified unsafe site of the benches:
+// it delegates to the system allocator verbatim and only bumps a relaxed
+// counter, so the alloc/dealloc contracts are inherited.
+#![allow(unsafe_code)]
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+/// A pass-through allocator that counts allocations, so a bench can report
+/// "allocation-free" as a measured number.  Install it with
+/// `#[global_allocator] static GLOBAL: CountingAlloc = CountingAlloc;` and
+/// read [`allocations`] before and after the measured loop.
+pub struct CountingAlloc;
+
+static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+// SAFETY: delegates directly to the system allocator; the counter is a
+// relaxed atomic with no effect on allocation behaviour.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        unsafe { System.dealloc(ptr, layout) }
+    }
 }
 
-/// Turn a free-form label ("flat mode", "kill 5, join 3") into a metric-name
-/// segment: lowercase alphanumerics with single underscores.
-pub fn slug(label: &str) -> String {
-    let mut out = String::with_capacity(label.len());
-    for c in label.chars() {
-        if c.is_ascii_alphanumeric() {
-            out.push(c.to_ascii_lowercase());
-        } else if !out.ends_with('_') && !out.is_empty() {
-            out.push('_');
-        }
-    }
-    out.trim_end_matches('_').to_string()
+/// Allocations made so far through an installed [`CountingAlloc`].
+pub fn allocations() -> u64 {
+    ALLOCATIONS.load(Ordering::Relaxed)
+}
+
+/// Print one machine-readable metric line (`pier_harness::metric_line`):
+/// `{"bench": "...", "metric": "...", "value": ...}`.  Metric names carry
+/// their unit as a suffix (`_ns_per_op`, `_allocs_per_row`, …).
+pub fn emit_metric(bench: &str, metric: &str, value: f64) {
+    println!("{}", pier_harness::metric_line(bench, metric, value));
 }
 
 #[cfg(test)]
@@ -31,11 +50,5 @@ mod tests {
     #[test]
     fn emit_metric_does_not_panic() {
         super::emit_metric("smoke", "noop_count", 1.0);
-    }
-
-    #[test]
-    fn slug_flattens_labels() {
-        assert_eq!(super::slug("churn (kill 5, join 3)"), "churn_kill_5_join_3");
-        assert_eq!(super::slug("Fetch-Matches"), "fetch_matches");
     }
 }

@@ -375,14 +375,6 @@ impl Column {
         }
     }
 
-    /// True when row `r` holds a non-null value.
-    pub fn is_valid(&self, r: usize) -> bool {
-        match self {
-            Column::Values(vals) => !vals[r].is_null(),
-            _ => self.validity().is_none_or(|v| v.get(r)),
-        }
-    }
-
     /// Borrowed view of row `r` — allocation-free on every layout.
     pub fn value_ref(&self, r: usize) -> ValueRef<'_> {
         match self {
@@ -881,108 +873,103 @@ impl Column {
 
     /// Decode one column of `rows` rows from the front of `buf`, returning
     /// it and the bytes consumed.  `None` on truncated, non-canonical, or
-    /// invariant-violating input.
+    /// invariant-violating input.  `rows` comes off the wire: every buffer
+    /// is sliced out of `buf` before anything is reserved for it, so a
+    /// frame cannot make the decoder allocate more than a small multiple of
+    /// its own length.
     pub fn decode_body(rows: usize, buf: &[u8]) -> Option<(Column, usize)> {
-        fn decode_validity(rows: usize, buf: &[u8]) -> Option<(Option<Bitmap>, usize)> {
-            match *buf.first()? {
-                0 => Some((None, 1)),
+        /// The `len` bytes at `*at`, advancing past them.
+        fn take<'a>(buf: &'a [u8], at: &mut usize, len: usize) -> Option<&'a [u8]> {
+            let end = at.checked_add(len)?;
+            let bytes = buf.get(*at..end)?;
+            *at = end;
+            Some(bytes)
+        }
+        /// `n` little-endian `W`-byte words at `*at`, advancing past them.
+        fn words<const W: usize, T>(
+            buf: &[u8],
+            at: &mut usize,
+            n: usize,
+            from_le: fn([u8; W]) -> T,
+        ) -> Option<Vec<T>> {
+            let bytes = take(buf, at, n.checked_mul(W)?)?;
+            Some(
+                bytes
+                    .chunks_exact(W)
+                    .map(|w| from_le(w.try_into().expect("chunks_exact yields W bytes")))
+                    .collect(),
+            )
+        }
+        fn decode_validity(rows: usize, buf: &[u8], at: &mut usize) -> Option<Option<Bitmap>> {
+            match take(buf, at, 1)?[0] {
+                0 => Some(None),
                 1 => {
-                    let nwords = rows.div_ceil(64);
-                    let mut words = Vec::with_capacity(nwords);
-                    let mut at = 1;
-                    for _ in 0..nwords {
-                        words.push(u64::from_le_bytes(buf.get(at..at + 8)?.try_into().ok()?));
-                        at += 8;
-                    }
-                    Some((Some(Bitmap::from_words(words, rows)?), at))
+                    let words = words(buf, at, rows.div_ceil(64), u64::from_le_bytes)?;
+                    Some(Some(Bitmap::from_words(words, rows)?))
                 }
                 _ => None,
             }
         }
-        let tag = *buf.first()?;
-        let rest = &buf[1..];
-        match tag {
+        let mut at = 0;
+        let tag = take(buf, &mut at, 1)?[0];
+        let column = match tag {
             0 => {
-                let mut vals = Vec::with_capacity(rows);
-                let mut at = 0;
+                // Every encoded value takes at least its tag byte.
+                let mut vals = Vec::with_capacity(rows.min(buf.len()));
                 for _ in 0..rows {
-                    let (v, used) = Value::decode(&rest[at.min(rest.len())..])?;
+                    let (v, used) = Value::decode(buf.get(at..)?)?;
                     vals.push(v);
                     at += used;
                 }
-                Some((Column::Values(vals), 1 + at))
+                Column::Values(vals)
             }
-            1 | 2 => {
-                let (validity, mut at) = decode_validity(rows, rest)?;
-                if tag == 1 {
-                    let mut data = Vec::with_capacity(rows);
-                    for _ in 0..rows {
-                        data.push(i64::from_le_bytes(rest.get(at..at + 8)?.try_into().ok()?));
-                        at += 8;
-                    }
-                    Some((Column::Int { data, validity }, 1 + at))
-                } else {
-                    let mut data = Vec::with_capacity(rows);
-                    for _ in 0..rows {
-                        data.push(f64::from_le_bytes(rest.get(at..at + 8)?.try_into().ok()?));
-                        at += 8;
-                    }
-                    Some((Column::Float { data, validity }, 1 + at))
-                }
+            1 => {
+                let validity = decode_validity(rows, buf, &mut at)?;
+                let data = words(buf, &mut at, rows, i64::from_le_bytes)?;
+                Column::Int { data, validity }
+            }
+            2 => {
+                let validity = decode_validity(rows, buf, &mut at)?;
+                let data = words(buf, &mut at, rows, f64::from_le_bytes)?;
+                Column::Float { data, validity }
             }
             3 => {
-                let (validity, mut at) = decode_validity(rows, rest)?;
-                let nwords = rows.div_ceil(64);
-                let mut words = Vec::with_capacity(nwords);
-                for _ in 0..nwords {
-                    words.push(u64::from_le_bytes(rest.get(at..at + 8)?.try_into().ok()?));
-                    at += 8;
-                }
+                let validity = decode_validity(rows, buf, &mut at)?;
+                let words = words(buf, &mut at, rows.div_ceil(64), u64::from_le_bytes)?;
                 let packed = Bitmap::from_words(words, rows)?;
                 let data = (0..rows).map(|r| packed.get(r)).collect();
-                Some((Column::Bool { data, validity }, 1 + at))
+                Column::Bool { data, validity }
             }
             4 => {
-                let (validity, mut at) = decode_validity(rows, rest)?;
-                let dict_len = u16::from_le_bytes(rest.get(at..at + 2)?.try_into().ok()?) as usize;
-                at += 2;
+                let validity = decode_validity(rows, buf, &mut at)?;
+                let dict_len = u16::from_le_bytes(take(buf, &mut at, 2)?.try_into().ok()?) as usize;
                 if dict_len > 256 {
                     return None;
                 }
-                let mut dict = Vec::with_capacity(dict_len);
+                // Every entry takes at least its four-byte length.
+                let mut dict = Vec::with_capacity(dict_len.min((buf.len() - at) / 4));
                 for _ in 0..dict_len {
-                    let len = u32::from_le_bytes(rest.get(at..at + 4)?.try_into().ok()?) as usize;
-                    at += 4;
-                    let s = std::str::from_utf8(rest.get(at..at + len)?).ok()?;
+                    let len = u32::from_le_bytes(take(buf, &mut at, 4)?.try_into().ok()?) as usize;
+                    let s = std::str::from_utf8(take(buf, &mut at, len)?).ok()?;
                     dict.push(Arc::<str>::from(s));
-                    at += len;
                 }
-                let codes: Vec<u8> = rest.get(at..at + rows)?.to_vec();
-                at += rows;
+                let codes = take(buf, &mut at, rows)?.to_vec();
                 if codes.iter().any(|&c| c as usize >= dict_len.max(1)) {
                     return None;
                 }
-                Some((
-                    Column::Dict {
-                        codes,
-                        dict,
-                        validity,
-                        index: DictIndex::default(),
-                    },
-                    1 + at,
-                ))
+                Column::Dict {
+                    codes,
+                    dict,
+                    validity,
+                    index: DictIndex::default(),
+                }
             }
             5 => {
-                let (validity, mut at) = decode_validity(rows, rest)?;
-                let arena_len = u32::from_le_bytes(rest.get(at..at + 4)?.try_into().ok()?) as usize;
-                at += 4;
-                let arena = rest.get(at..at + arena_len)?.to_vec();
-                at += arena_len;
-                let mut offsets = Vec::with_capacity(rows + 1);
-                for _ in 0..rows + 1 {
-                    offsets.push(u32::from_le_bytes(rest.get(at..at + 4)?.try_into().ok()?));
-                    at += 4;
-                }
+                let validity = decode_validity(rows, buf, &mut at)?;
+                let arena_len =
+                    u32::from_le_bytes(take(buf, &mut at, 4)?.try_into().ok()?) as usize;
+                let arena = take(buf, &mut at, arena_len)?.to_vec();
+                let offsets = words(buf, &mut at, rows.checked_add(1)?, u32::from_le_bytes)?;
                 if offsets[0] != 0
                     || offsets[rows] as usize != arena.len()
                     || offsets.windows(2).any(|w| w[0] > w[1])
@@ -994,17 +981,15 @@ impl Column {
                         return None;
                     }
                 }
-                Some((
-                    Column::Str {
-                        arena,
-                        offsets,
-                        validity,
-                    },
-                    1 + at,
-                ))
+                Column::Str {
+                    arena,
+                    offsets,
+                    validity,
+                }
             }
-            _ => None,
-        }
+            _ => return None,
+        };
+        Some((column, at))
     }
 }
 

@@ -38,6 +38,10 @@ use pier_trace::{trace_id_for, TraceConfig, TraceContext};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
+/// Upper bound on how long a rehash tuple may sit in the batch buffer before
+/// the periodic flush tick ships it.
+const BATCH_FLUSH_INTERVAL: Duration = 100_000;
+
 /// Tuning knobs for a PIER node.
 #[derive(Debug, Clone)]
 pub struct PierConfig {
@@ -53,9 +57,6 @@ pub struct PierConfig {
     pub batching: bool,
     /// Rehash tuples buffered per node before an early flush.
     pub batch_max_tuples: usize,
-    /// Upper bound on how long a rehash tuple may sit in the batch buffer
-    /// before the periodic flush tick ships it, microseconds.
-    pub batch_flush_interval: Duration,
     /// Optional multi-query sharing layer constructor (`pier_mqo::layer`):
     /// when set, disseminated plans are offered to the layer first and
     /// constant-varied continuous queries execute as share-group members
@@ -109,7 +110,6 @@ impl Default for PierConfig {
             publish_lifetime: 600_000_000,
             batching: true,
             batch_max_tuples: 64,
-            batch_flush_interval: 100_000,
             sharing: None,
             telemetry: TelemetryConfig::default(),
             durable: None,
@@ -551,12 +551,6 @@ impl PierNode {
         self.proxied.len()
     }
 
-    /// Queries currently holding admission budget at this proxy (`None`
-    /// when the node was built without an admission layer).
-    pub fn admitted_queries(&self) -> Option<usize> {
-        self.admission.as_ref().map(|l| l.admitted())
-    }
-
     // ----- distributed tracing (pier-trace) ---------------------------------
 
     /// Allocate the next cluster-unique span id: node address in the high
@@ -565,12 +559,6 @@ impl PierNode {
     fn next_span_id(&mut self, me: NodeAddr) -> u64 {
         self.next_span_seq += 1;
         ((u64::from(me.0) + 1) << 32) | self.next_span_seq
-    }
-
-    /// Rows of a node-local table (the decoupled-storage access method over
-    /// data that lives only on this node, e.g. its own firewall log).
-    pub fn local_table_len(&self, table: &str) -> usize {
-        self.local_tables.get(table).map_or(0, Vec::len)
     }
 
     /// Append a row to a node-local table.  Rows become visible to queries
@@ -1783,7 +1771,7 @@ impl PierNode {
                             effects.extend(self.flush_rehash(&namespace, full, now));
                         } else if !self.batch_timer_armed {
                             self.batch_timer_armed = true;
-                            ctx.set_timer(self.config.batch_flush_interval, PierTimer::BatchFlush);
+                            ctx.set_timer(BATCH_FLUSH_INTERVAL, PierTimer::BatchFlush);
                         }
                     }
                     if buf.tuples > 0 {

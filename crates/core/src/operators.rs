@@ -328,11 +328,6 @@ impl GroupBy {
         SchemaRegistry::global().intern_owned(output_table.to_string(), columns)
     }
 
-    /// Number of groups currently buffered.
-    pub fn group_count(&self) -> usize {
-        self.groups.len()
-    }
-
     /// Merge a partial-aggregate tuple previously produced by another
     /// `GroupBy` with the same shape (hierarchical aggregation's combine
     /// step).  Returns `false` when the tuple does not look like a partial

@@ -317,12 +317,6 @@ impl CqSpec {
             budget: CqBudget::default(),
         }
     }
-
-    /// Override the per-node budget.
-    pub fn with_budget(mut self, budget: CqBudget) -> Self {
-        self.budget = budget;
-        self
-    }
 }
 
 impl WireSize for CqSpec {
@@ -587,40 +581,6 @@ impl PlanBuilder {
                 join: None,
                 ops,
                 sink: SinkSpec::ToProxy,
-            })
-            .build()
-    }
-
-    /// Shorthand for the continuous netmon query: a sliding-window grouped
-    /// count over `table`, streamed per window to the proxy for as long as
-    /// the proxy keeps renewing the query.
-    pub fn windowed_group_count(
-        proxy: NodeAddr,
-        table: &str,
-        group_col: &str,
-        window: WindowSpec,
-        cq: CqSpec,
-        timeout: Duration,
-    ) -> QueryPlan {
-        PlanBuilder::new(proxy)
-            .timeout(timeout)
-            .cq(cq)
-            .opgraph(OpGraph {
-                id: 0,
-                source: SourceSpec::Table {
-                    namespace: table.to_string(),
-                },
-                join: None,
-                ops: vec![],
-                sink: SinkSpec::WindowedAgg {
-                    window,
-                    group_cols: vec![group_col.to_string()],
-                    aggs: vec![AggFunc::Count],
-                    time_col: Some("ts".to_string()),
-                    dedup_cols: vec![],
-                    delta: DeltaMode::Snapshot,
-                    final_ops: vec![],
-                },
             })
             .build()
     }

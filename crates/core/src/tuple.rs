@@ -359,12 +359,6 @@ impl Tuple {
         self.schema.position(column).map(|i| &self.values[i])
     }
 
-    /// Values for several columns at once; `None` if any is missing — the
-    /// caller then discards the tuple (best-effort policy).
-    pub fn get_all(&self, columns: &[String]) -> Option<Vec<Value>> {
-        columns.iter().map(|c| self.get(c).cloned()).collect()
-    }
-
     /// Canonical partitioning-key string for a set of hashing attributes.
     /// Returns `None` when any attribute is missing.
     pub fn partition_key(&self, columns: &[String]) -> Option<String> {
@@ -443,14 +437,6 @@ impl Tuple {
             schema,
             values: values.into(),
         }
-    }
-
-    /// Rename the tuple's table (e.g. when materialising a partial result
-    /// set under a query-specific namespace).
-    pub fn with_table(mut self, table: impl AsRef<str>) -> Tuple {
-        let names: Vec<&str> = self.schema.columns.iter().map(String::as_str).collect();
-        self.schema = SchemaRegistry::global().intern(table.as_ref(), &names);
-        self
     }
 }
 
@@ -672,12 +658,14 @@ impl ColumnChunk {
         }
         let rows = u32::from_le_bytes(buf.get(2..6)?.try_into().ok()?) as usize;
         let mut at = 6;
-        let mut columns = Vec::with_capacity(ncols);
-        for _ in 0..ncols {
-            let (col, used) = Column::decode_body(rows, buf.get(at..)?)?;
-            columns.push(col);
-            at += used;
-        }
+        // Nothing is reserved before the first column has decoded.
+        let columns = (0..ncols)
+            .map(|_| {
+                let (col, used) = Column::decode_body(rows, buf.get(at..)?)?;
+                at += used;
+                Some(col)
+            })
+            .collect::<Option<Vec<_>>>()?;
         Some((
             ColumnChunk {
                 schema,

@@ -209,7 +209,12 @@ impl Value {
         let rest = &buf[1..];
         match tag {
             0 => Some((Value::Null, 1)),
-            1 => Some((Value::Bool(*rest.first()? != 0), 2)),
+            // One encoding per value: what decodes re-encodes to the same
+            // bytes.
+            1 => match *rest.first()? {
+                b @ (0 | 1) => Some((Value::Bool(b == 1), 2)),
+                _ => None,
+            },
             2 => {
                 let b: [u8; 8] = rest.get(..8)?.try_into().ok()?;
                 Some((Value::Int(i64::from_le_bytes(b)), 9))

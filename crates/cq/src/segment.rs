@@ -128,6 +128,16 @@ impl<'a> Reader<'a> {
         Some(v)
     }
 
+    /// A flag byte: 0 or 1 and nothing else, so that what decodes
+    /// re-encodes to the same bytes.
+    fn flag(&mut self) -> Option<bool> {
+        match self.u8()? {
+            0 => Some(false),
+            1 => Some(true),
+            _ => None,
+        }
+    }
+
     fn u32(&mut self) -> Option<u32> {
         let s = self.bytes.get(self.pos..self.pos + 4)?;
         self.pos += 4;
@@ -192,16 +202,19 @@ impl SegmentRecord {
             TAG_WINDOW => {
                 let id = r.u64()?;
                 let tuples = r.u64()?;
-                let dirty = r.u8()? != 0;
+                let dirty = r.flag()?;
                 let n_groups = r.u32()? as usize;
-                let mut groups = Vec::with_capacity(n_groups.min(4_096));
+                // A group takes at least its two length prefixes, a dedup
+                // key its one: the counts are input and reserve no more
+                // than the payload could hold.
+                let mut groups = Vec::with_capacity(n_groups.min((payload.len() - r.pos) / 8));
                 for _ in 0..n_groups {
                     let key = r.string()?;
                     let state = r.bytes()?.to_vec();
                     groups.push((key, state));
                 }
                 let n_seen = r.u32()? as usize;
-                let mut seen = Vec::with_capacity(n_seen.min(4_096));
+                let mut seen = Vec::with_capacity(n_seen.min((payload.len() - r.pos) / 4));
                 for _ in 0..n_seen {
                     seen.push(r.string()?);
                 }
@@ -216,8 +229,11 @@ impl SegmentRecord {
             TAG_WATERMARK => {
                 let mut horizons = [None, None];
                 for h in &mut horizons {
-                    let present = r.u8()? != 0;
+                    let present = r.flag()?;
                     let v = r.u64()?;
+                    if !present && v != 0 {
+                        return None; // an absent horizon is written as 0
+                    }
                     *h = present.then_some(v);
                 }
                 SegmentRecord::Watermark {

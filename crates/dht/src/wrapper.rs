@@ -48,37 +48,26 @@ type PendingUpcall<V> = (Id, ObjectName, V, Duration, u32, Option<TraceContext>)
 /// root identifier hard-coded into every PIER node (§3.3.3).
 pub const TREE_ROOT_NAME: &str = "pier::distribution-tree";
 
-/// Tuning knobs for the overlay wrapper.
-#[derive(Debug, Clone, Copy)]
+/// Interval between Chord stabilization rounds.
+const STABILIZE_INTERVAL: Duration = 1_000_000;
+/// Interval between finger-table refreshes.
+const FIX_FINGERS_INTERVAL: Duration = 2_000_000;
+/// Interval between soft-state expiry sweeps.
+const EXPIRE_INTERVAL: Duration = 5_000_000;
+/// Maximum soft-state lifetime a node will grant.
+const MAX_LIFETIME: Duration = 600_000_000;
+/// Interval between distribution-tree re-join announcements.
+const TREE_REFRESH_INTERVAL: Duration = 10_000_000;
+/// Lifetime granted to a recorded tree child before it must re-join.
+const TREE_CHILD_LIFETIME: Duration = 30_000_000;
+
+/// Tuning knobs for the overlay wrapper.  The maintenance intervals and
+/// soft-state lifetimes are the constants above, not fields: nothing needs
+/// two values of them.
+#[derive(Debug, Clone, Copy, Default)]
 pub struct OverlayConfig {
     /// Router configuration.
     pub router: RouterConfig,
-    /// Interval between Chord stabilization rounds, microseconds.
-    pub stabilize_interval: Duration,
-    /// Interval between finger-table refreshes, microseconds.
-    pub fix_fingers_interval: Duration,
-    /// Interval between soft-state expiry sweeps, microseconds.
-    pub expire_interval: Duration,
-    /// Maximum soft-state lifetime the node will grant, microseconds.
-    pub max_lifetime: Duration,
-    /// Interval between distribution-tree re-join announcements.
-    pub tree_refresh_interval: Duration,
-    /// Lifetime granted to a recorded tree child before it must re-join.
-    pub tree_child_lifetime: Duration,
-}
-
-impl Default for OverlayConfig {
-    fn default() -> Self {
-        OverlayConfig {
-            router: RouterConfig::default(),
-            stabilize_interval: 1_000_000,
-            fix_fingers_interval: 2_000_000,
-            expire_interval: 5_000_000,
-            max_lifetime: 600_000_000,
-            tree_refresh_interval: 10_000_000,
-            tree_child_lifetime: 30_000_000,
-        }
-    }
 }
 
 /// Periodic maintenance timers the host must schedule on the wrapper's
@@ -261,12 +250,11 @@ pub struct Overlay<V> {
 impl<V: Clone + Debug + WireSize> Overlay<V> {
     /// Create an overlay instance for a node that will join dynamically.
     pub fn new(me: NodeRef, config: OverlayConfig) -> Self {
-        let max_lifetime = config.max_lifetime;
         Overlay {
             me,
             config,
             router: Router::new(me, config.router),
-            objects: ObjectManager::new(max_lifetime),
+            objects: ObjectManager::new(MAX_LIFETIME),
             pending: HashMap::new(),
             pending_upcalls: HashMap::new(),
             pending_trace: None,
@@ -343,19 +331,19 @@ impl<V: Clone + Debug + WireSize> Overlay<V> {
             .map(routing_effect)
             .collect();
         effects.push(OverlayEffect::SetTimer {
-            delay: self.config.stabilize_interval,
+            delay: STABILIZE_INTERVAL,
             timer: OverlayTimer::Stabilize,
         });
         effects.push(OverlayEffect::SetTimer {
-            delay: self.config.fix_fingers_interval,
+            delay: FIX_FINGERS_INTERVAL,
             timer: OverlayTimer::FixFingers,
         });
         effects.push(OverlayEffect::SetTimer {
-            delay: self.config.expire_interval,
+            delay: EXPIRE_INTERVAL,
             timer: OverlayTimer::Expire,
         });
         effects.push(OverlayEffect::SetTimer {
-            delay: self.config.tree_refresh_interval / 2,
+            delay: TREE_REFRESH_INTERVAL / 2,
             timer: OverlayTimer::TreeRefresh,
         });
         effects
@@ -955,8 +943,7 @@ impl<V: Clone + Debug + WireSize> Overlay<V> {
                 }
             }
             DhtMessage::TreeJoin { child, .. } => {
-                self.tree_children
-                    .insert(child, now + self.config.tree_child_lifetime);
+                self.tree_children.insert(child, now + TREE_CHILD_LIFETIME);
                 Vec::new()
             }
             DhtMessage::TreeBroadcastUp { root, payload } => {
@@ -998,10 +985,10 @@ impl<V: Clone + Debug + WireSize> Overlay<V> {
             OverlayTimer::TreeRefresh => self.join_tree(now),
         };
         let delay = match timer {
-            OverlayTimer::Stabilize => self.config.stabilize_interval,
-            OverlayTimer::FixFingers => self.config.fix_fingers_interval,
-            OverlayTimer::Expire => self.config.expire_interval,
-            OverlayTimer::TreeRefresh => self.config.tree_refresh_interval,
+            OverlayTimer::Stabilize => STABILIZE_INTERVAL,
+            OverlayTimer::FixFingers => FIX_FINGERS_INTERVAL,
+            OverlayTimer::Expire => EXPIRE_INTERVAL,
+            OverlayTimer::TreeRefresh => TREE_REFRESH_INTERVAL,
         };
         effects.push(OverlayEffect::SetTimer { delay, timer });
         effects
@@ -1438,7 +1425,6 @@ mod tests {
                 successor_list_len: 1,
                 ..RouterConfig::default()
             },
-            ..OverlayConfig::default()
         };
         let mut overlays: Vec<Overlay<String>> = refs
             .iter()
@@ -1642,7 +1628,6 @@ mod tests {
                 successor_list_len: 1,
                 ..RouterConfig::default()
             },
-            ..OverlayConfig::default()
         };
         let mut overlays: Vec<Overlay<String>> = refs
             .iter()
@@ -1775,7 +1760,6 @@ mod tests {
                 successor_list_len: 1,
                 ..RouterConfig::default()
             },
-            ..OverlayConfig::default()
         };
         let mut overlay: Overlay<String> = Overlay::with_static_ring(refs[0], &refs, config);
         let target = refs[3];

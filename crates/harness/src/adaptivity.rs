@@ -18,6 +18,7 @@
 //!
 //! All variants must return exactly the same tuples; only the work differs.
 
+use crate::{slug, Table};
 use pier_core::eddy::{Eddy, OperatorObservation, RoutingPolicy};
 use pier_core::{CmpOp, Expr, Tuple, TupleBatch, Value};
 use pier_runtime::Rng64;
@@ -138,6 +139,24 @@ pub fn eddy_policies(tuples: usize, seed: u64) -> Vec<EddyResult> {
     out.push(run_eddy(warmed, &stream, "eddy/lottery+shared-stats"));
 
     out
+}
+
+/// The EXP-H table: a 50,000-tuple stream under every strategy.
+pub fn eddy_policies_table() -> String {
+    let mut t = Table::new(
+        "eddy_policies",
+        "# EXP-H — eddy routing policies over a 3-predicate filter query\n\
+         # strategy                  tuples  invocations  results",
+    );
+    for row in eddy_policies(50_000, 29) {
+        t.line(format_args!(
+            "{:<26} {:>7} {:>12} {:>8}",
+            row.strategy, row.tuples, row.invocations, row.results
+        ));
+        let strategy = slug(&row.strategy);
+        t.metric(&format!("invocations_{strategy}"), row.invocations as f64);
+    }
+    t.finish()
 }
 
 #[cfg(test)]

@@ -27,6 +27,7 @@
 
 use crate::cluster::{Cluster, ClusterConfig};
 use crate::continuous::WindowEmission;
+use crate::Table;
 use pier_core::{sqlish, PierConfig, PierOut, TelemetryConfig, Tuple, Value};
 use pier_runtime::sim::{FaultCounts, FaultKind, FaultPlan, StormEvent};
 use pier_runtime::{NodeAddr, Rng64, SimTime, Zipf};
@@ -555,4 +556,58 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosOutcome {
         total_bytes,
         telemetry: cluster.telemetry_summary(),
     }
+}
+
+/// The table the `chaos` bench prints for one run: error, recovery, fault
+/// and warm-restart figures, then the same as metric lines.  All of it is
+/// a function of `cfg` (virtual time, seeded faults), so
+/// `docs/baselines/tables/chaos.txt` records it for
+/// `ChaosConfig::standard(20, 4)`.
+pub fn chaos_table(cfg: &ChaosConfig, run: &ChaosOutcome) -> String {
+    let degraded_err = run.mean_rel_error(run.spans.degraded);
+    let baseline_err = run.mean_rel_error(run.spans.baseline);
+    let recovery = run.recovery_secs(cfg.recovered_below);
+    let faults = &run.fault_counts;
+    let mut t = Table::new(
+        "chaos",
+        "# chaos: netmon + shared tenants through loss, partition and restart storm",
+    );
+    t.line(format_args!(
+        "chaos_error                     baseline {baseline_err:>6.4}   degraded {degraded_err:>6.4}  (bound {:.2})\n\
+         chaos_recovery                  {:>6.2} s after heal  (threshold {:.2})\n\
+         chaos_faults                    {} losses, {} partition drops, {} crashes, {} restarts\n\
+         chaos_warm_restart              {} windows rehydrated ({} by the tenants' group) on nodes {:?}",
+        cfg.error_bound,
+        recovery.unwrap_or(f64::NAN),
+        cfg.recovered_below,
+        faults.losses,
+        faults.partition_drops,
+        faults.crashes,
+        faults.restarts,
+        run.rehydrated_windows,
+        run.tenant_rehydrated_windows,
+        run.restarted
+    ));
+    for (metric, value) in [
+        ("events", run.events as f64),
+        ("windows", run.windows.len() as f64),
+        ("baseline_rel_error", baseline_err),
+        ("degraded_rel_error", degraded_err),
+        ("recovery_secs", recovery.unwrap_or(-1.0)),
+        ("rehydrated_windows", run.rehydrated_windows as f64),
+        (
+            "tenant_rehydrated_windows",
+            run.tenant_rehydrated_windows as f64,
+        ),
+        ("tenant_coverage", run.tenant_coverage),
+        ("losses", faults.losses as f64),
+        ("partition_drops", faults.partition_drops as f64),
+        ("crashes", faults.crashes as f64),
+        ("restarts", faults.restarts as f64),
+        ("total_msgs", run.total_msgs as f64),
+        ("trace_events_node0", run.trace.lines().count() as f64),
+    ] {
+        t.metric(metric, value);
+    }
+    t.finish()
 }

@@ -279,17 +279,6 @@ impl Cluster {
         });
     }
 
-    /// Number of nodes that received at least one message since the last
-    /// [`Cluster::reset_stats`] — the "nodes contacted" metric of the
-    /// dissemination experiments.
-    pub fn nodes_contacted(&self) -> usize {
-        self.sim
-            .stats()
-            .iter()
-            .filter(|(_, s)| s.msgs_recv > 0)
-            .count()
-    }
-
     /// Let the network quiesce for `micros` of virtual time.
     pub fn settle(&mut self, micros: u64) {
         self.sim.run_for(micros);
@@ -458,26 +447,6 @@ impl Cluster {
     /// cluster-wide form of the per-node `trace_jsonl` export.
     pub fn merged_trace_jsonl(&self) -> String {
         pier_trace::merged_trace_jsonl(&self.node_traces())
-    }
-
-    /// Feed the simulator's per-node [`NetStats`](pier_runtime::NetStats)
-    /// into each node's telemetry hub as `host.*` gauges — the host-level
-    /// counterpart of the node's own `net.*` counters (a physical
-    /// deployment syncs `UdpCc::stats` the same way, as `udpcc.*`).
-    pub fn sync_host_stats(&mut self) {
-        for addr in self.sim.alive_nodes() {
-            let stats = self.sim.stats().node(addr);
-            let Some(tel) = self.telemetry(addr) else {
-                continue;
-            };
-            if !tel.is_enabled() {
-                continue;
-            }
-            tel.gauge("host.msgs_sent", stats.msgs_sent as f64);
-            tel.gauge("host.msgs_recv", stats.msgs_recv as f64);
-            tel.gauge("host.bytes_sent", stats.bytes_sent as f64);
-            tel.gauge("host.bytes_recv", stats.bytes_recv as f64);
-        }
     }
 }
 

@@ -10,6 +10,7 @@
 //! deployable on shared infrastructure.
 
 use crate::cluster::{Cluster, ClusterConfig};
+use crate::{slug, Table};
 use pier_core::{sqlish, PierConfig, PierNode, PierOut, Tuple, Value};
 use pier_dht::NodeRef;
 use pier_runtime::{NodeAddr, Rng64, SimTime, Zipf};
@@ -110,17 +111,6 @@ pub struct ContinuousOutcome {
 }
 
 impl ContinuousOutcome {
-    /// Count delivered for `window` and source `src` (last emission wins).
-    pub fn count_for(&self, window: (SimTime, SimTime), src: &str) -> Option<i64> {
-        self.windows.get(&window).and_then(|w| {
-            w.rows
-                .iter()
-                .filter(|t| t.get("src").and_then(Value::as_str) == Some(src))
-                .filter_map(|t| t.get("count").and_then(Value::as_i64))
-                .next_back()
-        })
-    }
-
     /// Total count delivered for a window across groups (last emissions).
     pub fn total_for(&self, window: (SimTime, SimTime)) -> i64 {
         self.windows.get(&window).map_or(0, |w| {
@@ -315,4 +305,63 @@ pub fn continuous_netmon_observed(cfg: &ContinuousNetmonConfig) -> (ContinuousOu
         telemetry: cluster.telemetry_summary(),
     };
     (outcome, cluster)
+}
+
+/// The EXP-L table: the standing netmon query in steady state on 10, 25 and
+/// 50 nodes, with batching off, and under churn.  Every figure is in
+/// virtual time, so the table is a function of the seeds.
+pub fn cq_continuous_table() -> String {
+    let mut t = Table::new(
+        "cq_continuous",
+        "# EXP-L — continuous netmon: sustained tuples/sec and per-window latency",
+    );
+    let mut row = |label: &str, cfg: &ContinuousNetmonConfig| {
+        let run = continuous_netmon(cfg);
+        // Delivery over the steady tail (skips ramp-up and healing windows).
+        let (delivered, generated) = run
+            .generated
+            .iter()
+            .filter(|(&(s, e), _)| s >= 15_000_000 && e + 8_000_000 <= cfg.run_secs * 1_000_000)
+            .fold((0u64, 0u64), |(d, g), (&w, &gw)| {
+                (d + run.total_for(w).max(0) as u64, g + gw)
+            });
+        let delivery = if generated == 0 {
+            0.0
+        } else {
+            delivered as f64 / generated as f64
+        };
+        t.line(format_args!(
+            "{label:<26} {:>5} nodes  {:>8.0} tup/s  {:>4} windows  {:>6.2}s mean latency  {delivery:>6.3} delivery",
+            cfg.nodes,
+            run.tuples_per_sec,
+            run.windows.len(),
+            run.mean_window_latency_secs,
+        ));
+        let tag = format!("{}_{}n", slug(label), cfg.nodes);
+        t.metric(&format!("tuples_per_sec_{tag}"), run.tuples_per_sec);
+        t.metric(
+            &format!("mean_window_latency_secs_{tag}"),
+            run.mean_window_latency_secs,
+        );
+        t.metric(&format!("delivery_{tag}"), delivery);
+    };
+    let steady = |nodes, seed| {
+        let mut cfg = ContinuousNetmonConfig::steady(nodes, 40, seed);
+        cfg.events_per_node_per_sec = 16;
+        cfg
+    };
+    for nodes in [10, 25, 50] {
+        row("steady", &steady(nodes, 11));
+    }
+    // The same steady workload with batching disabled — pins what the
+    // coalesced `TupleBatch`/`PutBatch` path buys the window pipeline (the
+    // batched run must not deliver fewer windows, and moves fewer messages;
+    // the batching-equivalence tests assert the result multisets match).
+    let mut unbatched = steady(25, 11);
+    unbatched.pier.batching = false;
+    row("steady unbatched", &unbatched);
+    let mut churn = steady(25, 13);
+    churn.churn = Some((18, 5, 3));
+    row("churn (kill 5, join 3)", &churn);
+    t.finish()
 }

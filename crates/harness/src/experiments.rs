@@ -1,10 +1,13 @@
 //! Experiment drivers — one per paper figure/table plus the ablations listed
 //! in `DESIGN.md`.  Each driver builds its workload, runs the simulated
-//! deployment, and returns structured rows; the `pier-bench` benches print
-//! them and `EXPERIMENTS.md` records representative output.
+//! deployment, and returns structured rows.  The `*_table()` function after
+//! each driver runs it at the size the paper (or the ablation) calls for and
+//! renders the text the `pier-bench` bench of the same name prints and
+//! `docs/baselines/tables/` records.
 
 use crate::cluster::{Cluster, ClusterConfig};
 use crate::workloads::{join_tables, FilesharingWorkload, FirewallWorkload};
+use crate::{slug, Table};
 use pier_core::{
     AggFunc, Dissemination, Expr, JoinSpec, OpGraph, OperatorSpec, PlanBuilder, SinkSpec,
     SourceSpec, Value,
@@ -171,6 +174,42 @@ pub fn fig1_filesharing(nodes: usize, files: usize, queries: usize, seed: u64) -
     }
 }
 
+/// The Figure-1 table at the paper's PlanetLab deployment size (50 nodes).
+/// Panics unless PIER answers at least as many rare queries as flooding —
+/// the figure's claim.
+pub fn fig1_filesharing_table() -> String {
+    let result = fig1_filesharing(50, 3_000, 120, 42);
+    let (pier, gnutella) = (
+        result.pier_rare_no_answer * 100.0,
+        result.gnutella_rare_no_answer * 100.0,
+    );
+    assert!(
+        pier <= gnutella,
+        "PIER must answer at least as many rare queries as flooding"
+    );
+    let mut t = Table::new(
+        "fig1_filesharing",
+        "# Figure 1 — CDF of first-result latency (50 nodes, synthetic Zipf corpus)\n\
+         # columns: latency_s  pier_rare  gnutella_all  gnutella_rare  (fraction of queries answered)",
+    );
+    for ((x, pier), (ga, gr)) in result
+        .pier_rare
+        .iter()
+        .zip(result.gnutella_all.iter().zip(&result.gnutella_rare))
+    {
+        t.line(format_args!(
+            "{x:6.1}  {pier:8.3}  {:8.3}  {:8.3}",
+            ga.1, gr.1
+        ));
+    }
+    t.line(format_args!(
+        "# no-answer rate: PIER rare = {pier:.1}%, Gnutella rare = {gnutella:.1}%"
+    ));
+    t.metric("pier_rare_no_answer_pct", pier);
+    t.metric("gnutella_rare_no_answer_pct", gnutella);
+    t.finish()
+}
+
 /// FIG2 — the top-k sources of firewall events computed by a distributed
 /// aggregation query, reproducing Figure 2.
 #[derive(Debug, Clone)]
@@ -218,6 +257,34 @@ pub fn fig2_netmon(nodes: usize, events: usize, k: usize, seed: u64) -> Fig2Resu
         ground_truth,
         overlap,
     }
+}
+
+/// The Figure-2 table at the paper's PlanetLab deployment size (350 nodes).
+/// Panics unless the reported top 10 largely matches ground truth.
+pub fn fig2_netmon_table() -> String {
+    let result = fig2_netmon(350, 60_000, 10, 7);
+    assert!(
+        result.overlap >= 7,
+        "top-10 should largely match ground truth"
+    );
+    let mut t = Table::new(
+        "fig2_netmon",
+        "# Figure 2 — top 10 sources of firewall events (350 nodes)\n\
+         # rank  reported_source      reported_count   true_source          true_count",
+    );
+    for (i, ((rs, rc), (ts, tc))) in result.reported.iter().zip(&result.ground_truth).enumerate() {
+        t.line(format_args!(
+            "{:4}  {rs:<20} {rc:>10}   {ts:<20} {tc:>10}",
+            i + 1
+        ));
+    }
+    t.line(format_args!(
+        "# overlap with ground truth: {}/{}",
+        result.overlap,
+        result.ground_truth.len()
+    ));
+    t.metric("top10_overlap", result.overlap as f64);
+    t.finish()
 }
 
 /// EXP-A — join strategy comparison: bytes shipped and result latency for a
@@ -331,6 +398,28 @@ pub fn join_strategies(nodes: usize, rows: usize, seed: u64) -> Vec<JoinStrategy
     out
 }
 
+/// The EXP-A table: both join strategies on 32 nodes.
+pub fn join_strategies_table() -> String {
+    let mut t = Table::new(
+        "join_strategies",
+        "# EXP-A — join strategies, 32 nodes\n\
+         # strategy          results      bytes    first_result_s",
+    );
+    for row in join_strategies(32, 600, 17) {
+        let first = row
+            .first_result_secs
+            .map_or_else(|| "-".into(), |s| format!("{s:.2}"));
+        t.line(format_args!(
+            "{:<18} {:>8} {:>10} {first:>12}",
+            row.strategy, row.results, row.bytes
+        ));
+        let strategy = slug(&row.strategy);
+        t.metric(&format!("bytes_{strategy}"), row.bytes as f64);
+        t.metric(&format!("results_{strategy}"), row.results as f64);
+    }
+    t.finish()
+}
+
 /// EXP-B — hierarchical vs flat aggregation: maximum per-node in-bandwidth
 /// and bytes into the root.
 #[derive(Debug, Clone)]
@@ -393,6 +482,29 @@ pub fn hierarchical_aggregation(
     out
 }
 
+/// The EXP-B table: both aggregation modes on 25 to 200 nodes.
+pub fn hier_aggregation_table() -> String {
+    let mut t = Table::new(
+        "hier_aggregation",
+        "# EXP-B — hierarchical vs flat aggregation\n\
+         # nodes  mode           max_in_bytes   total_bytes   groups",
+    );
+    for nodes in [25, 50, 100, 200] {
+        for row in hierarchical_aggregation(nodes, 40, 23) {
+            t.line(format_args!(
+                "{:>6}  {:<13} {:>12} {:>12} {:>8}",
+                row.nodes, row.mode, row.max_in_bytes, row.total_bytes, row.groups_reported
+            ));
+            if nodes == 200 {
+                let mode = slug(&row.mode);
+                t.metric(&format!("max_in_bytes_{mode}_200"), row.max_in_bytes as f64);
+                t.metric(&format!("total_bytes_{mode}_200"), row.total_bytes as f64);
+            }
+        }
+    }
+    t.finish()
+}
+
 /// EXP-C — query dissemination: nodes contacted and messages used by
 /// broadcast vs equality-index routing.
 #[derive(Debug, Clone)]
@@ -453,6 +565,28 @@ pub fn dissemination(nodes: usize, seed: u64) -> Vec<DisseminationResult> {
     out
 }
 
+/// The EXP-C table: both dissemination strategies on 16 to 256 nodes.
+pub fn dissemination_table() -> String {
+    let mut t = Table::new(
+        "dissemination",
+        "# EXP-C — query dissemination strategies\n\
+         # nodes  strategy          messages  results",
+    );
+    for nodes in [16, 64, 128, 256] {
+        for row in dissemination(nodes, 5) {
+            t.line(format_args!(
+                "{:>6}  {:<16} {:>9} {:>8}",
+                row.nodes, row.strategy, row.messages, row.results
+            ));
+            if nodes == 256 {
+                let strategy = slug(&row.strategy);
+                t.metric(&format!("messages_{strategy}_256"), row.messages as f64);
+            }
+        }
+    }
+    t.finish()
+}
+
 /// EXP-D — DHT routing scalability: mean lookup hop count vs network size.
 #[derive(Debug, Clone)]
 pub struct ScalabilityResult {
@@ -503,6 +637,27 @@ pub fn dht_scalability(nodes: usize, lookups: usize, seed: u64) -> ScalabilityRe
     }
 }
 
+/// The EXP-D table: lookup hop counts on rings of 16 to 1,024 nodes.
+pub fn dht_scalability_table() -> String {
+    let mut t = Table::new(
+        "dht_scalability",
+        "# EXP-D — DHT lookup hop counts vs network size\n\
+         # nodes   mean_hops   p95_hops",
+    );
+    for nodes in [16, 32, 64, 128, 256, 512, 1024] {
+        let row = dht_scalability(nodes, 200, 13);
+        t.line(format_args!(
+            "{:>6}   {:>9.2}   {:>8.2}",
+            row.nodes, row.mean_hops, row.p95_hops
+        ));
+        if nodes == 1024 {
+            t.metric("mean_hops_1024", row.mean_hops);
+            t.metric("p95_hops_1024", row.p95_hops);
+        }
+    }
+    t.finish()
+}
+
 /// EXP-E — churn: query recall as a function of the fraction of failed nodes.
 #[derive(Debug, Clone)]
 pub struct ChurnResult {
@@ -546,6 +701,25 @@ pub fn churn(nodes: usize, rows: usize, failed_fraction: f64, seed: u64) -> Chur
         failed_fraction,
         recall: outcome.results.len() as f64 / rows as f64,
     }
+}
+
+/// The EXP-E table: recall with up to 30 % of 100 nodes failed.
+pub fn churn_table() -> String {
+    let mut t = Table::new(
+        "churn",
+        "# EXP-E — recall under node failures (100 nodes, 200 published rows)\n\
+         # failed_fraction   recall",
+    );
+    for failed in [0.0, 0.05, 0.1, 0.2, 0.3] {
+        let row = churn(100, 200, failed, 31);
+        t.line(format_args!(
+            "{:>16.2}   {:>6.3}",
+            row.failed_fraction, row.recall
+        ));
+        let pct = (failed * 100.0) as u32;
+        t.metric(&format!("recall_at_{pct}pct_failed"), row.recall);
+    }
+    t.finish()
 }
 
 /// EXP-F — congestion models: completion latency of the Figure-2 query under
@@ -592,6 +766,24 @@ pub fn congestion_models(nodes: usize, events: usize, seed: u64) -> Vec<Congesti
         });
     }
     out
+}
+
+/// The EXP-F table: the three congestion models on 100 nodes.
+pub fn congestion_models_table() -> String {
+    let mut t = Table::new(
+        "congestion_models",
+        "# EXP-F — congestion models (100 nodes, 20k events)\n\
+         # model        last_result_s   results",
+    );
+    for row in congestion_models(100, 20_000, 19) {
+        t.line(format_args!(
+            "{:<12} {:>13.2} {:>9}",
+            row.model, row.last_result_secs, row.results
+        ));
+        let model = slug(&row.model);
+        t.metric(&format!("last_result_secs_{model}"), row.last_result_secs);
+    }
+    t.finish()
 }
 
 #[cfg(test)]

@@ -16,6 +16,7 @@
 //!   index semi-join (index partition → Fetch Matches into the base table).
 
 use crate::cluster::{Cluster, ClusterConfig};
+use crate::{slug, Table};
 use pier_core::{
     range_index::range_scan_plan, secondary_index, Expr, OpGraph, OperatorSpec, PlanBuilder,
     RangeIndexConfig, SinkSpec, SourceSpec, Tuple, Value,
@@ -115,6 +116,39 @@ pub fn range_dissemination(
     out
 }
 
+/// The EXP-G table: 5 % and 20 % ranges on 32 to 128 nodes.
+pub fn range_dissemination_table() -> String {
+    let mut t = Table::new(
+        "range_dissemination",
+        "# EXP-G — range-index vs broadcast dissemination\n\
+         # nodes  range%  strategy       buckets  messages  nodes_running_query  results",
+    );
+    for nodes in [32, 64, 128] {
+        for fraction in [0.05, 0.20] {
+            for row in range_dissemination(nodes, 400, fraction, 13) {
+                t.line(format_args!(
+                    "{:>6}  {:>5.0}%  {:<13} {:>7} {:>9} {:>19} {:>8}",
+                    row.nodes,
+                    row.range_fraction * 100.0,
+                    row.strategy,
+                    row.buckets,
+                    row.messages,
+                    row.nodes_running_query,
+                    row.results
+                ));
+                if nodes == 128 {
+                    let (strategy, pct) = (slug(&row.strategy), (fraction * 100.0) as u32);
+                    t.metric(
+                        &format!("messages_{strategy}_128_{pct}pct"),
+                        row.messages as f64,
+                    );
+                }
+            }
+        }
+    }
+    t.finish()
+}
+
 /// One row of the EXP-J output.
 #[derive(Debug, Clone)]
 pub struct SecondaryIndexResult {
@@ -196,6 +230,28 @@ pub fn secondary_index_lookup(
         });
     }
     out
+}
+
+/// The EXP-J table: both lookup strategies on 32 to 128 nodes.
+pub fn secondary_index_table() -> String {
+    let mut t = Table::new(
+        "secondary_index",
+        "# EXP-J — secondary-index semi-join vs broadcast scan\n\
+         # nodes  strategy          messages  nodes_running_query  results",
+    );
+    for nodes in [32, 64, 128] {
+        for row in secondary_index_lookup(nodes, 300, 12, 21) {
+            t.line(format_args!(
+                "{:>6}  {:<16} {:>9} {:>19} {:>8}",
+                row.nodes, row.strategy, row.messages, row.nodes_running_query, row.results
+            ));
+            if nodes == 128 {
+                let strategy = slug(&row.strategy);
+                t.metric(&format!("messages_{strategy}_128"), row.messages as f64);
+            }
+        }
+    }
+    t.finish()
 }
 
 #[cfg(test)]

@@ -12,6 +12,7 @@
 
 use crate::cluster::Cluster;
 use crate::continuous::{continuous_netmon_observed, ContinuousNetmonConfig, ContinuousOutcome};
+use crate::Table;
 use pier_analyze::{analyze, CostReport, EnvModel};
 use pier_core::{sqlish, TelemetryConfig, TraceConfig};
 use pier_trace::{chrome_trace_json, OperatorStats, QueryProfile, StaticBounds};
@@ -156,4 +157,45 @@ pub fn explain_analyze_netmon(cfg: &ContinuousNetmonConfig) -> QueryProfileOutco
         chrome_json,
         trace_dropped,
     }
+}
+
+/// The run the `query_profile` bench profiles: 16 nodes for 24 s, with a
+/// predicate that puts a Selection stage in the pipeline so the profile's
+/// operator table (fed by the `op.*` meters) has rows to show.
+pub fn query_profile_config() -> ContinuousNetmonConfig {
+    let mut cfg = ContinuousNetmonConfig::steady(16, 24, 53);
+    cfg.sql = "SELECT src, COUNT(*) FROM packets WHERE port > 0 \
+               GROUP BY src WINDOW 2s SLIDE 1s EVERY 5s"
+        .to_string();
+    cfg
+}
+
+/// The table the `query_profile` bench prints for one profiled run: the
+/// `EXPLAIN ANALYZE` text, then the profile's headline counts as metric
+/// lines.  Spans carry virtual time only, so all of it is a function of the
+/// configuration; `docs/baselines/tables/query_profile.txt` records it for
+/// [`query_profile_config`].
+pub fn query_profile_table(run: &QueryProfileOutcome) -> String {
+    let p = &run.profile;
+    let mut t = Table::new(
+        "query_profile",
+        "# query profile: EXPLAIN ANALYZE over continuous netmon",
+    );
+    t.line(format_args!("{}", run.explain.trim_end()));
+    for (metric, value) in [
+        ("spans_total", p.total_spans as f64),
+        ("windows_observed", p.windows_observed as f64),
+        ("result_latency_us", p.result_latency_us as f64),
+        ("critical_path_hops", p.critical_path.len() as f64),
+        (
+            "flush_entries_per_window",
+            p.max_flush_entries_per_window as f64,
+        ),
+        ("reconcile_violations", run.violations.len() as f64),
+        ("trace_dropped", run.trace_dropped as f64),
+        ("span_export_bytes", run.span_jsonl.len() as f64),
+    ] {
+        t.metric(metric, value);
+    }
+    t.finish()
 }

@@ -19,6 +19,7 @@
 //! [`pier_core::TransitiveClosure`] fixpoint over the same edge set.
 
 use crate::cluster::{Cluster, ClusterConfig};
+use crate::Table;
 use pier_core::recursive::ReachabilityRound;
 use pier_core::{
     Dissemination, OpGraph, OperatorSpec, PlanBuilder, SinkSpec, SourceSpec, TransitiveClosure,
@@ -145,6 +146,27 @@ pub fn distributed_reachability(
         messages: cluster.sim.stats().total_msgs,
         matches_reference,
     }
+}
+
+/// The EXP-K table: three cluster and graph sizes.
+pub fn recursive_queries_table() -> String {
+    let mut t = Table::new(
+        "recursive_queries",
+        "# EXP-K — distributed reachability (semi-naive rounds of Fetch Matches joins)\n\
+         # pier_nodes  graph_nodes  edges  reached  rounds  messages  matches_reference",
+    );
+    for (pier_nodes, graph_nodes, degree) in [(16, 30, 2), (32, 60, 2), (32, 60, 3)] {
+        let r = distributed_reachability(pier_nodes, graph_nodes, degree, 5);
+        t.line(format_args!(
+            "{:>11} {graph_nodes:>12} {:>6} {:>8} {:>7} {:>9} {:>18}",
+            r.nodes, r.edges, r.reached_distributed, r.rounds, r.messages, r.matches_reference
+        ));
+        t.metric(
+            &format!("messages_{pier_nodes}n_{graph_nodes}g_{degree}d"),
+            r.messages as f64,
+        );
+    }
+    t.finish()
 }
 
 #[cfg(test)]

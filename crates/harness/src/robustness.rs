@@ -19,6 +19,7 @@
 //! spot-checking defense: how often sampled verification catches an
 //! aggregator that suppressed part of its inputs.
 
+use crate::{slug, Table};
 use pier_runtime::Rng64;
 use pier_security::adversary::{compare_defenses, Adversary, AdversaryConfig, Malice};
 use pier_security::spot_check::{CheckOutcome, Commitment, SpotChecker};
@@ -155,6 +156,54 @@ pub fn spot_check_detection(
         });
     }
     out
+}
+
+/// The EXP-I tables: the suppression sweep over 200 members, its poisoning
+/// variant, and spot-check detection against sample size.
+pub fn adversary_fidelity_table() -> String {
+    let mut t = Table::new(
+        "adversary_fidelity",
+        "# EXP-I — aggregation fidelity under a suppression adversary (200 members)\n\
+         # compromised  strategy             suppressed  rel_error  bytes",
+    );
+    let fidelity_row = |t: &mut Table, row: &RobustnessResult| {
+        t.line(format_args!(
+            "{:>11.0}%  {:<20} {:>9.3} {:>10.3} {:>8}",
+            row.compromised_fraction * 100.0,
+            row.strategy,
+            row.suppressed_fraction,
+            row.relative_error,
+            row.bytes_shipped
+        ));
+    };
+    let fractions = [0.0, 0.05, 0.10, 0.20, 0.30];
+    for row in fidelity_sweep(200, 10, &fractions, Malice::Suppress, 20, 77) {
+        fidelity_row(&mut t, &row);
+        if (row.compromised_fraction - 0.30).abs() < 1e-9 {
+            let strategy = slug(&row.strategy);
+            t.metric(&format!("rel_error_{strategy}_30pct"), row.relative_error);
+        }
+    }
+    t.line(format_args!(
+        "\n# EXP-I (poisoning variant): 10% compromised nodes inject 1000 bogus units each"
+    ));
+    for row in fidelity_sweep(200, 10, &[0.10], Malice::Poison { units: 1_000 }, 20, 77) {
+        fidelity_row(&mut t, &row);
+    }
+    t.line(format_args!(
+        "\n# EXP-I (spot checking): detection rate vs sample size, 20% of inputs suppressed\n\
+         # sample_size  detection_rate  predicted"
+    ));
+    for row in spot_check_detection(200, 0.20, &[1, 2, 4, 8, 16, 32], 200, 5) {
+        t.line(format_args!(
+            "{:>11} {:>15.2} {:>10.2}",
+            row.sample_size, row.detection_rate, row.predicted_rate
+        ));
+        if row.sample_size == 32 {
+            t.metric("spot_check_detection_s32", row.detection_rate);
+        }
+    }
+    t.finish()
 }
 
 #[cfg(test)]

@@ -22,6 +22,7 @@
 //! ordered all-nodes trace and span exports (`pier-trace`'s merger).
 
 use crate::cluster::{Cluster, ClusterConfig};
+use crate::Table;
 use pier_core::{sqlish, PierConfig, PierOut, TelemetryConfig, Tuple, Value};
 use pier_runtime::{NodeAddr, Rng64, SimTime};
 use std::collections::BTreeMap;
@@ -265,6 +266,43 @@ pub fn self_monitoring(cfg: &SelfMonitoringConfig) -> SelfMonitoringOutcome {
         nodes: cfg.nodes,
         events,
     }
+}
+
+/// The table the `self_monitoring` bench prints for one run: what the
+/// monitoring queries saw and how many events the hubs recorded.  Virtual
+/// time and per-node ordinals only, so it is a function of the
+/// configuration; `docs/baselines/tables/self_monitoring.txt` records it.
+pub fn self_monitoring_table(run: &SelfMonitoringOutcome) -> String {
+    let mut t = Table::new(
+        "self_monitoring",
+        "# self-monitoring: standing queries over system.metrics",
+    );
+    t.line(format_args!(
+        "self_monitoring                      {:>10.0} publishes  ({} windows, {}/{} nodes reporting)\n\
+         self_monitoring_peaks                  bytes_recv {:>10.0}   lookup_p99 {:>8.0} us",
+        run.publishes,
+        run.bytes_recv.len(),
+        run.nodes_reporting(),
+        run.nodes,
+        run.peak_bytes_recv(),
+        run.peak_lookup_p99()
+    ));
+    for (metric, value) in [
+        ("metrics_publishes", run.publishes as f64),
+        ("bytes_recv_windows", run.bytes_recv.len() as f64),
+        ("nodes_reporting", run.nodes_reporting() as f64),
+        ("peak_bytes_recv", run.peak_bytes_recv()),
+        ("peak_lookup_p99_us", run.peak_lookup_p99()),
+        ("trace_events_node0", run.trace_jsonl.lines().count() as f64),
+        (
+            "trace_events_all_nodes",
+            run.merged_trace_jsonl.lines().count() as f64,
+        ),
+        ("trace_dropped", run.trace_dropped as f64),
+    ] {
+        t.metric(metric, value);
+    }
+    t.finish()
 }
 
 #[cfg(test)]

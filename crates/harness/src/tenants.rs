@@ -18,6 +18,7 @@
 //! `mqo_shared` bench reports the throughput and traffic ratio.
 
 use crate::cluster::{Cluster, ClusterConfig};
+use crate::Table;
 use pier_core::{sqlish, PierConfig, PierNode, PierOut, Tuple, Value};
 use pier_dht::NodeRef;
 use pier_runtime::{LatencyCdf, NodeAddr, Rng64, SimTime, Zipf};
@@ -129,14 +130,6 @@ pub struct TenantResult {
     /// from the row's window *end* — the first instant the window's answer
     /// can exist — to its arrival at this tenant's proxy.
     pub result_latency: LatencyCdf,
-}
-
-impl TenantResult {
-    /// This tenant's result-latency percentile in microseconds
-    /// (`None` until a result arrived).
-    pub fn latency_percentile_us(&mut self, p: f64) -> Option<f64> {
-        self.result_latency.percentile(p)
-    }
 }
 
 /// Result of a many-tenants run.
@@ -436,4 +429,129 @@ pub fn many_tenants(cfg: &ManyTenantsConfig) -> ManyTenantsOutcome {
         residual_members,
         telemetry: cluster.telemetry_summary(),
     }
+}
+
+/// What shed-to-sampling costs in accuracy: one tenant set run at full
+/// rate and again under a budget that forces sampling.
+#[derive(Debug)]
+pub struct ShedAccuracy {
+    /// Sampling modulus admission imposed on each tenant of the tight run.
+    pub sample_every: Vec<u32>,
+    /// Per tenant window with a non-zero true count, the relative error of
+    /// the sampled count scaled back up by the tenant's modulus.
+    pub rel_errors: Vec<f64>,
+}
+
+impl ShedAccuracy {
+    /// Mean of [`ShedAccuracy::rel_errors`].
+    pub fn mean_rel_error(&self) -> f64 {
+        self.rel_errors.iter().sum::<f64>() / self.rel_errors.len().max(1) as f64
+    }
+}
+
+/// Run `tenants` unshared tenants under `pier_analyze::admission_factory`
+/// twice from one seed — at full rate, then under a ceiling of 8 rows per
+/// window per node against the declared 32, which forces a 1-in-4 modulus —
+/// and compare the scaled sampled counts with the full-rate ones.
+pub fn shed_accuracy(nodes: usize, tenants: usize, run_secs: u64, seed: u64) -> ShedAccuracy {
+    let run = |max_rows: Option<u64>| {
+        let mut cfg = ManyTenantsConfig::new(nodes, tenants, run_secs, seed);
+        cfg.sharing = false;
+        cfg.pier.admission = Some(pier_analyze::admission_factory);
+        if let Some(rows) = max_rows {
+            cfg.pier.slo.default_budget.max_rows_per_window_per_node = rows;
+        }
+        many_tenants(&cfg)
+    };
+    let truth = run(None);
+    let shed = run(Some(8));
+    let window_count = |rows: &[Tuple]| -> i64 {
+        rows.iter()
+            .filter_map(|t| t.get("count").and_then(Value::as_i64))
+            .sum()
+    };
+    let mut acc = ShedAccuracy {
+        sample_every: Vec::new(),
+        rel_errors: Vec::new(),
+    };
+    for (full, sampled) in truth.tenants.iter().zip(&shed.tenants) {
+        let m = sampled.admission.as_ref().map_or(1, |a| a.sample_every);
+        acc.sample_every.push(m);
+        for (span, rows) in &full.windows {
+            let true_count = window_count(rows);
+            if true_count == 0 {
+                continue;
+            }
+            let est = sampled
+                .windows
+                .get(span)
+                .map_or(0, |rows| window_count(rows))
+                * i64::from(m);
+            acc.rel_errors
+                .push((est - true_count).abs() as f64 / true_count as f64);
+        }
+    }
+    acc
+}
+
+/// The table the `admission` bench prints: [`shed_accuracy`] of 4 tenants
+/// on 8 nodes.  Counts of virtual-time windows, so a function of the seed;
+/// `docs/baselines/tables/admission.txt` records it.
+pub fn admission_table() -> String {
+    let acc = shed_accuracy(8, 4, 20, 17);
+    let modulus = acc.sample_every.iter().copied().max().unwrap_or(1);
+    let (windows, mean) = (acc.rel_errors.len(), acc.mean_rel_error());
+    let mut t = Table::new(
+        "admission",
+        "# admission: shed-mode accuracy against full-rate ground truth",
+    );
+    t.line(format_args!(
+        "admission_shed                  modulus {modulus}   windows {windows}   \
+         mean rel error {mean:>6.4}"
+    ));
+    t.metric("shed_sample_every", f64::from(modulus));
+    t.metric("shed_windows_compared", windows as f64);
+    t.metric("shed_mean_rel_error", mean);
+    t.finish()
+}
+
+/// The table the `mqo_shared` bench prints for one equal-seed pair of
+/// runs, sharing on and off: traffic and result latency, all in virtual
+/// time (the pair's wall-clock throughput is the bench's own business).
+/// `docs/baselines/tables/mqo_shared.txt` records it for
+/// `ManyTenantsConfig::new(12, 64, 15, 29)` at 16 events per node per
+/// second.
+pub fn mqo_shared_table(
+    shared: &mut ManyTenantsOutcome,
+    independent: &mut ManyTenantsOutcome,
+) -> String {
+    let mut t = Table::new(
+        "mqo_shared",
+        "# multi-query sharing: constant-varied tenants, shared vs independent\n\
+         # mode           events      msgs       bytes  latency_p50_us  latency_p99_us",
+    );
+    let mut latency = Vec::new();
+    for (mode, run) in [("shared", &mut *shared), ("independent", &mut *independent)] {
+        let (p50, p99) = run
+            .result_latency_summary_us()
+            .expect("tenants received results");
+        t.line(format_args!(
+            "{mode:<13} {:>8} {:>9} {:>11} {p50:>15.0} {p99:>15.0}",
+            run.events, run.total_msgs, run.total_bytes
+        ));
+        latency.push((format!("tenants_{mode}_result_latency_p50_us"), p50));
+        latency.push((format!("tenants_{mode}_result_latency_p99_us"), p99));
+    }
+    t.metric(
+        "tenants_msgs_ratio",
+        independent.total_msgs as f64 / shared.total_msgs.max(1) as f64,
+    );
+    t.metric(
+        "tenants_bytes_ratio",
+        independent.total_bytes as f64 / shared.total_bytes.max(1) as f64,
+    );
+    for (metric, value) in latency {
+        t.metric(&metric, value);
+    }
+    t.finish()
 }

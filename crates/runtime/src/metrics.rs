@@ -22,13 +22,6 @@ pub struct NodeStats {
     pub bytes_recv: u64,
 }
 
-impl NodeStats {
-    /// Total bytes moved through this node in either direction.
-    pub fn bytes_total(&self) -> u64 {
-        self.bytes_sent + self.bytes_recv
-    }
-}
-
 /// Aggregate statistics for a run.
 #[derive(Debug, Clone, Default)]
 pub struct NetStats {
@@ -91,15 +84,6 @@ impl NetStats {
             .map(|s| s.bytes_sent)
             .max()
             .unwrap_or(0)
-    }
-
-    /// Mean bytes received per participating node.
-    pub fn mean_in_bytes(&self) -> f64 {
-        if self.per_node.is_empty() {
-            return 0.0;
-        }
-        let sum: u64 = self.per_node.values().map(|s| s.bytes_recv).sum();
-        sum as f64 / self.per_node.len() as f64
     }
 
     /// Reset all counters (used between experiment phases so that setup

@@ -18,7 +18,7 @@ use crate::metrics::NetStats;
 use crate::node::{Action, Context, NodeAddr, Program, ProgramContext};
 use crate::sim::SimOutput;
 use crate::time::SimTime;
-use crate::wire::WireSize;
+use crate::wire::{WireSize, HEADER_OVERHEAD};
 use std::collections::BinaryHeap;
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex};
@@ -71,7 +71,6 @@ pub struct PhysicalRun<P: Program> {
 /// Runs node programs on OS threads against the real clock.
 pub struct PhysicalRuntime<P: Program> {
     programs: Vec<P>,
-    header_overhead: usize,
 }
 
 impl<P: Program> Default for PhysicalRuntime<P> {
@@ -85,7 +84,6 @@ impl<P: Program> PhysicalRuntime<P> {
     pub fn new() -> Self {
         PhysicalRuntime {
             programs: Vec::new(),
-            header_overhead: 48,
         }
     }
 
@@ -113,7 +111,6 @@ where
     /// stop all nodes and collect their outputs and final states.
     pub fn run_for(self, wall: StdDuration) -> PhysicalRun<P> {
         let n = self.programs.len();
-        let header_overhead = self.header_overhead;
         let epoch = Instant::now();
         let stats = Arc::new(Mutex::new(NetStats::new()));
         let (out_tx, out_rx) = mpsc::channel::<SimOutput<P::Out>>();
@@ -136,16 +133,7 @@ where
             let out_tx = out_tx.clone();
             let stats = Arc::clone(&stats);
             handles.push(std::thread::spawn(move || {
-                node_thread(
-                    addr,
-                    program,
-                    rx,
-                    network,
-                    out_tx,
-                    stats,
-                    epoch,
-                    header_overhead,
-                )
+                node_thread(addr, program, rx, network, out_tx, stats, epoch)
             }));
         }
         drop(out_tx);
@@ -176,7 +164,6 @@ where
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn node_thread<P>(
     addr: NodeAddr,
     mut program: P,
@@ -185,7 +172,6 @@ fn node_thread<P>(
     out_tx: Sender<SimOutput<P::Out>>,
     stats: Arc<Mutex<NetStats>>,
     epoch: Instant,
-    header_overhead: usize,
 ) -> (NodeAddr, P)
 where
     P: Program,
@@ -204,7 +190,7 @@ where
         for action in ctx.into_actions() {
             match action {
                 Action::Send { to, msg } => {
-                    let bytes = msg.wire_size() + header_overhead;
+                    let bytes = msg.wire_size() + HEADER_OVERHEAD;
                     stats
                         .lock()
                         .expect("stats poisoned")

@@ -293,23 +293,6 @@ impl FaultPlan {
         self
     }
 
-    /// Add one explicit crash (and optional in-place restart) to the storm
-    /// schedule.
-    pub fn with_crash_restart(
-        mut self,
-        node: NodeAddr,
-        crash_at: SimTime,
-        restart_at: Option<SimTime>,
-    ) -> Self {
-        self.storm.push(StormEvent {
-            node,
-            crash_at,
-            restart_at,
-        });
-        self.storm.sort_by_key(|e| (e.crash_at, e.node.index()));
-        self
-    }
-
     /// Pre-draw a crash/restart storm: `kills` victims chosen from `victims`
     /// crash at seeded times in `[start, end)` and restart after a seeded
     /// downtime in `[min_down, max_down)`.

@@ -19,7 +19,7 @@ pub use topology::{NetworkTopology, TopologyConfig};
 use crate::metrics::NetStats;
 use crate::node::{Action, Context, NodeAddr, Program, ProgramContext};
 use crate::time::{Duration, SimTime};
-use crate::wire::WireSize;
+use crate::wire::{WireSize, HEADER_OVERHEAD};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
@@ -32,11 +32,9 @@ pub struct SimConfig {
     pub topology: TopologyConfig,
     /// Congestion model applied to every message.
     pub congestion: CongestionKind,
-    /// Fixed per-message header overhead in bytes (UDP/IP + overlay header).
-    pub header_overhead: usize,
     /// Maximum segment size: an application message larger than this is
     /// charged as `ceil(wire / mss)` fragments, each paying
-    /// `header_overhead` again.  Matches `CcConfig::mss` so UdpCC window
+    /// [`HEADER_OVERHEAD`] again.  Matches `CcConfig::mss` so UdpCC window
     /// segments and the congestion models price a large `PutBatch`
     /// consistently instead of as a single oversized packet.
     pub mss: usize,
@@ -51,7 +49,6 @@ impl Default for SimConfig {
             seed: 0,
             topology: TopologyConfig::lan(),
             congestion: CongestionKind::None,
-            header_overhead: 48,
             mss: 1_400,
             max_events: 200_000_000,
         }
@@ -300,16 +297,6 @@ impl<P: Program> Simulator<P> {
         });
     }
 
-    /// Immediately and gracefully remove a node: `on_stop` runs and its
-    /// actions (e.g. goodbye messages) are applied, then the node is dead.
-    pub fn remove_node(&mut self, node: NodeAddr) {
-        if !self.is_alive(node) {
-            return;
-        }
-        self.dispatch(node, super::node::Program::on_stop);
-        self.alive[node.index()] = false;
-    }
-
     /// Invoke a closure against a live node's program, applying any actions
     /// it records.  This models an external client request arriving at the
     /// node (e.g. a query submitted over the proxy's TCP connection).
@@ -366,7 +353,7 @@ impl<P: Program> Simulator<P> {
                 // not for one fictitious jumbo packet.
                 let wire = msg.wire_size();
                 let frags = wire.div_ceil(self.config.mss.max(1)).max(1);
-                let bytes = wire + frags * self.config.header_overhead;
+                let bytes = wire + frags * HEADER_OVERHEAD;
                 self.stats.record_send(node, to, bytes);
                 // The fault plan decides how many copies arrive and with how
                 // much extra delay; an empty set means the message was lost
@@ -526,19 +513,6 @@ impl<P: Program> Simulator<P> {
     pub fn run_for(&mut self, duration: Duration) {
         let deadline = self.now + duration;
         self.run_until(deadline);
-    }
-
-    /// Run until the event queue is empty or `max_time` is reached, returning
-    /// the final virtual time.  Note that programs with periodic maintenance
-    /// timers never drain their queue, so `max_time` is the practical bound.
-    pub fn run_until_idle(&mut self, max_time: SimTime) -> SimTime {
-        while let Some(e) = self.queue.peek() {
-            if e.time > max_time {
-                break;
-            }
-            self.step();
-        }
-        self.now
     }
 
     /// Total events processed so far (for diagnostics).

@@ -154,58 +154,6 @@ impl NetworkTopology {
         }
     }
 
-    /// Split `node_count` nodes into two sides along the topology's natural
-    /// cut, for partition experiments: transit-stub topologies cut between
-    /// transit domains (a realistic backbone failure), flat topologies use a
-    /// seeded random bisection.  Deterministic for a given topology and seed.
-    pub fn bisect(&self, node_count: usize) -> (Vec<NodeAddr>, Vec<NodeAddr>) {
-        let mut side_a = Vec::new();
-        let mut side_b = Vec::new();
-        match &self.config {
-            TopologyConfig::TransitStub {
-                transit_domains,
-                stubs_per_transit,
-                ..
-            } => {
-                let td = (*transit_domains).max(1);
-                let spt = (*stubs_per_transit).max(1);
-                let total_stubs = (td * spt).max(1);
-                let half = (td / 2).max(1);
-                for i in 0..node_count {
-                    let node = NodeAddr(i as u32);
-                    let transit = ((i % total_stubs) / spt) % td;
-                    if transit < half {
-                        side_a.push(node);
-                    } else {
-                        side_b.push(node);
-                    }
-                }
-            }
-            _ => {
-                let mut order: Vec<NodeAddr> =
-                    (0..node_count).map(|i| NodeAddr(i as u32)).collect();
-                let mut rng = self.node_rng(NodeAddr(0), 0x00B1_5EC7);
-                rng.shuffle(&mut order);
-                for (i, node) in order.into_iter().enumerate() {
-                    if i < node_count / 2 {
-                        side_a.push(node);
-                    } else {
-                        side_b.push(node);
-                    }
-                }
-            }
-        }
-        // A bisection with an empty side is no partition at all; rebalance.
-        if side_a.is_empty() || side_b.is_empty() {
-            let mut all: Vec<NodeAddr> = side_a.into_iter().chain(side_b).collect();
-            all.sort_unstable_by_key(|n| n.index());
-            let mid = all.len() / 2;
-            side_b = all.split_off(mid);
-            side_a = all;
-        }
-        (side_a, side_b)
-    }
-
     fn access_latency(&self, node: NodeAddr, lo: Duration, hi: Duration) -> Duration {
         if hi <= lo {
             return lo;

@@ -12,6 +12,10 @@
 //! (e.g. Symmetric Hash join vs. Fetch Matches join, flat vs. hierarchical
 //! aggregation) is preserved.
 
+/// Fixed per-message header overhead in bytes (UDP/IP + overlay header),
+/// charged by both runtimes on top of a message's [`WireSize`].
+pub const HEADER_OVERHEAD: usize = 48;
+
 /// Types that know their approximate encoded size in bytes.
 pub trait WireSize {
     /// Approximate number of payload bytes this value occupies on the wire.

@@ -64,11 +64,6 @@ impl CountSketch {
         }
     }
 
-    /// Number of independent bitmaps.
-    pub fn map_count(&self) -> usize {
-        self.maps.len()
-    }
-
     /// Insert an item identified by `item` (e.g. a source node identifier or
     /// a tuple uniquifier).  Re-inserting the same identifier is a no-op in
     /// terms of the final estimate.

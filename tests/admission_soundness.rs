@@ -17,6 +17,7 @@
 
 use pier::analyze::{admission_factory, analyze, Boundedness, CostReport, EnvModel};
 use pier::cq::CqBudget;
+use pier::harness::tenants::shed_accuracy;
 use pier::harness::{
     continuous_netmon, many_tenants, run_chaos, ChaosConfig, Cluster, ClusterConfig,
     ClusterTelemetrySummary, ContinuousNetmonConfig, ManyTenantsConfig,
@@ -357,6 +358,28 @@ fn over_budget_tenant_is_shed_to_sampling() {
         assert!(a.accepted);
         assert_eq!(a.sample_every, 1, "other tenants run at full rate");
     }
+}
+
+/// Sampling is an estimator, not a guess: under a budget that sheds every
+/// tenant, the per-window counts scaled back up by the modulus stay in the
+/// right ballpark of the full-rate counts from the same seed.
+#[test]
+fn shed_counts_scaled_by_the_modulus_estimate_the_full_rate_counts() {
+    let acc = shed_accuracy(6, 3, 12, 17);
+    assert!(
+        acc.sample_every.iter().all(|&m| m >= 2),
+        "the tight budget must force sampling, got {:?}",
+        acc.sample_every
+    );
+    assert!(
+        !acc.rel_errors.is_empty(),
+        "shed run must overlap ground-truth windows"
+    );
+    assert!(
+        acc.mean_rel_error() < 0.75,
+        "shed-mode mean relative error {:.3} out of range",
+        acc.mean_rel_error()
+    );
 }
 
 /// The `admission.{admit,shed,reject}` trace events reconcile exactly with

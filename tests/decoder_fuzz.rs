@@ -1,0 +1,363 @@
+//! Hostile bytes into the two decoders that read lengths off their input:
+//! [`ColumnChunk::decode_body`] (the typed chunk wire format, all six column
+//! tags) and [`SegmentLog::from_bytes`] → [`WindowStore::rehydrate_from`]
+//! (a node's disk after a crash).
+//!
+//! Frames are arbitrary bytes, and valid frames with one byte changed, a
+//! count overwritten or the tail cut off — with a segment record's checksum
+//! recomputed, so the damage reaches the payload decoder.  Whatever arrives,
+//! a decoder never panics, never asks the allocator for more than a small
+//! multiple of the frame's length (a counting allocator measures the
+//! requests), and whatever it accepts it writes back as the same bytes.
+
+// The counting allocator delegates to the system allocator verbatim and
+// only adds to a thread-local counter, so the alloc/dealloc contracts are
+// inherited.
+#![allow(unsafe_code)]
+
+use pier::cq::{CqBudget, SegmentLog, WindowAccumulator, WindowSpec, WindowStore};
+use pier::qp::tuple::ColumnChunk;
+use pier::qp::{Column, GroupAgg, Schema, SchemaRegistry, Value, DICT_MAX};
+use proptest::prelude::*;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::sync::Arc;
+
+struct CountingAlloc;
+
+thread_local! {
+    /// Bytes this thread has requested (tests run on parallel threads).
+    static REQUESTED: Cell<usize> = const { Cell::new(0) };
+}
+
+// SAFETY: every call is forwarded to the system allocator unchanged; the
+// counter is a `const`-initialised thread-local `Cell` without a destructor,
+// so touching it neither allocates nor outlives the thread.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        REQUESTED.with(|r| r.set(r.get() + layout.size()));
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        REQUESTED.with(|r| r.set(r.get() + new_size));
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// Run `f`; return its result and the bytes it asked the allocator for.
+fn requested_by<R>(f: impl FnOnce() -> R) -> (R, usize) {
+    let before = REQUESTED.with(Cell::get);
+    let out = f();
+    (out, REQUESTED.with(Cell::get) - before)
+}
+
+/// The most a decoder may request for a frame of `len` bytes.  The widest
+/// honest expansions are a one-byte `Null` into a 24-byte `Value`, one
+/// validity bit into a `bool`, and a short group record into its directory
+/// entry and accumulator; the slack covers the fixed parts of a store.
+fn allowance(len: usize) -> usize {
+    64 * len + 4_096
+}
+
+struct Gen(u64);
+
+impl Gen {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: usize) -> usize {
+        (self.next() % n.max(1) as u64) as usize
+    }
+
+    fn bytes(&mut self, len: usize) -> Vec<u8> {
+        (0..len).map(|_| self.next() as u8).collect()
+    }
+}
+
+/// Damage a valid frame: flip one byte, overwrite a little-endian `u32`
+/// somewhere (a count or a length, with luck) with a huge or a small value,
+/// cut the tail off — or leave it alone.
+fn damage(rng: &mut Gen, mut frame: Vec<u8>) -> Vec<u8> {
+    match rng.below(5) {
+        0 if !frame.is_empty() => {
+            let at = rng.below(frame.len());
+            frame[at] = rng.next() as u8;
+        }
+        1 if frame.len() >= 4 => {
+            let at = rng.below(frame.len() - 3);
+            let v = [u32::MAX, u32::MAX / 2, 1 << 24, 65_537, 3, 0][rng.below(6)];
+            frame[at..at + 4].copy_from_slice(&v.to_le_bytes());
+        }
+        2 => frame.truncate(rng.below(frame.len() + 1)),
+        _ => {}
+    }
+    frame
+}
+
+// ----- ColumnChunk::decode_body -----------------------------------------------
+
+fn schema_of(arity: usize) -> Arc<Schema> {
+    let columns = (0..arity).map(|i| format!("c{i}")).collect();
+    SchemaRegistry::global().intern_owned("fuzz".to_string(), columns)
+}
+
+/// A column of `rows` rows in the layout tag `tag` encodes as (0 the tagged
+/// `Values` fallback, 1 `Int`, 2 `Float`, 3 `Bool`, 4 `Dict`, 5 arena `Str`),
+/// NULLs mixed in.
+fn column(rng: &mut Gen, tag: usize, rows: usize) -> Column {
+    let mut cell = |v: Value| if rng.below(5) == 0 { Value::Null } else { v };
+    match tag {
+        0 => Column::values_layout(
+            (0..rows)
+                .map(|i| match i % 5 {
+                    0 => Value::Int(i as i64),
+                    1 => Value::bytes([i as u8, 7]),
+                    2 => Value::Bool(i % 2 == 0),
+                    3 => Value::str(format!("v{i}")),
+                    _ => Value::Float(i as f64 / 4.0),
+                })
+                .map(&mut cell)
+                .collect(),
+        ),
+        1 => Column::from_values((0..rows).map(|i| cell(Value::Int(i as i64 - 3))).collect()),
+        2 => Column::from_values(
+            (0..rows)
+                .map(|i| cell(Value::Float(i as f64 / 8.0)))
+                .collect(),
+        ),
+        3 => Column::from_values((0..rows).map(|i| cell(Value::Bool(i % 3 == 0))).collect()),
+        4 => Column::from_values(
+            (0..rows)
+                .map(|i| cell(Value::str(format!("k{}", i % 7))))
+                .collect(),
+        ),
+        // More distinct strings than a dictionary page holds spill to the arena.
+        _ => Column::from_values(
+            (0..rows.max(DICT_MAX + 2))
+                .map(|i| Value::str(format!("s{i}")))
+                .collect(),
+        ),
+    }
+}
+
+/// A valid chunk body and its schema: one to three columns of random tags.
+fn chunk_frame(rng: &mut Gen) -> (Arc<Schema>, Vec<u8>) {
+    let arity = 1 + rng.below(3);
+    let tags: Vec<usize> = (0..arity).map(|_| rng.below(6)).collect();
+    let rows = if tags.contains(&5) {
+        DICT_MAX + 2 + rng.below(8)
+    } else {
+        rng.below(70)
+    };
+    let schema = schema_of(arity);
+    let columns = tags.iter().map(|&t| column(rng, t, rows)).collect();
+    let mut frame = Vec::new();
+    ColumnChunk::from_columns(Arc::clone(&schema), columns, rows).encode_body(&mut frame);
+    (schema, frame)
+}
+
+/// Decode `frame` and hold the decoder to the three properties.
+fn check_chunk(schema: &Arc<Schema>, frame: &[u8]) -> Result<(), TestCaseError> {
+    let (decoded, requested) = requested_by(|| ColumnChunk::decode_body(Arc::clone(schema), frame));
+    prop_assert!(
+        requested <= allowance(frame.len()),
+        "{requested} bytes requested for a {}-byte frame",
+        frame.len()
+    );
+    if let Some((chunk, used)) = decoded {
+        let mut again = Vec::new();
+        chunk.encode_body(&mut again);
+        prop_assert!(again[..] == frame[..used], "accepted but not canonical");
+    }
+    Ok(())
+}
+
+/// The frame ISSUE 17 found: one column, `u32::MAX` rows, an `Int` tag and a
+/// validity byte — and nothing else.  Before the fix the decoder reserved
+/// 32 GiB for the rows the header promised.
+#[test]
+fn a_row_count_the_frame_cannot_hold_is_refused_before_anything_is_reserved() {
+    let frame = [1, 0, 0xff, 0xff, 0xff, 0xff, 1, 0];
+    let schema = schema_of(1);
+    let (decoded, requested) = requested_by(|| ColumnChunk::decode_body(schema, &frame));
+    assert!(decoded.is_none());
+    assert!(
+        requested <= frame.len(),
+        "{requested} bytes requested for an 8-byte frame"
+    );
+    // The same promise under each of the other tags, with and without a
+    // validity block.
+    for tag in 0..=5u8 {
+        for validity in [0u8, 1] {
+            let frame = [1, 0, 0xff, 0xff, 0xff, 0xff, tag, validity, 0, 0, 0, 0];
+            let (decoded, requested) =
+                requested_by(|| ColumnChunk::decode_body(schema_of(1), &frame));
+            assert!(decoded.is_none(), "tag {tag}");
+            assert!(
+                requested <= allowance(frame.len()),
+                "tag {tag}: {requested}"
+            );
+        }
+    }
+}
+
+proptest! {
+    /// Arbitrary bytes behind a plausible header (the right column count, a
+    /// row count from tiny to `u32::MAX`, a valid tag).
+    #[test]
+    fn arbitrary_chunk_frames_never_panic_or_over_reserve(seed in any::<u64>()) {
+        let mut rng = Gen(seed);
+        let arity = 1 + rng.below(3);
+        let mut frame = (arity as u16).to_le_bytes().to_vec();
+        let rows = [rng.below(4) as u32, rng.below(300) as u32, rng.next() as u32, u32::MAX];
+        frame.extend_from_slice(&rows[rng.below(4)].to_le_bytes());
+        frame.push(rng.below(7) as u8);
+        let tail = rng.below(200);
+        frame.extend(rng.bytes(tail));
+        check_chunk(&schema_of(arity), &frame)?;
+        // And with no structure at all.
+        let len = rng.below(64);
+        check_chunk(&schema_of(arity), &rng.bytes(len))?;
+    }
+
+    /// Valid chunks of every layout, damaged.
+    #[test]
+    fn damaged_chunk_frames_never_panic_or_over_reserve(seed in any::<u64>()) {
+        let mut rng = Gen(seed);
+        let (schema, frame) = chunk_frame(&mut rng);
+        check_chunk(&schema, &frame)?;
+        let frame = damage(&mut rng, frame);
+        check_chunk(&schema, &frame)?;
+    }
+}
+
+// ----- SegmentLog::from_bytes → WindowStore::rehydrate_from --------------------
+
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+    })
+}
+
+/// Frame `payload` as a log record: `len | fnv1a64 | payload`.
+fn record(payload: &[u8]) -> Vec<u8> {
+    let mut out = (payload.len() as u32).to_le_bytes().to_vec();
+    out.extend_from_slice(&fnv1a64(payload).to_le_bytes());
+    out.extend_from_slice(payload);
+    out
+}
+
+/// The payloads of a log a real store wrote: a few windows of a few
+/// `GroupAgg` groups each, then the watermark.
+fn store_payloads(rng: &mut Gen) -> Vec<Vec<u8>> {
+    use pier::qp::AggState;
+    let spec = WindowSpec::sliding(2_000_000, 1_000_000);
+    let mut store: WindowStore<GroupAgg> = WindowStore::new(spec, CqBudget::default());
+    for _ in 0..rng.below(40) {
+        let key = format!("10.0.0.{}", rng.below(6));
+        let acc = GroupAgg {
+            vals: vec![Value::str(&key)],
+            states: vec![
+                AggState::Count(1),
+                AggState::Min(Some(Value::Int(rng.below(9) as i64))),
+            ],
+        };
+        let at = rng.below(5_000_000) as u64;
+        store.push(at, &key, None, || acc.clone(), |a| a.merge(&acc));
+    }
+    let mut log = SegmentLog::new();
+    store.write_segments(&mut log);
+    let mut bytes = log.as_bytes();
+    let mut payloads = Vec::new();
+    while !bytes.is_empty() {
+        let len = u32::from_le_bytes(bytes[..4].try_into().unwrap()) as usize;
+        payloads.push(bytes[12..12 + len].to_vec());
+        bytes = &bytes[12 + len..];
+    }
+    payloads
+}
+
+/// Adopt `bytes` as a log and rehydrate a fresh store from it, holding both
+/// steps to the three properties.
+fn check_log(bytes: Vec<u8>) -> Result<(), TestCaseError> {
+    let len = bytes.len();
+    let spec = WindowSpec::sliding(2_000_000, 1_000_000);
+    let mut store: WindowStore<GroupAgg> = WindowStore::new(spec, CqBudget::default());
+    let (log, requested) = requested_by(|| {
+        let log = SegmentLog::from_bytes(bytes);
+        store.rehydrate_from(&log);
+        log
+    });
+    prop_assert!(
+        requested <= allowance(len),
+        "{requested} bytes requested for a {len}-byte log"
+    );
+    // What the scan accepts, it writes back as the same bytes.
+    let scan = log.scan();
+    let mut again = SegmentLog::new();
+    for rec in &scan.records {
+        again.append(rec);
+    }
+    prop_assert!(
+        again.as_bytes() == &log.as_bytes()[..scan.valid_len],
+        "accepted but not canonical"
+    );
+    // And what rehydrated is a fixed point of snapshot → rehydrate.
+    let mut snapshot = SegmentLog::new();
+    store.write_segments(&mut snapshot);
+    let mut twin: WindowStore<GroupAgg> = WindowStore::new(spec, CqBudget::default());
+    twin.rehydrate_from(&snapshot);
+    let mut twin_snapshot = SegmentLog::new();
+    twin.write_segments(&mut twin_snapshot);
+    prop_assert!(
+        twin_snapshot.as_bytes() == snapshot.as_bytes(),
+        "a rehydrated store's snapshot does not rehydrate to itself"
+    );
+    Ok(())
+}
+
+proptest! {
+    /// Arbitrary bytes as a log, and arbitrary payloads behind a valid
+    /// length and checksum so they reach the record decoder.
+    #[test]
+    fn arbitrary_segment_logs_never_panic_or_over_reserve(seed in any::<u64>()) {
+        let mut rng = Gen(seed);
+        let len = rng.below(96);
+        check_log(rng.bytes(len))?;
+        let mut log = Vec::new();
+        for _ in 0..1 + rng.below(3) {
+            // A window or watermark tag, then noise.
+            let mut payload = vec![1 + rng.below(2) as u8];
+            let len = rng.below(80);
+            payload.extend(rng.bytes(len));
+            log.extend(record(&payload));
+        }
+        check_log(log)?;
+    }
+
+    /// A log a store wrote, one record's payload damaged and its checksum
+    /// recomputed — or the raw log damaged, checksums and all.
+    #[test]
+    fn damaged_segment_logs_never_panic_or_over_reserve(seed in any::<u64>()) {
+        let mut rng = Gen(seed);
+        let mut payloads = store_payloads(&mut rng);
+        let victim = rng.below(payloads.len());
+        payloads[victim] = damage(&mut rng, std::mem::take(&mut payloads[victim]));
+        let log: Vec<u8> = payloads.iter().flat_map(|p| record(p)).collect();
+        check_log(log.clone())?;
+        check_log(damage(&mut rng, log))?;
+    }
+}

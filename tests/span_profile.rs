@@ -17,6 +17,9 @@ use pier::harness::{
 use pier::qp::{sqlish, PierOut, TelemetryConfig, TraceConfig, Tuple, Value};
 use std::collections::BTreeMap;
 
+mod common;
+use common::{assert_span_export, documented, SPAN_STAGES};
+
 fn traced_cfg(nodes: usize, run_secs: u64, seed: u64) -> ContinuousNetmonConfig {
     let mut cfg = ContinuousNetmonConfig::steady(nodes, run_secs, seed);
     cfg.pier.telemetry = TelemetryConfig::enabled();
@@ -74,6 +77,10 @@ fn window_flush_spans_reconcile_one_for_one_against_cq_counters() {
     assert!(flushes > 0, "the standing query must flush windows");
 
     let merged = cluster.merged_spans();
+    for ns in &merged {
+        let s = &ns.span;
+        assert!(s.end >= s.start && s.trace_id > 0 && s.span_id > 0, "{s:?}");
+    }
     let flush_spans: Vec<_> = merged
         .iter()
         .filter(|ns| ns.span.stage == "window.flush" && ns.span.query_id == out.query_id)
@@ -187,7 +194,9 @@ fn explain_analyze_profile_reconciles_measured_within_static_bounds() {
     assert!(profiled
         .explain
         .contains("reconciliation: OK (measured <= static everywhere)"));
-    assert!(!profiled.span_jsonl.is_empty());
+    // The merged span export is what `docs/OBSERVABILITY.md` says it is.
+    assert_eq!(documented("Stage"), SPAN_STAGES);
+    assert_span_export(&profiled.span_jsonl);
     assert!(profiled
         .chrome_json
         .starts_with("{\"displayTimeUnit\":\"ms\",\"traceEvents\":["));

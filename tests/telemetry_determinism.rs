@@ -13,6 +13,9 @@ use pier::harness::{self_monitoring, SelfMonitoringConfig};
 use pier::qp::TelemetryConfig;
 use std::collections::BTreeMap;
 
+mod common;
+use common::{assert_event_export, documented, EVENT_KINDS};
+
 /// Canonical per-tenant window representation: sorted display strings per
 /// window, keyed by (tenant src, window bounds).
 fn window_map(tenants: &[TenantResult]) -> BTreeMap<(String, (u64, u64)), Vec<String>> {
@@ -60,6 +63,23 @@ fn identical_seeds_produce_byte_identical_traces() {
         assert_eq!(wa.window, wb.window);
         assert_eq!(wa.per_node, wb.per_node);
     }
+}
+
+/// The event-trace export is what `docs/OBSERVABILITY.md` says it is: the
+/// documented kind catalogue is the one the suites check against, and every
+/// line node 0 and the all-nodes merger export has an integer time stamp
+/// and ordinal, a catalogued kind and string-valued fields.
+#[test]
+fn exported_events_match_the_documented_schema() {
+    assert_eq!(documented("Kind"), EVENT_KINDS);
+    let out = self_monitoring(&SelfMonitoringConfig::new(8, 12, 11));
+    assert_event_export(&out.trace_jsonl, false);
+    assert_event_export(&out.merged_trace_jsonl, true);
+    assert!(
+        out.merged_trace_jsonl.lines().count() >= out.trace_jsonl.lines().count(),
+        "the merged all-nodes export must contain at least node 0's events"
+    );
+    assert_eq!(out.trace_dropped, 0, "the export must be complete");
 }
 
 #[test]
