@@ -33,6 +33,14 @@
 //!   distinguishes objects sharing a partition, so all suffixes of a
 //!   (namespace, key) land on — and are fetched from — one responsible
 //!   node (modulo churn-induced handoff windows).
+//! * **Resolve, transfer, check**: every `put`/`get`/`renew` (and each
+//!   `put_batch` entry) asks one resolver for the owner — the router's own
+//!   neighbor state, then arcs remembered from earlier answers, then a
+//!   routed lookup — and sends one direct message; the receiver runs it
+//!   only if it [`Router::is_responsible`] for the identifier and
+//!   otherwise forwards it through a fresh routed lookup.  A remembered
+//!   arc can therefore cost a forward, never a misplaced object or an
+//!   answer from the wrong store.
 //! * **Batching never changes semantics**: [`DhtMessage::PutBatch`] /
 //!   [`Overlay::put_batch`] coalesce message *framing* only — every entry
 //!   keeps its own name, payload and lifetime, and the receiver stores

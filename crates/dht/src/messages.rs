@@ -1,9 +1,11 @@
 //! Messages exchanged between overlay wrappers.
 //!
 //! The overlay multiplexes three kinds of traffic over the node-to-node
-//! transport: routing-protocol messages ([`RouterMessage`]), the two-phase
-//! `get`/`put`/`renew` operations of Figure 6, and routed `send` / broadcast
-//! traffic that travels hop-by-hop through the overlay.
+//! transport: routing-protocol messages ([`RouterMessage`]), the direct
+//! transfers of the `get`/`put`/`renew` operations of Figure 6 (sent once
+//! the wrapper has resolved an owner, and checked by the receiver), and
+//! routed `send` / broadcast traffic that travels hop-by-hop through the
+//! overlay.
 //!
 //! [`DhtMessage::PutBatch`] extends the Figure-6 vocabulary with a
 //! *coalesced* direct transfer: when the sender can already name the
@@ -43,8 +45,9 @@ pub(crate) fn trace_wire_size(trace: &Option<TraceContext>) -> usize {
 pub enum DhtMessage<V> {
     /// Routing-protocol traffic (lookups, stabilization, notify).
     Routing(RouterMessage),
-    /// Direct request for the objects stored under (namespace, key) — the
-    /// second phase of a `get` (the first phase is a routed lookup).
+    /// Direct request for the objects stored under (namespace, key), sent
+    /// to the node the requester resolved as their owner.  A receiver that
+    /// is not forwards it, `reply_to` and `request_id` untouched.
     GetRequest {
         /// Table or result-set namespace.
         namespace: String,
@@ -68,8 +71,8 @@ pub enum DhtMessage<V> {
         /// Matching objects (all suffixes).
         objects: Vec<StoredObject<V>>,
     },
-    /// Direct transfer of an object to the node responsible for it — the
-    /// second phase of a `put`.
+    /// Direct transfer of an object to the node the sender resolved as
+    /// responsible for it; a receiver that is not forwards it.
     PutRequest {
         /// Full object name.
         name: ObjectName,

@@ -52,6 +52,12 @@ pub enum RouterMessage {
         request_id: u64,
         /// The node responsible for the requested identifier.
         owner: NodeRef,
+        /// Start of the arc `(arc_start, owner.id]` the replier vouches for:
+        /// every identifier in it — not only the one asked about — belongs
+        /// to `owner`, which the replier is itself or has heard from since
+        /// its last stabilization probe.  Equal to `owner.id` — no arc —
+        /// when the replier cannot say the latter.
+        arc_start: Id,
         /// Hops the request travelled before reaching the owner.
         hops: u32,
     },
@@ -81,7 +87,7 @@ impl WireSize for RouterMessage {
     fn wire_size(&self) -> usize {
         match self {
             RouterMessage::FindSuccessor { .. } => 8 + 14 + 8 + 4,
-            RouterMessage::FindSuccessorReply { .. } => 8 + 14 + 4,
+            RouterMessage::FindSuccessorReply { .. } => 8 + 14 + 8 + 4,
             RouterMessage::GetNeighbors { .. } => 14,
             RouterMessage::Neighbors {
                 predecessor,
@@ -109,8 +115,22 @@ pub enum RouterEffect {
         request_id: u64,
         /// The node responsible for the identifier.
         owner: NodeRef,
+        /// Start of the arc `(arc_start, owner.id]` the answer covers;
+        /// `owner.id` when it covers none worth remembering.
+        arc_start: Id,
         /// Number of overlay hops the lookup took.
         hops: u32,
+    },
+    /// A peer stated that `owner` is responsible for the whole arc
+    /// `(arc_start, owner.id]`, in a reply no [`RouterEffect::LookupDone`]
+    /// reports: a finger-refresh or join answer, or the replier's own arc
+    /// as a [`RouterMessage::Neighbors`] reply spells it out.  Emitted only
+    /// when the membership epoch has not moved since the question was asked.
+    OwnedArc {
+        /// Start of the arc (exclusive).
+        arc_start: Id,
+        /// The arc's owner; its id is the arc's (inclusive) end.
+        owner: NodeRef,
     },
 }
 
@@ -155,7 +175,12 @@ pub struct Router {
     bootstrap_addr: Option<NodeAddr>,
     stabilize_rounds: u64,
     internal_seq: u64,
-    pending_internal: HashMap<u64, u32>,
+    /// In-flight internal lookups: the finger they refresh (`u32::MAX` for a
+    /// join) and the membership epoch they were asked in.
+    pending_internal: HashMap<u64, (u32, u64)>,
+    /// The membership epoch at the end of the latest stabilization round,
+    /// i.e. the one its `GetNeighbors` probes were asked in.
+    probed_epoch: u64,
     /// Bumped whenever the neighbor view (predecessor / successor list)
     /// changes — node adopted, evicted, or presumed dead.  Owner resolutions
     /// derived from routing state (e.g. the wrapper's owner cache feeding
@@ -182,6 +207,7 @@ impl Router {
             stabilize_rounds: 0,
             internal_seq: 0,
             pending_internal: HashMap::new(),
+            probed_epoch: 0,
             membership_epoch: 0,
         }
     }
@@ -274,6 +300,17 @@ impl Router {
             None => self.successors.is_empty() || id.in_interval(self.me.id, self.me.id),
             Some(pred) => id.in_interval(pred.id, self.me.id),
         }
+    }
+
+    /// Where the arc this node answers for starts when it says "I own
+    /// `target`": its predecessor, so the arc is the whole `(predecessor,
+    /// me]` it [`is_responsible`](Router::is_responsible) for.  With no
+    /// predecessor known the node claims every identifier, which is no arc
+    /// to hand out — then only `[target, me]` is vouched for, which holds
+    /// whenever the answer itself does.
+    fn own_arc_start(&self, target: Id) -> Id {
+        self.predecessor
+            .map_or(Id(target.0.wrapping_sub(1)), |p| p.id)
     }
 
     /// The owner of `id` when it is determinable from purely local routing
@@ -370,7 +407,8 @@ impl Router {
     fn next_internal_id(&mut self, finger: u32) -> u64 {
         self.internal_seq += 1;
         let id = INTERNAL_ID_BIT | self.internal_seq;
-        self.pending_internal.insert(id, finger);
+        self.pending_internal
+            .insert(id, (finger, self.membership_epoch));
         id
     }
 
@@ -384,30 +422,28 @@ impl Router {
     }
 
     fn start_lookup(&mut self, target: Id, request_id: u64, now: SimTime) -> Vec<RouterEffect> {
-        if self.is_responsible(target) {
-            return vec![RouterEffect::LookupDone {
+        // Resolved from this node's own state: no arc worth remembering,
+        // the same state answers the next question as cheaply.
+        let local = |owner: NodeRef| {
+            vec![RouterEffect::LookupDone {
                 request_id,
-                owner: self.me,
+                owner,
+                arc_start: owner.id,
                 hops: 0,
-            }];
+            }]
+        };
+        if self.is_responsible(target) {
+            return local(self.me);
         }
         // If the target lies between us and our successor, the successor is
         // authoritatively the owner: no lookup message is needed.
         if let Some(successor) = self.live_successor(now) {
             if target.in_interval(self.me.id, successor.id) {
-                return vec![RouterEffect::LookupDone {
-                    request_id,
-                    owner: successor,
-                    hops: 0,
-                }];
+                return local(successor);
             }
         }
         match self.next_hop(target, now) {
-            None => vec![RouterEffect::LookupDone {
-                request_id,
-                owner: self.me,
-                hops: 0,
-            }],
+            None => local(self.me),
             Some(next) => vec![RouterEffect::Send {
                 to: next.addr,
                 msg: RouterMessage::FindSuccessor {
@@ -437,26 +473,29 @@ impl Router {
                 hops,
             } => {
                 self.consider(reply_to, now);
-                if self.is_responsible(target) {
+                let reply = |owner: NodeRef, arc_start: Id| {
                     vec![RouterEffect::Send {
                         to: reply_to.addr,
                         msg: RouterMessage::FindSuccessorReply {
                             request_id,
-                            owner: self.me,
+                            owner,
+                            arc_start,
                             hops,
                         },
                     }]
-                } else if let Some(successor) = self.successor() {
+                };
+                if self.is_responsible(target) {
+                    reply(self.me, self.own_arc_start(target))
+                } else if let Some(successor) = self.live_successor(now) {
                     if target.in_interval(self.me.id, successor.id) {
-                        // Classic Chord: the successor owns the arc.
-                        vec![RouterEffect::Send {
-                            to: reply_to.addr,
-                            msg: RouterMessage::FindSuccessorReply {
-                                request_id,
-                                owner: successor,
-                                hops,
-                            },
-                        }]
+                        // Classic Chord: the successor owns the arc — an
+                        // arc to remember only if the successor answered
+                        // this round's probe.  A crashed one keeps being
+                        // named until it is presumed dead; remembered, that
+                        // answer would outlast the detection.
+                        let vouched = self.successor() == Some(successor)
+                            && !self.unanswered_probe.contains_key(&successor.addr);
+                        reply(successor, if vouched { self.me.id } else { successor.id })
                     } else {
                         let next = self.closest_preceding(target, now).unwrap_or(successor);
                         vec![RouterEffect::Send {
@@ -471,24 +510,19 @@ impl Router {
                     }
                 } else {
                     // Singleton that somehow received a lookup: we own it.
-                    vec![RouterEffect::Send {
-                        to: reply_to.addr,
-                        msg: RouterMessage::FindSuccessorReply {
-                            request_id,
-                            owner: self.me,
-                            hops,
-                        },
-                    }]
+                    reply(self.me, self.own_arc_start(target))
                 }
             }
             RouterMessage::FindSuccessorReply {
                 request_id,
                 owner,
+                arc_start,
                 hops,
             } => {
                 self.consider(owner, now);
                 if request_id & INTERNAL_ID_BIT != 0 {
-                    if let Some(finger) = self.pending_internal.remove(&request_id) {
+                    let mut effects = Vec::new();
+                    if let Some((finger, asked_epoch)) = self.pending_internal.remove(&request_id) {
                         if finger == u32::MAX {
                             // Join (or periodic re-join) reply: adopt the
                             // owner as our successor only if it is an
@@ -504,12 +538,16 @@ impl Router {
                         } else if owner.addr != self.me.addr {
                             self.fingers[finger as usize] = Some(owner);
                         }
+                        if asked_epoch == self.membership_epoch {
+                            effects.push(RouterEffect::OwnedArc { arc_start, owner });
+                        }
                     }
-                    Vec::new()
+                    effects
                 } else {
                     vec![RouterEffect::LookupDone {
                         request_id,
                         owner,
+                        arc_start,
                         hops,
                     }]
                 }
@@ -536,6 +574,13 @@ impl Router {
                 for s in &successors {
                     self.consider(*s, now);
                 }
+                // The reply spells out the arc the replier answers "I own
+                // it" for.  (Its successor's arc is on the wire too, but
+                // nothing here says that successor still answers.)
+                let own_arc = predecessor.map(|p| RouterEffect::OwnedArc {
+                    arc_start: p.id,
+                    owner: replier,
+                });
                 // Chord stabilization step: if our successor's predecessor
                 // sits between us and our successor, it becomes our successor.
                 if let Some(p) = predecessor {
@@ -558,13 +603,17 @@ impl Router {
                     }
                 }
                 // Notify our successor that we might be its predecessor.
-                match self.successor() {
-                    Some(s) => vec![RouterEffect::Send {
+                let mut effects = Vec::new();
+                if let Some(s) = self.successor() {
+                    effects.push(RouterEffect::Send {
                         to: s.addr,
                         msg: RouterMessage::Notify { from: self.me },
-                    }],
-                    None => Vec::new(),
+                    });
                 }
+                if self.probed_epoch == self.membership_epoch {
+                    effects.extend(own_arc);
+                }
+                effects
             }
             RouterMessage::Notify { from: candidate } => {
                 self.consider(candidate, now);
@@ -685,6 +734,7 @@ impl Router {
                 }
             }
         }
+        self.probed_epoch = self.membership_epoch;
         effects
     }
 
@@ -700,22 +750,16 @@ impl Router {
         let finger = self.next_finger_to_fix;
         let target = self.me.id.finger_target(finger);
         let request_id = self.next_internal_id(finger);
-        self.start_lookup(target, request_id, now)
-            .into_iter()
-            .map(|e| match e {
-                // A lookup that resolves locally just clears the pending entry.
-                RouterEffect::LookupDone { request_id, .. } => {
-                    self.pending_internal.remove(&request_id);
-                    RouterEffect::LookupDone {
-                        request_id,
-                        owner: self.me,
-                        hops: 0,
-                    }
-                }
-                other => other,
-            })
-            .filter(|e| matches!(e, RouterEffect::Send { .. }))
-            .collect()
+        let effects = self.start_lookup(target, request_id, now);
+        if effects
+            .iter()
+            .any(|e| matches!(e, RouterEffect::LookupDone { .. }))
+        {
+            // A lookup that resolves locally just clears the pending entry.
+            self.pending_internal.remove(&request_id);
+            return Vec::new();
+        }
+        effects
     }
 }
 
@@ -849,14 +893,137 @@ mod tests {
                     effects.extend(more);
                 }
                 RouterEffect::LookupDone {
-                    request_id, owner, ..
+                    request_id,
+                    owner,
+                    arc_start,
+                    ..
                 } => {
                     assert_eq!(request_id, 7);
-                    done = Some(owner);
+                    done = Some((arc_start, owner));
                 }
+                RouterEffect::OwnedArc { .. } => panic!("only Neighbors and internal replies"),
             }
         }
-        assert_eq!(done.unwrap().id, Id(900_000));
+        // The answer names the owner and the whole arc it covers.
+        let (arc_start, owner) = done.unwrap();
+        assert_eq!((arc_start, owner.id), (Id(60_000), Id(900_000)));
+    }
+
+    /// The `FindSuccessorReply` `router` sends when asked about `target`.
+    fn reply_about(router: &mut Router, target: u64) -> (Id, NodeRef) {
+        let asker = node(9, 5);
+        let ask = RouterMessage::FindSuccessor {
+            target: Id(target),
+            reply_to: asker,
+            request_id: 1,
+            hops: 1,
+        };
+        match router.on_message(asker.addr, ask, 0).as_slice() {
+            [RouterEffect::Send {
+                msg:
+                    RouterMessage::FindSuccessorReply {
+                        owner, arc_start, ..
+                    },
+                ..
+            }] => (*arc_start, *owner),
+            other => panic!("expected a reply, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn replies_state_the_arc_they_cover() {
+        let nodes = ring(&[10, 20, 30, 40]);
+        // The arc start is eight more bytes on the wire.
+        let reply = RouterMessage::FindSuccessorReply {
+            request_id: 1,
+            owner: nodes[0],
+            arc_start: Id(40),
+            hops: 2,
+        };
+        assert_eq!(reply.wire_size(), 8 + nodes[0].wire_size() + 8 + 4);
+        let mut r = Router::with_static_ring(nodes[1], &nodes, RouterConfig::default());
+        // "I own it": the replier's whole arc, from its predecessor.
+        assert_eq!(reply_about(&mut r, 15), (Id(10), nodes[1]));
+        // "My successor owns it": the arc between the two…
+        assert_eq!(reply_about(&mut r, 25), (Id(20), nodes[2]));
+        // …but no arc while a probe to that successor is unanswered: it may
+        // have crashed, and a remembered arc would outlive its detection.
+        r.on_stabilize(0);
+        assert_eq!(reply_about(&mut r, 25), (Id(30), nodes[2]));
+        r.on_message(nodes[2].addr, RouterMessage::Notify { from: nodes[2] }, 1);
+        assert_eq!(reply_about(&mut r, 25), (Id(20), nodes[2]));
+        // A node that knows no predecessor claims every identifier, which
+        // is no arc to hand out: it vouches for [target, itself] only.
+        let mut alone = Router::new(nodes[1], RouterConfig::default());
+        assert_eq!(reply_about(&mut alone, 15), (Id(14), nodes[1]));
+        assert_eq!(reply_about(&mut alone, 5_000), (Id(4_999), nodes[1]));
+    }
+
+    fn owned_arcs(effects: &[RouterEffect]) -> Vec<(Id, NodeRef)> {
+        effects
+            .iter()
+            .filter_map(|e| match e {
+                RouterEffect::OwnedArc { arc_start, owner } => Some((*arc_start, *owner)),
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn internal_replies_and_neighbors_state_arcs_unless_membership_moved() {
+        let ids: Vec<u64> = (1..=16).map(|i| i * 1000).collect();
+        let nodes = ring(&ids);
+        let mut r = Router::with_static_ring(nodes[0], &nodes, RouterConfig::default());
+        let neighbors = |of: usize| RouterMessage::Neighbors {
+            from: nodes[of],
+            predecessor: Some(nodes[of - 1]),
+            successors: vec![nodes[of + 1], nodes[of + 2]],
+        };
+        // A probed peer's reply states the arc it owns.
+        r.on_stabilize(0);
+        let effects = r.on_message(nodes[8].addr, neighbors(8), 10);
+        assert_eq!(owned_arcs(&effects), vec![(nodes[7].id, nodes[8])]);
+        // So does the answer to a finger refresh.
+        // (Low fingers resolve locally; skip to one that takes a lookup.)
+        let finger_lookup = |r: &mut Router, now| loop {
+            match r.on_fix_fingers(now).as_slice() {
+                [] => {}
+                [RouterEffect::Send {
+                    msg: RouterMessage::FindSuccessor { request_id, .. },
+                    ..
+                }] => break *request_id,
+                other => panic!("expected one finger lookup, got {other:?}"),
+            }
+        };
+        let request_id = finger_lookup(&mut r, 20);
+        let answer = |request_id| RouterMessage::FindSuccessorReply {
+            request_id,
+            owner: nodes[12],
+            arc_start: nodes[11].id,
+            hops: 2,
+        };
+        let effects = r.on_message(nodes[11].addr, answer(request_id), 30);
+        assert_eq!(owned_arcs(&effects), vec![(nodes[11].id, nodes[12])]);
+        // Once the neighbor view moves, answers to questions asked before
+        // the move state nothing: they may describe the ring as it was.
+        let request_id = finger_lookup(&mut r, 40);
+        let epoch = r.membership_epoch();
+        r.on_message(
+            NodeAddr(99),
+            RouterMessage::Notify {
+                from: node(99, 500),
+            },
+            50,
+        );
+        assert!(r.membership_epoch() > epoch);
+        assert!(owned_arcs(&r.on_message(nodes[11].addr, answer(request_id), 60)).is_empty());
+        assert!(owned_arcs(&r.on_message(nodes[8].addr, neighbors(8), 60)).is_empty());
+        // The next probe round is asked in the new epoch.
+        r.on_stabilize(1_000_000);
+        assert_eq!(
+            owned_arcs(&r.on_message(nodes[8].addr, neighbors(8), 1_000_010)),
+            vec![(nodes[7].id, nodes[8])]
+        );
     }
 
     #[test]

@@ -8,15 +8,18 @@
 //!
 //! Operation message flows follow Figure 6 of the paper:
 //!
-//! * **put / renew** — a routed *lookup* resolves the identifier-to-address
-//!   mapping, then the object (or renewal request) is forwarded directly to
-//!   the destination.
+//! * **put / renew / get** — *resolve, transfer, check*.  The identifier is
+//!   resolved to an owner — from the router's own neighbor state, else from
+//!   the arcs earlier answers stated (the owner cache), else by a routed
+//!   *lookup* — then the object, renewal or request goes to that node in
+//!   one direct message (a `get` is answered by a response carrying the
+//!   matching objects).  The receiver checks that it is responsible for the
+//!   identifier and, when it is not, forwards the operation through a
+//!   routed lookup of its own.
 //! * **send** — the object itself is routed hop-by-hop to the destination in
 //!   a single call; every intermediate node is offered an *upcall* and may
 //!   drop or alter the message (this is what hierarchical aggregation and
 //!   hierarchical joins build on).
-//! * **get** — a lookup followed by a direct request and a response carrying
-//!   the matching objects.
 //!
 //! The wrapper additionally maintains the **distribution tree** used for
 //! query broadcast (§3.3.3): every node periodically routes a `TreeJoin`
@@ -164,11 +167,17 @@ pub enum OverlayEffect<V> {
     Event(OverlayEvent<V>),
 }
 
+/// One inter-node operation on its way to the node responsible for its
+/// routing identifier.  `reply_to`/`request_id` name the node and token the
+/// answer goes back to — this node's own for an operation issued here, the
+/// originator's for one this node is forwarding.
 #[derive(Debug, Clone)]
-enum PendingOp<V> {
+enum Op<V> {
     Get {
         namespace: String,
         key: String,
+        reply_to: NodeAddr,
+        request_id: u64,
         trace: Option<TraceContext>,
     },
     Put {
@@ -180,16 +189,67 @@ enum PendingOp<V> {
     Renew {
         name: ObjectName,
         lifetime: Duration,
-    },
-    RawLookup {
-        target: Id,
+        reply_to: NodeAddr,
+        request_id: u64,
     },
 }
 
-/// One owner-cache entry: the resolved owner, when the resolution was
-/// learned (TTL anchor) and when it last served a batched put (LRU anchor).
+impl<V> Op<V> {
+    fn routing_id(&self) -> Id {
+        match self {
+            Op::Get { namespace, key, .. } => crate::id::routing_id(namespace, key),
+            Op::Put { name, .. } | Op::Renew { name, .. } => name.routing_id(),
+        }
+    }
+
+    /// The one direct message that carries this operation to its owner.
+    fn into_message(self) -> DhtMessage<V> {
+        match self {
+            Op::Get {
+                namespace,
+                key,
+                reply_to,
+                request_id,
+                trace,
+            } => DhtMessage::GetRequest {
+                namespace,
+                key,
+                reply_to,
+                request_id,
+                trace,
+            },
+            Op::Put {
+                name,
+                value,
+                lifetime,
+                trace,
+            } => DhtMessage::PutRequest {
+                name,
+                value,
+                lifetime,
+                trace,
+            },
+            Op::Renew {
+                name,
+                lifetime,
+                reply_to,
+                request_id,
+            } => DhtMessage::RenewRequest {
+                name,
+                lifetime,
+                reply_to,
+                request_id,
+            },
+        }
+    }
+}
+
+/// One owner-cache entry: the arc `(start, owner.id]` a peer stated `owner`
+/// is responsible for, when it was learned (TTL anchor) and when it last
+/// resolved an operation (LRU anchor).
 #[derive(Debug, Clone, Copy)]
-struct CachedOwner {
+struct CachedArc {
+    start: Id,
     owner: NodeRef,
     cached_at: SimTime,
     last_used: SimTime,
@@ -202,14 +262,15 @@ pub struct Overlay<V> {
     config: OverlayConfig,
     router: Router,
     objects: ObjectManager<V>,
-    /// In-flight operations awaiting a lookup, stamped with the router's
-    /// membership epoch at issue time — a resolution that completes after a
-    /// membership change is used for the operation itself (the classic
-    /// Figure-6 race, tolerated by soft state) but is NOT admitted into the
-    /// owner cache, so a pre-churn answer cannot re-poison a just-cleared
-    /// cache — and with the issue time, which prices the lookup-latency
-    /// histogram when the resolution lands.
-    pending: HashMap<u64, (u64, SimTime, PendingOp<V>)>,
+    /// Routed lookups in flight, by lookup id: the operation that waits for
+    /// the answer (`None` for a raw [`Overlay::lookup`]), the router's
+    /// membership epoch when the lookup was issued — an answer that arrives
+    /// after a membership change still completes its own operation (the
+    /// receiver's responsibility check covers the race) but is NOT admitted
+    /// into the owner cache, so a pre-churn answer cannot re-poison a
+    /// just-cleared cache — and the issue time, which prices the
+    /// lookup-latency histogram when the answer lands.
+    pending: HashMap<u64, (u64, SimTime, Option<Op<V>>)>,
     pending_upcalls: HashMap<u64, PendingUpcall<V>>,
     /// Trace context armed by [`Overlay::set_trace`] and consumed by the
     /// next `get`/`put`/`put_batch`/`send` issued on this wrapper; it rides
@@ -224,22 +285,29 @@ pub struct Overlay<V> {
     /// must not depend on hash seeding (equal-seed runs replay
     /// byte-for-byte).
     tree_children: BTreeMap<NodeAddr, SimTime>,
-    /// Identifier→owner resolutions learned from completed lookups, each
-    /// stamped with its fill time and valid only within
-    /// `owner_cache_epoch` (the router's membership epoch at fill time).
-    /// Extends [`Overlay::put_batch`] coalescing beyond the successor list
-    /// on large rings.  Three bounds keep it honest: any *locally visible*
-    /// membership change — a neighbor joining, leaving, or being presumed
-    /// dead — clears the cache wholesale via the epoch; a per-entry TTL
-    /// (the router's liveness timeout) bounds how long a resolution can be
-    /// trusted when membership changes *outside* the local neighbor view
-    /// (a remote join taking over the arc never bumps our epoch; after the
-    /// TTL the entry falls back to a fresh lookup); and an LRU capacity
-    /// bound ([`Overlay::OWNER_CACHE_MAX`]) keeps a long-lived node on a
-    /// huge churn-free ring from accumulating one entry per identifier it
-    /// ever resolved — the least-recently-used resolution is evicted, so
-    /// the hot destinations of a steady rehash stream stay warm.
-    owner_cache: HashMap<Id, CachedOwner>,
+    /// The owner cache: arcs of the ring other nodes stated an owner for,
+    /// keyed by the arc's end (the owner's id), so the arc that can cover an
+    /// identifier is the first entry at or clockwise after it.  Fed by every
+    /// lookup answer and `Neighbors` reply the router sees, it stands behind
+    /// [`Router::known_owner`] in the one resolver every `put`, `get`,
+    /// `renew` and `put_batch` goes through, so an arc costs one routed
+    /// lookup per TTL instead of one per operation.  Four bounds keep it
+    /// honest: any *locally visible* membership change — a neighbor
+    /// joining, leaving, or being presumed dead — clears it wholesale via
+    /// `owner_cache_epoch` (the router's membership epoch at fill time); a
+    /// per-entry TTL (the router's liveness timeout) bounds how long an arc
+    /// is trusted when membership changes *outside* the local neighbor
+    /// view (a remote join splitting the arc never bumps our epoch; until
+    /// the TTL runs out the old owner's responsibility check forwards what
+    /// it no longer owns); an entry is skipped while its owner is presumed
+    /// dead; and [`Overlay::OWNER_CACHE_MAX`] bounds the number of distinct
+    /// owners, evicting the least recently used.  What remains is the loss
+    /// window a lookup answer has anyway: a remote owner that crashed keeps
+    /// being sent to until its entry's TTL runs out.  An arc is only ever
+    /// stated by its owner or by a predecessor the owner just answered a
+    /// probe of, so that is at most a TTL and a round after the crash —
+    /// when the ring itself stops naming the node.
+    owner_cache: BTreeMap<Id, CachedArc>,
     owner_cache_epoch: u64,
     /// Telemetry handle (empty unless the host attaches one): lookup
     /// hop/latency histograms, owner-cache hit/miss/invalidation counters
@@ -262,7 +330,7 @@ impl<V: Clone + Debug + WireSize> Overlay<V> {
             next_upcall_token: 0,
             tree_root: hash_str(TREE_ROOT_NAME),
             tree_children: BTreeMap::new(),
-            owner_cache: HashMap::new(),
+            owner_cache: BTreeMap::new(),
             owner_cache_epoch: 0,
             tel: Telemetry::disabled(),
         }
@@ -362,33 +430,14 @@ impl<V: Clone + Debug + WireSize> Overlay<V> {
     ) -> (u64, Vec<OverlayEffect<V>>) {
         let trace = self.pending_trace.take();
         let request_id = self.next_request_id();
-        let id = crate::id::routing_id(namespace, key);
-        if self.router.is_responsible(id) {
-            let objects = self.objects.get(namespace, key, now);
-            return (
-                request_id,
-                vec![OverlayEffect::Event(OverlayEvent::GetResult {
-                    request_id,
-                    namespace: namespace.to_string(),
-                    key: key.to_string(),
-                    objects,
-                })],
-            );
-        }
-        self.pending.insert(
+        let op = Op::Get {
+            namespace: namespace.to_string(),
+            key: key.to_string(),
+            reply_to: self.me.addr,
             request_id,
-            (
-                self.router.membership_epoch(),
-                now,
-                PendingOp::Get {
-                    namespace: namespace.to_string(),
-                    key: key.to_string(),
-                    trace,
-                },
-            ),
-        );
-        let effects = self.router.lookup(id, request_id, now);
-        (request_id, self.absorb_router_effects(effects, now))
+            trace,
+        };
+        (request_id, self.dispatch(op, now))
     }
 
     /// `put(namespace, key, suffix, object, lifetime)`: store an object at
@@ -401,32 +450,135 @@ impl<V: Clone + Debug + WireSize> Overlay<V> {
         now: SimTime,
     ) -> Vec<OverlayEffect<V>> {
         let trace = self.pending_trace.take();
-        let id = name.routing_id();
-        if self.router.is_responsible(id) {
-            return self.store_local_traced(name, value, lifetime, trace, now);
-        }
-        let request_id = self.next_request_id();
-        self.pending.insert(
-            request_id,
-            (
-                self.router.membership_epoch(),
-                now,
-                PendingOp::Put {
-                    name,
-                    value,
-                    lifetime,
-                    trace,
-                },
-            ),
-        );
-        let effects = self.router.lookup(id, request_id, now);
-        self.absorb_router_effects(effects, now)
+        let op = Op::Put {
+            name,
+            value,
+            lifetime,
+            trace,
+        };
+        self.dispatch(op, now)
     }
 
-    /// Drop every cached owner resolution when the router's membership view
-    /// has changed since the cache was filled.  Called before any cache read
-    /// or write, so a node that left (or was presumed dead and evicted)
-    /// never serves another grouped transfer out of stale state.
+    /// Resolve, then transfer: run `op` here when this node owns its
+    /// identifier, send it in one direct message when [`Overlay::resolve`]
+    /// names another owner, and pay a routed lookup only when nothing does.
+    fn dispatch(&mut self, op: Op<V>, now: SimTime) -> Vec<OverlayEffect<V>> {
+        match self.resolve(op.routing_id(), now) {
+            Some(owner) if owner.addr == self.me.addr => self.serve(op, now),
+            Some(owner) => vec![OverlayEffect::Send {
+                to: owner.addr,
+                msg: op.into_message(),
+            }],
+            None => self.route(op, now),
+        }
+    }
+
+    /// Run `op` against the local store and answer whoever asked — with an
+    /// event when that is this node, with the response message otherwise.
+    fn serve(&mut self, op: Op<V>, now: SimTime) -> Vec<OverlayEffect<V>> {
+        let me = self.me.addr;
+        match op {
+            Op::Put {
+                name,
+                value,
+                lifetime,
+                trace,
+            } => self.store_local_traced(name, value, lifetime, trace, now),
+            Op::Get {
+                namespace,
+                key,
+                reply_to,
+                request_id,
+                ..
+            } => {
+                let objects = self.objects.get(&namespace, &key, now);
+                vec![if reply_to == me {
+                    OverlayEffect::Event(OverlayEvent::GetResult {
+                        request_id,
+                        namespace,
+                        key,
+                        objects,
+                    })
+                } else {
+                    OverlayEffect::Send {
+                        to: reply_to,
+                        msg: DhtMessage::GetResponse {
+                            request_id,
+                            namespace,
+                            key,
+                            objects,
+                        },
+                    }
+                }]
+            }
+            Op::Renew {
+                name,
+                lifetime,
+                reply_to,
+                request_id,
+            } => {
+                let success = self.objects.renew(&name, lifetime, now);
+                vec![if reply_to == me {
+                    OverlayEffect::Event(OverlayEvent::RenewResult {
+                        request_id,
+                        success,
+                    })
+                } else {
+                    OverlayEffect::Send {
+                        to: reply_to,
+                        msg: DhtMessage::RenewResponse {
+                            request_id,
+                            success,
+                        },
+                    }
+                }]
+            }
+        }
+    }
+
+    /// Park `op` (`None`: a raw lookup) behind a routed lookup for `target`;
+    /// [`Overlay::finish_lookup`] picks it up when the answer lands.  This
+    /// never consults the owner cache.
+    fn route_lookup(
+        &mut self,
+        target: Id,
+        op: Option<Op<V>>,
+        now: SimTime,
+    ) -> (u64, Vec<OverlayEffect<V>>) {
+        let lookup_id = self.next_request_id();
+        self.pending
+            .insert(lookup_id, (self.router.membership_epoch(), now, op));
+        let effects = self.router.lookup(target, lookup_id, now);
+        (lookup_id, self.absorb_router_effects(effects, now))
+    }
+
+    /// The classic Figure-6 flow for `op`: a routed lookup, then the direct
+    /// transfer.
+    fn route(&mut self, op: Op<V>, now: SimTime) -> Vec<OverlayEffect<V>> {
+        self.route_lookup(op.routing_id(), Some(op), now).1
+    }
+
+    /// The receive side of a direct transfer: run `op` when this node is
+    /// responsible for its identifier.  When it is not — the sender's arc
+    /// went stale, or membership changed while the message was in flight —
+    /// forward it through a fresh routed lookup (never the owner cache, so
+    /// two nodes with stale arcs cannot bounce it between them), keeping
+    /// the originator's reply address, token and trace context: stored
+    /// here, no correctly routed `get` would ever find the object, and a
+    /// `get` or `renew` answered here would miss objects that do exist.
+    fn receive(&mut self, op: Op<V>, now: SimTime) -> Vec<OverlayEffect<V>> {
+        if self.router.is_responsible(op.routing_id()) {
+            self.serve(op, now)
+        } else {
+            self.tel.inc("dht.misdirected");
+            self.route(op, now)
+        }
+    }
+
+    /// Drop every cached arc when the router's membership view has changed
+    /// since the cache was filled.  Called before any cache read or write,
+    /// so a node that left (or was presumed dead and evicted) never serves
+    /// another transfer out of stale state.
     fn validate_owner_cache(&mut self) {
         let epoch = self.router.membership_epoch();
         if epoch != self.owner_cache_epoch {
@@ -446,47 +598,66 @@ impl<V: Clone + Debug + WireSize> Overlay<V> {
     }
 
     /// The owner of `id` as far as this node can tell without a routed
-    /// lookup: authoritative local routing state first
-    /// ([`Router::known_owner`]), then the lookup-fed owner cache (valid
-    /// for the current membership epoch, younger than the liveness-timeout
-    /// TTL, and only while the cached node is not presumed dead).  A hit
-    /// refreshes the entry's LRU stamp.
-    fn resolved_owner(&mut self, id: Id, now: SimTime) -> Option<NodeRef> {
+    /// lookup — the one resolver in front of every inter-node operation:
+    /// authoritative local routing state first ([`Router::known_owner`]),
+    /// then the owner cache — the first cached arc ending at or clockwise
+    /// after `id`, if it covers `id`, was learned in the current membership
+    /// epoch, is younger than the liveness-timeout TTL and its owner is not
+    /// presumed dead.  A hit refreshes the arc's LRU stamp.  `None` means
+    /// an operation on `id` would pay a routed lookup.  Public so tests can
+    /// hold its answers against the ring's true owners.
+    pub fn resolve(&mut self, id: Id, now: SimTime) -> Option<NodeRef> {
         if let Some(owner) = self.router.known_owner(id, now) {
             return Some(owner);
         }
         self.validate_owner_cache();
         let ttl = self.config.router.liveness_timeout;
-        let Some(entry) = self.owner_cache.get_mut(&id) else {
+        let covering = self
+            .owner_cache
+            .range(id..)
+            .next()
+            .or_else(|| self.owner_cache.iter().next())
+            .map(|(end, arc)| (*end, *arc))
+            .filter(|(end, arc)| id.in_interval(arc.start, *end));
+        let Some((end, arc)) = covering else {
             self.tel.inc("dht.owner_cache.misses");
             return None;
         };
-        let (owner, cached_at) = (entry.owner, entry.cached_at);
-        if now.saturating_sub(cached_at) > ttl || self.router.presumed_dead(owner.addr, now) {
-            self.owner_cache.remove(&id);
+        if now.saturating_sub(arc.cached_at) > ttl || self.router.presumed_dead(arc.owner.addr, now)
+        {
+            self.owner_cache.remove(&end);
             self.tel.inc("dht.owner_cache.expired");
             self.tel.inc("dht.owner_cache.misses");
             return None;
         }
-        entry.last_used = now;
+        if let Some(entry) = self.owner_cache.get_mut(&end) {
+            entry.last_used = now;
+        }
         self.tel.inc("dht.owner_cache.hits");
-        Some(owner)
+        Some(arc.owner)
     }
 
-    /// Hard cap on cached owner resolutions.  Reaching it first purges
-    /// TTL-expired entries; if the cache is still full, the
-    /// **least-recently-used** entry is evicted, so the hot destinations of
-    /// a steady rehash stream survive while one-off resolutions rotate out.
-    /// Without the cap, a long-lived node on a churn-free ring (epoch never
-    /// bumps) would accumulate one entry per distinct identifier ever
-    /// resolved.
+    /// Hard cap on cached arcs, i.e. on distinct owners.  Reaching it first
+    /// purges TTL-expired entries; if the cache is still full, the
+    /// **least-recently-used** arc is evicted, so the hot destinations of a
+    /// steady rehash stream survive while one-off resolutions rotate out.
     const OWNER_CACHE_MAX: usize = 1024;
 
-    /// Record a lookup-resolved owner for reuse by later batched puts.
-    /// Never grows the cache past [`Overlay::OWNER_CACHE_MAX`].
-    fn cache_owner(&mut self, id: Id, owner: NodeRef, now: SimTime) {
+    /// Record that `owner` is responsible for `(arc_start, owner.id]`, as a
+    /// peer just stated, replacing what was cached for that owner.  Never
+    /// grows the cache past [`Overlay::OWNER_CACHE_MAX`].
+    fn learn_arc(&mut self, arc_start: Id, owner: NodeRef, now: SimTime) {
+        // Arcs of this node are the router's to know; and an arc that
+        // starts where it ends is none — how a replier says it vouches for
+        // nothing beyond the identifier asked about (read as an interval
+        // it would be the whole ring).
+        if owner.addr == self.me.addr || arc_start == owner.id {
+            return;
+        }
         self.validate_owner_cache();
-        if self.owner_cache.len() >= Self::OWNER_CACHE_MAX && !self.owner_cache.contains_key(&id) {
+        if self.owner_cache.len() >= Self::OWNER_CACHE_MAX
+            && !self.owner_cache.contains_key(&owner.id)
+        {
             let ttl = self.config.router.liveness_timeout;
             self.owner_cache
                 .retain(|_, e| now.saturating_sub(e.cached_at) <= ttl);
@@ -505,8 +676,9 @@ impl<V: Clone + Debug + WireSize> Overlay<V> {
             }
         }
         self.owner_cache.insert(
-            id,
-            CachedOwner {
+            owner.id,
+            CachedArc {
+                start: arc_start,
                 owner,
                 cached_at: now,
                 last_used: now,
@@ -514,15 +686,14 @@ impl<V: Clone + Debug + WireSize> Overlay<V> {
         );
     }
 
-    /// A batched `put`: entries whose owner is determinable without a
-    /// routed lookup — from local routing state ([`Router::known_owner`]) or
-    /// from the membership-epoch-scoped owner cache fed by completed
-    /// lookups — are grouped into one [`DhtMessage::PutBatch`] per
-    /// destination node (locally-owned entries are stored directly); the
-    /// rest fall back to the classic per-entry lookup-then-transfer flow of
-    /// Figure 6 (and prime the cache for the next flush).  Every entry keeps
-    /// its own name and lifetime, so storage and expiry behave exactly as
-    /// separate puts — only message framing is shared.
+    /// A batched `put`: every entry goes through the same resolver as a
+    /// single `put` ([`Overlay::resolve`]); entries it names an owner for
+    /// are grouped into one [`DhtMessage::PutBatch`] per destination node
+    /// (locally-owned entries are stored directly), the rest take the
+    /// per-entry lookup-then-transfer flow of Figure 6, whose answers feed
+    /// the owner cache for the next flush.  Every entry keeps its own name
+    /// and lifetime, so storage and expiry behave exactly as separate puts
+    /// — only message framing is shared.
     pub fn put_batch(
         &mut self,
         entries: Vec<(ObjectName, V, Duration)>,
@@ -536,7 +707,7 @@ impl<V: Clone + Debug + WireSize> Overlay<V> {
         let total = entries.len() as u64;
         for (name, value, lifetime) in entries {
             let id = name.routing_id();
-            match self.resolved_owner(id, now) {
+            match self.resolve(id, now) {
                 Some(owner) if owner.addr == self.me.addr => {
                     local += 1;
                     effects.extend(self.store_local_traced(name, value, lifetime, trace, now));
@@ -590,10 +761,13 @@ impl<V: Clone + Debug + WireSize> Overlay<V> {
         self.tel
             .add("dht.put_batch.unresolved", unresolved.len() as u64);
         for (name, value, lifetime) in unresolved {
-            // Re-arm the batch's context for each per-entry fallback: `put`
-            // consumes the armed trace on every call.
-            self.pending_trace = trace;
-            effects.extend(self.put(name, value, lifetime, now));
+            let op = Op::Put {
+                name,
+                value,
+                lifetime,
+                trace,
+            };
+            effects.extend(self.route(op, now));
         }
         effects
     }
@@ -608,27 +782,13 @@ impl<V: Clone + Debug + WireSize> Overlay<V> {
         now: SimTime,
     ) -> (u64, Vec<OverlayEffect<V>>) {
         let request_id = self.next_request_id();
-        let id = name.routing_id();
-        if self.router.is_responsible(id) {
-            let success = self.objects.renew(&name, lifetime, now);
-            return (
-                request_id,
-                vec![OverlayEffect::Event(OverlayEvent::RenewResult {
-                    request_id,
-                    success,
-                })],
-            );
-        }
-        self.pending.insert(
+        let op = Op::Renew {
+            name,
+            lifetime,
+            reply_to: self.me.addr,
             request_id,
-            (
-                self.router.membership_epoch(),
-                now,
-                PendingOp::Renew { name, lifetime },
-            ),
-        );
-        let effects = self.router.lookup(id, request_id, now);
-        (request_id, self.absorb_router_effects(effects, now))
+        };
+        (request_id, self.dispatch(op, now))
     }
 
     /// `send(namespace, key, suffix, object, lifetime)`: route the object
@@ -673,19 +833,13 @@ impl<V: Clone + Debug + WireSize> Overlay<V> {
     }
 
     /// Resolve the node responsible for an arbitrary identifier.  The answer
-    /// arrives as [`OverlayEvent::LookupDone`].
+    /// arrives as [`OverlayEvent::LookupDone`].  Unlike `put`/`get`/`renew`
+    /// this always issues a routed lookup and never reads the owner cache:
+    /// it is the diagnostic that measures what the routing layer itself
+    /// does — EXP-D counts overlay hops with it — so a cached answer, which
+    /// takes no hops, would be measuring the cache.
     pub fn lookup(&mut self, target: Id, now: SimTime) -> (u64, Vec<OverlayEffect<V>>) {
-        let request_id = self.next_request_id();
-        self.pending.insert(
-            request_id,
-            (
-                self.router.membership_epoch(),
-                now,
-                PendingOp::RawLookup { target },
-            ),
-        );
-        let effects = self.router.lookup(target, request_id, now);
-        (request_id, self.absorb_router_effects(effects, now))
+        self.route_lookup(target, None, now)
     }
 
     // ----- Intra-node operations ------------------------------------------
@@ -842,18 +996,16 @@ impl<V: Clone + Debug + WireSize> Overlay<V> {
                 key,
                 reply_to,
                 request_id,
-                trace: _,
+                trace,
             } => {
-                let objects = self.objects.get(&namespace, &key, now);
-                vec![OverlayEffect::Send {
-                    to: reply_to,
-                    msg: DhtMessage::GetResponse {
-                        request_id,
-                        namespace,
-                        key,
-                        objects,
-                    },
-                }]
+                let op = Op::Get {
+                    namespace,
+                    key,
+                    reply_to,
+                    request_id,
+                    trace,
+                };
+                self.receive(op, now)
             }
             DhtMessage::GetResponse {
                 request_id,
@@ -871,22 +1023,25 @@ impl<V: Clone + Debug + WireSize> Overlay<V> {
                 value,
                 lifetime,
                 trace,
-            } => self.store_local_traced(name, value, lifetime, trace, now),
+            } => {
+                let op = Op::Put {
+                    name,
+                    value,
+                    lifetime,
+                    trace,
+                };
+                self.receive(op, now)
+            }
             DhtMessage::PutBatch { entries, trace } => {
                 let mut effects = Vec::new();
                 for (name, value, lifetime) in entries {
-                    if self.router.is_responsible(name.routing_id()) {
-                        effects.extend(self.store_local_traced(name, value, lifetime, trace, now));
-                    } else {
-                        // A membership change raced the coalesced transfer
-                        // (e.g. a joiner took over part of this arc after
-                        // the sender resolved us as the owner): re-enter the
-                        // classic lookup-then-transfer flow instead of
-                        // storing the entry out of place, where no correctly
-                        // routed get would ever find it.
-                        self.pending_trace = trace;
-                        effects.extend(self.put(name, value, lifetime, now));
-                    }
+                    let op = Op::Put {
+                        name,
+                        value,
+                        lifetime,
+                        trace,
+                    };
+                    effects.extend(self.receive(op, now));
                 }
                 effects
             }
@@ -896,14 +1051,13 @@ impl<V: Clone + Debug + WireSize> Overlay<V> {
                 reply_to,
                 request_id,
             } => {
-                let success = self.objects.renew(&name, lifetime, now);
-                vec![OverlayEffect::Send {
-                    to: reply_to,
-                    msg: DhtMessage::RenewResponse {
-                        request_id,
-                        success,
-                    },
-                }]
+                let op = Op::Renew {
+                    name,
+                    lifetime,
+                    reply_to,
+                    request_id,
+                };
+                self.receive(op, now)
             }
             DhtMessage::RenewResponse {
                 request_id,
@@ -1009,8 +1163,12 @@ impl<V: Clone + Debug + WireSize> Overlay<V> {
                 RouterEffect::LookupDone {
                     request_id,
                     owner,
+                    arc_start,
                     hops,
-                } => out.extend(self.finish_lookup(request_id, owner, hops, now)),
+                } => out.extend(self.finish_lookup(request_id, owner, arc_start, hops, now)),
+                RouterEffect::OwnedArc { arc_start, owner } => {
+                    self.learn_arc(arc_start, owner, now);
+                }
             }
         }
         out
@@ -1018,12 +1176,13 @@ impl<V: Clone + Debug + WireSize> Overlay<V> {
 
     fn finish_lookup(
         &mut self,
-        request_id: u64,
+        lookup_id: u64,
         owner: NodeRef,
+        arc_start: Id,
         hops: u32,
         now: SimTime,
     ) -> Vec<OverlayEffect<V>> {
-        let Some((issued_epoch, issued_at, op)) = self.pending.remove(&request_id) else {
+        let Some((issued_epoch, issued_at, op)) = self.pending.remove(&lookup_id) else {
             return Vec::new();
         };
         self.tel.inc("dht.lookups");
@@ -1032,90 +1191,26 @@ impl<V: Clone + Debug + WireSize> Overlay<V> {
             "dht.lookup_latency_us",
             now.saturating_sub(issued_at) as f64,
         );
-        // Remember the resolution so later batched puts can group entries
-        // for this identifier's arc without re-paying the lookup round —
-        // but only when no membership change happened while the lookup was
-        // in flight; a pre-churn answer must not re-poison the cache the
-        // epoch bump just cleared.
-        if issued_epoch == self.router.membership_epoch() && owner.addr != self.me.addr {
-            let target = match &op {
-                PendingOp::Get { namespace, key, .. } => crate::id::routing_id(namespace, key),
-                PendingOp::Put { name, .. } | PendingOp::Renew { name, .. } => name.routing_id(),
-                PendingOp::RawLookup { target } => *target,
-            };
-            self.cache_owner(target, owner, now);
+        // Remember the arc the answer covers so later operations on it skip
+        // the lookup round — but only when no membership change happened
+        // while the lookup was in flight; a pre-churn answer must not
+        // re-poison the cache the epoch bump just cleared.
+        if issued_epoch == self.router.membership_epoch() {
+            self.learn_arc(arc_start, owner, now);
         }
         match op {
-            PendingOp::Get {
-                namespace,
-                key,
-                trace,
-            } => {
-                if owner.addr == self.me.addr {
-                    let objects = self.objects.get(&namespace, &key, now);
-                    vec![OverlayEffect::Event(OverlayEvent::GetResult {
-                        request_id,
-                        namespace,
-                        key,
-                        objects,
-                    })]
-                } else {
-                    vec![OverlayEffect::Send {
-                        to: owner.addr,
-                        msg: DhtMessage::GetRequest {
-                            namespace,
-                            key,
-                            reply_to: self.me.addr,
-                            request_id,
-                            trace,
-                        },
-                    }]
-                }
-            }
-            PendingOp::Put {
-                name,
-                value,
-                lifetime,
-                trace,
-            } => {
-                if owner.addr == self.me.addr {
-                    self.store_local_traced(name, value, lifetime, trace, now)
-                } else {
-                    vec![OverlayEffect::Send {
-                        to: owner.addr,
-                        msg: DhtMessage::PutRequest {
-                            name,
-                            value,
-                            lifetime,
-                            trace,
-                        },
-                    }]
-                }
-            }
-            PendingOp::Renew { name, lifetime } => {
-                if owner.addr == self.me.addr {
-                    let success = self.objects.renew(&name, lifetime, now);
-                    vec![OverlayEffect::Event(OverlayEvent::RenewResult {
-                        request_id,
-                        success,
-                    })]
-                } else {
-                    vec![OverlayEffect::Send {
-                        to: owner.addr,
-                        msg: DhtMessage::RenewRequest {
-                            name,
-                            lifetime,
-                            reply_to: self.me.addr,
-                            request_id,
-                        },
-                    }]
-                }
-            }
-            PendingOp::RawLookup { .. } => vec![OverlayEffect::Event(OverlayEvent::LookupDone {
-                request_id,
+            None => vec![OverlayEffect::Event(OverlayEvent::LookupDone {
+                request_id: lookup_id,
                 owner,
                 hops,
             })],
+            // The ring says this node owns it, whatever its own predecessor
+            // pointer says: serve, or a forwarded operation would circle.
+            Some(op) if owner.addr == self.me.addr => self.serve(op, now),
+            Some(op) => vec![OverlayEffect::Send {
+                to: owner.addr,
+                msg: op.into_message(),
+            }],
         }
     }
 }
@@ -1126,8 +1221,8 @@ fn routing_effect<V>(effect: RouterEffect) -> OverlayEffect<V> {
             to,
             msg: DhtMessage::Routing(msg),
         },
-        RouterEffect::LookupDone { .. } => {
-            unreachable!("bootstrap never completes a lookup synchronously")
+        RouterEffect::LookupDone { .. } | RouterEffect::OwnedArc { .. } => {
+            unreachable!("bootstrap only sends the join lookup")
         }
     }
 }
@@ -1211,44 +1306,143 @@ mod tests {
         }
     }
 
-    #[test]
-    fn remote_put_goes_through_lookup_then_direct_transfer() {
-        let (mut a, mut b, _) = two_node_ring();
-        // Find a key that node b owns.
-        let mut key = String::new();
-        for i in 0..10_000 {
-            let candidate = format!("k{i}");
-            if b.router().is_responsible(routing_id("t", &candidate)) {
-                key = candidate;
-                break;
+    /// Six evenly spaced nodes whose successor lists hold one entry: arcs
+    /// beyond the direct successor are not locally determinable, so node 0
+    /// resolves them only through a routed lookup or the owner cache.
+    fn six_node_ring() -> (Vec<Overlay<String>>, Vec<NodeRef>) {
+        let n = 6u64;
+        let refs: Vec<NodeRef> = (0..n)
+            .map(|i| NodeRef {
+                id: Id(100 + i * (u64::MAX / n)),
+                addr: NodeAddr(i as u32),
+            })
+            .collect();
+        let config = OverlayConfig {
+            router: RouterConfig {
+                successor_list_len: 1,
+                ..RouterConfig::default()
+            },
+        };
+        let overlays = refs
+            .iter()
+            .map(|r| Overlay::with_static_ring(*r, &refs, config))
+            .collect();
+        (overlays, refs)
+    }
+
+    /// `count` keys of namespace `t` whose routing id lies in `(from, to]`.
+    fn keys_in_arc(from: Id, to: Id, count: usize) -> Vec<String> {
+        let keys: Vec<String> = (0..2_000)
+            .map(|i| format!("k{i}"))
+            .filter(|k| routing_id("t", k).in_interval(from, to))
+            .take(count)
+            .collect();
+        assert_eq!(keys.len(), count, "need {count} keys in the arc");
+        keys
+    }
+
+    fn batch_of(keys: &[String], suffix: u64) -> Vec<(ObjectName, String, u64)> {
+        keys.iter()
+            .enumerate()
+            .map(|(i, k)| {
+                (
+                    ObjectName::new("t", k.clone(), suffix + i as u64),
+                    "v".to_string(),
+                    1_000_000,
+                )
+            })
+            .collect()
+    }
+
+    type InFlight = (NodeAddr, NodeAddr, DhtMessage<String>);
+
+    /// Deliver the routing-protocol messages among `effects` (issued by
+    /// `from`) and everything they trigger until the lookups have settled;
+    /// every other message — the direct transfers — comes back undelivered
+    /// as `(sender, destination, message)`.  Messages addressed to `hold`
+    /// are returned undelivered as well.
+    fn settle(
+        overlays: &mut [Overlay<String>],
+        from: NodeAddr,
+        effects: Vec<OverlayEffect<String>>,
+        hold: Option<NodeAddr>,
+        now: SimTime,
+    ) -> Vec<InFlight> {
+        let mut queue: Vec<InFlight> = sends(&effects)
+            .into_iter()
+            .map(|(to, msg)| (from, to, msg))
+            .collect();
+        let mut out = Vec::new();
+        let mut guard = 0;
+        while let Some((from, to, msg)) = queue.pop() {
+            guard += 1;
+            assert!(guard < 512, "lookups did not converge");
+            if !matches!(msg, DhtMessage::Routing(_)) || Some(to) == hold {
+                out.push((from, to, msg));
+                continue;
+            }
+            for (next, msg) in sends(&overlays[to.index()].on_message(from, msg, now)) {
+                queue.push((to, next, msg));
             }
         }
-        let effects = a.put(
-            ObjectName::new("t", key.clone(), 7),
+        out
+    }
+
+    #[test]
+    fn remote_put_goes_through_lookup_then_direct_transfer() {
+        let (mut overlays, refs) = six_node_ring();
+        let target = refs[3];
+        let keys = keys_in_arc(refs[2].id, refs[3].id, 4);
+        // Cold: nothing at node 0 names the far arc's owner, so the put
+        // issues a routed lookup and nothing else…
+        let effects = overlays[0].put(
+            ObjectName::new("t", keys[0].clone(), 7),
             "val".into(),
             1_000_000,
             0,
         );
-        // In a two-node ring the lookup resolves locally (b is a's successor),
-        // so the effect is a direct PutRequest to b.
-        let msgs = sends(&effects);
-        assert_eq!(msgs.len(), 1);
-        assert_eq!(msgs[0].0, NodeAddr(1));
-        let put_effects = b.on_message(NodeAddr(0), msgs[0].1.clone(), 5);
+        assert!(sends(&effects)
+            .iter()
+            .all(|(_, m)| matches!(m, DhtMessage::Routing(_))));
+        // …whose answer releases the one direct transfer to the owner.
+        let transfers = settle(&mut overlays, NodeAddr(0), effects, None, 0);
+        assert_eq!(transfers.len(), 1);
+        let (from, to, msg) = transfers.into_iter().next().unwrap();
+        assert_eq!((from, to), (NodeAddr(0), target.addr));
+        assert!(matches!(msg, DhtMessage::PutRequest { .. }));
+        let stored = overlays[3].on_message(from, msg, 5);
         assert!(matches!(
-            events(&put_effects).as_slice(),
+            events(&stored).as_slice(),
             [OverlayEvent::NewData { .. }]
         ));
-        assert_eq!(b.objects().get("t", &key, 10).len(), 1);
-
-        // And a's get for the same key round-trips through b.
-        let (rid, effects) = a.get("t", &key, 20);
+        assert_eq!(overlays[3].objects().get("t", &keys[0], 10).len(), 1);
+        // Warm: the answer covered the whole arc, so a put, a renew and a
+        // get for OTHER keys of it each cost exactly the direct message.
+        let effects = overlays[0].put(
+            ObjectName::new("t", keys[1].clone(), 8),
+            "val".into(),
+            1_000_000,
+            20,
+        );
+        assert!(
+            matches!(sends(&effects).as_slice(), [(to, DhtMessage::PutRequest { .. })] if *to == target.addr),
+            "a cached arc resolves without a lookup: {effects:?}"
+        );
+        let (_, effects) = overlays[0].renew(ObjectName::new("t", keys[2].clone(), 9), 1_000, 20);
+        assert!(
+            matches!(sends(&effects).as_slice(), [(to, DhtMessage::RenewRequest { .. })] if *to == target.addr)
+        );
+        // The get round-trips through the owner and comes back as an event.
+        let (rid, effects) = overlays[0].get("t", &keys[0], 20);
         let msgs = sends(&effects);
-        assert_eq!(msgs.len(), 1, "expected a GetRequest to b");
-        let resp = b.on_message(NodeAddr(0), msgs[0].1.clone(), 25);
-        let resp_msgs = sends(&resp);
-        assert_eq!(resp_msgs.len(), 1);
-        let final_effects = a.on_message(NodeAddr(1), resp_msgs[0].1.clone(), 30);
+        assert!(
+            matches!(msgs.as_slice(), [(to, DhtMessage::GetRequest { .. })] if *to == target.addr)
+        );
+        let resp = sends(&overlays[3].on_message(NodeAddr(0), msgs[0].1.clone(), 25));
+        assert!(
+            matches!(resp.as_slice(), [(to, DhtMessage::GetResponse { .. })] if *to == NodeAddr(0))
+        );
+        let final_effects = overlays[0].on_message(target.addr, resp[0].1.clone(), 30);
         match &events(&final_effects)[..] {
             [OverlayEvent::GetResult {
                 request_id,
@@ -1410,119 +1604,26 @@ mod tests {
 
     #[test]
     fn owner_cache_extends_coalescing_and_invalidates_on_membership_change() {
-        // Six nodes, successor list truncated to 1: arcs beyond the direct
-        // successor are not locally determinable, so batched puts for them
-        // need either a lookup round or the lookup-fed owner cache.
-        let n = 6u64;
-        let refs: Vec<NodeRef> = (0..n)
-            .map(|i| NodeRef {
-                id: Id(100 + i * (u64::MAX / n)),
-                addr: NodeAddr(i as u32),
-            })
-            .collect();
-        let config = OverlayConfig {
-            router: RouterConfig {
-                successor_list_len: 1,
-                ..RouterConfig::default()
-            },
-        };
-        let mut overlays: Vec<Overlay<String>> = refs
-            .iter()
-            .map(|r| Overlay::with_static_ring(*r, &refs, config))
-            .collect();
-        // Pick a target arc at least two hops from node 0.
+        let (mut overlays, refs) = six_node_ring();
         let target = refs[3];
-        let keys: Vec<String> = (0..400)
-            .map(|i| format!("k{i}"))
-            .filter(|k| routing_id("t", k).in_interval(refs[2].id, refs[3].id))
-            .take(5)
-            .collect();
-        assert!(keys.len() >= 5, "need keys in the far arc");
-        // A single classic put resolves the owner via a routed lookup…
-        let mut queue: Vec<(NodeAddr, NodeAddr, DhtMessage<String>)> = overlays[0]
-            .put(
-                ObjectName::new("t", keys[0].clone(), 1),
-                "v".into(),
-                1_000_000,
-                0,
-            )
-            .into_iter()
-            .filter_map(|e| match e {
-                OverlayEffect::Send { to, msg } => Some((NodeAddr(0), to, msg)),
-                _ => None,
-            })
-            .collect();
-        let mut put_request_seen = false;
-        let mut guard = 0;
-        while let Some((from, to, msg)) = queue.pop() {
-            guard += 1;
-            assert!(guard < 64, "lookup did not converge");
-            if matches!(msg, DhtMessage::PutRequest { .. }) {
-                assert_eq!(to, target.addr);
-                put_request_seen = true;
-                continue;
-            }
-            for e in overlays[to.index()].on_message(from, msg, 0) {
-                if let OverlayEffect::Send { to: next, msg } = e {
-                    queue.push((to, next, msg));
-                }
-            }
-        }
-        assert!(put_request_seen, "the classic put must reach the owner");
-        // …which primes the cache only for that exact identifier; batched
-        // puts for *other* keys of the arc still lack a local resolution, so
-        // they fall back to lookups whose replies fill the cache.
-        let entries: Vec<(ObjectName, String, u64)> = keys[1..]
-            .iter()
-            .enumerate()
-            .map(|(i, k)| {
-                (
-                    ObjectName::new("t", k.clone(), 10 + i as u64),
-                    "v".to_string(),
-                    1_000_000,
-                )
-            })
-            .collect();
-        let effects = overlays[0].put_batch(entries.clone(), 10);
-        let mut queue: Vec<(NodeAddr, NodeAddr, DhtMessage<String>)> = sends(&effects)
-            .into_iter()
-            .map(|(to, msg)| (NodeAddr(0), to, msg))
-            .collect();
-        let mut guard = 0;
-        while let Some((from, to, msg)) = queue.pop() {
-            guard += 1;
-            assert!(guard < 256, "batch fallback lookups did not converge");
-            if matches!(
-                msg,
-                DhtMessage::PutRequest { .. } | DhtMessage::PutBatch { .. }
-            ) {
-                assert_eq!(to, target.addr);
-                continue;
-            }
-            for e in overlays[to.index()].on_message(from, msg, 10) {
-                if let OverlayEffect::Send { to: next, msg } = e {
-                    queue.push((to, next, msg));
-                }
-            }
-        }
-        assert!(
-            !overlays[0].owner_cache.is_empty(),
-            "completed lookups must feed the owner cache"
+        let keys = keys_in_arc(refs[2].id, refs[3].id, 5);
+        // A single put resolves the far arc's owner via a routed lookup…
+        let effects = overlays[0].put(
+            ObjectName::new("t", keys[0].clone(), 1),
+            "v".into(),
+            1_000_000,
+            0,
         );
-        // With the cache warm, a fresh batch for the same arc coalesces into
-        // ONE PutBatch straight to the owner — no lookup round at all.
-        let warm: Vec<(ObjectName, String, u64)> = keys[1..]
-            .iter()
-            .enumerate()
-            .map(|(i, k)| {
-                (
-                    ObjectName::new("t", k.clone(), 50 + i as u64),
-                    "v".to_string(),
-                    1_000_000,
-                )
-            })
-            .collect();
-        let effects = overlays[0].put_batch(warm.clone(), 20);
+        let transfers = settle(&mut overlays, NodeAddr(0), effects, None, 0);
+        assert!(
+            matches!(transfers.as_slice(), [(_, to, DhtMessage::PutRequest { .. })] if *to == target.addr),
+            "the put must reach the owner: {transfers:?}"
+        );
+        assert_eq!(overlays[0].owner_cache.len(), 1);
+        // …and the answer names the whole arc, so a batch of OTHER keys of
+        // it coalesces into ONE PutBatch straight to the owner — no lookup
+        // round at all, not even a first one per identifier.
+        let effects = overlays[0].put_batch(batch_of(&keys[1..], 10), 10);
         let msgs = sends(&effects);
         assert_eq!(
             msgs.len(),
@@ -1533,7 +1634,7 @@ mod tests {
         assert!(matches!(&msgs[0].1, DhtMessage::PutBatch { entries, .. } if entries.len() == 4));
         // A membership change (a new predecessor announces itself) bumps the
         // router's epoch and clears the cache: the next batch must not trust
-        // the stale resolution.
+        // the stale arc.
         let newcomer = NodeRef {
             id: Id(99),
             addr: NodeAddr(42),
@@ -1543,7 +1644,7 @@ mod tests {
             DhtMessage::Routing(crate::router::RouterMessage::Notify { from: newcomer }),
             30,
         );
-        let effects = overlays[0].put_batch(warm, 30);
+        let effects = overlays[0].put_batch(batch_of(&keys[1..], 50), 30);
         assert!(
             overlays[0].owner_cache.is_empty(),
             "membership change must clear the owner cache"
@@ -1551,17 +1652,15 @@ mod tests {
         assert!(
             sends(&effects)
                 .iter()
-                .all(|(_, m)| !matches!(m, DhtMessage::PutBatch { .. })),
-            "no coalesced transfer may ride a stale resolution"
+                .all(|(_, m)| matches!(m, DhtMessage::Routing(_))),
+            "no transfer may ride a stale arc"
         );
     }
 
-    #[test]
-    fn put_batch_receiver_forwards_entries_it_does_not_own() {
-        // A coalesced transfer landing at a node that is not (or no longer)
-        // responsible for its entries — e.g. the sender's cached owner went
-        // stale after a join — must re-enter the routed put flow, never
-        // store the objects where no correctly routed get would find them.
+    /// Three nodes; returns node 1's overlay (with a telemetry hub) and keys
+    /// of the arc node 2 owns — operations on them that land at node 1 are
+    /// misdirected.
+    fn misdirected_at_node_1() -> (Overlay<String>, Vec<String>, Telemetry) {
         let refs = vec![
             NodeRef {
                 id: Id(100),
@@ -1578,21 +1677,20 @@ mod tests {
         ];
         let mut b: Overlay<String> =
             Overlay::with_static_ring(refs[1], &refs, OverlayConfig::default());
-        // Keys owned by node 2, misdirected to node 1 in one PutBatch.
-        let entries: Vec<(ObjectName, String, u64)> = (0..200)
-            .map(|i| format!("k{i}"))
-            .filter(|k| routing_id("t", k).in_interval(refs[1].id, refs[2].id))
-            .take(3)
-            .enumerate()
-            .map(|(i, k)| {
-                (
-                    ObjectName::new("t", k, i as u64),
-                    "v".to_string(),
-                    1_000_000,
-                )
-            })
-            .collect();
-        assert_eq!(entries.len(), 3);
+        let tel = Telemetry::attached();
+        b.set_telemetry(tel.clone());
+        let keys = keys_in_arc(refs[1].id, refs[2].id, 3);
+        (b, keys, tel)
+    }
+
+    #[test]
+    fn put_batch_receiver_forwards_entries_it_does_not_own() {
+        // A coalesced transfer landing at a node that is not (or no longer)
+        // responsible for its entries — e.g. the sender's cached arc went
+        // stale after a join — must re-enter the routed put flow, never
+        // store the objects where no correctly routed get would find them.
+        let (mut b, keys, tel) = misdirected_at_node_1();
+        let entries = batch_of(&keys, 0);
         let misdirected = DhtMessage::PutBatch {
             entries: entries.clone(),
             trace: None,
@@ -1604,98 +1702,214 @@ mod tests {
         );
         assert_eq!(b.objects().len(), 0);
         // Every entry is forwarded toward the true owner instead (node 2 is
-        // b's successor, so the re-entered put resolves it directly).
+        // b's successor, so the forwarding lookup resolves it directly).
         let msgs = sends(&effects);
         assert_eq!(msgs.len(), entries.len());
         assert!(msgs
             .iter()
             .all(|(to, m)| *to == NodeAddr(2) && matches!(m, DhtMessage::PutRequest { .. })));
+        assert_eq!(tel.counter("dht.misdirected"), entries.len() as u64);
+    }
+
+    #[test]
+    fn put_request_receiver_forwards_an_object_it_does_not_own() {
+        let (mut b, keys, tel) = misdirected_at_node_1();
+        let trace = Some(TraceContext::root(42));
+        let misdirected = DhtMessage::PutRequest {
+            name: ObjectName::new("t", keys[0].clone(), 1),
+            value: "v".to_string(),
+            lifetime: 1_000_000,
+            trace,
+        };
+        let effects = b.on_message(NodeAddr(0), misdirected, 0);
+        assert!(
+            events(&effects).is_empty(),
+            "nothing may be stored out of place"
+        );
+        assert_eq!(b.objects().len(), 0);
+        match sends(&effects).as_slice() {
+            [(
+                to,
+                DhtMessage::PutRequest {
+                    name,
+                    value,
+                    lifetime,
+                    trace: forwarded,
+                },
+            )] => {
+                assert_eq!(*to, NodeAddr(2));
+                assert_eq!((name.key.as_str(), name.suffix), (keys[0].as_str(), 1));
+                assert_eq!((value.as_str(), *lifetime), ("v", 1_000_000));
+                assert_eq!(*forwarded, trace, "the trace context rides along");
+            }
+            other => panic!("expected one forwarded PutRequest, got {other:?}"),
+        }
+        assert_eq!(tel.counter("dht.misdirected"), 1);
+    }
+
+    #[test]
+    fn get_request_receiver_forwards_a_request_it_cannot_answer() {
+        // Answered from node 1's store, the get would report "no objects"
+        // for a key whose objects sit at node 2.
+        let (mut b, keys, tel) = misdirected_at_node_1();
+        let misdirected = DhtMessage::GetRequest {
+            namespace: "t".to_string(),
+            key: keys[0].clone(),
+            reply_to: NodeAddr(0),
+            request_id: 77,
+            trace: None,
+        };
+        let effects = b.on_message(NodeAddr(0), misdirected, 0);
+        match sends(&effects).as_slice() {
+            [(
+                to,
+                DhtMessage::GetRequest {
+                    key,
+                    reply_to,
+                    request_id,
+                    ..
+                },
+            )] => {
+                assert_eq!(*to, NodeAddr(2));
+                assert_eq!(key, &keys[0]);
+                // The owner answers the originator, under its token.
+                assert_eq!((*reply_to, *request_id), (NodeAddr(0), 77));
+            }
+            other => panic!("expected one forwarded GetRequest, got {other:?}"),
+        }
+        assert_eq!(tel.counter("dht.misdirected"), 1);
+    }
+
+    #[test]
+    fn renew_request_receiver_forwards_a_renewal_it_cannot_judge() {
+        // Judged against node 1's store, the renewal would fail although
+        // the object is alive at node 2.
+        let (mut b, keys, tel) = misdirected_at_node_1();
+        let misdirected = DhtMessage::RenewRequest {
+            name: ObjectName::new("t", keys[0].clone(), 5),
+            lifetime: 2_000_000,
+            reply_to: NodeAddr(0),
+            request_id: 78,
+        };
+        let effects = b.on_message(NodeAddr(0), misdirected, 0);
+        match sends(&effects).as_slice() {
+            [(
+                to,
+                DhtMessage::RenewRequest {
+                    name,
+                    lifetime,
+                    reply_to,
+                    request_id,
+                },
+            )] => {
+                assert_eq!(*to, NodeAddr(2));
+                assert_eq!((name.key.as_str(), name.suffix), (keys[0].as_str(), 5));
+                assert_eq!(*lifetime, 2_000_000);
+                assert_eq!((*reply_to, *request_id), (NodeAddr(0), 78));
+            }
+            other => panic!("expected one forwarded RenewRequest, got {other:?}"),
+        }
+        assert_eq!(tel.counter("dht.misdirected"), 1);
+    }
+
+    #[test]
+    fn forwarding_takes_a_routed_lookup_never_the_owner_cache() {
+        // Node 1 holds a stale arc that names node 5 for identifiers node 3
+        // owns.  Its own puts would follow the arc; an operation it
+        // FORWARDS must not, or two nodes holding stale arcs for each
+        // other could bounce it forever.
+        let (mut overlays, refs) = six_node_ring();
+        let keys = keys_in_arc(refs[2].id, refs[3].id, 1);
+        overlays[1].learn_arc(refs[2].id, refs[5], 0);
+        assert_eq!(
+            overlays[1]
+                .resolve(routing_id("t", &keys[0]), 0)
+                .map(|o| o.addr),
+            Some(refs[5].addr),
+            "the stale arc is what node 1's resolver answers"
+        );
+        let misdirected = DhtMessage::GetRequest {
+            namespace: "t".to_string(),
+            key: keys[0].clone(),
+            reply_to: NodeAddr(0),
+            request_id: 9,
+            trace: None,
+        };
+        let effects = overlays[1].on_message(NodeAddr(0), misdirected, 0);
+        assert!(
+            sends(&effects)
+                .iter()
+                .all(|(_, m)| matches!(m, DhtMessage::Routing(_))),
+            "the forward starts with a lookup: {effects:?}"
+        );
+        let transfers = settle(&mut overlays, NodeAddr(1), effects, None, 0);
+        assert!(
+            matches!(
+                transfers.as_slice(),
+                [(_, to, DhtMessage::GetRequest { reply_to, request_id: 9, .. })]
+                    if *to == refs[3].addr && *reply_to == NodeAddr(0)
+            ),
+            "the lookup's answer, not the stale arc, names the destination: {transfers:?}"
+        );
+        // And the answer replaced nothing it did not cover: node 3's arc is
+        // now cached beside the (still stale) one for node 5.
+        assert_eq!(overlays[1].owner_cache.len(), 2);
+    }
+
+    #[test]
+    fn neighbors_replies_feed_the_owner_cache() {
+        // A stabilization reply spells out the replier's own arc, and it
+        // resolves operations afterwards.
+        let (mut overlays, refs) = six_node_ring();
+        let reply = DhtMessage::Routing(crate::router::RouterMessage::Neighbors {
+            from: refs[3],
+            predecessor: Some(refs[2]),
+            successors: vec![refs[4]],
+        });
+        overlays[0].on_message(refs[3].addr, reply, 0);
+        assert_eq!(overlays[0].owner_cache.len(), 1);
+        let key = &keys_in_arc(refs[2].id, refs[3].id, 1)[0];
+        let effects = overlays[0].put(
+            ObjectName::new("t", key.clone(), 1),
+            "v".into(),
+            1_000_000,
+            1,
+        );
+        assert!(
+            matches!(sends(&effects).as_slice(), [(to, DhtMessage::PutRequest { .. })] if *to == refs[3].addr),
+            "the stated arc must resolve to the replier: {effects:?}"
+        );
     }
 
     #[test]
     fn owner_cache_entries_expire_and_in_flight_lookups_cannot_repoison() {
-        // Same truncated-successor-list setup as the test above: far arcs
-        // resolve only through the lookup-fed owner cache.
-        let n = 6u64;
-        let refs: Vec<NodeRef> = (0..n)
-            .map(|i| NodeRef {
-                id: Id(100 + i * (u64::MAX / n)),
-                addr: NodeAddr(i as u32),
-            })
-            .collect();
-        let config = OverlayConfig {
-            router: RouterConfig {
-                successor_list_len: 1,
-                ..RouterConfig::default()
-            },
-        };
-        let mut overlays: Vec<Overlay<String>> = refs
-            .iter()
-            .map(|r| Overlay::with_static_ring(*r, &refs, config))
-            .collect();
+        let (mut overlays, refs) = six_node_ring();
         let target = refs[3];
-        let keys: Vec<String> = (0..400)
-            .map(|i| format!("k{i}"))
-            .filter(|k| routing_id("t", k).in_interval(refs[2].id, refs[3].id))
-            .take(3)
-            .collect();
-        assert!(keys.len() >= 3, "need keys in the far arc");
-        let entries = |suffix: u64, now_keys: &[String]| -> Vec<(ObjectName, String, u64)> {
-            now_keys
-                .iter()
-                .enumerate()
-                .map(|(i, k)| {
-                    (
-                        ObjectName::new("t", k.clone(), suffix + i as u64),
-                        "v".to_string(),
-                        1_000_000,
-                    )
-                })
-                .collect()
-        };
+        let keys = keys_in_arc(refs[2].id, refs[3].id, 3);
         // Warm the cache: the fallback lookups of a first batch complete.
-        let effects = overlays[0].put_batch(entries(0, &keys), 0);
-        let mut queue: Vec<(NodeAddr, NodeAddr, DhtMessage<String>)> = sends(&effects)
-            .into_iter()
-            .map(|(to, msg)| (NodeAddr(0), to, msg))
-            .collect();
-        let mut guard = 0;
-        while let Some((from, to, msg)) = queue.pop() {
-            guard += 1;
-            assert!(guard < 256, "warming lookups did not converge");
-            if matches!(msg, DhtMessage::PutRequest { .. }) {
-                continue;
-            }
-            for e in overlays[to.index()].on_message(from, msg, 0) {
-                if let OverlayEffect::Send { to: next, msg } = e {
-                    queue.push((to, next, msg));
-                }
-            }
-        }
-        assert!(!overlays[0].owner_cache.is_empty());
+        let effects = overlays[0].put_batch(batch_of(&keys, 0), 0);
+        settle(&mut overlays, NodeAddr(0), effects, None, 0);
+        assert_eq!(overlays[0].owner_cache.len(), 1, "one arc, not one id");
         // Within the TTL the batch coalesces…
         let ttl = RouterConfig::default().liveness_timeout;
-        let msgs = sends(&overlays[0].put_batch(entries(10, &keys), ttl));
+        let msgs = sends(&overlays[0].put_batch(batch_of(&keys, 10), ttl));
         assert_eq!(msgs.len(), 1);
         assert!(matches!(&msgs[0].1, DhtMessage::PutBatch { .. }));
         assert_eq!(msgs[0].0, target.addr);
-        // …past it the entry is no longer trusted: membership may have
+        // …past it the arc is no longer trusted: membership may have
         // changed outside our neighbor view (a remote join never bumps our
         // epoch), so the batch falls back to fresh lookups.
-        let msgs = sends(&overlays[0].put_batch(entries(20, &keys), 2 * ttl + 1));
+        let msgs = sends(&overlays[0].put_batch(batch_of(&keys, 20), 2 * ttl + 1));
         assert!(
             msgs.iter()
                 .all(|(_, m)| matches!(m, DhtMessage::Routing(_))),
-            "expired cache entries must force a lookup round: {msgs:?}"
+            "an expired arc must force a lookup round: {msgs:?}"
         );
-        assert!(
-            overlays[0].owner_cache.is_empty(),
-            "expired entries evicted"
-        );
+        assert!(overlays[0].owner_cache.is_empty(), "expired arc evicted");
         // In-flight poisoning: a put issues its lookup, THEN the membership
         // changes, THEN the pre-churn reply arrives.  The reply still
-        // completes the put (the classic Figure-6 race) but must not enter
-        // the cache the epoch bump just cleared.
+        // completes the put (the receiver's check covers the race) but its
+        // arc must not enter the cache the epoch bump just cleared.
         let t = 2 * ttl + 2;
         let effects = overlays[0].put(
             ObjectName::new("t", keys[0].clone(), 99),
@@ -1703,25 +1917,7 @@ mod tests {
             1_000_000,
             t,
         );
-        let mut queue: Vec<(NodeAddr, NodeAddr, DhtMessage<String>)> = sends(&effects)
-            .into_iter()
-            .map(|(to, msg)| (NodeAddr(0), to, msg))
-            .collect();
-        let mut replies: Vec<(NodeAddr, DhtMessage<String>)> = Vec::new();
-        let mut guard = 0;
-        while let Some((from, to, msg)) = queue.pop() {
-            guard += 1;
-            assert!(guard < 64, "lookup did not converge");
-            if to == NodeAddr(0) {
-                replies.push((from, msg)); // hold the reply back
-                continue;
-            }
-            for e in overlays[to.index()].on_message(from, msg, t) {
-                if let OverlayEffect::Send { to: next, msg } = e {
-                    queue.push((to, next, msg));
-                }
-            }
-        }
+        let replies = settle(&mut overlays, NodeAddr(0), effects, Some(NodeAddr(0)), t);
         assert!(!replies.is_empty(), "the lookup must produce a reply");
         let newcomer = NodeRef {
             id: Id(99),
@@ -1732,9 +1928,14 @@ mod tests {
             DhtMessage::Routing(crate::router::RouterMessage::Notify { from: newcomer }),
             t,
         );
-        for (from, msg) in replies {
-            overlays[0].on_message(from, msg, t);
+        let mut completed = Vec::new();
+        for (from, _, msg) in replies {
+            completed.extend(sends(&overlays[0].on_message(from, msg, t)));
         }
+        assert!(
+            matches!(completed.as_slice(), [(to, DhtMessage::PutRequest { .. })] if *to == target.addr),
+            "the answer still serves its own operation: {completed:?}"
+        );
         assert!(
             overlays[0].owner_cache.is_empty(),
             "a pre-churn lookup reply must not re-poison the cleared cache"
@@ -1743,32 +1944,25 @@ mod tests {
 
     #[test]
     fn owner_cache_is_lru_bounded_on_a_large_ring() {
-        // A ring whose truncated successor lists leave a far arc that only
-        // the lookup-fed cache can resolve — the shape under which the cache
-        // is actually exercised — then hammer it with far more distinct
-        // identifiers than the capacity bound.
-        let n = 6u64;
-        let step = u64::MAX / n;
-        let refs: Vec<NodeRef> = (0..n)
-            .map(|i| NodeRef {
-                id: Id(100 + i * step),
-                addr: NodeAddr(i as u32),
-            })
-            .collect();
-        let config = OverlayConfig {
-            router: RouterConfig {
-                successor_list_len: 1,
-                ..RouterConfig::default()
-            },
+        // Node 0 of the six-node ring cannot name owners inside the far
+        // arc; feed it arcs of far more distinct owners there than the
+        // capacity bound — a large ring seen through one node's lookups.
+        let (mut overlays, refs) = six_node_ring();
+        let overlay = &mut overlays[0];
+        let step = u64::MAX / 6;
+        // Owner `i` sits strictly inside (refs[2], refs[3]) and answers for
+        // the two identifiers ending at its own.
+        let far = |i: u64| NodeRef {
+            id: Id(refs[2].id.0 + 2 + 2 * (i % (step / 2 - 2))),
+            addr: NodeAddr(1_000 + i as u32),
         };
-        let mut overlay: Overlay<String> = Overlay::with_static_ring(refs[0], &refs, config);
-        let target = refs[3];
-        // Identifiers strictly inside the far arc (refs[2], refs[3]): node 0
-        // has no authoritative routing state for them.
-        let far = |i: u64| Id(100 + 2 * step + 1 + (i % (step - 2)));
+        let learn = |overlay: &mut Overlay<String>, i: u64, now: SimTime| {
+            let owner = far(i);
+            overlay.learn_arc(Id(owner.id.0 - 2), owner, now);
+        };
         let max = Overlay::<String>::OWNER_CACHE_MAX;
         for i in 0..(3 * max as u64) {
-            overlay.cache_owner(far(i), target, 0);
+            learn(overlay, i, 0);
             assert!(
                 overlay.owner_cache.len() <= max,
                 "cache exceeded its bound at insert {i}: {}",
@@ -1776,25 +1970,25 @@ mod tests {
             );
         }
         assert_eq!(overlay.owner_cache.len(), max);
-        // A recently-used entry survives LRU churn: touch one resolution,
-        // then push a full capacity's worth of fresh inserts through.  Every
-        // timestamp stays within the TTL, so the bound below is enforced
-        // purely by least-recently-used eviction — and the touched entry is
-        // never the victim.
+        // A recently-used arc survives LRU churn: touch one, then push a
+        // full capacity's worth of fresh owners through.  Every timestamp
+        // stays within the TTL, so the bound below is enforced purely by
+        // least-recently-used eviction — and the touched arc is never the
+        // victim.
         let hot = far(3 * max as u64);
-        overlay.cache_owner(hot, target, 1);
-        assert_eq!(
-            overlay.resolved_owner(hot, 2).map(|o| o.addr),
-            Some(target.addr)
-        );
+        learn(overlay, 3 * max as u64, 1);
+        assert_eq!(overlay.resolve(hot.id, 2).map(|o| o.addr), Some(hot.addr));
         for i in 0..(max as u64 - 1) {
-            overlay.cache_owner(far(10_000_000 + i), target, 2);
+            learn(overlay, 10_000_000 + i, 2);
             assert!(overlay.owner_cache.len() <= max);
         }
         assert!(
-            overlay.owner_cache.contains_key(&hot),
-            "the most-recently-used entry must survive LRU eviction"
+            overlay.owner_cache.contains_key(&hot.id),
+            "the most-recently-used arc must survive LRU eviction"
         );
+        assert_eq!(overlay.owner_cache.len(), max);
+        // Re-learning a cached owner's arc replaces it in place.
+        learn(overlay, 3 * max as u64, 3);
         assert_eq!(overlay.owner_cache.len(), max);
     }
 

@@ -4,6 +4,9 @@
 //! index joins (§3.3.2).  All of them drive full simulated PIER deployments
 //! through the public `pier` facade.
 
+mod common;
+
+use common::seeded;
 use pier::harness::{recursion, Cluster, ClusterConfig};
 use pier::qp::{
     range_index::range_scan_plan, secondary_index, Dissemination, Expr, PlanBuilder,
@@ -22,7 +25,7 @@ fn reading(i: i64, temp: i64) -> Tuple {
 
 #[test]
 fn range_index_returns_exactly_the_rows_in_range() {
-    let mut cluster = Cluster::start(&ClusterConfig::lan(24, 31));
+    let mut cluster = Cluster::start(&ClusterConfig::lan(24, seeded(31)));
     let config = RangeIndexConfig::new(5, 16);
     let mut expected = 0usize;
     for i in 0..300i64 {
@@ -60,7 +63,7 @@ fn range_index_returns_exactly_the_rows_in_range() {
 
 #[test]
 fn range_queries_tolerate_malformed_rows() {
-    let mut cluster = Cluster::start(&ClusterConfig::lan(12, 8));
+    let mut cluster = Cluster::start(&ClusterConfig::lan(12, seeded(8)));
     let config = RangeIndexConfig::new(4, 16);
     // Well-formed rows.
     for i in 0..20i64 {
@@ -107,7 +110,7 @@ fn range_queries_tolerate_malformed_rows() {
 
 #[test]
 fn secondary_index_semi_join_matches_broadcast_scan() {
-    let mut cluster = Cluster::start(&ClusterConfig::lan(20, 17));
+    let mut cluster = Cluster::start(&ClusterConfig::lan(20, seeded(17)));
     let key_cols = vec!["file".to_string()];
     let index_cols = vec!["keyword".to_string()];
     for i in 0..80usize {
@@ -155,7 +158,7 @@ fn secondary_index_semi_join_matches_broadcast_scan() {
 #[test]
 fn distributed_reachability_agrees_with_local_closure_across_seeds() {
     for seed in [1, 9] {
-        let result = recursion::distributed_reachability(10, 16, 2, seed);
+        let result = recursion::distributed_reachability(10, 16, 2, seeded(seed));
         assert!(
             result.matches_reference,
             "seed {seed}: distributed {} vs reference {}",

@@ -1,0 +1,432 @@
+//! The overlay's owner cache — arcs of the ring remembered from earlier
+//! answers — under churn, and its resolver against the ring's truth.
+//!
+//! A cached arc lets `put`/`get`/`renew`/`put_batch` skip the routed
+//! lookup, so a direct message may rest on an answer that membership has
+//! since overtaken.  The three churn tests pin what then happens on the
+//! simulator: the receiver forwards what it does not own (a join), nothing
+//! is ever stored at a node the ring does not name (a crash), and an answer
+//! asked before a membership change is not remembered.  The property holds
+//! the resolver against the true owner on converged rings of every size.
+
+mod common;
+
+use common::seeded;
+use pier::dht::{
+    make_ring_refs, routing_id, DhtNode, Id, NodeRef, ObjectName, OverlayConfig, OverlayEvent,
+    RouterConfig,
+};
+use pier::runtime::sim::TopologyConfig;
+use pier::runtime::{NodeAddr, SimConfig, SimTime, Simulator};
+use pier::telemetry::Telemetry;
+use proptest::prelude::*;
+
+type Node = DhtNode<String>;
+
+const SECOND: u64 = 1_000_000;
+/// Long enough that nothing stored here expires during a test.
+const LIFETIME: u64 = 300 * SECOND;
+const NS: &str = "t";
+
+/// The node whose arc covers `id` on the ring `refs` spell out: the first
+/// at or clockwise after it.
+fn true_owner(refs: &[NodeRef], id: Id) -> NodeRef {
+    *refs
+        .iter()
+        .min_by_key(|r| id.distance_to(r.id))
+        .expect("a ring has nodes")
+}
+
+/// The node `back` positions counter-clockwise of `of`.
+fn ring_predecessor(refs: &[NodeRef], of: NodeRef, back: usize) -> NodeRef {
+    let mut ring = refs.to_vec();
+    ring.sort_by_key(|r| r.id);
+    let at = ring
+        .iter()
+        .position(|r| r.id == of.id)
+        .expect("on the ring");
+    ring[(at + ring.len() - back % ring.len()) % ring.len()]
+}
+
+/// A converged ring: every node's routing state computed from `refs`,
+/// started at time 0 (so every stabilization round falls on a whole second).
+fn static_cluster(refs: &[NodeRef], config: SimConfig) -> Simulator<Node> {
+    let mut sim: Simulator<Node> = Simulator::new(config);
+    for r in refs {
+        sim.add_node(Node::with_static_ring(*r, refs, OverlayConfig::default()));
+    }
+    sim
+}
+
+fn put(sim: &mut Simulator<Node>, at: NodeAddr, key: &str, suffix: u64) {
+    sim.invoke(at, |node, ctx| {
+        let name = ObjectName::new(NS, key, suffix);
+        let effects = node
+            .overlay_mut()
+            .put(name, format!("v{suffix}"), LIFETIME, ctx.now());
+        node.apply(ctx, effects);
+    });
+}
+
+fn get(sim: &mut Simulator<Node>, at: NodeAddr, key: &str) {
+    sim.invoke(at, |node, ctx| {
+        let (_, effects) = node.overlay_mut().get(NS, key, ctx.now());
+        node.apply(ctx, effects);
+    });
+}
+
+/// What `at`'s resolver answers for `id` right now.
+fn resolve(sim: &mut Simulator<Node>, at: NodeAddr, id: Id) -> Option<NodeAddr> {
+    let now = sim.now();
+    sim.with_node_mut(at, |node| node.overlay_mut().resolve(id, now))
+        .expect("node exists")
+        .map(|owner| owner.addr)
+}
+
+/// The suffixes of the objects `at` stores under `key`, in order.
+fn stored(sim: &Simulator<Node>, at: NodeAddr, key: &str) -> Vec<u64> {
+    let node = sim.node(at).expect("node exists");
+    let mut suffixes: Vec<u64> = node
+        .overlay()
+        .objects()
+        .get(NS, key, sim.now())
+        .iter()
+        .map(|o| o.name.suffix)
+        .collect();
+    suffixes.sort_unstable();
+    suffixes
+}
+
+/// Nodes that can only reach `key`'s owner through a lookup or a cached
+/// arc, and that nothing but their own operations tells about that arc:
+/// the owner is outside their successor list and is not one of the peers
+/// they probe, and they sit far enough counter-clockwise of it that a
+/// change next to it never touches their neighbor view.
+fn distant_nodes(sim: &Simulator<Node>, refs: &[NodeRef], key: &str) -> Vec<NodeAddr> {
+    let id = routing_id(NS, key);
+    let owner = true_owner(refs, id);
+    let near: Vec<NodeAddr> = (0..=6)
+        .map(|back| ring_predecessor(refs, owner, back).addr)
+        .collect();
+    refs.iter()
+        .filter(|r| !near.contains(&r.addr))
+        .filter(|r| {
+            let router = sim.node(r.addr).expect("node exists").overlay().router();
+            router.known_owner(id, sim.now()).is_none()
+                && router.known_peers().iter().all(|p| p.addr != owner.addr)
+        })
+        .map(|r| r.addr)
+        .collect()
+}
+
+/// The first of `k0, k1, …` that at least `want` distant nodes exist for.
+fn key_with_distant_nodes(
+    sim: &Simulator<Node>,
+    refs: &[NodeRef],
+    want: usize,
+) -> (String, Vec<NodeAddr>) {
+    (0..256)
+        .map(|i| format!("k{i}"))
+        .find_map(|key| {
+            let nodes = distant_nodes(sim, refs, &key);
+            (nodes.len() >= want).then_some((key, nodes))
+        })
+        .expect("some key has distant nodes")
+}
+
+/// (i) A node joins inside an arc two nodes have cached.  The publisher's
+/// next `put` rides the stale arc to the old owner, which forwards it: the
+/// object ends up at the NEW owner, and a `get` from the third node — its
+/// arc just as stale — finds it there.
+#[test]
+fn a_join_inside_a_cached_arc_forwards_to_the_new_owner() {
+    let seed = seeded(41);
+    let refs = make_ring_refs(32, seed);
+    let mut sim = static_cluster(&refs, SimConfig::lan(seed));
+    sim.run_until(SECOND / 2);
+    let (key, distant) = key_with_distant_nodes(&sim, &refs, 2);
+    let (publisher, reader) = (distant[0], distant[1]);
+    let id = routing_id(NS, &key);
+    let old_owner = true_owner(&refs, id);
+
+    // Both learn the arc from one operation each.
+    put(&mut sim, publisher, &key, 1);
+    sim.run_for(SECOND / 4);
+    get(&mut sim, reader, &key);
+    sim.run_for(SECOND / 4);
+    assert_eq!(stored(&sim, old_owner.addr, &key), vec![1]);
+    assert_eq!(resolve(&mut sim, publisher, id), Some(old_owner.addr));
+    assert_eq!(resolve(&mut sim, reader, id), Some(old_owner.addr));
+
+    // The joiner lands between the key and its owner, so the key becomes
+    // the joiner's.  It arrives knowing the ring (how it learned it is not
+    // under test), so two stabilization rounds splice it in.
+    let joiner = NodeRef {
+        id: Id(id.0.wrapping_add(id.distance_to(old_owner.id) / 2)),
+        addr: NodeAddr(refs.len() as u32),
+    };
+    assert!(id.in_interval(ring_predecessor(&refs, old_owner, 1).id, joiner.id));
+    assert_ne!(joiner.id, old_owner.id);
+    let mut grown = refs.clone();
+    grown.push(joiner);
+    sim.add_node(Node::with_static_ring(
+        joiner,
+        &grown,
+        OverlayConfig::default(),
+    ));
+    sim.run_for(5 * SECOND);
+    let responsible = |sim: &Simulator<Node>, at: NodeAddr| {
+        let node = sim.node(at).expect("node exists");
+        node.overlay().router().is_responsible(id)
+    };
+    assert!(
+        responsible(&sim, joiner.addr),
+        "the joiner took the key over"
+    );
+    assert!(!responsible(&sim, old_owner.addr));
+    // The join happened outside both nodes' neighbor view: their arcs are
+    // still cached, and now wrong.
+    assert_eq!(resolve(&mut sim, publisher, id), Some(old_owner.addr));
+    assert_eq!(resolve(&mut sim, reader, id), Some(old_owner.addr));
+
+    let tel = Telemetry::attached();
+    sim.with_node_mut(old_owner.addr, |node| {
+        node.overlay_mut().set_telemetry(tel.clone());
+    });
+    sim.run_until(6 * SECOND + SECOND / 2);
+    put(&mut sim, publisher, &key, 2);
+    sim.run_for(SECOND / 4);
+    assert_eq!(
+        stored(&sim, joiner.addr, &key),
+        vec![2],
+        "a put through the stale arc must end up at the new owner"
+    );
+    assert_eq!(
+        stored(&sim, old_owner.addr, &key),
+        vec![1],
+        "the old owner keeps what it stored while it owned the key, and no more"
+    );
+    get(&mut sim, reader, &key);
+    sim.run_for(SECOND / 4);
+    let found: Vec<Vec<u64>> = sim
+        .node(reader)
+        .expect("node exists")
+        .events
+        .iter()
+        .filter_map(|e| match e {
+            OverlayEvent::GetResult { objects, .. } => {
+                Some(objects.iter().map(|o| o.name.suffix).collect())
+            }
+            _ => None,
+        })
+        .collect();
+    assert_eq!(
+        found,
+        vec![vec![1], vec![2]],
+        "the get through the stale arc must be answered by the new owner"
+    );
+    assert_eq!(
+        tel.counter("dht.misdirected"),
+        2,
+        "the old owner forwarded the put and the get"
+    );
+}
+
+/// (ii) The cached owner crashes.  A `put` every half second from then on:
+/// none is ever stored at a node that is neither the owner nor its
+/// successor, and from `liveness_timeout` plus one stabilization round
+/// after the crash every one lands at the successor — with the cache left
+/// to its own bounds.
+#[test]
+fn a_crashed_cached_owner_never_leaks_puts_to_a_non_owner() {
+    let seed = seeded(43);
+    let refs = make_ring_refs(32, seed);
+    let mut sim = static_cluster(&refs, SimConfig::lan(seed));
+    sim.run_until(SECOND / 2);
+    let (key, distant) = key_with_distant_nodes(&sim, &refs, 1);
+    let publisher = distant[0];
+    let id = routing_id(NS, &key);
+    let owner = true_owner(&refs, id);
+    let survivors: Vec<NodeRef> = refs
+        .iter()
+        .copied()
+        .filter(|r| r.addr != owner.addr)
+        .collect();
+    let successor = true_owner(&survivors, id);
+
+    put(&mut sim, publisher, &key, 0);
+    sim.run_for(SECOND / 4);
+    assert_eq!(stored(&sim, owner.addr, &key), vec![0]);
+    assert_eq!(resolve(&mut sim, publisher, id), Some(owner.addr));
+
+    let crash_at: SimTime = 2 * SECOND;
+    sim.fail_node_at(owner.addr, crash_at);
+    let detected_at = crash_at + RouterConfig::default().liveness_timeout + SECOND;
+    let mut due_at_successor = Vec::new();
+    for tick in 0..90u64 {
+        let at = crash_at + SECOND / 2 + tick * SECOND / 2;
+        sim.run_until(at);
+        let suffix = 1 + tick;
+        put(&mut sim, publisher, &key, suffix);
+        if at > detected_at {
+            due_at_successor.push(suffix);
+        }
+        sim.run_for(SECOND / 4);
+        for r in &survivors {
+            if r.addr != successor.addr {
+                assert_eq!(
+                    stored(&sim, r.addr, &key),
+                    Vec::<u64>::new(),
+                    "node {} is no owner of the key at {} s",
+                    r.addr,
+                    sim.now() / SECOND
+                );
+            }
+        }
+    }
+    assert!(due_at_successor.len() > 20);
+    let at_successor = stored(&sim, successor.addr, &key);
+    assert!(
+        due_at_successor.iter().all(|s| at_successor.contains(s)),
+        "every put issued after the ring detected the crash lands at the successor: \
+         stored {at_successor:?}, due {due_at_successor:?}"
+    );
+    assert_eq!(resolve(&mut sim, publisher, id), Some(successor.addr));
+}
+
+/// (iii) A lookup answered across a membership change serves its own
+/// operation but its arc is not remembered; one asked and answered within
+/// an epoch is.
+#[test]
+fn an_answer_asked_before_a_membership_change_is_not_remembered() {
+    let seed = seeded(47);
+    let refs = make_ring_refs(32, seed);
+    // 100 ms a hop: the lookup below is in flight for at least 200 ms.
+    let config = || SimConfig {
+        topology: TopologyConfig::Uniform {
+            latency: SECOND / 10,
+            bandwidth_bps: 100.0 * 1024.0 * 1024.0,
+        },
+        ..SimConfig::lan(seed)
+    };
+    // Everyone knows the whole ring except the publisher, which has not
+    // heard of its true predecessor yet: that node's first stabilization
+    // round (probe at 1.0 s, reply, then `Notify` arriving at 1.3 s) moves
+    // the publisher's membership epoch.
+    let probe = static_cluster(&refs, config());
+    let (key, distant) = key_with_distant_nodes(&probe, &refs, 1);
+    let publisher = refs[distant[0].index()];
+    let unannounced = ring_predecessor(&refs, publisher, 1);
+    let without: Vec<NodeRef> = refs
+        .iter()
+        .copied()
+        .filter(|r| r.addr != unannounced.addr)
+        .collect();
+    let mut sim: Simulator<Node> = Simulator::new(config());
+    for r in &refs {
+        let known = if r.addr == publisher.addr {
+            &without
+        } else {
+            &refs
+        };
+        sim.add_node(Node::with_static_ring(*r, known, OverlayConfig::default()));
+    }
+    let id = routing_id(NS, &key);
+    let owner = true_owner(&refs, id);
+    let epoch = |sim: &Simulator<Node>| {
+        let node = sim.node(publisher.addr).expect("node exists");
+        node.overlay().router().membership_epoch()
+    };
+
+    sim.run_until(SECOND + SECOND / 4);
+    let asked_in = epoch(&sim);
+    put(&mut sim, publisher.addr, &key, 1);
+    sim.run_until(SECOND + 2 * SECOND / 5);
+    assert!(epoch(&sim) > asked_in, "the predecessor announced itself");
+    assert!(
+        stored(&sim, owner.addr, &key).is_empty(),
+        "the lookup is still in flight"
+    );
+    sim.run_until(2 * SECOND + SECOND / 4);
+    assert_eq!(
+        stored(&sim, owner.addr, &key),
+        vec![1],
+        "the answer completed its own put"
+    );
+    assert_eq!(
+        resolve(&mut sim, publisher.addr, id),
+        None,
+        "an arc asked about in an older epoch must not be remembered"
+    );
+    // Asked and answered within one epoch, the same arc is.
+    let asked_in = epoch(&sim);
+    put(&mut sim, publisher.addr, &key, 2);
+    sim.run_until(3 * SECOND + SECOND / 2);
+    assert_eq!(epoch(&sim), asked_in);
+    assert_eq!(stored(&sim, owner.addr, &key), vec![1, 2]);
+    assert_eq!(resolve(&mut sim, publisher.addr, id), Some(owner.addr));
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// On a converged ring of any size, whatever operations and timers ran,
+    /// the resolver answers `None` or the ring's true owner — never a third
+    /// node.
+    #[test]
+    fn the_resolver_names_the_true_owner_or_nobody(
+        nodes in 2usize..65,
+        ring_seed: u64,
+        ops in proptest::collection::vec(((0u8..5, 0usize..64), (0u16..512, 0u64..1_500_000)), 1..24),
+        probes in proptest::collection::vec(0u64..u64::MAX, 4..12),
+    ) {
+        let refs = make_ring_refs(nodes, ring_seed);
+        let mut sim = static_cluster(&refs, SimConfig::lan(ring_seed));
+        let check = |sim: &mut Simulator<Node>, at: NodeAddr, id: Id| -> Result<(), TestCaseError> {
+            let answer = resolve(sim, at, id);
+            let truth = true_owner(&refs, id).addr;
+            prop_assert!(
+                answer.is_none() || answer == Some(truth),
+                "node {at} resolves {id} to {answer:?}, the ring says {truth}"
+            );
+            Ok(())
+        };
+        for (suffix, ((kind, node), (key, pause))) in ops.into_iter().enumerate() {
+            let at = refs[node % nodes].addr;
+            let key = format!("k{key}");
+            let name = ObjectName::new(NS, key.clone(), suffix as u64);
+            sim.invoke(at, |node, ctx| {
+                let now = ctx.now();
+                let overlay = node.overlay_mut();
+                let effects = match kind {
+                    0 => overlay.put(name, "v".to_string(), LIFETIME, now),
+                    1 => overlay.get(NS, &key, now).1,
+                    2 => overlay.renew(name, LIFETIME, now).1,
+                    3 => {
+                        let batch = (0..6u64)
+                            .map(|i| {
+                                let name = ObjectName::new(NS, format!("{key}.{i}"), i);
+                                (name, "v".to_string(), LIFETIME)
+                            })
+                            .collect();
+                        overlay.put_batch(batch, now)
+                    }
+                    // Time alone: stabilization and finger-refresh timers.
+                    _ => Vec::new(),
+                };
+                node.apply(ctx, effects);
+            });
+            sim.run_for(pause);
+            check(&mut sim, at, routing_id(NS, &key))?;
+            for &probe in &probes {
+                check(&mut sim, at, Id(probe))?;
+            }
+        }
+        sim.run_for(2 * SECOND);
+        for r in &refs {
+            for &probe in &probes {
+                check(&mut sim, r.addr, Id(probe))?;
+            }
+        }
+    }
+}
