@@ -75,6 +75,7 @@ pub mod node;
 pub mod operators;
 pub mod partial;
 pub mod plan;
+pub mod proxy;
 pub mod range_index;
 pub mod recursive;
 pub mod secondary_index;
@@ -95,7 +96,7 @@ pub use eddy::{
     OBS_HALF_LIFE_ROWS,
 };
 pub use expr::{ArithOp, CmpOp, CompiledExpr, CompiledPredicate, EvalError, Expr};
-pub use node::{PierConfig, PierMsg, PierNode, PierOut, PierTimer};
+pub use node::{PierConfig, PierMsg, PierNode, PierTimer};
 pub use operators::{
     nested_loop_join, BloomFilter, Distinct, GroupBy, JoinSide, Limit, LocalOperator, Pipeline,
     Projection, Queue, Selection, SymmetricHashJoin, TopK,
@@ -108,6 +109,7 @@ pub use plan::{
     finish_rows, CqSpec, Dissemination, JoinSpec, OpGraph, OperatorSpec, PlanBuilder, QpObject,
     QueryPlan, SinkSpec, SourceSpec,
 };
+pub use proxy::{MemberResults, PierOut, Proxy, RenewalRound};
 pub use range_index::RangeIndexConfig;
 pub use recursive::TransitiveClosure;
 pub use sharing::{

@@ -20,6 +20,7 @@ use crate::operators::{GroupBy, JoinSide, LocalOperator, Pipeline, SymmetricHash
 use crate::plan::{
     finish_rows, CqSpec, Dissemination, OpGraph, OperatorSpec, QpObject, QueryPlan, SinkSpec,
 };
+use crate::proxy::{MemberResults, PierOut, Proxy};
 use crate::sharing::{
     is_share_scoped_table, InstallOutcome, Membership, MultiQuerySharing, SharingFactory,
     SharingStats,
@@ -27,7 +28,7 @@ use crate::sharing::{
 use crate::tuple::{ColumnChunk, SchemaRegistry, Tuple, TupleBatch};
 use crate::value::Value;
 use crate::window_engine::{CqDiagnostics, EngineSpec, WindowEngine, OCCUPANCY_GAUGES};
-use pier_cq::{DurableStore, LeaseStatus, RenewalBackoff};
+use pier_cq::{DurableStore, LeaseStatus};
 use pier_dht::{
     routing_id, DhtMessage, Id, NodeRef, ObjectName, Overlay, OverlayConfig, OverlayEffect,
     OverlayEvent, OverlayTimer,
@@ -77,7 +78,7 @@ pub struct PierConfig {
     /// `q{id}.local` / `q{id}.root` for an unshared query,
     /// `g{fp:016x}.local` / `g{fp:016x}.root` for a share group), and a
     /// node restarted with the *same* store handle rehydrates warm windows
-    /// when the next re-dissemination re-installs the query, instead of
+    /// when it pulls the query back after the next lease roster, instead of
     /// recomputing retained panes from scratch.  `None` (the default) keeps
     /// all state soft.
     pub durable: Option<DurableStore>,
@@ -121,6 +122,9 @@ impl Default for PierConfig {
 }
 
 /// Messages exchanged between PIER nodes.
+// Nearly every message is the large variant, `Dht`: boxing it would buy an
+// allocation per message to shrink the rare ones.
+#[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone)]
 pub enum PierMsg {
     /// Overlay traffic (routing, get/put/send/renew, broadcast).
@@ -132,23 +136,31 @@ pub enum PierMsg {
         /// The answer tuples (possibly a batch).
         tuples: Vec<Tuple>,
     },
-    /// Per-window results of a continuous query streamed from the query's
-    /// window root to the proxy: retractions of superseded rows (delta mode
-    /// only) followed by the window's current rows.
+    /// One window's results streamed from a window root to a proxy: one
+    /// message per (proxy, window) per root tick, carrying every member
+    /// query of that proxy the tick emitted for.  Distinct windows stay
+    /// distinct messages, so a refinement of an older window never rides in
+    /// front of the newest window's rows.
     WindowResults {
-        /// Query the window belongs to.
-        query_id: u64,
         /// Window start (virtual-time microseconds, inclusive).
         window_start: SimTime,
         /// Window end (exclusive).
         window_end: SimTime,
-        /// Rows retracted by this emission.
-        retracts: Vec<Tuple>,
-        /// Rows inserted by this emission.
-        inserts: Vec<Tuple>,
-        /// Trace context when the emitting query is sampled: the proxy's
-        /// `result.emit` span parents to the root's `window.emit` span.
-        trace: Option<TraceContext>,
+        /// Per member query, in emission order: its retractions and rows.
+        members: Vec<MemberResults>,
+    },
+    /// A node that received a lease roster naming queries it does not hold
+    /// asks their proxy for the plans (the "renew failed, put it again" of
+    /// §3.2.4, pulled by the holder).
+    PlanRequest {
+        /// The queries the sender lacks.
+        queries: Vec<u64>,
+    },
+    /// The proxy's answer to a [`PierMsg::PlanRequest`]: the plans it still
+    /// owns, each with its remaining lifetime.
+    Plans {
+        /// The plans to install.
+        plans: Vec<QueryPlan>,
     },
 }
 
@@ -159,16 +171,11 @@ impl WireSize for PierMsg {
             PierMsg::Results { tuples, .. } => {
                 8 + tuples.iter().map(WireSize::wire_size).sum::<usize>()
             }
-            PierMsg::WindowResults {
-                retracts,
-                inserts,
-                trace,
-                ..
-            } => {
-                24 + retracts.iter().map(WireSize::wire_size).sum::<usize>()
-                    + inserts.iter().map(WireSize::wire_size).sum::<usize>()
-                    + trace.map_or(0, |t| t.wire_size())
+            PierMsg::WindowResults { members, .. } => {
+                16 + members.iter().map(WireSize::wire_size).sum::<usize>()
             }
+            PierMsg::PlanRequest { queries } => 4 + 8 * queries.len(),
+            PierMsg::Plans { plans } => 4 + plans.iter().map(WireSize::wire_size).sum::<usize>(),
         }
     }
 }
@@ -205,12 +212,10 @@ pub enum PierTimer {
         /// Query being ticked.
         query_id: u64,
     },
-    /// Proxy-side soft-state renewal: re-disseminate the standing plan so
-    /// leases extend and churned-in nodes join the computation.
-    CqRenew {
-        /// Query being renewed.
-        query_id: u64,
-    },
+    /// Proxy-side soft-state renewal: one round of this node's renewal
+    /// clock — broadcast the lease roster of the standing queries it
+    /// proxies, so leases extend and churned-in nodes pull what they lack.
+    CqRenew,
     /// Node-side lease check: uninstall the continuous query if its lease
     /// lapsed (the owner stopped renewing or we are partitioned away).
     CqLease {
@@ -239,56 +244,6 @@ pub enum PierTimer {
     /// virtual instant and no earlier trigger absorbed (armed on the first
     /// staged row, like [`PierTimer::BatchFlush`]).
     IngestFlush,
-}
-
-/// Values delivered to the client application attached to a node.
-#[derive(Debug, Clone)]
-pub enum PierOut {
-    /// An answer tuple for a query this node proxies.
-    Result {
-        /// Query the tuple answers.
-        query_id: u64,
-        /// The answer tuple.
-        tuple: Tuple,
-    },
-    /// The query's timeout expired; no more results will be delivered.
-    Done {
-        /// The completed query.
-        query_id: u64,
-    },
-    /// One row of a per-window result of a continuous query.
-    WindowResult {
-        /// Query the row answers.
-        query_id: u64,
-        /// Window start (inclusive).
-        window_start: SimTime,
-        /// Window end (exclusive).
-        window_end: SimTime,
-        /// True when this row retracts a previously delivered row
-        /// (delta-mode refinement); false for inserts/snapshots.
-        retract: bool,
-        /// The result row.
-        tuple: Tuple,
-    },
-    /// The proxy's admission decision for a submitted query (emitted only
-    /// when the node is built with an admission layer,
-    /// [`crate::node::PierConfig::admission`]).  A rejected query also
-    /// receives a terminating [`PierOut::Done`]; a shed query runs with
-    /// `sample_every > 1`.
-    Admission {
-        /// The assessed query.
-        query_id: u64,
-        /// The tenant billed ([`QueryPlan::tenant`]).
-        tenant: u64,
-        /// False when the query was rejected and will not run.
-        accepted: bool,
-        /// Sampling modulus the plan was disseminated with (1 = full
-        /// fidelity, >1 = shed-to-sampling degraded mode).
-        sample_every: u32,
-        /// The machine-readable static cost report (JSON; schema in
-        /// `docs/ANALYSIS.md`).
-        report: String,
-    },
 }
 
 /// True for table names of the query-scoped form `q{digits}.{suffix}` — the
@@ -327,24 +282,6 @@ struct QueryState {
     /// Source rows seen by a shed plan (`sample_every > 1`): the
     /// deterministic per-query per-node sampling counter.
     ingest_seen: u64,
-}
-
-/// Proxy-side state of one submitted query, held from `submit_query` until
-/// [`PierTimer::ProxyDone`] removes it: a query id absent from
-/// [`PierNode::proxied`] is finished (or was never proxied here) and its
-/// late results are dropped.
-#[derive(Debug, Default)]
-struct ProxyState {
-    results: u64,
-    /// The standing plan, kept proxy-side for periodic re-dissemination.
-    renew_plan: Option<QueryPlan>,
-    /// Jittered exponential backoff driving the re-dissemination clock
-    /// (created on the first renewal round from the plan's lifecycle).
-    backoff: Option<RenewalBackoff>,
-    /// `results` at the previous renewal round: a stalled stream (no new
-    /// results since the last round) escalates the backoff, progress
-    /// resets it.
-    renew_results: u64,
 }
 
 /// Rehash tuples buffered per rendezvous namespace, grouped by partition
@@ -430,7 +367,8 @@ pub struct PierNode {
     rng: Rng64,
     local_tables: HashMap<String, Vec<Tuple>>,
     queries: HashMap<u64, QueryState>,
-    proxied: HashMap<u64, ProxyState>,
+    /// The queries submitted here and their renewal clock.
+    proxy: Proxy,
     pending_fetches: HashMap<u64, (u64, usize, Tuple)>,
     next_query_seq: u64,
     rehash_buf: HashMap<String, RehashBuffer>,
@@ -506,7 +444,7 @@ impl PierNode {
             config,
             local_tables: HashMap::new(),
             queries: HashMap::new(),
-            proxied: HashMap::new(),
+            proxy: Proxy::default(),
             pending_fetches: HashMap::new(),
             next_query_seq: 0,
             rehash_buf: HashMap::new(),
@@ -548,7 +486,7 @@ impl PierNode {
 
     /// Queries this node proxies: submitted here and not yet `Done`.
     pub fn proxied_queries(&self) -> usize {
-        self.proxied.len()
+        self.proxy.len()
     }
 
     // ----- distributed tracing (pier-trace) ---------------------------------
@@ -754,14 +692,11 @@ impl PierNode {
                 u64::from(plan.sample_every),
             );
         }
-        let mut proxy_state = ProxyState::default();
-        if let Some(cq) = &plan.cq {
-            // Standing query: keep the plan for periodic re-dissemination
-            // (lease renewal + churn repair) and start the renewal clock.
-            proxy_state.renew_plan = Some(plan.clone());
-            ctx.set_timer(cq.renew_every, PierTimer::CqRenew { query_id });
+        // A standing query joins this node's lease roster; the first one
+        // starts the renewal clock.
+        if let Some(delay) = self.proxy.submit(&plan, ctx.now()) {
+            ctx.set_timer(delay, PierTimer::CqRenew);
         }
-        self.proxied.insert(query_id, proxy_state);
         ctx.set_timer(plan.timeout, PierTimer::ProxyDone { query_id });
         self.disseminate(ctx, plan);
         query_id
@@ -932,6 +867,8 @@ impl PierNode {
                         self.install_query(ctx, plan);
                         Vec::new()
                     }
+                    // Rosters travel by broadcast only.
+                    QpObject::Renew { .. } => Vec::new(),
                     QpObject::Tuple(tuple) => {
                         // Most single-object arrivals are published rows
                         // landing at their owner while nothing here reads
@@ -1033,8 +970,10 @@ impl PierNode {
                 self.overlay.resume_upcall(token, true, now)
             }
             OverlayEvent::Broadcast { payload } => {
-                if let QpObject::Plan(plan) = payload {
-                    self.install_query(ctx, plan);
+                match payload {
+                    QpObject::Plan(plan) => self.install_query(ctx, plan),
+                    QpObject::Renew { proxy, queries } => self.receive_roster(ctx, proxy, queries),
+                    QpObject::Tuple(_) | QpObject::Batch(_) => {}
                 }
                 Vec::new()
             }
@@ -1228,21 +1167,95 @@ impl PierNode {
 
     // ----- query installation and execution ---------------------------------
 
+    /// Renew the lease of `query_id` if it is installed here; false when it
+    /// is not (the caller installs it, or pulls its plan).
+    fn renew_lease(&mut self, query_id: u64, now: SimTime) -> bool {
+        let Some(key) = self.engine_of.get(&query_id) else {
+            return self.queries.contains_key(&query_id);
+        };
+        let slot = self.engines.get_mut(key);
+        if let Some(lease) = slot.and_then(|s| s.engine.lease_mut(query_id)) {
+            lease.renew(now);
+        }
+        self.tel.inc("cq.lease_renewals");
+        self.tel
+            .event("lease_renew", || vec![("query_id", query_id.to_string())]);
+        true
+    }
+
+    /// A proxy's lease roster arrived: renew every listed query held here
+    /// and pull the rest from the proxy in one request.
+    fn receive_roster(&mut self, ctx: &mut ProgramContext<Self>, proxy: NodeAddr, ids: Vec<u64>) {
+        let now = ctx.now();
+        let mut missing = ids;
+        missing.retain(|id| !self.renew_lease(*id, now));
+        if missing.is_empty() {
+            return;
+        }
+        self.tel.inc("cq.plan_pulls");
+        if proxy == ctx.me() {
+            self.serve_plans(ctx, proxy, &missing);
+        } else {
+            ctx.send(proxy, PierMsg::PlanRequest { queries: missing });
+        }
+    }
+
+    /// Answer a pull: the plans of the `queries` still proxied here go to
+    /// `to` (installed on the spot when that is this node).
+    fn serve_plans(&mut self, ctx: &mut ProgramContext<Self>, to: NodeAddr, queries: &[u64]) {
+        let plans = self.proxy.plans_for(queries, ctx.now());
+        if plans.is_empty() {
+            return;
+        }
+        self.tel.add("cq.plans_served", plans.len() as u64);
+        if to == ctx.me() {
+            for plan in plans {
+                self.install_query(ctx, plan);
+            }
+        } else {
+            ctx.send(to, PierMsg::Plans { plans });
+        }
+    }
+
+    /// One round of the renewal clock: broadcast the roster, re-send the
+    /// keyed plans, arm the next round.
+    fn renew_round(&mut self, ctx: &mut ProgramContext<Self>) {
+        let now = ctx.now();
+        let round = self.proxy.renew_round(now, &mut self.rng);
+        let Some(delay) = round.next_delay else {
+            return;
+        };
+        self.tel.inc("cq.roster_rounds");
+        if round.attempt > 0 {
+            let queries = round.roster.len() + round.resend.len();
+            self.tel.event("lease.backoff", || {
+                vec![
+                    ("queries", queries.to_string()),
+                    ("attempt", round.attempt.to_string()),
+                    ("delay", delay.to_string()),
+                ]
+            });
+        }
+        if !round.roster.is_empty() {
+            let roster = QpObject::Renew {
+                proxy: ctx.me(),
+                queries: round.roster,
+            };
+            let effects = self.overlay.broadcast(roster, now);
+            self.drive(ctx, effects);
+        }
+        for plan in round.resend {
+            self.disseminate(ctx, plan);
+        }
+        ctx.set_timer(delay, PierTimer::CqRenew);
+    }
+
     fn install_query(&mut self, ctx: &mut ProgramContext<Self>, plan: QueryPlan) {
         let query_id = plan.query_id;
         let now = ctx.now();
-        // Re-dissemination of a standing query: renew the lease.
-        if let Some(key) = self.engine_of.get(&query_id) {
-            let slot = self.engines.get_mut(key);
-            if let Some(lease) = slot.and_then(|s| s.engine.lease_mut(query_id)) {
-                lease.renew(now);
-            }
-            self.tel.inc("cq.lease_renewals");
-            self.tel
-                .event("lease_renew", || vec![("query_id", query_id.to_string())]);
-            return;
-        }
-        if self.queries.contains_key(&query_id) {
+        // A standing plan arriving again (a keyed re-send, a pulled copy
+        // that crossed the plan's own broadcast) is a lease renewal.
+        if self.renew_lease(query_id, now) {
             return;
         }
         // Multi-query sharing: offer the plan to the layer first.  A plan
@@ -1873,12 +1886,8 @@ impl PierNode {
     }
 
     fn proxy_receive(&mut self, ctx: &mut ProgramContext<Self>, query_id: u64, tuples: Vec<Tuple>) {
-        let Some(state) = self.proxied.get_mut(&query_id) else {
-            return; // finished, or never proxied here
-        };
-        state.results += tuples.len() as u64;
-        for tuple in tuples {
-            ctx.output(PierOut::Result { query_id, tuple });
+        for out in self.proxy.receive(query_id, tuples) {
+            ctx.output(out);
         }
     }
 
@@ -2053,6 +2062,10 @@ impl PierNode {
         }
         let effects = self.ship_partials(key, shipments, flush_ctx, now);
         self.drive(ctx, effects);
+        // One results message per (proxy, window), in first-emission order:
+        // every member of a proxy the tick emitted for rides one message,
+        // distinct windows never share one.
+        let mut bundles: Vec<((NodeAddr, SimTime, SimTime), Vec<MemberResults>)> = Vec::new();
         for e in out.emissions {
             // A traced member's per-window emission: the `window.emit` span
             // parents to the newest absorption at this root (shared work:
@@ -2081,18 +2094,28 @@ impl PierNode {
                     query_id: e.query_id,
                 }
             });
-            let results = PierMsg::WindowResults {
+            let member = MemberResults {
                 query_id: e.query_id,
-                window_start: e.window_start,
-                window_end: e.window_end,
                 retracts: e.retracts,
                 inserts: e.inserts,
                 trace: emit_ctx,
             };
-            if e.proxy == ctx.me() {
-                self.proxy_receive_window(ctx, results);
+            let to = (e.proxy, e.window_start, e.window_end);
+            match bundles.iter_mut().find(|b| b.0 == to) {
+                Some(bundle) => bundle.1.push(member),
+                None => bundles.push((to, vec![member])),
+            }
+        }
+        for ((proxy, window_start, window_end), members) in bundles {
+            if proxy == ctx.me() {
+                self.proxy_receive_window(ctx, window_start, window_end, members);
             } else {
-                ctx.send(e.proxy, results);
+                let results = PierMsg::WindowResults {
+                    window_start,
+                    window_end,
+                    members,
+                };
+                ctx.send(proxy, results);
             }
         }
         // 2. Window health into telemetry: this engine's shed/evict
@@ -2134,29 +2157,24 @@ impl PierNode {
         }
     }
 
-    /// Hand a [`PierMsg::WindowResults`] — off the wire, or straight from
-    /// this node's own tick when it is both root and proxy — to the client.
-    fn proxy_receive_window(&mut self, ctx: &mut ProgramContext<Self>, results: PierMsg) {
-        let PierMsg::WindowResults {
-            query_id,
-            window_start,
-            window_end,
-            retracts,
-            inserts,
-            trace,
-        } = results
-        else {
-            return;
-        };
-        let Some(state) = self.proxied.get_mut(&query_id) else {
-            return; // finished, or never proxied here
-        };
-        state.results += inserts.len() as u64;
+    /// Hand one window's results — off the wire, or straight from this
+    /// node's own tick when it is both root and proxy — to the client.
+    fn proxy_receive_window(
+        &mut self,
+        ctx: &mut ProgramContext<Self>,
+        window_start: SimTime,
+        window_end: SimTime,
+        members: Vec<MemberResults>,
+    ) {
         // The delivery at the proxy closes the span tree: `result.emit`
         // parents to the root's wire-carried `window.emit` span.
-        if let Some(t) = trace {
-            if self.tel.is_enabled() {
-                let now = ctx.now();
+        if self.tel.is_enabled() {
+            let now = ctx.now();
+            let live = members.iter().filter(|m| self.proxy.contains(m.query_id));
+            let traced: Vec<(TraceContext, usize)> = live
+                .filter_map(|m| Some((m.trace?, m.inserts.len())))
+                .collect();
+            for (t, rows) in traced {
                 let span = self.next_span_id(ctx.me());
                 self.tel.record_span(
                     now,
@@ -2166,29 +2184,14 @@ impl PierNode {
                     t.span_id,
                     t.query_id,
                     "result.emit",
-                    inserts.len() as u64,
+                    rows as u64,
                     0,
                     window_start,
                 );
             }
         }
-        for tuple in retracts {
-            ctx.output(PierOut::WindowResult {
-                query_id,
-                window_start,
-                window_end,
-                retract: true,
-                tuple,
-            });
-        }
-        for tuple in inserts {
-            ctx.output(PierOut::WindowResult {
-                query_id,
-                window_start,
-                window_end,
-                retract: false,
-                tuple,
-            });
+        for out in self.proxy.receive_window(window_start, window_end, members) {
+            ctx.output(out);
         }
     }
 
@@ -2362,7 +2365,17 @@ impl Program for PierNode {
             PierMsg::Results { query_id, tuples } => {
                 self.proxy_receive(ctx, query_id, tuples);
             }
-            results @ PierMsg::WindowResults { .. } => self.proxy_receive_window(ctx, results),
+            PierMsg::WindowResults {
+                window_start,
+                window_end,
+                members,
+            } => self.proxy_receive_window(ctx, window_start, window_end, members),
+            PierMsg::PlanRequest { queries } => self.serve_plans(ctx, from, &queries),
+            PierMsg::Plans { plans } => {
+                for plan in plans {
+                    self.install_query(ctx, plan);
+                }
+            }
         }
     }
 
@@ -2382,7 +2395,7 @@ impl Program for PierNode {
                 self.uninstall_query(query_id);
             }
             PierTimer::ProxyDone { query_id } => {
-                if self.proxied.remove(&query_id).is_some() {
+                if self.proxy.done(query_id) {
                     // The query's budget charge returns to its tenant.
                     if let Some(layer) = self.admission.as_mut() {
                         layer.release(query_id);
@@ -2403,57 +2416,7 @@ impl Program for PierNode {
                 let effects = self.flush_all_rehash(now);
                 self.drive(ctx, effects);
             }
-            PierTimer::CqRenew { query_id } => {
-                // Proxy-side: re-disseminate the standing plan so leases
-                // extend everywhere and churned-in nodes pick the query up.
-                // The next round is scheduled by jittered exponential
-                // backoff rather than a fixed interval: rounds that are not
-                // producing results (the stream stalled — partitioned away,
-                // or the holders are down) spread out exponentially instead
-                // of hammering a dead path in lockstep with every other
-                // proxy, and the first successful round snaps back to the
-                // base interval.  Jitter desynchronises proxies after a
-                // partition heals.
-                let plan = self
-                    .proxied
-                    .get(&query_id)
-                    .and_then(|state| state.renew_plan.clone());
-                if let Some(plan) = plan {
-                    let renew_every = plan.cq.map_or(10_000_000, |c| c.renew_every).max(1);
-                    let lease = plan.cq.map_or(renew_every * 3, |c| c.lease);
-                    self.disseminate(ctx, plan);
-                    let mut delay = renew_every;
-                    if let Some(state) = self.proxied.get_mut(&query_id) {
-                        // Cap below the lease so a healthy-but-quiet query
-                        // still renews in time; holders additionally park
-                        // (rather than sweep) lapsed leases when durable.
-                        let cap = lease.saturating_sub(renew_every / 2).max(renew_every);
-                        let backoff = state
-                            .backoff
-                            .get_or_insert_with(|| RenewalBackoff::new(renew_every, cap));
-                        if state.results > state.renew_results || state.results == 0 {
-                            // Progress — or a stream that has not started
-                            // yet, which is not evidence of failure.
-                            backoff.reset();
-                        } else {
-                            backoff.escalate();
-                        }
-                        state.renew_results = state.results;
-                        let attempt = backoff.attempt();
-                        delay = backoff.next_delay(&mut self.rng);
-                        if attempt > 0 {
-                            self.tel.event("lease.backoff", || {
-                                vec![
-                                    ("query_id", query_id.to_string()),
-                                    ("attempt", attempt.to_string()),
-                                    ("delay", delay.to_string()),
-                                ]
-                            });
-                        }
-                    }
-                    ctx.set_timer(delay.max(1), PierTimer::CqRenew { query_id });
-                }
-            }
+            PierTimer::CqRenew => self.renew_round(ctx),
             PierTimer::CqLease { query_id } => {
                 let now = ctx.now();
                 let engine = self.engine_of.get(&query_id);

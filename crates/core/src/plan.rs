@@ -275,16 +275,18 @@ pub struct OpGraph {
 }
 
 /// The soft-state lifecycle of a *continuous* query (the `pier-cq`
-/// subsystem): how often the proxy re-disseminates the standing plan, how
-/// long each (re)dissemination leases the query at a node, and the
-/// work/state budget every node enforces for it.
+/// subsystem): how often the proxy renews the standing query, how long each
+/// renewal leases it at a node, and the work/state budget every node
+/// enforces for it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CqSpec {
-    /// Proxy re-dissemination (lease renewal) period.  Re-dissemination
-    /// doubles as churn repair: nodes that joined or restarted after the
-    /// original dissemination pick the query up on the next round.
+    /// Lease renewal period: the proxy's renewal clock runs at the smallest
+    /// one among its standing queries, and each round names them all on one
+    /// roster.  Renewal doubles as churn repair: nodes that joined or
+    /// restarted after the original dissemination pull the plan on the next
+    /// round.
     pub renew_every: Duration,
-    /// Lease granted by each (re)dissemination; a node missing renewals
+    /// Lease granted by the installation and by each renewal; a node missing renewals
     /// uninstalls the query when the lease lapses.
     pub lease: Duration,
     /// Per-node work/state bound for the query's window state.
@@ -303,8 +305,8 @@ impl Default for CqSpec {
 }
 
 impl CqSpec {
-    /// Shortest accepted renewal period — a re-dissemination is a broadcast,
-    /// so sub-second periods would flood the overlay.
+    /// Shortest accepted renewal period — a renewal round is a broadcast, so
+    /// sub-second periods would flood the overlay.
     pub const MIN_RENEW_EVERY: Duration = 1_000_000;
 
     /// A lifecycle renewing every `renew_every` microseconds (clamped to
@@ -414,6 +416,16 @@ pub enum QpObject {
     Batch(TupleBatch),
     /// A query plan being disseminated.
     Plan(QueryPlan),
+    /// A proxy's lease roster: the standing broadcast queries it still
+    /// owns, ascending.  A holder renews the lease of each it has installed
+    /// and pulls the plans of the ones it lacks from `proxy` — renew by
+    /// name, re-put only where the renew fails (§3.2.4, Table 2).
+    Renew {
+        /// The proxy whose round this is (where a missing plan is pulled).
+        proxy: NodeAddr,
+        /// The standing queries being renewed.
+        queries: Vec<u64>,
+    },
 }
 
 impl QpObject {
@@ -421,7 +433,7 @@ impl QpObject {
     pub fn as_tuple(&self) -> Option<&Tuple> {
         match self {
             QpObject::Tuple(t) => Some(t),
-            QpObject::Batch(_) | QpObject::Plan(_) => None,
+            QpObject::Batch(_) | QpObject::Plan(_) | QpObject::Renew { .. } => None,
         }
     }
 
@@ -430,7 +442,7 @@ impl QpObject {
         match self {
             QpObject::Tuple(_) => 1,
             QpObject::Batch(b) => b.len(),
-            QpObject::Plan(_) => 0,
+            QpObject::Plan(_) | QpObject::Renew { .. } => 0,
         }
     }
 
@@ -443,7 +455,7 @@ impl QpObject {
         let (single, batch) = match self {
             QpObject::Tuple(t) => (Some(t.clone()), None),
             QpObject::Batch(b) => (None, Some(b.iter())),
-            QpObject::Plan(_) => (None, None),
+            QpObject::Plan(_) | QpObject::Renew { .. } => (None, None),
         };
         single.into_iter().chain(batch.into_iter().flatten())
     }
@@ -455,7 +467,7 @@ impl QpObject {
         match self {
             QpObject::Tuple(t) => Cow::Owned(vec![ColumnChunk::from_tuple(t)]),
             QpObject::Batch(b) => Cow::Borrowed(b.chunks()),
-            QpObject::Plan(_) => Cow::Borrowed(&[]),
+            QpObject::Plan(_) | QpObject::Renew { .. } => Cow::Borrowed(&[]),
         }
     }
 
@@ -464,7 +476,7 @@ impl QpObject {
         match self {
             QpObject::Tuple(t) => vec![t],
             QpObject::Batch(b) => b.into_tuples(),
-            QpObject::Plan(_) => Vec::new(),
+            QpObject::Plan(_) | QpObject::Renew { .. } => Vec::new(),
         }
     }
 }
@@ -475,6 +487,8 @@ impl WireSize for QpObject {
             QpObject::Tuple(t) => t.wire_size(),
             QpObject::Batch(b) => b.wire_size(),
             QpObject::Plan(p) => p.wire_size(),
+            // The proxy's address, a 4-byte count, 8 bytes per query.
+            QpObject::Renew { proxy, queries } => proxy.wire_size() + 4 + 8 * queries.len(),
         }
     }
 }

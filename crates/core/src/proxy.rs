@@ -1,0 +1,334 @@
+//! The proxy half of a node: what it holds for the queries submitted at it.
+//!
+//! A [`Proxy`] owns one entry per submitted query from `submit` to `done` —
+//! an id absent from it is finished (or was never proxied here), and its
+//! late results are dropped without resurrecting anything — and, for the
+//! *standing* queries among them, the soft-state renewal clock.
+//!
+//! Renewal is per proxy, not per query (§3.2.4, Table 2: `renew` by name,
+//! `put` again only where the renew fails).  One jittered
+//! [`RenewalBackoff`] clock ticks while the proxy owns any standing query;
+//! each [`Proxy::renew_round`] names every standing `Broadcast` query in one
+//! ascending **roster** — holders renew the leases of the ones they have and
+//! pull the ones they lack through [`Proxy::plans_for`] — and hands back the
+//! standing keyed, ranged and local plans to re-send whole, because a key's
+//! owner is exactly what churn moves.  A query the roster stops naming
+//! lapses by its lease; there is no teardown message.
+//!
+//! The clock's bounds follow the tightest standing query: base = the
+//! smallest `renew_every`, cap = the smallest `lease − renew_every/2`, so
+//! every gap between rounds stays inside every lease whatever the backoff.
+//! "Progress" is any standing query that delivered rows since the last
+//! round, or has not delivered any yet (a stream that has not started is no
+//! evidence of failure).
+//!
+//! Plain state, no `ProgramContext`: [`crate::node::PierNode`] does the
+//! wiring (timers, broadcasts, telemetry), tests drive it directly.
+
+use crate::plan::{CqSpec, Dissemination, QueryPlan};
+use crate::tuple::Tuple;
+use pier_cq::RenewalBackoff;
+use pier_runtime::{Duration, Rng64, SimTime, WireSize};
+use pier_trace::TraceContext;
+use std::collections::BTreeMap;
+
+/// Values delivered to the client application attached to a node.
+#[derive(Debug, Clone)]
+pub enum PierOut {
+    /// An answer tuple for a query this node proxies.
+    Result {
+        /// Query the tuple answers.
+        query_id: u64,
+        /// The answer tuple.
+        tuple: Tuple,
+    },
+    /// The query's timeout expired; no more results will be delivered.
+    Done {
+        /// The completed query.
+        query_id: u64,
+    },
+    /// One row of a per-window result of a continuous query.
+    WindowResult {
+        /// Query the row answers.
+        query_id: u64,
+        /// Window start (inclusive).
+        window_start: SimTime,
+        /// Window end (exclusive).
+        window_end: SimTime,
+        /// True when this row retracts a previously delivered row
+        /// (delta-mode refinement); false for inserts/snapshots.
+        retract: bool,
+        /// The result row.
+        tuple: Tuple,
+    },
+    /// The proxy's admission decision for a submitted query (emitted only
+    /// when the node is built with an admission layer,
+    /// [`crate::node::PierConfig::admission`]).  A rejected query also
+    /// receives a terminating [`PierOut::Done`]; a shed query runs with
+    /// `sample_every > 1`.
+    Admission {
+        /// The assessed query.
+        query_id: u64,
+        /// The tenant billed ([`QueryPlan::tenant`]).
+        tenant: u64,
+        /// False when the query was rejected and will not run.
+        accepted: bool,
+        /// Sampling modulus the plan was disseminated with (1 = full
+        /// fidelity, >1 = shed-to-sampling degraded mode).
+        sample_every: u32,
+        /// The machine-readable static cost report (JSON; schema in
+        /// `docs/ANALYSIS.md`).
+        report: String,
+    },
+}
+
+/// One member query's share of a [`crate::node::PierMsg::WindowResults`]
+/// message: retractions of superseded rows (delta mode only) followed by
+/// the window's current rows.
+#[derive(Debug, Clone)]
+pub struct MemberResults {
+    /// Query the rows answer.
+    pub query_id: u64,
+    /// Rows retracted by this emission.
+    pub retracts: Vec<Tuple>,
+    /// Rows inserted by this emission.
+    pub inserts: Vec<Tuple>,
+    /// Trace context when the member is sampled: the proxy's `result.emit`
+    /// span parents to the root's `window.emit` span.
+    pub trace: Option<TraceContext>,
+}
+
+impl WireSize for MemberResults {
+    fn wire_size(&self) -> usize {
+        let rows = self.retracts.iter().chain(&self.inserts);
+        8 + rows.map(WireSize::wire_size).sum::<usize>() + self.trace.map_or(0, |t| t.wire_size())
+    }
+}
+
+/// What one renewal round sends.
+#[derive(Debug, Default)]
+pub struct RenewalRound {
+    /// The standing `Broadcast` queries this proxy owns, ascending: the
+    /// roster to broadcast (nothing to broadcast when empty).
+    pub roster: Vec<u64>,
+    /// The standing keyed, ranged and local plans, to disseminate whole
+    /// with their remaining lifetime.
+    pub resend: Vec<QueryPlan>,
+    /// When to run the next round.  `None`: the firing timer was stale
+    /// (the clock was disarmed or re-armed earlier since it was set) —
+    /// send nothing and arm nothing.
+    pub next_delay: Option<Duration>,
+    /// Backoff escalations behind `next_delay` (0 at the base interval).
+    pub attempt: u32,
+}
+
+#[derive(Debug)]
+struct Standing {
+    /// The plan as disseminated, kept for pulls and whole re-sends.
+    plan: QueryPlan,
+    submitted_at: SimTime,
+    /// `results` at the previous renewal round.
+    round_results: u64,
+}
+
+#[derive(Debug)]
+struct Proxied {
+    results: u64,
+    standing: Option<Standing>,
+}
+
+#[derive(Debug)]
+struct RenewalClock {
+    backoff: RenewalBackoff,
+    /// The instant the next round is due; a timer firing earlier is stale.
+    due: SimTime,
+}
+
+/// The longest a round may be put off without endangering `cq`'s lease: a
+/// healthy-but-quiet query must still renew in time.
+fn renewal_cap(cq: &CqSpec) -> Duration {
+    cq.lease
+        .saturating_sub(cq.renew_every / 2)
+        .max(cq.renew_every)
+}
+
+/// Proxy-side state of the queries submitted at one node.
+#[derive(Debug, Default)]
+pub struct Proxy {
+    proxied: BTreeMap<u64, Proxied>,
+    /// Standing queries among `proxied`; the clock is armed while nonzero.
+    standing: usize,
+    clock: Option<RenewalClock>,
+}
+
+impl Proxy {
+    /// Queries submitted here and not yet done.
+    pub fn len(&self) -> usize {
+        self.proxied.len()
+    }
+
+    /// True when no query is proxied here.
+    pub fn is_empty(&self) -> bool {
+        self.proxied.is_empty()
+    }
+
+    /// True while `query_id` is proxied here (submitted, not yet done).
+    pub fn contains(&self, query_id: u64) -> bool {
+        self.proxied.contains_key(&query_id)
+    }
+
+    /// The instant the next renewal round is due; `None` while the clock is
+    /// disarmed (no standing query).
+    pub fn next_round_at(&self) -> Option<SimTime> {
+        self.clock.as_ref().map(|c| c.due)
+    }
+
+    /// Start proxying `plan`.  Returns the delay after which the caller
+    /// must fire [`Proxy::renew_round`] when this submission arms the
+    /// renewal clock, or needs a round sooner than the one pending.
+    pub fn submit(&mut self, plan: &QueryPlan, now: SimTime) -> Option<Duration> {
+        // An id submitted again starts over.
+        self.done(plan.query_id);
+        let standing = plan.cq.is_some().then(|| Standing {
+            plan: plan.clone(),
+            submitted_at: now,
+            round_results: 0,
+        });
+        let results = 0;
+        self.proxied
+            .insert(plan.query_id, Proxied { results, standing });
+        let cq = plan.cq.as_ref()?;
+        self.standing += 1;
+        let due = now.saturating_add(cq.renew_every);
+        match &mut self.clock {
+            Some(clock) if clock.due <= due => return None,
+            Some(clock) => clock.due = due,
+            None => {
+                let backoff = RenewalBackoff::new(cq.renew_every, renewal_cap(cq));
+                self.clock = Some(RenewalClock { backoff, due });
+            }
+        }
+        Some(cq.renew_every)
+    }
+
+    /// The query finished: forget it.  False when it was not proxied here.
+    /// The last standing query out disarms the renewal clock.
+    pub fn done(&mut self, query_id: u64) -> bool {
+        let Some(entry) = self.proxied.remove(&query_id) else {
+            return false;
+        };
+        if entry.standing.is_some() {
+            self.standing -= 1;
+            if self.standing == 0 {
+                self.clock = None;
+            }
+        }
+        true
+    }
+
+    /// A renewal timer fired at `now`: what to send, and when to fire next.
+    pub fn renew_round(&mut self, now: SimTime, rng: &mut Rng64) -> RenewalRound {
+        let mut round = RenewalRound::default();
+        let Some(clock) = self.clock.as_mut().filter(|c| now >= c.due) else {
+            return round;
+        };
+        let (mut base, mut cap) = (Duration::MAX, Duration::MAX);
+        let mut progress = false;
+        for (&query_id, entry) in &mut self.proxied {
+            let Some(s) = entry.standing.as_mut() else {
+                continue;
+            };
+            let cq = s.plan.cq.as_ref().expect("a standing plan has a lifecycle");
+            base = base.min(cq.renew_every);
+            cap = cap.min(renewal_cap(cq));
+            progress |= entry.results > s.round_results || entry.results == 0;
+            s.round_results = entry.results;
+            if s.plan.dissemination == Dissemination::Broadcast {
+                round.roster.push(query_id);
+            } else {
+                round.resend.push(remaining(s, now));
+            }
+        }
+        // Rounds that are not producing results (the stream stalled —
+        // partitioned away, or the holders are down) spread out
+        // exponentially instead of hammering a dead path in lockstep with
+        // every other proxy; the first round that sees progress snaps back
+        // to the base interval.
+        clock.backoff.retune(base, cap);
+        if progress {
+            clock.backoff.reset();
+        } else {
+            clock.backoff.escalate();
+        }
+        let delay = clock.backoff.next_delay(rng);
+        clock.due = now.saturating_add(delay);
+        round.next_delay = Some(delay);
+        round.attempt = clock.backoff.attempt();
+        round
+    }
+
+    /// The plans of those of `ids` this proxy still owns as standing
+    /// queries, each stamped with its remaining lifetime so a late
+    /// installer ends with the proxy.  A finished query is not answered:
+    /// nothing here resurrects it.
+    pub fn plans_for(&self, ids: &[u64], now: SimTime) -> Vec<QueryPlan> {
+        ids.iter()
+            .filter_map(|id| self.proxied.get(id)?.standing.as_ref())
+            .map(|s| remaining(s, now))
+            .collect()
+    }
+
+    /// Answer tuples of `query_id` arrived: the outputs to hand the client
+    /// (none for a finished query).
+    pub fn receive(&mut self, query_id: u64, tuples: Vec<Tuple>) -> impl Iterator<Item = PierOut> {
+        let tuples = match self.proxied.get_mut(&query_id) {
+            Some(entry) => {
+                entry.results += tuples.len() as u64;
+                tuples
+            }
+            None => Vec::new(),
+        };
+        let out = move |tuple| PierOut::Result { query_id, tuple };
+        tuples.into_iter().map(out)
+    }
+
+    /// One window's results arrived for `members`: the outputs to hand the
+    /// client, member by member, retractions before inserts.  A finished
+    /// member's rows are dropped — the others' are not — and no entry is
+    /// created for it.
+    pub fn receive_window(
+        &mut self,
+        window_start: SimTime,
+        window_end: SimTime,
+        members: Vec<MemberResults>,
+    ) -> Vec<PierOut> {
+        let rows = members.iter().map(|m| m.retracts.len() + m.inserts.len());
+        let mut out = Vec::with_capacity(rows.sum());
+        for m in members {
+            let Some(entry) = self.proxied.get_mut(&m.query_id) else {
+                continue;
+            };
+            entry.results += m.inserts.len() as u64;
+            let query_id = m.query_id;
+            let rows = m.retracts.into_iter().map(|t| (true, t));
+            let rows = rows.chain(m.inserts.into_iter().map(|t| (false, t)));
+            out.extend(rows.map(|(retract, tuple)| PierOut::WindowResult {
+                query_id,
+                window_start,
+                window_end,
+                retract,
+                tuple,
+            }));
+        }
+        out
+    }
+}
+
+/// `s`'s plan with the lifetime it has left at `now` (never 0): whoever
+/// installs it now ends with the proxy, not a full `timeout` later.
+fn remaining(s: &Standing, now: SimTime) -> QueryPlan {
+    let mut plan = s.plan.clone();
+    let elapsed = now.saturating_sub(s.submitted_at);
+    plan.timeout = plan.timeout.saturating_sub(elapsed).max(1);
+    plan
+}

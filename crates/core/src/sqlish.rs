@@ -23,8 +23,8 @@
 //!
 //! The windowing clauses register a *continuous* query (the `pier-cq`
 //! subsystem): `WINDOW` sets the window size (`SLIDE` defaults to tumbling),
-//! `EVERY` sets the soft-state renewal period the proxy re-disseminates the
-//! standing plan at, and `DELTAS` switches per-window output from snapshots
+//! `EVERY` sets the soft-state renewal period the proxy names the standing
+//! query on its lease roster at, and `DELTAS` switches per-window output from snapshots
 //! to insert/retract streams.  Durations accept `us`, `ms`, `s` and `m`
 //! suffixes (a bare number is seconds).
 //!

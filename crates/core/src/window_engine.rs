@@ -216,7 +216,7 @@ pub const OCCUPANCY_GAUGES: [&str; 6] = [
 pub struct Member {
     /// Where the member's results go.
     pub proxy: NodeAddr,
-    /// Soft-state lease, renewed by every re-dissemination.
+    /// Soft-state lease, renewed by every roster that names the member.
     pub lease: Lease,
     /// The member's emissions (and, for the lowest member, the engine's
     /// flushes) record spans.
@@ -348,7 +348,7 @@ impl WindowEngine {
         &self.members
     }
 
-    /// A member's lease, to renew when a re-dissemination arrives.
+    /// A member's lease, to renew when its proxy's roster names it.
     pub fn lease_mut(&mut self, query_id: u64) -> Option<&mut Lease> {
         self.members.get_mut(&query_id).map(|m| &mut m.lease)
     }

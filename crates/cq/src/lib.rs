@@ -22,9 +22,9 @@
 //!   per-window answer is derived from the shared accumulators at flush by
 //!   the caller, through the member's own [`delta::DeltaTracker`].
 //! * [`lifecycle`] — the soft-state continuous-query lifecycle: leases that
-//!   must be renewed by periodic re-dissemination (so a query dies everywhere
-//!   once its owner stops renewing, and reaches nodes that joined after it
-//!   was first disseminated), plus per-query budgets, jittered-exponential
+//!   must be renewed by the owner's periodic lease roster (so a query dies
+//!   everywhere once its owner stops renewing, and reaches nodes that joined
+//!   after it was first disseminated), plus per-query budgets, jittered-exponential
 //!   renewal backoff ([`lifecycle::RenewalBackoff`]) and the
 //!   restarted-vs-gone lease distinction ([`lifecycle::LeaseStatus`]).
 //! * [`segment`] — the durable half of recovery: an append-only
@@ -42,8 +42,8 @@
 //! ## Invariants
 //!
 //! * **Soft-state leases**: a standing query exists at a node only while
-//!   its [`Lease`] is live; leases extend solely through re-dissemination
-//!   by the query's owner ([`lifecycle`]).  An owner that stops renewing —
+//!   its [`Lease`] is live; leases extend solely through renewal by the
+//!   query's owner ([`lifecycle`]).  An owner that stops renewing —
 //!   or a node partitioned away from it — lets the lease lapse, and the
 //!   node uninstalls the query unilaterally.  There is no teardown
 //!   protocol; forgetting *is* the protocol.

@@ -2,13 +2,23 @@
 //!
 //! A standing query must not outlive its owner: PIER keeps *all* distributed
 //! state soft (§3.2.3), and continuous queries follow the same discipline.
-//! The query's proxy periodically **re-disseminates** the plan; every node
-//! holding the query treats each arrival as a lease renewal.  A node that
-//! misses renewals (partitioned away, or the owner went away) silently
-//! uninstalls the query when the lease expires.  Re-dissemination doubles as
-//! churn repair: nodes that joined — or restarted — after the original
-//! dissemination receive the plan on the next renewal round and join the
-//! computation.
+//! The plan crosses the network once; afterwards the query's proxy
+//! **renews it by name** — the broadcast form of the DHT's own `renew`
+//! (§3.2.4, Table 2: "a renew succeeds only if the item is already at the
+//! destination; if it fails, put it again").  Every round of the proxy's
+//! renewal clock broadcasts one *lease roster* listing all the standing
+//! queries it still owns; a node renews the [`Lease`] of each listed query
+//! it holds and pulls the plans of the ones it lacks from the proxy.  A node
+//! that misses renewals (partitioned away, or the owner went away — or
+//! simply stopped naming the query) silently uninstalls it when the lease
+//! expires.  The pull doubles as churn repair: a node that joined — or
+//! restarted — after the original dissemination lacks everything on the
+//! first roster it sees and joins the computation one round-trip later.
+//!
+//! [`RenewalBackoff`] is the renewal clock's schedule: one per *proxy*,
+//! retuned every round to the tightest of the standing queries it serves
+//! (base = the smallest `renew_every`, cap = the smallest `lease −
+//! renew_every/2`), so no backoff can stretch a gap past any lease.
 //!
 //! [`CqBudget`] is the per-query work/state bound every node enforces
 //! locally (PIQL-style bounded-work contracts): a continuous query may be
@@ -108,10 +118,10 @@ pub enum LeaseStatus {
     Gone,
 }
 
-/// Jittered exponential backoff for lease renewal / re-dissemination.
+/// Jittered exponential backoff for a proxy's lease-renewal rounds.
 ///
 /// A fixed renewal interval synchronises: after a partition heals, every
-/// proxy whose renewals were failing re-disseminates at the same instant and
+/// proxy whose renewals were failing broadcasts at the same instant and
 /// the burst congests exactly the links that just recovered.  This schedule
 /// instead draws each delay uniformly from `[d/2, d)` ("equal jitter") where
 /// `d = min(base << attempt, cap)`: renewals that keep failing spread out
@@ -120,7 +130,7 @@ pub enum LeaseStatus {
 /// The first no-progress round is **grace**, not failure: a healthy windowed
 /// query emits on its own `EVERY` cadence, and a renewal tick landing just
 /// before an emission tick routinely sees "no new results" for one round.
-/// Backing off on that phase misalignment would throttle re-dissemination —
+/// Backing off on that phase misalignment would throttle the rosters —
 /// the very mechanism that repairs churned-in nodes — so the delay only
 /// starts doubling on the *second* consecutive miss.  All randomness comes
 /// from the caller's [`Rng64`], so runs replay.
@@ -139,6 +149,16 @@ impl RenewalBackoff {
             cap: cap.max(base.max(1)),
             misses: 0,
         }
+    }
+
+    /// Move the schedule to a new base interval and cap, keeping the miss
+    /// count: a proxy's one renewal clock serves whichever standing queries
+    /// it owns *now*, and its bounds follow the tightest of them.
+    pub fn retune(&mut self, base: Duration, cap: Duration) {
+        *self = RenewalBackoff {
+            misses: self.misses,
+            ..RenewalBackoff::new(base, cap)
+        };
     }
 
     /// Escalations applied since the last reset (0 while in grace).
@@ -225,6 +245,22 @@ mod tests {
         b.reset();
         let back = b.next_delay(&mut rng);
         assert!((500..1_000).contains(&back));
+    }
+
+    #[test]
+    fn retuning_moves_the_bounds_and_keeps_the_misses() {
+        let mut rng = Rng64::new(7);
+        let mut b = RenewalBackoff::new(1_000, 16_000);
+        for _ in 0..3 {
+            b.escalate();
+        }
+        assert!((2_000..4_000).contains(&b.next_delay(&mut rng)));
+        // A tighter query arrived: same escalation, its bounds.
+        b.retune(100, 250);
+        assert_eq!(b.attempt(), 2);
+        assert!((125..250).contains(&b.next_delay(&mut rng)), "capped");
+        b.reset();
+        assert!((50..100).contains(&b.next_delay(&mut rng)));
     }
 
     #[test]

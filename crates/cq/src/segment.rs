@@ -1,7 +1,7 @@
 //! Append-only window-segment log: durable state for continuous queries.
 //!
 //! All window state in PIER is soft — it dies with the node, and soft-state
-//! re-dissemination repairs only the *plan*.  The segment log adds the
+//! renewal repairs only the *plan*.  The segment log adds the
 //! storage discipline the ROADMAP borrows from pre-built binary shards: a
 //! [`WindowStore`](crate::state::WindowStore) periodically appends a snapshot
 //! of its open windows as **length-prefixed, checksummed records**, and a

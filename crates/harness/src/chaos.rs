@@ -16,9 +16,9 @@
 //! 4. **storm** — a pre-drawn crash/restart storm kills durable nodes and
 //!    brings them back cold.  Because every node carries a
 //!    [`DurableStore`](pier_cq::DurableStore) "disk", the restarted nodes
-//!    rehydrate warm window segments when the next re-dissemination
-//!    re-installs the queries — the outcome records the rehydrated-window
-//!    evidence.
+//!    rehydrate warm window segments when the next lease roster makes
+//!    them pull the queries back — the outcome records the
+//!    rehydrated-window evidence.
 //!
 //! Every fault the simulator injects is mirrored into the netmon proxy's
 //! telemetry hub as a `fault.inject` / `partition.heal` trace event, so the
@@ -429,7 +429,7 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosOutcome {
         cluster.sim.run_for(tick);
     }
     // Drain: trailing windows close and travel; restarted nodes have had
-    // their re-dissemination and rehydration by the end.
+    // their roster, pull and rehydration by the end.
     let drain = window_spec.size + window_spec.grace + 4 * window_spec.slide + 10_000_000;
     cluster.sim.run_for(drain);
     let total_msgs = cluster.sim.stats().total_msgs;

@@ -194,9 +194,9 @@ impl Cluster {
 
     /// Restart a crashed node `i` at virtual time `at` with a *cold*
     /// program but its original identity and durable disk: the overlay
-    /// re-converges around the same ring position, and the next query
-    /// re-dissemination rehydrates warm windows from the surviving
-    /// segment logs.
+    /// re-converges around the same ring position, and the plans it pulls
+    /// after the next lease roster rehydrate warm windows from the
+    /// surviving segment logs.
     pub fn restart_node_at(&mut self, i: usize, at: SimTime) {
         let mut pier = self.pier.clone();
         pier.durable = self.durable[i].clone();

@@ -1,0 +1,851 @@
+//! Soft state per proxy, not per query.
+//!
+//! A proxy keeps its standing queries alive with **one lease roster per
+//! renewal round** — holders renew what they have and pull what they lack —
+//! and a window root answers with **one results message per (proxy,
+//! window)**.  Three layers of evidence:
+//!
+//! 1. the renewal schedule, on [`Proxy`] alone (no simulator): whatever
+//!    the submissions, finishes and progress, every live standing query is
+//!    named often enough for its lease, by one timer chain;
+//! 2. the protocol on a 12-node cluster: one tree broadcast per proxy per
+//!    round and nothing else, churn repair through one pull per proxy,
+//!    lapse by silence when a proxy stops;
+//! 3. the result path: a root tick sends at most one message per (proxy,
+//!    window), and bundling is invisible in what tenants receive.
+//!
+//! The cluster tests watch the wire through [`Tap`], a node program that
+//! wraps a `PierNode` and journals what each handler invocation sends.
+
+use pier::dht::{make_ring_refs, DhtMessage, Id, NodeRef};
+use pier::qp::{
+    sqlish, CqSpec, Dissemination, MemberResults, PierConfig, PierMsg, PierNode, PierOut,
+    PierTimer, Proxy, QpObject, QueryPlan, TelemetryConfig, Tuple, Value,
+};
+use pier::runtime::{Action, Context, NodeAddr, Program, Rng64, SimConfig, SimTime, Simulator};
+use proptest::prelude::*;
+use std::cell::RefCell;
+use std::collections::{BTreeMap, BTreeSet};
+use std::rc::Rc;
+
+mod common;
+use common::seeded;
+
+const SEC: u64 = 1_000_000;
+
+fn standing_plan(query_id: u64, renew_every: u64, life: u64, keyed: bool) -> QueryPlan {
+    let sql = "SELECT src, COUNT(*) FROM packets GROUP BY src WINDOW 1s SLIDE 1s";
+    let mut plan = sqlish::compile(sql, NodeAddr(0), life).expect("compiles");
+    plan.query_id = query_id;
+    plan.cq = Some(CqSpec::renewing_every(renew_every));
+    if keyed {
+        plan.dissemination = Dissemination::ByKey {
+            namespace: "packets".into(),
+            key: "k".into(),
+        };
+    }
+    plan
+}
+
+// ----- (i) the schedule, on `Proxy` alone ------------------------------------
+
+/// One standing query of a schedule run.
+#[derive(Debug)]
+struct Live {
+    renew_every: u64,
+    ends_at: SimTime,
+    keyed: bool,
+    /// When a holder's lease was last extended: the submission, then every
+    /// round that named the query.
+    named_at: SimTime,
+}
+
+impl Live {
+    /// The longest the proxy may leave this query unnamed.
+    fn max_gap(&self) -> u64 {
+        3 * self.renew_every - self.renew_every / 2
+    }
+}
+
+/// One inserted row for `query_id`, as a window root would report it.
+fn one_row(query_id: u64) -> MemberResults {
+    MemberResults {
+        query_id,
+        retracts: vec![],
+        inserts: vec![Tuple::new("r", vec![("v", Value::Int(1))])],
+        trace: None,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Drive a `Proxy` the way the runtime does — timers are never
+    /// cancelled, every one ever armed fires — through random submissions
+    /// and finishes with arbitrary per-round progress.
+    #[test]
+    fn every_live_standing_query_is_named_inside_its_lease(
+        submissions in proptest::collection::vec(
+            ((0u64..40 * SEC, 1u64..31), (2u64..150, any::<bool>())),
+            1..14,
+        ),
+        progress in proptest::collection::vec(any::<bool>(), 1..12),
+        rng_seed: u64,
+    ) {
+        let mut rng = Rng64::new(seeded(rng_seed));
+        let mut proxy = Proxy::default();
+        let mut live: BTreeMap<u64, Live> = BTreeMap::new();
+        let mut timers: Vec<SimTime> = Vec::new();
+        let mut now = 0;
+        let mut submits = Vec::new();
+        for (i, ((gap, renew_secs), (life_secs, keyed))) in submissions.into_iter().enumerate() {
+            now += gap;
+            // One in four is keyed: re-sent whole, never on the roster.
+            let keyed = keyed && i % 2 == 0;
+            submits.push((now, i as u64 + 1, renew_secs * SEC, life_secs * SEC, keyed));
+        }
+        submits.reverse();
+        let mut rounds = 0usize;
+        loop {
+            // The earliest of: next finish, next submission, next timer.
+            let submit_at = submits.last().map(|s| s.0);
+            let finish = live.iter().map(|(id, q)| (q.ends_at, *id)).min();
+            let timer = timers.iter().copied().min();
+            let next = [finish.map(|f| f.0), submit_at, timer];
+            let Some(at) = next.into_iter().flatten().min() else {
+                break;
+            };
+            now = at;
+            if let Some((_, id)) = finish.filter(|f| f.0 == now) {
+                let q = live.remove(&id).expect("live");
+                prop_assert!(
+                    now - q.named_at < q.max_gap(),
+                    "query {id} ended after {} unnamed", now - q.named_at
+                );
+                prop_assert!(proxy.done(id));
+                prop_assert!(!proxy.done(id), "done twice");
+                prop_assert_eq!(
+                    proxy.next_round_at().is_some(),
+                    !live.is_empty(),
+                    "the clock is armed exactly while a standing query lives"
+                );
+            } else if submit_at == Some(now) {
+                let (_, id, renew_every, life, keyed) = submits.pop().expect("checked");
+                let was_due = proxy.next_round_at();
+                let arm = proxy.submit(&standing_plan(id, renew_every, life, keyed), now);
+                let due = proxy.next_round_at().expect("a standing submit arms the clock");
+                prop_assert!(due <= now + renew_every, "a first round within renew_every");
+                match arm {
+                    Some(delay) => {
+                        prop_assert_eq!(due, now + delay);
+                        prop_assert!(was_due.is_none_or(|at| at > due), "armed for no reason");
+                        timers.push(due);
+                    }
+                    None => prop_assert_eq!(Some(due), was_due),
+                }
+                // Its stream has started: from here on, progress is what
+                // the rounds below say it is.
+                prop_assert_eq!(proxy.receive_window(0, SEC, vec![one_row(id)]).len(), 1);
+                let named_at = now;
+                let ends_at = now + life;
+                live.insert(id, Live { renew_every, ends_at, keyed, named_at });
+            } else {
+                let at = timers.iter().position(|t| *t == now).expect("checked");
+                timers.swap_remove(at);
+                let due = proxy.next_round_at();
+                // Arbitrary progress: some rounds see fresh rows, some none.
+                if progress[rounds % progress.len()] {
+                    if let Some(&id) = live.keys().next() {
+                        prop_assert_eq!(proxy.receive_window(0, SEC, vec![one_row(id)]).len(), 1);
+                    }
+                }
+                let round = proxy.renew_round(now, &mut rng);
+                let Some(delay) = round.next_delay else {
+                    // A stale timer: the clock was disarmed, or re-armed
+                    // for an earlier round, after this one was set.
+                    prop_assert!(due.is_none_or(|d| now < d), "a due round must run");
+                    prop_assert!(round.roster.is_empty() && round.resend.is_empty());
+                    continue;
+                };
+                rounds += 1;
+                prop_assert_eq!(due, Some(now), "only the due timer runs a round");
+                prop_assert_eq!(proxy.next_round_at(), Some(now + delay));
+                timers.push(now + delay);
+                prop_assert!(
+                    round.roster.windows(2).all(|w| w[0] < w[1]),
+                    "ascending, duplicate-free: {:?}", round.roster
+                );
+                let named: BTreeSet<u64> = round.roster.iter().copied().collect();
+                let resent: BTreeMap<u64, &QueryPlan> =
+                    round.resend.iter().map(|p| (p.query_id, p)).collect();
+                prop_assert_eq!(resent.len(), round.resend.len());
+                prop_assert_eq!(named.len() + resent.len(), live.len(), "only the live are named");
+                for (id, q) in &mut live {
+                    prop_assert_eq!(named.contains(id), !q.keyed, "query {}", id);
+                    if let Some(plan) = resent.get(id) {
+                        prop_assert_eq!(plan.timeout, q.ends_at - now, "the remaining lifetime");
+                    }
+                    prop_assert!(
+                        now - q.named_at < q.max_gap(),
+                        "query {id} (renew {}) went {} unnamed", q.renew_every, now - q.named_at
+                    );
+                    q.named_at = now;
+                }
+                // A pull is served with the remaining lifetime, too.
+                for plan in proxy.plans_for(&round.roster, now) {
+                    prop_assert_eq!(plan.timeout, live[&plan.query_id].ends_at - now);
+                }
+            }
+        }
+        prop_assert!(proxy.is_empty() && proxy.next_round_at().is_none());
+    }
+}
+
+#[test]
+fn an_id_submitted_again_starts_over() {
+    let plan = standing_plan(7, 5 * SEC, 60 * SEC, false);
+    let mut proxy = Proxy::default();
+    assert_eq!(proxy.submit(&plan, 0), Some(5 * SEC));
+    assert_eq!(proxy.submit(&plan, SEC), Some(5 * SEC), "a fresh clock");
+    assert_eq!((proxy.len(), proxy.next_round_at()), (1, Some(6 * SEC)));
+    let stale = proxy.renew_round(5 * SEC, &mut Rng64::new(1));
+    assert!(stale.next_delay.is_none() && stale.roster.is_empty());
+    let plans = proxy.plans_for(&[7], 2 * SEC);
+    assert_eq!(
+        plans[0].timeout,
+        59 * SEC,
+        "the second submission's lifetime"
+    );
+    assert!(proxy.done(7));
+    assert_eq!(proxy.next_round_at(), None, "one entry, one standing query");
+}
+
+// ----- the wire tap -----------------------------------------------------------
+
+/// What the tests want to know about a message.
+#[derive(Debug, Clone, PartialEq)]
+enum Wire {
+    /// A tree broadcast hop carrying a whole plan.
+    TreePlan,
+    /// A tree broadcast hop carrying `proxy`'s roster; `depth` is `None` on
+    /// the way up, the depth below the root on the way down.
+    TreeRoster {
+        proxy: NodeAddr,
+        queries: Vec<u64>,
+        depth: Option<u32>,
+    },
+    PlanRequest(Vec<u64>),
+    Plans(Vec<u64>),
+    /// `(window_start, window_end)`, the members named, and whether every
+    /// row inside belongs to that window.
+    WindowResults((SimTime, SimTime), Vec<u64>, bool),
+}
+
+fn classify(msg: &PierMsg) -> Option<Wire> {
+    let tree = |payload: &QpObject, depth: Option<u32>| match payload {
+        QpObject::Plan(_) => Some(Wire::TreePlan),
+        QpObject::Renew { proxy, queries } => Some(Wire::TreeRoster {
+            proxy: *proxy,
+            queries: queries.clone(),
+            depth,
+        }),
+        _ => None,
+    };
+    match msg {
+        PierMsg::Dht(DhtMessage::TreeBroadcastUp { payload, .. }) => tree(payload, None),
+        PierMsg::Dht(DhtMessage::TreeBroadcastDown { payload, depth, .. }) => {
+            tree(payload, Some(*depth))
+        }
+        PierMsg::PlanRequest { queries } => Some(Wire::PlanRequest(queries.clone())),
+        PierMsg::Plans { plans } => Some(Wire::Plans(plans.iter().map(|p| p.query_id).collect())),
+        PierMsg::WindowResults {
+            window_start,
+            window_end,
+            members,
+        } => {
+            let bounds = [
+                Value::Int(*window_start as i64),
+                Value::Int(*window_end as i64),
+            ];
+            let in_window = |t: &Tuple| t.values()[..2] == bounds;
+            let rows = |m: &MemberResults| m.retracts.iter().chain(&m.inserts).all(in_window);
+            Some(Wire::WindowResults(
+                (*window_start, *window_end),
+                members.iter().map(|m| m.query_id).collect(),
+                members.iter().all(rows),
+            ))
+        }
+        _ => None,
+    }
+}
+
+/// One journalled send.
+#[derive(Debug, Clone)]
+struct Sent {
+    at: SimTime,
+    from: NodeAddr,
+    to: NodeAddr,
+    /// Ordinal of the handler invocation that sent it (cluster-wide).
+    invocation: u64,
+    /// The invocation was a timer handler.
+    on_timer: bool,
+    wire: Wire,
+}
+
+#[derive(Debug, Default)]
+struct Journal {
+    sent: Vec<Sent>,
+    invocations: u64,
+}
+
+type Ctx = Context<PierMsg, PierTimer, PierOut>;
+
+/// A `PierNode` whose sends are journalled, handler invocation by handler
+/// invocation.
+struct Tap {
+    node: PierNode,
+    journal: Rc<RefCell<Journal>>,
+}
+
+impl Tap {
+    fn run(&mut self, ctx: &mut Ctx, on_timer: bool, f: impl FnOnce(&mut PierNode, &mut Ctx)) {
+        let mut inner = Context::new(ctx.now(), ctx.me());
+        f(&mut self.node, &mut inner);
+        let mut journal = self.journal.borrow_mut();
+        journal.invocations += 1;
+        let invocation = journal.invocations;
+        for action in inner.into_actions() {
+            match action {
+                Action::Send { to, msg } => {
+                    if let Some(wire) = classify(&msg) {
+                        journal.sent.push(Sent {
+                            at: ctx.now(),
+                            from: ctx.me(),
+                            to,
+                            invocation,
+                            on_timer,
+                            wire,
+                        });
+                    }
+                    ctx.send(to, msg);
+                }
+                Action::SetTimer { delay, timer } => ctx.set_timer(delay, timer),
+                Action::Output(out) => ctx.output(out),
+            }
+        }
+    }
+}
+
+impl Program for Tap {
+    type Msg = PierMsg;
+    type Timer = PierTimer;
+    type Out = PierOut;
+
+    fn on_start(&mut self, ctx: &mut Ctx) {
+        self.run(ctx, false, Program::on_start);
+    }
+
+    fn on_message(&mut self, ctx: &mut Ctx, from: NodeAddr, msg: PierMsg) {
+        self.run(ctx, false, |node, ctx| node.on_message(ctx, from, msg));
+    }
+
+    fn on_timer(&mut self, ctx: &mut Ctx, timer: PierTimer) {
+        self.run(ctx, true, |node, ctx| node.on_timer(ctx, timer));
+    }
+
+    fn on_stop(&mut self, ctx: &mut Ctx) {
+        self.run(ctx, false, Program::on_stop);
+    }
+}
+
+/// A LAN cluster of tapped nodes on a converged ring, its distribution
+/// tree warm.
+struct TapCluster {
+    sim: Simulator<Tap>,
+    refs: Vec<NodeRef>,
+    pier: PierConfig,
+    journal: Rc<RefCell<Journal>>,
+}
+
+impl TapCluster {
+    fn start(nodes: usize, seed: u64, mut pier: PierConfig) -> TapCluster {
+        pier.telemetry = TelemetryConfig::enabled();
+        pier.overlay.router.liveness_timeout = 3 * SEC;
+        let refs = make_ring_refs(nodes, seed);
+        let journal = Rc::new(RefCell::new(Journal::default()));
+        let mut sim = Simulator::new(SimConfig::lan(seed));
+        for r in &refs {
+            sim.add_node(Tap {
+                node: PierNode::with_static_ring(*r, &refs, pier.clone()),
+                journal: Rc::clone(&journal),
+            });
+        }
+        sim.run_for(6 * SEC);
+        TapCluster {
+            sim,
+            refs,
+            pier,
+            journal,
+        }
+    }
+
+    fn submit(&mut self, proxy: NodeAddr, plan: QueryPlan) -> u64 {
+        let mut query_id = 0;
+        self.sim.invoke(proxy, |tap, ctx| {
+            tap.run(ctx, false, |node, ctx| {
+                query_id = node.submit_query(ctx, plan);
+            });
+        });
+        query_id
+    }
+
+    /// Boot one more node; it joins the distribution tree on its own.
+    fn join(&mut self, id: u64) -> NodeAddr {
+        let me = NodeRef {
+            id: Id(id),
+            addr: NodeAddr(self.sim.node_count() as u32),
+        };
+        let mut ring = self.refs.clone();
+        ring.push(me);
+        self.sim.add_node(Tap {
+            node: PierNode::with_static_ring(me, &ring, self.pier.clone()),
+            journal: Rc::clone(&self.journal),
+        })
+    }
+
+    fn node(&self, addr: NodeAddr) -> &PierNode {
+        &self.sim.node(addr).expect("alive").node
+    }
+
+    fn counter(&self, addr: NodeAddr, name: &str) -> u64 {
+        self.node(addr).telemetry().counter(name)
+    }
+
+    /// Forget what was sent so far.
+    fn clear(&mut self) {
+        self.journal.borrow_mut().sent.clear();
+    }
+
+    fn sent(&self) -> Vec<Sent> {
+        self.journal.borrow().sent.clone()
+    }
+}
+
+// ----- (ii) the roster protocol on a cluster ----------------------------------
+
+/// 40 standing broadcast queries, `EVERY 5s`, on proxies 0, 1 and 2 of a
+/// 12-node cluster: the queries of each proxy, and the cluster.
+fn forty_on_three(seed: u64) -> (TapCluster, BTreeMap<NodeAddr, Vec<u64>>) {
+    let mut cluster = TapCluster::start(12, seed, PierConfig::default());
+    let mut owned: BTreeMap<NodeAddr, Vec<u64>> = BTreeMap::new();
+    let sql = "SELECT src, COUNT(*) FROM packets GROUP BY src WINDOW 2s SLIDE 1s EVERY 5s";
+    for i in 0..40 {
+        let proxy = cluster.refs[i % 3].addr;
+        let plan = sqlish::compile(sql, proxy, 400 * SEC).expect("compiles");
+        let id = cluster.submit(proxy, plan);
+        owned.entry(proxy).or_default().push(id);
+        // Spread the submissions so a round finds queries of every age.
+        cluster.sim.run_for(SEC / 20);
+    }
+    cluster.sim.run_for(SEC);
+    for addr in cluster.sim.alive_nodes() {
+        assert_eq!(cluster.node(addr).installed_queries(), 40, "{addr}");
+    }
+    (cluster, owned)
+}
+
+#[test]
+fn one_tree_broadcast_per_proxy_per_round_keeps_every_lease_live() {
+    let (mut cluster, owned) = forty_on_three(seeded(0x20));
+    cluster.clear();
+    let begin = cluster.sim.now();
+    cluster.sim.run_for(50 * SEC); // ten periods
+    let nodes = cluster.sim.alive_nodes();
+    for addr in &nodes {
+        let node = cluster.node(*addr);
+        assert_eq!(node.installed_queries(), 40, "{addr} dropped a query");
+        for id in owned.values().flatten() {
+            let renewals = node.cq_diagnostics(*id).expect("installed").lease_renewals;
+            assert!((9..=21).contains(&renewals), "{addr} q{id}: {renewals}");
+        }
+        assert_eq!(
+            cluster.counter(*addr, "cq.plan_pulls"),
+            0,
+            "no churn, no pull"
+        );
+    }
+
+    let sent = cluster.sent();
+    assert!(
+        sent.iter()
+            .all(|s| matches!(s.wire, Wire::TreeRoster { .. })),
+        "renewal puts rosters on the wire and nothing else — no plan, no pull"
+    );
+    for (proxy, ids) in &owned {
+        let of_proxy =
+            |s: &&Sent| matches!(&s.wire, Wire::TreeRoster { proxy: p, .. } if p == proxy);
+        let hops: Vec<&Sent> = sent.iter().filter(of_proxy).collect();
+        // A round starts in the proxy's timer handler, once.
+        let origins: BTreeMap<u64, SimTime> = hops
+            .iter()
+            .filter(|s| s.on_timer && s.from == *proxy)
+            .map(|s| (s.invocation, s.at))
+            .collect();
+        let rounds = cluster.counter(*proxy, "cq.roster_rounds") as usize;
+        assert_eq!(origins.len(), rounds, "one broadcast per round of {proxy}");
+        assert!(
+            (10..=20).contains(&rounds),
+            "{rounds} rounds in ten periods"
+        );
+        let starts: Vec<SimTime> = origins.values().copied().collect();
+        for gap in starts.windows(2).map(|w| w[1] - w[0]) {
+            assert!((5 * SEC / 2..5 * SEC).contains(&gap), "gap {gap}");
+        }
+        // Every roster names exactly the proxy's queries, ascending…
+        for hop in &hops {
+            let Wire::TreeRoster { queries, .. } = &hop.wire else {
+                unreachable!()
+            };
+            assert_eq!(queries, ids, "{proxy}'s roster");
+            assert!(queries.windows(2).all(|w| w[0] < w[1]));
+        }
+        // …and reaches every node below the root exactly once per round
+        // (rounds still in flight at the cut are left out).
+        for (i, start) in starts.iter().enumerate() {
+            if *start + SEC > begin + 50 * SEC {
+                continue;
+            }
+            let until = starts.get(i + 1).copied().unwrap_or(SimTime::MAX);
+            let mut reached: Vec<NodeAddr> = hops
+                .iter()
+                .filter(|s| s.at >= *start && s.at < until)
+                .filter(|s| matches!(s.wire, Wire::TreeRoster { depth: Some(_), .. }))
+                .map(|s| s.to)
+                .collect();
+            reached.sort();
+            let before = reached.len();
+            reached.dedup();
+            assert_eq!(before, reached.len(), "a node got one round twice");
+            assert_eq!(reached.len(), nodes.len() - 1, "round at {start}");
+        }
+    }
+}
+
+#[test]
+fn a_joined_node_pulls_each_proxys_plans_once_and_a_stopped_proxys_queries_lapse() {
+    let (mut cluster, owned) = forty_on_three(seeded(0x21));
+    cluster.sim.run_for(7 * SEC);
+    cluster.clear();
+    let joined = cluster.join(seeded(0x5EED_0001));
+    // Half a tree-refresh interval to join the tree, one round of every
+    // proxy, one round trip.
+    cluster.sim.run_for(5 * SEC + 5 * SEC + SEC / 2);
+    assert_eq!(cluster.node(joined).installed_queries(), 40);
+    cluster.sim.run_for(10 * SEC);
+    let sent = cluster.sent();
+    let pulls: BTreeMap<NodeAddr, &Vec<u64>> = sent
+        .iter()
+        .filter_map(|s| match &s.wire {
+            Wire::PlanRequest(ids) => Some((s.from, s.to, ids)),
+            _ => None,
+        })
+        .map(|(from, to, ids)| {
+            assert_eq!(from, joined, "only the new node lacks anything");
+            (to, ids)
+        })
+        .collect();
+    let replies: Vec<(NodeAddr, &Vec<u64>)> = sent
+        .iter()
+        .filter_map(|s| match &s.wire {
+            Wire::Plans(ids) => Some((s.from, s.to, ids)),
+            _ => None,
+        })
+        .map(|(from, to, ids)| {
+            assert_eq!(to, joined);
+            (from, ids)
+        })
+        .collect();
+    assert_eq!(
+        cluster.counter(joined, "cq.plan_pulls"),
+        3,
+        "one pull per proxy"
+    );
+    assert_eq!(replies.len(), 3, "one reply per proxy");
+    for (proxy, ids) in &owned {
+        assert_eq!(pulls[proxy], ids, "the pull names all of {proxy}'s queries");
+        assert!(
+            replies.contains(&(*proxy, ids)),
+            "and {proxy} serves them all"
+        );
+        assert_eq!(cluster.counter(*proxy, "cq.plans_served"), ids.len() as u64);
+    }
+    assert!(
+        !sent.iter().any(|s| s.wire == Wire::TreePlan),
+        "no plan is re-broadcast"
+    );
+
+    // Stop proxy 0: nobody tears its queries down, they lapse.
+    let stopped = cluster.refs[0].addr;
+    let lost = owned[&stopped].len();
+    let now = cluster.sim.now();
+    cluster.sim.fail_node_at(stopped, now);
+    cluster.sim.run_for(8 * SEC);
+    for addr in cluster.sim.alive_nodes() {
+        assert_eq!(
+            cluster.node(addr).installed_queries(),
+            40,
+            "{addr}: the leases (15 s) have not run out yet"
+        );
+    }
+    // Past the lease — and past whatever the failure did to the tree:
+    // a node that lost the other proxies' rosters for a while has pulled
+    // their queries back.
+    cluster.sim.run_for(32 * SEC);
+    for addr in cluster.sim.alive_nodes() {
+        let node = cluster.node(addr);
+        assert_eq!(node.installed_queries(), 40 - lost, "{addr}");
+        for id in &owned[&stopped] {
+            assert!(
+                node.cq_diagnostics(*id).is_none(),
+                "{addr} still runs q{id}"
+            );
+        }
+    }
+}
+
+#[test]
+fn a_late_installer_ends_with_the_proxy() {
+    let mut cluster = TapCluster::start(8, seeded(0x22), PierConfig::default());
+    let proxy = cluster.refs[0].addr;
+    let sql = "SELECT src, COUNT(*) FROM packets GROUP BY src WINDOW 2s SLIDE 1s EVERY 5s";
+    let plan = sqlish::compile(sql, proxy, 30 * SEC).expect("compiles");
+    let submitted = cluster.sim.now();
+    let id = cluster.submit(proxy, plan);
+    // Booted 14 s into the query, in the distribution tree 5 s later, the
+    // new node meets its first roster — and pulls — some 20 s into it.
+    cluster.sim.run_until(submitted + 14 * SEC);
+    let joined = cluster.join(seeded(0x5EED_0002));
+    let installed = |c: &TapCluster| c.node(joined).cq_diagnostics(id).is_some();
+    cluster.sim.run_until(submitted + 19 * SEC);
+    assert!(
+        !installed(&cluster),
+        "nothing reaches a node outside the tree"
+    );
+    cluster.sim.run_until(submitted + 25 * SEC);
+    assert!(installed(&cluster), "the new node picked the query up");
+    assert_eq!(cluster.counter(joined, "cq.plan_pulls"), 1);
+    // `Done` at submitted + 30 s; one slide (1 s) later the late installer
+    // is out too — not a lease (15 s) later.
+    cluster.sim.run_until(submitted + 31 * SEC);
+    let done = cluster.sim.outputs().iter().any(|o| {
+        matches!(o.value, PierOut::Done { query_id } if query_id == id)
+            && o.time == submitted + 30 * SEC
+    });
+    assert!(done, "the proxy reported Done on time");
+    assert!(
+        !installed(&cluster),
+        "the late installer outlived the query"
+    );
+    assert_eq!(cluster.node(joined).installed_queries(), 0);
+}
+
+#[test]
+fn a_stalled_stream_backs_the_proxys_one_clock_off_and_every_lease_stays_live() {
+    let mut cluster = TapCluster::start(6, seeded(0x24), PierConfig::default());
+    let proxy = cluster.refs[0].addr;
+    let sql = "SELECT src, COUNT(*) FROM packets GROUP BY src WINDOW 1s SLIDE 1s EVERY 2s";
+    for _ in 0..2 {
+        let plan = sqlish::compile(sql, proxy, 200 * SEC).expect("compiles");
+        cluster.submit(proxy, plan);
+    }
+    // Four seconds of stream start both answers flowing; then silence.
+    for _ in 0..16 {
+        let now = cluster.sim.now();
+        let row = Tuple::new(
+            "packets",
+            vec![("src", Value::str("a")), ("ts", Value::Int(now as i64))],
+        );
+        cluster.sim.invoke(proxy, |tap, ctx| {
+            tap.run(ctx, false, |node, ctx| node.ingest(ctx, "packets", row));
+        });
+        cluster.sim.run_for(SEC / 4);
+    }
+    cluster.sim.run_for(60 * SEC);
+    let backoffs: Vec<Vec<(&str, String)>> = cluster
+        .node(proxy)
+        .telemetry()
+        .with(|hub| {
+            let events = hub.trace().filter(|e| e.kind == "lease.backoff");
+            events.map(|e| e.fields.clone()).collect()
+        })
+        .expect("telemetry on");
+    assert!(
+        backoffs.len() >= 3,
+        "a stalled stream escalates: {backoffs:?}"
+    );
+    for fields in &backoffs {
+        let names: Vec<&str> = fields.iter().map(|f| f.0).collect();
+        assert_eq!(
+            names,
+            ["queries", "attempt", "delay"],
+            "per proxy, not per query"
+        );
+        assert_eq!(fields[0].1, "2", "both standing queries ride the one clock");
+        let delay: u64 = fields[2].1.parse().expect("a duration");
+        assert!(
+            delay < 5 * SEC,
+            "capped below lease − renew_every/2, got {delay}"
+        );
+    }
+    // Fewer rounds than the base interval would have run, none too late.
+    let rounds = cluster.counter(proxy, "cq.roster_rounds");
+    assert!(
+        (12..32).contains(&rounds),
+        "{rounds} rounds in 64 s of EVERY 2s"
+    );
+    for addr in cluster.sim.alive_nodes() {
+        assert_eq!(
+            cluster.node(addr).installed_queries(),
+            2,
+            "{addr} let a lease lapse"
+        );
+    }
+}
+
+// ----- (iii) one results message per (proxy, window) ---------------------------
+
+/// Final rows per (query, window) at the tenants' proxies: the last
+/// emission of a window wins (these queries emit snapshots).
+type Answers = BTreeMap<(u64, SimTime, SimTime), Vec<String>>;
+
+/// 16 constant-varied tenants on proxies 0, 1, 2 of an 8-node cluster over
+/// a 26 s stream; returns the tenants' ids, their answers and the journal.
+fn sixteen_tenants(seed: u64, sharing: bool) -> (Vec<u64>, Answers, Vec<Sent>, SimTime) {
+    let mut pier = PierConfig::default();
+    if sharing {
+        pier.sharing = Some(pier::mqo::layer);
+    }
+    let mut cluster = TapCluster::start(8, seed, pier);
+    let mut ids = Vec::new();
+    for tenant in 0..16 {
+        let proxy = cluster.refs[tenant % 3].addr;
+        let sql = format!(
+            "SELECT src, COUNT(*) FROM packets WHERE src = '10.0.0.{tenant}' \
+             GROUP BY src WINDOW 2s SLIDE 1s EVERY 5s"
+        );
+        let plan = sqlish::compile(&sql, proxy, 60 * SEC).expect("compiles");
+        ids.push(cluster.submit(proxy, plan));
+    }
+    cluster.sim.run_for(SEC);
+    cluster.clear();
+    let _ = cluster.sim.drain_outputs();
+    let begin = cluster.sim.now();
+    let mut rng = Rng64::new(seed ^ 0x57EA);
+    while cluster.sim.now() < begin + 26 * SEC {
+        let now = cluster.sim.now();
+        for addr in cluster.sim.alive_nodes() {
+            for _ in 0..3 {
+                // Four sources in twenty belong to no tenant.
+                let row = Tuple::new(
+                    "packets",
+                    vec![
+                        ("src", Value::str(format!("10.0.0.{}", rng.next_below(20)))),
+                        ("ts", Value::Int(now as i64)),
+                    ],
+                );
+                cluster.sim.invoke(addr, |tap, ctx| {
+                    tap.run(ctx, false, |node, ctx| node.ingest(ctx, "packets", row));
+                });
+            }
+        }
+        cluster.sim.run_for(SEC / 4);
+    }
+    cluster.sim.run_for(8 * SEC);
+    let mut answers: BTreeMap<(u64, SimTime, SimTime), (SimTime, Vec<String>)> = BTreeMap::new();
+    for out in cluster.sim.drain_outputs() {
+        let PierOut::WindowResult {
+            query_id,
+            window_start,
+            window_end,
+            retract: false,
+            tuple,
+        } = out.value
+        else {
+            continue;
+        };
+        let slot = answers
+            .entry((query_id, window_start, window_end))
+            .or_default();
+        if slot.0 != out.time {
+            *slot = (out.time, Vec::new());
+        }
+        slot.1.push(tuple.to_string());
+    }
+    let answers = answers
+        .into_iter()
+        .map(|(k, (_, rows))| (k, rows))
+        .collect();
+    (ids, answers, cluster.sent(), begin)
+}
+
+#[test]
+fn a_root_tick_sends_one_results_message_per_proxy_and_window_and_tenants_see_no_difference() {
+    let seed = seeded(0x23);
+    let (ids, shared, sent, begin) = sixteen_tenants(seed, true);
+    let (ids_alone, independent, _, begin_alone) = sixteen_tenants(seed, false);
+    assert_eq!(
+        (&ids, begin),
+        (&ids_alone, begin_alone),
+        "same seed, same run"
+    );
+
+    // The wire: per handler invocation (a root's tick), one message per
+    // (proxy, window); every row inside a message is of its window.
+    let mut per_tick: BTreeMap<u64, Vec<(NodeAddr, SimTime)>> = BTreeMap::new();
+    let (mut messages, mut members) = (0usize, 0usize);
+    for s in &sent {
+        let Wire::WindowResults(window, named, rows_in_window) = &s.wire else {
+            continue;
+        };
+        assert!(s.on_timer, "results leave from a tick");
+        assert!(rows_in_window, "a message carries one window's rows only");
+        assert!(
+            named.windows(2).all(|w| w[0] < w[1]),
+            "members once, ascending"
+        );
+        per_tick
+            .entry(s.invocation)
+            .or_default()
+            .push((s.to, window.0));
+        messages += 1;
+        members += named.len();
+    }
+    for (tick, mut bundles) in per_tick {
+        let sends = bundles.len();
+        bundles.sort();
+        bundles.dedup();
+        assert_eq!(sends, bundles.len(), "tick {tick} split a (proxy, window)");
+    }
+    assert!(
+        members >= 3 * messages,
+        "bundling must be exercised: {members} member results in {messages} messages"
+    );
+
+    // The answers: every tenant, every window that opened after the group
+    // settled and was fully refined before the stream stopped.
+    let span = |a: &Answers| -> Answers {
+        a.iter()
+            .filter(|((_, start, end), _)| *start >= begin + 3 * SEC && *end <= begin + 24 * SEC)
+            .map(|(k, rows)| (*k, rows.clone()))
+            .collect()
+    };
+    let (shared, independent) = (span(&shared), span(&independent));
+    assert_eq!(shared, independent, "bundled and per-query results differ");
+    for id in &ids {
+        let windows = shared.keys().filter(|(q, _, _)| q == id).count();
+        assert!(
+            windows >= 18,
+            "tenant q{id} compared over {windows} windows only"
+        );
+    }
+}

@@ -1,11 +1,11 @@
 //! Proxy-side query state lives from `submit_query` to `Done` and no
-//! longer: a finished query leaves nothing behind at its proxy, and a
-//! result that straggles in after `Done` is dropped without resurrecting
-//! the entry.
+//! longer: a finished query leaves nothing behind at its proxy, and neither
+//! a result that straggles in after `Done` nor a pull for its plan
+//! resurrects the entry.
 
 use pier::harness::{Cluster, ClusterConfig};
-use pier::qp::{sqlish, PierMsg, PierNode, PierOut, Tuple, Value};
-use pier::runtime::{Context, NodeAddr, Program};
+use pier::qp::{sqlish, MemberResults, PierMsg, PierNode, PierOut, Tuple, Value};
+use pier::runtime::{Action, Context, NodeAddr, Program};
 
 const SEC: u64 = 1_000_000;
 
@@ -14,6 +14,20 @@ fn proxied(cluster: &Cluster) -> usize {
         .filter_map(|i| cluster.sim.node(cluster.addr(i)))
         .map(PierNode::proxied_queries)
         .sum()
+}
+
+fn row() -> Tuple {
+    Tuple::new("readings", vec![("v", Value::Int(1))])
+}
+
+/// One inserted row for `query_id`, as a window root would report it.
+fn member(query_id: u64) -> MemberResults {
+    MemberResults {
+        query_id,
+        retracts: vec![],
+        inserts: vec![row()],
+        trace: None,
+    }
 }
 
 fn done_count(cluster: &mut Cluster) -> usize {
@@ -70,7 +84,6 @@ fn a_result_after_done_is_dropped_and_does_not_resurrect_the_entry() {
     // Hand the proxy a snapshot result and a window result, as a remote
     // node would, and count what reaches the client.
     let deliver = |cluster: &mut Cluster| -> usize {
-        let row = || Tuple::new("readings", vec![("v", Value::Int(1))]);
         let now = cluster.sim.now();
         cluster
             .sim
@@ -82,12 +95,9 @@ fn a_result_after_done_is_dropped_and_does_not_resurrect_the_entry() {
                     &mut ctx,
                     NodeAddr(1),
                     PierMsg::WindowResults {
-                        query_id,
                         window_start: 0,
                         window_end: SEC,
-                        retracts: vec![],
-                        inserts: vec![row()],
-                        trace: None,
+                        members: vec![member(query_id)],
                     },
                 );
                 ctx.pending()
@@ -104,4 +114,90 @@ fn a_result_after_done_is_dropped_and_does_not_resurrect_the_entry() {
     assert_eq!(done_count(&mut cluster), 1);
     assert_eq!(deliver(&mut cluster), 0, "late results are suppressed");
     assert_eq!(proxied(&cluster), 0, "and the entry stays gone");
+}
+
+/// Two standing queries at one proxy, the shorter-lived already `Done`:
+/// what the proxy does with a message naming both.
+fn one_live_one_finished(seed: u64) -> (Cluster, NodeAddr, u64, u64) {
+    let mut cluster = Cluster::start(&ClusterConfig::lan(3, seed));
+    let proxy = cluster.addr(0);
+    let sql = "SELECT src, COUNT(*) FROM packets GROUP BY src WINDOW 1s SLIDE 1s EVERY 1s";
+    let mut ids = [0; 2];
+    for (id, life) in ids.iter_mut().zip([SEC, 30 * SEC]) {
+        let plan = sqlish::compile(sql, proxy, life).expect("compiles");
+        cluster
+            .sim
+            .invoke(proxy, |node, ctx| *id = node.submit_query(ctx, plan));
+    }
+    cluster.sim.run_for(2 * SEC);
+    assert_eq!(done_count(&mut cluster), 1, "the short query is done");
+    (cluster, proxy, ids[0], ids[1])
+}
+
+#[test]
+fn a_bundle_naming_a_finished_member_delivers_the_live_member_only() {
+    let (mut cluster, proxy, finished, live) = one_live_one_finished(11);
+    let now = cluster.sim.now();
+    let outputs = cluster
+        .sim
+        .with_node_mut(proxy, |node| {
+            let mut ctx = Context::new(now, proxy);
+            let results = PierMsg::WindowResults {
+                window_start: 0,
+                window_end: SEC,
+                members: vec![member(finished), member(live)],
+            };
+            node.on_message(&mut ctx, NodeAddr(1), results);
+            ctx.into_actions()
+        })
+        .expect("proxy alive");
+    let delivered: Vec<u64> = outputs
+        .iter()
+        .map(|action| match action {
+            Action::Output(PierOut::WindowResult { query_id, .. }) => *query_id,
+            other => panic!("only the live member's row is delivered, got {other:?}"),
+        })
+        .collect();
+    assert_eq!(delivered, vec![live]);
+    assert_eq!(
+        proxied(&cluster),
+        1,
+        "no entry appears for the finished one"
+    );
+}
+
+#[test]
+fn a_pull_for_a_finished_query_is_not_answered() {
+    let (mut cluster, proxy, finished, live) = one_live_one_finished(13);
+    let now = cluster.sim.now();
+    let mut pull = |queries: Vec<u64>| {
+        cluster
+            .sim
+            .with_node_mut(proxy, |node| {
+                let mut ctx = Context::new(now, proxy);
+                node.on_message(&mut ctx, NodeAddr(1), PierMsg::PlanRequest { queries });
+                ctx.into_actions()
+            })
+            .expect("proxy alive")
+    };
+    assert!(
+        pull(vec![finished]).is_empty(),
+        "nothing is sent for a finished query"
+    );
+    let reply = pull(vec![finished, live]);
+    let [Action::Send {
+        to,
+        msg: PierMsg::Plans { plans },
+    }] = &reply[..]
+    else {
+        panic!("one reply carrying plans, got {reply:?}");
+    };
+    assert_eq!(*to, NodeAddr(1));
+    let served: Vec<u64> = plans.iter().map(|p| p.query_id).collect();
+    assert_eq!(served, vec![live], "only the live query's plan is served");
+    assert!(
+        plans[0].timeout < 30 * SEC && plans[0].timeout >= 27 * SEC,
+        "stamped with the remaining lifetime, got {}",
+        plans[0].timeout
+    );
 }
