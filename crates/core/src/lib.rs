@@ -109,7 +109,7 @@ pub use plan::{
     finish_rows, CqSpec, Dissemination, JoinSpec, OpGraph, OperatorSpec, PlanBuilder, QpObject,
     QueryPlan, SinkSpec, SourceSpec,
 };
-pub use proxy::{MemberResults, PierOut, Proxy, RenewalRound};
+pub use proxy::{window_result_schema, MemberRun, PierOut, Proxy, RenewalRound, WindowBundle};
 pub use range_index::RangeIndexConfig;
 pub use recursive::TransitiveClosure;
 pub use sharing::{

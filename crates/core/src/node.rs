@@ -11,8 +11,9 @@
 //! Life of a query (§3.3.2): a client hands a [`QueryPlan`] to any node
 //! (its *proxy*) through [`PierNode::submit_query`]; the proxy disseminates
 //! the plan (broadcast tree, equality index, or locally), every receiving
-//! node instantiates the opgraphs and starts feeding them; answer tuples are
-//! forwarded to the proxy, which delivers them to the client; execution
+//! node instantiates the opgraphs and starts feeding them; answer rows are
+//! forwarded to the proxy as the chunks the operators produced, and the
+//! proxy turns them into the client's tuples ([`crate::proxy`]); execution
 //! stops when the query's timeout expires.
 
 use crate::admission::{AdmissionControl, AdmissionFactory, AdmissionVerdict, SloPolicy};
@@ -20,7 +21,7 @@ use crate::operators::{GroupBy, JoinSide, LocalOperator, Pipeline, SymmetricHash
 use crate::plan::{
     finish_rows, CqSpec, Dissemination, OpGraph, OperatorSpec, QpObject, QueryPlan, SinkSpec,
 };
-use crate::proxy::{MemberResults, PierOut, Proxy};
+use crate::proxy::{MemberRun, PierOut, Proxy, WindowBundle};
 use crate::sharing::{
     is_share_scoped_table, InstallOutcome, Membership, MultiQuerySharing, SharingFactory,
     SharingStats,
@@ -129,12 +130,13 @@ impl Default for PierConfig {
 pub enum PierMsg {
     /// Overlay traffic (routing, get/put/send/renew, broadcast).
     Dht(DhtMessage<QpObject>),
-    /// Answer tuples flowing back to the query's proxy node.
+    /// Answer rows flowing back to the query's proxy node, as the chunks
+    /// the sink was handed.
     Results {
-        /// Query the tuples belong to.
+        /// Query the rows belong to.
         query_id: u64,
-        /// The answer tuples (possibly a batch).
-        tuples: Vec<Tuple>,
+        /// The answer rows.
+        rows: TupleBatch,
     },
     /// One window's results streamed from a window root to a proxy: one
     /// message per (proxy, window) per root tick, carrying every member
@@ -144,10 +146,13 @@ pub enum PierMsg {
     WindowResults {
         /// Window start (virtual-time microseconds, inclusive).
         window_start: SimTime,
-        /// Window end (exclusive).
+        /// Window end (exclusive).  The rows do not repeat the bounds.
         window_end: SimTime,
-        /// Per member query, in emission order: its retractions and rows.
-        members: Vec<MemberResults>,
+        /// Every member's rows under the engine's `{tag}.win` schema — one
+        /// chunk — member by member, retractions before inserts.
+        rows: TupleBatch,
+        /// Per member query, in emission order: its run of `rows`.
+        members: Vec<MemberRun>,
     },
     /// A node that received a lease roster naming queries it does not hold
     /// asks their proxy for the plans (the "renew failed, put it again" of
@@ -168,11 +173,9 @@ impl WireSize for PierMsg {
     fn wire_size(&self) -> usize {
         1 + match self {
             PierMsg::Dht(m) => m.wire_size(),
-            PierMsg::Results { tuples, .. } => {
-                8 + tuples.iter().map(WireSize::wire_size).sum::<usize>()
-            }
-            PierMsg::WindowResults { members, .. } => {
-                16 + members.iter().map(WireSize::wire_size).sum::<usize>()
+            PierMsg::Results { rows, .. } => 8 + rows.wire_size(),
+            PierMsg::WindowResults { rows, members, .. } => {
+                16 + rows.wire_size() + members.iter().map(WireSize::wire_size).sum::<usize>()
             }
             PierMsg::PlanRequest { queries } => 4 + 8 * queries.len(),
             PierMsg::Plans { plans } => 4 + plans.iter().map(WireSize::wire_size).sum::<usize>(),
@@ -820,18 +823,12 @@ impl PierNode {
                 // every fetched inner tuple and forward to the sink.
                 if let Some((query_id, graph_idx, probe)) = self.pending_fetches.remove(&request_id)
                 {
-                    let (output_table, sink_ok) = match self.fetch_spec(query_id, graph_idx) {
-                        Some(t) => (t, true),
-                        None => (String::new(), false),
-                    };
-                    if !sink_ok {
+                    let Some(output_table) = self.fetch_spec(query_id, graph_idx) else {
                         return Vec::new();
-                    }
-                    let joined: Vec<Tuple> = objects
-                        .iter()
-                        .flat_map(|o| o.value.iter_tuples())
-                        .map(|inner| probe.join_with(&inner, &output_table))
-                        .collect();
+                    };
+                    let inner = objects.iter().flat_map(|o| o.value.iter_tuples());
+                    let joined = inner.map(|inner| probe.join_with(&inner, &output_table));
+                    let joined = TupleBatch::new(joined.collect());
                     return self.deliver_sink(ctx, query_id, graph_idx, joined);
                 }
                 Vec::new()
@@ -1578,7 +1575,7 @@ impl PierNode {
     /// and a windowed graph's engine absorbs them chunk-wise
     /// ([`WindowEngine::absorb`]) — the source chunks themselves when the
     /// pipeline is a pass-through — so there is no per-tuple dispatch
-    /// anywhere; rows materialise only at the sink boundary.
+    /// anywhere, and what is left goes to the sink as the batch it is.
     fn feed_graph_batch(
         &mut self,
         ctx: &mut ProgramContext<Self>,
@@ -1666,10 +1663,7 @@ impl PierNode {
             }
             outputs
         };
-        if outputs.is_empty() {
-            return Vec::new();
-        }
-        self.deliver_sink(ctx, query_id, graph_idx, outputs.into_tuples())
+        self.deliver_sink(ctx, query_id, graph_idx, outputs)
     }
 
     fn deliver_sink(
@@ -1677,9 +1671,9 @@ impl PierNode {
         ctx: &mut ProgramContext<Self>,
         query_id: u64,
         graph_idx: usize,
-        mut tuples: Vec<Tuple>,
+        mut rows: TupleBatch,
     ) -> Vec<OverlayEffect<QpObject>> {
-        if tuples.is_empty() {
+        if rows.is_empty() {
             return Vec::new();
         }
         let (sink, proxy, fetch, lifetime) = {
@@ -1722,44 +1716,44 @@ impl PierNode {
             )
         };
         let mut effects = Vec::new();
-        // Fetch Matches: pipeline outputs are probe tuples — issue an
-        // asynchronous DHT get per probe and join when results come back.
-        // Tuples already carrying the join's output table *are* the joined
-        // results returning from a completed fetch; those continue to the
-        // opgraph's real sink below.
+        // Fetch Matches: pipeline outputs are probe rows — issue an
+        // asynchronous DHT get per probe and join when results come back
+        // (the one place a sink still walks rows).  Chunks already carrying
+        // the join's output table *are* the joined results returning from a
+        // completed fetch; those continue to the opgraph's real sink below.
         if let Some((inner_namespace, probe_col, probe_is_key, fetch_output)) = fetch {
             let now = ctx.now();
-            let mut completed = Vec::new();
-            for probe in tuples {
-                if probe.table() == fetch_output {
-                    completed.push(probe);
+            let mut completed = TupleBatch::default();
+            for chunk in rows.into_chunks() {
+                if chunk.schema().table() == fetch_output {
+                    completed.push_chunk(chunk);
                     continue;
                 }
-                let Some(key) = probe.get(&probe_col).map(|v| {
-                    if probe_is_key {
-                        // The column already carries the inner relation's
-                        // partition-key string (a secondary index tupleID).
-                        v.as_str().map_or_else(|| v.key_string(), str::to_string)
-                    } else {
-                        v.key_string()
-                    }
-                }) else {
-                    continue;
-                };
-                let (request_id, get_effects) = self.overlay.get(&inner_namespace, &key, now);
-                self.pending_fetches
-                    .insert(request_id, (query_id, graph_idx, probe));
-                effects.extend(get_effects);
+                for probe in chunk.iter_rows() {
+                    let Some(key) = probe.get(&probe_col).map(|v| {
+                        if probe_is_key {
+                            // The column already carries the inner relation's
+                            // partition-key string (a secondary index tupleID).
+                            v.as_str().map_or_else(|| v.key_string(), str::to_string)
+                        } else {
+                            v.key_string()
+                        }
+                    }) else {
+                        continue;
+                    };
+                    let (request_id, get_effects) = self.overlay.get(&inner_namespace, &key, now);
+                    self.pending_fetches
+                        .insert(request_id, (query_id, graph_idx, probe));
+                    effects.extend(get_effects);
+                }
             }
             if completed.is_empty() {
                 return effects;
             }
-            tuples = completed;
+            rows = completed;
         }
         match sink {
-            SinkSpec::ToProxy => {
-                self.send_results(ctx, proxy, query_id, tuples);
-            }
+            SinkSpec::ToProxy => self.send_results(ctx, proxy, query_id, rows),
             SinkSpec::Rehash {
                 namespace,
                 key_cols,
@@ -1773,7 +1767,7 @@ impl PierNode {
                     // flush tick is armed — so the puts and timers do not
                     // depend on how the rows were chunked on their way here.
                     let mut buf = self.rehash_buf.remove(&namespace).unwrap_or_default();
-                    for t in tuples {
+                    for t in rows.iter() {
                         let Some(key) = t.partition_key(&key_cols) else {
                             continue;
                         };
@@ -1791,7 +1785,7 @@ impl PierNode {
                         self.rehash_buf.insert(namespace, buf);
                     }
                 } else {
-                    for t in tuples {
+                    for t in rows.iter() {
                         let Some(key) = t.partition_key(&key_cols) else {
                             continue;
                         };
@@ -1807,7 +1801,7 @@ impl PierNode {
                 if let Some(q) = self.queries.get_mut(&query_id) {
                     if let Some(g) = q.graphs.get_mut(graph_idx) {
                         if let Some(uplink) = g.uplink.as_mut() {
-                            uplink.push_batch(&TupleBatch::new(tuples));
+                            uplink.push_batch(&rows);
                         }
                     }
                 }
@@ -1817,7 +1811,7 @@ impl PierNode {
                 // a windowed graph is folded into the window store.
                 let now = ctx.now();
                 if let Some(slot) = self.engines.get_mut(&EngineKey::Query(query_id)) {
-                    for chunk in TupleBatch::new(tuples).chunks() {
+                    for chunk in rows.chunks() {
                         slot.engine.absorb(chunk, None, now);
                     }
                 }
@@ -1873,21 +1867,25 @@ impl PierNode {
         ctx: &mut ProgramContext<Self>,
         proxy: NodeAddr,
         query_id: u64,
-        tuples: Vec<Tuple>,
+        rows: TupleBatch,
     ) {
-        if tuples.is_empty() {
+        if rows.is_empty() {
             return;
         }
         if proxy == ctx.me() {
-            self.proxy_receive(ctx, query_id, tuples);
+            let outs = self.proxy.receive(query_id, &rows);
+            self.deliver(ctx, outs);
         } else {
-            ctx.send(proxy, PierMsg::Results { query_id, tuples });
+            ctx.send(proxy, PierMsg::Results { query_id, rows });
         }
     }
 
-    fn proxy_receive(&mut self, ctx: &mut ProgramContext<Self>, query_id: u64, tuples: Vec<Tuple>) {
-        for out in self.proxy.receive(query_id, tuples) {
-            ctx.output(out);
+    /// Hand the client what the proxy made of a results message; `None` is
+    /// a malformed message, dropped whole and counted.
+    fn deliver(&mut self, ctx: &mut ProgramContext<Self>, outs: Option<Vec<PierOut>>) {
+        match outs {
+            Some(outs) => outs.into_iter().for_each(|out| ctx.output(out)),
+            None => self.tel.inc("proxy.malformed_results"),
         }
     }
 
@@ -1970,7 +1968,7 @@ impl PierNode {
         }
         self.drive(ctx, effects);
         if !final_results.is_empty() {
-            self.send_results(ctx, proxy, query_id, final_results);
+            self.send_results(ctx, proxy, query_id, TupleBatch::new(final_results));
         }
         // Re-arm the periodic flush while the query is still installed.
         if !final_flush && graph_count > 0 {
@@ -2065,7 +2063,7 @@ impl PierNode {
         // One results message per (proxy, window), in first-emission order:
         // every member of a proxy the tick emitted for rides one message,
         // distinct windows never share one.
-        let mut bundles: Vec<((NodeAddr, SimTime, SimTime), Vec<MemberResults>)> = Vec::new();
+        let mut bundles: Vec<((NodeAddr, SimTime, SimTime), WindowBundle)> = Vec::new();
         for e in out.emissions {
             // A traced member's per-window emission: the `window.emit` span
             // parents to the newest absorption at this root (shared work:
@@ -2094,25 +2092,22 @@ impl PierNode {
                     query_id: e.query_id,
                 }
             });
-            let member = MemberResults {
-                query_id: e.query_id,
-                retracts: e.retracts,
-                inserts: e.inserts,
-                trace: emit_ctx,
-            };
             let to = (e.proxy, e.window_start, e.window_end);
-            match bundles.iter_mut().find(|b| b.0 == to) {
-                Some(bundle) => bundle.1.push(member),
-                None => bundles.push((to, vec![member])),
-            }
+            let at = bundles.iter().position(|b| b.0 == to).unwrap_or_else(|| {
+                bundles.push((to, WindowBundle::default()));
+                bundles.len() - 1
+            });
+            let bundle = &mut bundles[at].1;
+            bundle.push(e.query_id, e.retracts, e.inserts, emit_ctx);
         }
-        for ((proxy, window_start, window_end), members) in bundles {
+        for ((proxy, window_start, window_end), WindowBundle { rows, members }) in bundles {
             if proxy == ctx.me() {
-                self.proxy_receive_window(ctx, window_start, window_end, members);
+                self.proxy_receive_window(ctx, window_start, window_end, &rows, &members);
             } else {
                 let results = PierMsg::WindowResults {
                     window_start,
                     window_end,
+                    rows,
                     members,
                 };
                 ctx.send(proxy, results);
@@ -2164,16 +2159,19 @@ impl PierNode {
         ctx: &mut ProgramContext<Self>,
         window_start: SimTime,
         window_end: SimTime,
-        members: Vec<MemberResults>,
+        rows: &TupleBatch,
+        members: &[MemberRun],
     ) {
+        let outs = self
+            .proxy
+            .receive_window(window_start, window_end, rows, members);
         // The delivery at the proxy closes the span tree: `result.emit`
         // parents to the root's wire-carried `window.emit` span.
-        if self.tel.is_enabled() {
+        if self.tel.is_enabled() && outs.is_some() {
             let now = ctx.now();
             let live = members.iter().filter(|m| self.proxy.contains(m.query_id));
-            let traced: Vec<(TraceContext, usize)> = live
-                .filter_map(|m| Some((m.trace?, m.inserts.len())))
-                .collect();
+            let traced: Vec<(TraceContext, u32)> =
+                live.filter_map(|m| Some((m.trace?, m.inserts))).collect();
             for (t, rows) in traced {
                 let span = self.next_span_id(ctx.me());
                 self.tel.record_span(
@@ -2184,15 +2182,13 @@ impl PierNode {
                     t.span_id,
                     t.query_id,
                     "result.emit",
-                    rows as u64,
+                    u64::from(rows),
                     0,
                     window_start,
                 );
             }
         }
-        for out in self.proxy.receive_window(window_start, window_end, members) {
-            ctx.output(out);
-        }
+        self.deliver(ctx, outs);
     }
 
     /// Materialise the telemetry hub as one `system.metrics` tuple and
@@ -2362,14 +2358,16 @@ impl Program for PierNode {
                 let effects = self.overlay.on_message(from, m, now);
                 self.drive(ctx, effects);
             }
-            PierMsg::Results { query_id, tuples } => {
-                self.proxy_receive(ctx, query_id, tuples);
+            PierMsg::Results { query_id, rows } => {
+                let outs = self.proxy.receive(query_id, &rows);
+                self.deliver(ctx, outs);
             }
             PierMsg::WindowResults {
                 window_start,
                 window_end,
+                rows,
                 members,
-            } => self.proxy_receive_window(ctx, window_start, window_end, members),
+            } => self.proxy_receive_window(ctx, window_start, window_end, &rows, &members),
             PierMsg::PlanRequest { queries } => self.serve_plans(ctx, from, &queries),
             PierMsg::Plans { plans } => {
                 for plan in plans {

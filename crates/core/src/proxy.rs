@@ -22,15 +22,29 @@
 //! round, or has not delivered any yet (a stream that has not started is no
 //! evidence of failure).
 //!
+//! The proxy is also where a result stops being a chunk.  Both result
+//! messages carry one [`TupleBatch`]; [`Proxy::receive`] and
+//! [`Proxy::receive_window`] turn its rows into the client's per-row
+//! [`PierOut`]s — the only place between the operator that produced a row
+//! and the client that reads it where a `Tuple` is built.  A window result
+//! travels under its engine's schema (`{tag}.win`, no window bounds) and is
+//! re-labelled here `q{id}.win(window_start, window_end, …)`
+//! ([`window_result_schema`]), so clients cannot tell shared from unshared
+//! results.  The run directory of a window message is data from the wire:
+//! one that does not describe its batch drops the whole message.
+//!
 //! Plain state, no `ProgramContext`: [`crate::node::PierNode`] does the
 //! wiring (timers, broadcasts, telemetry), tests drive it directly.
 
 use crate::plan::{CqSpec, Dissemination, QueryPlan};
-use crate::tuple::Tuple;
+use crate::tuple::{ColumnChunk, Schema, SchemaRegistry, Tuple, TupleBatch};
+use crate::value::Value;
 use pier_cq::RenewalBackoff;
 use pier_runtime::{Duration, Rng64, SimTime, WireSize};
 use pier_trace::TraceContext;
 use std::collections::BTreeMap;
+use std::ops::Range;
+use std::sync::Arc;
 
 /// Values delivered to the client application attached to a node.
 #[derive(Debug, Clone)]
@@ -82,27 +96,125 @@ pub enum PierOut {
     },
 }
 
-/// One member query's share of a [`crate::node::PierMsg::WindowResults`]
-/// message: retractions of superseded rows (delta mode only) followed by
-/// the window's current rows.
-#[derive(Debug, Clone)]
-pub struct MemberResults {
+/// One member query's run in the `rows` of a
+/// [`crate::node::PierMsg::WindowResults`] message: `retracts` superseded
+/// rows (delta mode only) followed by `inserts` current rows.  The runs of a
+/// message's directory partition its rows, in order.
+#[derive(Debug, Clone, Copy)]
+pub struct MemberRun {
     /// Query the rows answer.
     pub query_id: u64,
     /// Rows retracted by this emission.
-    pub retracts: Vec<Tuple>,
+    pub retracts: u32,
     /// Rows inserted by this emission.
-    pub inserts: Vec<Tuple>,
+    pub inserts: u32,
     /// Trace context when the member is sampled: the proxy's `result.emit`
     /// span parents to the root's `window.emit` span.
     pub trace: Option<TraceContext>,
 }
 
-impl WireSize for MemberResults {
-    fn wire_size(&self) -> usize {
-        let rows = self.retracts.iter().chain(&self.inserts);
-        8 + rows.map(WireSize::wire_size).sum::<usize>() + self.trace.map_or(0, |t| t.wire_size())
+impl MemberRun {
+    fn rows(&self) -> usize {
+        self.retracts as usize + self.inserts as usize
     }
+}
+
+impl WireSize for MemberRun {
+    fn wire_size(&self) -> usize {
+        8 + 4 + 4 + self.trace.map_or(0, |t| t.wire_size())
+    }
+}
+
+/// The payload of one (proxy, window) results message as a window root
+/// packs it: every member's rows appended to one batch — one chunk while
+/// they share the engine's schema — and the directory that says whose they
+/// are.
+#[derive(Debug, Default)]
+pub struct WindowBundle {
+    /// Every member's rows, member by member, retractions before inserts.
+    pub rows: TupleBatch,
+    /// The run directory over `rows`.
+    pub members: Vec<MemberRun>,
+}
+
+impl WindowBundle {
+    /// Append one member's emission.
+    pub fn push(
+        &mut self,
+        query_id: u64,
+        retracts: Vec<Tuple>,
+        inserts: Vec<Tuple>,
+        trace: Option<TraceContext>,
+    ) {
+        let count = |rows: &[Tuple]| u32::try_from(rows.len()).expect("under 2^32 rows a window");
+        self.members.push(MemberRun {
+            query_id,
+            retracts: count(&retracts),
+            inserts: count(&inserts),
+            trace,
+        });
+        for row in retracts.into_iter().chain(inserts) {
+            self.rows.push_tuple(row);
+        }
+    }
+}
+
+/// The schema a client sees member `query_id`'s window results under, given
+/// the schema they travelled under: `q{id}.win(window_start, window_end,
+/// …wire columns)`, whatever engine produced them.
+pub fn window_result_schema(query_id: u64, wire: &Schema) -> Arc<Schema> {
+    let mut columns = vec!["window_start".to_string(), "window_end".to_string()];
+    columns.extend(wire.columns().iter().cloned());
+    SchemaRegistry::global().intern_owned(format!("q{query_id}.win"), columns)
+}
+
+/// One piece of a member's run: rows `rows` of `chunk`, the first of them
+/// row `offset` of the run of member `member` of the directory.
+struct RunPiece<'a> {
+    member: usize,
+    offset: usize,
+    chunk: &'a ColumnChunk,
+    rows: Range<usize>,
+}
+
+/// Every member's run over `rows`, in order, cut into pieces that each lie
+/// in one chunk.  `None` when the directory does not describe the batch: a
+/// malformed chunk, counts that do not sum to its rows, or a run that
+/// crosses from one schema into another.
+fn run_pieces<'a>(rows: &'a TupleBatch, members: &[MemberRun]) -> Option<Vec<RunPiece<'a>>> {
+    let named: usize = members.iter().map(MemberRun::rows).sum();
+    if named != rows.len() || !rows.is_well_formed() {
+        return None;
+    }
+    let mut pieces = Vec::with_capacity(members.len());
+    let mut chunks = rows.chunks().iter();
+    let (mut current, mut at) = (chunks.next(), 0);
+    for (member, m) in members.iter().enumerate() {
+        let mut offset = 0;
+        let mut schema: Option<&Arc<Schema>> = None;
+        while offset < m.rows() {
+            // The counts sum to the rows, so there is a chunk.
+            let chunk = current?;
+            if at == chunk.rows() {
+                (current, at) = (chunks.next(), 0);
+                continue;
+            }
+            if schema.is_some_and(|s| !Arc::ptr_eq(s, chunk.schema())) {
+                return None;
+            }
+            schema = Some(chunk.schema());
+            let take = (m.rows() - offset).min(chunk.rows() - at);
+            pieces.push(RunPiece {
+                member,
+                offset,
+                chunk,
+                rows: at..at + take,
+            });
+            at += take;
+            offset += take;
+        }
+    }
+    Some(pieces)
 }
 
 /// What one renewal round sends.
@@ -135,6 +247,10 @@ struct Standing {
 struct Proxied {
     results: u64,
     standing: Option<Standing>,
+    /// The wire schema this query's window results last arrived under and
+    /// the client schema they are re-labelled with: interned once per
+    /// query, dropped with the entry so teardown's sweep can evict it.
+    window_schema: Option<(Arc<Schema>, Arc<Schema>)>,
 }
 
 #[derive(Debug)]
@@ -194,9 +310,12 @@ impl Proxy {
             submitted_at: now,
             round_results: 0,
         });
-        let results = 0;
-        self.proxied
-            .insert(plan.query_id, Proxied { results, standing });
+        let entry = Proxied {
+            results: 0,
+            standing,
+            window_schema: None,
+        };
+        self.proxied.insert(plan.query_id, entry);
         let cq = plan.cq.as_ref()?;
         self.standing += 1;
         let due = now.saturating_add(cq.renew_every);
@@ -278,49 +397,71 @@ impl Proxy {
             .collect()
     }
 
-    /// Answer tuples of `query_id` arrived: the outputs to hand the client
-    /// (none for a finished query).
-    pub fn receive(&mut self, query_id: u64, tuples: Vec<Tuple>) -> impl Iterator<Item = PierOut> {
-        let tuples = match self.proxied.get_mut(&query_id) {
-            Some(entry) => {
-                entry.results += tuples.len() as u64;
-                tuples
-            }
-            None => Vec::new(),
+    /// Answer rows of `query_id` arrived: the outputs to hand the client,
+    /// one per row (none for a finished query).  `None`: a chunk of the
+    /// batch is malformed and the message is dropped whole.
+    pub fn receive(&mut self, query_id: u64, rows: &TupleBatch) -> Option<Vec<PierOut>> {
+        if !rows.is_well_formed() {
+            return None;
+        }
+        let Some(entry) = self.proxied.get_mut(&query_id) else {
+            return Some(Vec::new());
         };
-        let out = move |tuple| PierOut::Result { query_id, tuple };
-        tuples.into_iter().map(out)
+        entry.results += rows.len() as u64;
+        let out = |tuple| PierOut::Result { query_id, tuple };
+        Some(rows.iter().map(out).collect())
     }
 
-    /// One window's results arrived for `members`: the outputs to hand the
-    /// client, member by member, retractions before inserts.  A finished
-    /// member's rows are dropped — the others' are not — and no entry is
-    /// created for it.
+    /// One window's results arrived — `rows`, partitioned by the run
+    /// directory `members`: the outputs to hand the client, member by
+    /// member, retractions before inserts, every row re-labelled with its
+    /// member's client schema and the window's bounds.  A finished member's
+    /// rows are dropped — the others' are not — and no entry is created for
+    /// it.  `None`: the directory does not describe the batch (a malformed
+    /// chunk, counts that do not sum to its rows, a run crossing from one
+    /// schema into another); nothing is delivered and nothing is counted.
     pub fn receive_window(
         &mut self,
         window_start: SimTime,
         window_end: SimTime,
-        members: Vec<MemberResults>,
-    ) -> Vec<PierOut> {
-        let rows = members.iter().map(|m| m.retracts.len() + m.inserts.len());
-        let mut out = Vec::with_capacity(rows.sum());
-        for m in members {
+        rows: &TupleBatch,
+        members: &[MemberRun],
+    ) -> Option<Vec<PierOut>> {
+        let pieces = run_pieces(rows, members)?;
+        let bounds = [window_start, window_end].map(|t| Value::Int(t as i64));
+        let mut out = Vec::with_capacity(rows.len());
+        for piece in pieces {
+            let m = &members[piece.member];
             let Some(entry) = self.proxied.get_mut(&m.query_id) else {
                 continue;
             };
-            entry.results += m.inserts.len() as u64;
-            let query_id = m.query_id;
-            let rows = m.retracts.into_iter().map(|t| (true, t));
-            let rows = rows.chain(m.inserts.into_iter().map(|t| (false, t)));
-            out.extend(rows.map(|(retract, tuple)| PierOut::WindowResult {
-                query_id,
-                window_start,
-                window_end,
-                retract,
-                tuple,
-            }));
+            let wire = piece.chunk.schema();
+            let cached = entry.window_schema.as_ref();
+            let schema = match cached.filter(|(of, _)| Arc::ptr_eq(of, wire)) {
+                Some((_, client)) => Arc::clone(client),
+                None => {
+                    let client = window_result_schema(m.query_id, wire);
+                    entry.window_schema = Some((Arc::clone(wire), Arc::clone(&client)));
+                    client
+                }
+            };
+            // The run's retractions lead it; this piece may start past them.
+            let retracts = (m.retracts as usize).saturating_sub(piece.offset);
+            let retracts = retracts.min(piece.rows.len());
+            entry.results += (piece.rows.len() - retracts) as u64;
+            for (i, r) in piece.rows.enumerate() {
+                let row = (0..wire.arity()).map(|c| piece.chunk.col(c).value(r));
+                let values: Arc<[Value]> = bounds.iter().cloned().chain(row).collect();
+                out.push(PierOut::WindowResult {
+                    query_id: m.query_id,
+                    window_start,
+                    window_end,
+                    retract: i < retracts,
+                    tuple: Tuple::from_schema(Arc::clone(&schema), values),
+                });
+            }
         }
-        out
+        Some(out)
     }
 }
 

@@ -34,8 +34,12 @@
 //!   escape hatch for mixed-schema paths.
 //!
 //! `Tuple::wire_size` still charges the full self-describing cost (schema +
-//! values), exactly as in the paper, so unbatched transfers are accounted
-//! honestly.
+//! values), exactly as in the paper — but only a *lone* tuple travels that
+//! way (a single published row, a one-row rehash or partial).  Everywhere
+//! rows travel in bulk — `PutBatch`, rehash, `*.wp` partials and, last,
+//! the result messages — they are a [`TupleBatch`] and pay the header once
+//! per chunk; a result becomes a `Tuple` again once, at the proxy, as the
+//! client's `PierOut`.
 //!
 //! **Invariants.** Schemas are immutable once interned, and the registry
 //! only evicts shapes nothing else references
@@ -288,13 +292,13 @@ impl Tuple {
 
     /// Create a tuple directly from an interned schema and parallel values
     /// (the allocation-minimal path used by operators that emit a fixed
-    /// output shape).  Panics in debug builds when the arity mismatches.
-    pub fn from_schema(schema: Arc<Schema>, values: Vec<Value>) -> Self {
+    /// output shape).  `values` is a `Vec<Value>`, or — one allocation
+    /// instead of two — an exact-size iterator collected straight into an
+    /// `Arc<[Value]>`.  Panics in debug builds when the arity mismatches.
+    pub fn from_schema(schema: Arc<Schema>, values: impl Into<Arc<[Value]>>) -> Self {
+        let values = values.into();
         debug_assert_eq!(schema.arity(), values.len(), "schema/value arity mismatch");
-        Tuple {
-            schema,
-            values: values.into(),
-        }
+        Tuple { schema, values }
     }
 
     /// Create a tuple from owned column names and parallel values, interning
@@ -533,6 +537,28 @@ impl ColumnChunk {
         }
     }
 
+    /// [`ColumnChunk::from_columns`] without its checks: what a buggy or
+    /// hostile peer can put on the wire.  A receiver that did not build a
+    /// chunk asks [`ColumnChunk::is_well_formed`] before reading it; tests
+    /// build the malformed ones through this.
+    #[doc(hidden)]
+    pub fn from_parts_unchecked(schema: Arc<Schema>, columns: Vec<Column>, rows: usize) -> Self {
+        ColumnChunk {
+            schema,
+            columns,
+            rows,
+        }
+    }
+
+    /// True when the chunk holds its invariant — one column per schema
+    /// column, each of [`ColumnChunk::rows`] rows — which
+    /// [`ColumnChunk::from_columns`] asserts in debug builds only.  Reading
+    /// a row of a chunk that does not is a panic.
+    pub fn is_well_formed(&self) -> bool {
+        self.columns.len() == self.schema.arity()
+            && self.columns.iter().all(|c| c.len() == self.rows)
+    }
+
     /// [`ColumnChunk::from_columns`] from row-major `Vec<Value>` columns,
     /// running layout inference on each (the ingest path tests and the
     /// differential oracle build reference chunks through this).
@@ -562,7 +588,7 @@ impl ColumnChunk {
     /// Materialise row `r` as a [`Tuple`] (one slice allocation; dictionary
     /// strings are shared with the chunk, arena strings are copied out).
     pub fn row(&self, r: usize) -> Tuple {
-        let values: Vec<Value> = self.columns.iter().map(|c| c.value(r)).collect();
+        let values: Arc<[Value]> = self.columns.iter().map(|c| c.value(r)).collect();
         Tuple::from_schema(Arc::clone(&self.schema), values)
     }
 
@@ -834,6 +860,17 @@ impl TupleBatch {
     /// The columnar chunks, in row order.
     pub fn chunks(&self) -> &[ColumnChunk] {
         &self.chunks
+    }
+
+    /// True when every chunk [`ColumnChunk::is_well_formed`] — what a
+    /// receiver asks of a batch it did not build before reading its rows.
+    pub fn is_well_formed(&self) -> bool {
+        self.chunks.iter().all(ColumnChunk::is_well_formed)
+    }
+
+    /// Consume the batch into its chunks, in row order.
+    pub fn into_chunks(self) -> Vec<ColumnChunk> {
+        self.chunks
     }
 
     /// Iterate the batched tuples in their original order (rows are

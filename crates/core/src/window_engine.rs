@@ -14,7 +14,12 @@
 //! The engine is a plain struct: chunks and instants in, partial chunks and
 //! [`Emission`]s out.  It sends nothing and arms no timer; the node
 //! ([`crate::node`]) owns the engines, ships what a tick returns and
-//! forwards the emissions.
+//! forwards the emissions.  Every member's rows are built, sorted, finished
+//! and delta-tracked on the one engine-level schema `{tag}.win` (GROUP BY
+//! columns + aggregate outputs; the window's bounds are the emission's, not
+//! the row's), so a tick's emissions for one proxy and window pack into one
+//! chunk; which query a row answers is relabelled at its proxy
+//! ([`crate::proxy::window_result_schema`]).
 
 use crate::aggregate::{AggFunc, AggState};
 use crate::expr::{CompiledExpr, Expr};
@@ -157,7 +162,8 @@ pub struct Emission {
     pub window_start: SimTime,
     /// Window end (exclusive).
     pub window_end: SimTime,
-    /// Rows retracted by this emission (delta mode).
+    /// Rows retracted by this emission (delta mode), on the engine's
+    /// `{tag}.win` schema like `inserts`.
     pub retracts: Vec<Tuple>,
     /// Rows inserted by this emission.
     pub inserts: Vec<Tuple>,
@@ -222,9 +228,6 @@ pub struct Member {
     /// flushes) record spans.
     pub trace: bool,
     derive: Option<CompiledExpr>,
-    /// `q{id}.win`, whatever engine the member rides: clients cannot tell
-    /// shared from unshared results.
-    result_schema: Arc<Schema>,
     final_ops: Vec<OperatorSpec>,
     /// Snapshot/delta output against this member's previous emissions.
     tracker: DeltaTracker<Tuple>,
@@ -246,6 +249,9 @@ pub struct WindowEngine {
     /// `{tag}.gv` — the schema derivation predicates compile against
     /// (columns = the GROUP BY columns); interned with the first predicate.
     gv_schema: Option<Arc<Schema>>,
+    /// `{tag}.win` — the schema every member's result rows are built on
+    /// (GROUP BY columns, then the aggregates' output columns).
+    win_schema: Arc<Schema>,
     members: BTreeMap<u64, Member>,
     rehydrated_windows: u64,
     /// Shed tuples+groups / evicted windows already handed out by
@@ -267,7 +273,11 @@ impl WindowEngine {
 
     /// An engine with no members and cold stores.
     pub fn new(spec: EngineSpec) -> WindowEngine {
+        let mut win_columns = spec.group_cols.clone();
+        win_columns.extend(spec.aggs.iter().map(AggFunc::output_column));
         WindowEngine {
+            win_schema: SchemaRegistry::global()
+                .intern_owned(format!("{}.win", spec.tag), win_columns),
             state: SharedWindowState::new(spec.window, spec.budget),
             codec: PartialCodec::new(
                 format!("{}.wp", spec.tag),
@@ -308,12 +318,6 @@ impl WindowEngine {
 
     /// Add member `query_id`, leased from `now` ([`Member::trace`] as given).
     pub fn add_member(&mut self, query_id: u64, member: MemberSpec, trace: bool, now: SimTime) {
-        let result_schema = {
-            let mut columns = vec!["window_start".to_string(), "window_end".to_string()];
-            columns.extend(self.spec.group_cols.iter().cloned());
-            columns.extend(self.spec.aggs.iter().map(AggFunc::output_column));
-            SchemaRegistry::global().intern_owned(format!("q{query_id}.win"), columns)
-        };
         let derive = member.derive.map(|predicate| {
             let spec = &self.spec;
             let gv = self.gv_schema.get_or_insert_with(|| {
@@ -328,7 +332,6 @@ impl WindowEngine {
                 derive,
                 proxy: member.proxy,
                 lease: Lease::granted(now, member.lease),
-                result_schema,
                 final_ops: member.final_ops,
                 trace,
                 tracker: DeltaTracker::new(member.delta),
@@ -469,6 +472,7 @@ impl WindowEngine {
         }
         self.state.roll_up_local(now);
         let (members, window) = (&mut self.members, self.spec.window);
+        let win_schema = &self.win_schema;
         let retired = self.state.emit_due(now, |wid, groups| {
             let (window_start, window_end) = window.bounds(wid);
             for (&query_id, m) in members.iter_mut() {
@@ -480,15 +484,14 @@ impl WindowEngine {
                         .map(|g| (&g.identity.vals, &g.acc.states))
                         .filter(|(vals, _)| m.derive.as_ref().is_none_or(|d| d.matches(vals)))
                         .map(|(vals, states)| {
-                            let mut values = Vec::with_capacity(m.result_schema.arity());
-                            values.push(Value::Int(window_start as i64));
-                            values.push(Value::Int(window_end as i64));
-                            values.extend(vals.iter().cloned());
-                            values.extend(states.iter().map(AggState::finish));
-                            Tuple::from_schema(Arc::clone(&m.result_schema), values)
+                            let finished = states.iter().map(AggState::finish);
+                            let values: Arc<[Value]> =
+                                vals.iter().cloned().chain(finished).collect();
+                            Tuple::from_schema(Arc::clone(win_schema), values)
                         }),
                 );
-                // Cached keys render each row once, not twice per comparison.
+                // Display order.  Cached keys render each row once, not
+                // twice per comparison.
                 rows.sort_by_cached_key(std::string::ToString::to_string);
                 if !m.final_ops.is_empty() {
                     rows = finish_rows(&m.final_ops, &TupleBatch::new(rows));

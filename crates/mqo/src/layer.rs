@@ -358,7 +358,8 @@ mod tests {
                         Some(src.as_str()),
                         "member {qid} must only see its own group"
                     );
-                    assert_eq!(row.table(), format!("q{qid}.win"));
+                    // On the group's schema; the proxy relabels it `q{qid}.win`.
+                    assert_eq!(row.table(), format!("g{group:016x}.win"));
                     total += row.get("count").and_then(Value::as_i64).unwrap_or(0);
                 }
             }

@@ -61,6 +61,13 @@ pub fn documented(header: &str) -> Vec<String> {
         .collect()
 }
 
+/// True when `docs/OBSERVABILITY.md`'s metric catalogue has a row for the
+/// counter `name`.
+pub fn metric_documented(name: &str) -> bool {
+    let doc = include_str!("../../docs/OBSERVABILITY.md");
+    doc.lines().any(|l| l.starts_with(&format!("| `{name}` |")))
+}
+
 /// `line` with every number replaced by `#` and every string *value* by
 /// `$` (keys stay): the line's shape, to hold against a template.  A float
 /// or a negative number leaves its `.` or `-` behind, a quoted number shows

@@ -12,15 +12,17 @@
 //!    round and nothing else, churn repair through one pull per proxy,
 //!    lapse by silence when a proxy stops;
 //! 3. the result path: a root tick sends at most one message per (proxy,
-//!    window), and bundling is invisible in what tenants receive.
+//!    window) — one chunk its members' runs partition, the window's bounds
+//!    in the header only — and bundling is invisible in what tenants
+//!    receive.
 //!
 //! The cluster tests watch the wire through [`Tap`], a node program that
 //! wraps a `PierNode` and journals what each handler invocation sends.
 
 use pier::dht::{make_ring_refs, DhtMessage, Id, NodeRef};
 use pier::qp::{
-    sqlish, CqSpec, Dissemination, MemberResults, PierConfig, PierMsg, PierNode, PierOut,
-    PierTimer, Proxy, QpObject, QueryPlan, TelemetryConfig, Tuple, Value,
+    sqlish, CqSpec, Dissemination, PierConfig, PierMsg, PierNode, PierOut, PierTimer, Proxy,
+    QpObject, QueryPlan, TelemetryConfig, Tuple, Value, WindowBundle,
 };
 use pier::runtime::{Action, Context, NodeAddr, Program, Rng64, SimConfig, SimTime, Simulator};
 use proptest::prelude::*;
@@ -67,14 +69,14 @@ impl Live {
     }
 }
 
-/// One inserted row for `query_id`, as a window root would report it.
-fn one_row(query_id: u64) -> MemberResults {
-    MemberResults {
-        query_id,
-        retracts: vec![],
-        inserts: vec![Tuple::new("r", vec![("v", Value::Int(1))])],
-        trace: None,
-    }
+/// Hand `proxy` one inserted row for `query_id`, as a window root would
+/// report it; the rows that reach the client.
+fn one_row(proxy: &mut Proxy, query_id: u64) -> usize {
+    let mut bundle = WindowBundle::default();
+    let row = Tuple::new("r", vec![("v", Value::Int(1))]);
+    bundle.push(query_id, vec![], vec![row], None);
+    let outs = proxy.receive_window(0, SEC, &bundle.rows, &bundle.members);
+    outs.expect("well-formed").len()
 }
 
 proptest! {
@@ -145,7 +147,7 @@ proptest! {
                 }
                 // Its stream has started: from here on, progress is what
                 // the rounds below say it is.
-                prop_assert_eq!(proxy.receive_window(0, SEC, vec![one_row(id)]).len(), 1);
+                prop_assert_eq!(one_row(&mut proxy, id), 1);
                 let named_at = now;
                 let ends_at = now + life;
                 live.insert(id, Live { renew_every, ends_at, keyed, named_at });
@@ -156,7 +158,7 @@ proptest! {
                 // Arbitrary progress: some rounds see fresh rows, some none.
                 if progress[rounds % progress.len()] {
                     if let Some(&id) = live.keys().next() {
-                        prop_assert_eq!(proxy.receive_window(0, SEC, vec![one_row(id)]).len(), 1);
+                        prop_assert_eq!(one_row(&mut proxy, id), 1);
                     }
                 }
                 let round = proxy.renew_round(now, &mut rng);
@@ -236,8 +238,9 @@ enum Wire {
     },
     PlanRequest(Vec<u64>),
     Plans(Vec<u64>),
-    /// `(window_start, window_end)`, the members named, and whether every
-    /// row inside belongs to that window.
+    /// `(window_start, window_end)`, the members named, and whether the
+    /// payload is one chunk that the members' runs partition and that says
+    /// nothing of the window (the header does).
     WindowResults((SimTime, SimTime), Vec<u64>, bool),
 }
 
@@ -261,18 +264,18 @@ fn classify(msg: &PierMsg) -> Option<Wire> {
         PierMsg::WindowResults {
             window_start,
             window_end,
+            rows,
             members,
         } => {
-            let bounds = [
-                Value::Int(*window_start as i64),
-                Value::Int(*window_end as i64),
-            ];
-            let in_window = |t: &Tuple| t.values()[..2] == bounds;
-            let rows = |m: &MemberResults| m.retracts.iter().chain(&m.inserts).all(in_window);
+            let named: u32 = members.iter().map(|m| m.retracts + m.inserts).sum();
+            let [chunk] = rows.chunks() else {
+                panic!("one chunk per message, got {}", rows.chunks().len());
+            };
+            let columns = chunk.schema().columns();
             Some(Wire::WindowResults(
                 (*window_start, *window_end),
                 members.iter().map(|m| m.query_id).collect(),
-                members.iter().all(rows),
+                named as usize == rows.len() && columns == ["src", "count"],
             ))
         }
         _ => None,
@@ -804,11 +807,14 @@ fn a_root_tick_sends_one_results_message_per_proxy_and_window_and_tenants_see_no
     let mut per_tick: BTreeMap<u64, Vec<(NodeAddr, SimTime)>> = BTreeMap::new();
     let (mut messages, mut members) = (0usize, 0usize);
     for s in &sent {
-        let Wire::WindowResults(window, named, rows_in_window) = &s.wire else {
+        let Wire::WindowResults(window, named, one_chunk) = &s.wire else {
             continue;
         };
         assert!(s.on_timer, "results leave from a tick");
-        assert!(rows_in_window, "a message carries one window's rows only");
+        assert!(
+            one_chunk,
+            "one chunk, partitioned, the bounds in the header"
+        );
         assert!(
             named.windows(2).all(|w| w[0] < w[1]),
             "members once, ascending"

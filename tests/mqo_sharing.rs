@@ -20,18 +20,31 @@ mod common;
 use common::seeded;
 
 /// Canonical view of one tenant's windows restricted to `[from, to]`:
-/// window bounds → sorted row renderings (a multiset fingerprint).
+/// window bounds → sorted row renderings (a multiset fingerprint).  Clients
+/// cannot tell shared from unshared results: in either mode every row a
+/// tenant reads is labelled `q{id}.win(window_start, window_end, src,
+/// count)` and states its window's bounds — the rendering repeats the
+/// label, the assertions here say what it is.
 fn canonical(
     outcome: &ManyTenantsOutcome,
     tenant: usize,
     from: SimTime,
     to: SimTime,
 ) -> BTreeMap<(SimTime, SimTime), Vec<String>> {
-    outcome.tenants[tenant]
+    let tenant = &outcome.tenants[tenant];
+    let table = format!("q{}.win", tenant.query_id);
+    tenant
         .windows
         .iter()
         .filter(|((start, end), _)| *start >= from && *end <= to)
         .map(|(bounds, rows)| {
+            let bounds_cells = [bounds.0, bounds.1].map(|t| Value::Int(t as i64));
+            for row in rows {
+                assert_eq!(row.table(), table);
+                let columns = ["window_start", "window_end", "src", "count"];
+                assert_eq!(row.columns(), columns);
+                assert_eq!(row.values()[..2], bounds_cells);
+            }
             let mut rendered: Vec<String> =
                 rows.iter().map(std::string::ToString::to_string).collect();
             rendered.sort();

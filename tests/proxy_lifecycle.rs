@@ -1,11 +1,20 @@
 //! Proxy-side query state lives from `submit_query` to `Done` and no
 //! longer: a finished query leaves nothing behind at its proxy, and neither
 //! a result that straggles in after `Done` nor a pull for its plan
-//! resurrects the entry.
+//! resurrects the entry.  And what a proxy is sent it does not trust: a
+//! window message whose run directory does not describe its batch is
+//! dropped whole — never half-delivered, never a panic.
 
 use pier::harness::{Cluster, ClusterConfig};
-use pier::qp::{sqlish, MemberResults, PierMsg, PierNode, PierOut, Tuple, Value};
+use pier::qp::{
+    sqlish, Column, ColumnChunk, MemberRun, PierMsg, PierNode, PierOut, Proxy, TelemetryConfig,
+    Tuple, TupleBatch, Value, WindowBundle,
+};
 use pier::runtime::{Action, Context, NodeAddr, Program};
+use proptest::prelude::*;
+use std::sync::Arc;
+
+mod common;
 
 const SEC: u64 = 1_000_000;
 
@@ -20,13 +29,18 @@ fn row() -> Tuple {
     Tuple::new("readings", vec![("v", Value::Int(1))])
 }
 
-/// One inserted row for `query_id`, as a window root would report it.
-fn member(query_id: u64) -> MemberResults {
-    MemberResults {
-        query_id,
-        retracts: vec![],
-        inserts: vec![row()],
-        trace: None,
+/// One inserted row for each of `queries` in one window's message, as a
+/// window root would report them.
+fn window_results(queries: &[u64]) -> PierMsg {
+    let mut bundle = WindowBundle::default();
+    for &query_id in queries {
+        bundle.push(query_id, vec![], vec![row()], None);
+    }
+    PierMsg::WindowResults {
+        window_start: 0,
+        window_end: SEC,
+        rows: bundle.rows,
+        members: bundle.members,
     }
 }
 
@@ -89,17 +103,9 @@ fn a_result_after_done_is_dropped_and_does_not_resurrect_the_entry() {
             .sim
             .with_node_mut(proxy, |node| {
                 let mut ctx = Context::new(now, proxy);
-                let tuples = vec![row()];
-                node.on_message(&mut ctx, NodeAddr(1), PierMsg::Results { query_id, tuples });
-                node.on_message(
-                    &mut ctx,
-                    NodeAddr(1),
-                    PierMsg::WindowResults {
-                        window_start: 0,
-                        window_end: SEC,
-                        members: vec![member(query_id)],
-                    },
-                );
+                let rows = TupleBatch::new(vec![row()]);
+                node.on_message(&mut ctx, NodeAddr(1), PierMsg::Results { query_id, rows });
+                node.on_message(&mut ctx, NodeAddr(1), window_results(&[query_id]));
                 ctx.pending()
             })
             .expect("proxy alive")
@@ -142,12 +148,7 @@ fn a_bundle_naming_a_finished_member_delivers_the_live_member_only() {
         .sim
         .with_node_mut(proxy, |node| {
             let mut ctx = Context::new(now, proxy);
-            let results = PierMsg::WindowResults {
-                window_start: 0,
-                window_end: SEC,
-                members: vec![member(finished), member(live)],
-            };
-            node.on_message(&mut ctx, NodeAddr(1), results);
+            node.on_message(&mut ctx, NodeAddr(1), window_results(&[finished, live]));
             ctx.into_actions()
         })
         .expect("proxy alive");
@@ -199,5 +200,207 @@ fn a_pull_for_a_finished_query_is_not_answered() {
         plans[0].timeout < 30 * SEC && plans[0].timeout >= 27 * SEC,
         "stamped with the remaining lifetime, got {}",
         plans[0].timeout
+    );
+}
+
+// ----- a window message is data from the wire ----------------------------------
+
+const LIVE: [u64; 2] = [1, 2];
+const FINISHED: u64 = 3;
+
+/// A proxy with queries 1 and 2 standing, 3 finished and 4 never heard of.
+fn two_live_one_finished() -> Proxy {
+    let sql = "SELECT src, COUNT(*) FROM packets GROUP BY src WINDOW 1s SLIDE 1s";
+    let mut plan = sqlish::compile(sql, NodeAddr(0), 60 * SEC).expect("compiles");
+    let mut proxy = Proxy::default();
+    for id in [1, 2, FINISHED] {
+        plan.query_id = id;
+        proxy.submit(&plan, 0);
+    }
+    assert!(proxy.done(FINISHED));
+    proxy
+}
+
+/// A chunk of `rows` rows of `v = tag` under one of two schemas; `broken`
+/// gives it one column more than its schema has.
+fn chunk(schema: bool, rows: usize, tag: i64, broken: bool) -> ColumnChunk {
+    let table = if schema {
+        "g00000000000000e1.win"
+    } else {
+        "q9.win"
+    };
+    let schema = Arc::clone(Tuple::new(table, vec![("v", Value::Int(0))]).schema());
+    let column = || Column::from_values(vec![Value::Int(tag); rows]);
+    let columns = if broken {
+        vec![column(), column()]
+    } else {
+        vec![column()]
+    };
+    ColumnChunk::from_parts_unchecked(schema, columns, rows)
+}
+
+proptest! {
+    /// Arbitrary directories over arbitrary batches: the proxy delivers all
+    /// of a message or none of it, and says which by a model kept here —
+    /// the counts sum to the rows, every chunk is sound, no member's run
+    /// crosses from one schema into another.
+    #[test]
+    fn a_malformed_window_message_is_dropped_whole(
+        chunks in proptest::collection::vec(((any::<bool>(), 0usize..6), 0u8..8), 0..5),
+        runs in proptest::collection::vec((1u64..5, 0u32..4, 0u32..6), 0..6),
+        exact: bool,
+    ) {
+        let mut rows = TupleBatch::default();
+        let mut schema_of_row = Vec::new();
+        let mut sound = true;
+        for (i, ((schema, len), damage)) in chunks.into_iter().enumerate() {
+            // One chunk in eight is broken (an empty one never travels).
+            let broken = damage == 0 && len > 0;
+            sound &= !broken;
+            rows.push_chunk(chunk(schema, len, i as i64, broken));
+            schema_of_row.extend(std::iter::repeat_n(schema, len));
+        }
+        let mut members: Vec<MemberRun> = runs
+            .into_iter()
+            .map(|(query_id, retracts, inserts)| MemberRun { query_id, retracts, inserts, trace: None })
+            .collect();
+        if exact {
+            // Make the counts add up, so the other rules get exercised.
+            let named: usize = members.iter().map(|m| (m.retracts + m.inserts) as usize).sum();
+            if named < rows.len() {
+                let inserts = (rows.len() - named) as u32;
+                members.push(MemberRun { query_id: 2, retracts: 0, inserts, trace: None });
+            }
+        }
+        let mut at = 0;
+        let mut expected = 0;
+        let mut partitioned = true;
+        for m in &members {
+            let run = at..at + (m.retracts + m.inserts) as usize;
+            at = run.end;
+            match schema_of_row.get(run) {
+                Some(of) => partitioned &= of.windows(2).all(|w| w[0] == w[1]),
+                None => partitioned = false,
+            }
+            if LIVE.contains(&m.query_id) {
+                expected += (m.retracts + m.inserts) as usize;
+            }
+        }
+        let well_formed = sound && partitioned && at == rows.len();
+
+        let mut proxy = two_live_one_finished();
+        let outs = proxy.receive_window(0, SEC, &rows, &members);
+        prop_assert_eq!(outs.is_some(), well_formed);
+        let outs = outs.unwrap_or_default();
+        prop_assert!(outs.len() <= rows.len());
+        prop_assert_eq!(outs.len(), if well_formed { expected } else { 0 });
+        for out in &outs {
+            let PierOut::WindowResult { query_id, tuple, .. } = out else {
+                panic!("a window message delivers window results, got {out:?}");
+            };
+            prop_assert!(LIVE.contains(query_id));
+            prop_assert_eq!(tuple.table(), format!("q{query_id}.win"));
+            prop_assert_eq!(tuple.columns(), ["window_start", "window_end", "v"]);
+        }
+        prop_assert_eq!(proxy.len(), 2, "no entry appears for anyone");
+    }
+
+    /// The mixed bundle, on `Proxy` alone: a well-formed message naming a
+    /// finished member between two live ones drops exactly that member's
+    /// rows, retractions and inserts, and keeps the others' in order.
+    #[test]
+    fn a_finished_members_run_is_skipped_and_nothing_else(
+        counts in proptest::collection::vec((0u32..4, 0u32..5), 3..4),
+    ) {
+        let mut bundle = WindowBundle::default();
+        let mut expected = Vec::new();
+        for (&query_id, &(retracts, inserts)) in [1, FINISHED, 2].iter().zip(&counts) {
+            let rows = |n: u32, tag: i64| -> Vec<Tuple> {
+                let row = |i| Tuple::new("g00000000000000e1.win", vec![("v", Value::Int(tag + i))]);
+                (0..i64::from(n)).map(row).collect()
+            };
+            let tag = query_id as i64 * 100;
+            bundle.push(query_id, rows(retracts, tag), rows(inserts, tag + 50), None);
+            if query_id != FINISHED {
+                expected.extend((0..i64::from(retracts)).map(|i| (query_id, true, tag + i)));
+                expected.extend((0..i64::from(inserts)).map(|i| (query_id, false, tag + 50 + i)));
+            }
+        }
+        let mut proxy = two_live_one_finished();
+        let outs = proxy.receive_window(0, SEC, &bundle.rows, &bundle.members);
+        let got: Vec<(u64, bool, i64)> = outs
+            .expect("well-formed")
+            .iter()
+            .map(|out| match out {
+                PierOut::WindowResult { query_id, retract, tuple, .. } => {
+                    (*query_id, *retract, tuple.get("v").and_then(Value::as_i64).expect("v"))
+                }
+                other => panic!("got {other:?}"),
+            })
+            .collect();
+        prop_assert_eq!(got, expected);
+    }
+}
+
+#[test]
+fn a_node_counts_a_malformed_message_and_delivers_nothing_of_it() {
+    let cfg = ClusterConfig::lan(3, 17).with_telemetry(TelemetryConfig::enabled());
+    let mut cluster = Cluster::start(&cfg);
+    let proxy = cluster.addr(0);
+    let sql = "SELECT src, COUNT(*) FROM packets GROUP BY src WINDOW 1s SLIDE 1s EVERY 1s";
+    let plan = sqlish::compile(sql, proxy, 30 * SEC).expect("compiles");
+    let mut query_id = 0;
+    cluster
+        .sim
+        .invoke(proxy, |node, ctx| query_id = node.submit_query(ctx, plan));
+    let now = cluster.sim.now();
+    let counter = "proxy.malformed_results";
+    assert!(common::metric_documented(counter));
+    let pending = cluster
+        .sim
+        .with_node_mut(proxy, |node| {
+            let mut ctx = Context::new(now, proxy);
+            // Two rows, a directory that names three.
+            let mut short = WindowBundle::default();
+            short.push(query_id, vec![], vec![row(), row()], None);
+            short.members[0].inserts = 3;
+            // A chunk with a column its schema does not have, both ways.
+            let broken = TupleBatch::from_chunks(vec![chunk(true, 2, 0, true)]);
+            let members = vec![MemberRun {
+                query_id,
+                retracts: 0,
+                inserts: 2,
+                trace: None,
+            }];
+            for msg in [
+                PierMsg::WindowResults {
+                    window_start: 0,
+                    window_end: SEC,
+                    rows: short.rows,
+                    members: short.members,
+                },
+                PierMsg::WindowResults {
+                    window_start: 0,
+                    window_end: SEC,
+                    rows: broken.clone(),
+                    members,
+                },
+                PierMsg::Results {
+                    query_id,
+                    rows: broken,
+                },
+            ] {
+                node.on_message(&mut ctx, NodeAddr(1), msg);
+            }
+            assert_eq!(node.telemetry().counter(counter), 3);
+            // A sound message still gets through afterwards.
+            node.on_message(&mut ctx, NodeAddr(1), window_results(&[query_id]));
+            assert_eq!(node.telemetry().counter(counter), 3);
+            ctx.pending()
+        })
+        .expect("proxy alive");
+    assert_eq!(
+        pending, 1,
+        "only the sound message's row reaches the client"
     );
 }

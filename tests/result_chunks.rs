@@ -1,0 +1,617 @@
+//! A result is a chunk.
+//!
+//! `PierMsg::Results` and `PierMsg::WindowResults` carry one `TupleBatch`
+//! — the schema once per message, the window bounds in the header only —
+//! and the proxy turns its rows into the client's per-row `PierOut`s.  The
+//! row-coded messages they replaced live on *here*, as the reference:
+//!
+//! 1. round trip: whatever a root packs ([`WindowBundle`]) a [`Proxy`]
+//!    delivers exactly as the row-coded message delivered it — order,
+//!    `retract` flags, table and column names, values;
+//! 2. size: a message with at least one row is never larger than its
+//!    row-coded form, and a batch's `wire_size` is its schema header plus
+//!    the bytes `encode_body` writes;
+//! 3. `Results`: a symmetric-hash join's output leaves the node as the
+//!    chunks the join emitted, and a Fetch-Matches completion still
+//!    delivers the join's multiset;
+//! 4. one message mixing a `DELTAS`, a snapshot and a `TOP k` member.
+
+use pier::cq::{CqBudget, DeltaMode, WindowSpec};
+use pier::dht::{Id, NodeRef};
+use pier::harness::{Cluster, ClusterConfig};
+use pier::qp::window_engine::QUERY_NAMES;
+use pier::qp::{
+    nested_loop_join, sqlish, AggFunc, EngineSpec, Expr, JoinSide, JoinSpec, MemberRun, MemberSpec,
+    OpGraph, OperatorSpec, PierConfig, PierMsg, PierNode, PierOut, PlanBuilder, Proxy, Schema,
+    SchemaRegistry, SinkSpec, SourceSpec, SymmetricHashJoin, TraceContext, Tuple, TupleBatch,
+    Value, WindowBundle, WindowEngine,
+};
+use pier::runtime::{Action, Context, NodeAddr, Program, Rng64, SimTime, WireSize};
+use proptest::prelude::*;
+use std::sync::Arc;
+
+mod common;
+use common::seeded;
+
+const SEC: u64 = 1_000_000;
+
+// ----- the generated message and its row-coded reference ----------------------
+
+/// One member's emission for a window, as rows of values on the engine's
+/// columns.
+#[derive(Debug, Clone)]
+struct Emitted {
+    query_id: u64,
+    retracts: Vec<Vec<Value>>,
+    inserts: Vec<Vec<Value>>,
+    trace: Option<TraceContext>,
+}
+
+/// One (proxy, window) message's worth of emissions.
+#[derive(Debug)]
+struct Case {
+    /// The engine's tag: `q{id}` (unshared) or `g{fp:016x}` (a share group).
+    tag: String,
+    columns: Vec<String>,
+    window: (SimTime, SimTime),
+    members: Vec<Emitted>,
+}
+
+/// What a column's values are drawn from.
+#[derive(Debug, Clone, Copy)]
+enum Kind {
+    Int,
+    Float,
+    /// A handful of strings: stays a dictionary.
+    FewStr,
+    /// Mostly distinct strings: spills to the arena past 64 rows.
+    ManyStr,
+    Bool,
+    /// Integers with holes.
+    NullableInt,
+    /// Anything, row by row: degrades to `Column::Values`.
+    Mixed,
+}
+
+fn draw_value(kind: Kind, rng: &mut Rng64) -> Value {
+    match kind {
+        Kind::Int => Value::Int(rng.next_u64() as i64 >> rng.next_below(64)),
+        Kind::Float => Value::Float((rng.f64() - 0.5) * 1e6),
+        Kind::FewStr => Value::str(format!("10.0.0.{}", rng.next_below(5))),
+        Kind::ManyStr => Value::str(format!("host-{}", rng.next_below(100_000))),
+        Kind::Bool => Value::Bool(rng.chance(0.5)),
+        Kind::NullableInt if rng.chance(0.3) => Value::Null,
+        Kind::NullableInt => Value::Int(rng.next_below(1000) as i64),
+        Kind::Mixed => {
+            let kinds = [Kind::Int, Kind::Float, Kind::FewStr, Kind::Bool];
+            match rng.next_below(5) {
+                4 => Value::Null,
+                k => draw_value(kinds[k as usize], rng),
+            }
+        }
+    }
+}
+
+/// A message of up to five members with up to `max_rows` rows each way —
+/// at least `min_inserts` inserted — over one or two GROUP BY columns of
+/// any kind and one or two aggregate outputs.
+fn draw_case(seed: u64, min_inserts: u64, max_rows: u64) -> Case {
+    let mut rng = Rng64::new(seeded(seed));
+    let group_kinds = [
+        Kind::Int,
+        Kind::Float,
+        Kind::FewStr,
+        Kind::ManyStr,
+        Kind::Bool,
+        Kind::NullableInt,
+        Kind::Mixed,
+    ];
+    let mut kinds = Vec::new();
+    let mut columns = Vec::new();
+    for g in 0..1 + rng.next_below(2) {
+        kinds.push(*rng.choose(&group_kinds));
+        columns.push(format!("g{g}"));
+    }
+    kinds.push(Kind::Int);
+    columns.push("count".to_string());
+    if rng.chance(0.5) {
+        // SUM over nothing is NULL.
+        kinds.push(*rng.choose(&[Kind::Float, Kind::NullableInt]));
+        columns.push("sum".to_string());
+    }
+    // Query ids as a node assigns them (`addr << 32 | seq`), and — a test
+    // harness's, a first node's — small ones.
+    let mut next_id = if rng.chance(0.5) {
+        1 + rng.next_below(20)
+    } else {
+        (1 + rng.next_below(30)) << 32
+    };
+    let tag = if rng.chance(0.5) {
+        format!("q{next_id}")
+    } else {
+        format!("g{:016x}", rng.next_u64())
+    };
+    let mut members = Vec::new();
+    for _ in 0..1 + rng.next_below(5) {
+        let rows = |n: u64, rng: &mut Rng64| -> Vec<Vec<Value>> {
+            let row = |rng: &mut Rng64| kinds.iter().map(|k| draw_value(*k, rng)).collect();
+            (0..n).map(|_| row(rng)).collect()
+        };
+        let retracts = if rng.chance(0.3) {
+            rng.next_below(max_rows)
+        } else {
+            0
+        };
+        let retracts = rows(retracts, &mut rng);
+        let inserts = rows(rng.range(min_inserts, max_rows + 1), &mut rng);
+        let trace = rng.chance(0.2).then(|| TraceContext {
+            trace_id: rng.next_u64(),
+            span_id: rng.next_u64(),
+            query_id: next_id,
+        });
+        members.push(Emitted {
+            query_id: next_id,
+            retracts,
+            inserts,
+            trace,
+        });
+        next_id += 1 + rng.next_below(3);
+    }
+    let start = rng.next_below(1000) * SEC;
+    Case {
+        tag,
+        columns,
+        window: (start, start + 2 * SEC),
+        members,
+    }
+}
+
+impl Case {
+    fn rows(&self) -> usize {
+        let rows = |m: &Emitted| m.retracts.len() + m.inserts.len();
+        self.members.iter().map(rows).sum()
+    }
+
+    /// The message as a window root packs it.
+    fn packed(&self) -> PierMsg {
+        let names: Vec<&str> = self.columns.iter().map(String::as_str).collect();
+        let schema = SchemaRegistry::global().intern(&format!("{}.win", self.tag), &names);
+        let tuples = |rows: &[Vec<Value>]| -> Vec<Tuple> {
+            let tuple = |row: &Vec<Value>| Tuple::from_schema(Arc::clone(&schema), row.clone());
+            rows.iter().map(tuple).collect()
+        };
+        let mut bundle = WindowBundle::default();
+        for m in &self.members {
+            bundle.push(m.query_id, tuples(&m.retracts), tuples(&m.inserts), m.trace);
+        }
+        PierMsg::WindowResults {
+            window_start: self.window.0,
+            window_end: self.window.1,
+            rows: bundle.rows,
+            members: bundle.members,
+        }
+    }
+
+    /// The row a client reads for one of `query_id`'s engine rows — the
+    /// tuple the row-coded message carried as is.
+    fn client_row(&self, query_id: u64, row: &[Value]) -> Tuple {
+        let mut names = vec!["window_start", "window_end"];
+        names.extend(self.columns.iter().map(String::as_str));
+        let schema = SchemaRegistry::global().intern(&format!("q{query_id}.win"), &names);
+        let mut values = vec![
+            Value::Int(self.window.0 as i64),
+            Value::Int(self.window.1 as i64),
+        ];
+        values.extend(row.iter().cloned());
+        Tuple::from_schema(schema, values)
+    }
+
+    /// `wire_size` of the row-coded `PierMsg::WindowResults { window_start,
+    /// window_end, members: Vec<MemberResults { query_id, retracts, inserts:
+    /// Vec<Tuple>, trace }> }` this message used to be.
+    fn row_coded_wire_size(&self) -> usize {
+        let member = |m: &Emitted| -> usize {
+            let rows = m.retracts.iter().chain(&m.inserts);
+            let rows = rows.map(|r| self.client_row(m.query_id, r).wire_size());
+            8 + rows.sum::<usize>() + m.trace.map_or(0, |t| t.wire_size())
+        };
+        1 + 16 + self.members.iter().map(member).sum::<usize>()
+    }
+
+    /// What the row-coded message delivered at a proxy where `live` says
+    /// which members are still proxied: member by member, retractions
+    /// before inserts.
+    fn row_coded_delivery(&self, live: impl Fn(u64) -> bool) -> Vec<Delivered> {
+        let mut out = Vec::new();
+        for m in self.members.iter().filter(|m| live(m.query_id)) {
+            let rows = m.retracts.iter().map(|r| (true, r));
+            for (retract, row) in rows.chain(m.inserts.iter().map(|r| (false, r))) {
+                let tuple = self.client_row(m.query_id, row);
+                out.push(delivered(m.query_id, self.window, retract, &tuple));
+            }
+        }
+        out
+    }
+}
+
+/// A `PierOut::WindowResult`, spelled out for comparison.
+type Delivered = (
+    u64,
+    (SimTime, SimTime),
+    bool,
+    String,
+    Vec<String>,
+    Vec<Value>,
+);
+
+fn delivered(query_id: u64, window: (SimTime, SimTime), retract: bool, t: &Tuple) -> Delivered {
+    let table = t.table().to_string();
+    (
+        query_id,
+        window,
+        retract,
+        table,
+        t.columns().to_vec(),
+        t.values().to_vec(),
+    )
+}
+
+fn spelled_out(outs: Vec<PierOut>) -> Vec<Delivered> {
+    outs.iter()
+        .map(|out| match out {
+            PierOut::WindowResult {
+                query_id,
+                window_start,
+                window_end,
+                retract,
+                tuple,
+            } => delivered(*query_id, (*window_start, *window_end), *retract, tuple),
+            other => panic!("a window message delivers window results, got {other:?}"),
+        })
+        .collect()
+}
+
+/// A proxy with every one of `ids` submitted as a standing query.
+fn proxy_of(ids: impl Iterator<Item = u64>) -> Proxy {
+    let sql = "SELECT src, COUNT(*) FROM packets GROUP BY src WINDOW 2s SLIDE 1s";
+    let mut plan = sqlish::compile(sql, NodeAddr(0), 600 * SEC).expect("compiles");
+    let mut proxy = Proxy::default();
+    for id in ids {
+        plan.query_id = id;
+        proxy.submit(&plan, 0);
+    }
+    proxy
+}
+
+fn chunk_bytes(rows: &TupleBatch) -> usize {
+    let mut buf = Vec::new();
+    for chunk in rows.chunks() {
+        chunk.encode_body(&mut buf);
+    }
+    buf.len()
+}
+
+proptest! {
+    /// (i) Packed at a root, received at a proxy: the row-coded delivery,
+    /// exactly — with one member in three already finished at the proxy.
+    #[test]
+    fn a_packed_window_message_delivers_what_the_row_coded_one_did(seed: u64, finish: u64) {
+        // A root never sends an empty run; a proxy takes one all the same.
+        let case = draw_case(seed, 0, 70);
+        let live = |id: u64| !(id ^ finish).is_multiple_of(3);
+        let mut proxy = proxy_of(case.members.iter().map(|m| m.query_id).filter(|id| live(*id)));
+        let PierMsg::WindowResults { window_start, window_end, rows, members } = case.packed()
+        else {
+            unreachable!()
+        };
+        prop_assert_eq!(rows.len(), case.rows());
+        prop_assert!(rows.chunks().len() <= 1, "one schema, one chunk");
+        let outs = proxy.receive_window(window_start, window_end, &rows, &members);
+        let outs = spelled_out(outs.expect("what a root packs is well-formed"));
+        prop_assert_eq!(outs, case.row_coded_delivery(live));
+        // A second window reuses the member's cached client schema.
+        let again = proxy.receive_window(window_start + SEC, window_end + SEC, &rows, &members);
+        prop_assert_eq!(again.expect("well-formed").len(), case.row_coded_delivery(live).len());
+    }
+
+    /// (ii) Never larger than the row-coded form, down to one row per
+    /// member (a root names a member only when it has rows for it) — the
+    /// property a chunk per *member* broke at one row (≈ 30 B of framing
+    /// per chunk against a tuple's 12) — and a batch is charged its schema
+    /// header once plus exactly the bytes its chunks encode to.
+    #[test]
+    fn a_packed_window_message_is_no_larger_than_the_row_coded_one(seed: u64, small: bool) {
+        let case = draw_case(seed, 1, if small { 1 } else { 40 });
+        let packed = case.packed();
+        let PierMsg::WindowResults { rows, members, .. } = &packed else {
+            unreachable!()
+        };
+        let header = rows.chunks().first().map_or(0, |c| c.schema().wire_size());
+        prop_assert_eq!(rows.wire_size(), 4 + header + chunk_bytes(rows));
+        let directory: usize = members.iter().map(MemberRun::wire_size).sum();
+        prop_assert_eq!(packed.wire_size(), 1 + 16 + rows.wire_size() + directory);
+        prop_assert!(
+            packed.wire_size() <= case.row_coded_wire_size(),
+            "{} B packed, {} B row-coded: {case:?}",
+            packed.wire_size(),
+            case.row_coded_wire_size()
+        );
+    }
+}
+
+// ----- (iii) `Results` ---------------------------------------------------------
+
+fn r_row(a: i64, b: i64) -> Tuple {
+    Tuple::new("r", vec![("a", Value::Int(a)), ("b", Value::Int(b))])
+}
+
+fn s_row(b: i64, c: i64) -> Tuple {
+    Tuple::new("s", vec![("b", Value::Int(b)), ("c", Value::Int(c))])
+}
+
+fn multiset(rows: impl Iterator<Item = Tuple>) -> Vec<String> {
+    let mut out: Vec<String> = rows.map(|t| t.to_string()).collect();
+    out.sort();
+    out
+}
+
+#[test]
+fn a_joins_output_leaves_the_node_as_the_chunks_the_join_emitted() {
+    let key = vec!["b".to_string()];
+    // Both sides already sit in the rendezvous namespace of a node that is
+    // not the proxy: runs of `r`, `s`, `r` rows, so the join emits twice.
+    let mut arrivals: Vec<Tuple> = (0..40).map(|i| r_row(i, i % 8)).collect();
+    arrivals.extend((0..30).map(|i| s_row(i % 8, i * 10)));
+    arrivals.extend((40..50).map(|i| r_row(i, i % 8)));
+    let me = NodeRef {
+        id: Id(seeded(0x1234)),
+        addr: NodeAddr(1),
+    };
+    let proxy = NodeAddr(0);
+    let mut node = PierNode::with_static_ring(me, &[me], PierConfig::default());
+    for t in &arrivals {
+        node.add_local_row("q.join", t.clone());
+    }
+    let mut plan = PlanBuilder::new(proxy)
+        .timeout(20 * SEC)
+        .opgraph(OpGraph {
+            id: 0,
+            source: SourceSpec::Table {
+                namespace: "q.join".into(),
+            },
+            join: Some(JoinSpec {
+                left_table: "r".into(),
+                right_table: "s".into(),
+                left_key: key.clone(),
+                right_key: key.clone(),
+                output_table: "r_s".into(),
+            }),
+            ops: vec![],
+            sink: SinkSpec::ToProxy,
+        })
+        .build();
+    plan.query_id = 77;
+    let mut ctx = Context::new(0, me.addr);
+    node.on_message(&mut ctx, proxy, PierMsg::Plans { plans: vec![plan] });
+    let sent: Vec<TupleBatch> = ctx
+        .into_actions()
+        .into_iter()
+        .filter_map(|action| match action {
+            Action::Send {
+                to,
+                msg: PierMsg::Results { query_id, rows },
+            } => {
+                assert_eq!((to, query_id), (proxy, 77));
+                Some(rows)
+            }
+            _ => None,
+        })
+        .collect();
+    let [rows] = &sent[..] else {
+        panic!(
+            "one arriving batch, one Results message; got {}",
+            sent.len()
+        );
+    };
+
+    // The same arrivals through a join of the test's own.
+    let mut join = SymmetricHashJoin::new(key.clone(), key.clone(), "r_s");
+    let mut emitted = TupleBatch::default();
+    for chunk in TupleBatch::new(arrivals.clone()).chunks() {
+        let side = match chunk.schema().table() {
+            "r" => JoinSide::Left,
+            _ => JoinSide::Right,
+        };
+        emitted.append(join.push_chunk_batch(side, chunk));
+    }
+    assert!(emitted.chunks().len() >= 2, "the join must emit in pieces");
+    assert_eq!(rows, &emitted, "chunk for chunk what the join emitted");
+    let joined: Arc<Schema> = Arc::clone(emitted.chunks()[0].schema());
+    for chunk in rows.chunks() {
+        assert!(Arc::ptr_eq(chunk.schema(), &joined), "the join's schema");
+    }
+    let (r, s): (Vec<Tuple>, Vec<Tuple>) = arrivals.into_iter().partition(|t| t.table() == "r");
+    let reference = nested_loop_join(&r, &s, &key, &key, "r_s");
+    assert_eq!(multiset(rows.iter()), multiset(reference.into_iter()));
+    // One header for the whole message instead of one per row.
+    let row_coded: usize = 1 + 8 + rows.iter().map(|t| t.wire_size()).sum::<usize>();
+    let message = PierMsg::Results {
+        query_id: 77,
+        rows: rows.clone(),
+    };
+    assert!(message.wire_size() * 2 < row_coded);
+}
+
+#[test]
+fn a_fetch_matches_completion_still_delivers_the_joins_multiset() {
+    let mut cluster = Cluster::start(&ClusterConfig::lan(8, seeded(0x31)));
+    let key = vec!["b".to_string()];
+    let r: Vec<Tuple> = (0..40).map(|i| r_row(i, i % 8)).collect();
+    let s: Vec<Tuple> = (0..18).map(|i| s_row(i % 6, i * 10)).collect();
+    for (i, t) in r.iter().chain(&s).enumerate() {
+        let from = cluster.addr(i % cluster.len());
+        cluster.publish(from, t.table(), &key, t.clone());
+    }
+    cluster.settle(3 * SEC);
+    let proxy = cluster.addr(1);
+    let plan = PlanBuilder::new(proxy)
+        .timeout(15 * SEC)
+        .opgraph(OpGraph {
+            id: 0,
+            source: SourceSpec::Table {
+                namespace: "r".into(),
+            },
+            join: None,
+            ops: vec![OperatorSpec::FetchMatches {
+                inner_namespace: "s".into(),
+                probe_col: "b".into(),
+                output_table: "r_s".into(),
+            }],
+            sink: SinkSpec::ToProxy,
+        })
+        .build();
+    let outcome = cluster.run_query(proxy, plan);
+    let reference = nested_loop_join(&r, &s, &key, &key, "r_s");
+    assert!(!reference.is_empty());
+    assert_eq!(
+        multiset(outcome.tuples().into_iter()),
+        multiset(reference.into_iter())
+    );
+}
+
+// ----- (iv) one message, three kinds of member ---------------------------------
+
+fn packets(rows: &[(u8, i64, u64)]) -> TupleBatch {
+    let row = |&(h, len, ts): &(u8, i64, u64)| {
+        Tuple::new(
+            "packets",
+            vec![
+                ("src", Value::str(format!("10.0.0.{h}"))),
+                ("len", Value::Int(len)),
+                ("ts", Value::Int(ts as i64)),
+            ],
+        )
+    };
+    TupleBatch::new(rows.iter().map(row).collect())
+}
+
+#[test]
+fn one_message_mixes_a_deltas_a_snapshot_and_a_top_k_member() {
+    // `SELECT src, COUNT(*), SUM(len) … GROUP BY src WINDOW 2s SLIDE 2s` as
+    // a share group of three members at one proxy.
+    let tag = "g00000000000000d1";
+    let mut root = WindowEngine::new(EngineSpec {
+        tag: tag.to_string(),
+        namespace: format!("{tag}.windows"),
+        root_key: format!("{tag}.root"),
+        window: WindowSpec::sliding(2 * SEC, 2 * SEC),
+        budget: CqBudget::default(),
+        group_cols: vec!["src".to_string()],
+        aggs: vec![AggFunc::Count, AggFunc::Sum("len".to_string())],
+        time_col: Some("ts".to_string()),
+        dedup_cols: Vec::new(),
+        min_lifetime: 0,
+        names: QUERY_NAMES,
+    });
+    let member = |derive: Option<Expr>, delta, final_ops| MemberSpec {
+        derive,
+        proxy: NodeAddr(3),
+        lease: 30 * SEC,
+        delta,
+        final_ops,
+    };
+    let (deltas, snapshot, top) = (11, 12, 13);
+    let watch_two = Some(Expr::eq("src", "10.0.0.2"));
+    root.add_member(
+        deltas,
+        member(watch_two, DeltaMode::Deltas, vec![]),
+        false,
+        0,
+    );
+    root.add_member(
+        snapshot,
+        member(None, DeltaMode::Snapshot, vec![]),
+        false,
+        0,
+    );
+    let top_one = vec![OperatorSpec::TopK {
+        k: 1,
+        order_col: "count".to_string(),
+    }];
+    root.add_member(top, member(None, DeltaMode::Snapshot, top_one), true, 0);
+
+    // Window [0, 2s): source 1 once, source 2 twice; then a straggler for
+    // source 2 relayed from another node, so the second tick refines every
+    // member's answer.
+    let first = packets(&[(1, 100, 10), (2, 100, 20), (2, 100, 30)]);
+    root.absorb(&first.chunks()[0], None, 0);
+    assert_eq!(root.tick(10 * SEC, true).emissions.len(), 3);
+    let mut relay = WindowEngine::new(root.spec().clone());
+    relay.absorb(&packets(&[(2, 50, 40)]).chunks()[0], None, 0);
+    let late = relay.tick(10 * SEC, false).partials.expect("relay ships");
+    assert!(root.absorb_partials(&late).is_empty());
+    let emissions = root.tick(11 * SEC, true).emissions;
+    assert_eq!(emissions.len(), 3, "every member's answer changed");
+
+    let mut bundle = WindowBundle::default();
+    for e in emissions {
+        assert_eq!(
+            (e.window_start, e.window_end, e.proxy),
+            (0, 2 * SEC, NodeAddr(3))
+        );
+        for row in e.retracts.iter().chain(&e.inserts) {
+            assert_eq!(row.table(), format!("{tag}.win"));
+            assert_eq!(
+                row.columns(),
+                ["src", "count", "sum_len"],
+                "no window bounds"
+            );
+        }
+        let trace = e.trace.then_some(TraceContext {
+            trace_id: 1,
+            span_id: 2,
+            query_id: e.query_id,
+        });
+        bundle.push(e.query_id, e.retracts, e.inserts, trace);
+    }
+    assert_eq!(bundle.rows.chunks().len(), 1, "one chunk per message");
+    let runs: Vec<(u64, u32, u32, bool)> = bundle
+        .members
+        .iter()
+        .map(|m| (m.query_id, m.retracts, m.inserts, m.trace.is_some()))
+        .collect();
+    assert_eq!(
+        runs,
+        [
+            (deltas, 1, 1, false),
+            (snapshot, 0, 2, false),
+            (top, 0, 1, true)
+        ]
+    );
+
+    let mut proxy = proxy_of([deltas, snapshot, top].into_iter());
+    let outs = proxy.receive_window(0, 2 * SEC, &bundle.rows, &bundle.members);
+    let outs = spelled_out(outs.expect("well-formed"));
+    let rendered: Vec<(u64, bool, String)> = outs
+        .iter()
+        .map(|(id, _, retract, table, columns, values)| {
+            assert_eq!(table, &format!("q{id}.win"));
+            assert_eq!(columns[..2], ["window_start", "window_end"]);
+            assert_eq!(values[..2], [Value::Int(0), Value::Int(2 * SEC as i64)]);
+            let cells = columns[2..].iter().zip(&values[2..]);
+            let cells: Vec<String> = cells.map(|(c, v)| format!("{c}={v}")).collect();
+            (*id, *retract, cells.join(" "))
+        })
+        .collect();
+    let row = |id, retract, cells: &str| (id, retract, cells.to_string());
+    assert_eq!(
+        rendered,
+        [
+            row(deltas, true, "src=10.0.0.2 count=2 sum_len=200"),
+            row(deltas, false, "src=10.0.0.2 count=3 sum_len=250"),
+            row(snapshot, false, "src=10.0.0.1 count=1 sum_len=100"),
+            row(snapshot, false, "src=10.0.0.2 count=3 sum_len=250"),
+            row(top, false, "src=10.0.0.2 count=3 sum_len=250"),
+        ]
+    );
+}

@@ -89,9 +89,18 @@ fn cut(rows: &[Tuple], lens: &[usize]) -> Vec<ColumnChunk> {
     out
 }
 
-/// One member's emissions, rendered: `(start, end, retracts, inserts)`.
+/// One member's emissions, rendered: `(start, end, retracts, inserts)`, each
+/// row as its `column=value` cells.  Rows are on the engine's own schema
+/// (`{tag}.win`, asserted here), which is what differs between a share
+/// group and a group of one; the proxy relabels both `q{id}.win`.
 fn rendered(emissions: &[Emission], query_id: u64) -> Vec<(u64, u64, Vec<String>, Vec<String>)> {
-    let render = |rows: &[Tuple]| rows.iter().map(ToString::to_string).collect();
+    let cells = |row: &Tuple| {
+        let text = row.to_string();
+        let (table, cells) = text.split_once('(').expect("table(cells)");
+        assert!(table.ends_with(".win") && !cells.contains("window_start"));
+        cells.to_string()
+    };
+    let render = |rows: &[Tuple]| rows.iter().map(cells).collect();
     emissions
         .iter()
         .filter(|e| e.query_id == query_id)
