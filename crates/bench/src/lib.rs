@@ -1,8 +1,9 @@
-//! Support library for the PIER experiment drivers (see `benches/`).
+//! Support library for the five bench binaries left (see `benches/`).
 //!
-//! Most drivers print one table rendered by `pier-harness`; the two that
-//! also measure something on this machine (`dht_ops`, `mqo_shared`) count
-//! allocations through [`CountingAlloc`].
+//! Three print a `pier-harness` table and export its artifacts; the two
+//! that measure something on this machine (`dht_ops`, `mqo_shared`) count
+//! allocations through [`CountingAlloc`].  Every other experiment table is
+//! rendered, compared and re-recorded by `tests/paper_tables.rs`.
 
 // The counting allocator is the one justified unsafe site of the benches:
 // it delegates to the system allocator verbatim and only bumps a relaxed

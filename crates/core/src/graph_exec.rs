@@ -1,0 +1,530 @@
+//! The opgraph executor of a node: installed plans, their local dataflow,
+//! and the sinks that take rows back into the network.
+//!
+//! A [`GraphExec`] owns, per installed (unshared) query, the plan and one
+//! state per opgraph — [`Pipeline`], symmetric hash join, the one-shot
+//! aggregate's uplink and root buffers — plus the Fetch-Matches probes in
+//! flight and the node's [`Rehash`] buffers.  Rows go in through
+//! [`GraphExec::feed`] (source chunks) and [`GraphExec::fetched`] (a probe's
+//! answer); an [`ExecOut`] comes out.  The overlay is reached only through
+//! the Table 2 calls (`get`, `put`, `put_batch`, `send_routed`) on the
+//! `&mut Overlay` the caller lends, and name suffixes are drawn from the
+//! caller's one RNG in the order the rows arrive.  What a call would
+//! re-derive is resolved once, at install — where a graph's Fetch-Matches
+//! operator is, a plan's aggregation tree — and operators and sinks are
+//! read in place from the stored plan.  One-shot aggregation (§3.3.4) is
+//! wired by the caller: a leaf's [`GraphExec::agg_flush`] ships partials
+//! toward the root, a relay folds those passing through it into its own
+//! ([`GraphExec::absorb_partial`], at the upcall), the root merges arrivals
+//! ([`GraphExec::merge_partials`]) and its final flush emits the result.
+//!
+//! Plain state that never sees the runtime: [`crate::node::PierNode`] does
+//! the wiring (namespace routing, timers, spans), tests drive it directly.
+
+use crate::node::PierConfig;
+use crate::operators::{GroupBy, JoinSide, LocalOperator, Pipeline, SymmetricHashJoin};
+use crate::plan::{
+    finish_rows, is_query_scoped_table, OperatorSpec, QpObject, QueryPlan, SinkSpec,
+};
+use crate::rehash::Rehash;
+use crate::tuple::{Tuple, TupleBatch};
+use crate::window_engine::WindowEngine;
+use pier_dht::{routing_id, Id, ObjectName, Overlay, OverlayEffect, StoredObject};
+use pier_runtime::{Duration, NodeAddr, Rng64, SimTime};
+use pier_telemetry::Telemetry;
+use std::collections::HashMap;
+
+/// An opgraph of an installed plan: `(query id, graph index)`.
+pub type GraphRef = (u64, usize);
+
+/// What one executor call asks of its caller.  Results go out before the
+/// effects are driven.
+#[derive(Debug, Default)]
+pub struct ExecOut {
+    /// Overlay effects to drive.
+    pub effects: Vec<OverlayEffect<QpObject>>,
+    /// Answer chunks: `(proxy, query id, rows)`.
+    pub results: Vec<(NodeAddr, u64, TupleBatch)>,
+    /// A rehash row is buffered and no flush tick is pending: arm one, and
+    /// call [`GraphExec::flush_rehash`] when it fires.
+    pub arm_batch_flush: bool,
+}
+
+/// A Fetch-Matches operator as `(inner namespace, probe column, the probe
+/// column already holds the inner relation's partition-key string — a
+/// secondary index's tupleID —, output table of the joined rows)`.
+fn fetch_of(op: &OperatorSpec) -> Option<(&str, &str, bool, &str)> {
+    match op {
+        OperatorSpec::FetchMatches {
+            inner_namespace,
+            probe_col,
+            output_table,
+        } => Some((inner_namespace, probe_col, false, output_table)),
+        OperatorSpec::FetchByTupleId {
+            inner_namespace,
+            id_col,
+            output_table,
+        } => Some((inner_namespace, id_col, true, output_table)),
+        _ => None,
+    }
+}
+
+/// The running state of `plan.opgraphs[i]`.
+#[derive(Debug)]
+struct GraphState {
+    pipeline: Pipeline,
+    join: Option<SymmetricHashJoin>,
+    /// Where in the graph's `ops` its Fetch-Matches operator is.
+    fetch: Option<usize>,
+    /// Local + relayed partial aggregates waiting to travel up the tree.
+    uplink: Option<GroupBy>,
+    /// Partials merged at the aggregation-tree root.
+    root_merge: Option<GroupBy>,
+}
+
+/// The one-shot aggregation tree of a plan with a hierarchical sink.
+#[derive(Debug)]
+struct AggTree {
+    root_id: Id,
+    /// How long a node buffers partials between flushes.
+    hold: Duration,
+    /// Partials go straight to the root instead of hop by hop.
+    flat: bool,
+}
+
+#[derive(Debug)]
+struct QueryState {
+    plan: QueryPlan,
+    /// Parallel to `plan.opgraphs`.
+    graphs: Vec<GraphState>,
+    agg: Option<AggTree>,
+    /// Source rows seen by a shed plan (`sample_every > 1`): the
+    /// deterministic per-query per-node sampling counter.
+    ingest_seen: u64,
+}
+
+/// The opgraph executor of one node.
+#[derive(Debug)]
+pub struct GraphExec {
+    publish_lifetime: Duration,
+    batching: bool,
+    queries: HashMap<u64, QueryState>,
+    /// Fetch-Matches probes awaiting their `get`, by request id.
+    pending_fetches: HashMap<u64, (GraphRef, Tuple)>,
+    rehash: Rehash,
+}
+
+impl GraphExec {
+    /// An executor under `config`'s `publish_lifetime`, `batching` and
+    /// `batch_max_tuples`.
+    pub fn new(config: &PierConfig) -> Self {
+        GraphExec {
+            publish_lifetime: config.publish_lifetime,
+            batching: config.batching,
+            queries: HashMap::new(),
+            pending_fetches: HashMap::new(),
+            rehash: Rehash::new(config.batch_max_tuples, config.publish_lifetime),
+        }
+    }
+
+    /// Instantiate `plan`'s opgraphs.  Returns the flush period when the
+    /// plan aggregates hierarchically: the caller then routes
+    /// [`QueryPlan::partial_namespace`] to [`GraphExec::merge_partials`] and
+    /// arms the flushes.
+    pub fn install(&mut self, plan: QueryPlan, tel: &Telemetry) -> Option<Duration> {
+        let mut agg: Option<AggTree> = None;
+        let mut graphs = Vec::with_capacity(plan.opgraphs.len());
+        for spec in &plan.opgraphs {
+            let mut pipeline =
+                Pipeline::new(spec.ops.iter().filter_map(OperatorSpec::build).collect());
+            pipeline.set_telemetry(tel);
+            let join = spec.join.as_ref().map(|j| {
+                SymmetricHashJoin::new(
+                    j.left_key.clone(),
+                    j.right_key.clone(),
+                    j.output_table.clone(),
+                )
+            });
+            let mut buffers = (None, None);
+            if let SinkSpec::HierarchicalAgg {
+                group_cols,
+                aggs,
+                hold,
+                flat,
+                ..
+            } = &spec.sink
+            {
+                let table = format!("q{}.agg", plan.query_id);
+                let buffer = || GroupBy::new(group_cols.clone(), aggs.clone(), table.clone());
+                buffers = (Some(buffer()), Some(buffer()));
+                // The first aggregating graph names the period; any flat
+                // one makes the whole tree flat.
+                let tree = agg.get_or_insert_with(|| AggTree {
+                    root_id: routing_id(&plan.partial_namespace(), &plan.agg_root_key()),
+                    hold: *hold,
+                    flat: false,
+                });
+                tree.flat |= *flat;
+            }
+            graphs.push(GraphState {
+                pipeline,
+                join,
+                fetch: spec.ops.iter().position(|op| fetch_of(op).is_some()),
+                uplink: buffers.0,
+                root_merge: buffers.1,
+            });
+        }
+        let hold = agg.as_ref().map(|tree| tree.hold);
+        let state = QueryState {
+            plan,
+            graphs,
+            agg,
+            ingest_seen: 0,
+        };
+        self.queries.insert(state.plan.query_id, state);
+        hold
+    }
+
+    /// Drop a query: its graphs, buffered aggregates and the probes it has
+    /// in flight (their answers, if they come, find nothing).  Returns the
+    /// plan, for the caller to un-route.
+    pub fn uninstall(&mut self, query_id: u64) -> Option<QueryPlan> {
+        let q = self.queries.remove(&query_id)?;
+        self.pending_fetches
+            .retain(|_, ((owner, _), _)| *owner != query_id);
+        Some(q.plan)
+    }
+
+    /// Queries installed.
+    pub fn installed(&self) -> usize {
+        self.queries.len()
+    }
+
+    /// The plan of `query_id`, while it is installed.
+    pub fn plan(&self, query_id: u64) -> Option<&QueryPlan> {
+        self.queries.get(&query_id).map(|q| &q.plan)
+    }
+
+    /// Fetch-Matches probes awaiting an answer.
+    pub fn pending(&self) -> usize {
+        self.pending_fetches.len()
+    }
+
+    /// The aggregation-tree root and flush period of an installed
+    /// aggregating query.
+    pub fn agg_tree(&self, query_id: u64) -> Option<(Id, Duration)> {
+        let tree = self.queries.get(&query_id)?.agg.as_ref()?;
+        Some((tree.root_id, tree.hold))
+    }
+
+    /// Feed a batch of source rows to one opgraph, chunk-to-chunk: a join
+    /// consumes whole columnar chunks, the pipeline hands every stage a
+    /// re-chunked survivor batch, an aggregating graph's uplink or a
+    /// windowed graph's engine — `windows`, the query's own — absorbs the
+    /// survivors (the source chunks themselves when the pipeline is a
+    /// pass-through), and what is left goes to the sink as the batch it is.
+    pub fn feed(
+        &mut self,
+        at: GraphRef,
+        batch: &TupleBatch,
+        now: SimTime,
+        windows: Option<&mut WindowEngine>,
+        overlay: &mut Overlay<QpObject>,
+        rng: &mut Rng64,
+    ) -> ExecOut {
+        let (query_id, graph_idx) = at;
+        let Some(q) = self.queries.get_mut(&query_id) else {
+            return ExecOut::default();
+        };
+        // Shed-to-sampling, chunk-wise: a degraded plan keeps one in
+        // `sample_every` *source* rows (query-scoped namespaces — rehashed
+        // join sides, shipped partials — are derived data and pass
+        // untouched).  The counter is per query per node, so equal-seed
+        // runs thin identically.
+        let sampled;
+        let batch = if q.plan.sample_every > 1 {
+            let every = u64::from(q.plan.sample_every);
+            let mut kept = TupleBatch::default();
+            for chunk in batch.chunks() {
+                if is_query_scoped_table(chunk.schema().table()) {
+                    kept.push_chunk(chunk.clone());
+                    continue;
+                }
+                let seen = q.ingest_seen;
+                q.ingest_seen += chunk.rows() as u64;
+                let idx: Vec<u32> = (0..chunk.rows() as u32)
+                    .filter(|r| (seen + u64::from(*r)) % every == 0)
+                    .collect();
+                kept.push_chunk(chunk.gather(&idx));
+            }
+            sampled = kept;
+            &sampled
+        } else {
+            batch
+        };
+        let (Some(g), Some(spec)) = (q.graphs.get_mut(graph_idx), q.plan.opgraphs.get(graph_idx))
+        else {
+            return ExecOut::default();
+        };
+        let engine = windows.filter(|_| matches!(spec.sink, SinkSpec::WindowedAgg { .. }));
+        let direct = engine.is_some() && g.join.is_none() && g.pipeline.is_empty();
+        let mut outputs = match (&mut g.join, &spec.join) {
+            _ if direct => TupleBatch::default(), // absorbed below, unscanned
+            (Some(join), Some(join_spec)) => {
+                // Two-input join fed from the rehash namespace: each
+                // chunk's table name decides the side it belongs to.  The
+                // join emits whole typed chunks (gathered from both sides'
+                // stored buffers), which share one output schema — so the
+                // staged batch flows into the pipeline's chunk-to-chunk
+                // traversal without ever materialising per-row tuples.
+                let mut staged = TupleBatch::default();
+                for chunk in batch.chunks() {
+                    let table = chunk.schema().table();
+                    if table == join_spec.left_table {
+                        staged.append(join.push_chunk_batch(JoinSide::Left, chunk));
+                    } else if table == join_spec.right_table {
+                        staged.append(join.push_chunk_batch(JoinSide::Right, chunk));
+                    } // unknown table: discard (best effort)
+                }
+                if staged.is_empty() {
+                    TupleBatch::default()
+                } else {
+                    g.pipeline.push_batch(&staged)
+                }
+            }
+            _ => g.pipeline.push_batch(batch),
+        };
+        // Hierarchical aggregation absorbs the survivors chunk-wise.
+        if let Some(uplink) = g.uplink.as_mut() {
+            uplink.push_batch(&outputs);
+            outputs = TupleBatch::default();
+        }
+        // A windowed graph folds the survivors into its engine.
+        if let Some(engine) = engine {
+            let survivors = if direct { batch } else { &outputs };
+            for chunk in survivors.chunks() {
+                engine.absorb(chunk, None, now);
+            }
+            outputs = TupleBatch::default();
+        }
+        self.deliver(at, outputs, now, overlay, rng)
+    }
+
+    /// A Fetch-Matches probe came back: join the probe row with every
+    /// fetched inner row and hand the result — one batch under the join's
+    /// output table — to the graph's sink.  An answer for a probe that is
+    /// not pending (its query was uninstalled) yields nothing.
+    pub fn fetched(
+        &mut self,
+        request_id: u64,
+        objects: &[StoredObject<QpObject>],
+        now: SimTime,
+        overlay: &mut Overlay<QpObject>,
+        rng: &mut Rng64,
+    ) -> ExecOut {
+        let Some((at, probe)) = self.pending_fetches.remove(&request_id) else {
+            return ExecOut::default();
+        };
+        let output_table = self.queries.get(&at.0).and_then(|q| {
+            let op = q
+                .plan
+                .opgraphs
+                .get(at.1)?
+                .ops
+                .get(q.graphs.get(at.1)?.fetch?)?;
+            Some(fetch_of(op)?.3)
+        });
+        let Some(output_table) = output_table else {
+            return ExecOut::default();
+        };
+        let inner = objects.iter().flat_map(|o| o.value.iter_tuples());
+        let joined = inner.map(|inner| probe.join_with(&inner, output_table));
+        let joined = TupleBatch::new(joined.collect());
+        self.deliver(at, joined, now, overlay, rng)
+    }
+
+    /// Hand a graph's output rows to its sink.
+    fn deliver(
+        &mut self,
+        at: GraphRef,
+        mut rows: TupleBatch,
+        now: SimTime,
+        overlay: &mut Overlay<QpObject>,
+        rng: &mut Rng64,
+    ) -> ExecOut {
+        let mut out = ExecOut::default();
+        if rows.is_empty() {
+            return out;
+        }
+        let (query_id, graph_idx) = at;
+        let Some(q) = self.queries.get_mut(&query_id) else {
+            return out;
+        };
+        let (Some(g), Some(spec)) = (q.graphs.get_mut(graph_idx), q.plan.opgraphs.get(graph_idx))
+        else {
+            return out;
+        };
+        // Fetch Matches: pipeline outputs are probe rows — issue an
+        // asynchronous DHT get per probe and join when results come back
+        // (the one place a sink still walks rows).  Chunks already carrying
+        // the join's output table *are* the joined results returning from a
+        // completed fetch; those continue to the opgraph's real sink below.
+        let fetch = g.fetch.and_then(|op| fetch_of(&spec.ops[op]));
+        if let Some((inner_namespace, probe_col, probe_is_key, output_table)) = fetch {
+            let mut completed = TupleBatch::default();
+            for chunk in rows.into_chunks() {
+                if chunk.schema().table() == output_table {
+                    completed.push_chunk(chunk);
+                    continue;
+                }
+                for probe in chunk.iter_rows() {
+                    let Some(key) = probe.get(probe_col).map(|v| match v.as_str() {
+                        Some(key) if probe_is_key => key.to_string(),
+                        _ => v.key_string(),
+                    }) else {
+                        continue;
+                    };
+                    let (request_id, effects) = overlay.get(inner_namespace, &key, now);
+                    self.pending_fetches.insert(request_id, (at, probe));
+                    out.effects.extend(effects);
+                }
+            }
+            if completed.is_empty() {
+                return out;
+            }
+            rows = completed;
+        }
+        match &spec.sink {
+            SinkSpec::ToProxy => out.results = vec![(q.plan.proxy, query_id, rows)],
+            SinkSpec::Rehash {
+                namespace,
+                key_cols,
+            } if self.batching => {
+                // Coalesce: buffer per (namespace, partition key); one
+                // overlay put per key per flush.
+                let (flushes, arm) = self.rehash.push(namespace, key_cols, &rows, rng);
+                out.arm_batch_flush = arm;
+                let puts = flushes.into_iter().map(|f| overlay.put_batch(f, now));
+                out.effects.extend(puts.flatten());
+            }
+            SinkSpec::Rehash {
+                namespace,
+                key_cols,
+            } => {
+                for t in rows.iter() {
+                    let Some(key) = t.partition_key(key_cols) else {
+                        continue;
+                    };
+                    let name = ObjectName::new(namespace.clone(), key, rng.next_u64());
+                    let put = overlay.put(name, QpObject::Tuple(t), self.publish_lifetime, now);
+                    out.effects.extend(put);
+                }
+            }
+            // Absorbed in `feed`, which leaves such a graph no output.
+            SinkSpec::HierarchicalAgg { .. } | SinkSpec::WindowedAgg { .. } => {}
+        }
+        out
+    }
+
+    /// The flush tick fired: ship every buffered rehash namespace, each
+    /// through the overlay's batched put so same-owner keys share a single
+    /// transfer when local routing state identifies the owner.
+    pub fn flush_rehash(
+        &mut self,
+        now: SimTime,
+        overlay: &mut Overlay<QpObject>,
+        rng: &mut Rng64,
+    ) -> Vec<OverlayEffect<QpObject>> {
+        let flushes = self.rehash.flush_all(rng);
+        let puts = flushes.into_iter().map(|f| overlay.put_batch(f, now));
+        puts.flatten().collect()
+    }
+
+    /// Fold a partial aggregate travelling up `query_id`'s tree into this
+    /// node's own buffered partials (the upcall of §3.3.4).  False when
+    /// nothing here could absorb it: it continues on its way.
+    pub fn absorb_partial(&mut self, query_id: u64, partial: &Tuple) -> bool {
+        let Some(q) = self.queries.get_mut(&query_id) else {
+            return false;
+        };
+        let mut absorbed = false;
+        for uplink in q.graphs.iter_mut().filter_map(|g| g.uplink.as_mut()) {
+            absorbed |= uplink.merge_partial(partial);
+        }
+        absorbed
+    }
+
+    /// Merge partial aggregates arriving at the aggregation-tree root.
+    pub fn merge_partials(&mut self, query_id: u64, partials: impl Iterator<Item = Tuple>) {
+        let Some(q) = self.queries.get_mut(&query_id) else {
+            return;
+        };
+        for partial in partials {
+            for root in q.graphs.iter_mut().filter_map(|g| g.root_merge.as_mut()) {
+                root.merge_partial(&partial);
+            }
+        }
+    }
+
+    /// Flush `query_id`'s buffered partials: at the tree's root they merge
+    /// into the root buffers, elsewhere they leave one hop up the tree (or
+    /// straight to the root of a `flat` plan) — all of one flush share the
+    /// destination, so batching makes them one transfer.  The root's final
+    /// flush finishes the merged groups and emits the result.
+    pub fn agg_flush(
+        &mut self,
+        query_id: u64,
+        final_flush: bool,
+        is_root: bool,
+        now: SimTime,
+        overlay: &mut Overlay<QpObject>,
+        rng: &mut Rng64,
+    ) -> ExecOut {
+        let mut out = ExecOut::default();
+        let Some(q) = self.queries.get_mut(&query_id) else {
+            return out;
+        };
+        let Some(tree) = &q.agg else {
+            return out;
+        };
+        let mut to_send: Vec<Tuple> = Vec::new();
+        let mut final_results: Vec<Tuple> = Vec::new();
+        for (g, spec) in q.graphs.iter_mut().zip(&q.plan.opgraphs) {
+            let (Some(uplink), Some(root)) = (g.uplink.as_mut(), g.root_merge.as_mut()) else {
+                continue;
+            };
+            let partials = uplink.flush();
+            if !is_root {
+                to_send.extend(partials);
+                continue;
+            }
+            for p in &partials {
+                root.merge_partial(p);
+            }
+            if let (true, SinkSpec::HierarchicalAgg { final_ops, .. }) = (final_flush, &spec.sink) {
+                let merged = TupleBatch::new(root.flush());
+                final_results.extend(finish_rows(final_ops, &merged));
+            }
+        }
+        let shipments: Vec<QpObject> = if self.batching && to_send.len() > 1 {
+            vec![QpObject::Batch(TupleBatch::new(to_send))]
+        } else {
+            to_send.into_iter().map(QpObject::Tuple).collect()
+        };
+        let lifetime = self.publish_lifetime;
+        for shipment in shipments {
+            let (namespace, key) = (q.plan.partial_namespace(), q.plan.agg_root_key());
+            let name = ObjectName::new(namespace, key, rng.next_u64());
+            out.effects.extend(if tree.flat {
+                overlay.put(name, shipment, lifetime, now)
+            } else {
+                overlay.send_routed(tree.root_id, name, shipment, lifetime, now)
+            });
+        }
+        if !final_results.is_empty() {
+            let rows = TupleBatch::new(final_results);
+            out.results = vec![(q.plan.proxy, query_id, rows)];
+        }
+        out
+    }
+}

@@ -33,11 +33,16 @@
 //! * [`plan`] — UFL-style physical plans: opgraphs, sources, sinks
 //!   (to-proxy, DHT rehash/Exchange, hierarchical aggregation), and the
 //!   dissemination strategies of §3.3.3.
-//! * [`node`] — [`node::PierNode`], the runnable node program combining the
-//!   overlay and the executor: query dissemination, opgraph installation,
-//!   Fetch Matches index joins, hierarchical aggregation with in-network
-//!   combining, rehash-based Symmetric Hash joins, proxy result delivery
-//!   and timeout-based query termination (§3.3.2).
+//! * [`graph_exec`] — [`graph_exec::GraphExec`], the opgraph executor of a
+//!   node's installed plans as a plain struct (chunks in, an
+//!   [`graph_exec::ExecOut`] of overlay effects and result chunks out):
+//!   Fetch Matches index joins, rehash-based Symmetric Hash joins through
+//!   the [`rehash::Rehash`] buffer, hierarchical aggregation's buffers.
+//! * [`node`] — [`node::PierNode`], the runnable node program wiring the
+//!   overlay, the executor, the window engines and the proxy to the
+//!   runtime: query dissemination and installation, namespace routing,
+//!   timers, spans, result delivery and timeout-based termination
+//!   (§3.3.2).
 //! * [`sqlish`] — the "naive SQL-like language" front end of §4.2: a small
 //!   SELECT-FROM-WHERE-GROUP BY parser and planner, reflecting the paper's
 //!   observation that users preferred SQL to raw UFL.
@@ -71,6 +76,7 @@ pub mod aggregate;
 pub mod column;
 pub mod eddy;
 pub mod expr;
+pub mod graph_exec;
 pub mod node;
 pub mod operators;
 pub mod partial;
@@ -78,6 +84,7 @@ pub mod plan;
 pub mod proxy;
 pub mod range_index;
 pub mod recursive;
+pub mod rehash;
 pub mod secondary_index;
 pub mod sharing;
 pub mod sqlish;
@@ -96,6 +103,7 @@ pub use eddy::{
     OBS_HALF_LIFE_ROWS,
 };
 pub use expr::{ArithOp, CmpOp, CompiledExpr, CompiledPredicate, EvalError, Expr};
+pub use graph_exec::{ExecOut, GraphExec, GraphRef};
 pub use node::{PierConfig, PierMsg, PierNode, PierTimer};
 pub use operators::{
     nested_loop_join, BloomFilter, Distinct, GroupBy, JoinSide, Limit, LocalOperator, Pipeline,
@@ -112,6 +120,7 @@ pub use plan::{
 pub use proxy::{window_result_schema, MemberRun, PierOut, Proxy, RenewalRound, WindowBundle};
 pub use range_index::RangeIndexConfig;
 pub use recursive::TransitiveClosure;
+pub use rehash::Rehash;
 pub use sharing::{
     InstallOutcome, Membership, MultiQuerySharing, SharingFactory, SharingStats, UninstallOutcome,
 };

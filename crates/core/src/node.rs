@@ -1,12 +1,12 @@
-//! The PIER node program: query executor over the overlay.
+//! The PIER node program: the query processor wired to the overlay and the
+//! runtime.
 //!
 //! A [`PierNode`] is the "Program" box of Figures 3 and 4 with the query
-//! processor included: it embeds an [`Overlay`] (the DHT wrapper), installs
-//! opgraphs that arrive via query dissemination, runs their local dataflow
-//! over locally stored and DHT-partitioned data, and uses the overlay for
-//! the distributed parts of query execution exactly as §3.3.6 enumerates —
-//! query dissemination, hash indexes, partitioned parallelism (rehash),
-//! operator state, and hierarchical operators.
+//! processor included.  It embeds an [`Overlay`] (the DHT wrapper) and the
+//! plain structs that do the work — the opgraph executor
+//! ([`crate::graph_exec`]), the window engines ([`crate::window_engine`]),
+//! the proxy ([`crate::proxy`]) — and is what connects them: the one
+//! namespace routing table, timers, messages, spans and telemetry.
 //!
 //! Life of a query (§3.3.2): a client hands a [`QueryPlan`] to any node
 //! (its *proxy*) through [`PierNode::submit_query`]; the proxy disseminates
@@ -17,17 +17,14 @@
 //! stops when the query's timeout expires.
 
 use crate::admission::{AdmissionControl, AdmissionFactory, AdmissionVerdict, SloPolicy};
-use crate::operators::{GroupBy, JoinSide, LocalOperator, Pipeline, SymmetricHashJoin};
-use crate::plan::{
-    finish_rows, CqSpec, Dissemination, OpGraph, OperatorSpec, QpObject, QueryPlan, SinkSpec,
-};
+use crate::graph_exec::{ExecOut, GraphExec, GraphRef};
+use crate::plan::{is_query_scoped_table, CqSpec, Dissemination, QpObject, QueryPlan};
 use crate::proxy::{MemberRun, PierOut, Proxy, WindowBundle};
 use crate::sharing::{
     is_share_scoped_table, InstallOutcome, Membership, MultiQuerySharing, SharingFactory,
     SharingStats,
 };
 use crate::tuple::{ColumnChunk, SchemaRegistry, Tuple, TupleBatch};
-use crate::value::Value;
 use crate::window_engine::{CqDiagnostics, EngineSpec, WindowEngine, OCCUPANCY_GAUGES};
 use pier_cq::{DurableStore, LeaseStatus};
 use pier_dht::{
@@ -35,10 +32,9 @@ use pier_dht::{
     OverlayEvent, OverlayTimer,
 };
 use pier_runtime::{Duration, NodeAddr, Program, ProgramContext, Rng64, SimTime, WireSize};
-use pier_telemetry::{SpanRecord, Telemetry, TelemetryConfig};
-use pier_trace::{trace_id_for, TraceConfig, TraceContext};
+use pier_telemetry::{Telemetry, TelemetryConfig};
+use pier_trace::{TraceConfig, TraceContext};
 use std::collections::{BTreeMap, HashMap};
-use std::sync::Arc;
 
 /// Upper bound on how long a rehash tuple may sit in the batch buffer before
 /// the periodic flush tick ships it.
@@ -249,53 +245,6 @@ pub enum PierTimer {
     IngestFlush,
 }
 
-/// True for table names of the query-scoped form `q{digits}.{suffix}` — the
-/// namespaces queries intern per installation (`q{id}.agg`, `q{id}.wp`,
-/// `q{id}.win`, `q{id}.partials`, …) and the shapes the teardown sweep is
-/// allowed to evict.  User tables that merely start with `q` do not match.
-pub(crate) fn is_query_scoped_table(table: &str) -> bool {
-    let Some(rest) = table.strip_prefix('q') else {
-        return false;
-    };
-    let Some(dot) = rest.find('.') else {
-        return false;
-    };
-    !rest[..dot].is_empty() && rest.as_bytes()[..dot].iter().all(u8::is_ascii_digit)
-}
-
-#[derive(Debug)]
-struct GraphState {
-    spec: OpGraph,
-    pipeline: Pipeline,
-    join: Option<SymmetricHashJoin>,
-    /// Local + relayed partial aggregates waiting to travel up the tree.
-    uplink: Option<GroupBy>,
-    /// Partials merged at the aggregation-tree root.
-    root_merge: Option<GroupBy>,
-}
-
-#[derive(Debug)]
-struct QueryState {
-    plan: QueryPlan,
-    graphs: Vec<GraphState>,
-    agg_root_id: Id,
-    /// The opgraph feeding the query's own window engine
-    /// (`EngineKey::Query`), when the plan has a windowed sink.
-    cq_graph: Option<usize>,
-    /// Source rows seen by a shed plan (`sample_every > 1`): the
-    /// deterministic per-query per-node sampling counter.
-    ingest_seen: u64,
-}
-
-/// Rehash tuples buffered per rendezvous namespace, grouped by partition
-/// key so each flush performs one overlay `put` per key instead of one per
-/// tuple.
-#[derive(Debug, Default)]
-struct RehashBuffer {
-    by_key: HashMap<String, Vec<Tuple>>,
-    tuples: usize,
-}
-
 /// Where arrivals in one namespace go, maintained by `install_query` /
 /// `uninstall_query` so routing is one map lookup per arrival instead of a
 /// `format!` scan over every installed query.
@@ -306,9 +255,9 @@ enum NamespaceRoute {
     WindowPartials(EngineKey),
     /// `q{id}.partials`: partial aggregates travelling up the tree.
     AggPartials(u64),
-    /// A base table or rehash namespace: the `(query, graph index)` pairs
-    /// reading it, ascending.
-    Sources(Vec<(u64, usize)>),
+    /// A base table or rehash namespace: the opgraphs reading it,
+    /// ascending.
+    Sources(Vec<GraphRef>),
 }
 
 /// Which of this node's [`WindowEngine`]s: an unshared query's own, or a
@@ -333,22 +282,6 @@ struct EngineSlot {
     tick: PierTimer,
 }
 
-/// The transfers that carry closed-window partials one hop toward their
-/// root: with `batching` every row shares one [`QpObject::Batch`] (a lone
-/// partial still travels as a bare tuple), without it each row is its own
-/// [`QpObject::Tuple`].
-fn partial_shipments(chunks: Vec<ColumnChunk>, batching: bool) -> Vec<QpObject> {
-    if batching && chunks.iter().map(ColumnChunk::rows).sum::<usize>() > 1 {
-        vec![QpObject::Batch(TupleBatch::from_chunks(chunks))]
-    } else {
-        chunks
-            .iter()
-            .flat_map(ColumnChunk::iter_rows)
-            .map(QpObject::Tuple)
-            .collect()
-    }
-}
-
 /// Rows handed to [`PierNode::ingest`] that have not been absorbed yet: one
 /// table at a time, all observed at the virtual instant `at`.
 #[derive(Debug, Default)]
@@ -369,13 +302,11 @@ pub struct PierNode {
     config: PierConfig,
     rng: Rng64,
     local_tables: HashMap<String, Vec<Tuple>>,
-    queries: HashMap<u64, QueryState>,
+    /// The installed unshared plans, their dataflow and sinks.
+    exec: GraphExec,
     /// The queries submitted here and their renewal clock.
     proxy: Proxy,
-    pending_fetches: HashMap<u64, (u64, usize, Tuple)>,
     next_query_seq: u64,
-    rehash_buf: HashMap<String, RehashBuffer>,
-    batch_timer_armed: bool,
     /// Every window engine at this node, and the engine each windowed
     /// query (unshared or share-group member) lives in.
     engines: BTreeMap<EngineKey, EngineSlot>,
@@ -444,14 +375,11 @@ impl PierNode {
             sharing,
             admission,
             tel,
-            config,
             local_tables: HashMap::new(),
-            queries: HashMap::new(),
+            exec: GraphExec::new(&config),
+            config,
             proxy: Proxy::default(),
-            pending_fetches: HashMap::new(),
             next_query_seq: 0,
-            rehash_buf: HashMap::new(),
-            batch_timer_armed: false,
             engines: BTreeMap::new(),
             engine_of: HashMap::new(),
             gauges_at: None,
@@ -478,7 +406,7 @@ impl PierNode {
     /// Number of queries currently installed at this node, counting both
     /// independent dataflows and share-group members.
     pub fn installed_queries(&self) -> usize {
-        self.queries.len() + self.sharing.as_ref().map_or(0, |l| l.stats().members)
+        self.exec.installed() + self.sharing.as_ref().map_or(0, |l| l.stats().members)
     }
 
     /// Diagnostics of the multi-query sharing layer (`None` when the node
@@ -494,12 +422,37 @@ impl PierNode {
 
     // ----- distributed tracing (pier-trace) ---------------------------------
 
-    /// Allocate the next cluster-unique span id: node address in the high
-    /// half, a per-node sequence in the low half.  Counter-derived, never
-    /// random, so equal-seed runs allocate identical ids.
-    fn next_span_id(&mut self, me: NodeAddr) -> u64 {
+    /// Record the instantaneous span `span` (its own id in `span_id`) of
+    /// `stage` under span `parent`, with the stage's `[rows, bytes, aux]`.
+    fn record_span(
+        &self,
+        now: SimTime,
+        span: TraceContext,
+        parent: u64,
+        stage: &'static str,
+        [rows, bytes, aux]: [u64; 3],
+    ) {
+        let (t, s, q) = (span.trace_id, span.span_id, span.query_id);
+        self.tel
+            .record_span(now, now, t, s, parent, q, stage, rows, bytes, aux);
+    }
+
+    /// Record a `stage` span under `parent` and return its context, which
+    /// parents whatever the stage hands on.  Span ids are node address (high
+    /// half) and a per-node sequence (low half): cluster-unique and
+    /// counter-derived, never random, so equal seeds allocate equal ids.
+    fn span(
+        &mut self,
+        now: SimTime,
+        parent: TraceContext,
+        stage: &'static str,
+        counts: [u64; 3],
+    ) -> TraceContext {
         self.next_span_seq += 1;
-        ((u64::from(me.0) + 1) << 32) | self.next_span_seq
+        let me = u64::from(self.overlay.me().addr.0);
+        let span = parent.child(((me + 1) << 32) | self.next_span_seq);
+        self.record_span(now, span, parent.span_id, stage, counts);
+        span
     }
 
     /// Append a row to a node-local table.  Rows become visible to queries
@@ -613,61 +566,42 @@ impl PierNode {
         // sampling modulus stamped in.
         if let Some(layer) = self.admission.as_mut() {
             let decision = layer.assess(&plan);
-            match decision.verdict {
-                AdmissionVerdict::Admit => {
-                    self.tel.inc("admission.admit");
-                    self.tel.event("admission.admit", || {
-                        vec![
-                            ("query", query_id.to_string()),
-                            ("tenant", plan.tenant.to_string()),
-                        ]
-                    });
-                    ctx.output(PierOut::Admission {
-                        query_id,
-                        tenant: plan.tenant,
-                        accepted: true,
-                        sample_every: plan.sample_every,
-                        report: decision.report,
-                    });
-                }
+            let accepted = !matches!(decision.verdict, AdmissionVerdict::Reject { .. });
+            let (mut shed, mut why) = (false, None);
+            let kind = match decision.verdict {
+                AdmissionVerdict::Admit => "admission.admit",
                 AdmissionVerdict::Shed { sample_every } => {
                     plan.sample_every = sample_every.max(2);
-                    let every = plan.sample_every;
-                    self.tel.inc("admission.shed");
-                    self.tel.event("admission.shed", || {
-                        vec![
-                            ("query", query_id.to_string()),
-                            ("tenant", plan.tenant.to_string()),
-                            ("sample_every", every.to_string()),
-                        ]
-                    });
-                    ctx.output(PierOut::Admission {
-                        query_id,
-                        tenant: plan.tenant,
-                        accepted: true,
-                        sample_every: plan.sample_every,
-                        report: decision.report,
-                    });
+                    shed = true;
+                    "admission.shed"
                 }
                 AdmissionVerdict::Reject { reason } => {
-                    self.tel.inc("admission.reject");
-                    self.tel.event("admission.reject", || {
-                        vec![
-                            ("query", query_id.to_string()),
-                            ("tenant", plan.tenant.to_string()),
-                            ("reason", reason.clone()),
-                        ]
-                    });
-                    ctx.output(PierOut::Admission {
-                        query_id,
-                        tenant: plan.tenant,
-                        accepted: false,
-                        sample_every: plan.sample_every,
-                        report: decision.report,
-                    });
-                    ctx.output(PierOut::Done { query_id });
-                    return query_id;
+                    why = Some(("reason", reason));
+                    "admission.reject"
                 }
+            };
+            self.tel.inc(kind);
+            self.tel.event(kind, || {
+                let mut fields = vec![
+                    ("query", query_id.to_string()),
+                    ("tenant", plan.tenant.to_string()),
+                ];
+                if shed {
+                    fields.push(("sample_every", plan.sample_every.to_string()));
+                }
+                fields.extend(why);
+                fields
+            });
+            ctx.output(PierOut::Admission {
+                query_id,
+                tenant: plan.tenant,
+                accepted,
+                sample_every: plan.sample_every,
+                report: decision.report,
+            });
+            if !accepted {
+                ctx.output(PierOut::Done { query_id });
+                return query_id;
             }
         }
         // Tracing: sampled once, here at the proxy — one seeded-RNG draw
@@ -680,20 +614,10 @@ impl PierNode {
             plan.trace = self.config.trace.keeps(roll);
         }
         if plan.trace && self.tel.is_enabled() {
-            let trace_id = trace_id_for(query_id);
-            let now = ctx.now();
-            self.tel.record_span(
-                now,
-                now,
-                trace_id,
-                trace_id, // the trace's root span IS the trace id
-                0,
-                query_id,
-                "query.disseminate",
-                0,
-                0,
-                u64::from(plan.sample_every),
-            );
+            // The trace's root span IS the trace id, under no parent.
+            let counts = [0, 0, u64::from(plan.sample_every)];
+            let root = TraceContext::root(query_id);
+            self.record_span(ctx.now(), root, 0, "query.disseminate", counts);
         }
         // A standing query joins this node's lease roster; the first one
         // starts the renewal clock.
@@ -819,19 +743,12 @@ impl PierNode {
                 objects,
                 ..
             } => {
-                // A Fetch Matches probe came back: join the probe tuple with
-                // every fetched inner tuple and forward to the sink.
-                if let Some((query_id, graph_idx, probe)) = self.pending_fetches.remove(&request_id)
-                {
-                    let Some(output_table) = self.fetch_spec(query_id, graph_idx) else {
-                        return Vec::new();
-                    };
-                    let inner = objects.iter().flat_map(|o| o.value.iter_tuples());
-                    let joined = inner.map(|inner| probe.join_with(&inner, &output_table));
-                    let joined = TupleBatch::new(joined.collect());
-                    return self.deliver_sink(ctx, query_id, graph_idx, joined);
-                }
-                Vec::new()
+                // A Fetch Matches probe came back.
+                let (overlay, rng) = (&mut self.overlay, &mut self.rng);
+                let out = self
+                    .exec
+                    .fetched(request_id, &objects, ctx.now(), overlay, rng);
+                self.settle(ctx, out)
             }
             OverlayEvent::NewData { object, trace } => {
                 // A context on arriving data means the sender's stage was
@@ -840,21 +757,10 @@ impl PierNode {
                 // parented to the sender's wire-carried span.
                 if let Some(t) = trace {
                     if self.tel.is_enabled() && object.value.tuple_count() > 0 {
-                        let now = ctx.now();
-                        let span = self.next_span_id(ctx.me());
-                        self.tel.record_span(
-                            now,
-                            now,
-                            t.trace_id,
-                            span,
-                            t.span_id,
-                            t.query_id,
-                            "window.combine",
-                            object.value.tuple_count() as u64,
-                            object.value.wire_size() as u64,
-                            0,
-                        );
-                        self.last_combine_span.insert(t.query_id, span);
+                        let rows = object.value.tuple_count() as u64;
+                        let counts = [rows, object.value.wire_size() as u64, 0];
+                        let span = self.span(ctx.now(), t, "window.combine", counts);
+                        self.last_combine_span.insert(t.query_id, span.span_id);
                     }
                 }
                 let namespace = &object.name.namespace;
@@ -906,21 +812,10 @@ impl PierNode {
                 // partials) parents to it via a fresh child context.
                 let upcall_ctx = match trace {
                     Some(t) if self.tel.is_enabled() => {
-                        let span = self.next_span_id(ctx.me());
-                        self.tel.record_span(
-                            now,
-                            now,
-                            t.trace_id,
-                            span,
-                            t.span_id,
-                            t.query_id,
-                            "window.upcall",
-                            object.value.tuple_count() as u64,
-                            0,
-                            0,
-                        );
-                        self.last_combine_span.insert(t.query_id, span);
-                        Some(t.child(span))
+                        let rows = object.value.tuple_count() as u64;
+                        let span = self.span(now, t, "window.upcall", [rows, 0, 0]);
+                        self.last_combine_span.insert(t.query_id, span.span_id);
+                        Some(span)
                     }
                     _ => None,
                 };
@@ -931,7 +826,7 @@ impl PierNode {
                     {
                         let mut absorbed = false;
                         for partial in object.value.iter_tuples() {
-                            absorbed |= self.absorb_partial(query_id, &partial);
+                            absorbed |= self.exec.absorb_partial(query_id, &partial);
                         }
                         if absorbed {
                             return self.overlay.resume_upcall(token, false, now);
@@ -957,7 +852,7 @@ impl PierNode {
                                     .filter(|(_, rows)| !rows.is_empty())
                                     .map(|(chunk, rows)| chunk.gather(rows))
                                     .collect();
-                                let shipments = partial_shipments(refused, self.config.batching);
+                                let shipments = QpObject::shipments(refused, self.config.batching);
                                 effects.extend(self.ship_partials(key, shipments, upcall_ctx, now));
                             }
                             return effects;
@@ -976,16 +871,6 @@ impl PierNode {
             }
             OverlayEvent::RenewResult { .. } | OverlayEvent::LookupDone { .. } => Vec::new(),
         }
-    }
-
-    fn fetch_spec(&self, query_id: u64, graph_idx: usize) -> Option<String> {
-        let q = self.queries.get(&query_id)?;
-        let g = q.graphs.get(graph_idx)?;
-        g.spec.ops.iter().find_map(|op| match op {
-            OperatorSpec::FetchMatches { output_table, .. }
-            | OperatorSpec::FetchByTupleId { output_table, .. } => Some(output_table.clone()),
-            _ => None,
-        })
     }
 
     /// Send closed-window partials one hop toward engine `key`'s window root
@@ -1039,40 +924,12 @@ impl PierNode {
         Some((key, refused))
     }
 
-    fn absorb_partial(&mut self, query_id: u64, partial: &Tuple) -> bool {
-        let Some(q) = self.queries.get_mut(&query_id) else {
-            return false;
-        };
-        let mut absorbed = false;
-        for g in &mut q.graphs {
-            if let Some(uplink) = g.uplink.as_mut() {
-                absorbed |= uplink.merge_partial(partial);
-            }
-        }
-        absorbed
-    }
-
-    /// Merge arriving partial aggregates into the aggregation-tree root.
-    fn merge_agg_partials(&mut self, query_id: u64, partials: impl Iterator<Item = Tuple>) {
-        let Some(q) = self.queries.get_mut(&query_id) else {
-            return;
-        };
-        for tuple in partials {
-            for g in &mut q.graphs {
-                if let Some(root) = g.root_merge.as_mut() {
-                    root.merge_partial(&tuple);
-                }
-            }
-        }
-    }
-
     /// Record one `ingest` span per *sampled* query fed by an arriving
     /// batch (rows = tuples routed, bytes = wire size of the payload as it
     /// arrived, computed only when some target is sampled).
     fn ingest_spans(
         &mut self,
-        ctx: &mut ProgramContext<Self>,
-        targets: &[(u64, usize)],
+        targets: &[GraphRef],
         now: SimTime,
         rows: u64,
         bytes: impl FnOnce() -> usize,
@@ -1081,22 +938,15 @@ impl PierNode {
             return;
         }
         // Targets ascend by query id, so span ordinals are deterministic.
-        let mut qids: Vec<u64> = targets
-            .iter()
-            .map(|(qid, _)| *qid)
-            .filter(|qid| self.queries.get(qid).is_some_and(|q| q.plan.trace))
-            .collect();
+        let traced = |at: &&GraphRef| self.exec.plan(at.0).is_some_and(|p| p.trace);
+        let mut qids: Vec<u64> = targets.iter().filter(traced).map(|at| at.0).collect();
         qids.dedup();
         if qids.is_empty() {
             return;
         }
         let bytes = bytes() as u64;
         for qid in qids {
-            let trace_id = trace_id_for(qid);
-            let span = self.next_span_id(ctx.me());
-            self.tel.record_span(
-                now, now, trace_id, span, trace_id, qid, "ingest", rows, bytes, 0,
-            );
+            self.span(now, TraceContext::root(qid), "ingest", [rows, bytes, 0]);
         }
     }
 
@@ -1115,7 +965,7 @@ impl PierNode {
     ) -> Vec<OverlayEffect<QpObject>> {
         // Partial aggregates arriving at the aggregation-tree root.
         if let Some(&NamespaceRoute::AggPartials(query_id)) = self.routes.get(namespace) {
-            self.merge_agg_partials(query_id, batch.iter());
+            self.exec.merge_partials(query_id, batch.iter());
             return Vec::new();
         }
         // Closed-window partials arriving at their engine's root
@@ -1151,10 +1001,10 @@ impl PierNode {
             Some(NamespaceRoute::Sources(targets)) => std::mem::take(targets),
             _ => return Vec::new(),
         };
-        self.ingest_spans(ctx, &targets, now, batch.len() as u64, wire_bytes);
+        self.ingest_spans(&targets, now, batch.len() as u64, wire_bytes);
         let mut effects = Vec::new();
-        for &(qid, gidx) in &targets {
-            effects.extend(self.feed_graph_batch(ctx, qid, gidx, batch, now));
+        for &at in &targets {
+            effects.extend(self.feed(ctx, at, batch, now));
         }
         if let Some(NamespaceRoute::Sources(slot)) = self.routes.get_mut(namespace) {
             *slot = targets;
@@ -1168,7 +1018,7 @@ impl PierNode {
     /// is not (the caller installs it, or pulls its plan).
     fn renew_lease(&mut self, query_id: u64, now: SimTime) -> bool {
         let Some(key) = self.engine_of.get(&query_id) else {
-            return self.queries.contains_key(&query_id);
+            return self.exec.plan(query_id).is_some();
         };
         let slot = self.engines.get_mut(key);
         if let Some(lease) = slot.and_then(|s| s.engine.lease_mut(query_id)) {
@@ -1190,11 +1040,7 @@ impl PierNode {
             return;
         }
         self.tel.inc("cq.plan_pulls");
-        if proxy == ctx.me() {
-            self.serve_plans(ctx, proxy, &missing);
-        } else {
-            ctx.send(proxy, PierMsg::PlanRequest { queries: missing });
-        }
+        self.post(ctx, proxy, PierMsg::PlanRequest { queries: missing });
     }
 
     /// Answer a pull: the plans of the `queries` still proxied here go to
@@ -1205,13 +1051,7 @@ impl PierNode {
             return;
         }
         self.tel.add("cq.plans_served", plans.len() as u64);
-        if to == ctx.me() {
-            for plan in plans {
-                self.install_query(ctx, plan);
-            }
-        } else {
-            ctx.send(to, PierMsg::Plans { plans });
-        }
+        self.post(ctx, to, PierMsg::Plans { plans });
     }
 
     /// One round of the renewal clock: broadcast the roster, re-send the
@@ -1299,14 +1139,11 @@ impl PierNode {
             }
             return;
         }
-        let agg_root_id = routing_id(&plan.partial_namespace(), &plan.agg_root_key());
         // A windowed plan gets an engine of its own, rehydrated warm from
         // durable segments when this is a restart.
-        let mut cq_graph = None;
         let mut cq_timers = None;
-        if let Some((graph_idx, engine, member)) = EngineSpec::unshared(&plan) {
+        if let Some((_, engine, member)) = EngineSpec::unshared(&plan) {
             let key = EngineKey::Query(query_id);
-            cq_graph = Some(graph_idx);
             cq_timers = Some((engine.window.slide, member.lease));
             self.open_engine(key, 0, PierTimer::WindowTick { query_id }, engine, query_id);
             if let Some(slot) = self.engines.get_mut(&key) {
@@ -1314,106 +1151,31 @@ impl PierNode {
                 self.engine_of.insert(query_id, key);
             }
         }
-        let mut graphs = Vec::new();
-        let mut has_agg = false;
-        for spec in &plan.opgraphs {
-            let mut pipeline =
-                Pipeline::new(spec.ops.iter().filter_map(OperatorSpec::build).collect());
-            pipeline.set_telemetry(&self.tel);
-            let join = spec.join.as_ref().map(|j| {
-                SymmetricHashJoin::new(
-                    j.left_key.clone(),
-                    j.right_key.clone(),
-                    j.output_table.clone(),
-                )
-            });
-            let (uplink, root_merge) = match &spec.sink {
-                SinkSpec::HierarchicalAgg {
-                    group_cols, aggs, ..
-                } => {
-                    has_agg = true;
-                    let table = format!("q{query_id}.agg");
-                    (
-                        Some(GroupBy::new(
-                            group_cols.clone(),
-                            aggs.clone(),
-                            table.clone(),
-                        )),
-                        Some(GroupBy::new(group_cols.clone(), aggs.clone(), table)),
-                    )
-                }
-                _ => (None, None),
-            };
-            graphs.push(GraphState {
-                spec: spec.clone(),
-                pipeline,
-                join,
-                uplink,
-                root_merge,
-            });
-        }
-        let timeout = plan.timeout;
-        let hold = plan
-            .opgraphs
-            .iter()
-            .find_map(|g| match &g.sink {
-                SinkSpec::HierarchicalAgg { hold, .. } => Some(*hold),
-                _ => None,
-            })
-            .unwrap_or(2_000_000);
-        let has_cq = cq_graph.is_some();
+        let (timeout, trace, graphs) = (plan.timeout, plan.trace, plan.opgraphs.len());
+        let partials = plan.partial_namespace();
+        let hold = self.exec.install(plan, &self.tel);
+        let has_cq = cq_timers.is_some();
         self.tel.inc("query.installs");
         self.tel.event("query_install", || {
             vec![
                 ("query_id", query_id.to_string()),
-                ("graphs", graphs.len().to_string()),
+                ("graphs", graphs.to_string()),
                 ("continuous", has_cq.to_string()),
             ]
         });
-        if plan.trace && self.tel.is_enabled() {
-            let trace_id = trace_id_for(query_id);
-            let now = ctx.now();
-            let span = self.next_span_id(ctx.me());
-            self.tel.record_span(
-                now,
-                now,
-                trace_id,
-                span,
-                trace_id,
-                query_id,
-                "query.install",
-                graphs.len() as u64,
-                0,
-                0,
-            );
+        if trace && self.tel.is_enabled() {
+            let counts = [graphs as u64, 0, 0];
+            self.span(now, TraceContext::root(query_id), "query.install", counts);
         }
-        // Partial namespaces are the query's own (the engine's was routed
-        // when it opened); a source that names one is shadowed, as partials
-        // were always tried first.
-        let route = NamespaceRoute::AggPartials(query_id);
-        self.routes.insert(plan.partial_namespace(), route);
-        for (gidx, g) in graphs.iter().enumerate() {
-            let route = self
-                .routes
-                .entry(g.spec.source.namespace().to_string())
-                .or_insert_with(|| NamespaceRoute::Sources(Vec::new()));
-            if let NamespaceRoute::Sources(targets) = route {
-                let at = targets.partition_point(|t| *t < (query_id, gidx));
-                targets.insert(at, (query_id, gidx));
-            }
+        // An aggregating plan's partial namespace is the query's own (the
+        // engine's was routed when it opened); a source that names one is
+        // shadowed, as partials were always tried first.
+        if hold.is_some() {
+            let route = NamespaceRoute::AggPartials(query_id);
+            self.routes.insert(partials, route);
         }
-        self.queries.insert(
-            query_id,
-            QueryState {
-                plan,
-                graphs,
-                agg_root_id,
-                cq_graph,
-                ingest_seen: 0,
-            },
-        );
         ctx.set_timer(timeout, PierTimer::QueryEnd { query_id });
-        if has_agg {
+        if let Some(hold) = hold {
             ctx.set_timer(hold, PierTimer::AggFlush { query_id });
             ctx.set_timer(
                 timeout.saturating_sub(hold),
@@ -1424,31 +1186,29 @@ impl PierNode {
             ctx.set_timer(slide, PierTimer::WindowTick { query_id });
             ctx.set_timer(lease, PierTimer::CqLease { query_id });
         }
-        // Feed the opgraphs their initial data: node-local rows plus the
-        // DHT-partitioned rows this node is responsible for.  The snapshot of
-        // every source is taken *before* any graph runs, so tuples that one
-        // opgraph republishes during installation (e.g. a rehash into the
-        // query's rendezvous namespace) are not double-counted by another
-        // opgraph that reads that namespace — those arrive via `newData`.
-        let graph_count = self.queries[&query_id].graphs.len();
-        let mut initial_rows: Vec<Vec<Tuple>> = Vec::with_capacity(graph_count);
-        for gidx in 0..graph_count {
-            let namespace = self.queries[&query_id].graphs[gidx]
-                .spec
-                .source
-                .namespace()
-                .to_string();
-            let mut rows: Vec<Tuple> = self
-                .local_tables
-                .get(&namespace)
-                .cloned()
-                .unwrap_or_default();
-            rows.extend(
-                self.overlay
-                    .local_scan(&namespace, ctx.now())
-                    .into_iter()
-                    .flat_map(|o| o.value.into_tuples()),
-            );
+        // Route every opgraph's source to it, and feed the opgraphs their
+        // initial data: node-local rows plus the DHT-partitioned rows this
+        // node is responsible for.  The snapshot of every source is taken
+        // *before* any graph runs, so tuples that one opgraph republishes
+        // during installation (e.g. a rehash into the query's rendezvous
+        // namespace) are not double-counted by another opgraph that reads
+        // that namespace — those arrive via `newData`.
+        let mut initial_rows: Vec<Vec<Tuple>> = Vec::with_capacity(graphs);
+        let installed = self.exec.plan(query_id);
+        for (gidx, g) in installed.iter().flat_map(|p| &p.opgraphs).enumerate() {
+            let namespace = g.source.namespace();
+            let route = self
+                .routes
+                .entry(namespace.to_string())
+                .or_insert_with(|| NamespaceRoute::Sources(Vec::new()));
+            if let NamespaceRoute::Sources(targets) = route {
+                let at = targets.partition_point(|t| *t < (query_id, gidx));
+                targets.insert(at, (query_id, gidx));
+            }
+            let local = self.local_tables.get(namespace);
+            let mut rows = local.cloned().unwrap_or_default();
+            let stored = self.overlay.local_scan(namespace, now);
+            rows.extend(stored.into_iter().flat_map(|o| o.value.into_tuples()));
             initial_rows.push(rows);
         }
         for (gidx, rows) in initial_rows.into_iter().enumerate() {
@@ -1456,9 +1216,42 @@ impl PierNode {
                 continue;
             }
             let batch = TupleBatch::new(rows);
-            let effects = self.feed_graph_batch(ctx, query_id, gidx, &batch, ctx.now());
+            let effects = self.feed(ctx, (query_id, gidx), &batch, now);
             self.drive(ctx, effects);
         }
+    }
+
+    /// Feed `batch` to opgraph `at`, with the query's own window engine if
+    /// it has one.
+    fn feed(
+        &mut self,
+        ctx: &mut ProgramContext<Self>,
+        at: GraphRef,
+        batch: &TupleBatch,
+        now: SimTime,
+    ) -> Vec<OverlayEffect<QpObject>> {
+        let windows = self.engines.get_mut(&EngineKey::Query(at.0));
+        let windows = windows.map(|slot| &mut slot.engine);
+        let (overlay, rng) = (&mut self.overlay, &mut self.rng);
+        let out = self.exec.feed(at, batch, now, windows, overlay, rng);
+        self.settle(ctx, out)
+    }
+
+    /// Do what an executor call asks: results go to their proxies first,
+    /// then the rehash flush tick is armed; the overlay effects are the
+    /// caller's to drive.
+    fn settle(
+        &mut self,
+        ctx: &mut ProgramContext<Self>,
+        out: ExecOut,
+    ) -> Vec<OverlayEffect<QpObject>> {
+        for (proxy, query_id, rows) in out.results {
+            self.post(ctx, proxy, PierMsg::Results { query_id, rows });
+        }
+        if out.arm_batch_flush {
+            ctx.set_timer(BATCH_FLUSH_INTERVAL, PierTimer::BatchFlush);
+        }
+        out.effects
     }
 
     /// Open engine `key` — cold, or rehydrated warm from this node's durable
@@ -1526,10 +1319,13 @@ impl PierNode {
                 }
             }
         }
-        if let Some(q) = self.queries.remove(&query_id) {
-            self.routes.remove(&q.plan.partial_namespace());
-            for g in &q.graphs {
-                let namespace = g.spec.source.namespace();
+        if let Some(plan) = self.exec.uninstall(query_id) {
+            let partials = plan.partial_namespace();
+            if let Some(NamespaceRoute::AggPartials(_)) = self.routes.get(&partials) {
+                self.routes.remove(&partials);
+            }
+            for g in &plan.opgraphs {
+                let namespace = g.source.namespace();
                 if let Some(NamespaceRoute::Sources(targets)) = self.routes.get_mut(namespace) {
                     targets.retain(|(qid, _)| *qid != query_id);
                     if targets.is_empty() {
@@ -1567,316 +1363,42 @@ impl PierNode {
         }
     }
 
-    /// Feed a batch of source rows to one opgraph: joins consume whole
-    /// columnar chunks ([`SymmetricHashJoin::push_chunk_batch`]), plain
-    /// pipelines consume the batch **chunk-to-chunk** via
-    /// `Pipeline::push_batch` (every stage hands the next a re-chunked
-    /// survivor batch), uplink aggregation absorbs the survivors chunk-wise,
-    /// and a windowed graph's engine absorbs them chunk-wise
-    /// ([`WindowEngine::absorb`]) — the source chunks themselves when the
-    /// pipeline is a pass-through — so there is no per-tuple dispatch
-    /// anywhere, and what is left goes to the sink as the batch it is.
-    fn feed_graph_batch(
-        &mut self,
-        ctx: &mut ProgramContext<Self>,
-        query_id: u64,
-        graph_idx: usize,
-        batch: &TupleBatch,
-        now: SimTime,
-    ) -> Vec<OverlayEffect<QpObject>> {
-        let outputs = {
-            let Some(q) = self.queries.get_mut(&query_id) else {
-                return Vec::new();
-            };
-            // Shed-to-sampling, chunk-wise: a degraded plan keeps one in
-            // `sample_every` *source* rows (query-scoped namespaces —
-            // rehashed join sides, shipped partials — are derived data and
-            // pass untouched).  The counter is per query per node, so
-            // equal-seed runs thin identically.
-            let sampled;
-            let batch = if q.plan.sample_every > 1 {
-                let every = u64::from(q.plan.sample_every);
-                let mut kept = TupleBatch::default();
-                for chunk in batch.chunks() {
-                    if is_query_scoped_table(chunk.schema().table()) {
-                        kept.push_chunk(chunk.clone());
-                        continue;
-                    }
-                    let seen = q.ingest_seen;
-                    q.ingest_seen += chunk.rows() as u64;
-                    let idx: Vec<u32> = (0..chunk.rows() as u32)
-                        .filter(|r| (seen + u64::from(*r)) % every == 0)
-                        .collect();
-                    kept.push_chunk(chunk.gather(&idx));
-                }
-                sampled = kept;
-                &sampled
-            } else {
-                batch
-            };
-            let Some(g) = q.graphs.get_mut(graph_idx) else {
-                return Vec::new();
-            };
-            let windows = (q.cq_graph == Some(graph_idx))
-                .then(|| self.engines.get_mut(&EngineKey::Query(query_id)))
-                .flatten();
-            let direct = windows.is_some() && g.join.is_none() && g.pipeline.is_empty();
-            let mut outputs = match (&mut g.join, &g.spec.join) {
-                _ if direct => TupleBatch::default(), // absorbed below, unscanned
-                (Some(join), Some(join_spec)) => {
-                    // Two-input join fed from the rehash namespace: each
-                    // chunk's table name decides the side it belongs to.
-                    // The join emits whole typed chunks (gathered from
-                    // both sides' stored buffers), which share one output
-                    // schema — so the staged batch flows into the
-                    // pipeline's chunk-to-chunk traversal without ever
-                    // materialising per-row tuples.
-                    let mut staged = TupleBatch::default();
-                    for chunk in batch.chunks() {
-                        let table = chunk.schema().table();
-                        if table == join_spec.left_table {
-                            staged.append(join.push_chunk_batch(JoinSide::Left, chunk));
-                        } else if table == join_spec.right_table {
-                            staged.append(join.push_chunk_batch(JoinSide::Right, chunk));
-                        } // unknown table: discard (best effort)
-                    }
-                    if staged.is_empty() {
-                        TupleBatch::default()
-                    } else {
-                        g.pipeline.push_batch(&staged)
-                    }
-                }
-                _ => g.pipeline.push_batch(batch),
-            };
-            // Hierarchical aggregation absorbs the survivors chunk-wise.
-            if let Some(uplink) = g.uplink.as_mut() {
-                uplink.push_batch(&outputs);
-                outputs = TupleBatch::default();
-            }
-            // A windowed graph folds the survivors into its engine.
-            if let Some(slot) = windows {
-                let survivors = if direct { batch } else { &outputs };
-                for chunk in survivors.chunks() {
-                    slot.engine.absorb(chunk, None, now);
-                }
-                outputs = TupleBatch::default();
-            }
-            outputs
-        };
-        self.deliver_sink(ctx, query_id, graph_idx, outputs)
-    }
-
-    fn deliver_sink(
-        &mut self,
-        ctx: &mut ProgramContext<Self>,
-        query_id: u64,
-        graph_idx: usize,
-        mut rows: TupleBatch,
-    ) -> Vec<OverlayEffect<QpObject>> {
-        if rows.is_empty() {
-            return Vec::new();
-        }
-        let (sink, proxy, fetch, lifetime) = {
-            let Some(q) = self.queries.get(&query_id) else {
-                return Vec::new();
-            };
-            let Some(g) = q.graphs.get(graph_idx) else {
-                return Vec::new();
-            };
-            // (namespace, probe column, probe column already holds the key
-            // string, output table of the join results)
-            let fetch = g.spec.ops.iter().find_map(|op| match op {
-                OperatorSpec::FetchMatches {
-                    inner_namespace,
-                    probe_col,
-                    output_table,
-                } => Some((
-                    inner_namespace.clone(),
-                    probe_col.clone(),
-                    false,
-                    output_table.clone(),
-                )),
-                OperatorSpec::FetchByTupleId {
-                    inner_namespace,
-                    id_col,
-                    output_table,
-                } => Some((
-                    inner_namespace.clone(),
-                    id_col.clone(),
-                    true,
-                    output_table.clone(),
-                )),
-                _ => None,
-            });
-            (
-                g.spec.sink.clone(),
-                q.plan.proxy,
-                fetch,
-                self.config.publish_lifetime,
-            )
-        };
-        let mut effects = Vec::new();
-        // Fetch Matches: pipeline outputs are probe rows — issue an
-        // asynchronous DHT get per probe and join when results come back
-        // (the one place a sink still walks rows).  Chunks already carrying
-        // the join's output table *are* the joined results returning from a
-        // completed fetch; those continue to the opgraph's real sink below.
-        if let Some((inner_namespace, probe_col, probe_is_key, fetch_output)) = fetch {
-            let now = ctx.now();
-            let mut completed = TupleBatch::default();
-            for chunk in rows.into_chunks() {
-                if chunk.schema().table() == fetch_output {
-                    completed.push_chunk(chunk);
-                    continue;
-                }
-                for probe in chunk.iter_rows() {
-                    let Some(key) = probe.get(&probe_col).map(|v| {
-                        if probe_is_key {
-                            // The column already carries the inner relation's
-                            // partition-key string (a secondary index tupleID).
-                            v.as_str().map_or_else(|| v.key_string(), str::to_string)
-                        } else {
-                            v.key_string()
-                        }
-                    }) else {
-                        continue;
-                    };
-                    let (request_id, get_effects) = self.overlay.get(&inner_namespace, &key, now);
-                    self.pending_fetches
-                        .insert(request_id, (query_id, graph_idx, probe));
-                    effects.extend(get_effects);
-                }
-            }
-            if completed.is_empty() {
-                return effects;
-            }
-            rows = completed;
-        }
-        match sink {
-            SinkSpec::ToProxy => self.send_results(ctx, proxy, query_id, rows),
-            SinkSpec::Rehash {
-                namespace,
-                key_cols,
-            } => {
-                let now = ctx.now();
-                if self.config.batching {
-                    // Coalesce: buffer per (namespace, partition key); one
-                    // overlay put per key per flush.  The policy is stated
-                    // per appended row — ship the moment the buffer holds
-                    // `batch_max_tuples`, otherwise make sure the periodic
-                    // flush tick is armed — so the puts and timers do not
-                    // depend on how the rows were chunked on their way here.
-                    let mut buf = self.rehash_buf.remove(&namespace).unwrap_or_default();
-                    for t in rows.iter() {
-                        let Some(key) = t.partition_key(&key_cols) else {
-                            continue;
-                        };
-                        buf.by_key.entry(key).or_default().push(t);
-                        buf.tuples += 1;
-                        if buf.tuples >= self.config.batch_max_tuples {
-                            let full = std::mem::take(&mut buf);
-                            effects.extend(self.flush_rehash(&namespace, full, now));
-                        } else if !self.batch_timer_armed {
-                            self.batch_timer_armed = true;
-                            ctx.set_timer(BATCH_FLUSH_INTERVAL, PierTimer::BatchFlush);
-                        }
-                    }
-                    if buf.tuples > 0 {
-                        self.rehash_buf.insert(namespace, buf);
-                    }
-                } else {
-                    for t in rows.iter() {
-                        let Some(key) = t.partition_key(&key_cols) else {
-                            continue;
-                        };
-                        let name = ObjectName::new(namespace.clone(), key, self.rng.next_u64());
-                        effects.extend(self.overlay.put(name, QpObject::Tuple(t), lifetime, now));
-                    }
-                }
-            }
-            SinkSpec::HierarchicalAgg { .. } => {
-                // Handled in feed_graph_batch (outputs are absorbed into
-                // uplink); reaching here means a fetch-join result fed an
-                // agg graph, which we also absorb.
-                if let Some(q) = self.queries.get_mut(&query_id) {
-                    if let Some(g) = q.graphs.get_mut(graph_idx) {
-                        if let Some(uplink) = g.uplink.as_mut() {
-                            uplink.push_batch(&rows);
-                        }
-                    }
-                }
-            }
-            SinkSpec::WindowedAgg { .. } => {
-                // Like hierarchical aggregation: a fetch-join result feeding
-                // a windowed graph is folded into the window store.
-                let now = ctx.now();
-                if let Some(slot) = self.engines.get_mut(&EngineKey::Query(query_id)) {
-                    for chunk in rows.chunks() {
-                        slot.engine.absorb(chunk, None, now);
-                    }
-                }
-            }
-        }
-        effects
-    }
-
-    /// Ship one namespace's buffered rehash batches: one `put` per distinct
-    /// partition key, each carrying a [`TupleBatch`] (or a bare tuple when
-    /// only one accumulated), handed to the overlay's batched put so
-    /// same-owner keys share a single transfer when local routing state
-    /// identifies the owner.
-    fn flush_rehash(
-        &mut self,
-        namespace: &str,
-        buf: RehashBuffer,
-        now: SimTime,
-    ) -> Vec<OverlayEffect<QpObject>> {
-        let lifetime = self.config.publish_lifetime;
-        let mut entries = Vec::with_capacity(buf.by_key.len());
-        // Key order feeds both the rng stream (name suffixes) and the
-        // message order, so it must not depend on hash seeding.
-        let mut by_key: Vec<(String, Vec<Tuple>)> = buf.by_key.into_iter().collect();
-        by_key.sort_by(|a, b| a.0.cmp(&b.0));
-        for (key, mut tuples) in by_key {
-            let name = ObjectName::new(namespace.to_string(), key, self.rng.next_u64());
-            let value = if tuples.len() == 1 {
-                QpObject::Tuple(tuples.pop().expect("len checked"))
-            } else {
-                QpObject::Batch(TupleBatch::new(tuples))
-            };
-            entries.push((name, value, lifetime));
-        }
-        self.overlay.put_batch(entries, now)
-    }
-
-    /// Flush every buffered rehash namespace (the periodic tick).
-    fn flush_all_rehash(&mut self, now: SimTime) -> Vec<OverlayEffect<QpObject>> {
-        let mut namespaces: Vec<String> = self.rehash_buf.keys().cloned().collect();
-        namespaces.sort_unstable();
-        let mut effects = Vec::new();
-        for ns in namespaces {
-            if let Some(buf) = self.rehash_buf.remove(&ns) {
-                effects.extend(self.flush_rehash(&ns, buf, now));
-            }
-        }
-        effects
-    }
-
-    fn send_results(
-        &mut self,
-        ctx: &mut ProgramContext<Self>,
-        proxy: NodeAddr,
-        query_id: u64,
-        rows: TupleBatch,
-    ) {
-        if rows.is_empty() {
-            return;
-        }
-        if proxy == ctx.me() {
-            let outs = self.proxy.receive(query_id, &rows);
-            self.deliver(ctx, outs);
+    /// Hand `msg` to node `to`: over the wire, or — when that is this node —
+    /// straight to its own handler (a local hand-over is not traffic:
+    /// nothing is counted as received).
+    fn post(&mut self, ctx: &mut ProgramContext<Self>, to: NodeAddr, msg: PierMsg) {
+        if to == ctx.me() {
+            self.handle(ctx, to, msg);
         } else {
-            ctx.send(proxy, PierMsg::Results { query_id, rows });
+            ctx.send(to, msg);
+        }
+    }
+
+    /// Act on a message from `from` (this node itself, for a local
+    /// hand-over).
+    fn handle(&mut self, ctx: &mut ProgramContext<Self>, from: NodeAddr, msg: PierMsg) {
+        match msg {
+            PierMsg::Dht(m) => {
+                let now = ctx.now();
+                let effects = self.overlay.on_message(from, m, now);
+                self.drive(ctx, effects);
+            }
+            PierMsg::Results { query_id, rows } => {
+                let outs = self.proxy.receive(query_id, &rows);
+                self.deliver(ctx, outs);
+            }
+            PierMsg::WindowResults {
+                window_start,
+                window_end,
+                rows,
+                members,
+            } => self.proxy_receive_window(ctx, window_start, window_end, &rows, &members),
+            PierMsg::PlanRequest { queries } => self.serve_plans(ctx, from, &queries),
+            PierMsg::Plans { plans } => {
+                for plan in plans {
+                    self.install_query(ctx, plan);
+                }
+            }
         }
     }
 
@@ -1889,101 +1411,22 @@ impl PierNode {
         }
     }
 
-    fn agg_flush(&mut self, ctx: &mut ProgramContext<Self>, query_id: u64, final_flush: bool) {
-        let Some(q) = self.queries.get(&query_id) else {
+    /// A flush of one-shot aggregate `query_id` is due: ship, or at the
+    /// tree's root merge, its buffered partials (`final_flush` also emits
+    /// the result), and re-arm the periodic flush while it is installed.
+    fn aggregate_tick(&mut self, ctx: &mut ProgramContext<Self>, query_id: u64, final_flush: bool) {
+        let Some((root_id, hold)) = self.exec.agg_tree(query_id) else {
             return;
         };
-        let agg_root_id = q.agg_root_id;
-        let partial_namespace = q.plan.partial_namespace();
-        let agg_root_key = q.plan.agg_root_key();
-        let proxy = q.plan.proxy;
-        let is_root = self.overlay.router().is_responsible(agg_root_id);
-        let graph_count = q.graphs.len();
-        let lifetime = self.config.publish_lifetime;
-
-        let mut to_send: Vec<Tuple> = Vec::new();
-        let mut final_results: Vec<Tuple> = Vec::new();
-        {
-            let q = self.queries.get_mut(&query_id).expect("query present");
-            for g in &mut q.graphs {
-                let Some(uplink) = g.uplink.as_mut() else {
-                    continue;
-                };
-                let partials = uplink.flush();
-                if is_root {
-                    if let Some(root) = g.root_merge.as_mut() {
-                        for p in &partials {
-                            root.merge_partial(p);
-                        }
-                    }
-                } else {
-                    to_send.extend(partials);
-                }
-                if final_flush && is_root {
-                    if let Some(root) = g.root_merge.as_mut() {
-                        let merged = TupleBatch::new(root.flush());
-                        let final_ops: &[OperatorSpec] = match &g.spec.sink {
-                            SinkSpec::HierarchicalAgg { final_ops, .. } => final_ops,
-                            _ => &[],
-                        };
-                        final_results.extend(finish_rows(final_ops, &merged));
-                    }
-                }
-            }
-        }
-        // Send buffered partials one hop up the aggregation tree (or directly
-        // to the root when the plan asked for flat aggregation).
-        let flat = {
-            let q = self.queries.get(&query_id).expect("query present");
-            q.graphs
-                .iter()
-                .any(|g| matches!(g.spec.sink, SinkSpec::HierarchicalAgg { flat: true, .. }))
-        };
-        let now = ctx.now();
-        let mut effects = Vec::new();
-        // All partials of one flush share the aggregation-root destination,
-        // so batching collapses them into a single transfer per hop.
-        let shipments: Vec<QpObject> = if self.config.batching && to_send.len() > 1 {
-            vec![QpObject::Batch(TupleBatch::new(to_send))]
-        } else {
-            to_send.into_iter().map(QpObject::Tuple).collect()
-        };
-        for shipment in shipments {
-            let name = ObjectName::new(
-                partial_namespace.clone(),
-                agg_root_key.clone(),
-                self.rng.next_u64(),
-            );
-            if flat {
-                effects.extend(self.overlay.put(name, shipment, lifetime, now));
-            } else {
-                effects.extend(self.overlay.send_routed(
-                    agg_root_id,
-                    name,
-                    shipment,
-                    lifetime,
-                    now,
-                ));
-            }
-        }
+        let is_root = self.overlay.router().is_responsible(root_id);
+        let (now, overlay, rng) = (ctx.now(), &mut self.overlay, &mut self.rng);
+        let out = self
+            .exec
+            .agg_flush(query_id, final_flush, is_root, now, overlay, rng);
+        let effects = self.settle(ctx, out);
         self.drive(ctx, effects);
-        if !final_results.is_empty() {
-            self.send_results(ctx, proxy, query_id, TupleBatch::new(final_results));
-        }
-        // Re-arm the periodic flush while the query is still installed.
-        if !final_flush && graph_count > 0 {
-            if let Some(q) = self.queries.get(&query_id) {
-                let hold = q
-                    .plan
-                    .opgraphs
-                    .iter()
-                    .find_map(|g| match &g.sink {
-                        SinkSpec::HierarchicalAgg { hold, .. } => Some(*hold),
-                        _ => None,
-                    })
-                    .unwrap_or(2_000_000);
-                ctx.set_timer(hold, PierTimer::AggFlush { query_id });
-            }
+        if !final_flush {
+            ctx.set_timer(hold, PierTimer::AggFlush { query_id });
         }
     }
 }
@@ -2022,7 +1465,8 @@ impl PierNode {
         //    the proxies.  Every partial of a tick shares the window-root
         //    destination, so batching collapses the per-group message train
         //    into one transfer per tick.
-        let shipments = partial_shipments(out.partials.into_iter().collect(), self.config.batching);
+        let shipments =
+            QpObject::shipments(out.partials.into_iter().collect(), self.config.batching);
         // Flush instrumentation: every shipping flush ticks the engine's
         // flush counters (the ones the span-reconciliation tests anchor
         // to), and a traced engine's flush additionally records a flush
@@ -2037,25 +1481,9 @@ impl PierNode {
             self.tel.add(names.flush_partials, partials);
             if let Some((query_id, true)) = charged {
                 let bytes: u64 = shipments.iter().map(|s| s.wire_size() as u64).sum();
-                let trace_id = trace_id_for(query_id);
-                let span = self.next_span_id(ctx.me());
-                self.tel.record_span(
-                    now,
-                    now,
-                    trace_id,
-                    span,
-                    trace_id,
-                    query_id,
-                    names.flush_span,
-                    partials,
-                    bytes,
-                    if names.shared { members } else { out.windows },
-                );
-                flush_ctx = Some(TraceContext {
-                    trace_id,
-                    span_id: span,
-                    query_id,
-                });
+                let aux = if names.shared { members } else { out.windows };
+                let root = TraceContext::root(query_id);
+                flush_ctx = Some(self.span(now, root, names.flush_span, [partials, bytes, aux]));
             }
         }
         let effects = self.ship_partials(key, shipments, flush_ctx, now);
@@ -2070,27 +1498,12 @@ impl PierNode {
             // to the member's own trace root) and its context travels to
             // the proxy on the results message.
             let emit_ctx = (self.tel.is_enabled() && e.trace).then(|| {
-                let trace_id = trace_id_for(e.query_id);
-                let span = self.next_span_id(ctx.me());
+                let root = TraceContext::root(e.query_id);
                 let combined = self.last_combine_span.get(&e.query_id);
-                let parent = combined.filter(|_| !names.shared).map_or(trace_id, |s| *s);
-                self.tel.record_span(
-                    now,
-                    now,
-                    trace_id,
-                    span,
-                    parent,
-                    e.query_id,
-                    "window.emit",
-                    (e.retracts.len() + e.inserts.len()) as u64,
-                    0,
-                    e.window_start,
-                );
-                TraceContext {
-                    trace_id,
-                    span_id: span,
-                    query_id: e.query_id,
-                }
+                let parent = combined.filter(|_| !names.shared);
+                let parent = parent.map_or(root, |span| root.child(*span));
+                let rows = (e.retracts.len() + e.inserts.len()) as u64;
+                self.span(now, parent, "window.emit", [rows, 0, e.window_start])
             });
             let to = (e.proxy, e.window_start, e.window_end);
             let at = bundles.iter().position(|b| b.0 == to).unwrap_or_else(|| {
@@ -2101,17 +1514,13 @@ impl PierNode {
             bundle.push(e.query_id, e.retracts, e.inserts, emit_ctx);
         }
         for ((proxy, window_start, window_end), WindowBundle { rows, members }) in bundles {
-            if proxy == ctx.me() {
-                self.proxy_receive_window(ctx, window_start, window_end, &rows, &members);
-            } else {
-                let results = PierMsg::WindowResults {
-                    window_start,
-                    window_end,
-                    rows,
-                    members,
-                };
-                ctx.send(proxy, results);
-            }
+            let results = PierMsg::WindowResults {
+                window_start,
+                window_end,
+                rows,
+                members,
+            };
+            self.post(ctx, proxy, results);
         }
         // 2. Window health into telemetry: this engine's shed/evict
         //    *deltas* as trace events, and — once per instant, however many
@@ -2173,150 +1582,55 @@ impl PierNode {
             let traced: Vec<(TraceContext, u32)> =
                 live.filter_map(|m| Some((m.trace?, m.inserts))).collect();
             for (t, rows) in traced {
-                let span = self.next_span_id(ctx.me());
-                self.tel.record_span(
-                    now,
-                    now,
-                    t.trace_id,
-                    span,
-                    t.span_id,
-                    t.query_id,
-                    "result.emit",
-                    u64::from(rows),
-                    0,
-                    window_start,
-                );
+                self.span(now, t, "result.emit", [u64::from(rows), 0, window_start]);
             }
         }
         self.deliver(ctx, outs);
     }
 
-    /// Materialise the telemetry hub as one `system.metrics` tuple and
-    /// publish it into the DHT — the self-monitoring dogfood loop.  The
-    /// tuple travels to its DHT owner like any other published row and is
-    /// absorbed there **exactly once** (via `newData`), so standing queries
-    /// over `system.metrics` — installed everywhere by broadcast
-    /// dissemination — observe every node's metrics without double
-    /// counting.  `system.metrics` matches neither the query-scoped nor the
-    /// share-scoped namespace forms, so teardown sweeps never evict it.
+    /// One round of the self-monitoring dogfood loop: publish the telemetry
+    /// hub as a `system.metrics` row and, with [`TraceConfig::publish`],
+    /// the spans recorded since the last round as `system.spans` rows, then
+    /// re-arm.  The rows travel to their DHT owner (keyed by node label)
+    /// like any other published row and are absorbed there exactly once,
+    /// so standing queries over them — installed everywhere by broadcast —
+    /// see every node without double counting; neither name has the query-
+    /// or share-scoped form, so teardown sweeps never evict the schemas.
     fn publish_metrics(&mut self, ctx: &mut ProgramContext<Self>) {
         let Some(interval) = self.config.telemetry.publish_interval else {
             return;
         };
-        if !self.tel.is_enabled() {
-            return;
-        }
         let now = ctx.now();
-        let node_label = format!("n{}", ctx.me().0);
-        let p50 = self
-            .tel
-            .percentile("dht.lookup_latency_us", 50.0)
-            .unwrap_or(0.0);
-        let p99 = self
-            .tel
-            .percentile("dht.lookup_latency_us", 99.0)
-            .unwrap_or(0.0);
-        // Ring-drop visibility: events or spans evicted from the bounded
-        // rings surface as a gauge *and* as a `system.metrics` column, so
-        // both local summaries and standing queries can flag incomplete
-        // traces (a dropped span invalidates profile reconciliation).
-        let dropped = self
-            .tel
-            .with(|h| h.trace_dropped() + h.spans_dropped())
-            .unwrap_or(0);
-        self.tel.gauge("telemetry.trace_dropped", dropped as f64);
-        let schema = SchemaRegistry::global().intern(
-            "system.metrics",
-            &[
-                "node",
-                "ts",
-                "msgs_recv",
-                "bytes_recv",
-                "lookups",
-                "lookup_p50_us",
-                "lookup_p99_us",
-                "owner_cache_hits",
-                "owner_cache_misses",
-                "trace_dropped",
-            ],
-        );
-        let count = |name: &str| Value::Int(self.tel.counter(name) as i64);
-        let tuple = Tuple::from_schema(
-            schema,
-            vec![
-                Value::str(&node_label),
-                Value::Int(now as i64),
-                count("net.msgs_recv"),
-                count("net.bytes_recv"),
-                count("dht.lookups"),
-                Value::Float(p50),
-                Value::Float(p99),
-                count("dht.owner_cache.hits"),
-                count("dht.owner_cache.misses"),
-                Value::Int(dropped as i64),
-            ],
-        );
-        self.tel.inc("telemetry.publishes");
-        self.publish_keyed(ctx, "system.metrics", node_label.clone(), tuple);
-        self.publish_spans(ctx, &node_label);
-        ctx.set_timer(interval, PierTimer::MetricsPublish);
-    }
-
-    /// Materialise spans recorded since the last publish round as
-    /// `system.spans` tuples — the tracing half of the dogfood loop, armed
-    /// by [`TraceConfig::publish`].  Bounded per round (the ring itself is
-    /// bounded, and a cursor watermark prevents re-publishing), and keyed
-    /// by node so a node's spans land on one DHT owner in recording order.
-    /// `system.spans` matches neither the query- nor share-scoped
-    /// namespace forms, so teardown sweeps never evict it.
-    fn publish_spans(&mut self, ctx: &mut ProgramContext<Self>, node_label: &str) {
-        if !self.config.trace.publish {
-            return;
-        }
-        const MAX_SPANS_PER_ROUND: usize = 64;
-        let cursor = self.span_publish_cursor;
-        let fresh: Vec<SpanRecord> = self
-            .tel
-            .with(|h| {
-                h.spans()
-                    .filter(|s| s.ordinal >= cursor)
-                    .take(MAX_SPANS_PER_ROUND)
-                    .copied()
-                    .collect()
-            })
-            .unwrap_or_default();
-        let Some(last) = fresh.last() else {
-            return;
+        let node = format!("n{}", ctx.me().0);
+        let tuple = |table: &str, row: pier_telemetry::Row<'_>| {
+            Tuple::new(table, row.into_iter().map(|(c, v)| (c, v.into())).collect())
         };
-        self.span_publish_cursor = last.ordinal + 1;
-        let schema = SchemaRegistry::global().intern(
-            "system.spans",
-            &[
-                "node", "start", "end", "ordinal", "trace", "span", "parent", "query", "stage",
-                "rows", "bytes", "aux",
-            ],
-        );
-        for s in fresh {
-            let tuple = Tuple::from_schema(
-                Arc::clone(&schema),
-                vec![
-                    Value::str(node_label),
-                    Value::Int(s.start as i64),
-                    Value::Int(s.end as i64),
-                    Value::Int(s.ordinal as i64),
-                    Value::Int(s.trace_id as i64),
-                    Value::Int(s.span_id as i64),
-                    Value::Int(s.parent as i64),
-                    Value::Int(s.query_id as i64),
-                    Value::str(s.stage),
-                    Value::Int(s.rows as i64),
-                    Value::Int(s.bytes as i64),
-                    Value::Int(s.aux as i64),
-                ],
-            );
-            self.tel.inc("telemetry.span_publishes");
-            self.publish_keyed(ctx, "system.spans", node_label.to_string(), tuple);
+        let metrics = self.tel.with(|hub| {
+            // Ring drops also show as a gauge, for local summaries.
+            let dropped = hub.trace_dropped() + hub.spans_dropped();
+            hub.set_gauge("telemetry.trace_dropped", dropped as f64);
+            tuple("system.metrics", hub.metrics_row(&node, now))
+        });
+        let Some(metrics) = metrics else {
+            return; // telemetry is off
+        };
+        self.tel.inc("telemetry.publishes");
+        self.publish_keyed(ctx, "system.metrics", node.clone(), metrics);
+        if self.config.trace.publish {
+            let cursor = self.span_publish_cursor;
+            let spans = self.tel.with(|hub| {
+                let (rows, cursor) = hub.span_rows(&node, cursor);
+                let spans = rows.into_iter().map(|row| tuple("system.spans", row));
+                (spans.collect::<Vec<Tuple>>(), cursor)
+            });
+            let (spans, cursor) = spans.unwrap_or((Vec::new(), cursor));
+            self.span_publish_cursor = cursor;
+            for span in spans {
+                self.tel.inc("telemetry.span_publishes");
+                self.publish_keyed(ctx, "system.spans", node.clone(), span);
+            }
         }
+        ctx.set_timer(interval, PierTimer::MetricsPublish);
     }
 
     /// Diagnostics of a continuous query installed here, unshared or a
@@ -2352,29 +1666,7 @@ impl Program for PierNode {
             self.tel.inc("net.msgs_recv");
             self.tel.add("net.bytes_recv", msg.wire_size() as u64);
         }
-        match msg {
-            PierMsg::Dht(m) => {
-                let now = ctx.now();
-                let effects = self.overlay.on_message(from, m, now);
-                self.drive(ctx, effects);
-            }
-            PierMsg::Results { query_id, rows } => {
-                let outs = self.proxy.receive(query_id, &rows);
-                self.deliver(ctx, outs);
-            }
-            PierMsg::WindowResults {
-                window_start,
-                window_end,
-                rows,
-                members,
-            } => self.proxy_receive_window(ctx, window_start, window_end, &rows, &members),
-            PierMsg::PlanRequest { queries } => self.serve_plans(ctx, from, &queries),
-            PierMsg::Plans { plans } => {
-                for plan in plans {
-                    self.install_query(ctx, plan);
-                }
-            }
-        }
+        self.handle(ctx, from, msg);
     }
 
     fn on_timer(&mut self, ctx: &mut ProgramContext<Self>, timer: Self::Timer) {
@@ -2387,8 +1679,8 @@ impl Program for PierNode {
                 let effects = self.overlay.on_timer(t, now);
                 self.drive(ctx, effects);
             }
-            PierTimer::AggFlush { query_id } => self.agg_flush(ctx, query_id, false),
-            PierTimer::AggFinal { query_id } => self.agg_flush(ctx, query_id, true),
+            PierTimer::AggFlush { query_id } => self.aggregate_tick(ctx, query_id, false),
+            PierTimer::AggFinal { query_id } => self.aggregate_tick(ctx, query_id, true),
             PierTimer::QueryEnd { query_id } => {
                 self.uninstall_query(query_id);
             }
@@ -2409,9 +1701,9 @@ impl Program for PierNode {
             }
             PierTimer::MetricsPublish => self.publish_metrics(ctx),
             PierTimer::BatchFlush => {
-                let now = ctx.now();
-                self.batch_timer_armed = false;
-                let effects = self.flush_all_rehash(now);
+                let effects = self
+                    .exec
+                    .flush_rehash(ctx.now(), &mut self.overlay, &mut self.rng);
                 self.drive(ctx, effects);
             }
             PierTimer::CqRenew => self.renew_round(ctx),

@@ -392,6 +392,20 @@ impl QueryPlan {
     }
 }
 
+/// True for table names of the query-scoped form `q{digits}.{suffix}` — the
+/// namespaces queries intern per installation (`q{id}.agg`, `q{id}.wp`,
+/// `q{id}.win`, `q{id}.partials`, …) and the shapes the teardown sweep is
+/// allowed to evict.  User tables that merely start with `q` do not match.
+pub(crate) fn is_query_scoped_table(table: &str) -> bool {
+    let Some(rest) = table.strip_prefix('q') else {
+        return false;
+    };
+    let Some(dot) = rest.find('.') else {
+        return false;
+    };
+    !rest[..dot].is_empty() && rest.as_bytes()[..dot].iter().all(u8::is_ascii_digit)
+}
+
 impl WireSize for QueryPlan {
     fn wire_size(&self) -> usize {
         // 64 covers the fixed header (ids, proxy, timeout, tenant, the
@@ -468,6 +482,22 @@ impl QpObject {
             QpObject::Tuple(t) => Cow::Owned(vec![ColumnChunk::from_tuple(t)]),
             QpObject::Batch(b) => Cow::Borrowed(b.chunks()),
             QpObject::Plan(_) | QpObject::Renew { .. } => Cow::Borrowed(&[]),
+        }
+    }
+
+    /// The transfers that carry `chunks` to one destination: with
+    /// `batching` every row shares one [`QpObject::Batch`] (a lone row still
+    /// travels as a bare tuple), without it each row is its own
+    /// [`QpObject::Tuple`].
+    pub fn shipments(chunks: Vec<ColumnChunk>, batching: bool) -> Vec<QpObject> {
+        if batching && chunks.iter().map(ColumnChunk::rows).sum::<usize>() > 1 {
+            vec![QpObject::Batch(TupleBatch::from_chunks(chunks))]
+        } else {
+            chunks
+                .iter()
+                .flat_map(ColumnChunk::iter_rows)
+                .map(QpObject::Tuple)
+                .collect()
         }
     }
 

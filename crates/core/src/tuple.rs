@@ -1326,7 +1326,7 @@ mod tests {
         let user = registry.intern("quotes.live", &["x"]);
         drop(user);
         assert_eq!(
-            registry.sweep_matching(crate::node::is_query_scoped_table),
+            registry.sweep_matching(crate::plan::is_query_scoped_table),
             0,
             "a user table starting with 'q' must not be swept"
         );

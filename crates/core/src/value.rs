@@ -38,6 +38,16 @@ pub enum Value {
     Bytes(Arc<[u8]>),
 }
 
+impl From<pier_telemetry::Cell<'_>> for Value {
+    fn from(cell: pier_telemetry::Cell<'_>) -> Value {
+        match cell {
+            pier_telemetry::Cell::Int(i) => Value::Int(i),
+            pier_telemetry::Cell::Float(f) => Value::Float(f),
+            pier_telemetry::Cell::Str(s) => Value::str(s),
+        }
+    }
+}
+
 impl Value {
     /// Build a string value from anything string-like.
     pub fn str(s: impl AsRef<str>) -> Value {

@@ -723,9 +723,9 @@ impl<V: Clone + Debug + WireSize> Overlay<V> {
         let mut singles = 0u64;
         // Send in destination order: message order must not depend on hash
         // seeding (equal-seed runs replay byte-for-byte).
-        let mut grouped: Vec<(NodeAddr, Vec<PutEntry<V>>)> = grouped.into_iter().collect();
-        grouped.sort_by_key(|(to, _)| to.index());
-        for (to, batch) in grouped {
+        let mut by_destination: Vec<(NodeAddr, Vec<PutEntry<V>>)> = grouped.into_iter().collect();
+        by_destination.sort_by_key(|(to, _)| to.index());
+        for (to, batch) in by_destination {
             if batch.len() == 1 {
                 // No point framing a batch around a single object.
                 singles += 1;

@@ -258,6 +258,26 @@ impl TraceEvent {
     }
 }
 
+/// One cell of a self-monitoring row ([`TelemetryHub::metrics_row`],
+/// [`TelemetryHub::span_rows`]).  Telemetry sits below the query
+/// processor's value type, which converts from this.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Cell<'a> {
+    /// An integer.
+    Int(i64),
+    /// A float.
+    Float(f64),
+    /// A string.
+    Str(&'a str),
+}
+
+/// A self-monitoring row: `(column, cell)` pairs in schema order.
+pub type Row<'a> = Vec<(&'static str, Cell<'a>)>;
+
+/// Spans one `system.spans` publish round materialises at most (the ring
+/// itself is bounded too).
+pub const MAX_SPANS_PER_ROUND: usize = 64;
+
 /// One measured span of a sampled distributed trace (`pier-trace`): a
 /// virtual-time interval attributed to a query stage on one node, linked
 /// into a cross-node span tree through `parent`.
@@ -532,6 +552,59 @@ impl TelemetryHub {
     /// Spans evicted from the ring because it was full.
     pub fn spans_dropped(&self) -> u64 {
         self.spans_dropped
+    }
+
+    /// The hub as the one `system.metrics` row of node `node` at `now` — the
+    /// self-monitoring dogfood loop publishes it into the DHT like any other
+    /// row.  Events or spans evicted from the bounded rings surface as the
+    /// `trace_dropped` column, so a standing query can flag incomplete
+    /// traces (a dropped span invalidates profile reconciliation).
+    pub fn metrics_row<'a>(&self, node: &'a str, now: SimTime) -> Row<'a> {
+        let count = |name: &str| Cell::Int(self.counter(name) as i64);
+        let lookup =
+            |p: f64| Cell::Float(self.percentile("dht.lookup_latency_us", p).unwrap_or(0.0));
+        let dropped = self.trace_dropped() + self.spans_dropped();
+        vec![
+            ("node", Cell::Str(node)),
+            ("ts", Cell::Int(now as i64)),
+            ("msgs_recv", count("net.msgs_recv")),
+            ("bytes_recv", count("net.bytes_recv")),
+            ("lookups", count("dht.lookups")),
+            ("lookup_p50_us", lookup(50.0)),
+            ("lookup_p99_us", lookup(99.0)),
+            ("owner_cache_hits", count("dht.owner_cache.hits")),
+            ("owner_cache_misses", count("dht.owner_cache.misses")),
+            ("trace_dropped", Cell::Int(dropped as i64)),
+        ]
+    }
+
+    /// The spans recorded at or after ordinal `cursor` as `system.spans`
+    /// rows of node `node`, in recording order and at most
+    /// [`MAX_SPANS_PER_ROUND`] of them, and the cursor of the next round (a
+    /// watermark, so nothing is published twice).
+    pub fn span_rows<'a>(&self, node: &'a str, cursor: u64) -> (Vec<Row<'a>>, u64) {
+        let fresh = self.spans().filter(|s| s.ordinal >= cursor);
+        let mut next = cursor;
+        let row = |s: &SpanRecord| {
+            next = s.ordinal + 1;
+            let int = |v: u64| Cell::Int(v as i64);
+            vec![
+                ("node", Cell::Str(node)),
+                ("start", int(s.start)),
+                ("end", int(s.end)),
+                ("ordinal", int(s.ordinal)),
+                ("trace", int(s.trace_id)),
+                ("span", int(s.span_id)),
+                ("parent", int(s.parent)),
+                ("query", int(s.query_id)),
+                ("stage", Cell::Str(s.stage)),
+                ("rows", int(s.rows)),
+                ("bytes", int(s.bytes)),
+                ("aux", int(s.aux)),
+            ]
+        };
+        let rows = fresh.take(MAX_SPANS_PER_ROUND).map(row).collect();
+        (rows, next)
     }
 
     /// The retained spans as JSONL.  Byte-identical across identical runs.

@@ -1,0 +1,412 @@
+//! The opgraph executor and the rehash buffer, driven without a simulator.
+//!
+//! A [`GraphExec`] is a plain struct — source chunks and probe answers in,
+//! overlay effects and result chunks out — so what the node relies on can be
+//! pinned directly, against `Overlay`s on a static ring whose `Send`s the
+//! test carries across by hand:
+//!
+//! * what a rehash sink ships, and when it asks for the flush tick, is a
+//!   function of the rows, not of how they were chunked on their way there;
+//! * a shed plan keeps the same source rows however they were chunked, and
+//!   query-scoped (derived) chunks pass untouched;
+//! * Fetch-Matches issues one `get` per probe row, a completion reaches the
+//!   proxy as one batch under the join's output table, and a query torn down
+//!   with probes in flight leaves nothing behind;
+//! * one-shot aggregation wired by hand — leaf → relay → root — gives the
+//!   rows of one `GroupBy` over everything, flat or hierarchical, and a
+//!   flush re-sends nothing.
+
+mod common;
+
+use common::seeded;
+use pier::dht::{make_ring_refs, NodeRef, Overlay, OverlayConfig, OverlayEffect, OverlayEvent};
+use pier::qp::{
+    AggFunc, ExecOut, GraphExec, GroupBy, LocalOperator, OpGraph, OperatorSpec, PierConfig,
+    PlanBuilder, QpObject, QueryPlan, SinkSpec, SourceSpec, Telemetry, Tuple, TupleBatch, Value,
+};
+use pier::runtime::{NodeAddr, Rng64};
+use proptest::prelude::*;
+
+const QUERY: u64 = 7;
+const PROXY: NodeAddr = NodeAddr(9);
+const NOW: u64 = 1_000_000;
+
+/// A one-graph plan reading `source` through `ops` into `sink`.
+fn plan(source: &str, ops: Vec<OperatorSpec>, sink: SinkSpec) -> QueryPlan {
+    let graph = OpGraph {
+        id: 0,
+        source: SourceSpec::Table {
+            namespace: source.to_string(),
+        },
+        join: None,
+        ops,
+        sink,
+    };
+    let mut plan = PlanBuilder::new(PROXY).opgraph(graph).build();
+    plan.query_id = QUERY;
+    plan
+}
+
+fn installed(config: &PierConfig, plan: QueryPlan) -> GraphExec {
+    let mut exec = GraphExec::new(config);
+    exec.install(plan, &Telemetry::disabled());
+    exec
+}
+
+/// The overlays of an `n`-node static ring.
+fn ring_of(n: usize, seed: u64) -> Vec<Overlay<QpObject>> {
+    let refs: Vec<NodeRef> = make_ring_refs(n, seed);
+    let overlay = |me: &NodeRef| Overlay::with_static_ring(*me, &refs, OverlayConfig::default());
+    refs.iter().map(overlay).collect()
+}
+
+/// Carry node `at`'s `effects` across the ring until only events are left:
+/// every `(node, event)` raised on the way, in order.
+fn carry(
+    ring: &mut [Overlay<QpObject>],
+    at: usize,
+    effects: Vec<OverlayEffect<QpObject>>,
+) -> Vec<(usize, OverlayEvent<QpObject>)> {
+    let mut events = Vec::new();
+    let mut work: Vec<_> = effects.into_iter().map(|e| (at, e)).collect();
+    while !work.is_empty() {
+        let mut next = Vec::new();
+        for (node, effect) in work {
+            match effect {
+                OverlayEffect::Send { to, msg } => {
+                    let from = ring[node].me().addr;
+                    let to = to.index();
+                    let arrived = ring[to].on_message(from, msg, NOW);
+                    next.extend(arrived.into_iter().map(|e| (to, e)));
+                }
+                OverlayEffect::Event(event) => events.push((node, event)),
+                OverlayEffect::SetTimer { .. } => {}
+            }
+        }
+        work = next;
+    }
+    events
+}
+
+fn rows_of(table: &str, rows: &[(u8, u16)]) -> Vec<Tuple> {
+    let row = |&(k, v): &(u8, u16)| {
+        let fields = vec![
+            ("k", Value::Int(i64::from(k))),
+            ("v", Value::Int(i64::from(v))),
+        ];
+        Tuple::new(table, fields)
+    };
+    rows.iter().map(row).collect()
+}
+
+/// `rows` cut into consecutive `(offset, chunk)`s of the drawn lengths
+/// (cycled).
+fn cut(rows: &[Tuple], lens: &[usize]) -> Vec<(usize, TupleBatch)> {
+    let (mut out, mut at) = (Vec::new(), 0);
+    for len in lens.iter().cycle() {
+        if at == rows.len() {
+            break;
+        }
+        let end = (at + len).min(rows.len());
+        out.push((at, TupleBatch::new(rows[at..end].to_vec())));
+        at = end;
+    }
+    out
+}
+
+/// What a rehash sink did with a stream: every overlay effect, in order
+/// (threshold flushes as they happened, then the tick's), the row ranges of
+/// the calls that asked for the tick, and the RNG's next draw afterwards.
+#[derive(Debug, PartialEq)]
+struct Rehashed {
+    effects: Vec<String>,
+    armed: Vec<(usize, usize)>,
+    next_draw: u64,
+}
+
+fn rehash(rows: &[Tuple], lens: &[usize], max: usize, seed: u64) -> Rehashed {
+    let config = PierConfig {
+        batch_max_tuples: max,
+        ..PierConfig::default()
+    };
+    let sink = SinkSpec::Rehash {
+        namespace: format!("q{QUERY}.rh"),
+        key_cols: vec!["k".to_string()],
+    };
+    let mut exec = installed(&config, plan("r", Vec::new(), sink));
+    let mut ring = ring_of(2, seed);
+    let overlay = &mut ring[0];
+    let mut rng = Rng64::new(seed);
+    let (mut effects, mut armed) = (Vec::new(), Vec::new());
+    for (offset, chunk) in cut(rows, lens) {
+        let out = exec.feed((QUERY, 0), &chunk, NOW, None, overlay, &mut rng);
+        assert!(out.results.is_empty());
+        effects.extend(out.effects.iter().map(|e| format!("{e:?}")));
+        if out.arm_batch_flush {
+            armed.push((offset, offset + chunk.len()));
+        }
+    }
+    let tick = exec.flush_rehash(NOW, overlay, &mut rng);
+    effects.extend(tick.iter().map(|e| format!("tick {e:?}")));
+    assert!(exec.flush_rehash(NOW, overlay, &mut rng).is_empty());
+    Rehashed {
+        effects,
+        armed,
+        next_draw: rng.next_u64(),
+    }
+}
+
+/// The rows the results of `outs` carry, as text.
+fn result_rows(outs: &[ExecOut]) -> Vec<String> {
+    let results = outs.iter().flat_map(|out| &out.results);
+    let rows = results.flat_map(|(proxy, query, rows)| {
+        assert_eq!((*proxy, *query), (PROXY, QUERY));
+        rows.iter()
+    });
+    rows.map(|t| t.to_string()).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// One chunk, row by row or any split: the same puts in the same order
+    /// under the same names, and the flush tick asked for at the same row.
+    #[test]
+    fn rehash_does_not_see_chunk_boundaries(
+        rows in proptest::collection::vec((0u8..12, any::<u16>()), 1..160),
+        lens in proptest::collection::vec(1usize..40, 1..8),
+        max in 2usize..24,
+    ) {
+        let seed = seeded(0x5EED_0001);
+        let rows = rows_of("r", &rows);
+        let by_row = rehash(&rows, &[1], max, seed);
+        prop_assert!(by_row.armed.len() <= 1);
+        for lens in [&[rows.len()][..], &lens] {
+            let split = rehash(&rows, lens, max, seed);
+            prop_assert_eq!(&split.effects, &by_row.effects);
+            prop_assert_eq!(split.next_draw, by_row.next_draw);
+            // The call that asked for the tick holds the row that did.
+            prop_assert_eq!(split.armed.len(), by_row.armed.len());
+            for (call, row) in split.armed.iter().zip(&by_row.armed) {
+                prop_assert!(call.0 <= row.0 && row.1 <= call.1, "{call:?} misses {row:?}");
+            }
+        }
+    }
+
+    /// A shed plan keeps source rows 0, k, 2k, … of what it has seen,
+    /// wherever the chunk boundaries fall; derived rows are not thinned and
+    /// do not advance the count.
+    #[test]
+    fn sampling_does_not_see_chunk_boundaries(
+        rows in proptest::collection::vec((0u8..12, any::<u16>()), 1..160),
+        lens in proptest::collection::vec(1usize..40, 1..8),
+        every in 2u32..9,
+        derived_at in 0usize..8,
+    ) {
+        let source = rows_of("events", &rows);
+        let derived = TupleBatch::new(rows_of(&format!("q{QUERY}.rh"), &rows));
+        let kept = source.iter().step_by(every as usize);
+        let mut expected: Vec<String> = kept.map(Tuple::to_string).collect();
+        expected.extend(derived.iter().map(|t| t.to_string()));
+        for lens in [&[1][..], &[source.len()], &lens] {
+            let mut shed = plan("events", Vec::new(), SinkSpec::ToProxy);
+            shed.sample_every = every;
+            let mut exec = installed(&PierConfig::default(), shed);
+            let mut ring = ring_of(1, seeded(0x5EED_0002));
+            let overlay = &mut ring[0];
+            let mut rng = Rng64::new(1);
+            let mut feed = |chunk: &TupleBatch| {
+                exec.feed((QUERY, 0), chunk, NOW, None, overlay, &mut rng)
+            };
+            let chunks = cut(&source, lens);
+            let derived_at = derived_at.min(chunks.len());
+            let mut outs: Vec<ExecOut> = Vec::new();
+            let mut passed = Vec::new();
+            for (i, (_, chunk)) in chunks.iter().enumerate() {
+                if i == derived_at {
+                    passed.push(feed(&derived));
+                }
+                outs.push(feed(chunk));
+            }
+            if derived_at == chunks.len() {
+                passed.push(feed(&derived));
+            }
+            outs.extend(passed);
+            prop_assert!(outs.iter().all(|out| out.effects.is_empty()));
+            prop_assert_eq!(result_rows(&outs), expected.clone());
+        }
+    }
+}
+
+/// The `GetResult`s among `events` raised at node 0.
+fn answers(
+    events: Vec<(usize, OverlayEvent<QpObject>)>,
+) -> Vec<(u64, Vec<pier::dht::StoredObject<QpObject>>)> {
+    let answer = |(node, event): (usize, OverlayEvent<QpObject>)| match event {
+        OverlayEvent::GetResult {
+            request_id,
+            objects,
+            ..
+        } if node == 0 => Some((request_id, objects)),
+        _ => None,
+    };
+    events.into_iter().filter_map(answer).collect()
+}
+
+#[test]
+fn fetch_matches_probes_once_per_row_and_forgets_a_torn_down_query() {
+    let mut ring = ring_of(2, seeded(0x5EED_0003));
+    let mut rng = Rng64::new(seeded(3));
+    // The inner relation, published from node 0 to wherever its keys live.
+    for inner in rows_of("inner", &[(1, 10), (2, 20), (2, 21)]) {
+        let key = inner.partition_key(&["k".to_string()]).expect("keyed");
+        let name = pier::dht::ObjectName::new("inner", key, rng.next_u64());
+        let put = ring[0].put(name, QpObject::Tuple(inner), 60_000_000, NOW);
+        carry(&mut ring, 0, put);
+    }
+    let fetch = OperatorSpec::FetchMatches {
+        inner_namespace: "inner".to_string(),
+        probe_col: "k".to_string(),
+        output_table: "oi".to_string(),
+    };
+    let join = plan("outer", vec![fetch], SinkSpec::ToProxy);
+    let mut exec = installed(&PierConfig::default(), join.clone());
+    let probes = TupleBatch::new(rows_of("outer", &[(1, 1), (2, 2), (3, 3)]));
+
+    // One get per probe row; nothing reaches the proxy before an answer.
+    let out = exec.feed((QUERY, 0), &probes, NOW, None, &mut ring[0], &mut rng);
+    assert!(out.results.is_empty() && !out.arm_batch_flush);
+    assert_eq!(exec.pending(), 3);
+    let answers_in = answers(carry(&mut ring, 0, out.effects));
+    assert_eq!(answers_in.len(), 3);
+    // Each completion is one batch under the join's output table.
+    let mut joined = Vec::new();
+    for (request_id, objects) in &answers_in {
+        let out = exec.fetched(*request_id, objects, NOW, &mut ring[0], &mut rng);
+        assert!(out.effects.is_empty());
+        for (proxy, query, rows) in &out.results {
+            assert_eq!((*proxy, *query), (PROXY, QUERY));
+            assert!(rows.iter().all(|t| t.table() == "oi"));
+            joined.push(rows.len());
+        }
+        assert!(out.results.len() <= 1);
+    }
+    joined.sort_unstable();
+    assert_eq!(joined, [1, 2], "k=1 matches one row, k=2 two, k=3 none");
+    assert_eq!(exec.pending(), 0);
+    // An answer that comes twice finds nothing.
+    let (request_id, objects) = &answers_in[0];
+    let again = exec.fetched(*request_id, objects, NOW, &mut ring[0], &mut rng);
+    assert!(again.results.is_empty() && again.effects.is_empty());
+
+    // Torn down with probes in flight: nothing is kept, and the late
+    // answers — even to a re-installed query of the same id — yield nothing.
+    let out = exec.feed((QUERY, 0), &probes, NOW, None, &mut ring[0], &mut rng);
+    assert_eq!(exec.pending(), 3);
+    assert_eq!(exec.uninstall(QUERY), Some(join.clone()));
+    assert_eq!(exec.pending(), 0);
+    exec.install(join, &Telemetry::disabled());
+    for (request_id, objects) in answers(carry(&mut ring, 0, out.effects)) {
+        let late = exec.fetched(request_id, &objects, NOW, &mut ring[0], &mut rng);
+        assert!(late.results.is_empty() && late.effects.is_empty());
+    }
+}
+
+/// The partials a non-root flush shipped: on a ring of one every transfer
+/// lands where it was sent from, as `newData`.
+fn shipped(effects: Vec<OverlayEffect<QpObject>>) -> Vec<Tuple> {
+    let payload = |effect: OverlayEffect<QpObject>| match effect {
+        OverlayEffect::Event(OverlayEvent::NewData { object, .. }) => object.value.into_tuples(),
+        other => panic!("a partial shipment, not {other:?}"),
+    };
+    effects.into_iter().flat_map(payload).collect()
+}
+
+#[test]
+fn one_shot_aggregation_by_hand_equals_one_group_by() {
+    let aggs = vec![
+        AggFunc::Count,
+        AggFunc::Sum("v".to_string()),
+        AggFunc::Avg("v".to_string()),
+        AggFunc::Min("v".to_string()),
+        AggFunc::Max("v".to_string()),
+    ];
+    let group_cols = vec!["k".to_string()];
+    let mut draw = Rng64::new(seeded(0x5EED_0004));
+    let mut site_rows = |n: usize| -> Vec<Tuple> {
+        let row = |_| ((draw.next_u64() % 5) as u8, (draw.next_u64() % 1000) as u16);
+        rows_of("readings", &(0..n).map(row).collect::<Vec<_>>())
+    };
+    let [leaf_rows, relay_rows, root_rows] = [site_rows(40), site_rows(25), site_rows(30)];
+    let mut oracle = GroupBy::new(group_cols.clone(), aggs.clone(), format!("q{QUERY}.agg"));
+    for rows in [&leaf_rows, &relay_rows, &root_rows] {
+        oracle.push_batch(&TupleBatch::new(rows.clone()));
+    }
+    let mut expected: Vec<String> = oracle.flush().iter().map(Tuple::to_string).collect();
+    expected.sort();
+
+    for flat in [false, true] {
+        let sink = SinkSpec::HierarchicalAgg {
+            group_cols: group_cols.clone(),
+            aggs: aggs.clone(),
+            hold: 2_000_000,
+            final_ops: Vec::new(),
+            flat,
+        };
+        let plan = plan("readings", Vec::new(), sink);
+        let config = PierConfig::default();
+        let site = || (installed(&config, plan.clone()), ring_of(1, 1).remove(0));
+        let [mut leaf, mut relay, mut root] = [site(), site(), site()];
+        let mut rng = Rng64::new(seeded(4));
+        let mut feed = |(exec, overlay): &mut (GraphExec, Overlay<QpObject>), rows: &[Tuple]| {
+            let batch = TupleBatch::new(rows.to_vec());
+            let out = exec.feed((QUERY, 0), &batch, NOW, None, overlay, &mut rng);
+            assert!(out.effects.is_empty() && out.results.is_empty());
+        };
+        feed(&mut leaf, &leaf_rows);
+        feed(&mut relay, &relay_rows);
+        feed(&mut root, &root_rows);
+        assert!(leaf
+            .0
+            .agg_tree(QUERY)
+            .is_some_and(|(_, hold)| hold == 2_000_000));
+
+        // The leaf's flush leaves for the root; a second one has nothing.
+        let mut rng = Rng64::new(seeded(5));
+        let mut flush = |(exec, overlay): &mut (GraphExec, Overlay<QpObject>)| {
+            let out = exec.agg_flush(QUERY, false, false, NOW, overlay, &mut rng);
+            assert!(out.results.is_empty());
+            shipped(out.effects)
+        };
+        let from_leaf = flush(&mut leaf);
+        assert!(!from_leaf.is_empty());
+        assert!(flush(&mut leaf).is_empty(), "a flush re-sends nothing");
+        let at_root: Vec<Tuple> = if flat {
+            // Straight to the root, from both.
+            from_leaf.into_iter().chain(flush(&mut relay)).collect()
+        } else {
+            // Hop by hop: the relay folds the leaf's partials into its own
+            // at the upcall and forwards one combined set.
+            for partial in &from_leaf {
+                assert!(relay.0.absorb_partial(QUERY, partial));
+            }
+            let combined = flush(&mut relay);
+            assert!(combined.len() <= 5, "one partial per group");
+            combined
+        };
+        root.0.merge_partials(QUERY, at_root.into_iter());
+
+        // The root merges its own rows on a periodic flush, sends nothing,
+        // and its final flush emits the answer once.
+        let (exec, overlay) = &mut root;
+        let periodic = exec.agg_flush(QUERY, false, true, NOW, overlay, &mut rng);
+        assert!(periodic.effects.is_empty() && periodic.results.is_empty());
+        let last = exec.agg_flush(QUERY, true, true, NOW, overlay, &mut rng);
+        assert!(last.effects.is_empty());
+        let mut rows = result_rows(&[last]);
+        rows.sort();
+        assert_eq!(rows, expected, "flat = {flat}");
+        let again = exec.agg_flush(QUERY, true, true, NOW, overlay, &mut rng);
+        assert!(again.results.is_empty() && again.effects.is_empty());
+    }
+}

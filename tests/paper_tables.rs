@@ -2,26 +2,29 @@
 //!
 //! Every figure and EXP table runs on the discrete-event simulator, in
 //! virtual time, from a fixed seed — the §3.1.2 "native simulation" claim —
-//! so the text a `crates/bench` driver prints is a function of the code.
-//! `docs/baselines/tables/<bench>.txt` records that text and each test here
-//! renders the table again, through the function the bench itself prints,
-//! and compares byte for byte.  A change that moves a hop count, a message
-//! total, a recall or an error figure fails here and has to say so by
-//! re-recording:
+//! so the text a `pier-harness` `*_table()` function renders is a function
+//! of the code.  `docs/baselines/tables/<name>.txt` records that text and
+//! each test here renders the table again and compares byte for byte.  A
+//! change that moves a hop count, a message total, a recall or an error
+//! figure fails here and has to say so by re-recording:
 //!
 //! ```text
-//! cargo bench -p pier-bench --bench <name> > docs/baselines/tables/<name>.txt
+//! PIER_BLESS=1 cargo test --test paper_tables [name]
 //! ```
 
 use pier::harness as h;
 
 /// Compare `rendered` with the recorded table of `bench`; on a mismatch,
-/// fail with the lines that differ.
+/// fail with the lines that differ — or, under `PIER_BLESS=1`, record it.
 fn check(bench: &str, rendered: &str) {
     let path = format!(
         "{}/docs/baselines/tables/{bench}.txt",
         env!("CARGO_MANIFEST_DIR")
     );
+    if std::env::var_os("PIER_BLESS").is_some_and(|v| v == "1") {
+        std::fs::write(&path, rendered).unwrap_or_else(|e| panic!("write {path}: {e}"));
+        return;
+    }
     let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {path}: {e}"));
     if rendered == golden {
         return;
@@ -39,9 +42,9 @@ fn check(bench: &str, rendered: &str) {
         })
         .collect();
     panic!(
-        "{bench} no longer prints docs/baselines/tables/{bench}.txt\n{diff}\
+        "{bench} no longer renders docs/baselines/tables/{bench}.txt\n{diff}\
          if the change is meant, re-record with\n  \
-         cargo bench -p pier-bench --bench {bench} > docs/baselines/tables/{bench}.txt"
+         PIER_BLESS=1 cargo test --test paper_tables {bench}"
     );
 }
 

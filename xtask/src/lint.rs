@@ -1,6 +1,9 @@
 //! The send-path determinism lint: a dependency-free lexical scanner that
 //! flags unordered `HashMap`/`HashSet` iteration inside functions that send
-//! messages, emit trace events, or persist state.
+//! messages, emit trace events, or persist state — or that build and return
+//! what their caller will send (the plain-struct, "effects out" code: the
+//! overlay wrapper, the window engine, the proxy, the opgraph executor and
+//! the rehash buffer).
 //!
 //! Rationale: the simulator's equal-seed byte-identical trace guarantee (and
 //! the durable-segment format) dies the moment hash-iteration order reaches
@@ -34,6 +37,18 @@ const MARKERS: &[&str] = &[
     "trace_jsonl",
     ".record_span(",
     "span_jsonl",
+    // "Effects out" code sends nothing itself: it builds or returns what
+    // its caller will send, emit or deliver, or hands it to the overlay.
+    "OverlayEffect",
+    "ExecOut",
+    "Emission",
+    "RenewalRound",
+    "PierOut",
+    "ObjectName::new",
+    ".put(",
+    ".put_batch(",
+    ".send_routed(",
+    ".broadcast(",
 ];
 
 /// Iteration methods whose order is the hash map's internal order.
@@ -501,6 +516,24 @@ fn flush_span(tel: &Telemetry, now: u64) {
         let findings = lint_file("sp.rs", src);
         assert_eq!(findings.len(), 1);
         assert_eq!(findings[0].marker, ".record_span(");
+    }
+
+    #[test]
+    fn effects_out_path_is_sensitive() {
+        // Nothing here sends: the function returns what its caller will.
+        let src = r#"
+use std::collections::HashMap;
+fn flush(buffers: &HashMap<u64, String>) -> Vec<OverlayEffect<String>> {
+    let mut effects = Vec::new();
+    for (to, msg) in buffers.iter() {
+        effects.push(send(*to, msg));
+    }
+    effects
+}
+"#;
+        let findings = lint_file("fx.rs", src);
+        assert_eq!(findings.len(), 1);
+        assert_eq!(findings[0].marker, "OverlayEffect");
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! The determinism lint against its seeded fixture corpus and the live
-//! workspace: the fixture must FAIL with exactly the four seeded findings
-//! (two send-path, two span-emit), and the real tree must PASS (PR 7
-//! sorted every send path; the lint's job is to keep it that way).
+//! workspace: the fixture must FAIL with exactly the six seeded findings
+//! (two effects-out, two send-path, two span-emit), and the real tree must
+//! PASS (PR 7 sorted every send path; the lint's job is to keep it that
+//! way).
 
 use std::path::PathBuf;
 use xtask::lint;
@@ -18,17 +19,22 @@ fn seeded_fixture_fails_with_expected_findings() {
     let findings = lint::lint_tree(&workspace_root().join("xtask/fixtures"));
     assert_eq!(
         findings.len(),
-        4,
-        "expected exactly the four seeded violations, got: {findings:?}"
+        6,
+        "expected exactly the six seeded violations, got: {findings:?}"
     );
-    assert_eq!(findings[0].name, "pending");
-    assert_eq!(findings[0].marker, "ctx.send");
-    assert_eq!(findings[1].name, "peers");
-    assert_eq!(findings[1].marker, "ctx.output");
-    assert_eq!(findings[2].name, "groups");
-    assert_eq!(findings[2].marker, ".record_span(");
-    assert_eq!(findings[3].name, "members");
-    assert_eq!(findings[3].marker, "span_jsonl");
+    let found: Vec<(&str, &str)> = findings
+        .iter()
+        .map(|f| (f.name.as_str(), f.marker.as_str()))
+        .collect();
+    let seeded = [
+        ("buffers", "OverlayEffect"),
+        ("by_key", ".put_batch("),
+        ("pending", "ctx.send"),
+        ("peers", "ctx.output"),
+        ("groups", ".record_span("),
+        ("members", "span_jsonl"),
+    ];
+    assert_eq!(found, seeded);
 }
 
 #[test]
