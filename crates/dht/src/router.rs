@@ -66,6 +66,10 @@ pub enum RouterMessage {
     GetNeighbors {
         /// The asking node.
         from: NodeRef,
+        /// Whether the asker takes the receiver for its successor.  Such a
+        /// probe doubles as Chord's `notify`; one sent to watch a finger
+        /// or another peer does not.
+        as_successor: bool,
     },
     /// Reply to [`RouterMessage::GetNeighbors`].
     Neighbors {
@@ -88,7 +92,7 @@ impl WireSize for RouterMessage {
         match self {
             RouterMessage::FindSuccessor { .. } => 8 + 14 + 8 + 4,
             RouterMessage::FindSuccessorReply { .. } => 8 + 14 + 8 + 4,
-            RouterMessage::GetNeighbors { .. } => 14,
+            RouterMessage::GetNeighbors { .. } => 14 + 1,
             RouterMessage::Neighbors {
                 predecessor,
                 successors,
@@ -472,7 +476,6 @@ impl Router {
                 request_id,
                 hops,
             } => {
-                self.consider(reply_to, now);
                 let reply = |owner: NodeRef, arc_start: Id| {
                     vec![RouterEffect::Send {
                         to: reply_to.addr,
@@ -484,7 +487,11 @@ impl Router {
                         },
                     }]
                 };
-                if self.is_responsible(target) {
+                // Answer from the ring as it stands, THEN learn about the
+                // asker: a joiner's predecessor that adopted it on first
+                // sight would answer its join lookup "your successor is
+                // you".
+                let effects = if self.is_responsible(target) {
                     reply(self.me, self.own_arc_start(target))
                 } else if let Some(successor) = self.live_successor(now) {
                     if target.in_interval(self.me.id, successor.id) {
@@ -511,7 +518,9 @@ impl Router {
                 } else {
                     // Singleton that somehow received a lookup: we own it.
                     reply(self.me, self.own_arc_start(target))
-                }
+                };
+                self.consider(reply_to, now);
+                effects
             }
             RouterMessage::FindSuccessorReply {
                 request_id,
@@ -552,8 +561,19 @@ impl Router {
                     }]
                 }
             }
-            RouterMessage::GetNeighbors { from: asker } => {
-                self.consider(asker, now);
+            RouterMessage::GetNeighbors {
+                from: asker,
+                as_successor,
+            } => {
+                // A probe from a node that takes us for its successor is
+                // the notify.  (Not any probe: with no predecessor known,
+                // a far peer watching us would be taken for one, and the
+                // arc stated from it would span nodes in between.)
+                if as_successor {
+                    self.offer_predecessor(asker, now);
+                } else {
+                    self.consider(asker, now);
+                }
                 vec![RouterEffect::Send {
                     to: asker.addr,
                     msg: RouterMessage::Neighbors {
@@ -568,6 +588,7 @@ impl Router {
                 predecessor,
                 successors,
             } => {
+                let successor_before = self.successor();
                 self.consider(replier, now);
                 // Learn opportunistically about everyone mentioned in the
                 // reply; this speeds up convergence of a freshly built ring.
@@ -592,19 +613,29 @@ impl Router {
                         self.adopt_successor(p);
                     }
                 }
-                // Refresh the successor list from the successor's view.
+                // Refresh the successor list from the successor's view.  It
+                // speaks for the stretch of ring it lists — an entry held
+                // there that it no longer names is gone — and what is held
+                // beyond that stretch stays: a newcomer's list is shorter
+                // than ours, and adopting it whole would forget the ring
+                // past it.
                 if self.successor().map(|s| s.addr) == Some(replier.addr) {
                     let mut list = vec![replier];
                     list.extend(successors.into_iter().filter(|n| n.addr != self.me.addr));
+                    let clockwise = |n: &NodeRef| self.me.id.distance_to(n.id);
+                    let reach = list.iter().map(clockwise).max().unwrap_or(0);
+                    list.extend(self.successors.iter().filter(|n| clockwise(n) > reach));
                     list.truncate(self.config.successor_list_len);
                     if list != self.successors {
                         self.successors = list;
                         self.membership_epoch += 1;
                     }
                 }
-                // Notify our successor that we might be its predecessor.
+                // A successor this reply made us adopt has not been probed
+                // yet, so tell it now that we might be its predecessor; one
+                // we already had learned that from the probe itself.
                 let mut effects = Vec::new();
-                if let Some(s) = self.successor() {
+                if let Some(s) = self.successor().filter(|s| Some(*s) != successor_before) {
                     effects.push(RouterEffect::Send {
                         to: s.addr,
                         msg: RouterMessage::Notify { from: self.me },
@@ -616,17 +647,25 @@ impl Router {
                 effects
             }
             RouterMessage::Notify { from: candidate } => {
-                self.consider(candidate, now);
-                let adopt = match self.predecessor {
-                    None => true,
-                    Some(pred) => candidate.id.strictly_between(pred.id, self.me.id),
-                };
-                if adopt && candidate.addr != self.me.addr {
-                    self.predecessor = Some(candidate);
-                    self.membership_epoch += 1;
-                }
+                self.offer_predecessor(candidate, now);
                 Vec::new()
             }
+        }
+    }
+
+    /// Chord's `notify` rule, run for whoever says it may be our
+    /// predecessor — in a [`RouterMessage::Notify`] or by probing us as its
+    /// successor: adopt `candidate` when no predecessor is known or it sits between
+    /// the current one and this node.
+    fn offer_predecessor(&mut self, candidate: NodeRef, now: SimTime) {
+        self.consider(candidate, now);
+        let adopt = match self.predecessor {
+            None => true,
+            Some(pred) => candidate.id.strictly_between(pred.id, self.me.id),
+        };
+        if adopt && candidate.addr != self.me.addr {
+            self.predecessor = Some(candidate);
+            self.membership_epoch += 1;
         }
     }
 
@@ -659,9 +698,9 @@ impl Router {
         self.membership_epoch += 1;
     }
 
-    /// Periodic stabilization: drop successors that look dead, probe the
+    /// Periodic stabilization: drop successors that look dead and probe the
     /// current successor (and one other known peer, in rotation) for its
-    /// neighbor state, and notify the successor of us.
+    /// neighbor state; the successor's probe doubles as the notify.
     pub fn on_stabilize(&mut self, now: SimTime) -> Vec<RouterEffect> {
         self.stabilize_rounds += 1;
         // Evict successors whose probes have gone unanswered.
@@ -697,7 +736,10 @@ impl Router {
             router.unanswered_probe.entry(target.addr).or_insert(now);
             effects.push(RouterEffect::Send {
                 to: target.addr,
-                msg: RouterMessage::GetNeighbors { from: router.me },
+                msg: RouterMessage::GetNeighbors {
+                    from: router.me,
+                    as_successor: router.successor() == Some(target),
+                },
             });
         };
         if let Some(s) = self.successor() {
@@ -1070,6 +1112,116 @@ mod tests {
         assert_eq!(routers[1].successor().unwrap().id, Id(3_000_000_000));
         assert_eq!(routers[2].successor().unwrap().id, Id(1_000));
         assert_eq!(routers[0].predecessor().unwrap().id, Id(3_000_000_000));
+    }
+
+    fn notifies(effects: &[RouterEffect]) -> Vec<NodeAddr> {
+        effects
+            .iter()
+            .filter_map(|e| match e {
+                RouterEffect::Send {
+                    to,
+                    msg: RouterMessage::Notify { .. },
+                } => Some(*to),
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn the_probe_is_the_notify() {
+        let nodes = ring(&[10, 20, 30, 40]);
+        // Node 20 has not heard of its true predecessor (10) yet.
+        let mut r = Router::with_static_ring(nodes[1], &nodes[1..], RouterConfig::default());
+        assert_eq!(r.predecessor(), Some(nodes[3]));
+        let mut asker = Router::with_static_ring(nodes[0], &nodes, RouterConfig::default());
+        let probes = asker.on_stabilize(0);
+        let probe = match probes.first() {
+            Some(RouterEffect::Send {
+                to,
+                msg: msg @ RouterMessage::GetNeighbors { .. },
+            }) if *to == nodes[1].addr => msg.clone(),
+            other => panic!("expected the successor's probe first, got {other:?}"),
+        };
+        // The probe alone makes 20 adopt 10 — stated back in the reply —
+        let epoch = r.membership_epoch();
+        let reply = match r.on_message(nodes[0].addr, probe, 0).as_slice() {
+            [RouterEffect::Send { to, msg }] if *to == nodes[0].addr => msg.clone(),
+            other => panic!("expected the reply and nothing else, got {other:?}"),
+        };
+        assert_eq!(r.predecessor(), Some(nodes[0]));
+        assert!(r.membership_epoch() > epoch);
+        assert!(matches!(
+            &reply,
+            RouterMessage::Neighbors { predecessor, .. } if *predecessor == Some(nodes[0])
+        ));
+        // — and the asker, whose successor the reply confirms, sends no
+        // Notify after it: the round is probe and reply.
+        let effects = asker.on_message(nodes[1].addr, reply, 0);
+        assert_eq!(notifies(&effects), vec![]);
+        // A probe from a peer that merely watches us is no notify, even to
+        // a node that knows no predecessor at all.
+        let mut alone = Router::new(nodes[1], RouterConfig::default());
+        let probe = |as_successor| RouterMessage::GetNeighbors {
+            from: nodes[3],
+            as_successor,
+        };
+        alone.on_message(nodes[3].addr, probe(false), 0);
+        assert_eq!(alone.predecessor(), None);
+        alone.on_message(nodes[3].addr, probe(true), 0);
+        assert_eq!(alone.predecessor(), Some(nodes[3]));
+    }
+
+    #[test]
+    fn a_successor_the_reply_reveals_is_notified_once() {
+        let nodes = ring(&[10, 20, 30, 40]);
+        // Node 10 has not heard of 20: its successor is 30, whose reply
+        // names 20 as its predecessor.
+        let known = [nodes[0], nodes[2], nodes[3]];
+        let mut r = Router::with_static_ring(nodes[0], &known, RouterConfig::default());
+        r.on_stabilize(0);
+        let reply = RouterMessage::Neighbors {
+            from: nodes[2],
+            predecessor: Some(nodes[1]),
+            successors: vec![nodes[3], nodes[0]],
+        };
+        let effects = r.on_message(nodes[2].addr, reply, 0);
+        assert_eq!(r.successor(), Some(nodes[1]));
+        assert_eq!(notifies(&effects), vec![nodes[1].addr]);
+    }
+
+    #[test]
+    fn a_join_lookup_is_answered_before_its_sender_is_adopted() {
+        let nodes = ring(&[10, 20, 30, 40, 50, 60]);
+        let mut r = Router::with_static_ring(nodes[1], &nodes, RouterConfig::default());
+        let held = r.successor_list().to_vec();
+        // A joiner at 25 asks node 20 — its predecessor-to-be — who its
+        // successor is: 30, not the joiner itself.
+        let joiner = node(9, 25);
+        let ask = RouterMessage::FindSuccessor {
+            target: joiner.id,
+            reply_to: joiner,
+            request_id: 1,
+            hops: 0,
+        };
+        match r.on_message(joiner.addr, ask, 0).as_slice() {
+            [RouterEffect::Send {
+                msg: RouterMessage::FindSuccessorReply { owner, .. },
+                ..
+            }] => assert_eq!(*owner, nodes[2]),
+            other => panic!("expected a reply, got {other:?}"),
+        }
+        // Having answered, 20 takes the joiner as its successor, and the
+        // joiner's one-entry list does not make it forget the ring beyond.
+        assert_eq!(r.successor(), Some(joiner));
+        let reply = RouterMessage::Neighbors {
+            from: joiner,
+            predecessor: None,
+            successors: vec![nodes[2]],
+        };
+        r.on_message(joiner.addr, reply, 0);
+        let mut expected = vec![joiner];
+        expected.extend(&held[..3]);
+        assert_eq!(r.successor_list(), expected.as_slice());
     }
 
     #[test]

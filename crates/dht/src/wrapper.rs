@@ -32,7 +32,7 @@ use crate::id::{hash_str, Id};
 use crate::messages::DhtMessage;
 use crate::naming::ObjectName;
 use crate::object_manager::{ObjectManager, StoredObject};
-use crate::router::{NodeRef, Router, RouterConfig, RouterEffect};
+use crate::router::{NodeRef, Router, RouterConfig, RouterEffect, RouterMessage};
 use pier_runtime::{Duration, NodeAddr, SimTime, WireSize};
 use pier_telemetry::Telemetry;
 use pier_trace::TraceContext;
@@ -246,13 +246,47 @@ impl<V> Op<V> {
 
 /// One owner-cache entry: the arc `(start, owner.id]` a peer stated `owner`
 /// is responsible for, when it was learned (TTL anchor) and when it last
-/// resolved an operation (LRU anchor).
+/// resolved an operation (LRU anchor).  Past its TTL the entry stays, to be
+/// refreshed: `refresh` names the one routed lookup re-asking about it.
 #[derive(Debug, Clone, Copy)]
 struct CachedArc {
     start: Id,
     owner: NodeRef,
     cached_at: SimTime,
     last_used: SimTime,
+    refresh: Option<u64>,
+}
+
+/// What [`Overlay::resolve_arc`] says about an identifier.
+enum Resolution {
+    /// Local routing state or a live cached arc names the owner.
+    Owner(NodeRef),
+    /// Nothing does: a routed lookup.  When the identifier falls into a
+    /// cached arc past its TTL (its end is given), that lookup refreshes the
+    /// arc — or the operation waits behind the one that already does.
+    Unresolved(Option<Id>),
+}
+
+/// A routed lookup in flight.
+#[derive(Debug, Clone)]
+struct PendingLookup<V> {
+    /// The router's membership epoch at issue time: an answer that arrives
+    /// after a membership change still completes its own operations (the
+    /// receiver's responsibility check covers the race) but is NOT admitted
+    /// into the owner cache, so a pre-churn answer cannot re-poison a
+    /// just-cleared cache.
+    epoch: u64,
+    /// Issue time: prices the lookup-latency histogram when the answer
+    /// lands, and ages the lookup out when none does.
+    issued_at: SimTime,
+    /// The operation that waits for the answer (`None`: a raw
+    /// [`Overlay::lookup`]).
+    op: Option<Op<V>>,
+    /// End of the expired arc this lookup refreshes, if any.
+    refreshes: Option<Id>,
+    /// Operations that fell into that arc while the answer was out, in
+    /// arrival order; re-dispatched when it lands.
+    parked: Vec<Op<V>>,
 }
 
 /// The overlay wrapper: one instance per node.
@@ -262,15 +296,9 @@ pub struct Overlay<V> {
     config: OverlayConfig,
     router: Router,
     objects: ObjectManager<V>,
-    /// Routed lookups in flight, by lookup id: the operation that waits for
-    /// the answer (`None` for a raw [`Overlay::lookup`]), the router's
-    /// membership epoch when the lookup was issued — an answer that arrives
-    /// after a membership change still completes its own operation (the
-    /// receiver's responsibility check covers the race) but is NOT admitted
-    /// into the owner cache, so a pre-churn answer cannot re-poison a
-    /// just-cleared cache — and the issue time, which prices the
-    /// lookup-latency histogram when the answer lands.
-    pending: HashMap<u64, (u64, SimTime, Option<Op<V>>)>,
+    /// Routed lookups in flight, by lookup id — ids are issued in order, so
+    /// the `Expire` sweep walks them oldest first.
+    pending: BTreeMap<u64, PendingLookup<V>>,
     pending_upcalls: HashMap<u64, PendingUpcall<V>>,
     /// Trace context armed by [`Overlay::set_trace`] and consumed by the
     /// next `get`/`put`/`put_batch`/`send` issued on this wrapper; it rides
@@ -299,8 +327,10 @@ pub struct Overlay<V> {
     /// is trusted when membership changes *outside* the local neighbor
     /// view (a remote join splitting the arc never bumps our epoch; until
     /// the TTL runs out the old owner's responsibility check forwards what
-    /// it no longer owns); an entry is skipped while its owner is presumed
-    /// dead; and [`Overlay::OWNER_CACHE_MAX`] bounds the number of distinct
+    /// it no longer owns) — past it the arc resolves nothing, the first
+    /// operation into it pays the routed lookup that refreshes it and the
+    /// rest wait for that one answer; an entry is dropped once its owner is
+    /// presumed dead; and [`Overlay::OWNER_CACHE_MAX`] bounds the number of distinct
     /// owners, evicting the least recently used.  What remains is the loss
     /// window a lookup answer has anyway: a remote owner that crashed keeps
     /// being sent to until its entry's TTL runs out.  An arc is only ever
@@ -323,7 +353,7 @@ impl<V: Clone + Debug + WireSize> Overlay<V> {
             config,
             router: Router::new(me, config.router),
             objects: ObjectManager::new(MAX_LIFETIME),
-            pending: HashMap::new(),
+            pending: BTreeMap::new(),
             pending_upcalls: HashMap::new(),
             pending_trace: None,
             next_request_id: 0,
@@ -391,13 +421,9 @@ impl<V: Clone + Debug + WireSize> Overlay<V> {
 
     /// Boot the overlay: start the routing join (if a bootstrap address is
     /// given) and schedule all periodic maintenance timers.
-    pub fn start(&mut self, bootstrap: Option<NodeAddr>, _now: SimTime) -> Vec<OverlayEffect<V>> {
-        let mut effects: Vec<OverlayEffect<V>> = self
-            .router
-            .bootstrap(bootstrap)
-            .into_iter()
-            .map(routing_effect)
-            .collect();
+    pub fn start(&mut self, bootstrap: Option<NodeAddr>, now: SimTime) -> Vec<OverlayEffect<V>> {
+        let join = self.router.bootstrap(bootstrap);
+        let mut effects = self.absorb_router_effects(join, now);
         effects.push(OverlayEffect::SetTimer {
             delay: STABILIZE_INTERVAL,
             timer: OverlayTimer::Stabilize,
@@ -460,16 +486,16 @@ impl<V: Clone + Debug + WireSize> Overlay<V> {
     }
 
     /// Resolve, then transfer: run `op` here when this node owns its
-    /// identifier, send it in one direct message when [`Overlay::resolve`]
-    /// names another owner, and pay a routed lookup only when nothing does.
+    /// identifier, send it in one direct message when the resolver names
+    /// another owner, and otherwise [`Overlay::route`] it.
     fn dispatch(&mut self, op: Op<V>, now: SimTime) -> Vec<OverlayEffect<V>> {
-        match self.resolve(op.routing_id(), now) {
-            Some(owner) if owner.addr == self.me.addr => self.serve(op, now),
-            Some(owner) => vec![OverlayEffect::Send {
+        match self.resolve_arc(op.routing_id(), now) {
+            Resolution::Owner(owner) if owner.addr == self.me.addr => self.serve(op, now),
+            Resolution::Owner(owner) => vec![OverlayEffect::Send {
                 to: owner.addr,
                 msg: op.into_message(),
             }],
-            None => self.route(op, now),
+            Resolution::Unresolved(stale) => self.route(op, stale, now),
         }
     }
 
@@ -536,26 +562,50 @@ impl<V: Clone + Debug + WireSize> Overlay<V> {
         }
     }
 
-    /// Park `op` (`None`: a raw lookup) behind a routed lookup for `target`;
+    /// Put `op` (`None`: a raw lookup) behind a routed lookup for `target`;
     /// [`Overlay::finish_lookup`] picks it up when the answer lands.  This
-    /// never consults the owner cache.
+    /// never consults the owner cache; with `refreshes` it marks the expired
+    /// arc ending there as being refreshed by this lookup.
     fn route_lookup(
         &mut self,
         target: Id,
         op: Option<Op<V>>,
+        refreshes: Option<Id>,
         now: SimTime,
     ) -> (u64, Vec<OverlayEffect<V>>) {
         let lookup_id = self.next_request_id();
-        self.pending
-            .insert(lookup_id, (self.router.membership_epoch(), now, op));
+        if let Some(arc) = refreshes.and_then(|end| self.owner_cache.get_mut(&end)) {
+            arc.refresh = Some(lookup_id);
+            self.tel.inc("dht.owner_cache.refreshes");
+        }
+        self.pending.insert(
+            lookup_id,
+            PendingLookup {
+                epoch: self.router.membership_epoch(),
+                issued_at: now,
+                op,
+                refreshes,
+                parked: Vec::new(),
+            },
+        );
         let effects = self.router.lookup(target, lookup_id, now);
         (lookup_id, self.absorb_router_effects(effects, now))
     }
 
     /// The classic Figure-6 flow for `op`: a routed lookup, then the direct
-    /// transfer.
-    fn route(&mut self, op: Op<V>, now: SimTime) -> Vec<OverlayEffect<V>> {
-        self.route_lookup(op.routing_id(), Some(op), now).1
+    /// transfer.  An operation the resolver found in a stale arc waits
+    /// behind the lookup already refreshing that arc, if there is one (no
+    /// message); if not, its own lookup is the refresh.
+    fn route(&mut self, op: Op<V>, stale: Option<Id>, now: SimTime) -> Vec<OverlayEffect<V>> {
+        let refresh = stale
+            .and_then(|end| self.owner_cache.get(&end)?.refresh)
+            .and_then(|lookup_id| self.pending.get_mut(&lookup_id));
+        if let Some(refresh) = refresh {
+            refresh.parked.push(op);
+            self.tel.inc("dht.owner_cache.parked");
+            return Vec::new();
+        }
+        self.route_lookup(op.routing_id(), Some(op), stale, now).1
     }
 
     /// The receive side of a direct transfer: run `op` when this node is
@@ -571,7 +621,7 @@ impl<V: Clone + Debug + WireSize> Overlay<V> {
             self.serve(op, now)
         } else {
             self.tel.inc("dht.misdirected");
-            self.route(op, now)
+            self.route(op, None, now)
         }
     }
 
@@ -598,17 +648,29 @@ impl<V: Clone + Debug + WireSize> Overlay<V> {
     }
 
     /// The owner of `id` as far as this node can tell without a routed
-    /// lookup — the one resolver in front of every inter-node operation:
-    /// authoritative local routing state first ([`Router::known_owner`]),
-    /// then the owner cache — the first cached arc ending at or clockwise
-    /// after `id`, if it covers `id`, was learned in the current membership
-    /// epoch, is younger than the liveness-timeout TTL and its owner is not
-    /// presumed dead.  A hit refreshes the arc's LRU stamp.  `None` means
-    /// an operation on `id` would pay a routed lookup.  Public so tests can
-    /// hold its answers against the ring's true owners.
+    /// lookup: what the one resolver in front of every inter-node operation
+    /// (`resolve_arc`) names.  `None` means an operation on `id`
+    /// would pay a routed lookup or wait for one already asking about its
+    /// arc.  Public so tests can hold its answers against the ring's true
+    /// owners.
     pub fn resolve(&mut self, id: Id, now: SimTime) -> Option<NodeRef> {
+        match self.resolve_arc(id, now) {
+            Resolution::Owner(owner) => Some(owner),
+            Resolution::Unresolved(_) => None,
+        }
+    }
+
+    /// The resolver: authoritative local routing state first
+    /// ([`Router::known_owner`]), then the owner cache — the first cached
+    /// arc ending at or clockwise after `id`, if it covers `id` and was
+    /// learned in the current membership epoch.  An arc whose owner is
+    /// presumed dead is dropped at once; one younger than the
+    /// liveness-timeout TTL names its owner (and has its LRU stamp
+    /// refreshed); one past it is stale — it resolves nothing until the one
+    /// lookup that refreshes it is answered.
+    fn resolve_arc(&mut self, id: Id, now: SimTime) -> Resolution {
         if let Some(owner) = self.router.known_owner(id, now) {
-            return Some(owner);
+            return Resolution::Owner(owner);
         }
         self.validate_owner_cache();
         let ttl = self.config.router.liveness_timeout;
@@ -621,20 +683,26 @@ impl<V: Clone + Debug + WireSize> Overlay<V> {
             .filter(|(end, arc)| id.in_interval(arc.start, *end));
         let Some((end, arc)) = covering else {
             self.tel.inc("dht.owner_cache.misses");
-            return None;
+            return Resolution::Unresolved(None);
         };
-        if now.saturating_sub(arc.cached_at) > ttl || self.router.presumed_dead(arc.owner.addr, now)
-        {
+        if self.router.presumed_dead(arc.owner.addr, now) {
             self.owner_cache.remove(&end);
             self.tel.inc("dht.owner_cache.expired");
             self.tel.inc("dht.owner_cache.misses");
-            return None;
+            return Resolution::Unresolved(None);
+        }
+        if now.saturating_sub(arc.cached_at) > ttl {
+            if arc.refresh.is_none() {
+                self.tel.inc("dht.owner_cache.expired");
+                self.tel.inc("dht.owner_cache.misses");
+            }
+            return Resolution::Unresolved(Some(end));
         }
         if let Some(entry) = self.owner_cache.get_mut(&end) {
             entry.last_used = now;
         }
         self.tel.inc("dht.owner_cache.hits");
-        Some(arc.owner)
+        Resolution::Owner(arc.owner)
     }
 
     /// Hard cap on cached arcs, i.e. on distinct owners.  Reaching it first
@@ -682,24 +750,37 @@ impl<V: Clone + Debug + WireSize> Overlay<V> {
                 owner,
                 cached_at: now,
                 last_used: now,
+                refresh: None,
             },
         );
     }
 
     /// A batched `put`: every entry goes through the same resolver as a
-    /// single `put` ([`Overlay::resolve`]); entries it names an owner for
-    /// are grouped into one [`DhtMessage::PutBatch`] per destination node
-    /// (locally-owned entries are stored directly), the rest take the
-    /// per-entry lookup-then-transfer flow of Figure 6, whose answers feed
-    /// the owner cache for the next flush.  Every entry keeps its own name
-    /// and lifetime, so storage and expiry behave exactly as separate puts
-    /// — only message framing is shared.
+    /// single `put` ([`Overlay::resolve`]'s); entries it names an owner
+    /// for are grouped into one [`DhtMessage::PutBatch`] per destination
+    /// node (locally-owned entries are stored directly), the rest take the
+    /// per-entry lookup-then-transfer flow of Figure 6 — or wait behind the
+    /// refresh of their arc — whose answers feed the owner cache for the
+    /// next flush.  Every entry keeps its own name and lifetime, so storage
+    /// and expiry behave exactly as separate puts — only message framing is
+    /// shared.
     pub fn put_batch(
         &mut self,
         entries: Vec<(ObjectName, V, Duration)>,
         now: SimTime,
     ) -> Vec<OverlayEffect<V>> {
         let trace = self.pending_trace.take();
+        self.put_entries(entries, trace, now)
+    }
+
+    /// [`Overlay::put_batch`] under an explicit trace context — also how the
+    /// puts parked behind an arc's refresh leave once it is answered.
+    fn put_entries(
+        &mut self,
+        entries: Vec<PutEntry<V>>,
+        trace: Option<TraceContext>,
+        now: SimTime,
+    ) -> Vec<OverlayEffect<V>> {
         let mut effects = Vec::new();
         let mut grouped: HashMap<NodeAddr, Vec<PutEntry<V>>> = HashMap::new();
         let mut unresolved = Vec::new();
@@ -707,16 +788,16 @@ impl<V: Clone + Debug + WireSize> Overlay<V> {
         let total = entries.len() as u64;
         for (name, value, lifetime) in entries {
             let id = name.routing_id();
-            match self.resolve(id, now) {
-                Some(owner) if owner.addr == self.me.addr => {
+            match self.resolve_arc(id, now) {
+                Resolution::Owner(owner) if owner.addr == self.me.addr => {
                     local += 1;
                     effects.extend(self.store_local_traced(name, value, lifetime, trace, now));
                 }
-                Some(owner) => grouped
+                Resolution::Owner(owner) => grouped
                     .entry(owner.addr)
                     .or_default()
                     .push((name, value, lifetime)),
-                None => unresolved.push((name, value, lifetime)),
+                Resolution::Unresolved(stale) => unresolved.push((name, value, lifetime, stale)),
             }
         }
         let mut coalesced = 0u64;
@@ -760,14 +841,14 @@ impl<V: Clone + Debug + WireSize> Overlay<V> {
         self.tel.add("dht.put_batch.singles", singles);
         self.tel
             .add("dht.put_batch.unresolved", unresolved.len() as u64);
-        for (name, value, lifetime) in unresolved {
+        for (name, value, lifetime, stale) in unresolved {
             let op = Op::Put {
                 name,
                 value,
                 lifetime,
                 trace,
             };
-            effects.extend(self.route(op, now));
+            effects.extend(self.route(op, stale, now));
         }
         effects
     }
@@ -839,7 +920,7 @@ impl<V: Clone + Debug + WireSize> Overlay<V> {
     /// does — EXP-D counts overlay hops with it — so a cached answer, which
     /// takes no hops, would be measuring the cache.
     pub fn lookup(&mut self, target: Id, now: SimTime) -> (u64, Vec<OverlayEffect<V>>) {
-        self.route_lookup(target, None, now)
+        self.route_lookup(target, None, None, now)
     }
 
     // ----- Intra-node operations ------------------------------------------
@@ -1134,7 +1215,7 @@ impl<V: Clone + Debug + WireSize> Overlay<V> {
             OverlayTimer::Expire => {
                 self.objects.expire(now);
                 self.tree_children.retain(|_, expiry| *expiry >= now);
-                Vec::new()
+                self.sweep_lookups(now)
             }
             OverlayTimer::TreeRefresh => self.join_tree(now),
         };
@@ -1148,6 +1229,38 @@ impl<V: Clone + Debug + WireSize> Overlay<V> {
         effects
     }
 
+    /// The `Expire` sweep over lookups in flight, oldest first.  A refresh
+    /// still unanswered gives up its arc and sends what is parked behind it
+    /// through lookups of their own — a lost answer costs the one operation
+    /// it carried, never those that waited for it — and a lookup older than
+    /// the liveness timeout is abandoned: nobody will answer it.
+    fn sweep_lookups(&mut self, now: SimTime) -> Vec<OverlayEffect<V>> {
+        let stranded: Vec<_> = self
+            .pending
+            .iter_mut()
+            .filter_map(|(&lookup_id, lookup)| {
+                let arc = lookup.refreshes.take()?;
+                Some((lookup_id, arc, std::mem::take(&mut lookup.parked)))
+            })
+            .collect();
+        let ttl = self.config.router.liveness_timeout;
+        let in_flight = self.pending.len();
+        self.pending
+            .retain(|_, lookup| now.saturating_sub(lookup.issued_at) <= ttl);
+        let abandoned = (in_flight - self.pending.len()) as u64;
+        if abandoned > 0 {
+            self.tel.add("dht.lookups.abandoned", abandoned);
+        }
+        let mut effects = Vec::new();
+        for (lookup_id, arc, parked) in stranded {
+            self.drop_refreshed_arc(lookup_id, Some(arc));
+            for op in parked {
+                effects.extend(self.route(op, None, now));
+            }
+        }
+        effects
+    }
+
     fn absorb_router_effects(
         &mut self,
         effects: Vec<RouterEffect>,
@@ -1156,10 +1269,21 @@ impl<V: Clone + Debug + WireSize> Overlay<V> {
         let mut out = Vec::new();
         for effect in effects {
             match effect {
-                RouterEffect::Send { to, msg } => out.push(OverlayEffect::Send {
-                    to,
-                    msg: DhtMessage::Routing(msg),
-                }),
+                RouterEffect::Send { to, msg } => {
+                    self.tel.inc(match msg {
+                        RouterMessage::FindSuccessor { .. } => "dht.routing.sent.find_successor",
+                        RouterMessage::FindSuccessorReply { .. } => {
+                            "dht.routing.sent.find_successor_reply"
+                        }
+                        RouterMessage::GetNeighbors { .. } => "dht.routing.sent.get_neighbors",
+                        RouterMessage::Neighbors { .. } => "dht.routing.sent.neighbors",
+                        RouterMessage::Notify { .. } => "dht.routing.sent.notify",
+                    });
+                    out.push(OverlayEffect::Send {
+                        to,
+                        msg: DhtMessage::Routing(msg),
+                    });
+                }
                 RouterEffect::LookupDone {
                     request_id,
                     owner,
@@ -1182,23 +1306,25 @@ impl<V: Clone + Debug + WireSize> Overlay<V> {
         hops: u32,
         now: SimTime,
     ) -> Vec<OverlayEffect<V>> {
-        let Some((issued_epoch, issued_at, op)) = self.pending.remove(&lookup_id) else {
+        let Some(lookup) = self.pending.remove(&lookup_id) else {
             return Vec::new();
         };
         self.tel.inc("dht.lookups");
         self.tel.observe_count("dht.lookup_hops", hops as f64);
         self.tel.observe_latency(
             "dht.lookup_latency_us",
-            now.saturating_sub(issued_at) as f64,
+            now.saturating_sub(lookup.issued_at) as f64,
         );
+        // The expired arc this lookup re-asked about has done its job.
+        self.drop_refreshed_arc(lookup_id, lookup.refreshes);
         // Remember the arc the answer covers so later operations on it skip
         // the lookup round — but only when no membership change happened
         // while the lookup was in flight; a pre-churn answer must not
         // re-poison the cache the epoch bump just cleared.
-        if issued_epoch == self.router.membership_epoch() {
+        if lookup.epoch == self.router.membership_epoch() {
             self.learn_arc(arc_start, owner, now);
         }
-        match op {
+        let mut effects = match lookup.op {
             None => vec![OverlayEffect::Event(OverlayEvent::LookupDone {
                 request_id: lookup_id,
                 owner,
@@ -1211,19 +1337,52 @@ impl<V: Clone + Debug + WireSize> Overlay<V> {
                 to: owner.addr,
                 msg: op.into_message(),
             }],
+        };
+        effects.extend(self.release(lookup.parked, now));
+        effects
+    }
+
+    /// Forget the expired arc ending at `refreshes` if lookup `lookup_id` is
+    /// still the one refreshing it (the answer, if it vouches for an arc,
+    /// is learned afresh).
+    fn drop_refreshed_arc(&mut self, lookup_id: u64, refreshes: Option<Id>) {
+        if let Some(end) = refreshes {
+            if self.owner_cache.get(&end).and_then(|arc| arc.refresh) == Some(lookup_id) {
+                self.owner_cache.remove(&end);
+            }
         }
     }
-}
 
-fn routing_effect<V>(effect: RouterEffect) -> OverlayEffect<V> {
-    match effect {
-        RouterEffect::Send { to, msg } => OverlayEffect::Send {
-            to,
-            msg: DhtMessage::Routing(msg),
-        },
-        RouterEffect::LookupDone { .. } | RouterEffect::OwnedArc { .. } => {
-            unreachable!("bootstrap only sends the join lookup")
+    /// Send the operations that waited behind an arc's refresh on their
+    /// way, in arrival order, through the same resolver as any other: the
+    /// puts as one batch per trace context (so those the fresh arc covers
+    /// share a `PutBatch`), gets and renewals one by one.  What the answer
+    /// did not cover — the arc shrank, or was not vouched for — pays its
+    /// own routed lookup.
+    fn release(&mut self, parked: Vec<Op<V>>, now: SimTime) -> Vec<OverlayEffect<V>> {
+        let mut effects = Vec::new();
+        let mut puts: Vec<(Option<TraceContext>, Vec<PutEntry<V>>)> = Vec::new();
+        for op in parked {
+            match op {
+                Op::Put {
+                    name,
+                    value,
+                    lifetime,
+                    trace,
+                } => {
+                    let entry = (name, value, lifetime);
+                    match puts.iter_mut().find(|(t, _)| *t == trace) {
+                        Some((_, entries)) => entries.push(entry),
+                        None => puts.push((trace, vec![entry])),
+                    }
+                }
+                op => effects.extend(self.dispatch(op, now)),
+            }
         }
+        for (trace, entries) in puts {
+            effects.extend(self.put_entries(entries, trace, now));
+        }
+        effects
     }
 }
 
@@ -1579,7 +1738,7 @@ mod tests {
         a.on_timer(OverlayTimer::Stabilize, 0);
         a.on_message(
             NodeAddr(2),
-            DhtMessage::Routing(crate::router::RouterMessage::Notify { from: refs[2] }),
+            DhtMessage::Routing(RouterMessage::Notify { from: refs[2] }),
             1_000,
         );
         let epoch_before = a.router().membership_epoch();
@@ -1641,7 +1800,7 @@ mod tests {
         };
         overlays[0].on_message(
             newcomer.addr,
-            DhtMessage::Routing(crate::router::RouterMessage::Notify { from: newcomer }),
+            DhtMessage::Routing(RouterMessage::Notify { from: newcomer }),
             30,
         );
         let effects = overlays[0].put_batch(batch_of(&keys[1..], 50), 30);
@@ -1861,7 +2020,7 @@ mod tests {
         // A stabilization reply spells out the replier's own arc, and it
         // resolves operations afterwards.
         let (mut overlays, refs) = six_node_ring();
-        let reply = DhtMessage::Routing(crate::router::RouterMessage::Neighbors {
+        let reply = DhtMessage::Routing(RouterMessage::Neighbors {
             from: refs[3],
             predecessor: Some(refs[2]),
             successors: vec![refs[4]],
@@ -1881,15 +2040,40 @@ mod tests {
         );
     }
 
+    /// The `FindSuccessor` messages among `msgs`.
+    fn lookups_in(msgs: &[(NodeAddr, DhtMessage<String>)]) -> usize {
+        msgs.iter()
+            .filter(|(_, m)| matches!(m, DhtMessage::Routing(RouterMessage::FindSuccessor { .. })))
+            .count()
+    }
+
+    /// Node 0 of the six-node ring with the far arc `(refs[2], refs[3]]`
+    /// learned at time 0, a telemetry hub attached, and `count` keys of
+    /// that arc.
+    fn warmed(count: usize) -> (Vec<Overlay<String>>, Vec<NodeRef>, Vec<String>, Telemetry) {
+        let (mut overlays, refs) = six_node_ring();
+        let keys = keys_in_arc(refs[2].id, refs[3].id, count);
+        let effects = overlays[0].put(
+            ObjectName::new("t", keys[0].clone(), 0),
+            "v".into(),
+            1_000_000,
+            0,
+        );
+        settle(&mut overlays, NodeAddr(0), effects, None, 0);
+        assert_eq!(overlays[0].owner_cache.len(), 1);
+        let tel = Telemetry::attached();
+        overlays[0].set_telemetry(tel.clone());
+        (overlays, refs, keys, tel)
+    }
+
+    /// Past the TTL at which every arc learned at time 0 has expired.
+    const EXPIRED: SimTime = 2 * 30_000_000 + 1;
+
     #[test]
     fn owner_cache_entries_expire_and_in_flight_lookups_cannot_repoison() {
-        let (mut overlays, refs) = six_node_ring();
+        let (mut overlays, refs, keys, _) = warmed(3);
         let target = refs[3];
-        let keys = keys_in_arc(refs[2].id, refs[3].id, 3);
-        // Warm the cache: the fallback lookups of a first batch complete.
-        let effects = overlays[0].put_batch(batch_of(&keys, 0), 0);
-        settle(&mut overlays, NodeAddr(0), effects, None, 0);
-        assert_eq!(overlays[0].owner_cache.len(), 1, "one arc, not one id");
+        let id = routing_id("t", &keys[0]);
         // Within the TTL the batch coalesces…
         let ttl = RouterConfig::default().liveness_timeout;
         let msgs = sends(&overlays[0].put_batch(batch_of(&keys, 10), ttl));
@@ -1898,19 +2082,32 @@ mod tests {
         assert_eq!(msgs[0].0, target.addr);
         // …past it the arc is no longer trusted: membership may have
         // changed outside our neighbor view (a remote join never bumps our
-        // epoch), so the batch falls back to fresh lookups.
-        let msgs = sends(&overlays[0].put_batch(batch_of(&keys, 20), 2 * ttl + 1));
+        // epoch), so nothing rides it.  The entry stays, as refreshing: it
+        // resolves nothing and one lookup re-asks about it.
+        let effects = overlays[0].put_batch(batch_of(&keys, 20), EXPIRED);
+        let msgs = sends(&effects);
         assert!(
             msgs.iter()
                 .all(|(_, m)| matches!(m, DhtMessage::Routing(_))),
-            "an expired arc must force a lookup round: {msgs:?}"
+            "an expired arc must force a lookup: {msgs:?}"
         );
-        assert!(overlays[0].owner_cache.is_empty(), "expired arc evicted");
-        // In-flight poisoning: a put issues its lookup, THEN the membership
-        // changes, THEN the pre-churn reply arrives.  The reply still
-        // completes the put (the receiver's check covers the race) but its
-        // arc must not enter the cache the epoch bump just cleared.
-        let t = 2 * ttl + 2;
+        assert_eq!(lookups_in(&msgs), 1, "and only one");
+        assert_eq!(overlays[0].owner_cache.len(), 1, "kept while refreshing");
+        assert_eq!(overlays[0].resolve(id, EXPIRED), None);
+        // The answer teaches the arc afresh and everything leaves.
+        let transfers = settle(&mut overlays, NodeAddr(0), effects, None, EXPIRED);
+        assert!(transfers.iter().all(|(_, to, _)| *to == target.addr));
+        assert_eq!(
+            overlays[0].resolve(id, EXPIRED).map(|o| o.addr),
+            Some(target.addr)
+        );
+        assert!(overlays[0].pending.is_empty());
+        // In-flight poisoning: a put issues its lookup (the arc has expired
+        // again), THEN the membership changes, THEN the pre-churn reply
+        // arrives.  The reply still completes the put (the receiver's check
+        // covers the race) but its arc must not enter the cache the epoch
+        // bump just cleared.
+        let t = 2 * EXPIRED;
         let effects = overlays[0].put(
             ObjectName::new("t", keys[0].clone(), 99),
             "v".into(),
@@ -1925,7 +2122,7 @@ mod tests {
         };
         overlays[0].on_message(
             newcomer.addr,
-            DhtMessage::Routing(crate::router::RouterMessage::Notify { from: newcomer }),
+            DhtMessage::Routing(RouterMessage::Notify { from: newcomer }),
             t,
         );
         let mut completed = Vec::new();
@@ -1940,6 +2137,188 @@ mod tests {
             overlays[0].owner_cache.is_empty(),
             "a pre-churn lookup reply must not re-poison the cleared cache"
         );
+    }
+
+    #[test]
+    fn an_expired_arc_is_refreshed_by_one_lookup_whatever_arrives_meanwhile() {
+        let (mut overlays, refs, keys, tel) = warmed(5);
+        let target = refs[3].addr;
+        // A five-row flush, a get and a renewal into the expired arc, all
+        // in one instant: one FindSuccessor leaves and nothing else.
+        let mut effects = overlays[0].put_batch(batch_of(&keys, 10), EXPIRED);
+        let (get_id, get) = overlays[0].get("t", &keys[1], EXPIRED);
+        effects.extend(get);
+        let renewal = ObjectName::new("t", keys[2].clone(), 0);
+        effects.extend(overlays[0].renew(renewal, 1_000, EXPIRED).1);
+        let msgs = sends(&effects);
+        assert_eq!(msgs.len(), 1, "one message in all: {msgs:?}");
+        assert_eq!(lookups_in(&msgs), 1);
+        assert_eq!(tel.counter("dht.owner_cache.refreshes"), 1);
+        assert_eq!(tel.counter("dht.owner_cache.parked"), 6);
+        // The answer releases the put that carried the lookup, the get and
+        // the renewal as one direct message each, and the four parked puts
+        // as one PutBatch.  No second lookup.
+        let transfers = settle(&mut overlays, NodeAddr(0), effects, None, EXPIRED);
+        assert!(transfers
+            .iter()
+            .all(|(from, to, _)| (*from, *to) == (NodeAddr(0), target)));
+        let mut kinds: Vec<&str> = transfers
+            .iter()
+            .map(|(_, _, m)| match m {
+                DhtMessage::PutRequest { .. } => "put",
+                DhtMessage::PutBatch { entries, .. } if entries.len() == 4 => "batch of 4",
+                DhtMessage::GetRequest { request_id, .. } if *request_id == get_id => "get",
+                DhtMessage::RenewRequest { .. } => "renew",
+                other => panic!("unexpected transfer {other:?}"),
+            })
+            .collect();
+        kinds.sort_unstable();
+        assert_eq!(kinds, ["batch of 4", "get", "put", "renew"]);
+        assert_eq!(tel.counter("dht.lookups"), 1);
+        assert!(overlays[0].pending.is_empty());
+        // Gets have no batch to share: k of them cost one lookup and k
+        // direct messages.
+        let t = 2 * EXPIRED;
+        let mut effects = Vec::new();
+        for key in &keys[..3] {
+            effects.extend(overlays[0].get("t", key, t).1);
+        }
+        assert_eq!(sends(&effects).len(), 1);
+        let transfers = settle(&mut overlays, NodeAddr(0), effects, None, t);
+        assert_eq!(transfers.len(), 3);
+        assert!(transfers
+            .iter()
+            .all(|(_, to, m)| *to == target && matches!(m, DhtMessage::GetRequest { .. })));
+        assert_eq!(tel.counter("dht.lookups"), 2);
+    }
+
+    #[test]
+    fn what_a_shrunken_arc_no_longer_covers_pays_its_own_lookup() {
+        let (mut overlays, refs, mut keys, tel) = warmed(6);
+        // While the arc was cached a node joined in its middle (nobody in
+        // this ring has heard of it, so node 3 still answers for all of
+        // it): the refresh's answer vouches for the upper half only.
+        keys.sort_by_key(|k| std::cmp::Reverse(routing_id("t", k)));
+        let split = routing_id("t", &keys[3]);
+        let effects = overlays[0].put_batch(batch_of(&keys, 10), EXPIRED);
+        let held = settle(
+            &mut overlays,
+            NodeAddr(0),
+            effects,
+            Some(NodeAddr(0)),
+            EXPIRED,
+        );
+        let request_id = match held.as_slice() {
+            [(_, _, DhtMessage::Routing(RouterMessage::FindSuccessorReply { request_id, .. }))] => {
+                *request_id
+            }
+            other => panic!("expected the one held reply, got {other:?}"),
+        };
+        let shrunk = DhtMessage::Routing(RouterMessage::FindSuccessorReply {
+            request_id,
+            owner: refs[3],
+            arc_start: split,
+            hops: 2,
+        });
+        let effects = overlays[0].on_message(refs[3].addr, shrunk, EXPIRED);
+        // Keys 0..3 lie above the split: the carrier alone, two in a batch.
+        // Keys 3..6 lie at or below it: a lookup each (the first of which
+        // nothing parks behind: no arc covers them any more).
+        let msgs = sends(&effects);
+        assert_eq!(lookups_in(&msgs), 3, "{msgs:?}");
+        assert_eq!(msgs.len(), 5);
+        let transfers = settle(&mut overlays, NodeAddr(0), effects, None, EXPIRED);
+        assert_eq!(transfers.len(), 5);
+        for (from, to, msg) in transfers {
+            assert_eq!(to, refs[3].addr, "the ring's true owner");
+            overlays[3].on_message(from, msg, EXPIRED);
+        }
+        for key in &keys {
+            assert_eq!(overlays[3].objects().get("t", key, EXPIRED).len(), 1);
+        }
+        assert_eq!(tel.counter("dht.lookups"), 4);
+        assert!(overlays[0].pending.is_empty());
+    }
+
+    #[test]
+    fn a_refresh_answered_across_an_epoch_bump_completes_what_it_parked() {
+        let (mut overlays, refs, keys, _) = warmed(3);
+        let effects = overlays[0].put_batch(batch_of(&keys, 10), EXPIRED);
+        let held = settle(
+            &mut overlays,
+            NodeAddr(0),
+            effects,
+            Some(NodeAddr(0)),
+            EXPIRED,
+        );
+        assert_eq!(held.len(), 1);
+        let newcomer = NodeRef {
+            id: Id(99),
+            addr: NodeAddr(42),
+        };
+        overlays[0].on_message(
+            newcomer.addr,
+            DhtMessage::Routing(RouterMessage::Notify { from: newcomer }),
+            EXPIRED,
+        );
+        let (from, _, reply) = held.into_iter().next().unwrap();
+        let effects = overlays[0].on_message(from, reply, EXPIRED);
+        assert!(
+            overlays[0].owner_cache.is_empty(),
+            "an answer asked in an older epoch is not remembered"
+        );
+        // The carrier leaves on the answer; the two parked puts, covered by
+        // nothing, take the path a miss takes.
+        let msgs = sends(&effects);
+        assert_eq!((msgs.len(), lookups_in(&msgs)), (3, 2), "{msgs:?}");
+        let transfers = settle(&mut overlays, NodeAddr(0), effects, None, EXPIRED);
+        assert_eq!(transfers.len(), 3);
+        assert!(transfers
+            .iter()
+            .all(|(_, to, m)| *to == refs[3].addr && matches!(m, DhtMessage::PutRequest { .. })));
+        assert!(overlays[0].pending.is_empty());
+    }
+
+    #[test]
+    fn a_refresh_never_answered_strands_nothing_and_stops_leaking() {
+        let (mut overlays, refs, keys, tel) = warmed(4);
+        let id = routing_id("t", &keys[0]);
+        // The refresh's FindSuccessor is lost.
+        let lost = overlays[0].put_batch(batch_of(&keys, 10), EXPIRED);
+        assert_eq!(sends(&lost).len(), 1);
+        assert_eq!(tel.counter("dht.owner_cache.parked"), 3);
+        // The next sweep finds it unanswered: the three parked puts leave
+        // through lookups of their own, in arrival order, and the arc is
+        // given up — the next operation is a plain miss.
+        let sweep = EXPIRED + EXPIRE_INTERVAL;
+        let effects = overlays[0].on_timer(OverlayTimer::Expire, sweep);
+        assert_eq!(lookups_in(&sends(&effects)), 3);
+        assert!(overlays[0].owner_cache.is_empty());
+        let transfers = settle(&mut overlays, NodeAddr(0), effects, None, sweep);
+        let suffixes: Vec<u64> = transfers
+            .iter()
+            .map(|(_, to, m)| match m {
+                DhtMessage::PutRequest { name, .. } if *to == refs[3].addr => name.suffix,
+                other => panic!("unexpected transfer {other:?}"),
+            })
+            .collect();
+        assert_eq!(suffixes.len(), 3);
+        assert!(suffixes.iter().all(|s| (11..=13).contains(s)));
+        assert_eq!(
+            overlays[0].resolve(id, sweep).map(|o| o.addr),
+            Some(refs[3].addr),
+            "their answers taught the arc again"
+        );
+        // What the lost lookup carried is lost with it, as it always was;
+        // its entry goes once nobody can still answer it.
+        assert_eq!(overlays[0].pending.len(), 1);
+        let ttl = RouterConfig::default().liveness_timeout;
+        overlays[0].on_timer(OverlayTimer::Expire, EXPIRED + ttl);
+        assert_eq!(overlays[0].pending.len(), 1, "not before the timeout");
+        let effects = overlays[0].on_timer(OverlayTimer::Expire, EXPIRED + ttl + 1);
+        assert!(sends(&effects).is_empty());
+        assert!(overlays[0].pending.is_empty());
+        assert_eq!(tel.counter("dht.lookups.abandoned"), 1);
     }
 
     #[test]

@@ -563,6 +563,9 @@ impl TelemetryHub {
         let count = |name: &str| Cell::Int(self.counter(name) as i64);
         let lookup =
             |p: f64| Cell::Float(self.percentile("dht.lookup_latency_us", p).unwrap_or(0.0));
+        let sum = |names: &[&str]| {
+            Cell::Int(names.iter().map(|name| self.counter(name)).sum::<u64>() as i64)
+        };
         let dropped = self.trace_dropped() + self.spans_dropped();
         vec![
             ("node", Cell::Str(node)),
@@ -570,6 +573,22 @@ impl TelemetryHub {
             ("msgs_recv", count("net.msgs_recv")),
             ("bytes_recv", count("net.bytes_recv")),
             ("lookups", count("dht.lookups")),
+            ("lookups_parked", count("dht.owner_cache.parked")),
+            (
+                "lookup_msgs_sent",
+                sum(&[
+                    "dht.routing.sent.find_successor",
+                    "dht.routing.sent.find_successor_reply",
+                ]),
+            ),
+            (
+                "maintenance_msgs_sent",
+                sum(&[
+                    "dht.routing.sent.get_neighbors",
+                    "dht.routing.sent.neighbors",
+                    "dht.routing.sent.notify",
+                ]),
+            ),
             ("lookup_p50_us", lookup(50.0)),
             ("lookup_p99_us", lookup(99.0)),
             ("owner_cache_hits", count("dht.owner_cache.hits")),

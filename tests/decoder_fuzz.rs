@@ -1,7 +1,11 @@
 //! Hostile bytes into the two decoders that read lengths off their input:
 //! [`ColumnChunk::decode_body`] (the typed chunk wire format, all six column
 //! tags) and [`SegmentLog::from_bytes`] → [`WindowStore::rehydrate_from`]
-//! (a node's disk after a crash).
+//! (a node's disk after a crash) — and the dictionary-coded `PutBatch`
+//! framing that carries those chunks between nodes, which the program only
+//! prices (`DhtMessage::wire_size`): the frame it prices is written out and
+//! read back here, so the price is held to bytes that exist and that a
+//! bounded decoder can take apart.
 //!
 //! Frames are arbitrary bytes, and valid frames with one byte changed, a
 //! count overwritten or the tail cut off — with a segment record's checksum
@@ -16,8 +20,11 @@
 #![allow(unsafe_code)]
 
 use pier::cq::{CqBudget, SegmentLog, WindowAccumulator, WindowSpec, WindowStore};
+use pier::dht::{DhtMessage, ObjectName};
 use pier::qp::tuple::ColumnChunk;
 use pier::qp::{Column, GroupAgg, Schema, SchemaRegistry, Value, DICT_MAX};
+use pier::runtime::WireSize;
+use pier::trace::TraceContext;
 use proptest::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -359,5 +366,157 @@ proptest! {
         let log: Vec<u8> = payloads.iter().flat_map(|p| record(p)).collect();
         check_log(log.clone())?;
         check_log(damage(&mut rng, log))?;
+    }
+}
+
+// ----- DhtMessage::PutBatch framing ---------------------------------------------
+
+type Entry = (ObjectName, String, u64);
+
+/// The frame `DhtMessage::PutBatch::wire_size` prices: a tag, the entry
+/// count, the trace context when there is one, then per entry a two-byte
+/// namespace reference (an index one past the dictionary announces a new
+/// namespace, spelled out once), the key, the suffix, the lifetime and the
+/// payload.  Strings are a `u32` length and their bytes, as `WireSize` has
+/// them.
+fn encode_put_batch(entries: &[Entry], trace: Option<TraceContext>) -> Vec<u8> {
+    fn string(buf: &mut Vec<u8>, s: &str) {
+        buf.extend_from_slice(&(s.len() as u32).to_le_bytes());
+        buf.extend_from_slice(s.as_bytes());
+    }
+    let mut buf = vec![u8::from(trace.is_some())];
+    buf.extend_from_slice(&(entries.len() as u32).to_le_bytes());
+    if let Some(t) = trace {
+        for word in [t.trace_id, t.span_id, t.query_id] {
+            buf.extend_from_slice(&word.to_le_bytes());
+        }
+    }
+    let mut namespaces: Vec<&str> = Vec::new();
+    for (name, value, lifetime) in entries {
+        let known = namespaces.iter().position(|ns| *ns == name.namespace);
+        buf.extend_from_slice(&(known.unwrap_or(namespaces.len()) as u16).to_le_bytes());
+        if known.is_none() {
+            namespaces.push(&name.namespace);
+            string(&mut buf, &name.namespace);
+        }
+        string(&mut buf, &name.key);
+        buf.extend_from_slice(&name.suffix.to_le_bytes());
+        buf.extend_from_slice(&lifetime.to_le_bytes());
+        string(&mut buf, value);
+    }
+    buf
+}
+
+/// Read a frame back.  Nothing is reserved from a count or a length the
+/// frame merely states: entries are pushed as they are found and a string
+/// is sliced out of bytes that are there.
+fn decode_put_batch(frame: &[u8]) -> Option<(Vec<Entry>, Option<TraceContext>)> {
+    fn take<'a>(frame: &mut &'a [u8], n: usize) -> Option<&'a [u8]> {
+        let (head, tail) = frame.split_at_checked(n)?;
+        *frame = tail;
+        Some(head)
+    }
+    fn word(frame: &mut &[u8]) -> Option<u64> {
+        Some(u64::from_le_bytes(take(frame, 8)?.try_into().ok()?))
+    }
+    fn string(frame: &mut &[u8]) -> Option<String> {
+        let len = u32::from_le_bytes(take(frame, 4)?.try_into().ok()?) as usize;
+        String::from_utf8(take(frame, len)?.to_vec()).ok()
+    }
+    let mut frame = frame;
+    let traced = match take(&mut frame, 1)? {
+        [0] => false,
+        [1] => true,
+        _ => return None,
+    };
+    let count = u32::from_le_bytes(take(&mut frame, 4)?.try_into().ok()?);
+    let trace = if traced {
+        let (trace_id, span_id, query_id) =
+            (word(&mut frame)?, word(&mut frame)?, word(&mut frame)?);
+        Some(TraceContext {
+            trace_id,
+            span_id,
+            query_id,
+        })
+    } else {
+        None
+    };
+    let mut namespaces: Vec<String> = Vec::new();
+    let mut entries = Vec::new();
+    for _ in 0..count {
+        let reference = u16::from_le_bytes(take(&mut frame, 2)?.try_into().ok()?) as usize;
+        if reference == namespaces.len() {
+            namespaces.push(string(&mut frame)?);
+        }
+        let namespace = namespaces.get(reference)?.clone();
+        let key = string(&mut frame)?;
+        let (suffix, lifetime) = (word(&mut frame)?, word(&mut frame)?);
+        entries.push((
+            ObjectName::new(namespace, key, suffix),
+            string(&mut frame)?,
+            lifetime,
+        ));
+    }
+    frame.is_empty().then_some((entries, trace))
+}
+
+/// A batch as either caller builds one: a flush's entries share a namespace,
+/// the puts released from behind an arc's refresh may mix several.
+fn put_batch(rng: &mut Gen) -> (Vec<Entry>, Option<TraceContext>) {
+    let namespaces = 1 + rng.below(3);
+    let entries = (0..rng.below(24))
+        .map(|i| {
+            let name = ObjectName::new(
+                format!("q{}.rehash", rng.below(namespaces)),
+                format!("k{}", rng.below(1_000)),
+                i as u64,
+            );
+            let payload = "x".repeat(rng.below(40));
+            (name, payload, rng.next() % 600_000_000)
+        })
+        .collect();
+    let trace = (rng.below(2) == 0).then(|| TraceContext::root(rng.next()));
+    (entries, trace)
+}
+
+proptest! {
+    /// The size the program charges for a `PutBatch` is the length of the
+    /// frame, and the frame reads back as the batch.
+    #[test]
+    fn a_put_batch_costs_what_its_frame_writes(seed in any::<u64>()) {
+        let mut rng = Gen(seed);
+        let (entries, trace) = put_batch(&mut rng);
+        let frame = encode_put_batch(&entries, trace);
+        let msg = DhtMessage::PutBatch { entries: entries.clone(), trace };
+        prop_assert_eq!(msg.wire_size(), frame.len());
+        let (decoded, requested) = requested_by(|| decode_put_batch(&frame));
+        prop_assert!(requested <= allowance(frame.len()));
+        let (back, back_trace) = decoded.expect("a frame just written");
+        prop_assert_eq!(back_trace, trace);
+        prop_assert_eq!(back.len(), entries.len());
+        for (a, b) in back.iter().zip(&entries) {
+            prop_assert!(a.0 == b.0 && a.1 == b.1 && a.2 == b.2, "{a:?} != {b:?}");
+        }
+    }
+
+    /// Damaged and arbitrary frames are refused or read, never trusted: no
+    /// panic, nothing reserved on a count's say-so, and what is accepted
+    /// writes back as the bytes read.
+    #[test]
+    fn damaged_put_batch_frames_never_panic_or_over_reserve(seed in any::<u64>()) {
+        let mut rng = Gen(seed);
+        let (entries, trace) = put_batch(&mut rng);
+        let len = rng.below(64);
+        for frame in [damage(&mut rng, encode_put_batch(&entries, trace)), rng.bytes(len)] {
+            let (decoded, requested) = requested_by(|| decode_put_batch(&frame));
+            prop_assert!(
+                requested <= allowance(frame.len()),
+                "{requested} bytes requested for a {}-byte frame",
+                frame.len()
+            );
+            if let Some((entries, trace)) = decoded {
+                prop_assert!(encode_put_batch(&entries, trace) == frame, "accepted but not canonical");
+            }
+        }
     }
 }
