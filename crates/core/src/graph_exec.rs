@@ -5,9 +5,9 @@
 //! state per opgraph — [`Pipeline`], symmetric hash join, the one-shot
 //! aggregate's uplink and root buffers — plus the Fetch-Matches probes in
 //! flight and the node's [`Rehash`] buffers.  Rows go in through
-//! [`GraphExec::feed`] (source chunks) and [`GraphExec::fetched`] (a probe's
-//! answer); an [`ExecOut`] comes out.  The overlay is reached only through
-//! the Table 2 calls (`get`, `put`, `put_batch`, `send_routed`) on the
+//! [`GraphExec::feed`] (source chunks) and [`GraphExec::fetched`] (a probed
+//! key's answer); an [`ExecOut`] comes out.  The overlay is reached only through
+//! the Table 2 calls (`get_batch`, `put`, `put_batch`, `send_routed`) on the
 //! `&mut Overlay` the caller lends, and name suffixes are drawn from the
 //! caller's one RNG in the order the rows arrive.  What a call would
 //! re-derive is resolved once, at install — where a graph's Fetch-Matches
@@ -32,13 +32,15 @@ use crate::window_engine::WindowEngine;
 use pier_dht::{routing_id, Id, ObjectName, Overlay, OverlayEffect, StoredObject};
 use pier_runtime::{Duration, NodeAddr, Rng64, SimTime};
 use pier_telemetry::Telemetry;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 /// An opgraph of an installed plan: `(query id, graph index)`.
 pub type GraphRef = (u64, usize);
 
-/// What one executor call asks of its caller.  Results go out before the
-/// effects are driven.
+/// What one executor call asks of its caller.  Results are staged, and
+/// posted when the handler invocation's effects have been driven: what one
+/// invocation produces for a (proxy, query) leaves as one message.
 #[derive(Debug, Default)]
 pub struct ExecOut {
     /// Overlay effects to drive.
@@ -109,16 +111,19 @@ pub struct GraphExec {
     publish_lifetime: Duration,
     batching: bool,
     queries: HashMap<u64, QueryState>,
-    /// Fetch-Matches probes awaiting their `get`, by request id.
-    pending_fetches: HashMap<u64, (GraphRef, Tuple)>,
+    /// Fetch-Matches keys awaiting their `get`, by request id, each with
+    /// the probe rows of the call that asked for it.
+    pending_fetches: HashMap<u64, (GraphRef, Vec<Tuple>)>,
     rehash: Rehash,
+    tel: Telemetry,
 }
 
 impl GraphExec {
     /// An executor under `config`'s `publish_lifetime`, `batching` and
-    /// `batch_max_tuples`.
-    pub fn new(config: &PierConfig) -> Self {
+    /// `batch_max_tuples`, reporting to `tel`.
+    pub fn new(config: &PierConfig, tel: Telemetry) -> Self {
         GraphExec {
+            tel,
             publish_lifetime: config.publish_lifetime,
             batching: config.batching,
             queries: HashMap::new(),
@@ -131,13 +136,13 @@ impl GraphExec {
     /// plan aggregates hierarchically: the caller then routes
     /// [`QueryPlan::partial_namespace`] to [`GraphExec::merge_partials`] and
     /// arms the flushes.
-    pub fn install(&mut self, plan: QueryPlan, tel: &Telemetry) -> Option<Duration> {
+    pub fn install(&mut self, plan: QueryPlan) -> Option<Duration> {
         let mut agg: Option<AggTree> = None;
         let mut graphs = Vec::with_capacity(plan.opgraphs.len());
         for spec in &plan.opgraphs {
             let mut pipeline =
                 Pipeline::new(spec.ops.iter().filter_map(OperatorSpec::build).collect());
-            pipeline.set_telemetry(tel);
+            pipeline.set_telemetry(&self.tel);
             let join = spec.join.as_ref().map(|j| {
                 SymmetricHashJoin::new(
                     j.left_key.clone(),
@@ -185,7 +190,7 @@ impl GraphExec {
         hold
     }
 
-    /// Drop a query: its graphs, buffered aggregates and the probes it has
+    /// Drop a query: its graphs, buffered aggregates and the fetches it has
     /// in flight (their answers, if they come, find nothing).  Returns the
     /// plan, for the caller to un-route.
     pub fn uninstall(&mut self, query_id: u64) -> Option<QueryPlan> {
@@ -205,7 +210,7 @@ impl GraphExec {
         self.queries.get(&query_id).map(|q| &q.plan)
     }
 
-    /// Fetch-Matches probes awaiting an answer.
+    /// Fetch-Matches keys awaiting an answer.
     pub fn pending(&self) -> usize {
         self.pending_fetches.len()
     }
@@ -310,10 +315,10 @@ impl GraphExec {
         self.deliver(at, outputs, now, overlay, rng)
     }
 
-    /// A Fetch-Matches probe came back: join the probe row with every
-    /// fetched inner row and hand the result — one batch under the join's
-    /// output table — to the graph's sink.  An answer for a probe that is
-    /// not pending (its query was uninstalled) yields nothing.
+    /// A Fetch-Matches key came back: join every probe row that waited for
+    /// it with every fetched inner row and hand the result — one batch under
+    /// the join's output table — to the graph's sink.  An answer for a key
+    /// that is not pending (its query was uninstalled) yields nothing.
     pub fn fetched(
         &mut self,
         request_id: u64,
@@ -322,7 +327,7 @@ impl GraphExec {
         overlay: &mut Overlay<QpObject>,
         rng: &mut Rng64,
     ) -> ExecOut {
-        let Some((at, probe)) = self.pending_fetches.remove(&request_id) else {
+        let Some((at, probes)) = self.pending_fetches.remove(&request_id) else {
             return ExecOut::default();
         };
         let output_table = self.queries.get(&at.0).and_then(|q| {
@@ -338,7 +343,11 @@ impl GraphExec {
             return ExecOut::default();
         };
         let inner = objects.iter().flat_map(|o| o.value.iter_tuples());
-        let joined = inner.map(|inner| probe.join_with(&inner, output_table));
+        let inner: Vec<Tuple> = inner.collect();
+        let joined = probes.iter().flat_map(|probe| {
+            let join = |inner| probe.join_with(inner, output_table);
+            inner.iter().map(join)
+        });
         let joined = TupleBatch::new(joined.collect());
         self.deliver(at, joined, now, overlay, rng)
     }
@@ -364,14 +373,20 @@ impl GraphExec {
         else {
             return out;
         };
-        // Fetch Matches: pipeline outputs are probe rows — issue an
-        // asynchronous DHT get per probe and join when results come back
-        // (the one place a sink still walks rows).  Chunks already carrying
-        // the join's output table *are* the joined results returning from a
-        // completed fetch; those continue to the opgraph's real sink below.
+        // Fetch Matches: pipeline outputs are probe rows — issue one
+        // asynchronous DHT get per distinct key of the call, keys in
+        // first-seen order, and join the rows that wait for a key when its
+        // answer comes back (the one place a sink still walks rows).
+        // Chunks already carrying the join's output table *are* the joined
+        // results returning from a completed fetch; those continue to the
+        // opgraph's real sink below.
         let fetch = g.fetch.and_then(|op| fetch_of(&spec.ops[op]));
         if let Some((inner_namespace, probe_col, probe_is_key, output_table)) = fetch {
             let mut completed = TupleBatch::default();
+            let mut keys: Vec<String> = Vec::new();
+            let mut waiting: Vec<Vec<Tuple>> = Vec::new();
+            // Lookup only: `keys` holds the order.
+            let mut slot_of: HashMap<String, usize> = HashMap::new();
             for chunk in rows.into_chunks() {
                 if chunk.schema().table() == output_table {
                     completed.push_chunk(chunk);
@@ -384,10 +399,25 @@ impl GraphExec {
                     }) else {
                         continue;
                     };
-                    let (request_id, effects) = overlay.get(inner_namespace, &key, now);
-                    self.pending_fetches.insert(request_id, (at, probe));
-                    out.effects.extend(effects);
+                    match slot_of.entry(key) {
+                        Entry::Occupied(slot) => waiting[*slot.get()].push(probe),
+                        Entry::Vacant(slot) => {
+                            keys.push(slot.key().clone());
+                            slot.insert(waiting.len());
+                            waiting.push(vec![probe]);
+                        }
+                    }
                 }
+            }
+            if !keys.is_empty() {
+                let probes = waiting.iter().map(Vec::len).sum::<usize>();
+                self.tel.add("query.fetch.probes", probes as u64);
+                self.tel.add("query.fetch.keys", keys.len() as u64);
+                let (request_ids, effects) = overlay.get_batch(inner_namespace, keys, now);
+                let fetches = request_ids.into_iter().zip(waiting);
+                self.pending_fetches
+                    .extend(fetches.map(|(id, probes)| (id, (at, probes))));
+                out.effects.extend(effects);
             }
             if completed.is_empty() {
                 return out;

@@ -304,6 +304,11 @@ pub struct PierNode {
     local_tables: HashMap<String, Vec<Tuple>>,
     /// The installed unshared plans, their dataflow and sinks.
     exec: GraphExec,
+    /// Answer rows the current handler invocation has produced, one entry
+    /// per `(proxy, query id)` in first-result order: [`PierNode::settle`]
+    /// stages them, [`PierNode::drive`] posts them once its effects are
+    /// driven.  Empty between invocations.
+    outbox: Vec<(NodeAddr, u64, TupleBatch)>,
     /// The queries submitted here and their renewal clock.
     proxy: Proxy,
     next_query_seq: u64,
@@ -374,9 +379,10 @@ impl PierNode {
             rng: Rng64::new(me.id.0 ^ 0x9D5F),
             sharing,
             admission,
-            tel,
             local_tables: HashMap::new(),
-            exec: GraphExec::new(&config),
+            exec: GraphExec::new(&config, tel.clone()),
+            outbox: Vec::new(),
+            tel,
             config,
             proxy: Proxy::default(),
             next_query_seq: 0,
@@ -713,6 +719,9 @@ impl PierNode {
 
     // ----- effect / event plumbing ------------------------------------------
 
+    /// Perform `effects` and whatever the events among them lead to, then
+    /// post the results staged on the way: one `Results` message per
+    /// (proxy, query), however many answers the invocation joined.
     fn drive(&mut self, ctx: &mut ProgramContext<Self>, effects: Vec<OverlayEffect<QpObject>>) {
         let mut work = effects;
         while !work.is_empty() {
@@ -729,6 +738,10 @@ impl PierNode {
                 }
             }
             work = next;
+        }
+        for (proxy, query_id, rows) in std::mem::take(&mut self.outbox) {
+            self.tel.inc("query.results.sent");
+            self.post(ctx, proxy, PierMsg::Results { query_id, rows });
         }
     }
 
@@ -1153,7 +1166,7 @@ impl PierNode {
         }
         let (timeout, trace, graphs) = (plan.timeout, plan.trace, plan.opgraphs.len());
         let partials = plan.partial_namespace();
-        let hold = self.exec.install(plan, &self.tel);
+        let hold = self.exec.install(plan);
         let has_cq = cq_timers.is_some();
         self.tel.inc("query.installs");
         self.tel.event("query_install", || {
@@ -1237,16 +1250,22 @@ impl PierNode {
         self.settle(ctx, out)
     }
 
-    /// Do what an executor call asks: results go to their proxies first,
-    /// then the rehash flush tick is armed; the overlay effects are the
-    /// caller's to drive.
+    /// Do what an executor call asks: results are staged in the outbox,
+    /// merged per (proxy, query), and the rehash flush tick is armed; the
+    /// overlay effects are the caller's to [`PierNode::drive`], which posts
+    /// the outbox.
     fn settle(
         &mut self,
         ctx: &mut ProgramContext<Self>,
         out: ExecOut,
     ) -> Vec<OverlayEffect<QpObject>> {
         for (proxy, query_id, rows) in out.results {
-            self.post(ctx, proxy, PierMsg::Results { query_id, rows });
+            self.tel.inc("query.results.staged");
+            let to = (proxy, query_id);
+            match self.outbox.iter_mut().find(|(p, q, _)| (*p, *q) == to) {
+                Some((_, _, staged)) => staged.append(rows),
+                None => self.outbox.push((proxy, query_id, rows)),
+            }
         }
         if out.arm_batch_flush {
             ctx.set_timer(BATCH_FLUSH_INTERVAL, PierTimer::BatchFlush);

@@ -23,7 +23,10 @@
 //! pages and byte arenas for strings, and packed validity words (§3.3.1's
 //! "no catalog" requirement constrains what travels between trust domains,
 //! not how often identical column names or value tags must be repeated
-//! within a single transfer).
+//! within a single transfer).  [`DhtMessage::GetRequest`] is the read-side
+//! counterpart: the keys one call asks of one owner share a request, the
+//! namespace stated once, and come back in one [`DhtMessage::GetResponse`]
+//! — each key still answered under its own token, as its own `get`.
 
 use crate::naming::ObjectName;
 use crate::object_manager::StoredObject;
@@ -39,37 +42,37 @@ pub(crate) fn trace_wire_size(trace: &Option<TraceContext>) -> usize {
     trace.map_or(0, |t| t.wire_size())
 }
 
+/// Most keys one [`DhtMessage::GetRequest`] carries: its count is one byte.
+pub const GET_KEYS_MAX: usize = u8::MAX as usize;
+
 /// A message between two overlay instances.  `V` is the application payload
 /// type (for PIER: tuples, opgraphs and partial aggregates).
 #[derive(Debug, Clone)]
 pub enum DhtMessage<V> {
     /// Routing-protocol traffic (lookups, stabilization, notify).
     Routing(RouterMessage),
-    /// Direct request for the objects stored under (namespace, key), sent
-    /// to the node the requester resolved as their owner.  A receiver that
-    /// is not forwards it, `reply_to` and `request_id` untouched.
+    /// Direct request for the objects stored under each of `keys` in one
+    /// namespace, sent to the node the requester resolved as their owner
+    /// (a single `get` is a request of one key).  The receiver answers the
+    /// keys it is responsible for in one [`DhtMessage::GetResponse`] and
+    /// forwards each other key on its own, `reply_to` and token untouched.
     GetRequest {
         /// Table or result-set namespace.
         namespace: String,
-        /// Partitioning key.
-        key: String,
+        /// `(partitioning key, correlation token chosen by the requester)`,
+        /// at most [`GET_KEYS_MAX`] of them.
+        keys: Vec<(String, u64)>,
         /// Where to send the response.
         reply_to: NodeAddr,
-        /// Correlation token chosen by the requester.
-        request_id: u64,
-        /// Trace context when the requesting query is sampled.
-        trace: Option<TraceContext>,
     },
-    /// Response to [`DhtMessage::GetRequest`].
+    /// Response to [`DhtMessage::GetRequest`]: every key of it the sender
+    /// is responsible for.
     GetResponse {
-        /// Correlation token from the request.
-        request_id: u64,
         /// Namespace queried.
         namespace: String,
-        /// Key queried.
-        key: String,
-        /// Matching objects (all suffixes).
-        objects: Vec<StoredObject<V>>,
+        /// `(token from the request, key queried, matching objects — all
+        /// suffixes)` per key answered.
+        answers: Vec<(u64, String, Vec<StoredObject<V>>)>,
     },
     /// Direct transfer of an object to the node the sender resolved as
     /// responsible for it; a receiver that is not forwards it.
@@ -165,18 +168,20 @@ impl<V: WireSize> WireSize for DhtMessage<V> {
     fn wire_size(&self) -> usize {
         match self {
             DhtMessage::Routing(m) => 1 + m.wire_size(),
+            // Both get frames: the namespace once, a count byte, then per
+            // key its token and string (and, answered, its objects).
             DhtMessage::GetRequest {
-                namespace,
-                key,
-                trace,
-                ..
-            } => 1 + namespace.wire_size() + key.wire_size() + 6 + 8 + trace_wire_size(trace),
-            DhtMessage::GetResponse {
-                namespace,
-                key,
-                objects,
-                ..
-            } => 1 + 8 + namespace.wire_size() + key.wire_size() + objects.wire_size(),
+                namespace, keys, ..
+            } => {
+                let keys = keys.iter().map(|(key, _)| key.wire_size() + 8);
+                1 + namespace.wire_size() + 6 + 1 + keys.sum::<usize>()
+            }
+            DhtMessage::GetResponse { namespace, answers } => {
+                let answers = answers
+                    .iter()
+                    .map(|(_, key, objects)| 8 + key.wire_size() + objects.wire_size());
+                1 + namespace.wire_size() + 1 + answers.sum::<usize>()
+            }
             DhtMessage::PutRequest {
                 name, value, trace, ..
             } => 1 + name.wire_size() + value.wire_size() + 8 + trace_wire_size(trace),
@@ -302,6 +307,56 @@ mod tests {
         };
         let baseline = 1 + 8 + ObjectName::new("ns", "k", 2).wire_size() + 7u64.wire_size() + 8 + 4;
         assert_eq!(routed_plain.wire_size(), baseline);
+        // The third carrier: one context per batch, none when untraced.
+        let batch = |trace| DhtMessage::PutBatch {
+            entries: vec![(ObjectName::new("ns", "k", 3), 7u64, 60); 2],
+            trace,
+        };
+        assert_eq!(
+            batch(Some(TraceContext::root(42))).wire_size(),
+            batch(None).wire_size() + TraceContext::WIRE_BYTES
+        );
+    }
+
+    #[test]
+    fn get_frames_charge_the_namespace_once_and_a_single_get_one_count_byte() {
+        let object = |key: &str| StoredObject {
+            name: ObjectName::new("ns", key, 1),
+            value: 7u64,
+            expires_at: 60,
+        };
+        let request = |keys: &[&str]| -> DhtMessage<u64> {
+            DhtMessage::GetRequest {
+                namespace: "ns".to_string(),
+                keys: keys.iter().map(|k| (k.to_string(), 1)).collect(),
+                reply_to: NodeAddr(0),
+            }
+        };
+        let response = |keys: &[&str]| DhtMessage::GetResponse {
+            namespace: "ns".to_string(),
+            answers: keys
+                .iter()
+                .map(|k| (1, k.to_string(), vec![object(k)]))
+                .collect(),
+        };
+        let (ns, key) = ("ns".wire_size(), "k1".wire_size());
+        // One key: type, namespace, reply address, count, key, token.
+        assert_eq!(request(&["k1"]).wire_size(), 1 + ns + 6 + 1 + key + 8);
+        let objects = vec![object("k1")].wire_size();
+        assert_eq!(
+            response(&["k1"]).wire_size(),
+            1 + ns + 1 + 8 + key + objects
+        );
+        // Each further key adds its own bytes and nothing else.
+        let three = ["k1", "k2", "k3"];
+        assert_eq!(
+            request(&three).wire_size(),
+            request(&["k1"]).wire_size() + 2 * (key + 8)
+        );
+        assert_eq!(
+            response(&three).wire_size(),
+            response(&["k1"]).wire_size() + 2 * (8 + key + objects)
+        );
     }
 
     #[test]

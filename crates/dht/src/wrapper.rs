@@ -15,7 +15,9 @@
 //!   one direct message (a `get` is answered by a response carrying the
 //!   matching objects).  The receiver checks that it is responsible for the
 //!   identifier and, when it is not, forwards the operation through a
-//!   routed lookup of its own.
+//!   routed lookup of its own.  The batched forms, `put_batch` and
+//!   `get_batch`, resolve every entry the same way and share one message
+//!   per owner; the receiver checks each entry on its own.
 //! * **send** — the object itself is routed hop-by-hop to the destination in
 //!   a single call; every intermediate node is offered an *upcall* and may
 //!   drop or alter the message (this is what hierarchical aggregation and
@@ -29,7 +31,7 @@
 //! soft state, adapting to membership changes.
 
 use crate::id::{hash_str, Id};
-use crate::messages::DhtMessage;
+use crate::messages::{DhtMessage, GET_KEYS_MAX};
 use crate::naming::ObjectName;
 use crate::object_manager::{ObjectManager, StoredObject};
 use crate::router::{NodeRef, Router, RouterConfig, RouterEffect, RouterMessage};
@@ -41,6 +43,9 @@ use std::fmt::Debug;
 
 /// One entry of a grouped put: object name, value, and its soft-state TTL.
 type PutEntry<V> = (ObjectName, V, Duration);
+
+/// One key of a grouped get and the token its answer comes back under.
+type GetKey = (String, u64);
 
 /// A put parked at this node awaiting the application's upcall verdict:
 /// routing target, object, TTL, hops so far, and the trace context (if the
@@ -178,7 +183,6 @@ enum Op<V> {
         key: String,
         reply_to: NodeAddr,
         request_id: u64,
-        trace: Option<TraceContext>,
     },
     Put {
         name: ObjectName,
@@ -210,13 +214,10 @@ impl<V> Op<V> {
                 key,
                 reply_to,
                 request_id,
-                trace,
             } => DhtMessage::GetRequest {
                 namespace,
-                key,
+                keys: vec![(key, request_id)],
                 reply_to,
-                request_id,
-                trace,
             },
             Op::Put {
                 name,
@@ -301,7 +302,7 @@ pub struct Overlay<V> {
     pending: BTreeMap<u64, PendingLookup<V>>,
     pending_upcalls: HashMap<u64, PendingUpcall<V>>,
     /// Trace context armed by [`Overlay::set_trace`] and consumed by the
-    /// next `get`/`put`/`put_batch`/`send` issued on this wrapper; it rides
+    /// next `put`/`put_batch`/`send` issued on this wrapper; it rides
     /// the resulting wire messages so the receiving node can attach its
     /// work to the sampled query's span tree.  `None` (the steady state
     /// when tracing is off) adds no wire bytes and no behaviour.
@@ -341,7 +342,7 @@ pub struct Overlay<V> {
     owner_cache_epoch: u64,
     /// Telemetry handle (empty unless the host attaches one): lookup
     /// hop/latency histograms, owner-cache hit/miss/invalidation counters
-    /// and put-batch coalescing counters, all under the `dht.*` prefix.
+    /// and put-/get-batch coalescing counters, all under the `dht.*` prefix.
     tel: Telemetry,
 }
 
@@ -372,7 +373,7 @@ impl<V: Clone + Debug + WireSize> Overlay<V> {
     }
 
     /// Arm a trace context for the **next** operation issued on this
-    /// wrapper (`get`/`put`/`put_batch`/`send`); it travels on the wire
+    /// wrapper (`put`/`put_batch`/`send`); it travels on the wire
     /// with that operation and is cleared once consumed.  Callers pass
     /// `Some` only for queries the proxy sampled, so an untraced run never
     /// reaches this with a payload.
@@ -447,23 +448,148 @@ impl<V: Clone + Debug + WireSize> Overlay<V> {
 
     /// `get(namespace, key)`: fetch every object stored under the
     /// (namespace, key) pair.  The result arrives later as
-    /// [`OverlayEvent::GetResult`] carrying the returned request id.
+    /// [`OverlayEvent::GetResult`] carrying the returned request id.  The
+    /// one-key case of [`Overlay::get_batch`].
     pub fn get(
         &mut self,
         namespace: &str,
         key: &str,
         now: SimTime,
     ) -> (u64, Vec<OverlayEffect<V>>) {
-        let trace = self.pending_trace.take();
-        let request_id = self.next_request_id();
-        let op = Op::Get {
-            namespace: namespace.to_string(),
-            key: key.to_string(),
-            reply_to: self.me.addr,
-            request_id,
-            trace,
+        let (request_ids, effects) = self.get_batch(namespace, vec![key.to_string()], now);
+        (request_ids[0], effects)
+    }
+
+    /// A batched `get`: every key goes through the same resolver as any
+    /// other operation; keys this node owns are answered at once, keys the
+    /// resolver names an owner for share one [`DhtMessage::GetRequest`] per
+    /// destination node, the rest take the per-key lookup-then-transfer
+    /// flow of Figure 6 — or wait behind the refresh of their arc.  Returns
+    /// one request id per key, in key order; each key is answered by its
+    /// own [`OverlayEvent::GetResult`].
+    pub fn get_batch(
+        &mut self,
+        namespace: &str,
+        keys: Vec<String>,
+        now: SimTime,
+    ) -> (Vec<u64>, Vec<OverlayEffect<V>>) {
+        let keys: Vec<GetKey> = keys
+            .into_iter()
+            .map(|key| (key, self.next_request_id()))
+            .collect();
+        let request_ids = keys.iter().map(|(_, id)| *id).collect();
+        (
+            request_ids,
+            self.get_keys(namespace, self.me.addr, keys, now),
+        )
+    }
+
+    /// [`Overlay::get_batch`] for whoever asked — also how the gets parked
+    /// behind an arc's refresh leave once it is answered.
+    fn get_keys(
+        &mut self,
+        namespace: &str,
+        reply_to: NodeAddr,
+        keys: Vec<GetKey>,
+        now: SimTime,
+    ) -> Vec<OverlayEffect<V>> {
+        let mut local = Vec::new();
+        let mut by_owner: BTreeMap<NodeAddr, Vec<GetKey>> = BTreeMap::new();
+        let mut unresolved = Vec::new();
+        let total = keys.len() as u64;
+        for (key, request_id) in keys {
+            match self.resolve_arc(crate::id::routing_id(namespace, &key), now) {
+                Resolution::Owner(owner) if owner.addr == self.me.addr => {
+                    local.push((key, request_id));
+                }
+                Resolution::Owner(owner) => {
+                    by_owner
+                        .entry(owner.addr)
+                        .or_default()
+                        .push((key, request_id));
+                }
+                Resolution::Unresolved(stale) => unresolved.push((key, request_id, stale)),
+            }
+        }
+        self.tel.inc("dht.get_batch.calls");
+        self.tel.add("dht.get_batch.keys", total);
+        self.tel.add("dht.get_batch.local", local.len() as u64);
+        self.tel
+            .add("dht.get_batch.unresolved", unresolved.len() as u64);
+        let mut effects = self.answer(namespace, reply_to, local, now);
+        // In destination order, as the puts go.
+        for (to, group) in by_owner {
+            let mut group = group.into_iter().peekable();
+            while group.peek().is_some() {
+                let keys: Vec<GetKey> = group.by_ref().take(GET_KEYS_MAX).collect();
+                self.tel
+                    .observe_count("dht.get_batch.group_size", keys.len() as f64);
+                effects.push(OverlayEffect::Send {
+                    to,
+                    msg: DhtMessage::GetRequest {
+                        namespace: namespace.to_string(),
+                        keys,
+                        reply_to,
+                    },
+                });
+            }
+        }
+        for (key, request_id, stale) in unresolved {
+            let op = Op::Get {
+                namespace: namespace.to_string(),
+                key,
+                reply_to,
+                request_id,
+            };
+            effects.extend(self.route(op, stale, now));
+        }
+        effects
+    }
+
+    /// Read `keys` from the local store and answer whoever asked: an event
+    /// per key when that is this node, one response for all of them
+    /// otherwise.
+    fn answer(
+        &mut self,
+        namespace: &str,
+        reply_to: NodeAddr,
+        keys: Vec<GetKey>,
+        now: SimTime,
+    ) -> Vec<OverlayEffect<V>> {
+        if keys.is_empty() {
+            return Vec::new();
+        }
+        let answers = keys.into_iter().map(|(key, request_id)| {
+            let objects = self.objects.get(namespace, &key, now);
+            (request_id, key, objects)
+        });
+        let namespace = namespace.to_string();
+        if reply_to == self.me.addr {
+            return Self::get_results(namespace, answers.collect());
+        }
+        vec![OverlayEffect::Send {
+            to: reply_to,
+            msg: DhtMessage::GetResponse {
+                namespace,
+                answers: answers.collect(),
+            },
+        }]
+    }
+
+    /// One [`OverlayEvent::GetResult`] per answered key.
+    fn get_results(
+        namespace: String,
+        answers: Vec<(u64, String, Vec<StoredObject<V>>)>,
+    ) -> Vec<OverlayEffect<V>> {
+        let result = |(request_id, key, objects)| {
+            OverlayEffect::Event(OverlayEvent::GetResult {
+                request_id,
+                namespace: namespace.clone(),
+                key,
+                objects,
+            })
         };
-        (request_id, self.dispatch(op, now))
+        answers.into_iter().map(result).collect()
     }
 
     /// `put(namespace, key, suffix, object, lifetime)`: store an object at
@@ -515,28 +641,7 @@ impl<V: Clone + Debug + WireSize> Overlay<V> {
                 key,
                 reply_to,
                 request_id,
-                ..
-            } => {
-                let objects = self.objects.get(&namespace, &key, now);
-                vec![if reply_to == me {
-                    OverlayEffect::Event(OverlayEvent::GetResult {
-                        request_id,
-                        namespace,
-                        key,
-                        objects,
-                    })
-                } else {
-                    OverlayEffect::Send {
-                        to: reply_to,
-                        msg: DhtMessage::GetResponse {
-                            request_id,
-                            namespace,
-                            key,
-                            objects,
-                        },
-                    }
-                }]
-            }
+            } => self.answer(&namespace, reply_to, vec![(key, request_id)], now),
             Op::Renew {
                 name,
                 lifetime,
@@ -1074,31 +1179,30 @@ impl<V: Clone + Debug + WireSize> Overlay<V> {
             }
             DhtMessage::GetRequest {
                 namespace,
-                key,
+                keys,
                 reply_to,
-                request_id,
-                trace,
             } => {
-                let op = Op::Get {
-                    namespace,
-                    key,
-                    reply_to,
-                    request_id,
-                    trace,
-                };
-                self.receive(op, now)
+                // The receive rule, per key: what this node is responsible
+                // for is answered in one response, every other key is
+                // forwarded alone.
+                let (mine, others): (Vec<GetKey>, Vec<GetKey>) =
+                    keys.into_iter().partition(|(key, _)| {
+                        let id = crate::id::routing_id(&namespace, key);
+                        self.router.is_responsible(id)
+                    });
+                let mut effects = self.answer(&namespace, reply_to, mine, now);
+                for (key, request_id) in others {
+                    let op = Op::Get {
+                        namespace: namespace.clone(),
+                        key,
+                        reply_to,
+                        request_id,
+                    };
+                    effects.extend(self.receive(op, now));
+                }
+                effects
             }
-            DhtMessage::GetResponse {
-                request_id,
-                namespace,
-                key,
-                objects,
-            } => vec![OverlayEffect::Event(OverlayEvent::GetResult {
-                request_id,
-                namespace,
-                key,
-                objects,
-            })],
+            DhtMessage::GetResponse { namespace, answers } => Self::get_results(namespace, answers),
             DhtMessage::PutRequest {
                 name,
                 value,
@@ -1356,33 +1460,46 @@ impl<V: Clone + Debug + WireSize> Overlay<V> {
     /// Send the operations that waited behind an arc's refresh on their
     /// way, in arrival order, through the same resolver as any other: the
     /// puts as one batch per trace context (so those the fresh arc covers
-    /// share a `PutBatch`), gets and renewals one by one.  What the answer
-    /// did not cover — the arc shrank, or was not vouched for — pays its
-    /// own routed lookup.
+    /// share a `PutBatch`), the gets as one batch per namespace and asker
+    /// (so they share a `GetRequest`), renewals one by one.  What the
+    /// answer did not cover — the arc shrank, or was not vouched for — pays
+    /// its own routed lookup.
     fn release(&mut self, parked: Vec<Op<V>>, now: SimTime) -> Vec<OverlayEffect<V>> {
         let mut effects = Vec::new();
         let mut puts: Vec<(Option<TraceContext>, Vec<PutEntry<V>>)> = Vec::new();
+        let mut gets: Vec<((String, NodeAddr), Vec<GetKey>)> = Vec::new();
         for op in parked {
             match op {
+                Op::Get {
+                    namespace,
+                    key,
+                    reply_to,
+                    request_id,
+                } => push_grouped(&mut gets, (namespace, reply_to), (key, request_id)),
                 Op::Put {
                     name,
                     value,
                     lifetime,
                     trace,
-                } => {
-                    let entry = (name, value, lifetime);
-                    match puts.iter_mut().find(|(t, _)| *t == trace) {
-                        Some((_, entries)) => entries.push(entry),
-                        None => puts.push((trace, vec![entry])),
-                    }
-                }
+                } => push_grouped(&mut puts, trace, (name, value, lifetime)),
                 op => effects.extend(self.dispatch(op, now)),
             }
         }
         for (trace, entries) in puts {
             effects.extend(self.put_entries(entries, trace, now));
         }
+        for ((namespace, reply_to), keys) in gets {
+            effects.extend(self.get_keys(&namespace, reply_to, keys, now));
+        }
         effects
+    }
+}
+
+/// Add `item` to the group of `key`, groups in first-seen order.
+fn push_grouped<K: PartialEq, T>(groups: &mut Vec<(K, Vec<T>)>, key: K, item: T) {
+    match groups.iter_mut().find(|(k, _)| *k == key) {
+        Some((_, items)) => items.push(item),
+        None => groups.push((key, vec![item])),
     }
 }
 
@@ -1913,30 +2030,79 @@ mod tests {
         let (mut b, keys, tel) = misdirected_at_node_1();
         let misdirected = DhtMessage::GetRequest {
             namespace: "t".to_string(),
-            key: keys[0].clone(),
+            keys: vec![(keys[0].clone(), 77)],
             reply_to: NodeAddr(0),
-            request_id: 77,
-            trace: None,
         };
         let effects = b.on_message(NodeAddr(0), misdirected, 0);
         match sends(&effects).as_slice() {
             [(
                 to,
                 DhtMessage::GetRequest {
-                    key,
+                    keys: sent,
                     reply_to,
-                    request_id,
                     ..
                 },
             )] => {
                 assert_eq!(*to, NodeAddr(2));
-                assert_eq!(key, &keys[0]);
                 // The owner answers the originator, under its token.
-                assert_eq!((*reply_to, *request_id), (NodeAddr(0), 77));
+                assert_eq!(sent, &[(keys[0].clone(), 77)]);
+                assert_eq!(*reply_to, NodeAddr(0));
             }
             other => panic!("expected one forwarded GetRequest, got {other:?}"),
         }
         assert_eq!(tel.counter("dht.misdirected"), 1);
+    }
+
+    #[test]
+    fn get_request_receiver_answers_its_keys_once_and_forwards_the_rest_alone() {
+        // A request naming keys of two arcs — the sender's view of node 1's
+        // arc was too wide.  What node 1 owns is answered in ONE response;
+        // every other key travels on alone, as a misdirected get always has.
+        let (mut b, theirs, tel) = misdirected_at_node_1();
+        let mine = keys_in_arc(Id(100), Id(u64::MAX / 3), 2);
+        b.put(
+            ObjectName::new("t", mine[1].clone(), 1),
+            "v".into(),
+            1_000_000,
+            0,
+        );
+        let keys = vec![
+            (theirs[0].clone(), 70),
+            (mine[0].clone(), 71),
+            (theirs[1].clone(), 72),
+            (mine[1].clone(), 73),
+        ];
+        let mixed = DhtMessage::GetRequest {
+            namespace: "t".to_string(),
+            keys,
+            reply_to: NodeAddr(0),
+        };
+        let effects = b.on_message(NodeAddr(0), mixed, 10);
+        assert!(events(&effects).is_empty());
+        match sends(&effects).as_slice() {
+            [(to, DhtMessage::GetResponse { namespace, answers }), forwarded @ ..] => {
+                assert_eq!((*to, namespace.as_str()), (NodeAddr(0), "t"));
+                let answered: Vec<(u64, &str, usize)> = answers
+                    .iter()
+                    .map(|(id, key, objects)| (*id, key.as_str(), objects.len()))
+                    .collect();
+                assert_eq!(
+                    answered,
+                    [(71, mine[0].as_str(), 0), (73, mine[1].as_str(), 1)]
+                );
+                let expected = [(theirs[0].clone(), 70), (theirs[1].clone(), 72)];
+                assert_eq!(forwarded.len(), expected.len());
+                for ((to, msg), expected) in forwarded.iter().zip(expected) {
+                    assert!(
+                        matches!(msg, DhtMessage::GetRequest { keys, reply_to, .. }
+                            if *to == NodeAddr(2) && keys[..] == [expected] && *reply_to == NodeAddr(0)),
+                        "each forwarded alone, originator's address and token: {msg:?}"
+                    );
+                }
+            }
+            other => panic!("expected one response, then the forwards: {other:?}"),
+        }
+        assert_eq!(tel.counter("dht.misdirected"), 2);
     }
 
     #[test]
@@ -1987,32 +2153,142 @@ mod tests {
             Some(refs[5].addr),
             "the stale arc is what node 1's resolver answers"
         );
+        // The request is mixed: one key is node 1's own.
+        let own = keys_in_arc(refs[0].id, refs[1].id, 1);
         let misdirected = DhtMessage::GetRequest {
             namespace: "t".to_string(),
-            key: keys[0].clone(),
+            keys: vec![(keys[0].clone(), 9), (own[0].clone(), 10)],
             reply_to: NodeAddr(0),
-            request_id: 9,
-            trace: None,
         };
         let effects = overlays[1].on_message(NodeAddr(0), misdirected, 0);
+        let (answered, forwarded): (Vec<_>, Vec<_>) = sends(&effects)
+            .into_iter()
+            .partition(|(_, m)| matches!(m, DhtMessage::GetResponse { .. }));
         assert!(
-            sends(&effects)
+            matches!(answered.as_slice(), [(to, DhtMessage::GetResponse { answers, .. })]
+                if *to == NodeAddr(0) && answers.len() == 1 && answers[0].0 == 10),
+            "its own key is answered on the spot: {answered:?}"
+        );
+        assert!(
+            forwarded
                 .iter()
                 .all(|(_, m)| matches!(m, DhtMessage::Routing(_))),
-            "the forward starts with a lookup: {effects:?}"
+            "the forward starts with a lookup: {forwarded:?}"
         );
         let transfers = settle(&mut overlays, NodeAddr(1), effects, None, 0);
+        let forwarded: Vec<_> = transfers
+            .iter()
+            .filter(|(_, _, m)| matches!(m, DhtMessage::GetRequest { .. }))
+            .collect();
         assert!(
             matches!(
-                transfers.as_slice(),
-                [(_, to, DhtMessage::GetRequest { reply_to, request_id: 9, .. })]
-                    if *to == refs[3].addr && *reply_to == NodeAddr(0)
+                forwarded.as_slice(),
+                [(_, to, DhtMessage::GetRequest { keys: sent, reply_to, .. })]
+                    if *to == refs[3].addr && *reply_to == NodeAddr(0) && sent[..] == [(keys[0].clone(), 9)]
             ),
             "the lookup's answer, not the stale arc, names the destination: {transfers:?}"
         );
         // And the answer replaced nothing it did not cover: node 3's arc is
         // now cached beside the (still stale) one for node 5.
         assert_eq!(overlays[1].owner_cache.len(), 2);
+    }
+
+    #[test]
+    fn get_batch_asks_each_owner_once_in_address_order() {
+        // Node 0 knows its own arc and its successor's from routing state,
+        // node 3's from the warm-up and node 4's from a stated arc; node
+        // 2's it cannot name.
+        let (mut overlays, refs, far, tel) = warmed(3);
+        overlays[0].learn_arc(refs[3].id, refs[4], 0);
+        let arc = |from: usize, to: usize, n| keys_in_arc(refs[from].id, refs[to].id, n);
+        let (own, next, farther, cold) = (arc(5, 0, 2), arc(0, 1, 2), arc(3, 4, 2), arc(1, 2, 1));
+        overlays[0].put(
+            ObjectName::new("t", own[1].clone(), 1),
+            "mine".into(),
+            1_000_000,
+            5,
+        );
+        let keys: Vec<String> = [
+            &farther[0],
+            &far[0],
+            &own[0],
+            &next[0],
+            &cold[0],
+            &far[1],
+            &farther[1],
+            &own[1],
+            &next[1],
+            &far[2],
+        ]
+        .into_iter()
+        .cloned()
+        .collect();
+        let (ids, effects) = overlays[0].get_batch("t", keys.clone(), 10);
+        assert_eq!(ids.len(), keys.len());
+        let id_of = |key: &String| ids[keys.iter().position(|k| k == key).unwrap()];
+        // Local keys are answered on the spot, no message…
+        let answered: Vec<(u64, usize)> = events(&effects)
+            .iter()
+            .map(|e| match e {
+                OverlayEvent::GetResult {
+                    request_id,
+                    objects,
+                    ..
+                } => (*request_id, objects.len()),
+                other => panic!("unexpected event {other:?}"),
+            })
+            .collect();
+        assert_eq!(answered, [(id_of(&own[0]), 0), (id_of(&own[1]), 1)]);
+        // …every named owner gets ONE request holding its keys in the order
+        // given, owners in address order, and the cold key one lookup.
+        let msgs = sends(&effects);
+        let requests: Vec<(NodeAddr, Vec<(String, u64)>)> = msgs
+            .iter()
+            .filter_map(|(to, m)| match m {
+                DhtMessage::GetRequest {
+                    namespace,
+                    keys,
+                    reply_to,
+                } => {
+                    assert_eq!((namespace.as_str(), *reply_to), ("t", NodeAddr(0)));
+                    Some((*to, keys.clone()))
+                }
+                _ => None,
+            })
+            .collect();
+        let group = |to: usize, keys: &[String]| {
+            let keys = keys.iter().map(|k| (k.clone(), id_of(k))).collect();
+            (refs[to].addr, keys)
+        };
+        assert_eq!(
+            requests,
+            [group(1, &next), group(3, &far), group(4, &farther)]
+        );
+        assert_eq!((msgs.len(), lookups_in(&msgs)), (4, 1), "{msgs:?}");
+        let counted = ["calls", "keys", "local", "unresolved"]
+            .map(|c| tel.counter(&format!("dht.get_batch.{c}")));
+        assert_eq!(counted, [1, 10, 2, 1]);
+        // An owner answers its whole request in one response, which comes
+        // back as one result per key under the tokens handed out.
+        let (to, request) = msgs
+            .iter()
+            .find(|(to, _)| *to == refs[3].addr)
+            .cloned()
+            .unwrap();
+        let response = sends(&overlays[to.index()].on_message(NodeAddr(0), request, 15));
+        assert!(
+            matches!(response.as_slice(), [(to, DhtMessage::GetResponse { answers, .. })]
+                if *to == NodeAddr(0) && answers.len() == 3)
+        );
+        let results = events(&overlays[0].on_message(to, response[0].1.clone(), 20));
+        let tokens: Vec<u64> = results
+            .iter()
+            .map(|e| match e {
+                OverlayEvent::GetResult { request_id, .. } => *request_id,
+                other => panic!("unexpected event {other:?}"),
+            })
+            .collect();
+        assert_eq!(tokens, far.iter().map(id_of).collect::<Vec<_>>());
     }
 
     #[test]
@@ -2142,7 +2418,7 @@ mod tests {
     #[test]
     fn an_expired_arc_is_refreshed_by_one_lookup_whatever_arrives_meanwhile() {
         let (mut overlays, refs, keys, tel) = warmed(5);
-        let target = refs[3].addr;
+        let (target, keys_of) = (refs[3].addr, &keys);
         // A five-row flush, a get and a renewal into the expired arc, all
         // in one instant: one FindSuccessor leaves and nothing else.
         let mut effects = overlays[0].put_batch(batch_of(&keys, 10), EXPIRED);
@@ -2167,7 +2443,11 @@ mod tests {
             .map(|(_, _, m)| match m {
                 DhtMessage::PutRequest { .. } => "put",
                 DhtMessage::PutBatch { entries, .. } if entries.len() == 4 => "batch of 4",
-                DhtMessage::GetRequest { request_id, .. } if *request_id == get_id => "get",
+                DhtMessage::GetRequest { keys, .. }
+                    if keys[..] == [(keys_of[1].clone(), get_id)] =>
+                {
+                    "get"
+                }
                 DhtMessage::RenewRequest { .. } => "renew",
                 other => panic!("unexpected transfer {other:?}"),
             })
@@ -2176,19 +2456,27 @@ mod tests {
         assert_eq!(kinds, ["batch of 4", "get", "put", "renew"]);
         assert_eq!(tel.counter("dht.lookups"), 1);
         assert!(overlays[0].pending.is_empty());
-        // Gets have no batch to share: k of them cost one lookup and k
-        // direct messages.
+        // Gets share too: k of them — one call or k — cost one lookup, the
+        // request that carried it and ONE request for the k - 1 that waited.
         let t = 2 * EXPIRED;
-        let mut effects = Vec::new();
-        for key in &keys[..3] {
-            effects.extend(overlays[0].get("t", key, t).1);
-        }
+        let (ids, mut effects) = overlays[0].get_batch("t", keys[..3].to_vec(), t);
+        let (id, get) = overlays[0].get("t", &keys[3], t);
+        effects.extend(get);
         assert_eq!(sends(&effects).len(), 1);
         let transfers = settle(&mut overlays, NodeAddr(0), effects, None, t);
-        assert_eq!(transfers.len(), 3);
-        assert!(transfers
+        let mut asked: Vec<Vec<u64>> = transfers
             .iter()
-            .all(|(_, to, m)| *to == target && matches!(m, DhtMessage::GetRequest { .. })));
+            .map(|(_, to, m)| match m {
+                DhtMessage::GetRequest { keys, reply_to, .. }
+                    if (*to, *reply_to) == (target, NodeAddr(0)) =>
+                {
+                    keys.iter().map(|(_, id)| *id).collect()
+                }
+                other => panic!("unexpected transfer {other:?}"),
+            })
+            .collect();
+        asked.sort_unstable();
+        assert_eq!(asked, [vec![ids[0]], vec![ids[1], ids[2], id]]);
         assert_eq!(tel.counter("dht.lookups"), 2);
     }
 

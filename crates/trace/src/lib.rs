@@ -9,7 +9,7 @@
 //! determinism rules:
 //!
 //! * A [`TraceContext`] — query id, trace id, parent span id — piggybacks
-//!   on DHT messages (`PutRequest`/`PutBatch`/`Routed`/`GetRequest`) and on
+//!   on DHT messages (`PutRequest`/`PutBatch`/`Routed`) and on
 //!   `WindowResults`, so one tuple's journey (dissemination → ingest →
 //!   operator stages → window flush → root upcall → result emit) links into
 //!   a single cross-node span tree.  An absent context costs **zero wire

@@ -1,11 +1,12 @@
 //! Hostile bytes into the two decoders that read lengths off their input:
 //! [`ColumnChunk::decode_body`] (the typed chunk wire format, all six column
 //! tags) and [`SegmentLog::from_bytes`] → [`WindowStore::rehydrate_from`]
-//! (a node's disk after a crash) — and the dictionary-coded `PutBatch`
-//! framing that carries those chunks between nodes, which the program only
-//! prices (`DhtMessage::wire_size`): the frame it prices is written out and
-//! read back here, so the price is held to bytes that exist and that a
-//! bounded decoder can take apart.
+//! (a node's disk after a crash) — and the framings that carry those chunks
+//! between nodes, which the program only prices (`DhtMessage::wire_size`):
+//! the dictionary-coded `PutBatch` and the keyed `GetRequest` /
+//! `GetResponse`.  The frame a price describes is written out and read back
+//! here, so the price is held to bytes that exist and that a bounded
+//! decoder can take apart.
 //!
 //! Frames are arbitrary bytes, and valid frames with one byte changed, a
 //! count overwritten or the tail cut off — with a segment record's checksum
@@ -20,10 +21,10 @@
 #![allow(unsafe_code)]
 
 use pier::cq::{CqBudget, SegmentLog, WindowAccumulator, WindowSpec, WindowStore};
-use pier::dht::{DhtMessage, ObjectName};
+use pier::dht::{DhtMessage, ObjectName, StoredObject};
 use pier::qp::tuple::ColumnChunk;
 use pier::qp::{Column, GroupAgg, Schema, SchemaRegistry, Value, DICT_MAX};
-use pier::runtime::WireSize;
+use pier::runtime::{NodeAddr, WireSize};
 use pier::trace::TraceContext;
 use proptest::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -369,21 +370,45 @@ proptest! {
     }
 }
 
-// ----- DhtMessage::PutBatch framing ---------------------------------------------
+// ----- DhtMessage framings -------------------------------------------------------
 
 type Entry = (ObjectName, String, u64);
+
+/// Strings are a `u32` length and their bytes, as `WireSize` has them.
+fn put_string(buf: &mut Vec<u8>, s: &str) {
+    buf.extend_from_slice(&(s.len() as u32).to_le_bytes());
+    buf.extend_from_slice(s.as_bytes());
+}
+
+/// The next `n` bytes of `frame`, if it has them.
+fn take<'a>(frame: &mut &'a [u8], n: usize) -> Option<&'a [u8]> {
+    let (head, tail) = frame.split_at_checked(n)?;
+    *frame = tail;
+    Some(head)
+}
+
+fn take_word(frame: &mut &[u8]) -> Option<u64> {
+    Some(u64::from_le_bytes(take(frame, 8)?.try_into().ok()?))
+}
+
+fn take_u32(frame: &mut &[u8]) -> Option<u32> {
+    Some(u32::from_le_bytes(take(frame, 4)?.try_into().ok()?))
+}
+
+/// A string is sliced out of bytes that are there, never reserved from the
+/// length the frame states.
+fn take_string(frame: &mut &[u8]) -> Option<String> {
+    let len = take_u32(frame)? as usize;
+    String::from_utf8(take(frame, len)?.to_vec()).ok()
+}
 
 /// The frame `DhtMessage::PutBatch::wire_size` prices: a tag, the entry
 /// count, the trace context when there is one, then per entry a two-byte
 /// namespace reference (an index one past the dictionary announces a new
 /// namespace, spelled out once), the key, the suffix, the lifetime and the
-/// payload.  Strings are a `u32` length and their bytes, as `WireSize` has
-/// them.
+/// payload.
 fn encode_put_batch(entries: &[Entry], trace: Option<TraceContext>) -> Vec<u8> {
-    fn string(buf: &mut Vec<u8>, s: &str) {
-        buf.extend_from_slice(&(s.len() as u32).to_le_bytes());
-        buf.extend_from_slice(s.as_bytes());
-    }
+    let string = put_string;
     let mut buf = vec![u8::from(trace.is_some())];
     buf.extend_from_slice(&(entries.len() as u32).to_le_bytes());
     if let Some(t) = trace {
@@ -407,29 +432,17 @@ fn encode_put_batch(entries: &[Entry], trace: Option<TraceContext>) -> Vec<u8> {
     buf
 }
 
-/// Read a frame back.  Nothing is reserved from a count or a length the
-/// frame merely states: entries are pushed as they are found and a string
-/// is sliced out of bytes that are there.
+/// Read a frame back.  Nothing is reserved from a count the frame merely
+/// states: entries are pushed as they are found.
 fn decode_put_batch(frame: &[u8]) -> Option<(Vec<Entry>, Option<TraceContext>)> {
-    fn take<'a>(frame: &mut &'a [u8], n: usize) -> Option<&'a [u8]> {
-        let (head, tail) = frame.split_at_checked(n)?;
-        *frame = tail;
-        Some(head)
-    }
-    fn word(frame: &mut &[u8]) -> Option<u64> {
-        Some(u64::from_le_bytes(take(frame, 8)?.try_into().ok()?))
-    }
-    fn string(frame: &mut &[u8]) -> Option<String> {
-        let len = u32::from_le_bytes(take(frame, 4)?.try_into().ok()?) as usize;
-        String::from_utf8(take(frame, len)?.to_vec()).ok()
-    }
+    let (word, string) = (take_word, take_string);
     let mut frame = frame;
     let traced = match take(&mut frame, 1)? {
         [0] => false,
         [1] => true,
         _ => return None,
     };
-    let count = u32::from_le_bytes(take(&mut frame, 4)?.try_into().ok()?);
+    let count = take_u32(&mut frame)?;
     let trace = if traced {
         let (trace_id, span_id, query_id) =
             (word(&mut frame)?, word(&mut frame)?, word(&mut frame)?);
@@ -479,7 +492,184 @@ fn put_batch(rng: &mut Gen) -> (Vec<Entry>, Option<TraceContext>) {
     (entries, trace)
 }
 
+type GetKeys = (String, Vec<(String, u64)>, NodeAddr);
+type GetAnswers = (String, Vec<(u64, String, Vec<StoredObject<String>>)>);
+
+const GET_REQUEST: u8 = 2;
+const GET_RESPONSE: u8 = 3;
+
+/// The frame `DhtMessage::GetRequest::wire_size` prices: a tag, the
+/// namespace once, the reply address (IPv4 and a port, which the simulator
+/// leaves zero), a one-byte key count, then per key its string and token.
+fn encode_get_request((namespace, keys, reply_to): &GetKeys) -> Vec<u8> {
+    let mut buf = vec![GET_REQUEST];
+    put_string(&mut buf, namespace);
+    buf.extend_from_slice(&reply_to.0.to_le_bytes());
+    buf.extend_from_slice(&[0, 0]);
+    buf.push(u8::try_from(keys.len()).expect("at most 255 keys a request"));
+    for (key, token) in keys {
+        put_string(&mut buf, key);
+        buf.extend_from_slice(&token.to_le_bytes());
+    }
+    buf
+}
+
+fn decode_get_request(frame: &[u8]) -> Option<GetKeys> {
+    let mut frame = frame;
+    if take(&mut frame, 1)? != [GET_REQUEST] {
+        return None;
+    }
+    let namespace = take_string(&mut frame)?;
+    let reply_to = NodeAddr(take_u32(&mut frame)?);
+    if take(&mut frame, 2)? != [0, 0] {
+        return None;
+    }
+    let count = take(&mut frame, 1)?[0];
+    let mut keys = Vec::new();
+    for _ in 0..count {
+        keys.push((take_string(&mut frame)?, take_word(&mut frame)?));
+    }
+    frame.is_empty().then_some((namespace, keys, reply_to))
+}
+
+/// The frame `DhtMessage::GetResponse::wire_size` prices: a tag, the
+/// namespace once, a one-byte answer count, then per answer its token, its
+/// key and the objects found — a `u32` count, each object its full name,
+/// its payload and its expiry.
+fn encode_get_response((namespace, answers): &GetAnswers) -> Vec<u8> {
+    let mut buf = vec![GET_RESPONSE];
+    put_string(&mut buf, namespace);
+    buf.push(u8::try_from(answers.len()).expect("at most 255 answers a response"));
+    for (token, key, objects) in answers {
+        buf.extend_from_slice(&token.to_le_bytes());
+        put_string(&mut buf, key);
+        buf.extend_from_slice(&(objects.len() as u32).to_le_bytes());
+        for object in objects {
+            put_string(&mut buf, &object.name.namespace);
+            put_string(&mut buf, &object.name.key);
+            buf.extend_from_slice(&object.name.suffix.to_le_bytes());
+            put_string(&mut buf, &object.value);
+            buf.extend_from_slice(&object.expires_at.to_le_bytes());
+        }
+    }
+    buf
+}
+
+fn decode_get_response(frame: &[u8]) -> Option<GetAnswers> {
+    let mut frame = frame;
+    if take(&mut frame, 1)? != [GET_RESPONSE] {
+        return None;
+    }
+    let namespace = take_string(&mut frame)?;
+    let count = take(&mut frame, 1)?[0];
+    let mut answers = Vec::new();
+    for _ in 0..count {
+        let (token, key) = (take_word(&mut frame)?, take_string(&mut frame)?);
+        let mut objects = Vec::new();
+        for _ in 0..take_u32(&mut frame)? {
+            let (namespace, key) = (take_string(&mut frame)?, take_string(&mut frame)?);
+            let name = ObjectName::new(namespace, key, take_word(&mut frame)?);
+            let value = take_string(&mut frame)?;
+            let expires_at = take_word(&mut frame)?;
+            objects.push(StoredObject {
+                name,
+                value,
+                expires_at,
+            });
+        }
+        answers.push((token, key, objects));
+    }
+    frame.is_empty().then_some((namespace, answers))
+}
+
+/// A Fetch-Matches scan's request to one owner, and that owner's answer:
+/// some keys match nothing, some several objects.
+fn get_pair(rng: &mut Gen) -> (GetKeys, GetAnswers) {
+    let namespace = format!("s{}", rng.below(4));
+    let keys: Vec<(String, u64)> = (0..rng.below(80))
+        .map(|_| (format!("k{}", rng.below(1_000)), rng.next()))
+        .collect();
+    let answers = keys
+        .iter()
+        .map(|(key, token)| {
+            let objects = (0..rng.below(4))
+                .map(|_| StoredObject {
+                    name: ObjectName::new(namespace.clone(), key.clone(), rng.next()),
+                    value: "x".repeat(rng.below(40)),
+                    expires_at: rng.next() % 600_000_000,
+                })
+                .collect();
+            (*token, key.clone(), objects)
+        })
+        .collect();
+    let reply_to = NodeAddr(rng.below(1_024) as u32);
+    ((namespace.clone(), keys, reply_to), (namespace, answers))
+}
+
 proptest! {
+    /// The sizes the program charges for a `GetRequest` and its
+    /// `GetResponse` are the lengths of their frames, and the frames read
+    /// back as what was sent.
+    #[test]
+    fn the_get_frames_cost_what_they_write(seed in any::<u64>()) {
+        let mut rng = Gen(seed);
+        let (request, response) = get_pair(&mut rng);
+        let frame = encode_get_request(&request);
+        let (namespace, keys, reply_to) = request.clone();
+        let msg: DhtMessage<String> = DhtMessage::GetRequest { namespace, keys, reply_to };
+        prop_assert_eq!(msg.wire_size(), frame.len());
+        let (decoded, requested) = requested_by(|| decode_get_request(&frame));
+        prop_assert!(requested <= allowance(frame.len()));
+        prop_assert_eq!(decoded, Some(request));
+
+        let frame = encode_get_response(&response);
+        let (namespace, answers) = response.clone();
+        let msg = DhtMessage::GetResponse { namespace, answers };
+        prop_assert_eq!(msg.wire_size(), frame.len());
+        let (decoded, requested) = requested_by(|| decode_get_response(&frame));
+        prop_assert!(requested <= allowance(frame.len()));
+        let (namespace, answers) = decoded.expect("a frame just written");
+        prop_assert_eq!(namespace, response.0);
+        prop_assert_eq!(answers.len(), response.1.len());
+        for (a, b) in answers.iter().zip(&response.1) {
+            prop_assert!(a.0 == b.0 && a.1 == b.1 && a.2.len() == b.2.len(), "{a:?} != {b:?}");
+            for (a, b) in a.2.iter().zip(&b.2) {
+                prop_assert!(
+                    a.name == b.name && a.value == b.value && a.expires_at == b.expires_at,
+                    "{a:?} != {b:?}"
+                );
+            }
+        }
+    }
+
+    /// Damaged and arbitrary get frames are refused or read, never trusted.
+    #[test]
+    fn damaged_get_frames_never_panic_or_over_reserve(seed in any::<u64>()) {
+        let mut rng = Gen(seed);
+        let (request, response) = get_pair(&mut rng);
+        let len = rng.below(64);
+        let frames = [
+            damage(&mut rng, encode_get_request(&request)),
+            damage(&mut rng, encode_get_response(&response)),
+            rng.bytes(len),
+        ];
+        for frame in frames {
+            let (request, requested) = requested_by(|| decode_get_request(&frame));
+            let (response, more) = requested_by(|| decode_get_response(&frame));
+            let requested = requested.max(more);
+            prop_assert!(
+                requested <= allowance(frame.len()),
+                "{requested} bytes requested for a {}-byte frame",
+                frame.len()
+            );
+            let request = request.map(|r| encode_get_request(&r));
+            let response = response.map(|r| encode_get_response(&r));
+            if let Some(written) = request.or(response) {
+                prop_assert!(written == frame, "accepted but not canonical");
+            }
+        }
+    }
+
     /// The size the program charges for a `PutBatch` is the length of the
     /// frame, and the frame reads back as the batch.
     #[test]

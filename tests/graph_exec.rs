@@ -9,9 +9,10 @@
 //!   function of the rows, not of how they were chunked on their way there;
 //! * a shed plan keeps the same source rows however they were chunked, and
 //!   query-scoped (derived) chunks pass untouched;
-//! * Fetch-Matches issues one `get` per probe row, a completion reaches the
+//! * Fetch-Matches issues one `get` per distinct key of a call, a key's
+//!   completion joins every probe row that waited for it and reaches the
 //!   proxy as one batch under the join's output table, and a query torn down
-//!   with probes in flight leaves nothing behind;
+//!   with fetches in flight leaves nothing behind;
 //! * one-shot aggregation wired by hand — leaf → relay → root — gives the
 //!   rows of one `GroupBy` over everything, flat or hierarchical, and a
 //!   flush re-sends nothing.
@@ -48,8 +49,8 @@ fn plan(source: &str, ops: Vec<OperatorSpec>, sink: SinkSpec) -> QueryPlan {
 }
 
 fn installed(config: &PierConfig, plan: QueryPlan) -> GraphExec {
-    let mut exec = GraphExec::new(config);
-    exec.install(plan, &Telemetry::disabled());
+    let mut exec = GraphExec::new(config, Telemetry::disabled());
+    exec.install(plan);
     exec
 }
 
@@ -254,7 +255,7 @@ fn answers(
 }
 
 #[test]
-fn fetch_matches_probes_once_per_row_and_forgets_a_torn_down_query() {
+fn fetch_matches_probes_once_per_distinct_key_and_forgets_a_torn_down_query() {
     let mut ring = ring_of(2, seeded(0x5EED_0003));
     let mut rng = Rng64::new(seeded(3));
     // The inner relation, published from node 0 to wherever its keys live.
@@ -270,16 +271,22 @@ fn fetch_matches_probes_once_per_row_and_forgets_a_torn_down_query() {
         output_table: "oi".to_string(),
     };
     let join = plan("outer", vec![fetch], SinkSpec::ToProxy);
-    let mut exec = installed(&PierConfig::default(), join.clone());
-    let probes = TupleBatch::new(rows_of("outer", &[(1, 1), (2, 2), (3, 3)]));
+    let tel = Telemetry::attached();
+    let mut exec = GraphExec::new(&PierConfig::default(), tel.clone());
+    exec.install(join.clone());
+    let probes = TupleBatch::new(rows_of("outer", &[(1, 1), (2, 2), (2, 3), (3, 4)]));
 
-    // One get per probe row; nothing reaches the proxy before an answer.
+    // One get per distinct key, however many rows probe it; nothing
+    // reaches the proxy before an answer.
     let out = exec.feed((QUERY, 0), &probes, NOW, None, &mut ring[0], &mut rng);
     assert!(out.results.is_empty() && !out.arm_batch_flush);
     assert_eq!(exec.pending(), 3);
+    let counted = ["probes", "keys"].map(|c| tel.counter(&format!("query.fetch.{c}")));
+    assert_eq!(counted, [4, 3]);
     let answers_in = answers(carry(&mut ring, 0, out.effects));
     assert_eq!(answers_in.len(), 3);
-    // Each completion is one batch under the join's output table.
+    // Each completion is one batch under the join's output table: every
+    // probe row of the key with every inner row of it.
     let mut joined = Vec::new();
     for (request_id, objects) in &answers_in {
         let out = exec.fetched(*request_id, objects, NOW, &mut ring[0], &mut rng);
@@ -287,25 +294,35 @@ fn fetch_matches_probes_once_per_row_and_forgets_a_torn_down_query() {
         for (proxy, query, rows) in &out.results {
             assert_eq!((*proxy, *query), (PROXY, QUERY));
             assert!(rows.iter().all(|t| t.table() == "oi"));
-            joined.push(rows.len());
+            let int = |t: &Tuple, col: &str| t.get(col).and_then(Value::as_i64);
+            let pair = |t: Tuple| (int(&t, "k"), int(&t, "v"), int(&t, "inner.v"));
+            let mut pairs: Vec<_> = rows.iter().map(pair).collect();
+            pairs.sort_unstable();
+            joined.push(pairs);
         }
         assert!(out.results.len() <= 1);
     }
     joined.sort_unstable();
-    assert_eq!(joined, [1, 2], "k=1 matches one row, k=2 two, k=3 none");
+    let k2 = [(2, 2, 20), (2, 2, 21), (2, 3, 20), (2, 3, 21)];
+    let row = |&(k, v, inner): &(i64, i64, i64)| (Some(k), Some(v), Some(inner));
+    assert_eq!(
+        joined,
+        [vec![row(&(1, 1, 10))], k2.iter().map(row).collect()],
+        "k=1: one row by one; k=2: both probe rows by both inner rows; k=3: none"
+    );
     assert_eq!(exec.pending(), 0);
     // An answer that comes twice finds nothing.
     let (request_id, objects) = &answers_in[0];
     let again = exec.fetched(*request_id, objects, NOW, &mut ring[0], &mut rng);
     assert!(again.results.is_empty() && again.effects.is_empty());
 
-    // Torn down with probes in flight: nothing is kept, and the late
+    // Torn down with fetches in flight: nothing is kept, and the late
     // answers — even to a re-installed query of the same id — yield nothing.
     let out = exec.feed((QUERY, 0), &probes, NOW, None, &mut ring[0], &mut rng);
     assert_eq!(exec.pending(), 3);
     assert_eq!(exec.uninstall(QUERY), Some(join.clone()));
     assert_eq!(exec.pending(), 0);
-    exec.install(join, &Telemetry::disabled());
+    exec.install(join);
     for (request_id, objects) in answers(carry(&mut ring, 0, out.effects)) {
         let late = exec.fetched(request_id, &objects, NOW, &mut ring[0], &mut rng);
         assert!(late.results.is_empty() && late.effects.is_empty());

@@ -519,14 +519,15 @@ proptest! {
 
     /// On a converged ring of any size, whatever operations and timers ran,
     /// the resolver answers `None` or the ring's true owner — never a third
-    /// node — and every `put` issued ends up at the true owner of its name
-    /// and nowhere else (runs longer than an arc's TTL, so some wait behind
-    /// a refresh).
+    /// node — every `put` issued ends up at the true owner of its name and
+    /// nowhere else, and every key a `get_batch` asks about is answered
+    /// exactly once, by the true owner, however the keys were grouped (runs
+    /// longer than an arc's TTL, so some wait behind a refresh).
     #[test]
     fn the_resolver_names_the_true_owner_or_nobody(
         nodes in 2usize..65,
         ring_seed: u64,
-        ops in proptest::collection::vec(((0u8..5, 0usize..64), (0u16..48, 0u64..1_500_000)), 1..24),
+        ops in proptest::collection::vec(((0u8..6, 0usize..64), (0u16..48, 0u64..1_500_000)), 1..24),
         probes in proptest::collection::vec(0u64..u64::MAX, 4..12),
     ) {
         let refs = make_ring_refs(nodes, ring_seed);
@@ -541,17 +542,37 @@ proptest! {
             Ok(())
         };
         let mut put_names: Vec<(String, u64)> = Vec::new();
+        // `(asker, token, key)` of every key a `get_batch` asked about.
+        // Every node holds, under each such key, an object whose suffix is
+        // its own address: an answer names the node that gave it.
+        let mut asked: Vec<(NodeAddr, u64, String)> = Vec::new();
+        let mut marked: Vec<String> = Vec::new();
         for (suffix, ((kind, node), (key, pause))) in ops.into_iter().enumerate() {
             // Flushes come from a few publishers that repeat themselves,
             // so a flush finds arcs an earlier one taught — expired or not.
             let at = refs[if kind == 3 { node % 3 } else { node } % nodes].addr;
+            // Eight keys scattered over the ring, the first asked twice.
+            let scan: Vec<String> = (0..9).map(|i| format!("g{}", (key + 11 * (i % 8)) % 48)).collect();
             let key = format!("k{}", if kind == 3 { key % 4 } else { key });
             let name = ObjectName::new(NS, key.clone(), suffix as u64);
             match kind {
                 0 => put_names.push((key.clone(), suffix as u64)),
                 3 => put_names.extend((0..12u64).map(|i| (format!("{key}.{i}"), i))),
+                5 => {
+                    for key in scan.iter().filter(|k| !marked.contains(k)) {
+                        for r in &refs {
+                            let name = ObjectName::new(NS, key.clone(), u64::from(r.addr.0));
+                            let now = sim.now();
+                            sim.with_node_mut(r.addr, |node| {
+                                node.overlay_mut().store_local(name, "mark".to_string(), LIFETIME, now)
+                            });
+                        }
+                    }
+                    marked.extend(scan.iter().cloned());
+                }
                 _ => {}
             }
+            let mut tokens = Vec::new();
             sim.invoke(at, |node, ctx| {
                 let now = ctx.now();
                 let overlay = node.overlay_mut();
@@ -568,11 +589,18 @@ proptest! {
                             .collect();
                         overlay.put_batch(batch, now)
                     }
+                    5 => {
+                        let (ids, effects) = overlay.get_batch(NS, scan.clone(), now);
+                        tokens = ids;
+                        effects
+                    }
                     // Time alone: stabilization and finger-refresh timers.
                     _ => Vec::new(),
                 };
                 node.apply(ctx, effects);
             });
+            let tokens = tokens.into_iter().zip(scan);
+            asked.extend(tokens.map(|(token, key)| (at, token, key)));
             // One pause in seven outlasts every cached arc's TTL, so what
             // follows finds them expired.
             let pause = if pause % 7 == 0 { pause + 31 * SECOND } else { pause };
@@ -587,6 +615,26 @@ proptest! {
             for &probe in &probes {
                 check(&mut sim, r.addr, Id(probe))?;
             }
+        }
+        for (at, token, key) in asked {
+            let truth = true_owner(&refs, routing_id(NS, &key)).addr;
+            let node = sim.node(at).expect("node exists");
+            let answers: Vec<Vec<u64>> = node
+                .events
+                .iter()
+                .filter_map(|e| match e {
+                    OverlayEvent::GetResult { request_id, key: k, objects, .. } if *request_id == token => {
+                        assert_eq!(k, &key);
+                        Some(objects.iter().map(|o| o.name.suffix).collect())
+                    }
+                    _ => None,
+                })
+                .collect();
+            prop_assert_eq!(
+                &answers,
+                &[vec![u64::from(truth.0)]],
+                "get {} asked by node {} under token {}: one answer, node {}'s", key, at, token, truth
+            );
         }
         for (key, suffix) in put_names {
             let truth = true_owner(&refs, routing_id(NS, &key)).addr;

@@ -12,19 +12,23 @@
 //!    row-coded form, and a batch's `wire_size` is its schema header plus
 //!    the bytes `encode_body` writes;
 //! 3. `Results`: a symmetric-hash join's output leaves the node as the
-//!    chunks the join emitted, and a Fetch-Matches completion still
-//!    delivers the join's multiset;
+//!    chunks the join emitted; a Fetch-Matches plan whose outer rows repeat
+//!    their keys — fetched once per key — still delivers the join's
+//!    multiset, the symmetric-hash plan's; and what one handler invocation
+//!    produces for a (proxy, query) is one message, a node that is its own
+//!    proxy handed the rows with nothing counted as received;
 //! 4. one message mixing a `DELTAS`, a snapshot and a `TOP k` member.
 
 use pier::cq::{CqBudget, DeltaMode, WindowSpec};
-use pier::dht::{Id, NodeRef};
+use pier::dht::{routing_id, DhtMessage, Id, NodeRef, ObjectName, StoredObject};
 use pier::harness::{Cluster, ClusterConfig};
 use pier::qp::window_engine::QUERY_NAMES;
 use pier::qp::{
-    nested_loop_join, sqlish, AggFunc, EngineSpec, Expr, JoinSide, JoinSpec, MemberRun, MemberSpec,
-    OpGraph, OperatorSpec, PierConfig, PierMsg, PierNode, PierOut, PlanBuilder, Proxy, Schema,
-    SchemaRegistry, SinkSpec, SourceSpec, SymmetricHashJoin, TraceContext, Tuple, TupleBatch,
-    Value, WindowBundle, WindowEngine,
+    nested_loop_join, sqlish, AggFunc, Dissemination, EngineSpec, Expr, JoinSide, JoinSpec,
+    MemberRun, MemberSpec, OpGraph, OperatorSpec, PierConfig, PierMsg, PierNode, PierOut,
+    PlanBuilder, Proxy, QpObject, QueryPlan, Schema, SchemaRegistry, SinkSpec, SourceSpec,
+    SymmetricHashJoin, TelemetryConfig, TraceContext, Tuple, TupleBatch, Value, WindowBundle,
+    WindowEngine,
 };
 use pier::runtime::{Action, Context, NodeAddr, Program, Rng64, SimTime, WireSize};
 use proptest::prelude::*;
@@ -442,24 +446,14 @@ fn a_joins_output_leaves_the_node_as_the_chunks_the_join_emitted() {
     assert!(message.wire_size() * 2 < row_coded);
 }
 
-#[test]
-fn a_fetch_matches_completion_still_delivers_the_joins_multiset() {
-    let mut cluster = Cluster::start(&ClusterConfig::lan(8, seeded(0x31)));
-    let key = vec!["b".to_string()];
-    let r: Vec<Tuple> = (0..40).map(|i| r_row(i, i % 8)).collect();
-    let s: Vec<Tuple> = (0..18).map(|i| s_row(i % 6, i * 10)).collect();
-    for (i, t) in r.iter().chain(&s).enumerate() {
-        let from = cluster.addr(i % cluster.len());
-        cluster.publish(from, t.table(), &key, t.clone());
-    }
-    cluster.settle(3 * SEC);
-    let proxy = cluster.addr(1);
-    let plan = PlanBuilder::new(proxy)
+/// `r ⋈ s` on `b`, probing `s` (its primary index) once per `r` row's key.
+fn fetch_matches_plan(proxy: NodeAddr, source: &str) -> QueryPlan {
+    PlanBuilder::new(proxy)
         .timeout(15 * SEC)
         .opgraph(OpGraph {
             id: 0,
             source: SourceSpec::Table {
-                namespace: "r".into(),
+                namespace: source.into(),
             },
             join: None,
             ops: vec![OperatorSpec::FetchMatches {
@@ -469,14 +463,214 @@ fn a_fetch_matches_completion_still_delivers_the_joins_multiset() {
             }],
             sink: SinkSpec::ToProxy,
         })
-        .build();
-    let outcome = cluster.run_query(proxy, plan);
+        .build()
+}
+
+/// The same join, both sides rehashed on `b` into a rendezvous namespace.
+fn symmetric_hash_plan(proxy: NodeAddr) -> QueryPlan {
+    let key = vec!["b".to_string()];
+    let rehash = |id: u32, table: &str| OpGraph {
+        id,
+        source: SourceSpec::Table {
+            namespace: table.into(),
+        },
+        join: None,
+        ops: vec![],
+        sink: SinkSpec::Rehash {
+            namespace: "q.rs".into(),
+            key_cols: key.clone(),
+        },
+    };
+    PlanBuilder::new(proxy)
+        .timeout(15 * SEC)
+        .opgraph(rehash(0, "r"))
+        .opgraph(rehash(1, "s"))
+        .opgraph(OpGraph {
+            id: 2,
+            source: SourceSpec::Table {
+                namespace: "q.rs".into(),
+            },
+            join: Some(JoinSpec {
+                left_table: "r".into(),
+                right_table: "s".into(),
+                left_key: key.clone(),
+                right_key: key.clone(),
+                output_table: "r_s".into(),
+            }),
+            ops: vec![],
+            sink: SinkSpec::ToProxy,
+        })
+        .build()
+}
+
+#[test]
+fn a_fetch_matches_completion_still_delivers_the_joins_multiset() {
+    let mut cluster = Cluster::start(&ClusterConfig::lan(8, seeded(0x31)));
+    let key = vec!["b".to_string()];
+    // Five `r` rows a key, all at the key's owner: its install scan probes
+    // every key five times over and fetches it once.
+    let r: Vec<Tuple> = (0..40).map(|i| r_row(i, i % 8)).collect();
+    let s: Vec<Tuple> = (0..18).map(|i| s_row(i % 6, i * 10)).collect();
+    for (i, t) in r.iter().chain(&s).enumerate() {
+        let from = cluster.addr(i % cluster.len());
+        cluster.publish(from, t.table(), &key, t.clone());
+    }
+    cluster.settle(3 * SEC);
+    let proxy = cluster.addr(1);
+    let outcome = cluster.run_query(proxy, fetch_matches_plan(proxy, "r"));
     let reference = nested_loop_join(&r, &s, &key, &key, "r_s");
-    assert!(!reference.is_empty());
+    assert_eq!(reference.len(), 30 * 3, "every probe row keeps its fan-out");
+    let fetched = multiset(outcome.tuples().into_iter());
+    assert_eq!(fetched, multiset(reference.into_iter()));
+    let hashed = cluster.run_query(proxy, symmetric_hash_plan(proxy));
+    assert_eq!(fetched, multiset(hashed.tuples().into_iter()));
+}
+
+/// The `Results` a handler invocation sent, as `(to, query, rows)`, and the
+/// rows it handed its own client, as `(query, row)`.
+type Posted = (Vec<(NodeAddr, u64, TupleBatch)>, Vec<(u64, Tuple)>);
+
+fn posted(ctx: Context<PierMsg, pier::qp::PierTimer, PierOut>) -> Posted {
+    let (mut sent, mut handed) = (Vec::new(), Vec::new());
+    for action in ctx.into_actions() {
+        match action {
+            Action::Send {
+                to,
+                msg: PierMsg::Results { query_id, rows },
+            } => sent.push((to, query_id, rows)),
+            Action::Output(PierOut::Result { query_id, tuple }) => handed.push((query_id, tuple)),
+            _ => {}
+        }
+    }
+    (sent, handed)
+}
+
+#[test]
+fn one_invocation_answers_each_proxy_once() {
+    // A node of a two-node ring whose probes all go to the other node: three
+    // Fetch-Matches queries over its local rows — two proxied by the other
+    // node, one by itself.
+    let node_at = |id: u64, addr: u32| NodeRef {
+        id: Id(id),
+        addr: NodeAddr(addr),
+    };
+    let refs = [node_at(0, 0), node_at(u64::MAX / 2, 1)];
+    let (me, other) = (refs[0], refs[1]);
+    let config = PierConfig {
+        telemetry: TelemetryConfig::enabled(),
+        ..PierConfig::default()
+    };
+    let mut node = PierNode::with_static_ring(me, &refs, config);
+    let theirs = |b: &i64| {
+        let id = routing_id("s", &Value::Int(*b).key_string());
+        !node.overlay().router().is_responsible(id)
+    };
+    let keys: Vec<i64> = (0..200).filter(theirs).take(4).collect();
+    assert_eq!(keys.len(), 4, "the other node owns some keys");
+    // Two `r` rows a key.
+    let r: Vec<Tuple> = (0..8).map(|i| r_row(i, keys[i as usize % 4])).collect();
+    for table in ["r1", "r2", "r3"] {
+        for row in &r {
+            node.add_local_row(table, row.clone());
+        }
+    }
+    let plan = |id: u64, source: &str| {
+        let mut plan = fetch_matches_plan(other.addr, source);
+        plan.query_id = id;
+        plan
+    };
+    // The installs' scans ask the other node: one request per query, four
+    // keys each, nothing to report yet.
+    let mut ctx = Context::new(0, me.addr);
+    let plans = vec![plan(101, "r1"), plan(102, "r2")];
+    node.on_message(&mut ctx, other.addr, PierMsg::Plans { plans });
+    let mut own = plan(0, "r3");
+    own.dissemination = Dissemination::Local;
+    let own = node.submit_query(&mut ctx, own);
+    let mut asked: Vec<Vec<(String, u64)>> = Vec::new();
+    for action in ctx.into_actions() {
+        match action {
+            Action::Send {
+                to,
+                msg: PierMsg::Dht(DhtMessage::GetRequest { keys, reply_to, .. }),
+            } => {
+                assert_eq!((to, reply_to), (other.addr, me.addr));
+                asked.push(keys);
+            }
+            Action::Send {
+                msg: PierMsg::Results { .. },
+                ..
+            }
+            | Action::Output(PierOut::Result { .. }) => panic!("no answer yet"),
+            _ => {}
+        }
+    }
+    assert_eq!(asked.iter().map(Vec::len).collect::<Vec<_>>(), [4, 4, 4]);
+    let counter = |node: &PierNode, name: &str| node.telemetry().counter(name);
+    assert_eq!(counter(&node, "query.fetch.probes"), 24);
+    assert_eq!(counter(&node, "query.fetch.keys"), 12);
+
+    // What the other node would answer: two `s` rows a key.
+    let response = |asked: &[(String, u64)]| {
+        let answers = asked.iter().map(|(key, token)| {
+            let b: i64 = key["i:".len()..].parse().expect("an integer key");
+            let object = |c: i64| StoredObject {
+                name: ObjectName::new("s", key.clone(), c as u64),
+                value: QpObject::Tuple(s_row(b, c)),
+                expires_at: 60 * SEC,
+            };
+            (*token, key.clone(), vec![object(1), object(2)])
+        });
+        PierMsg::Dht(DhtMessage::GetResponse {
+            namespace: "s".to_string(),
+            answers: answers.collect(),
+        })
+    };
+    let s: Vec<Tuple> = keys
+        .iter()
+        .flat_map(|b| [s_row(*b, 1), s_row(*b, 2)])
+        .collect();
+    let key = vec!["b".to_string()];
+    let joined = multiset(nested_loop_join(&r, &s, &key, &key, "r_s").into_iter());
+    assert_eq!(joined.len(), 16);
+
+    // One response completing a query's four fetches: ONE message to its
+    // proxy, the union of the four joins.
+    let mut ctx = Context::new(SEC, me.addr);
+    node.on_message(&mut ctx, other.addr, response(&asked[0]));
+    let (sent, handed) = posted(ctx);
+    assert!(handed.is_empty());
+    let [(to, query, rows)] = &sent[..] else {
+        panic!("four fetches, one Results message; got {}", sent.len());
+    };
+    assert_eq!((*to, *query), (other.addr, 101));
+    assert_eq!(multiset(rows.iter()), joined);
+    assert_eq!(rows.chunks().len(), 4, "the chunks the fetches produced");
+    assert_eq!(counter(&node, "query.results.staged"), 4);
+    assert_eq!(counter(&node, "query.results.sent"), 1);
+
+    // An invocation completing two queries' fetches: each proxy is answered
+    // once, in first-result order — the other node by a message, this node
+    // by its rows, which are not traffic.
+    let mixed: Vec<(String, u64)> = asked[2].iter().chain(&asked[1]).cloned().collect();
+    let received = counter(&node, "net.msgs_recv");
+    let mut ctx = Context::new(2 * SEC, me.addr);
+    node.on_message(&mut ctx, other.addr, response(&mixed));
+    let (sent, handed) = posted(ctx);
+    let [(to, query, rows)] = &sent[..] else {
+        panic!("one remote proxy, one Results message; got {}", sent.len());
+    };
+    assert_eq!((*to, *query), (other.addr, 102));
+    assert_eq!(multiset(rows.iter()), joined);
+    assert!(handed.iter().all(|(query, _)| *query == own));
+    assert_eq!(multiset(handed.into_iter().map(|(_, row)| row)), joined);
     assert_eq!(
-        multiset(outcome.tuples().into_iter()),
-        multiset(reference.into_iter())
+        counter(&node, "net.msgs_recv"),
+        received + 1,
+        "the response, and nothing handed over locally"
     );
+    assert_eq!(counter(&node, "query.results.staged"), 12);
+    assert_eq!(counter(&node, "query.results.sent"), 3);
 }
 
 // ----- (iv) one message, three kinds of member ---------------------------------
