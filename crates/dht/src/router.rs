@@ -6,6 +6,10 @@
 //! implement a Chord-style ring: each node keeps a predecessor, a successor
 //! list (for resilience to churn) and a finger table (for `O(log N)` hops),
 //! and periodically runs *stabilization* and *fix-fingers* maintenance.
+//! Maintenance follows change, not the clock: on a ring that stays calm the
+//! stabilization probes (and the finger refreshes and re-joins that ride
+//! them) back off up to a cap derived from the liveness timeout, while
+//! failure detection keeps the bound it has at one probe a tick.
 //!
 //! The router is a pure state machine.  It consumes routing messages and
 //! timer ticks and emits [`RouterEffect`]s; the [`wrapper`](crate::wrapper)
@@ -13,8 +17,13 @@
 //! scheduling the maintenance timers.
 
 use crate::id::{Id, ID_BITS};
-use pier_runtime::{NodeAddr, SimTime, WireSize};
+use pier_runtime::{Duration, NodeAddr, SimTime, WireSize};
 use std::collections::HashMap;
+
+/// Interval between stabilization ticks.  Every tick is the eviction clock;
+/// a tick sends probes only when a probing round is due (see
+/// [`Router::on_stabilize`]).
+pub const STABILIZE_INTERVAL: Duration = 1_000_000;
 
 /// A reference to a node: its position on the ring plus its network address.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -169,21 +178,36 @@ pub struct Router {
     predecessor: Option<NodeRef>,
     successors: Vec<NodeRef>,
     fingers: Vec<Option<NodeRef>>,
+    /// When each peer last sent this node a routing message.
     last_heard: HashMap<NodeAddr, SimTime>,
-    /// Time of the first unanswered probe per peer; used for fail-stop
-    /// detection (a peer is presumed dead once a probe has gone unanswered
-    /// for the liveness timeout).
+    /// Per peer, when its outstanding probe is timed from (usually when it
+    /// was sent; see [`Router::on_stabilize`]); used for fail-stop
+    /// detection (a peer is presumed dead once that is the liveness timeout
+    /// ago).
     unanswered_probe: HashMap<NodeAddr, SimTime>,
     next_finger_to_fix: u32,
     probe_rotation: usize,
     bootstrap_addr: Option<NodeAddr>,
-    stabilize_rounds: u64,
+    /// Probing rounds run so far; every third one re-runs the join.
+    probing_rounds: u64,
+    /// When the latest probing round ran, and the peers it probed.
+    last_round: Option<SimTime>,
+    round_probes: Vec<NodeAddr>,
+    /// Gap from the latest probing round to the next one.
+    probe_interval: Duration,
+    /// A sign of change seen between ticks that snaps the back-off back: a
+    /// misdirected request, or a finger refresh that moved a finger.
+    change_seen: bool,
+    /// A probing round ran since the last finger refresh.
+    fingers_due: bool,
+    /// Times the back-off snapped back from a longer interval to one tick.
+    backoff_resets: u64,
     internal_seq: u64,
     /// In-flight internal lookups: the finger they refresh (`u32::MAX` for a
     /// join) and the membership epoch they were asked in.
     pending_internal: HashMap<u64, (u32, u64)>,
-    /// The membership epoch at the end of the latest stabilization round,
-    /// i.e. the one its `GetNeighbors` probes were asked in.
+    /// The membership epoch at the end of the latest probing round, i.e.
+    /// the one its `GetNeighbors` probes were asked in.
     probed_epoch: u64,
     /// Bumped whenever the neighbor view (predecessor / successor list)
     /// changes — node adopted, evicted, or presumed dead.  Owner resolutions
@@ -208,7 +232,13 @@ impl Router {
             next_finger_to_fix: 0,
             probe_rotation: 0,
             bootstrap_addr: None,
-            stabilize_rounds: 0,
+            probing_rounds: 0,
+            last_round: None,
+            round_probes: Vec::new(),
+            probe_interval: STABILIZE_INTERVAL,
+            change_seen: false,
+            fingers_due: false,
+            backoff_resets: 0,
             internal_seq: 0,
             pending_internal: HashMap::new(),
             probed_epoch: 0,
@@ -287,6 +317,42 @@ impl Router {
         peers.sort_by_key(|n| n.id.0);
         peers.dedup_by_key(|n| n.id.0);
         peers
+    }
+
+    /// The gap from the latest probing round to the next: one
+    /// [`STABILIZE_INTERVAL`] after any sign of change, doubled by each calm
+    /// round up to [`Router::probe_cap`].
+    pub fn probe_interval(&self) -> Duration {
+        self.probe_interval
+    }
+
+    /// The longest gap between probing rounds: the largest power-of-two
+    /// multiple of [`STABILIZE_INTERVAL`] that is at most half the liveness
+    /// timeout (one tick when even two ticks exceed it), so a peer probed
+    /// at the end of the longest gap still has half the timeout to answer.
+    pub fn probe_cap(&self) -> Duration {
+        let mut cap = STABILIZE_INTERVAL;
+        while 2 * cap <= self.config.liveness_timeout / 2 {
+            cap *= 2;
+        }
+        cap
+    }
+
+    /// Probing rounds run so far (ticks that sent probes).
+    pub fn probing_rounds(&self) -> u64 {
+        self.probing_rounds
+    }
+
+    /// Times the probe interval snapped back to one tick from a longer one.
+    pub fn backoff_resets(&self) -> u64 {
+        self.backoff_resets
+    }
+
+    /// Snap the back-off back: the host saw a sign that the ring moved (a
+    /// request arrived here for an identifier this node does not own).  The
+    /// next tick is a probing round.
+    pub fn reset_backoff(&mut self) {
+        self.change_seen = true;
     }
 
     /// True when the router currently presumes `addr` to have failed: a
@@ -545,7 +611,9 @@ impl Router {
                                 self.adopt_successor(owner);
                             }
                         } else if owner.addr != self.me.addr {
-                            self.fingers[finger as usize] = Some(owner);
+                            let slot = &mut self.fingers[finger as usize];
+                            self.change_seen |= *slot != Some(owner);
+                            *slot = Some(owner);
                         }
                         if asked_epoch == self.membership_epoch {
                             effects.push(RouterEffect::OwnedArc { arc_start, owner });
@@ -698,11 +766,30 @@ impl Router {
         self.membership_epoch += 1;
     }
 
-    /// Periodic stabilization: drop successors that look dead and probe the
-    /// current successor (and one other known peer, in rotation) for its
-    /// neighbor state; the successor's probe doubles as the notify.
+    /// The stabilization tick, every [`STABILIZE_INTERVAL`]: evict what
+    /// looks dead, then — when a probing round is due — probe the current
+    /// successor (and one other known peer, in rotation) for its neighbor
+    /// state; the successor's probe doubles as the notify.
+    ///
+    /// Probing rounds back off on a calm ring.  A round is calm when the
+    /// membership epoch has not moved since the previous one (nothing was
+    /// adopted or evicted), every probe the previous one sent was answered,
+    /// and no other sign of change was seen (a misdirected request, a
+    /// finger refresh that moved a finger); a calm round doubles the gap to
+    /// the next, up to [`Router::probe_cap`].  A tick that is not calm
+    /// snaps the gap back to one tick and so probes at once.  Finger
+    /// refreshes and re-joins run only on probing rounds and back off with
+    /// them.  At a cap of one tick every tick probes.
+    ///
+    /// Detection keeps its bound.  A probe to a peer heard from since the
+    /// previous round is timed from that round plus one tick (never from
+    /// more than a cap before now), not from when it is sent: a crashed
+    /// successor is presumed dead one liveness timeout and one tick after
+    /// the crash whatever the gap, and a live one still has half the
+    /// timeout to answer.  A predecessor is dropped once it has been silent
+    /// for the timeout plus a cap: its own probes of this node as its
+    /// successor arrive at least every cap.
     pub fn on_stabilize(&mut self, now: SimTime) -> Vec<RouterEffect> {
-        self.stabilize_rounds += 1;
         // Evict successors whose probes have gone unanswered.
         let dead: Vec<NodeAddr> = self
             .successors
@@ -724,16 +811,58 @@ impl Router {
                 }
             }
         }
-        // Evict a presumed-dead predecessor so responsibility can widen.
+        // Evict a presumed-dead or silent predecessor so responsibility can
+        // widen.
+        let cap = self.probe_cap();
         if let Some(p) = self.predecessor {
-            if self.presumed_dead(p.addr, now) {
+            let heard = *self.last_heard.entry(p.addr).or_insert(now);
+            let silent = now.saturating_sub(heard) >= self.config.liveness_timeout + cap;
+            if silent || self.presumed_dead(p.addr, now) {
                 self.predecessor = None;
                 self.membership_epoch += 1;
             }
         }
+        let answered = self
+            .round_probes
+            .iter()
+            .all(|peer| !self.unanswered_probe.contains_key(peer));
+        let calm = answered && !self.change_seen && self.probed_epoch == self.membership_epoch;
+        if !calm {
+            if self.probe_interval > STABILIZE_INTERVAL {
+                self.backoff_resets += 1;
+            }
+            self.probe_interval = STABILIZE_INTERVAL;
+        }
+        if self
+            .last_round
+            .is_some_and(|at| now < at + self.probe_interval)
+        {
+            return Vec::new();
+        }
+        if calm {
+            self.probe_interval = (2 * self.probe_interval).min(cap);
+        }
+        self.change_seen = false;
+        self.fingers_due = true;
+        self.probing_rounds += 1;
+        self.round_probes.clear();
+        let previous = self.last_round.replace(now);
         let mut effects = Vec::new();
         let probe = |router: &mut Router, target: NodeRef, effects: &mut Vec<RouterEffect>| {
-            router.unanswered_probe.entry(target.addr).or_insert(now);
+            let confirmed = previous.filter(|&at| {
+                router
+                    .last_heard
+                    .get(&target.addr)
+                    .is_some_and(|&heard| heard >= at)
+            });
+            let timed_from = confirmed.map_or(now, |at| {
+                at.max(now.saturating_sub(cap)) + STABILIZE_INTERVAL
+            });
+            router
+                .unanswered_probe
+                .entry(target.addr)
+                .or_insert(timed_from);
+            router.round_probes.push(target.addr);
             effects.push(RouterEffect::Send {
                 to: target.addr,
                 msg: RouterMessage::GetNeighbors {
@@ -760,7 +889,7 @@ impl Router {
         // disjoint cycles (possible when many nodes join a ring whose early
         // members have not stabilized yet): the re-join answer is adopted
         // only when it improves the successor pointer.
-        if self.stabilize_rounds.is_multiple_of(3) {
+        if self.probing_rounds.is_multiple_of(3) {
             if let Some(addr) = self.bootstrap_addr {
                 if addr != self.me.addr {
                     let request_id = self.next_internal_id(u32::MAX);
@@ -780,10 +909,11 @@ impl Router {
         effects
     }
 
-    /// Periodic finger maintenance: refresh one finger per invocation by
-    /// looking up its target through the overlay.
+    /// Periodic finger maintenance: refresh one finger by looking up its
+    /// target through the overlay — when a probing round has run since the
+    /// last refresh, so refreshes back off with the probes.
     pub fn on_fix_fingers(&mut self, now: SimTime) -> Vec<RouterEffect> {
-        if self.successor().is_none() {
+        if self.successor().is_none() || !std::mem::take(&mut self.fingers_due) {
             return Vec::new();
         }
         // Cycle through a subset of fingers; low fingers are mostly covered
@@ -1011,6 +1141,25 @@ mod tests {
             .collect()
     }
 
+    /// Ask `r` for finger refreshes — each as if a probing round had just
+    /// run — until one takes a lookup (low fingers resolve locally): the
+    /// finger it refreshes and the lookup's token.
+    fn finger_lookup(r: &mut Router, now: SimTime) -> (u32, u64) {
+        (0..ID_BITS)
+            .find_map(|_| {
+                r.fingers_due = true;
+                match r.on_fix_fingers(now).as_slice() {
+                    [] => None,
+                    [RouterEffect::Send {
+                        msg: RouterMessage::FindSuccessor { request_id, .. },
+                        ..
+                    }] => Some((r.next_finger_to_fix, *request_id)),
+                    other => panic!("expected one finger lookup, got {other:?}"),
+                }
+            })
+            .expect("some finger takes a lookup")
+    }
+
     #[test]
     fn internal_replies_and_neighbors_state_arcs_unless_membership_moved() {
         let ids: Vec<u64> = (1..=16).map(|i| i * 1000).collect();
@@ -1027,17 +1176,7 @@ mod tests {
         assert_eq!(owned_arcs(&effects), vec![(nodes[7].id, nodes[8])]);
         // So does the answer to a finger refresh.
         // (Low fingers resolve locally; skip to one that takes a lookup.)
-        let finger_lookup = |r: &mut Router, now| loop {
-            match r.on_fix_fingers(now).as_slice() {
-                [] => {}
-                [RouterEffect::Send {
-                    msg: RouterMessage::FindSuccessor { request_id, .. },
-                    ..
-                }] => break *request_id,
-                other => panic!("expected one finger lookup, got {other:?}"),
-            }
-        };
-        let request_id = finger_lookup(&mut r, 20);
+        let (_, request_id) = finger_lookup(&mut r, 20);
         let answer = |request_id| RouterMessage::FindSuccessorReply {
             request_id,
             owner: nodes[12],
@@ -1048,7 +1187,7 @@ mod tests {
         assert_eq!(owned_arcs(&effects), vec![(nodes[11].id, nodes[12])]);
         // Once the neighbor view moves, answers to questions asked before
         // the move state nothing: they may describe the ring as it was.
-        let request_id = finger_lookup(&mut r, 40);
+        let (_, request_id) = finger_lookup(&mut r, 40);
         let epoch = r.membership_epoch();
         r.on_message(
             NodeAddr(99),
@@ -1256,5 +1395,274 @@ mod tests {
         assert!(!r.presumed_dead(NodeAddr(1), 60_000_000));
         r.on_stabilize(60_000_000);
         assert_eq!(r.successor().unwrap().id, Id(20), "live successor kept");
+    }
+
+    const SECOND: SimTime = 1_000_000;
+
+    /// Nodes of a [`Ring`]: enough that a finger refresh takes a lookup.
+    const RING_NODES: usize = 32;
+
+    /// A converged ring of routers, every one ticking once a second, with
+    /// every message delivered `delay` after it is sent — except that the
+    /// `dead` neither tick nor receive.  Node 0 is the one watched.
+    struct Ring {
+        refs: Vec<NodeRef>,
+        routers: Vec<Router>,
+        delay: SimTime,
+        dead: Vec<NodeAddr>,
+        in_flight: Vec<(SimTime, NodeAddr, NodeAddr, RouterMessage)>,
+        now: SimTime,
+    }
+
+    impl Ring {
+        fn new(liveness_timeout: u64) -> Self {
+            let config = RouterConfig {
+                liveness_timeout,
+                ..RouterConfig::default()
+            };
+            let step = u64::MAX / (RING_NODES as u64 + 1);
+            let ids: Vec<u64> = (1..=RING_NODES as u64).map(|i| i * step).collect();
+            let refs = ring(&ids);
+            let routers = refs
+                .iter()
+                .map(|n| Router::with_static_ring(*n, &refs, config))
+                .collect();
+            Ring {
+                refs,
+                routers,
+                delay: 1_000,
+                dead: Vec::new(),
+                in_flight: Vec::new(),
+                now: 0,
+            }
+        }
+
+        fn send(&mut self, from: NodeAddr, effects: Vec<RouterEffect>, at: SimTime) {
+            for effect in effects {
+                if let RouterEffect::Send { to, msg } = effect {
+                    self.in_flight.push((at + self.delay, from, to, msg));
+                }
+            }
+        }
+
+        /// Deliver, in time order, everything due by `until`.
+        fn run_until(&mut self, until: SimTime) {
+            while let Some(next) = (0..self.in_flight.len())
+                .filter(|&k| self.in_flight[k].0 <= until)
+                .min_by_key(|&k| self.in_flight[k].0)
+            {
+                let (at, from, to, msg) = self.in_flight.remove(next);
+                let Some(router) = self.routers.get_mut(to.index()) else {
+                    continue; // a node that announced itself and was never built
+                };
+                if !self.dead.contains(&to) {
+                    let effects = router.on_message(from, msg, at);
+                    self.send(to, effects, at);
+                }
+            }
+            self.now = until;
+        }
+
+        /// Run to the next whole second and tick every live router there;
+        /// whether node 0's tick was a probing round.
+        fn tick(&mut self) -> bool {
+            let at = (self.now / SECOND + 1) * SECOND;
+            self.run_until(at);
+            let rounds = self.routers[0].probing_rounds();
+            for i in 0..self.routers.len() {
+                let addr = self.refs[i].addr;
+                if !self.dead.contains(&addr) {
+                    let effects = self.routers[i].on_stabilize(at);
+                    self.send(addr, effects, at);
+                }
+            }
+            self.routers[0].probing_rounds() > rounds
+        }
+
+        /// Tick until node 0's probe interval has reached its cap.
+        fn back_off(&mut self) {
+            for _ in 0..24 {
+                self.tick();
+            }
+            assert_eq!(
+                self.routers[0].probe_interval(),
+                self.routers[0].probe_cap()
+            );
+        }
+
+        /// Node `i` crashes half a tick from now.
+        fn crash(&mut self, i: usize) -> SimTime {
+            self.run_until(self.now + SECOND / 2);
+            self.dead.push(self.refs[i].addr);
+            self.now
+        }
+    }
+
+    #[test]
+    fn calm_rounds_double_the_probe_interval_up_to_the_derived_cap() {
+        let mut ring = Ring::new(30 * SECOND);
+        assert_eq!(ring.routers[0].probe_cap(), 8 * SECOND);
+        let probed: Vec<SimTime> = (0..40)
+            .filter_map(|_| ring.tick().then_some(ring.now / SECOND))
+            .collect();
+        assert_eq!(probed, vec![1, 3, 7, 15, 23, 31, 39]);
+        assert_eq!(ring.routers[0].probe_interval(), 8 * SECOND);
+        assert_eq!(ring.routers[0].backoff_resets(), 0);
+        // The cap is the largest power-of-two number of ticks at most half
+        // the liveness timeout.
+        let cap = |liveness_timeout| {
+            let config = RouterConfig {
+                liveness_timeout,
+                ..RouterConfig::default()
+            };
+            Router::new(node(0, 1), config).probe_cap() / SECOND
+        };
+        let caps: Vec<u64> = [3, 4, 8, 15, 16, 30, 60]
+            .iter()
+            .map(|&t| cap(t * SECOND))
+            .collect();
+        assert_eq!(caps, vec![1, 2, 4, 4, 8, 8, 16]);
+    }
+
+    #[test]
+    fn at_a_three_second_timeout_every_tick_probes() {
+        let mut ring = Ring::new(3 * SECOND);
+        assert_eq!(ring.routers[0].probe_cap(), SECOND);
+        for _ in 0..20 {
+            assert!(ring.tick());
+            assert_eq!(ring.routers[0].probe_interval(), SECOND);
+        }
+        // And every probing round re-arms a finger refresh.
+        for _ in 0..5 {
+            ring.routers[0].on_fix_fingers(ring.now);
+            ring.tick();
+            assert!(ring.routers[0].fingers_due);
+        }
+    }
+
+    /// After `trigger` runs on a backed-off ring, the very next tick probes
+    /// and the interval is back at one tick.
+    fn snaps_back(sign: &str, trigger: impl FnOnce(&mut Ring)) {
+        let mut ring = Ring::new(30 * SECOND);
+        ring.back_off();
+        while !ring.tick() {}
+        trigger(&mut ring);
+        assert!(ring.tick(), "the tick after {sign} probes");
+        assert_eq!(ring.routers[0].probe_interval(), SECOND);
+        assert_eq!(ring.routers[0].backoff_resets(), 1);
+    }
+
+    /// Node 0 refreshes a finger and hears back `answer(the finger held)`.
+    fn refresh_finger(ring: &mut Ring, answer: impl FnOnce(NodeRef) -> NodeRef) {
+        let r = &mut ring.routers[0];
+        let (finger, request_id) = finger_lookup(r, ring.now);
+        let held = r.fingers[finger as usize].expect("a static ring fills its fingers");
+        let owner = answer(held);
+        let reply = RouterMessage::FindSuccessorReply {
+            request_id,
+            owner,
+            arc_start: owner.id,
+            hops: 1,
+        };
+        r.on_message(owner.addr, reply, ring.now);
+    }
+
+    #[test]
+    fn the_back_off_snaps_back_on_each_sign_of_change() {
+        // A membership epoch bump: a newcomer announces itself.
+        snaps_back("an epoch bump", |ring| {
+            let newcomer = node(99, ring.refs[RING_NODES - 1].id.0 + 1);
+            ring.routers[0].on_message(
+                newcomer.addr,
+                RouterMessage::Notify { from: newcomer },
+                ring.now,
+            );
+        });
+        // An unanswered probe: the successor crashed right after the round.
+        snaps_back("an unanswered probe", |ring| {
+            let successor = ring.refs[1].addr;
+            ring.dead.push(successor);
+            ring.in_flight.retain(|(_, from, ..)| *from != successor);
+        });
+        // A misdirected request, as the wrapper reports it.
+        snaps_back("a misdirected request", |ring| {
+            ring.routers[0].reset_backoff();
+        });
+        // A finger refresh whose answer moved the finger.
+        snaps_back("a moved finger", |ring| {
+            let others = ring.refs[1..].to_vec();
+            refresh_finger(ring, |held| *others.iter().find(|n| **n != held).unwrap());
+        });
+        // A refresh that confirms the finger is no sign of change.
+        let mut ring = Ring::new(30 * SECOND);
+        ring.back_off();
+        refresh_finger(&mut ring, |held| held);
+        for _ in 0..16 {
+            ring.tick();
+        }
+        assert_eq!(ring.routers[0].probe_interval(), 8 * SECOND);
+        assert_eq!(ring.routers[0].backoff_resets(), 0);
+    }
+
+    #[test]
+    fn a_crashed_successor_is_presumed_dead_one_timeout_and_a_tick_after_the_crash() {
+        let timeout = 30 * SECOND;
+        // Crash it at every phase of the ramp and of the backed-off cycle.
+        for warm_up in 0..24 {
+            let mut ring = Ring::new(timeout);
+            for _ in 0..warm_up {
+                ring.tick();
+            }
+            let successor = ring.refs[1];
+            let crashed_at = ring.crash(1);
+            while ring.routers[0].successor() == Some(successor) {
+                ring.tick();
+                assert!(
+                    ring.now <= crashed_at + timeout + SECOND,
+                    "not evicted by {}",
+                    ring.now
+                );
+            }
+            assert!(ring.routers[0].presumed_dead(successor.addr, ring.now));
+        }
+    }
+
+    #[test]
+    fn a_silent_predecessor_is_dropped_one_timeout_and_a_cap_after_it_was_heard() {
+        let timeout = 30 * SECOND;
+        for warm_up in [1, 5, 20, 21, 22, 23, 24, 25, 26, 27] {
+            let mut ring = Ring::new(timeout);
+            for _ in 0..warm_up {
+                ring.tick();
+            }
+            let predecessor = ring.refs[RING_NODES - 1];
+            assert_eq!(ring.routers[0].predecessor(), Some(predecessor));
+            ring.crash(RING_NODES - 1);
+            let heard = ring.routers[0].last_heard[&predecessor.addr];
+            let bound = heard + timeout + ring.routers[0].probe_cap() + SECOND;
+            while ring.routers[0].predecessor() == Some(predecessor) {
+                ring.tick();
+                assert!(ring.now <= bound, "still held at {}", ring.now);
+            }
+        }
+    }
+
+    #[test]
+    fn a_live_peer_answering_within_half_the_timeout_is_never_presumed_dead() {
+        let timeout = 30 * SECOND;
+        let mut ring = Ring::new(timeout);
+        ring.back_off();
+        // From now on every probe is answered half a timeout after it is
+        // sent.
+        ring.delay = timeout / 4;
+        for _ in 0..120 {
+            ring.tick();
+            let r = &ring.routers[0];
+            assert_eq!(r.successor(), Some(ring.refs[1]));
+            assert_eq!(r.predecessor(), Some(ring.refs[RING_NODES - 1]));
+            assert!(ring.refs[1..]
+                .iter()
+                .all(|p| !r.presumed_dead(p.addr, ring.now)));
+        }
     }
 }

@@ -34,7 +34,9 @@ use crate::id::{hash_str, Id};
 use crate::messages::{DhtMessage, GET_KEYS_MAX};
 use crate::naming::ObjectName;
 use crate::object_manager::{ObjectManager, StoredObject};
-use crate::router::{NodeRef, Router, RouterConfig, RouterEffect, RouterMessage};
+use crate::router::{
+    NodeRef, Router, RouterConfig, RouterEffect, RouterMessage, STABILIZE_INTERVAL,
+};
 use pier_runtime::{Duration, NodeAddr, SimTime, WireSize};
 use pier_telemetry::Telemetry;
 use pier_trace::TraceContext;
@@ -56,9 +58,8 @@ type PendingUpcall<V> = (Id, ObjectName, V, Duration, u32, Option<TraceContext>)
 /// root identifier hard-coded into every PIER node (§3.3.3).
 pub const TREE_ROOT_NAME: &str = "pier::distribution-tree";
 
-/// Interval between Chord stabilization rounds.
-const STABILIZE_INTERVAL: Duration = 1_000_000;
-/// Interval between finger-table refreshes.
+/// Interval between finger-table refreshes (while probing rounds run every
+/// tick; they back off together).
 const FIX_FINGERS_INTERVAL: Duration = 2_000_000;
 /// Interval between soft-state expiry sweeps.
 const EXPIRE_INTERVAL: Duration = 5_000_000;
@@ -726,6 +727,7 @@ impl<V: Clone + Debug + WireSize> Overlay<V> {
             self.serve(op, now)
         } else {
             self.tel.inc("dht.misdirected");
+            self.router.reset_backoff();
             self.route(op, None, now)
         }
     }
@@ -1309,7 +1311,20 @@ impl<V: Clone + Debug + WireSize> Overlay<V> {
     pub fn on_timer(&mut self, timer: OverlayTimer, now: SimTime) -> Vec<OverlayEffect<V>> {
         let mut effects = match timer {
             OverlayTimer::Stabilize => {
+                let (rounds, resets) = (self.router.probing_rounds(), self.router.backoff_resets());
                 let e = self.router.on_stabilize(now);
+                if self.tel.is_enabled() {
+                    let router = &self.router;
+                    self.tel.inc("dht.stabilize.ticks");
+                    self.tel.add(
+                        "dht.stabilize.probing_rounds",
+                        router.probing_rounds() - rounds,
+                    );
+                    self.tel
+                        .add("dht.stabilize.resets", router.backoff_resets() - resets);
+                    self.tel
+                        .gauge("dht.stabilize.interval_us", router.probe_interval() as f64);
+                }
                 self.absorb_router_effects(e, now)
             }
             OverlayTimer::FixFingers => {
@@ -1851,13 +1866,19 @@ mod tests {
             .iter()
             .any(|(_, m)| matches!(m, DhtMessage::PutBatch { .. })));
         // Node 1 departs: its stabilization probe goes unanswered past the
-        // liveness timeout; node 2 keeps answering and stays trusted.
+        // liveness timeout; node 2 — node 0's predecessor — answers and
+        // keeps probing node 0 as its successor, so it stays trusted.
         a.on_timer(OverlayTimer::Stabilize, 0);
-        a.on_message(
-            NodeAddr(2),
-            DhtMessage::Routing(RouterMessage::Notify { from: refs[2] }),
-            1_000,
-        );
+        for at in (1_000..60_000_000).step_by(5_000_000) {
+            a.on_message(
+                NodeAddr(2),
+                DhtMessage::Routing(RouterMessage::GetNeighbors {
+                    from: refs[2],
+                    as_successor: true,
+                }),
+                at,
+            );
+        }
         let epoch_before = a.router().membership_epoch();
         a.on_timer(OverlayTimer::Stabilize, 60_000_000);
         assert!(

@@ -96,6 +96,9 @@ pub struct ClusterTelemetrySummary {
     pub admission_shed: u64,
     /// Sum over nodes of the `admission.reject` counter.
     pub admission_reject: u64,
+    /// Sum over nodes of the stabilization messages sent:
+    /// `dht.routing.sent.{get_neighbors,neighbors,notify}`.
+    pub maintenance_msgs_sent: u64,
     /// Sum over nodes of trace-ring **and** span-ring drops — records the
     /// bounded rings evicted because an export ran too long between reads.
     /// Nonzero drops mean a merged export is incomplete; experiments that
@@ -344,18 +347,6 @@ impl Cluster {
         )
     }
 
-    /// Measure the overlay's background maintenance traffic over `micros` of
-    /// idle virtual time (no query running).  Experiments subtract this from
-    /// a query window of the same length to isolate query-related messages.
-    /// Leaves the traffic counters reset.
-    pub fn idle_baseline_msgs(&mut self, micros: u64) -> u64 {
-        self.reset_stats();
-        self.sim.run_for(micros);
-        let msgs = self.sim.stats().total_msgs;
-        self.reset_stats();
-        msgs
-    }
-
     /// Reset the per-node traffic counters (used between experiment phases).
     pub fn reset_stats(&mut self) {
         self.sim.stats_mut().reset();
@@ -386,6 +377,10 @@ impl Cluster {
             s.admission_admit += tel.counter("admission.admit");
             s.admission_shed += tel.counter("admission.shed");
             s.admission_reject += tel.counter("admission.reject");
+            s.maintenance_msgs_sent += ["get_neighbors", "neighbors", "notify"]
+                .iter()
+                .map(|kind| tel.counter(&format!("dht.routing.sent.{kind}")))
+                .sum::<u64>();
             s.trace_dropped += tel
                 .with(|h| h.trace_dropped() + h.spans_dropped())
                 .unwrap_or(0);

@@ -19,9 +19,31 @@ use crate::cluster::{Cluster, ClusterConfig};
 use crate::{slug, Table};
 use pier_core::{
     range_index::range_scan_plan, secondary_index, Expr, OpGraph, OperatorSpec, PlanBuilder,
-    RangeIndexConfig, SinkSpec, SourceSpec, Tuple, Value,
+    RangeIndexConfig, SinkSpec, SourceSpec, TelemetryConfig, Tuple, Value,
 };
 use pier_runtime::Rng64;
+
+/// A LAN cluster whose nodes count what they send, so a query window's
+/// stabilization traffic can be told from the query's.
+fn measured(nodes: usize, seed: u64) -> ClusterConfig {
+    ClusterConfig::lan(nodes, seed).with_telemetry(TelemetryConfig::enabled())
+}
+
+/// Let the ring and the distribution tree settle after the publishes, then
+/// open the query window: traffic counters reset, and the stabilization
+/// messages sent so far returned.
+fn settle_for_query(cluster: &mut Cluster) -> u64 {
+    cluster.settle(18_000_000);
+    cluster.reset_stats();
+    cluster.telemetry_summary().maintenance_msgs_sent
+}
+
+/// The messages of the query window opened by [`settle_for_query`] (which
+/// returned `maintenance`) less the stabilization messages sent inside it.
+fn query_msgs(cluster: &Cluster, maintenance: u64) -> u64 {
+    let in_window = cluster.telemetry_summary().maintenance_msgs_sent - maintenance;
+    cluster.sim.stats().total_msgs - in_window
+}
 
 /// One row of the EXP-G output.
 #[derive(Debug, Clone)]
@@ -34,9 +56,8 @@ pub struct RangeDisseminationResult {
     pub strategy: String,
     /// Range-index buckets the query was shipped to (0 for broadcast).
     pub buckets: usize,
-    /// Query-related messages: total observed during the query window minus
-    /// the overlay's background maintenance traffic over an idle window of
-    /// the same length.
+    /// Query-related messages: every message of the query window less the
+    /// stabilization messages sent inside that same window.
     pub messages: u64,
     /// Nodes that had the opgraph installed just before the timeout.
     pub nodes_running_query: usize,
@@ -58,7 +79,7 @@ pub fn range_dissemination(
     let hi = lo + (domain as f64 * range_fraction) as i64;
     let mut out = Vec::new();
     for strategy in ["broadcast", "range-index"] {
-        let mut cluster = Cluster::start(&ClusterConfig::lan(nodes, seed));
+        let mut cluster = Cluster::start(&measured(nodes, seed));
         let mut rng = Rng64::new(seed ^ 0x6A17);
         for i in 0..rows {
             let temp = (rng.next_below(domain)) as i64;
@@ -72,8 +93,7 @@ pub fn range_dissemination(
             let from = cluster.addr(i % cluster.len());
             cluster.publish_range_indexed(from, "readings", "temp", config, tuple);
         }
-        cluster.settle(5_000_000);
-        let baseline = cluster.idle_baseline_msgs(13_000_000);
+        let maintenance = settle_for_query(&mut cluster);
         let proxy = cluster.addr(1);
         let plan = if strategy == "range-index" {
             range_scan_plan(
@@ -108,7 +128,7 @@ pub fn range_dissemination(
             range_fraction,
             strategy: strategy.to_string(),
             buckets,
-            messages: cluster.sim.stats().total_msgs.saturating_sub(baseline),
+            messages: query_msgs(&cluster, maintenance),
             nodes_running_query: installed,
             results: outcome.results.len(),
         });
@@ -156,7 +176,7 @@ pub struct SecondaryIndexResult {
     pub nodes: usize,
     /// "broadcast-scan" or "secondary-index".
     pub strategy: String,
-    /// Query-related messages (maintenance baseline subtracted).
+    /// Query-related messages (stabilization in the window subtracted).
     pub messages: u64,
     /// Nodes that had the opgraph installed just before the timeout.
     pub nodes_running_query: usize,
@@ -177,7 +197,7 @@ pub fn secondary_index_lookup(
     let index_cols = vec!["keyword".to_string()];
     let mut out = Vec::new();
     for strategy in ["broadcast-scan", "secondary-index"] {
-        let mut cluster = Cluster::start(&ClusterConfig::lan(nodes, seed));
+        let mut cluster = Cluster::start(&measured(nodes, seed));
         for i in 0..files {
             let keyword = if i < matching {
                 "needle".to_string()
@@ -195,8 +215,7 @@ pub fn secondary_index_lookup(
             let from = cluster.addr(i % cluster.len());
             cluster.publish_with_secondary_indexes(from, "files", &key_cols, &index_cols, tuple);
         }
-        cluster.settle(5_000_000);
-        let baseline = cluster.idle_baseline_msgs(13_000_000);
+        let maintenance = settle_for_query(&mut cluster);
         let proxy = cluster.addr(3);
         let plan = if strategy == "secondary-index" {
             secondary_index::lookup_plan(
@@ -224,7 +243,7 @@ pub fn secondary_index_lookup(
         out.push(SecondaryIndexResult {
             nodes,
             strategy: strategy.to_string(),
-            messages: cluster.sim.stats().total_msgs.saturating_sub(baseline),
+            messages: query_msgs(&cluster, maintenance),
             nodes_running_query: installed,
             results: outcome.results.len(),
         });

@@ -589,6 +589,13 @@ impl TelemetryHub {
                     "dht.routing.sent.notify",
                 ]),
             ),
+            ("stabilize_ticks", count("dht.stabilize.ticks")),
+            ("probing_rounds", count("dht.stabilize.probing_rounds")),
+            ("probe_resets", count("dht.stabilize.resets")),
+            (
+                "probe_interval_us",
+                Cell::Int(self.gauge("dht.stabilize.interval_us").unwrap_or(0.0) as i64),
+            ),
             ("lookup_p50_us", lookup(50.0)),
             ("lookup_p99_us", lookup(99.0)),
             ("owner_cache_hits", count("dht.owner_cache.hits")),

@@ -8,7 +8,10 @@
 //! is ever stored at a node the ring does not name (a crash), and an answer
 //! asked before a membership change is not remembered.  The join itself is
 //! pinned too: a node bootstrapping into a converged ring is spliced in
-//! within three stabilization rounds.  The property holds the resolver
+//! within three stabilization rounds — also once the ring has been quiet
+//! long enough for its probes to back off to their cap, where a crash is
+//! still detected within the liveness timeout and a tick, and a crashed
+//! node's arc is taken over by its successor.  The property holds the resolver
 //! against the true owner on converged rings of every size, and every `put`
 //! against the store it must end up in — an arc's refresh parks operations,
 //! and parking may neither lose nor duplicate one.
@@ -32,6 +35,8 @@ const SECOND: u64 = 1_000_000;
 /// Long enough that nothing stored here expires during a test.
 const LIFETIME: u64 = 300 * SECOND;
 const NS: &str = "t";
+/// Long enough quiet for every node's probe interval to reach its cap.
+const QUIET: SimTime = 60 * SECOND;
 
 /// The node whose arc covers `id` on the ring `refs` spell out: the first
 /// at or clockwise after it.
@@ -148,20 +153,19 @@ fn bootstrap_join(sim: &mut Simulator<Node>, joiner: NodeRef, through: NodeAddr)
     ));
 }
 
-/// A node bootstrapping into a converged 32-node ring has its true
+/// A node bootstrapping into a converged 32-node ring at `at` has its true
 /// successor and predecessor — and they have it — within three
 /// stabilization rounds, whichever node it asks.  (It used to take one
 /// round per ring member: its predecessor adopted it on first sight of the
 /// join lookup and answered "your successor is you".)
-#[test]
-fn a_bootstrap_join_into_a_converged_ring_takes_three_rounds() {
+fn a_bootstrap_join_takes_three_rounds(at: SimTime) {
     let seed = seeded(53);
     let refs = make_ring_refs(32, seed);
     let mut ring = refs.clone();
     ring.sort_by_key(|r| r.id);
     for (slot, through) in [(3usize, 20usize), (17, 18), (30, 2)] {
         let mut sim = static_cluster(&refs, SimConfig::lan(seed));
-        sim.run_until(SECOND / 2);
+        sim.run_until(at);
         let (before, after) = (ring[slot], ring[(slot + 1) % ring.len()]);
         let joiner = NodeRef {
             id: Id(before
@@ -188,6 +192,18 @@ fn a_bootstrap_join_into_a_converged_ring_takes_three_rounds() {
         assert_eq!(neighbors(before.addr).1, Some(joiner.addr));
         assert_eq!(neighbors(after.addr).0, Some(joiner.addr));
     }
+}
+
+#[test]
+fn a_bootstrap_join_into_a_converged_ring_takes_three_rounds() {
+    a_bootstrap_join_takes_three_rounds(SECOND / 2);
+}
+
+/// The same join into a ring whose probes have backed off to their cap: the
+/// join is a membership change, so the nodes it touches probe again at once.
+#[test]
+fn a_bootstrap_join_into_a_backed_off_ring_takes_three_rounds() {
+    a_bootstrap_join_takes_three_rounds(QUIET + SECOND / 2);
 }
 
 /// (i) A node joins inside an arc two nodes have cached.  The publisher's
@@ -284,17 +300,18 @@ fn a_join_inside_a_cached_arc_forwards_to_the_new_owner() {
     );
 }
 
-/// (ii) The cached owner crashes.  A `put` every half second from then on:
-/// none is ever stored at a node that is neither the owner nor its
-/// successor, and from `liveness_timeout` plus one stabilization round
-/// after the crash every one lands at the successor — with the cache left
-/// to its own bounds.
+/// (ii) The cached owner crashes, in a ring quiet long enough for its
+/// probes to have backed off to their cap.  A `put` every half second from
+/// then on: none is ever stored at a node that is neither the owner nor its
+/// successor, and from `liveness_timeout` plus one stabilization tick after
+/// the crash every one lands at the successor — with the cache left to its
+/// own bounds.
 #[test]
 fn a_crashed_cached_owner_never_leaks_puts_to_a_non_owner() {
     let seed = seeded(43);
     let refs = make_ring_refs(32, seed);
     let mut sim = static_cluster(&refs, SimConfig::lan(seed));
-    sim.run_until(SECOND / 2);
+    sim.run_until(QUIET + SECOND / 2);
     let (key, distant) = key_with_distant_nodes(&sim, &refs, 1);
     let publisher = distant[0];
     let id = routing_id(NS, &key);
@@ -311,7 +328,7 @@ fn a_crashed_cached_owner_never_leaks_puts_to_a_non_owner() {
     assert_eq!(stored(&sim, owner.addr, &key), vec![0]);
     assert_eq!(resolve(&mut sim, publisher, id), Some(owner.addr));
 
-    let crash_at: SimTime = 2 * SECOND;
+    let crash_at: SimTime = QUIET + 2 * SECOND;
     sim.fail_node_at(owner.addr, crash_at);
     let detected_at = crash_at + RouterConfig::default().liveness_timeout + SECOND;
     let mut due_at_successor = Vec::new();
@@ -344,6 +361,43 @@ fn a_crashed_cached_owner_never_leaks_puts_to_a_non_owner() {
          stored {at_successor:?}, due {due_at_successor:?}"
     );
     assert_eq!(resolve(&mut sim, publisher, id), Some(successor.addr));
+}
+
+/// (ii′) A node crashes in a backed-off ring.  Its successor learns that
+/// only from the silence where its probes used to be: within the liveness
+/// timeout, a cap and a tick of the crash it no longer names the node as its
+/// predecessor and answers for the node's arc itself, and its predecessor
+/// then takes it over as its own predecessor.
+#[test]
+fn a_crashed_predecessor_leaves_its_arc_to_its_successor() {
+    let seed = seeded(59);
+    let refs = make_ring_refs(32, seed);
+    let mut sim = static_cluster(&refs, SimConfig::lan(seed));
+    let crashed = refs[seeded(7) as usize % refs.len()];
+    let successor = ring_predecessor(&refs, crashed, refs.len() - 1);
+    let predecessor = ring_predecessor(&refs, crashed, 1);
+    let arc = Id(predecessor
+        .id
+        .0
+        .wrapping_add(predecessor.id.distance_to(crashed.id) / 2));
+    assert_eq!(true_owner(&refs, arc).addr, crashed.addr);
+
+    let crash_at = QUIET + 2 * SECOND;
+    sim.fail_node_at(crashed.addr, crash_at);
+    let config = RouterConfig::default();
+    let router = |sim: &Simulator<Node>| {
+        let node = sim.node(successor.addr).expect("node exists");
+        let r = node.overlay().router();
+        (r.predecessor().map(|p| p.addr), r.probe_cap())
+    };
+    let (_, cap) = router(&sim);
+    assert_eq!(cap, 8 * SECOND);
+    sim.run_until(crash_at + config.liveness_timeout + cap + SECOND);
+    assert_ne!(router(&sim).0, Some(crashed.addr));
+    assert_eq!(resolve(&mut sim, successor.addr, arc), Some(successor.addr));
+    sim.run_for(3 * SECOND);
+    assert_eq!(router(&sim).0, Some(predecessor.addr));
+    assert_eq!(resolve(&mut sim, successor.addr, arc), Some(successor.addr));
 }
 
 /// (iii) A lookup answered across a membership change serves its own
