@@ -19,7 +19,7 @@
 use crate::admission::{AdmissionControl, AdmissionFactory, AdmissionVerdict, SloPolicy};
 use crate::graph_exec::{ExecOut, GraphExec, GraphRef};
 use crate::plan::{is_query_scoped_table, CqSpec, Dissemination, QpObject, QueryPlan};
-use crate::proxy::{MemberRun, PierOut, Proxy, WindowBundle};
+use crate::proxy::{MemberRun, PierOut, Proxy, RenewalRound, WindowBundle};
 use crate::sharing::{
     is_share_scoped_table, InstallOutcome, Membership, MultiQuerySharing, SharingFactory,
     SharingStats,
@@ -627,11 +627,22 @@ impl PierNode {
         }
         // A standing query joins this node's lease roster; the first one
         // starts the renewal clock.
-        if let Some(delay) = self.proxy.submit(&plan, ctx.now()) {
+        let now = ctx.now();
+        if let Some(delay) = self.proxy.submit(&plan, now) {
             ctx.set_timer(delay, PierTimer::CqRenew);
         }
         ctx.set_timer(plan.timeout, PierTimer::ProxyDone { query_id });
-        self.disseminate(ctx, plan);
+        // A standing broadcast plan submitted while the renewal round is
+        // open takes the round with it: one broadcast carries both.
+        let round = if plan.cq.is_some() && plan.dissemination == Dissemination::Broadcast {
+            self.proxy.open_round(now, &mut self.rng)
+        } else {
+            None
+        };
+        match round {
+            Some(round) => self.send_round(ctx, round, Some(plan)),
+            None => self.disseminate(ctx, plan),
+        }
         query_id
     }
 
@@ -877,7 +888,18 @@ impl PierNode {
             OverlayEvent::Broadcast { payload } => {
                 match payload {
                     QpObject::Plan(plan) => self.install_query(ctx, plan),
-                    QpObject::Renew { proxy, queries } => self.receive_roster(ctx, proxy, queries),
+                    QpObject::Renew {
+                        proxy,
+                        queries,
+                        plan,
+                    } => {
+                        // The plan a round rides on first, so the roster
+                        // finds it installed.
+                        if let Some(plan) = plan {
+                            self.install_query(ctx, *plan);
+                        }
+                        self.receive_roster(ctx, proxy, queries);
+                    }
                     QpObject::Tuple(_) | QpObject::Batch(_) => {}
                 }
                 Vec::new()
@@ -1067,15 +1089,29 @@ impl PierNode {
         self.post(ctx, to, PierMsg::Plans { plans });
     }
 
-    /// One round of the renewal clock: broadcast the roster, re-send the
-    /// keyed plans, arm the next round.
+    /// The renewal timer fired: run the round if it is due.
     fn renew_round(&mut self, ctx: &mut ProgramContext<Self>) {
+        let round = self.proxy.renew_round(ctx.now(), &mut self.rng);
+        self.send_round(ctx, round, None);
+    }
+
+    /// Send one round of the renewal clock — broadcast the roster, with
+    /// the standing plan `ride` when the round rides one; re-send the keyed
+    /// plans — and arm the next round.
+    fn send_round(
+        &mut self,
+        ctx: &mut ProgramContext<Self>,
+        round: RenewalRound,
+        ride: Option<QueryPlan>,
+    ) {
         let now = ctx.now();
-        let round = self.proxy.renew_round(now, &mut self.rng);
         let Some(delay) = round.next_delay else {
             return;
         };
         self.tel.inc("cq.roster_rounds");
+        if ride.is_some() {
+            self.tel.inc("cq.roster_rides");
+        }
         if round.attempt > 0 {
             let queries = round.roster.len() + round.resend.len();
             self.tel.event("lease.backoff", || {
@@ -1086,10 +1122,12 @@ impl PierNode {
                 ]
             });
         }
+        // A riding plan's own query is on the roster.
         if !round.roster.is_empty() {
             let roster = QpObject::Renew {
                 proxy: ctx.me(),
                 queries: round.roster,
+                plan: ride.map(Box::new),
             };
             let effects = self.overlay.broadcast(roster, now);
             self.drive(ctx, effects);

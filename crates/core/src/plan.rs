@@ -439,6 +439,9 @@ pub enum QpObject {
         proxy: NodeAddr,
         /// The standing queries being renewed.
         queries: Vec<u64>,
+        /// A standing plan submitted while the round was open, that the
+        /// round rides on: installed before the roster is read.
+        plan: Option<Box<QueryPlan>>,
     },
 }
 
@@ -517,8 +520,13 @@ impl WireSize for QpObject {
             QpObject::Tuple(t) => t.wire_size(),
             QpObject::Batch(b) => b.wire_size(),
             QpObject::Plan(p) => p.wire_size(),
-            // The proxy's address, a 4-byte count, 8 bytes per query.
-            QpObject::Renew { proxy, queries } => proxy.wire_size() + 4 + 8 * queries.len(),
+            // The proxy's address, a 4-byte count, 8 bytes per query, and
+            // the plan the round rides on.
+            QpObject::Renew {
+                proxy,
+                queries,
+                plan,
+            } => proxy.wire_size() + 4 + 8 * queries.len() + plan.wire_size(),
         }
     }
 }

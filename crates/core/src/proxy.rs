@@ -22,6 +22,15 @@
 //! round, or has not delivered any yet (a stream that has not started is no
 //! evidence of failure).
 //!
+//! A round may **ride a plan**.  Each delay is drawn from `[d/2, d)` for
+//! the backoff's ceiling `d`; once half the ceiling has passed since the
+//! last round, any instant before the one drawn would have been as good a
+//! draw.  A standing `Broadcast` plan submitted inside that window takes
+//! the round at once ([`Proxy::open_round`]): the roster and the plan cross
+//! the tree as one broadcast, and no roster-only broadcast follows for that
+//! round.  The timer armed for the old instant finds the clock moved on
+//! and sends nothing.
+//!
 //! The proxy is also where a result stops being a chunk.  Both result
 //! messages carry one [`TupleBatch`]; [`Proxy::receive`] and
 //! [`Proxy::receive_window`] turn its rows into the client's per-row
@@ -258,6 +267,10 @@ struct RenewalClock {
     backoff: RenewalBackoff,
     /// The instant the next round is due; a timer firing earlier is stale.
     due: SimTime,
+    /// From here until `due` the round may ride a plan: the last round
+    /// plus half the ceiling its delay was drawn under (`due` itself
+    /// before the first round).
+    opens: SimTime,
 }
 
 /// The longest a round may be put off without endangering `cq`'s lease: a
@@ -324,7 +337,11 @@ impl Proxy {
             Some(clock) => clock.due = due,
             None => {
                 let backoff = RenewalBackoff::new(cq.renew_every, renewal_cap(cq));
-                self.clock = Some(RenewalClock { backoff, due });
+                self.clock = Some(RenewalClock {
+                    backoff,
+                    due,
+                    opens: due,
+                });
             }
         }
         Some(cq.renew_every)
@@ -347,10 +364,29 @@ impl Proxy {
 
     /// A renewal timer fired at `now`: what to send, and when to fire next.
     pub fn renew_round(&mut self, now: SimTime, rng: &mut Rng64) -> RenewalRound {
+        if self.clock.as_ref().is_some_and(|c| now >= c.due) {
+            self.take_round(now, rng)
+        } else {
+            RenewalRound::default()
+        }
+    }
+
+    /// A standing `Broadcast` plan is being submitted at `now`: when the
+    /// pending round is open (`now` in `[opens, due)`), take it now, for
+    /// its roster to ride the plan's broadcast.  `None`: the plan travels
+    /// alone and the round waits for its timer.
+    pub fn open_round(&mut self, now: SimTime, rng: &mut Rng64) -> Option<RenewalRound> {
+        let open = self
+            .clock
+            .as_ref()
+            .is_some_and(|c| (c.opens..c.due).contains(&now));
+        open.then(|| self.take_round(now, rng))
+    }
+
+    /// Run a round at `now` on the armed clock.
+    fn take_round(&mut self, now: SimTime, rng: &mut Rng64) -> RenewalRound {
         let mut round = RenewalRound::default();
-        let Some(clock) = self.clock.as_mut().filter(|c| now >= c.due) else {
-            return round;
-        };
+        let clock = self.clock.as_mut().expect("a round runs on an armed clock");
         let (mut base, mut cap) = (Duration::MAX, Duration::MAX);
         let mut progress = false;
         for (&query_id, entry) in &mut self.proxied {
@@ -381,6 +417,7 @@ impl Proxy {
         }
         let delay = clock.backoff.next_delay(rng);
         clock.due = now.saturating_add(delay);
+        clock.opens = now.saturating_add(clock.backoff.ceiling() / 2);
         round.next_delay = Some(delay);
         round.attempt = clock.backoff.attempt();
         round

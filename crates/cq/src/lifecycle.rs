@@ -18,7 +18,12 @@
 //! [`RenewalBackoff`] is the renewal clock's schedule: one per *proxy*,
 //! retuned every round to the tightest of the standing queries it serves
 //! (base = the smallest `renew_every`, cap = the smallest `lease −
-//! renew_every/2`), so no backoff can stretch a gap past any lease.
+//! renew_every/2`), so no backoff can stretch a gap past any lease.  A
+//! round may also *ride a plan*: when the proxy broadcasts a new standing
+//! plan while its pending round is already inside the window the delay was
+//! drawn from (`[last round + d/2, due)`), it takes the round then and the
+//! roster travels in the plan's broadcast.  The gap it leaves is one the
+//! schedule could have drawn, so the bounds above hold either way.
 //!
 //! [`CqBudget`] is the per-query work/state bound every node enforces
 //! locally (PIQL-style bounded-work contracts): a continuous query may be
@@ -178,11 +183,16 @@ impl RenewalBackoff {
         self.misses = 0;
     }
 
-    /// Draw the next delay: uniform in `[d/2, d)` for the current ceiling
-    /// `d = min(base << attempt, cap)`.
-    pub fn next_delay(&self, rng: &mut Rng64) -> Duration {
+    /// The current ceiling `d = min(base << attempt, cap)`.
+    pub fn ceiling(&self) -> Duration {
         let factor = 1u64.checked_shl(self.attempt()).unwrap_or(u64::MAX);
-        let ceiling = self.base.saturating_mul(factor).min(self.cap).max(2);
+        self.base.saturating_mul(factor).min(self.cap).max(2)
+    }
+
+    /// Draw the next delay: uniform in `[d/2, d)` for the current
+    /// [`ceiling`](RenewalBackoff::ceiling) `d`.
+    pub fn next_delay(&self, rng: &mut Rng64) -> Duration {
+        let ceiling = self.ceiling();
         let half = ceiling / 2;
         half + rng.next_below(ceiling - half)
     }

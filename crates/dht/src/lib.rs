@@ -13,9 +13,10 @@
 //!
 //! The [`wrapper`] ties the three together behind the Table-2 API (`get`,
 //! `put`, `send`, `renew`, `localScan`, `newData`, `upcall`) and also
-//! provides the query-dissemination **distribution tree** built over
-//! routed messages and upcalls.  [`node::DhtNode`] packages an overlay as a
-//! runnable [`pier_runtime::Program`] so the DHT can be exercised on its own.
+//! provides the query-dissemination **distribution tree** ([`tree`]),
+//! whose broadcasts flood from their origin.  [`node::DhtNode`] packages
+//! an overlay as a runnable [`pier_runtime::Program`] so the DHT can be
+//! exercised on its own.
 //!
 //! The query processor (`pier-core`) reuses this overlay aggressively — for
 //! query dissemination, hash indexes, range-index substrate, partitioned
@@ -51,6 +52,10 @@
 //!   intermediate node an upcall (§3.2.4); the node either forwards the
 //!   (possibly transformed) object or absorbs it — the mechanism
 //!   hierarchical aggregation and window-partial combining are built on.
+//! * **A broadcast costs at most one delivery per node**: it carries an
+//!   identity ([`BroadcastId`]) and every node delivers and forwards it at
+//!   most once, whatever the tree's soft state holds — a stale or cyclic
+//!   children graph costs messages it would not otherwise, never a storm.
 
 pub mod id;
 pub mod messages;
@@ -58,6 +63,7 @@ pub mod naming;
 pub mod node;
 pub mod object_manager;
 pub mod router;
+pub mod tree;
 pub mod wrapper;
 
 pub use id::{hash_str, routing_id, Id};
@@ -66,6 +72,7 @@ pub use naming::{ObjectName, PartitionKey};
 pub use node::{make_ring_refs, DhtNode};
 pub use object_manager::{ObjectManager, StoredObject};
 pub use router::{NodeRef, Router, RouterConfig};
+pub use tree::{BroadcastId, Direction, DistributionTree};
 pub use wrapper::{
     Overlay, OverlayConfig, OverlayEffect, OverlayEvent, OverlayTimer, TREE_ROOT_NAME,
 };

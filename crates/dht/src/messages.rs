@@ -3,9 +3,9 @@
 //! The overlay multiplexes three kinds of traffic over the node-to-node
 //! transport: routing-protocol messages ([`RouterMessage`]), the direct
 //! transfers of the `get`/`put`/`renew` operations of Figure 6 (sent once
-//! the wrapper has resolved an owner, and checked by the receiver), and
-//! routed `send` / broadcast traffic that travels hop-by-hop through the
-//! overlay.
+//! the wrapper has resolved an owner, and checked by the receiver), routed
+//! `send` traffic that travels hop-by-hop through the overlay, and
+//! broadcasts flooded over the distribution tree ([`crate::tree`]).
 //!
 //! [`DhtMessage::PutBatch`] extends the Figure-6 vocabulary with a
 //! *coalesced* direct transfer: when the sender can already name the
@@ -31,6 +31,7 @@
 use crate::naming::ObjectName;
 use crate::object_manager::StoredObject;
 use crate::router::RouterMessage;
+use crate::tree::BroadcastId;
 use crate::Id;
 use pier_runtime::{Duration, NodeAddr, WireSize};
 use pier_trace::TraceContext;
@@ -145,22 +146,23 @@ pub enum DhtMessage<V> {
         /// Identifier of the tree root.
         root: Id,
     },
-    /// A broadcast payload travelling up toward the tree root (plain DHT
-    /// routing, no interception).
+    /// A broadcast hop from a node to its distribution-tree parent: the
+    /// receiver delivers it and sends it on to its own parent and down to
+    /// its other children ([`crate::tree`]).
     TreeBroadcastUp {
-        /// Identifier of the tree root.
-        root: Id,
+        /// The broadcast's identity; a node that has seen it drops it.
+        id: BroadcastId,
         /// Payload to broadcast.
         payload: V,
     },
-    /// A broadcast payload travelling down the distribution tree.
+    /// A broadcast hop from a node to one of its distribution-tree
+    /// children: the receiver delivers it and sends it down to its own
+    /// children.
     TreeBroadcastDown {
-        /// Identifier of the tree root.
-        root: Id,
+        /// The broadcast's identity; a node that has seen it drops it.
+        id: BroadcastId,
         /// Payload being broadcast.
         payload: V,
-        /// Depth below the root (diagnostics).
-        depth: u32,
     },
 }
 
@@ -216,8 +218,10 @@ impl<V: WireSize> WireSize for DhtMessage<V> {
                 name, value, trace, ..
             } => 1 + 8 + name.wire_size() + value.wire_size() + 8 + 4 + trace_wire_size(trace),
             DhtMessage::TreeJoin { .. } => 1 + 6 + 8,
-            DhtMessage::TreeBroadcastUp { payload, .. } => 1 + 8 + payload.wire_size(),
-            DhtMessage::TreeBroadcastDown { payload, .. } => 1 + 8 + payload.wire_size() + 4,
+            DhtMessage::TreeBroadcastUp { id, payload }
+            | DhtMessage::TreeBroadcastDown { id, payload } => {
+                1 + id.wire_size() + payload.wire_size()
+            }
         }
     }
 }
@@ -229,12 +233,16 @@ mod tests {
 
     #[test]
     fn wire_sizes_scale_with_payload() {
+        let id = BroadcastId {
+            origin: NodeAddr(1),
+            seq: 1,
+        };
         let small: DhtMessage<String> = DhtMessage::TreeBroadcastUp {
-            root: Id(1),
+            id,
             payload: "x".to_string(),
         };
-        let big: DhtMessage<String> = DhtMessage::TreeBroadcastUp {
-            root: Id(1),
+        let big: DhtMessage<String> = DhtMessage::TreeBroadcastDown {
+            id,
             payload: "x".repeat(1000),
         };
         assert!(big.wire_size() > small.wire_size() + 900);

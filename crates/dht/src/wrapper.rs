@@ -26,9 +26,12 @@
 //! The wrapper additionally maintains the **distribution tree** used for
 //! query broadcast (§3.3.3): every node periodically routes a `TreeJoin`
 //! announcement toward a well-known root identifier; the first hop records
-//! the sender as a child and drops the message.  Broadcasting forwards a
-//! payload to the root and then down the recorded children, and the tree is
-//! soft state, adapting to membership changes.
+//! the sender as a child and drops the message.  A broadcast floods from
+//! its origin — up to its parent (the next hop toward the root), down to
+//! its children, and on from every node that delivers it — so on a
+//! consistent tree it crosses each edge once.  The tree is soft state,
+//! adapting to membership changes; the broadcast's identity and each node's
+//! seen-set bound the work when that state is stale ([`crate::tree`]).
 
 use crate::id::{hash_str, Id};
 use crate::messages::{DhtMessage, GET_KEYS_MAX};
@@ -37,6 +40,7 @@ use crate::object_manager::{ObjectManager, StoredObject};
 use crate::router::{
     NodeRef, Router, RouterConfig, RouterEffect, RouterMessage, STABILIZE_INTERVAL,
 };
+use crate::tree::{BroadcastId, Direction, DistributionTree};
 use pier_runtime::{Duration, NodeAddr, SimTime, WireSize};
 use pier_telemetry::Telemetry;
 use pier_trace::TraceContext;
@@ -67,8 +71,6 @@ const EXPIRE_INTERVAL: Duration = 5_000_000;
 const MAX_LIFETIME: Duration = 600_000_000;
 /// Interval between distribution-tree re-join announcements.
 const TREE_REFRESH_INTERVAL: Duration = 10_000_000;
-/// Lifetime granted to a recorded tree child before it must re-join.
-const TREE_CHILD_LIFETIME: Duration = 30_000_000;
 
 /// Tuning knobs for the overlay wrapper.  The maintenance intervals and
 /// soft-state lifetimes are the constants above, not fields: nothing needs
@@ -311,10 +313,7 @@ pub struct Overlay<V> {
     next_request_id: u64,
     next_upcall_token: u64,
     tree_root: Id,
-    /// Ordered: the broadcast fan-out below follows iteration order, which
-    /// must not depend on hash seeding (equal-seed runs replay
-    /// byte-for-byte).
-    tree_children: BTreeMap<NodeAddr, SimTime>,
+    tree: DistributionTree,
     /// The owner cache: arcs of the ring other nodes stated an owner for,
     /// keyed by the arc's end (the owner's id), so the arc that can cover an
     /// identifier is the first entry at or clockwise after it.  Fed by every
@@ -361,7 +360,7 @@ impl<V: Clone + Debug + WireSize> Overlay<V> {
             next_request_id: 0,
             next_upcall_token: 0,
             tree_root: hash_str(TREE_ROOT_NAME),
-            tree_children: BTreeMap::new(),
+            tree: DistributionTree::new(me.addr),
             owner_cache: BTreeMap::new(),
             owner_cache_epoch: 0,
             tel: Telemetry::disabled(),
@@ -407,8 +406,8 @@ impl<V: Clone + Debug + WireSize> Overlay<V> {
     }
 
     /// Addresses currently recorded as children in the distribution tree.
-    pub fn tree_children(&self) -> Vec<NodeAddr> {
-        self.tree_children.keys().copied().collect()
+    pub fn tree_children(&self, now: SimTime) -> Vec<NodeAddr> {
+        self.tree.children(now).collect()
     }
 
     /// Whether this node is currently the root of the distribution tree.
@@ -1111,10 +1110,10 @@ impl<V: Clone + Debug + WireSize> Overlay<V> {
     /// the route toward the tree root).  Called periodically because the tree
     /// is soft state.
     pub fn join_tree(&mut self, now: SimTime) -> Vec<OverlayEffect<V>> {
-        match self.router.next_hop(self.tree_root, now) {
+        match self.tree_parent(now) {
             None => Vec::new(), // we are the root
             Some(parent) => vec![OverlayEffect::Send {
-                to: parent.addr,
+                to: parent,
                 msg: DhtMessage::TreeJoin {
                     child: self.me.addr,
                     root: self.tree_root,
@@ -1123,45 +1122,62 @@ impl<V: Clone + Debug + WireSize> Overlay<V> {
         }
     }
 
-    /// Broadcast a payload to every node via the distribution tree.  The
-    /// payload is routed up to the root and then pushed down the recorded
-    /// children; every node (including this one) receives it as
-    /// [`OverlayEvent::Broadcast`].
+    /// Broadcast a payload to every node via the distribution tree, as a
+    /// flood from here ([`crate::tree`]): up to this node's parent, down to
+    /// its children, on from every node that delivers it.  Every node
+    /// (including this one) receives it once as [`OverlayEvent::Broadcast`].
     pub fn broadcast(&mut self, payload: V, now: SimTime) -> Vec<OverlayEffect<V>> {
-        if self.router.is_responsible(self.tree_root) {
-            return self.deliver_broadcast(payload, 0, now);
-        }
-        match self.router.next_hop(self.tree_root, now) {
-            None => self.deliver_broadcast(payload, 0, now),
-            Some(next) => vec![OverlayEffect::Send {
-                to: next.addr,
-                msg: DhtMessage::TreeBroadcastUp {
-                    root: self.tree_root,
-                    payload,
-                },
-            }],
+        let parent = self.tree_parent(now);
+        let (id, hops) = self.tree.originate(parent, now);
+        self.tel.inc("dht.broadcast.originated");
+        self.deliver_broadcast(id, payload, hops)
+    }
+
+    /// This node's distribution-tree parent: the next hop toward the root,
+    /// none at the root.
+    fn tree_parent(&self, now: SimTime) -> Option<NodeAddr> {
+        self.router.next_hop(self.tree_root, now).map(|p| p.addr)
+    }
+
+    /// A broadcast hop arrived: deliver and forward it, unless this node
+    /// has seen the broadcast already.
+    fn receive_broadcast(
+        &mut self,
+        from: NodeAddr,
+        id: BroadcastId,
+        payload: V,
+        direction: Direction,
+        now: SimTime,
+    ) -> Vec<OverlayEffect<V>> {
+        let parent = self.tree_parent(now);
+        match self.tree.receive(id, from, direction, parent, now) {
+            Some(hops) => self.deliver_broadcast(id, payload, hops),
+            None => {
+                self.tel.inc("dht.broadcast.duplicates");
+                Vec::new()
+            }
         }
     }
 
-    fn deliver_broadcast(&mut self, payload: V, depth: u32, now: SimTime) -> Vec<OverlayEffect<V>> {
-        let mut effects = vec![OverlayEffect::Event(OverlayEvent::Broadcast {
-            payload: payload.clone(),
-        })];
-        if depth > 64 {
-            // Defensive bound; a correct tree is far shallower.
-            return effects;
-        }
-        self.tree_children.retain(|_, expiry| *expiry >= now);
-        for child in self.tree_children.keys() {
-            effects.push(OverlayEffect::Send {
-                to: *child,
-                msg: DhtMessage::TreeBroadcastDown {
-                    root: self.tree_root,
-                    payload: payload.clone(),
-                    depth: depth + 1,
-                },
-            });
-        }
+    fn deliver_broadcast(
+        &mut self,
+        id: BroadcastId,
+        payload: V,
+        hops: Vec<(NodeAddr, Direction)>,
+    ) -> Vec<OverlayEffect<V>> {
+        self.tel.inc("dht.broadcast.delivered");
+        let mut effects: Vec<_> = hops
+            .into_iter()
+            .map(|(to, direction)| {
+                let payload = payload.clone();
+                let msg = match direction {
+                    Direction::Up => DhtMessage::TreeBroadcastUp { id, payload },
+                    Direction::Down => DhtMessage::TreeBroadcastDown { id, payload },
+                };
+                OverlayEffect::Send { to, msg }
+            })
+            .collect();
+        effects.push(OverlayEffect::Event(OverlayEvent::Broadcast { payload }));
         effects
     }
 
@@ -1284,24 +1300,14 @@ impl<V: Clone + Debug + WireSize> Overlay<V> {
                 }
             }
             DhtMessage::TreeJoin { child, .. } => {
-                self.tree_children.insert(child, now + TREE_CHILD_LIFETIME);
+                self.tree.join(child, now);
                 Vec::new()
             }
-            DhtMessage::TreeBroadcastUp { root, payload } => {
-                if self.router.is_responsible(root) {
-                    self.deliver_broadcast(payload, 0, now)
-                } else {
-                    match self.router.next_hop(root, now) {
-                        None => self.deliver_broadcast(payload, 0, now),
-                        Some(next) => vec![OverlayEffect::Send {
-                            to: next.addr,
-                            msg: DhtMessage::TreeBroadcastUp { root, payload },
-                        }],
-                    }
-                }
+            DhtMessage::TreeBroadcastUp { id, payload } => {
+                self.receive_broadcast(from, id, payload, Direction::Up, now)
             }
-            DhtMessage::TreeBroadcastDown { payload, depth, .. } => {
-                self.deliver_broadcast(payload, depth, now)
+            DhtMessage::TreeBroadcastDown { id, payload } => {
+                self.receive_broadcast(from, id, payload, Direction::Down, now)
             }
         }
     }
@@ -1333,7 +1339,7 @@ impl<V: Clone + Debug + WireSize> Overlay<V> {
             }
             OverlayTimer::Expire => {
                 self.objects.expire(now);
-                self.tree_children.retain(|_, expiry| *expiry >= now);
+                self.tree.expire(now);
                 self.sweep_lookups(now)
             }
             OverlayTimer::TreeRefresh => self.join_tree(now),
@@ -2790,7 +2796,7 @@ mod tests {
         assert_eq!(msgs.len(), 1);
         assert_eq!(msgs[0].0, root_addr);
         root.on_message(child_addr, msgs[0].1.clone(), 0);
-        assert_eq!(root.tree_children(), vec![child_addr]);
+        assert_eq!(root.tree_children(0), vec![child_addr]);
 
         // Broadcasting from the root delivers locally and to the child.
         let effects = root.broadcast("query-plan".to_string(), 1);
@@ -2806,6 +2812,23 @@ mod tests {
             events(&child_effects).as_slice(),
             [OverlayEvent::Broadcast { .. }]
         ));
+        assert!(sends(&child_effects).is_empty(), "a leaf forwards nothing");
+        // A repeat of the same broadcast is dropped.
+        let repeat = child.on_message(root_addr, down[0].1.clone(), 3);
+        assert!(repeat.is_empty(), "delivered once: {repeat:?}");
+
+        // From the child, the broadcast goes straight up: the root delivers
+        // it and has no other child to send it down to.
+        let effects = child.broadcast("roster".to_string(), 4);
+        assert_eq!(events(&effects).len(), 1, "the origin delivers it itself");
+        let up = sends(&effects);
+        assert!(matches!(
+            &up[..],
+            [(to, DhtMessage::TreeBroadcastUp { .. })] if *to == root_addr
+        ));
+        let root_effects = root.on_message(child_addr, up[0].1.clone(), 5);
+        assert_eq!(events(&root_effects).len(), 1);
+        assert!(sends(&root_effects).is_empty(), "not back to the sender");
     }
 
     #[test]

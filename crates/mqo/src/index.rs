@@ -22,6 +22,12 @@
 //! [`CompiledPredicate`] evaluation would produce row by row — including
 //! best-effort discard on missing columns and type mismatches — which the
 //! equivalence and property tests pin.
+//!
+//! The kernels are compiled once per schema and then edited as members
+//! come and go: an insert appends its atoms, a remove retires its equality
+//! entries and renumbers the slot `swap_remove` moved.  A membership change
+//! therefore costs its own atoms, not a rebuild for every member; the index
+//! rebuilds only when retired entries outnumber live ones.
 
 use crate::mask::SelMask;
 use pier_core::tuple::{ColumnChunk, Schema};
@@ -187,8 +193,14 @@ fn eq_scan_row(kernel: &ColumnKernel, scratch: &mut [SelMask], r: usize, v: Valu
     }
 }
 
+/// The member slot of an equality entry whose member was removed.
+const RETIRED: u32 = u32::MAX;
+
 /// The index compiled against one interned schema (single-entry cache,
-/// pointer-keyed like every per-schema cache in `pier-core`).
+/// pointer-keyed like every per-schema cache in `pier-core`).  Membership
+/// changes edit it in place: a new member's atoms are appended, a removed
+/// member's equality entries are retired (their scratch masks still fill,
+/// nobody reads them) and its other references dropped.
 #[derive(Debug)]
 struct CompiledIndex {
     schema: Arc<Schema>,
@@ -201,8 +213,111 @@ struct CompiledIndex {
     fallback: Vec<u32>,
     /// Members served by the atom kernels (mask starts all-true).
     atom_slots: Vec<u32>,
-    /// Equality entry → member slot.
+    /// Equality entry → member slot ([`RETIRED`] once its member left).
     entry_slot: Vec<u32>,
+    /// Retired entries in `entry_slot`.
+    retired: usize,
+}
+
+impl CompiledIndex {
+    /// `members` compiled against `schema`: an empty index, then each
+    /// member added in slot order.
+    fn build(members: &[IndexedMember], schema: &Arc<Schema>) -> Self {
+        let mut compiled = CompiledIndex {
+            schema: Arc::clone(schema),
+            kernels: Vec::new(),
+            always_false: Vec::new(),
+            fallback: Vec::new(),
+            atom_slots: Vec::new(),
+            entry_slot: Vec::new(),
+            retired: 0,
+        };
+        for (slot, member) in members.iter().enumerate() {
+            compiled.add(slot as u32, member);
+        }
+        compiled
+    }
+
+    /// Compile `member`, which occupies `slot`, into the kernels.
+    fn add(&mut self, slot: u32, member: &IndexedMember) {
+        let Some(atoms) = &member.atoms else {
+            self.fallback.push(slot);
+            return;
+        };
+        let resolved: Option<Vec<usize>> = atoms
+            .iter()
+            .map(|a| self.schema.position(&a.column))
+            .collect();
+        let Some(cols) = resolved else {
+            self.always_false.push(slot);
+            return;
+        };
+        self.atom_slots.push(slot);
+        for (atom, col) in atoms.iter().zip(cols) {
+            let at = match self.kernels.iter().position(|k| k.col == col) {
+                Some(at) => at,
+                None => {
+                    self.kernels.push(ColumnKernel {
+                        col,
+                        ..ColumnKernel::default()
+                    });
+                    self.kernels.len() - 1
+                }
+            };
+            let kernel = &mut self.kernels[at];
+            if atom.op == CmpOp::Eq {
+                let entry = self.entry_slot.len() as u32;
+                self.entry_slot.push(slot);
+                kernel.entries.push(entry);
+                match &atom.constant {
+                    Value::Int(i) => kernel.int_eq.entry(*i).or_default().push(entry),
+                    Value::Str(s) => {
+                        kernel.str_eq.entry(s.to_string()).or_default().push(entry);
+                    }
+                    Value::Float(_) => kernel.float_eq.push((entry, atom.constant.clone())),
+                    other => kernel.misc_eq.push((entry, other.clone())),
+                }
+            } else {
+                kernel.cmps.push((atom.op, atom.constant.clone(), slot));
+            }
+        }
+    }
+
+    /// The member in `slot` was removed and `swap_remove` moved the member
+    /// from slot `moved` into it (`moved == slot`: the removed member was
+    /// the last one).
+    fn remove(&mut self, slot: u32, moved: u32) {
+        let renumber = |s: &mut u32| {
+            if *s == moved {
+                *s = slot;
+            }
+        };
+        for list in [
+            &mut self.always_false,
+            &mut self.fallback,
+            &mut self.atom_slots,
+        ] {
+            list.retain(|s| *s != slot);
+            list.iter_mut().for_each(renumber);
+        }
+        for kernel in &mut self.kernels {
+            kernel.cmps.retain(|c| c.2 != slot);
+            kernel.cmps.iter_mut().for_each(|c| renumber(&mut c.2));
+        }
+        for s in &mut self.entry_slot {
+            if *s == slot {
+                *s = RETIRED;
+                self.retired += 1;
+            } else {
+                renumber(s);
+            }
+        }
+    }
+
+    /// More retired equality entries than live ones: time to rebuild.
+    fn mostly_retired(&self) -> bool {
+        self.retired > self.entry_slot.len() - self.retired
+    }
 }
 
 /// The multi-query predicate index: member predicates in, per-member
@@ -248,13 +363,16 @@ impl PredicateIndex {
         if self.by_id.contains_key(&id) {
             return false;
         }
-        self.by_id.insert(id, self.members.len());
+        let slot = self.members.len();
+        self.by_id.insert(id, slot);
         self.members.push(IndexedMember {
             id,
             atoms: decompose(&predicate),
             fallback: CompiledPredicate::new(predicate),
         });
-        self.compiled = None;
+        if let Some(compiled) = self.compiled.as_mut() {
+            compiled.add(slot as u32, &self.members[slot]);
+        }
         true
     }
 
@@ -264,63 +382,19 @@ impl PredicateIndex {
             return false;
         };
         self.members.swap_remove(slot);
-        if slot < self.members.len() {
+        // The old last slot, whose member now sits in `slot` (`slot`
+        // itself when the removed member was the last).
+        let moved = self.members.len();
+        if slot < moved {
             self.by_id.insert(self.members[slot].id, slot);
         }
-        self.compiled = None;
-        true
-    }
-
-    /// Compile the member set against `schema`.
-    fn compile(members: &[IndexedMember], schema: &Arc<Schema>) -> CompiledIndex {
-        let mut kernels_by_col: HashMap<usize, ColumnKernel> = HashMap::new();
-        let mut always_false = Vec::new();
-        let mut fallback = Vec::new();
-        let mut atom_slots = Vec::new();
-        let mut entry_slot: Vec<u32> = Vec::new();
-        for (slot, member) in members.iter().enumerate() {
-            let slot32 = slot as u32;
-            let Some(atoms) = &member.atoms else {
-                fallback.push(slot32);
-                continue;
-            };
-            let resolved: Option<Vec<usize>> =
-                atoms.iter().map(|a| schema.position(&a.column)).collect();
-            let Some(cols) = resolved else {
-                always_false.push(slot32);
-                continue;
-            };
-            atom_slots.push(slot32);
-            for (atom, col) in atoms.iter().zip(cols) {
-                let kernel = kernels_by_col.entry(col).or_insert_with(|| ColumnKernel {
-                    col,
-                    ..ColumnKernel::default()
-                });
-                if atom.op == CmpOp::Eq {
-                    let entry = entry_slot.len() as u32;
-                    entry_slot.push(slot32);
-                    kernel.entries.push(entry);
-                    match &atom.constant {
-                        Value::Int(i) => kernel.int_eq.entry(*i).or_default().push(entry),
-                        Value::Str(s) => {
-                            kernel.str_eq.entry(s.to_string()).or_default().push(entry);
-                        }
-                        Value::Float(_) => kernel.float_eq.push((entry, atom.constant.clone())),
-                        other => kernel.misc_eq.push((entry, other.clone())),
-                    }
-                } else {
-                    kernel.cmps.push((atom.op, atom.constant.clone(), slot32));
-                }
+        if let Some(compiled) = self.compiled.as_mut() {
+            compiled.remove(slot as u32, moved as u32);
+            if compiled.mostly_retired() {
+                self.compiled = None;
             }
         }
-        CompiledIndex {
-            schema: Arc::clone(schema),
-            kernels: kernels_by_col.into_values().collect(),
-            always_false,
-            fallback,
-            atom_slots,
-            entry_slot,
-        }
+        true
     }
 
     /// Evaluate every member predicate over `chunk`, column-at-a-time.
@@ -335,7 +409,7 @@ impl PredicateIndex {
             .as_ref()
             .is_some_and(|c| Arc::ptr_eq(&c.schema, schema));
         if !hit {
-            self.compiled = Some(Self::compile(&self.members, schema));
+            self.compiled = Some(CompiledIndex::build(&self.members, schema));
         }
         while self.masks.len() < self.members.len() {
             self.masks.push(SelMask::new(0, false));
@@ -466,7 +540,9 @@ impl PredicateIndex {
         for kernel in &compiled.kernels {
             for &entry in &kernel.entries {
                 let slot = compiled.entry_slot[entry as usize];
-                self.masks[slot as usize].and_assign(&self.scratch[entry as usize]);
+                if slot != RETIRED {
+                    self.masks[slot as usize].and_assign(&self.scratch[entry as usize]);
+                }
             }
         }
         self.union.reset(rows, false);
@@ -658,6 +734,38 @@ mod tests {
         assert_masks_match(&mut index, &[(2, Expr::eq("src", "10.0.0.2"))], rows);
         assert!(index.member_mask(1).is_none());
         assert_eq!(index.member_ids().collect::<Vec<_>>(), vec![2]);
+    }
+
+    #[test]
+    fn a_membership_change_edits_the_compiled_index_in_place() {
+        let pred = |i: u64| Expr::eq("src", format!("10.0.0.{i}").as_str());
+        let mut index = PredicateIndex::new();
+        for i in 0..4 {
+            index.insert(i, pred(i));
+        }
+        let rows = messy_rows(64);
+        let live = |ids: &[u64]| ids.iter().map(|i| (*i, pred(*i))).collect::<Vec<_>>();
+        assert_masks_match(&mut index, &live(&[0, 1, 2, 3]), rows.clone());
+        let schema = Arc::clone(&index.compiled.as_ref().expect("compiled").schema);
+        let kept = |index: &PredicateIndex| {
+            index
+                .compiled
+                .as_ref()
+                .is_some_and(|c| Arc::ptr_eq(&c.schema, &schema))
+        };
+        // Member 3 moves into slot 0; member 4 is appended.
+        assert!(index.remove(0));
+        assert!(index.insert(4, pred(4)));
+        assert!(kept(&index), "edited, not dropped");
+        assert_masks_match(&mut index, &live(&[1, 2, 3, 4]), rows.clone());
+        // Three live entries and two retired: still in place.  A third
+        // retirement outnumbers the two live ones and the index rebuilds.
+        assert!(index.remove(1));
+        assert!(kept(&index));
+        assert!(index.remove(2));
+        assert!(index.compiled.is_none(), "mostly retired: rebuilt");
+        assert_masks_match(&mut index, &live(&[3, 4]), rows);
+        assert_eq!(index.compiled.as_ref().map(|c| c.retired), Some(0));
     }
 
     #[test]

@@ -14,7 +14,9 @@
 //!   computation of each query in isolation produces.
 
 use pier_core::sharing::MultiQuerySharing;
-use pier_core::{sqlish, CmpOp, CompiledPredicate, Expr, Tuple, TupleBatch, Value, WindowEngine};
+use pier_core::{
+    sqlish, CmpOp, ColumnChunk, CompiledPredicate, Expr, Tuple, TupleBatch, Value, WindowEngine,
+};
 use pier_mqo::{MqoLayer, PredicateIndex};
 use pier_runtime::NodeAddr;
 use proptest::prelude::*;
@@ -42,6 +44,12 @@ fn decode_atom(col: u8, op: u8, constant: u8) -> Expr {
 }
 
 fn decode_row(seed: u64) -> Tuple {
+    decode_row_in("t", seed)
+}
+
+/// A row of table `t`, or of `u`, whose schema orders the same columns
+/// differently (a chunk of it makes the index recompile).
+fn decode_row_in(table: &str, seed: u64) -> Tuple {
     let pick = |x: u64| -> Value {
         match x % 4 {
             0 => Value::Int((x / 4 % 8) as i64),
@@ -50,14 +58,49 @@ fn decode_row(seed: u64) -> Tuple {
             _ => Value::Null,
         }
     };
-    Tuple::new(
-        "t",
-        vec![
-            ("c0", pick(seed)),
-            ("c1", pick(seed >> 8)),
-            ("c2", pick(seed >> 16)),
-        ],
-    )
+    let mut columns = vec![
+        ("c0", pick(seed)),
+        ("c1", pick(seed >> 8)),
+        ("c2", pick(seed >> 16)),
+    ];
+    if table != "t" {
+        columns.rotate_left(1);
+    }
+    Tuple::new(table, columns)
+}
+
+/// Per-member masks and union of `index` over `chunk` equal those of a
+/// freshly built index of the `live` members and of row-by-row evaluation.
+fn assert_index_agrees(
+    index: &mut PredicateIndex,
+    live: &BTreeMap<u64, Expr>,
+    chunk: &ColumnChunk,
+) -> Result<(), TestCaseError> {
+    let mut fresh = PredicateIndex::new();
+    for (id, p) in live {
+        fresh.insert(*id, p.clone());
+    }
+    index.eval_chunk(chunk);
+    fresh.eval_chunk(chunk);
+    prop_assert_eq!(index.len(), live.len());
+    let mut union = vec![false; chunk.rows()];
+    for (id, p) in live {
+        let mut reference = CompiledPredicate::new(p.clone());
+        let compiled = reference.for_schema(chunk.schema());
+        let expect: Vec<bool> = (0..chunk.rows())
+            .map(|r| compiled.matches_row(chunk, r))
+            .collect();
+        let got = index.member_mask(*id).expect("indexed").to_bools();
+        prop_assert_eq!(&got, &expect, "member {} ({:?})", id, p);
+        let built = fresh.member_mask(*id).expect("indexed").to_bools();
+        prop_assert_eq!(&got, &built);
+        for (u, e) in union.iter_mut().zip(&expect) {
+            *u = *u || *e;
+        }
+    }
+    prop_assert_eq!(index.union().to_bools(), union);
+    prop_assert_eq!(index.union().to_bools(), fresh.union().to_bools());
+    Ok(())
 }
 
 proptest! {
@@ -201,5 +244,65 @@ proptest! {
         }
         prop_assert_eq!(layer.stats().groups, 0);
         prop_assert_eq!(layer.stats().members, 0);
+    }
+
+    /// The index is edited in place on membership changes: any interleaving
+    /// of inserts, removes and chunk evaluations — through retired entries,
+    /// renumbered slots, rebuilds and schema switches — leaves every member
+    /// mask and the union equal to a freshly built index's and to per-member
+    /// evaluation.
+    #[test]
+    fn an_index_edited_in_place_equals_a_fresh_build(
+        ops in proptest::collection::vec(
+            (0u8..16, proptest::collection::vec((0u8..8, 0u8..8, 0u8..16), 1..4), 0u8..32),
+            1..48,
+        ),
+        rows in proptest::collection::vec(0u64..(1 << 24), 1..40),
+    ) {
+        let mut index = PredicateIndex::new();
+        let mut live: BTreeMap<u64, Expr> = BTreeMap::new();
+        let mut next_id = 0u64;
+        let batch = |table: &str| {
+            TupleBatch::new(rows.iter().map(|s| decode_row_in(table, *s)).collect())
+        };
+        for (kind, atoms, pick) in ops {
+            match kind {
+                // Insert: a conjunction of atoms, now and then a
+                // disjunction the fallback path serves.
+                0..=6 => {
+                    let mut atoms = atoms.iter().map(|(c, o, k)| decode_atom(*c, *o, *k));
+                    let first = atoms.next().expect("one atom or more");
+                    let predicate = if pick % 5 == 0 {
+                        Expr::Or(Box::new(first), Box::new(decode_atom(pick, 0, pick)))
+                    } else {
+                        Expr::all(std::iter::once(first).chain(atoms).collect())
+                    };
+                    next_id += 1;
+                    prop_assert!(index.insert(next_id, predicate.clone()));
+                    live.insert(next_id, predicate);
+                }
+                // Remove a live member, or an unknown id.
+                7..=11 => {
+                    let victim = live.keys().nth(pick as usize % live.len().max(1)).copied();
+                    match victim {
+                        Some(id) => {
+                            prop_assert!(index.remove(id));
+                            live.remove(&id);
+                        }
+                        None => prop_assert!(!index.remove(next_id + 1)),
+                    }
+                }
+                // Evaluate a chunk, now and then under the other schema.
+                _ => {
+                    let table = if kind == 15 { "u" } else { "t" };
+                    for chunk in batch(table).chunks() {
+                        assert_index_agrees(&mut index, &live, chunk)?;
+                    }
+                }
+            }
+        }
+        for chunk in batch("t").chunks() {
+            assert_index_agrees(&mut index, &live, chunk)?;
+        }
     }
 }

@@ -7,10 +7,13 @@
 //!
 //! 1. the renewal schedule, on [`Proxy`] alone (no simulator): whatever
 //!    the submissions, finishes and progress, every live standing query is
-//!    named often enough for its lease, by one timer chain;
-//! 2. the protocol on a 12-node cluster: one tree broadcast per proxy per
-//!    round and nothing else, churn repair through one pull per proxy,
-//!    lapse by silence when a proxy stops;
+//!    named often enough for its lease, by one timer chain — or by a
+//!    submission that takes the round early, only inside the window the
+//!    backoff draws from;
+//! 2. the protocol on a cluster: one tree broadcast per proxy per round,
+//!    reaching every other node once in n − 1 messages, and nothing else;
+//!    a round riding a plan submitted inside its window; churn repair
+//!    through one pull per proxy; lapse by silence when a proxy stops;
 //! 3. the result path: a root tick sends at most one message per (proxy,
 //!    window) — one chunk its members' runs partition, the window's bounds
 //!    in the header only — and bundling is invisible in what tenants
@@ -19,10 +22,10 @@
 //! The cluster tests watch the wire through [`Tap`], a node program that
 //! wraps a `PierNode` and journals what each handler invocation sends.
 
-use pier::dht::{make_ring_refs, DhtMessage, Id, NodeRef};
+use pier::dht::{make_ring_refs, BroadcastId, DhtMessage, Id, NodeRef};
 use pier::qp::{
     sqlish, CqSpec, Dissemination, PierConfig, PierMsg, PierNode, PierOut, PierTimer, Proxy,
-    QpObject, QueryPlan, TelemetryConfig, Tuple, Value, WindowBundle,
+    QpObject, QueryPlan, RenewalRound, TelemetryConfig, Tuple, Value, WindowBundle,
 };
 use pier::runtime::{Action, Context, NodeAddr, Program, Rng64, SimConfig, SimTime, Simulator};
 use proptest::prelude::*;
@@ -79,12 +82,69 @@ fn one_row(proxy: &mut Proxy, query_id: u64) -> usize {
     outs.expect("well-formed").len()
 }
 
+/// The ceiling `d` a round's delay was drawn under (uniform in `[d/2, d)`):
+/// the tightest live query's bounds, `attempt` escalations up.
+fn ceiling(live: &BTreeMap<u64, Live>, attempt: u32) -> u64 {
+    let base = live.values().map(|q| q.renew_every).min();
+    let cap = live.values().map(Live::max_gap).min();
+    let base = base.expect("a round names a standing query");
+    let factor = 1u64.checked_shl(attempt).unwrap_or(u64::MAX);
+    base.saturating_mul(factor)
+        .min(cap.expect("and so bounds it"))
+}
+
+/// What every round, timer-driven or riding a plan, must hold: it names
+/// exactly the live queries — the broadcast ones on its ascending roster,
+/// the others re-sent with their remaining lifetime — each inside its
+/// lease since it was last named.
+fn check_round(
+    round: &RenewalRound,
+    now: SimTime,
+    live: &mut BTreeMap<u64, Live>,
+    proxy: &Proxy,
+) -> Result<(), TestCaseError> {
+    prop_assert!(
+        round.roster.windows(2).all(|w| w[0] < w[1]),
+        "ascending, duplicate-free: {:?}",
+        round.roster
+    );
+    let named: BTreeSet<u64> = round.roster.iter().copied().collect();
+    let resent: BTreeMap<u64, &QueryPlan> = round.resend.iter().map(|p| (p.query_id, p)).collect();
+    prop_assert_eq!(resent.len(), round.resend.len());
+    prop_assert_eq!(
+        named.len() + resent.len(),
+        live.len(),
+        "only the live are named"
+    );
+    for (id, q) in live.iter_mut() {
+        prop_assert_eq!(named.contains(id), !q.keyed, "query {}", id);
+        if let Some(plan) = resent.get(id) {
+            prop_assert_eq!(plan.timeout, q.ends_at - now, "the remaining lifetime");
+        }
+        prop_assert!(
+            now - q.named_at < q.max_gap(),
+            "query {id} (renew {}) went {} unnamed",
+            q.renew_every,
+            now - q.named_at
+        );
+        q.named_at = now;
+    }
+    // A pull is served with the remaining lifetime, too.
+    for plan in proxy.plans_for(&round.roster, now) {
+        prop_assert_eq!(plan.timeout, live[&plan.query_id].ends_at - now);
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Drive a `Proxy` the way the runtime does — timers are never
     /// cancelled, every one ever armed fires — through random submissions
-    /// and finishes with arbitrary per-round progress.
+    /// and finishes with arbitrary per-round progress.  A broadcast
+    /// submission offers to take the pending round with it: taken exactly
+    /// when the instant lies in `[last round + d/2, due)`, so the gap it
+    /// leaves is one the backoff could have drawn.
     #[test]
     fn every_live_standing_query_is_named_inside_its_lease(
         submissions in proptest::collection::vec(
@@ -108,6 +168,8 @@ proptest! {
         }
         submits.reverse();
         let mut rounds = 0usize;
+        // The last round's instant and the ceiling its delay was drawn under.
+        let mut last: Option<(SimTime, u64)> = None;
         loop {
             // The earliest of: next finish, next submission, next timer.
             let submit_at = submits.last().map(|s| s.0);
@@ -131,6 +193,9 @@ proptest! {
                     !live.is_empty(),
                     "the clock is armed exactly while a standing query lives"
                 );
+                if live.is_empty() {
+                    last = None;
+                }
             } else if submit_at == Some(now) {
                 let (_, id, renew_every, life, keyed) = submits.pop().expect("checked");
                 let was_due = proxy.next_round_at();
@@ -145,12 +210,27 @@ proptest! {
                     }
                     None => prop_assert_eq!(Some(due), was_due),
                 }
-                // Its stream has started: from here on, progress is what
-                // the rounds below say it is.
-                prop_assert_eq!(one_row(&mut proxy, id), 1);
                 let named_at = now;
                 let ends_at = now + life;
                 live.insert(id, Live { renew_every, ends_at, keyed, named_at });
+                // A broadcast plan offers the pending round a ride.
+                let open = last.is_some_and(|(at, d)| now >= at + d / 2 && now < due);
+                let ride = if keyed { None } else { proxy.open_round(now, &mut rng) };
+                prop_assert_eq!(ride.is_some(), open && !keyed, "rides exactly inside the window");
+                if let Some(round) = ride {
+                    let delay = round.next_delay.expect("a ride is a round");
+                    rounds += 1;
+                    prop_assert_eq!(proxy.next_round_at(), Some(now + delay));
+                    timers.push(now + delay);
+                    check_round(&round, now, &mut live, &proxy)?;
+                    prop_assert!(round.roster.contains(&id), "the plan's query on its roster");
+                    let d = ceiling(&live, round.attempt);
+                    prop_assert!((d / 2..d).contains(&delay), "{delay} drawn from [d/2, d)");
+                    last = Some((now, d));
+                }
+                // Its stream has started: from here on, progress is what
+                // the rounds below say it is.
+                prop_assert_eq!(one_row(&mut proxy, id), 1);
             } else {
                 let at = timers.iter().position(|t| *t == now).expect("checked");
                 timers.swap_remove(at);
@@ -173,30 +253,10 @@ proptest! {
                 prop_assert_eq!(due, Some(now), "only the due timer runs a round");
                 prop_assert_eq!(proxy.next_round_at(), Some(now + delay));
                 timers.push(now + delay);
-                prop_assert!(
-                    round.roster.windows(2).all(|w| w[0] < w[1]),
-                    "ascending, duplicate-free: {:?}", round.roster
-                );
-                let named: BTreeSet<u64> = round.roster.iter().copied().collect();
-                let resent: BTreeMap<u64, &QueryPlan> =
-                    round.resend.iter().map(|p| (p.query_id, p)).collect();
-                prop_assert_eq!(resent.len(), round.resend.len());
-                prop_assert_eq!(named.len() + resent.len(), live.len(), "only the live are named");
-                for (id, q) in &mut live {
-                    prop_assert_eq!(named.contains(id), !q.keyed, "query {}", id);
-                    if let Some(plan) = resent.get(id) {
-                        prop_assert_eq!(plan.timeout, q.ends_at - now, "the remaining lifetime");
-                    }
-                    prop_assert!(
-                        now - q.named_at < q.max_gap(),
-                        "query {id} (renew {}) went {} unnamed", q.renew_every, now - q.named_at
-                    );
-                    q.named_at = now;
-                }
-                // A pull is served with the remaining lifetime, too.
-                for plan in proxy.plans_for(&round.roster, now) {
-                    prop_assert_eq!(plan.timeout, live[&plan.query_id].ends_at - now);
-                }
+                check_round(&round, now, &mut live, &proxy)?;
+                let d = ceiling(&live, round.attempt);
+                prop_assert!((d / 2..d).contains(&delay), "{delay} drawn from [d/2, d), d = {d}");
+                last = Some((now, d));
             }
         }
         prop_assert!(proxy.is_empty() && proxy.next_round_at().is_none());
@@ -227,14 +287,15 @@ fn an_id_submitted_again_starts_over() {
 /// What the tests want to know about a message.
 #[derive(Debug, Clone, PartialEq)]
 enum Wire {
-    /// A tree broadcast hop carrying a whole plan.
+    /// A tree broadcast hop carrying a whole plan alone.
     TreePlan,
-    /// A tree broadcast hop carrying `proxy`'s roster; `depth` is `None` on
-    /// the way up, the depth below the root on the way down.
+    /// A hop of broadcast `id` carrying `proxy`'s roster, and the plan the
+    /// round rides on, if it does.
     TreeRoster {
+        id: BroadcastId,
         proxy: NodeAddr,
         queries: Vec<u64>,
-        depth: Option<u32>,
+        ride: Option<u64>,
     },
     PlanRequest(Vec<u64>),
     Plans(Vec<u64>),
@@ -245,20 +306,25 @@ enum Wire {
 }
 
 fn classify(msg: &PierMsg) -> Option<Wire> {
-    let tree = |payload: &QpObject, depth: Option<u32>| match payload {
+    let tree = |id: &BroadcastId, payload: &QpObject| match payload {
         QpObject::Plan(_) => Some(Wire::TreePlan),
-        QpObject::Renew { proxy, queries } => Some(Wire::TreeRoster {
+        QpObject::Renew {
+            proxy,
+            queries,
+            plan,
+        } => Some(Wire::TreeRoster {
+            id: *id,
             proxy: *proxy,
             queries: queries.clone(),
-            depth,
+            ride: plan.as_ref().map(|p| p.query_id),
         }),
         _ => None,
     };
     match msg {
-        PierMsg::Dht(DhtMessage::TreeBroadcastUp { payload, .. }) => tree(payload, None),
-        PierMsg::Dht(DhtMessage::TreeBroadcastDown { payload, depth, .. }) => {
-            tree(payload, Some(*depth))
-        }
+        PierMsg::Dht(
+            DhtMessage::TreeBroadcastUp { id, payload }
+            | DhtMessage::TreeBroadcastDown { id, payload },
+        ) => tree(id, payload),
         PierMsg::PlanRequest { queries } => Some(Wire::PlanRequest(queries.clone())),
         PierMsg::Plans { plans } => Some(Wire::Plans(plans.iter().map(|p| p.query_id).collect())),
         PierMsg::WindowResults {
@@ -485,52 +551,142 @@ fn one_tree_broadcast_per_proxy_per_round_keeps_every_lease_live() {
         "renewal puts rosters on the wire and nothing else — no plan, no pull"
     );
     for (proxy, ids) in &owned {
-        let of_proxy =
-            |s: &&Sent| matches!(&s.wire, Wire::TreeRoster { proxy: p, .. } if p == proxy);
-        let hops: Vec<&Sent> = sent.iter().filter(of_proxy).collect();
-        // A round starts in the proxy's timer handler, once.
-        let origins: BTreeMap<u64, SimTime> = hops
-            .iter()
-            .filter(|s| s.on_timer && s.from == *proxy)
-            .map(|s| (s.invocation, s.at))
-            .collect();
-        let rounds = cluster.counter(*proxy, "cq.roster_rounds") as usize;
-        assert_eq!(origins.len(), rounds, "one broadcast per round of {proxy}");
-        assert!(
-            (10..=20).contains(&rounds),
-            "{rounds} rounds in ten periods"
+        let rounds = rounds_of(&sent, *proxy);
+        assert_eq!(
+            rounds.len(),
+            cluster.counter(*proxy, "cq.roster_rounds") as usize,
+            "one broadcast per round of {proxy}"
         );
-        let starts: Vec<SimTime> = origins.values().copied().collect();
-        for gap in starts.windows(2).map(|w| w[1] - w[0]) {
-            assert!((5 * SEC / 2..5 * SEC).contains(&gap), "gap {gap}");
-        }
-        // Every roster names exactly the proxy's queries, ascending…
-        for hop in &hops {
-            let Wire::TreeRoster { queries, .. } = &hop.wire else {
-                unreachable!()
-            };
-            assert_eq!(queries, ids, "{proxy}'s roster");
-            assert!(queries.windows(2).all(|w| w[0] < w[1]));
-        }
-        // …and reaches every node below the root exactly once per round
-        // (rounds still in flight at the cut are left out).
-        for (i, start) in starts.iter().enumerate() {
-            if *start + SEC > begin + 50 * SEC {
-                continue;
+        assert!(
+            (10..=20).contains(&rounds.len()),
+            "{} rounds in ten periods",
+            rounds.len()
+        );
+        assert_gaps_inside_the_draw(&rounds, 5 * SEC);
+        for round in rounds.values() {
+            // A round starts in the proxy's timer handler, …
+            assert!(round[0].on_timer, "{proxy}'s round starts on its timer");
+            // …every roster names exactly the proxy's queries, ascending…
+            for hop in round {
+                let Wire::TreeRoster { queries, ride, .. } = &hop.wire else {
+                    unreachable!()
+                };
+                assert_eq!(queries, ids, "{proxy}'s roster");
+                assert!(queries.windows(2).all(|w| w[0] < w[1]));
+                assert_eq!(*ride, None, "no submission, no ride");
             }
-            let until = starts.get(i + 1).copied().unwrap_or(SimTime::MAX);
-            let mut reached: Vec<NodeAddr> = hops
-                .iter()
-                .filter(|s| s.at >= *start && s.at < until)
-                .filter(|s| matches!(s.wire, Wire::TreeRoster { depth: Some(_), .. }))
-                .map(|s| s.to)
-                .collect();
-            reached.sort();
-            let before = reached.len();
-            reached.dedup();
-            assert_eq!(before, reached.len(), "a node got one round twice");
-            assert_eq!(reached.len(), nodes.len() - 1, "round at {start}");
+            // …and reaches every other node once (rounds still in flight
+            // at the cut are left out).
+            if round[0].at + SEC <= begin + 50 * SEC {
+                assert_reaches_every_other_node_once(round, *proxy, &nodes);
+            }
         }
+    }
+}
+
+#[test]
+fn a_submission_inside_the_open_window_carries_the_round() {
+    let mut cluster = TapCluster::start(8, seeded(0x25), PierConfig::default());
+    let proxy = cluster.refs[0].addr;
+    let sql = "SELECT src, COUNT(*) FROM packets GROUP BY src WINDOW 2s SLIDE 1s EVERY 5s";
+    let plan = || sqlish::compile(sql, proxy, 400 * SEC).expect("compiles");
+    let mut ids: Vec<u64> = (0..2).map(|_| cluster.submit(proxy, plan())).collect();
+    cluster.sim.run_for(SEC);
+    cluster.clear();
+    let rounds_before = cluster.counter(proxy, "cq.roster_rounds");
+    // Half a ceiling (2.5 s) after a round, with the next one not started
+    // yet, the round is open: a submission then takes it along.
+    let rider = loop {
+        cluster.sim.run_for(SEC / 10);
+        let now = cluster.sim.now();
+        assert!(now < 60 * SEC, "never landed inside an open window");
+        let sent = cluster.sent();
+        let last = rounds_of(&sent, proxy)
+            .values()
+            .last()
+            .map(|hops| hops[0].at);
+        if last.is_some_and(|at| now >= at + 5 * SEC / 2) {
+            break cluster.submit(proxy, plan());
+        }
+    };
+    ids.push(rider);
+    cluster.sim.run_for(12 * SEC);
+
+    let sent = cluster.sent();
+    assert!(
+        !sent.iter().any(|s| s.wire == Wire::TreePlan),
+        "the plan travels with the roster, not alone"
+    );
+    let rounds = rounds_of(&sent, proxy);
+    assert_eq!(
+        rounds.len() as u64,
+        cluster.counter(proxy, "cq.roster_rounds") - rounds_before
+    );
+    assert_eq!(cluster.counter(proxy, "cq.roster_rides"), 1);
+    let rides: Vec<&Vec<&Sent>> = rounds
+        .values()
+        .filter(|hops| {
+            hops.iter()
+                .all(|s| matches!(s.wire, Wire::TreeRoster { ride: Some(q), .. } if q == rider))
+        })
+        .collect();
+    let [ride] = rides[..] else {
+        panic!("one round rides the plan, whole: {rides:?}");
+    };
+    assert!(!ride[0].on_timer, "the round left with the submission");
+    let Wire::TreeRoster { queries, .. } = &ride[0].wire else {
+        unreachable!()
+    };
+    assert_eq!(queries, &ids, "the roster names the riding plan too");
+    let nodes = cluster.sim.alive_nodes();
+    assert_reaches_every_other_node_once(ride, proxy, &nodes);
+    // The timer armed for the round's old instant sends nothing: no
+    // roster-only broadcast follows for that round.
+    assert_gaps_inside_the_draw(&rounds, 5 * SEC);
+    for addr in &nodes {
+        assert_eq!(cluster.node(*addr).installed_queries(), 3, "{addr}");
+        assert_eq!(
+            cluster.counter(*addr, "cq.plan_pulls"),
+            0,
+            "{addr} read the roster before installing the plan"
+        );
+    }
+}
+
+/// `proxy`'s roster rounds in `sent`: every hop of each, by broadcast, in
+/// the order sent.
+fn rounds_of(sent: &[Sent], proxy: NodeAddr) -> BTreeMap<BroadcastId, Vec<&Sent>> {
+    let mut rounds: BTreeMap<BroadcastId, Vec<&Sent>> = BTreeMap::new();
+    for s in sent {
+        if let Wire::TreeRoster { id, proxy: p, .. } = &s.wire {
+            if *p == proxy {
+                assert_eq!(id.origin, proxy, "a roster leaves from its proxy");
+                rounds.entry(*id).or_default().push(s);
+            }
+        }
+    }
+    rounds
+}
+
+/// One broadcast crosses the tree in n − 1 messages: every node but its
+/// origin receives it exactly once.
+fn assert_reaches_every_other_node_once(hops: &[&Sent], origin: NodeAddr, nodes: &[NodeAddr]) {
+    let mut reached: Vec<NodeAddr> = hops.iter().map(|s| s.to).collect();
+    reached.sort();
+    let expected: Vec<NodeAddr> = nodes.iter().copied().filter(|n| *n != origin).collect();
+    assert_eq!(
+        reached, expected,
+        "broadcast from {origin} at {}",
+        hops[0].at
+    );
+}
+
+/// Consecutive rounds are `[d/2, d)` apart: a ride leaves a gap the
+/// backoff could have drawn, and nothing else starts a round.
+fn assert_gaps_inside_the_draw(rounds: &BTreeMap<BroadcastId, Vec<&Sent>>, d: SimTime) {
+    let starts: Vec<SimTime> = rounds.values().map(|hops| hops[0].at).collect();
+    for gap in starts.windows(2).map(|w| w[1] - w[0]) {
+        assert!((d / 2..d).contains(&gap), "gap {gap}");
     }
 }
 
