@@ -39,7 +39,10 @@ pub const TREE_CHILD_LIFETIME: Duration = 30_000_000;
 pub struct BroadcastId {
     /// The originating node.
     pub origin: NodeAddr,
-    /// The origin's count of broadcasts, this one included.
+    /// The origin's sequence number for it: increasing, and never behind
+    /// the origin's clock, so a restarted node, whose count starts over,
+    /// does not reuse a number its previous life broadcast under while
+    /// other nodes may still remember it.
     pub seq: u64,
 }
 
@@ -69,7 +72,8 @@ pub struct DistributionTree {
     children: BTreeMap<NodeAddr, SimTime>,
     /// Broadcast → expiry of the entry.
     seen: BTreeMap<BroadcastId, SimTime>,
-    next_seq: u64,
+    /// The sequence number of this node's latest broadcast.
+    last_seq: u64,
 }
 
 impl DistributionTree {
@@ -79,7 +83,7 @@ impl DistributionTree {
             me,
             children: BTreeMap::new(),
             seen: BTreeMap::new(),
-            next_seq: 0,
+            last_seq: 0,
         }
     }
 
@@ -112,10 +116,10 @@ impl DistributionTree {
         parent: Option<NodeAddr>,
         now: SimTime,
     ) -> (BroadcastId, Vec<(NodeAddr, Direction)>) {
-        self.next_seq += 1;
+        self.last_seq = (self.last_seq + 1).max(now);
         let id = BroadcastId {
             origin: self.me,
-            seq: self.next_seq,
+            seq: self.last_seq,
         };
         self.seen.insert(id, now + TREE_CHILD_LIFETIME);
         (id, self.hops(parent, None, Direction::Up, now))
@@ -214,6 +218,21 @@ mod tests {
         assert_eq!(tree.seen.len(), 1);
         tree.expire(TREE_CHILD_LIFETIME + 6);
         assert!(tree.seen.is_empty());
+    }
+
+    #[test]
+    fn a_restarted_origin_does_not_reuse_a_sequence_number() {
+        let mut peer = DistributionTree::new(NodeAddr(2));
+        let (first, _) = DistributionTree::new(NodeAddr(1)).originate(None, 1_000);
+        assert!(peer
+            .receive(first, NodeAddr(1), Direction::Up, None, 1_000)
+            .is_some());
+        // Node 1 restarts with fresh state a second later, while node 2
+        // still remembers its first broadcast.
+        let (second, _) = DistributionTree::new(NodeAddr(1)).originate(None, 1_001_000);
+        assert_ne!(first, second);
+        let hops = peer.receive(second, NodeAddr(1), Direction::Up, None, 1_001_000);
+        assert!(hops.is_some(), "a new broadcast is delivered");
     }
 
     #[test]

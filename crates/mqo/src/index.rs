@@ -32,7 +32,9 @@
 use crate::mask::SelMask;
 use pier_core::tuple::{ColumnChunk, Schema};
 use pier_core::{CmpOp, Column, CompiledPredicate, Expr, Value, ValueRef};
+use std::borrow::Borrow;
 use std::collections::HashMap;
+use std::hash::Hash;
 use std::sync::Arc;
 
 /// 2^53: strictly below this magnitude, `f64` represents every integer
@@ -196,11 +198,26 @@ fn eq_scan_row(kernel: &ColumnKernel, scratch: &mut [SelMask], r: usize, v: Valu
 /// The member slot of an equality entry whose member was removed.
 const RETIRED: u32 = u32::MAX;
 
+/// Keep only the `live` entries under `key`, and the key only while some
+/// remain.
+fn prune<K, Q>(map: &mut HashMap<K, Vec<u32>>, key: &Q, live: impl Fn(&u32) -> bool)
+where
+    K: Borrow<Q> + Hash + Eq,
+    Q: Hash + Eq + ?Sized,
+{
+    if let Some(entries) = map.get_mut(key) {
+        entries.retain(live);
+        if entries.is_empty() {
+            map.remove(key);
+        }
+    }
+}
+
 /// The index compiled against one interned schema (single-entry cache,
 /// pointer-keyed like every per-schema cache in `pier-core`).  Membership
 /// changes edit it in place: a new member's atoms are appended, a removed
-/// member's equality entries are retired (their scratch masks still fill,
-/// nobody reads them) and its other references dropped.
+/// member's equality entries are retired (their ids wait for the next
+/// member's atoms) and its references dropped from every kernel.
 #[derive(Debug)]
 struct CompiledIndex {
     schema: Arc<Schema>,
@@ -215,8 +232,8 @@ struct CompiledIndex {
     atom_slots: Vec<u32>,
     /// Equality entry → member slot ([`RETIRED`] once its member left).
     entry_slot: Vec<u32>,
-    /// Retired entries in `entry_slot`.
-    retired: usize,
+    /// The retired entries, which the next equality atoms reuse.
+    retired: Vec<u32>,
 }
 
 impl CompiledIndex {
@@ -230,7 +247,7 @@ impl CompiledIndex {
             fallback: Vec::new(),
             atom_slots: Vec::new(),
             entry_slot: Vec::new(),
-            retired: 0,
+            retired: Vec::new(),
         };
         for (slot, member) in members.iter().enumerate() {
             compiled.add(slot as u32, member);
@@ -266,8 +283,16 @@ impl CompiledIndex {
             };
             let kernel = &mut self.kernels[at];
             if atom.op == CmpOp::Eq {
-                let entry = self.entry_slot.len() as u32;
-                self.entry_slot.push(slot);
+                let entry = match self.retired.pop() {
+                    Some(entry) => {
+                        self.entry_slot[entry as usize] = slot;
+                        entry
+                    }
+                    None => {
+                        self.entry_slot.push(slot);
+                        self.entry_slot.len() as u32 - 1
+                    }
+                };
                 kernel.entries.push(entry);
                 match &atom.constant {
                     Value::Int(i) => kernel.int_eq.entry(*i).or_default().push(entry),
@@ -283,10 +308,10 @@ impl CompiledIndex {
         }
     }
 
-    /// The member in `slot` was removed and `swap_remove` moved the member
-    /// from slot `moved` into it (`moved == slot`: the removed member was
-    /// the last one).
-    fn remove(&mut self, slot: u32, moved: u32) {
+    /// `removed`, the member in `slot`, left and `swap_remove` moved the
+    /// member from slot `moved` into it (`moved == slot`: the removed
+    /// member was the last one).
+    fn remove(&mut self, slot: u32, moved: u32, removed: &IndexedMember) {
         let renumber = |s: &mut u32| {
             if *s == moved {
                 *s = slot;
@@ -300,23 +325,44 @@ impl CompiledIndex {
             list.retain(|s| *s != slot);
             list.iter_mut().for_each(renumber);
         }
+        for (entry, s) in self.entry_slot.iter_mut().enumerate() {
+            if *s == slot {
+                *s = RETIRED;
+                self.retired.push(entry as u32);
+            } else {
+                renumber(s);
+            }
+        }
+        // No kernel looks a retired entry up or reads its scratch mask.
+        let entry_slot = &self.entry_slot;
+        let live = |e: &u32| entry_slot[*e as usize] != RETIRED;
         for kernel in &mut self.kernels {
             kernel.cmps.retain(|c| c.2 != slot);
             kernel.cmps.iter_mut().for_each(|c| renumber(&mut c.2));
+            kernel.entries.retain(live);
+            kernel.float_eq.retain(|(e, _)| live(e));
+            kernel.misc_eq.retain(|(e, _)| live(e));
         }
-        for s in &mut self.entry_slot {
-            if *s == slot {
-                *s = RETIRED;
-                self.retired += 1;
-            } else {
-                renumber(s);
+        // The hash kernels hold its entries under its own constants.
+        let atoms = removed.atoms.iter().flatten();
+        for atom in atoms.filter(|a| a.op == CmpOp::Eq) {
+            let Some(col) = self.schema.position(&atom.column) else {
+                continue;
+            };
+            let Some(kernel) = self.kernels.iter_mut().find(|k| k.col == col) else {
+                continue;
+            };
+            match &atom.constant {
+                Value::Int(i) => prune(&mut kernel.int_eq, i, live),
+                Value::Str(s) => prune(&mut kernel.str_eq, s.as_ref(), live),
+                _ => {}
             }
         }
     }
 
     /// More retired equality entries than live ones: time to rebuild.
     fn mostly_retired(&self) -> bool {
-        self.retired > self.entry_slot.len() - self.retired
+        self.retired.len() > self.entry_slot.len() - self.retired.len()
     }
 }
 
@@ -381,7 +427,7 @@ impl PredicateIndex {
         let Some(slot) = self.by_id.remove(&id) else {
             return false;
         };
-        self.members.swap_remove(slot);
+        let removed = self.members.swap_remove(slot);
         // The old last slot, whose member now sits in `slot` (`slot`
         // itself when the removed member was the last).
         let moved = self.members.len();
@@ -389,7 +435,7 @@ impl PredicateIndex {
             self.by_id.insert(self.members[slot].id, slot);
         }
         if let Some(compiled) = self.compiled.as_mut() {
-            compiled.remove(slot as u32, moved as u32);
+            compiled.remove(slot as u32, moved as u32, &removed);
             if compiled.mostly_retired() {
                 self.compiled = None;
             }
@@ -540,9 +586,7 @@ impl PredicateIndex {
         for kernel in &compiled.kernels {
             for &entry in &kernel.entries {
                 let slot = compiled.entry_slot[entry as usize];
-                if slot != RETIRED {
-                    self.masks[slot as usize].and_assign(&self.scratch[entry as usize]);
-                }
+                self.masks[slot as usize].and_assign(&self.scratch[entry as usize]);
             }
         }
         self.union.reset(rows, false);
@@ -753,19 +797,24 @@ mod tests {
                 .as_ref()
                 .is_some_and(|c| Arc::ptr_eq(&c.schema, &schema))
         };
-        // Member 3 moves into slot 0; member 4 is appended.
+        // Member 3 moves into slot 0; member 4 is appended on the entry
+        // member 0 retired.
         assert!(index.remove(0));
         assert!(index.insert(4, pred(4)));
         assert!(kept(&index), "edited, not dropped");
+        let entries = |index: &PredicateIndex| index.compiled.as_ref().map(|c| c.entry_slot.len());
+        assert_eq!(entries(&index), Some(4));
         assert_masks_match(&mut index, &live(&[1, 2, 3, 4]), rows.clone());
-        // Three live entries and two retired: still in place.  A third
-        // retirement outnumbers the two live ones and the index rebuilds.
+        // As many retired entries as live ones: still in place.  A third
+        // retirement outnumbers the one live entry and the index rebuilds.
         assert!(index.remove(1));
-        assert!(kept(&index));
         assert!(index.remove(2));
+        assert!(kept(&index));
+        assert_masks_match(&mut index, &live(&[3, 4]), rows.clone());
+        assert!(index.remove(3));
         assert!(index.compiled.is_none(), "mostly retired: rebuilt");
-        assert_masks_match(&mut index, &live(&[3, 4]), rows);
-        assert_eq!(index.compiled.as_ref().map(|c| c.retired), Some(0));
+        assert_masks_match(&mut index, &live(&[4]), rows);
+        assert_eq!(entries(&index), Some(1));
     }
 
     #[test]

@@ -245,6 +245,10 @@ proptest! {
         prop_assert_eq!(layer.stats().groups, 0);
         prop_assert_eq!(layer.stats().members, 0);
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// The index is edited in place on membership changes: any interleaving
     /// of inserts, removes and chunk evaluations — through retired entries,
@@ -267,15 +271,18 @@ proptest! {
         };
         for (kind, atoms, pick) in ops {
             match kind {
-                // Insert: a conjunction of atoms, now and then a
+                // Insert: a conjunction of atoms, a lone atom, or a
                 // disjunction the fallback path serves.
                 0..=6 => {
-                    let mut atoms = atoms.iter().map(|(c, o, k)| decode_atom(*c, *o, *k));
+                    // Half the atoms are equalities: retired entries and
+                    // their reuse are what this exercises.
+                    let eq = |o: u8| if o < 4 { 0 } else { o };
+                    let mut atoms = atoms.iter().map(|(c, o, k)| decode_atom(*c, eq(*o), *k));
                     let first = atoms.next().expect("one atom or more");
-                    let predicate = if pick % 5 == 0 {
-                        Expr::Or(Box::new(first), Box::new(decode_atom(pick, 0, pick)))
-                    } else {
-                        Expr::all(std::iter::once(first).chain(atoms).collect())
+                    let predicate = match pick % 4 {
+                        0 => Expr::Or(Box::new(first), Box::new(decode_atom(pick, 0, pick))),
+                        1 => first,
+                        _ => Expr::all(std::iter::once(first).chain(atoms).collect()),
                     };
                     next_id += 1;
                     prop_assert!(index.insert(next_id, predicate.clone()));
