@@ -24,7 +24,8 @@
 //! equivalence and property tests pin.
 //!
 //! The kernels are compiled once per schema and then edited as members
-//! come and go: an insert appends its atoms, a remove retires its equality
+//! come and go: an insert appends its atoms (its equality atoms taking the
+//! entries removed members retired, if any), a remove retires its equality
 //! entries and renumbers the slot `swap_remove` moved.  A membership change
 //! therefore costs its own atoms, not a rebuild for every member; the index
 //! rebuilds only when retired entries outnumber live ones.
