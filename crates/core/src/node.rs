@@ -819,46 +819,41 @@ impl PierNode {
                     }
                 }
             }
-            OverlayEvent::Upcall {
-                token,
-                object,
-                trace,
-                ..
-            } => {
+            OverlayEvent::Upcall(routed) => {
                 // Hierarchical aggregation: intercept partials travelling up
                 // the tree, fold them into our own buffered partials, and
-                // drop the original message (§3.3.4).  Closed-window partials
-                // combine the same way en route to their engine's window
-                // root, a chunk at a time.
+                // consume the original message (§3.3.4).  Closed-window
+                // partials combine the same way en route to their engine's
+                // window root, a chunk at a time.
                 let now = ctx.now();
                 // Sampled senders get the §3.2.4 upcall offer recorded as a
                 // `window.upcall` span; anything this node re-ships (refused
                 // partials) parents to it via a fresh child context.
-                let upcall_ctx = match trace {
+                let upcall_ctx = match routed.trace {
                     Some(t) if self.tel.is_enabled() => {
-                        let rows = object.value.tuple_count() as u64;
+                        let rows = routed.value.tuple_count() as u64;
                         let span = self.span(now, t, "window.upcall", [rows, 0, 0]);
                         self.last_combine_span.insert(t.query_id, span.span_id);
                         Some(span)
                     }
                     _ => None,
                 };
-                let partials = object.value.tuple_count();
+                let partials = routed.value.tuple_count();
                 if partials > 0 {
                     if let Some(&NamespaceRoute::AggPartials(query_id)) =
-                        self.routes.get(&object.name.namespace)
+                        self.routes.get(&routed.name.namespace)
                     {
                         let mut absorbed = false;
-                        for partial in object.value.iter_tuples() {
+                        for partial in routed.value.iter_tuples() {
                             absorbed |= self.exec.absorb_partial(query_id, &partial);
                         }
                         if absorbed {
-                            return self.overlay.resume_upcall(token, false, now);
+                            return Vec::new();
                         }
                     } else {
-                        let chunks = object.value.chunks();
+                        let chunks = routed.value.chunks();
                         let absorbed = self
-                            .absorb_window_chunks(&object.name.namespace, &chunks)
+                            .absorb_window_chunks(&routed.name.namespace, &chunks)
                             .filter(|(_, refused)| {
                                 refused.iter().map(Vec::len).sum::<usize>() < partials
                             });
@@ -868,22 +863,21 @@ impl PierNode {
                             // window) must still reach the root — exactly
                             // as an unbatched per-tuple upcall would have
                             // continued routing it.
-                            let mut effects = self.overlay.resume_upcall(token, false, now);
-                            if refused.iter().any(|rows| !rows.is_empty()) {
-                                let refused = chunks
-                                    .iter()
-                                    .zip(&refused)
-                                    .filter(|(_, rows)| !rows.is_empty())
-                                    .map(|(chunk, rows)| chunk.gather(rows))
-                                    .collect();
-                                let shipments = QpObject::shipments(refused, self.config.batching);
-                                effects.extend(self.ship_partials(key, shipments, upcall_ctx, now));
+                            if refused.iter().all(Vec::is_empty) {
+                                return Vec::new();
                             }
-                            return effects;
+                            let refused = chunks
+                                .iter()
+                                .zip(&refused)
+                                .filter(|(_, rows)| !rows.is_empty())
+                                .map(|(chunk, rows)| chunk.gather(rows))
+                                .collect();
+                            let shipments = QpObject::shipments(refused, self.config.batching);
+                            return self.ship_partials(key, shipments, upcall_ctx, now);
                         }
                     }
                 }
-                self.overlay.resume_upcall(token, true, now)
+                self.overlay.forward(routed, now)
             }
             OverlayEvent::Broadcast { payload } => {
                 match payload {

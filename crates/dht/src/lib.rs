@@ -12,7 +12,8 @@
 //!   per-object lifetimes, renewal and garbage collection.
 //!
 //! The [`wrapper`] ties the three together behind the Table-2 API (`get`,
-//! `put`, `send`, `renew`, `localScan`, `newData`, `upcall`) and also
+//! `put`, `send`, `renew`, `localScan`, `newData`, `upcall`), resolving
+//! owners through the arcs earlier answers stated ([`resolver`]), and also
 //! provides the query-dissemination **distribution tree** ([`tree`]),
 //! whose broadcasts flood from their origin.  [`node::DhtNode`] packages
 //! an overlay as a runnable [`pier_runtime::Program`] so the DHT can be
@@ -48,9 +49,10 @@
 //!   entries exactly as it would separate `PutRequest`s.  The framing is
 //!   dictionary-encoded (each distinct namespace charged once per batch),
 //!   mirroring the columnar `TupleBatch` payload above it.
-//! * **Upcalls may consume**: a `send` travelling hop-by-hop offers every
-//!   intermediate node an upcall (§3.2.4); the node either forwards the
-//!   (possibly transformed) object or absorbs it — the mechanism
+//! * **Upcalls may consume**: a `send` travelling hop-by-hop is handed to
+//!   every intermediate node's application by value (§3.2.4,
+//!   [`RoutedObject`]); the node either continues it with
+//!   [`Overlay::forward`] or absorbs it by not doing so — the mechanism
 //!   hierarchical aggregation and window-partial combining are built on.
 //! * **A broadcast costs at most one delivery per node**: it carries an
 //!   identity ([`BroadcastId`]) and every node delivers and forwards it at
@@ -62,12 +64,13 @@ pub mod messages;
 pub mod naming;
 pub mod node;
 pub mod object_manager;
+pub mod resolver;
 pub mod router;
 pub mod tree;
 pub mod wrapper;
 
 pub use id::{hash_str, routing_id, Id};
-pub use messages::DhtMessage;
+pub use messages::{DhtMessage, RoutedObject};
 pub use naming::{ObjectName, PartitionKey};
 pub use node::{make_ring_refs, DhtNode};
 pub use object_manager::{ObjectManager, StoredObject};

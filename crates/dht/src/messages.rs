@@ -122,22 +122,7 @@ pub enum DhtMessage<V> {
     /// A `send`: the object travels hop-by-hop toward the node responsible
     /// for its routing identifier, with an upcall offered at every
     /// intermediate node (§3.2.4, Figure 6).
-    Routed {
-        /// Destination identifier (the object's routing id or an explicit
-        /// target such as an aggregation-tree root).
-        target: Id,
-        /// Full object name.
-        name: ObjectName,
-        /// Payload.
-        value: V,
-        /// Requested soft-state lifetime at the destination, microseconds.
-        lifetime: Duration,
-        /// Hops taken so far.
-        hops: u32,
-        /// Trace context when the sending query is sampled; preserved
-        /// hop-by-hop so the receiving upcall parents correctly.
-        trace: Option<TraceContext>,
-    },
+    Routed(RoutedObject<V>),
     /// Distribution-tree membership: `child` announces itself to its parent
     /// (the first hop on its route toward the tree root).
     TreeJoin {
@@ -164,6 +149,28 @@ pub enum DhtMessage<V> {
         /// Payload being broadcast.
         payload: V,
     },
+}
+
+/// An object on its way, hop by hop, to the node responsible for `target`
+/// ([`DhtMessage::Routed`]); an intermediate node's upcall receives it by
+/// value and continues it with [`Overlay::forward`](crate::Overlay::forward)
+/// or consumes it.
+#[derive(Debug, Clone)]
+pub struct RoutedObject<V> {
+    /// Destination identifier (the object's routing id or an explicit
+    /// target such as an aggregation-tree root).
+    pub target: Id,
+    /// Full object name.
+    pub name: ObjectName,
+    /// Payload.
+    pub value: V,
+    /// Requested soft-state lifetime at the destination, microseconds.
+    pub lifetime: Duration,
+    /// Hops taken so far.
+    pub hops: u32,
+    /// Trace context when the sending query is sampled; preserved
+    /// hop-by-hop so the receiving upcall parents correctly.
+    pub trace: Option<TraceContext>,
 }
 
 impl<V: WireSize> WireSize for DhtMessage<V> {
@@ -214,9 +221,9 @@ impl<V: WireSize> WireSize for DhtMessage<V> {
             }
             DhtMessage::RenewRequest { name, .. } => 1 + name.wire_size() + 8 + 6 + 8,
             DhtMessage::RenewResponse { .. } => 1 + 9,
-            DhtMessage::Routed {
+            DhtMessage::Routed(RoutedObject {
                 name, value, trace, ..
-            } => 1 + 8 + name.wire_size() + value.wire_size() + 8 + 4 + trace_wire_size(trace),
+            }) => 1 + 8 + name.wire_size() + value.wire_size() + 8 + 4 + trace_wire_size(trace),
             DhtMessage::TreeJoin { .. } => 1 + 6 + 8,
             DhtMessage::TreeBroadcastUp { id, payload }
             | DhtMessage::TreeBroadcastDown { id, payload } => {
@@ -305,14 +312,14 @@ mod tests {
             traced.wire_size(),
             untraced.wire_size() + TraceContext::WIRE_BYTES
         );
-        let routed_plain: DhtMessage<u64> = DhtMessage::Routed {
+        let routed_plain: DhtMessage<u64> = DhtMessage::Routed(RoutedObject {
             target: Id(1),
             name: ObjectName::new("ns", "k", 2),
             value: 7,
             lifetime: 60,
             hops: 0,
             trace: None,
-        };
+        });
         let baseline = 1 + 8 + ObjectName::new("ns", "k", 2).wire_size() + 7u64.wire_size() + 8 + 4;
         assert_eq!(routed_plain.wire_size(), baseline);
         // The third carrier: one context per batch, none when untraced.

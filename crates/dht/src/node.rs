@@ -11,6 +11,7 @@ use crate::messages::DhtMessage;
 use crate::wrapper::{Overlay, OverlayConfig, OverlayEffect, OverlayEvent, OverlayTimer};
 use crate::NodeRef;
 use pier_runtime::{NodeAddr, Program, ProgramContext, SimTime, WireSize};
+use std::collections::VecDeque;
 use std::fmt::Debug;
 
 /// A node that runs only the overlay (no query processor).  Every overlay
@@ -22,9 +23,6 @@ pub struct DhtNode<V> {
     bootstrap: Option<NodeAddr>,
     /// Every event observed by this node, in order.
     pub events: Vec<OverlayEvent<V>>,
-    /// When true (the default) upcalls are automatically resumed with
-    /// `continue_routing = true`, i.e. the node behaves as a plain router.
-    pub auto_continue_upcalls: bool,
 }
 
 impl<V: Clone + Debug + WireSize> DhtNode<V> {
@@ -34,7 +32,6 @@ impl<V: Clone + Debug + WireSize> DhtNode<V> {
             overlay: Overlay::with_static_ring(me, all, config),
             bootstrap: None,
             events: Vec::new(),
-            auto_continue_upcalls: true,
         }
     }
 
@@ -44,7 +41,6 @@ impl<V: Clone + Debug + WireSize> DhtNode<V> {
             overlay: Overlay::new(me, config),
             bootstrap,
             events: Vec::new(),
-            auto_continue_upcalls: true,
         }
     }
 
@@ -59,28 +55,22 @@ impl<V: Clone + Debug + WireSize> DhtNode<V> {
         &mut self.overlay
     }
 
-    /// Apply a batch of overlay effects against the runtime context,
-    /// resolving upcalls according to `auto_continue_upcalls`.
+    /// Apply a batch of overlay effects against the runtime context.  The
+    /// node is a plain router: every upcall's object is forwarded.
     pub fn apply(&mut self, ctx: &mut ProgramContext<Self>, effects: Vec<OverlayEffect<V>>) {
-        let mut worklist = effects;
-        while !worklist.is_empty() {
-            let mut next = Vec::new();
-            for effect in worklist {
-                match effect {
-                    OverlayEffect::Send { to, msg } => ctx.send(to, msg),
-                    OverlayEffect::SetTimer { delay, timer } => ctx.set_timer(delay, timer),
-                    OverlayEffect::Event(event) => {
-                        if let OverlayEvent::Upcall { token, .. } = &event {
-                            if self.auto_continue_upcalls {
-                                next.extend(self.overlay.resume_upcall(*token, true, ctx.now()));
-                            }
-                        }
-                        self.events.push(event.clone());
-                        ctx.output(event);
+        let mut queue = VecDeque::from(effects);
+        while let Some(effect) = queue.pop_front() {
+            match effect {
+                OverlayEffect::Send { to, msg } => ctx.send(to, msg),
+                OverlayEffect::SetTimer { delay, timer } => ctx.set_timer(delay, timer),
+                OverlayEffect::Event(event) => {
+                    if let OverlayEvent::Upcall(routed) = &event {
+                        queue.extend(self.overlay.forward(routed.clone(), ctx.now()));
                     }
+                    self.events.push(event.clone());
+                    ctx.output(event);
                 }
             }
-            worklist = next;
         }
     }
 

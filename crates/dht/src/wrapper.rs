@@ -16,27 +16,24 @@
 //!   matching objects).  The receiver checks that it is responsible for the
 //!   identifier and, when it is not, forwards the operation through a
 //!   routed lookup of its own.  The batched forms, `put_batch` and
-//!   `get_batch`, resolve every entry the same way and share one message
-//!   per owner; the receiver checks each entry on its own.
-//! * **send** — the object itself is routed hop-by-hop to the destination in
-//!   a single call; every intermediate node is offered an *upcall* and may
-//!   drop or alter the message (this is what hierarchical aggregation and
-//!   hierarchical joins build on).
+//!   `get_batch`, share one message per owner; the receiver checks each
+//!   entry on its own.
+//! * **send** — the object itself is routed hop-by-hop to the destination.
+//!   Every intermediate node hands it to the application as an *upcall*,
+//!   which continues it with [`Overlay::forward`] — possibly altered — or
+//!   consumes it (hierarchical aggregation and en-route combining).
 //!
-//! The wrapper additionally maintains the **distribution tree** used for
-//! query broadcast (§3.3.3): every node periodically routes a `TreeJoin`
-//! announcement toward a well-known root identifier; the first hop records
-//! the sender as a child and drops the message.  A broadcast floods from
-//! its origin — up to its parent (the next hop toward the root), down to
-//! its children, and on from every node that delivers it — so on a
-//! consistent tree it crosses each edge once.  The tree is soft state,
-//! adapting to membership changes; the broadcast's identity and each node's
-//! seen-set bound the work when that state is stale ([`crate::tree`]).
+//! The wrapper is wiring: the owner cache with the lookups in flight
+//! ([`crate::resolver`]) and the query-broadcast distribution tree
+//! (§3.3.3, [`crate::tree`]) are plain state that takes data in and hands
+//! decisions out; the wrapper asks the router, builds the messages and
+//! keeps the counters.
 
 use crate::id::{hash_str, Id};
-use crate::messages::{DhtMessage, GET_KEYS_MAX};
+use crate::messages::{DhtMessage, RoutedObject, GET_KEYS_MAX};
 use crate::naming::ObjectName;
 use crate::object_manager::{ObjectManager, StoredObject};
+use crate::resolver::{Dropped, Resolution, Resolver};
 use crate::router::{
     NodeRef, Router, RouterConfig, RouterEffect, RouterMessage, STABILIZE_INTERVAL,
 };
@@ -44,7 +41,7 @@ use crate::tree::{BroadcastId, Direction, DistributionTree};
 use pier_runtime::{Duration, NodeAddr, SimTime, WireSize};
 use pier_telemetry::Telemetry;
 use pier_trace::TraceContext;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::fmt::Debug;
 
 /// One entry of a grouped put: object name, value, and its soft-state TTL.
@@ -52,11 +49,6 @@ type PutEntry<V> = (ObjectName, V, Duration);
 
 /// One key of a grouped get and the token its answer comes back under.
 type GetKey = (String, u64);
-
-/// A put parked at this node awaiting the application's upcall verdict:
-/// routing target, object, TTL, hops so far, and the trace context (if the
-/// owning query is sampled) to restore when routing resumes.
-type PendingUpcall<V> = (Id, ObjectName, V, Duration, u32, Option<TraceContext>);
 
 /// Well-known name of the query-dissemination tree root; its hash is the
 /// root identifier hard-coded into every PIER node (§3.3.3).
@@ -126,18 +118,10 @@ pub enum OverlayEvent<V> {
         /// query is sampled.
         trace: Option<TraceContext>,
     },
-    /// A routed object is passing through this node; the application must
-    /// call [`Overlay::resume_upcall`] with the token to continue or drop it.
-    Upcall {
-        /// Token to pass to `resume_upcall`.
-        token: u64,
-        /// The node the message arrived from.
-        from: NodeAddr,
-        /// The in-flight object (name + value + remaining lifetime).
-        object: StoredObject<V>,
-        /// Trace context carried by the routed message, when sampled.
-        trace: Option<TraceContext>,
-    },
+    /// A routed object is passing through this node, handed over by value:
+    /// the application continues it with [`Overlay::forward`] or consumes
+    /// it by not doing so.
+    Upcall(RoutedObject<V>),
     /// A payload broadcast over the distribution tree reached this node.
     Broadcast {
         /// The broadcast payload.
@@ -176,21 +160,18 @@ pub enum OverlayEffect<V> {
 }
 
 /// One inter-node operation on its way to the node responsible for its
-/// routing identifier.  `reply_to`/`request_id` name the node and token the
-/// answer goes back to — this node's own for an operation issued here, the
-/// originator's for one this node is forwarding.
+/// routing identifier.  `reply_to` and the request's token name the node
+/// and token the answer goes back to — this node's own for an operation
+/// issued here, the originator's for one this node is forwarding.
 #[derive(Debug, Clone)]
 enum Op<V> {
     Get {
         namespace: String,
-        key: String,
+        key: GetKey,
         reply_to: NodeAddr,
-        request_id: u64,
     },
     Put {
-        name: ObjectName,
-        value: V,
-        lifetime: Duration,
+        entry: PutEntry<V>,
         trace: Option<TraceContext>,
     },
     Renew {
@@ -204,8 +185,9 @@ enum Op<V> {
 impl<V> Op<V> {
     fn routing_id(&self) -> Id {
         match self {
-            Op::Get { namespace, key, .. } => crate::id::routing_id(namespace, key),
-            Op::Put { name, .. } | Op::Renew { name, .. } => name.routing_id(),
+            Op::Get { namespace, key, .. } => crate::id::routing_id(namespace, &key.0),
+            Op::Put { entry, .. } => entry.0.routing_id(),
+            Op::Renew { name, .. } => name.routing_id(),
         }
     }
 
@@ -216,16 +198,13 @@ impl<V> Op<V> {
                 namespace,
                 key,
                 reply_to,
-                request_id,
             } => DhtMessage::GetRequest {
                 namespace,
-                keys: vec![(key, request_id)],
+                keys: vec![key],
                 reply_to,
             },
             Op::Put {
-                name,
-                value,
-                lifetime,
+                entry: (name, value, lifetime),
                 trace,
             } => DhtMessage::PutRequest {
                 name,
@@ -248,62 +227,24 @@ impl<V> Op<V> {
     }
 }
 
-/// One owner-cache entry: the arc `(start, owner.id]` a peer stated `owner`
-/// is responsible for, when it was learned (TTL anchor) and when it last
-/// resolved an operation (LRU anchor).  Past its TTL the entry stays, to be
-/// refreshed: `refresh` names the one routed lookup re-asking about it.
-#[derive(Debug, Clone, Copy)]
-struct CachedArc {
-    start: Id,
-    owner: NodeRef,
-    cached_at: SimTime,
-    last_used: SimTime,
-    refresh: Option<u64>,
-}
-
-/// What [`Overlay::resolve_arc`] says about an identifier.
-enum Resolution {
-    /// Local routing state or a live cached arc names the owner.
-    Owner(NodeRef),
-    /// Nothing does: a routed lookup.  When the identifier falls into a
-    /// cached arc past its TTL (its end is given), that lookup refreshes the
-    /// arc — or the operation waits behind the one that already does.
-    Unresolved(Option<Id>),
-}
-
-/// A routed lookup in flight.
-#[derive(Debug, Clone)]
-struct PendingLookup<V> {
-    /// The router's membership epoch at issue time: an answer that arrives
-    /// after a membership change still completes its own operations (the
-    /// receiver's responsibility check covers the race) but is NOT admitted
-    /// into the owner cache, so a pre-churn answer cannot re-poison a
-    /// just-cleared cache.
-    epoch: u64,
-    /// Issue time: prices the lookup-latency histogram when the answer
-    /// lands, and ages the lookup out when none does.
-    issued_at: SimTime,
-    /// The operation that waits for the answer (`None`: a raw
-    /// [`Overlay::lookup`]).
-    op: Option<Op<V>>,
-    /// End of the expired arc this lookup refreshes, if any.
-    refreshes: Option<Id>,
-    /// Operations that fell into that arc while the answer was out, in
-    /// arrival order; re-dispatched when it lands.
-    parked: Vec<Op<V>>,
+/// One resolve-and-group pass over a batch of operations: what this node
+/// owns, what goes to each other owner the resolver names (owners in
+/// address order), and what it could not name, with the stale arc each
+/// fell into.
+struct Grouped<T> {
+    local: Vec<T>,
+    remote: BTreeMap<NodeAddr, Vec<T>>,
+    unresolved: Vec<(T, Option<Id>)>,
 }
 
 /// The overlay wrapper: one instance per node.
 #[derive(Debug, Clone)]
 pub struct Overlay<V> {
     me: NodeRef,
-    config: OverlayConfig,
     router: Router,
     objects: ObjectManager<V>,
-    /// Routed lookups in flight, by lookup id — ids are issued in order, so
-    /// the `Expire` sweep walks them oldest first.
-    pending: BTreeMap<u64, PendingLookup<V>>,
-    pending_upcalls: HashMap<u64, PendingUpcall<V>>,
+    /// The owner cache and the lookups in flight.
+    resolver: Resolver<Op<V>>,
     /// Trace context armed by [`Overlay::set_trace`] and consumed by the
     /// next `put`/`put_batch`/`send` issued on this wrapper; it rides
     /// the resulting wire messages so the receiving node can attach its
@@ -311,35 +252,8 @@ pub struct Overlay<V> {
     /// when tracing is off) adds no wire bytes and no behaviour.
     pending_trace: Option<TraceContext>,
     next_request_id: u64,
-    next_upcall_token: u64,
     tree_root: Id,
     tree: DistributionTree,
-    /// The owner cache: arcs of the ring other nodes stated an owner for,
-    /// keyed by the arc's end (the owner's id), so the arc that can cover an
-    /// identifier is the first entry at or clockwise after it.  Fed by every
-    /// lookup answer and `Neighbors` reply the router sees, it stands behind
-    /// [`Router::known_owner`] in the one resolver every `put`, `get`,
-    /// `renew` and `put_batch` goes through, so an arc costs one routed
-    /// lookup per TTL instead of one per operation.  Four bounds keep it
-    /// honest: any *locally visible* membership change — a neighbor
-    /// joining, leaving, or being presumed dead — clears it wholesale via
-    /// `owner_cache_epoch` (the router's membership epoch at fill time); a
-    /// per-entry TTL (the router's liveness timeout) bounds how long an arc
-    /// is trusted when membership changes *outside* the local neighbor
-    /// view (a remote join splitting the arc never bumps our epoch; until
-    /// the TTL runs out the old owner's responsibility check forwards what
-    /// it no longer owns) — past it the arc resolves nothing, the first
-    /// operation into it pays the routed lookup that refreshes it and the
-    /// rest wait for that one answer; an entry is dropped once its owner is
-    /// presumed dead; and [`Overlay::OWNER_CACHE_MAX`] bounds the number of distinct
-    /// owners, evicting the least recently used.  What remains is the loss
-    /// window a lookup answer has anyway: a remote owner that crashed keeps
-    /// being sent to until its entry's TTL runs out.  An arc is only ever
-    /// stated by its owner or by a predecessor the owner just answered a
-    /// probe of, so that is at most a TTL and a round after the crash —
-    /// when the ring itself stops naming the node.
-    owner_cache: BTreeMap<Id, CachedArc>,
-    owner_cache_epoch: u64,
     /// Telemetry handle (empty unless the host attaches one): lookup
     /// hop/latency histograms, owner-cache hit/miss/invalidation counters
     /// and put-/get-batch coalescing counters, all under the `dht.*` prefix.
@@ -351,18 +265,13 @@ impl<V: Clone + Debug + WireSize> Overlay<V> {
     pub fn new(me: NodeRef, config: OverlayConfig) -> Self {
         Overlay {
             me,
-            config,
             router: Router::new(me, config.router),
             objects: ObjectManager::new(MAX_LIFETIME),
-            pending: BTreeMap::new(),
-            pending_upcalls: HashMap::new(),
+            resolver: Resolver::new(me.addr, config.router.liveness_timeout),
             pending_trace: None,
             next_request_id: 0,
-            next_upcall_token: 0,
             tree_root: hash_str(TREE_ROOT_NAME),
             tree: DistributionTree::new(me.addr),
-            owner_cache: BTreeMap::new(),
-            owner_cache_epoch: 0,
             tel: Telemetry::disabled(),
         }
     }
@@ -493,32 +402,17 @@ impl<V: Clone + Debug + WireSize> Overlay<V> {
         keys: Vec<GetKey>,
         now: SimTime,
     ) -> Vec<OverlayEffect<V>> {
-        let mut local = Vec::new();
-        let mut by_owner: BTreeMap<NodeAddr, Vec<GetKey>> = BTreeMap::new();
-        let mut unresolved = Vec::new();
         let total = keys.len() as u64;
-        for (key, request_id) in keys {
-            match self.resolve_arc(crate::id::routing_id(namespace, &key), now) {
-                Resolution::Owner(owner) if owner.addr == self.me.addr => {
-                    local.push((key, request_id));
-                }
-                Resolution::Owner(owner) => {
-                    by_owner
-                        .entry(owner.addr)
-                        .or_default()
-                        .push((key, request_id));
-                }
-                Resolution::Unresolved(stale) => unresolved.push((key, request_id, stale)),
-            }
-        }
+        let id = |(key, _): &GetKey| crate::id::routing_id(namespace, key);
+        let grouped = self.resolve_each(keys, id, now);
         self.tel.inc("dht.get_batch.calls");
         self.tel.add("dht.get_batch.keys", total);
-        self.tel.add("dht.get_batch.local", local.len() as u64);
         self.tel
-            .add("dht.get_batch.unresolved", unresolved.len() as u64);
-        let mut effects = self.answer(namespace, reply_to, local, now);
-        // In destination order, as the puts go.
-        for (to, group) in by_owner {
+            .add("dht.get_batch.local", grouped.local.len() as u64);
+        self.tel
+            .add("dht.get_batch.unresolved", grouped.unresolved.len() as u64);
+        let mut effects = self.answer(namespace, reply_to, grouped.local, now);
+        for (to, group) in grouped.remote {
             let mut group = group.into_iter().peekable();
             while group.peek().is_some() {
                 let keys: Vec<GetKey> = group.by_ref().take(GET_KEYS_MAX).collect();
@@ -534,12 +428,11 @@ impl<V: Clone + Debug + WireSize> Overlay<V> {
                 });
             }
         }
-        for (key, request_id, stale) in unresolved {
+        for (key, stale) in grouped.unresolved {
             let op = Op::Get {
                 namespace: namespace.to_string(),
                 key,
                 reply_to,
-                request_id,
             };
             effects.extend(self.route(op, stale, now));
         }
@@ -601,12 +494,9 @@ impl<V: Clone + Debug + WireSize> Overlay<V> {
         lifetime: Duration,
         now: SimTime,
     ) -> Vec<OverlayEffect<V>> {
-        let trace = self.pending_trace.take();
         let op = Op::Put {
-            name,
-            value,
-            lifetime,
-            trace,
+            entry: (name, value, lifetime),
+            trace: self.pending_trace.take(),
         };
         self.dispatch(op, now)
     }
@@ -615,14 +505,46 @@ impl<V: Clone + Debug + WireSize> Overlay<V> {
     /// identifier, send it in one direct message when the resolver names
     /// another owner, and otherwise [`Overlay::route`] it.
     fn dispatch(&mut self, op: Op<V>, now: SimTime) -> Vec<OverlayEffect<V>> {
-        match self.resolve_arc(op.routing_id(), now) {
-            Resolution::Owner(owner) if owner.addr == self.me.addr => self.serve(op, now),
-            Resolution::Owner(owner) => vec![OverlayEffect::Send {
-                to: owner.addr,
-                msg: op.into_message(),
-            }],
-            Resolution::Unresolved(stale) => self.route(op, stale, now),
+        let grouped = self.resolve_each(vec![op], Op::routing_id, now);
+        let mut effects = Vec::new();
+        for op in grouped.local {
+            effects.extend(self.serve(op, now));
         }
+        for (to, ops) in grouped.remote {
+            let sends = ops.into_iter().map(|op| OverlayEffect::Send {
+                to,
+                msg: op.into_message(),
+            });
+            effects.extend(sends);
+        }
+        for (op, stale) in grouped.unresolved {
+            effects.extend(self.route(op, stale, now));
+        }
+        effects
+    }
+
+    /// The one resolve-and-group pass in front of every inter-node
+    /// operation: each item's identifier goes to the resolver, and the
+    /// item to the group of what it names.
+    fn resolve_each<T>(
+        &mut self,
+        items: Vec<T>,
+        id: impl Fn(&T) -> Id,
+        now: SimTime,
+    ) -> Grouped<T> {
+        let mut grouped = Grouped {
+            local: Vec::new(),
+            remote: BTreeMap::new(),
+            unresolved: Vec::new(),
+        };
+        for item in items {
+            match self.resolve_arc(id(&item), now) {
+                Ok(owner) if owner.addr == self.me.addr => grouped.local.push(item),
+                Ok(owner) => grouped.remote.entry(owner.addr).or_default().push(item),
+                Err(stale) => grouped.unresolved.push((item, stale)),
+            }
+        }
+        grouped
     }
 
     /// Run `op` against the local store and answer whoever asked — with an
@@ -630,18 +552,12 @@ impl<V: Clone + Debug + WireSize> Overlay<V> {
     fn serve(&mut self, op: Op<V>, now: SimTime) -> Vec<OverlayEffect<V>> {
         let me = self.me.addr;
         match op {
-            Op::Put {
-                name,
-                value,
-                lifetime,
-                trace,
-            } => self.store_local_traced(name, value, lifetime, trace, now),
+            Op::Put { entry, trace } => self.store_entry(entry, trace, now),
             Op::Get {
                 namespace,
                 key,
                 reply_to,
-                request_id,
-            } => self.answer(&namespace, reply_to, vec![(key, request_id)], now),
+            } => self.answer(&namespace, reply_to, vec![key], now),
             Op::Renew {
                 name,
                 lifetime,
@@ -679,20 +595,10 @@ impl<V: Clone + Debug + WireSize> Overlay<V> {
         now: SimTime,
     ) -> (u64, Vec<OverlayEffect<V>>) {
         let lookup_id = self.next_request_id();
-        if let Some(arc) = refreshes.and_then(|end| self.owner_cache.get_mut(&end)) {
-            arc.refresh = Some(lookup_id);
+        let epoch = self.router.membership_epoch();
+        if self.resolver.start(lookup_id, op, refreshes, epoch, now) {
             self.tel.inc("dht.owner_cache.refreshes");
         }
-        self.pending.insert(
-            lookup_id,
-            PendingLookup {
-                epoch: self.router.membership_epoch(),
-                issued_at: now,
-                op,
-                refreshes,
-                parked: Vec::new(),
-            },
-        );
         let effects = self.router.lookup(target, lookup_id, now);
         (lookup_id, self.absorb_router_effects(effects, now))
     }
@@ -702,15 +608,13 @@ impl<V: Clone + Debug + WireSize> Overlay<V> {
     /// behind the lookup already refreshing that arc, if there is one (no
     /// message); if not, its own lookup is the refresh.
     fn route(&mut self, op: Op<V>, stale: Option<Id>, now: SimTime) -> Vec<OverlayEffect<V>> {
-        let refresh = stale
-            .and_then(|end| self.owner_cache.get(&end)?.refresh)
-            .and_then(|lookup_id| self.pending.get_mut(&lookup_id));
-        if let Some(refresh) = refresh {
-            refresh.parked.push(op);
-            self.tel.inc("dht.owner_cache.parked");
-            return Vec::new();
+        match self.resolver.park(op, stale) {
+            Ok(()) => {
+                self.tel.inc("dht.owner_cache.parked");
+                Vec::new()
+            }
+            Err(op) => self.route_lookup(op.routing_id(), Some(op), stale, now).1,
         }
-        self.route_lookup(op.routing_id(), Some(op), stale, now).1
     }
 
     /// The receive side of a direct transfer: run `op` when this node is
@@ -731,28 +635,6 @@ impl<V: Clone + Debug + WireSize> Overlay<V> {
         }
     }
 
-    /// Drop every cached arc when the router's membership view has changed
-    /// since the cache was filled.  Called before any cache read or write,
-    /// so a node that left (or was presumed dead and evicted) never serves
-    /// another transfer out of stale state.
-    fn validate_owner_cache(&mut self) {
-        let epoch = self.router.membership_epoch();
-        if epoch != self.owner_cache_epoch {
-            if !self.owner_cache.is_empty() {
-                let dropped = self.owner_cache.len();
-                self.tel.inc("dht.owner_cache.invalidations");
-                self.tel.event("owner_cache_invalidate", || {
-                    vec![
-                        ("epoch", epoch.to_string()),
-                        ("dropped", dropped.to_string()),
-                    ]
-                });
-            }
-            self.owner_cache.clear();
-            self.owner_cache_epoch = epoch;
-        }
-    }
-
     /// The owner of `id` as far as this node can tell without a routed
     /// lookup: what the one resolver in front of every inter-node operation
     /// (`resolve_arc`) names.  `None` means an operation on `id`
@@ -760,105 +642,69 @@ impl<V: Clone + Debug + WireSize> Overlay<V> {
     /// arc.  Public so tests can hold its answers against the ring's true
     /// owners.
     pub fn resolve(&mut self, id: Id, now: SimTime) -> Option<NodeRef> {
-        match self.resolve_arc(id, now) {
-            Resolution::Owner(owner) => Some(owner),
-            Resolution::Unresolved(_) => None,
-        }
+        self.resolve_arc(id, now).ok()
     }
 
     /// The resolver: authoritative local routing state first
-    /// ([`Router::known_owner`]), then the owner cache — the first cached
-    /// arc ending at or clockwise after `id`, if it covers `id` and was
-    /// learned in the current membership epoch.  An arc whose owner is
-    /// presumed dead is dropped at once; one younger than the
-    /// liveness-timeout TTL names its owner (and has its LRU stamp
-    /// refreshed); one past it is stale — it resolves nothing until the one
-    /// lookup that refreshes it is answered.
-    fn resolve_arc(&mut self, id: Id, now: SimTime) -> Resolution {
+    /// ([`Router::known_owner`]), then the owner cache
+    /// ([`Resolver::resolve`]).  `Err` means a routed lookup, and carries
+    /// the end of the stale arc `id` fell into, if any: that lookup
+    /// refreshes it, or the operation waits behind the one that already
+    /// does.
+    fn resolve_arc(&mut self, id: Id, now: SimTime) -> Result<NodeRef, Option<Id>> {
         if let Some(owner) = self.router.known_owner(id, now) {
-            return Resolution::Owner(owner);
+            return Ok(owner);
         }
-        self.validate_owner_cache();
-        let ttl = self.config.router.liveness_timeout;
-        let covering = self
-            .owner_cache
-            .range(id..)
-            .next()
-            .or_else(|| self.owner_cache.iter().next())
-            .map(|(end, arc)| (*end, *arc))
-            .filter(|(end, arc)| id.in_interval(arc.start, *end));
-        let Some((end, arc)) = covering else {
-            self.tel.inc("dht.owner_cache.misses");
-            return Resolution::Unresolved(None);
+        let router = &self.router;
+        let dead = |addr| router.presumed_dead(addr, now);
+        let epoch = router.membership_epoch();
+        let (resolution, dropped) = self.resolver.resolve(id, epoch, dead, now);
+        self.count_dropped(dropped);
+        let counted: &[&str] = match resolution {
+            Resolution::Owner(_) => &["dht.owner_cache.hits"],
+            Resolution::Miss => &["dht.owner_cache.misses"],
+            Resolution::Dead
+            | Resolution::Stale {
+                refreshing: false, ..
+            } => &["dht.owner_cache.expired", "dht.owner_cache.misses"],
+            Resolution::Stale {
+                refreshing: true, ..
+            } => &[],
         };
-        if self.router.presumed_dead(arc.owner.addr, now) {
-            self.owner_cache.remove(&end);
-            self.tel.inc("dht.owner_cache.expired");
-            self.tel.inc("dht.owner_cache.misses");
-            return Resolution::Unresolved(None);
+        for counter in counted {
+            self.tel.inc(counter);
         }
-        if now.saturating_sub(arc.cached_at) > ttl {
-            if arc.refresh.is_none() {
-                self.tel.inc("dht.owner_cache.expired");
-                self.tel.inc("dht.owner_cache.misses");
-            }
-            return Resolution::Unresolved(Some(end));
+        match resolution {
+            Resolution::Owner(owner) => Ok(owner),
+            Resolution::Stale { end, .. } => Err(Some(end)),
+            Resolution::Miss | Resolution::Dead => Err(None),
         }
-        if let Some(entry) = self.owner_cache.get_mut(&end) {
-            entry.last_used = now;
-        }
-        self.tel.inc("dht.owner_cache.hits");
-        Resolution::Owner(arc.owner)
     }
 
-    /// Hard cap on cached arcs, i.e. on distinct owners.  Reaching it first
-    /// purges TTL-expired entries; if the cache is still full, the
-    /// **least-recently-used** arc is evicted, so the hot destinations of a
-    /// steady rehash stream survive while one-off resolutions rotate out.
-    const OWNER_CACHE_MAX: usize = 1024;
-
     /// Record that `owner` is responsible for `(arc_start, owner.id]`, as a
-    /// peer just stated, replacing what was cached for that owner.  Never
-    /// grows the cache past [`Overlay::OWNER_CACHE_MAX`].
+    /// peer just stated.
     fn learn_arc(&mut self, arc_start: Id, owner: NodeRef, now: SimTime) {
-        // Arcs of this node are the router's to know; and an arc that
-        // starts where it ends is none — how a replier says it vouches for
-        // nothing beyond the identifier asked about (read as an interval
-        // it would be the whole ring).
-        if owner.addr == self.me.addr || arc_start == owner.id {
-            return;
+        let epoch = self.router.membership_epoch();
+        let dropped = self.resolver.learn(arc_start, owner, epoch, now);
+        self.count_dropped(dropped);
+    }
+
+    /// Count the arcs a read or write of the owner cache dropped.
+    fn count_dropped(&self, dropped: Dropped) {
+        if dropped.flushed > 0 {
+            let epoch = self.router.membership_epoch();
+            self.tel.inc("dht.owner_cache.invalidations");
+            self.tel.event("owner_cache_invalidate", || {
+                vec![
+                    ("epoch", epoch.to_string()),
+                    ("dropped", dropped.flushed.to_string()),
+                ]
+            });
         }
-        self.validate_owner_cache();
-        if self.owner_cache.len() >= Self::OWNER_CACHE_MAX
-            && !self.owner_cache.contains_key(&owner.id)
-        {
-            let ttl = self.config.router.liveness_timeout;
-            self.owner_cache
-                .retain(|_, e| now.saturating_sub(e.cached_at) <= ttl);
-            while self.owner_cache.len() >= Self::OWNER_CACHE_MAX {
-                // O(capacity) scan, paid only when the bound is hit with no
-                // expired entries to shed — rare under real churn, cheap at
-                // this capacity.
-                let lru = self
-                    .owner_cache
-                    .iter()
-                    .min_by_key(|(_, e)| e.last_used)
-                    .map(|(k, _)| *k)
-                    .expect("cache at capacity is non-empty");
-                self.owner_cache.remove(&lru);
-                self.tel.inc("dht.owner_cache.lru_evictions");
-            }
+        if dropped.evicted > 0 {
+            self.tel
+                .add("dht.owner_cache.lru_evictions", dropped.evicted as u64);
         }
-        self.owner_cache.insert(
-            owner.id,
-            CachedArc {
-                start: arc_start,
-                owner,
-                cached_at: now,
-                last_used: now,
-                refresh: None,
-            },
-        );
     }
 
     /// A batched `put`: every entry goes through the same resolver as a
@@ -887,74 +733,43 @@ impl<V: Clone + Debug + WireSize> Overlay<V> {
         trace: Option<TraceContext>,
         now: SimTime,
     ) -> Vec<OverlayEffect<V>> {
-        let mut effects = Vec::new();
-        let mut grouped: HashMap<NodeAddr, Vec<PutEntry<V>>> = HashMap::new();
-        let mut unresolved = Vec::new();
-        let mut local = 0u64;
         let total = entries.len() as u64;
-        for (name, value, lifetime) in entries {
-            let id = name.routing_id();
-            match self.resolve_arc(id, now) {
-                Resolution::Owner(owner) if owner.addr == self.me.addr => {
-                    local += 1;
-                    effects.extend(self.store_local_traced(name, value, lifetime, trace, now));
-                }
-                Resolution::Owner(owner) => grouped
-                    .entry(owner.addr)
-                    .or_default()
-                    .push((name, value, lifetime)),
-                Resolution::Unresolved(stale) => unresolved.push((name, value, lifetime, stale)),
-            }
+        let id = |(name, ..): &PutEntry<V>| name.routing_id();
+        let grouped = self.resolve_each(entries, id, now);
+        self.tel
+            .add("dht.put_batch.local", grouped.local.len() as u64);
+        let mut effects = Vec::new();
+        for entry in grouped.local {
+            effects.extend(self.store_entry(entry, trace, now));
         }
         let mut coalesced = 0u64;
         let mut singles = 0u64;
-        // Send in destination order: message order must not depend on hash
-        // seeding (equal-seed runs replay byte-for-byte).
-        let mut by_destination: Vec<(NodeAddr, Vec<PutEntry<V>>)> = grouped.into_iter().collect();
-        by_destination.sort_by_key(|(to, _)| to.index());
-        for (to, batch) in by_destination {
-            if batch.len() == 1 {
+        for (to, mut batch) in grouped.remote {
+            let msg = if batch.len() == 1 {
                 // No point framing a batch around a single object.
                 singles += 1;
-                let (name, value, lifetime) = batch.into_iter().next().expect("len checked");
-                effects.push(OverlayEffect::Send {
-                    to,
-                    msg: DhtMessage::PutRequest {
-                        name,
-                        value,
-                        lifetime,
-                        trace,
-                    },
-                });
+                let entry = batch.pop().expect("len checked");
+                Op::Put { entry, trace }.into_message()
             } else {
                 coalesced += batch.len() as u64;
                 self.tel
                     .observe_count("dht.put_batch.group_size", batch.len() as f64);
-                effects.push(OverlayEffect::Send {
-                    to,
-                    msg: DhtMessage::PutBatch {
-                        entries: batch,
-                        trace,
-                    },
-                });
-            }
+                DhtMessage::PutBatch {
+                    entries: batch,
+                    trace,
+                }
+            };
+            effects.push(OverlayEffect::Send { to, msg });
         }
         // Coalescing ratio = dht.put_batch.coalesced / dht.put_batch.entries.
         self.tel.inc("dht.put_batch.flushes");
         self.tel.add("dht.put_batch.entries", total);
-        self.tel.add("dht.put_batch.local", local);
         self.tel.add("dht.put_batch.coalesced", coalesced);
         self.tel.add("dht.put_batch.singles", singles);
         self.tel
-            .add("dht.put_batch.unresolved", unresolved.len() as u64);
-        for (name, value, lifetime, stale) in unresolved {
-            let op = Op::Put {
-                name,
-                value,
-                lifetime,
-                trace,
-            };
-            effects.extend(self.route(op, stale, now));
+            .add("dht.put_batch.unresolved", grouped.unresolved.len() as u64);
+        for (entry, stale) in grouped.unresolved {
+            effects.extend(self.route(Op::Put { entry, trace }, stale, now));
         }
         effects
     }
@@ -1002,20 +817,32 @@ impl<V: Clone + Debug + WireSize> Overlay<V> {
         lifetime: Duration,
         now: SimTime,
     ) -> Vec<OverlayEffect<V>> {
-        let trace = self.pending_trace.take();
-        match self.router.next_hop(target, now) {
-            None => self.store_local_traced(name, value, lifetime, trace, now),
-            Some(next) => vec![OverlayEffect::Send {
-                to: next.addr,
-                msg: DhtMessage::Routed {
-                    target,
-                    name,
-                    value,
-                    lifetime,
-                    hops: 1,
-                    trace,
-                },
-            }],
+        let routed = RoutedObject {
+            target,
+            name,
+            value,
+            lifetime,
+            hops: 0,
+            trace: self.pending_trace.take(),
+        };
+        self.forward(routed, now)
+    }
+
+    /// Carry a routed object one hop on toward its target, or store it here
+    /// when this node is responsible: how [`Overlay::send_routed`] starts
+    /// it, and how an application continues one handed to it as an
+    /// [`OverlayEvent::Upcall`].
+    pub fn forward(&mut self, mut routed: RoutedObject<V>, now: SimTime) -> Vec<OverlayEffect<V>> {
+        match self.router.next_hop(routed.target, now) {
+            None => {
+                let entry = (routed.name, routed.value, routed.lifetime);
+                self.store_entry(entry, routed.trace, now)
+            }
+            Some(next) => {
+                routed.hops += 1;
+                let msg = DhtMessage::Routed(routed);
+                vec![OverlayEffect::Send { to: next.addr, msg }]
+            }
         }
     }
 
@@ -1047,17 +874,15 @@ impl<V: Clone + Debug + WireSize> Overlay<V> {
         now: SimTime,
     ) -> Vec<OverlayEffect<V>> {
         let trace = self.pending_trace.take();
-        self.store_local_traced(name, value, lifetime, trace, now)
+        self.store_entry((name, value, lifetime), trace, now)
     }
 
     /// [`Overlay::store_local`] with an explicit trace context, used on
     /// receive paths where the context arrived on the wire rather than from
     /// [`Overlay::set_trace`].
-    fn store_local_traced(
+    fn store_entry(
         &mut self,
-        name: ObjectName,
-        value: V,
-        lifetime: Duration,
+        (name, value, lifetime): PutEntry<V>,
         trace: Option<TraceContext>,
         now: SimTime,
     ) -> Vec<OverlayEffect<V>> {
@@ -1070,38 +895,6 @@ impl<V: Clone + Debug + WireSize> Overlay<V> {
             },
             trace,
         })]
-    }
-
-    /// Continue or drop a routed message previously surfaced through
-    /// [`OverlayEvent::Upcall`].
-    pub fn resume_upcall(
-        &mut self,
-        token: u64,
-        continue_routing: bool,
-        now: SimTime,
-    ) -> Vec<OverlayEffect<V>> {
-        let Some((target, name, value, lifetime, hops, trace)) =
-            self.pending_upcalls.remove(&token)
-        else {
-            return Vec::new();
-        };
-        if !continue_routing {
-            return Vec::new();
-        }
-        match self.router.next_hop(target, now) {
-            None => self.store_local_traced(name, value, lifetime, trace, now),
-            Some(next) => vec![OverlayEffect::Send {
-                to: next.addr,
-                msg: DhtMessage::Routed {
-                    target,
-                    name,
-                    value,
-                    lifetime,
-                    hops: hops + 1,
-                    trace,
-                },
-            }],
-        }
     }
 
     // ----- Distribution tree ----------------------------------------------
@@ -1209,12 +1002,11 @@ impl<V: Clone + Debug + WireSize> Overlay<V> {
                         self.router.is_responsible(id)
                     });
                 let mut effects = self.answer(&namespace, reply_to, mine, now);
-                for (key, request_id) in others {
+                for key in others {
                     let op = Op::Get {
                         namespace: namespace.clone(),
                         key,
                         reply_to,
-                        request_id,
                     };
                     effects.extend(self.receive(op, now));
                 }
@@ -1227,24 +1019,13 @@ impl<V: Clone + Debug + WireSize> Overlay<V> {
                 lifetime,
                 trace,
             } => {
-                let op = Op::Put {
-                    name,
-                    value,
-                    lifetime,
-                    trace,
-                };
-                self.receive(op, now)
+                let entry = (name, value, lifetime);
+                self.receive(Op::Put { entry, trace }, now)
             }
             DhtMessage::PutBatch { entries, trace } => {
                 let mut effects = Vec::new();
-                for (name, value, lifetime) in entries {
-                    let op = Op::Put {
-                        name,
-                        value,
-                        lifetime,
-                        trace,
-                    };
-                    effects.extend(self.receive(op, now));
+                for entry in entries {
+                    effects.extend(self.receive(Op::Put { entry, trace }, now));
                 }
                 effects
             }
@@ -1269,36 +1050,12 @@ impl<V: Clone + Debug + WireSize> Overlay<V> {
                 request_id,
                 success,
             })],
-            DhtMessage::Routed {
-                target,
-                name,
-                value,
-                lifetime,
-                hops,
-                trace,
-            } => {
-                if self.router.is_responsible(target) {
-                    self.store_local_traced(name, value, lifetime, trace, now)
-                } else {
-                    // Offer the application an upcall before forwarding.
-                    self.next_upcall_token += 1;
-                    let token = self.next_upcall_token;
-                    self.pending_upcalls.insert(
-                        token,
-                        (target, name.clone(), value.clone(), lifetime, hops, trace),
-                    );
-                    vec![OverlayEffect::Event(OverlayEvent::Upcall {
-                        token,
-                        from,
-                        object: StoredObject {
-                            name,
-                            value,
-                            expires_at: now + lifetime,
-                        },
-                        trace,
-                    })]
-                }
+            // Stored at the owner; anywhere else, the application's upcall
+            // forwards it or consumes it.
+            DhtMessage::Routed(routed) if self.router.is_responsible(routed.target) => {
+                self.forward(routed, now)
             }
+            DhtMessage::Routed(routed) => vec![OverlayEffect::Event(OverlayEvent::Upcall(routed))],
             DhtMessage::TreeJoin { child, .. } => {
                 self.tree.join(child, now);
                 Vec::new()
@@ -1340,7 +1097,14 @@ impl<V: Clone + Debug + WireSize> Overlay<V> {
             OverlayTimer::Expire => {
                 self.objects.expire(now);
                 self.tree.expire(now);
-                self.sweep_lookups(now)
+                // What waited behind an unanswered refresh pays lookups of
+                // its own.
+                let (released, abandoned) = self.resolver.sweep(now);
+                if abandoned > 0 {
+                    self.tel.add("dht.lookups.abandoned", abandoned as u64);
+                }
+                let routes = released.into_iter().map(|op| self.route(op, None, now));
+                routes.flatten().collect()
             }
             OverlayTimer::TreeRefresh => self.join_tree(now),
         };
@@ -1351,38 +1115,6 @@ impl<V: Clone + Debug + WireSize> Overlay<V> {
             OverlayTimer::TreeRefresh => TREE_REFRESH_INTERVAL,
         };
         effects.push(OverlayEffect::SetTimer { delay, timer });
-        effects
-    }
-
-    /// The `Expire` sweep over lookups in flight, oldest first.  A refresh
-    /// still unanswered gives up its arc and sends what is parked behind it
-    /// through lookups of their own — a lost answer costs the one operation
-    /// it carried, never those that waited for it — and a lookup older than
-    /// the liveness timeout is abandoned: nobody will answer it.
-    fn sweep_lookups(&mut self, now: SimTime) -> Vec<OverlayEffect<V>> {
-        let stranded: Vec<_> = self
-            .pending
-            .iter_mut()
-            .filter_map(|(&lookup_id, lookup)| {
-                let arc = lookup.refreshes.take()?;
-                Some((lookup_id, arc, std::mem::take(&mut lookup.parked)))
-            })
-            .collect();
-        let ttl = self.config.router.liveness_timeout;
-        let in_flight = self.pending.len();
-        self.pending
-            .retain(|_, lookup| now.saturating_sub(lookup.issued_at) <= ttl);
-        let abandoned = (in_flight - self.pending.len()) as u64;
-        if abandoned > 0 {
-            self.tel.add("dht.lookups.abandoned", abandoned);
-        }
-        let mut effects = Vec::new();
-        for (lookup_id, arc, parked) in stranded {
-            self.drop_refreshed_arc(lookup_id, Some(arc));
-            for op in parked {
-                effects.extend(self.route(op, None, now));
-            }
-        }
         effects
     }
 
@@ -1431,7 +1163,13 @@ impl<V: Clone + Debug + WireSize> Overlay<V> {
         hops: u32,
         now: SimTime,
     ) -> Vec<OverlayEffect<V>> {
-        let Some(lookup) = self.pending.remove(&lookup_id) else {
+        // The answer's arc is remembered, so later operations on it skip
+        // the lookup round, unless membership changed while it was out.
+        let epoch = self.router.membership_epoch();
+        let Some((lookup, dropped)) = self
+            .resolver
+            .answer(lookup_id, arc_start, owner, epoch, now)
+        else {
             return Vec::new();
         };
         self.tel.inc("dht.lookups");
@@ -1440,15 +1178,7 @@ impl<V: Clone + Debug + WireSize> Overlay<V> {
             "dht.lookup_latency_us",
             now.saturating_sub(lookup.issued_at) as f64,
         );
-        // The expired arc this lookup re-asked about has done its job.
-        self.drop_refreshed_arc(lookup_id, lookup.refreshes);
-        // Remember the arc the answer covers so later operations on it skip
-        // the lookup round — but only when no membership change happened
-        // while the lookup was in flight; a pre-churn answer must not
-        // re-poison the cache the epoch bump just cleared.
-        if lookup.epoch == self.router.membership_epoch() {
-            self.learn_arc(arc_start, owner, now);
-        }
+        self.count_dropped(dropped);
         let mut effects = match lookup.op {
             None => vec![OverlayEffect::Event(OverlayEvent::LookupDone {
                 request_id: lookup_id,
@@ -1465,17 +1195,6 @@ impl<V: Clone + Debug + WireSize> Overlay<V> {
         };
         effects.extend(self.release(lookup.parked, now));
         effects
-    }
-
-    /// Forget the expired arc ending at `refreshes` if lookup `lookup_id` is
-    /// still the one refreshing it (the answer, if it vouches for an arc,
-    /// is learned afresh).
-    fn drop_refreshed_arc(&mut self, lookup_id: u64, refreshes: Option<Id>) {
-        if let Some(end) = refreshes {
-            if self.owner_cache.get(&end).and_then(|arc| arc.refresh) == Some(lookup_id) {
-                self.owner_cache.remove(&end);
-            }
-        }
     }
 
     /// Send the operations that waited behind an arc's refresh on their
@@ -1495,14 +1214,8 @@ impl<V: Clone + Debug + WireSize> Overlay<V> {
                     namespace,
                     key,
                     reply_to,
-                    request_id,
-                } => push_grouped(&mut gets, (namespace, reply_to), (key, request_id)),
-                Op::Put {
-                    name,
-                    value,
-                    lifetime,
-                    trace,
-                } => push_grouped(&mut puts, trace, (name, value, lifetime)),
+                } => push_grouped(&mut gets, (namespace, reply_to), key),
+                Op::Put { entry, trace } => push_grouped(&mut puts, trace, entry),
                 op => effects.extend(self.dispatch(op, now)),
             }
         }
@@ -1922,7 +1635,7 @@ mod tests {
             matches!(transfers.as_slice(), [(_, to, DhtMessage::PutRequest { .. })] if *to == target.addr),
             "the put must reach the owner: {transfers:?}"
         );
-        assert_eq!(overlays[0].owner_cache.len(), 1);
+        assert_eq!(overlays[0].resolver.cached(), 1);
         // …and the answer names the whole arc, so a batch of OTHER keys of
         // it coalesces into ONE PutBatch straight to the owner — no lookup
         // round at all, not even a first one per identifier.
@@ -1948,8 +1661,9 @@ mod tests {
             30,
         );
         let effects = overlays[0].put_batch(batch_of(&keys[1..], 50), 30);
-        assert!(
-            overlays[0].owner_cache.is_empty(),
+        assert_eq!(
+            overlays[0].resolver.cached(),
+            0,
             "membership change must clear the owner cache"
         );
         assert!(
@@ -2217,7 +1931,7 @@ mod tests {
         );
         // And the answer replaced nothing it did not cover: node 3's arc is
         // now cached beside the (still stale) one for node 5.
-        assert_eq!(overlays[1].owner_cache.len(), 2);
+        assert_eq!(overlays[1].resolver.cached(), 2);
     }
 
     #[test]
@@ -2329,7 +2043,7 @@ mod tests {
             successors: vec![refs[4]],
         });
         overlays[0].on_message(refs[3].addr, reply, 0);
-        assert_eq!(overlays[0].owner_cache.len(), 1);
+        assert_eq!(overlays[0].resolver.cached(), 1);
         let key = &keys_in_arc(refs[2].id, refs[3].id, 1)[0];
         let effects = overlays[0].put(
             ObjectName::new("t", key.clone(), 1),
@@ -2363,7 +2077,7 @@ mod tests {
             0,
         );
         settle(&mut overlays, NodeAddr(0), effects, None, 0);
-        assert_eq!(overlays[0].owner_cache.len(), 1);
+        assert_eq!(overlays[0].resolver.cached(), 1);
         let tel = Telemetry::attached();
         overlays[0].set_telemetry(tel.clone());
         (overlays, refs, keys, tel)
@@ -2395,7 +2109,7 @@ mod tests {
             "an expired arc must force a lookup: {msgs:?}"
         );
         assert_eq!(lookups_in(&msgs), 1, "and only one");
-        assert_eq!(overlays[0].owner_cache.len(), 1, "kept while refreshing");
+        assert_eq!(overlays[0].resolver.cached(), 1, "kept while refreshing");
         assert_eq!(overlays[0].resolve(id, EXPIRED), None);
         // The answer teaches the arc afresh and everything leaves.
         let transfers = settle(&mut overlays, NodeAddr(0), effects, None, EXPIRED);
@@ -2404,7 +2118,7 @@ mod tests {
             overlays[0].resolve(id, EXPIRED).map(|o| o.addr),
             Some(target.addr)
         );
-        assert!(overlays[0].pending.is_empty());
+        assert_eq!(overlays[0].resolver.in_flight(), 0);
         // In-flight poisoning: a put issues its lookup (the arc has expired
         // again), THEN the membership changes, THEN the pre-churn reply
         // arrives.  The reply still completes the put (the receiver's check
@@ -2436,8 +2150,9 @@ mod tests {
             matches!(completed.as_slice(), [(to, DhtMessage::PutRequest { .. })] if *to == target.addr),
             "the answer still serves its own operation: {completed:?}"
         );
-        assert!(
-            overlays[0].owner_cache.is_empty(),
+        assert_eq!(
+            overlays[0].resolver.cached(),
+            0,
             "a pre-churn lookup reply must not re-poison the cleared cache"
         );
     }
@@ -2482,7 +2197,7 @@ mod tests {
         kinds.sort_unstable();
         assert_eq!(kinds, ["batch of 4", "get", "put", "renew"]);
         assert_eq!(tel.counter("dht.lookups"), 1);
-        assert!(overlays[0].pending.is_empty());
+        assert_eq!(overlays[0].resolver.in_flight(), 0);
         // Gets share too: k of them — one call or k — cost one lookup, the
         // request that carried it and ONE request for the k - 1 that waited.
         let t = 2 * EXPIRED;
@@ -2552,7 +2267,7 @@ mod tests {
             assert_eq!(overlays[3].objects().get("t", key, EXPIRED).len(), 1);
         }
         assert_eq!(tel.counter("dht.lookups"), 4);
-        assert!(overlays[0].pending.is_empty());
+        assert_eq!(overlays[0].resolver.in_flight(), 0);
     }
 
     #[test]
@@ -2578,8 +2293,9 @@ mod tests {
         );
         let (from, _, reply) = held.into_iter().next().unwrap();
         let effects = overlays[0].on_message(from, reply, EXPIRED);
-        assert!(
-            overlays[0].owner_cache.is_empty(),
+        assert_eq!(
+            overlays[0].resolver.cached(),
+            0,
             "an answer asked in an older epoch is not remembered"
         );
         // The carrier leaves on the answer; the two parked puts, covered by
@@ -2591,7 +2307,7 @@ mod tests {
         assert!(transfers
             .iter()
             .all(|(_, to, m)| *to == refs[3].addr && matches!(m, DhtMessage::PutRequest { .. })));
-        assert!(overlays[0].pending.is_empty());
+        assert_eq!(overlays[0].resolver.in_flight(), 0);
     }
 
     #[test]
@@ -2608,7 +2324,7 @@ mod tests {
         let sweep = EXPIRED + EXPIRE_INTERVAL;
         let effects = overlays[0].on_timer(OverlayTimer::Expire, sweep);
         assert_eq!(lookups_in(&sends(&effects)), 3);
-        assert!(overlays[0].owner_cache.is_empty());
+        assert_eq!(overlays[0].resolver.cached(), 0);
         let transfers = settle(&mut overlays, NodeAddr(0), effects, None, sweep);
         let suffixes: Vec<u64> = transfers
             .iter()
@@ -2626,13 +2342,17 @@ mod tests {
         );
         // What the lost lookup carried is lost with it, as it always was;
         // its entry goes once nobody can still answer it.
-        assert_eq!(overlays[0].pending.len(), 1);
+        assert_eq!(overlays[0].resolver.in_flight(), 1);
         let ttl = RouterConfig::default().liveness_timeout;
         overlays[0].on_timer(OverlayTimer::Expire, EXPIRED + ttl);
-        assert_eq!(overlays[0].pending.len(), 1, "not before the timeout");
+        assert_eq!(
+            overlays[0].resolver.in_flight(),
+            1,
+            "not before the timeout"
+        );
         let effects = overlays[0].on_timer(OverlayTimer::Expire, EXPIRED + ttl + 1);
         assert!(sends(&effects).is_empty());
-        assert!(overlays[0].pending.is_empty());
+        assert_eq!(overlays[0].resolver.in_flight(), 0);
         assert_eq!(tel.counter("dht.lookups.abandoned"), 1);
     }
 
@@ -2654,16 +2374,16 @@ mod tests {
             let owner = far(i);
             overlay.learn_arc(Id(owner.id.0 - 2), owner, now);
         };
-        let max = Overlay::<String>::OWNER_CACHE_MAX;
+        let max = crate::resolver::OWNER_CACHE_MAX;
         for i in 0..(3 * max as u64) {
             learn(overlay, i, 0);
             assert!(
-                overlay.owner_cache.len() <= max,
+                overlay.resolver.cached() <= max,
                 "cache exceeded its bound at insert {i}: {}",
-                overlay.owner_cache.len()
+                overlay.resolver.cached()
             );
         }
-        assert_eq!(overlay.owner_cache.len(), max);
+        assert_eq!(overlay.resolver.cached(), max);
         // A recently-used arc survives LRU churn: touch one, then push a
         // full capacity's worth of fresh owners through.  Every timestamp
         // stays within the TTL, so the bound below is enforced purely by
@@ -2674,16 +2394,17 @@ mod tests {
         assert_eq!(overlay.resolve(hot.id, 2).map(|o| o.addr), Some(hot.addr));
         for i in 0..(max as u64 - 1) {
             learn(overlay, 10_000_000 + i, 2);
-            assert!(overlay.owner_cache.len() <= max);
+            assert!(overlay.resolver.cached() <= max);
         }
-        assert!(
-            overlay.owner_cache.contains_key(&hot.id),
+        assert_eq!(
+            overlay.resolve(hot.id, 2).map(|o| o.addr),
+            Some(hot.addr),
             "the most-recently-used arc must survive LRU eviction"
         );
-        assert_eq!(overlay.owner_cache.len(), max);
+        assert_eq!(overlay.resolver.cached(), max);
         // Re-learning a cached owner's arc replaces it in place.
         learn(overlay, 3 * max as u64, 3);
-        assert_eq!(overlay.owner_cache.len(), max);
+        assert_eq!(overlay.resolver.cached(), max);
     }
 
     #[test]
@@ -2743,42 +2464,32 @@ mod tests {
             .position(|r| overlays[r.addr.index()].router().is_responsible(target))
             .unwrap();
         let non_owner = (owner + 1) % 3;
-        let routed: DhtMessage<String> = DhtMessage::Routed {
-            target,
-            name: name.clone(),
-            value: "partial".into(),
-            lifetime: 1_000_000,
-            hops: 1,
-            trace: None,
-        };
-        let effects = overlays[non_owner].on_message(NodeAddr(9), routed, 0);
-        let evs = events(&effects);
-        let token = match &evs[..] {
-            [OverlayEvent::Upcall { token, object, .. }] => {
-                assert_eq!(object.value, "partial");
-                *token
-            }
-            other => panic!("expected an upcall, got {other:?}"),
-        };
-        // Dropping the message produces no further effects.
-        let dropped = overlays[non_owner].resume_upcall(token, false, 1);
-        assert!(dropped.is_empty());
-        // Re-deliver and continue: the message is forwarded onward.
-        let routed: DhtMessage<String> = DhtMessage::Routed {
+        let routed: DhtMessage<String> = DhtMessage::Routed(RoutedObject {
             target,
             name,
             value: "partial".into(),
             lifetime: 1_000_000,
             hops: 1,
             trace: None,
-        };
-        let effects = overlays[non_owner].on_message(NodeAddr(9), routed, 2);
-        let token = match &events(&effects)[..] {
-            [OverlayEvent::Upcall { token, .. }] => *token,
+        });
+        let effects = overlays[non_owner].on_message(NodeAddr(9), routed, 0);
+        assert!(
+            sends(&effects).is_empty(),
+            "nothing moves before the upcall"
+        );
+        let routed = match events(&effects).as_slice() {
+            [OverlayEvent::Upcall(routed)] => routed.clone(),
             other => panic!("expected an upcall, got {other:?}"),
         };
-        let forwarded = overlays[non_owner].resume_upcall(token, true, 3);
-        assert_eq!(sends(&forwarded).len(), 1);
+        assert_eq!((routed.value.as_str(), routed.hops), ("partial", 1));
+        // Dropping it is not forwarding it: the overlay holds nothing back.
+        // Forwarding it sends it on, one hop further.
+        let forwarded = sends(&overlays[non_owner].forward(routed, 3));
+        assert!(
+            matches!(forwarded.as_slice(), [(_, DhtMessage::Routed(RoutedObject { hops: 2, value, .. }))]
+                if value == "partial"),
+            "{forwarded:?}"
+        );
     }
 
     #[test]

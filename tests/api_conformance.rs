@@ -130,8 +130,9 @@ fn table2_inter_node_operations() {
 }
 
 /// Table 2 intra-node operations: `localScan`/`handleLScan`,
-/// `newData`/`handleNewData`, and `upcall`/`handleUpcall` via the wrapper's
-/// upcall token protocol.
+/// `newData`/`handleNewData`, and `upcall`/`handleUpcall`, which hands the
+/// routed object over by value (`OverlayEvent::Upcall`, continued with
+/// `Overlay::forward`).
 #[test]
 fn table2_intra_node_operations() {
     let mut overlay = single_node_overlay();
