@@ -14,11 +14,13 @@
 //! node's arc is taken over by its successor.  The property holds the resolver
 //! against the true owner on converged rings of every size, and every `put`
 //! against the store it must end up in — an arc's refresh parks operations,
-//! and parking may neither lose nor duplicate one.
+//! and parking may neither lose nor duplicate one.  The cache rules
+//! themselves are held on a bare `Resolver`, with no ring under it.
 
 mod common;
 
 use common::seeded;
+use pier::dht::resolver::{Resolution, Resolver, OWNER_CACHE_MAX};
 use pier::dht::router::RouterMessage;
 use pier::dht::{
     make_ring_refs, routing_id, DhtMessage, DhtNode, Id, NodeRef, ObjectName, Overlay,
@@ -28,6 +30,7 @@ use pier::runtime::sim::TopologyConfig;
 use pier::runtime::{NodeAddr, SimConfig, SimTime, Simulator};
 use pier::telemetry::Telemetry;
 use proptest::prelude::*;
+use std::collections::{BTreeMap, BTreeSet};
 
 type Node = DhtNode<String>;
 
@@ -701,5 +704,155 @@ proptest! {
                 );
             }
         }
+    }
+}
+
+/// Owner `i` of a ring of eight whose arcs a bare resolver learns.
+fn pool(i: u64) -> NodeRef {
+    NodeRef {
+        id: Id((i % 8 + 1) * (u64::MAX / 8)),
+        addr: NodeAddr(1 + (i % 8) as u32),
+    }
+}
+
+/// Where pool owner `i`'s arc starts: its predecessor on that ring.
+fn pool_start(i: u64) -> Id {
+    pool(i + 7).id
+}
+
+/// The pool owner whose arc covers `id`.
+fn pool_owner(id: Id) -> u64 {
+    (0..8)
+        .find(|&i| id.in_interval(pool_start(i), pool(i).id))
+        .expect("the pool's arcs cover the ring")
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The cache rules on a bare `Resolver`, operations as plain integers:
+    /// any interleaving of learning arcs, operations resolved and routed,
+    /// answers, lost lookups, membership-epoch bumps, owners presumed dead,
+    /// time passing and `Expire` sweeps.  An expired arc costs at most one
+    /// refresh until it is learned again; every parked operation leaves
+    /// exactly once, on the answer or on a sweep; an answer to a lookup
+    /// asked in an older epoch is never learned; the cache never holds more
+    /// than `OWNER_CACHE_MAX` arcs; an arc whose owner is presumed dead
+    /// resolves nothing.
+    #[test]
+    fn the_resolver_keeps_the_cache_rules_under_any_interleaving(
+        steps in proptest::collection::vec((0u8..12, any::<u64>()), 1..120),
+    ) {
+        let ttl = 30 * SECOND;
+        let mut resolver: Resolver<u64> = Resolver::new(NodeAddr(0), ttl);
+        let (mut now, mut epoch, mut next_op, mut next_lookup) = (0u64, 0u64, 0u64, 0u64);
+        // Lookups the test may still answer: `(id, target, epoch asked in)`.
+        let mut in_flight: Vec<(u64, Id, u64)> = Vec::new();
+        let mut parked: BTreeSet<u64> = BTreeSet::new();
+        let mut dead: BTreeSet<NodeAddr> = BTreeSet::new();
+        // Owners named only by answers asked in an older epoch.
+        let mut never: BTreeSet<NodeAddr> = BTreeSet::new();
+        // Refreshes started per arc end since that arc was last learned.
+        let mut refreshes: BTreeMap<Id, u32> = BTreeMap::new();
+        // An answer names owner `100 + lookup id`: each answer its own.
+        let answerer = |lookup: u64, target: Id| NodeRef {
+            id: pool(pool_owner(target)).id,
+            addr: NodeAddr(100 + lookup as u32),
+        };
+        for (kind, a) in steps {
+            match kind {
+                0 => {
+                    resolver.learn(pool_start(a), pool(a), epoch, now);
+                    refreshes.remove(&pool(a).id);
+                }
+                1..=3 => {
+                    let (op, target) = (next_op, Id(a));
+                    next_op += 1;
+                    let (resolution, _) =
+                        resolver.resolve(target, epoch, |addr| dead.contains(&addr), now);
+                    let refresh = match resolution {
+                        Resolution::Owner(owner) => {
+                            prop_assert!(!dead.contains(&owner.addr), "dead {:?} resolved", owner);
+                            prop_assert!(!never.contains(&owner.addr), "{:?} was learned", owner);
+                            continue;
+                        }
+                        Resolution::Miss | Resolution::Dead => None,
+                        Resolution::Stale { end, refreshing } => match resolver.park(op, Some(end)) {
+                            Ok(()) => {
+                                prop_assert!(refreshing, "parked behind no refresh");
+                                parked.insert(op);
+                                continue;
+                            }
+                            Err(_) => {
+                                prop_assert!(!refreshing, "a refresh in flight took no parking");
+                                Some(end)
+                            }
+                        },
+                    };
+                    next_lookup += 1;
+                    let marked = resolver.start(next_lookup, Some(op), refresh, epoch, now);
+                    prop_assert_eq!(marked, refresh.is_some());
+                    if let Some(end) = refresh {
+                        let started = refreshes.entry(end).or_default();
+                        *started += 1;
+                        prop_assert!(*started <= 1, "arc {:?} refreshed twice", end);
+                    }
+                    in_flight.push((next_lookup, target, epoch));
+                }
+                4 | 5 if !in_flight.is_empty() => {
+                    let (lookup, target, asked_in) =
+                        in_flight.swap_remove(a as usize % in_flight.len());
+                    let owner = answerer(lookup, target);
+                    let start = pool_start(pool_owner(target));
+                    let Some((answered, _)) = resolver.answer(lookup, start, owner, epoch, now)
+                    else {
+                        continue;
+                    };
+                    for op in answered.parked {
+                        prop_assert!(parked.remove(&op), "op {} left twice", op);
+                    }
+                    if asked_in == epoch {
+                        refreshes.remove(&owner.id);
+                    } else {
+                        never.insert(owner.addr);
+                        let (again, _) = resolver.resolve(target, epoch, |_| false, now);
+                        prop_assert_ne!(again, Resolution::Owner(owner));
+                    }
+                }
+                6 if !in_flight.is_empty() => {
+                    in_flight.swap_remove(a as usize % in_flight.len());
+                }
+                7 => epoch += 1,
+                8 if a % 2 == 0 => {
+                    dead.insert(pool(a / 2).addr);
+                }
+                8 => {
+                    dead.insert(NodeAddr(100 + (a / 2 % (next_lookup + 1)) as u32));
+                }
+                10 => {
+                    let (released, _) = resolver.sweep(now);
+                    for op in released {
+                        prop_assert!(parked.remove(&op), "op {} left twice", op);
+                    }
+                }
+                11 if a % 8 == 0 => {
+                    // More distinct owners than the cache holds.
+                    for k in 0..OWNER_CACHE_MAX as u64 + 8 {
+                        let id = Id(a.wrapping_add((k + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)));
+                        let owner = NodeRef { id, addr: NodeAddr(10_000 + k as u32) };
+                        resolver.learn(Id(id.0.wrapping_sub(1)), owner, epoch, now);
+                    }
+                }
+                _ => now += a % (2 * ttl),
+            }
+            prop_assert!(resolver.cached() <= OWNER_CACHE_MAX);
+        }
+        // A sweep strands every refresh still in flight: whatever is parked
+        // behind one leaves now.
+        let (released, _) = resolver.sweep(now);
+        for op in released {
+            prop_assert!(parked.remove(&op), "op {} left twice", op);
+        }
+        prop_assert!(parked.is_empty(), "parked forever: {:?}", parked);
     }
 }
