@@ -204,10 +204,10 @@ fn malformed_tuples_are_discarded_not_fatal() {
 
 #[test]
 fn query_survives_minority_node_failures() {
-    // Not `seeded`: every row shares one key, so one node owns them all, and
-    // this layout is one where that node is not among the three failed.
-    let mut cluster = Cluster::start(&ClusterConfig::lan(20, 505));
-    let key_cols = vec!["keyword".to_string()];
+    // Keyed by file, the rows spread over the ring, so three failed nodes
+    // take a few of them whichever nodes those are.
+    let mut cluster = Cluster::start(&ClusterConfig::lan(20, seeded(505)));
+    let key_cols = vec!["file".to_string()];
     for i in 0..30 {
         let from = cluster.addr(i % cluster.len());
         cluster.publish(
@@ -241,7 +241,20 @@ fn query_survives_minority_node_failures() {
     );
     let outcome = cluster.run_query(proxy, plan);
     // Some rows may have lived on the failed nodes, but the query must still
-    // complete and return most of the data.
+    // complete, return most of the data, and return no row twice.
+    let mut files: Vec<String> = outcome
+        .tuples()
+        .iter()
+        .filter_map(|t| t.get("file").and_then(|v| v.as_str().map(String::from)))
+        .collect();
+    assert_eq!(
+        files.len(),
+        outcome.results.len(),
+        "every row names its file"
+    );
+    files.sort_unstable();
+    files.dedup();
+    assert_eq!(files.len(), outcome.results.len(), "a row came back twice");
     assert!(
         outcome.results.len() >= 20,
         "expected most rows to survive, got {}",
