@@ -123,14 +123,9 @@ pub enum DhtMessage<V> {
     /// for its routing identifier, with an upcall offered at every
     /// intermediate node (§3.2.4, Figure 6).
     Routed(RoutedObject<V>),
-    /// Distribution-tree membership: `child` announces itself to its parent
-    /// (the first hop on its route toward the tree root).
-    TreeJoin {
-        /// The joining node.
-        child: NodeAddr,
-        /// Identifier of the tree root.
-        root: Id,
-    },
+    /// Distribution-tree membership: the sender announces itself as a child
+    /// to its parent (the first hop on its route toward the tree root).
+    TreeJoin,
     /// A broadcast hop from a node to its distribution-tree parent: the
     /// receiver delivers it and sends it on to its own parent and down to
     /// its other children ([`crate::tree`]).
@@ -224,7 +219,7 @@ impl<V: WireSize> WireSize for DhtMessage<V> {
             DhtMessage::Routed(RoutedObject {
                 name, value, trace, ..
             }) => 1 + 8 + name.wire_size() + value.wire_size() + 8 + 4 + trace_wire_size(trace),
-            DhtMessage::TreeJoin { .. } => 1 + 6 + 8,
+            DhtMessage::TreeJoin => 1,
             DhtMessage::TreeBroadcastUp { id, payload }
             | DhtMessage::TreeBroadcastDown { id, payload } => {
                 1 + id.wire_size() + payload.wire_size()
@@ -372,6 +367,12 @@ mod tests {
             response(&three).wire_size(),
             response(&["k1"]).wire_size() + 2 * (8 + key + objects)
         );
+    }
+
+    #[test]
+    fn a_tree_join_is_its_type_byte() {
+        // The receiver reads the joining child off the sender's address.
+        assert_eq!(DhtMessage::<u64>::TreeJoin.wire_size(), 1);
     }
 
     #[test]

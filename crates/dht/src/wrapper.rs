@@ -907,10 +907,7 @@ impl<V: Clone + Debug + WireSize> Overlay<V> {
             None => Vec::new(), // we are the root
             Some(parent) => vec![OverlayEffect::Send {
                 to: parent,
-                msg: DhtMessage::TreeJoin {
-                    child: self.me.addr,
-                    root: self.tree_root,
-                },
+                msg: DhtMessage::TreeJoin,
             }],
         }
     }
@@ -1056,8 +1053,8 @@ impl<V: Clone + Debug + WireSize> Overlay<V> {
                 self.forward(routed, now)
             }
             DhtMessage::Routed(routed) => vec![OverlayEffect::Event(OverlayEvent::Upcall(routed))],
-            DhtMessage::TreeJoin { child, .. } => {
-                self.tree.join(child, now);
+            DhtMessage::TreeJoin => {
+                self.tree.join(from, now);
                 Vec::new()
             }
             DhtMessage::TreeBroadcastUp { id, payload } => {
