@@ -46,9 +46,9 @@ struct CachedArc {
 pub struct Lookup<T> {
     epoch: u64,
     /// When it was issued.
-    pub issued_at: SimTime,
+    pub(crate) issued_at: SimTime,
     /// The operation it carries (`None`: a raw lookup).
-    pub op: Option<T>,
+    pub(crate) op: Option<T>,
     /// End of the stale arc it refreshes.
     refreshes: Option<Id>,
     /// Operations parked behind that refresh, in arrival order.
@@ -79,9 +79,9 @@ pub enum Resolution {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Dropped {
     /// Cleared for a new membership epoch.
-    pub flushed: usize,
+    pub(crate) flushed: usize,
     /// Evicted, least recently used first.
-    pub evicted: usize,
+    pub(crate) evicted: usize,
 }
 
 /// One node's owner cache and lookups in flight.
@@ -252,7 +252,9 @@ impl<T> Resolver<T> {
         now: SimTime,
     ) -> Option<(Lookup<T>, Dropped)> {
         let lookup = self.lookups.remove(&lookup_id)?;
-        self.give_up_refresh(lookup_id, lookup.refreshes);
+        if let Some(end) = lookup.refreshes {
+            self.give_up_refresh(lookup_id, end);
+        }
         let dropped = if lookup.epoch == epoch {
             self.learn(start, owner, epoch, now)
         } else {
@@ -262,8 +264,7 @@ impl<T> Resolver<T> {
     }
 
     /// Forget the stale arc ending at `end` while `lookup_id` refreshes it.
-    fn give_up_refresh(&mut self, lookup_id: u64, end: Option<Id>) {
-        let Some(end) = end else { return };
+    fn give_up_refresh(&mut self, lookup_id: u64, end: Id) {
         if self.arcs.get(&end).and_then(|arc| arc.refresh) == Some(lookup_id) {
             self.arcs.remove(&end);
         }
@@ -277,8 +278,8 @@ impl<T> Resolver<T> {
         let mut released = Vec::new();
         let mut stranded = Vec::new();
         for (&lookup_id, lookup) in &mut self.lookups {
-            if lookup.refreshes.is_some() {
-                stranded.push((lookup_id, lookup.refreshes.take()));
+            if let Some(end) = lookup.refreshes.take() {
+                stranded.push((lookup_id, end));
                 released.append(&mut lookup.parked);
             }
         }
