@@ -505,27 +505,19 @@ impl<V: Clone + Debug + WireSize> Overlay<V> {
     /// identifier, send it in one direct message when the resolver names
     /// another owner, and otherwise [`Overlay::route`] it.
     fn dispatch(&mut self, op: Op<V>, now: SimTime) -> Vec<OverlayEffect<V>> {
-        let grouped = self.resolve_each(vec![op], Op::routing_id, now);
-        let mut effects = Vec::new();
-        for op in grouped.local {
-            effects.extend(self.serve(op, now));
-        }
-        for (to, ops) in grouped.remote {
-            let sends = ops.into_iter().map(|op| OverlayEffect::Send {
-                to,
+        match self.resolve_arc(op.routing_id(), now) {
+            Ok(owner) if owner.addr == self.me.addr => self.serve(op, now),
+            Ok(owner) => vec![OverlayEffect::Send {
+                to: owner.addr,
                 msg: op.into_message(),
-            });
-            effects.extend(sends);
+            }],
+            Err(stale) => self.route(op, stale, now),
         }
-        for (op, stale) in grouped.unresolved {
-            effects.extend(self.route(op, stale, now));
-        }
-        effects
     }
 
-    /// The one resolve-and-group pass in front of every inter-node
-    /// operation: each item's identifier goes to the resolver, and the
-    /// item to the group of what it names.
+    /// The resolve-and-group pass in front of every batched operation:
+    /// each item's identifier goes to the resolver, and the item to the
+    /// group of what it names.
     fn resolve_each<T>(
         &mut self,
         items: Vec<T>,
