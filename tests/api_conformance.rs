@@ -3,7 +3,7 @@
 //! wrapper) of the paper.  These tests exercise each operation rather than
 //! merely naming it, so they double as smoke tests of the two layers.
 
-use pier::dht::{make_ring_refs, OverlayTimer};
+use pier::dht::{make_ring_refs, DhtMessage, OverlayTimer, RoutedObject};
 use pier::dht::{ObjectName, Overlay, OverlayConfig, OverlayEffect, OverlayEvent};
 use pier::runtime::udpcc::{CcConfig, CcEvent, UdpCc};
 use pier::runtime::{Context, NodeAddr};
@@ -149,4 +149,44 @@ fn table2_intra_node_operations() {
     assert!(effects
         .iter()
         .any(|e| matches!(e, OverlayEffect::SetTimer { .. })));
+
+    // upcall -> handleUpcall: a routed object passing through a node that
+    // does not own its target is handed up, and moves on only when the
+    // application forwards it; at the owner it is stored and fires newData.
+    let refs = make_ring_refs(2, 77);
+    let mut ring: Vec<Overlay<String>> = refs
+        .iter()
+        .map(|r| Overlay::with_static_ring(*r, &refs, OverlayConfig::default()))
+        .collect();
+    let name = ObjectName::new("agg", "root", 1);
+    let target = name.routing_id();
+    let owner = usize::from(ring[1].router().is_responsible(target));
+    let relay = 1 - owner;
+    let routed = RoutedObject {
+        target,
+        name,
+        value: "partial".to_string(),
+        lifetime: 1_000_000,
+        hops: 1,
+        trace: None,
+    };
+    let up = ring[relay].on_message(NodeAddr(9), DhtMessage::Routed(routed), 30);
+    let routed = match events(&up).as_slice() {
+        [OverlayEvent::Upcall(routed)] if up.len() == 1 => routed.clone(),
+        other => panic!("expected only an upcall, got {other:?}"),
+    };
+    let (to, msg) = match ring[relay].forward(routed, 30).as_slice() {
+        [OverlayEffect::Send { to, msg }] => (*to, msg.clone()),
+        other => panic!("expected one send, got {other:?}"),
+    };
+    assert_eq!(to, refs[owner].addr);
+    assert!(matches!(
+        &msg,
+        DhtMessage::Routed(RoutedObject { hops: 2, .. })
+    ));
+    let stored = ring[owner].on_message(refs[relay].addr, msg, 40);
+    assert!(matches!(
+        events(&stored).as_slice(),
+        [OverlayEvent::NewData { .. }]
+    ));
 }
