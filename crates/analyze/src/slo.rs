@@ -111,12 +111,6 @@ pub fn admission_factory() -> Box<dyn AdmissionControl + Send> {
 }
 
 impl SloAdmission {
-    /// Analyze a plan under the configured environment model without
-    /// touching any budget (the read-only entry point for tools/benches).
-    pub fn inspect(&self, plan: &QueryPlan) -> CostReport {
-        analyze(plan, &self.policy.env)
-    }
-
     /// The report wrapped in the decision envelope the executor surfaces.
     fn envelope(decision: &str, sample_every: u64, report: &CostReport) -> String {
         format!(
@@ -337,7 +331,6 @@ impl AdmissionControl for SloAdmission {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pier_core::admission::EnvModel;
     use pier_core::sqlish;
     use pier_runtime::NodeAddr;
 
@@ -479,16 +472,5 @@ mod tests {
         let mut l = layer(policy);
         let d = l.assess(&windowed_plan(1, ""));
         assert!(matches!(d.verdict, AdmissionVerdict::Reject { .. }));
-    }
-
-    #[test]
-    fn inspect_is_read_only() {
-        let l = layer(SloPolicy {
-            env: EnvModel::default(),
-            ..SloPolicy::default()
-        });
-        let before = l.admitted();
-        let _ = l.inspect(&windowed_plan(9, ""));
-        assert_eq!(l.admitted(), before);
     }
 }

@@ -153,17 +153,6 @@ pub struct AdmissionDecision {
     pub report: String,
 }
 
-impl AdmissionDecision {
-    /// An unconditional admit with an empty report (the behaviour of a node
-    /// built without an admission layer).
-    pub fn admit_unchecked() -> Self {
-        AdmissionDecision {
-            verdict: AdmissionVerdict::Admit,
-            report: String::new(),
-        }
-    }
-}
-
 /// The admission layer a proxy consults before disseminating a plan.
 ///
 /// Implementations derive a static cost/boundedness report for the plan,
@@ -213,12 +202,5 @@ mod tests {
             policy.budget_for(8).max_rows_per_window_per_node,
             SloBudget::default().max_rows_per_window_per_node
         );
-    }
-
-    #[test]
-    fn unchecked_admit_is_an_admit() {
-        let d = AdmissionDecision::admit_unchecked();
-        assert_eq!(d.verdict, AdmissionVerdict::Admit);
-        assert!(d.report.is_empty());
     }
 }

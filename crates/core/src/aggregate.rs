@@ -113,17 +113,6 @@ impl WireSize for AggState {
 }
 
 impl AggState {
-    /// Fold one input tuple into the accumulator (best-effort: tuples whose
-    /// aggregated column is missing or non-numeric are ignored for numeric
-    /// aggregates).
-    pub fn update(&mut self, func: &AggFunc, tuple: &Tuple) {
-        let value = match func.input_column() {
-            Some(col) => tuple.get(col),
-            None => None,
-        };
-        self.update_with(func, value);
-    }
-
     /// Fold one already-extracted input value into the accumulator — the
     /// hot-path variant for operators that resolve the aggregate's input
     /// column to a schema index once instead of per tuple.  `value` is the
@@ -313,6 +302,20 @@ impl PartialDecoder {
                 })
             }
         }
+    }
+}
+
+#[cfg(test)]
+impl AggState {
+    /// Fold one input tuple into the accumulator (best-effort: tuples whose
+    /// aggregated column is missing or non-numeric are ignored for numeric
+    /// aggregates): the single-site reference the tests compare against.
+    pub fn update(&mut self, func: &AggFunc, tuple: &Tuple) {
+        let value = match func.input_column() {
+            Some(col) => tuple.get(col),
+            None => None,
+        };
+        self.update_with(func, value);
     }
 }
 

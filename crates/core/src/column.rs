@@ -103,11 +103,6 @@ impl Bitmap {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
     }
 
-    /// True when every bit is set.
-    pub fn all_valid(&self) -> bool {
-        self.count_ones() == self.len
-    }
-
     /// The packed `u64` words (bits past [`len`](Bitmap::len) are zero).
     pub fn words(&self) -> &[u64] {
         &self.words
@@ -1025,7 +1020,7 @@ mod tests {
         let last = words.len() - 1;
         words[last] |= 1u64 << 63;
         assert!(Bitmap::from_words(words, 130).is_none());
-        assert!(Bitmap::with_len(70, true).all_valid());
+        assert_eq!(Bitmap::with_len(70, true).count_ones(), 70);
         assert_eq!(Bitmap::with_len(70, false).count_ones(), 0);
     }
 

@@ -446,14 +446,6 @@ pub enum QpObject {
 }
 
 impl QpObject {
-    /// The tuple inside, if this is a single-tuple data object.
-    pub fn as_tuple(&self) -> Option<&Tuple> {
-        match self {
-            QpObject::Tuple(t) => Some(t),
-            QpObject::Batch(_) | QpObject::Plan(_) | QpObject::Renew { .. } => None,
-        }
-    }
-
     /// Number of data tuples this object carries (0 for plans).
     pub fn tuple_count(&self) -> usize {
         match self {
@@ -821,7 +813,7 @@ mod tests {
         ));
         assert!(small.wire_size() > 10);
         assert!(plan.wire_size() > 64);
-        assert!(small.as_tuple().is_some());
-        assert!(plan.as_tuple().is_none());
+        assert_eq!(small.tuple_count(), 1);
+        assert_eq!(plan.tuple_count(), 0);
     }
 }

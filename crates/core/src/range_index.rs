@@ -60,16 +60,6 @@ impl RangeIndexConfig {
         }
     }
 
-    /// Number of buckets (trie leaves).
-    pub fn bucket_count(&self) -> u64 {
-        1u64 << self.prefix_bits
-    }
-
-    /// Width of one bucket in domain units.
-    pub fn bucket_width(&self) -> u64 {
-        1u64 << (self.domain_bits - self.prefix_bits)
-    }
-
     fn clamp(&self, value: i64) -> u64 {
         let max = (1u64 << self.domain_bits) - 1;
         if value < 0 {
@@ -104,14 +94,6 @@ impl RangeIndexConfig {
         let first = self.bucket_of(lo);
         let last = self.bucket_of(hi);
         (first..=last).map(|b| self.label(b)).collect()
-    }
-
-    /// The value interval `[start, end)` covered by bucket `index` — what a
-    /// node needs to know to filter bucket contents down to the exact range.
-    pub fn bucket_interval(&self, index: u64) -> (i64, i64) {
-        let width = self.bucket_width();
-        let start = index * width;
-        (start as i64, (start + width) as i64)
     }
 }
 
@@ -173,8 +155,6 @@ mod tests {
     #[test]
     fn bucket_arithmetic_is_consistent() {
         let cfg = RangeIndexConfig::new(4, 16);
-        assert_eq!(cfg.bucket_count(), 16);
-        assert_eq!(cfg.bucket_width(), 4096);
         assert_eq!(cfg.bucket_of(0), 0);
         assert_eq!(cfg.bucket_of(4095), 0);
         assert_eq!(cfg.bucket_of(4096), 1);
@@ -182,8 +162,6 @@ mod tests {
         // Out-of-domain values clamp instead of panicking (best effort).
         assert_eq!(cfg.bucket_of(-5), 0);
         assert_eq!(cfg.bucket_of(1 << 20), 15);
-        let (start, end) = cfg.bucket_interval(3);
-        assert_eq!((start, end), (12288, 16384));
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! query class:
 //!
 //! * [`TransitiveClosure`] — a complete local semi-naive fixpoint evaluator
-//!   over edge tuples, used as the reference implementation in tests and
+//!   over edges, used as the reference implementation in tests and
 //!   for purely local data, and
 //! * [`ReachabilityRound`] — the per-iteration step of the *distributed*
 //!   evaluation: given the current frontier and the link tuples fetched for
@@ -36,7 +36,7 @@ fn node_name(value: &Value) -> String {
         .map_or_else(|| value.key_string(), str::to_string)
 }
 
-/// A local semi-naive transitive-closure evaluator over edge tuples.
+/// A local semi-naive transitive-closure evaluator over edges.
 #[derive(Debug, Clone, Default)]
 pub struct TransitiveClosure {
     /// Adjacency: src → set of dst.
@@ -49,27 +49,9 @@ impl TransitiveClosure {
         TransitiveClosure::default()
     }
 
-    /// Add one edge from an edge tuple with the given source and destination
-    /// columns; malformed tuples (missing columns) are discarded, per the
-    /// best-effort policy of §3.3.4.  Returns whether the edge was added.
-    pub fn add_edge_tuple(&mut self, tuple: &Tuple, src_col: &str, dst_col: &str) -> bool {
-        match (tuple.get(src_col), tuple.get(dst_col)) {
-            (Some(s), Some(d)) => {
-                self.add_edge(node_name(s), node_name(d));
-                true
-            }
-            _ => false,
-        }
-    }
-
     /// Add one edge by key strings.
     pub fn add_edge(&mut self, src: String, dst: String) {
         self.edges.entry(src).or_default().insert(dst);
-    }
-
-    /// Number of distinct edges.
-    pub fn edge_count(&self) -> usize {
-        self.edges.values().map(BTreeSet::len).sum()
     }
 
     /// Direct successors of `node`.
@@ -115,25 +97,6 @@ impl TransitiveClosure {
             rounds += 1;
         }
         (reached, rounds.saturating_sub(1))
-    }
-
-    /// The full transitive closure as (src, dst) pairs — the reference
-    /// answer used to validate the distributed evaluation in tests.
-    pub fn closure(&self) -> BTreeSet<(String, String)> {
-        let mut out = BTreeSet::new();
-        let sources: BTreeSet<String> = self
-            .edges
-            .keys()
-            .cloned()
-            .chain(self.edges.values().flatten().cloned())
-            .collect();
-        for src in sources {
-            let (reached, _) = self.reachable_from(&src);
-            for dst in reached {
-                out.insert((src.clone(), dst));
-            }
-        }
-        out
     }
 }
 
@@ -213,16 +176,6 @@ impl ReachabilityRound {
         self.rounds += 1;
         newly
     }
-
-    /// Build the result tuples a client would receive: one `(node, hops)`
-    /// row per reached node is not tracked here (hop counts require keeping
-    /// per-round snapshots), so this returns one row per reached node.
-    pub fn result_tuples(&self, table: &str) -> Vec<Tuple> {
-        self.reached
-            .iter()
-            .map(|n| Tuple::new(table, vec![("node", Value::str(n))]))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -243,7 +196,7 @@ mod tests {
         // a → b → c → d, b → e, plus disconnected x → y.
         let mut tc = TransitiveClosure::new();
         for (s, d) in [("a", "b"), ("b", "c"), ("c", "d"), ("b", "e"), ("x", "y")] {
-            assert!(tc.add_edge_tuple(&edge(s, d), "src", "dst"));
+            tc.add_edge(s.into(), d.into());
         }
         tc
     }
@@ -279,24 +232,6 @@ mod tests {
     }
 
     #[test]
-    fn malformed_edges_are_discarded() {
-        let mut tc = TransitiveClosure::new();
-        let missing_dst = Tuple::new("links", vec![("src", Value::Str("a".into()))]);
-        assert!(!tc.add_edge_tuple(&missing_dst, "src", "dst"));
-        assert_eq!(tc.edge_count(), 0);
-    }
-
-    #[test]
-    fn closure_contains_every_derivable_pair() {
-        let tc = chain_and_branch();
-        let closure = tc.closure();
-        assert!(closure.contains(&("a".into(), "d".into())));
-        assert!(closure.contains(&("b".into(), "d".into())));
-        assert!(!closure.contains(&("a".into(), "y".into())));
-        assert!(!closure.contains(&("d".into(), "a".into())));
-    }
-
-    #[test]
     fn round_based_evaluation_matches_the_local_fixpoint() {
         let tc = chain_and_branch();
         // Simulate the distributed rounds: each round fetches the outgoing
@@ -320,10 +255,6 @@ mod tests {
             rounds.rounds(),
             hops + 1,
             "one extra round discovers emptiness"
-        );
-        assert_eq!(
-            rounds.result_tuples("reachable").len(),
-            rounds.reached().len()
         );
     }
 

@@ -246,24 +246,6 @@ impl SchemaRegistry {
         });
         removed
     }
-
-    /// [`SchemaRegistry::sweep_matching`] restricted to tables under a name
-    /// prefix (the common per-query form, e.g. `q42.`).
-    pub fn sweep_prefix(&self, prefix: &str) -> usize {
-        self.sweep_matching(|table| table.starts_with(prefix))
-    }
-
-    /// Number of interned schemas whose table name satisfies `pred` (used by
-    /// the eviction tests to observe query-scoped growth without racing on
-    /// the global total).
-    pub fn count_matching(&self, mut pred: impl FnMut(&str) -> bool) -> usize {
-        let shapes = self.shapes.lock().unwrap();
-        shapes
-            .values()
-            .flat_map(|bucket| bucket.iter())
-            .filter(|s| pred(&s.table))
-            .count()
-    }
 }
 
 /// A self-describing relational tuple: an interned schema plus the values,
@@ -751,22 +733,10 @@ impl<'a> ChunkRow<'a> {
         self.chunk.columns[idx].value_ref(self.r)
     }
 
-    /// The value of the named column, resolved through the schema (prefer
-    /// [`ChunkRow::get`] with a pre-resolved index on hot paths).
-    pub fn get_named(&self, column: &str) -> Option<ValueRef<'a>> {
-        self.chunk.schema.position(column).map(|i| self.get(i))
-    }
-
     /// Canonical key string over pre-resolved column indices — identical to
     /// [`Tuple::key_at`] on the materialised row.
     pub fn key_at(&self, indices: &[usize]) -> String {
         self.chunk.key_at(indices, self.r)
-    }
-
-    /// Materialise the row as an owned [`Tuple`] (the escape hatch for
-    /// consumers that must retain it).
-    pub fn to_tuple(&self) -> Tuple {
-        self.chunk.row(self.r)
     }
 }
 
@@ -1303,7 +1273,8 @@ mod tests {
             );
             peak = peak.max(registry.len());
             drop((agg, wp, win)); // query teardown releases the references
-            registry.sweep_prefix(&format!("q{q}."));
+            let prefix = format!("q{q}.");
+            registry.sweep_matching(|t| t.starts_with(&prefix));
         }
         assert_eq!(registry.len(), 0, "all query-scoped shapes evicted");
         assert!(peak <= 3, "at most one live query's shapes at a time");
@@ -1316,7 +1287,8 @@ mod tests {
         let _gone = registry.intern("q7.wp", &["_w", "src"]);
         drop(_gone);
         // The referenced shape survives; the unreferenced one goes.
-        assert_eq!(registry.sweep_prefix("q7."), 1);
+        let q7 = |t: &str| t.starts_with("q7.");
+        assert_eq!(registry.sweep_matching(q7), 1);
         assert_eq!(registry.len(), 1);
         // Re-interning the held shape still hits the same allocation.
         let again = registry.intern("q7.agg", &["src"]);
@@ -1331,8 +1303,8 @@ mod tests {
             "a user table starting with 'q' must not be swept"
         );
         drop((held, again));
-        assert_eq!(registry.sweep_prefix("q7."), 1);
-        assert_eq!(registry.count_matching(|t| t.starts_with("q7.")), 0);
+        assert_eq!(registry.sweep_matching(q7), 1);
+        assert_eq!(registry.len(), 1, "only the user table is left");
     }
 
     #[test]
@@ -1354,13 +1326,9 @@ mod tests {
         for (r, t) in tuples.iter().enumerate() {
             let view = chunk.row_view(r);
             assert_eq!(view.get(1), ValueRef::Int(r as i64));
-            assert_eq!(
-                view.get_named("src").map(|v| v.to_value()),
-                t.get("src").cloned()
-            );
-            assert!(view.get_named("nope").is_none());
+            assert_eq!(Some(&view.get(0).to_value()), t.get("src"));
             assert_eq!(view.key_at(&[1, 0]), t.key_at(&[1, 0]));
-            assert_eq!(view.to_tuple(), *t);
+            assert_eq!(chunk.row(r), *t);
             assert_eq!(view.arity(), 2);
             assert_eq!(view.index(), r);
             assert!(Arc::ptr_eq(view.schema(), t.schema()));

@@ -44,11 +44,6 @@ impl<R> Delta<R> {
             Delta::Insert(r) | Delta::Retract(r) => r,
         }
     }
-
-    /// True for retractions.
-    pub fn is_retract(&self) -> bool {
-        matches!(self, Delta::Retract(_))
-    }
 }
 
 /// Turns successive emissions of the same window into delta streams.
@@ -157,9 +152,7 @@ mod tests {
 
     #[test]
     fn delta_accessors() {
-        let d = Delta::Retract(41);
-        assert!(d.is_retract());
-        assert_eq!(*d.row(), 41);
-        assert!(!Delta::Insert(1).is_retract());
+        assert_eq!(*Delta::Retract(41).row(), 41);
+        assert_eq!(*Delta::Insert(1).row(), 1);
     }
 }

@@ -265,7 +265,6 @@ pub struct SegmentScan {
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SegmentLog {
     bytes: Vec<u8>,
-    records: usize,
 }
 
 impl SegmentLog {
@@ -274,12 +273,10 @@ impl SegmentLog {
         SegmentLog::default()
     }
 
-    /// Adopt raw bytes (e.g. read back from a file); the record count is
+    /// Adopt raw bytes (e.g. read back from a file); the records are
     /// whatever a scan recovers.
     pub fn from_bytes(bytes: Vec<u8>) -> Self {
-        let mut log = SegmentLog { bytes, records: 0 };
-        log.records = log.scan().records.len();
-        log
+        SegmentLog { bytes }
     }
 
     /// Append one record: `len | checksum | payload`.
@@ -289,7 +286,6 @@ impl SegmentLog {
         put_u32(&mut self.bytes, payload.len() as u32);
         put_u64(&mut self.bytes, fnv1a64(&payload));
         self.bytes.extend_from_slice(&payload);
-        self.records += 1;
     }
 
     /// Scan the log: decode every clean record and report whether a torn
@@ -337,7 +333,6 @@ impl SegmentLog {
         let scan = self.scan();
         let removed = self.bytes.len() - scan.valid_len;
         self.bytes.truncate(scan.valid_len);
-        self.records = scan.records.len();
         removed
     }
 
@@ -354,11 +349,6 @@ impl SegmentLog {
     /// True when nothing has been appended.
     pub fn is_empty(&self) -> bool {
         self.bytes.is_empty()
-    }
-
-    /// Records appended (or recovered at construction).
-    pub fn record_count(&self) -> usize {
-        self.records
     }
 
     /// Simulate a crash mid-append by dropping the last `drop_bytes` bytes —
@@ -474,7 +464,6 @@ mod tests {
         assert!(!scan.torn_tail);
         assert_eq!(scan.records, recs);
         assert_eq!(scan.valid_len, log.len());
-        assert_eq!(log.record_count(), 2);
     }
 
     #[test]
@@ -513,7 +502,7 @@ mod tests {
         log.append(&window(1, &[]));
         log.append(&window(2, &[]));
         let copy = SegmentLog::from_bytes(log.as_bytes().to_vec());
-        assert_eq!(copy.record_count(), 2);
+        assert_eq!(copy.scan().records.len(), 2);
         assert_eq!(copy, log);
     }
 

@@ -67,11 +67,6 @@ impl WindowSpec {
         (start, start.saturating_add(self.size))
     }
 
-    /// The time at which window `id` may be closed (its end plus grace).
-    pub fn close_time(&self, id: WindowId) -> SimTime {
-        self.bounds(id).1.saturating_add(self.grace)
-    }
-
     /// All windows containing event-time `t`, oldest first.
     pub fn windows_containing(&self, t: SimTime) -> impl Iterator<Item = WindowId> {
         // w * slide <= t < w * slide + size  ⇔  (t - size, t] ∋ w * slide.
@@ -132,8 +127,6 @@ mod tests {
     #[test]
     fn close_time_includes_grace() {
         let w = WindowSpec::sliding(30, 10).with_grace(5);
-        assert_eq!(w.close_time(0), 35);
-        assert_eq!(w.close_time(2), 55);
         assert_eq!(w.last_closable(34), None);
         assert_eq!(w.last_closable(35), Some(0));
         assert_eq!(w.last_closable(54), Some(1));

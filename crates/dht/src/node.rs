@@ -74,25 +74,6 @@ impl<V: Clone + Debug + WireSize> DhtNode<V> {
         }
     }
 
-    /// Convenience used by tests: number of `NewData` events observed.
-    pub fn new_data_count(&self) -> usize {
-        self.events
-            .iter()
-            .filter(|e| matches!(e, OverlayEvent::NewData { .. }))
-            .count()
-    }
-
-    /// Convenience used by tests: payloads of `Broadcast` events observed.
-    pub fn broadcasts(&self) -> Vec<&V> {
-        self.events
-            .iter()
-            .filter_map(|e| match e {
-                OverlayEvent::Broadcast { payload } => Some(payload),
-                _ => None,
-            })
-            .collect()
-    }
-
     /// Convenience used by tests: `(request_id, objects)` of every
     /// `GetResult` observed.
     pub fn get_results(&self) -> Vec<(u64, usize)> {
@@ -221,7 +202,11 @@ mod tests {
         });
         sim.run_for(2_000_000);
         let owner_node = sim.node(owner.addr).unwrap();
-        assert_eq!(owner_node.new_data_count(), 1);
+        let new_data = owner_node
+            .events
+            .iter()
+            .filter(|e| matches!(e, OverlayEvent::NewData { .. }));
+        assert_eq!(new_data.count(), 1);
         assert_eq!(
             owner_node
                 .overlay()
@@ -247,11 +232,9 @@ mod tests {
         let reached = refs
             .iter()
             .filter(|r| {
-                sim.node(r.addr)
-                    .unwrap()
-                    .broadcasts()
-                    .iter()
-                    .any(|p| p.as_str() == "opgraph-1")
+                sim.node(r.addr).unwrap().events.iter().any(
+                    |e| matches!(e, OverlayEvent::Broadcast { payload } if payload == "opgraph-1"),
+                )
             })
             .count();
         assert_eq!(reached, 24, "broadcast must reach every node");

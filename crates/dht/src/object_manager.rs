@@ -139,16 +139,6 @@ impl<V: Clone> ObjectManager<V> {
             .collect()
     }
 
-    /// All live objects stored at this node, regardless of namespace.
-    pub fn scan_all(&self, now: SimTime) -> Vec<StoredObject<V>> {
-        self.groups
-            .values()
-            .flat_map(|g| g.values())
-            .filter(|o| o.expires_at >= now)
-            .cloned()
-            .collect()
-    }
-
     /// Namespaces with at least one live object.
     pub fn namespaces(&self, now: SimTime) -> Vec<String> {
         let mut out: Vec<String> = self
@@ -256,7 +246,6 @@ mod tests {
         om.put(name("b", "z", 3), 3, 1_000, 0);
         assert_eq!(om.scan_namespace("a", 10).len(), 2);
         assert_eq!(om.scan_namespace("b", 10).len(), 1);
-        assert_eq!(om.scan_all(10).len(), 3);
         assert_eq!(om.namespaces(10), vec!["a".to_string(), "b".to_string()]);
         // After `a` expires only `b` remains visible.
         assert_eq!(om.namespaces(2_000), Vec::<String>::new());

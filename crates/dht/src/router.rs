@@ -299,11 +299,6 @@ impl Router {
         self.successors.first().copied()
     }
 
-    /// The full successor list.
-    pub fn successor_list(&self) -> &[NodeRef] {
-        &self.successors
-    }
-
     /// All distinct nodes this router currently knows about (diagnostics).
     pub fn known_peers(&self) -> Vec<NodeRef> {
         let mut peers: Vec<NodeRef> = self
@@ -959,7 +954,7 @@ mod tests {
         let r = Router::with_static_ring(nodes[1], &nodes, RouterConfig::default());
         assert_eq!(r.predecessor().unwrap().id, Id(10));
         assert_eq!(r.successor().unwrap().id, Id(30));
-        assert_eq!(r.successor_list().len(), 3);
+        assert_eq!(r.successors.len(), 3);
     }
 
     #[test]
@@ -1332,7 +1327,7 @@ mod tests {
     fn a_join_lookup_is_answered_before_its_sender_is_adopted() {
         let nodes = ring(&[10, 20, 30, 40, 50, 60]);
         let mut r = Router::with_static_ring(nodes[1], &nodes, RouterConfig::default());
-        let held = r.successor_list().to_vec();
+        let held = r.successors.clone();
         // A joiner at 25 asks node 20 — its predecessor-to-be — who its
         // successor is: 30, not the joiner itself.
         let joiner = node(9, 25);
@@ -1360,7 +1355,7 @@ mod tests {
         r.on_message(joiner.addr, reply, 0);
         let mut expected = vec![joiner];
         expected.extend(&held[..3]);
-        assert_eq!(r.successor_list(), expected.as_slice());
+        assert_eq!(r.successors, expected);
     }
 
     #[test]

@@ -314,16 +314,6 @@ impl<V: Clone + Debug + WireSize> Overlay<V> {
         &self.objects
     }
 
-    /// Addresses currently recorded as children in the distribution tree.
-    pub fn tree_children(&self, now: SimTime) -> Vec<NodeAddr> {
-        self.tree.children(now).collect()
-    }
-
-    /// Whether this node is currently the root of the distribution tree.
-    pub fn is_tree_root(&self) -> bool {
-        self.router.is_responsible(self.tree_root)
-    }
-
     fn next_request_id(&mut self) -> u64 {
         self.next_request_id += 1;
         self.next_request_id
@@ -2484,7 +2474,7 @@ mod tests {
     #[test]
     fn tree_join_recorded_and_broadcast_reaches_children() {
         let (mut a, mut b, refs) = two_node_ring();
-        let root_owner_is_a = a.is_tree_root();
+        let root_owner_is_a = a.router.is_responsible(a.tree_root);
         let (root, child, root_addr, child_addr) = if root_owner_is_a {
             (&mut a, &mut b, refs[0].addr, refs[1].addr)
         } else {
@@ -2496,7 +2486,7 @@ mod tests {
         assert_eq!(msgs.len(), 1);
         assert_eq!(msgs[0].0, root_addr);
         root.on_message(child_addr, msgs[0].1.clone(), 0);
-        assert_eq!(root.tree_children(0), vec![child_addr]);
+        assert_eq!(root.tree.children(0).collect::<Vec<_>>(), vec![child_addr]);
 
         // Broadcasting from the root delivers locally and to the child.
         let effects = root.broadcast("query-plan".to_string(), 1);

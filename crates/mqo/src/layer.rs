@@ -96,12 +96,6 @@ pub struct MqoLayer {
 }
 
 impl MqoLayer {
-    /// The share group a member query belongs to (its plan fingerprint),
-    /// if installed here.
-    pub fn group_of(&self, query_id: u64) -> Option<u64> {
-        self.by_query.get(&query_id).copied()
-    }
-
     /// Sync membership gauges (and, on join, the joined group's size) into
     /// the telemetry hub.
     fn sync_membership(&self, joined: Option<u64>) {
@@ -339,7 +333,7 @@ mod tests {
         node.ingest(packets(400));
         assert!(node.layer.stats().rows_absorbed >= 400);
         // Tick as root far enough in the future to close every window.
-        let group = node.layer.group_of(1).unwrap();
+        let group = node.layer.by_query[&1];
         let out = node.engines.get_mut(&group).unwrap().tick(60_000_000, true);
         assert!(out.partials.is_none(), "the root ships no partials");
         // Each member sees exactly its own source's counts, per window,
@@ -390,7 +384,7 @@ mod tests {
             n.install(&tenant_plan(2, "10.0.0.2"));
         }
         relay.ingest(packets(200));
-        let group = relay.layer.group_of(1).unwrap();
+        let group = relay.layer.by_query[&1];
         let shipped = relay
             .engines
             .get_mut(&group)
@@ -402,7 +396,7 @@ mod tests {
         assert!(shipped.emissions.is_empty());
         // Both nodes derived the same group and the same partial route
         // from the plans alone.
-        assert_eq!(root.layer.group_of(1), Some(group));
+        assert_eq!(root.layer.by_query.get(&1), Some(&group));
         let root_engine = root.engines.get_mut(&group).unwrap();
         assert_eq!(root_engine.spec(), relay.engines[&group].spec());
         assert_eq!(
@@ -431,14 +425,14 @@ mod tests {
             assert!(out.retired_group.is_none(), "group still has members");
         }
         assert_eq!(layer.stats().members, 1);
-        let group = layer.group_of(4);
+        let group = layer.by_query.get(&4).copied();
         let last = layer.uninstall(4);
         assert!(last.was_member);
         assert_eq!(last.retired_group, group, "last member retires the group");
         assert_eq!(layer.stats().groups, 0);
         assert_eq!(layer.stats().members, 0);
         assert!(!layer.wants_namespace("packets"));
-        assert!(layer.group_of(4).is_none());
+        assert!(!layer.by_query.contains_key(&4));
         assert!(
             !layer.uninstall(4).was_member,
             "double uninstall is a no-op"

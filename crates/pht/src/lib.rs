@@ -30,8 +30,6 @@ pub trait PhtStore {
     fn load(&self, prefix: &str) -> Option<PhtNode>;
     /// Store (or overwrite) the trie node for `prefix`.
     fn store(&mut self, prefix: &str, node: PhtNode);
-    /// Remove the trie node for `prefix`.
-    fn remove(&mut self, prefix: &str);
 }
 
 /// An in-memory [`PhtStore`], standing in for the DHT in tests and
@@ -51,9 +49,6 @@ impl PhtStore for MemoryStore {
     }
     fn store(&mut self, prefix: &str, node: PhtNode) {
         self.nodes.insert(prefix.to_string(), node);
-    }
-    fn remove(&mut self, prefix: &str) {
-        self.nodes.remove(prefix);
     }
 }
 
@@ -197,28 +192,6 @@ impl<S: PhtStore> Pht<S> {
             }
         }
     }
-
-    /// Delete a key entirely; leaves are merged back into their parent when
-    /// both siblings are empty.
-    pub fn delete(&mut self, key: u64) {
-        let prefix = self.leaf_prefix(key);
-        if let Some(PhtNode::Leaf(mut bucket)) = self.store.load(&prefix) {
-            bucket.remove(&key);
-            let empty = bucket.is_empty();
-            self.store.store(&prefix, PhtNode::Leaf(bucket));
-            if empty && !prefix.is_empty() {
-                let parent = &prefix[..prefix.len() - 1];
-                let sibling = format!("{parent}{}", if prefix.ends_with('0') { '1' } else { '0' });
-                if let Some(PhtNode::Leaf(sib)) = self.store.load(&sibling) {
-                    if sib.is_empty() {
-                        self.store.remove(&prefix);
-                        self.store.remove(&sibling);
-                        self.store.store(parent, PhtNode::Leaf(BTreeMap::new()));
-                    }
-                }
-            }
-        }
-    }
 }
 
 fn prefix_bounds(prefix: &str) -> (u64, u64) {
@@ -294,19 +267,6 @@ mod tests {
         }
         let got: Vec<u64> = p.range(0, u64::MAX).into_iter().map(|(k, _)| k).collect();
         assert_eq!(got, vec![0, 7, 42, 1 << 63, u64::MAX]);
-    }
-
-    #[test]
-    fn delete_removes_and_merges() {
-        let mut p = pht(1);
-        p.insert(1, "a");
-        p.insert(u64::MAX, "b");
-        assert!(p.store().len() >= 3, "insert should have split the root");
-        p.delete(1);
-        assert!(p.lookup(1).is_empty());
-        assert_eq!(p.lookup(u64::MAX), vec!["b".to_string()]);
-        p.delete(u64::MAX);
-        assert!(p.range(0, u64::MAX).is_empty());
     }
 
     #[test]

@@ -26,11 +26,11 @@
 //!   which records *actions* (send a message, set a timer, emit output to
 //!   the local client) that the runtime then performs.
 //!
-//! The crate also contains [`udpcc`], a reimplementation of the UdpCC
-//! reliable-delivery layer used by PIER on top of UDP (acknowledgements,
-//! retransmission, and TCP-style AIMD congestion control), and [`rng`], a
-//! small deterministic PRNG used throughout the workspace so that every
-//! simulation run is reproducible from a seed.
+//! The crate also contains [`rng`], a small deterministic PRNG used
+//! throughout the workspace so that every simulation run is reproducible
+//! from a seed.  The paper's UdpCC reliable-delivery layer (§3.1.3) is not
+//! reproduced: both environments deliver what the network model lets
+//! through, with no acknowledgement or retransmission underneath.
 
 pub mod hash;
 pub mod metrics;
@@ -39,7 +39,6 @@ pub mod physical;
 pub mod rng;
 pub mod sim;
 pub mod time;
-pub mod udpcc;
 pub mod wire;
 
 pub use hash::{fold_hash, FoldState};

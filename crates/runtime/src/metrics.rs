@@ -77,15 +77,6 @@ impl NetStats {
             .unwrap_or(0)
     }
 
-    /// The maximum outbound byte count over all nodes.
-    pub fn max_out_bytes(&self) -> u64 {
-        self.per_node
-            .values()
-            .map(|s| s.bytes_sent)
-            .max()
-            .unwrap_or(0)
-    }
-
     /// Reset all counters (used between experiment phases so that setup
     /// traffic, e.g. DHT bootstrap, is not charged to the measured query).
     pub fn reset(&mut self) {
@@ -186,15 +177,6 @@ impl LatencyCdf {
         count as f64 / self.samples.len() as f64
     }
 
-    /// Produce `(x, cdf(x))` rows for a set of evaluation points; this is the
-    /// series plotted in Figure 1 of the paper.
-    pub fn series(&mut self, points: &[f64]) -> Vec<(f64, f64)> {
-        points
-            .iter()
-            .map(|&x| (x, self.fraction_at_most(x)))
-            .collect()
-    }
-
     /// Mean of the samples (0 if empty).
     pub fn mean(&self) -> f64 {
         if self.samples.is_empty() {
@@ -220,7 +202,6 @@ mod tests {
         assert_eq!(s.total_msgs, 2);
         assert_eq!(s.total_bytes, 150);
         assert_eq!(s.max_in_bytes(), 100);
-        assert_eq!(s.max_out_bytes(), 150);
     }
 
     #[test]
@@ -273,11 +254,14 @@ mod tests {
         for v in [5.0, 1.0, 9.0, 3.0, 7.0] {
             c.add(v);
         }
-        let series = c.series(&[0.0, 2.0, 4.0, 6.0, 8.0, 10.0]);
+        let series: Vec<f64> = [0.0, 2.0, 4.0, 6.0, 8.0, 10.0]
+            .iter()
+            .map(|&x| c.fraction_at_most(x))
+            .collect();
         for w in series.windows(2) {
-            assert!(w[1].1 >= w[0].1);
+            assert!(w[1] >= w[0]);
         }
-        assert_eq!(series.last().unwrap().1, 1.0);
+        assert_eq!(series.last(), Some(&1.0));
     }
 
     #[test]

@@ -15,8 +15,10 @@
 //! | `handleTimer(data)`                 | [`Program::on_timer`]                  |
 //! | UDP `send(src, dst, payload, …)`    | [`Context::send`]                      |
 //! | `handleUDP(source, payload)`        | [`Program::on_message`]                |
-//! | `handleUDPAck(data, success)`       | [`crate::udpcc`] delivery callbacks    |
 //! | TCP client connection               | [`Context::output`] (proxy → client)   |
+//!
+//! Table 1's `handleUDPAck(data, success)` has no counterpart: the UdpCC
+//! reliable-delivery layer (§3.1.3) is not reproduced.
 //!
 //! Handlers must not block and must not loop for long periods: long-running
 //! work is broken up by re-scheduling continuation timers, exactly as §3.1.2

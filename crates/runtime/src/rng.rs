@@ -22,13 +22,6 @@ impl Rng64 {
         }
     }
 
-    /// Derive an independent child generator; useful for giving each node or
-    /// each workload phase its own stream while staying reproducible.
-    pub fn fork(&mut self, salt: u64) -> Rng64 {
-        let s = self.next_u64() ^ salt.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        Rng64::new(s)
-    }
-
     /// Next raw 64-bit value.
     pub fn next_u64(&mut self) -> u64 {
         // SplitMix64.
@@ -82,12 +75,6 @@ impl Rng64 {
     pub fn choose<'a, T>(&mut self, items: &'a [T]) -> &'a T {
         &items[self.index(items.len())]
     }
-
-    /// Exponentially distributed value with the given mean.
-    pub fn exponential(&mut self, mean: f64) -> f64 {
-        let u = 1.0 - self.f64();
-        -mean * u.ln()
-    }
 }
 
 /// A Zipf distribution over ranks `1..=n` with exponent `theta`; rank 1 is
@@ -134,7 +121,10 @@ impl Zipf {
         let idx = self.cdf.partition_point(|&c| c < u);
         idx.min(self.cdf.len() - 1) + 1
     }
+}
 
+#[cfg(test)]
+impl Zipf {
     /// Probability mass of a rank (1-based), for assertions in tests.
     pub fn pmf(&self, rank: usize) -> f64 {
         assert!(rank >= 1 && rank <= self.cdf.len());
@@ -227,24 +217,5 @@ mod tests {
             assert!(zipf.pmf(k) >= zipf.pmf(k + 1));
         }
         assert_eq!(zipf.len(), 50);
-    }
-
-    #[test]
-    fn exponential_mean_roughly_correct() {
-        let mut r = Rng64::new(13);
-        let mean = 50.0;
-        let samples = 20_000;
-        let sum: f64 = (0..samples).map(|_| r.exponential(mean)).sum();
-        let observed = sum / samples as f64;
-        assert!((observed - mean).abs() < mean * 0.1);
-    }
-
-    #[test]
-    fn fork_streams_are_independent() {
-        let mut root = Rng64::new(5);
-        let mut a = root.fork(1);
-        let mut b = root.fork(2);
-        let matches = (0..64).filter(|_| a.next_u64() == b.next_u64()).count();
-        assert!(matches < 4);
     }
 }

@@ -19,7 +19,7 @@ pub use topology::{NetworkTopology, TopologyConfig};
 use crate::metrics::NetStats;
 use crate::node::{Action, Context, NodeAddr, Program, ProgramContext};
 use crate::time::{Duration, SimTime};
-use crate::wire::{WireSize, HEADER_OVERHEAD};
+use crate::wire::{WireSize, HEADER_OVERHEAD, MSS};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
@@ -32,12 +32,6 @@ pub struct SimConfig {
     pub topology: TopologyConfig,
     /// Congestion model applied to every message.
     pub congestion: CongestionKind,
-    /// Maximum segment size: an application message larger than this is
-    /// charged as `ceil(wire / mss)` fragments, each paying
-    /// [`HEADER_OVERHEAD`] again.  Matches `CcConfig::mss` so UdpCC window
-    /// segments and the congestion models price a large `PutBatch`
-    /// consistently instead of as a single oversized packet.
-    pub mss: usize,
     /// Safety valve: the run aborts (panics) after this many events, which
     /// catches runaway message storms in buggy experiments.
     pub max_events: u64,
@@ -49,7 +43,6 @@ impl Default for SimConfig {
             seed: 0,
             topology: TopologyConfig::lan(),
             congestion: CongestionKind::None,
-            mss: 1_400,
             max_events: 200_000_000,
         }
     }
@@ -352,7 +345,7 @@ impl<P: Program> Simulator<P> {
                 // must pay transmission time and stats for every fragment,
                 // not for one fictitious jumbo packet.
                 let wire = msg.wire_size();
-                let frags = wire.div_ceil(self.config.mss.max(1)).max(1);
+                let frags = wire.div_ceil(MSS).max(1);
                 let bytes = wire + frags * HEADER_OVERHEAD;
                 self.stats.record_send(node, to, bytes);
                 // The fault plan decides how many copies arrive and with how
@@ -683,28 +676,15 @@ mod tests {
 
     #[test]
     fn multi_mss_message_pays_per_fragment_headers() {
-        // 10_000-byte payload over mss=1_400 → 8 fragments, each paying the
+        // 10_000-byte payload over MSS=1_400 → 8 fragments, each paying the
         // 48-byte header: the wire carries 10_000 + 8*48 bytes, not 10_048.
-        let config = SimConfig::lan(8);
-        assert_eq!(config.mss, 1_400);
-        let mut sim: Simulator<BulkSender> = Simulator::new(config);
+        let mut sim: Simulator<BulkSender> = Simulator::new(SimConfig::lan(8));
         let a = sim.add_node(BulkSender::default());
         let _b = sim.add_node(BulkSender { peer: Some(a) });
         sim.run_until(500_000);
         let frags = 10_000_u64.div_ceil(1_400);
         assert_eq!(sim.stats().total_msgs, 1);
         assert_eq!(sim.stats().total_bytes, 10_000 + frags * 48);
-
-        // A jumbo-frame config (mss >= payload) charges exactly one header,
-        // so fragmentation strictly increases the priced wire volume.
-        let mut jumbo: Simulator<BulkSender> = Simulator::new(SimConfig {
-            mss: 64 << 10,
-            ..SimConfig::lan(8)
-        });
-        let a = jumbo.add_node(BulkSender::default());
-        let _b = jumbo.add_node(BulkSender { peer: Some(a) });
-        jumbo.run_until(500_000);
-        assert_eq!(jumbo.stats().total_bytes, 10_000 + 48);
     }
 
     #[test]

@@ -18,16 +18,6 @@ pub const MICROS_PER_MILLI: u64 = 1_000;
 /// Number of microseconds in one second.
 pub const MICROS_PER_SEC: u64 = 1_000_000;
 
-/// Convenience constructor: a [`Duration`] of `ms` milliseconds.
-pub const fn millis(ms: u64) -> Duration {
-    ms * MICROS_PER_MILLI
-}
-
-/// Convenience constructor: a [`Duration`] of `s` seconds.
-pub const fn secs(s: u64) -> Duration {
-    s * MICROS_PER_SEC
-}
-
 /// Format a [`SimTime`] as fractional seconds for human-readable reports.
 pub fn as_secs_f64(t: SimTime) -> f64 {
     t as f64 / MICROS_PER_SEC as f64
@@ -36,13 +26,6 @@ pub fn as_secs_f64(t: SimTime) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn conversions_round_trip() {
-        assert_eq!(millis(1), 1_000);
-        assert_eq!(secs(2), 2_000_000);
-        assert_eq!(secs(1), millis(1000));
-    }
 
     #[test]
     fn as_secs_formats_fractions() {

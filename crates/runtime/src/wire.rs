@@ -16,6 +16,12 @@
 /// charged by both runtimes on top of a message's [`WireSize`].
 pub const HEADER_OVERHEAD: usize = 48;
 
+/// Maximum segment size: the simulator charges a message larger than this
+/// as `ceil(wire / MSS)` fragments, each paying [`HEADER_OVERHEAD`] again,
+/// so a large `PutBatch` costs what its fragments would rather than one
+/// oversized packet.
+pub const MSS: usize = 1_400;
+
 /// Types that know their approximate encoded size in bytes.
 pub trait WireSize {
     /// Approximate number of payload bytes this value occupies on the wire.

@@ -74,15 +74,6 @@ impl CountSketch {
         }
     }
 
-    /// Insert an item identified by a string key.
-    pub fn insert_str(&mut self, item: &str) {
-        let mut acc = 0xcbf2_9ce4_8422_2325u64;
-        for b in item.as_bytes() {
-            acc = (acc ^ *b as u64).wrapping_mul(0x1000_0000_01b3);
-        }
-        self.insert(acc);
-    }
-
     /// Merge another sketch into this one (bitwise OR).  Panics if the two
     /// sketches have different widths — they would not be comparable.
     pub fn merge(&mut self, other: &CountSketch) {
@@ -259,17 +250,6 @@ mod tests {
         assert!(s.is_empty());
         assert_eq!(s.estimate(), 0.0);
         assert_eq!(s.size_bytes(), 16 * 8);
-    }
-
-    #[test]
-    fn string_items_hash_consistently() {
-        let mut a = CountSketch::new(32);
-        let mut b = CountSketch::new(32);
-        a.insert_str("10.0.0.1");
-        b.insert_str("10.0.0.1");
-        assert_eq!(a, b);
-        b.insert_str("10.0.0.2");
-        assert_ne!(a, b);
     }
 
     #[test]

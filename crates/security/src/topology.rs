@@ -191,22 +191,6 @@ impl AggregationTopology {
             .unwrap_or(0)
     }
 
-    /// All ancestors of `member` reachable along any parent chain (does not
-    /// include the member itself; includes the root).  Used by the adversary
-    /// model to decide whether a source's contribution can be suppressed.
-    pub fn ancestors_of(&self, member: u64) -> Vec<u64> {
-        let mut seen = std::collections::BTreeSet::new();
-        let mut frontier = vec![member];
-        while let Some(m) = frontier.pop() {
-            for &p in self.parents_of(m) {
-                if seen.insert(p) {
-                    frontier.push(p);
-                }
-            }
-        }
-        seen.into_iter().collect()
-    }
-
     /// True when, with the `compromised` set of members acting maliciously
     /// (suppressing everything they relay), a contribution originating at
     /// `member` can still reach the root along some all-honest path.
@@ -353,21 +337,6 @@ mod tests {
         }
         // The root always survives an empty compromise set.
         assert!(t.survives(t.root(), &BTreeSet::new()));
-    }
-
-    #[test]
-    fn ancestors_include_the_root() {
-        let m = members(30, 23);
-        let t = AggregationTopology::tree(&m, 8, 1);
-        for &x in t.members() {
-            if x == t.root() {
-                continue;
-            }
-            assert!(
-                t.ancestors_of(x).contains(&t.root()),
-                "{x} missing root ancestor"
-            );
-        }
     }
 
     #[test]

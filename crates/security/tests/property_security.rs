@@ -6,7 +6,6 @@ use pier_security::{
     sketch::{CountSketch, SumSketch},
     spot_check::{Commitment, MerkleTree, SpotChecker},
     topology::AggregationTopology,
-    TokenBucket,
 };
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -171,23 +170,5 @@ proptest! {
             checker.check(&commitment, &tree, &inputs, &legitimate),
             pier_security::spot_check::CheckOutcome::Consistent
         );
-    }
-
-    /// A token bucket never goes negative and never exceeds its burst.
-    #[test]
-    fn token_bucket_stays_within_bounds(
-        ops in prop::collection::vec((0u64..10_000_000, 0.0f64..5.0), 1..100),
-        rate in 0.1f64..100.0,
-        burst in 0.1f64..50.0,
-    ) {
-        let mut bucket = TokenBucket::new(rate, burst, 0);
-        let mut now = 0u64;
-        for (advance, cost) in ops {
-            now += advance;
-            let _ = bucket.try_consume(cost, now);
-            let available = bucket.available(now);
-            prop_assert!(available >= -1e-9, "available {available} went negative");
-            prop_assert!(available <= burst + 1e-9, "available {available} exceeded burst {burst}");
-        }
     }
 }

@@ -21,7 +21,8 @@
 //!   downstream.  Equal seeds therefore produce byte-identical span
 //!   exports (pinned by `tests/span_profile.rs`).
 //! * Spans land in the node's `pier-telemetry` hub (a bounded ring beside
-//!   the event trace, same ≤1% enabled-overhead budget) and are dogfooded
+//!   the event trace, whose cost the benchmark measures as
+//!   `telemetry.hub.enabled_overhead_share`) and are dogfooded
 //!   into the `system.spans` DHT namespace so ordinary sqlish standing
 //!   queries can compute per-query stage latency breakdowns through PIER
 //!   itself.

@@ -10,7 +10,8 @@
 //! `pier` crate:
 //!
 //! * [`runtime`] — Virtual Runtime Interface, discrete-event simulator,
-//!   physical runtime, UdpCC.
+//!   physical runtime on in-process channels (§3.1.3's UdpCC is not
+//!   reproduced).
 //! * [`dht`] — the overlay network: identifiers, Chord-style routing,
 //!   soft-state object manager, Table-2 wrapper API, distribution and
 //!   aggregation trees.
@@ -27,10 +28,11 @@
 //!   predeclared bounds) and the SLO admission layer that admits, sheds to
 //!   sampling, or rejects standing queries before dissemination (see
 //!   `docs/ANALYSIS.md`).
-//! * [`security`] — the §4.1 defenses: duplicate-insensitive sketches,
-//!   redundant aggregation topologies and adversary fidelity metrics, rate
-//!   limitation, spot-checking with early commitment, and the
-//!   accountability/reputation database.
+//! * [`security`] — the §4.1 defenses the EXP-I experiment models:
+//!   duplicate-insensitive sketches, redundant aggregation topologies and
+//!   adversary fidelity metrics, and spot-checking with early commitment.
+//!   None runs on the query path; rate limitation and accountability are
+//!   not reproduced.
 //! * [`gnutella`] — a Gnutella-style flooding-search baseline used by the
 //!   Figure-1 comparison.
 //! * [`telemetry`] — the self-monitoring layer: per-node metric hubs

@@ -1,18 +1,17 @@
 //! Integration tests for the §4.1 defense components working together:
-//! spot-checking feeds the reputation database, the reputation database
-//! drives node selection for redundant aggregation trees, and rate
-//! limitation gates query admission — the escalation pipeline the paper
-//! sketches for running PIER "in the wild".
+//! spot-checking flags a cheating aggregator and the retry's aggregation
+//! tree is built without it, and redundant trees limit what a suppression
+//! adversary can do — the pieces EXP-I models for running PIER "in the
+//! wild".
 
 use pier::security::adversary::{compare_defenses, Adversary, AdversaryConfig, Malice};
-use pier::security::rate_limit::RateDecision;
 use pier::security::spot_check::{CheckOutcome, Commitment, SpotChecker};
 use pier::security::topology::AggregationTopology;
-use pier::security::{ClientMonitor, Observation, Reciprocation, ReputationDb};
 use std::collections::BTreeSet;
 
-/// A cheating aggregator is caught by spot checks, reported to the
-/// reputation database, and excluded from the retry's aggregation tree.
+/// A cheating aggregator is caught by spot checks in every round, no honest
+/// aggregator is ever flagged, and the retry's aggregation tree over the
+/// unflagged aggregators excludes the cheater.
 #[test]
 fn spot_check_verdicts_drive_exclusion_and_retry() {
     // Ten aggregator candidates; aggregator 3 suppresses a third of its
@@ -21,13 +20,13 @@ fn spot_check_verdicts_drive_exclusion_and_retry() {
     let sources: Vec<(u64, i64)> = (100..160).map(|s| (s, 2)).collect();
     let legitimate: BTreeSet<u64> = sources.iter().map(|(s, _)| *s).collect();
     let cheater = 3u64;
-
-    let mut reputation = ReputationDb::new(600_000_000, 2, 0.5);
     let checker = SpotChecker::new(12, 99);
 
     // Several queries run; each time, the cheater commits to a truncated
     // input set and the honest aggregators commit to everything.
+    let mut flagged = BTreeSet::new();
     for round in 0..3u64 {
+        let mut flagged_this_round = BTreeSet::new();
         for &agg in &aggregators {
             let inputs: Vec<(u64, i64)> = if agg == cheater {
                 sources.iter().skip(20).copied().collect()
@@ -35,25 +34,29 @@ fn spot_check_verdicts_drive_exclusion_and_retry() {
                 sources.clone()
             };
             let (commitment, tree) = Commitment::honest(agg, &inputs);
-            let outcome = checker.check(&commitment, &tree, &sources, &legitimate);
-            let observation = if outcome == CheckOutcome::Consistent {
-                Observation::Good
-            } else {
-                Observation::Misbehaved
-            };
-            reputation.record(agg, observation, round * 1_000);
+            if checker.check(&commitment, &tree, &sources, &legitimate) != CheckOutcome::Consistent
+            {
+                flagged_this_round.insert(agg);
+            }
         }
+        assert_eq!(
+            flagged_this_round,
+            BTreeSet::from([cheater]),
+            "round {round}: the cheater and only the cheater is flagged"
+        );
+        flagged.extend(flagged_this_round);
     }
 
-    let excluded = reputation.exclusion_set(10_000);
-    assert!(excluded.contains(&cheater), "the cheater must be excluded");
-    assert_eq!(excluded.len(), 1, "honest aggregators must not be framed");
-
-    // The retry places its aggregation tree over the remaining candidates.
-    let ranked = reputation.rank_candidates(&aggregators, 10_000);
-    assert!(!ranked.contains(&cheater));
-    let tree = AggregationTopology::tree(&ranked, 7, 0);
+    // The retry places its aggregation tree over the unflagged candidates.
+    let unflagged: Vec<u64> = aggregators
+        .iter()
+        .copied()
+        .filter(|a| !flagged.contains(a))
+        .collect();
+    assert_eq!(unflagged.len(), aggregators.len() - 1);
+    let tree = AggregationTopology::tree(&unflagged, 7, 0);
     assert!(!tree.members().contains(&cheater));
+    assert_eq!(tree.members().len(), unflagged.len());
 }
 
 /// The redundancy defense measurably reduces the damage a suppression
@@ -95,40 +98,4 @@ fn redundancy_limits_suppression_damage_end_to_end() {
         "sketch error {}",
         sketched.relative_error
     );
-}
-
-/// The per-client rate-limitation escalation: local threshold → aggregate
-/// consumption query → throttle, combined with the reciprocative strategy
-/// between PIER nodes.
-#[test]
-fn rate_limitation_escalates_and_reciprocation_balances() {
-    let mut monitor = ClientMonitor::new(2_000_000, 500.0, 5_000.0);
-    // A chatty client exceeds the local threshold within the window.
-    for i in 0..30u64 {
-        monitor.record("chatty", 25.0, i * 10_000);
-    }
-    let local = match monitor.check("chatty", 300_000) {
-        RateDecision::NeedAggregate { local_consumption } => local_consumption,
-        other => panic!("expected escalation, got {other:?}"),
-    };
-    // The aggregate (from a PIER aggregation query across all nodes) comes
-    // back far above the global threshold: throttle.
-    let aggregate = local * 20.0;
-    match monitor.apply_aggregate("chatty", aggregate) {
-        RateDecision::Throttle { factor } => assert!(factor < 0.5),
-        other => panic!("expected throttle, got {other:?}"),
-    }
-    // A quiet client is unaffected.
-    monitor.record("quiet", 5.0, 400_000);
-    assert_eq!(monitor.check("quiet", 450_000), RateDecision::Allow);
-
-    // Node-to-node reciprocation: refuse a peer that never reciprocates.
-    let mut ledger = Reciprocation::new(3);
-    for _ in 0..3 {
-        assert!(ledger.should_execute("freerider"));
-        ledger.record_executed_for("freerider");
-    }
-    assert!(!ledger.should_execute("freerider"));
-    ledger.record_executed_by("freerider");
-    assert!(ledger.should_execute("freerider"));
 }

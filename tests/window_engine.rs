@@ -329,3 +329,72 @@ fn retirement_bounds_the_root_store_and_every_members_tracker() {
     assert!(root.remove_member(2));
     assert!(root.diagnostics(2).is_none(), "no sink outlives its member");
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// (d) Segment compaction bounds the disk: over any schedule of absorb,
+    /// tick and persist, each of the engine's two segment logs stays within
+    /// [`WindowEngine::SEGMENT_COMPACT_BYTES`] plus the one snapshot the
+    /// last persist appended, and a cold engine rehydrated from the logs
+    /// holds the live engine's open windows and groups.  Absorbs spread
+    /// over up to 256 sources make a snapshot tens of KB, so a persist
+    /// burst crosses the 1 MiB bound and compaction runs inside the
+    /// schedule.
+    #[test]
+    fn segment_logs_stay_bounded_and_rehydrate_the_live_state(
+        ops in proptest::collection::vec((0u8..3, 0u16..1024), 4..24),
+    ) {
+        const TAG: &str = "g00000000000000dd";
+        let keys = [format!("{TAG}.local"), format!("{TAG}.root")];
+        let engine = || {
+            let mut e = WindowEngine::new(spec(TAG));
+            e.add_member(1, member(None, DeltaMode::Snapshot), false, 0);
+            e
+        };
+        let mut live = engine();
+        let disk = DurableStore::new();
+        let len = |d: &DurableStore, key: &str| d.get(key).map_or(0, |log| log.len());
+        let mut now = 0;
+        for (kind, arg) in ops {
+            match kind {
+                0 => {
+                    // 1..=1024 rows over the next two seconds of event time.
+                    let n = u64::from(arg) + 1;
+                    let rows: Vec<(u8, u16, u64)> = (0..n)
+                        .map(|i| ((i * 7 + n) as u8, (i % 1500) as u16, now + i * 2 * SEC / n))
+                        .collect();
+                    for chunk in cut(&packets(&rows), &[256]) {
+                        live.absorb(&chunk, None, now);
+                    }
+                }
+                1 => {
+                    now += u64::from(arg % 3) * SEC;
+                    live.tick(now, (arg / 3) % 2 == 0);
+                }
+                _ => {
+                    for _ in 0..=arg % 48 {
+                        let snapshot = DurableStore::new();
+                        live.persist(&snapshot);
+                        live.persist(&disk);
+                        for key in &keys {
+                            let bound = WindowEngine::SEGMENT_COMPACT_BYTES + len(&snapshot, key);
+                            prop_assert!(
+                                len(&disk, key) <= bound,
+                                "{key}: {} bytes past the bound {bound}",
+                                len(&disk, key)
+                            );
+                        }
+                    }
+                    let mut cold = engine();
+                    prop_assert!(cold.rehydrate(&disk).is_some());
+                    let (c, l) = (cold.diagnostics(1).unwrap(), live.diagnostics(1).unwrap());
+                    prop_assert_eq!(
+                        (c.open_windows, c.total_groups),
+                        (l.open_windows, l.total_groups)
+                    );
+                }
+            }
+        }
+    }
+}

@@ -338,7 +338,7 @@ fn function_spans(lines: &[&str]) -> Vec<(usize, usize)> {
 
 /// Blank out comments and string/char literals, preserving line structure,
 /// so lexical matching never fires inside them.
-fn sanitize(source: &str) -> String {
+pub(crate) fn sanitize(source: &str) -> String {
     let mut out = String::with_capacity(source.len());
     let bytes: Vec<char> = source.chars().collect();
     let mut i = 0;

@@ -5,7 +5,9 @@
 //! `HashMap`/`HashSet` in unordered order on a path that sends messages,
 //! emits trace events, or persists state.  See `docs/ANALYSIS.md` ("The
 //! determinism lint") for the rule, the suppressions, and the
-//! allowlist-annotation workflow.
+//! allowlist-annotation workflow.  `lint` also runs the unreached-code
+//! rule: a `pub fn` in `crates/*/src` that nothing but its own file's
+//! tests names fails it.
 //!
 //! `identity [--bless]` runs the end-to-end benchmark's workloads at fixed
 //! work and compares their behaviour-determined figures with
@@ -13,7 +15,7 @@
 
 use std::path::PathBuf;
 use std::process::ExitCode;
-use xtask::{identity, lint};
+use xtask::{identity, lint, unused};
 
 fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
@@ -27,10 +29,7 @@ fn main() -> ExitCode {
             for f in &findings {
                 eprintln!("{f}");
             }
-            if findings.is_empty() {
-                eprintln!("xtask lint: ok");
-                ExitCode::SUCCESS
-            } else {
+            if !findings.is_empty() {
                 eprintln!(
                     "xtask lint: {} unordered-iteration finding(s) on send/trace/persist paths",
                     findings.len()
@@ -39,6 +38,22 @@ fn main() -> ExitCode {
                     "  fix: sort before emitting, or annotate an audited site with \
                      `// det-lint: allow (reason)`"
                 );
+            }
+            let unused = unused::unused_pub_fns(&root);
+            for f in &unused {
+                eprintln!("{f}");
+            }
+            if !unused.is_empty() {
+                eprintln!("xtask lint: {} unreached `pub fn`(s)", unused.len());
+                eprintln!(
+                    "  fix: delete it, or move it under `#[cfg(test)]` if a module test \
+                     uses it as a reference"
+                );
+            }
+            if findings.is_empty() && unused.is_empty() {
+                eprintln!("xtask lint: ok");
+                ExitCode::SUCCESS
+            } else {
                 ExitCode::FAILURE
             }
         }

@@ -1,11 +1,12 @@
-//! The determinism lint against its seeded fixture corpus and the live
-//! workspace: the fixture must FAIL with exactly the six seeded findings
-//! (two effects-out, two send-path, two span-emit), and the real tree must
-//! PASS (PR 7 sorted every send path; the lint's job is to keep it that
-//! way).
+//! Both lint rules against their seeded fixture corpora and the live
+//! workspace.  The determinism fixture must FAIL with exactly the six
+//! seeded findings (two effects-out, two send-path, two span-emit); the
+//! unreached-code fixture with exactly its two seeded `pub fn`s.  The real
+//! tree must PASS both (every send path is sorted and every `pub fn` has a
+//! caller; the lint's job is to keep it that way).
 
 use std::path::PathBuf;
-use xtask::lint;
+use xtask::{lint, unused};
 
 fn workspace_root() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -43,5 +44,31 @@ fn live_tree_passes() {
     assert!(
         findings.is_empty(),
         "send-path determinism lint must pass on the tree: {findings:?}"
+    );
+}
+
+#[test]
+fn seeded_unused_functions_are_flagged() {
+    let findings = unused::unused_pub_fns(&workspace_root().join("xtask/fixtures/unused"));
+    let found: Vec<(&str, &str)> = findings
+        .iter()
+        .map(|f| (f.file.as_str(), f.name.as_str()))
+        .collect();
+    assert_eq!(
+        found,
+        [
+            ("crates/demo/src/lib.rs", "seeded_unused"),
+            ("crates/demo/src/lib.rs", "seeded_test_only"),
+        ],
+        "expected exactly the two seeded unreached functions"
+    );
+}
+
+#[test]
+fn live_tree_has_no_unreached_pub_fn() {
+    let findings = unused::unused_pub_fns(&workspace_root());
+    assert!(
+        findings.is_empty(),
+        "every `pub fn` in crates/*/src needs a caller outside its own tests: {findings:?}"
     );
 }
