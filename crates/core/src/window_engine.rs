@@ -20,9 +20,18 @@
 //! the row's), so a tick's emissions for one proxy and window pack into one
 //! chunk; which query a row answers is relabelled at its proxy
 //! ([`crate::proxy::window_result_schema`]).
+//!
+//! At the root a window's groups are walked once per emission, not once
+//! per member.  A member whose predicate pins every GROUP BY column to a
+//! constant of exact equality (`src = 'a'`, the constant-varied tenants of
+//! a share group) is *filed*: the engine's index maps the store key of its
+//! constants to it, each group's key is looked up once, and each matched
+//! row is built once and shared.  A filed member pays for the rows it gets
+//! and nothing in a window it has none in; any other predicate is tested
+//! group by group.
 
 use crate::aggregate::{AggFunc, AggState};
-use crate::expr::{CompiledExpr, Expr};
+use crate::expr::{CmpOp, CompiledExpr, Expr};
 use crate::partial::{GroupAgg, PartialCodec};
 use crate::plan::{finish_rows, OperatorSpec, QueryPlan, SinkSpec};
 use crate::tuple::{
@@ -34,7 +43,7 @@ use pier_cq::{
     SharedWindowState, WindowSpec, WindowStats,
 };
 use pier_runtime::{Duration, NodeAddr, SimTime, WireSize};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 /// What an engine's shipping flush is called in telemetry, and how the
@@ -227,11 +236,66 @@ pub struct Member {
     /// The member's emissions (and, for the lowest member, the engine's
     /// flushes) record spans.
     pub trace: bool,
-    derive: Option<CompiledExpr>,
+    derive: Derive,
     final_ops: Vec<OperatorSpec>,
     /// Snapshot/delta output against this member's previous emissions.
     tracker: DeltaTracker<Tuple>,
     windows_emitted: u64,
+}
+
+/// How a member picks its groups out of an emitted window.
+#[derive(Debug)]
+enum Derive {
+    /// Every group: the member has no predicate.
+    All,
+    /// The one group with this store key; the member is filed under it in
+    /// the engine's index.
+    Filed(Box<str>),
+    /// The groups whose values satisfy the predicate, tested one by one.
+    Scan(CompiledExpr),
+}
+
+/// The store key of the one group `predicate` accepts, when the predicate
+/// is only `col = const` conjuncts (either operand order) pinning each of
+/// `group_cols` exactly once, each constant a `Str`, `Bytes` or `Bool`: the
+/// constants' [`Value::write_key`] renderings joined by `|`, as
+/// [`ColumnChunk::write_key_at`] keys the stored groups.  `None` for any
+/// other predicate.  `Int` and `Float` compare across types (`5 = 5.0`),
+/// so a numeric pin accepts groups of two keys; a `Str` holding `|` could
+/// render the same key as a different split of the values.
+fn filing_key(group_cols: &[String], predicate: &Expr) -> Option<Box<str>> {
+    let mut pinned: Vec<Option<&Value>> = vec![None; group_cols.len()];
+    let mut conjuncts = vec![predicate];
+    while let Some(conjunct) = conjuncts.pop() {
+        let (column, value) = match conjunct {
+            Expr::And(l, r) => {
+                conjuncts.extend([r.as_ref(), l.as_ref()]);
+                continue;
+            }
+            Expr::Cmp(CmpOp::Eq, l, r) => match (l.as_ref(), r.as_ref()) {
+                (Expr::Column(c), Expr::Const(v)) | (Expr::Const(v), Expr::Column(c)) => (c, v),
+                _ => return None,
+            },
+            _ => return None,
+        };
+        let exact = match value {
+            Value::Str(s) => !s.contains('|'),
+            Value::Bytes(_) | Value::Bool(_) => true,
+            _ => false,
+        };
+        let slot = &mut pinned[group_cols.iter().position(|g| g == column)?];
+        if !exact || slot.replace(value).is_some() {
+            return None;
+        }
+    }
+    let mut key = String::new();
+    for (i, value) in pinned.into_iter().enumerate() {
+        if i > 0 {
+            key.push('|');
+        }
+        value?.write_key(&mut key);
+    }
+    Some(key.into())
 }
 
 /// The window state and member residue of one engine at one node.
@@ -253,6 +317,12 @@ pub struct WindowEngine {
     /// (GROUP BY columns, then the aggregates' output columns).
     win_schema: Arc<Schema>,
     members: BTreeMap<u64, Member>,
+    /// Group key → the filed members ([`Derive::Filed`]) that take exactly
+    /// that group; empty in an engine without any.
+    index: HashMap<Box<str>, Vec<u64>>,
+    /// One root emission's `(member, group)` pairs the index matched,
+    /// reused across windows.
+    filed: Vec<(u64, usize)>,
     rehydrated_windows: u64,
     /// Shed tuples+groups / evicted windows already handed out by
     /// [`WindowEngine::take_shed_evicted`].
@@ -299,6 +369,8 @@ impl WindowEngine {
                 .collect(),
             gv_schema: None,
             members: BTreeMap::new(),
+            index: HashMap::new(),
+            filed: Vec::new(),
             rehydrated_windows: 0,
             reported: (0, 0),
             dedup_idxs: Vec::new(),
@@ -316,16 +388,27 @@ impl WindowEngine {
 
     // ----- members ----------------------------------------------------------
 
-    /// Add member `query_id`, leased from `now` ([`Member::trace`] as given).
+    /// Add member `query_id` (replacing any member of that id), leased
+    /// from `now` ([`Member::trace`] as given).
     pub fn add_member(&mut self, query_id: u64, member: MemberSpec, trace: bool, now: SimTime) {
-        let derive = member.derive.map(|predicate| {
-            let spec = &self.spec;
-            let gv = self.gv_schema.get_or_insert_with(|| {
-                SchemaRegistry::global()
-                    .intern_owned(format!("{}.gv", spec.tag), spec.group_cols.clone())
-            });
-            predicate.compile(gv)
-        });
+        self.remove_member(query_id);
+        let spec = &self.spec;
+        let derive = match member.derive {
+            None => Derive::All,
+            Some(predicate) => match filing_key(&spec.group_cols, &predicate) {
+                Some(key) => {
+                    self.index.entry(key.clone()).or_default().push(query_id);
+                    Derive::Filed(key)
+                }
+                None => {
+                    let gv = self.gv_schema.get_or_insert_with(|| {
+                        SchemaRegistry::global()
+                            .intern_owned(format!("{}.gv", spec.tag), spec.group_cols.clone())
+                    });
+                    Derive::Scan(predicate.compile(gv))
+                }
+            },
+        };
         self.members.insert(
             query_id,
             Member {
@@ -342,7 +425,17 @@ impl WindowEngine {
 
     /// Remove a member; `true` when it was one.
     pub fn remove_member(&mut self, query_id: u64) -> bool {
-        self.members.remove(&query_id).is_some()
+        let Some(member) = self.members.remove(&query_id) else {
+            return false;
+        };
+        if let Derive::Filed(key) = &member.derive {
+            let ids = self.index.get_mut(key).expect("a filed member is indexed");
+            ids.retain(|&id| id != query_id);
+            if ids.is_empty() {
+                self.index.remove(key);
+            }
+        }
+        true
     }
 
     /// The members, ascending: shared work is charged to the first, and an
@@ -449,9 +542,11 @@ impl WindowEngine {
     /// window of both stores into one partial stream.  At the root: roll
     /// the local store up into the retained root state, snapshot every due
     /// window that changed and derive each member's rows from it — the
-    /// member's groups, in display order, through its finishers — which
-    /// the member's delta tracker turns into its snapshot or insert/retract
-    /// stream; an unchanged answer emits nothing.
+    /// member's groups (looked up in the index for a filed member, tested
+    /// one by one for the others), in display order, through its finishers
+    /// — which the member's delta tracker turns into its snapshot or
+    /// insert/retract stream; an unchanged answer emits nothing, and a
+    /// filed member with neither rows nor a record of the window is skipped.
     pub fn tick(&mut self, now: SimTime, is_root: bool) -> TickOutput {
         let mut out = TickOutput::default();
         if !is_root {
@@ -472,24 +567,54 @@ impl WindowEngine {
         }
         self.state.roll_up_local(now);
         let (members, window) = (&mut self.members, self.spec.window);
-        let win_schema = &self.win_schema;
+        let (index, filed, win_schema) = (&self.index, &mut self.filed, &self.win_schema);
         let retired = self.state.emit_due(now, |wid, groups| {
             let (window_start, window_end) = window.bounds(wid);
+            // Each group's row, built by the first member that takes it and
+            // shared (a `Tuple` clone is two `Arc` bumps).
+            let mut built: Vec<Option<Tuple>> = vec![None; groups.len()];
+            let mut row = |i: usize| {
+                let built = built[i].get_or_insert_with(|| {
+                    let g = &groups[i];
+                    let finished = g.acc.states.iter().map(AggState::finish);
+                    let values: Arc<[Value]> =
+                        g.identity.vals.iter().cloned().chain(finished).collect();
+                    Tuple::from_schema(Arc::clone(win_schema), values)
+                });
+                built.clone()
+            };
+            // One index probe per group; sorted, each filed member's groups
+            // are one run in group order, and the runs ascend as members do.
+            filed.clear();
+            if !index.is_empty() {
+                for (i, g) in groups.iter().enumerate() {
+                    if let Some(ids) = index.get(g.key) {
+                        filed.extend(ids.iter().map(|&id| (id, i)));
+                    }
+                }
+                filed.sort_unstable();
+            }
+            let mut next = 0;
             for (&query_id, m) in members.iter_mut() {
-                // A member without a predicate takes every group: size for it.
-                let mut rows = Vec::with_capacity(m.derive.as_ref().map_or(groups.len(), |_| 0));
-                rows.extend(
-                    groups
-                        .iter()
-                        .map(|g| (&g.identity.vals, &g.acc.states))
-                        .filter(|(vals, _)| m.derive.as_ref().is_none_or(|d| d.matches(vals)))
-                        .map(|(vals, states)| {
-                            let finished = states.iter().map(AggState::finish);
-                            let values: Arc<[Value]> =
-                                vals.iter().cloned().chain(finished).collect();
-                            Tuple::from_schema(Arc::clone(win_schema), values)
-                        }),
-                );
+                let mut rows: Vec<Tuple> = match &m.derive {
+                    Derive::All => (0..groups.len()).map(&mut row).collect(),
+                    Derive::Scan(d) => (0..groups.len())
+                        .filter(|&i| d.matches(&groups[i].identity.vals))
+                        .map(&mut row)
+                        .collect(),
+                    Derive::Filed(_) => {
+                        let run = next;
+                        while filed.get(next).is_some_and(|&(id, _)| id == query_id) {
+                            next += 1;
+                        }
+                        // No rows and none on record: the emission would be
+                        // empty, and so would every finisher's output.
+                        if run == next && !m.tracker.remembers(wid) {
+                            continue;
+                        }
+                        filed[run..next].iter().map(|&(_, i)| row(i)).collect()
+                    }
+                };
                 // Display order.  Cached keys render each row once, not
                 // twice per comparison.
                 rows.sort_by_cached_key(std::string::ToString::to_string);
@@ -841,6 +966,101 @@ mod tests {
         let mut cold = netmon_engine();
         cold.rehydrate(&durable).expect("compacted snapshot");
         assert_eq!(drain_canonical(&mut cold), drain_canonical(&mut engine));
+    }
+
+    #[test]
+    fn only_exact_pins_of_every_group_column_are_filed() {
+        let (src, port) = (|| Expr::col("src"), || Expr::col("port"));
+        let lit = |v: Value| Expr::Const(v);
+        let and = |l: Expr, r: Expr| Expr::And(Box::new(l), Box::new(r));
+        let eq = |l: Expr, r: Expr| Expr::cmp(CmpOp::Eq, l, r);
+        let one = ["src".to_string()];
+        let two = ["src".to_string(), "port".to_string()];
+        let filed = |cols: &[String], p: Expr| filing_key(cols, &p).map(String::from);
+        let key = |k: &str| Some(k.to_string());
+
+        // Filed: the store's key of the constants, in GROUP BY order.
+        assert_eq!(filed(&one, Expr::eq("src", "a")), key("s:a"));
+        assert_eq!(filed(&one, eq(lit("a".into()), src())), key("s:a"));
+        assert_eq!(filed(&one, Expr::eq("src", true)), key("b:true"));
+        assert_eq!(
+            filed(&one, Expr::eq("src", Value::bytes([0xab, 1]))),
+            key("x:ab01")
+        );
+        let both = and(Expr::eq("port", false), eq(lit("a".into()), src()));
+        assert_eq!(filed(&two, both), key("s:a|b:false"));
+        // A lone `|` is unambiguous with one column, but stays scanned.
+        assert_eq!(filed(&one, Expr::eq("src", "a|b")), None);
+
+        // Scanned: numbers, which compare across types...
+        assert_eq!(filed(&one, Expr::eq("src", 5i64)), None);
+        assert_eq!(filed(&one, Expr::eq("src", 5.0)), None);
+        assert_eq!(filed(&one, Expr::eq("src", Value::Null)), None);
+        // ...anything but `=`, `AND` of `=`, column against constant...
+        assert_eq!(
+            filed(&one, Expr::cmp(CmpOp::Lt, src(), lit("a".into()))),
+            None
+        );
+        let either = Expr::Or(
+            Box::new(Expr::eq("src", "a")),
+            Box::new(Expr::eq("src", "b")),
+        );
+        assert_eq!(filed(&one, either), None);
+        assert_eq!(filed(&one, Expr::Not(Box::new(Expr::eq("src", "a")))), None);
+        assert_eq!(filed(&one, eq(src(), port())), None);
+        assert_eq!(
+            filed(&one, and(Expr::eq("src", "a"), lit(true.into()))),
+            None
+        );
+        assert_eq!(filed(&one, lit(true.into())), None);
+        // ...a column pinned twice, a partial pin, a column not grouped on.
+        assert_eq!(
+            filed(&one, and(Expr::eq("src", "a"), Expr::eq("src", "b"))),
+            None
+        );
+        assert_eq!(
+            filed(&one, and(Expr::eq("src", "a"), Expr::eq("src", "a"))),
+            None
+        );
+        assert_eq!(filed(&two, Expr::eq("src", "a")), None);
+        assert_eq!(filed(&one, Expr::eq("port", "a")), None);
+        let dup = ["src".to_string(), "src".to_string()];
+        assert_eq!(filed(&dup, Expr::eq("src", "a")), None);
+
+        // The engine files and unfiles as members come and go; replacing a
+        // member refiles it.
+        let mut engine = netmon_engine();
+        let spec = |derive| MemberSpec {
+            derive,
+            proxy: NodeAddr(2),
+            lease: 5_000_000,
+            delta: DeltaMode::Deltas,
+            final_ops: Vec::new(),
+        };
+        let indexed = |e: &WindowEngine| {
+            let mut index: Vec<(String, Vec<u64>)> = e
+                .index
+                .iter()
+                .map(|(k, ids)| (k.to_string(), ids.clone()))
+                .collect();
+            index.sort();
+            index
+        };
+        engine.add_member(7, spec(Some(Expr::eq("src", "10.0.0.1"))), false, 0);
+        engine.add_member(8, spec(Some(Expr::eq("src", "10.0.0.1"))), false, 0);
+        engine.add_member(9, spec(Some(Expr::eq("src", 1i64))), false, 0);
+        assert!(matches!(engine.members()[&9].derive, Derive::Scan(_)));
+        assert_eq!(indexed(&engine), [("s:10.0.0.1".to_string(), vec![7, 8])]);
+        engine.add_member(7, spec(Some(Expr::eq("src", "10.0.0.2"))), false, 0);
+        assert_eq!(
+            indexed(&engine),
+            [
+                ("s:10.0.0.1".to_string(), vec![8]),
+                ("s:10.0.0.2".to_string(), vec![7])
+            ]
+        );
+        assert!(engine.remove_member(8) && engine.remove_member(7));
+        assert!(indexed(&engine).is_empty());
     }
 
     #[test]

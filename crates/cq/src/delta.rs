@@ -72,6 +72,12 @@ impl<R: Clone + PartialEq> DeltaTracker<R> {
         self.last.len()
     }
 
+    /// Whether an emission of window `id` is on record: when none is, an
+    /// empty one changes nothing and can be skipped unrecorded.
+    pub fn remembers(&self, id: WindowId) -> bool {
+        self.last.contains_key(&id)
+    }
+
     /// Record that window `id` now evaluates to `rows` and return what to
     /// send: in snapshot mode, all rows as inserts (the client overwrites);
     /// in delta mode, retractions for superseded rows then inserts for new
@@ -146,6 +152,7 @@ mod tests {
         assert_eq!(t.tracked_windows(), 1_000);
         t.retire(989);
         assert_eq!(t.tracked_windows(), 10);
+        assert!(t.remembers(990) && !t.remembers(989));
         // A retired window's re-emission is treated as fresh (inserts only).
         assert_eq!(t.emit(5, vec![5]), vec![Delta::Insert(5)]);
     }

@@ -10,10 +10,11 @@
 //! Each member's per-window answer is derived *at flush time* from the
 //! shared accumulators, by the caller: [`SharedWindowState::emit_due`] hands
 //! every due window's groups out once, and the caller (`pier-core`'s window
-//! engine) filters them per member and runs each member's own
-//! [`DeltaTracker`](crate::DeltaTracker) — so the marginal cost of the
-//! (N+1)-th constant-varied query is a tracker and a predicate, not a
-//! window store.
+//! engine) hands each member its groups — a constant-varied member's by one
+//! key lookup per group, shared by all such members — and runs each
+//! member's own [`DeltaTracker`](crate::DeltaTracker), so the marginal cost
+//! of the (N+1)-th constant-varied query is an index entry, paid only in
+//! windows it has rows in, not a window store.
 //!
 //! Sharing is sound when every member's residual predicate references only
 //! the group's GROUP BY columns, because then a predicate is constant

@@ -14,13 +14,16 @@
 //!   the shipped partials;
 //! * per-member output state (the trackers `pier-cq`'s shared state used to
 //!   keep): a late partial re-emits only to the members it affects, as
-//!   retract + insert in delta mode, and retirement bounds every tracker.
+//!   retract + insert in delta mode, and retirement bounds every tracker;
+//! * the root's member index changes cost, not answers: every member of a
+//!   mixed engine — filed or scanned, joining and leaving between ticks —
+//!   emits what it emits as the sole member of an engine of its own.
 
 use pier::cq::{CqBudget, DeltaMode, DurableStore, WindowSpec};
 use pier::qp::tuple::ColumnChunk;
 use pier::qp::window_engine::QUERY_NAMES;
 use pier::qp::{
-    AggFunc, Emission, EngineSpec, Expr, MemberSpec, Tuple, TupleBatch, Value, WindowEngine,
+    AggFunc, CmpOp, Emission, EngineSpec, Expr, MemberSpec, Tuple, TupleBatch, Value, WindowEngine,
 };
 use pier::runtime::NodeAddr;
 use proptest::prelude::*;
@@ -394,6 +397,171 @@ proptest! {
                         (l.open_windows, l.total_groups)
                     );
                 }
+            }
+        }
+    }
+}
+
+const SOURCES: [&str; 4] = ["a", "b", "c", "d"];
+
+/// [`spec`] grouped by drawn columns: `src` (text), `src, up` (text and a
+/// flag) or `n` (numbers, among them both `5` and `5.0`).
+fn mixed_spec(tag: &str, by: usize) -> EngineSpec {
+    let group_cols: &[&str] = match by {
+        0 => &["src"],
+        1 => &["src", "up"],
+        _ => &["n"],
+    };
+    EngineSpec {
+        group_cols: group_cols.iter().map(ToString::to_string).collect(),
+        ..spec(tag)
+    }
+}
+
+/// Rows drawn as `(x, len, ts)`: source `x % 4`, number `x / 4 % 4`, flag
+/// `x / 16 % 2`.
+fn mixed_packets<'a>(rows: impl IntoIterator<Item = &'a (u8, u16, u64)>) -> Vec<Tuple> {
+    let numbers = [
+        Value::Int(5),
+        Value::Float(5.0),
+        Value::Int(6),
+        Value::Float(2.5),
+    ];
+    rows.into_iter()
+        .map(|&(x, len, ts)| {
+            Tuple::new(
+                "packets",
+                vec![
+                    ("src", Value::str(SOURCES[usize::from(x % 4)])),
+                    ("up", Value::Bool(x / 16 % 2 == 1)),
+                    ("n", numbers[usize::from(x / 4 % 4)].clone()),
+                    ("len", Value::Int(i64::from(len))),
+                    ("ts", Value::Int(ts as i64)),
+                ],
+            )
+        })
+        .collect()
+}
+
+/// Member predicate `draw % 9`, its constants and delta mode drawn from the
+/// rest.  Filed on the GROUP BY that each pins whole (0–1 on `src`, 2–3 on
+/// `src, up`); scanned otherwise: a partial pin, an `Int` constant, a
+/// range, an `OR`, a column pinned twice, and no predicate at all.
+fn mixed_member(draw: u64) -> MemberSpec {
+    let src = || Expr::col("src");
+    let lit = |k: u64| Expr::lit(SOURCES[(k % 4) as usize]);
+    let eq = |l, r| Expr::cmp(CmpOp::Eq, l, r);
+    let and = |l, r| Expr::And(Box::new(l), Box::new(r));
+    let (a, b, up) = (draw / 9, draw / 36, draw / 144 % 2 == 1);
+    let derive = match draw % 9 {
+        0 => Some(eq(src(), lit(a))),
+        1 => Some(eq(lit(a), src())),
+        2 => Some(and(eq(src(), lit(a)), Expr::eq("up", up))),
+        3 => Some(and(Expr::eq("up", up), eq(lit(a), src()))),
+        4 => Some(Expr::eq("n", 5i64)),
+        5 => Some(Expr::cmp(CmpOp::Lt, src(), lit(a))),
+        6 => Some(Expr::Or(
+            Box::new(eq(src(), lit(a))),
+            Box::new(eq(src(), lit(b))),
+        )),
+        7 => Some(and(eq(src(), lit(a)), eq(src(), lit(b)))),
+        _ => None,
+    };
+    let delta = if draw / 288 % 2 == 1 {
+        DeltaMode::Deltas
+    } else {
+        DeltaMode::Snapshot
+    };
+    MemberSpec {
+        derive,
+        ..member(None, delta)
+    }
+}
+
+proptest! {
+    /// (e) Each member of a mixed engine emits exactly what it emits as
+    /// the sole member of its own engine, over any re-chunking of the
+    /// stream, relayed partials that refine windows already emitted, both
+    /// delta modes and members joining and leaving between root ticks (an
+    /// id that leaves may come back with another predicate).  The lone
+    /// member's predicate is `p AND TRUE`: the same groups as `p`, but
+    /// never filed, so the reference is the plain per-group scan.
+    #[test]
+    fn each_member_of_a_mixed_engine_emits_what_it_emits_alone(
+        by in 0usize..3,
+        rows in proptest::collection::vec((0u8..64, 0u16..1500, 0u64..9_000_000), 1..240),
+        first in proptest::collection::vec(0u64..576, 6..7),
+        rounds in proptest::collection::vec((0u64..16, 0usize..6, 0u64..576), 1..10),
+        cuts in proptest::collection::vec(1usize..70, 1..6),
+        cuts_alone in proptest::collection::vec(1usize..70, 1..6),
+    ) {
+        let id = |slot: usize| 10 + 3 * slot as u64;
+        let mut mixed = WindowEngine::new(mixed_spec("g00000000000000ee", by));
+        let mut alone: Vec<WindowEngine> = (0..6)
+            .map(|slot| WindowEngine::new(mixed_spec(&format!("q{}", id(slot)), by)))
+            .collect();
+        let mut relay = WindowEngine::new(mixed_spec("g00000000000000ef", by));
+        let join = |slot: usize, draw: u64, mixed: &mut WindowEngine, alone: &mut WindowEngine| {
+            let m = mixed_member(draw);
+            let unfiled = MemberSpec {
+                derive: m.derive.clone().map(|p| Expr::all(vec![p, Expr::lit(true)])),
+                ..m.clone()
+            };
+            mixed.add_member(id(slot), m, false, 0);
+            alone.add_member(id(slot), unfiled, false, 0);
+        };
+        for (slot, &draw) in first.iter().enumerate() {
+            join(slot, draw, &mut mixed, &mut alone[slot]);
+        }
+        let mut live = [true; 6];
+
+        let n = rounds.len() + 1;
+        let mut now = 0;
+        for k in 0..n {
+            let round = &rows[k * rows.len() / n..(k + 1) * rows.len() / n];
+            let (relayed, local): (Vec<_>, Vec<_>) =
+                round.iter().partition(|&&(x, _, _)| x / 32 % 2 == 1);
+            let (local, relayed) = (mixed_packets(local), mixed_packets(relayed));
+            // The last round flushes everything; the others advance the
+            // clock 0–3 s, the relay lagging it by 0–3 s.
+            let (step, lag) = rounds.get(k).map_or((60, 0), |r| (r.0 % 4, r.0 / 4));
+            now += step * SEC;
+            for chunk in cut(&local, &cuts) {
+                mixed.absorb(&chunk, None, now);
+            }
+            for engine in &mut alone {
+                for chunk in cut(&local, &cuts_alone) {
+                    engine.absorb(&chunk, None, now);
+                }
+            }
+            for chunk in cut(&relayed, &cuts) {
+                relay.absorb(&chunk, None, now);
+            }
+            if let Some(partials) = relay.tick(now.saturating_sub(lag * SEC), false).partials {
+                let refused = mixed.absorb_partials(&partials);
+                for engine in &mut alone {
+                    prop_assert_eq!(&engine.absorb_partials(&partials), &refused);
+                }
+            }
+            let got = mixed.tick(now, true).emissions;
+            for (slot, engine) in alone.iter_mut().enumerate() {
+                let want = engine.tick(now, true).emissions;
+                prop_assert_eq!(rendered(&got, id(slot)), rendered(&want, id(slot)), "slot {}", slot);
+                if live[slot] {
+                    let (a, b) = (mixed.diagnostics(id(slot)), engine.diagnostics(id(slot)));
+                    prop_assert_eq!(a.unwrap().windows_emitted, b.unwrap().windows_emitted);
+                }
+            }
+            prop_assert!(got.iter().all(|e| (0..6).any(|s| live[s] && id(s) == e.query_id)));
+            // Between root ticks one slot leaves, or (re)joins.
+            if let Some(&(_, slot, draw)) = rounds.get(k) {
+                if live[slot] {
+                    prop_assert!(mixed.remove_member(id(slot)));
+                    prop_assert!(alone[slot].remove_member(id(slot)));
+                } else {
+                    join(slot, draw, &mut mixed, &mut alone[slot]);
+                }
+                live[slot] = !live[slot];
             }
         }
     }
