@@ -17,13 +17,9 @@
 //! the arena layout once the dictionary exceeds [`DICT_MAX`] distinct
 //! entries.  Every kernel therefore needs a fallback arm, and the
 //! differential oracle suite (tests/columnar_oracle.rs) pins each typed arm
-//! to the fallback arm over arbitrary mixed chunks with nulls.
-//!
-//! **Reference layout.**  With the `reference-layout` feature enabled,
-//! inference is disabled and every column stays in the `Vec<Value>` fallback
-//! — running the whole test suite under that feature is a second,
-//! independent differential check that no caller depends on a specific
-//! layout.
+//! to the fallback arm over arbitrary mixed chunks with nulls: it builds
+//! the reference side with [`Column::values_layout`], in the same process
+//! as the typed side, so no build switch forces a layout.
 //!
 //! **Wire format.**  [`Column::encode_body`] / [`Column::decode_body`] give
 //! each layout a real byte encoding (dictionary pages, arena + offsets,
@@ -37,10 +33,6 @@ use std::sync::Arc;
 /// Maximum number of distinct dictionary entries before a string column
 /// spills from dictionary encoding to the byte-arena layout.
 pub const DICT_MAX: usize = 64;
-
-/// When true (the `reference-layout` feature), every column is forced to the
-/// `Vec<Value>` fallback layout at ingest.
-const FORCE_REFERENCE: bool = cfg!(feature = "reference-layout");
 
 /// Validity bitmap: bit `r` set ⇔ row `r` holds a (typed) value, clear ⇔ the
 /// row is null.  Bits past `len` are always zero, so the packed words are a
@@ -265,7 +257,7 @@ pub enum Column {
         validity: Option<Bitmap>,
     },
     /// Fallback layout: one tagged [`Value`] per row (mixed-type columns,
-    /// byte payloads, and the `reference-layout` differential oracle).
+    /// byte payloads, and the differential oracle's reference).
     Values(
         /// Row values.
         Vec<Value>,
@@ -480,9 +472,6 @@ impl Column {
     /// Append one borrowed value, promoting / degrading the layout as
     /// needed.
     pub fn push_ref(&mut self, v: ValueRef<'_>) {
-        if FORCE_REFERENCE {
-            self.degrade();
-        }
         match v {
             ValueRef::Null => self.push_null(),
             ValueRef::Int(i) => self.push_int(i),
@@ -507,7 +496,7 @@ impl Column {
                     v.push(true);
                 }
             }
-            Column::Values(vals) if !FORCE_REFERENCE && is_all_null(vals) => {
+            Column::Values(vals) if is_all_null(vals) => {
                 let nulls = vals.len();
                 let mut data = vec![0i64; nulls];
                 data.push(i);
@@ -534,7 +523,7 @@ impl Column {
                     v.push(true);
                 }
             }
-            Column::Values(vals) if !FORCE_REFERENCE && is_all_null(vals) => {
+            Column::Values(vals) if is_all_null(vals) => {
                 let nulls = vals.len();
                 let mut data = vec![0f64; nulls];
                 data.push(f);
@@ -561,7 +550,7 @@ impl Column {
                     v.push(true);
                 }
             }
-            Column::Values(vals) if !FORCE_REFERENCE && is_all_null(vals) => {
+            Column::Values(vals) if is_all_null(vals) => {
                 let nulls = vals.len();
                 let mut data = vec![false; nulls];
                 data.push(b);
@@ -585,26 +574,10 @@ impl Column {
     }
 
     fn push_str_arc(&mut self, s: &Arc<str>) {
-        if FORCE_REFERENCE {
-            self.degrade();
-            let Column::Values(vals) = self else {
-                unreachable!()
-            };
-            vals.push(Value::Str(Arc::clone(s)));
-            return;
-        }
         self.push_str_inner(s, Some(s));
     }
 
     fn push_str_inner(&mut self, s: &str, arc: Option<&Arc<str>>) {
-        if FORCE_REFERENCE {
-            self.degrade();
-            let Column::Values(vals) = self else {
-                unreachable!()
-            };
-            vals.push(Value::str(s));
-            return;
-        }
         match self {
             Column::Dict {
                 codes,
@@ -1027,26 +1000,20 @@ mod tests {
     #[test]
     fn ingest_infers_typed_layouts() {
         let ints = Column::from_values(vec![Value::Int(1), Value::Null, Value::Int(3)]);
-        if !FORCE_REFERENCE {
-            assert_eq!(ints.layout_name(), "int");
-            assert_eq!(ints.validity().unwrap().count_ones(), 2);
-        }
+        assert_eq!(ints.layout_name(), "int");
+        assert_eq!(ints.validity().unwrap().count_ones(), 2);
         assert_eq!(
             ints.to_values(),
             vec![Value::Int(1), Value::Null, Value::Int(3)]
         );
 
         let strs = Column::from_values(vec![Value::str("a"), Value::str("b"), Value::str("a")]);
-        if !FORCE_REFERENCE {
-            assert_eq!(strs.layout_name(), "dict");
-        }
+        assert_eq!(strs.layout_name(), "dict");
         assert_eq!(strs.value(2), Value::str("a"));
 
         // Leading nulls then a float: promotion keeps the nulls.
         let floats = Column::from_values(vec![Value::Null, Value::Float(2.5)]);
-        if !FORCE_REFERENCE {
-            assert_eq!(floats.layout_name(), "float");
-        }
+        assert_eq!(floats.layout_name(), "float");
         assert_eq!(floats.to_values(), vec![Value::Null, Value::Float(2.5)]);
 
         // Mixed types degrade to the fallback.
@@ -1065,17 +1032,12 @@ mod tests {
             .map(|i| Value::str(format!("s{i}")))
             .collect();
         let col = Column::from_values(vals.clone());
-        if !FORCE_REFERENCE {
-            assert_eq!(col.layout_name(), "str");
-        }
+        assert_eq!(col.layout_name(), "str");
         assert_eq!(col.to_values(), vals);
     }
 
     #[test]
     fn dict_push_shares_the_arc() {
-        if FORCE_REFERENCE {
-            return;
-        }
         let s = Value::str("shared");
         let mut col = Column::new();
         col.push_value(&s);
@@ -1096,9 +1058,6 @@ mod tests {
 
     #[test]
     fn a_cloned_gathered_or_decoded_dict_column_reindexes_on_the_next_push() {
-        if FORCE_REFERENCE {
-            return;
-        }
         // 40 distinct strings pushed twice: first-seen order, no repeats.
         let names: Vec<String> = (0..40).map(|i| format!("10.0.0.{i}")).collect();
         let mut col = Column::new();
@@ -1193,11 +1152,9 @@ mod tests {
         // A dict code past the dictionary is rejected.
         let mut bad = Vec::new();
         Column::from_values(vec![Value::str("a")]).encode_body(&mut bad);
-        if !FORCE_REFERENCE {
-            let last = bad.len() - 1;
-            bad[last] = 7;
-            assert!(Column::decode_body(1, &bad).is_none());
-        }
+        let last = bad.len() - 1;
+        bad[last] = 7;
+        assert!(Column::decode_body(1, &bad).is_none());
     }
 
     #[test]

@@ -54,9 +54,9 @@
 //!   is equivalent to deep equality.  Every per-schema cache
 //!   ([`tuple::ColumnResolver`], [`tuple::ColumnRef`],
 //!   [`expr::CompiledPredicate`], operator output-schema caches) keys on
-//!   this.  Query teardown sweeps no-longer-referenced query-scoped shapes
-//!   ([`tuple::SchemaRegistry::sweep_matching`]), so the registry stays
-//!   bounded by the live working set.
+//!   this.  The registry forgets a shape once nothing else holds it, pruning
+//!   itself as it grows, so it stays within twice the live shapes (at least
+//!   a small floor) whatever they are named; no teardown has to tell it.
 //! * **Parallel shapes**: a tuple's value slice is parallel to its schema's
 //!   columns (equal arity); a [`tuple::ColumnChunk`]'s column vectors are
 //!   parallel to its schema's columns and of equal length.

@@ -18,13 +18,10 @@
 
 use crate::admission::{AdmissionControl, AdmissionFactory, AdmissionVerdict, SloPolicy};
 use crate::graph_exec::{ExecOut, GraphExec, GraphRef};
-use crate::plan::{is_query_scoped_table, CqSpec, Dissemination, QpObject, QueryPlan};
+use crate::plan::{CqSpec, Dissemination, QpObject, QueryPlan};
 use crate::proxy::{MemberRun, PierOut, Proxy, RenewalRound, WindowBundle};
-use crate::sharing::{
-    is_share_scoped_table, InstallOutcome, Membership, MultiQuerySharing, SharingFactory,
-    SharingStats,
-};
-use crate::tuple::{ColumnChunk, SchemaRegistry, Tuple, TupleBatch};
+use crate::sharing::{InstallOutcome, Membership, MultiQuerySharing, SharingFactory, SharingStats};
+use crate::tuple::{ColumnChunk, Tuple, TupleBatch};
 use crate::window_engine::{CqDiagnostics, EngineSpec, WindowEngine, OCCUPANCY_GAUGES};
 use pier_cq::{DurableStore, LeaseStatus};
 use pier_dht::{
@@ -1345,13 +1342,9 @@ impl PierNode {
         self.engines.insert(key, slot);
     }
 
-    /// Uninstall a query and release query-scoped interned schemas
-    /// (`q{id}.agg`, `q{id}.wp`, `q{id}.win`, …) from the process-wide
-    /// [`SchemaRegistry`].  The sweep covers *every* no-longer-referenced
-    /// query-scoped shape, not just this query's: a schema still pinned by
-    /// in-flight tuples when its own query tore down gets collected by a
-    /// later teardown's sweep, so the registry stays bounded by the live
-    /// working set instead of growing with every query ever installed.
+    /// Uninstall a query: leave its window engine, drop its dataflow and
+    /// routes, or leave its share group.  The schemas it interned need no
+    /// release here: the registry forgets a shape once nothing holds it.
     fn uninstall_query(&mut self, query_id: u64) {
         self.last_combine_span.remove(&query_id);
         // Leave the window engine.  The last member out retires it, and a
@@ -1388,13 +1381,10 @@ impl PierNode {
             self.tel.event("query_teardown", || {
                 vec![("query_id", query_id.to_string())]
             });
-            SchemaRegistry::global().sweep_matching(is_query_scoped_table);
             return;
         }
         // Share-group members also leave the layer: the group's refcount
-        // drops, and retiring its last member sweeps both the group's
-        // interned shapes (`g{fp:016x}.…`) and any unreferenced
-        // query-scoped ones (the member's result schema).
+        // drops, and its last member retires it.
         if let Some(layer) = self.sharing.as_mut() {
             let out = layer.uninstall(query_id);
             if out.was_member {
@@ -1408,8 +1398,6 @@ impl PierNode {
                         ("retired_group", retired),
                     ]
                 });
-                SchemaRegistry::global()
-                    .sweep_matching(|t| is_query_scoped_table(t) || is_share_scoped_table(t));
             }
         }
     }
@@ -1645,8 +1633,8 @@ impl PierNode {
     /// re-arm.  The rows travel to their DHT owner (keyed by node label)
     /// like any other published row and are absorbed there exactly once,
     /// so standing queries over them — installed everywhere by broadcast —
-    /// see every node without double counting; neither name has the query-
-    /// or share-scoped form, so teardown sweeps never evict the schemas.
+    /// see every node without double counting.  Their schemas live while
+    /// rows of them are held, like any other shape.
     fn publish_metrics(&mut self, ctx: &mut ProgramContext<Self>) {
         let Some(interval) = self.config.telemetry.publish_interval else {
             return;

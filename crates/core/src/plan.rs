@@ -394,8 +394,9 @@ impl QueryPlan {
 
 /// True for table names of the query-scoped form `q{digits}.{suffix}` — the
 /// namespaces queries intern per installation (`q{id}.agg`, `q{id}.wp`,
-/// `q{id}.win`, `q{id}.partials`, …) and the shapes the teardown sweep is
-/// allowed to evict.  User tables that merely start with `q` do not match.
+/// `q{id}.win`, `q{id}.partials`, …): derived data, which shedding to a
+/// sample passes untouched.  User tables that merely start with `q` do not
+/// match.
 pub(crate) fn is_query_scoped_table(table: &str) -> bool {
     let Some(rest) = table.strip_prefix('q') else {
         return false;

@@ -258,7 +258,7 @@ struct Proxied {
     standing: Option<Standing>,
     /// The wire schema this query's window results last arrived under and
     /// the client schema they are re-labelled with: interned once per
-    /// query, dropped with the entry so teardown's sweep can evict it.
+    /// query, dropped with the entry so the registry can forget it.
     window_schema: Option<(Arc<Schema>, Arc<Schema>)>,
 }
 

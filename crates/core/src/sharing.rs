@@ -29,8 +29,9 @@
 //!    same engine code an unshared query runs.
 //! 4. **Teardown** — timeouts and lease lapses route through
 //!    [`MultiQuerySharing::uninstall`]; when a group loses its last member
-//!    the layer retires it and the executor drops the engine and sweeps its
-//!    interned schemas ([`is_share_scoped_table`]), so nothing leaks.
+//!    the layer retires it and the executor drops the engine.  The group's
+//!    interned schemas (`g{fp:016x}.…`) go with the last handle: the schema
+//!    registry forgets what nothing holds, so nothing leaks.
 
 use crate::plan::QueryPlan;
 use crate::tuple::ColumnChunk;
@@ -78,8 +79,8 @@ pub struct Membership {
 pub struct UninstallOutcome {
     /// True when the query was a share-group member here.
     pub was_member: bool,
-    /// Set when the member was its group's last: the group has been retired
-    /// and the executor should sweep its interned schemas.
+    /// Set when the member was its group's last: the group has been
+    /// retired.
     pub retired_group: Option<u64>,
 }
 
@@ -134,34 +135,9 @@ pub trait MultiQuerySharing: std::fmt::Debug + Send {
     fn stats(&self) -> SharingStats;
 }
 
-/// True for table names of the share-group-scoped form
-/// `g{16 hex digits}.{suffix}` — the namespaces a share group interns
-/// (`g{fp:016x}.wp`, `g{fp:016x}.windows`, `g{fp:016x}.gv`, …) and the
-/// shapes the teardown sweep may evict.  User tables that merely start with
-/// `g` do not match.
-pub fn is_share_scoped_table(table: &str) -> bool {
-    let Some(rest) = table.strip_prefix('g') else {
-        return false;
-    };
-    let Some(dot) = rest.find('.') else {
-        return false;
-    };
-    dot == 16 && rest.as_bytes()[..dot].iter().all(u8::is_ascii_hexdigit)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn share_scoped_tables_are_recognised() {
-        assert!(is_share_scoped_table("g00000000deadbeef.wp"));
-        assert!(is_share_scoped_table("gabcdef0123456789.windows"));
-        assert!(!is_share_scoped_table("gossip.live"));
-        assert!(!is_share_scoped_table("g123.wp"), "too few hex digits");
-        assert!(!is_share_scoped_table("g00000000deadbeef"), "no suffix");
-        assert!(!is_share_scoped_table("q42.wp"));
-    }
 
     #[test]
     fn uninstall_outcome_default_is_not_member() {

@@ -29,9 +29,8 @@
 //!   `i64`/`f64` buffers, dictionary/arena strings, validity bitmaps — see
 //!   [`crate::column`]), so batch-at-a-time operators scan raw buffers
 //!   contiguously and the wire accounting charges each self-describing
-//!   schema once per chunk.  A batch of interleaved schemas degrades
-//!   gracefully — every schema run becomes its own chunk, the row-major
-//!   escape hatch for mixed-schema paths.
+//!   schema once per chunk.  A batch of interleaved schemas stays
+//!   columnar: every schema run becomes its own chunk.
 //!
 //! `Tuple::wire_size` still charges the full self-describing cost (schema +
 //! values), exactly as in the paper — but only a *lone* tuple travels that
@@ -42,14 +41,13 @@
 //! client's `PierOut`.
 //!
 //! **Invariants.** Schemas are immutable once interned, and the registry
-//! only evicts shapes nothing else references
-//! ([`SchemaRegistry::sweep_matching`], triggered on query teardown for
-//! query-scoped namespaces); `Arc::ptr_eq` on two *live* schema handles is
-//! therefore equivalent to deep equality — an evicted shape has no
-//! surviving handle to compare against.  A `Tuple`'s value slice is
-//! parallel to its schema's columns (same arity), and a `ColumnChunk`'s
-//! column vectors are parallel to its schema's columns and all of equal
-//! length.
+//! forgets only shapes nothing else holds (it prunes itself as it grows,
+//! whatever the shapes are named; no caller tells it when); `Arc::ptr_eq`
+//! on two *live* schema handles is therefore equivalent to deep equality —
+//! a forgotten shape has no surviving handle to compare against.  A
+//! `Tuple`'s value slice is parallel to its schema's columns (same arity),
+//! and a `ColumnChunk`'s column vectors are parallel to its schema's columns
+//! and all of equal length.
 
 use crate::column::Column;
 use crate::value::{Value, ValueRef};
@@ -144,17 +142,58 @@ fn schema_hash<'a>(table: &str, columns: impl Iterator<Item = &'a str>) -> u64 {
     h.finish()
 }
 
+/// Entry count below which the registry never prunes.
+const PRUNE_FLOOR: usize = 256;
+
 /// Process-wide interner mapping (table, columns) shapes to shared
 /// [`Schema`]s.  Lookups hash borrowed names, so repeated construction of
-/// same-shaped tuples performs no string allocation at all.  Shapes keyed by
-/// query-scoped table names (`q{id}.agg`, `q{id}.win`, …) would otherwise
-/// accumulate with every query ever installed, so query teardown sweeps
-/// no-longer-referenced query-scoped shapes via
-/// [`SchemaRegistry::sweep_matching`], keeping the registry bounded by the
-/// live working set.
+/// same-shaped tuples performs no string allocation at all.
+///
+/// The registry alone decides how long a shape lives: it forgets what
+/// nothing else holds.  When an insert brings the entry count to twice what
+/// the last prune kept (at least a floor of 256), every shape whose only
+/// `Arc` is the registry's is dropped — amortised O(1) per insert, and the
+/// registry stays within `max(256, 2 × live shapes)` whatever the
+/// shapes are named (`q{id}.agg`, `g{fp}.wp`, a projection of a user
+/// table, …).  A held shape is never dropped, so two live handles of one
+/// shape stay one allocation.
 #[derive(Debug, Default)]
 pub struct SchemaRegistry {
-    shapes: Mutex<HashMap<u64, Vec<Arc<Schema>>>>,
+    shapes: Mutex<Shapes>,
+}
+
+#[derive(Debug, Default)]
+struct Shapes {
+    by_hash: HashMap<u64, Vec<Arc<Schema>>>,
+    /// Entries across all buckets.
+    len: usize,
+    /// Entries the last prune kept.
+    kept: usize,
+}
+
+impl Shapes {
+    /// Record `schema` in `hash`'s bucket and prune if the count reached
+    /// its threshold; the caller holds the returned handle, so the new
+    /// shape itself always survives.
+    fn insert(&mut self, hash: u64, schema: Schema) -> Arc<Schema> {
+        let schema = Arc::new(schema);
+        self.by_hash
+            .entry(hash)
+            .or_default()
+            .push(Arc::clone(&schema));
+        self.len += 1;
+        if self.len >= (2 * self.kept).max(PRUNE_FLOOR) {
+            // Under the registry lock a strong count of 1 cannot grow: every
+            // other handle is gone, and a new one comes only from `intern`.
+            self.by_hash.retain(|_, bucket| {
+                bucket.retain(|s| Arc::strong_count(s) > 1);
+                !bucket.is_empty()
+            });
+            self.len = self.by_hash.values().map(Vec::len).sum();
+            self.kept = self.len;
+        }
+        schema
+    }
 }
 
 impl SchemaRegistry {
@@ -164,12 +203,12 @@ impl SchemaRegistry {
         GLOBAL.get_or_init(SchemaRegistry::default)
     }
 
-    /// Number of distinct schemas interned.
+    /// Number of schemas interned (held or not yet pruned).
     pub fn len(&self) -> usize {
-        self.shapes.lock().unwrap().values().map(Vec::len).sum()
+        self.shapes.lock().unwrap().len
     }
 
-    /// True when nothing has been interned yet.
+    /// True when the registry holds no schema.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
@@ -179,26 +218,28 @@ impl SchemaRegistry {
     pub fn intern(&self, table: &str, columns: &[&str]) -> Arc<Schema> {
         let hash = schema_hash(table, columns.iter().copied());
         let mut shapes = self.shapes.lock().unwrap();
-        let bucket = shapes.entry(hash).or_default();
-        if let Some(existing) = bucket.iter().find(|s| {
-            s.table == table
-                && s.columns.len() == columns.len()
-                && s.columns
-                    .iter()
-                    .map(String::as_str)
-                    .eq(columns.iter().copied())
+        if let Some(existing) = shapes.by_hash.get(&hash).and_then(|bucket| {
+            bucket.iter().find(|s| {
+                s.table == table
+                    && s.columns.len() == columns.len()
+                    && s.columns
+                        .iter()
+                        .map(String::as_str)
+                        .eq(columns.iter().copied())
+            })
         }) {
             return Arc::clone(existing);
         }
-        let schema = Arc::new(Schema::build(
-            table.to_string(),
-            columns
-                .iter()
-                .map(std::string::ToString::to_string)
-                .collect(),
-        ));
-        bucket.push(Arc::clone(&schema));
-        schema
+        shapes.insert(
+            hash,
+            Schema::build(
+                table.to_string(),
+                columns
+                    .iter()
+                    .map(std::string::ToString::to_string)
+                    .collect(),
+            ),
+        )
     }
 
     /// Intern a shape whose parts are already owned (the owned strings are
@@ -206,45 +247,14 @@ impl SchemaRegistry {
     pub fn intern_owned(&self, table: String, columns: Vec<String>) -> Arc<Schema> {
         let hash = schema_hash(&table, columns.iter().map(String::as_str));
         let mut shapes = self.shapes.lock().unwrap();
-        let bucket = shapes.entry(hash).or_default();
-        if let Some(existing) = bucket
-            .iter()
-            .find(|s| s.table == table && s.columns == columns)
-        {
+        if let Some(existing) = shapes.by_hash.get(&hash).and_then(|bucket| {
+            bucket
+                .iter()
+                .find(|s| s.table == table && s.columns == columns)
+        }) {
             return Arc::clone(existing);
         }
-        let schema = Arc::new(Schema::build(table, columns));
-        bucket.push(Arc::clone(&schema));
-        schema
-    }
-
-    /// Evict interned schemas whose table name satisfies `should_evict` and
-    /// that nothing outside the registry references any more (the registry
-    /// holds the only `Arc`).  Returns how many schemas were dropped.
-    ///
-    /// This is the teardown hook for query-scoped namespaces (`q{id}.agg`,
-    /// `q{id}.wp`, `q{id}.win`, …): without it the registry accumulates one
-    /// shape per query ever installed in the process.  Eviction is safe
-    /// because interning takes the registry lock — a schema with a strong
-    /// count of 1 cannot gain a new reference concurrently — and dropping an
-    /// unreferenced schema cannot invalidate any pointer-identity cache,
-    /// since no live tuple or resolver can still point at it.  Schemas that
-    /// are still referenced (e.g. by in-flight tuples) survive the sweep and
-    /// are collected by a later one once released.
-    pub fn sweep_matching(&self, mut should_evict: impl FnMut(&str) -> bool) -> usize {
-        let mut shapes = self.shapes.lock().unwrap();
-        let mut removed = 0;
-        shapes.retain(|_, bucket| {
-            bucket.retain(|s| {
-                let evict = Arc::strong_count(s) == 1 && should_evict(&s.table);
-                if evict {
-                    removed += 1;
-                }
-                !evict
-            });
-            !bucket.is_empty()
-        });
-        removed
+        shapes.insert(hash, Schema::build(table, columns))
     }
 }
 
@@ -1002,6 +1012,7 @@ impl ColumnRef {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn t() -> Tuple {
         Tuple::new(
@@ -1255,14 +1266,27 @@ mod tests {
         }
     }
 
+    /// Intern and drop fresh shapes until the registry prunes itself (its
+    /// entry count falls); the shape that triggered the prune survives it.
+    fn intern_until_prune(registry: &SchemaRegistry, tag: &str) {
+        for i in 0..8 * PRUNE_FLOOR {
+            let before = registry.len();
+            drop(registry.intern(&format!("fill.{tag}{i}"), &["x"]));
+            if registry.len() <= before {
+                return;
+            }
+        }
+        panic!("the registry never pruned itself");
+    }
+
     #[test]
     fn sweep_evicts_unreferenced_query_scoped_schemas() {
         // A private registry so the test does not race other tests on the
         // process-wide one; the mechanics are identical.
         let registry = SchemaRegistry::default();
-        // Install-and-drop 1k queries' worth of query-scoped shapes, with
-        // the per-teardown sweep a PierNode performs: the registry must stay
-        // bounded instead of accumulating 3k schemas.
+        // Install-and-drop 1k queries' worth of query-scoped shapes with no
+        // teardown hook: the registry must stay bounded by its own pruning
+        // instead of accumulating 3k schemas.
         let mut peak = 0;
         for q in 0..1_000 {
             let agg = registry.intern(&format!("q{q}.agg"), &["src", "count"]);
@@ -1273,38 +1297,85 @@ mod tests {
             );
             peak = peak.max(registry.len());
             drop((agg, wp, win)); // query teardown releases the references
-            let prefix = format!("q{q}.");
-            registry.sweep_matching(|t| t.starts_with(&prefix));
         }
-        assert_eq!(registry.len(), 0, "all query-scoped shapes evicted");
-        assert!(peak <= 3, "at most one live query's shapes at a time");
+        assert!(peak <= PRUNE_FLOOR, "peak {peak} above the prune floor");
+        intern_until_prune(&registry, "end");
+        assert_eq!(registry.len(), 1, "only the prune's trigger shape is left");
     }
 
     #[test]
     fn sweep_spares_referenced_schemas_until_released() {
         let registry = SchemaRegistry::default();
         let held = registry.intern("q7.agg", &["src"]);
-        let _gone = registry.intern("q7.wp", &["_w", "src"]);
-        drop(_gone);
-        // The referenced shape survives; the unreferenced one goes.
-        let q7 = |t: &str| t.starts_with("q7.");
-        assert_eq!(registry.sweep_matching(q7), 1);
-        assert_eq!(registry.len(), 1);
+        drop(registry.intern("q7.wp", &["_w", "src"]));
+        // A user table whose name starts with 'q' is neither more nor less
+        // likely to be forgotten: only whether it is held counts.
+        let user = registry.intern("quotes.live", &["x"]);
+        // The referenced shapes survive; the unreferenced one goes.
+        intern_until_prune(&registry, "a");
+        assert_eq!(registry.len(), 3, "q7.agg, quotes.live and the trigger");
         // Re-interning the held shape still hits the same allocation.
         let again = registry.intern("q7.agg", &["src"]);
         assert!(Arc::ptr_eq(&held, &again));
-        // Non-query tables are not swept by the teardown matcher (the very
-        // predicate `PierNode::uninstall_query` sweeps with).
-        let user = registry.intern("quotes.live", &["x"]);
-        drop(user);
-        assert_eq!(
-            registry.sweep_matching(crate::plan::is_query_scoped_table),
-            0,
-            "a user table starting with 'q' must not be swept"
-        );
-        drop((held, again));
-        assert_eq!(registry.sweep_matching(q7), 1);
-        assert_eq!(registry.len(), 1, "only the user table is left");
+        assert_eq!(registry.len(), 3);
+        // Once released, a later prune collects them.
+        drop((held, again, user));
+        intern_until_prune(&registry, "b");
+        assert_eq!(registry.len(), 1, "only the prune's trigger shape is left");
+    }
+
+    proptest! {
+        /// Any interleaving of intern, clone and drop, over query-scoped
+        /// (`q{n}.agg`), share-scoped (`g{fp}.wp`) and plain names (a
+        /// projection keeps its input's table name, a `GroupBy` takes a
+        /// caller-chosen one): a held shape re-interns to its own `Arc`, and
+        /// the registry never holds more than `max(PRUNE_FLOOR, 2 × the
+        /// most live shapes seen)`.  A private registry, so the test does
+        /// not race other tests on the process-wide one.
+        #[test]
+        fn the_registry_forgets_only_what_nothing_holds(
+            ops in prop::collection::vec((0u8..8, 0u8..3, 0u16..600), 1..2_000),
+        ) {
+            let registry = SchemaRegistry::default();
+            let mut held: Vec<Arc<Schema>> = Vec::new();
+            let mut most_live = 0;
+            for (kind, pool, n) in ops {
+                let pick = usize::from(n) % held.len().max(1);
+                match kind {
+                    // Intern a name from one of the three pools.
+                    0 | 1 => {
+                        let table = match pool {
+                            0 => format!("q{n}.agg"),
+                            1 => format!("g{:016x}.wp", u64::from(n) * 0x9e37),
+                            _ => format!("events{n}"),
+                        };
+                        let last = if n % 2 == 0 { "count" } else { "sum" };
+                        held.push(registry.intern(&table, &["src", last]));
+                    }
+                    // Re-intern a held shape by name.
+                    2 if !held.is_empty() => {
+                        let s = &held[pick];
+                        held.push(registry.intern_owned(s.table.clone(), s.columns.clone()));
+                    }
+                    3 if !held.is_empty() => held.push(Arc::clone(&held[pick])),
+                    _ if !held.is_empty() => drop(held.swap_remove(pick)),
+                    _ => {}
+                }
+                // However it was reached, a held shape is one allocation.
+                let mut live: Vec<*const Schema> = held.iter().map(Arc::as_ptr).collect();
+                live.sort_unstable();
+                live.dedup();
+                let shapes: std::collections::HashSet<(&str, &[String])> =
+                    held.iter().map(|s| (s.table(), s.columns())).collect();
+                prop_assert_eq!(live.len(), shapes.len(), "a held shape was re-allocated");
+                most_live = most_live.max(live.len());
+                prop_assert!(
+                    registry.len() <= PRUNE_FLOOR.max(2 * most_live),
+                    "{} entries with at most {most_live} live shapes",
+                    registry.len()
+                );
+            }
+        }
     }
 
     #[test]

@@ -15,9 +15,11 @@
 //!   typed chunk as over the reference chunk, which in turn matches per-row
 //!   evaluation.
 //!
-//! Building the `pier-core` crate with `--features reference-layout` forces
-//! every ingest path onto the reference layout, so the whole workspace test
-//! suite doubles as the fallback-arm oracle run (CI runs both).
+//! The reference side is built with [`Column::values_layout`] in the same
+//! process, so this suite alone guards every typed arm: breaking one arm of
+//! a kernel, of the codec, of key writing or of the predicate index fails a
+//! property here.  Chunks grow past `DICT_MAX` rows so arena-string columns
+//! reach the predicate kernels too.
 
 use pier::mqo::PredicateIndex;
 use pier::qp::tuple::ColumnChunk;
@@ -184,8 +186,11 @@ fn chunk_rows_bytes(chunk: &ColumnChunk) -> Vec<Vec<Vec<u8>>> {
 
 /// Random predicates exercising every vectorised kernel shape against the
 /// generated columns: `col op const` in both orientations, `col op col`,
-/// `Contains`, bare boolean columns, and conjunctions.
-fn gen_predicates(rng: &mut Gen, cols: usize) -> Vec<Expr> {
+/// `Contains`, bare boolean columns, and conjunctions.  Half the constants
+/// are drawn from the column they test, so equality kernels (the predicate
+/// index's hash lookups per layout) see hits as well as misses.
+fn gen_predicates(rng: &mut Gen, values: &[Vec<Value>]) -> Vec<Expr> {
+    let cols = values.len();
     let ops = [
         CmpOp::Eq,
         CmpOp::Ne,
@@ -196,12 +201,18 @@ fn gen_predicates(rng: &mut Gen, cols: usize) -> Vec<Expr> {
     ];
     let mut out = Vec::new();
     for _ in 0..12 {
-        let c = format!("c{}", rng.below(cols as u64));
+        let ci = rng.below(cols as u64) as usize;
+        let c = format!("c{ci}");
         let op = ops[rng.below(6) as usize];
-        let constant = gen_value(
-            &mut Gen::new(rng.next()),
-            rng.below(PROFILES as u64) as usize,
-        );
+        let column = &values[ci];
+        let constant = if !column.is_empty() && rng.chance(50) {
+            column[rng.below(column.len() as u64) as usize].clone()
+        } else {
+            gen_value(
+                &mut Gen::new(rng.next()),
+                rng.below(PROFILES as u64) as usize,
+            )
+        };
         out.push(match rng.below(6) {
             0 => Expr::cmp(op, Expr::lit(constant), Expr::col(&c)),
             1 => {
@@ -276,10 +287,10 @@ proptest! {
     /// tuples — for arbitrary mixed-type chunks with nulls and arbitrary
     /// predicate shapes.
     #[test]
-    fn predicate_kernels_match_reference(seed: u64, rows in 0usize..40, cols in 1usize..6) {
+    fn predicate_kernels_match_reference(seed: u64, rows in 0usize..100, cols in 1usize..6) {
         let pair = gen_pair(seed, rows, cols);
         let mut rng = Gen::new(seed.wrapping_mul(0x5DEECE66D).wrapping_add(11));
-        for expr in gen_predicates(&mut rng, cols) {
+        for expr in gen_predicates(&mut rng, &pair.values) {
             let mut pred = CompiledPredicate::new(expr.clone());
             let typed_mask = pred.for_schema(pair.typed.schema()).eval_column(&pair.typed);
             let ref_mask = pred
@@ -361,12 +372,12 @@ proptest! {
     /// over typed and reference chunks (hash kernels, ordering kernels and
     /// the vectorised fallback alike).
     #[test]
-    fn predicate_index_matches_reference(seed: u64, rows in 0usize..40, cols in 1usize..5) {
+    fn predicate_index_matches_reference(seed: u64, rows in 0usize..100, cols in 1usize..5) {
         let pair = gen_pair(seed, rows, cols);
         let mut rng = Gen::new(seed ^ 0xABCD);
         let mut index = PredicateIndex::new();
         let mut ids = Vec::new();
-        for (id, expr) in gen_predicates(&mut rng, cols).into_iter().enumerate() {
+        for (id, expr) in gen_predicates(&mut rng, &pair.values).into_iter().enumerate() {
             let id = id as u64;
             // Wrap some predicates in Or to force the fallback path too.
             let expr = if rng.chance(25) {
@@ -474,4 +485,49 @@ fn dictionary_spill_boundary_reads_identically() {
     let mut re_enc = Vec::new();
     decoded.encode_body(&mut re_enc);
     assert_eq!(re_enc, enc);
+}
+
+/// Equality members over an arena-string column (past `DICT_MAX` distinct
+/// values, with nulls) select the same rows from the typed chunk as from
+/// the reference chunk — a directed check of the predicate index's arena
+/// arm, which random predicates reach only rarely.
+#[test]
+fn predicate_index_equality_over_an_arena_column_matches_reference() {
+    let rows = 2 * (pier::qp::DICT_MAX + 8);
+    let values = vec![(0..rows)
+        .map(|i| {
+            if i % 7 == 3 {
+                Value::Null
+            } else {
+                Value::Str(format!("k{}", i / 2).into())
+            }
+        })
+        .collect::<Vec<_>>()];
+    let schema = SchemaRegistry::global().intern("oracle", &["c0"]);
+    let typed = ColumnChunk::from_value_columns(Arc::clone(&schema), values.clone(), rows);
+    assert_eq!(typed.col(0).layout_name(), "str", "past DICT_MAX: arena");
+    let reference = ColumnChunk::from_columns(
+        schema,
+        values.into_iter().map(Column::values_layout).collect(),
+        rows,
+    );
+    let mut index = PredicateIndex::new();
+    let members = 8u64;
+    for id in 0..members {
+        let needle = Value::str(format!("k{}", id * 9));
+        assert!(index.insert(id, Expr::cmp(CmpOp::Eq, Expr::col("c0"), Expr::lit(needle))));
+    }
+    index.eval_chunk(&typed);
+    let typed_masks: Vec<Vec<bool>> = (0..members)
+        .map(|id| index.member_mask(id).expect("indexed").to_bools())
+        .collect();
+    index.eval_chunk(&reference);
+    for (id, want) in (0..members).zip(&typed_masks) {
+        assert!(want.contains(&true), "member {id} selects a row");
+        assert_eq!(
+            &index.member_mask(id).expect("indexed").to_bools(),
+            want,
+            "member {id} diverged between layouts"
+        );
+    }
 }
