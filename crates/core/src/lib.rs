@@ -74,6 +74,7 @@
 pub mod admission;
 pub mod aggregate;
 pub mod column;
+pub mod deadlines;
 pub mod eddy;
 pub mod expr;
 pub mod graph_exec;

@@ -17,13 +17,14 @@
 //! stops when the query's timeout expires.
 
 use crate::admission::{AdmissionControl, AdmissionFactory, AdmissionVerdict, SloPolicy};
+use crate::deadlines::{Deadline, Deadlines, Due};
 use crate::graph_exec::{ExecOut, GraphExec, GraphRef};
 use crate::plan::{CqSpec, Dissemination, QpObject, QueryPlan};
 use crate::proxy::{MemberRun, PierOut, Proxy, RenewalRound, WindowBundle};
 use crate::sharing::{InstallOutcome, Membership, MultiQuerySharing, SharingFactory, SharingStats};
 use crate::tuple::{ColumnChunk, Tuple, TupleBatch};
 use crate::window_engine::{CqDiagnostics, EngineSpec, WindowEngine, OCCUPANCY_GAUGES};
-use pier_cq::{DurableStore, LeaseStatus};
+use pier_cq::{DurableStore, Lease};
 use pier_dht::{
     routing_id, DhtMessage, Id, NodeRef, ObjectName, Overlay, OverlayConfig, OverlayEffect,
     OverlayEvent, OverlayTimer,
@@ -191,16 +192,13 @@ pub enum PierTimer {
         /// Query being finalized.
         query_id: u64,
     },
-    /// The query's lifetime expired at this node: uninstall it.
-    QueryEnd {
-        /// Query being uninstalled.
-        query_id: u64,
-    },
-    /// The proxy's view of the query lifetime expired: notify the client.
-    ProxyDone {
-        /// Query being completed.
-        query_id: u64,
-    },
+    /// The lifecycle sweep: act on every soft-state deadline due now —
+    /// query ends, proxy completions, lease re-checks ([`Deadlines`]).  One
+    /// is in flight per node for the earliest deadline.
+    QueryEnd,
+    /// Never armed: a proxy's completion is a [`Deadline::ProxyDone`] of
+    /// the lifecycle sweep.  Declared for the benchmark's timer classes.
+    ProxyDone,
     /// Periodic window maintenance for a continuous query: close due
     /// windows, forward partials toward the window root, emit per-window
     /// results at the root.  Fires every window slide.
@@ -212,12 +210,9 @@ pub enum PierTimer {
     /// clock — broadcast the lease roster of the standing queries it
     /// proxies, so leases extend and churned-in nodes pull what they lack.
     CqRenew,
-    /// Node-side lease check: uninstall the continuous query if its lease
-    /// lapsed (the owner stopped renewing or we are partitioned away).
-    CqLease {
-        /// Query being checked.
-        query_id: u64,
-    },
+    /// Never armed: a lease re-check is a [`Deadline::Lease`] of the
+    /// lifecycle sweep.  Declared for the benchmark's timer classes.
+    CqLease,
     /// Ship every buffered rehash batch that the size threshold has not
     /// already flushed (the "flush on tick" half of batched transfer).
     BatchFlush,
@@ -308,6 +303,9 @@ pub struct PierNode {
     outbox: Vec<(NodeAddr, u64, TupleBatch)>,
     /// The queries submitted here and their renewal clock.
     proxy: Proxy,
+    /// Query ends, proxy completions and lease re-checks, swept by one
+    /// [`PierTimer::QueryEnd`] timer.
+    deadlines: Deadlines,
     next_query_seq: u64,
     /// Every window engine at this node, and the engine each windowed
     /// query (unshared or share-group member) lives in.
@@ -382,6 +380,7 @@ impl PierNode {
             tel,
             config,
             proxy: Proxy::default(),
+            deadlines: Deadlines::default(),
             next_query_seq: 0,
             engines: BTreeMap::new(),
             engine_of: HashMap::new(),
@@ -628,7 +627,9 @@ impl PierNode {
         if let Some(delay) = self.proxy.submit(&plan, now) {
             ctx.set_timer(delay, PierTimer::CqRenew);
         }
-        ctx.set_timer(plan.timeout, PierTimer::ProxyDone { query_id });
+        let done = Deadline::ProxyDone(query_id);
+        self.deadlines.file(now + plan.timeout, done);
+        self.arm_sweep(ctx);
         // A standing broadcast plan submitted while the renewal round is
         // open takes the round with it: one broadcast carries both.
         let round = if plan.cq.is_some() && plan.dissemination == Dissemination::Broadcast {
@@ -1139,7 +1140,7 @@ impl PierNode {
         }
         // Multi-query sharing: offer the plan to the layer first.  A plan
         // that normalizes into a share group installs as a *member* of the
-        // group's engine — the executor arms its lifecycle timers but
+        // group's engine — the node files its lifecycle deadlines but
         // builds no dataflow; the engine's tick chain starts with its first
         // member.
         let shared = self.sharing.as_mut().map(|layer| layer.try_install(&plan));
@@ -1174,8 +1175,7 @@ impl PierNode {
                     ("new_group", tick.is_some().to_string()),
                 ]
             });
-            ctx.set_timer(plan.timeout, PierTimer::QueryEnd { query_id });
-            ctx.set_timer(lease, PierTimer::CqLease { query_id });
+            self.file_lifetime(ctx, query_id, plan.timeout, Some(lease));
             if let Some((slide, tick)) = tick {
                 ctx.set_timer(slide, tick);
             }
@@ -1216,7 +1216,8 @@ impl PierNode {
             let route = NamespaceRoute::AggPartials(query_id);
             self.routes.insert(partials, route);
         }
-        ctx.set_timer(timeout, PierTimer::QueryEnd { query_id });
+        let lease = cq_timers.map(|(_, lease)| lease);
+        self.file_lifetime(ctx, query_id, timeout, lease);
         if let Some(hold) = hold {
             ctx.set_timer(hold, PierTimer::AggFlush { query_id });
             ctx.set_timer(
@@ -1224,9 +1225,8 @@ impl PierNode {
                 PierTimer::AggFinal { query_id },
             );
         }
-        if let Some((slide, lease)) = cq_timers {
+        if let Some((slide, _)) = cq_timers {
             ctx.set_timer(slide, PierTimer::WindowTick { query_id });
-            ctx.set_timer(lease, PierTimer::CqLease { query_id });
         }
         // Route every opgraph's source to it, and feed the opgraphs their
         // initial data: node-local rows plus the DHT-partitioned rows this
@@ -1261,6 +1261,64 @@ impl PierNode {
             let effects = self.feed(ctx, (query_id, gidx), &batch, now);
             self.drive(ctx, effects);
         }
+    }
+
+    /// File a query's end here `timeout` from now and, for a standing
+    /// query, the first re-check of its `lease`, unless the end comes first.
+    fn file_lifetime(
+        &mut self,
+        ctx: &mut ProgramContext<Self>,
+        query_id: u64,
+        timeout: Duration,
+        lease: Option<Duration>,
+    ) {
+        let now = ctx.now();
+        let end = now + timeout;
+        self.deadlines.file(end, Deadline::End(query_id));
+        if let Some(lease) = lease.filter(|lease| now + lease < end) {
+            self.deadlines
+                .file(now + lease, Deadline::Lease { query_id, end });
+        }
+        self.arm_sweep(ctx);
+    }
+
+    /// Arm the lifecycle sweep for the earliest deadline, unless a sweep
+    /// at or before it is already in flight.
+    fn arm_sweep(&mut self, ctx: &mut ProgramContext<Self>) {
+        if let Some(at) = self.deadlines.arm() {
+            ctx.set_timer(at.saturating_sub(ctx.now()), PierTimer::QueryEnd);
+        }
+    }
+
+    /// The lifecycle sweep: uninstall the queries that ended here or whose
+    /// lease lapsed, report the proxied queries that are done, and arm the
+    /// sweep for the next deadline.
+    fn sweep_deadlines(&mut self, ctx: &mut ProgramContext<Self>) {
+        let now = ctx.now();
+        // With durable segments the owner may be a *restarted* node whose
+        // renewals resume once it rejoins: a lapsed lease parks in a grace
+        // window (one lease duration) before the query is swept; soft-only
+        // nodes keep the original hard expiry.
+        let durable = self.config.durable.is_some();
+        loop {
+            let lease = leases(&self.engines, &self.engine_of);
+            let Some(due) = self.deadlines.next_due(now, durable, lease) else {
+                break;
+            };
+            match due {
+                Due::Uninstall(query_id) => self.uninstall_query(query_id),
+                Due::Done(query_id) => {
+                    if self.proxy.done(query_id) {
+                        // The query's budget charge returns to its tenant.
+                        if let Some(layer) = self.admission.as_mut() {
+                            layer.release(query_id);
+                        }
+                        ctx.output(PierOut::Done { query_id });
+                    }
+                }
+            }
+        }
+        self.arm_sweep(ctx);
     }
 
     /// Feed `batch` to opgraph `at`, with the query's own window engine if
@@ -1681,6 +1739,18 @@ impl PierNode {
     }
 }
 
+/// Reads the lease of a standing query installed in `engines`, for
+/// [`Deadlines`].
+fn leases<'a>(
+    engines: &'a BTreeMap<EngineKey, EngineSlot>,
+    engine_of: &'a HashMap<u64, EngineKey>,
+) -> impl FnMut(u64) -> Option<Lease> + 'a {
+    |query_id| {
+        let slot = engines.get(engine_of.get(&query_id)?)?;
+        Some(slot.engine.members().get(&query_id)?.lease)
+    }
+}
+
 impl Program for PierNode {
     type Msg = PierMsg;
     type Timer = PierTimer;
@@ -1720,18 +1790,8 @@ impl Program for PierNode {
             }
             PierTimer::AggFlush { query_id } => self.aggregate_tick(ctx, query_id, false),
             PierTimer::AggFinal { query_id } => self.aggregate_tick(ctx, query_id, true),
-            PierTimer::QueryEnd { query_id } => {
-                self.uninstall_query(query_id);
-            }
-            PierTimer::ProxyDone { query_id } => {
-                if self.proxy.done(query_id) {
-                    // The query's budget charge returns to its tenant.
-                    if let Some(layer) = self.admission.as_mut() {
-                        layer.release(query_id);
-                    }
-                    ctx.output(PierOut::Done { query_id });
-                }
-            }
+            PierTimer::QueryEnd => self.sweep_deadlines(ctx),
+            PierTimer::ProxyDone | PierTimer::CqLease => {}
             PierTimer::WindowTick { query_id } => {
                 self.engine_tick(ctx, EngineKey::Query(query_id), 0);
             }
@@ -1746,40 +1806,6 @@ impl Program for PierNode {
                 self.drive(ctx, effects);
             }
             PierTimer::CqRenew => self.renew_round(ctx),
-            PierTimer::CqLease { query_id } => {
-                let now = ctx.now();
-                let engine = self.engine_of.get(&query_id);
-                let engine = engine.and_then(|key| self.engines.get(key));
-                let Some(lease) = engine.and_then(|s| s.engine.members().get(&query_id)) else {
-                    return;
-                };
-                let lease = lease.lease;
-                // With durable segments the owner may be a *restarted* node
-                // whose renewals resume once it rejoins: a lapsed lease
-                // parks in a grace window (one lease duration) before the
-                // query is swept; soft-only nodes keep the original hard
-                // expiry.
-                let grace = if self.config.durable.is_some() {
-                    lease.duration
-                } else {
-                    0
-                };
-                let recheck_at = match lease.status(now, grace) {
-                    LeaseStatus::Gone => {
-                        // The owner stopped renewing (or we are partitioned
-                        // away): the soft state lapses.
-                        self.uninstall_query(query_id);
-                        return;
-                    }
-                    LeaseStatus::Active => lease.expires_at,
-                    // Parked: hold the state through the grace window and
-                    // re-check at its end (a renewal arriving in between
-                    // pushes `expires_at` forward again).
-                    LeaseStatus::Rehydrating => lease.expires_at.saturating_add(grace),
-                };
-                let delay = recheck_at.saturating_sub(now).max(1);
-                ctx.set_timer(delay, PierTimer::CqLease { query_id });
-            }
         }
     }
 

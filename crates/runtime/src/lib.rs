@@ -36,6 +36,7 @@ pub mod hash;
 pub mod metrics;
 pub mod node;
 pub mod physical;
+mod queue;
 pub mod rng;
 pub mod sim;
 pub mod time;

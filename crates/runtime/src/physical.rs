@@ -16,10 +16,10 @@
 
 use crate::metrics::NetStats;
 use crate::node::{Action, Context, NodeAddr, Program, ProgramContext};
+use crate::queue::EventQueue;
 use crate::sim::SimOutput;
 use crate::time::SimTime;
-use crate::wire::{WireSize, HEADER_OVERHEAD};
-use std::collections::BinaryHeap;
+use crate::wire::{on_wire_bytes, WireSize};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -28,33 +28,6 @@ use std::time::{Duration as StdDuration, Instant};
 enum Inbound<M> {
     Net { from: NodeAddr, msg: M },
     Stop,
-}
-
-struct TimerEntry<T> {
-    fire_at: SimTime,
-    seq: u64,
-    timer: T,
-}
-
-impl<T> PartialEq for TimerEntry<T> {
-    fn eq(&self, other: &Self) -> bool {
-        self.fire_at == other.fire_at && self.seq == other.seq
-    }
-}
-impl<T> Eq for TimerEntry<T> {}
-impl<T> PartialOrd for TimerEntry<T> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<T> Ord for TimerEntry<T> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Min-heap behaviour under BinaryHeap.
-        other
-            .fire_at
-            .cmp(&self.fire_at)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
 }
 
 /// The result of a completed physical run.
@@ -176,13 +149,11 @@ fn node_thread<P>(
 where
     P: Program,
 {
-    let mut timers: BinaryHeap<TimerEntry<P::Timer>> = BinaryHeap::new();
-    let mut seq: u64 = 0;
+    let mut timers: EventQueue<P::Timer> = EventQueue::default();
     let now_us = |epoch: &Instant| epoch.elapsed().as_micros() as SimTime;
 
     let apply = |program: &mut P,
-                 timers: &mut BinaryHeap<TimerEntry<P::Timer>>,
-                 seq: &mut u64,
+                 timers: &mut EventQueue<P::Timer>,
                  f: &mut dyn FnMut(&mut P, &mut ProgramContext<P>)| {
         let now = now_us(&epoch);
         let mut ctx: ProgramContext<P> = Context::new(now, addr);
@@ -190,7 +161,7 @@ where
         for action in ctx.into_actions() {
             match action {
                 Action::Send { to, msg } => {
-                    let bytes = msg.wire_size() + HEADER_OVERHEAD;
+                    let bytes = on_wire_bytes(msg.wire_size());
                     stats
                         .lock()
                         .expect("stats poisoned")
@@ -199,14 +170,7 @@ where
                         let _ = tx.send(Inbound::Net { from: addr, msg });
                     }
                 }
-                Action::SetTimer { delay, timer } => {
-                    *seq += 1;
-                    timers.push(TimerEntry {
-                        fire_at: now + delay,
-                        seq: *seq,
-                        timer,
-                    });
-                }
+                Action::SetTimer { delay, timer } => timers.push(now + delay, timer),
                 Action::Output(value) => {
                     let _ = out_tx.send(SimOutput {
                         time: now,
@@ -218,33 +182,28 @@ where
         }
     };
 
-    apply(&mut program, &mut timers, &mut seq, &mut |p, ctx| {
+    apply(&mut program, &mut timers, &mut |p, ctx| {
         p.on_start(ctx);
     });
 
     loop {
         // Fire any due timers first.
-        loop {
-            let due = matches!(timers.peek(), Some(t) if t.fire_at <= now_us(&epoch));
-            if !due {
-                break;
-            }
-            let entry = timers.pop().expect("peeked");
-            let timer = entry.timer;
-            apply(&mut program, &mut timers, &mut seq, &mut |p, ctx| {
+        while timers.peek().is_some_and(|(at, _)| at <= now_us(&epoch)) {
+            let (_, timer) = timers.pop().expect("peeked");
+            apply(&mut program, &mut timers, &mut |p, ctx| {
                 p.on_timer(ctx, timer.clone());
             });
         }
         let wait = match timers.peek() {
-            Some(t) => {
+            Some((at, _)) => {
                 let now = now_us(&epoch);
-                StdDuration::from_micros(t.fire_at.saturating_sub(now).max(100))
+                StdDuration::from_micros(at.saturating_sub(now).max(100))
             }
             None => StdDuration::from_millis(20),
         };
         match rx.recv_timeout(wait) {
             Ok(Inbound::Net { from, msg }) => {
-                apply(&mut program, &mut timers, &mut seq, &mut |p, ctx| {
+                apply(&mut program, &mut timers, &mut |p, ctx| {
                     p.on_message(ctx, from, msg.clone());
                 });
             }

@@ -18,10 +18,9 @@ pub use topology::{NetworkTopology, TopologyConfig};
 
 use crate::metrics::NetStats;
 use crate::node::{Action, Context, NodeAddr, Program, ProgramContext};
+use crate::queue::EventQueue;
 use crate::time::{Duration, SimTime};
-use crate::wire::{WireSize, HEADER_OVERHEAD, MSS};
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use crate::wire::{on_wire_bytes, WireSize};
 
 /// Configuration of a simulation run.
 #[derive(Debug, Clone)]
@@ -77,34 +76,6 @@ enum EventKind<P: Program> {
     Restart { program: Box<P> },
 }
 
-struct Event<P: Program> {
-    time: SimTime,
-    seq: u64,
-    node: NodeAddr,
-    kind: EventKind<P>,
-}
-
-impl<P: Program> PartialEq for Event<P> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl<P: Program> Eq for Event<P> {}
-impl<P: Program> PartialOrd for Event<P> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<P: Program> Ord for Event<P> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so the earliest event pops first.
-        other
-            .time
-            .cmp(&self.time)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
 /// A value produced by a node for its locally attached client, with the time
 /// and node at which it was produced.
 #[derive(Debug, Clone)]
@@ -120,11 +91,11 @@ pub struct SimOutput<O> {
 /// Discrete-event simulator for node programs.
 pub struct Simulator<P: Program> {
     config: SimConfig,
-    nodes: Vec<Option<P>>,
+    nodes: Vec<P>,
     alive: Vec<bool>,
-    queue: BinaryHeap<Event<P>>,
+    /// Pending events, each addressed to a node.
+    queue: EventQueue<(NodeAddr, EventKind<P>)>,
     now: SimTime,
-    seq: u64,
     events_processed: u64,
     topology: NetworkTopology,
     congestion: CongestionState,
@@ -146,9 +117,8 @@ impl<P: Program> Simulator<P> {
             config,
             nodes: Vec::new(),
             alive: Vec::new(),
-            queue: BinaryHeap::new(),
+            queue: EventQueue::default(),
             now: 0,
-            seq: 0,
             events_processed: 0,
             topology,
             congestion,
@@ -228,12 +198,7 @@ impl<P: Program> Simulator<P> {
     /// Read-only access to a node's program state (available even after the
     /// node has failed; useful for assertions in tests).
     pub fn node(&self, addr: NodeAddr) -> Option<&P> {
-        self.nodes.get(addr.index()).and_then(|n| n.as_ref())
-    }
-
-    fn next_seq(&mut self) -> u64 {
-        self.seq += 1;
-        self.seq
+        self.nodes.get(addr.index())
     }
 
     /// Add a node that boots immediately (its `on_start` runs at the current
@@ -245,28 +210,16 @@ impl<P: Program> Simulator<P> {
     /// Add a node that boots at virtual time `at` (must not be in the past).
     pub fn add_node_at(&mut self, program: P, at: SimTime) -> NodeAddr {
         let addr = NodeAddr(self.nodes.len() as u32);
-        self.nodes.push(Some(program));
+        self.nodes.push(program);
         self.alive.push(true);
-        let seq = self.next_seq();
-        self.queue.push(Event {
-            time: at.max(self.now),
-            seq,
-            node: addr,
-            kind: EventKind::Start,
-        });
+        self.queue.push(at.max(self.now), (addr, EventKind::Start));
         addr
     }
 
     /// Schedule a fail-stop crash of `node` at time `at`.  A failed node
     /// silently drops all subsequent messages and timers.
     pub fn fail_node_at(&mut self, node: NodeAddr, at: SimTime) {
-        let seq = self.next_seq();
-        self.queue.push(Event {
-            time: at.max(self.now),
-            seq,
-            node,
-            kind: EventKind::Fail,
-        });
+        self.queue.push(at.max(self.now), (node, EventKind::Fail));
     }
 
     /// Schedule an in-place restart of a previously failed node at time `at`:
@@ -279,15 +232,10 @@ impl<P: Program> Simulator<P> {
             node.index() < self.nodes.len(),
             "restart_node_at: unknown node {node}"
         );
-        let seq = self.next_seq();
-        self.queue.push(Event {
-            time: at.max(self.now),
-            seq,
-            node,
-            kind: EventKind::Restart {
-                program: Box::new(program),
-            },
-        });
+        let restart = EventKind::Restart {
+            program: Box::new(program),
+        };
+        self.queue.push(at.max(self.now), (node, restart));
     }
 
     /// Invoke a closure against a live node's program, applying any actions
@@ -304,10 +252,7 @@ impl<P: Program> Simulator<P> {
 
     /// Inspect a live node mutably without a context (no actions possible).
     pub fn with_node_mut<R>(&mut self, node: NodeAddr, f: impl FnOnce(&mut P) -> R) -> Option<R> {
-        match self.nodes.get_mut(node.index()) {
-            Some(Some(p)) => Some(f(p)),
-            _ => None,
-        }
+        self.nodes.get_mut(node.index()).map(f)
     }
 
     /// All outputs produced so far.
@@ -324,15 +269,12 @@ impl<P: Program> Simulator<P> {
     where
         F: FnOnce(&mut P, &mut ProgramContext<P>),
     {
-        let idx = node.index();
-        let Some(mut program) = self.nodes.get_mut(idx).and_then(Option::take) else {
+        let Some(program) = self.nodes.get_mut(node.index()) else {
             return;
         };
         let mut ctx: ProgramContext<P> = Context::new(self.now, node);
-        f(&mut program, &mut ctx);
-        self.nodes[idx] = Some(program);
-        let actions = ctx.into_actions();
-        for action in actions {
+        f(program, &mut ctx);
+        for action in ctx.into_actions() {
             self.apply_action(node, action);
         }
     }
@@ -340,13 +282,9 @@ impl<P: Program> Simulator<P> {
     fn apply_action(&mut self, node: NodeAddr, action: Action<P::Msg, P::Timer, P::Out>) {
         match action {
             Action::Send { to, msg } => {
-                // A message longer than one MSS goes on the wire as several
-                // fragments, each with its own header: a multi-MSS `PutBatch`
-                // must pay transmission time and stats for every fragment,
-                // not for one fictitious jumbo packet.
-                let wire = msg.wire_size();
-                let frags = wire.div_ceil(MSS).max(1);
-                let bytes = wire + frags * HEADER_OVERHEAD;
+                // A multi-MSS `PutBatch` pays transmission time and stats
+                // for every fragment, not for one fictitious jumbo packet.
+                let bytes = on_wire_bytes(msg.wire_size());
                 self.stats.record_send(node, to, bytes);
                 // The fault plan decides how many copies arrive and with how
                 // much extra delay; an empty set means the message was lost
@@ -373,26 +311,16 @@ impl<P: Program> Simulator<P> {
                     } else {
                         msg.as_ref().expect("copies remain").clone()
                     };
-                    let seq = self.next_seq();
-                    self.queue.push(Event {
-                        time: arrival + extra,
-                        seq,
-                        node: to,
-                        kind: EventKind::Deliver {
-                            from: node,
-                            msg: payload,
-                        },
-                    });
+                    let deliver = EventKind::Deliver {
+                        from: node,
+                        msg: payload,
+                    };
+                    self.queue.push(arrival + extra, (to, deliver));
                 }
             }
             Action::SetTimer { delay, timer } => {
-                let seq = self.next_seq();
-                self.queue.push(Event {
-                    time: self.now + delay,
-                    seq,
-                    node,
-                    kind: EventKind::Timer { timer },
-                });
+                self.queue
+                    .push(self.now + delay, (node, EventKind::Timer { timer }));
             }
             Action::Output(value) => {
                 self.outputs.push(SimOutput {
@@ -406,45 +334,37 @@ impl<P: Program> Simulator<P> {
 
     /// Process a single event.  Returns `false` when the queue is empty.
     pub fn step(&mut self) -> bool {
-        let Some(event) = self.queue.pop() else {
+        let Some((time, &(node, ref kind))) = self.queue.peek() else {
             return false;
         };
+        let deferrable = matches!(kind, EventKind::Deliver { .. } | EventKind::Timer { .. });
         self.events_processed += 1;
         assert!(
             self.events_processed <= self.config.max_events,
             "simulation exceeded max_events = {}; likely a message storm",
             self.config.max_events
         );
-        self.now = self.now.max(event.time);
+        self.now = self.now.max(time);
         self.stats.last_event_time = self.now;
         if let Some(plan) = self.faults.as_mut() {
             plan.observe(self.now);
         }
         self.flush_fault_records();
-        let node = event.node;
         // A stalled node is alive but silent: its deliveries and timers are
         // deferred (re-queued) until the stall ends, then fire in a burst —
         // the GC-pause / overloaded-node failure mode.
-        if matches!(
-            event.kind,
-            EventKind::Deliver { .. } | EventKind::Timer { .. }
-        ) {
+        if deferrable {
             let stall_until = self
                 .faults
                 .as_ref()
                 .and_then(|plan| plan.stall_until(node, self.now));
             if let Some(until) = stall_until {
-                let seq = self.next_seq();
-                self.queue.push(Event {
-                    time: until,
-                    seq,
-                    node,
-                    kind: event.kind,
-                });
+                self.queue.defer_head(until);
                 return true;
             }
         }
-        match event.kind {
+        let (_, (_, kind)) = self.queue.pop().expect("peeked");
+        match kind {
             EventKind::Start => {
                 if self.is_alive(node) {
                     self.dispatch(node, super::node::Program::on_start);
@@ -472,7 +392,7 @@ impl<P: Program> Simulator<P> {
             EventKind::Restart { program } => {
                 let idx = node.index();
                 if idx < self.nodes.len() && !self.alive[idx] {
-                    self.nodes[idx] = Some(*program);
+                    self.nodes[idx] = *program;
                     self.alive[idx] = true;
                     if let Some(plan) = self.faults.as_mut() {
                         plan.record_restart(self.now, node);
@@ -489,10 +409,7 @@ impl<P: Program> Simulator<P> {
     /// before the deadline is processed, and the clock is advanced to the
     /// deadline even if the queue drains early.
     pub fn run_until(&mut self, deadline: SimTime) {
-        while let Some(e) = self.queue.peek() {
-            if e.time > deadline {
-                break;
-            }
+        while self.queue.peek().is_some_and(|(time, _)| time <= deadline) {
             self.step();
         }
         self.now = self.now.max(deadline);

@@ -16,11 +16,18 @@
 /// charged by both runtimes on top of a message's [`WireSize`].
 pub const HEADER_OVERHEAD: usize = 48;
 
-/// Maximum segment size: the simulator charges a message larger than this
-/// as `ceil(wire / MSS)` fragments, each paying [`HEADER_OVERHEAD`] again,
-/// so a large `PutBatch` costs what its fragments would rather than one
-/// oversized packet.
+/// Maximum segment size: a message larger than this travels as
+/// `ceil(wire / MSS)` fragments, each paying [`HEADER_OVERHEAD`] again
+/// ([`on_wire_bytes`]).
 pub const MSS: usize = 1_400;
+
+/// Bytes a message of `wire` payload bytes occupies on the wire, as both
+/// runtimes charge it: one [`HEADER_OVERHEAD`] per [`MSS`] fragment, so a
+/// large `PutBatch` costs what its fragments would rather than one
+/// oversized packet.
+pub fn on_wire_bytes(wire: usize) -> usize {
+    wire + wire.div_ceil(MSS).max(1) * HEADER_OVERHEAD
+}
 
 /// Types that know their approximate encoded size in bytes.
 pub trait WireSize {
@@ -129,6 +136,13 @@ mod tests {
     fn string_sizes_include_length_prefix() {
         assert_eq!(String::from("abc").wire_size(), 7);
         assert_eq!("".wire_size(), 4);
+    }
+
+    #[test]
+    fn every_fragment_pays_a_header() {
+        assert_eq!(on_wire_bytes(0), HEADER_OVERHEAD);
+        assert_eq!(on_wire_bytes(MSS), MSS + HEADER_OVERHEAD);
+        assert_eq!(on_wire_bytes(MSS + 1), MSS + 1 + 2 * HEADER_OVERHEAD);
     }
 
     #[test]

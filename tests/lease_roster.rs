@@ -13,7 +13,9 @@
 //! 2. the protocol on a cluster: one tree broadcast per proxy per round,
 //!    reaching every other node once in n − 1 messages, and nothing else;
 //!    a round riding a plan submitted inside its window; churn repair
-//!    through one pull per proxy; lapse by silence when a proxy stops;
+//!    through one pull per proxy; lapse by silence when a proxy stops, at
+//!    each holder exactly one lease (plus the durable grace) after the last
+//!    roster it received;
 //! 3. the result path: a root tick sends at most one message per (proxy,
 //!    window) — one chunk its members' runs partition, the window's bounds
 //!    in the header only — and bundling is invisible in what tenants
@@ -22,6 +24,7 @@
 //! The cluster tests watch the wire through [`Tap`], a node program that
 //! wraps a `PierNode` and journals what each handler invocation sends.
 
+use pier::cq::DurableStore;
 use pier::dht::{make_ring_refs, BroadcastId, DhtMessage, Id, NodeRef};
 use pier::qp::{
     sqlish, CqSpec, Dissemination, PierConfig, PierMsg, PierNode, PierOut, PierTimer, Proxy,
@@ -365,6 +368,8 @@ struct Sent {
 struct Journal {
     sent: Vec<Sent>,
     invocations: u64,
+    /// Every roster hop delivered: when, where, and the queries it named.
+    rosters: Vec<(SimTime, NodeAddr, Vec<u64>)>,
 }
 
 type Ctx = Context<PierMsg, PierTimer, PierOut>;
@@ -415,6 +420,10 @@ impl Program for Tap {
     }
 
     fn on_message(&mut self, ctx: &mut Ctx, from: NodeAddr, msg: PierMsg) {
+        if let Some(Wire::TreeRoster { queries, .. }) = classify(&msg) {
+            let arrival = (ctx.now(), ctx.me(), queries);
+            self.journal.borrow_mut().rosters.push(arrival);
+        }
         self.run(ctx, false, |node, ctx| node.on_message(ctx, from, msg));
     }
 
@@ -444,8 +453,13 @@ impl TapCluster {
         let journal = Rc::new(RefCell::new(Journal::default()));
         let mut sim = Simulator::new(SimConfig::lan(seed));
         for r in &refs {
+            let mut own = pier.clone();
+            // Each node its own "disk", as on separate machines.
+            if own.durable.is_some() {
+                own.durable = Some(DurableStore::new());
+            }
             sim.add_node(Tap {
-                node: PierNode::with_static_ring(*r, &refs, pier.clone()),
+                node: PierNode::with_static_ring(*r, &refs, own),
                 journal: Rc::clone(&journal),
             });
         }
@@ -770,6 +784,57 @@ fn a_joined_node_pulls_each_proxys_plans_once_and_a_stopped_proxys_queries_lapse
             );
         }
     }
+}
+
+/// Stop a proxy of one standing query (lease 15 s) and watch each holder
+/// drop it exactly one lease — plus the grace window when window state is
+/// durable — after the last roster that reached it: still running a
+/// microsecond before, gone at the instant.
+fn a_stopped_proxys_query_lapses_at_the_instant(durable: bool) {
+    let mut pier = PierConfig::default();
+    if durable {
+        pier.durable = Some(DurableStore::new());
+    }
+    let mut cluster = TapCluster::start(6, seeded(0x26), pier);
+    let proxy = cluster.refs[0].addr;
+    let sql = "SELECT src, COUNT(*) FROM packets GROUP BY src WINDOW 2s SLIDE 1s EVERY 5s";
+    let plan = sqlish::compile(sql, proxy, 400 * SEC).expect("compiles");
+    let id = cluster.submit(proxy, plan);
+    cluster.sim.run_for(12 * SEC);
+    let stopped = cluster.sim.now();
+    cluster.sim.fail_node_at(proxy, stopped);
+    // Hops already in flight still land and renew.
+    cluster.sim.run_for(SEC);
+    let lapse = (if durable { 2 } else { 1 }) * 15 * SEC;
+    let mut checks: Vec<(SimTime, NodeAddr, bool)> = Vec::new();
+    for holder in cluster.sim.alive_nodes() {
+        let journal = cluster.journal.borrow();
+        let named = journal
+            .rosters
+            .iter()
+            .filter(|(_, to, queries)| *to == holder && queries.contains(&id));
+        let last = named.map(|(at, _, _)| *at).max();
+        let last = last.unwrap_or_else(|| panic!("{holder} never saw a roster"));
+        assert!(last < stopped + SEC);
+        checks.push((last + lapse - 1, holder, true));
+        checks.push((last + lapse, holder, false));
+    }
+    checks.sort();
+    for (at, holder, running) in checks {
+        cluster.sim.run_until(at);
+        let installed = cluster.node(holder).cq_diagnostics(id).is_some();
+        assert_eq!(installed, running, "{holder} at {at}");
+    }
+}
+
+#[test]
+fn a_stopped_proxys_query_lapses_one_lease_after_the_last_roster() {
+    a_stopped_proxys_query_lapses_at_the_instant(false);
+}
+
+#[test]
+fn a_durable_holder_parks_the_lapsed_query_through_the_grace_window() {
+    a_stopped_proxys_query_lapses_at_the_instant(true);
 }
 
 #[test]

@@ -5,7 +5,7 @@
 
 use pier::dht::{make_ring_refs, DhtNode, ObjectName, OverlayConfig};
 use pier::runtime::physical::PhysicalRuntime;
-use pier::runtime::{SimConfig, Simulator};
+use pier::runtime::{NodeAddr, Program, ProgramContext, SimConfig, Simulator, WireSize};
 
 /// The workload: node 1 publishes an object; node 2 reads it back.
 /// We run it once under each environment and require the same outcome.
@@ -82,4 +82,58 @@ fn same_program_runs_under_simulator_and_physical_runtime() {
     let served = run.programs[owner_idx].overlay().local_scan("t", 1_000_000);
     assert_eq!(served.len(), 1, "physical runtime: object still served");
     assert_eq!(served[0].value, "native");
+}
+
+/// A node that sends its peer one message far larger than one MSS on start,
+/// standing in for a bulk `PutBatch`.
+#[derive(Debug, Default)]
+struct BulkSender {
+    peer: Option<NodeAddr>,
+}
+
+#[derive(Debug, Clone)]
+struct Jumbo;
+
+impl WireSize for Jumbo {
+    fn wire_size(&self) -> usize {
+        10_000
+    }
+}
+
+impl Program for BulkSender {
+    type Msg = Jumbo;
+    type Timer = ();
+    type Out = ();
+
+    fn on_start(&mut self, ctx: &mut ProgramContext<Self>) {
+        if let Some(peer) = self.peer {
+            ctx.send(peer, Jumbo);
+        }
+    }
+
+    fn on_message(&mut self, _ctx: &mut ProgramContext<Self>, _from: NodeAddr, _msg: Jumbo) {}
+
+    fn on_timer(&mut self, _ctx: &mut ProgramContext<Self>, _timer: ()) {}
+}
+
+/// The same multi-MSS message costs the same bytes in both environments:
+/// one header per fragment (§3.1.2 — the byte counts validated in
+/// simulation are the ones the deployment pays).
+#[test]
+fn both_runtimes_charge_a_multi_mss_message_per_fragment() {
+    let mut sim: Simulator<BulkSender> = Simulator::new(SimConfig::lan(16));
+    let to = sim.add_node(BulkSender::default());
+    sim.add_node(BulkSender { peer: Some(to) });
+    sim.run_until(1_000_000);
+
+    let mut rt: PhysicalRuntime<BulkSender> = PhysicalRuntime::new();
+    let to = rt.add_node(BulkSender::default());
+    rt.add_node(BulkSender { peer: Some(to) });
+    let run = rt.run_for(std::time::Duration::from_millis(50));
+
+    let fragments = 10_000_u64.div_ceil(1_400);
+    assert_eq!(sim.stats().total_msgs, 1);
+    assert_eq!(run.stats.total_msgs, 1);
+    assert_eq!(sim.stats().total_bytes, 10_000 + fragments * 48);
+    assert_eq!(run.stats.total_bytes, sim.stats().total_bytes);
 }
