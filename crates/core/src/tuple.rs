@@ -15,8 +15,8 @@
 //! slice of [`Value`]s:
 //!
 //! * cloning a tuple bumps two reference counts (`Arc<Schema>` +
-//!   `Arc<[Value]>`) — **allocation-free**, which the `dht_ops` bench pins
-//!   with a counting allocator;
+//!   `Arc<[Value]>`) — **allocation-free**, which `tests/alloc_bars.rs`
+//!   pins with a counting allocator;
 //! * [`Tuple::get`] resolves the column once against the schema instead of
 //!   linearly comparing strings per access;
 //! * operators resolve their column lists to indices **once per schema**

@@ -192,7 +192,7 @@ pub struct TickOutput {
 }
 
 /// Diagnostics of a continuous query installed at a node (tests and the
-/// bench harness assert bounded state through this).  The store figures are
+/// experiment drivers assert bounded state through this).  The store figures are
 /// the engine's — shared by every member of a share group — the tracker,
 /// emission and lease figures are the member's own.
 #[derive(Debug, Clone, Copy)]

@@ -412,7 +412,8 @@ impl DurableStore {
 }
 
 /// What a rehydration recovered (surfaced as the `window.rehydrate`
-/// telemetry event and asserted by the chaos bench's warm-restart check).
+/// telemetry event and asserted by `tests/chaos_recovery.rs`'s warm-restart
+/// check).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RehydrateReport {
     /// Windows restored into the store.

@@ -124,7 +124,7 @@ impl<A> OpenWindow<A> {
 }
 
 /// Counters describing a store's activity (exposed for tests, budgeting
-/// decisions and the bench harness).
+/// decisions and the experiment drivers).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WindowStats {
     /// Tuples accepted into some window.

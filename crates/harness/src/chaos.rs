@@ -558,11 +558,10 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosOutcome {
     }
 }
 
-/// The table the `chaos` bench prints for one run: error, recovery, fault
-/// and warm-restart figures, then the same as metric lines.  All of it is
-/// a function of `cfg` (virtual time, seeded faults), so
-/// `docs/baselines/tables/chaos.txt` records it for
-/// `ChaosConfig::standard(20, 4)`.
+/// The `chaos` table for one run: error, recovery, fault and warm-restart
+/// figures, then the same as metric lines.  All of it is a function of
+/// `cfg` (virtual time, seeded faults), so `docs/baselines/tables/chaos.txt`
+/// records it for `ChaosConfig::standard(20, 4)`.
 pub fn chaos_table(cfg: &ChaosConfig, run: &ChaosOutcome) -> String {
     let degraded_err = run.mean_rel_error(run.spans.degraded);
     let baseline_err = run.mean_rel_error(run.spans.baseline);

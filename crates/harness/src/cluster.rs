@@ -99,6 +99,12 @@ pub struct ClusterTelemetrySummary {
     /// Sum over nodes of the stabilization messages sent:
     /// `dht.routing.sent.{get_neighbors,neighbors,notify}`.
     pub maintenance_msgs_sent: u64,
+    /// Sum over nodes of the `op.selection.rows_in` counter — rows handed
+    /// to per-query selections.
+    pub selection_rows_in: u64,
+    /// Sum over nodes of the `mqo.rows_scanned` counter — rows times share
+    /// groups covered by the sharing layer's predicate-index scans.
+    pub mqo_rows_scanned: u64,
     /// Sum over nodes of trace-ring **and** span-ring drops — records the
     /// bounded rings evicted because an export ran too long between reads.
     /// Nonzero drops mean a merged export is incomplete; experiments that
@@ -381,6 +387,8 @@ impl Cluster {
                 .iter()
                 .map(|kind| tel.counter(&format!("dht.routing.sent.{kind}")))
                 .sum::<u64>();
+            s.selection_rows_in += tel.counter("op.selection.rows_in");
+            s.mqo_rows_scanned += tel.counter("mqo.rows_scanned");
             s.trace_dropped += tel
                 .with(|h| h.trace_dropped() + h.spans_dropped())
                 .unwrap_or(0);

@@ -2,8 +2,8 @@
 //! in `DESIGN.md`.  Each driver builds its workload, runs the simulated
 //! deployment, and returns structured rows.  The `*_table()` function after
 //! each driver runs it at the size the paper (or the ablation) calls for and
-//! renders the text the `pier-bench` bench of the same name prints and
-//! `docs/baselines/tables/` records.
+//! renders the text `docs/baselines/tables/` records under the same name
+//! and `tests/paper_tables.rs` compares.
 
 use crate::cluster::{Cluster, ClusterConfig};
 use crate::workloads::{join_tables, FilesharingWorkload, FirewallWorkload};

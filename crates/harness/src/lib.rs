@@ -11,8 +11,8 @@
 //!   heavy-tailed firewall-event log (Figure 2), and generic relational
 //!   tables for the join ablations.
 //! * [`experiments`] — one driver per figure/table; each returns structured
-//!   rows, and a `*_table()` function beside it renders the run the
-//!   `pier-bench` bench of the same name prints.
+//!   rows, and a `*_table()` function beside it renders the run that
+//!   `docs/baselines/tables/` records under the same name.
 //! * [`indexes`] — the range-index (EXP-G) and secondary-index (EXP-J)
 //!   dissemination ablations of §3.3.3.
 //! * [`continuous`] — the continuous-query netmon workload (`pier-cq`):
@@ -132,5 +132,13 @@ mod tests {
     fn slug_flattens_labels() {
         assert_eq!(super::slug("churn (kill 5, join 3)"), "churn_kill_5_join_3");
         assert_eq!(super::slug("Fetch-Matches"), "fetch_matches");
+    }
+
+    #[test]
+    fn emit_metric_does_not_panic() {
+        assert_eq!(
+            super::metric_line("smoke", "noop_count", 1.0),
+            r#"{"bench": "smoke", "metric": "noop_count", "value": 1}"#
+        );
     }
 }

@@ -159,7 +159,7 @@ pub fn explain_analyze_netmon(cfg: &ContinuousNetmonConfig) -> QueryProfileOutco
     }
 }
 
-/// The run the `query_profile` bench profiles: 16 nodes for 24 s, with a
+/// The run the `query_profile` table profiles: 16 nodes for 24 s, with a
 /// predicate that puts a Selection stage in the pipeline so the profile's
 /// operator table (fed by the `op.*` meters) has rows to show.
 pub fn query_profile_config() -> ContinuousNetmonConfig {
@@ -170,10 +170,10 @@ pub fn query_profile_config() -> ContinuousNetmonConfig {
     cfg
 }
 
-/// The table the `query_profile` bench prints for one profiled run: the
-/// `EXPLAIN ANALYZE` text, then the profile's headline counts as metric
-/// lines.  Spans carry virtual time only, so all of it is a function of the
-/// configuration; `docs/baselines/tables/query_profile.txt` records it for
+/// The `query_profile` table for one profiled run: the `EXPLAIN ANALYZE`
+/// text, then the profile's headline counts as metric lines.  Spans carry
+/// virtual time only, so all of it is a function of the configuration;
+/// `docs/baselines/tables/query_profile.txt` records it for
 /// [`query_profile_config`].
 pub fn query_profile_table(run: &QueryProfileOutcome) -> String {
     let p = &run.profile;

@@ -85,9 +85,6 @@ pub struct SelfMonitoringOutcome {
     /// total order — the cluster-wide form of [`Self::trace_jsonl`]
     /// (each line gains a leading `"node"` key).
     pub merged_trace_jsonl: String,
-    /// Every node's span ring merged the same way (empty when the run had
-    /// tracing off — the default).
-    pub merged_span_jsonl: String,
     /// Sum over nodes of trace/span ring drops; nonzero means the merged
     /// exports are incomplete.
     pub trace_dropped: u64,
@@ -253,7 +250,6 @@ pub fn self_monitoring(cfg: &SelfMonitoringConfig) -> SelfMonitoringOutcome {
         .map(|tel| tel.trace_jsonl())
         .unwrap_or_default();
     let merged_trace_jsonl = cluster.merged_trace_jsonl();
-    let merged_span_jsonl = cluster.merged_span_jsonl();
     let trace_dropped = cluster.telemetry_summary().trace_dropped;
     SelfMonitoringOutcome {
         bytes_recv,
@@ -261,17 +257,16 @@ pub fn self_monitoring(cfg: &SelfMonitoringConfig) -> SelfMonitoringOutcome {
         publishes,
         trace_jsonl,
         merged_trace_jsonl,
-        merged_span_jsonl,
         trace_dropped,
         nodes: cfg.nodes,
         events,
     }
 }
 
-/// The table the `self_monitoring` bench prints for one run: what the
-/// monitoring queries saw and how many events the hubs recorded.  Virtual
-/// time and per-node ordinals only, so it is a function of the
-/// configuration; `docs/baselines/tables/self_monitoring.txt` records it.
+/// The `self_monitoring` table for one run: what the monitoring queries
+/// saw and how many events the hubs recorded.  Virtual time and per-node
+/// ordinals only, so it is a function of the configuration;
+/// `docs/baselines/tables/self_monitoring.txt` records it.
 pub fn self_monitoring_table(run: &SelfMonitoringOutcome) -> String {
     let mut t = Table::new(
         "self_monitoring",

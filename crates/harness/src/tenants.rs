@@ -14,8 +14,8 @@
 //! tenants through `pier-mqo` share groups (one shared dataflow, one
 //! predicate-index scan per chunk, one partial stream per group); off,
 //! every tenant runs its own dataflow.  The mqo equivalence suite runs the
-//! same stream both ways and pins identical per-tenant results; the
-//! `mqo_shared` bench reports the throughput and traffic ratio.
+//! same stream both ways and pins identical per-tenant results and the
+//! rows each way scans; the `mqo_shared` table reports the traffic ratio.
 
 use crate::cluster::{Cluster, ClusterConfig};
 use crate::Table;
@@ -141,9 +141,6 @@ pub struct ManyTenantsOutcome {
     pub events: u64,
     /// Virtual instant the stream started / ended.
     pub stream: (SimTime, SimTime),
-    /// Wall-clock seconds spent driving the simulation from first install
-    /// to full drain (the bench's throughput denominator).
-    pub wall_secs: f64,
     /// Messages delivered between stream start and end of drain.
     pub total_msgs: u64,
     /// Bytes delivered over the same interval.
@@ -164,15 +161,9 @@ pub struct ManyTenantsOutcome {
 }
 
 impl ManyTenantsOutcome {
-    /// Sustained ingest rate in rows per *wall-clock* second — the bench's
-    /// headline shared-vs-independent comparison.
-    pub fn rows_per_wall_sec(&self) -> f64 {
-        self.events as f64 / self.wall_secs.max(1e-9)
-    }
-
     /// Cross-tenant result-latency summary in microseconds: the median of
     /// the per-tenant p50s and the worst per-tenant p99 (`None` until some
-    /// tenant received a result).  The bench emits both as metric lines.
+    /// tenant received a result).  [`mqo_shared_table`] records both.
     pub fn result_latency_summary_us(&mut self) -> Option<(f64, f64)> {
         let mut p50s = LatencyCdf::new();
         let mut worst_p99 = f64::NEG_INFINITY;
@@ -201,7 +192,6 @@ pub fn many_tenants(cfg: &ManyTenantsConfig) -> ManyTenantsOutcome {
     let mut cluster = Cluster::start(&cluster_cfg);
     let _ = cluster.sim.drain_outputs();
     let run_micros = cfg.run_secs * 1_000_000;
-    let wall_start = std::time::Instant::now();
 
     // Install the up-front tenants; late ones install at run/3, early
     // teardowns expire their timeout at 2*run/3.
@@ -340,7 +330,6 @@ pub fn many_tenants(cfg: &ManyTenantsConfig) -> ManyTenantsOutcome {
     cluster.sim.run_for(run_micros / 2 + 40_000_000);
     let total_msgs = cluster.sim.stats().total_msgs;
     let total_bytes = cluster.sim.stats().total_bytes;
-    let wall_secs = wall_start.elapsed().as_secs_f64();
 
     // Collect each tenant's per-window rows at that tenant's proxy.
     let by_query: BTreeMap<u64, usize> = tenants
@@ -420,7 +409,6 @@ pub fn many_tenants(cfg: &ManyTenantsConfig) -> ManyTenantsOutcome {
         tenants,
         events,
         stream: (stream_begin, stream_end),
-        wall_secs,
         total_msgs,
         total_bytes,
         max_shared_groups,
@@ -494,8 +482,8 @@ pub fn shed_accuracy(nodes: usize, tenants: usize, run_secs: u64, seed: u64) -> 
     acc
 }
 
-/// The table the `admission` bench prints: [`shed_accuracy`] of 4 tenants
-/// on 8 nodes.  Counts of virtual-time windows, so a function of the seed;
+/// The `admission` table: [`shed_accuracy`] of 4 tenants on 8 nodes.
+/// Counts of virtual-time windows, so a function of the seed;
 /// `docs/baselines/tables/admission.txt` records it.
 pub fn admission_table() -> String {
     let acc = shed_accuracy(8, 4, 20, 17);
@@ -515,16 +503,20 @@ pub fn admission_table() -> String {
     t.finish()
 }
 
-/// The table the `mqo_shared` bench prints for one equal-seed pair of
-/// runs, sharing on and off: traffic and result latency, all in virtual
-/// time (the pair's wall-clock throughput is the bench's own business).
+/// The `mqo_shared` table for one equal-seed pair of runs, sharing on and
+/// off: traffic and result latency, all in virtual time.
 /// `docs/baselines/tables/mqo_shared.txt` records it for
 /// `ManyTenantsConfig::new(12, 64, 15, 29)` at 16 events per node per
-/// second.
+/// second.  Panics unless both runs streamed the same workload, the shared
+/// one formed a share group, and no group or member outlived its tenants.
 pub fn mqo_shared_table(
     shared: &mut ManyTenantsOutcome,
     independent: &mut ManyTenantsOutcome,
 ) -> String {
+    assert_eq!(shared.events, independent.events, "one workload, both ways");
+    assert!(shared.max_shared_groups > 0, "no share group formed");
+    let residual = (shared.residual_groups, shared.residual_members);
+    assert_eq!(residual, (0, 0), "no share group outlives its members");
     let mut t = Table::new(
         "mqo_shared",
         "# multi-query sharing: constant-varied tenants, shared vs independent\n\

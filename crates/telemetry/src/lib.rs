@@ -20,7 +20,8 @@
 //!   discriminant.  Nothing is formatted, allocated or locked unless a hub
 //!   is attached.  What an *enabled* hub costs end to end is measured, not
 //!   budgeted: the benchmark reports it as
-//!   `telemetry.hub.enabled_overhead_share` (4–14 % today).
+//!   `telemetry.hub.enabled_overhead_share`, an estimator that cannot be
+//!   read at today's run length (identical runs disagree; ROADMAP item 2).
 //!
 //! The hub is also the source for the dogfood loop: `pier-core` nodes
 //! periodically materialise their hub as tuples into the `system.metrics`

@@ -5,8 +5,8 @@
 //! time first, then node address, then the node-local ordinal — so the
 //! merged file is stable across runs (equal seeds ⇒ byte-identical output)
 //! and independent of the collection order.  The same merger backs the
-//! span export, the all-nodes `PIER_TRACE_OUT` event export and the Chrome
-//! `trace_event` profile.
+//! span export, the all-nodes event export and the Chrome `trace_event`
+//! profile.
 
 use pier_telemetry::{SpanRecord, TraceEvent};
 
@@ -52,8 +52,7 @@ pub fn merged_span_jsonl(merged: &[NodeSpan]) -> String {
 }
 
 /// Merge per-node structured event traces into one stably ordered JSONL
-/// export — the all-nodes form of `PIER_TRACE_OUT` (node 0 only before
-/// this crate).  Order: `(time, node, ordinal)` ascending; each line gains
+/// export — the all-nodes form of a hub's `trace_jsonl`.  Order: `(time, node, ordinal)` ascending; each line gains
 /// a leading `"node"` key.
 pub fn merged_trace_jsonl(per_node: &[(u32, Vec<TraceEvent>)]) -> String {
     let mut merged: Vec<(u32, &TraceEvent)> = per_node

@@ -14,6 +14,7 @@
 use pier::harness::tenants::{many_tenants, ManyTenantsConfig, ManyTenantsOutcome};
 use pier::qp::Value;
 use pier::runtime::SimTime;
+use pier::telemetry::TelemetryConfig;
 use std::collections::BTreeMap;
 
 mod common;
@@ -196,4 +197,20 @@ fn shared_execution_matches_independent_under_node_churn() {
     let rows = assert_equivalent(&shared, &independent, "node churn");
     assert!(rows > 50, "covered {rows}");
     assert_no_leaked_groups(&shared, "node churn");
+}
+
+/// Independent execution hands every row to each tenant's selection; a
+/// share group scans it once for all 64 members.  The meters count both, so
+/// the bar (2x; about 64x expected) is a function of the seed.
+#[test]
+fn a_share_group_scans_each_row_once_for_all_its_tenants() {
+    let mut cfg = ManyTenantsConfig::new(6, 64, 6, seeded(29));
+    cfg.pier.telemetry = TelemetryConfig::enabled();
+    let scanned = many_tenants(&cfg).telemetry.mqo_rows_scanned;
+    cfg.sharing = false;
+    let dispatched = many_tenants(&cfg).telemetry.selection_rows_in;
+    assert!(
+        scanned > 0 && dispatched >= 2 * scanned,
+        "{dispatched} vs {scanned}"
+    );
 }

@@ -7,7 +7,9 @@
 //! determinism lint") for the rule, the suppressions, and the
 //! allowlist-annotation workflow.  `lint` also runs the unreached-code
 //! rule: a `pub fn` in `crates/*/src` that nothing but its own file's
-//! tests names fails it.
+//! tests names fails it; and the ambient-input rule: `crates/*/src` reads
+//! neither the wall clock nor the environment, outside one allowed file per
+//! kind of read.
 //!
 //! `identity [--bless]` runs the end-to-end benchmark's workloads at fixed
 //! work and compares their behaviour-determined figures with
@@ -15,7 +17,7 @@
 
 use std::path::PathBuf;
 use std::process::ExitCode;
-use xtask::{identity, lint, unused};
+use xtask::{ambient, identity, lint, unused};
 
 fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
@@ -50,7 +52,11 @@ fn main() -> ExitCode {
                      uses it as a reference"
                 );
             }
-            if findings.is_empty() && unused.is_empty() {
+            let ambient = ambient::ambient_reads(&root);
+            for f in &ambient {
+                eprintln!("{f}: take it as configuration, or time it from benchmark/");
+            }
+            if findings.is_empty() && unused.is_empty() && ambient.is_empty() {
                 eprintln!("xtask lint: ok");
                 ExitCode::SUCCESS
             } else {

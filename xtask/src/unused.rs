@@ -119,12 +119,12 @@ pub fn unused_pub_fns(root: &Path) -> Vec<UnusedFn> {
 }
 
 /// `label` is `crates/<name>/src/...`.
-fn is_crate_src(label: &str) -> bool {
+pub(crate) fn is_crate_src(label: &str) -> bool {
     let parts: Vec<&str> = label.split(['/', '\\']).collect();
     parts.len() > 3 && parts[0] == "crates" && parts[2] == "src"
 }
 
-fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) {
+pub(crate) fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) {
     let Ok(entries) = fs::read_dir(dir) else {
         return;
     };

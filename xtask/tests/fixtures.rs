@@ -1,12 +1,12 @@
-//! Both lint rules against their seeded fixture corpora and the live
+//! The lint rules against their seeded fixture corpora and the live
 //! workspace.  The determinism fixture must FAIL with exactly the six
-//! seeded findings (two effects-out, two send-path, two span-emit); the
-//! unreached-code fixture with exactly its two seeded `pub fn`s.  The real
-//! tree must PASS both (every send path is sorted and every `pub fn` has a
-//! caller; the lint's job is to keep it that way).
+//! seeded findings (two effects-out, two send-path, two span-emit), the
+//! unreached-code fixture with its two seeded `pub fn`s, the ambient-input
+//! fixture with its three seeded reads.  The real tree must PASS all three;
+//! the lint's job is to keep it that way.
 
 use std::path::PathBuf;
-use xtask::{lint, unused};
+use xtask::{ambient, lint, unused};
 
 fn workspace_root() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -71,4 +71,17 @@ fn live_tree_has_no_unreached_pub_fn() {
         findings.is_empty(),
         "every `pub fn` in crates/*/src needs a caller outside its own tests: {findings:?}"
     );
+}
+
+#[test]
+fn only_the_seeded_clock_and_env_reads_are_flagged() {
+    let reads = ambient::ambient_reads(&workspace_root().join("xtask/fixtures"));
+    let at = |line, read| format!("crates/demo/src/lib.rs:{line}: {read}");
+    let seeded = [
+        at(10, "wall-clock read `Instant::now`"),
+        at(16, "wall-clock read `SystemTime::now`"),
+        at(21, "environment read `env::var`"),
+    ];
+    assert_eq!(reads, seeded);
+    assert!(ambient::ambient_reads(&workspace_root()).is_empty());
 }
