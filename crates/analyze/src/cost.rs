@@ -74,11 +74,14 @@ pub struct CostReport {
     /// Worst-case groups resident per window (equality-constrained group
     /// columns count one value each).
     pub groups_per_window: u64,
+    /// Worst-case groups resident per pane: a window store holds panes, so
+    /// this, not the window's figure, prices state and shipped partials.
+    pub groups_per_pane: u64,
     /// Worst-case `WindowStore` bytes resident per node, both stores
-    /// (ingest + root), all concurrently open windows.
+    /// (ingest + root), all concurrently open panes.
     pub state_bytes_per_node: u64,
-    /// Worst-case `PutBatch` entries shipped per flush per node (a closed
-    /// window's group partials; the batched rehash path for joins).
+    /// Worst-case entries shipped per flush per node (a closed pane's
+    /// group partials; the batched rehash path for joins).
     pub entries_per_flush_per_node: u64,
     /// Worst-case senders converging on the query's root/proxy per flush.
     pub root_fan_in: u64,
@@ -86,6 +89,10 @@ pub struct CostReport {
     pub window_size_us: u64,
     /// Window slide in microseconds (0 for non-windowed plans).
     pub window_slide_us: u64,
+    /// Pane length in microseconds, `gcd(size, slide)` (0 for non-windowed
+    /// plans): every row folds into one pane, whatever the window/slide
+    /// ratio.
+    pub window_pane_us: u64,
     /// Windows every event falls into (1 for non-windowed plans).
     pub windows_per_event: u64,
     /// The plan normalizes into a `pier-mqo` share group.
@@ -122,6 +129,7 @@ impl CostReport {
             self.rows_per_window_per_node,
         );
         push_kv_u64(&mut out, "groups_per_window", self.groups_per_window);
+        push_kv_u64(&mut out, "groups_per_pane", self.groups_per_pane);
         push_kv_u64(&mut out, "state_bytes_per_node", self.state_bytes_per_node);
         push_kv_u64(
             &mut out,
@@ -131,6 +139,7 @@ impl CostReport {
         push_kv_u64(&mut out, "root_fan_in", self.root_fan_in);
         push_kv_u64(&mut out, "window_size_us", self.window_size_us);
         push_kv_u64(&mut out, "window_slide_us", self.window_slide_us);
+        push_kv_u64(&mut out, "window_pane_us", self.window_pane_us);
         push_kv_u64(&mut out, "windows_per_event", self.windows_per_event);
         out.push_str("\"share_eligible\":");
         out.push_str(if self.share_eligible { "true" } else { "false" });
@@ -181,23 +190,23 @@ fn escape_into(out: &mut String, s: &str) {
     }
 }
 
-/// Fixed overhead charged per resident (window, group) — and per dedup-set
-/// entry (bucket + string header).  `WindowStore::approx_state_bytes`, the
-/// measured side, charges a group's key, identity and directory entry once
-/// and a slot per window holding it: less than this per window as soon as
-/// two windows share the group; while exactly one does, about half as much
-/// again, and four bytes more for every open window (a window's `id →
-/// slot` map spans the directory's ids).  The bound is stated at the
-/// budget's cap — every window it allows open, every one full — for windows
-/// that overlap in their groups, which is what a sliding window over a
-/// stream reaches; `tests/admission_soundness.rs` fills a store pair to
-/// that cap and compares, and pins the other case — eight tumbling windows
-/// that share no key — within twice the bound.  Such a query stays under
-/// the bound itself as long as `max_open_windows` is twice what it really
-/// holds open: one window per slide in flight, and at the root
-/// `windows_per_event + 4` retained for refinement.
+/// Fixed overhead charged per resident (pane, group).
+/// `WindowStore::approx_state_bytes`, the measured side, charges a group's
+/// key, identity and directory entry once and a slot per pane holding it:
+/// less than this per pane as soon as two panes share the group; while
+/// exactly one does, about half as much again, and four bytes more for
+/// every open pane (a pane's `id → slot` map spans the directory's ids).
+/// The bound is stated at the budget's cap — every pane it allows open,
+/// every one full — for panes that overlap in their groups, which is what
+/// a stream of a few hot keys reaches; `tests/admission_soundness.rs` fills
+/// a store pair to that cap and compares, and pins the other case — eight
+/// panes that share no key — within twice the bound.  Such a query stays
+/// under the bound itself as long as `max_open_windows` is twice the panes
+/// it really holds open: the panes of one window in flight, and at the
+/// root those of the `windows_per_event + 4` windows retained for
+/// refinement.
 const ENTRY_OVERHEAD: u64 = 48;
-/// Charged per open window (container headers, stats).
+/// Charged per open pane (container headers, stats).
 const WINDOW_OVERHEAD: u64 = 256;
 /// Bytes charged per aggregate's partial state (`AggState` wire sizes top
 /// out at 17 for AVG; 32 leaves headroom for MIN/MAX over strings).
@@ -281,11 +290,13 @@ pub fn analyze(plan: &QueryPlan, env: &EnvModel) -> CostReport {
 
     let mut rows_per_window_per_node: u64 = 0;
     let mut groups_per_window: u64 = 1;
+    let mut groups_per_pane: u64 = 1;
     let mut state_bytes_per_node: u64 = 0;
     let mut entries_per_flush_per_node: u64 = 0;
     let mut root_fan_in: u64 = 1;
     let mut window_size_us: u64 = 0;
     let mut window_slide_us: u64 = 0;
+    let mut window_pane_us: u64 = 0;
     let mut windows_per_event: u64 = 1;
     let mut unbounded_reason: Option<String> = None;
     let mut conditional = false;
@@ -297,38 +308,43 @@ pub fn analyze(plan: &QueryPlan, env: &EnvModel) -> CostReport {
                 window,
                 group_cols,
                 aggs,
-                dedup_cols,
                 ..
             } => {
                 let budget = plan.cq.map(|c| c.budget).unwrap_or_default();
                 window_size_us = window.size;
                 window_slide_us = window.slide;
+                window_pane_us = window.pane();
                 windows_per_event = window.windows_per_event().max(1);
                 // Rows *touched* per window per node: the full stream rate
                 // over the window — selection selectivity is distributional
-                // and therefore not a sound discount.  Rows *retained* are
-                // additionally capped by the enforced per-window budget.
-                let raw_rows = window
-                    .size
-                    .div_ceil(1_000_000)
-                    .saturating_mul(env.events_per_node_per_sec);
-                let retained = raw_rows.min(budget.max_tuples_per_window);
+                // and therefore not a sound discount.  Each row folds into
+                // the one pane it falls in; rows *retained* are capped by
+                // the enforced per-pane budget.
+                let rows_over = |us: u64| {
+                    us.div_ceil(1_000_000)
+                        .saturating_mul(env.events_per_node_per_sec)
+                };
+                let raw_rows = rows_over(window.size);
                 rows_per_window_per_node = rows_per_window_per_node.max(raw_rows);
                 // Groups: every equality-pinned group column contributes one
                 // value; a free column contributes at most the distinct-value
                 // assumption; the enforced budget caps the product either way.
-                let mut groups: u64 = 1;
+                let mut distinct: u64 = 1;
                 let mut distributional = false;
                 for col in group_cols {
                     if !pinned.contains(col) {
-                        groups = groups.saturating_mul(env.distinct_values.max(1));
+                        distinct = distinct.saturating_mul(env.distinct_values.max(1));
                         distributional = true;
                     }
                 }
-                groups = groups
-                    .min(retained)
-                    .min(u64::from(budget.max_groups_per_window))
-                    .max(1);
+                let cap = |rows: u64| {
+                    distinct
+                        .min(rows.min(budget.max_tuples_per_window))
+                        .min(u64::from(budget.max_groups_per_window))
+                        .max(1)
+                };
+                let groups = cap(raw_rows);
+                let pane_groups = cap(rows_over(window.pane()));
                 if distributional {
                     assumptions.push(format!(
                         "free group columns capped by enforced max_groups_per_window={}",
@@ -336,28 +352,21 @@ pub fn analyze(plan: &QueryPlan, env: &EnvModel) -> CostReport {
                     ));
                 }
                 groups_per_window = groups_per_window.max(groups);
+                groups_per_pane = groups_per_pane.max(pane_groups);
                 // State: both stores (ingest + root), every concurrently
-                // open window at the enforced cap, every group resident,
-                // plus the window-scoped dedup set when configured.
+                // open pane at the enforced cap, every group resident.
                 let open = u64::from(budget.max_open_windows).max(1);
                 let group_bytes = ENTRY_OVERHEAD
                     + env
                         .bytes_per_value
                         .saturating_mul(group_cols.len() as u64 + 1)
                     + AGG_STATE_BYTES.saturating_mul(aggs.len().max(1) as u64);
-                let dedup_bytes = if dedup_cols.is_empty() {
-                    0
-                } else {
-                    retained.saturating_mul(
-                        ENTRY_OVERHEAD + env.bytes_per_value * dedup_cols.len() as u64,
-                    )
-                };
-                let per_window = groups.saturating_mul(group_bytes) + dedup_bytes + WINDOW_OVERHEAD;
-                state_bytes_per_node =
-                    state_bytes_per_node.max(2 * open.saturating_mul(per_window));
-                // Each closed window ships its groups as one batch toward
-                // the root; the root absorbs one such batch per sender.
-                entries_per_flush_per_node = entries_per_flush_per_node.max(groups);
+                let per_pane = pane_groups.saturating_mul(group_bytes) + WINDOW_OVERHEAD;
+                state_bytes_per_node = state_bytes_per_node.max(2 * open.saturating_mul(per_pane));
+                // Each closed pane ships its groups once toward the root,
+                // however many windows cover it; the root absorbs one such
+                // batch per sender.
+                entries_per_flush_per_node = entries_per_flush_per_node.max(pane_groups);
                 root_fan_in = root_fan_in.max(nodes_reached);
             }
             SinkSpec::HierarchicalAgg {
@@ -483,11 +492,13 @@ pub fn analyze(plan: &QueryPlan, env: &EnvModel) -> CostReport {
         dht_hops: 1, // the static one-hop ring
         rows_per_window_per_node,
         groups_per_window,
+        groups_per_pane,
         state_bytes_per_node,
         entries_per_flush_per_node,
         root_fan_in,
         window_size_us,
         window_slide_us,
+        window_pane_us,
         windows_per_event,
         share_eligible,
         fingerprint,
@@ -532,6 +543,36 @@ mod tests {
         );
         let report = analyze(&plan, &EnvModel::default());
         assert_eq!(report.groups_per_window, 1);
+    }
+
+    #[test]
+    fn state_and_shipped_entries_are_priced_per_pane() {
+        let env = EnvModel {
+            events_per_node_per_sec: 16,
+            ..EnvModel::default()
+        };
+        let report = |window: &str| {
+            let sql = format!("SELECT src, COUNT(*) FROM packets GROUP BY src {window}");
+            analyze(&compile(&sql), &env)
+        };
+        let (tumbling, sliding) = (report("WINDOW 1s"), report("WINDOW 30s SLIDE 1s"));
+        assert_eq!(
+            (sliding.window_pane_us, sliding.windows_per_event),
+            (1_000_000, 30)
+        );
+        // A window's rows and groups grow with its length...
+        assert_eq!(sliding.rows_per_window_per_node, 30 * 16);
+        assert_eq!(sliding.groups_per_window, 30 * 16);
+        // ...but a row folds into one pane, so what a store holds and ships
+        // is a one-pane window's, whatever the window/slide ratio.
+        assert_eq!(sliding.groups_per_pane, 16);
+        assert_eq!(sliding.state_bytes_per_node, tumbling.state_bytes_per_node);
+        assert_eq!(
+            sliding.entries_per_flush_per_node,
+            tumbling.entries_per_flush_per_node
+        );
+        // Panes are gcd(size, slide) long.
+        assert_eq!(report("WINDOW 5s SLIDE 2s").window_pane_us, 1_000_000);
     }
 
     #[test]

@@ -242,7 +242,7 @@ pub enum PierTimer {
 /// `format!` scan over every installed query.
 #[derive(Debug)]
 enum NamespaceRoute {
-    /// `q{id}.windows` / `g{fp}.windows`: closed-window partials of an
+    /// `q{id}.windows` / `g{fp}.windows`: closed-pane partials of an
     /// engine.
     WindowPartials(EngineKey),
     /// `q{id}.partials`: partial aggregates travelling up the tree.
@@ -1568,9 +1568,9 @@ impl PierNode {
         // flush counters (the ones the span-reconciliation tests anchor
         // to), and a traced engine's flush additionally records a flush
         // span whose context rides the wire on every shipment of this tick.
-        // Its `aux` is the distinct windows bundled, so the per-*window*
-        // static bound can be reconciled against a per-*tick* measurement —
-        // or, for shared work, the members riding it.
+        // Its `aux` is the distinct panes bundled, so the per-*pane* static
+        // bound can be reconciled against a per-*tick* measurement — or,
+        // for shared work, the members riding it.
         let mut flush_ctx: Option<TraceContext> = None;
         if self.tel.is_enabled() && !shipments.is_empty() {
             let partials: u64 = shipments.iter().map(|s| s.tuple_count() as u64).sum();
@@ -1578,7 +1578,7 @@ impl PierNode {
             self.tel.add(names.flush_partials, partials);
             if let Some((query_id, true)) = charged {
                 let bytes: u64 = shipments.iter().map(|s| s.wire_size() as u64).sum();
-                let aux = if names.shared { members } else { out.windows };
+                let aux = if names.shared { members } else { out.panes };
                 let root = TraceContext::root(query_id);
                 flush_ctx = Some(self.span(now, root, names.flush_span, [partials, bytes, aux]));
             }

@@ -1,8 +1,9 @@
 //! Closed-window partials: the accumulator a window store keeps per group
 //! and the one codec that moves it between stores.
 //!
-//! A continuous query's closed windows travel toward the window root as
-//! *partials* — `_w` (the window id), the group values, and each
+//! A continuous query's closed panes travel toward the window root as
+//! *partials* — `_w` (the id of the pane, or of the window of a store kept
+//! per window: an integer either way), the group values, and each
 //! aggregate's mergeable state — and combine hop by hop through DHT upcalls
 //! (§3.2.4, §3.3.4).  Between [`WindowStore::close_due`] at the sender and
 //! the merge into a [`WindowStore`] at a relay or the root, the only

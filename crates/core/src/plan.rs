@@ -222,8 +222,6 @@ pub enum SinkSpec {
         /// Column carrying the event time (virtual-time microseconds);
         /// tuples without it fall back to arrival time.
         time_col: Option<String>,
-        /// Window-scoped duplicate-elimination columns (empty = none).
-        dedup_cols: Vec<String>,
         /// Snapshot or insert/retract output semantics.
         delta: DeltaMode,
         /// Operators applied to each window's merged result at the root
@@ -660,7 +658,6 @@ impl PlanBuilder {
                     group_cols: vec![group_col.to_string()],
                     aggs: vec![AggFunc::Count],
                     time_col: Some("ts".to_string()),
-                    dedup_cols: vec![],
                     delta: DeltaMode::Snapshot,
                     final_ops: vec![],
                 },
@@ -752,13 +749,8 @@ mod tests {
         let graph = &plan.opgraphs[0];
         assert!(matches!(&graph.ops[..], [OperatorSpec::Selection(_)]));
         match &graph.sink {
-            SinkSpec::WindowedAgg {
-                group_cols,
-                dedup_cols,
-                ..
-            } => {
+            SinkSpec::WindowedAgg { group_cols, .. } => {
                 assert_eq!(group_cols, &vec!["src".to_string()]);
-                assert!(dedup_cols.is_empty(), "dedup would block sharing");
             }
             other => panic!("unexpected sink {other:?}"),
         }

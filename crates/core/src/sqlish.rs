@@ -157,7 +157,8 @@ impl Parser {
     }
 
     /// Parse a duration literal: `500ms`, `30s`, `2m`, `1500us`; a bare
-    /// number means seconds.  Returns microseconds.
+    /// number means seconds.  Returns microseconds; a zero duration is an
+    /// error (a window, slide or renewal period of nothing means nothing).
     fn parse_duration(token: &str) -> Result<Duration, SqlError> {
         let (digits, unit) = match token.find(|c: char| !c.is_ascii_digit()) {
             Some(split) => token.split_at(split),
@@ -173,7 +174,10 @@ impl Parser {
             "m" => 60_000_000,
             other => return Err(SqlError(format!("unknown duration unit {other}"))),
         };
-        Ok(n.saturating_mul(factor).max(1))
+        if n == 0 {
+            return Err(SqlError(format!("duration {token} must be positive")));
+        }
+        Ok(n.saturating_mul(factor))
     }
 
     fn parse_literal(token: &str) -> Value {
@@ -359,8 +363,10 @@ pub fn plan(statement: &SelectStatement, proxy: NodeAddr, timeout: Duration) -> 
     })
 }
 
-/// Plan a parsed statement, rejecting invalid windowing combinations
-/// (a `WINDOW` clause requires at least one aggregate).
+/// Plan a parsed statement, rejecting invalid windowing combinations: a
+/// `WINDOW` clause requires at least one aggregate, and a `SLIDE` longer
+/// than its window (which would skip the rows between windows) is
+/// refused rather than clamped.
 pub fn plan_checked(
     statement: &SelectStatement,
     proxy: NodeAddr,
@@ -370,6 +376,13 @@ pub fn plan_checked(
         return Err(SqlError(
             "WINDOW requires an aggregate (windowed raw streams are not supported)".into(),
         ));
+    }
+    if let Some((size, Some(slide))) = statement.window {
+        if slide > size {
+            return Err(SqlError(format!(
+                "SLIDE ({slide}us) must not exceed WINDOW ({size}us)"
+            )));
+        }
     }
     let predicate = Expr::all(statement.predicates.clone());
     // Naive dissemination choice: an equality predicate on any column makes
@@ -424,7 +437,6 @@ pub fn plan_checked(
             group_cols: statement.group_by.clone(),
             aggs: statement.aggregates.clone(),
             time_col: Some("ts".to_string()),
-            dedup_cols: vec![],
             delta: if statement.deltas {
                 DeltaMode::Deltas
             } else {

@@ -2,7 +2,9 @@
 //! inside a [`WindowEngine`].
 //!
 //! An engine is a share group's worth of window state — one local and one
-//! root [`pier_cq::WindowStore`] behind a [`SharedWindowState`], one
+//! root [`pier_cq::WindowStore`] of panes behind a [`SharedWindowState`]
+//! (a row folds into one pane, a closed pane ships once, the root puts
+//! each window together from its panes), one
 //! [`PartialCodec`], and per [`Member`] a derivation predicate, a proxy, a
 //! lease and a delta tracker.  An **unshared** query
 //! is an engine of one member with no predicate, tagged `q{id}` and fed its
@@ -91,8 +93,6 @@ pub struct EngineSpec {
     pub aggs: Vec<AggFunc>,
     /// Event-time column (arrival time when absent).
     pub time_col: Option<String>,
-    /// Window-scoped dedup columns (a missing column keys as "∅").
-    pub dedup_cols: Vec<String>,
     /// Shipped partials live at least this long, whatever the node's
     /// publish lifetime.
     pub min_lifetime: Duration,
@@ -126,7 +126,6 @@ impl EngineSpec {
             group_cols,
             aggs,
             time_col,
-            dedup_cols,
             delta,
             final_ops,
         } = sink
@@ -143,7 +142,6 @@ impl EngineSpec {
             group_cols: group_cols.clone(),
             aggs: aggs.clone(),
             time_col: time_col.clone(),
-            dedup_cols: dedup_cols.clone(),
             min_lifetime: cq.lease,
             names: QUERY_NAMES,
         };
@@ -181,12 +179,12 @@ pub struct Emission {
 /// What one [`WindowEngine::tick`] produced.
 #[derive(Debug, Default)]
 pub struct TickOutput {
-    /// Closed-window partials to ship one hop toward the root, one row per
-    /// group (`None` at the root, or when nothing closed).
+    /// Closed-pane partials to ship one hop toward the root, one row per
+    /// (pane, group) (`None` at the root, or when nothing closed).
     pub partials: Option<ColumnChunk>,
-    /// Distinct windows `partials` bundles (a tick catching up after an
-    /// EVERY-cadence gap ships several at once).
-    pub windows: u64,
+    /// Distinct panes `partials` bundles (a tick catching up after an
+    /// EVERY-cadence gap, or a slide longer than a pane, ships several).
+    pub panes: u64,
     /// Per-member emissions (non-empty only at the root).
     pub emissions: Vec<Emission>,
 }
@@ -201,7 +199,7 @@ pub struct CqDiagnostics {
     pub local: WindowStats,
     /// Activity counters of the relay/root window store.
     pub root: WindowStats,
-    /// Open windows across both stores.
+    /// Open panes across both stores.
     pub open_windows: usize,
     /// Groups held across both stores (the node's CQ state footprint).
     pub total_groups: usize,
@@ -211,7 +209,7 @@ pub struct CqDiagnostics {
     pub windows_emitted: u64,
     /// Lease renewals observed since installation.
     pub lease_renewals: u32,
-    /// Windows rehydrated from durable segments at installation (0 on a
+    /// Panes rehydrated from durable segments at installation (0 on a
     /// cold install): nonzero means this node restarted warm.
     pub rehydrated_windows: u64,
 }
@@ -309,7 +307,6 @@ pub struct WindowEngine {
     group_resolver: ColumnResolver,
     time_ref: Option<ColumnRef>,
     agg_inputs: Vec<Option<ColumnRef>>,
-    dedup_refs: Vec<ColumnRef>,
     /// `{tag}.gv` — the schema derivation predicates compile against
     /// (columns = the GROUP BY columns); interned with the first predicate.
     gv_schema: Option<Arc<Schema>>,
@@ -328,12 +325,10 @@ pub struct WindowEngine {
     /// [`WindowEngine::take_shed_evicted`].
     reported: (u64, u64),
     /// Buffers one [`WindowEngine::absorb`] fills and the next reuses: the
-    /// dedup and aggregate-input columns of the chunk's schema, the group
-    /// and the dedup key of the row at hand.
-    dedup_idxs: Vec<Option<usize>>,
+    /// aggregate-input columns of the chunk's schema and the group key of
+    /// the row at hand.
     agg_idxs: Vec<Option<usize>>,
     key: String,
-    dedup: String,
 }
 
 impl WindowEngine {
@@ -361,22 +356,14 @@ impl WindowEngine {
                 .iter()
                 .map(|a| a.input_column().map(ColumnRef::new))
                 .collect(),
-            dedup_refs: spec
-                .dedup_cols
-                .iter()
-                .cloned()
-                .map(ColumnRef::new)
-                .collect(),
             gv_schema: None,
             members: BTreeMap::new(),
             index: HashMap::new(),
             filed: Vec::new(),
             rehydrated_windows: 0,
             reported: (0, 0),
-            dedup_idxs: Vec::new(),
             agg_idxs: Vec::new(),
             key: String::new(),
-            dedup: String::new(),
             spec,
         }
     }
@@ -451,50 +438,34 @@ impl WindowEngine {
 
     // ----- data -------------------------------------------------------------
 
-    /// Fold the rows of `chunk` into the local store — all of them, or only
-    /// those whose bit is set in `selected` (bit `r % 64` of word `r / 64`;
-    /// bits past the chunk select nothing).
-    /// The event-time, group, dedup and aggregate-input columns resolve
-    /// against the chunk's schema once; a chunk lacking a group column is
-    /// discarded (best effort).
+    /// Fold the rows of `chunk` into the local store, each into the one
+    /// pane of its event time — all of them, or only those whose bit is set
+    /// in `selected` (bit `r % 64` of word `r / 64`; bits past the chunk
+    /// select nothing).  The event-time, group and aggregate-input columns
+    /// resolve against the chunk's schema once; a chunk lacking a group
+    /// column is discarded (best effort).
     pub fn absorb(&mut self, chunk: &ColumnChunk, selected: Option<&[u64]>, now: SimTime) {
         let schema = chunk.schema();
         let Some(group_idxs) = self.group_resolver.indices_for(schema) else {
             return;
         };
         let time_idx = self.time_ref.as_mut().and_then(|c| c.index_for(schema));
-        self.dedup_idxs.clear();
-        let dedups = self.dedup_refs.iter_mut();
-        self.dedup_idxs.extend(dedups.map(|c| c.index_for(schema)));
         self.agg_idxs.clear();
         let inputs = self.agg_inputs.iter_mut();
         let inputs = inputs.map(|input| input.as_mut().and_then(|c| c.index_for(schema)));
         self.agg_idxs.extend(inputs);
-        let (dedup_idxs, agg_idxs) = (&self.dedup_idxs, &self.agg_idxs);
-        let (key, dedup) = (&mut self.key, &mut self.dedup);
+        let (agg_idxs, key) = (&self.agg_idxs, &mut self.key);
         let aggs = self.codec.aggs();
-        let store = self.state.local_mut();
+        let state = &mut self.state;
         let mut absorb_row = |r: usize| {
             let event_time = time_idx
                 .and_then(|i| chunk.col(i).value_ref(r).as_i64())
                 .map_or(now, |v| v.max(0) as u64);
             key.clear();
             chunk.write_key_at(group_idxs, r, key);
-            dedup.clear();
-            // A row missing a dedup column is treated as unique.
-            for (i, idx) in dedup_idxs.iter().enumerate() {
-                if i > 0 {
-                    dedup.push('|');
-                }
-                match idx {
-                    Some(c) => chunk.col(*c).value_ref(r).write_key(dedup),
-                    None => dedup.push('∅'),
-                }
-            }
-            store.push_with(
+            state.fold_local(
                 event_time,
                 key,
-                (!dedup_idxs.is_empty()).then_some(dedup.as_str()),
                 |new| GroupAgg {
                     // Only a group new to the store keeps its values.
                     vals: if new {
@@ -531,7 +502,7 @@ impl WindowEngine {
         }
     }
 
-    /// Merge a chunk of relayed closed-window partials into the root store
+    /// Merge a chunk of relayed closed-pane partials into the root store
     /// and return the indices of the rows it refused
     /// ([`PartialCodec::absorb`]).
     pub fn absorb_partials(&mut self, chunk: &ColumnChunk) -> Vec<u32> {
@@ -539,9 +510,10 @@ impl WindowEngine {
     }
 
     /// One window-maintenance tick.  Away from the root: drain every due
-    /// window of both stores into one partial stream.  At the root: roll
-    /// the local store up into the retained root state, snapshot every due
-    /// window that changed and derive each member's rows from it — the
+    /// pane of both stores into one partial stream.  At the root: roll
+    /// the local panes up into the retained root panes, put every due
+    /// window that is new or covers a refined pane together from its panes
+    /// and derive each member's rows from it — the
     /// member's groups (looked up in the index for a filed member, tested
     /// one by one for the others), in display order, through its finishers
     /// — which the member's delta tracker turns into its snapshot or
@@ -551,17 +523,17 @@ impl WindowEngine {
         let mut out = TickOutput::default();
         if !is_root {
             let mut partials = self.codec.encoder();
-            let mut wids = Vec::new();
-            self.state.drain_closed(now, |wid, groups| {
-                wids.push(wid);
+            let mut panes = Vec::new();
+            self.state.drain_closed(now, |pane, groups| {
+                panes.push(pane);
                 for g in groups {
-                    partials.push(wid, &g.identity.vals, &g.acc.states);
+                    partials.push(pane, &g.identity.vals, &g.acc.states);
                 }
             });
-            // Each store drains ascending; both may hold the same window.
-            wids.sort_unstable();
-            wids.dedup();
-            out.windows = wids.len() as u64;
+            // Each store drains ascending; both may hold the same pane.
+            panes.sort_unstable();
+            panes.dedup();
+            out.panes = panes.len() as u64;
             out.partials = partials.finish();
             return out;
         }
@@ -721,7 +693,7 @@ impl WindowEngine {
         })
     }
 
-    /// Accepted rows, shed rows+groups, evicted windows, open windows,
+    /// Accepted rows, shed rows+groups, evicted panes, open panes,
     /// groups and approximate state bytes over both stores — the values of
     /// [`OCCUPANCY_GAUGES`].
     pub fn occupancy(&self) -> [u64; 6] {
@@ -806,33 +778,16 @@ mod tests {
         };
         let key = tuple.key_at(indices);
         let vals: Vec<Value> = indices.iter().map(|&i| tuple.values()[i].clone()).collect();
-        let dedup = if e.dedup_refs.is_empty() {
-            None
-        } else {
-            // A tuple missing a dedup column is treated as unique.
-            let mut out = String::with_capacity(12 * e.dedup_refs.len());
-            for (i, col) in e.dedup_refs.iter_mut().enumerate() {
-                if i > 0 {
-                    out.push('|');
-                }
-                match col.get(tuple) {
-                    Some(v) => v.write_key(&mut out),
-                    None => out.push('∅'),
-                }
-            }
-            Some(out)
-        };
         let agg_values: Vec<Option<&Value>> = e
             .agg_inputs
             .iter_mut()
             .map(|input| input.as_mut().and_then(|c| c.get(tuple)))
             .collect();
         let aggs = e.codec.aggs();
-        e.state.local_mut().push(
+        e.state.fold_local(
             event_time,
             &key,
-            dedup.as_deref(),
-            || GroupAgg {
+            |_| GroupAgg {
                 vals: vals.clone(),
                 states: aggs.iter().map(AggFunc::init).collect(),
             },
@@ -846,15 +801,15 @@ mod tests {
     }
 
     /// Canonical view of the local store's content after closing
-    /// everything: `(window, group key, group values, finished aggregates)`.
+    /// everything: `(pane, group key, group values, finished aggregates)`.
     fn drain_canonical(e: &mut WindowEngine) -> Vec<(u64, String, Vec<Value>, Vec<Value>)> {
         let mut out = Vec::new();
-        for (wid, groups) in e.state.local_mut().close_due(1_000_000_000_000) {
-            for (key, acc) in groups {
-                let finished = acc.states.iter().map(AggState::finish).collect();
-                out.push((wid, key, acc.vals.clone(), finished));
+        e.state.drain_closed(1_000_000_000_000, |pane, groups| {
+            for g in groups {
+                let finished = g.acc.states.iter().map(AggState::finish).collect();
+                out.push((pane, g.key.to_string(), g.identity.vals.clone(), finished));
             }
-        }
+        });
         out.sort_by(|a, b| (a.0, &a.1).cmp(&(b.0, &b.1)));
         out
     }

@@ -6,8 +6,8 @@
 //! into a long-running monitoring engine:
 //!
 //! * [`window`] — tumbling and sliding time windows: window identifier
-//!   arithmetic, bounds, close times and the [`window::WindowSpec`] that
-//!   travels inside query plans.
+//!   arithmetic, bounds, close times, the panes a window is made of and
+//!   the [`window::WindowSpec`] that travels inside query plans.
 //! * [`state`] — the per-node [`state::WindowStore`]: window-scoped grouped
 //!   state with duplicate elimination, explicit work/state budgets (load
 //!   shedding instead of unbounded growth), order-insensitive merging of
@@ -16,11 +16,13 @@
 //!   insert/retract streams computed against the previous emission of the
 //!   same window ([`delta::DeltaTracker`]).
 //! * [`shared`] — the window state of one engine: one local/root
-//!   [`state::WindowStore`] pair serving every member query (one for an
-//!   unshared query, N constant-varied ones for a `pier-mqo` share group),
-//!   rolled up, snapshotted, retired and persisted together; each member's
-//!   per-window answer is derived from the shared accumulators at flush by
-//!   the caller, through the member's own [`delta::DeltaTracker`].
+//!   [`state::WindowStore`] pair of tumbling panes serving every member
+//!   query (one for an unshared query, N constant-varied ones for a
+//!   `pier-mqo` share group) — a row folds into one pane, a closed pane
+//!   ships once, the root puts each window together from its panes —
+//!   rolled up, retired and persisted together; each member's per-window
+//!   answer is derived from the composed accumulators at flush by the
+//!   caller, through the member's own [`delta::DeltaTracker`].
 //! * [`lifecycle`] — the soft-state continuous-query lifecycle: leases that
 //!   must be renewed by the owner's periodic lease roster (so a query dies
 //!   everywhere once its owner stops renewing, and reaches nodes that joined

@@ -8,8 +8,9 @@
 //! root-side [`WindowStore`] for a whole share group (instead of one pair
 //! per member query); an unshared query is the same thing with one member.
 //! Each member's per-window answer is derived *at flush time* from the
-//! shared accumulators, by the caller: [`SharedWindowState::emit_due`] hands
-//! every due window's groups out once, and the caller (`pier-core`'s window
+//! shared accumulators, by the caller: [`SharedWindowState::emit_due`] puts
+//! every due window together from its panes and hands its groups out once,
+//! and the caller (`pier-core`'s window
 //! engine) hands each member its groups — a constant-varied member's by one
 //! key lookup per group, shared by all such members — and runs each
 //! member's own [`DeltaTracker`](crate::DeltaTracker), so the marginal cost
@@ -26,97 +27,222 @@ use crate::lifecycle::CqBudget;
 use crate::segment::{RehydrateReport, SegmentCodec, SegmentLog};
 use crate::state::{Group, WindowAccumulator, WindowStats, WindowStore};
 use crate::window::{WindowId, WindowSpec};
-use pier_runtime::SimTime;
+use pier_runtime::{Duration, SimTime};
+use std::cell::RefCell;
 
 /// A single local/root [`WindowStore`] pair serving every member query of
 /// one window engine.
+///
+/// Both stores hold tumbling **panes** of [`WindowSpec::pane`], not
+/// windows: a row folds into the one pane it falls in, a closed pane is
+/// shipped — and combined en route — once, and only the window root puts a
+/// window together, from the panes it spans, when it emits.  Per-row work,
+/// leaf and relay state and shipped partials are those of a tumbling
+/// window of one pane, whatever the window/slide ratio.
 #[derive(Debug)]
 pub struct SharedWindowState<A> {
     window: WindowSpec,
-    /// This node's share of the stream, drained toward the root each slide.
+    /// This node's share of the stream, one pane per `window.pane()`,
+    /// drained toward the root each slide.
     local: WindowStore<A>,
-    /// Partials combined at (or relayed toward) the window root; closes one
-    /// slide after `local` so relayed partials can arrive.
+    /// Pane partials combined at (or relayed toward) the window root;
+    /// closes one slide after `local` so relayed partials can arrive.
     root: WindowStore<A>,
+    /// The newest window that was due at an emission pass: the windows
+    /// past it have never been put together here.
+    emitted_through: Option<WindowId>,
+    /// The root store's eviction count already turned into retirement.
+    evicted: u64,
 }
 
 impl<A: WindowAccumulator> SharedWindowState<A> {
-    /// Fresh state windowing by `window` under `budget`.
+    /// Fresh state windowing by `window` under `budget` — a budget of
+    /// panes: the caps apply to each pane and to the panes open at once.
     pub fn new(window: WindowSpec, budget: CqBudget) -> Self {
+        let panes = WindowSpec::tumbling(window.pane());
         SharedWindowState {
             window,
-            local: WindowStore::new(window, budget),
-            root: WindowStore::new(window.with_grace(window.grace + window.slide), budget),
+            local: WindowStore::new(panes.with_grace(window.grace), budget),
+            root: WindowStore::new(panes.with_grace(window.grace + window.slide), budget),
+            emitted_through: None,
+            evicted: 0,
         }
     }
 
-    /// The shared local store (the absorb entry point: the caller folds the
-    /// union of the members' selected rows into it, once per row).
-    pub fn local_mut(&mut self) -> &mut WindowStore<A> {
-        &mut self.local
+    /// Fold one row into the shared local store — the absorb entry point:
+    /// the caller folds the union of the members' selected rows, once per
+    /// row, into the pane of `event_time` (see [`WindowStore::push_with`]
+    /// for `init` and `fold`).  A row whose pane has already closed here
+    /// re-opens it as a refinement, shipped (or rolled up) at the next tick
+    /// like a late relayed partial, until the root retires the pane.
+    pub fn fold_local(
+        &mut self,
+        event_time: SimTime,
+        group_key: &str,
+        init: impl Fn(bool) -> A,
+        fold: impl FnMut(&mut A),
+    ) {
+        let pane = event_time / self.window.pane();
+        if self.local.closed_through().is_some_and(|c| pane <= c) {
+            let fold = RefCell::new(fold);
+            self.local.refine_with(
+                pane,
+                group_key,
+                |acc| (fold.borrow_mut())(acc),
+                |new| {
+                    let mut acc = init(new);
+                    (fold.borrow_mut())(&mut acc);
+                    acc
+                },
+            );
+        } else {
+            self.local
+                .push_with(event_time, group_key, None, init, fold);
+        }
     }
 
-    /// The shared root-side store (the relay entry point: closed-window
+    /// The shared root-side store (the relay entry point: closed-pane
     /// partials arriving at, or relayed through, the window root merge into
     /// it as refinements).
     pub fn root_mut(&mut self) -> &mut WindowStore<A> {
         &mut self.root
     }
 
-    /// Non-root tick: drain every due window from both stores for shipment
+    /// Non-root tick: drain every due pane from both stores for shipment
     /// toward the root — **one** partial stream, however many members the
-    /// state serves — lending `visit` each window's groups in key order,
-    /// the local store's windows first.
+    /// state serves and however many windows cover a pane — lending `visit`
+    /// each pane's groups in key order, the local store's panes first.
     pub fn drain_closed(&mut self, now: SimTime, mut visit: impl FnMut(WindowId, &[Group<'_, A>])) {
-        self.local.close_due_with(now, &mut visit);
-        self.root.close_due_with(now, &mut visit);
+        if let Some(at) = self.closing_instant(now, self.window.grace) {
+            self.local.close_due_with(at, &mut visit);
+        }
+        if let Some(at) = self.closing_instant(now, self.window.grace + self.window.slide) {
+            self.root.close_due_with(at, &mut visit);
+        }
     }
 
-    /// Root tick, step 1: fold this node's own due windows into the
-    /// retained root state.
+    /// Root tick, step 1: fold this node's own due panes into the retained
+    /// root panes.
     pub fn roll_up_local(&mut self, now: SimTime) {
-        for (wid, groups) in self.local.close_due(now) {
+        let Some(at) = self.closing_instant(now, self.window.grace) else {
+            return;
+        };
+        for (pane, groups) in self.local.close_due(at) {
             for (key, acc) in groups {
-                self.root.accept_refinement(wid, &key, acc);
+                self.root.accept_refinement(pane, &key, acc);
             }
         }
     }
 
-    /// Root tick, step 2: lend `emit` every due window that changed, its
-    /// groups in key order (state is retained so late partials keep
-    /// refining and re-emit), then retire windows past the refinement
-    /// horizon from the root store, bounding memory.  Returns the window
+    /// The instant at which a pane store kept with `grace` closes exactly
+    /// the panes of the windows that close at `now` under that grace: a
+    /// pane closes with the first window ending at or after it, so a store
+    /// ships or rolls up at the instants — and in the bundles — a window
+    /// store would, and its close horizon names the last window closed.
+    fn closing_instant(&self, now: SimTime, grace: Duration) -> Option<SimTime> {
+        let window = self.window.with_grace(grace);
+        Some(window.bounds(window.last_closable(now)?).1 + grace)
+    }
+
+    /// Root tick, step 2: put together every due window that is new here or
+    /// covers a pane refined since the last pass, and lend `emit` each
+    /// non-empty one, oldest first, its groups merged across its panes in
+    /// key order (panes are retained, so late partials keep refining and
+    /// re-emit every retained window over them).  A window is due one slide
+    /// after its local panes close.  Then retire the panes below the oldest
+    /// window kept for refinement, bounding memory.  Returns the window
     /// through which the caller's per-member trackers should retire too,
     /// when the horizon moved.
     pub fn emit_due(
         &mut self,
         now: SimTime,
         mut emit: impl FnMut(WindowId, &[Group<'_, A>]),
-    ) -> Option<WindowId> {
+    ) -> Option<WindowId>
+    where
+        A: Clone,
+    {
+        let window = self.window;
+        let last = window
+            .with_grace(window.grace + window.slide)
+            .last_closable(now)?;
+        // Panes the budget evicted leave every window over them short:
+        // those retire, as if their horizon had passed.
+        let evicted = self.root.stats().evicted_windows;
+        let lost = evicted > self.evicted;
+        if lost {
+            self.evicted = evicted;
+            if let Some(&oldest) = self.root.open_ids().first() {
+                self.root.retire_before(oldest);
+            }
+        }
+        let floor = self.first_retained();
+        let fresh = self.emitted_through.map_or(0, |e| e + 1).max(floor);
+        // Windows emitted before that cover a refined pane...
+        let mut due: Vec<WindowId> = Vec::new();
+        for pane in self.root.take_changed() {
+            let covering = window.windows_containing(pane * window.pane());
+            due.extend(covering.filter(|&w| w >= floor && w < fresh && w <= last));
+        }
+        // ...and the windows due for the first time, skipping those over no
+        // pane at all.
+        let mut w = fresh;
+        while w <= last {
+            let panes = window.panes_of(w);
+            let held = self.root.open_ids();
+            match held.get(held.partition_point(|&p| p < panes.start)) {
+                None => break,
+                Some(&p) if p >= panes.end => {
+                    let first = window.windows_containing(p * window.pane()).next();
+                    w = first.unwrap_or(w).max(w + 1);
+                }
+                Some(_) => {
+                    due.push(w);
+                    w += 1;
+                }
+            }
+        }
+        due.sort_unstable();
+        due.dedup();
         let mut newest = None;
-        self.root.emit_due_with(now, |wid, groups| {
-            emit(wid, groups);
-            newest = Some(newest.unwrap_or(0u64).max(wid));
-        });
+        for w in due {
+            self.root.compose_with(window.panes_of(w), |groups| {
+                emit(w, groups);
+                newest = Some(w);
+            });
+        }
+        self.emitted_through = self.emitted_through.max(Some(last));
         let retain = self.retention_windows();
-        let horizon = newest?.checked_sub(retain).filter(|h| *h > 0)?;
-        self.root.retire_before(horizon);
-        Some(horizon - 1)
+        let horizon = newest.and_then(|n: WindowId| n.checked_sub(retain));
+        let horizon = horizon.filter(|h| *h > 0);
+        if let Some(horizon) = horizon {
+            self.root.retire_before(window.panes_of(horizon).start);
+        }
+        let through = horizon.map(|h| h - 1);
+        if lost {
+            return through.max(self.first_retained().checked_sub(1));
+        }
+        through
     }
 
-    /// Windows kept for late refinement past their first emission (later
-    /// partials for them are dropped).
+    /// Windows kept for late refinement past the newest emitted one (later
+    /// partials for them are dropped); the root holds their panes.
     fn retention_windows(&self) -> u64 {
         self.window.windows_per_event() + 4
     }
 
-    /// Open windows across both stores.
+    /// The oldest window whose panes the root still holds in full.
+    fn first_retained(&self) -> WindowId {
+        let held_from = self.root.retired_through().map_or(0, |r| r + 1);
+        (held_from * self.window.pane()).div_ceil(self.window.slide)
+    }
+
+    /// Open panes across both stores.
     pub fn open_windows(&self) -> usize {
         self.local.open_windows() + self.root.open_windows()
     }
 
-    /// Groups held across both stores (the state footprint — crucially
-    /// independent of the member count).
+    /// Groups held across both stores' panes (the state footprint —
+    /// crucially independent of the member count).
     pub fn total_groups(&self) -> usize {
         self.local.total_groups() + self.root.total_groups()
     }
@@ -143,7 +269,10 @@ impl<A: WindowAccumulator> SharedWindowState<A> {
     }
 
     /// Rebuild both stores from their logs (warm restart; a missing log
-    /// leaves its store cold) and report what came back in total.
+    /// leaves its store cold) and report what came back in total.  The
+    /// local store's close horizon names the last window closed here, and
+    /// so the last one a root put together: a restarted root does not put
+    /// it together again.
     pub fn rehydrate(
         &mut self,
         local: Option<&SegmentLog>,
@@ -163,6 +292,13 @@ impl<A: WindowAccumulator> SharedWindowState<A> {
             total.skipped += report.skipped;
             total.torn_tail |= report.torn_tail;
         }
+        // Closed through window `c` here means due at the root through
+        // `c - 1` (its grace is one slide longer).
+        let window = self.window;
+        let closed_end = self.local.closed_through().map(|p| (p + 1) * window.pane());
+        let closed = closed_end.and_then(|end| end.checked_sub(window.size));
+        let emitted = closed.and_then(|start| (start / window.slide).checked_sub(1));
+        self.emitted_through = self.emitted_through.max(emitted);
         total
     }
 }
@@ -218,10 +354,10 @@ mod tests {
         let mut s = shared();
         // The union stream: groups g1 and g2, 3 and 5 tuples in window 0.
         for _ in 0..3 {
-            s.local_mut().push(1, "g1", None, || Count(0), |c| c.0 += 1);
+            s.fold_local(1, "g1", |_| Count(0), |c| c.0 += 1);
         }
         for _ in 0..5 {
-            s.local_mut().push(2, "g2", None, || Count(0), |c| c.0 += 1);
+            s.fold_local(2, "g2", |_| Count(0), |c| c.0 += 1);
         }
         s.roll_up_local(50);
         assert_eq!(
@@ -251,8 +387,8 @@ mod tests {
     #[test]
     fn drain_closed_produces_one_partial_stream_for_the_group() {
         let mut s = shared();
-        s.local_mut().push(3, "g1", None, || Count(0), |c| c.0 += 1);
-        s.local_mut().push(4, "g2", None, || Count(0), |c| c.0 += 1);
+        s.fold_local(3, "g1", |_| Count(0), |c| c.0 += 1);
+        s.fold_local(4, "g2", |_| Count(0), |c| c.0 += 1);
         // One window, two groups — shipped once for the whole group, not
         // once per member.
         assert_eq!(
@@ -277,9 +413,53 @@ mod tests {
     }
 
     #[test]
+    fn a_pane_ships_with_the_first_window_that_covers_it() {
+        // 2 / 1: panes of 1 tile windows [w, w + 2).  Pane 0 ends before
+        // any window does, so it waits for window 0 and ships with pane 1.
+        let mut s = SharedWindowState::new(WindowSpec::sliding(2, 1), CqBudget::default());
+        s.fold_local(0, "a", |_| Count(0), |c| c.0 += 1);
+        s.fold_local(1, "a", |_| Count(0), |c| c.0 += 1);
+        assert!(drained(&mut s, 1).is_empty());
+        assert_eq!(drained(&mut s, 2), [(0, "a".into(), 1), (1, "a".into(), 1)]);
+        // 5 / 2: panes of 1, windows end at odd instants; a slide closes two
+        // panes at a time, in one bundle.
+        let mut s = SharedWindowState::new(WindowSpec::sliding(5, 2), CqBudget::default());
+        for t in 0..8 {
+            s.fold_local(t, "a", |_| Count(0), |c| c.0 += 1);
+        }
+        let panes = |out: Vec<(WindowId, String, u64)>| -> Vec<WindowId> {
+            out.into_iter().map(|(pane, _, _)| pane).collect()
+        };
+        assert_eq!(panes(drained(&mut s, 6)), [0, 1, 2, 3, 4]);
+        assert_eq!(panes(drained(&mut s, 7)), [5, 6]);
+    }
+
+    #[test]
+    fn panes_the_budget_evicts_retire_every_window_over_them() {
+        // 3 / 1 at the root under a cap of four open panes: refining panes
+        // 0..7 evicts 0..3, so windows 0..3 (each over one of them) would
+        // come out short — they retire instead, and the trackers with them.
+        let budget = CqBudget {
+            max_open_windows: 4,
+            ..CqBudget::default()
+        };
+        let mut s = SharedWindowState::new(WindowSpec::sliding(3, 1), budget);
+        for pane in 0..8 {
+            s.root_mut().accept_refinement(pane, "a", Count(1));
+        }
+        assert_eq!(s.root.stats().evicted_windows, 4);
+        let mut windows = Vec::new();
+        let through = s.emit_due(20, |w, groups| windows.push((w, groups[0].acc.0)));
+        assert_eq!(windows, [(4, 3), (5, 3), (6, 2), (7, 1)]);
+        assert_eq!(through, Some(3));
+        // Refinements of what retired are refused.
+        assert!(!s.root_mut().accept_refinement(3, "a", Count(1)));
+    }
+
+    #[test]
     fn both_stores_persist_and_rehydrate_through_their_own_logs() {
         let mut s = shared();
-        s.local_mut().push(3, "g1", None, || Count(0), |c| c.0 += 1);
+        s.fold_local(3, "g1", |_| Count(0), |c| c.0 += 1);
         s.root_mut().accept_refinement(0, "g2", Count(7));
         let (mut local, mut root) = (SegmentLog::new(), SegmentLog::new());
         s.write_segments(&mut local, &mut root);

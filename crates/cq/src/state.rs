@@ -34,8 +34,10 @@ use crate::lifecycle::CqBudget;
 use crate::segment::{RehydrateReport, SegmentCodec, SegmentLog, SegmentRecord, WindowSegment};
 use crate::window::{WindowId, WindowSpec};
 use pier_runtime::SimTime;
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashSet};
 use std::fmt::Debug;
+use std::ops::Range;
 
 /// Mergeable per-group accumulator state (the contract `pier-core`'s
 /// aggregate partials satisfy): `merge` must be commutative and associative
@@ -376,6 +378,77 @@ impl<A: WindowAccumulator> WindowStore<A> {
         }
         win.dirty = true;
         true
+    }
+
+    /// Lend `visit` the open windows `ids` spans merged into one, group by
+    /// group, in key order: a window put together from the panes it is
+    /// made of ([`WindowSpec::panes_of`]).  A group only one of them holds
+    /// is lent in place; `visit` is not called when they hold no group.
+    /// The store is left as it was, so the same panes compose every window
+    /// that covers them.
+    pub fn compose_with(&mut self, ids: Range<WindowId>, visit: impl FnOnce(&[Group<'_, A>]))
+    where
+        A: Clone,
+    {
+        let lo = self.ids.partition_point(|&id| id < ids.start);
+        let hi = self.ids.partition_point(|&id| id < ids.end);
+        let held = &self.windows[lo..hi];
+        if held.iter().all(|win| win.accs.is_empty()) {
+            return;
+        }
+        self.dir.sort();
+        let mut slot_of = vec![VACANT; self.dir.stats().ids];
+        let mut merged: Vec<Cow<'_, A>> = Vec::new();
+        for win in held {
+            for (acc, &gid) in win.accs.iter().zip(&win.gids) {
+                match slot_of[gid as usize] {
+                    VACANT => {
+                        slot_of[gid as usize] = merged.len() as u32;
+                        merged.push(Cow::Borrowed(acc));
+                    }
+                    slot => merged[slot as usize].to_mut().merge(acc),
+                }
+            }
+        }
+        let dir = &self.dir;
+        let order = dir.sorted();
+        let groups: Vec<Group<'_, A>> = order
+            .iter()
+            .filter_map(|&gid| {
+                let acc = merged.get(slot_of[gid as usize] as usize)?.as_ref();
+                Some(Group {
+                    key: dir.key(gid),
+                    identity: dir.identity(gid).unwrap_or(acc),
+                    acc,
+                })
+            })
+            .collect();
+        visit(&groups);
+    }
+
+    /// The ids of the open windows changed since they were last lent by
+    /// [`WindowStore::emit_due_with`] or taken here, ascending; taking them
+    /// clears the mark.
+    pub fn take_changed(&mut self) -> Vec<WindowId> {
+        let changed = self.windows.iter_mut();
+        changed
+            .filter_map(|win| std::mem::take(&mut win.dirty).then_some(win.id))
+            .collect()
+    }
+
+    /// The ids of the open windows, ascending.
+    pub fn open_ids(&self) -> &[WindowId] {
+        &self.ids
+    }
+
+    /// Every window at or below this id has been closed here.
+    pub fn closed_through(&self) -> Option<WindowId> {
+        self.closed_through
+    }
+
+    /// Every window at or below this id has been retired here.
+    pub fn retired_through(&self) -> Option<WindowId> {
+        self.retired_through
     }
 
     /// Lend `visit` the groups of each of `windows`, in key order.

@@ -5,6 +5,12 @@
 //! covers `[w * slide, w * slide + size)`.  A tumbling window is the special
 //! case `slide == size`; a sliding window has `slide < size` and every event
 //! falls into `ceil(size / slide)` windows.
+//!
+//! A sliding window is also a run of tumbling **panes** of
+//! `gcd(size, slide)` (Li et al., "No pane, no gain"): every window start
+//! and end is a pane boundary, so window `w` is exactly the panes
+//! [`WindowSpec::panes_of`] names, and state kept per pane is folded,
+//! shipped and combined once however many windows cover it.
 
 use pier_runtime::{Duration, SimTime, WireSize};
 
@@ -59,6 +65,24 @@ impl WindowSpec {
     /// Number of windows every event falls into.
     pub fn windows_per_event(&self) -> u64 {
         self.size.div_ceil(self.slide)
+    }
+
+    /// The pane length: the longest duration that divides both the window
+    /// length and the slide, so windows are whole runs of panes.
+    pub fn pane(&self) -> Duration {
+        let (mut a, mut b) = (self.size, self.slide);
+        while b != 0 {
+            (a, b) = (b, a % b);
+        }
+        a.max(1)
+    }
+
+    /// The panes of window `id`, on the axis of
+    /// `WindowSpec::tumbling(self.pane())`: `[start, end)` in pane ids.
+    pub fn panes_of(&self, id: WindowId) -> std::ops::Range<WindowId> {
+        let (start, end) = self.bounds(id);
+        let pane = self.pane();
+        start / pane..end / pane
     }
 
     /// `[start, end)` bounds of window `id`.
@@ -120,6 +144,23 @@ mod tests {
             for id in ids {
                 let (s, e) = w.bounds(id);
                 assert!(s <= t && t < e, "t={t} not in [{s},{e})");
+            }
+        }
+    }
+
+    #[test]
+    fn windows_are_whole_runs_of_panes() {
+        for (size, slide, pane) in [(20, 10, 10), (30, 10, 10), (5, 2, 1), (60, 1, 1), (7, 7, 7)] {
+            let w = WindowSpec::sliding(size, slide);
+            assert_eq!(w.pane(), pane, "{size}/{slide}");
+            let panes = WindowSpec::tumbling(pane);
+            for id in 0..20 {
+                let covered = w.panes_of(id);
+                assert_eq!(covered.end - covered.start, size / pane);
+                // The panes tile the window exactly.
+                let (start, end) = w.bounds(id);
+                assert_eq!(panes.bounds(covered.start).0, start);
+                assert_eq!(panes.bounds(covered.end - 1).1, end);
             }
         }
     }

@@ -575,7 +575,7 @@ pub fn chaos_table(cfg: &ChaosConfig, run: &ChaosOutcome) -> String {
         "chaos_error                     baseline {baseline_err:>6.4}   degraded {degraded_err:>6.4}  (bound {:.2})\n\
          chaos_recovery                  {:>6.2} s after heal  (threshold {:.2})\n\
          chaos_faults                    {} losses, {} partition drops, {} crashes, {} restarts\n\
-         chaos_warm_restart              {} windows rehydrated ({} by the tenants' group) on nodes {:?}",
+         chaos_warm_restart              {} panes rehydrated ({} by the tenants' group) on nodes {:?}",
         cfg.error_bound,
         recovery.unwrap_or(f64::NAN),
         cfg.recovered_below,

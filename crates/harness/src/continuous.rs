@@ -98,8 +98,15 @@ pub struct ContinuousOutcome {
     /// Mean delay from window end to first emission (virtual seconds).
     pub mean_window_latency_secs: f64,
     /// Largest per-node CQ state footprint observed at the end of the run:
-    /// `(open windows, groups, tracked emissions)`.
+    /// `(open panes, groups, tracked emissions)`.
     pub max_node_state: (usize, usize, usize),
+    /// Largest state a node that never emitted held as the stream ended:
+    /// `(open panes, groups)` — a leaf's or relay's footprint, which the
+    /// root's retained panes would hide in `max_node_state`.
+    pub max_leaf_state: (usize, usize),
+    /// Rows the nodes' local stores had accepted when the stream ended, over
+    /// all nodes: one per row, whatever the window/slide ratio.
+    pub folds: u64,
     /// Messages delivered between the start of the stream and the end of the
     /// drain (dissemination/boot traffic excluded).
     pub total_msgs: u64,
@@ -226,6 +233,19 @@ pub fn continuous_netmon_observed(cfg: &ContinuousNetmonConfig) -> (ContinuousOu
         }
         cluster.sim.run_for(tick);
     }
+    // What the nodes folded and hold as the stream ends (a long window's
+    // query may expire before the drain is over).
+    let diags: Vec<_> = cluster
+        .sim
+        .alive_nodes()
+        .into_iter()
+        .filter_map(|addr| cluster.sim.node(addr)?.cq_diagnostics(query_id))
+        .collect();
+    let folds = diags.iter().map(|d| d.local.accepted).sum();
+    let leaves = diags.iter().filter(|d| d.windows_emitted == 0);
+    let max_leaf_state = leaves.fold((0, 0), |(panes, groups), d| {
+        (panes.max(d.open_windows), groups.max(d.total_groups))
+    });
     // Drain: let trailing windows close, travel and emit.
     let drain = window_spec.size + window_spec.grace + 4 * window_spec.slide + 2_000_000;
     cluster.sim.run_for(drain);
@@ -300,6 +320,8 @@ pub fn continuous_netmon_observed(cfg: &ContinuousNetmonConfig) -> (ContinuousOu
         tuples_per_sec: events as f64 / cfg.run_secs.max(1) as f64,
         mean_window_latency_secs,
         max_node_state,
+        max_leaf_state,
+        folds,
         total_msgs,
         total_bytes,
         telemetry: cluster.telemetry_summary(),
@@ -363,5 +385,28 @@ pub fn cq_continuous_table() -> String {
     let mut churn = steady(25, 13);
     churn.churn = Some((18, 5, 3));
     row("churn (kill 5, join 3)", &churn);
+    // The window/slide ratio costs a leaf nothing: a row folds into one
+    // pane and a pane ships once, so what a node folds, holds and ships
+    // is the same at 2 s / 1 s and at 30 s / 1 s.
+    for (size, label) in [(2, "window 2s/1s"), (30, "window 30s/1s")] {
+        let mut cfg = steady(25, 11);
+        cfg.sql = format!(
+            "SELECT src, COUNT(*) FROM packets GROUP BY src WINDOW {size}s SLIDE 1s EVERY 5s"
+        );
+        let run = continuous_netmon(&cfg);
+        let events = run.events.max(1) as f64;
+        let folds = run.folds as f64 / events;
+        let bytes = run.total_bytes as f64 / events;
+        let (panes, groups) = run.max_leaf_state;
+        t.line(format_args!(
+            "{label:<26} {:>5} nodes  {folds:>5.2} folds/row  leaf {panes:>3} panes {groups:>4} groups  {bytes:>7.1} B/row sent",
+            cfg.nodes,
+        ));
+        let tag = format!("{}_{}n", slug(label), cfg.nodes);
+        t.metric(&format!("folds_per_row_{tag}"), folds);
+        t.metric(&format!("leaf_open_panes_{tag}"), panes as f64);
+        t.metric(&format!("leaf_groups_{tag}"), groups as f64);
+        t.metric(&format!("bytes_per_row_{tag}"), bytes);
+    }
     t.finish()
 }

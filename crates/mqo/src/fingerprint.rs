@@ -17,7 +17,7 @@
 //! residual predicate references GROUP BY columns alone (the predicate is
 //! then constant within each group, so a member's answer is precisely the
 //! subset of shared groups its predicate accepts).  [`normalize`] returns
-//! `None` for anything else — joins, rehash sinks, window-scoped dedup,
+//! `None` for anything else — joins, rehash sinks,
 //! predicates over non-grouping columns — and the executor falls back to
 //! independent execution, so sharing never changes results, only cost.
 //!
@@ -81,19 +81,12 @@ pub fn normalize(plan: &QueryPlan) -> Option<ShareCandidate> {
         group_cols,
         aggs,
         time_col,
-        dedup_cols,
         delta,
         final_ops,
     } = &graph.sink
     else {
         return None;
     };
-    // Window-scoped dedup keys are store-wide: under a shared store a
-    // duplicate of one member's row could suppress another member's — not
-    // shareable.
-    if !dedup_cols.is_empty() {
-        return None;
-    }
     let predicate = match graph.ops.as_slice() {
         [] => Expr::Const(Value::Bool(true)),
         [OperatorSpec::Selection(p)] => p.clone(),

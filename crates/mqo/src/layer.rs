@@ -70,8 +70,6 @@ fn engine_spec(c: &ShareCandidate) -> EngineSpec {
         group_cols: c.group_cols.clone(),
         aggs: c.aggs.clone(),
         time_col: c.time_col.clone(),
-        // Window-scoped dedup is store-wide, so such plans never normalize.
-        dedup_cols: Vec::new(),
         min_lifetime: 0,
         names: GROUP_NAMES,
     }
@@ -357,19 +355,20 @@ mod tests {
                     total += row.get("count").and_then(Value::as_i64).unwrap_or(0);
                 }
             }
-            let expected: i64 = packets(400)
+            let rows = packets(400);
+            let mine = rows
                 .iter()
-                .filter(|t| t.get("src").and_then(Value::as_str) == Some(src.as_str()))
-                .map(|t| {
-                    let ts = t.get("ts").and_then(Value::as_i64).unwrap() as u64;
-                    spec.windows_containing(ts).count() as i64
-                })
-                .sum();
-            assert_eq!(total, expected, "member {qid} count across windows");
-            folded += expected as u64;
+                .filter(|t| t.get("src").and_then(Value::as_str) == Some(src.as_str()));
+            let in_windows = mine.clone().map(|t| {
+                let ts = t.get("ts").and_then(Value::as_i64).unwrap() as u64;
+                spec.windows_containing(ts).count() as i64
+            });
+            assert_eq!(total, in_windows.sum(), "member {qid} count across windows");
+            folded += mine.count() as u64;
         }
         // Rows no member selects never enter the shared store: only the
-        // three watched sources hold state.
+        // three watched sources hold state, and each of their rows folds
+        // into one pane, however many windows cover it.
         assert!(node.layer.stats().rows_selected < node.layer.stats().rows_absorbed);
         let diag = node.engines[&group].diagnostics(1).expect("member");
         assert_eq!(diag.local.accepted, folded);

@@ -36,7 +36,7 @@
 //! columns only (so the predicate is constant within each group, and a
 //! member's answer is precisely the subset of shared groups its predicate
 //! accepts, with bit-identical accumulators).  Everything else—joins,
-//! predicates over non-grouping columns, window-scoped dedup—answers
+//! predicates over non-grouping columns—answers
 //! `NotShareable` and runs independently.  The equivalence suite pins that
 //! shared and independent execution produce identical per-query result
 //! multisets, including under mid-stream install/uninstall and node churn.

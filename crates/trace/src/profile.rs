@@ -101,10 +101,10 @@ pub struct QueryProfile {
     /// Largest per-node total of ingest-stage rows (used by
     /// [`QueryProfile::reconcile`]).
     pub max_node_ingest_rows: u64,
-    /// Largest per-*window* entry count any single flush shipped: a flush
-    /// tick can bundle several closed windows (its span's `aux` counts
-    /// them), while the static bound is per closed window — so each flush
-    /// span's rows are normalized by the windows it bundled.
+    /// Largest per-*pane* entry count any single flush shipped: a flush
+    /// tick can bundle several closed panes (its span's `aux` counts them),
+    /// while the static bound is per closed pane — so each flush span's
+    /// rows are normalized by the panes it bundled.
     pub max_flush_entries_per_window: u64,
 }
 
@@ -218,7 +218,7 @@ impl QueryProfile {
                 .saturating_mul(bounds.root_fan_in.max(1));
             if self.max_flush_entries_per_window > flush_bound {
                 violations.push(format!(
-                    "window.flush shipped {} entries per closed window; static bound is {} ({} per sender x fan-in {})",
+                    "window.flush shipped {} entries per closed pane; static bound is {} ({} per sender x fan-in {})",
                     self.max_flush_entries_per_window,
                     flush_bound,
                     bounds.entries_per_flush_per_node,

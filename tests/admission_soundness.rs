@@ -133,7 +133,7 @@ fn netmon_static_report_bounds_measured_telemetry() {
 }
 
 /// A standing `COUNT(*), SUM(len) ... GROUP BY src` windowed by `window`
-/// under a budget of eight open windows of 256 groups, its static report,
+/// under a budget of eight open panes of 256 groups, its static report,
 /// and two engines of it — a relay's and the root's — filled to that cap:
 /// `sources(w)` names the 256 sources of the rows folded at second `20 + w`,
 /// `w` in `0..seconds`.  Returns the report and what the root measures.
@@ -178,18 +178,14 @@ fn filled_to_the_cap(
 }
 
 /// The state bound is stated for a store pair at its budget's cap — every
-/// window the budget allows open, every one full — so fill one: both
-/// stores of an engine, every window covering one instant, every group the
-/// budget admits (and one more, which is shed).
+/// pane the budget allows open, every one full — so fill one: both stores
+/// of an engine, the eight panes of one window, every group the budget
+/// admits (and one more, which is shed).
 #[test]
 fn an_engine_filled_to_its_budget_measures_within_the_static_state_bound() {
-    let (report, measured) = filled_to_the_cap("WINDOW 8s SLIDE 1s", 1, |_| 0..257);
+    let (report, measured) = filled_to_the_cap("WINDOW 8s SLIDE 1s", 8, |_| 0..257);
     let [accepted, shed, _, open_windows, groups, state_bytes] = measured;
-    assert_eq!(
-        (accepted, shed),
-        (8 * 256, 8),
-        "eight windows cover an instant"
-    );
+    assert_eq!((accepted, shed), (8 * 256, 8), "a row folds into one pane");
     assert_eq!((open_windows, groups), (2 * 8, 2 * 8 * 256));
     assert!(
         state_bytes <= report.state_bytes_per_node,
@@ -198,8 +194,8 @@ fn an_engine_filled_to_its_budget_measures_within_the_static_state_bound() {
     );
 }
 
-/// Windows that share no group pay for a directory entry per (window,
-/// group): the measured side may then pass the bound, by the factor
+/// Panes that share no group pay for a directory entry per (pane, group):
+/// the measured side may then pass the bound, by the factor
 /// `pier-analyze` states beside `ENTRY_OVERHEAD` and no more.
 #[test]
 fn windows_that_share_no_group_measure_within_twice_the_static_state_bound() {

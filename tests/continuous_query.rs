@@ -45,6 +45,31 @@ fn sqlish_window_clauses_compile_to_continuous_plans() {
     }
     // A window without an aggregate is rejected.
     assert!(sqlish::compile("SELECT src FROM packets WINDOW 5s", NodeAddr(0), 60_000_000).is_err());
+    // A slide longer than its window would skip the rows between windows,
+    // and a zero duration means nothing: both are errors, not a clamp.
+    for clause in [
+        "WINDOW 1s SLIDE 5s",
+        "WINDOW 0s",
+        "WINDOW 0ms SLIDE 0ms",
+        "WINDOW 2s SLIDE 0s",
+        "WINDOW 2s EVERY 0s",
+    ] {
+        let sql = format!("SELECT src, COUNT(*) FROM packets GROUP BY src {clause}");
+        let err = sqlish::compile(&sql, NodeAddr(0), 60_000_000).expect_err(clause);
+        assert!(
+            err.0.contains("SLIDE") || err.0.contains("positive"),
+            "{clause}: {err:?}"
+        );
+    }
+    // A slide equal to the window tumbles; a shorter one slides.
+    for (clause, tumbling) in [("WINDOW 2s SLIDE 2s", true), ("WINDOW 5s SLIDE 2s", false)] {
+        let sql = format!("SELECT src, COUNT(*) FROM packets GROUP BY src {clause}");
+        let plan = sqlish::compile(&sql, NodeAddr(0), 60_000_000).expect(clause);
+        match &plan.opgraphs[0].sink {
+            SinkSpec::WindowedAgg { window, .. } => assert_eq!(window.is_tumbling(), tumbling),
+            other => panic!("expected a windowed sink, got {other:?}"),
+        }
+    }
 }
 
 #[test]

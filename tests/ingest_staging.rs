@@ -295,13 +295,13 @@ fn single_node(sql: &str, faults: Option<FaultPlan>) -> (Cluster, NodeAddr, u64)
     (cluster, node, query)
 }
 
-fn accepted_and_late(cluster: &Cluster, node: NodeAddr, query: u64) -> (u64, u64) {
+fn accepted_and_emitted(cluster: &Cluster, node: NodeAddr, query: u64) -> (u64, u64) {
     let d = cluster
         .sim
         .node(node)
         .and_then(|n| n.cq_diagnostics(query))
         .expect("query installed");
-    (d.local.accepted, d.local.late_tuples)
+    (d.local.accepted, d.windows_emitted)
 }
 
 #[test]
@@ -309,7 +309,8 @@ fn a_window_tick_and_an_ingest_at_one_instant_see_each_other_in_call_order() {
     // 1 s event-time windows (sqlish reads event time from `ts`).  Both
     // handlers run by hand at one instant, 3 s past the simulator's clock;
     // the row is stamped inside a window that no real tick has closed yet
-    // and that a tick at that instant does close.
+    // and that a tick at that instant does close (and, this node being
+    // the root, emits).
     let sql = "SELECT src, COUNT(*) FROM packets GROUP BY src WINDOW 1s SLIDE 1s";
     for ingest_first in [true, false] {
         let (mut cluster, node, query) = single_node(sql, None);
@@ -321,30 +322,43 @@ fn a_window_tick_and_an_ingest_at_one_instant_see_each_other_in_call_order() {
                 ("ts", Value::Int((cluster.sim.now() + SEC / 2) as i64)),
             ],
         );
-        let before = accepted_and_late(&cluster, node, query);
+        let before = accepted_and_emitted(&cluster, node, query);
+        let tick = PierTimer::WindowTick { query_id: query };
         cluster
             .sim
             .with_node_mut(node, |n| {
                 let mut ctx = Context::new(at, node);
-                let tick = PierTimer::WindowTick { query_id: query };
                 if ingest_first {
                     n.ingest(&mut ctx, "packets", row);
-                    n.on_timer(&mut ctx, tick);
+                    n.on_timer(&mut ctx, tick.clone());
                 } else {
-                    n.on_timer(&mut ctx, tick);
+                    n.on_timer(&mut ctx, tick.clone());
                     n.ingest(&mut ctx, "packets", row);
                     n.on_timer(&mut ctx, PierTimer::IngestFlush);
                 }
             })
             .expect("node alive");
-        let after = accepted_and_late(&cluster, node, query);
-        let (accepted, late) = (after.0 - before.0, after.1 - before.1);
+        let after = accepted_and_emitted(&cluster, node, query);
+        let (accepted, emitted) = (after.0 - before.0, after.1 - before.1);
         if ingest_first {
-            // The tick drained the stage before closing: the row made it.
-            assert_eq!((accepted, late), (1, 0));
+            // The tick drained the stage before closing: the row made it
+            // into its open pane and out in the window's emission.
+            assert_eq!((accepted, emitted), (1, 1));
         } else {
-            // The tick closed the row's window first: the row is late.
-            assert_eq!((accepted, late), (0, 1));
+            // The tick closed the row's pane first: the row is late.  It
+            // is not folded into an open pane, and the window it belongs
+            // to had nothing to emit.
+            assert_eq!((accepted, emitted), (0, 0));
+            // It re-opened its pane as a refinement instead, which the
+            // next tick rolls up: the window is emitted then, with it.
+            cluster
+                .sim
+                .with_node_mut(node, |n| {
+                    n.on_timer(&mut Context::new(at + SEC, node), tick);
+                })
+                .expect("node alive");
+            let later = accepted_and_emitted(&cluster, node, query);
+            assert_eq!((later.0 - before.0, later.1 - before.1), (0, 1));
         }
     }
 }
@@ -371,7 +385,7 @@ fn rows_staged_at_t_are_windowed_at_t_even_if_a_later_handler_drains_them() {
     }
     cluster.sim.run_until(stall_to - 1);
     assert_eq!(
-        accepted_and_late(&cluster, node, query).0,
+        accepted_and_emitted(&cluster, node, query).0,
         0,
         "stalled: the flush timer has not fired"
     );

@@ -703,7 +703,6 @@ fn one_message_mixes_a_deltas_a_snapshot_and_a_top_k_member() {
         group_cols: vec!["src".to_string()],
         aggs: vec![AggFunc::Count, AggFunc::Sum("len".to_string())],
         time_col: Some("ts".to_string()),
-        dedup_cols: Vec::new(),
         min_lifetime: 0,
         names: QUERY_NAMES,
     });

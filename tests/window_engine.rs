@@ -42,7 +42,6 @@ fn spec(tag: &str) -> EngineSpec {
         group_cols: vec!["src".to_string()],
         aggs: vec![AggFunc::Count, AggFunc::Sum("len".to_string())],
         time_col: Some("ts".to_string()),
-        dedup_cols: Vec::new(),
         min_lifetime: 0,
         names: QUERY_NAMES,
     }
@@ -249,7 +248,7 @@ fn persist_then_rehydrate_is_byte_stable_and_closes_and_emits_alike() {
     // close_due: away from the root both drain the same partial stream.
     let shipped = populated().tick(60 * SEC, false);
     let warm_shipped = warm.tick(60 * SEC, false);
-    assert_eq!(shipped.windows, warm_shipped.windows);
+    assert_eq!(shipped.panes, warm_shipped.panes);
     assert_eq!(
         body(&shipped.partials.expect("windows closed")),
         body(&warm_shipped.partials.expect("windows closed"))
@@ -331,6 +330,31 @@ fn retirement_bounds_the_root_store_and_every_members_tracker() {
     }
     assert!(root.remove_member(2));
     assert!(root.diagnostics(2).is_none(), "no sink outlives its member");
+}
+
+/// A row folds into the one pane of its event time, however many windows
+/// cover it: at 60 s / 1 s the local store accepts each row once (not sixty
+/// times), holds a pane per second of rows, and a leaf ships each pane once.
+#[test]
+fn at_sixty_seconds_over_one_each_row_is_folded_once() {
+    let mut spec = spec("q60");
+    spec.window = WindowSpec::sliding(60 * SEC, SEC).with_grace(SEC / 2);
+    let mut engine = WindowEngine::new(spec);
+    engine.add_member(1, member(None, DeltaMode::Snapshot), false, 0);
+    // One window's worth: 60 seconds of rows, 5 a second, 5 sources.
+    let rows: Vec<(u8, u16, u64)> = (0..300u64)
+        .map(|i| ((i % 5) as u8, 40, i * SEC / 5))
+        .collect();
+    for chunk in cut(&packets(&rows), &[64]) {
+        engine.absorb(&chunk, None, 0);
+    }
+    let diag = engine.diagnostics(1).expect("member");
+    assert_eq!(diag.local.accepted, 300, "one fold per row");
+    assert_eq!((diag.open_windows, diag.total_groups), (60, 300));
+    // Draining ships each (pane, group) once: 60 panes of 5 sources.
+    let out = engine.tick(1_000 * SEC, false);
+    assert_eq!(out.panes, 60);
+    assert_eq!(out.partials.expect("panes ship").rows(), 300);
 }
 
 proptest! {
