@@ -237,8 +237,9 @@ fn run(window: WindowSpec, rng: &mut TestRng, seen: &mut Seen) {
                 reference.row(t, &group);
             }
             5..=7 => {
-                // A relayed pane partial, from the current pane back past
-                // the retirement horizon.
+                // A relayed pane partial, from the current pane back a
+                // window and a few slides (past the retirement horizon for
+                // the shorter windows).
                 let back = rng.below(window.size / pane + 3 * slide / pane + 6);
                 let p = (now / pane).saturating_sub(back);
                 let n = 1 + rng.below(4);
