@@ -30,6 +30,9 @@
 //!   per-group accumulator ([`partial::GroupAgg`]) and the one codec
 //!   ([`partial::PartialCodec`]) that ships drained windows as a columnar
 //!   chunk and merges arriving chunks into a window store in place.
+//! * [`pane_link`] — the numbering, keeping and gap-finding that let the
+//!   hop absorbing pane partials ask its sender for a lost shipment again
+//!   and drop a copy it absorbed before.
 //! * [`plan`] — UFL-style physical plans: opgraphs, sources, sinks
 //!   (to-proxy, DHT rehash/Exchange, hierarchical aggregation), and the
 //!   dissemination strategies of §3.3.3.
@@ -80,6 +83,7 @@ pub mod expr;
 pub mod graph_exec;
 pub mod node;
 pub mod operators;
+pub mod pane_link;
 pub mod partial;
 pub mod plan;
 pub mod proxy;

@@ -19,6 +19,7 @@
 use crate::admission::{AdmissionControl, AdmissionFactory, AdmissionVerdict, SloPolicy};
 use crate::deadlines::{Deadline, Deadlines, Due};
 use crate::graph_exec::{ExecOut, GraphExec, GraphRef};
+use crate::pane_link::{Inbox, Outbox, PaneStamp};
 use crate::plan::{CqSpec, Dissemination, QpObject, QueryPlan};
 use crate::proxy::{MemberRun, PierOut, Proxy, RenewalRound, WindowBundle};
 use crate::sharing::{InstallOutcome, Membership, MultiQuerySharing, SharingFactory, SharingStats};
@@ -161,6 +162,17 @@ pub enum PierMsg {
         /// The plans to install.
         plans: Vec<QueryPlan>,
     },
+    /// A hop that absorbs closed-pane partials noticed a gap in a sender's
+    /// numbered shipments and asks the sender for them again
+    /// ([`crate::pane_link`]).
+    PaneRequest {
+        /// The engine's window-partial namespace.
+        namespace: String,
+        /// The sender engine's incarnation the numbers belong to.
+        epoch: u64,
+        /// The missing shipments' numbers.
+        seqs: Vec<u32>,
+    },
 }
 
 impl WireSize for PierMsg {
@@ -173,6 +185,9 @@ impl WireSize for PierMsg {
             }
             PierMsg::PlanRequest { queries } => 4 + 8 * queries.len(),
             PierMsg::Plans { plans } => 4 + plans.iter().map(WireSize::wire_size).sum::<usize>(),
+            PierMsg::PaneRequest {
+                namespace, seqs, ..
+            } => namespace.wire_size() + 8 + 4 + 4 * seqs.len(),
         }
     }
 }
@@ -272,6 +287,10 @@ struct EngineSlot {
     epoch: u64,
     /// The timer that ticks this engine, re-armed every slide.
     tick: PierTimer,
+    /// This engine's numbered pane shipments, kept for resending.
+    sent: Outbox<DhtMessage<QpObject>>,
+    /// The senders whose pane shipments this engine absorbed.
+    heard: Inbox,
 }
 
 /// Rows handed to [`PierNode::ingest`] that have not been absorbed yet: one
@@ -311,6 +330,10 @@ pub struct PierNode {
     /// query (unshared or share-group member) lives in.
     engines: BTreeMap<EngineKey, EngineSlot>,
     engine_of: HashMap<u64, EngineKey>,
+    /// The incarnation of the engine opened last here: engines number
+    /// their pane shipments under strictly increasing incarnations, taken
+    /// from the virtual clock.
+    pane_epoch: u64,
     /// The instant the `cq.*` occupancy gauges were last summed.
     gauges_at: Option<SimTime>,
     /// Namespace routing table over the installed queries and engines.
@@ -384,6 +407,7 @@ impl PierNode {
             next_query_seq: 0,
             engines: BTreeMap::new(),
             engine_of: HashMap::new(),
+            pane_epoch: 0,
             gauges_at: None,
             routes: HashMap::new(),
             stage: IngestStage::default(),
@@ -815,6 +839,14 @@ impl PierNode {
                     QpObject::Batch(batch) => {
                         self.route_new_batch(ctx, namespace, &batch, now, || batch.wire_size())
                     }
+                    // Numbered pane partials at their window root: a copy
+                    // absorbed before is dropped.
+                    QpObject::Panes { stamp, batch } => {
+                        if !self.hear_panes(ctx, namespace, stamp) {
+                            return Vec::new();
+                        }
+                        self.route_new_batch(ctx, namespace, &batch, now, || batch.wire_size())
+                    }
                 }
             }
             OverlayEvent::Upcall(routed) => {
@@ -849,6 +881,13 @@ impl PierNode {
                             return Vec::new();
                         }
                     } else {
+                        // A numbered pane shipment this node's engine
+                        // absorbed before goes no further.
+                        if let QpObject::Panes { stamp, .. } = routed.value {
+                            if !self.hear_panes(ctx, &routed.name.namespace, stamp) {
+                                return Vec::new();
+                            }
+                        }
                         let chunks = routed.value.chunks();
                         let absorbed = self
                             .absorb_window_chunks(&routed.name.namespace, &chunks)
@@ -870,7 +909,7 @@ impl PierNode {
                                 .filter(|(_, rows)| !rows.is_empty())
                                 .map(|(chunk, rows)| chunk.gather(rows))
                                 .collect();
-                            let shipments = QpObject::shipments(refused, self.config.batching);
+                            let shipments = self.pane_shipments(key, refused);
                             return self.ship_partials(key, shipments, upcall_ctx, now);
                         }
                     }
@@ -892,7 +931,7 @@ impl PierNode {
                         }
                         self.receive_roster(ctx, proxy, queries);
                     }
-                    QpObject::Tuple(_) | QpObject::Batch(_) => {}
+                    QpObject::Tuple(_) | QpObject::Batch(_) | QpObject::Panes { .. } => {}
                 }
                 Vec::new()
             }
@@ -900,9 +939,10 @@ impl PierNode {
         }
     }
 
-    /// Send closed-window partials one hop toward engine `key`'s window root
+    /// Send closed-pane partials one hop toward engine `key`'s window root
     /// (upcalls combine them en route): what a tick drained, or what this
-    /// node refused of a batch it only partly absorbed at an upcall hop.
+    /// node refused of a batch it only partly absorbed at an upcall hop.  A
+    /// numbered shipment is kept, with the hop it went to, for resending.
     /// `trace` rides every shipment — armed per send, because `set_trace`
     /// is consumed by the next overlay op and must not leak onto unrelated
     /// traffic.
@@ -913,25 +953,105 @@ impl PierNode {
         trace: Option<TraceContext>,
         now: SimTime,
     ) -> Vec<OverlayEffect<QpObject>> {
-        let Some(slot) = self.engines.get(&key) else {
+        let Some(slot) = self.engines.get_mut(&key) else {
             return Vec::new();
         };
         let spec = slot.engine.spec();
         let lifetime = spec.min_lifetime.max(self.config.publish_lifetime);
         let mut effects = Vec::new();
         for shipment in shipments {
+            let seq = match &shipment {
+                QpObject::Panes { stamp, .. } => Some(stamp.seq),
+                _ => None,
+            };
             let name = ObjectName::new(
                 spec.namespace.clone(),
                 spec.root_key.clone(),
                 self.rng.next_u64(),
             );
             self.overlay.set_trace(trace);
-            effects.extend(
-                self.overlay
-                    .send_routed(slot.root_id, name, shipment, lifetime, now),
-            );
+            let sent = self
+                .overlay
+                .send_routed(slot.root_id, name, shipment, lifetime, now);
+            for effect in &sent {
+                if let (Some(seq), OverlayEffect::Send { to, msg }) = (seq, effect) {
+                    slot.sent.keep(seq, *to, msg.clone());
+                }
+            }
+            effects.extend(sent);
         }
         effects
+    }
+
+    /// The transfers that carry engine `key`'s closed-pane partials
+    /// `chunks` one hop: with batching one shipment, numbered in the
+    /// engine's stream; without, a bare tuple per row.
+    fn pane_shipments(&mut self, key: EngineKey, chunks: Vec<ColumnChunk>) -> Vec<QpObject> {
+        if chunks.iter().all(|c| c.rows() == 0) {
+            return Vec::new();
+        }
+        let me = self.overlay.me().addr;
+        let slot = self.engines.get_mut(&key);
+        let batched = slot.filter(|_| self.config.batching);
+        QpObject::pane_shipments(chunks, batched.map(|slot| slot.sent.stamp(me)))
+    }
+
+    /// Note a numbered pane shipment arriving for the engine whose
+    /// window-partial namespace `namespace` is, and ask its sender again
+    /// for every shipment its number shows missing.  `false` when the
+    /// engine has absorbed this shipment before (drop it); `true`
+    /// otherwise, and when no engine here reads the namespace.
+    fn hear_panes(
+        &mut self,
+        ctx: &mut ProgramContext<Self>,
+        namespace: &str,
+        stamp: PaneStamp,
+    ) -> bool {
+        let Some(&NamespaceRoute::WindowPartials(key)) = self.routes.get(namespace) else {
+            return true;
+        };
+        let Some(slot) = self.engines.get_mut(&key) else {
+            return true;
+        };
+        let arrival = slot.heard.arrive(stamp);
+        if !arrival.fresh {
+            self.tel.inc("cq.panes.duplicates");
+        }
+        if !arrival.ask.is_empty() {
+            self.tel.add("cq.panes.asked", arrival.ask.len() as u64);
+            let request = PierMsg::PaneRequest {
+                namespace: namespace.to_string(),
+                epoch: stamp.epoch,
+                seqs: arrival.ask,
+            };
+            self.post(ctx, stamp.origin, request);
+        }
+        arrival.fresh
+    }
+
+    /// Answer a [`PierMsg::PaneRequest`] from the hop `from`: send it again
+    /// every kept shipment it names that went to it.
+    fn resend_panes(
+        &mut self,
+        ctx: &mut ProgramContext<Self>,
+        from: NodeAddr,
+        namespace: &str,
+        epoch: u64,
+        seqs: &[u32],
+    ) {
+        let Some(&NamespaceRoute::WindowPartials(key)) = self.routes.get(namespace) else {
+            return;
+        };
+        let Some(slot) = self.engines.get(&key) else {
+            return;
+        };
+        let copies = slot.sent.resend(epoch, seqs, from);
+        if !copies.is_empty() {
+            self.tel.add("cq.panes.resent", copies.len() as u64);
+        }
+        for msg in copies {
+            ctx.send(from, PierMsg::Dht(msg));
+        }
     }
 
     /// Offer arriving chunks to the engine whose window-partial namespace
@@ -1158,7 +1278,7 @@ impl PierNode {
             let tick = engine.map(|spec| {
                 let tick = PierTimer::ShareTick { group, epoch };
                 let slide = spec.window.slide;
-                self.open_engine(key, epoch, tick.clone(), spec, query_id);
+                self.open_engine(key, epoch, tick.clone(), spec, query_id, now);
                 (slide, tick)
             });
             // Per-query sampling decisions are meaningless for work N
@@ -1187,7 +1307,8 @@ impl PierNode {
         if let Some((_, engine, member)) = EngineSpec::unshared(&plan) {
             let key = EngineKey::Query(query_id);
             cq_timers = Some((engine.window.slide, member.lease));
-            self.open_engine(key, 0, PierTimer::WindowTick { query_id }, engine, query_id);
+            let tick = PierTimer::WindowTick { query_id };
+            self.open_engine(key, 0, tick, engine, query_id, now);
             if let Some(slot) = self.engines.get_mut(&key) {
                 slot.engine.add_member(query_id, member, plan.trace, now);
                 self.engine_of.insert(query_id, key);
@@ -1371,6 +1492,7 @@ impl PierNode {
         tick: PierTimer,
         spec: EngineSpec,
         query_id: u64,
+        now: SimTime,
     ) {
         let mut engine = WindowEngine::new(spec);
         let durable = self.config.durable.as_ref();
@@ -1391,11 +1513,14 @@ impl PierNode {
         let root_id = routing_id(&spec.namespace, &spec.root_key);
         let route = NamespaceRoute::WindowPartials(key);
         self.routes.insert(spec.namespace.clone(), route);
+        self.pane_epoch = now.max(self.pane_epoch + 1);
         let slot = EngineSlot {
             engine,
             root_id,
             epoch,
             tick,
+            sent: Outbox::new(self.pane_epoch),
+            heard: Inbox::default(),
         };
         self.engines.insert(key, slot);
     }
@@ -1491,6 +1616,11 @@ impl PierNode {
                 members,
             } => self.proxy_receive_window(ctx, window_start, window_end, &rows, &members),
             PierMsg::PlanRequest { queries } => self.serve_plans(ctx, from, &queries),
+            PierMsg::PaneRequest {
+                namespace,
+                epoch,
+                seqs,
+            } => self.resend_panes(ctx, from, &namespace, epoch, &seqs),
             PierMsg::Plans { plans } => {
                 for plan in plans {
                     self.install_query(ctx, plan);
@@ -1562,8 +1692,7 @@ impl PierNode {
         //    the proxies.  Every partial of a tick shares the window-root
         //    destination, so batching collapses the per-group message train
         //    into one transfer per tick.
-        let shipments =
-            QpObject::shipments(out.partials.into_iter().collect(), self.config.batching);
+        let shipments = self.pane_shipments(key, out.partials.into_iter().collect());
         // Flush instrumentation: every shipping flush ticks the engine's
         // flush counters (the ones the span-reconciliation tests anchor
         // to), and a traced engine's flush additionally records a flush

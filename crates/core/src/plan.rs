@@ -18,6 +18,7 @@ use crate::expr::Expr;
 use crate::operators::{
     Distinct, GroupBy, Limit, LocalOperator, Pipeline, Projection, Queue, Selection, TopK,
 };
+use crate::pane_link::PaneStamp;
 use crate::tuple::{ColumnChunk, Tuple, TupleBatch};
 use pier_cq::{CqBudget, DeltaMode, WindowSpec};
 use pier_runtime::{Duration, NodeAddr, WireSize};
@@ -427,6 +428,15 @@ pub enum QpObject {
     /// executor's rehash/exchange and partial-aggregate paths); unpacked
     /// back into per-tuple dataflow at the receiving node.
     Batch(TupleBatch),
+    /// Closed-pane partials on one hop toward their window root, numbered
+    /// in the sender's stream so the hop that absorbs them can ask for a
+    /// lost one again ([`crate::pane_link`]).
+    Panes {
+        /// Sender, incarnation and number.
+        stamp: PaneStamp,
+        /// The partials.
+        batch: TupleBatch,
+    },
     /// A query plan being disseminated.
     Plan(QueryPlan),
     /// A proxy's lease roster: the standing broadcast queries it still
@@ -449,7 +459,7 @@ impl QpObject {
     pub fn tuple_count(&self) -> usize {
         match self {
             QpObject::Tuple(_) => 1,
-            QpObject::Batch(b) => b.len(),
+            QpObject::Batch(b) | QpObject::Panes { batch: b, .. } => b.len(),
             QpObject::Plan(_) | QpObject::Renew { .. } => 0,
         }
     }
@@ -457,12 +467,12 @@ impl QpObject {
     /// Iterate the data tuples this object carries: one for
     /// [`QpObject::Tuple`], all of them (materialised lazily from the
     /// columnar chunks; values are shared, not copied) for
-    /// [`QpObject::Batch`], none for plans.  Batch-aware consumers should
-    /// match on [`QpObject::Batch`] and walk the chunks instead.
+    /// [`QpObject::Batch`] and [`QpObject::Panes`], none for plans.
+    /// Batch-aware consumers should walk [`QpObject::chunks`] instead.
     pub fn iter_tuples(&self) -> impl Iterator<Item = Tuple> + '_ {
         let (single, batch) = match self {
             QpObject::Tuple(t) => (Some(t.clone()), None),
-            QpObject::Batch(b) => (None, Some(b.iter())),
+            QpObject::Batch(b) | QpObject::Panes { batch: b, .. } => (None, Some(b.iter())),
             QpObject::Plan(_) | QpObject::Renew { .. } => (None, None),
         };
         single.into_iter().chain(batch.into_iter().flatten())
@@ -474,18 +484,18 @@ impl QpObject {
     pub fn chunks(&self) -> Cow<'_, [ColumnChunk]> {
         match self {
             QpObject::Tuple(t) => Cow::Owned(vec![ColumnChunk::from_tuple(t)]),
-            QpObject::Batch(b) => Cow::Borrowed(b.chunks()),
+            QpObject::Batch(b) | QpObject::Panes { batch: b, .. } => Cow::Borrowed(b.chunks()),
             QpObject::Plan(_) | QpObject::Renew { .. } => Cow::Borrowed(&[]),
         }
     }
 
-    /// The transfers that carry `chunks` to one destination: with
-    /// `batching` every row shares one [`QpObject::Batch`] (a lone row still
-    /// travels as a bare tuple), without it each row is its own
-    /// [`QpObject::Tuple`].
-    pub fn shipments(chunks: Vec<ColumnChunk>, batching: bool) -> Vec<QpObject> {
-        if batching && chunks.iter().map(ColumnChunk::rows).sum::<usize>() > 1 {
-            vec![QpObject::Batch(TupleBatch::from_chunks(chunks))]
+    /// The transfers that carry closed-pane partials `chunks` one hop: all
+    /// of them in one [`QpObject::Panes`] stamped `stamp` (batching), or
+    /// each row as its own unnumbered [`QpObject::Tuple`].
+    pub fn pane_shipments(chunks: Vec<ColumnChunk>, stamp: Option<PaneStamp>) -> Vec<QpObject> {
+        if let Some(stamp) = stamp {
+            let batch = TupleBatch::from_chunks(chunks);
+            vec![QpObject::Panes { stamp, batch }]
         } else {
             chunks
                 .iter()
@@ -499,7 +509,7 @@ impl QpObject {
     pub fn into_tuples(self) -> Vec<Tuple> {
         match self {
             QpObject::Tuple(t) => vec![t],
-            QpObject::Batch(b) => b.into_tuples(),
+            QpObject::Batch(b) | QpObject::Panes { batch: b, .. } => b.into_tuples(),
             QpObject::Plan(_) | QpObject::Renew { .. } => Vec::new(),
         }
     }
@@ -510,6 +520,7 @@ impl WireSize for QpObject {
         1 + match self {
             QpObject::Tuple(t) => t.wire_size(),
             QpObject::Batch(b) => b.wire_size(),
+            QpObject::Panes { stamp, batch } => stamp.wire_size() + batch.wire_size(),
             QpObject::Plan(p) => p.wire_size(),
             // The proxy's address, a 4-byte count, 8 bytes per query, and
             // the plan the round rides on.
