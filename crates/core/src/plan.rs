@@ -533,6 +533,15 @@ impl WireSize for QpObject {
     }
 }
 
+/// How long a one-shot aggregate's nodes hold partials before shipping
+/// them up the tree: 2 s, or an eighth of a shorter `timeout`.  Partials
+/// climb one hold per hop and the root answers one hold before the
+/// timeout, so a tree up to seven hops deep is heard in full at any
+/// timeout.
+pub fn aggregation_hold(timeout: Duration) -> Duration {
+    (timeout / 8).clamp(1, 2_000_000)
+}
+
 /// A convenience builder for the common single-table aggregation / selection
 /// plans used by the examples and experiments.
 #[derive(Debug, Clone)]
@@ -697,7 +706,7 @@ impl PlanBuilder {
                 sink: SinkSpec::HierarchicalAgg {
                     group_cols: vec![group_col.to_string()],
                     aggs: vec![AggFunc::Count],
-                    hold: 2_000_000,
+                    hold: aggregation_hold(timeout),
                     final_ops: vec![OperatorSpec::TopK {
                         k,
                         order_col: "count".to_string(),

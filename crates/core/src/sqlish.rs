@@ -41,7 +41,8 @@
 use crate::aggregate::AggFunc;
 use crate::expr::{CmpOp, Expr};
 use crate::plan::{
-    CqSpec, Dissemination, OpGraph, OperatorSpec, PlanBuilder, QueryPlan, SinkSpec, SourceSpec,
+    aggregation_hold, CqSpec, Dissemination, OpGraph, OperatorSpec, PlanBuilder, QueryPlan,
+    SinkSpec, SourceSpec,
 };
 use crate::value::Value;
 use pier_cq::{DeltaMode, WindowSpec};
@@ -448,7 +449,7 @@ pub fn plan_checked(
         SinkSpec::HierarchicalAgg {
             group_cols: statement.group_by.clone(),
             aggs: statement.aggregates.clone(),
-            hold: 2_000_000,
+            hold: aggregation_hold(timeout),
             final_ops,
             flat: false,
         }

@@ -80,6 +80,31 @@ fn sql_aggregation_matches_ground_truth() {
 }
 
 #[test]
+fn a_short_one_shot_aggregate_counts_the_whole_tree() {
+    // Partials climb one hold per hop and the root answers one hold before
+    // the timeout: on 32 nodes an 8 s query must still hear every leaf.
+    let mut cluster = Cluster::start(&ClusterConfig::lan(32, seeded(505)));
+    for i in 0..cluster.len() {
+        let addr = cluster.addr(i);
+        for j in 0..10i64 {
+            let src = Value::Str(format!("10.0.0.{}", (i as i64 + j) % 4).into());
+            let tuple = Tuple::new("events", vec![("src", src), ("port", Value::Int(j))]);
+            cluster.add_local_row(addr, "events", tuple);
+        }
+    }
+    let proxy = cluster.addr(0);
+    let sql = "SELECT src, COUNT(*) FROM events GROUP BY src";
+    let plan = sqlish::compile(sql, proxy, 8_000_000).unwrap();
+    let outcome = cluster.run_query(proxy, plan);
+    let counts = outcome
+        .tuples()
+        .into_iter()
+        .map(|t| t.get("count")?.as_i64());
+    let counted: i64 = counts.map(Option::unwrap).sum();
+    assert_eq!(counted, 320, "every node's ten rows");
+}
+
+#[test]
 fn rehash_symmetric_hash_join_produces_correct_join() {
     let mut cluster = Cluster::start(&ClusterConfig::lan(12, seeded(303)));
     let key = vec!["b".to_string()];
