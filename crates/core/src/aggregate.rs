@@ -171,7 +171,7 @@ impl AggState {
     }
 
     /// Decode the partial state that `tuple` carries for aggregate `func`
-    /// (the inverse of the encoding `GroupBy` uses when it emits partials:
+    /// (the inverse of the encoding a `PartialCodec` ships partials in:
     /// one output column per aggregate, plus explicit `_sum`/`_count`
     /// companions for AVG).  `None` when the tuple lacks the column or its
     /// type does not fit — the caller discards it, per the best-effort

@@ -2,34 +2,29 @@
 //! and the sinks that take rows back into the network.
 //!
 //! A [`GraphExec`] owns, per installed (unshared) query, the plan and one
-//! state per opgraph — [`Pipeline`], symmetric hash join, the one-shot
-//! aggregate's uplink and root buffers — plus the Fetch-Matches probes in
-//! flight and the node's [`Rehash`] buffers.  Rows go in through
-//! [`GraphExec::feed`] (source chunks) and [`GraphExec::fetched`] (a probed
-//! key's answer); an [`ExecOut`] comes out.  The overlay is reached only through
-//! the Table 2 calls (`get_batch`, `put`, `put_batch`, `send_routed`) on the
-//! `&mut Overlay` the caller lends, and name suffixes are drawn from the
-//! caller's one RNG in the order the rows arrive.  What a call would
-//! re-derive is resolved once, at install — where a graph's Fetch-Matches
-//! operator is, a plan's aggregation tree — and operators and sinks are
-//! read in place from the stored plan.  One-shot aggregation (§3.3.4) is
-//! wired by the caller: a leaf's [`GraphExec::agg_flush`] ships partials
-//! toward the root, a relay folds those passing through it into its own
-//! ([`GraphExec::absorb_partial`], at the upcall), the root merges arrivals
-//! ([`GraphExec::merge_partials`]) and its final flush emits the result.
+//! state per opgraph — [`Pipeline`], symmetric hash join — plus the
+//! Fetch-Matches probes in flight and the node's [`Rehash`] buffers.  Rows
+//! go in through [`GraphExec::feed`] (source chunks) and
+//! [`GraphExec::fetched`] (a probed key's answer); an [`ExecOut`] comes out.
+//! The overlay is reached only through the Table 2 calls (`get_batch`,
+//! `put`, `put_batch`) on the `&mut Overlay` the caller lends, and name
+//! suffixes are drawn from the caller's one RNG in the order the rows
+//! arrive.  What a call would re-derive is resolved once, at install —
+//! where a graph's Fetch-Matches operator is — and operators and sinks are
+//! read in place from the stored plan.  An aggregating graph, windowed or
+//! one-shot (§3.3.4), hands its survivors to the query's
+//! [`WindowEngine`], which the caller owns and ticks.
 //!
 //! Plain state that never sees the runtime: [`crate::node::PierNode`] does
 //! the wiring (namespace routing, timers, spans), tests drive it directly.
 
 use crate::node::PierConfig;
-use crate::operators::{GroupBy, JoinSide, LocalOperator, Pipeline, SymmetricHashJoin};
-use crate::plan::{
-    finish_rows, is_query_scoped_table, OperatorSpec, QpObject, QueryPlan, SinkSpec,
-};
+use crate::operators::{JoinSide, Pipeline, SymmetricHashJoin};
+use crate::plan::{is_query_scoped_table, OperatorSpec, QpObject, QueryPlan, SinkSpec};
 use crate::rehash::Rehash;
 use crate::tuple::{Tuple, TupleBatch};
 use crate::window_engine::WindowEngine;
-use pier_dht::{routing_id, Id, ObjectName, Overlay, OverlayEffect, StoredObject};
+use pier_dht::{ObjectName, Overlay, OverlayEffect, StoredObject};
 use pier_runtime::{Duration, NodeAddr, Rng64, SimTime};
 use pier_telemetry::Telemetry;
 use std::collections::hash_map::Entry;
@@ -78,20 +73,6 @@ struct GraphState {
     join: Option<SymmetricHashJoin>,
     /// Where in the graph's `ops` its Fetch-Matches operator is.
     fetch: Option<usize>,
-    /// Local + relayed partial aggregates waiting to travel up the tree.
-    uplink: Option<GroupBy>,
-    /// Partials merged at the aggregation-tree root.
-    root_merge: Option<GroupBy>,
-}
-
-/// The one-shot aggregation tree of a plan with a hierarchical sink.
-#[derive(Debug)]
-struct AggTree {
-    root_id: Id,
-    /// How long a node buffers partials between flushes.
-    hold: Duration,
-    /// Partials go straight to the root instead of hop by hop.
-    flat: bool,
 }
 
 #[derive(Debug)]
@@ -99,7 +80,6 @@ struct QueryState {
     plan: QueryPlan,
     /// Parallel to `plan.opgraphs`.
     graphs: Vec<GraphState>,
-    agg: Option<AggTree>,
     /// Source rows seen by a shed plan (`sample_every > 1`): the
     /// deterministic per-query per-node sampling counter.
     ingest_seen: u64,
@@ -132,12 +112,8 @@ impl GraphExec {
         }
     }
 
-    /// Instantiate `plan`'s opgraphs.  Returns the flush period when the
-    /// plan aggregates hierarchically: the caller then routes
-    /// [`QueryPlan::partial_namespace`] to [`GraphExec::merge_partials`] and
-    /// arms the flushes.
-    pub fn install(&mut self, plan: QueryPlan) -> Option<Duration> {
-        let mut agg: Option<AggTree> = None;
+    /// Instantiate `plan`'s opgraphs.
+    pub fn install(&mut self, plan: QueryPlan) {
         let mut graphs = Vec::with_capacity(plan.opgraphs.len());
         for spec in &plan.opgraphs {
             let mut pipeline =
@@ -150,47 +126,21 @@ impl GraphExec {
                     j.output_table.clone(),
                 )
             });
-            let mut buffers = (None, None);
-            if let SinkSpec::HierarchicalAgg {
-                group_cols,
-                aggs,
-                hold,
-                flat,
-                ..
-            } = &spec.sink
-            {
-                let table = format!("q{}.agg", plan.query_id);
-                let buffer = || GroupBy::new(group_cols.clone(), aggs.clone(), table.clone());
-                buffers = (Some(buffer()), Some(buffer()));
-                // The first aggregating graph names the period; any flat
-                // one makes the whole tree flat.
-                let tree = agg.get_or_insert_with(|| AggTree {
-                    root_id: routing_id(&plan.partial_namespace(), &plan.agg_root_key()),
-                    hold: *hold,
-                    flat: false,
-                });
-                tree.flat |= *flat;
-            }
             graphs.push(GraphState {
                 pipeline,
                 join,
                 fetch: spec.ops.iter().position(|op| fetch_of(op).is_some()),
-                uplink: buffers.0,
-                root_merge: buffers.1,
             });
         }
-        let hold = agg.as_ref().map(|tree| tree.hold);
         let state = QueryState {
             plan,
             graphs,
-            agg,
             ingest_seen: 0,
         };
         self.queries.insert(state.plan.query_id, state);
-        hold
     }
 
-    /// Drop a query: its graphs, buffered aggregates and the fetches it has
+    /// Drop a query: its graphs and the fetches it has
     /// in flight (their answers, if they come, find nothing).  Returns the
     /// plan, for the caller to un-route.
     pub fn uninstall(&mut self, query_id: u64) -> Option<QueryPlan> {
@@ -215,19 +165,12 @@ impl GraphExec {
         self.pending_fetches.len()
     }
 
-    /// The aggregation-tree root and flush period of an installed
-    /// aggregating query.
-    pub fn agg_tree(&self, query_id: u64) -> Option<(Id, Duration)> {
-        let tree = self.queries.get(&query_id)?.agg.as_ref()?;
-        Some((tree.root_id, tree.hold))
-    }
-
     /// Feed a batch of source rows to one opgraph, chunk-to-chunk: a join
     /// consumes whole columnar chunks, the pipeline hands every stage a
-    /// re-chunked survivor batch, an aggregating graph's uplink or a
-    /// windowed graph's engine — `windows`, the query's own — absorbs the
-    /// survivors (the source chunks themselves when the pipeline is a
-    /// pass-through), and what is left goes to the sink as the batch it is.
+    /// re-chunked survivor batch, an aggregating graph's engine —
+    /// `windows`, the query's own — absorbs the survivors (the source
+    /// chunks themselves when the pipeline is a pass-through), and what is
+    /// left goes to the sink as the batch it is.
     pub fn feed(
         &mut self,
         at: GraphRef,
@@ -271,7 +214,7 @@ impl GraphExec {
         else {
             return ExecOut::default();
         };
-        let engine = windows.filter(|_| matches!(spec.sink, SinkSpec::WindowedAgg { .. }));
+        let engine = windows.filter(|_| spec.sink.aggregates());
         let direct = engine.is_some() && g.join.is_none() && g.pipeline.is_empty();
         let mut outputs = match (&mut g.join, &spec.join) {
             _ if direct => TupleBatch::default(), // absorbed below, unscanned
@@ -299,12 +242,7 @@ impl GraphExec {
             }
             _ => g.pipeline.push_batch(batch),
         };
-        // Hierarchical aggregation absorbs the survivors chunk-wise.
-        if let Some(uplink) = g.uplink.as_mut() {
-            uplink.push_batch(&outputs);
-            outputs = TupleBatch::default();
-        }
-        // A windowed graph folds the survivors into its engine.
+        // An aggregating graph folds the survivors into its engine.
         if let Some(engine) = engine {
             let survivors = if direct { batch } else { &outputs };
             for chunk in survivors.chunks() {
@@ -468,93 +406,5 @@ impl GraphExec {
         let flushes = self.rehash.flush_all(rng);
         let puts = flushes.into_iter().map(|f| overlay.put_batch(f, now));
         puts.flatten().collect()
-    }
-
-    /// Fold a partial aggregate travelling up `query_id`'s tree into this
-    /// node's own buffered partials (the upcall of §3.3.4).  False when
-    /// nothing here could absorb it: it continues on its way.
-    pub fn absorb_partial(&mut self, query_id: u64, partial: &Tuple) -> bool {
-        let Some(q) = self.queries.get_mut(&query_id) else {
-            return false;
-        };
-        let mut absorbed = false;
-        for uplink in q.graphs.iter_mut().filter_map(|g| g.uplink.as_mut()) {
-            absorbed |= uplink.merge_partial(partial);
-        }
-        absorbed
-    }
-
-    /// Merge partial aggregates arriving at the aggregation-tree root.
-    pub fn merge_partials(&mut self, query_id: u64, partials: impl Iterator<Item = Tuple>) {
-        let Some(q) = self.queries.get_mut(&query_id) else {
-            return;
-        };
-        for partial in partials {
-            for root in q.graphs.iter_mut().filter_map(|g| g.root_merge.as_mut()) {
-                root.merge_partial(&partial);
-            }
-        }
-    }
-
-    /// Flush `query_id`'s buffered partials: at the tree's root they merge
-    /// into the root buffers, elsewhere they leave one hop up the tree (or
-    /// straight to the root of a `flat` plan) — all of one flush share the
-    /// destination, so batching makes them one transfer.  The root's final
-    /// flush finishes the merged groups and emits the result.
-    pub fn agg_flush(
-        &mut self,
-        query_id: u64,
-        final_flush: bool,
-        is_root: bool,
-        now: SimTime,
-        overlay: &mut Overlay<QpObject>,
-        rng: &mut Rng64,
-    ) -> ExecOut {
-        let mut out = ExecOut::default();
-        let Some(q) = self.queries.get_mut(&query_id) else {
-            return out;
-        };
-        let Some(tree) = &q.agg else {
-            return out;
-        };
-        let mut to_send: Vec<Tuple> = Vec::new();
-        let mut final_results: Vec<Tuple> = Vec::new();
-        for (g, spec) in q.graphs.iter_mut().zip(&q.plan.opgraphs) {
-            let (Some(uplink), Some(root)) = (g.uplink.as_mut(), g.root_merge.as_mut()) else {
-                continue;
-            };
-            let partials = uplink.flush();
-            if !is_root {
-                to_send.extend(partials);
-                continue;
-            }
-            for p in &partials {
-                root.merge_partial(p);
-            }
-            if let (true, SinkSpec::HierarchicalAgg { final_ops, .. }) = (final_flush, &spec.sink) {
-                let merged = TupleBatch::new(root.flush());
-                final_results.extend(finish_rows(final_ops, &merged));
-            }
-        }
-        let shipments: Vec<QpObject> = if self.batching && to_send.len() > 1 {
-            vec![QpObject::Batch(TupleBatch::new(to_send))]
-        } else {
-            to_send.into_iter().map(QpObject::Tuple).collect()
-        };
-        let lifetime = self.publish_lifetime;
-        for shipment in shipments {
-            let (namespace, key) = (q.plan.partial_namespace(), q.plan.agg_root_key());
-            let name = ObjectName::new(namespace, key, rng.next_u64());
-            out.effects.extend(if tree.flat {
-                overlay.put(name, shipment, lifetime, now)
-            } else {
-                overlay.send_routed(tree.root_id, name, shipment, lifetime, now)
-            });
-        }
-        if !final_results.is_empty() {
-            let rows = TupleBatch::new(final_results);
-            out.results = vec![(q.plan.proxy, query_id, rows)];
-        }
-        out
     }
 }

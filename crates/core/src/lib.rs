@@ -40,7 +40,8 @@
 //!   node's installed plans as a plain struct (chunks in, an
 //!   [`graph_exec::ExecOut`] of overlay effects and result chunks out):
 //!   Fetch Matches index joins, rehash-based Symmetric Hash joins through
-//!   the [`rehash::Rehash`] buffer, hierarchical aggregation's buffers.
+//!   the [`rehash::Rehash`] buffer; an aggregating graph's survivors go to
+//!   its [`window_engine::WindowEngine`].
 //! * [`node`] — [`node::PierNode`], the runnable node program wiring the
 //!   overlay, the executor, the window engines and the proxy to the
 //!   runtime: query dissemination and installation, namespace routing,

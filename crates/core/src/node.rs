@@ -197,12 +197,15 @@ impl WireSize for PierMsg {
 pub enum PierTimer {
     /// Overlay maintenance.
     Overlay(OverlayTimer),
-    /// Periodic flush of buffered partial aggregates up the aggregation tree.
+    /// Never armed: a one-shot aggregate's engine ships its panes on
+    /// [`PierTimer::WindowTick`].  Declared for the benchmark's timer
+    /// classes.
     AggFlush {
         /// Query being flushed.
         query_id: u64,
     },
-    /// Final aggregation flush at the aggregation-tree root.
+    /// A one-shot aggregate's final instant, one hold before its timeout:
+    /// its root answers once ([`WindowEngine::finish`]).
     AggFinal {
         /// Query being finalized.
         query_id: u64,
@@ -214,9 +217,10 @@ pub enum PierTimer {
     /// Never armed: a proxy's completion is a [`Deadline::ProxyDone`] of
     /// the lifecycle sweep.  Declared for the benchmark's timer classes.
     ProxyDone,
-    /// Periodic window maintenance for a continuous query: close due
-    /// windows, forward partials toward the window root, emit per-window
-    /// results at the root.  Fires every window slide.
+    /// Periodic window maintenance for a continuous query or a one-shot
+    /// aggregate: close due panes, forward partials toward the root, emit
+    /// per-window results at a continuous query's root.  Fires every
+    /// window slide (a one-shot aggregate's hold).
     WindowTick {
         /// Query being ticked.
         query_id: u64,
@@ -257,11 +261,9 @@ pub enum PierTimer {
 /// `format!` scan over every installed query.
 #[derive(Debug)]
 enum NamespaceRoute {
-    /// `q{id}.windows` / `g{fp}.windows`: closed-pane partials of an
-    /// engine.
+    /// `q{id}.windows` / `g{fp}.windows` (`q{id}.partials` for a one-shot
+    /// aggregate): closed-pane partials of an engine.
     WindowPartials(EngineKey),
-    /// `q{id}.partials`: partial aggregates travelling up the tree.
-    AggPartials(u64),
     /// A base table or rehash namespace: the opgraphs reading it,
     /// ascending.
     Sources(Vec<GraphRef>),
@@ -850,11 +852,10 @@ impl PierNode {
                 }
             }
             OverlayEvent::Upcall(routed) => {
-                // Hierarchical aggregation: intercept partials travelling up
-                // the tree, fold them into our own buffered partials, and
-                // consume the original message (§3.3.4).  Closed-window
-                // partials combine the same way en route to their engine's
-                // window root, a chunk at a time.
+                // Hierarchical aggregation: intercept closed-pane partials
+                // travelling up the tree to their engine's root, fold them
+                // into our own, a chunk at a time, and consume the original
+                // message (§3.3.4).
                 let now = ctx.now();
                 // Sampled senders get the §3.2.4 upcall offer recorded as a
                 // `window.upcall` span; anything this node re-ships (refused
@@ -870,48 +871,36 @@ impl PierNode {
                 };
                 let partials = routed.value.tuple_count();
                 if partials > 0 {
-                    if let Some(&NamespaceRoute::AggPartials(query_id)) =
-                        self.routes.get(&routed.name.namespace)
-                    {
-                        let mut absorbed = false;
-                        for partial in routed.value.iter_tuples() {
-                            absorbed |= self.exec.absorb_partial(query_id, &partial);
-                        }
-                        if absorbed {
+                    // A numbered pane shipment this node's engine absorbed
+                    // before goes no further.
+                    if let QpObject::Panes { stamp, .. } = routed.value {
+                        if !self.hear_panes(ctx, &routed.name.namespace, stamp) {
                             return Vec::new();
                         }
-                    } else {
-                        // A numbered pane shipment this node's engine
-                        // absorbed before goes no further.
-                        if let QpObject::Panes { stamp, .. } = routed.value {
-                            if !self.hear_panes(ctx, &routed.name.namespace, stamp) {
-                                return Vec::new();
-                            }
+                    }
+                    let chunks = routed.value.chunks();
+                    let absorbed = self
+                        .absorb_window_chunks(&routed.name.namespace, &chunks)
+                        .filter(|(_, refused)| {
+                            refused.iter().map(Vec::len).sum::<usize>() < partials
+                        });
+                    if let Some((key, refused)) = absorbed {
+                        // The absorbed share is ours now; anything this
+                        // node's state refused (budget shed, evicted pane)
+                        // must still reach the root — exactly as an
+                        // unbatched per-tuple upcall would have continued
+                        // routing it.
+                        if refused.iter().all(Vec::is_empty) {
+                            return Vec::new();
                         }
-                        let chunks = routed.value.chunks();
-                        let absorbed = self
-                            .absorb_window_chunks(&routed.name.namespace, &chunks)
-                            .filter(|(_, refused)| {
-                                refused.iter().map(Vec::len).sum::<usize>() < partials
-                            });
-                        if let Some((key, refused)) = absorbed {
-                            // The absorbed share is ours now; anything this
-                            // node's state refused (budget shed, evicted
-                            // window) must still reach the root — exactly
-                            // as an unbatched per-tuple upcall would have
-                            // continued routing it.
-                            if refused.iter().all(Vec::is_empty) {
-                                return Vec::new();
-                            }
-                            let refused = chunks
-                                .iter()
-                                .zip(&refused)
-                                .filter(|(_, rows)| !rows.is_empty())
-                                .map(|(chunk, rows)| chunk.gather(rows))
-                                .collect();
-                            let shipments = self.pane_shipments(key, refused);
-                            return self.ship_partials(key, shipments, upcall_ctx, now);
-                        }
+                        let refused = chunks
+                            .iter()
+                            .zip(&refused)
+                            .filter(|(_, rows)| !rows.is_empty())
+                            .map(|(chunk, rows)| chunk.gather(rows))
+                            .collect();
+                        let shipments = self.pane_shipments(key, refused);
+                        return self.ship_partials(key, shipments, upcall_ctx, now);
                     }
                 }
                 self.overlay.forward(routed, now)
@@ -940,9 +929,10 @@ impl PierNode {
     }
 
     /// Send closed-pane partials one hop toward engine `key`'s window root
-    /// (upcalls combine them en route): what a tick drained, or what this
-    /// node refused of a batch it only partly absorbed at an upcall hop.  A
-    /// numbered shipment is kept, with the hop it went to, for resending.
+    /// (upcalls combine them en route), or by `put` straight to it for a
+    /// `flat` engine: what a tick drained, or what this node refused of a
+    /// batch it only partly absorbed at an upcall hop.  A numbered
+    /// shipment is kept, with the hop it went to, for resending.
     /// `trace` rides every shipment — armed per send, because `set_trace`
     /// is consumed by the next overlay op and must not leak onto unrelated
     /// traffic.
@@ -970,9 +960,12 @@ impl PierNode {
                 self.rng.next_u64(),
             );
             self.overlay.set_trace(trace);
-            let sent = self
-                .overlay
-                .send_routed(slot.root_id, name, shipment, lifetime, now);
+            let sent = if spec.flat {
+                self.overlay.put(name, shipment, lifetime, now)
+            } else {
+                self.overlay
+                    .send_routed(slot.root_id, name, shipment, lifetime, now)
+            };
             for effect in &sent {
                 if let (Some(seq), OverlayEffect::Send { to, msg }) = (seq, effect) {
                     slot.sent.keep(seq, *to, msg.clone());
@@ -1067,7 +1060,7 @@ impl PierNode {
             return None;
         };
         let engine = &mut self.engines.get_mut(&key)?.engine;
-        let refused = chunks.iter().map(|c| engine.absorb_partials(c)).collect();
+        let refused = chunks.iter().map(|c| engine.absorb_panes(c)).collect();
         Some((key, refused))
     }
 
@@ -1110,12 +1103,7 @@ impl PierNode {
         now: SimTime,
         wire_bytes: impl FnOnce() -> usize,
     ) -> Vec<OverlayEffect<QpObject>> {
-        // Partial aggregates arriving at the aggregation-tree root.
-        if let Some(&NamespaceRoute::AggPartials(query_id)) = self.routes.get(namespace) {
-            self.exec.merge_partials(query_id, batch.iter());
-            return Vec::new();
-        }
-        // Closed-window partials arriving at their engine's root
+        // Closed-pane partials arriving at their engine's root
         // (budget-refused arrivals are dropped: there is nowhere further to
         // send them).
         if self
@@ -1301,12 +1289,17 @@ impl PierNode {
             }
             return;
         }
-        // A windowed plan gets an engine of its own, rehydrated warm from
-        // durable segments when this is a restart.
-        let mut cq_timers = None;
+        // An aggregating plan gets an engine of its own, rehydrated warm
+        // from durable segments when this is a restart.  A one-shot
+        // aggregate's engine holds no lease — it lives out its timeout — and
+        // answers one hold before it.
+        let mut engine_timers = None;
         if let Some((_, engine, member)) = EngineSpec::unshared(&plan) {
             let key = EngineKey::Query(query_id);
-            cq_timers = Some((engine.window.slide, member.lease));
+            let (hold, once) = (engine.window.slide, engine.emit_once);
+            let lease = (!once).then_some(member.lease);
+            let final_at = once.then(|| plan.timeout.saturating_sub(hold));
+            engine_timers = Some((hold, lease, final_at));
             let tick = PierTimer::WindowTick { query_id };
             self.open_engine(key, 0, tick, engine, query_id, now);
             if let Some(slot) = self.engines.get_mut(&key) {
@@ -1315,9 +1308,9 @@ impl PierNode {
             }
         }
         let (timeout, trace, graphs) = (plan.timeout, plan.trace, plan.opgraphs.len());
-        let partials = plan.partial_namespace();
-        let hold = self.exec.install(plan);
-        let has_cq = cq_timers.is_some();
+        self.exec.install(plan);
+        let lease = engine_timers.and_then(|(_, lease, _)| lease);
+        let has_cq = lease.is_some();
         self.tel.inc("query.installs");
         self.tel.event("query_install", || {
             vec![
@@ -1330,24 +1323,12 @@ impl PierNode {
             let counts = [graphs as u64, 0, 0];
             self.span(now, TraceContext::root(query_id), "query.install", counts);
         }
-        // An aggregating plan's partial namespace is the query's own (the
-        // engine's was routed when it opened); a source that names one is
-        // shadowed, as partials were always tried first.
-        if hold.is_some() {
-            let route = NamespaceRoute::AggPartials(query_id);
-            self.routes.insert(partials, route);
-        }
-        let lease = cq_timers.map(|(_, lease)| lease);
         self.file_lifetime(ctx, query_id, timeout, lease);
-        if let Some(hold) = hold {
-            ctx.set_timer(hold, PierTimer::AggFlush { query_id });
-            ctx.set_timer(
-                timeout.saturating_sub(hold),
-                PierTimer::AggFinal { query_id },
-            );
-        }
-        if let Some((slide, _)) = cq_timers {
+        if let Some((slide, _, final_at)) = engine_timers {
             ctx.set_timer(slide, PierTimer::WindowTick { query_id });
+            if let Some(at) = final_at {
+                ctx.set_timer(at, PierTimer::AggFinal { query_id });
+            }
         }
         // Route every opgraph's source to it, and feed the opgraphs their
         // initial data: node-local rows plus the DHT-partitioned rows this
@@ -1547,10 +1528,6 @@ impl PierNode {
             }
         }
         if let Some(plan) = self.exec.uninstall(query_id) {
-            let partials = plan.partial_namespace();
-            if let Some(NamespaceRoute::AggPartials(_)) = self.routes.get(&partials) {
-                self.routes.remove(&partials);
-            }
             for g in &plan.opgraphs {
                 let namespace = g.source.namespace();
                 if let Some(NamespaceRoute::Sources(targets)) = self.routes.get_mut(namespace) {
@@ -1638,22 +1615,25 @@ impl PierNode {
         }
     }
 
-    /// A flush of one-shot aggregate `query_id` is due: ship, or at the
-    /// tree's root merge, its buffered partials (`final_flush` also emits
-    /// the result), and re-arm the periodic flush while it is installed.
-    fn aggregate_tick(&mut self, ctx: &mut ProgramContext<Self>, query_id: u64, final_flush: bool) {
-        let Some((root_id, hold)) = self.exec.agg_tree(query_id) else {
+    /// One-shot aggregate `query_id` reached its final instant: at its
+    /// root, send the proxy the one answer of every pane held here.
+    fn finish_aggregate(&mut self, ctx: &mut ProgramContext<Self>, query_id: u64) {
+        let Some(slot) = self.engines.get_mut(&EngineKey::Query(query_id)) else {
             return;
         };
-        let is_root = self.overlay.router().is_responsible(root_id);
-        let (now, overlay, rng) = (ctx.now(), &mut self.overlay, &mut self.rng);
-        let out = self
-            .exec
-            .agg_flush(query_id, final_flush, is_root, now, overlay, rng);
-        let effects = self.settle(ctx, out);
-        self.drive(ctx, effects);
-        if !final_flush {
-            ctx.set_timer(hold, PierTimer::AggFlush { query_id });
+        if !self.overlay.router().is_responsible(slot.root_id) {
+            return;
+        }
+        if let Some((proxy, rows)) = slot.engine.finish() {
+            let results = vec![(proxy, query_id, TupleBatch::new(rows))];
+            let effects = self.settle(
+                ctx,
+                ExecOut {
+                    results,
+                    ..ExecOut::default()
+                },
+            );
+            self.drive(ctx, effects);
         }
     }
 }
@@ -1859,9 +1839,9 @@ impl PierNode {
         ctx.set_timer(interval, PierTimer::MetricsPublish);
     }
 
-    /// Diagnostics of a continuous query installed here, unshared or a
-    /// share-group member (`None` when the query is not installed here or
-    /// is not continuous).
+    /// Diagnostics of a continuous query or one-shot aggregate installed
+    /// here, unshared or a share-group member (`None` when the query is not
+    /// installed here or runs in no window engine).
     pub fn cq_diagnostics(&self, query_id: u64) -> Option<CqDiagnostics> {
         let slot = self.engines.get(self.engine_of.get(&query_id)?)?;
         slot.engine.diagnostics(query_id)
@@ -1917,10 +1897,9 @@ impl Program for PierNode {
                 let effects = self.overlay.on_timer(t, now);
                 self.drive(ctx, effects);
             }
-            PierTimer::AggFlush { query_id } => self.aggregate_tick(ctx, query_id, false),
-            PierTimer::AggFinal { query_id } => self.aggregate_tick(ctx, query_id, true),
+            PierTimer::AggFinal { query_id } => self.finish_aggregate(ctx, query_id),
             PierTimer::QueryEnd => self.sweep_deadlines(ctx),
-            PierTimer::ProxyDone | PierTimer::CqLease => {}
+            PierTimer::ProxyDone | PierTimer::CqLease | PierTimer::AggFlush { .. } => {}
             PierTimer::WindowTick { query_id } => {
                 self.engine_tick(ctx, EngineKey::Query(query_id), 0);
             }

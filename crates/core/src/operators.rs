@@ -275,8 +275,8 @@ impl LocalOperator for Queue {
     }
 }
 
-/// Grouped (partial) aggregation.  Emits one tuple per group on flush with
-/// the group columns plus one output column per aggregate.
+/// Grouped aggregation.  Emits one tuple per group on flush with the group
+/// columns plus one output column per aggregate.
 ///
 /// The group columns and every aggregate's input column are resolved to
 /// schema indices once per input schema, and the output shape is interned
@@ -311,61 +311,16 @@ impl GroupBy {
     }
 
     /// The fixed shape of this operator's output tuples: the group columns,
-    /// then one column per aggregate (AVG additionally exposes its mergeable
-    /// `_sum`/`_count` components so hierarchical aggregation stays exact).
+    /// then one column per aggregate.
     fn output_schema(group_cols: &[String], aggs: &[AggFunc], output_table: &str) -> Arc<Schema> {
         let mut columns: Vec<String> = group_cols.to_vec();
-        for agg in aggs {
-            let col = agg.output_column();
-            if matches!(agg, AggFunc::Avg(_)) {
-                columns.push(col.clone());
-                columns.push(format!("{col}_sum"));
-                columns.push(format!("{col}_count"));
-            } else {
-                columns.push(col);
-            }
-        }
+        columns.extend(aggs.iter().map(AggFunc::output_column));
         SchemaRegistry::global().intern_owned(output_table.to_string(), columns)
     }
 
-    /// Merge a partial-aggregate tuple previously produced by another
-    /// `GroupBy` with the same shape (hierarchical aggregation's combine
-    /// step).  Returns `false` when the tuple does not look like a partial
-    /// for this operator and was ignored.
-    pub fn merge_partial(&mut self, tuple: &Tuple) -> bool {
-        let Some(key) = self.group_cols.key(tuple) else {
-            return false;
-        };
-        let entry = match self.groups.entry(key) {
-            std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
-            std::collections::hash_map::Entry::Vacant(e) => {
-                let vals = self
-                    .group_cols
-                    .values(tuple)
-                    .expect("key resolved above implies values resolve");
-                e.insert((vals, self.aggs.iter().map(AggFunc::init).collect()))
-            }
-        };
-        let mut merged_any = false;
-        for (agg, state) in self.aggs.iter().zip(entry.1.iter_mut()) {
-            if let Some(other) = AggState::from_partial_tuple(agg, tuple) {
-                state.merge(&other);
-                merged_any = true;
-            }
-        }
-        merged_any
-    }
-
     fn group_tuple(&self, values: &[Value], states: &[AggState]) -> Tuple {
-        let mut out = Vec::with_capacity(self.out_schema.arity());
-        out.extend(values.iter().cloned());
-        for state in states {
-            out.push(state.finish());
-            if let AggState::Avg { sum, count } = state {
-                out.push(Value::Float(*sum));
-                out.push(Value::Int(*count as i64));
-            }
-        }
+        let finished = states.iter().map(AggState::finish);
+        let out: Vec<Value> = values.iter().cloned().chain(finished).collect();
         Tuple::from_schema(Arc::clone(&self.out_schema), out)
     }
 }
@@ -938,46 +893,6 @@ pub(crate) mod tests {
             .unwrap();
         assert_eq!(a.get("count"), Some(&Value::Int(3)));
         assert_eq!(a.get("sum_amount"), Some(&Value::Float(60.0)));
-    }
-
-    #[test]
-    fn group_by_merge_partial_matches_direct_computation() {
-        // Two "nodes" each aggregate locally; the root merges their partials.
-        let mk = || {
-            GroupBy::new(
-                vec!["category".into()],
-                vec![AggFunc::Count, AggFunc::Avg("amount".into())],
-                "out",
-            )
-        };
-        let mut node1 = mk();
-        let mut node2 = mk();
-        let mut reference = mk();
-        for (i, (cat, amount)) in [("a", 10), ("b", 4), ("a", 20), ("b", 8), ("a", 30)]
-            .iter()
-            .enumerate()
-        {
-            let t = one(row("t", i as i64, cat, *amount));
-            if i % 2 == 0 {
-                node1.push_batch(&t);
-            } else {
-                node2.push_batch(&t);
-            }
-            reference.push_batch(&t);
-        }
-        let mut root = mk();
-        for partial in node1.flush().into_iter().chain(node2.flush()) {
-            assert!(root.merge_partial(&partial));
-        }
-        let mut root_out = root.flush();
-        let mut ref_out = reference.flush();
-        let key = |t: &Tuple| t.get("category").unwrap().key_string();
-        root_out.sort_by_key(key);
-        ref_out.sort_by_key(key);
-        for (a, b) in root_out.iter().zip(&ref_out) {
-            assert_eq!(a.get("count"), b.get("count"));
-            assert_eq!(a.get("avg_amount"), b.get("avg_amount"));
-        }
     }
 
     #[test]

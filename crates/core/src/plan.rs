@@ -193,13 +193,15 @@ pub enum SinkSpec {
     /// Hierarchical aggregation (§3.3.4): aggregate locally, ship partials
     /// up an aggregation tree rooted at the query-specific root identifier,
     /// combine en route, and apply `final_ops` at the root before forwarding
-    /// the answer to the proxy.
+    /// the answer to the proxy, once, one `hold` before the timeout.  Runs
+    /// in a window engine over panes of `hold`.
     HierarchicalAgg {
         /// Grouping columns.
         group_cols: Vec<String>,
         /// Aggregates to compute.
         aggs: Vec<AggFunc>,
-        /// How long a node buffers partials before forwarding them up.
+        /// How long a node folds partials before shipping them up (see
+        /// [`aggregation_hold`]).
         hold: Duration,
         /// Operators applied to the merged result at the root (e.g. top-k).
         final_ops: Vec<OperatorSpec>,
@@ -229,6 +231,16 @@ pub enum SinkSpec {
         /// (e.g. top-k) before streaming to the proxy.
         final_ops: Vec<OperatorSpec>,
     },
+}
+
+impl SinkSpec {
+    /// The sink aggregates in a window engine: windowed, or one-shot.
+    pub fn aggregates(&self) -> bool {
+        matches!(
+            self,
+            SinkSpec::WindowedAgg { .. } | SinkSpec::HierarchicalAgg { .. }
+        )
+    }
 }
 
 /// How a plan (or a single opgraph) is shipped to the nodes that must run it.
@@ -365,11 +377,6 @@ pub struct QueryPlan {
 }
 
 impl QueryPlan {
-    /// Namespace under which this query's partial aggregates travel.
-    pub fn partial_namespace(&self) -> String {
-        format!("q{}.partials", self.query_id)
-    }
-
     /// The aggregation-tree root key for this query (hashing it yields the
     /// root identifier named in the query, §3.3.4).
     pub fn agg_root_key(&self) -> String {
@@ -425,8 +432,8 @@ pub enum QpObject {
     /// A base or derived data tuple.
     Tuple(Tuple),
     /// A batch of same-destination tuples coalesced into one transfer (the
-    /// executor's rehash/exchange and partial-aggregate paths); unpacked
-    /// back into per-tuple dataflow at the receiving node.
+    /// executor's rehash/exchange path); unpacked back into per-tuple
+    /// dataflow at the receiving node.
     Batch(TupleBatch),
     /// Closed-pane partials on one hop toward their window root, numbered
     /// in the sender's stream so the hop that absorbs them can ask for a
@@ -810,7 +817,6 @@ mod tests {
     fn query_specific_names_include_the_query_id() {
         let mut plan = PlanBuilder::select(NodeAddr(0), "t", Expr::all(vec![]), vec![], 1_000);
         plan.query_id = 42;
-        assert_eq!(plan.partial_namespace(), "q42.partials");
         assert_eq!(plan.agg_root_key(), "q42.agg-root");
     }
 

@@ -1,5 +1,5 @@
-//! The one window executor: every windowed standing query at a node runs
-//! inside a [`WindowEngine`].
+//! The one aggregation executor: every windowed standing query and every
+//! one-shot aggregate at a node runs inside a [`WindowEngine`].
 //!
 //! An engine is a share group's worth of window state — one local and one
 //! root [`pier_cq::WindowStore`] of panes behind a [`SharedWindowState`]
@@ -12,6 +12,12 @@
 //! tagged `g{fp:016x}` fed the ingest chunk under the predicate index's
 //! union mask.  Which of the two an engine is shows only in its
 //! [`EngineSpec`] — data, set by whoever built it.
+//!
+//! A **one-shot** aggregate (§3.3.4) is an unshared engine over tumbling
+//! panes of its hold whose root puts no window together: its panes climb
+//! the tree and combine en route like any other, the root only rolls them
+//! up, and at the query's final instant [`WindowEngine::finish`] puts
+//! every pane it holds together into the one answer.
 //!
 //! The engine is a plain struct: chunks and instants in, partial chunks and
 //! [`Emission`]s out.  It sends nothing and arms no timer; the node
@@ -41,8 +47,8 @@ use crate::tuple::{
 };
 use crate::value::Value;
 use pier_cq::{
-    CqBudget, Delta, DeltaMode, DeltaTracker, DurableStore, Lease, RehydrateReport, SegmentLog,
-    SharedWindowState, WindowSpec, WindowStats,
+    CqBudget, Delta, DeltaMode, DeltaTracker, DurableStore, Group, Lease, RehydrateReport,
+    SegmentLog, SharedWindowState, WindowSpec, WindowStats,
 };
 use pier_runtime::{Duration, NodeAddr, SimTime, WireSize};
 use std::collections::{BTreeMap, HashMap};
@@ -98,6 +104,12 @@ pub struct EngineSpec {
     pub min_lifetime: Duration,
     /// Telemetry vocabulary.
     pub names: EngineNames,
+    /// A one-shot aggregate's engine: the root emits no window, only the
+    /// one answer [`WindowEngine::finish`] puts together.
+    pub emit_once: bool,
+    /// Partials go by `put` straight to the root instead of combining hop
+    /// by hop (a one-shot aggregate's flat baseline).
+    pub flat: bool,
 }
 
 /// One member query, as handed to [`WindowEngine::add_member`].
@@ -117,39 +129,71 @@ pub struct MemberSpec {
 }
 
 impl EngineSpec {
-    /// The one-member engine of an unshared windowed plan: the index of the
-    /// opgraph that feeds it, its spec and its sole member.
+    /// The one-member engine of an unshared plan's first aggregating sink:
+    /// the index of the opgraph that feeds it, its spec and its sole
+    /// member.  A one-shot aggregate's engine tumbles by its hold, keeps a
+    /// pane per hold of the query's life, and ships under `q{id}.partials`,
+    /// which names its root.
     pub fn unshared(plan: &QueryPlan) -> Option<(usize, EngineSpec, MemberSpec)> {
-        let (graph_idx, sink) = plan.windowed_sink()?;
-        let SinkSpec::WindowedAgg {
-            window,
+        let (graph_idx, graph) =
+            (plan.opgraphs.iter().enumerate()).find(|(_, g)| g.sink.aggregates())?;
+        let (window, time_col, delta, once) = match &graph.sink {
+            SinkSpec::WindowedAgg {
+                window,
+                time_col,
+                delta,
+                ..
+            } => (*window, time_col.clone(), *delta, None),
+            SinkSpec::HierarchicalAgg { hold, flat, .. } => (
+                WindowSpec::tumbling(*hold),
+                None,
+                DeltaMode::Snapshot,
+                Some(*flat),
+            ),
+            SinkSpec::ToProxy | SinkSpec::Rehash { .. } => return None,
+        };
+        let (SinkSpec::WindowedAgg {
             group_cols,
             aggs,
-            time_col,
-            delta,
             final_ops,
-        } = sink
+            ..
+        }
+        | SinkSpec::HierarchicalAgg {
+            group_cols,
+            aggs,
+            final_ops,
+            ..
+        }) = &graph.sink
         else {
             return None;
         };
         let cq = plan.cq.unwrap_or_default();
+        let (mut budget, mut namespace) = (cq.budget, plan.window_namespace());
+        if once.is_some() {
+            let panes = plan.timeout.div_ceil(window.slide).saturating_add(1);
+            let panes = u32::try_from(panes).unwrap_or(u32::MAX);
+            budget.max_open_windows = budget.max_open_windows.max(panes);
+            namespace = format!("q{}.partials", plan.query_id);
+        }
         let engine = EngineSpec {
             tag: format!("q{}", plan.query_id),
-            namespace: plan.window_namespace(),
+            namespace,
             root_key: plan.agg_root_key(),
-            window: *window,
-            budget: cq.budget,
+            window,
+            budget,
             group_cols: group_cols.clone(),
             aggs: aggs.clone(),
-            time_col: time_col.clone(),
+            time_col,
             min_lifetime: cq.lease,
             names: QUERY_NAMES,
+            emit_once: once.is_some(),
+            flat: once == Some(true),
         };
         let member = MemberSpec {
             derive: None,
             proxy: plan.proxy,
             lease: cq.lease,
-            delta: *delta,
+            delta,
             final_ops: final_ops.clone(),
         };
         Some((graph_idx, engine, member))
@@ -239,6 +283,27 @@ pub struct Member {
     /// Snapshot/delta output against this member's previous emissions.
     tracker: DeltaTracker<Tuple>,
     windows_emitted: u64,
+}
+
+impl Member {
+    /// The member's answer from its `rows`: in display order (cached keys
+    /// render each row once, not twice per comparison), through its
+    /// finishers.
+    fn finish(&self, mut rows: Vec<Tuple>) -> Vec<Tuple> {
+        rows.sort_by_cached_key(std::string::ToString::to_string);
+        if self.final_ops.is_empty() {
+            return rows;
+        }
+        finish_rows(&self.final_ops, &TupleBatch::new(rows))
+    }
+}
+
+/// The `{tag}.win` row of group `g`: its GROUP BY values, then its
+/// aggregates' outputs.
+fn win_row(win_schema: &Arc<Schema>, g: &Group<'_, GroupAgg>) -> Tuple {
+    let finished = g.acc.states.iter().map(AggState::finish);
+    let values: Arc<[Value]> = g.identity.vals.iter().cloned().chain(finished).collect();
+    Tuple::from_schema(Arc::clone(win_schema), values)
 }
 
 /// How a member picks its groups out of an emitted window.
@@ -505,7 +570,7 @@ impl WindowEngine {
     /// Merge a chunk of relayed closed-pane partials into the root store
     /// and return the indices of the rows it refused
     /// ([`PartialCodec::absorb`]).
-    pub fn absorb_partials(&mut self, chunk: &ColumnChunk) -> Vec<u32> {
+    pub fn absorb_panes(&mut self, chunk: &ColumnChunk) -> Vec<u32> {
         self.codec.absorb(chunk, self.state.root_mut())
     }
 
@@ -538,6 +603,9 @@ impl WindowEngine {
             return out;
         }
         self.state.roll_up_local(now);
+        if self.spec.emit_once {
+            return out; // a one-shot root answers once, at its final instant
+        }
         let (members, window) = (&mut self.members, self.spec.window);
         let (index, filed, win_schema) = (&self.index, &mut self.filed, &self.win_schema);
         let retired = self.state.emit_due(now, |wid, groups| {
@@ -546,13 +614,7 @@ impl WindowEngine {
             // shared (a `Tuple` clone is two `Arc` bumps).
             let mut built: Vec<Option<Tuple>> = vec![None; groups.len()];
             let mut row = |i: usize| {
-                let built = built[i].get_or_insert_with(|| {
-                    let g = &groups[i];
-                    let finished = g.acc.states.iter().map(AggState::finish);
-                    let values: Arc<[Value]> =
-                        g.identity.vals.iter().cloned().chain(finished).collect();
-                    Tuple::from_schema(Arc::clone(win_schema), values)
-                });
+                let built = built[i].get_or_insert_with(|| win_row(win_schema, &groups[i]));
                 built.clone()
             };
             // One index probe per group; sorted, each filed member's groups
@@ -568,7 +630,7 @@ impl WindowEngine {
             }
             let mut next = 0;
             for (&query_id, m) in members.iter_mut() {
-                let mut rows: Vec<Tuple> = match &m.derive {
+                let rows: Vec<Tuple> = match &m.derive {
                     Derive::All => (0..groups.len()).map(&mut row).collect(),
                     Derive::Scan(d) => (0..groups.len())
                         .filter(|&i| d.matches(&groups[i].identity.vals))
@@ -587,13 +649,7 @@ impl WindowEngine {
                         filed[run..next].iter().map(|&(_, i)| row(i)).collect()
                     }
                 };
-                // Display order.  Cached keys render each row once, not
-                // twice per comparison.
-                rows.sort_by_cached_key(std::string::ToString::to_string);
-                if !m.final_ops.is_empty() {
-                    rows = finish_rows(&m.final_ops, &TupleBatch::new(rows));
-                }
-                let deltas = m.tracker.emit(wid, rows);
+                let deltas = m.tracker.emit(wid, m.finish(rows));
                 if deltas.is_empty() {
                     continue;
                 }
@@ -624,6 +680,24 @@ impl WindowEngine {
             }
         }
         out
+    }
+
+    /// A one-shot aggregate's answer, at its root: every pane held here —
+    /// this node's own, open or closed, and every relayed one — put
+    /// together, its groups' rows in display order through the member's
+    /// finishers.  The member's proxy and the rows; `None` without a
+    /// member or without a group.
+    pub fn finish(&mut self) -> Option<(NodeAddr, Vec<Tuple>)> {
+        let member = self.members.values().next()?;
+        let win_schema = &self.win_schema;
+        let mut rows = Vec::new();
+        self.state.compose_all(|groups| {
+            rows.extend(groups.iter().map(|g| win_row(win_schema, g)));
+        });
+        if rows.is_empty() {
+            return None;
+        }
+        Some((member.proxy, member.finish(rows)))
     }
 
     // ----- durability -------------------------------------------------------

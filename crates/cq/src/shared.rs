@@ -224,6 +224,19 @@ impl<A: WindowAccumulator> SharedWindowState<A> {
         through
     }
 
+    /// Put every pane held here together — the local store's, open or
+    /// closed, rolled up into the root's first — and lend `visit` the
+    /// groups merged across all of them, in key order: a one-shot
+    /// aggregate's answer at its root, where nothing retires.  `visit` is
+    /// not called when no pane holds a group.
+    pub fn compose_all(&mut self, visit: impl FnOnce(&[Group<'_, A>]))
+    where
+        A: Clone,
+    {
+        self.roll_up_local(SimTime::MAX);
+        self.root.compose_with(0..WindowId::MAX, visit);
+    }
+
     /// Windows kept for late refinement past the newest emitted one (later
     /// partials for them are dropped); the root holds their panes.
     fn retention_windows(&self) -> u64 {

@@ -317,19 +317,9 @@ impl<A: WindowAccumulator> WindowStore<A> {
         win.accs.len() - 1
     }
 
-    /// Merge a relayed partial accumulator for (`id`, `group_key`) into the
-    /// store (the in-network combine step).  Order-insensitive by the
-    /// accumulator contract.  Returns `false` when the window was already
-    /// closed here (the partial is late) or was refused by the budget.
-    pub fn merge_partial(&mut self, id: WindowId, group_key: &str, partial: A) -> bool {
-        if self.closed_through.is_some_and(|c| id <= c) {
-            self.stats.late_tuples += 1;
-            return false;
-        }
-        self.accept_refinement(id, group_key, partial)
-    }
-
-    /// [`WindowStore::refine_with`] for an already-built partial.
+    /// [`WindowStore::refine_with`] for an already-built partial (the
+    /// in-network combine step; order-insensitive by the accumulator
+    /// contract).
     pub fn accept_refinement(&mut self, id: WindowId, group_key: &str, partial: A) -> bool {
         // Exactly one of the two closures runs; the cell lets either take
         // the partial.
@@ -787,7 +777,7 @@ mod tests {
     }
 
     #[test]
-    fn merge_partial_is_order_insensitive() {
+    fn refinements_merge_order_insensitively() {
         let spec = WindowSpec::sliding(20, 10);
         let parts = [
             (3u64, "a", Count(5)),
@@ -798,10 +788,10 @@ mod tests {
         let mut fwd = store(spec, CqBudget::default());
         let mut rev = store(spec, CqBudget::default());
         for (id, g, c) in &parts {
-            fwd.merge_partial(*id, g, c.clone());
+            fwd.accept_refinement(*id, g, c.clone());
         }
         for (id, g, c) in parts.iter().rev() {
-            rev.merge_partial(*id, g, c.clone());
+            rev.accept_refinement(*id, g, c.clone());
         }
         let norm = |mut v: Vec<(WindowId, Vec<(String, Count)>)>| {
             for (_, groups) in &mut v {
@@ -843,11 +833,10 @@ mod tests {
         // (the next close drains it again) ...
         assert!(refine(&mut s, 0, "a", 1) && refine(&mut s, 0, "b", 1));
         assert_eq!(s.close_due(60)[0].1.len(), 2);
-        // ... but not for `merge_partial`, and not once retired.
-        assert!(!s.merge_partial(0, "a", Count(1)));
+        // ... but not once retired.
         s.retire_before(1);
         assert!(!refine(&mut s, 0, "a", 1));
-        assert_eq!(s.stats().late_tuples, 2);
+        assert_eq!(s.stats().late_tuples, 1);
         assert_eq!(built.get(), 3);
         assert_eq!(s.open_windows(), 0);
     }

@@ -72,6 +72,8 @@ fn engine_spec(c: &ShareCandidate) -> EngineSpec {
         time_col: c.time_col.clone(),
         min_lifetime: 0,
         names: GROUP_NAMES,
+        emit_once: false,
+        flat: false,
     }
 }
 
@@ -404,7 +406,7 @@ mod tests {
         );
         // The root absorbs the relayed partials and derives per-member
         // results from them.
-        assert!(root_engine.absorb_partials(&partials).is_empty());
+        assert!(root_engine.absorb_panes(&partials).is_empty());
         let out = root_engine.tick(120_000_000, true);
         assert!(out.emissions.iter().any(|e| e.query_id == 1));
         assert!(out.emissions.iter().any(|e| e.query_id == 2));

@@ -173,7 +173,7 @@ fn filled_to_the_cap(
         root.absorb(&batch.chunks()[0], None, (20 + w) * 1_000_000);
     }
     let relayed = relay.tick(60_000_000, false).partials.expect("partials");
-    assert!(root.absorb_partials(&relayed).is_empty());
+    assert!(root.absorb_panes(&relayed).is_empty());
     (report, root.occupancy())
 }
 

@@ -13,17 +13,18 @@
 //!   completion joins every probe row that waited for it and reaches the
 //!   proxy as one batch under the join's output table, and a query torn down
 //!   with fetches in flight leaves nothing behind;
-//! * one-shot aggregation wired by hand — leaf → relay → root — gives the
-//!   rows of one `GroupBy` over everything, flat or hierarchical, and a
-//!   flush re-sends nothing.
+//! * a one-shot aggregate's engine wired by hand — leaf → relay → root —
+//!   answers with the rows of one `GroupBy` over everything, on the answer
+//!   columns, flat or hierarchical, and a tick re-sends nothing.
 
 mod common;
 
 use common::seeded;
 use pier::dht::{make_ring_refs, NodeRef, Overlay, OverlayConfig, OverlayEffect, OverlayEvent};
 use pier::qp::{
-    AggFunc, ExecOut, GraphExec, GroupBy, LocalOperator, OpGraph, OperatorSpec, PierConfig,
-    PlanBuilder, QpObject, QueryPlan, SinkSpec, SourceSpec, Telemetry, Tuple, TupleBatch, Value,
+    AggFunc, EngineSpec, ExecOut, GraphExec, GroupBy, LocalOperator, OpGraph, OperatorSpec,
+    PierConfig, PlanBuilder, QpObject, QueryPlan, SinkSpec, SourceSpec, Telemetry, Tuple,
+    TupleBatch, Value, WindowEngine, WindowSpec,
 };
 use pier::runtime::{NodeAddr, Rng64};
 use proptest::prelude::*;
@@ -329,14 +330,18 @@ fn fetch_matches_probes_once_per_distinct_key_and_forgets_a_torn_down_query() {
     }
 }
 
-/// The partials a non-root flush shipped: on a ring of one every transfer
-/// lands where it was sent from, as `newData`.
-fn shipped(effects: Vec<OverlayEffect<QpObject>>) -> Vec<Tuple> {
-    let payload = |effect: OverlayEffect<QpObject>| match effect {
-        OverlayEffect::Event(OverlayEvent::NewData { object, .. }) => object.value.into_tuples(),
-        other => panic!("a partial shipment, not {other:?}"),
+/// `rows` on the answer columns — the GROUP BY column, then every
+/// aggregate's output — sorted.
+fn answer_columns(rows: &[Tuple], aggs: &[AggFunc]) -> Vec<String> {
+    let mut columns = vec!["k".to_string()];
+    columns.extend(aggs.iter().map(AggFunc::output_column));
+    let render = |t: &Tuple| -> Vec<String> {
+        let cell = |c: &String| t.get(c).map_or("-".to_string(), Value::to_string);
+        columns.iter().map(cell).collect()
     };
-    effects.into_iter().flat_map(payload).collect()
+    let mut out: Vec<String> = rows.iter().map(|t| render(t).join(" ")).collect();
+    out.sort();
+    out
 }
 
 #[test]
@@ -359,71 +364,90 @@ fn one_shot_aggregation_by_hand_equals_one_group_by() {
     for rows in [&leaf_rows, &relay_rows, &root_rows] {
         oracle.push_batch(&TupleBatch::new(rows.clone()));
     }
-    let mut expected: Vec<String> = oracle.flush().iter().map(Tuple::to_string).collect();
-    expected.sort();
+    let expected = answer_columns(&oracle.flush(), &aggs);
 
+    const HOLD: u64 = 2_000_000;
     for flat in [false, true] {
         let sink = SinkSpec::HierarchicalAgg {
             group_cols: group_cols.clone(),
             aggs: aggs.clone(),
-            hold: 2_000_000,
+            hold: HOLD,
             final_ops: Vec::new(),
             flat,
         };
         let plan = plan("readings", Vec::new(), sink);
+        let (graph, spec, member) = EngineSpec::unshared(&plan).expect("an aggregating sink");
+        assert_eq!(graph, 0);
+        assert_eq!(spec.window, WindowSpec::tumbling(HOLD), "panes of the hold");
+        assert!(spec.emit_once);
+        assert_eq!(spec.flat, flat);
         let config = PierConfig::default();
-        let site = || (installed(&config, plan.clone()), ring_of(1, 1).remove(0));
+        let site = || {
+            let mut engine = WindowEngine::new(spec.clone());
+            engine.add_member(QUERY, member.clone(), false, NOW);
+            (installed(&config, plan.clone()), engine)
+        };
         let [mut leaf, mut relay, mut root] = [site(), site(), site()];
+        let mut overlay = ring_of(1, 1).remove(0);
         let mut rng = Rng64::new(seeded(4));
-        let mut feed = |(exec, overlay): &mut (GraphExec, Overlay<QpObject>), rows: &[Tuple]| {
+        // The pipeline's survivors go to the engine; nothing leaves.
+        let mut feed = |(exec, engine): &mut (GraphExec, WindowEngine), rows: &[Tuple]| {
             let batch = TupleBatch::new(rows.to_vec());
-            let out = exec.feed((QUERY, 0), &batch, NOW, None, overlay, &mut rng);
+            let out = exec.feed(
+                (QUERY, 0),
+                &batch,
+                NOW,
+                Some(engine),
+                &mut overlay,
+                &mut rng,
+            );
             assert!(out.effects.is_empty() && out.results.is_empty());
         };
         feed(&mut leaf, &leaf_rows);
         feed(&mut relay, &relay_rows);
         feed(&mut root, &root_rows);
-        assert!(leaf
-            .0
-            .agg_tree(QUERY)
-            .is_some_and(|(_, hold)| hold == 2_000_000));
 
-        // The leaf's flush leaves for the root; a second one has nothing.
-        let mut rng = Rng64::new(seeded(5));
-        let mut flush = |(exec, overlay): &mut (GraphExec, Overlay<QpObject>)| {
-            let out = exec.agg_flush(QUERY, false, false, NOW, overlay, &mut rng);
-            assert!(out.results.is_empty());
-            shipped(out.effects)
+        // The leaf's pane closes at the tick after it ends and ships once.
+        let tick = |engine: &mut WindowEngine, at: u64| {
+            let out = engine.tick(at, false);
+            assert!(out.emissions.is_empty());
+            out.partials
         };
-        let from_leaf = flush(&mut leaf);
-        assert!(!from_leaf.is_empty());
-        assert!(flush(&mut leaf).is_empty(), "a flush re-sends nothing");
-        let at_root: Vec<Tuple> = if flat {
+        let from_leaf = tick(&mut leaf.1, HOLD).expect("the leaf's pane");
+        assert!(
+            tick(&mut leaf.1, 2 * HOLD).is_none(),
+            "a tick re-sends nothing"
+        );
+        let at_root = if flat {
             // Straight to the root, from both.
-            from_leaf.into_iter().chain(flush(&mut relay)).collect()
+            vec![
+                from_leaf,
+                tick(&mut relay.1, HOLD).expect("the relay's pane"),
+            ]
         } else {
-            // Hop by hop: the relay folds the leaf's partials into its own
-            // at the upcall and forwards one combined set.
-            for partial in &from_leaf {
-                assert!(relay.0.absorb_partial(QUERY, partial));
-            }
-            let combined = flush(&mut relay);
-            assert!(combined.len() <= 5, "one partial per group");
-            combined
+            // Hop by hop: the relay folds the leaf's pane in at the upcall,
+            // ships its own pane when it closes and the relayed one a hold
+            // later, one partial per group each.
+            assert!(relay.1.absorb_panes(&from_leaf).is_empty());
+            let own = tick(&mut relay.1, HOLD).expect("the relay's pane");
+            let relayed = tick(&mut relay.1, 2 * HOLD).expect("the relayed pane");
+            assert!(own.rows() <= 5 && relayed.rows() <= 5);
+            vec![own, relayed]
         };
-        root.0.merge_partials(QUERY, at_root.into_iter());
+        let (_, engine) = &mut root;
+        for chunk in &at_root {
+            assert!(engine.absorb_panes(chunk).is_empty());
+        }
 
-        // The root merges its own rows on a periodic flush, sends nothing,
-        // and its final flush emits the answer once.
-        let (exec, overlay) = &mut root;
-        let periodic = exec.agg_flush(QUERY, false, true, NOW, overlay, &mut rng);
-        assert!(periodic.effects.is_empty() && periodic.results.is_empty());
-        let last = exec.agg_flush(QUERY, true, true, NOW, overlay, &mut rng);
-        assert!(last.effects.is_empty());
-        let mut rows = result_rows(&[last]);
-        rows.sort();
-        assert_eq!(rows, expected, "flat = {flat}");
-        let again = exec.agg_flush(QUERY, true, true, NOW, overlay, &mut rng);
-        assert!(again.results.is_empty() && again.effects.is_empty());
+        // The root's ticks only roll its own pane up; its answer is every
+        // pane it holds, shaped as the windowed rows.
+        for at in [HOLD, 2 * HOLD] {
+            let out = engine.tick(at, true);
+            assert!(out.partials.is_none() && out.emissions.is_empty());
+        }
+        let (proxy, rows) = engine.finish().expect("an answer");
+        assert_eq!(proxy, PROXY);
+        assert!(rows.iter().all(|t| t.table() == format!("q{QUERY}.win")));
+        assert_eq!(answer_columns(&rows, &aggs), expected, "flat = {flat}");
     }
 }

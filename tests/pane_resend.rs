@@ -3,12 +3,14 @@
 //! the windows over it latency, not rows.  A shipment delivered twice is
 //! absorbed once.
 //!
-//! Both runs stream a known count per window through a 2 s / 1 s
+//! The runs stream a known count per window through a 2 s / 1 s
 //! `COUNT(*)` on eight nodes and compare every window the stream spans
-//! with what was generated, exactly.
+//! with what was generated, exactly; a one-shot `COUNT(*)` over the same
+//! stream, whose panes climb the same way, must count every row.
 
+use pier::dht::routing_id;
 use pier::harness::{Cluster, ClusterConfig};
-use pier::qp::{sqlish, PierOut, TelemetryConfig, Tuple, Value, WindowSpec};
+use pier::qp::{sqlish, EngineSpec, PierOut, TelemetryConfig, Tuple, Value, WindowSpec};
 use pier::runtime::sim::FaultPlan;
 use pier::runtime::{NodeAddr, SimTime};
 use std::collections::BTreeMap;
@@ -19,8 +21,32 @@ use common::seeded;
 const SEC: u64 = 1_000_000;
 const NODES: usize = 8;
 
-/// Per-window totals: `(start, end) → count`.
+/// Per-window totals: `(start, end) → count`; a one-shot answer is the
+/// one window the whole stream spans.
 type Totals = BTreeMap<(SimTime, SimTime), i64>;
+
+/// A query the stream runs through, and how long to let it settle once
+/// the stream stops.
+struct Query {
+    sql: &'static str,
+    timeout: SimTime,
+    settle: SimTime,
+}
+
+/// The standing 2 s / 1 s netmon query.
+const NETMON: Query = Query {
+    sql: "SELECT src, COUNT(*) FROM packets GROUP BY src WINDOW 2s SLIDE 1s",
+    timeout: 60 * SEC,
+    settle: 12 * SEC,
+};
+
+/// A one-shot count over the whole stream: panes of a 2 s hold, answered
+/// once, 28 s after it was submitted.
+const ONE_SHOT: Query = Query {
+    sql: "SELECT src, COUNT(*) FROM packets GROUP BY src",
+    timeout: 30 * SEC,
+    settle: 20 * SEC,
+};
 
 /// What a run delivered at the proxy and what it generated, over the
 /// windows inside the stream; and the cluster-wide `cq.panes.*` sums
@@ -31,29 +57,43 @@ struct Run {
     repair: (u64, u64, u64),
 }
 
-/// Stream 12 s of rows into a netmon query proxied at node 0; `faults`
-/// picks, once 4 s of stream have flowed, a fault plan from the stream's
-/// start instant and a bystander: the highest-indexed node that is neither
-/// the proxy nor the window root.
-fn run(seed: u64, faults: impl FnOnce(SimTime, NodeAddr) -> FaultPlan) -> Run {
+/// Stream 12 s of rows into `q` proxied at node 0; `faults` picks, once 4 s
+/// of stream have flowed, a fault plan from the stream's start instant and
+/// a bystander: the highest-indexed node that is neither the proxy nor the
+/// query's root.
+fn run(seed: u64, q: &Query, faults: impl FnOnce(SimTime, NodeAddr) -> FaultPlan) -> Run {
     let cfg = ClusterConfig::lan(NODES, seed).with_telemetry(TelemetryConfig {
         enabled: true,
         ..TelemetryConfig::default()
     });
     let mut cluster = Cluster::start(&cfg);
     let proxy = cluster.addr(0);
-    let sql = "SELECT src, COUNT(*) FROM packets GROUP BY src WINDOW 2s SLIDE 1s";
-    let plan = sqlish::compile(sql, proxy, 60 * SEC).expect("netmon compiles");
+    let mut plan = sqlish::compile(q.sql, proxy, q.timeout).expect("the query compiles");
+    let windowed = plan.windowed_sink().is_some();
+    let submitted = plan.clone();
     let mut query = 0;
     cluster
         .sim
-        .invoke(proxy, |node, ctx| query = node.submit_query(ctx, plan));
+        .invoke(proxy, |node, ctx| query = node.submit_query(ctx, submitted));
     cluster.settle(SEC);
     let _ = cluster.sim.drain_outputs();
+    // The root is where the engine's partials are routed to.
+    plan.query_id = query;
+    let (_, engine, _) = EngineSpec::unshared(&plan).expect("an aggregate");
+    let root_id = routing_id(&engine.namespace, &engine.root_key);
 
     let spec = WindowSpec::sliding(2 * SEC, SEC);
     let begin = cluster.sim.now();
     let end = begin + 12 * SEC;
+    let windows = |at: SimTime| -> Vec<(SimTime, SimTime)> {
+        match windowed {
+            true => spec
+                .windows_containing(at)
+                .map(|w| spec.bounds(w))
+                .collect(),
+            false => vec![(begin, end)],
+        }
+    };
     let mut generated = Totals::new();
     let mut faults = Some(faults);
     let mut row = 0i64;
@@ -63,10 +103,9 @@ fn run(seed: u64, faults: impl FnOnce(SimTime, NodeAddr) -> FaultPlan) -> Run {
             if let Some(faults) = faults.take() {
                 let root = (0..NODES).find(|&i| {
                     let node = cluster.sim.node(cluster.addr(i));
-                    let diag = node.and_then(|n| n.cq_diagnostics(query));
-                    diag.is_some_and(|d| d.windows_emitted > 0)
+                    node.is_some_and(|n| n.overlay().router().is_responsible(root_id))
                 });
-                let root = root.expect("a root has emitted by now");
+                let root = root.expect("a node is the root");
                 let bystander = (1..NODES).rev().find(|&i| i != root);
                 let bystander = cluster.addr(bystander.expect("eight nodes"));
                 cluster.sim.set_fault_plan(faults(begin, bystander));
@@ -82,8 +121,8 @@ fn run(seed: u64, faults: impl FnOnce(SimTime, NodeAddr) -> FaultPlan) -> Run {
                         ("ts", Value::Int(now as i64)),
                     ],
                 );
-                for w in spec.windows_containing(now) {
-                    *generated.entry(spec.bounds(w)).or_default() += 1;
+                for w in windows(now) {
+                    *generated.entry(w).or_default() += 1;
                 }
                 cluster.sim.invoke(cluster.addr(i), move |node, ctx| {
                     node.ingest(ctx, "packets", tuple);
@@ -92,20 +131,21 @@ fn run(seed: u64, faults: impl FnOnce(SimTime, NodeAddr) -> FaultPlan) -> Run {
         }
         cluster.sim.run_for(SEC / 4);
     }
-    cluster.sim.run_for(12 * SEC);
+    cluster.sim.run_for(q.settle);
 
     // The proxy's view: the latest row per (window, source).
     let mut latest: BTreeMap<((SimTime, SimTime), String), i64> = BTreeMap::new();
     for out in cluster.sim.drain_outputs() {
-        let PierOut::WindowResult {
-            query_id,
-            window_start,
-            window_end,
-            retract,
-            tuple,
-        } = out.value
-        else {
-            continue;
+        let (query_id, window_start, window_end, retract, tuple) = match out.value {
+            PierOut::WindowResult {
+                query_id,
+                window_start,
+                window_end,
+                retract,
+                tuple,
+            } => (query_id, window_start, window_end, retract, tuple),
+            PierOut::Result { query_id, tuple } => (query_id, begin, end, false, tuple),
+            _ => continue,
         };
         if query_id != query || out.node != proxy {
             continue;
@@ -146,13 +186,13 @@ fn run(seed: u64, faults: impl FnOnce(SimTime, NodeAddr) -> FaultPlan) -> Run {
 #[test]
 fn a_cut_shorter_than_retention_costs_no_rows() {
     let seed = seeded(61);
-    let clean = run(seed, |_, _| FaultPlan::new(seed));
+    let clean = run(seed, &NETMON, |_, _| FaultPlan::new(seed));
     assert_eq!(clean.delivered, clean.generated, "a clean run is exact");
     assert_eq!(clean.repair, (0, 0, 0), "and asks for nothing");
 
     // One relay or leaf is cut away for a second and a half: every pane
     // shipment to and from it in that time is dropped.
-    let cut = run(seed, |begin, bystander| {
+    let cut = run(seed, &NETMON, |begin, bystander| {
         let at = begin + 5 * SEC + SEC / 10;
         FaultPlan::new(seed).with_partition(at, at + 3 * SEC / 2, vec![bystander])
     });
@@ -165,9 +205,30 @@ fn a_cut_shorter_than_retention_costs_no_rows() {
 fn a_pane_shipment_delivered_twice_is_absorbed_once() {
     let seed = seeded(62);
     // Every message of six seconds is delivered twice.
-    let doubled = run(seed, |begin, _| {
+    let doubled = run(seed, &NETMON, |begin, _| {
         FaultPlan::new(seed).with_duplication(begin + 4 * SEC, begin + 10 * SEC, 1.0)
     });
     assert!(doubled.repair.2 > 0, "copies arrived and were dropped");
     assert_eq!(doubled.delivered, doubled.generated);
+}
+
+#[test]
+fn a_one_shot_aggregate_asks_for_a_lost_pane_shipment_again() {
+    let seed = seeded(63);
+    let clean = run(seed, &ONE_SHOT, |_, _| FaultPlan::new(seed));
+    assert_eq!(
+        clean.delivered, clean.generated,
+        "a clean run counts every row"
+    );
+    assert_eq!(clean.repair, (0, 0, 0), "and asks for nothing");
+
+    // One relay or leaf is cut away for one hold: exactly one of its own
+    // pane shipments, and whatever its children send it then, is dropped.
+    let cut = run(seed, &ONE_SHOT, |begin, bystander| {
+        let at = begin + 5 * SEC + SEC / 10;
+        FaultPlan::new(seed).with_partition(at, at + 2 * SEC, vec![bystander])
+    });
+    let (asked, resent, _) = cut.repair;
+    assert!(asked > 0 && resent > 0, "the cut is noticed and repaired");
+    assert_eq!(cut.delivered, cut.generated, "every row is counted");
 }

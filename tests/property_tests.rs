@@ -10,10 +10,11 @@ use pier::dht::id::Id;
 use pier::dht::{ObjectManager, ObjectName};
 use pier::pht::{MemoryStore, Pht};
 use pier::qp::{
-    nested_loop_join, AggFunc, BloomFilter, GroupBy, JoinSide, LocalOperator, SymmetricHashJoin,
-    Tuple, TupleBatch, Value,
+    nested_loop_join, AggFunc, AggState, BloomFilter, GroupAgg, GroupBy, JoinSide, LocalOperator,
+    PartialCodec, SymmetricHashJoin, Tuple, TupleBatch, Value, ValueRef,
 };
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 /// The piece lengths a drawn partition cuts its input at: empty pieces,
 /// single rows, and the lengths around the eddy's re-draw stride (32) and
@@ -146,40 +147,60 @@ proptest! {
     }
 
     /// Merging per-partition partial aggregates equals aggregating all the
-    /// data at one site, however the data is partitioned (the invariant that
-    /// makes hierarchical aggregation correct).
+    /// data at one site, however the data is partitioned and in whichever
+    /// order the partitions arrive (the invariant that makes hierarchical
+    /// aggregation correct): each partition is one pane chunk a
+    /// `PartialCodec` encodes, and the root absorbs them into its store.
     #[test]
     fn partial_aggregate_merge_is_partition_invariant(
         values in proptest::collection::vec((0i64..5, -100i64..100), 1..60),
         split in 1usize..4,
+        reversed in any::<bool>(),
     ) {
-        let mk = || GroupBy::new(vec!["g".into()], vec![AggFunc::Count, AggFunc::Sum("v".into()), AggFunc::Avg("v".into())], "out");
-        let mut reference = mk();
-        let mut partials: Vec<GroupBy> = (0..split).map(|_| mk()).collect();
+        let aggs = vec![AggFunc::Count, AggFunc::Sum("v".into()), AggFunc::Avg("v".into())];
+        let mut reference = GroupBy::new(vec!["g".into()], aggs.clone(), "out");
+        let mut parts: Vec<BTreeMap<i64, Vec<AggState>>> = vec![BTreeMap::new(); split];
         for (i, (g, v)) in values.iter().enumerate() {
             let t = TupleBatch::new(vec![Tuple::new(
                 "t",
                 vec![("g", Value::Int(*g)), ("v", Value::Int(*v))],
             )]);
             reference.push_batch(&t);
-            partials[i % split].push_batch(&t);
+            let init = || aggs.iter().map(AggFunc::init).collect();
+            let states = parts[i % split].entry(*g).or_insert_with(init);
+            for (agg, state) in aggs.iter().zip(states) {
+                state.update_ref(agg, Some(ValueRef::Int(*v)));
+            }
         }
-        let mut root = mk();
-        for p in &mut partials {
-            for partial in p.flush() {
-                root.merge_partial(&partial);
+        if reversed {
+            parts.reverse();
+        }
+        let mut codec = PartialCodec::new("out.wp".into(), vec!["g".into()], aggs.clone());
+        let mut root = WindowStore::new(WindowSpec::tumbling(10), CqBudget::default());
+        for part in &parts {
+            let mut pane = codec.encoder();
+            for (g, states) in part {
+                pane.push(0, &[Value::Int(*g)], states);
+            }
+            if let Some(chunk) = pane.finish() {
+                prop_assert!(codec.absorb(&chunk, &mut root).is_empty());
             }
         }
         let mut expect = reference.flush();
-        let mut got = root.flush();
         let key = |t: &Tuple| t.get("g").unwrap().key_string();
         expect.sort_by_key(key);
-        got.sort_by_key(key);
-        prop_assert_eq!(expect.len(), got.len());
-        for (a, b) in expect.iter().zip(&got) {
-            prop_assert_eq!(a.get("count"), b.get("count"));
-            prop_assert_eq!(a.get("sum_v"), b.get("sum_v"));
-            prop_assert_eq!(a.get("avg_v"), b.get("avg_v"));
+        let merged: Vec<GroupAgg> = root
+            .close_due(u64::MAX)
+            .into_iter()
+            .flat_map(|(_, groups)| groups.into_iter().map(|(_, acc)| acc))
+            .collect();
+        prop_assert_eq!(expect.len(), merged.len());
+        for (a, b) in expect.iter().zip(&merged) {
+            prop_assert_eq!(a.get("g"), b.vals.first());
+            let finished: Vec<Value> = b.states.iter().map(AggState::finish).collect();
+            prop_assert_eq!(a.get("count"), finished.first());
+            prop_assert_eq!(a.get("sum_v"), finished.get(1));
+            prop_assert_eq!(a.get("avg_v"), finished.get(2));
         }
     }
 
@@ -215,7 +236,7 @@ proptest! {
         let run = |items: &[(u64, u64, i64)]| {
             let mut store: WindowStore<PSum> = WindowStore::new(spec, CqBudget::default());
             for (wid, group, v) in items {
-                store.merge_partial(*wid, &format!("g{group}"), PSum(*v));
+                store.accept_refinement(*wid, &format!("g{group}"), PSum(*v));
             }
             let mut closed = store.close_due(10_000);
             for (_, groups) in &mut closed {

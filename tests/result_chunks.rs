@@ -705,6 +705,8 @@ fn one_message_mixes_a_deltas_a_snapshot_and_a_top_k_member() {
         time_col: Some("ts".to_string()),
         min_lifetime: 0,
         names: QUERY_NAMES,
+        emit_once: false,
+        flat: false,
     });
     let member = |derive: Option<Expr>, delta, final_ops| MemberSpec {
         derive,
@@ -742,7 +744,7 @@ fn one_message_mixes_a_deltas_a_snapshot_and_a_top_k_member() {
     let mut relay = WindowEngine::new(root.spec().clone());
     relay.absorb(&packets(&[(2, 50, 40)]).chunks()[0], None, 0);
     let late = relay.tick(10 * SEC, false).partials.expect("relay ships");
-    assert!(root.absorb_partials(&late).is_empty());
+    assert!(root.absorb_panes(&late).is_empty());
     let emissions = root.tick(11 * SEC, true).emissions;
     assert_eq!(emissions.len(), 3, "every member's answer changed");
 

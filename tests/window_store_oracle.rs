@@ -132,14 +132,6 @@ impl<A: WindowAccumulator + SegmentCodec + Clone> RefStore<A> {
         }
     }
 
-    fn merge_partial(&mut self, id: WindowId, group_key: &str, partial: A) -> bool {
-        if self.closed_through.is_some_and(|c| id <= c) {
-            self.stats.late_tuples += 1;
-            return false;
-        }
-        self.accept_refinement(id, group_key, partial)
-    }
-
     fn accept_refinement(&mut self, id: WindowId, group_key: &str, partial: A) -> bool {
         if self.retired_through.is_some_and(|r| id <= r) {
             self.stats.late_tuples += 1;
@@ -513,15 +505,7 @@ impl<A: Build> Pair<A> {
                 self.old.push(t, &key, dedup.as_deref(), init, |a| a.add(v));
                 self.check("push");
             }
-            7 | 8 => {
-                let (a, b) = (
-                    self.new.merge_partial(wid, &key, A::build(&key, v)),
-                    self.old.merge_partial(wid, &key, A::build(&key, v)),
-                );
-                assert_eq!(a, b, "merge_partial accepted");
-                self.check("merge_partial");
-            }
-            9 | 10 => {
+            7..=10 => {
                 let (a, b) = (
                     self.new.accept_refinement(wid, &key, A::build(&key, v)),
                     self.old.accept_refinement(wid, &key, A::build(&key, v)),
