@@ -470,6 +470,21 @@ mod tests {
     }
 
     #[test]
+    fn compose_all_merges_every_pane_held_open_ones_included() {
+        let mut s = shared();
+        s.fold_local(3, "a", |_| Count(0), |c| c.0 += 1);
+        s.roll_up_local(10); // pane 0 closes here and rolls up
+        s.fold_local(15, "a", |_| Count(0), |c| c.0 += 1); // still open
+        s.fold_local(16, "b", |_| Count(0), |c| c.0 += 1);
+        s.root_mut().accept_refinement(4, "a", Count(5)); // relayed
+        let mut out = Vec::new();
+        s.compose_all(|groups| {
+            out.extend(groups.iter().map(|g| (g.key.to_string(), g.acc.0)));
+        });
+        assert_eq!(out, [("a".to_string(), 7), ("b".to_string(), 1)]);
+    }
+
+    #[test]
     fn both_stores_persist_and_rehydrate_through_their_own_logs() {
         let mut s = shared();
         s.fold_local(3, "g1", |_| Count(0), |c| c.0 += 1);

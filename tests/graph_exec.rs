@@ -451,3 +451,32 @@ fn one_shot_aggregation_by_hand_equals_one_group_by() {
         assert_eq!(answer_columns(&rows, &aggs), expected, "flat = {flat}");
     }
 }
+
+#[test]
+fn a_one_shot_root_keeps_a_pane_per_hold_of_the_query_s_life() {
+    // Five minutes of one row per 2 s pane: more panes than a windowed
+    // query's default budget keeps open, all of them at the root.
+    const HOLD: u64 = 2_000_000;
+    const PANES: u64 = 140;
+    let sink = SinkSpec::HierarchicalAgg {
+        group_cols: vec!["k".to_string()],
+        aggs: vec![AggFunc::Count],
+        hold: HOLD,
+        final_ops: Vec::new(),
+        flat: false,
+    };
+    let mut plan = plan("readings", Vec::new(), sink);
+    plan.timeout = 300_000_000;
+    let (_, spec, member) = EngineSpec::unshared(&plan).expect("an aggregating sink");
+    let mut root = WindowEngine::new(spec);
+    root.add_member(QUERY, member, false, NOW);
+    let row = TupleBatch::new(rows_of("readings", &[(1, 0)]));
+    for pane in 0..PANES {
+        root.absorb(&row.chunks()[0], None, pane * HOLD);
+        let out = root.tick((pane + 1) * HOLD, true);
+        assert!(out.partials.is_none() && out.emissions.is_empty());
+    }
+    let (_, rows) = root.finish().expect("an answer");
+    assert_eq!(rows.len(), 1);
+    assert_eq!(rows[0].get("count"), Some(&Value::Int(PANES as i64)));
+}
