@@ -10,7 +10,7 @@
 
 use pier_core::admission::EnvModel;
 use pier_core::expr::{CmpOp, Expr};
-use pier_core::plan::{Dissemination, OpGraph, OperatorSpec, QueryPlan, SinkSpec};
+use pier_core::plan::{one_shot_panes, Dissemination, OpGraph, OperatorSpec, QueryPlan, SinkSpec};
 use std::collections::BTreeSet;
 
 /// Whether a query's resource usage is provably finite, and on what grounds.
@@ -370,7 +370,10 @@ pub fn analyze(plan: &QueryPlan, env: &EnvModel) -> CostReport {
                 root_fan_in = root_fan_in.max(nodes_reached);
             }
             SinkSpec::HierarchicalAgg {
-                group_cols, aggs, ..
+                group_cols,
+                aggs,
+                hold,
+                ..
             } => {
                 let rows = env.table_rows_per_node.max(1);
                 rows_per_window_per_node = rows_per_window_per_node.max(rows);
@@ -387,7 +390,13 @@ pub fn analyze(plan: &QueryPlan, env: &EnvModel) -> CostReport {
                         .bytes_per_value
                         .saturating_mul(group_cols.len() as u64 + 1)
                     + AGG_STATE_BYTES.saturating_mul(aggs.len().max(1) as u64);
-                state_bytes_per_node = state_bytes_per_node.max(groups.saturating_mul(group_bytes));
+                // State: a one-shot aggregate runs in a window engine over
+                // panes of its hold, so it is priced like a window — both
+                // stores, every pane of the query's life open, each holding
+                // every group.
+                let open = u64::from(one_shot_panes(plan.timeout, *hold));
+                let per_pane = groups.saturating_mul(group_bytes) + WINDOW_OVERHEAD;
+                state_bytes_per_node = state_bytes_per_node.max(2 * open.saturating_mul(per_pane));
                 entries_per_flush_per_node = entries_per_flush_per_node.max(groups);
                 root_fan_in = root_fan_in.max(nodes_reached);
                 conditional = true;

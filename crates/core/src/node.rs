@@ -1156,9 +1156,10 @@ impl PierNode {
             return self.exec.plan(query_id).is_some();
         };
         let slot = self.engines.get_mut(key);
-        if let Some(lease) = slot.and_then(|s| s.engine.lease_mut(query_id)) {
-            lease.renew(now);
-        }
+        let Some(lease) = slot.and_then(|s| s.engine.lease_mut(query_id)) else {
+            return true; // a one-shot aggregate's engine: no lease to renew
+        };
+        lease.renew(now);
         self.tel.inc("cq.lease_renewals");
         self.tel
             .event("lease_renew", || vec![("query_id", query_id.to_string())]);

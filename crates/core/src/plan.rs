@@ -541,12 +541,21 @@ impl WireSize for QpObject {
 }
 
 /// How long a one-shot aggregate's nodes hold partials before shipping
-/// them up the tree: 2 s, or an eighth of a shorter `timeout`.  Partials
-/// climb one hold per hop and the root answers one hold before the
-/// timeout, so a tree up to seven hops deep is heard in full at any
-/// timeout.
+/// them up the tree: 2 s, or a ninth of a shorter `timeout`.  A leaf ships
+/// its pane when the pane closes, within a hold of install; a relay ships
+/// what it absorbed one hold after its own pane, so hop `k` ships by
+/// `k + 1` holds; the root answers one hold before the timeout.  A tree
+/// up to seven hops deep is thus heard in full at any timeout.
 pub fn aggregation_hold(timeout: Duration) -> Duration {
-    (timeout / 8).clamp(1, 2_000_000)
+    (timeout / 9).clamp(1, 2_000_000)
+}
+
+/// Panes a one-shot aggregate's engine keeps open per store: one per
+/// `hold` of its `timeout`, plus the one its install falls part-way into.
+/// The engine's open-pane cap and `pier-analyze`'s state bound both use it.
+pub fn one_shot_panes(timeout: Duration, hold: Duration) -> u32 {
+    let panes = timeout.div_ceil(hold.max(1)).saturating_add(1);
+    u32::try_from(panes).unwrap_or(u32::MAX)
 }
 
 /// A convenience builder for the common single-table aggregation / selection

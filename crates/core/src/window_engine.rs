@@ -17,7 +17,9 @@
 //! panes of its hold whose root puts no window together: its panes climb
 //! the tree and combine en route like any other, the root only rolls them
 //! up, and at the query's final instant [`WindowEngine::finish`] puts
-//! every pane it holds together into the one answer.
+//! every pane it holds together into the one answer.  That answer is
+//! exact: its budget caps no group or row, only the open panes, at a pane
+//! per hold of the query's life.
 //!
 //! The engine is a plain struct: chunks and instants in, partial chunks and
 //! [`Emission`]s out.  It sends nothing and arms no timer; the node
@@ -41,7 +43,7 @@
 use crate::aggregate::{AggFunc, AggState};
 use crate::expr::{CmpOp, CompiledExpr, Expr};
 use crate::partial::{GroupAgg, PartialCodec};
-use crate::plan::{finish_rows, OperatorSpec, QueryPlan, SinkSpec};
+use crate::plan::{finish_rows, one_shot_panes, OperatorSpec, QueryPlan, SinkSpec};
 use crate::tuple::{
     ColumnChunk, ColumnRef, ColumnResolver, Schema, SchemaRegistry, Tuple, TupleBatch,
 };
@@ -132,47 +134,53 @@ impl EngineSpec {
     /// The one-member engine of an unshared plan's first aggregating sink:
     /// the index of the opgraph that feeds it, its spec and its sole
     /// member.  A one-shot aggregate's engine tumbles by its hold, keeps a
-    /// pane per hold of the query's life, and ships under `q{id}.partials`,
-    /// which names its root.
+    /// pane per hold of the query's life, sheds no group or row, and ships
+    /// under `q{id}.partials`, which names its root.
     pub fn unshared(plan: &QueryPlan) -> Option<(usize, EngineSpec, MemberSpec)> {
         let (graph_idx, graph) =
             (plan.opgraphs.iter().enumerate()).find(|(_, g)| g.sink.aggregates())?;
-        let (window, time_col, delta, once) = match &graph.sink {
+        let (window, time_col, delta, once, group_cols, aggs, final_ops) = match &graph.sink {
             SinkSpec::WindowedAgg {
                 window,
+                group_cols,
+                aggs,
                 time_col,
                 delta,
-                ..
-            } => (*window, time_col.clone(), *delta, None),
-            SinkSpec::HierarchicalAgg { hold, flat, .. } => (
+                final_ops,
+            } => (
+                *window,
+                time_col.clone(),
+                *delta,
+                None,
+                group_cols,
+                aggs,
+                final_ops,
+            ),
+            SinkSpec::HierarchicalAgg {
+                group_cols,
+                aggs,
+                hold,
+                flat,
+                final_ops,
+            } => (
                 WindowSpec::tumbling(*hold),
                 None,
                 DeltaMode::Snapshot,
                 Some(*flat),
+                group_cols,
+                aggs,
+                final_ops,
             ),
             SinkSpec::ToProxy | SinkSpec::Rehash { .. } => return None,
-        };
-        let (SinkSpec::WindowedAgg {
-            group_cols,
-            aggs,
-            final_ops,
-            ..
-        }
-        | SinkSpec::HierarchicalAgg {
-            group_cols,
-            aggs,
-            final_ops,
-            ..
-        }) = &graph.sink
-        else {
-            return None;
         };
         let cq = plan.cq.unwrap_or_default();
         let (mut budget, mut namespace) = (cq.budget, plan.window_namespace());
         if once.is_some() {
-            let panes = plan.timeout.div_ceil(window.slide).saturating_add(1);
-            let panes = u32::try_from(panes).unwrap_or(u32::MAX);
-            budget.max_open_windows = budget.max_open_windows.max(panes);
+            budget = CqBudget {
+                max_open_windows: one_shot_panes(plan.timeout, window.slide),
+                max_groups_per_window: u32::MAX,
+                max_tuples_per_window: u64::MAX,
+            };
             namespace = format!("q{}.partials", plan.query_id);
         }
         let engine = EngineSpec {
@@ -496,9 +504,11 @@ impl WindowEngine {
         &self.members
     }
 
-    /// A member's lease, to renew when its proxy's roster names it.
+    /// A member's lease, to renew when its proxy's roster names it; a
+    /// one-shot aggregate lives out its timeout and has none to renew.
     pub fn lease_mut(&mut self, query_id: u64) -> Option<&mut Lease> {
-        self.members.get_mut(&query_id).map(|m| &mut m.lease)
+        let member = self.members.get_mut(&query_id)?;
+        (!self.spec.emit_once).then_some(&mut member.lease)
     }
 
     // ----- data -------------------------------------------------------------

@@ -210,6 +210,51 @@ fn windows_that_share_no_group_measure_within_twice_the_static_state_bound() {
     );
 }
 
+/// A one-shot aggregate runs in the same engine, with no group cap and a
+/// pane per hold of its life kept at the root until it answers: fill a
+/// relay's engine and the root's with 256 sources in every pane of an 8 s
+/// query, ship the relay's panes up as they close, and the root measures
+/// within the static state bound, having shed nothing.
+#[test]
+fn a_one_shot_engine_filled_for_its_whole_life_measures_within_the_static_state_bound() {
+    let sql = "SELECT src, COUNT(*), SUM(len) FROM packets GROUP BY src";
+    let plan = sqlish::compile(sql, NodeAddr(0), 8_000_000).expect("query compiles");
+    let env = EnvModel {
+        distinct_values: 256,
+        ..EnvModel::default()
+    };
+    let report = analyze(&plan, &env);
+    assert_eq!(report.groups_per_window, 256);
+
+    let (_, spec, _) = EngineSpec::unshared(&plan).expect("a one-shot aggregate");
+    let hold = spec.window.slide;
+    let mut relay = WindowEngine::new(spec.clone());
+    let mut root = WindowEngine::new(spec);
+    let rows = (0..256u64).map(|h| {
+        let src = Value::str(format!("10.0.{}.{}", h >> 8, h & 255));
+        Tuple::new("packets", vec![("src", src), ("len", Value::Int(40))])
+    });
+    let batch = TupleBatch::new(rows.collect());
+    let mut now = 0;
+    while now < plan.timeout {
+        relay.absorb(&batch.chunks()[0], None, now);
+        root.absorb(&batch.chunks()[0], None, now);
+        now += hold;
+        if let Some(relayed) = relay.tick(now, false).partials {
+            assert!(root.absorb_panes(&relayed).is_empty());
+        }
+        assert!(root.tick(now, true).emissions.is_empty());
+    }
+    let [_, shed, _, open_windows, groups, state_bytes] = root.occupancy();
+    assert_eq!(shed, 0);
+    assert_eq!(groups, open_windows * 256, "every pane holds every source");
+    assert!(
+        state_bytes <= report.state_bytes_per_node,
+        "{state_bytes} B measured over {open_windows} panes, static bound {}",
+        report.state_bytes_per_node
+    );
+}
+
 #[test]
 fn many_tenants_static_reports_bound_measured_telemetry() {
     let mut cfg = ManyTenantsConfig::new(8, 6, 20, 7);

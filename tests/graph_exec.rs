@@ -15,7 +15,9 @@
 //!   with fetches in flight leaves nothing behind;
 //! * a one-shot aggregate's engine wired by hand — leaf → relay → root —
 //!   answers with the rows of one `GroupBy` over everything, on the answer
-//!   columns, flat or hierarchical, and a tick re-sends nothing.
+//!   columns, flat or hierarchical, and a tick re-sends nothing; its root
+//!   keeps a pane per hold of the query's life, and no group cap drops a
+//!   row of its answer.
 
 mod common;
 
@@ -479,4 +481,35 @@ fn a_one_shot_root_keeps_a_pane_per_hold_of_the_query_s_life() {
     let (_, rows) = root.finish().expect("an answer");
     assert_eq!(rows.len(), 1);
     assert_eq!(rows[0].get("count"), Some(&Value::Int(PANES as i64)));
+}
+
+#[test]
+fn a_one_shot_aggregate_counts_past_a_windowed_query_s_group_cap() {
+    // More groups on one leaf than a windowed query's default budget holds
+    // in a pane (4,096): a one-shot answer is exact, so every row counts,
+    // in the leaf's own store and in the root's.
+    const HOLD: u64 = 2_000_000;
+    const KEYS: i64 = 5_000;
+    let sink = SinkSpec::HierarchicalAgg {
+        group_cols: vec!["k".to_string()],
+        aggs: vec![AggFunc::Count],
+        hold: HOLD,
+        final_ops: Vec::new(),
+        flat: false,
+    };
+    let (_, spec, member) =
+        EngineSpec::unshared(&plan("readings", Vec::new(), sink)).expect("an aggregating sink");
+    let (mut leaf, mut root) = (WindowEngine::new(spec.clone()), WindowEngine::new(spec));
+    root.add_member(QUERY, member, false, NOW);
+    let rows = (0..2 * KEYS).map(|i| Tuple::new("readings", vec![("k", Value::Int(i % KEYS))]));
+    let batch = TupleBatch::new(rows.collect());
+    for chunk in batch.chunks() {
+        leaf.absorb(chunk, None, NOW);
+        root.absorb(chunk, None, NOW);
+    }
+    let shipped = leaf.tick(NOW + 2 * HOLD, false).partials.expect("a pane");
+    assert!(root.absorb_panes(&shipped).is_empty(), "nothing refused");
+    let (_, rows) = root.finish().expect("an answer");
+    assert_eq!(rows.len(), KEYS as usize);
+    assert!(rows.iter().all(|r| r.get("count") == Some(&Value::Int(4))));
 }

@@ -837,6 +837,31 @@ fn a_durable_holder_parks_the_lapsed_query_through_the_grace_window() {
     a_stopped_proxys_query_lapses_at_the_instant(true);
 }
 
+/// A plan that arrives again is a lease renewal for a standing query, and
+/// nothing for a one-shot aggregate, which lives out its timeout and holds
+/// no lease, though it runs in a window engine too.
+#[test]
+fn a_plan_arriving_again_renews_a_standing_query_and_not_a_one_shot() {
+    let mut cluster = TapCluster::start(8, seeded(0x23), PierConfig::default());
+    let proxy = cluster.refs[0].addr;
+    let holder = cluster.refs[3].addr;
+    let one_shot = "SELECT src, COUNT(*) FROM packets GROUP BY src";
+    let standing = format!("{one_shot} WINDOW 1s");
+    for (sql, renewals) in [(one_shot, 0), (standing.as_str(), 1)] {
+        let mut plan = sqlish::compile(sql, proxy, 30 * SEC).expect("compiles");
+        plan.query_id = cluster.submit(proxy, plan.clone());
+        cluster.sim.run_for(SEC);
+        assert!(cluster.node(holder).cq_diagnostics(plan.query_id).is_some());
+        let before = cluster.counter(holder, "cq.lease_renewals");
+        cluster.sim.invoke(holder, |tap, ctx| {
+            let msg = PierMsg::Plans { plans: vec![plan] };
+            tap.run(ctx, false, |node, ctx| node.on_message(ctx, proxy, msg));
+        });
+        let renewed = cluster.counter(holder, "cq.lease_renewals") - before;
+        assert_eq!(renewed, renewals, "{sql}");
+    }
+}
+
 #[test]
 fn a_late_installer_ends_with_the_proxy() {
     let mut cluster = TapCluster::start(8, seeded(0x22), PierConfig::default());
