@@ -8,6 +8,13 @@
 //! the command it declares, and compares those figures to
 //! `docs/baselines/identity.json`; `--bless` rewrites the baseline instead
 //! (for a change that *means* to alter behaviour, in its own commit).
+//!
+//! Each workload also runs traced (`--trace 1`), and the per-layer counts
+//! — every `.calls` and `.bytes` line and the simulator's event count —
+//! are compared with the baseline's traced section: a refactor that moves
+//! work from one message or timer class to another, or adds an event,
+//! shows there even when the end-to-end figures hold.  `--bless` runs each
+//! traced workload twice and refuses to record counts that do not repeat.
 
 use std::fmt::Write as _;
 use std::path::Path;
@@ -15,6 +22,9 @@ use std::process::Command;
 
 /// The fixed-work arguments every workload is run with.
 pub const RUN_ARGS: [&str; 6] = ["--seed", "1", "--segments", "6", "--trace", "0"];
+
+/// The same fixed work, traced: per-layer counters on.
+pub const TRACED_ARGS: [&str; 6] = ["--seed", "1", "--segments", "6", "--trace", "1"];
 
 /// Where the baseline lives, relative to the workspace root.
 pub const BASELINE: &str = "docs/baselines/identity.json";
@@ -111,23 +121,73 @@ pub fn figures(output: &str) -> Vec<(&'static str, String)> {
     out
 }
 
-/// The baseline file for `runs` (workload name, figures), one figure a line
-/// so a mismatch shows as a line diff.
-pub fn render(runs: &[(String, Vec<(&'static str, String)>)]) -> String {
-    let mut out = String::from("{\n");
-    let _ = writeln!(out, "  \"args\": \"{}\",", RUN_ARGS.join(" "));
-    out.push_str("  \"workloads\": {\n");
+/// The per-layer counts in one traced run's output, as `(name, value)`
+/// text pairs in output order: every `.calls` and `.bytes` metric and
+/// `runtime.sim.loop.events`.  The `.busy_ms` and per-row timings are wall
+/// clock, not counts.
+pub fn traced_figures(output: &str) -> Vec<(String, String)> {
+    let counted = |name: &str| {
+        name.ends_with(".calls") || name.ends_with(".bytes") || name == "runtime.sim.loop.events"
+    };
+    let pair = |line: &str| {
+        let mut words = line.split_whitespace();
+        let (name, value) = (words.next()?, words.next()?);
+        counted(name).then(|| (name.to_string(), value.to_string()))
+    };
+    output.lines().filter_map(pair).collect()
+}
+
+/// One workload's figures: its name and `(figure, value)` pairs.
+pub type Run<N> = (String, Vec<(N, String)>);
+
+/// Append `"key": { workload: { figure: value, … }, … }` to `out`.
+fn section<N: AsRef<str>>(out: &mut String, key: &str, runs: &[Run<N>]) {
+    let _ = writeln!(out, "  \"{key}\": {{");
     for (w, (name, figures)) in runs.iter().enumerate() {
         let _ = writeln!(out, "    \"{name}\": {{");
         for (f, (figure, value)) in figures.iter().enumerate() {
             let comma = if f + 1 < figures.len() { "," } else { "" };
+            let figure = figure.as_ref();
             let _ = writeln!(out, "      \"{figure}\": \"{value}\"{comma}");
         }
         let comma = if w + 1 < runs.len() { "," } else { "" };
         let _ = writeln!(out, "    }}{comma}");
     }
-    out.push_str("  }\n}\n");
+    out.push_str("  }");
+}
+
+/// The baseline file for `runs` (workload name, figures) and the traced
+/// `counts`, one figure a line so a mismatch shows as a line diff.
+pub fn render(runs: &[Run<&'static str>], counts: &[Run<String>]) -> String {
+    let mut out = String::from("{\n");
+    let _ = writeln!(out, "  \"args\": \"{}\",", RUN_ARGS.join(" "));
+    section(&mut out, "workloads", runs);
+    let _ = write!(
+        out,
+        ",\n  \"traced_args\": \"{}\",\n",
+        TRACED_ARGS.join(" ")
+    );
+    section(&mut out, "traced", counts);
+    out.push_str("\n}\n");
     out
+}
+
+/// Run `workload` with the declared `command` and `args` under `root`; its
+/// standard output.
+fn bench(root: &Path, command: &[&str], workload: &str, args: [&str; 6]) -> Result<String, String> {
+    let program = command[0];
+    let out = Command::new(program)
+        .args(&command[1..])
+        .args(["--workload", workload])
+        .args(args)
+        .current_dir(root)
+        .output()
+        .map_err(|e| format!("{program}: {e}"))?;
+    if !out.status.success() {
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        return Err(format!("{workload}: benchmark failed\n{stderr}"));
+    }
+    Ok(String::from_utf8_lossy(&out.stdout).into_owned())
 }
 
 /// Run every declared workload under `root` and check (or, with `bless`,
@@ -136,27 +196,31 @@ pub fn run(root: &Path, bless: bool) -> Result<(), String> {
     let spec = std::fs::read_to_string(root.join("BENCHMARK.json"))
         .map_err(|e| format!("BENCHMARK.json: {e}"))?;
     let (command, workloads) = declared(&spec);
-    let (Some(program), false) = (command.first(), workloads.is_empty()) else {
+    if command.is_empty() || workloads.is_empty() {
         return Err("BENCHMARK.json declares no command or no workloads".to_string());
-    };
-    let mut runs = Vec::new();
+    }
+    let (mut runs, mut counts) = (Vec::new(), Vec::new());
     for workload in workloads {
         eprintln!("xtask identity: {workload}");
-        let out = Command::new(program)
-            .args(&command[1..])
-            .args(["--workload", workload])
-            .args(RUN_ARGS)
-            .current_dir(root)
-            .output()
-            .map_err(|e| format!("{program}: {e}"))?;
-        if !out.status.success() {
-            let stderr = String::from_utf8_lossy(&out.stderr);
-            return Err(format!("{workload}: benchmark failed\n{stderr}"));
-        }
-        let figures = figures(&String::from_utf8_lossy(&out.stdout));
+        let figures = figures(&bench(root, &command, workload, RUN_ARGS)?);
         runs.push((workload.to_string(), figures));
+        let traced = traced_figures(&bench(root, &command, workload, TRACED_ARGS)?);
+        if bless {
+            // Only counts that repeat are worth recording.
+            let again = traced_figures(&bench(root, &command, workload, TRACED_ARGS)?);
+            let moved: Vec<&str> = (traced.iter().zip(&again))
+                .filter(|(a, b)| a != b)
+                .map(|(a, _)| a.0.as_str())
+                .collect();
+            if !moved.is_empty() || traced.len() != again.len() {
+                return Err(format!(
+                    "{workload}: traced counts do not repeat: {moved:?}"
+                ));
+            }
+        }
+        counts.push((workload.to_string(), traced));
     }
-    let now = render(&runs);
+    let now = render(&runs, &counts);
     let path = root.join(BASELINE);
     if bless {
         if let Some(dir) = path.parent() {
@@ -232,9 +296,18 @@ net_msgs_per_op                 2.728805 count\n\
 
     #[test]
     fn the_baseline_renders_one_figure_a_line() {
-        let text = render(&[("join_publish".to_string(), figures(OUTPUT))]);
+        let runs = [("join_publish".to_string(), figures(OUTPUT))];
+        let traced = ["core.node.msg_get.calls", "runtime.sim.loop.events"]
+            .map(|name| (name.to_string(), "812.000000".to_string()));
+        let counts = [("join_publish".to_string(), traced.to_vec())];
+        let text = render(&runs, &counts);
         assert!(text.contains("\"args\": \"--seed 1 --segments 6 --trace 0\""));
         assert!(text.contains("      \"result_digest\": \"f4dd7d21d094c8e3\",\n"));
-        assert!(text.ends_with("      \"net_msgs_per_op\": \"2.728805\"\n    }\n  }\n}\n"));
+        assert!(text.contains("      \"net_msgs_per_op\": \"2.728805\"\n    }\n  },\n"));
+        assert!(text.contains("  \"traced_args\": \"--seed 1 --segments 6 --trace 1\",\n"));
+        assert!(text.contains("      \"core.node.msg_get.calls\": \"812.000000\",\n"));
+        assert!(
+            text.ends_with("      \"runtime.sim.loop.events\": \"812.000000\"\n    }\n  }\n}\n")
+        );
     }
 }
