@@ -15,9 +15,14 @@
 //! one-shot (§3.3.4), hands its survivors to the query's
 //! [`WindowEngine`], which the caller owns and ticks.
 //!
+//! It indexes the namespaces its opgraphs read, so an arriving batch goes
+//! to every reader through [`GraphExec::readers`] with one lookup.
+//!
 //! Plain state that never sees the runtime: [`crate::node::PierNode`] does
-//! the wiring (namespace routing, timers, spans), tests drive it directly.
+//! the wiring (timers, spans, results to the proxy), tests drive it
+//! directly.
 
+use crate::engines::Engines;
 use crate::node::PierConfig;
 use crate::operators::{JoinSide, Pipeline, SymmetricHashJoin};
 use crate::plan::{is_query_scoped_table, OperatorSpec, QpObject, QueryPlan, SinkSpec};
@@ -45,6 +50,22 @@ pub struct ExecOut {
     /// A rehash row is buffered and no flush tick is pending: arm one, and
     /// call [`GraphExec::flush_rehash`] when it fires.
     pub arm_batch_flush: bool,
+}
+
+impl ExecOut {
+    /// What `more` asks, after what this asks.
+    fn append(&mut self, more: ExecOut) {
+        let (mut effects, mut results) = (more.effects, more.results);
+        if self.effects.is_empty() {
+            std::mem::swap(&mut self.effects, &mut effects);
+        }
+        if self.results.is_empty() {
+            std::mem::swap(&mut self.results, &mut results);
+        }
+        self.effects.append(&mut effects);
+        self.results.append(&mut results);
+        self.arm_batch_flush |= more.arm_batch_flush;
+    }
 }
 
 /// A Fetch-Matches operator as `(inner namespace, probe column, the probe
@@ -91,6 +112,8 @@ pub struct GraphExec {
     publish_lifetime: Duration,
     batching: bool,
     queries: HashMap<u64, QueryState>,
+    /// The opgraphs reading each source namespace, ascending.
+    sources: HashMap<String, Vec<GraphRef>>,
     /// Fetch-Matches keys awaiting their `get`, by request id, each with
     /// the probe rows of the call that asked for it.
     pending_fetches: HashMap<u64, (GraphRef, Vec<Tuple>)>,
@@ -107,15 +130,20 @@ impl GraphExec {
             publish_lifetime: config.publish_lifetime,
             batching: config.batching,
             queries: HashMap::new(),
+            sources: HashMap::new(),
             pending_fetches: HashMap::new(),
             rehash: Rehash::new(config.batch_max_tuples, config.publish_lifetime),
         }
     }
 
-    /// Instantiate `plan`'s opgraphs.
+    /// Instantiate `plan`'s opgraphs, each a reader of its source.
     pub fn install(&mut self, plan: QueryPlan) {
         let mut graphs = Vec::with_capacity(plan.opgraphs.len());
-        for spec in &plan.opgraphs {
+        for (gidx, spec) in plan.opgraphs.iter().enumerate() {
+            let at = (plan.query_id, gidx);
+            let readers = self.sources.entry(spec.source.namespace().to_string());
+            let readers = readers.or_default();
+            readers.insert(readers.partition_point(|r| *r < at), at);
             let mut pipeline =
                 Pipeline::new(spec.ops.iter().filter_map(OperatorSpec::build).collect());
             pipeline.set_telemetry(&self.tel);
@@ -140,11 +168,20 @@ impl GraphExec {
         self.queries.insert(state.plan.query_id, state);
     }
 
-    /// Drop a query: its graphs and the fetches it has
-    /// in flight (their answers, if they come, find nothing).  Returns the
-    /// plan, for the caller to un-route.
+    /// Drop a query: its graphs, their reading of their sources, and the
+    /// fetches it has in flight (their answers, if they come, find
+    /// nothing).  Returns the plan.
     pub fn uninstall(&mut self, query_id: u64) -> Option<QueryPlan> {
         let q = self.queries.remove(&query_id)?;
+        for g in &q.plan.opgraphs {
+            let namespace = g.source.namespace();
+            if let Some(readers) = self.sources.get_mut(namespace) {
+                readers.retain(|(qid, _)| *qid != query_id);
+                if readers.is_empty() {
+                    self.sources.remove(namespace);
+                }
+            }
+        }
         self.pending_fetches
             .retain(|_, ((owner, _), _)| *owner != query_id);
         Some(q.plan)
@@ -158,6 +195,11 @@ impl GraphExec {
     /// The plan of `query_id`, while it is installed.
     pub fn plan(&self, query_id: u64) -> Option<&QueryPlan> {
         self.queries.get(&query_id).map(|q| &q.plan)
+    }
+
+    /// The opgraphs reading `namespace`, ascending by `(query, graph)`.
+    pub fn readers(&self, namespace: &str) -> &[GraphRef] {
+        self.sources.get(namespace).map_or(&[], Vec::as_slice)
     }
 
     /// Fetch-Matches keys awaiting an answer.
@@ -251,6 +293,33 @@ impl GraphExec {
             outputs = TupleBatch::default();
         }
         self.deliver(at, outputs, now, overlay, rng)
+    }
+
+    /// Feed a batch arriving in `namespace` to every opgraph reading it,
+    /// in order, each aggregating one with its query's engine among
+    /// `engines`.
+    pub(crate) fn feed_source(
+        &mut self,
+        namespace: &str,
+        batch: &TupleBatch,
+        now: SimTime,
+        engines: &mut Engines,
+        overlay: &mut Overlay<QpObject>,
+        rng: &mut Rng64,
+    ) -> ExecOut {
+        let mut out = ExecOut::default();
+        // Taken for the loop and put back: feeding installs nothing.
+        let Some(readers) = self.sources.get_mut(namespace).map(std::mem::take) else {
+            return out;
+        };
+        for &at in &readers {
+            let fed = self.feed(at, batch, now, engines.query_engine(at.0), overlay, rng);
+            out.append(fed);
+        }
+        if let Some(slot) = self.sources.get_mut(namespace) {
+            *slot = readers;
+        }
+        out
     }
 
     /// A Fetch-Matches key came back: join every probe row that waited for

@@ -80,6 +80,7 @@ pub mod aggregate;
 pub mod column;
 pub mod deadlines;
 pub mod eddy;
+mod engines;
 pub mod expr;
 pub mod graph_exec;
 pub mod node;

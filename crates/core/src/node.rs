@@ -18,22 +18,22 @@
 
 use crate::admission::{AdmissionControl, AdmissionFactory, AdmissionVerdict, SloPolicy};
 use crate::deadlines::{Deadline, Deadlines, Due};
+use crate::engines::{EngineKey, Engines, Hop};
 use crate::graph_exec::{ExecOut, GraphExec, GraphRef};
-use crate::pane_link::{Inbox, Outbox, PaneStamp};
 use crate::plan::{CqSpec, Dissemination, QpObject, QueryPlan};
 use crate::proxy::{MemberRun, PierOut, Proxy, RenewalRound, WindowBundle};
 use crate::sharing::{InstallOutcome, Membership, MultiQuerySharing, SharingFactory, SharingStats};
 use crate::tuple::{ColumnChunk, Tuple, TupleBatch};
-use crate::window_engine::{CqDiagnostics, EngineSpec, WindowEngine, OCCUPANCY_GAUGES};
-use pier_cq::{DurableStore, Lease};
+use crate::window_engine::{CqDiagnostics, EngineSpec};
+use pier_cq::DurableStore;
 use pier_dht::{
-    routing_id, DhtMessage, Id, NodeRef, ObjectName, Overlay, OverlayConfig, OverlayEffect,
-    OverlayEvent, OverlayTimer,
+    DhtMessage, NodeRef, ObjectName, Overlay, OverlayConfig, OverlayEffect, OverlayEvent,
+    OverlayTimer,
 };
 use pier_runtime::{Duration, NodeAddr, Program, ProgramContext, Rng64, SimTime, WireSize};
 use pier_telemetry::{Telemetry, TelemetryConfig};
 use pier_trace::{TraceConfig, TraceContext};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 
 /// Upper bound on how long a rehash tuple may sit in the batch buffer before
 /// the periodic flush tick ships it.
@@ -205,7 +205,7 @@ pub enum PierTimer {
         query_id: u64,
     },
     /// A one-shot aggregate's final instant, one hold before its timeout:
-    /// its root answers once ([`WindowEngine::finish`]).
+    /// its root answers once ([`crate::WindowEngine::finish`]).
     AggFinal {
         /// Query being finalized.
         query_id: u64,
@@ -256,45 +256,6 @@ pub enum PierTimer {
     IngestFlush,
 }
 
-/// Where arrivals in one namespace go, maintained by `install_query` /
-/// `uninstall_query` so routing is one map lookup per arrival instead of a
-/// `format!` scan over every installed query.
-#[derive(Debug)]
-enum NamespaceRoute {
-    /// `q{id}.windows` / `g{fp}.windows` (`q{id}.partials` for a one-shot
-    /// aggregate): closed-pane partials of an engine.
-    WindowPartials(EngineKey),
-    /// A base table or rehash namespace: the opgraphs reading it,
-    /// ascending.
-    Sources(Vec<GraphRef>),
-}
-
-/// Which of this node's [`WindowEngine`]s: an unshared query's own, or a
-/// share group's.  [`PierTimer::WindowTick`] and [`PierTimer::ShareTick`]
-/// are the timer addresses of the two.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-enum EngineKey {
-    Query(u64),
-    Group(u64),
-}
-
-/// An engine and what the node needs to drive it.
-#[derive(Debug)]
-struct EngineSlot {
-    engine: WindowEngine,
-    /// Routing identifier of the engine's window root.
-    root_id: Id,
-    /// The incarnation a firing tick timer must be for: the one a
-    /// [`PierTimer::ShareTick`] carries, 0 for a query's own engine.
-    epoch: u64,
-    /// The timer that ticks this engine, re-armed every slide.
-    tick: PierTimer,
-    /// This engine's numbered pane shipments, kept for resending.
-    sent: Outbox<DhtMessage<QpObject>>,
-    /// The senders whose pane shipments this engine absorbed.
-    heard: Inbox,
-}
-
 /// Rows handed to [`PierNode::ingest`] that have not been absorbed yet: one
 /// table at a time, all observed at the virtual instant `at`.
 #[derive(Debug, Default)]
@@ -328,18 +289,8 @@ pub struct PierNode {
     /// [`PierTimer::QueryEnd`] timer.
     deadlines: Deadlines,
     next_query_seq: u64,
-    /// Every window engine at this node, and the engine each windowed
-    /// query (unshared or share-group member) lives in.
-    engines: BTreeMap<EngineKey, EngineSlot>,
-    engine_of: HashMap<u64, EngineKey>,
-    /// The incarnation of the engine opened last here: engines number
-    /// their pane shipments under strictly increasing incarnations, taken
-    /// from the virtual clock.
-    pane_epoch: u64,
-    /// The instant the `cq.*` occupancy gauges were last summed.
-    gauges_at: Option<SimTime>,
-    /// Namespace routing table over the installed queries and engines.
-    routes: HashMap<String, NamespaceRoute>,
+    /// Every window engine at this node and its pane traffic.
+    engines: Engines,
     /// Streamed rows staged by `ingest`, drained through the chunk path.
     stage: IngestStage,
     /// The multi-query sharing layer (`pier-mqo`), when configured.
@@ -401,17 +352,13 @@ impl PierNode {
             admission,
             local_tables: HashMap::new(),
             exec: GraphExec::new(&config, tel.clone()),
+            engines: Engines::new(&config, tel.clone()),
             outbox: Vec::new(),
             tel,
             config,
             proxy: Proxy::default(),
             deadlines: Deadlines::default(),
             next_query_seq: 0,
-            engines: BTreeMap::new(),
-            engine_of: HashMap::new(),
-            pane_epoch: 0,
-            gauges_at: None,
-            routes: HashMap::new(),
             stage: IngestStage::default(),
             next_span_seq: 0,
             last_combine_span: HashMap::new(),
@@ -813,19 +760,30 @@ impl PierNode {
                 }
                 let namespace = &object.name.namespace;
                 let now = ctx.now();
+                if let QpObject::Plan(plan) = object.value {
+                    self.install_query(ctx, plan);
+                    return Vec::new();
+                }
+                // Closed-pane partials at their engine's root.
+                let (overlay, rng) = (&mut self.overlay, &mut self.rng);
+                let arrival =
+                    self.engines
+                        .arrive(namespace, &object.value, Hop::Root, now, overlay, rng);
+                if let Some((origin, ask)) = arrival.ask {
+                    self.post(ctx, origin, ask);
+                }
+                if arrival.taken {
+                    return arrival.effects;
+                }
                 match object.value {
-                    QpObject::Plan(plan) => {
-                        self.install_query(ctx, plan);
-                        Vec::new()
-                    }
                     // Rosters travel by broadcast only.
-                    QpObject::Renew { .. } => Vec::new(),
+                    QpObject::Plan(_) | QpObject::Renew { .. } => Vec::new(),
                     QpObject::Tuple(tuple) => {
                         // Most single-object arrivals are published rows
                         // landing at their owner while nothing here reads
                         // the namespace: don't build a chunk nobody reads.
                         let shared = self.sharing.as_ref();
-                        if !self.routes.contains_key(namespace)
+                        if self.exec.readers(namespace).is_empty()
                             && !shared.is_some_and(|l| l.wants_namespace(namespace))
                         {
                             return Vec::new();
@@ -838,15 +796,7 @@ impl PierNode {
                     // A coalesced transfer: the dispatch (namespace routing,
                     // target lookup) happens once per batch and the
                     // operators consume whole chunks.
-                    QpObject::Batch(batch) => {
-                        self.route_new_batch(ctx, namespace, &batch, now, || batch.wire_size())
-                    }
-                    // Numbered pane partials at their window root: a copy
-                    // absorbed before is dropped.
-                    QpObject::Panes { stamp, batch } => {
-                        if !self.hear_panes(ctx, namespace, stamp) {
-                            return Vec::new();
-                        }
+                    QpObject::Batch(batch) | QpObject::Panes { batch, .. } => {
                         self.route_new_batch(ctx, namespace, &batch, now, || batch.wire_size())
                     }
                 }
@@ -869,39 +819,17 @@ impl PierNode {
                     }
                     _ => None,
                 };
-                let partials = routed.value.tuple_count();
-                if partials > 0 {
-                    // A numbered pane shipment this node's engine absorbed
-                    // before goes no further.
-                    if let QpObject::Panes { stamp, .. } = routed.value {
-                        if !self.hear_panes(ctx, &routed.name.namespace, stamp) {
-                            return Vec::new();
-                        }
-                    }
-                    let chunks = routed.value.chunks();
-                    let absorbed = self
-                        .absorb_window_chunks(&routed.name.namespace, &chunks)
-                        .filter(|(_, refused)| {
-                            refused.iter().map(Vec::len).sum::<usize>() < partials
-                        });
-                    if let Some((key, refused)) = absorbed {
-                        // The absorbed share is ours now; anything this
-                        // node's state refused (budget shed, evicted pane)
-                        // must still reach the root — exactly as an
-                        // unbatched per-tuple upcall would have continued
-                        // routing it.
-                        if refused.iter().all(Vec::is_empty) {
-                            return Vec::new();
-                        }
-                        let refused = chunks
-                            .iter()
-                            .zip(&refused)
-                            .filter(|(_, rows)| !rows.is_empty())
-                            .map(|(chunk, rows)| chunk.gather(rows))
-                            .collect();
-                        let shipments = self.pane_shipments(key, refused);
-                        return self.ship_partials(key, shipments, upcall_ctx, now);
-                    }
+                let (overlay, rng) = (&mut self.overlay, &mut self.rng);
+                let hop = Hop::Upcall(upcall_ctx);
+                let namespace = &routed.name.namespace;
+                let arrival = self
+                    .engines
+                    .arrive(namespace, &routed.value, hop, now, overlay, rng);
+                if let Some((origin, ask)) = arrival.ask {
+                    self.post(ctx, origin, ask);
+                }
+                if arrival.taken {
+                    return arrival.effects;
                 }
                 self.overlay.forward(routed, now)
             }
@@ -928,148 +856,12 @@ impl PierNode {
         }
     }
 
-    /// Send closed-pane partials one hop toward engine `key`'s window root
-    /// (upcalls combine them en route), or by `put` straight to it for a
-    /// `flat` engine: what a tick drained, or what this node refused of a
-    /// batch it only partly absorbed at an upcall hop.  A numbered
-    /// shipment is kept, with the hop it went to, for resending.
-    /// `trace` rides every shipment — armed per send, because `set_trace`
-    /// is consumed by the next overlay op and must not leak onto unrelated
-    /// traffic.
-    fn ship_partials(
-        &mut self,
-        key: EngineKey,
-        shipments: Vec<QpObject>,
-        trace: Option<TraceContext>,
-        now: SimTime,
-    ) -> Vec<OverlayEffect<QpObject>> {
-        let Some(slot) = self.engines.get_mut(&key) else {
-            return Vec::new();
-        };
-        let spec = slot.engine.spec();
-        let lifetime = spec.min_lifetime.max(self.config.publish_lifetime);
-        let mut effects = Vec::new();
-        for shipment in shipments {
-            let seq = match &shipment {
-                QpObject::Panes { stamp, .. } => Some(stamp.seq),
-                _ => None,
-            };
-            let name = ObjectName::new(
-                spec.namespace.clone(),
-                spec.root_key.clone(),
-                self.rng.next_u64(),
-            );
-            self.overlay.set_trace(trace);
-            let sent = if spec.flat {
-                self.overlay.put(name, shipment, lifetime, now)
-            } else {
-                self.overlay
-                    .send_routed(slot.root_id, name, shipment, lifetime, now)
-            };
-            for effect in &sent {
-                if let (Some(seq), OverlayEffect::Send { to, msg }) = (seq, effect) {
-                    slot.sent.keep(seq, *to, msg.clone());
-                }
-            }
-            effects.extend(sent);
-        }
-        effects
-    }
-
-    /// The transfers that carry engine `key`'s closed-pane partials
-    /// `chunks` one hop: with batching one shipment, numbered in the
-    /// engine's stream; without, a bare tuple per row.
-    fn pane_shipments(&mut self, key: EngineKey, chunks: Vec<ColumnChunk>) -> Vec<QpObject> {
-        if chunks.iter().all(|c| c.rows() == 0) {
-            return Vec::new();
-        }
-        let me = self.overlay.me().addr;
-        let slot = self.engines.get_mut(&key);
-        let batched = slot.filter(|_| self.config.batching);
-        QpObject::pane_shipments(chunks, batched.map(|slot| slot.sent.stamp(me)))
-    }
-
-    /// Note a numbered pane shipment arriving for the engine whose
-    /// window-partial namespace `namespace` is, and ask its sender again
-    /// for every shipment its number shows missing.  `false` when the
-    /// engine has absorbed this shipment before (drop it); `true`
-    /// otherwise, and when no engine here reads the namespace.
-    fn hear_panes(
-        &mut self,
-        ctx: &mut ProgramContext<Self>,
-        namespace: &str,
-        stamp: PaneStamp,
-    ) -> bool {
-        let Some(&NamespaceRoute::WindowPartials(key)) = self.routes.get(namespace) else {
-            return true;
-        };
-        let Some(slot) = self.engines.get_mut(&key) else {
-            return true;
-        };
-        let arrival = slot.heard.arrive(stamp);
-        if !arrival.fresh {
-            self.tel.inc("cq.panes.duplicates");
-        }
-        if !arrival.ask.is_empty() {
-            self.tel.add("cq.panes.asked", arrival.ask.len() as u64);
-            let request = PierMsg::PaneRequest {
-                namespace: namespace.to_string(),
-                epoch: stamp.epoch,
-                seqs: arrival.ask,
-            };
-            self.post(ctx, stamp.origin, request);
-        }
-        arrival.fresh
-    }
-
-    /// Answer a [`PierMsg::PaneRequest`] from the hop `from`: send it again
-    /// every kept shipment it names that went to it.
-    fn resend_panes(
-        &mut self,
-        ctx: &mut ProgramContext<Self>,
-        from: NodeAddr,
-        namespace: &str,
-        epoch: u64,
-        seqs: &[u32],
-    ) {
-        let Some(&NamespaceRoute::WindowPartials(key)) = self.routes.get(namespace) else {
-            return;
-        };
-        let Some(slot) = self.engines.get(&key) else {
-            return;
-        };
-        let copies = slot.sent.resend(epoch, seqs, from);
-        if !copies.is_empty() {
-            self.tel.add("cq.panes.resent", copies.len() as u64);
-        }
-        for msg in copies {
-            ctx.send(from, PierMsg::Dht(msg));
-        }
-    }
-
-    /// Offer arriving chunks to the engine whose window-partial namespace
-    /// `namespace` is.  `None`, before any row is looked at, when it is
-    /// none's; otherwise the engine and, per chunk, the indices of the rows
-    /// its root store refused.
-    fn absorb_window_chunks(
-        &mut self,
-        namespace: &str,
-        chunks: &[ColumnChunk],
-    ) -> Option<(EngineKey, Vec<Vec<u32>>)> {
-        let Some(&NamespaceRoute::WindowPartials(key)) = self.routes.get(namespace) else {
-            return None;
-        };
-        let engine = &mut self.engines.get_mut(&key)?.engine;
-        let refused = chunks.iter().map(|c| engine.absorb_panes(c)).collect();
-        Some((key, refused))
-    }
-
     /// Record one `ingest` span per *sampled* query fed by an arriving
     /// batch (rows = tuples routed, bytes = wire size of the payload as it
     /// arrived, computed only when some target is sampled).
     fn ingest_spans(
         &mut self,
-        targets: &[GraphRef],
+        namespace: &str,
         now: SimTime,
         rows: u64,
         bytes: impl FnOnce() -> usize,
@@ -1077,9 +869,10 @@ impl PierNode {
         if !self.tel.is_enabled() {
             return;
         }
-        // Targets ascend by query id, so span ordinals are deterministic.
-        let traced = |at: &&GraphRef| self.exec.plan(at.0).is_some_and(|p| p.trace);
-        let mut qids: Vec<u64> = targets.iter().filter(traced).map(|at| at.0).collect();
+        // Readers ascend by query id, so span ordinals are deterministic.
+        let targets = self.exec.readers(namespace).iter();
+        let traced = targets.filter(|at| self.exec.plan(at.0).is_some_and(|p| p.trace));
+        let mut qids: Vec<u64> = traced.map(|at| at.0).collect();
         qids.dedup();
         if qids.is_empty() {
             return;
@@ -1103,15 +896,6 @@ impl PierNode {
         now: SimTime,
         wire_bytes: impl FnOnce() -> usize,
     ) -> Vec<OverlayEffect<QpObject>> {
-        // Closed-pane partials arriving at their engine's root
-        // (budget-refused arrivals are dropped: there is nowhere further to
-        // send them).
-        if self
-            .absorb_window_chunks(namespace, batch.chunks())
-            .is_some()
-        {
-            return Vec::new();
-        }
         if let Some(layer) = self.sharing.as_mut() {
             // Shared ingest: each chunk is handed to the sharing layer once
             // — the dispatch cost of N member queries is one
@@ -1121,30 +905,17 @@ impl PierNode {
                 let engines = &mut self.engines;
                 for chunk in batch.chunks() {
                     layer.select(namespace, chunk, &mut |group, selected| {
-                        if let Some(slot) = engines.get_mut(&EngineKey::Group(group)) {
-                            slot.engine.absorb(chunk, Some(selected), now);
-                        }
+                        engines.absorb_selected(group, chunk, selected, now);
                     });
                 }
             }
         }
         // Base-table or rehash-namespace batches feeding installed
-        // opgraphs, ascending by `(query, graph)`.  The target list is
-        // taken for the loop and put back: nothing below installs or
-        // uninstalls a query.
-        let targets = match self.routes.get_mut(namespace) {
-            Some(NamespaceRoute::Sources(targets)) => std::mem::take(targets),
-            _ => return Vec::new(),
-        };
-        self.ingest_spans(&targets, now, batch.len() as u64, wire_bytes);
-        let mut effects = Vec::new();
-        for &at in &targets {
-            effects.extend(self.feed(ctx, at, batch, now));
-        }
-        if let Some(NamespaceRoute::Sources(slot)) = self.routes.get_mut(namespace) {
-            *slot = targets;
-        }
-        effects
+        // opgraphs, ascending by `(query, graph)`.
+        self.ingest_spans(namespace, now, batch.len() as u64, wire_bytes);
+        let (overlay, rng) = (&mut self.overlay, &mut self.rng);
+        let out = (self.exec).feed_source(namespace, batch, now, &mut self.engines, overlay, rng);
+        self.settle(ctx, out)
     }
 
     // ----- query installation and execution ---------------------------------
@@ -1152,18 +923,7 @@ impl PierNode {
     /// Renew the lease of `query_id` if it is installed here; false when it
     /// is not (the caller installs it, or pulls its plan).
     fn renew_lease(&mut self, query_id: u64, now: SimTime) -> bool {
-        let Some(key) = self.engine_of.get(&query_id) else {
-            return self.exec.plan(query_id).is_some();
-        };
-        let slot = self.engines.get_mut(key);
-        let Some(lease) = slot.and_then(|s| s.engine.lease_mut(query_id)) else {
-            return true; // a one-shot aggregate's engine: no lease to renew
-        };
-        lease.renew(now);
-        self.tel.inc("cq.lease_renewals");
-        self.tel
-            .event("lease_renew", || vec![("query_id", query_id.to_string())]);
-        true
+        self.engines.renew(query_id, now) || self.exec.plan(query_id).is_some()
     }
 
     /// A proxy's lease roster arrived: renew every listed query held here
@@ -1265,18 +1025,14 @@ impl PierNode {
             // The group's first member opens its engine and, below, starts
             // its tick chain.
             let tick = engine.map(|spec| {
-                let tick = PierTimer::ShareTick { group, epoch };
                 let slide = spec.window.slide;
-                self.open_engine(key, epoch, tick.clone(), spec, query_id, now);
-                (slide, tick)
+                self.engines.open(key, epoch, spec, query_id, now);
+                (slide, PierTimer::ShareTick { group, epoch })
             });
             // Per-query sampling decisions are meaningless for work N
             // queries share: a group's members trace in trace-all mode only.
             let trace = self.config.trace.sample_every == 1;
-            if let Some(slot) = self.engines.get_mut(&key) {
-                slot.engine.add_member(query_id, member, trace, now);
-                self.engine_of.insert(query_id, key);
-            }
+            self.engines.join(key, query_id, member, trace, now);
             self.tel.event("share_join", || {
                 vec![
                     ("query_id", query_id.to_string()),
@@ -1301,12 +1057,8 @@ impl PierNode {
             let lease = (!once).then_some(member.lease);
             let final_at = once.then(|| plan.timeout.saturating_sub(hold));
             engine_timers = Some((hold, lease, final_at));
-            let tick = PierTimer::WindowTick { query_id };
-            self.open_engine(key, 0, tick, engine, query_id, now);
-            if let Some(slot) = self.engines.get_mut(&key) {
-                slot.engine.add_member(query_id, member, plan.trace, now);
-                self.engine_of.insert(query_id, key);
-            }
+            self.engines.open(key, 0, engine, query_id, now);
+            self.engines.join(key, query_id, member, plan.trace, now);
         }
         let (timeout, trace, graphs) = (plan.timeout, plan.trace, plan.opgraphs.len());
         self.exec.install(plan);
@@ -1331,8 +1083,7 @@ impl PierNode {
                 ctx.set_timer(at, PierTimer::AggFinal { query_id });
             }
         }
-        // Route every opgraph's source to it, and feed the opgraphs their
-        // initial data: node-local rows plus the DHT-partitioned rows this
+        // Feed the opgraphs their initial data: node-local rows plus the DHT-partitioned rows this
         // node is responsible for.  The snapshot of every source is taken
         // *before* any graph runs, so tuples that one opgraph republishes
         // during installation (e.g. a rehash into the query's rendezvous
@@ -1340,16 +1091,8 @@ impl PierNode {
         // that namespace — those arrive via `newData`.
         let mut initial_rows: Vec<Vec<Tuple>> = Vec::with_capacity(graphs);
         let installed = self.exec.plan(query_id);
-        for (gidx, g) in installed.iter().flat_map(|p| &p.opgraphs).enumerate() {
+        for g in installed.iter().flat_map(|p| &p.opgraphs) {
             let namespace = g.source.namespace();
-            let route = self
-                .routes
-                .entry(namespace.to_string())
-                .or_insert_with(|| NamespaceRoute::Sources(Vec::new()));
-            if let NamespaceRoute::Sources(targets) = route {
-                let at = targets.partition_point(|t| *t < (query_id, gidx));
-                targets.insert(at, (query_id, gidx));
-            }
             let local = self.local_tables.get(namespace);
             let mut rows = local.cloned().unwrap_or_default();
             let stored = self.overlay.local_scan(namespace, now);
@@ -1404,7 +1147,8 @@ impl PierNode {
         // nodes keep the original hard expiry.
         let durable = self.config.durable.is_some();
         loop {
-            let lease = leases(&self.engines, &self.engine_of);
+            let engines = &self.engines;
+            let lease = |query_id| engines.lease(query_id);
             let Some(due) = self.deadlines.next_due(now, durable, lease) else {
                 break;
             };
@@ -1433,8 +1177,7 @@ impl PierNode {
         batch: &TupleBatch,
         now: SimTime,
     ) -> Vec<OverlayEffect<QpObject>> {
-        let windows = self.engines.get_mut(&EngineKey::Query(at.0));
-        let windows = windows.map(|slot| &mut slot.engine);
+        let windows = self.engines.query_engine(at.0);
         let (overlay, rng) = (&mut self.overlay, &mut self.rng);
         let out = self.exec.feed(at, batch, now, windows, overlay, rng);
         self.settle(ctx, out)
@@ -1463,81 +1206,13 @@ impl PierNode {
         out.effects
     }
 
-    /// Open engine `key` — cold, or rehydrated warm from this node's durable
-    /// segments — for `query_id`, its first member, and route its
-    /// window-partial namespace to it.  `tick` is the timer that will drive
-    /// it; the caller arms it.
-    fn open_engine(
-        &mut self,
-        key: EngineKey,
-        epoch: u64,
-        tick: PierTimer,
-        spec: EngineSpec,
-        query_id: u64,
-        now: SimTime,
-    ) {
-        let mut engine = WindowEngine::new(spec);
-        let durable = self.config.durable.as_ref();
-        if let Some(report) = durable.and_then(|d| engine.rehydrate(d)) {
-            self.tel.add("cq.rehydrated_windows", report.windows as u64);
-            self.tel.event("window.rehydrate", || {
-                vec![
-                    ("query_id", query_id.to_string()),
-                    ("windows", report.windows.to_string()),
-                    ("groups", report.groups.to_string()),
-                    ("tuples", report.tuples.to_string()),
-                    ("skipped", report.skipped.to_string()),
-                    ("torn_tail", report.torn_tail.to_string()),
-                ]
-            });
-        }
-        let spec = engine.spec();
-        let root_id = routing_id(&spec.namespace, &spec.root_key);
-        let route = NamespaceRoute::WindowPartials(key);
-        self.routes.insert(spec.namespace.clone(), route);
-        self.pane_epoch = now.max(self.pane_epoch + 1);
-        let slot = EngineSlot {
-            engine,
-            root_id,
-            epoch,
-            tick,
-            sent: Outbox::new(self.pane_epoch),
-            heard: Inbox::default(),
-        };
-        self.engines.insert(key, slot);
-    }
-
     /// Uninstall a query: leave its window engine, drop its dataflow and
     /// routes, or leave its share group.  The schemas it interned need no
     /// release here: the registry forgets a shape once nothing holds it.
     fn uninstall_query(&mut self, query_id: u64) {
         self.last_combine_span.remove(&query_id);
-        // Leave the window engine.  The last member out retires it, and a
-        // deliberate teardown means the engine is over everywhere it
-        // matters: its durable segments will never be rehydrated, so drop
-        // them rather than leak "disk".
-        if let Some(key) = self.engine_of.remove(&query_id) {
-            if let Some(slot) = self.engines.get_mut(&key) {
-                slot.engine.remove_member(query_id);
-                if slot.engine.members().is_empty() {
-                    self.routes.remove(&slot.engine.spec().namespace);
-                    if let Some(durable) = self.config.durable.as_ref() {
-                        slot.engine.forget(durable);
-                    }
-                    self.engines.remove(&key);
-                }
-            }
-        }
-        if let Some(plan) = self.exec.uninstall(query_id) {
-            for g in &plan.opgraphs {
-                let namespace = g.source.namespace();
-                if let Some(NamespaceRoute::Sources(targets)) = self.routes.get_mut(namespace) {
-                    targets.retain(|(qid, _)| *qid != query_id);
-                    if targets.is_empty() {
-                        self.routes.remove(namespace);
-                    }
-                }
-            }
+        self.engines.leave(query_id);
+        if self.exec.uninstall(query_id).is_some() {
             self.tel.inc("query.teardowns");
             self.tel.event("query_teardown", || {
                 vec![("query_id", query_id.to_string())]
@@ -1598,7 +1273,11 @@ impl PierNode {
                 namespace,
                 epoch,
                 seqs,
-            } => self.resend_panes(ctx, from, &namespace, epoch, &seqs),
+            } => {
+                for msg in self.engines.resend(&namespace, epoch, &seqs, from) {
+                    ctx.send(from, PierMsg::Dht(msg));
+                }
+            }
             PierMsg::Plans { plans } => {
                 for plan in plans {
                     self.install_query(ctx, plan);
@@ -1619,13 +1298,7 @@ impl PierNode {
     /// One-shot aggregate `query_id` reached its final instant: at its
     /// root, send the proxy the one answer of every pane held here.
     fn finish_aggregate(&mut self, ctx: &mut ProgramContext<Self>, query_id: u64) {
-        let Some(slot) = self.engines.get_mut(&EngineKey::Query(query_id)) else {
-            return;
-        };
-        if !self.overlay.router().is_responsible(slot.root_id) {
-            return;
-        }
-        if let Some((proxy, rows)) = slot.engine.finish() {
+        if let Some((proxy, rows)) = self.engines.finish(query_id, &self.overlay) {
             let results = vec![(proxy, query_id, TupleBatch::new(rows))];
             let effects = self.settle(
                 ctx,
@@ -1645,61 +1318,38 @@ impl PierNode {
     /// windows, ship their partials one hop toward the engine's window root
     /// — combining en route — and, at the root, stream each member's
     /// per-window results to its proxy; then report window health, persist
-    /// the surviving state and re-arm.  `epoch` is the incarnation the
-    /// firing timer was armed for.
-    fn engine_tick(&mut self, ctx: &mut ProgramContext<Self>, key: EngineKey, epoch: u64) {
+    /// the surviving state and re-arm `timer`.  `epoch` is the incarnation
+    /// the firing timer was armed for.
+    fn engine_tick(
+        &mut self,
+        ctx: &mut ProgramContext<Self>,
+        key: EngineKey,
+        epoch: u64,
+        timer: PierTimer,
+    ) {
         let now = ctx.now();
-        let Some(slot) = self.engines.get_mut(&key) else {
-            return; // engine retired: the tick chain stops
+        let Some(mut ticked) = self.engines.tick(key, epoch, now, &self.overlay) else {
+            return; // engine retired or re-created: this tick chain stops
         };
-        if epoch != slot.epoch {
-            // The group was retired and re-created since this chain was
-            // armed; the new incarnation drives its own chain — a stale
-            // timer must not stack a duplicate one.
-            return;
-        }
-        let is_root = self.overlay.router().is_responsible(slot.root_id);
-        let out = slot.engine.tick(now, is_root);
-        let names = slot.engine.spec().names;
-        let slide = slot.engine.spec().window.slide;
-        let tick = slot.tick.clone();
-        // Shared work is charged to the engine's lowest member.
-        let members = slot.engine.members();
-        let charged = members.iter().next().map(|(id, m)| (*id, m.trace));
-        let members = members.len() as u64;
-        let (shed, evicted) = slot.engine.take_shed_evicted();
-
         // 1. Ship partials one hop toward the root and stream emissions to
         //    the proxies.  Every partial of a tick shares the window-root
         //    destination, so batching collapses the per-group message train
-        //    into one transfer per tick.
-        let shipments = self.pane_shipments(key, out.partials.into_iter().collect());
-        // Flush instrumentation: every shipping flush ticks the engine's
-        // flush counters (the ones the span-reconciliation tests anchor
-        // to), and a traced engine's flush additionally records a flush
-        // span whose context rides the wire on every shipment of this tick.
-        // Its `aux` is the distinct panes bundled, so the per-*pane* static
-        // bound can be reconciled against a per-*tick* measurement — or,
-        // for shared work, the members riding it.
-        let mut flush_ctx: Option<TraceContext> = None;
-        if self.tel.is_enabled() && !shipments.is_empty() {
-            let partials: u64 = shipments.iter().map(|s| s.tuple_count() as u64).sum();
-            self.tel.inc(names.flushes);
-            self.tel.add(names.flush_partials, partials);
-            if let Some((query_id, true)) = charged {
-                let bytes: u64 = shipments.iter().map(|s| s.wire_size() as u64).sum();
-                let aux = if names.shared { members } else { out.panes };
-                let root = TraceContext::root(query_id);
-                flush_ctx = Some(self.span(now, root, names.flush_span, [partials, bytes, aux]));
-            }
-        }
-        let effects = self.ship_partials(key, shipments, flush_ctx, now);
+        //    into one transfer per tick.  A traced engine's flush span
+        //    parents every shipment of the tick; its `aux` lets the
+        //    per-*pane* static bound be reconciled against a per-*tick*
+        //    measurement.
+        let flush_ctx = ticked.flush_span.map(|(query_id, stage, counts)| {
+            self.span(now, TraceContext::root(query_id), stage, counts)
+        });
+        let shipments = std::mem::take(&mut ticked.shipments);
+        let (overlay, rng) = (&mut self.overlay, &mut self.rng);
+        let effects = (self.engines).ship(key, shipments, flush_ctx, now, overlay, rng);
         self.drive(ctx, effects);
         // One results message per (proxy, window), in first-emission order:
         // every member of a proxy the tick emitted for rides one message,
         // distinct windows never share one.
         let mut bundles: Vec<((NodeAddr, SimTime, SimTime), WindowBundle)> = Vec::new();
-        for e in out.emissions {
+        for e in std::mem::take(&mut ticked.emissions) {
             // A traced member's per-window emission: the `window.emit` span
             // parents to the newest absorption at this root (shared work:
             // to the member's own trace root) and its context travels to
@@ -1707,7 +1357,7 @@ impl PierNode {
             let emit_ctx = (self.tel.is_enabled() && e.trace).then(|| {
                 let root = TraceContext::root(e.query_id);
                 let combined = self.last_combine_span.get(&e.query_id);
-                let parent = combined.filter(|_| !names.shared);
+                let parent = combined.filter(|_| !ticked.shared);
                 let parent = parent.map_or(root, |span| root.child(*span));
                 let rows = (e.retracts.len() + e.inserts.len()) as u64;
                 self.span(now, parent, "window.emit", [rows, 0, e.window_start])
@@ -1729,42 +1379,10 @@ impl PierNode {
             };
             self.post(ctx, proxy, results);
         }
-        // 2. Window health into telemetry: this engine's shed/evict
-        //    *deltas* as trace events, and — once per instant, however many
-        //    engines tick at it — absolute occupancy gauges summed over
-        //    every engine at this node.
-        if self.tel.is_enabled() {
-            let query_id = charged.map_or(0, |(id, _)| id);
-            let pressure = [
-                ("window_shed", "shed", shed),
-                ("window_evict", "evicted", evicted),
-            ];
-            for (event, field, n) in pressure.into_iter().filter(|p| p.2 > 0) {
-                self.tel.event(event, || {
-                    vec![("query_id", query_id.to_string()), (field, n.to_string())]
-                });
-            }
-            if self.gauges_at != Some(now) {
-                self.gauges_at = Some(now);
-                let mut totals = [0u64; 6];
-                for slot in self.engines.values() {
-                    for (total, v) in totals.iter_mut().zip(slot.engine.occupancy()) {
-                        *total += v;
-                    }
-                }
-                for (name, total) in OCCUPANCY_GAUGES.iter().zip(totals) {
-                    self.tel.gauge(name, total as f64);
-                }
-            }
-        }
-        // 3. Persist the surviving window state as durable segments, so a
-        //    crash after this tick restarts warm; re-arm while the engine
-        //    lives.
-        if let Some(slot) = self.engines.get(&key) {
-            if let Some(durable) = self.config.durable.as_ref() {
-                slot.engine.persist(durable);
-            }
-            ctx.set_timer(slide, tick);
+        // 2. Window health, durable segments, and the next tick while the
+        //    engine lives.
+        if let Some(slide) = self.engines.tock(key, now, ticked) {
+            ctx.set_timer(slide, timer);
         }
     }
 
@@ -1844,20 +1462,7 @@ impl PierNode {
     /// here, unshared or a share-group member (`None` when the query is not
     /// installed here or runs in no window engine).
     pub fn cq_diagnostics(&self, query_id: u64) -> Option<CqDiagnostics> {
-        let slot = self.engines.get(self.engine_of.get(&query_id)?)?;
-        slot.engine.diagnostics(query_id)
-    }
-}
-
-/// Reads the lease of a standing query installed in `engines`, for
-/// [`Deadlines`].
-fn leases<'a>(
-    engines: &'a BTreeMap<EngineKey, EngineSlot>,
-    engine_of: &'a HashMap<u64, EngineKey>,
-) -> impl FnMut(u64) -> Option<Lease> + 'a {
-    |query_id| {
-        let slot = engines.get(engine_of.get(&query_id)?)?;
-        Some(slot.engine.members().get(&query_id)?.lease)
+        self.engines.diagnostics(query_id)
     }
 }
 
@@ -1902,10 +1507,10 @@ impl Program for PierNode {
             PierTimer::QueryEnd => self.sweep_deadlines(ctx),
             PierTimer::ProxyDone | PierTimer::CqLease | PierTimer::AggFlush { .. } => {}
             PierTimer::WindowTick { query_id } => {
-                self.engine_tick(ctx, EngineKey::Query(query_id), 0);
+                self.engine_tick(ctx, EngineKey::Query(query_id), 0, timer);
             }
             PierTimer::ShareTick { group, epoch } => {
-                self.engine_tick(ctx, EngineKey::Group(group), epoch);
+                self.engine_tick(ctx, EngineKey::Group(group), epoch, timer);
             }
             PierTimer::MetricsPublish => self.publish_metrics(ctx),
             PierTimer::BatchFlush => {
