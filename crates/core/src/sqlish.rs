@@ -386,26 +386,22 @@ pub fn plan_checked(
         }
     }
     let predicate = Expr::all(statement.predicates.clone());
-    // Naive dissemination choice: an equality predicate on any column makes
-    // the query routable to the partition holding that key (assuming the
-    // table is published hashed on that column); otherwise broadcast.
-    let dissemination = statement
-        .columns
+    // Naive dissemination choice: a selection with an equality predicate
+    // on any column is routable to the partition holding that key
+    // (assuming the table is published hashed on that column).  An
+    // aggregate broadcasts, one-shot or windowed: its answer is combined
+    // from every node's rows, and a keyed plan is installed at one node.
+    let columns = collect_columns(&statement.predicates);
+    let key = columns
         .iter()
-        .chain(statement.group_by.iter())
-        .chain(std::iter::once(&statement.table))
-        .find_map(|_| None)
-        .unwrap_or_else(|| {
-            for pred_col in collect_columns(&statement.predicates) {
-                if let Some(v) = predicate.equality_constant(&pred_col) {
-                    return Dissemination::ByKey {
-                        namespace: statement.table.clone(),
-                        key: v.key_string(),
-                    };
-                }
-            }
-            Dissemination::Broadcast
-        });
+        .find_map(|col| predicate.equality_constant(col));
+    let dissemination = match key {
+        Some(v) if statement.aggregates.is_empty() => Dissemination::ByKey {
+            namespace: statement.table.clone(),
+            key: v.key_string(),
+        },
+        _ => Dissemination::Broadcast,
+    };
 
     let mut ops = Vec::new();
     if !statement.predicates.is_empty() {
@@ -458,11 +454,6 @@ pub fn plan_checked(
             ops.push(OperatorSpec::Projection(statement.columns.clone()));
         }
         SinkSpec::ToProxy
-    };
-    let dissemination = if statement.window.is_some() {
-        Dissemination::Broadcast
-    } else {
-        dissemination
     };
     let mut builder = PlanBuilder::new(proxy)
         .dissemination(dissemination)
@@ -601,6 +592,19 @@ mod tests {
             other => panic!("expected ByKey, got {other:?}"),
         }
         assert!(matches!(q.opgraphs[0].sink, SinkSpec::ToProxy));
+    }
+
+    #[test]
+    fn an_aggregate_with_an_equality_predicate_broadcasts() {
+        // Keyed, the plan would run at the key's owner alone and answer
+        // nothing: its partials combine at a window root elsewhere.
+        let sql = "SELECT src, COUNT(*) FROM events WHERE src = 'a' GROUP BY src";
+        for timeout in [5_000_000, 30_000_000] {
+            let q = compile(sql, NodeAddr(1), timeout).unwrap();
+            assert!(matches!(q.dissemination, Dissemination::Broadcast));
+        }
+        let windowed = compile(&format!("{sql} WINDOW 10s"), NodeAddr(1), 5_000_000).unwrap();
+        assert!(matches!(windowed.dissemination, Dissemination::Broadcast));
     }
 
     #[test]

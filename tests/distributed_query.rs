@@ -80,6 +80,34 @@ fn sql_aggregation_matches_ground_truth() {
 }
 
 #[test]
+fn an_aggregate_with_an_equality_predicate_answers_its_count() {
+    // Sent by key, the plan would reach only the owner of 'a', whose
+    // partials go to a window root that never installed it: no answer.
+    let mut cluster = Cluster::start(&ClusterConfig::lan(16, seeded(505)));
+    let key_cols = vec!["src".to_string()];
+    let srcs = ["a", "b", "c"];
+    for i in 0..20 {
+        let src = Value::Str(srcs[i % srcs.len()].into());
+        let tuple = Tuple::new("events", vec![("src", src), ("port", Value::Int(i as i64))]);
+        let from = cluster.addr(i % cluster.len());
+        cluster.publish(from, "events", &key_cols, tuple);
+    }
+    let published = (0..20).filter(|i| i % srcs.len() == 0).count() as i64;
+    cluster.settle(3_000_000);
+    let proxy = cluster.addr(3);
+    let sql = "SELECT src, COUNT(*) FROM events WHERE src = 'a' GROUP BY src";
+    let plan = sqlish::compile(sql, proxy, 10_000_000).unwrap();
+    let outcome = cluster.run_query(proxy, plan);
+    let rows = outcome.tuples();
+    assert_eq!(rows.len(), 1, "one group: {rows:?}");
+    assert_eq!(rows[0].get("src").and_then(Value::as_str), Some("a"));
+    assert_eq!(
+        rows[0].get("count").and_then(Value::as_i64),
+        Some(published)
+    );
+}
+
+#[test]
 fn a_short_one_shot_aggregate_counts_the_whole_tree() {
     // Partials climb about one hold per hop and the root answers one hold
     // before the timeout: an 8 s query must still hear every leaf, on 32
