@@ -1,20 +1,18 @@
 //! A node's window engines and their pane traffic.
 //!
 //! [`Engines`] owns every [`WindowEngine`] at a node — an unshared query's
-//! own, a share group's, a one-shot aggregate's — and the numbered
-//! shipments that carry their closed panes toward each engine's window
-//! root ([`crate::pane_link`]).  It indexes the window-partial namespaces it
-//! reads, so an arrival in one is one map lookup.  Arrivals, instants and a
-//! lent `&mut Overlay` / `&mut Rng64` go in; overlay effects, shipments,
-//! requests for lost shipments and emissions come out.
-//!
-//! Plain state that never sees the runtime: [`crate::node::PierNode`] arms
-//! the tick timers, records the spans and posts what comes out.
+//! own, a share group's, a one-shot aggregate's — the numbered shipments
+//! that carry their closed panes toward each engine's root
+//! ([`crate::pane_link`]), and an index of the window-partial namespaces
+//! they read.  Arrivals, instants and a lent `&mut Overlay` / `&mut Rng64`
+//! go in; overlay effects, shipments, requests for lost shipments and
+//! emissions come out.  Plain state: [`crate::node::PierNode`] arms the
+//! tick timers, records the spans and posts what comes out.
 
 use crate::node::{PierConfig, PierMsg};
 use crate::pane_link::{Inbox, Outbox};
 use crate::plan::QpObject;
-use crate::tuple::{ColumnChunk, Tuple};
+use crate::tuple::{ColumnChunk, Tuple, TupleBatch};
 use crate::window_engine::{
     CqDiagnostics, Emission, EngineSpec, MemberSpec, WindowEngine, OCCUPANCY_GAUGES,
 };
@@ -49,23 +47,20 @@ struct EngineSlot {
     heard: Inbox,
 }
 
-/// Where closed-pane partials arrive.
+/// Where closed-pane partials arrive: at their engine's root (`NewData`),
+/// where what its store refuses is dropped, or at an upcall hop, where it
+/// goes on toward the root under the given trace context.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Hop {
-    /// At their engine's root (a `NewData` arrival): whatever the root
-    /// store refuses is dropped.
     Root,
-    /// On their way up (an upcall): what this node's store refuses goes on
-    /// toward the root, under the given trace context.
     Upcall(Option<TraceContext>),
 }
 
 /// What an arrival in a namespace asks of the node.
 #[derive(Debug, Default)]
 pub(crate) struct Arrival {
-    /// An engine here took the arrival — absorbed it, or dropped it as a
-    /// copy absorbed before.  `false`: route or forward it as if no engine
-    /// were here.
+    /// An engine here absorbed the arrival, or dropped it as a copy it
+    /// absorbed before; if not, route or forward it as if none were here.
     pub taken: bool,
     /// A request for the shipments the arrival's number shows missing, to
     /// post to their sender.
@@ -79,9 +74,9 @@ pub(crate) struct Arrival {
 pub(crate) struct Ticked {
     /// The closed panes' shipments, for [`Engines::ship`].
     pub shipments: Vec<QpObject>,
-    /// A traced engine's flush span: `(query, stage, [partials, bytes,
-    /// aux])`, `aux` being the panes bundled or, for shared work, the
-    /// members riding it.  Its context rides every shipment.
+    /// A traced engine's flush span, `(query, stage, [partials, bytes,
+    /// panes bundled or, for shared work, members])`, whose context rides
+    /// every shipment.
     pub flush_span: Option<(u64, &'static str, [u64; 3])>,
     /// Per-member emissions (only at the root).
     pub emissions: Vec<Emission>,
@@ -92,7 +87,7 @@ pub(crate) struct Ticked {
 }
 
 /// Every window engine at one node.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub(crate) struct Engines {
     slots: BTreeMap<EngineKey, EngineSlot>,
     /// The engine each windowed query (unshared or member) lives in.
@@ -116,66 +111,55 @@ impl Engines {
     /// `durable` store, reporting to `tel`.
     pub(crate) fn new(config: &PierConfig, tel: Telemetry) -> Self {
         Engines {
-            slots: BTreeMap::new(),
-            engine_of: HashMap::new(),
-            partials: HashMap::new(),
-            pane_epoch: 0,
-            gauges_at: None,
             publish_lifetime: config.publish_lifetime,
             batching: config.batching,
             durable: config.durable.clone(),
             tel,
+            ..Engines::default()
         }
     }
 
-    /// Open engine `key` of incarnation `epoch` — cold, or rehydrated warm
-    /// from the durable segments — for `query_id`, its first member, and
-    /// route its window-partial namespace to it.
-    pub(crate) fn open(
-        &mut self,
-        key: EngineKey,
-        epoch: u64,
-        spec: EngineSpec,
-        query_id: u64,
-        now: SimTime,
-    ) {
-        let mut engine = WindowEngine::new(spec);
-        if let Some(report) = self.durable.as_ref().and_then(|d| engine.rehydrate(d)) {
-            self.tel.add("cq.rehydrated_windows", report.windows as u64);
-            self.tel.event("window.rehydrate", || {
-                vec![
-                    ("query_id", query_id.to_string()),
-                    ("windows", report.windows.to_string()),
-                    ("groups", report.groups.to_string()),
-                    ("tuples", report.tuples.to_string()),
-                    ("skipped", report.skipped.to_string()),
-                    ("torn_tail", report.torn_tail.to_string()),
-                ]
-            });
-        }
-        let spec = engine.spec();
-        let root_id = routing_id(&spec.namespace, &spec.root_key);
-        self.partials.insert(spec.namespace.clone(), key);
-        self.pane_epoch = now.max(self.pane_epoch + 1);
-        let slot = EngineSlot {
-            engine,
-            root_id,
-            epoch,
-            sent: Outbox::new(self.pane_epoch),
-            heard: Inbox::default(),
-        };
-        self.slots.insert(key, slot);
-    }
-
-    /// `query_id` becomes a member of engine `key`, if it is open.
+    /// `query_id` becomes a member of engine `key`.  The first member
+    /// `open`s it, as incarnation `epoch` of `spec`: cold, or rehydrated
+    /// warm from the durable segments.
     pub(crate) fn join(
         &mut self,
         key: EngineKey,
+        open: Option<(u64, EngineSpec)>,
         query_id: u64,
         member: MemberSpec,
         trace: bool,
         now: SimTime,
     ) {
+        if let Some((epoch, spec)) = open {
+            let mut engine = WindowEngine::new(spec);
+            if let Some(report) = self.durable.as_ref().and_then(|d| engine.rehydrate(d)) {
+                self.tel.add("cq.rehydrated_windows", report.windows as u64);
+                self.tel.event("window.rehydrate", || {
+                    vec![
+                        ("query_id", query_id.to_string()),
+                        ("windows", report.windows.to_string()),
+                        ("groups", report.groups.to_string()),
+                        ("tuples", report.tuples.to_string()),
+                        ("skipped", report.skipped.to_string()),
+                        ("torn_tail", report.torn_tail.to_string()),
+                    ]
+                });
+            }
+            let (namespace, root_key) = (&engine.spec().namespace, &engine.spec().root_key);
+            let root_id = routing_id(namespace, root_key);
+            self.partials.insert(namespace.clone(), key);
+            self.pane_epoch = now.max(self.pane_epoch + 1);
+            let (sent, heard) = (Outbox::new(self.pane_epoch), Inbox::default());
+            let slot = EngineSlot {
+                engine,
+                root_id,
+                epoch,
+                sent,
+                heard,
+            };
+            self.slots.insert(key, slot);
+        }
         if let Some(slot) = self.slots.get_mut(&key) {
             slot.engine.add_member(query_id, member, trace, now);
             self.engine_of.insert(query_id, key);
@@ -187,10 +171,8 @@ impl Engines {
     /// matters: its durable segments will never be rehydrated, so they are
     /// dropped rather than leak "disk".
     pub(crate) fn leave(&mut self, query_id: u64) {
-        let Some(key) = self.engine_of.remove(&query_id) else {
-            return;
-        };
-        let Some(slot) = self.slots.get_mut(&key) else {
+        let key = self.engine_of.remove(&query_id);
+        let Some((key, slot)) = key.and_then(|key| Some((key, self.slots.get_mut(&key)?))) else {
             return;
         };
         slot.engine.remove_member(query_id);
@@ -213,42 +195,31 @@ impl Engines {
         if let Some(lease) = slot.and_then(|s| s.engine.lease_mut(query_id)) {
             lease.renew(now);
             self.tel.inc("cq.lease_renewals");
-            self.tel
-                .event("lease_renew", || vec![("query_id", query_id.to_string())]);
+            let fields = || vec![("query_id", query_id.to_string())];
+            self.tel.event("lease_renew", fields);
         }
         true
     }
 
+    /// The engine `query_id` lives in here.
+    fn holding(&self, query_id: u64) -> Option<&WindowEngine> {
+        Some(&self.slots.get(self.engine_of.get(&query_id)?)?.engine)
+    }
+
     /// The lease of a standing query held here, for the lifecycle sweep.
     pub(crate) fn lease(&self, query_id: u64) -> Option<Lease> {
-        let slot = self.slots.get(self.engine_of.get(&query_id)?)?;
-        Some(slot.engine.members().get(&query_id)?.lease)
+        Some(self.holding(query_id)?.members().get(&query_id)?.lease)
     }
 
     /// Diagnostics of `query_id`, while it lives in an engine here.
     pub(crate) fn diagnostics(&self, query_id: u64) -> Option<CqDiagnostics> {
-        let slot = self.slots.get(self.engine_of.get(&query_id)?)?;
-        slot.engine.diagnostics(query_id)
+        self.holding(query_id)?.diagnostics(query_id)
     }
 
-    /// The unshared query's own engine, which its aggregating graph feeds.
-    pub(crate) fn query_engine(&mut self, query_id: u64) -> Option<&mut WindowEngine> {
-        let slot = self.slots.get_mut(&EngineKey::Query(query_id));
-        slot.map(|slot| &mut slot.engine)
-    }
-
-    /// Share group `group`'s engine absorbs the rows of `chunk` some
-    /// member `selected`.
-    pub(crate) fn absorb_selected(
-        &mut self,
-        group: u64,
-        chunk: &ColumnChunk,
-        selected: &[u64],
-        now: SimTime,
-    ) {
-        if let Some(slot) = self.slots.get_mut(&EngineKey::Group(group)) {
-            slot.engine.absorb(chunk, Some(selected), now);
-        }
+    /// Engine `key`: an unshared query's own, which its aggregating graph
+    /// feeds, or a share group's, which absorbs the rows members select.
+    pub(crate) fn engine(&mut self, key: EngineKey) -> Option<&mut WindowEngine> {
+        self.slots.get_mut(&key).map(|slot| &mut slot.engine)
     }
 
     /// The engine whose window-partial namespace `namespace` is, and the
@@ -259,12 +230,12 @@ impl Engines {
     }
 
     /// Closed-pane partials `value` arrive in `namespace` at `hop`.  A
-    /// numbered shipment is noted, dropped when absorbed before, and asks
-    /// its sender again for every shipment its number shows missing; then
-    /// the engine absorbs it.  At an upcall hop, an arrival the engine took
-    /// none of goes on whole, and the rows it refused (budget shed,
-    /// evicted pane) are re-shipped toward the root — exactly as an
-    /// unbatched per-tuple upcall would have continued routing them.
+    /// numbered shipment is noted, asks its sender again for every
+    /// shipment its number shows missing, and is dropped when absorbed
+    /// before; then the engine absorbs it.  At an upcall hop, an arrival
+    /// the engine took none of goes on whole, and the rows it refused
+    /// (budget shed, evicted pane) are re-shipped toward the root —
+    /// exactly as an unbatched per-tuple upcall would have routed them on.
     pub(crate) fn arrive(
         &mut self,
         namespace: &str,
@@ -275,10 +246,10 @@ impl Engines {
         rng: &mut Rng64,
     ) -> Arrival {
         let partials = value.tuple_count();
-        let upcall = matches!(hop, Hop::Upcall(_));
         let mut arrival = Arrival::default();
-        let Some((key, slot, tel)) = self.reading(namespace).filter(|_| !upcall || partials > 0)
-        else {
+        let upcall = matches!(hop, Hop::Upcall(_));
+        let reading = self.reading(namespace).filter(|_| !upcall || partials > 0);
+        let Some((key, slot, tel)) = reading else {
             return arrival;
         };
         if let QpObject::Panes { stamp, .. } = value {
@@ -288,29 +259,26 @@ impl Engines {
             }
             if !heard.ask.is_empty() {
                 tel.add("cq.panes.asked", heard.ask.len() as u64);
+                let (epoch, seqs) = (stamp.epoch, heard.ask);
+                let namespace = namespace.to_string();
                 let request = PierMsg::PaneRequest {
-                    namespace: namespace.to_string(),
-                    epoch: stamp.epoch,
-                    seqs: heard.ask,
+                    namespace,
+                    epoch,
+                    seqs,
                 };
                 arrival.ask = Some((stamp.origin, request));
             }
-            if !heard.fresh {
-                arrival.taken = true;
+            arrival.taken = !heard.fresh;
+            if arrival.taken {
                 return arrival;
             }
         }
         let chunks = value.chunks();
         let refused: Vec<Vec<u32>> = chunks.iter().map(|c| slot.engine.absorb_panes(c)).collect();
-        let Hop::Upcall(trace) = hop else {
-            arrival.taken = true;
-            return arrival;
-        };
-        arrival.taken = refused.iter().map(Vec::len).sum::<usize>() < partials;
-        if arrival.taken && refused.iter().any(|rows| !rows.is_empty()) {
-            let refused = chunks
-                .iter()
-                .zip(&refused)
+        let refused_rows = refused.iter().map(Vec::len).sum::<usize>();
+        arrival.taken = !upcall || refused_rows < partials;
+        if let (Hop::Upcall(trace), true) = (hop, arrival.taken && refused_rows > 0) {
+            let refused = (chunks.iter().zip(&refused))
                 .filter(|(_, rows)| !rows.is_empty())
                 .map(|(chunk, rows)| chunk.gather(rows))
                 .collect();
@@ -351,8 +319,15 @@ impl Engines {
         if chunks.iter().all(|c| c.rows() == 0) {
             return Vec::new();
         }
-        let slot = self.slots.get_mut(&key).filter(|_| self.batching);
-        QpObject::pane_shipments(chunks, slot.map(|slot| slot.sent.stamp(me)))
+        match self.slots.get_mut(&key).filter(|_| self.batching) {
+            Some(slot) => {
+                let (stamp, batch) = (slot.sent.stamp(me), TupleBatch::from_chunks(chunks));
+                vec![QpObject::Panes { stamp, batch }]
+            }
+            None => (chunks.iter().flat_map(ColumnChunk::iter_rows))
+                .map(QpObject::Tuple)
+                .collect(),
+        }
     }
 
     /// Send closed-pane partials one hop toward engine `key`'s window root
@@ -381,11 +356,8 @@ impl Engines {
                 QpObject::Panes { stamp, .. } => Some(stamp.seq),
                 _ => None,
             };
-            let name = ObjectName::new(
-                spec.namespace.clone(),
-                spec.root_key.clone(),
-                rng.next_u64(),
-            );
+            let (namespace, root_key) = (spec.namespace.clone(), spec.root_key.clone());
+            let name = ObjectName::new(namespace, root_key, rng.next_u64());
             overlay.set_trace(trace);
             let sent = if spec.flat {
                 overlay.put(name, shipment, lifetime, now)
@@ -415,9 +387,8 @@ impl Engines {
         overlay: &Overlay<QpObject>,
     ) -> Option<Ticked> {
         let slot = self.slots.get_mut(&key).filter(|s| s.epoch == epoch)?;
-        let out = slot
-            .engine
-            .tick(now, overlay.router().is_responsible(slot.root_id));
+        let is_root = overlay.router().is_responsible(slot.root_id);
+        let out = slot.engine.tick(now, is_root);
         let names = slot.engine.spec().names;
         // Shared work is charged to the engine's lowest member.
         let members = slot.engine.members();
@@ -439,12 +410,14 @@ impl Engines {
                 flush_span = Some((query_id, names.flush_span, [partials, bytes, aux]));
             }
         }
+        let (emissions, shared) = (out.emissions, names.shared);
+        let health = (charged.map_or(0, |(id, _)| id), shed, evicted);
         Some(Ticked {
             shipments,
             flush_span,
-            emissions: out.emissions,
-            shared: names.shared,
-            health: (charged.map_or(0, |(id, _)| id), shed, evicted),
+            emissions,
+            shared,
+            health,
         })
     }
 
@@ -467,9 +440,8 @@ impl Engines {
                 ("window_evict", "evicted", evicted),
             ];
             for (event, field, n) in pressure.into_iter().filter(|p| p.2 > 0) {
-                self.tel.event(event, || {
-                    vec![("query_id", query_id.to_string()), (field, n.to_string())]
-                });
+                let fields = || vec![("query_id", query_id.to_string()), (field, n.to_string())];
+                self.tel.event(event, fields);
             }
             if self.gauges_at != Some(now) {
                 self.gauges_at = Some(now);
@@ -499,9 +471,251 @@ impl Engines {
         overlay: &Overlay<QpObject>,
     ) -> Option<(NodeAddr, Vec<Tuple>)> {
         let slot = self.slots.get_mut(&EngineKey::Query(query_id))?;
-        if !overlay.router().is_responsible(slot.root_id) {
-            return None;
+        let root = overlay.router().is_responsible(slot.root_id);
+        root.then(|| slot.engine.finish())?
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::aggregate::AggFunc;
+    use crate::pane_link::PaneStamp;
+    use crate::plan::{CqSpec, OpGraph, PlanBuilder, QueryPlan, SinkSpec, SourceSpec};
+    use crate::value::Value;
+    use pier_cq::{CqBudget, DeltaMode, WindowSpec};
+    use pier_dht::{make_ring_refs, OverlayConfig};
+
+    const QUERY: u64 = 7;
+    const PANE: SimTime = 1_000_000;
+    /// Late enough that the first pane has closed everywhere.
+    const LATER: SimTime = 3 * PANE;
+
+    /// `SELECT k, COUNT(*) FROM packets GROUP BY k WINDOW 1s` under
+    /// `budget`.
+    fn plan(budget: CqBudget) -> QueryPlan {
+        let sink = SinkSpec::WindowedAgg {
+            window: WindowSpec::tumbling(PANE),
+            group_cols: vec!["k".to_string()],
+            aggs: vec![AggFunc::Count],
+            time_col: Some("ts".to_string()),
+            delta: DeltaMode::Snapshot,
+            final_ops: Vec::new(),
+        };
+        let source = SourceSpec::Table {
+            namespace: "packets".to_string(),
+        };
+        let graph = OpGraph {
+            id: 0,
+            source,
+            join: None,
+            ops: Vec::new(),
+            sink,
+        };
+        let cq = CqSpec {
+            budget,
+            ..CqSpec::default()
+        };
+        let mut plan = PlanBuilder::new(NodeAddr(99)).opgraph(graph).cq(cq).build();
+        plan.query_id = QUERY;
+        plan
+    }
+
+    /// A node's engines, holding `plan`'s, whose first pane has absorbed a
+    /// row of each of `keys`.
+    fn engines_for(plan: &QueryPlan, config: &PierConfig, keys: &[i64]) -> Engines {
+        let (_, spec, member) = EngineSpec::unshared(plan).expect("an aggregating sink");
+        let mut engines = Engines::new(config, Telemetry::default());
+        let key = EngineKey::Query(QUERY);
+        engines.join(key, Some((0, spec)), QUERY, member, false, 0);
+        let row = |k: &i64| {
+            let fields = vec![("k", Value::Int(*k)), ("ts", Value::Int(PANE as i64 / 2))];
+            Tuple::new("packets", fields)
+        };
+        let rows = TupleBatch::new(keys.iter().map(row).collect());
+        let engine = engines.engine(key).expect("opened");
+        for chunk in rows.chunks() {
+            engine.absorb(chunk, None, PANE / 2);
         }
-        slot.engine.finish()
+        engines
+    }
+
+    /// The overlays of an `n`-node static ring, and which of them is the
+    /// root of `plan`'s engine.
+    fn ring(n: usize, plan: &QueryPlan) -> (Vec<Overlay<QpObject>>, usize) {
+        let refs = make_ring_refs(n, 5);
+        let overlay = |me: &_| Overlay::with_static_ring(*me, &refs, OverlayConfig::default());
+        let ring: Vec<_> = refs.iter().map(overlay).collect();
+        let root_id = routing_id(&plan.window_namespace(), &plan.agg_root_key());
+        let root = ring.iter().position(|o| o.router().is_responsible(root_id));
+        (ring, root.expect("someone owns the root"))
+    }
+
+    /// The one numbered shipment a tick of `engines` at `overlay` ships.
+    fn shipped(engines: &mut Engines, overlay: &Overlay<QpObject>) -> QpObject {
+        let ticked = engines.tick(EngineKey::Query(QUERY), 0, LATER, overlay);
+        let shipments = ticked.expect("a live engine").shipments;
+        let [shipment] = <[QpObject; 1]>::try_from(shipments).expect("one shipment");
+        assert!(matches!(shipment, QpObject::Panes { .. }), "numbered");
+        shipment
+    }
+
+    fn groups(engines: &Engines) -> usize {
+        engines.diagnostics(QUERY).expect("a member").total_groups
+    }
+
+    /// The counts the root's tick emits for the first window, by group.
+    fn counts_at_root(engines: &mut Engines, overlay: &Overlay<QpObject>) -> Vec<i64> {
+        let ticked = engines.tick(EngineKey::Query(QUERY), 0, LATER, overlay);
+        let [window] = &ticked.expect("a live engine").emissions[..] else {
+            panic!("one window emitted");
+        };
+        let count = |t: &Tuple| t.get("count").and_then(Value::as_i64);
+        window
+            .inserts
+            .iter()
+            .map(|t| count(t).expect("a count"))
+            .collect()
+    }
+
+    #[test]
+    fn an_engine_is_routed_while_it_lives_and_forgotten_after_its_last_member() {
+        let durable = DurableStore::default();
+        let config = PierConfig {
+            durable: Some(durable.clone()),
+            ..PierConfig::default()
+        };
+        let plan = plan(CqBudget::default());
+        let (mut ring, root) = ring(1, &plan);
+        let (overlay, mut rng) = (&mut ring[root], Rng64::new(1));
+        let mut engines = engines_for(&plan, &config, &[1, 2, 2]);
+        let (key, namespace) = (EngineKey::Query(QUERY), plan.window_namespace());
+        let probe = QpObject::Batch(TupleBatch::default());
+        let mut arrive = |engines: &mut Engines, overlay: &mut Overlay<QpObject>| {
+            let arrival = engines.arrive(&namespace, &probe, Hop::Root, LATER, overlay, &mut rng);
+            arrival.taken
+        };
+        assert!(
+            arrive(&mut engines, overlay),
+            "the partial namespace is read"
+        );
+
+        // Alone, the node is the root: the tick emits the closed window and
+        // ships nothing; a stale incarnation's tick stops its chain.
+        let ticked = engines.tick(key, 0, LATER, overlay).expect("live");
+        assert!(ticked.shipments.is_empty());
+        let counts: Vec<usize> = ticked.emissions.iter().map(|e| e.inserts.len()).collect();
+        assert_eq!(counts, [2], "one window, two groups");
+        assert!(engines.tick(key, 1, LATER, overlay).is_none());
+        assert_eq!(engines.tock(key, LATER, ticked), Some(PANE), "re-armed");
+        assert!(!durable.keys().is_empty(), "the surviving state persisted");
+
+        // A second member keeps the engine; the last one out retires it.
+        let (_, _, member) = EngineSpec::unshared(&plan).expect("an aggregating sink");
+        engines.join(key, None, QUERY + 1, member, false, LATER);
+        engines.leave(QUERY);
+        assert!(arrive(&mut engines, overlay), "still read");
+        assert!(!durable.keys().is_empty(), "still kept");
+        engines.leave(QUERY + 1);
+        assert!(engines.slots.is_empty() && engines.engine_of.is_empty());
+        assert!(!arrive(&mut engines, overlay), "no longer read");
+        assert!(durable.keys().is_empty(), "its segments forgotten");
+        assert!(
+            engines.tick(key, 0, LATER, overlay).is_none(),
+            "the chain stops"
+        );
+    }
+
+    #[test]
+    fn a_shipment_arriving_twice_is_absorbed_once_and_a_gap_is_asked_for() {
+        let plan = plan(CqBudget::default());
+        let config = PierConfig::default();
+        let (mut ring, root) = ring(8, &plan);
+        let leaf = (root + 1) % ring.len();
+        let mut at_leaf = engines_for(&plan, &config, &[1, 2, 3]);
+        let mut at_root = engines_for(&plan, &config, &[]);
+        let shipment = shipped(&mut at_leaf, &ring[leaf]);
+        let QpObject::Panes { stamp, batch } = &shipment else {
+            unreachable!("checked by `shipped`");
+        };
+        assert_eq!((stamp.origin, stamp.seq), (ring[leaf].me().addr, 0));
+        let namespace = plan.window_namespace();
+        let mut rng = Rng64::new(1);
+        for _copy in 0..2 {
+            let overlay = &mut ring[root];
+            let arrival =
+                at_root.arrive(&namespace, &shipment, Hop::Root, LATER, overlay, &mut rng);
+            assert!(arrival.taken && arrival.ask.is_none() && arrival.effects.is_empty());
+        }
+
+        // Number 2 arrives where 1 was due: absorbed, and 1 is asked of
+        // the leaf, directly.
+        let stamp = PaneStamp { seq: 2, ..*stamp };
+        let batch = batch.clone();
+        let later = QpObject::Panes { stamp, batch };
+        let overlay = &mut ring[root];
+        let arrival = at_root.arrive(&namespace, &later, Hop::Root, LATER, overlay, &mut rng);
+        assert!(arrival.taken);
+        let Some((to, PierMsg::PaneRequest { epoch, seqs, .. })) = arrival.ask else {
+            panic!("a gap is asked for: {:?}", arrival.ask);
+        };
+        // Number 0 counted once, number 2 once.
+        assert_eq!(counts_at_root(&mut at_root, &ring[root]), [2, 2, 2]);
+        assert_eq!((to, epoch, seqs), (stamp.origin, stamp.epoch, vec![1]));
+    }
+
+    #[test]
+    fn refused_rows_go_on_from_an_upcall_hop_and_stop_at_the_root() {
+        let roomy = plan(CqBudget::default());
+        let tight = plan(CqBudget {
+            max_groups_per_window: 1,
+            ..CqBudget::default()
+        });
+        let config = PierConfig::default();
+        let (mut ring, root) = ring(8, &roomy);
+        let [leaf, other_leaf, relay] = [1, 2, 3].map(|i| (root + i) % ring.len());
+        let shipment = shipped(&mut engines_for(&roomy, &config, &[1, 2, 3]), &ring[leaf]);
+        let namespace = roomy.window_namespace();
+        let mut rng = Rng64::new(1);
+        let (mut at_relay, mut at_root) = (Engines::default(), Engines::default());
+        for engines in [&mut at_relay, &mut at_root] {
+            *engines = engines_for(&tight, &config, &[]);
+        }
+
+        // The relay takes the one group its cap holds; the two past it go
+        // on toward the root as a shipment of its own.
+        let hop = Hop::Upcall(None);
+        let overlay = &mut ring[relay];
+        let arrival = at_relay.arrive(&namespace, &shipment, hop, LATER, overlay, &mut rng);
+        assert!(arrival.taken);
+        assert_eq!(groups(&at_relay), 1);
+        let sent: Vec<&QpObject> = (arrival.effects.iter())
+            .filter_map(|effect| match effect {
+                OverlayEffect::Send {
+                    msg: DhtMessage::Routed(routed),
+                    ..
+                } => Some(&routed.value),
+                _ => None,
+            })
+            .collect();
+        let [QpObject::Panes { stamp, batch }] = sent[..] else {
+            panic!("one numbered re-shipment: {sent:?}");
+        };
+        assert_eq!((stamp.origin, batch.len()), (ring[relay].me().addr, 2));
+
+        // A shipment the relay takes none of goes on whole, untouched.
+        let others = shipped(
+            &mut engines_for(&roomy, &config, &[4, 5]),
+            &ring[other_leaf],
+        );
+        let overlay = &mut ring[relay];
+        let arrival = at_relay.arrive(&namespace, &others, hop, LATER, overlay, &mut rng);
+        assert!(!arrival.taken && arrival.effects.is_empty());
+
+        // At the root what its cap refuses goes nowhere.
+        let overlay = &mut ring[root];
+        let arrival = at_root.arrive(&namespace, &shipment, Hop::Root, LATER, overlay, &mut rng);
+        assert!(arrival.taken && arrival.effects.is_empty());
+        assert_eq!(groups(&at_root), 1);
     }
 }

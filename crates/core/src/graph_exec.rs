@@ -22,7 +22,6 @@
 //! the wiring (timers, spans, results to the proxy), tests drive it
 //! directly.
 
-use crate::engines::Engines;
 use crate::node::PierConfig;
 use crate::operators::{JoinSide, Pipeline, SymmetricHashJoin};
 use crate::plan::{is_query_scoped_table, OperatorSpec, QpObject, QueryPlan, SinkSpec};
@@ -50,22 +49,6 @@ pub struct ExecOut {
     /// A rehash row is buffered and no flush tick is pending: arm one, and
     /// call [`GraphExec::flush_rehash`] when it fires.
     pub arm_batch_flush: bool,
-}
-
-impl ExecOut {
-    /// What `more` asks, after what this asks.
-    fn append(&mut self, more: ExecOut) {
-        let (mut effects, mut results) = (more.effects, more.results);
-        if self.effects.is_empty() {
-            std::mem::swap(&mut self.effects, &mut effects);
-        }
-        if self.results.is_empty() {
-            std::mem::swap(&mut self.results, &mut results);
-        }
-        self.effects.append(&mut effects);
-        self.results.append(&mut results);
-        self.arm_batch_flush |= more.arm_batch_flush;
-    }
 }
 
 /// A Fetch-Matches operator as `(inner namespace, probe column, the probe
@@ -141,8 +124,7 @@ impl GraphExec {
         let mut graphs = Vec::with_capacity(plan.opgraphs.len());
         for (gidx, spec) in plan.opgraphs.iter().enumerate() {
             let at = (plan.query_id, gidx);
-            let readers = self.sources.entry(spec.source.namespace().to_string());
-            let readers = readers.or_default();
+            let readers = (self.sources.entry(spec.source.namespace().to_string())).or_default();
             readers.insert(readers.partition_point(|r| *r < at), at);
             let mut pipeline =
                 Pipeline::new(spec.ops.iter().filter_map(OperatorSpec::build).collect());
@@ -173,15 +155,10 @@ impl GraphExec {
     /// nothing).  Returns the plan.
     pub fn uninstall(&mut self, query_id: u64) -> Option<QueryPlan> {
         let q = self.queries.remove(&query_id)?;
-        for g in &q.plan.opgraphs {
-            let namespace = g.source.namespace();
-            if let Some(readers) = self.sources.get_mut(namespace) {
-                readers.retain(|(qid, _)| *qid != query_id);
-                if readers.is_empty() {
-                    self.sources.remove(namespace);
-                }
-            }
-        }
+        self.sources.retain(|_, readers| {
+            readers.retain(|(qid, _)| *qid != query_id);
+            !readers.is_empty()
+        });
         self.pending_fetches
             .retain(|_, ((owner, _), _)| *owner != query_id);
         Some(q.plan)
@@ -293,33 +270,6 @@ impl GraphExec {
             outputs = TupleBatch::default();
         }
         self.deliver(at, outputs, now, overlay, rng)
-    }
-
-    /// Feed a batch arriving in `namespace` to every opgraph reading it,
-    /// in order, each aggregating one with its query's engine among
-    /// `engines`.
-    pub(crate) fn feed_source(
-        &mut self,
-        namespace: &str,
-        batch: &TupleBatch,
-        now: SimTime,
-        engines: &mut Engines,
-        overlay: &mut Overlay<QpObject>,
-        rng: &mut Rng64,
-    ) -> ExecOut {
-        let mut out = ExecOut::default();
-        // Taken for the loop and put back: feeding installs nothing.
-        let Some(readers) = self.sources.get_mut(namespace).map(std::mem::take) else {
-            return out;
-        };
-        for &at in &readers {
-            let fed = self.feed(at, batch, now, engines.query_engine(at.0), overlay, rng);
-            out.append(fed);
-        }
-        if let Some(slot) = self.sources.get_mut(namespace) {
-            *slot = readers;
-        }
-        out
     }
 
     /// A Fetch-Matches key came back: join every probe row that waited for

@@ -765,15 +765,9 @@ impl PierNode {
                     return Vec::new();
                 }
                 // Closed-pane partials at their engine's root.
-                let (overlay, rng) = (&mut self.overlay, &mut self.rng);
-                let arrival =
-                    self.engines
-                        .arrive(namespace, &object.value, Hop::Root, now, overlay, rng);
-                if let Some((origin, ask)) = arrival.ask {
-                    self.post(ctx, origin, ask);
-                }
-                if arrival.taken {
-                    return arrival.effects;
+                let arrival = self.pane_arrival(ctx, namespace, &object.value, Hop::Root);
+                if let Some(effects) = arrival {
+                    return effects;
                 }
                 match object.value {
                     // Rosters travel by broadcast only.
@@ -819,19 +813,12 @@ impl PierNode {
                     }
                     _ => None,
                 };
-                let (overlay, rng) = (&mut self.overlay, &mut self.rng);
                 let hop = Hop::Upcall(upcall_ctx);
                 let namespace = &routed.name.namespace;
-                let arrival = self
-                    .engines
-                    .arrive(namespace, &routed.value, hop, now, overlay, rng);
-                if let Some((origin, ask)) = arrival.ask {
-                    self.post(ctx, origin, ask);
+                match self.pane_arrival(ctx, namespace, &routed.value, hop) {
+                    Some(effects) => effects,
+                    None => self.overlay.forward(routed, now),
                 }
-                if arrival.taken {
-                    return arrival.effects;
-                }
-                self.overlay.forward(routed, now)
             }
             OverlayEvent::Broadcast { payload } => {
                 match payload {
@@ -854,6 +841,27 @@ impl PierNode {
             }
             OverlayEvent::RenewResult { .. } | OverlayEvent::LookupDone { .. } => Vec::new(),
         }
+    }
+
+    /// Offer closed-pane partials arriving in `namespace` at `hop` to the
+    /// engine reading it, and post its request for lost shipments; the
+    /// effects to drive once the engine took them, `None` when none here
+    /// did.
+    fn pane_arrival(
+        &mut self,
+        ctx: &mut ProgramContext<Self>,
+        namespace: &str,
+        value: &QpObject,
+        hop: Hop,
+    ) -> Option<Vec<OverlayEffect<QpObject>>> {
+        let (now, overlay, rng) = (ctx.now(), &mut self.overlay, &mut self.rng);
+        let arrival = self
+            .engines
+            .arrive(namespace, value, hop, now, overlay, rng);
+        if let Some((origin, ask)) = arrival.ask {
+            self.post(ctx, origin, ask);
+        }
+        arrival.taken.then_some(arrival.effects)
     }
 
     /// Record one `ingest` span per *sampled* query fed by an arriving
@@ -905,7 +913,9 @@ impl PierNode {
                 let engines = &mut self.engines;
                 for chunk in batch.chunks() {
                     layer.select(namespace, chunk, &mut |group, selected| {
-                        engines.absorb_selected(group, chunk, selected, now);
+                        if let Some(engine) = engines.engine(EngineKey::Group(group)) {
+                            engine.absorb(chunk, Some(selected), now);
+                        }
                     });
                 }
             }
@@ -913,9 +923,13 @@ impl PierNode {
         // Base-table or rehash-namespace batches feeding installed
         // opgraphs, ascending by `(query, graph)`.
         self.ingest_spans(namespace, now, batch.len() as u64, wire_bytes);
-        let (overlay, rng) = (&mut self.overlay, &mut self.rng);
-        let out = (self.exec).feed_source(namespace, batch, now, &mut self.engines, overlay, rng);
-        self.settle(ctx, out)
+        let mut effects = Vec::new();
+        // Feeding installs and uninstalls nothing: the readers stay put.
+        for i in 0..self.exec.readers(namespace).len() {
+            let at = self.exec.readers(namespace)[i];
+            effects.extend(self.feed(ctx, at, batch, now));
+        }
+        effects
     }
 
     // ----- query installation and execution ---------------------------------
@@ -1024,15 +1038,12 @@ impl PierNode {
             let lease = member.lease;
             // The group's first member opens its engine and, below, starts
             // its tick chain.
-            let tick = engine.map(|spec| {
-                let slide = spec.window.slide;
-                self.engines.open(key, epoch, spec, query_id, now);
-                (slide, PierTimer::ShareTick { group, epoch })
-            });
+            let tick = engine.as_ref().map(|spec| spec.window.slide);
             // Per-query sampling decisions are meaningless for work N
             // queries share: a group's members trace in trace-all mode only.
             let trace = self.config.trace.sample_every == 1;
-            self.engines.join(key, query_id, member, trace, now);
+            let open = engine.map(|spec| (epoch, spec));
+            self.engines.join(key, open, query_id, member, trace, now);
             self.tel.event("share_join", || {
                 vec![
                     ("query_id", query_id.to_string()),
@@ -1041,8 +1052,8 @@ impl PierNode {
                 ]
             });
             self.file_lifetime(ctx, query_id, plan.timeout, Some(lease));
-            if let Some((slide, tick)) = tick {
-                ctx.set_timer(slide, tick);
+            if let Some(slide) = tick {
+                ctx.set_timer(slide, PierTimer::ShareTick { group, epoch });
             }
             return;
         }
@@ -1057,8 +1068,7 @@ impl PierNode {
             let lease = (!once).then_some(member.lease);
             let final_at = once.then(|| plan.timeout.saturating_sub(hold));
             engine_timers = Some((hold, lease, final_at));
-            self.engines.open(key, 0, engine, query_id, now);
-            self.engines.join(key, query_id, member, plan.trace, now);
+            (self.engines).join(key, Some((0, engine)), query_id, member, plan.trace, now);
         }
         let (timeout, trace, graphs) = (plan.timeout, plan.trace, plan.opgraphs.len());
         self.exec.install(plan);
@@ -1177,7 +1187,7 @@ impl PierNode {
         batch: &TupleBatch,
         now: SimTime,
     ) -> Vec<OverlayEffect<QpObject>> {
-        let windows = self.engines.query_engine(at.0);
+        let windows = self.engines.engine(EngineKey::Query(at.0));
         let (overlay, rng) = (&mut self.overlay, &mut self.rng);
         let out = self.exec.feed(at, batch, now, windows, overlay, rng);
         self.settle(ctx, out)
@@ -1299,14 +1309,9 @@ impl PierNode {
     /// root, send the proxy the one answer of every pane held here.
     fn finish_aggregate(&mut self, ctx: &mut ProgramContext<Self>, query_id: u64) {
         if let Some((proxy, rows)) = self.engines.finish(query_id, &self.overlay) {
-            let results = vec![(proxy, query_id, TupleBatch::new(rows))];
-            let effects = self.settle(
-                ctx,
-                ExecOut {
-                    results,
-                    ..ExecOut::default()
-                },
-            );
+            let mut out = ExecOut::default();
+            out.results.push((proxy, query_id, TupleBatch::new(rows)));
+            let effects = self.settle(ctx, out);
             self.drive(ctx, effects);
         }
     }
