@@ -83,7 +83,7 @@ pub(crate) struct Ticked {
     /// A share group's engine: emissions trace under the member's own root.
     pub shared: bool,
     /// `(charged query, shed, evicted)`, for [`Engines::tock`].
-    health: (u64, u64, u64),
+    pub health: (u64, u64, u64),
 }
 
 /// Every window engine at one node.
@@ -259,12 +259,10 @@ impl Engines {
             }
             if !heard.ask.is_empty() {
                 tel.add("cq.panes.asked", heard.ask.len() as u64);
-                let (epoch, seqs) = (stamp.epoch, heard.ask);
-                let namespace = namespace.to_string();
                 let request = PierMsg::PaneRequest {
-                    namespace,
-                    epoch,
-                    seqs,
+                    namespace: namespace.to_string(),
+                    epoch: stamp.epoch,
+                    seqs: heard.ask,
                 };
                 arrival.ask = Some((stamp.origin, request));
             }
@@ -410,19 +408,17 @@ impl Engines {
                 flush_span = Some((query_id, names.flush_span, [partials, bytes, aux]));
             }
         }
-        let (emissions, shared) = (out.emissions, names.shared);
-        let health = (charged.map_or(0, |(id, _)| id), shed, evicted);
         Some(Ticked {
             shipments,
             flush_span,
-            emissions,
-            shared,
-            health,
+            emissions: out.emissions,
+            shared: names.shared,
+            health: (charged.map_or(0, |(id, _)| id), shed, evicted),
         })
     }
 
     /// Close a tick of engine `key` once its results are posted: report
-    /// window health — the tick's shed/evict deltas as trace events and,
+    /// window health — the tick's `health` deltas as trace events and,
     /// once per instant however many engines tick at it, occupancy gauges
     /// summed over every engine — and persist the surviving state as
     /// durable segments, so a crash after this tick restarts warm.  The
@@ -431,10 +427,9 @@ impl Engines {
         &mut self,
         key: EngineKey,
         now: SimTime,
-        ticked: Ticked,
+        (query_id, shed, evicted): (u64, u64, u64),
     ) -> Option<Duration> {
         if self.tel.is_enabled() {
-            let (query_id, shed, evicted) = ticked.health;
             let pressure = [
                 ("window_shed", "shed", shed),
                 ("window_evict", "evicted", evicted),
@@ -607,7 +602,11 @@ mod tests {
         let counts: Vec<usize> = ticked.emissions.iter().map(|e| e.inserts.len()).collect();
         assert_eq!(counts, [2], "one window, two groups");
         assert!(engines.tick(key, 1, LATER, overlay).is_none());
-        assert_eq!(engines.tock(key, LATER, ticked), Some(PANE), "re-armed");
+        assert_eq!(
+            engines.tock(key, LATER, ticked.health),
+            Some(PANE),
+            "re-armed"
+        );
         assert!(!durable.keys().is_empty(), "the surviving state persisted");
 
         // A second member keeps the engine; the last one out retires it.

@@ -4,9 +4,11 @@
 //! A [`PierNode`] is the "Program" box of Figures 3 and 4 with the query
 //! processor included.  It embeds an [`Overlay`] (the DHT wrapper) and the
 //! plain structs that do the work — the opgraph executor
-//! ([`crate::graph_exec`]), the window engines ([`crate::window_engine`]),
-//! the proxy ([`crate::proxy`]) — and is what connects them: the one
-//! namespace routing table, timers, messages, spans and telemetry.
+//! ([`crate::graph_exec`]), the node's window engines and their pane
+//! traffic (`engines.rs`, over [`crate::window_engine`]), the proxy
+//! ([`crate::proxy`]) — each indexing the namespaces it reads, and is
+//! only what connects them: timers, messages, spans, telemetry, admission
+//! and the install-time scan.
 //!
 //! Life of a query (§3.3.2): a client hands a [`QueryPlan`] to any node
 //! (its *proxy*) through [`PierNode::submit_query`]; the proxy disseminates
@@ -770,7 +772,8 @@ impl PierNode {
                     return effects;
                 }
                 match object.value {
-                    // Rosters travel by broadcast only.
+                    // Plans are installed above; rosters travel by
+                    // broadcast only.
                     QpObject::Plan(_) | QpObject::Renew { .. } => Vec::new(),
                     QpObject::Tuple(tuple) => {
                         // Most single-object arrivals are published rows
@@ -787,9 +790,8 @@ impl PierNode {
                         let batch = TupleBatch::from_chunks(vec![ColumnChunk::from_tuple(&tuple)]);
                         self.route_new_batch(ctx, namespace, &batch, now, || tuple.wire_size())
                     }
-                    // A coalesced transfer: the dispatch (namespace routing,
-                    // target lookup) happens once per batch and the
-                    // operators consume whole chunks.
+                    // A coalesced transfer: the dispatch happens once per
+                    // batch and the operators consume whole chunks.
                     QpObject::Batch(batch) | QpObject::Panes { batch, .. } => {
                         self.route_new_batch(ctx, namespace, &batch, now, || batch.wire_size())
                     }
@@ -1068,7 +1070,9 @@ impl PierNode {
             let lease = (!once).then_some(member.lease);
             let final_at = once.then(|| plan.timeout.saturating_sub(hold));
             engine_timers = Some((hold, lease, final_at));
-            (self.engines).join(key, Some((0, engine)), query_id, member, plan.trace, now);
+            let open = Some((0, engine));
+            self.engines
+                .join(key, open, query_id, member, plan.trace, now);
         }
         let (timeout, trace, graphs) = (plan.timeout, plan.trace, plan.opgraphs.len());
         self.exec.install(plan);
@@ -1093,8 +1097,9 @@ impl PierNode {
                 ctx.set_timer(at, PierTimer::AggFinal { query_id });
             }
         }
-        // Feed the opgraphs their initial data: node-local rows plus the DHT-partitioned rows this
-        // node is responsible for.  The snapshot of every source is taken
+        // Feed the opgraphs their initial data: node-local rows plus the
+        // DHT-partitioned rows this node is responsible for.  The snapshot
+        // of every source is taken
         // *before* any graph runs, so tuples that one opgraph republishes
         // during installation (e.g. a rehash into the query's rendezvous
         // namespace) are not double-counted by another opgraph that reads
@@ -1333,7 +1338,7 @@ impl PierNode {
         timer: PierTimer,
     ) {
         let now = ctx.now();
-        let Some(mut ticked) = self.engines.tick(key, epoch, now, &self.overlay) else {
+        let Some(ticked) = self.engines.tick(key, epoch, now, &self.overlay) else {
             return; // engine retired or re-created: this tick chain stops
         };
         // 1. Ship partials one hop toward the root and stream emissions to
@@ -1346,15 +1351,16 @@ impl PierNode {
         let flush_ctx = ticked.flush_span.map(|(query_id, stage, counts)| {
             self.span(now, TraceContext::root(query_id), stage, counts)
         });
-        let shipments = std::mem::take(&mut ticked.shipments);
         let (overlay, rng) = (&mut self.overlay, &mut self.rng);
-        let effects = (self.engines).ship(key, shipments, flush_ctx, now, overlay, rng);
+        let effects = self
+            .engines
+            .ship(key, ticked.shipments, flush_ctx, now, overlay, rng);
         self.drive(ctx, effects);
         // One results message per (proxy, window), in first-emission order:
         // every member of a proxy the tick emitted for rides one message,
         // distinct windows never share one.
         let mut bundles: Vec<((NodeAddr, SimTime, SimTime), WindowBundle)> = Vec::new();
-        for e in std::mem::take(&mut ticked.emissions) {
+        for e in ticked.emissions {
             // A traced member's per-window emission: the `window.emit` span
             // parents to the newest absorption at this root (shared work:
             // to the member's own trace root) and its context travels to
@@ -1386,7 +1392,7 @@ impl PierNode {
         }
         // 2. Window health, durable segments, and the next tick while the
         //    engine lives.
-        if let Some(slide) = self.engines.tock(key, now, ticked) {
+        if let Some(slide) = self.engines.tock(key, now, ticked.health) {
             ctx.set_timer(slide, timer);
         }
     }
