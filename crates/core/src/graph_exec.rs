@@ -15,8 +15,8 @@
 //! one-shot (§3.3.4), hands its survivors to the query's
 //! [`WindowEngine`], which the caller owns and ticks.
 //!
-//! It indexes the namespaces its opgraphs read, so an arriving batch goes
-//! to every reader through [`GraphExec::readers`] with one lookup.
+//! It indexes the namespaces its opgraphs read: the readers of an
+//! arriving batch are one map lookup away ([`GraphExec::readers`]).
 //!
 //! Plain state that never sees the runtime: [`crate::node::PierNode`] does
 //! the wiring (timers, spans, results to the proxy), tests drive it
@@ -124,7 +124,8 @@ impl GraphExec {
         let mut graphs = Vec::with_capacity(plan.opgraphs.len());
         for (gidx, spec) in plan.opgraphs.iter().enumerate() {
             let at = (plan.query_id, gidx);
-            let readers = (self.sources.entry(spec.source.namespace().to_string())).or_default();
+            let namespace = spec.source.namespace().to_string();
+            let readers = self.sources.entry(namespace).or_default();
             readers.insert(readers.partition_point(|r| *r < at), at);
             let mut pipeline =
                 Pipeline::new(spec.ops.iter().filter_map(OperatorSpec::build).collect());
