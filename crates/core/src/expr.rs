@@ -6,12 +6,13 @@
 //! discards the tuple.  Evaluation therefore returns `Result` with
 //! [`EvalError`] and operators map errors to "drop".
 //!
-//! **Compiled evaluation.**  An expression is evaluated one way: compiled
-//! against an interned schema ([`Expr::compile`]) — column names become
-//! positional indices, mirroring what
+//! **Compiled evaluation.**  [`Expr::eval`] resolves every column reference
+//! by name, per tuple.  Operators on the hot path instead compile the
+//! expression against an interned schema once ([`Expr::compile`]) — column
+//! names become positional indices, mirroring what
 //! [`ColumnResolver`](crate::tuple::ColumnResolver) does for key columns —
-//! and then row after row by index, over either a row-major value slice or
-//! a columnar [`ColumnChunk`].  [`Expr::eval`] compiles for one tuple.
+//! and then evaluate row after row by index, over either a row-major value
+//! slice or a columnar [`ColumnChunk`].
 //! [`CompiledPredicate`] packages the per-schema compilation cache the way
 //! selections and eddies use it.
 
@@ -149,11 +150,98 @@ impl Expr {
             .unwrap_or(Expr::Const(Value::Bool(true)))
     }
 
-    /// Evaluate against a tuple, compiled for its schema on the spot (one
-    /// evaluator: [`CompiledExpr`]; reuse a [`CompiledPredicate`] to
-    /// evaluate many rows).
+    /// Evaluate against a tuple.
     pub fn eval(&self, tuple: &Tuple) -> Result<Value, EvalError> {
-        self.compile(tuple.schema()).eval(tuple.values())
+        match self {
+            Expr::Column(name) => tuple
+                .get(name)
+                .cloned()
+                .ok_or_else(|| EvalError::MissingColumn(name.clone())),
+            Expr::Const(v) => Ok(v.clone()),
+            Expr::Cmp(op, l, r) => {
+                let lv = l.eval(tuple)?;
+                let rv = r.eval(tuple)?;
+                match lv.compare(&rv) {
+                    Some(ord) => Ok(Value::Bool(op.test(ord))),
+                    None => Err(EvalError::TypeMismatch {
+                        op: "compare",
+                        left: lv.type_name(),
+                        right: rv.type_name(),
+                    }),
+                }
+            }
+            Expr::Arith(op, l, r) => {
+                let lv = l.eval(tuple)?;
+                let rv = r.eval(tuple)?;
+                match (lv.as_f64(), rv.as_f64()) {
+                    (Some(a), Some(b)) => {
+                        let out = match op {
+                            ArithOp::Add => a + b,
+                            ArithOp::Sub => a - b,
+                            ArithOp::Mul => a * b,
+                            ArithOp::Div => a / b,
+                        };
+                        // Preserve integer-ness when both inputs were ints
+                        // and the operation is exact.
+                        if matches!((&lv, &rv), (Value::Int(_), Value::Int(_)))
+                            && out.fract() == 0.0
+                            && !matches!(op, ArithOp::Div)
+                        {
+                            Ok(Value::Int(out as i64))
+                        } else {
+                            Ok(Value::Float(out))
+                        }
+                    }
+                    _ => Err(EvalError::TypeMismatch {
+                        op: "arith",
+                        left: lv.type_name(),
+                        right: rv.type_name(),
+                    }),
+                }
+            }
+            Expr::And(l, r) => {
+                let lv = self.expect_bool(l.eval(tuple)?)?;
+                if !lv {
+                    return Ok(Value::Bool(false));
+                }
+                let rv = self.expect_bool(r.eval(tuple)?)?;
+                Ok(Value::Bool(rv))
+            }
+            Expr::Or(l, r) => {
+                let lv = self.expect_bool(l.eval(tuple)?)?;
+                if lv {
+                    return Ok(Value::Bool(true));
+                }
+                let rv = self.expect_bool(r.eval(tuple)?)?;
+                Ok(Value::Bool(rv))
+            }
+            Expr::Not(e) => {
+                let v = self.expect_bool(e.eval(tuple)?)?;
+                Ok(Value::Bool(!v))
+            }
+            Expr::Contains(column, needle) => {
+                let v = tuple
+                    .get(column)
+                    .cloned()
+                    .ok_or_else(|| EvalError::MissingColumn(column.clone()))?;
+                match v {
+                    Value::Str(s) => Ok(Value::Bool(s.contains(needle.as_str()))),
+                    other => Err(EvalError::TypeMismatch {
+                        op: "contains",
+                        left: other.type_name(),
+                        right: "string",
+                    }),
+                }
+            }
+        }
+    }
+
+    fn expect_bool(&self, v: Value) -> Result<bool, EvalError> {
+        v.as_bool().ok_or(EvalError::TypeMismatch {
+            op: "bool",
+            left: "non-bool",
+            right: "bool",
+        })
     }
 
     /// Evaluate as a predicate: `true` only when the expression cleanly
@@ -263,10 +351,11 @@ impl CompiledNode {
         }
     }
 
-    /// Evaluate with `get(i)` supplying a borrowed view of column `i`,
-    /// short-circuiting `And` / `Or`.  Views come straight from the typed
-    /// column buffers, so the leaf-compare fast path never materialises a
-    /// [`Value`].
+    /// Evaluate with `get(i)` supplying a borrowed view of column `i` — the
+    /// same semantics (including short-circuiting and error cases) as
+    /// [`Expr::eval`], minus the per-row name resolution.  Views come
+    /// straight from the typed column buffers, so the leaf-compare fast path
+    /// never materialises a [`Value`].
     fn eval_with<'v>(&'v self, get: &impl Fn(usize) -> ValueRef<'v>) -> Result<Value, EvalError> {
         match self {
             CompiledNode::Col(i) => Ok(get(*i).to_value()),
