@@ -12,11 +12,9 @@
 use crate::node::{PierConfig, PierMsg};
 use crate::pane_link::{Inbox, Outbox};
 use crate::plan::QpObject;
-use crate::tuple::{ColumnChunk, Tuple, TupleBatch};
-use crate::window_engine::{
-    CqDiagnostics, Emission, EngineSpec, MemberSpec, WindowEngine, OCCUPANCY_GAUGES,
-};
-use pier_cq::{DurableStore, Lease};
+use crate::tuple::{ColumnChunk, Tuple};
+use crate::window_engine::{Emission, EngineSpec, MemberSpec, WindowEngine, OCCUPANCY_GAUGES};
+use pier_cq::DurableStore;
 use pier_dht::{routing_id, DhtMessage, Id, ObjectName, Overlay, OverlayEffect};
 use pier_runtime::{Duration, NodeAddr, Rng64, SimTime, WireSize};
 use pier_telemetry::Telemetry;
@@ -202,18 +200,8 @@ impl Engines {
     }
 
     /// The engine `query_id` lives in here.
-    fn holding(&self, query_id: u64) -> Option<&WindowEngine> {
+    pub(crate) fn holding(&self, query_id: u64) -> Option<&WindowEngine> {
         Some(&self.slots.get(self.engine_of.get(&query_id)?)?.engine)
-    }
-
-    /// The lease of a standing query held here, for the lifecycle sweep.
-    pub(crate) fn lease(&self, query_id: u64) -> Option<Lease> {
-        Some(self.holding(query_id)?.members().get(&query_id)?.lease)
-    }
-
-    /// Diagnostics of `query_id`, while it lives in an engine here.
-    pub(crate) fn diagnostics(&self, query_id: u64) -> Option<CqDiagnostics> {
-        self.holding(query_id)?.diagnostics(query_id)
     }
 
     /// Engine `key`: an unshared query's own, which its aggregating graph
@@ -317,15 +305,8 @@ impl Engines {
         if chunks.iter().all(|c| c.rows() == 0) {
             return Vec::new();
         }
-        match self.slots.get_mut(&key).filter(|_| self.batching) {
-            Some(slot) => {
-                let (stamp, batch) = (slot.sent.stamp(me), TupleBatch::from_chunks(chunks));
-                vec![QpObject::Panes { stamp, batch }]
-            }
-            None => (chunks.iter().flat_map(ColumnChunk::iter_rows))
-                .map(QpObject::Tuple)
-                .collect(),
-        }
+        let batched = self.slots.get_mut(&key).filter(|_| self.batching);
+        QpObject::pane_shipments(chunks, batched.map(|slot| slot.sent.stamp(me)))
     }
 
     /// Send closed-pane partials one hop toward engine `key`'s window root
@@ -477,6 +458,7 @@ mod tests {
     use crate::aggregate::AggFunc;
     use crate::pane_link::PaneStamp;
     use crate::plan::{CqSpec, OpGraph, PlanBuilder, QueryPlan, SinkSpec, SourceSpec};
+    use crate::tuple::TupleBatch;
     use crate::value::Value;
     use pier_cq::{CqBudget, DeltaMode, WindowSpec};
     use pier_dht::{make_ring_refs, OverlayConfig};
@@ -556,7 +538,8 @@ mod tests {
     }
 
     fn groups(engines: &Engines) -> usize {
-        engines.diagnostics(QUERY).expect("a member").total_groups
+        let engine = engines.holding(QUERY).expect("a member");
+        engine.diagnostics(QUERY).expect("a member").total_groups
     }
 
     /// The counts the root's tick emits for the first window, by group.

@@ -15,8 +15,9 @@
 //! one-shot (§3.3.4), hands its survivors to the query's
 //! [`WindowEngine`], which the caller owns and ticks.
 //!
-//! It indexes the namespaces its opgraphs read: the readers of an
-//! arriving batch are one map lookup away ([`GraphExec::readers`]).
+//! It indexes the namespaces its opgraphs read, each namespace's readers
+//! ascending by `(query, graph)`: an arriving batch finds its readers in
+//! one lookup.
 //!
 //! Plain state that never sees the runtime: [`crate::node::PierNode`] does
 //! the wiring (timers, spans, results to the proxy), tests drive it
@@ -176,8 +177,23 @@ impl GraphExec {
     }
 
     /// The opgraphs reading `namespace`, ascending by `(query, graph)`.
-    pub fn readers(&self, namespace: &str) -> &[GraphRef] {
+    pub(crate) fn readers(&self, namespace: &str) -> &[GraphRef] {
         self.sources.get(namespace).map_or(&[], Vec::as_slice)
+    }
+
+    /// Lend out the opgraphs reading `namespace`, for a loop that feeds
+    /// them, until [`GraphExec::put_readers`]: feeding installs and
+    /// uninstalls nothing.
+    pub(crate) fn take_readers(&mut self, namespace: &str) -> Vec<GraphRef> {
+        let readers = self.sources.get_mut(namespace);
+        readers.map(std::mem::take).unwrap_or_default()
+    }
+
+    /// Put back what [`GraphExec::take_readers`] lent out.
+    pub(crate) fn put_readers(&mut self, namespace: &str, readers: Vec<GraphRef>) {
+        if let Some(slot) = self.sources.get_mut(namespace) {
+            *slot = readers;
+        }
     }
 
     /// Fetch-Matches keys awaiting an answer.

@@ -871,7 +871,7 @@ impl PierNode {
     /// arrived, computed only when some target is sampled).
     fn ingest_spans(
         &mut self,
-        namespace: &str,
+        targets: &[GraphRef],
         now: SimTime,
         rows: u64,
         bytes: impl FnOnce() -> usize,
@@ -879,10 +879,9 @@ impl PierNode {
         if !self.tel.is_enabled() {
             return;
         }
-        // Readers ascend by query id, so span ordinals are deterministic.
-        let targets = self.exec.readers(namespace).iter();
-        let traced = targets.filter(|at| self.exec.plan(at.0).is_some_and(|p| p.trace));
-        let mut qids: Vec<u64> = traced.map(|at| at.0).collect();
+        // Targets ascend by query id, so span ordinals are deterministic.
+        let traced = |at: &&GraphRef| self.exec.plan(at.0).is_some_and(|p| p.trace);
+        let mut qids: Vec<u64> = targets.iter().filter(traced).map(|at| at.0).collect();
         qids.dedup();
         if qids.is_empty() {
             return;
@@ -924,13 +923,13 @@ impl PierNode {
         }
         // Base-table or rehash-namespace batches feeding installed
         // opgraphs, ascending by `(query, graph)`.
-        self.ingest_spans(namespace, now, batch.len() as u64, wire_bytes);
+        let targets = self.exec.take_readers(namespace);
+        self.ingest_spans(&targets, now, batch.len() as u64, wire_bytes);
         let mut effects = Vec::new();
-        // Feeding installs and uninstalls nothing: the readers stay put.
-        for i in 0..self.exec.readers(namespace).len() {
-            let at = self.exec.readers(namespace)[i];
+        for &at in &targets {
             effects.extend(self.feed(ctx, at, batch, now));
         }
+        self.exec.put_readers(namespace, targets);
         effects
     }
 
@@ -1163,7 +1162,7 @@ impl PierNode {
         let durable = self.config.durable.is_some();
         loop {
             let engines = &self.engines;
-            let lease = |query_id| engines.lease(query_id);
+            let lease = |q| Some(engines.holding(q)?.members().get(&q)?.lease);
             let Some(due) = self.deadlines.next_due(now, durable, lease) else {
                 break;
             };
@@ -1320,9 +1319,7 @@ impl PierNode {
             self.drive(ctx, effects);
         }
     }
-}
 
-impl PierNode {
     /// Periodic window maintenance of one engine (fires every slide, once
     /// per engine however many member queries it serves): close due
     /// windows, ship their partials one hop toward the engine's window root
@@ -1473,7 +1470,7 @@ impl PierNode {
     /// here, unshared or a share-group member (`None` when the query is not
     /// installed here or runs in no window engine).
     pub fn cq_diagnostics(&self, query_id: u64) -> Option<CqDiagnostics> {
-        self.engines.diagnostics(query_id)
+        self.engines.holding(query_id)?.diagnostics(query_id)
     }
 }
 

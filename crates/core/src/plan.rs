@@ -496,6 +496,22 @@ impl QpObject {
         }
     }
 
+    /// The transfers that carry closed-pane partials `chunks` one hop: all
+    /// of them in one [`QpObject::Panes`] stamped `stamp` (batching), or
+    /// each row as its own unnumbered [`QpObject::Tuple`].
+    pub fn pane_shipments(chunks: Vec<ColumnChunk>, stamp: Option<PaneStamp>) -> Vec<QpObject> {
+        if let Some(stamp) = stamp {
+            let batch = TupleBatch::from_chunks(chunks);
+            vec![QpObject::Panes { stamp, batch }]
+        } else {
+            chunks
+                .iter()
+                .flat_map(ColumnChunk::iter_rows)
+                .map(QpObject::Tuple)
+                .collect()
+        }
+    }
+
     /// Consume the object into its data tuples (empty for plans).
     pub fn into_tuples(self) -> Vec<Tuple> {
         match self {
