@@ -14,7 +14,8 @@
 //! are compared with the baseline's traced section: a refactor that moves
 //! work from one message or timer class to another, or adds an event,
 //! shows there even when the end-to-end figures hold.  `--bless` runs each
-//! traced workload twice and refuses to record counts that do not repeat.
+//! traced workload twice and records a count that does not repeat as
+//! `"unrepeated"`, naming it; the check then skips that count.
 
 use std::fmt::Write as _;
 use std::path::Path;
@@ -137,6 +138,45 @@ pub fn traced_figures(output: &str) -> Vec<(String, String)> {
     output.lines().filter_map(pair).collect()
 }
 
+/// What a traced count recorded as not repeating reads in the baseline.
+pub const UNREPEATED: &str = "unrepeated";
+
+/// The traced counts of a `first` run, each whose value `again` does not
+/// repeat under the same name read [`UNREPEATED`] instead.
+pub fn repeating(
+    first: Vec<(String, String)>,
+    again: &[(String, String)],
+) -> Vec<(String, String)> {
+    let repeats =
+        |(name, value): &(String, String)| again.iter().any(|(n, v)| (n, v) == (name, value));
+    let mark = |count: (String, String)| match repeats(&count) {
+        true => count,
+        false => (count.0, UNREPEATED.to_string()),
+    };
+    first.into_iter().map(mark).collect()
+}
+
+/// The `(workload, count)` pairs `baseline`'s traced section records as
+/// [`UNREPEATED`].
+pub fn unrepeated(baseline: &str) -> Vec<(String, String)> {
+    let traced = baseline.split_once("\"traced\": {").map_or("", |(_, t)| t);
+    let mut workload = "";
+    let mut out = Vec::new();
+    for line in traced.lines().map(|l| l.trim().trim_end_matches(',')) {
+        if let Some(name) = line.strip_suffix("\": {") {
+            workload = name.trim_start_matches('"');
+        } else if let Some((name, value)) = line.split_once("\": \"") {
+            if value.trim_end_matches('"') == UNREPEATED {
+                out.push((
+                    workload.to_string(),
+                    name.trim_start_matches('"').to_string(),
+                ));
+            }
+        }
+    }
+    out
+}
+
 /// One workload's figures: its name and `(figure, value)` pairs.
 pub type Run<N> = (String, Vec<(N, String)>);
 
@@ -199,37 +239,45 @@ pub fn run(root: &Path, bless: bool) -> Result<(), String> {
     if command.is_empty() || workloads.is_empty() {
         return Err("BENCHMARK.json declares no command or no workloads".to_string());
     }
+    let path = root.join(BASELINE);
+    let baseline = match bless {
+        true => String::new(),
+        false => std::fs::read_to_string(&path).map_err(|e| format!("{}: {e}", path.display()))?,
+    };
+    let skipped = unrepeated(&baseline);
     let (mut runs, mut counts) = (Vec::new(), Vec::new());
     for workload in workloads {
         eprintln!("xtask identity: {workload}");
         let figures = figures(&bench(root, &command, workload, RUN_ARGS)?);
         runs.push((workload.to_string(), figures));
-        let traced = traced_figures(&bench(root, &command, workload, TRACED_ARGS)?);
+        let mut traced = traced_figures(&bench(root, &command, workload, TRACED_ARGS)?);
         if bless {
-            // Only counts that repeat are worth recording.
+            // A count that does not repeat is no identity figure.
             let again = traced_figures(&bench(root, &command, workload, TRACED_ARGS)?);
-            let moved: Vec<&str> = (traced.iter().zip(&again))
-                .filter(|(a, b)| a != b)
-                .map(|(a, _)| a.0.as_str())
-                .collect();
-            if !moved.is_empty() || traced.len() != again.len() {
-                return Err(format!(
-                    "{workload}: traced counts do not repeat: {moved:?}"
-                ));
+            traced = repeating(traced, &again);
+            let left_out = traced.iter().filter(|(_, v)| v == UNREPEATED);
+            let names: Vec<&str> = left_out.map(|(n, _)| n.as_str()).collect();
+            if !names.is_empty() {
+                eprintln!("xtask identity: {workload}: left out, did not repeat: {names:?}");
+            }
+        }
+        for (name, value) in &mut traced {
+            if skipped
+                .iter()
+                .any(|(w, n)| (w.as_str(), n) == (workload, &*name))
+            {
+                *value = UNREPEATED.to_string();
             }
         }
         counts.push((workload.to_string(), traced));
     }
     let now = render(&runs, &counts);
-    let path = root.join(BASELINE);
     if bless {
         if let Some(dir) = path.parent() {
             std::fs::create_dir_all(dir).map_err(|e| format!("{}: {e}", dir.display()))?;
         }
         return std::fs::write(&path, now).map_err(|e| format!("{}: {e}", path.display()));
     }
-    let baseline =
-        std::fs::read_to_string(&path).map_err(|e| format!("{}: {e}", path.display()))?;
     if baseline == now {
         return Ok(());
     }

@@ -1,7 +1,8 @@
 //! The traced half of `cargo xtask identity`: which lines of a traced
-//! benchmark run are counts the baseline pins.
+//! benchmark run are counts the baseline pins, and which of them it leaves
+//! out because they did not repeat.
 
-use xtask::identity::traced_figures;
+use xtask::identity::{render, repeating, traced_figures, unrepeated, UNREPEATED};
 
 /// A traced run's output, shaped as the benchmark prints it: notes, one
 /// `name value unit` line per metric, and a closing JSON line.
@@ -33,4 +34,31 @@ fn traced_counts_are_the_calls_bytes_and_loop_events() {
         ]
     );
     assert!(traced_figures("").is_empty());
+}
+
+#[test]
+fn a_count_that_does_not_repeat_is_recorded_as_such_and_read_back() {
+    let count = |name: &str, value: &str| (name.to_string(), value.to_string());
+    let first = vec![
+        count("core.node.msg_get.calls", "812.000000"),
+        count("core.node.msg_get.bytes", "101328.000000"),
+        count("runtime.sim.loop.events", "45738.000000"),
+    ];
+    let again = [
+        count("core.node.msg_get.calls", "812.000000"),
+        count("core.node.msg_get.bytes", "101400.000000"),
+    ];
+    // A count that moved, or that the second run lacks, is left out.
+    let kept = repeating(first, &again);
+    let values: Vec<&str> = kept.iter().map(|(_, v)| v.as_str()).collect();
+    assert_eq!(values, ["812.000000", UNREPEATED, UNREPEATED]);
+    let baseline = render(&[], &[("join_publish".to_string(), kept)]);
+    assert_eq!(
+        unrepeated(&baseline),
+        [
+            count("join_publish", "core.node.msg_get.bytes"),
+            count("join_publish", "runtime.sim.loop.events"),
+        ]
+    );
+    assert!(unrepeated("{}").is_empty());
 }
