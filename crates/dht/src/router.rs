@@ -359,23 +359,25 @@ impl Router {
     }
 
     /// True when this node is responsible for `id`: the identifier falls in
-    /// the arc `(predecessor, me]`, or the node knows of no other node.
+    /// the arc `(predecessor, me]`, or the node knows of no other node.  A
+    /// node that knows successors but no predecessor owns nothing: the arc
+    /// behind it is not known, and claiming the whole ring would make it a
+    /// second owner of every key (a node cut off by a partition comes back
+    /// so, and used to go on rooting every window it fed).
     pub fn is_responsible(&self, id: Id) -> bool {
         match self.predecessor {
-            None => self.successors.is_empty() || id.in_interval(self.me.id, self.me.id),
+            None => self.successors.is_empty(),
             Some(pred) => id.in_interval(pred.id, self.me.id),
         }
     }
 
     /// Where the arc this node answers for starts when it says "I own
     /// `target`": its predecessor, so the arc is the whole `(predecessor,
-    /// me]` it [`is_responsible`](Router::is_responsible) for.  With no
-    /// predecessor known the node claims every identifier, which is no arc
-    /// to hand out — then only `[target, me]` is vouched for, which holds
-    /// whenever the answer itself does.
-    fn own_arc_start(&self, target: Id) -> Id {
-        self.predecessor
-            .map_or(Id(target.0.wrapping_sub(1)), |p| p.id)
+    /// me]` it [`is_responsible`](Router::is_responsible) for.  A node
+    /// alone on the ring owns everything, the arc `(me, me]`; the resolver
+    /// remembers no arc that starts where it ends.
+    fn own_arc_start(&self) -> Id {
+        self.predecessor.map_or(self.me.id, |p| p.id)
     }
 
     /// The owner of `id` when it is determinable from purely local routing
@@ -553,7 +555,7 @@ impl Router {
                 // sight would answer its join lookup "your successor is
                 // you".
                 let effects = if self.is_responsible(target) {
-                    reply(self.me, self.own_arc_start(target))
+                    reply(self.me, self.own_arc_start())
                 } else if let Some(successor) = self.live_successor(now) {
                     if target.in_interval(self.me.id, successor.id) {
                         // Classic Chord: the successor owns the arc — an
@@ -578,7 +580,7 @@ impl Router {
                     }
                 } else {
                     // Singleton that somehow received a lookup: we own it.
-                    reply(self.me, self.own_arc_start(target))
+                    reply(self.me, self.own_arc_start())
                 };
                 self.consider(reply_to, now);
                 effects
@@ -1119,11 +1121,29 @@ mod tests {
         assert_eq!(reply_about(&mut r, 25), (Id(30), nodes[2]));
         r.on_message(nodes[2].addr, RouterMessage::Notify { from: nodes[2] }, 1);
         assert_eq!(reply_about(&mut r, 25), (Id(20), nodes[2]));
-        // A node that knows no predecessor claims every identifier, which
-        // is no arc to hand out: it vouches for [target, itself] only.
+        // A node alone on the ring owns every identifier: the arc from
+        // itself round to itself, which no resolver remembers.
         let mut alone = Router::new(nodes[1], RouterConfig::default());
-        assert_eq!(reply_about(&mut alone, 15), (Id(14), nodes[1]));
-        assert_eq!(reply_about(&mut alone, 5_000), (Id(4_999), nodes[1]));
+        assert_eq!(reply_about(&mut alone, 15), (Id(20), nodes[1]));
+        // Answering taught it the asker (id 5): now it knows a successor
+        // and no predecessor, and owns nothing.  It used to claim every
+        // identifier still, so a node cut off by a partition answered "I
+        // own it" for keys its healed ring gave to another — two roots for
+        // one window.  It names its successor for the successor's arc and
+        // routes the rest there.
+        let asker = node(9, 5);
+        assert!(!alone.is_responsible(Id(15)) && !alone.is_responsible(Id(20)));
+        assert_eq!(reply_about(&mut alone, 3), (Id(20), asker));
+        let ask = RouterMessage::FindSuccessor {
+            target: Id(15),
+            reply_to: asker,
+            request_id: 1,
+            hops: 1,
+        };
+        assert!(matches!(
+            alone.on_message(asker.addr, ask, 0).as_slice(),
+            [RouterEffect::Send { to, msg: RouterMessage::FindSuccessor { .. } }] if *to == asker.addr
+        ));
     }
 
     fn owned_arcs(effects: &[RouterEffect]) -> Vec<(Id, NodeRef)> {

@@ -138,37 +138,50 @@ fn a_restarted_node_rehydrates_share_group_windows_warm() {
     );
 }
 
-/// The robustness acceptance bar, on the run `docs/baselines/tables/chaos.txt`
-/// records (that its faults fire, its restarts all happen and its restarted
-/// node comes back warm, the tests above assert for any seed).  The seed is
-/// pinned, not [`seeded`]: one lost relay→root batch
-/// costs about a third of a window, so whether the degraded-phase mean
-/// clears the bound depends on which windows the seed's losses land in
-/// (over seeds 1–29 it ranges 0.04–0.35) — ROADMAP item 1 is the fix.
+/// The robustness acceptance bar over seeds 1–32 of the standard gauntlet
+/// (`docs/baselines/tables/chaos.txt` records seed 4; that its faults fire,
+/// its restarts all happen and its restarted node comes back warm, the
+/// tests above assert for any seed).  One seed's degraded-phase mean
+/// depends on which windows its losses land in, so the bar is on the
+/// range: every baseline clean, every tenant fed, the median degraded
+/// error within half the per-run bound, and most runs exact between the
+/// heal and the restart storm — one owner per key after the heal (ROADMAP
+/// item 19), where a split root used to leave one node's rows in twenty
+/// out of every post-heal window at all but one seed.
 #[test]
 fn the_standard_gauntlet_clears_its_acceptance_bar() {
-    let cfg = ChaosConfig::standard(20, 4);
-    let out = run_chaos(&cfg);
-    let baseline_err = out.mean_rel_error(out.spans.baseline);
+    const SEEDS: u64 = 32;
+    let mut degraded = Vec::new();
+    let mut exact_after_heal = 0;
+    for seed in 1..=SEEDS {
+        let cfg = ChaosConfig::standard(20, seed);
+        let out = run_chaos(&cfg);
+        let baseline_err = out.mean_rel_error(out.spans.baseline);
+        assert!(
+            baseline_err < 0.01,
+            "seed {seed}: baseline phase must be clean, got {baseline_err}"
+        );
+        assert!(
+            out.tenant_coverage > 0.5,
+            "seed {seed}: tenants must keep receiving windows, got {}",
+            out.tenant_coverage
+        );
+        let d = out.mean_rel_error(out.spans.degraded);
+        let p = out.mean_rel_error((out.spans.heal_at, out.spans.storm.0));
+        degraded.push(d);
+        exact_after_heal += usize::from(p < 0.001);
+    }
+    degraded.sort_by(f64::total_cmp);
+    let median = (degraded[15] + degraded[16]) / 2.0;
+    let bound = ChaosConfig::standard(20, 1).error_bound;
     assert!(
-        baseline_err < 0.01,
-        "baseline phase must be clean, got {baseline_err}"
+        median <= bound / 2.0,
+        "median degraded-phase error {median} over seeds 1–{SEEDS} exceeds {}",
+        bound / 2.0
     );
-    let degraded_err = out.mean_rel_error(out.spans.degraded);
     assert!(
-        degraded_err < cfg.error_bound,
-        "degraded-phase error {degraded_err} exceeds bound {}",
-        cfg.error_bound
-    );
-    assert!(
-        out.recovery_secs(cfg.recovered_below).is_some(),
-        "no post-heal window recovered below {}",
-        cfg.recovered_below
-    );
-    assert!(
-        out.tenant_coverage > 0.5,
-        "tenants must keep receiving windows through the gauntlet, got {}",
-        out.tenant_coverage
+        exact_after_heal >= 16,
+        "{exact_after_heal} of {SEEDS} runs exact between heal and storm"
     );
 }
 

@@ -15,19 +15,21 @@
 //! against the true owner on converged rings of every size, and every `put`
 //! against the store it must end up in — an arc's refresh parks operations,
 //! and parking may neither lose nor duplicate one.  The cache rules
-//! themselves are held on a bare `Resolver`, with no ring under it.
+//! themselves are held on a bare `Resolver`, with no ring under it, and
+//! the rule the arcs rest on — one owner per identifier — on bare
+//! `Router`s that join, crash and stabilize with no overlay above them.
 
 mod common;
 
 use common::seeded;
 use pier::dht::resolver::{Resolution, Resolver, OWNER_CACHE_MAX};
-use pier::dht::router::RouterMessage;
+use pier::dht::router::{RouterEffect, RouterMessage};
 use pier::dht::{
     make_ring_refs, routing_id, DhtMessage, DhtNode, Id, NodeRef, ObjectName, Overlay,
-    OverlayConfig, OverlayEffect, OverlayEvent, OverlayTimer, RouterConfig,
+    OverlayConfig, OverlayEffect, OverlayEvent, OverlayTimer, Router, RouterConfig,
 };
 use pier::runtime::sim::TopologyConfig;
-use pier::runtime::{NodeAddr, SimConfig, SimTime, Simulator};
+use pier::runtime::{NodeAddr, Rng64, SimConfig, SimTime, Simulator};
 use pier::telemetry::Telemetry;
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
@@ -854,5 +856,141 @@ proptest! {
             prop_assert!(parked.remove(&op), "op {} left twice", op);
         }
         prop_assert!(parked.is_empty(), "parked forever: {:?}", parked);
+    }
+}
+
+/// Bare routers — no overlay, no simulator — that join through router 0
+/// at staggered seconds, tick once a second (stabilization and a finger
+/// refresh) and hear one another after a per-message delay of 1–50 ms;
+/// a router ticks once it has started its join, and the `crashed` neither
+/// tick nor receive.
+struct Routers {
+    refs: Vec<NodeRef>,
+    routers: Vec<Router>,
+    joined: Vec<bool>,
+    crashed: Vec<bool>,
+    /// Messages in flight by `(due, send order)`.
+    in_flight: BTreeMap<(SimTime, u64), (NodeAddr, NodeAddr, RouterMessage)>,
+    sent: u64,
+    delays: Rng64,
+}
+
+impl Routers {
+    fn send(&mut self, from: NodeAddr, effects: Vec<RouterEffect>, at: SimTime) {
+        for effect in effects {
+            if let RouterEffect::Send { to, msg } = effect {
+                let due = at + 1_000 + self.delays.next_u64() % 49_000;
+                self.sent += 1;
+                self.in_flight.insert((due, self.sent), (from, to, msg));
+            }
+        }
+    }
+
+    /// Deliver, in due order, everything due before `until`.
+    fn run_until(&mut self, until: SimTime) {
+        while let Some(entry) = self.in_flight.first_entry() {
+            let (due, _) = *entry.key();
+            if due >= until {
+                break;
+            }
+            let (from, to, msg) = entry.remove();
+            if !self.crashed[to.index()] {
+                let effects = self.routers[to.index()].on_message(from, msg, due);
+                self.send(to, effects, due);
+            }
+        }
+    }
+
+    /// Tick every live router at `at`.
+    fn tick(&mut self, at: SimTime) {
+        for i in 0..self.routers.len() {
+            if self.joined[i] && !self.crashed[i] {
+                let mut effects = self.routers[i].on_stabilize(at);
+                effects.extend(self.routers[i].on_fix_fingers(at));
+                self.send(self.refs[i].addr, effects, at);
+            }
+        }
+    }
+
+    /// How many live routers on the ring say they are responsible for
+    /// `id`.  A joiner is on the ring once its join is answered: until then
+    /// it knows no one, and a router that knows no one is a ring of one.
+    fn owners(&self, id: Id) -> usize {
+        let on_ring = |i: usize| i == 0 || self.routers[i].successor().is_some();
+        (0..self.routers.len())
+            .filter(|&i| on_ring(i) && !self.crashed[i])
+            .filter(|&i| self.routers[i].is_responsible(id))
+            .count()
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// One owner per identifier on a bare `Router` ring.  Routers join one
+    /// by one and some crash once the ring has formed (at 20 s); from then
+    /// on no tick finds two live routers claiming one identifier, and once
+    /// the crashed have been presumed dead and their arcs taken over, every
+    /// identifier has exactly one live responsible router.  A router that
+    /// knows successors but no predecessor — one whose predecessor just
+    /// went silent — owns nothing; it used to claim every key, a second
+    /// owner of the whole ring.  (While joins are in flight Chord's
+    /// pointers may still overlap, so the "at most one" half waits for the
+    /// ring to form.)
+    #[test]
+    fn after_stabilization_every_id_has_exactly_one_live_owner(
+        nodes in 2usize..12,
+        ring_seed: u64,
+        joins in proptest::collection::vec(0u64..6, 12..13),
+        crashes in proptest::collection::vec(any::<bool>(), 12..13),
+        probes in proptest::collection::vec(any::<u64>(), 8..16),
+    ) {
+        let refs = make_ring_refs(nodes, ring_seed);
+        let mut ring = Routers {
+            routers: refs.iter().map(|r| Router::new(*r, RouterConfig::default())).collect(),
+            joined: vec![false; nodes],
+            crashed: vec![false; nodes],
+            refs: refs.clone(),
+            in_flight: BTreeMap::new(),
+            sent: 0,
+            delays: Rng64::new(ring_seed),
+        };
+        // Up to a third of the ring crashes at 20 s, never the bootstrap.
+        let mut crash = vec![false; nodes];
+        for i in 1..nodes {
+            crash[i] = crashes[i] && 3 * (crash.iter().filter(|&&c| c).count() + 1) <= nodes;
+        }
+        let mut ids: Vec<Id> = probes.iter().map(|&p| Id(p)).collect();
+        for r in &refs {
+            ids.extend([r.id, Id(r.id.0.wrapping_add(1)), Id(r.id.0.wrapping_sub(1))]);
+        }
+        // Presumed dead a timeout and a tick after the crash, a silent
+        // predecessor dropped a timeout and a probe cap after last heard.
+        let settled = 20 + 30 + 8 + 10;
+        for second in 0..=settled + 5 {
+            let now = second * SECOND;
+            ring.run_until(now);
+            for i in 0..nodes {
+                if second == if i == 0 { 0 } else { 1 + joins[i] } {
+                    let bootstrap = (i > 0).then_some(refs[0].addr);
+                    let effects = ring.routers[i].bootstrap(bootstrap);
+                    ring.joined[i] = true;
+                    ring.send(refs[i].addr, effects, now);
+                }
+                if second == 20 && crash[i] {
+                    ring.crashed[i] = true;
+                }
+            }
+            ring.tick(now);
+            for &id in &ids {
+                let owners = ring.owners(id);
+                if second >= 20 {
+                    prop_assert!(owners <= 1, "{owners} live routers claim {id:?} at {second} s");
+                }
+                if second >= settled {
+                    prop_assert_eq!(owners, 1, "live owners of {:?} at {} s", id, second);
+                }
+            }
+        }
     }
 }
