@@ -22,10 +22,28 @@
 //! as the typed side, so no build switch forces a layout.
 //!
 //! **Wire format.**  [`Column::encode_body`] / [`Column::decode_body`] give
-//! each layout a real byte encoding (dictionary pages, arena + offsets,
-//! packed validity words) used by the durable window snapshots in `pier-cq`
-//! and charged by the batch wire accounting; `decode(encode(c))` re-encodes
-//! bit for bit.
+//! each layout a real byte encoding, used by the durable window snapshots
+//! in `pier-cq` and charged, to the byte, by the wire accounting of every
+//! message that carries chunks ([`Column::encoded_len`]).  A column is a
+//! layout tag, a validity block (a presence byte, then packed `u64` words
+//! when some row is NULL) and the layout's payload:
+//!
+//! | tag | layout | payload |
+//! |---|---|---|
+//! | 0 | fallback | one tagged [`Value`] a row |
+//! | 1 | `Int`, plain | eight bytes a row |
+//! | 6 | `Int`, frame of reference | `base: i64`, width `w ∈ {1, 2, 4, 8}`, then `w` bytes a row of `value − base` |
+//! | 2 | `Float` | eight bytes a row |
+//! | 3 | `Bool` | packed `u64` words |
+//! | 4 | `Dict` | `u16` entry count, `u32`-length-prefixed entries, one code byte a row |
+//! | 5 | `Str` | `u32` arena length, the arena, then `rows + 1` offsets of 1, 2 or 4 bytes — the fewest that hold the arena's length |
+//!
+//! An `Int` column goes as frame of reference when that is shorter than
+//! plain, with `base` its minimum and `w` the fewest bytes that hold its
+//! span (a NULL row counts as the zero it holds); plain wins ties.  The
+//! decoder accepts only that choice, so `decode(encode(c))` re-encodes bit
+//! for bit, and since `w` is never 0 a frame decodes to at most eight times
+//! its length.  All integers are little-endian.
 
 use crate::value::{Value, ValueRef};
 use std::sync::Arc;
@@ -295,6 +313,34 @@ fn validity_push(validity: &mut Option<Bitmap>, len: usize, bit: bool) {
             *validity = Some(v);
         }
     }
+}
+
+/// The fewest bytes of {1, 2, 4, 8} that hold `n`.
+fn width_of(n: u64) -> usize {
+    match n {
+        0..=0xff => 1,
+        0x100..=0xffff => 2,
+        0x1_0000..=0xffff_ffff => 4,
+        _ => 8,
+    }
+}
+
+/// The frame-of-reference form of an `Int` buffer, when it is shorter
+/// than the plain eight bytes a row: `(base, width)`, the smallest value
+/// and the fewest bytes that hold every `value − base`.  Null rows count
+/// with the zero they hold.  Plain wins ties, so an empty buffer, a lone
+/// row and a span that needs all eight bytes stay plain.
+fn int_frame(data: &[i64]) -> Option<(i64, usize)> {
+    let (min, max) = (*data.iter().min()?, *data.iter().max()?);
+    let width = width_of(max.abs_diff(min));
+    (9 + data.len() * width < data.len() * 8).then_some((min, width))
+}
+
+/// The little-endian unsigned word in `bytes` (at most eight).
+fn le_word(bytes: &[u8]) -> u64 {
+    let mut word = [0; 8];
+    word[..bytes.len()].copy_from_slice(bytes);
+    u64::from_le_bytes(word)
 }
 
 impl Column {
@@ -740,16 +786,21 @@ impl Column {
             None => 1,
         };
         1 + match self {
-            Column::Int { validity, .. } | Column::Float { validity, .. } => {
-                validity_len(validity) + rows * 8
+            Column::Int { data, validity } => {
+                validity_len(validity)
+                    + int_frame(data).map_or(rows * 8, |(_, width)| 9 + rows * width)
             }
+            Column::Float { validity, .. } => validity_len(validity) + rows * 8,
             Column::Bool { validity, .. } => validity_len(validity) + rows.div_ceil(64) * 8,
             Column::Dict { dict, validity, .. } => {
                 validity_len(validity) + 2 + dict.iter().map(|s| 4 + s.len()).sum::<usize>() + rows
             }
             Column::Str {
                 arena, validity, ..
-            } => validity_len(validity) + 4 + arena.len() + (rows + 1) * 4,
+            } => {
+                let offsets = (rows + 1) * width_of(arena.len() as u64);
+                validity_len(validity) + 4 + arena.len() + offsets
+            }
             Column::Values(vals) => vals
                 .iter()
                 .map(pier_runtime::WireSize::wire_size)
@@ -759,11 +810,13 @@ impl Column {
 
     /// Append this column's byte encoding: a layout tag, the validity block
     /// (presence byte + packed `u64` LE words), then the layout payload —
-    /// raw LE buffers for numerics, packed words for bools, dictionary page
-    /// (entry count + length-prefixed entries) + codes for dictionaries,
-    /// arena bytes + `u32` LE offsets for arena strings, tagged values for
-    /// the fallback.  The row count is *not* encoded; it travels in the
-    /// chunk header.
+    /// raw LE buffers for floats, plain or frame-of-reference buffers for
+    /// integers (whichever is shorter), packed words for bools, dictionary
+    /// page (entry count + length-prefixed entries) + codes for
+    /// dictionaries, arena bytes + offsets as wide as the arena needs for
+    /// arena strings, tagged values for the fallback (the module docs have
+    /// the table).  The row count is *not* encoded; it travels in the chunk
+    /// header.
     pub fn encode_body(&self, buf: &mut Vec<u8>) {
         fn encode_validity(buf: &mut Vec<u8>, validity: &Option<Bitmap>) {
             match validity {
@@ -777,13 +830,24 @@ impl Column {
             }
         }
         match self {
-            Column::Int { data, validity } => {
-                buf.push(1);
-                encode_validity(buf, validity);
-                for v in data {
-                    buf.extend_from_slice(&v.to_le_bytes());
+            Column::Int { data, validity } => match int_frame(data) {
+                None => {
+                    buf.push(1);
+                    encode_validity(buf, validity);
+                    for v in data {
+                        buf.extend_from_slice(&v.to_le_bytes());
+                    }
                 }
-            }
+                Some((base, width)) => {
+                    buf.push(6);
+                    encode_validity(buf, validity);
+                    buf.extend_from_slice(&base.to_le_bytes());
+                    buf.push(width as u8);
+                    for v in data {
+                        buf.extend_from_slice(&v.abs_diff(base).to_le_bytes()[..width]);
+                    }
+                }
+            },
             Column::Float { data, validity } => {
                 buf.push(2);
                 encode_validity(buf, validity);
@@ -826,8 +890,9 @@ impl Column {
                 encode_validity(buf, validity);
                 buf.extend_from_slice(&(arena.len() as u32).to_le_bytes());
                 buf.extend_from_slice(arena);
+                let width = width_of(arena.len() as u64);
                 for o in offsets {
-                    buf.extend_from_slice(&o.to_le_bytes());
+                    buf.extend_from_slice(&o.to_le_bytes()[..width]);
                 }
             }
             Column::Values(vals) => {
@@ -894,6 +959,29 @@ impl Column {
             1 => {
                 let validity = decode_validity(rows, buf, &mut at)?;
                 let data = words(buf, &mut at, rows, i64::from_le_bytes)?;
+                if int_frame(&data).is_some() {
+                    return None; // the frame-of-reference form is shorter
+                }
+                Column::Int { data, validity }
+            }
+            6 => {
+                let validity = decode_validity(rows, buf, &mut at)?;
+                let base = i64::from_le_bytes(take(buf, &mut at, 8)?.try_into().ok()?);
+                let width = usize::from(take(buf, &mut at, 1)?[0]);
+                if ![1, 2, 4, 8].contains(&width) {
+                    return None;
+                }
+                let deltas = take(buf, &mut at, rows.checked_mul(width)?)?;
+                let data = deltas
+                    .chunks_exact(width)
+                    .map(|d| base.checked_add_unsigned(le_word(d)))
+                    .collect::<Option<Vec<i64>>>()?;
+                // Only the encoder's own choice: the base is the minimum,
+                // the width the fewest bytes that hold the span, and the
+                // frame shorter than the plain one.
+                if int_frame(&data) != Some((base, width)) {
+                    return None;
+                }
                 Column::Int { data, validity }
             }
             2 => {
@@ -937,7 +1025,12 @@ impl Column {
                 let arena_len =
                     u32::from_le_bytes(take(buf, &mut at, 4)?.try_into().ok()?) as usize;
                 let arena = take(buf, &mut at, arena_len)?.to_vec();
-                let offsets = words(buf, &mut at, rows.checked_add(1)?, u32::from_le_bytes)?;
+                let width = width_of(arena_len as u64);
+                let offsets = take(buf, &mut at, rows.checked_add(1)?.checked_mul(width)?)?;
+                let offsets: Vec<u32> = offsets
+                    .chunks_exact(width)
+                    .map(|o| le_word(o) as u32)
+                    .collect();
                 if offsets[0] != 0
                     || offsets[rows] as usize != arena.len()
                     || offsets.windows(2).any(|w| w[0] > w[1])
@@ -1118,6 +1211,8 @@ mod tests {
     fn codec_round_trips_every_layout_bit_for_bit() {
         let columns = vec![
             Column::from_values(vec![Value::Int(1), Value::Null, Value::Int(-5)]),
+            Column::from_values(vec![Value::Int(i64::MAX), Value::Int(i64::MAX - 70_000)]),
+            Column::from_values((0..9).map(|i| Value::Int(i64::MIN + (i << 20))).collect()),
             Column::from_values(vec![Value::Float(0.5), Value::Float(-0.0)]),
             Column::from_values(vec![Value::Bool(true), Value::Null, Value::Bool(false)]),
             Column::from_values(vec![Value::str("a"), Value::str("b"), Value::Null]),
@@ -1143,12 +1238,60 @@ mod tests {
     }
 
     #[test]
+    fn an_int_column_ships_its_range_and_plain_wins_ties() {
+        let encode = |vals: &[i64]| {
+            let col = Column::from_values(vals.iter().map(|&v| Value::Int(v)).collect());
+            let mut buf = Vec::new();
+            col.encode_body(&mut buf);
+            assert_eq!(buf.len(), col.encoded_len());
+            buf
+        };
+        // Tag, validity byte, base, width, then one byte a row above base.
+        assert_eq!(
+            encode(&[-3, 250, -1]),
+            [&[6, 0][..], &(-3i64).to_le_bytes(), &[1, 0, 253, 2]].concat()
+        );
+        // The width is the fewest bytes that hold the span.
+        assert_eq!(encode(&[0, 255, 7]).len(), 2 + 9 + 3);
+        assert_eq!(encode(&[0, 256, 7]).len(), 2 + 9 + 3 * 2);
+        assert_eq!(encode(&[5, 5 + (1 << 32) - 1, 5]).len(), 2 + 9 + 3 * 4);
+        // Plain: a lone row, two rows a four-byte span apart (narrow would
+        // be a byte longer), and a span of eight.
+        for plain in [&[i64::MIN][..], &[0, 1 << 20], &[i64::MIN, i64::MAX, 0]] {
+            let buf = encode(plain);
+            assert_eq!((buf[0], buf.len()), (1, 2 + 8 * plain.len()));
+        }
+    }
+
+    #[test]
+    fn arena_offsets_take_the_arena_s_width() {
+        // Past the dictionary cap, rows whose arena is `len` bytes: an
+        // offset a row and one more, each as wide as `len` needs.
+        for (len, width) in [(255, 1), (256, 2), (65_535, 2), (65_536, 4)] {
+            let rows = 3 + DICT_MAX;
+            let mut vals: Vec<Value> = (0..rows).map(|i| Value::str(format!("{i:03}"))).collect();
+            vals.push(Value::str("x".repeat(len - 3 * rows)));
+            let col = Column::from_values(vals);
+            let mut buf = Vec::new();
+            col.encode_body(&mut buf);
+            assert_eq!(col.layout_name(), "str");
+            assert_eq!(buf.len(), 2 + 4 + len + (rows + 2) * width, "{len}");
+            assert_eq!(buf.len(), col.encoded_len());
+            let (back, used) = Column::decode_body(rows + 1, &buf).unwrap();
+            assert_eq!((used, back), (buf.len(), col));
+        }
+    }
+
+    #[test]
     fn decode_rejects_torn_and_non_canonical_input() {
         let col = Column::from_values(vec![Value::Int(7), Value::Int(8)]);
         let mut buf = Vec::new();
         col.encode_body(&mut buf);
         assert!(Column::decode_body(2, &buf[..buf.len() - 1]).is_none());
         assert!(Column::decode_body(2, &[42]).is_none());
+        // The same rows, plain: frame of reference is shorter.
+        let plain = [&[1, 0][..], &7i64.to_le_bytes(), &8i64.to_le_bytes()].concat();
+        assert!(Column::decode_body(2, &plain).is_none());
         // A dict code past the dictionary is rejected.
         let mut bad = Vec::new();
         Column::from_values(vec![Value::str("a")]).encode_body(&mut bad);

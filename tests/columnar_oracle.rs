@@ -8,7 +8,8 @@
 //!   included — values are compared through their byte encoding);
 //! * the chunk body codec round-trips encode → decode → re-encode
 //!   byte-identically, for every layout, and its length matches the wire
-//!   accounting;
+//!   accounting; an `Int` column over any range takes the shorter of its
+//!   two layouts, and arena offsets the width the arena needs;
 //! * every kernel — compiled predicate masks (`eval_column`), filter,
 //!   gather, group-by aggregation, the `pier-mqo` predicate index, the
 //!   chunk-native symmetric hash join — produces the same output over the
@@ -460,6 +461,99 @@ proptest! {
         ref_out.sort();
         prop_assert_eq!(typed_out, ref_out);
         prop_assert_eq!(typed_join.state_size(), ref_join.state_size());
+    }
+}
+
+/// `rows` integers across one of seven ranges from a base of any sign and
+/// size: spans reaching 2⁸, 2¹⁶ and 2³² and one past each (the first
+/// and last values sit at the ends), and the whole of `i64`.  NULLs mixed
+/// in at `nulls` percent.
+fn ranged_ints(rng: &mut Gen, rows: usize, nulls: u64) -> Vec<Value> {
+    let span = [1u64 << 8, 1 << 16, 1 << 32][rng.below(3) as usize] - rng.below(2);
+    let whole = rng.chance(15);
+    let base = (rng.next() as i64) >> rng.below(64);
+    (0..rows)
+        .map(|r| {
+            let delta = match r {
+                _ if whole => rng.next(),
+                0 => 0,
+                1 => span,
+                _ => rng.below(span + 1),
+            };
+            match rng.chance(nulls) {
+                true => Value::Null,
+                false => Value::Int(base.wrapping_add(delta as i64)),
+            }
+        })
+        .collect()
+}
+
+/// A column's encoding, checked against its price and read back: the
+/// bytes, which decode to the same rows and re-encode to the same bytes.
+fn encode_checked(col: &Column) -> Result<Vec<u8>, TestCaseError> {
+    let mut bytes = Vec::new();
+    col.encode_body(&mut bytes);
+    prop_assert_eq!(col.encoded_len(), bytes.len(), "the price is the encoding");
+    let (back, used) = Column::decode_body(col.len(), &bytes).expect("own encoding decodes");
+    prop_assert_eq!(used, bytes.len());
+    prop_assert_eq!(&back.to_values(), &col.to_values());
+    let mut again = Vec::new();
+    back.encode_body(&mut again);
+    prop_assert_eq!(&again, &bytes, "re-encode must be byte-identical");
+    Ok(bytes)
+}
+
+/// The fewest bytes of {1, 2, 4, 8} that hold `n`.
+fn width(n: u64) -> usize {
+    [1, 2, 4]
+        .into_iter()
+        .find(|w| n >> (8 * w) == 0)
+        .unwrap_or(8)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// An `Int` column over any range costs exactly what it writes, reads
+    /// back as itself, and takes the shorter of its two layouts: plain,
+    /// eight bytes a row, or frame of reference — the minimum and the
+    /// width of the span, then each row above the minimum in that width
+    /// (a NULL row counts as the zero it holds).  Plain wins ties.
+    #[test]
+    fn an_int_column_takes_its_shortest_layout(seed: u64, rows in 0usize..48, nulls in 0u64..30) {
+        let mut rng = Gen::new(seed);
+        let vals = ranged_ints(&mut rng, rows, nulls);
+        let col = Column::from_values(vals.clone());
+        let bytes = encode_checked(&col)?;
+        if col.layout_name() == "int" {
+            let data: Vec<i64> = vals.iter().map(|v| v.as_i64().unwrap_or(0)).collect();
+            let (min, max) = (data.iter().min().unwrap(), data.iter().max().unwrap());
+            let head = 2 + vals.iter().any(Value::is_null) as usize * rows.div_ceil(64) * 8;
+            let plain = head + 8 * rows;
+            let narrow = head + 9 + width(max.abs_diff(*min)) * rows;
+            let (tag, shortest) = if narrow < plain { (6, narrow) } else { (1, plain) };
+            prop_assert_eq!((bytes[0], bytes.len()), (tag, shortest));
+        }
+    }
+
+    /// An arena column's offsets are as wide as its arena needs — one byte
+    /// up to 255 bytes of arena, two up to 65,535, else four — and the
+    /// column costs exactly what it writes and reads back as itself.
+    #[test]
+    fn arena_offsets_take_the_arena_s_width(seed: u64, extra in 0usize..8, len in 0usize..4) {
+        let mut rng = Gen::new(seed);
+        let rows = pier::qp::DICT_MAX + 1 + extra;
+        let arena = [256, 65_536, 3 * rows + 4, 300_000][len] + rng.below(9) as usize - 4;
+        let vals: Vec<Value> = (0..rows)
+            .map(|r| {
+                let pad = arena / rows - 3 + usize::from(r == 0) * (arena % rows);
+                Value::Str(format!("{r:03}{}", "y".repeat(pad)).into())
+            })
+            .collect();
+        let col = Column::from_values(vals);
+        prop_assert_eq!(col.layout_name(), "str");
+        let bytes = encode_checked(&col)?;
+        prop_assert_eq!(bytes.len(), 2 + 4 + arena + (rows + 1) * width(arena as u64));
     }
 }
 

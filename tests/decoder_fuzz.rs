@@ -1,6 +1,6 @@
 //! Hostile bytes into the two decoders that read lengths off their input:
-//! [`ColumnChunk::decode_body`] (the typed chunk wire format, all six column
-//! tags) and [`SegmentLog::from_bytes`] → [`WindowStore::rehydrate_from`]
+//! [`ColumnChunk::decode_body`] (the typed chunk wire format, every column
+//! tag) and [`SegmentLog::from_bytes`] → [`WindowStore::rehydrate_from`]
 //! (a node's disk after a crash) — and the framings that carry those chunks
 //! between nodes, which the program only prices (`DhtMessage::wire_size`):
 //! the dictionary-coded `PutBatch` and the keyed `GetRequest` /
@@ -122,42 +122,55 @@ fn schema_of(arity: usize) -> Arc<Schema> {
     SchemaRegistry::global().intern_owned("fuzz".to_string(), columns)
 }
 
-/// A column of `rows` rows in the layout tag `tag` encodes as (0 the tagged
-/// `Values` fallback, 1 `Int`, 2 `Float`, 3 `Bool`, 4 `Dict`, 5 arena `Str`),
-/// NULLs mixed in.
+/// `rows` cells of `value(rng, row)`, one in five of them NULL.
+fn cells(rng: &mut Gen, rows: usize, value: impl Fn(&mut Gen, usize) -> Value) -> Vec<Value> {
+    let cell = |rng: &mut Gen, i| {
+        let v = value(rng, i);
+        if rng.below(5) == 0 {
+            Value::Null
+        } else {
+            v
+        }
+    };
+    (0..rows).map(|i| cell(rng, i)).collect()
+}
+
+/// A column of `rows` rows of one layout (0 the tagged `Values` fallback,
+/// 1 `Int`, 2 `Float`, 3 `Bool`, 4 `Dict`, 5 arena `Str`), NULLs mixed in.
+/// `Int` values span less than 2⁸, 2¹⁶ or 2³², or the whole of `i64`, from
+/// a base of any sign and size, so they encode in either `Int` layout and
+/// at every width.  An arena holds just under or just over 256 or 65,536
+/// bytes, so its offsets take every width; it has no NULLs, and more rows
+/// than a dictionary page holds.
 fn column(rng: &mut Gen, tag: usize, rows: usize) -> Column {
-    let mut cell = |v: Value| if rng.below(5) == 0 { Value::Null } else { v };
     match tag {
-        0 => Column::values_layout(
-            (0..rows)
-                .map(|i| match i % 5 {
-                    0 => Value::Int(i as i64),
-                    1 => Value::bytes([i as u8, 7]),
-                    2 => Value::Bool(i % 2 == 0),
-                    3 => Value::str(format!("v{i}")),
-                    _ => Value::Float(i as f64 / 4.0),
-                })
-                .map(&mut cell)
-                .collect(),
-        ),
-        1 => Column::from_values((0..rows).map(|i| cell(Value::Int(i as i64 - 3))).collect()),
-        2 => Column::from_values(
-            (0..rows)
-                .map(|i| cell(Value::Float(i as f64 / 8.0)))
-                .collect(),
-        ),
-        3 => Column::from_values((0..rows).map(|i| cell(Value::Bool(i % 3 == 0))).collect()),
-        4 => Column::from_values(
-            (0..rows)
-                .map(|i| cell(Value::str(format!("k{}", i % 7))))
-                .collect(),
-        ),
-        // More distinct strings than a dictionary page holds spill to the arena.
-        _ => Column::from_values(
-            (0..rows.max(DICT_MAX + 2))
-                .map(|i| Value::str(format!("s{i}")))
-                .collect(),
-        ),
+        0 => Column::values_layout(cells(rng, rows, |_, i| match i % 5 {
+            0 => Value::Int(i as i64),
+            1 => Value::bytes([i as u8, 7]),
+            2 => Value::Bool(i % 2 == 0),
+            3 => Value::str(format!("v{i}")),
+            _ => Value::Float(i as f64 / 4.0),
+        })),
+        1 => {
+            let span = [1u64 << 8, 1 << 16, 1 << 32, 0][rng.below(4)];
+            let base = rng.next() as i64 >> rng.below(64);
+            Column::from_values(cells(rng, rows, |rng, _| {
+                let delta = rng.next().checked_rem(span).unwrap_or_else(|| rng.next());
+                Value::Int(base.wrapping_add(delta as i64))
+            }))
+        }
+        2 => Column::from_values(cells(rng, rows, |_, i| Value::Float(i as f64 / 8.0))),
+        3 => Column::from_values(cells(rng, rows, |_, i| Value::Bool(i % 3 == 0))),
+        4 => Column::from_values(cells(rng, rows, |_, i| Value::str(format!("k{}", i % 7)))),
+        _ => {
+            let rows = rows.max(DICT_MAX + 2);
+            let arena = [256, 65_536][rng.below(2)] + rng.below(9) - 4;
+            let row = |i: usize| {
+                let pad = arena / rows - 3 + usize::from(i == 0) * (arena % rows);
+                Value::str(format!("{i:03}{}", "x".repeat(pad)))
+            };
+            Column::from_values((0..rows).map(row).collect())
+        }
     }
 }
 
@@ -208,7 +221,7 @@ fn a_row_count_the_frame_cannot_hold_is_refused_before_anything_is_reserved() {
     );
     // The same promise under each of the other tags, with and without a
     // validity block.
-    for tag in 0..=5u8 {
+    for tag in 0..=6u8 {
         for validity in [0u8, 1] {
             let frame = [1, 0, 0xff, 0xff, 0xff, 0xff, tag, validity, 0, 0, 0, 0];
             let (decoded, requested) =
@@ -220,6 +233,96 @@ fn a_row_count_the_frame_cannot_hold_is_refused_before_anything_is_reserved() {
             );
         }
     }
+}
+
+/// A one-column chunk frame of `rows` rows whose column is `column`.
+fn one_column(rows: u32, column: &[u8]) -> Vec<u8> {
+    [&1u16.to_le_bytes()[..], &rows.to_le_bytes(), column].concat()
+}
+
+/// The frame-of-reference `Int` column written by hand: tag 6, no NULLs,
+/// `base`, `width`, then each delta in `width` bytes.
+fn int_column(base: i64, width: u8, deltas: &[u64]) -> Vec<u8> {
+    let mut column = vec![6, 0];
+    column.extend(base.to_le_bytes());
+    column.push(width);
+    for d in deltas {
+        column.extend(&d.to_le_bytes()[..usize::from(width).min(8)]);
+    }
+    column
+}
+
+/// The plain `Int` column: tag 1, no NULLs, eight bytes a row.
+fn plain_column(values: &[i64]) -> Vec<u8> {
+    let mut column = vec![1, 0];
+    for v in values {
+        column.extend(v.to_le_bytes());
+    }
+    column
+}
+
+/// The new layouts under the row count no frame can hold: a narrow `Int`
+/// whose base and width are present, and arenas whose offsets are one and
+/// two bytes wide.
+#[test]
+fn a_row_count_the_frame_cannot_hold_is_refused_under_the_narrow_layouts() {
+    let arena = |len: usize| {
+        let mut column = vec![5, 0];
+        column.extend((len as u32).to_le_bytes());
+        column.extend(vec![b'a'; len]);
+        column.extend([0; 8]);
+        column
+    };
+    for column in [int_column(-7, 1, &[0; 8]), arena(3), arena(300)] {
+        let (frame, schema) = (one_column(u32::MAX, &column), schema_of(1));
+        let (decoded, requested) = requested_by(|| ColumnChunk::decode_body(schema, &frame));
+        assert!(decoded.is_none(), "tag {}", column[0]);
+        assert!(
+            requested <= frame.len(),
+            "tag {}: {requested} bytes requested for a {}-byte frame",
+            column[0],
+            frame.len()
+        );
+    }
+}
+
+/// Only the encoder's own choice decodes.  Rows the frame-of-reference
+/// layout writes shortest are refused in any other spelling — a wider
+/// width, a base below the minimum, the plain layout — and the narrow
+/// layout is refused where it is no shorter than plain.
+/// Widths outside {1, 2, 4, 8} and a delta that overflows `i64` are
+/// refused, and so are arena offsets wider than the arena needs.
+#[test]
+fn a_frame_that_is_not_the_encoder_s_choice_is_refused() {
+    let decodes = |rows: u32, column: &[u8]| {
+        ColumnChunk::decode_body(schema_of(1), &one_column(rows, column)).is_some()
+    };
+    assert!(decodes(3, &int_column(-3, 1, &[0, 253, 2])));
+    assert!(!decodes(3, &int_column(-3, 2, &[0, 253, 2])));
+    assert!(!decodes(3, &int_column(-4, 1, &[1, 254, 3])));
+    assert!(!decodes(3, &plain_column(&[-3, 250, -1])));
+    // Two rows a four-byte span apart are a byte shorter plain, and a
+    // span of eight bytes is always shorter plain.
+    assert!(decodes(2, &plain_column(&[0, 1 << 20])));
+    assert!(!decodes(2, &int_column(0, 4, &[0, 1 << 20])));
+    assert!(decodes(3, &plain_column(&[i64::MIN, -1, 0])));
+    assert!(!decodes(
+        3,
+        &int_column(i64::MIN, 8, &[i64::MAX as u64, 0, 1 << 63])
+    ));
+    // A lone row is always plain.
+    assert!(!decodes(1, &int_column(5, 1, &[0])));
+    for width in [0, 3, 9, 255] {
+        assert!(
+            !decodes(3, &int_column(0, width, &[0, 1, 2])),
+            "width {width}"
+        );
+    }
+    assert!(!decodes(3, &int_column(i64::MAX - 1, 1, &[0, 1, 2])));
+    // One row of a three-byte arena takes one-byte offsets, not four.
+    let arena = |offsets: &[u8]| [&[5, 0, 3, 0, 0, 0, b'a', b'b', b'c'][..], offsets].concat();
+    assert!(decodes(1, &arena(&[0, 3])));
+    assert!(!decodes(1, &arena(&[0, 0, 0, 0, 3, 0, 0, 0])));
 }
 
 proptest! {
