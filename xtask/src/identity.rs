@@ -281,15 +281,56 @@ pub fn run(root: &Path, bless: bool) -> Result<(), String> {
     if baseline == now {
         return Ok(());
     }
+    Err(mismatch_report(&baseline, &now))
+}
+
+/// The `"name": "value"` of one baseline line, quotes and comma stripped.
+fn name_value(line: &str) -> Option<(&str, &str)> {
+    let (name, value) = line.trim().trim_end_matches(',').split_once(": ")?;
+    Some((name.trim_matches('"'), value.trim_matches('"')))
+}
+
+/// What the check prints when `now` differs from the `baseline` file: each
+/// changed figure as a `-` and a `+` line, both prefixed `workload/section`
+/// (a header line by its own name), and the `+` line closed with the
+/// relative change when both values are numbers.
+pub fn mismatch_report(baseline: &str, now: &str) -> String {
     let mut report = format!("fixed-work figures differ from {BASELINE}:\n");
-    let (old, new) = (baseline.lines(), now.lines());
-    for (was, is) in old.zip(new).filter(|(was, is)| was != is) {
-        let _ = writeln!(report, "  - {}\n  + {}", was.trim(), is.trim());
+    let (mut section, mut workload) = ("", "");
+    for (was, is) in baseline.lines().zip(now.lines()) {
+        let opened = was
+            .trim()
+            .strip_suffix(": {")
+            .map(|name| name.trim_matches('"'));
+        match (was.len() - was.trim_start().len(), opened) {
+            (2, Some(name)) => section = name,
+            (4, Some(name)) => workload = name,
+            _ => {}
+        }
+        if was == is {
+            continue;
+        }
+        let at = match name_value(was) {
+            Some((name, _)) if was.starts_with("  \"") => name.to_string(),
+            _ => format!("{workload}/{section}"),
+        };
+        let change = name_value(was)
+            .zip(name_value(is))
+            .and_then(|((_, a), (_, b))| {
+                let (a, b) = (a.parse::<f64>().ok()?, b.parse::<f64>().ok()?);
+                (a != 0.0).then(|| format!("  {:+.2} %", (b - a) / a.abs() * 100.0))
+            });
+        let change = change.unwrap_or_default();
+        let (was, is) = (
+            was.trim().trim_end_matches(','),
+            is.trim().trim_end_matches(','),
+        );
+        let _ = writeln!(report, "  {at} - {was}\n  {at} + {is}{change}");
     }
     if baseline.lines().count() != now.lines().count() {
         report.push_str("  (and the set of workloads or figures changed)\n");
     }
-    Err(report)
+    report
 }
 
 #[cfg(test)]
@@ -340,6 +381,44 @@ net_msgs_per_op                 2.728805 count\n\
         // Wall-clock figures are not identity figures.
         assert!(got.iter().all(|(n, _)| *n != "setup_s"));
         assert!(figures("").iter().all(|(_, v)| v == "missing"));
+    }
+
+    #[test]
+    fn a_mismatch_names_its_workload_and_section_and_the_relative_change() {
+        let figures = |digest: &str, bytes: &str, calls: &str| {
+            let runs = [(
+                "join_publish".to_string(),
+                vec![
+                    ("result_digest", digest.to_string()),
+                    ("net_bytes_per_op", bytes.to_string()),
+                ],
+            )];
+            let traced = vec![("core.node.msg_get.calls".to_string(), calls.to_string())];
+            render(&runs, &[("join_publish".to_string(), traced)])
+        };
+        let was = figures("f4dd7d21d094c8e3", "94.646531", "812.000000");
+        assert_eq!(
+            mismatch_report(
+                &was,
+                &figures("f4dd7d21d094c8e3", "80.449551", "812.000000")
+            ),
+            format!(
+                "fixed-work figures differ from {BASELINE}:\n\
+                 \x20 join_publish/workloads - \"net_bytes_per_op\": \"94.646531\"\n\
+                 \x20 join_publish/workloads + \"net_bytes_per_op\": \"80.449551\"  -15.00 %\n"
+            )
+        );
+        // A traced count says so; a digest has no relative change.
+        let report = mismatch_report(
+            &was,
+            &figures("0123456789abcdef", "94.646531", "853.000000"),
+        );
+        assert!(
+            report.contains("  join_publish/workloads + \"result_digest\": \"0123456789abcdef\"\n")
+        );
+        assert!(report.contains(
+            "  join_publish/traced + \"core.node.msg_get.calls\": \"853.000000\"  +5.05 %\n"
+        ));
     }
 
     #[test]
