@@ -328,8 +328,8 @@ fn width_of(n: u64) -> usize {
 /// The frame-of-reference form of an `Int` buffer, when it is shorter
 /// than the plain eight bytes a row: `(base, width)`, the smallest value
 /// and the fewest bytes that hold every `value − base`.  Null rows count
-/// with the zero they hold.  Plain wins ties, so an empty buffer, a lone
-/// row and a span that needs all eight bytes stay plain.
+/// with the zero they hold.  Plain wins ties; an empty buffer, a lone row
+/// and a span that needs all eight bytes are shorter plain.
 fn int_frame(data: &[i64]) -> Option<(i64, usize)> {
     let (min, max) = (*data.iter().min()?, *data.iter().max()?);
     let width = width_of(max.abs_diff(min));
@@ -1238,7 +1238,7 @@ mod tests {
     }
 
     #[test]
-    fn an_int_column_ships_its_range_and_plain_wins_ties() {
+    fn an_int_column_ships_its_range_or_goes_plain() {
         let encode = |vals: &[i64]| {
             let col = Column::from_values(vals.iter().map(|&v| Value::Int(v)).collect());
             let mut buf = Vec::new();

@@ -7,10 +7,14 @@
 //! many bytes the message would occupy on the wire.  The simulator adds a
 //! fixed per-message header overhead (UDP/IP + overlay header) on top.
 //!
-//! The estimates are deliberately simple and conservative; what matters for
-//! reproducing the paper's figures is that the *relative* cost of strategies
-//! (e.g. Symmetric Hash join vs. Fetch Matches join, flat vs. hierarchical
-//! aggregation) is preserved.
+//! Rows travel as columnar chunks, and a chunk body's size is exact: it is
+//! the length of the body's real encoding (`Column::encoded_len` in
+//! `pier-core`, the codec the durable window snapshots write), including
+//! its narrow integer and offset widths.  The framing around the chunks
+//! is still a hand-written estimate, kept simple and conservative; what
+//! matters for reproducing the paper's figures is that the *relative* cost
+//! of strategies (e.g. Symmetric Hash join vs. Fetch Matches join, flat vs.
+//! hierarchical aggregation) is preserved.
 
 /// Fixed per-message header overhead in bytes (UDP/IP + overlay header),
 /// charged by both runtimes on top of a message's [`WireSize`].
