@@ -437,14 +437,22 @@ impl ShedAccuracy {
     }
 }
 
-/// Run `tenants` unshared tenants under `pier_analyze::admission_factory`
-/// twice from one seed — at full rate, then under a ceiling of 8 rows per
-/// window per node against the declared 32, which forces a 1-in-4 modulus —
-/// and compare the scaled sampled counts with the full-rate ones.
-pub fn shed_accuracy(nodes: usize, tenants: usize, run_secs: u64, seed: u64) -> ShedAccuracy {
+/// Run `tenants` tenants under `pier_analyze::admission_factory` twice from
+/// one seed — at full rate, then under a ceiling of 8 rows per window per
+/// node against the declared 32, which forces a 1-in-4 modulus — and
+/// compare the scaled sampled counts with the full-rate ones.  With
+/// `sharing` the nodes run the `pier-mqo` layer: the full-rate tenants
+/// share a group, and the shed ones must still be sampled.
+pub fn shed_accuracy(
+    nodes: usize,
+    tenants: usize,
+    run_secs: u64,
+    seed: u64,
+    sharing: bool,
+) -> ShedAccuracy {
     let run = |max_rows: Option<u64>| {
         let mut cfg = ManyTenantsConfig::new(nodes, tenants, run_secs, seed);
-        cfg.sharing = false;
+        cfg.sharing = sharing;
         cfg.pier.admission = Some(pier_analyze::admission_factory);
         if let Some(rows) = max_rows {
             cfg.pier.slo.default_budget.max_rows_per_window_per_node = rows;
@@ -482,11 +490,12 @@ pub fn shed_accuracy(nodes: usize, tenants: usize, run_secs: u64, seed: u64) -> 
     acc
 }
 
-/// The `admission` table: [`shed_accuracy`] of 4 tenants on 8 nodes.
+/// The `admission` table: [`shed_accuracy`] of 4 unshared tenants on 8
+/// nodes.
 /// Counts of virtual-time windows, so a function of the seed;
 /// `docs/baselines/tables/admission.txt` records it.
 pub fn admission_table() -> String {
-    let acc = shed_accuracy(8, 4, 20, 17);
+    let acc = shed_accuracy(8, 4, 20, 17, false);
     let modulus = acc.sample_every.iter().copied().max().unwrap_or(1);
     let (windows, mean) = (acc.rel_errors.len(), acc.mean_rel_error());
     let mut t = Table::new(

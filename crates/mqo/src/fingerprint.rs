@@ -21,6 +21,12 @@
 //! predicates over non-grouping columns — and the executor falls back to
 //! independent execution, so sharing never changes results, only cost.
 //!
+//! A plan admission shed to sampling (`sample_every > 1`) is not shared
+//! either: a group's store is fed every selected row, and thinning is a
+//! per-query filter on the plan's own dataflow (`GraphExec::feed`), which
+//! a member does not have.  Shared, a shed tenant would be told it runs at
+//! 1 in `sample_every` and receive full counts.
+//!
 //! Output semantics (`DELTAS` vs snapshots), per-member `TOP k` finishers
 //! and lease durations are *member-level*: they live in each member's
 //! tracker/finisher and are deliberately excluded from the fingerprint, so
@@ -69,7 +75,10 @@ pub struct ShareCandidate {
 /// independently — normalization never rejects a query, only sharing).
 pub fn normalize(plan: &QueryPlan) -> Option<ShareCandidate> {
     let cq = plan.cq.as_ref()?;
-    if plan.dissemination != Dissemination::Broadcast || plan.opgraphs.len() != 1 {
+    if plan.sample_every != 1
+        || plan.dissemination != Dissemination::Broadcast
+        || plan.opgraphs.len() != 1
+    {
         return None;
     }
     let graph = &plan.opgraphs[0];
@@ -311,6 +320,12 @@ mod tests {
         assert!(normalize(&compile("SELECT src, COUNT(*) FROM packets GROUP BY src",)).is_none());
         // Plain select (no CQ lifecycle).
         assert!(normalize(&compile("SELECT src FROM packets WHERE src = 'x'")).is_none());
+        // Shed to sampling: a member's rows are never thinned.
+        let mut shed = compile(
+            "SELECT src, COUNT(*) FROM packets WHERE src = 'x' GROUP BY src WINDOW 2s SLIDE 1s",
+        );
+        shed.sample_every = 4;
+        assert!(normalize(&shed).is_none());
     }
 
     #[test]

@@ -403,24 +403,28 @@ fn over_budget_tenant_is_shed_to_sampling() {
 
 /// Sampling is an estimator, not a guess: under a budget that sheds every
 /// tenant, the per-window counts scaled back up by the modulus stay in the
-/// right ballpark of the full-rate counts from the same seed.
+/// right ballpark of the full-rate counts from the same seed — whether the
+/// tenants run alone or through share groups (a shed plan must not join a
+/// group, whose members are never sampled).
 #[test]
 fn shed_counts_scaled_by_the_modulus_estimate_the_full_rate_counts() {
-    let acc = shed_accuracy(6, 3, 12, 17);
-    assert!(
-        acc.sample_every.iter().all(|&m| m >= 2),
-        "the tight budget must force sampling, got {:?}",
-        acc.sample_every
-    );
-    assert!(
-        !acc.rel_errors.is_empty(),
-        "shed run must overlap ground-truth windows"
-    );
-    assert!(
-        acc.mean_rel_error() < 0.75,
-        "shed-mode mean relative error {:.3} out of range",
-        acc.mean_rel_error()
-    );
+    for sharing in [false, true] {
+        let acc = shed_accuracy(6, 3, 12, 17, sharing);
+        assert!(
+            acc.sample_every.iter().all(|&m| m >= 2),
+            "sharing {sharing}: the tight budget must force sampling, got {:?}",
+            acc.sample_every
+        );
+        assert!(
+            !acc.rel_errors.is_empty(),
+            "sharing {sharing}: shed run must overlap ground-truth windows"
+        );
+        assert!(
+            acc.mean_rel_error() < 0.75,
+            "sharing {sharing}: shed-mode mean relative error {:.3} out of range",
+            acc.mean_rel_error()
+        );
+    }
 }
 
 /// The `admission.{admit,shed,reject}` trace events reconcile exactly with
