@@ -27,6 +27,9 @@ use pier::runtime::NodeAddr;
 use pier::telemetry::TelemetryConfig;
 use proptest::prelude::*;
 
+mod common;
+use common::seeded;
+
 /// Compile `sql` and derive its static report under the default env model.
 fn report_for(sql: &str, tenant: u64) -> CostReport {
     let mut plan = sqlish::compile(sql, NodeAddr(0), 60_000_000).expect("query compiles");
@@ -377,7 +380,7 @@ fn rejected_tenant_has_zero_effect_on_admitted_tenants() {
 /// sampling modulus is stamped into the plan and reported back.
 #[test]
 fn over_budget_tenant_is_shed_to_sampling() {
-    let mut cfg = ManyTenantsConfig::new(8, 3, 16, 13);
+    let mut cfg = ManyTenantsConfig::new(8, 3, 16, seeded(13));
     cfg.sharing = false;
     cfg.pier.admission = Some(admission_factory);
     // 2s window at the declared 16 ev/s is 32 predicted rows; a ceiling of
@@ -409,7 +412,7 @@ fn over_budget_tenant_is_shed_to_sampling() {
 #[test]
 fn shed_counts_scaled_by_the_modulus_estimate_the_full_rate_counts() {
     for sharing in [false, true] {
-        let acc = shed_accuracy(6, 3, 12, 17, sharing);
+        let acc = shed_accuracy(6, 3, 12, seeded(17), sharing);
         assert!(
             acc.sample_every.iter().all(|&m| m >= 2),
             "sharing {sharing}: the tight budget must force sampling, got {:?}",
