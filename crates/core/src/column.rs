@@ -325,15 +325,85 @@ fn width_of(n: u64) -> usize {
     }
 }
 
-/// The frame-of-reference form of an `Int` buffer, when it is shorter
+/// The frame-of-reference form of an integer buffer, when it is shorter
 /// than the plain eight bytes a row: `(base, width)`, the smallest value
-/// and the fewest bytes that hold every `value − base`.  Null rows count
-/// with the zero they hold.  Plain wins ties; an empty buffer, a lone row
-/// and a span that needs all eight bytes are shorter plain.
-fn int_frame(data: &[i64]) -> Option<(i64, usize)> {
-    let (min, max) = (*data.iter().min()?, *data.iter().max()?);
+/// and the fewest bytes that hold every `value − base`.  (In an `Int`
+/// column a null row counts with the zero it holds.)  Plain wins ties; an
+/// empty buffer, a lone row and a span that needs all eight bytes are
+/// shorter plain.  The column codec and the lease roster
+/// ([`crate::proxy::encode_roster`]) both choose their layout by it.
+pub(crate) fn int_frame(data: impl ExactSizeIterator<Item = i64> + Clone) -> Option<(i64, usize)> {
+    let rows = data.len();
+    let (min, max) = (data.clone().min()?, data.max()?);
     let width = width_of(max.abs_diff(min));
-    (9 + data.len() * width < data.len() * 8).then_some((min, width))
+    (9 + rows * width < rows * 8).then_some((min, width))
+}
+
+/// Exact length of [`put_ints`]'s output for `rows` integers in layout
+/// `frame` ([`int_frame`]'s answer).
+pub(crate) fn ints_len(rows: usize, frame: Option<(i64, usize)>) -> usize {
+    frame.map_or(rows * 8, |(_, width)| 9 + rows * width)
+}
+
+/// Append integers in layout `frame` ([`int_frame`]'s answer for them):
+/// eight bytes each when plain, else `base`, the width byte and `width`
+/// bytes each of `value − base`.
+pub(crate) fn put_ints(
+    buf: &mut Vec<u8>,
+    data: impl Iterator<Item = i64>,
+    frame: Option<(i64, usize)>,
+) {
+    match frame {
+        None => {
+            for v in data {
+                buf.extend_from_slice(&v.to_le_bytes());
+            }
+        }
+        Some((base, width)) => {
+            buf.extend_from_slice(&base.to_le_bytes());
+            buf.push(width as u8);
+            for v in data {
+                buf.extend_from_slice(&v.abs_diff(base).to_le_bytes()[..width]);
+            }
+        }
+    }
+}
+
+/// Read the `rows` integers [`put_ints`] wrote at `*at`, framed or plain as
+/// `framed` says, advancing past them.  `None` on truncated input and
+/// unless the layout is the encoder's own choice: the base the minimum,
+/// the width the fewest bytes that hold the span, and the frame shorter
+/// than plain — or plain not longer than any frame.
+pub(crate) fn take_ints(buf: &[u8], at: &mut usize, rows: usize, framed: bool) -> Option<Vec<i64>> {
+    let (data, frame) = if framed {
+        let base = i64::from_le_bytes(take(buf, at, 8)?.try_into().ok()?);
+        let width = usize::from(take(buf, at, 1)?[0]);
+        if ![1, 2, 4, 8].contains(&width) {
+            return None;
+        }
+        let deltas = take(buf, at, rows.checked_mul(width)?)?;
+        let data = deltas
+            .chunks_exact(width)
+            .map(|d| base.checked_add_unsigned(le_word(d)))
+            .collect::<Option<Vec<i64>>>()?;
+        (data, Some((base, width)))
+    } else {
+        let bytes = take(buf, at, rows.checked_mul(8)?)?;
+        let data = bytes
+            .chunks_exact(8)
+            .map(|w| i64::from_le_bytes(w.try_into().expect("chunks_exact yields 8 bytes")))
+            .collect();
+        (data, None)
+    };
+    (int_frame(data.iter().copied()) == frame).then_some(data)
+}
+
+/// The `len` bytes at `*at`, advancing past them.
+fn take<'a>(buf: &'a [u8], at: &mut usize, len: usize) -> Option<&'a [u8]> {
+    let end = at.checked_add(len)?;
+    let bytes = buf.get(*at..end)?;
+    *at = end;
+    Some(bytes)
 }
 
 /// The little-endian unsigned word in `bytes` (at most eight).
@@ -787,8 +857,7 @@ impl Column {
         };
         1 + match self {
             Column::Int { data, validity } => {
-                validity_len(validity)
-                    + int_frame(data).map_or(rows * 8, |(_, width)| 9 + rows * width)
+                validity_len(validity) + ints_len(rows, int_frame(data.iter().copied()))
             }
             Column::Float { validity, .. } => validity_len(validity) + rows * 8,
             Column::Bool { validity, .. } => validity_len(validity) + rows.div_ceil(64) * 8,
@@ -830,24 +899,12 @@ impl Column {
             }
         }
         match self {
-            Column::Int { data, validity } => match int_frame(data) {
-                None => {
-                    buf.push(1);
-                    encode_validity(buf, validity);
-                    for v in data {
-                        buf.extend_from_slice(&v.to_le_bytes());
-                    }
-                }
-                Some((base, width)) => {
-                    buf.push(6);
-                    encode_validity(buf, validity);
-                    buf.extend_from_slice(&base.to_le_bytes());
-                    buf.push(width as u8);
-                    for v in data {
-                        buf.extend_from_slice(&v.abs_diff(base).to_le_bytes()[..width]);
-                    }
-                }
-            },
+            Column::Int { data, validity } => {
+                let frame = int_frame(data.iter().copied());
+                buf.push(if frame.is_some() { 6 } else { 1 });
+                encode_validity(buf, validity);
+                put_ints(buf, data.iter().copied(), frame);
+            }
             Column::Float { data, validity } => {
                 buf.push(2);
                 encode_validity(buf, validity);
@@ -911,13 +968,6 @@ impl Column {
     /// frame cannot make the decoder allocate more than a small multiple of
     /// its own length.
     pub fn decode_body(rows: usize, buf: &[u8]) -> Option<(Column, usize)> {
-        /// The `len` bytes at `*at`, advancing past them.
-        fn take<'a>(buf: &'a [u8], at: &mut usize, len: usize) -> Option<&'a [u8]> {
-            let end = at.checked_add(len)?;
-            let bytes = buf.get(*at..end)?;
-            *at = end;
-            Some(bytes)
-        }
         /// `n` little-endian `W`-byte words at `*at`, advancing past them.
         fn words<const W: usize, T>(
             buf: &[u8],
@@ -956,32 +1006,9 @@ impl Column {
                 }
                 Column::Values(vals)
             }
-            1 => {
+            1 | 6 => {
                 let validity = decode_validity(rows, buf, &mut at)?;
-                let data = words(buf, &mut at, rows, i64::from_le_bytes)?;
-                if int_frame(&data).is_some() {
-                    return None; // the frame-of-reference form is shorter
-                }
-                Column::Int { data, validity }
-            }
-            6 => {
-                let validity = decode_validity(rows, buf, &mut at)?;
-                let base = i64::from_le_bytes(take(buf, &mut at, 8)?.try_into().ok()?);
-                let width = usize::from(take(buf, &mut at, 1)?[0]);
-                if ![1, 2, 4, 8].contains(&width) {
-                    return None;
-                }
-                let deltas = take(buf, &mut at, rows.checked_mul(width)?)?;
-                let data = deltas
-                    .chunks_exact(width)
-                    .map(|d| base.checked_add_unsigned(le_word(d)))
-                    .collect::<Option<Vec<i64>>>()?;
-                // Only the encoder's own choice: the base is the minimum,
-                // the width the fewest bytes that hold the span, and the
-                // frame shorter than the plain one.
-                if int_frame(&data) != Some((base, width)) {
-                    return None;
-                }
+                let data = take_ints(buf, &mut at, rows, tag == 6)?;
                 Column::Int { data, validity }
             }
             2 => {

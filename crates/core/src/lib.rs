@@ -121,15 +121,16 @@ pub use pier_cq::{CqBudget, DeltaMode, WindowSpec};
 pub use pier_telemetry::{SpanRecord, Telemetry, TelemetryConfig, TelemetryHub, TraceEvent};
 pub use pier_trace::{trace_id_for, TraceConfig, TraceContext};
 pub use plan::{
-    finish_rows, CqSpec, Dissemination, JoinSpec, OpGraph, OperatorSpec, PlanBuilder, QpObject,
-    QueryPlan, SinkSpec, SourceSpec,
+    finish_rows, CqSpec, Dissemination, Install, JoinSpec, OpGraph, OperatorSpec, PlanBuilder,
+    QpObject, QueryPlan, SinkSpec, SourceSpec,
 };
 pub use proxy::{window_result_schema, MemberRun, PierOut, Proxy, RenewalRound, WindowBundle};
 pub use range_index::RangeIndexConfig;
 pub use recursive::TransitiveClosure;
 pub use rehash::Rehash;
 pub use sharing::{
-    InstallOutcome, Membership, MultiQuerySharing, SharingFactory, SharingStats, UninstallOutcome,
+    InstallOutcome, MemberInstall, Membership, MultiQuerySharing, SharingFactory, SharingStats,
+    UninstallOutcome,
 };
 pub use tuple::{
     ChunkRow, ColumnChunk, ColumnRef, ColumnResolver, Schema, SchemaRegistry, Tuple, TupleBatch,

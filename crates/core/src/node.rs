@@ -22,9 +22,11 @@ use crate::admission::{AdmissionControl, AdmissionFactory, AdmissionVerdict, Slo
 use crate::deadlines::{Deadline, Deadlines, Due};
 use crate::engines::{EngineKey, Engines, Hop};
 use crate::graph_exec::{ExecOut, GraphExec, GraphRef};
-use crate::plan::{CqSpec, Dissemination, QpObject, QueryPlan};
+use crate::plan::{CqSpec, Dissemination, Install, QpObject, QueryPlan};
 use crate::proxy::{MemberRun, PierOut, Proxy, RenewalRound, WindowBundle};
-use crate::sharing::{InstallOutcome, Membership, MultiQuerySharing, SharingFactory, SharingStats};
+use crate::sharing::{
+    InstallOutcome, MemberInstall, Membership, MultiQuerySharing, SharingFactory, SharingStats,
+};
 use crate::tuple::{ColumnChunk, Tuple, TupleBatch};
 use crate::window_engine::{CqDiagnostics, EngineSpec};
 use pier_cq::DurableStore;
@@ -612,9 +614,19 @@ impl PierNode {
         } else {
             None
         };
-        match round {
-            Some(round) => self.send_round(ctx, round, Some(plan)),
-            None => self.disseminate(ctx, plan),
+        // A plan joining a share group live here travels by its constants.
+        let member = self.sharing.as_ref().and_then(|l| l.member_form(&plan));
+        let install = match member {
+            Some(m) => Install::Member(m),
+            None => Install::Plan(plan),
+        };
+        match (round, install) {
+            (Some(round), ride) => self.send_round(ctx, round, Some(ride)),
+            (None, Install::Member(m)) => {
+                let effects = self.overlay.broadcast(QpObject::Member(m), now);
+                self.drive(ctx, effects);
+            }
+            (None, Install::Plan(plan)) => self.disseminate(ctx, plan),
         }
         query_id
     }
@@ -772,9 +784,9 @@ impl PierNode {
                     return effects;
                 }
                 match object.value {
-                    // Plans are installed above; rosters travel by
-                    // broadcast only.
-                    QpObject::Plan(_) | QpObject::Renew { .. } => Vec::new(),
+                    // Plans are installed above; member forms and rosters
+                    // travel by broadcast only.
+                    QpObject::Plan(_) | QpObject::Member(_) | QpObject::Renew { .. } => Vec::new(),
                     QpObject::Tuple(tuple) => {
                         // Most single-object arrivals are published rows
                         // landing at their owner while nothing here reads
@@ -825,15 +837,26 @@ impl PierNode {
             OverlayEvent::Broadcast { payload } => {
                 match payload {
                     QpObject::Plan(plan) => self.install_query(ctx, plan),
+                    QpObject::Member(m) => {
+                        let (proxy, query_id) = (m.member.proxy, m.query_id);
+                        if !self.install_member(ctx, m) {
+                            self.pull_plans(ctx, proxy, vec![query_id]);
+                        }
+                    }
                     QpObject::Renew {
                         proxy,
                         queries,
                         plan,
                     } => {
                         // The plan a round rides on first, so the roster
-                        // finds it installed.
-                        if let Some(plan) = plan {
-                            self.install_query(ctx, *plan);
+                        // finds it installed — or, a member form whose
+                        // group is not live here, pulls it with the rest.
+                        match plan.map(|ride| *ride) {
+                            Some(Install::Plan(plan)) => self.install_query(ctx, plan),
+                            Some(Install::Member(m)) => {
+                                self.install_member(ctx, m);
+                            }
+                            None => {}
                         }
                         self.receive_roster(ctx, proxy, queries);
                     }
@@ -947,11 +970,17 @@ impl PierNode {
         let now = ctx.now();
         let mut missing = ids;
         missing.retain(|id| !self.renew_lease(*id, now));
-        if missing.is_empty() {
+        self.pull_plans(ctx, proxy, missing);
+    }
+
+    /// Ask `proxy` for the plans of `queries`, in one request (none when
+    /// empty).
+    fn pull_plans(&mut self, ctx: &mut ProgramContext<Self>, proxy: NodeAddr, queries: Vec<u64>) {
+        if queries.is_empty() {
             return;
         }
         self.tel.inc("cq.plan_pulls");
-        self.post(ctx, proxy, PierMsg::PlanRequest { queries: missing });
+        self.post(ctx, proxy, PierMsg::PlanRequest { queries });
     }
 
     /// Answer a pull: the plans of the `queries` still proxied here go to
@@ -972,13 +1001,13 @@ impl PierNode {
     }
 
     /// Send one round of the renewal clock — broadcast the roster, with
-    /// the standing plan `ride` when the round rides one; re-send the keyed
-    /// plans — and arm the next round.
+    /// the standing query `ride` when the round rides one; re-send the
+    /// keyed plans — and arm the next round.
     fn send_round(
         &mut self,
         ctx: &mut ProgramContext<Self>,
         round: RenewalRound,
-        ride: Option<QueryPlan>,
+        ride: Option<Install>,
     ) {
         let now = ctx.now();
         let Some(delay) = round.next_delay else {
@@ -1029,33 +1058,7 @@ impl PierNode {
         // member.
         let shared = self.sharing.as_mut().map(|layer| layer.try_install(&plan));
         if let Some(InstallOutcome::Member(membership)) = shared {
-            let Membership {
-                group,
-                epoch,
-                engine,
-                member,
-            } = *membership;
-            let key = EngineKey::Group(group);
-            let lease = member.lease;
-            // The group's first member opens its engine and, below, starts
-            // its tick chain.
-            let tick = engine.as_ref().map(|spec| spec.window.slide);
-            // Per-query sampling decisions are meaningless for work N
-            // queries share: a group's members trace in trace-all mode only.
-            let trace = self.config.trace.sample_every == 1;
-            let open = engine.map(|spec| (epoch, spec));
-            self.engines.join(key, open, query_id, member, trace, now);
-            self.tel.event("share_join", || {
-                vec![
-                    ("query_id", query_id.to_string()),
-                    ("group", format!("{group:016x}")),
-                    ("new_group", tick.is_some().to_string()),
-                ]
-            });
-            self.file_lifetime(ctx, query_id, plan.timeout, Some(lease));
-            if let Some(slide) = tick {
-                ctx.set_timer(slide, PierTimer::ShareTick { group, epoch });
-            }
+            self.join_group(ctx, query_id, plan.timeout, *membership);
             return;
         }
         // An aggregating plan gets an engine of its own, rehydrated warm
@@ -1120,6 +1123,69 @@ impl PierNode {
             let batch = TupleBatch::new(rows);
             let effects = self.feed(ctx, (query_id, gidx), &batch, now);
             self.drive(ctx, effects);
+        }
+    }
+
+    /// A standing query arrived in its member form: join its share group
+    /// when the group is live here.  False when it is not — the caller
+    /// pulls the whole plan from the proxy.
+    fn install_member(&mut self, ctx: &mut ProgramContext<Self>, m: MemberInstall) -> bool {
+        // A member form crossing a pulled copy renews, as a plan would.
+        if self.renew_lease(m.query_id, ctx.now()) {
+            return true;
+        }
+        let MemberInstall {
+            group,
+            query_id,
+            timeout,
+            member,
+        } = m;
+        let layer = self.sharing.as_mut();
+        let Some(membership) = layer.and_then(|l| l.join(group, query_id, member)) else {
+            return false;
+        };
+        self.tel.inc("cq.member_installs");
+        self.join_group(ctx, query_id, timeout, membership);
+        true
+    }
+
+    /// `query_id` became a member of a share group (`membership`): add it
+    /// to the group's engine — opening the engine and starting its tick
+    /// chain when it is the group's first member — and file its lifetime.
+    fn join_group(
+        &mut self,
+        ctx: &mut ProgramContext<Self>,
+        query_id: u64,
+        timeout: Duration,
+        membership: Membership,
+    ) {
+        let Membership {
+            group,
+            epoch,
+            engine,
+            member,
+        } = membership;
+        let key = EngineKey::Group(group);
+        let lease = member.lease;
+        // The group's first member opens its engine and, below, starts its
+        // tick chain.
+        let tick = engine.as_ref().map(|spec| spec.window.slide);
+        // Per-query sampling decisions are meaningless for work N queries
+        // share: a group's members trace in trace-all mode only.
+        let trace = self.config.trace.sample_every == 1;
+        let open = engine.map(|spec| (epoch, spec));
+        self.engines
+            .join(key, open, query_id, member, trace, ctx.now());
+        self.tel.event("share_join", || {
+            vec![
+                ("query_id", query_id.to_string()),
+                ("group", format!("{group:016x}")),
+                ("new_group", tick.is_some().to_string()),
+            ]
+        });
+        self.file_lifetime(ctx, query_id, timeout, Some(lease));
+        if let Some(slide) = tick {
+            ctx.set_timer(slide, PierTimer::ShareTick { group, epoch });
         }
     }
 

@@ -19,6 +19,8 @@ use crate::operators::{
     Distinct, GroupBy, Limit, LocalOperator, Pipeline, Projection, Queue, Selection, TopK,
 };
 use crate::pane_link::PaneStamp;
+use crate::proxy::roster_len;
+use crate::sharing::MemberInstall;
 use crate::tuple::{ColumnChunk, Tuple, TupleBatch};
 use pier_cq::{CqBudget, DeltaMode, WindowSpec};
 use pier_runtime::{Duration, NodeAddr, WireSize};
@@ -130,10 +132,13 @@ pub fn finish_rows(final_ops: &[OperatorSpec], rows: &TupleBatch) -> Vec<Tuple> 
     out
 }
 
+/// What one operator spec costs on the wire: a coarse but monotone
+/// estimate, as specs are small compared to data.
+pub(crate) const SPEC_BYTES: usize = 32;
+
 impl WireSize for OperatorSpec {
     fn wire_size(&self) -> usize {
-        // A coarse but monotone estimate: specs are small compared to data.
-        32
+        SPEC_BYTES
     }
 }
 
@@ -446,10 +451,15 @@ pub enum QpObject {
     },
     /// A query plan being disseminated.
     Plan(QueryPlan),
+    /// A standing plan broadcast by its constants, because it joins a
+    /// share group live at its proxy ([`MemberInstall`]).
+    Member(MemberInstall),
     /// A proxy's lease roster: the standing broadcast queries it still
     /// owns, ascending.  A holder renews the lease of each it has installed
     /// and pulls the plans of the ones it lacks from `proxy` — renew by
-    /// name, re-put only where the renew fails (§3.2.4, Table 2).
+    /// name, re-put only where the renew fails (§3.2.4, Table 2).  The ids
+    /// go frame of reference when that is shorter
+    /// ([`crate::proxy::encode_roster`]).
     Renew {
         /// The proxy whose round this is (where a missing plan is pulled).
         proxy: NodeAddr,
@@ -457,8 +467,39 @@ pub enum QpObject {
         queries: Vec<u64>,
         /// A standing plan submitted while the round was open, that the
         /// round rides on: installed before the roster is read.
-        plan: Option<Box<QueryPlan>>,
+        plan: Option<Box<Install>>,
     },
+}
+
+/// A standing query crossing the tree to be installed: whole, or by its
+/// constants when it joins a share group live at its proxy.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Install {
+    /// The whole plan.
+    Plan(QueryPlan),
+    /// The member form.
+    Member(MemberInstall),
+}
+
+impl Install {
+    /// The query being installed.
+    pub fn query_id(&self) -> u64 {
+        match self {
+            Install::Plan(plan) => plan.query_id,
+            Install::Member(m) => m.query_id,
+        }
+    }
+}
+
+/// The byte before an install (the presence byte of `Renew.plan`) says
+/// which form follows.
+impl WireSize for Install {
+    fn wire_size(&self) -> usize {
+        match self {
+            Install::Plan(plan) => plan.wire_size(),
+            Install::Member(m) => m.wire_size(),
+        }
+    }
 }
 
 impl QpObject {
@@ -467,7 +508,7 @@ impl QpObject {
         match self {
             QpObject::Tuple(_) => 1,
             QpObject::Batch(b) | QpObject::Panes { batch: b, .. } => b.len(),
-            QpObject::Plan(_) | QpObject::Renew { .. } => 0,
+            QpObject::Plan(_) | QpObject::Member(_) | QpObject::Renew { .. } => 0,
         }
     }
 
@@ -480,7 +521,7 @@ impl QpObject {
         let (single, batch) = match self {
             QpObject::Tuple(t) => (Some(t.clone()), None),
             QpObject::Batch(b) | QpObject::Panes { batch: b, .. } => (None, Some(b.iter())),
-            QpObject::Plan(_) | QpObject::Renew { .. } => (None, None),
+            QpObject::Plan(_) | QpObject::Member(_) | QpObject::Renew { .. } => (None, None),
         };
         single.into_iter().chain(batch.into_iter().flatten())
     }
@@ -492,7 +533,7 @@ impl QpObject {
         match self {
             QpObject::Tuple(t) => Cow::Owned(vec![ColumnChunk::from_tuple(t)]),
             QpObject::Batch(b) | QpObject::Panes { batch: b, .. } => Cow::Borrowed(b.chunks()),
-            QpObject::Plan(_) | QpObject::Renew { .. } => Cow::Borrowed(&[]),
+            QpObject::Plan(_) | QpObject::Member(_) | QpObject::Renew { .. } => Cow::Borrowed(&[]),
         }
     }
 
@@ -517,7 +558,7 @@ impl QpObject {
         match self {
             QpObject::Tuple(t) => vec![t],
             QpObject::Batch(b) | QpObject::Panes { batch: b, .. } => b.into_tuples(),
-            QpObject::Plan(_) | QpObject::Renew { .. } => Vec::new(),
+            QpObject::Plan(_) | QpObject::Member(_) | QpObject::Renew { .. } => Vec::new(),
         }
     }
 }
@@ -529,13 +570,14 @@ impl WireSize for QpObject {
             QpObject::Batch(b) => b.wire_size(),
             QpObject::Panes { stamp, batch } => stamp.wire_size() + batch.wire_size(),
             QpObject::Plan(p) => p.wire_size(),
-            // The proxy's address, a 4-byte count, 8 bytes per query, and
-            // the plan the round rides on.
+            QpObject::Member(m) => m.wire_size(),
+            // The proxy's address, the encoded roster, and the plan the
+            // round rides on.
             QpObject::Renew {
                 proxy,
                 queries,
                 plan,
-            } => proxy.wire_size() + 4 + 8 * queries.len() + plan.wire_size(),
+            } => proxy.wire_size() + roster_len(queries) + plan.wire_size(),
         }
     }
 }
@@ -843,5 +885,46 @@ mod tests {
         assert!(plan.wire_size() > 64);
         assert_eq!(small.tuple_count(), 1);
         assert_eq!(plan.tuple_count(), 0);
+    }
+
+    /// A one-query roster is priced as it was before rosters had a
+    /// frame-of-reference layout: the tag, the proxy's address, a four-byte
+    /// count, the eight-byte id and the absent ride's presence byte.  A
+    /// roster of one proxy's ids costs a byte an id past its frame.
+    #[test]
+    fn a_one_id_roster_prices_as_a_plain_roster() {
+        let renew = |queries: Vec<u64>| QpObject::Renew {
+            proxy: NodeAddr(3),
+            queries,
+            plan: None,
+        };
+        let id = (3u64 << 32) | 17;
+        assert_eq!(renew(vec![id]).wire_size(), 1 + 6 + 4 + 8 + 1);
+        let ids: Vec<u64> = (0..25).map(|seq| id + seq).collect();
+        assert_eq!(renew(ids).wire_size(), 1 + 6 + (4 + 8 + 1 + 25) + 1);
+    }
+
+    /// A member form costs the widths the plan model gives its fields, and
+    /// less than the plan it stands for only by what it leaves out.
+    #[test]
+    fn a_member_form_prices_its_fields() {
+        use crate::sharing::MemberInstall;
+        use crate::window_engine::MemberSpec;
+        let member = MemberSpec {
+            derive: Some(Expr::Const(crate::value::Value::Bool(true))),
+            proxy: NodeAddr(3),
+            lease: 15_000_000,
+            delta: pier_cq::DeltaMode::Snapshot,
+            final_ops: vec![OperatorSpec::Limit(3)],
+        };
+        let form = QpObject::Member(MemberInstall {
+            group: 1,
+            query_id: 2,
+            timeout: 3,
+            member,
+        });
+        // Tag; group, id, timeout; predicate behind its presence byte;
+        // proxy; lease; output mode; one finisher behind its count.
+        assert_eq!(form.wire_size(), 1 + 24 + (1 + 32) + 6 + 8 + 1 + (4 + 32));
     }
 }

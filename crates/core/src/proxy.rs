@@ -15,6 +15,17 @@
 //! owner is exactly what churn moves.  A query the roster stops naming
 //! lapses by its lease; there is no teardown message.
 //!
+//! On the wire a roster costs its id range, not eight bytes an id
+//! ([`encode_roster`]).  A four-byte count leads; its high bit says how the
+//! ids follow.  Clear: eight bytes an id (plain).  Set: frame of reference,
+//! by the column codec's rule for `Int` buffers — `base` (the smallest id)
+//! as eight bytes, a width byte `w ∈ {1, 2, 4, 8}` (the fewest bytes that
+//! hold the span), then `w` bytes an id of `id − base`.  One proxy's ids
+//! differ only in their low bits (`addr << 32 | sequence`), so a roster of
+//! 25 costs 38 bytes instead of 204.  The frame goes only when strictly
+//! shorter, so plain wins ties and a one-id roster is the plain twelve
+//! bytes; the decoder accepts only that choice ([`decode_roster`]).
+//!
 //! The clock's bounds follow the tightest standing query: base = the
 //! smallest `renew_every`, cap = the smallest `lease − renew_every/2`, so
 //! every gap between rounds stays inside every lease whatever the backoff.
@@ -45,6 +56,7 @@
 //! Plain state, no `ProgramContext`: [`crate::node::PierNode`] does the
 //! wiring (timers, broadcasts, telemetry), tests drive it directly.
 
+use crate::column::{int_frame, ints_len, put_ints, take_ints};
 use crate::plan::{CqSpec, Dissemination, QueryPlan};
 use crate::tuple::{ColumnChunk, Schema, SchemaRegistry, Tuple, TupleBatch};
 use crate::value::Value;
@@ -224,6 +236,49 @@ fn run_pieces<'a>(rows: &'a TupleBatch, members: &[MemberRun]) -> Option<Vec<Run
         }
     }
     Some(pieces)
+}
+
+/// The high bit of a roster's count: set when the ids follow frame of
+/// reference.
+const FRAMED: u32 = 1 << 31;
+
+/// The layout `ids` go in: the column codec's frame of reference when
+/// that is shorter, plain otherwise.
+fn roster_frame(ids: &[u64]) -> Option<(i64, usize)> {
+    int_frame(ids.iter().map(|&id| id as i64))
+}
+
+/// Exact length of [`encode_roster`]'s output for `ids`: what a roster
+/// costs on the wire.
+pub fn roster_len(ids: &[u64]) -> usize {
+    4 + ints_len(ids.len(), roster_frame(ids))
+}
+
+/// Append the roster `ids` (the module docs have the layout).
+pub fn encode_roster(ids: &[u64], buf: &mut Vec<u8>) {
+    let frame = roster_frame(ids);
+    let count = u32::try_from(ids.len())
+        .ok()
+        .filter(|n| n & FRAMED == 0)
+        .expect("a roster names fewer than 2^31 queries");
+    let layout = if frame.is_some() { FRAMED } else { 0 };
+    buf.extend_from_slice(&(count | layout).to_le_bytes());
+    put_ints(buf, ids.iter().map(|&id| id as i64), frame);
+}
+
+/// Decode a roster from the front of `buf`: its ids and the bytes
+/// consumed.  `None` on truncated input and on any layout but the one
+/// [`encode_roster`] would have chosen for these ids.
+pub fn decode_roster(buf: &[u8]) -> Option<(Vec<u64>, usize)> {
+    let count = u32::from_le_bytes(buf.get(..4)?.try_into().ok()?);
+    let mut at = 4;
+    let ids = take_ints(
+        buf,
+        &mut at,
+        (count & !FRAMED) as usize,
+        count & FRAMED != 0,
+    )?;
+    Some((ids.into_iter().map(|id| id as u64).collect(), at))
 }
 
 /// What one renewal round sends.

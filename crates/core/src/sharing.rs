@@ -13,9 +13,16 @@
 //!
 //! The protocol, in the order a query experiences it:
 //!
-//! 1. **Install** — a disseminated plan is offered to the layer first
-//!    ([`MultiQuerySharing::try_install`]).  If the plan normalizes into a
-//!    share group (see `pier-mqo`), the layer answers with a
+//! 1. **Install** — a standing plan whose share group is live at its proxy
+//!    crosses the tree in its **member form** ([`MemberInstall`]): the
+//!    group's fingerprint, the query's id and lifetime and its
+//!    [`MemberSpec`], not the plan ([`MultiQuerySharing::member_form`]).
+//!    A member of a live group installs by its constants
+//!    ([`MultiQuerySharing::join`]); a node without the group pulls the
+//!    whole plan from the proxy.  A whole plan — the first of its shape, a
+//!    pulled one, one that cannot be shared — is offered to the layer
+//!    first ([`MultiQuerySharing::try_install`]), which normalizes it and
+//!    joins it the same way.  Either way the layer answers with a
 //!    [`Membership`]: this query's [`MemberSpec`] and — for a group's
 //!    first member — the group's [`EngineSpec`].  The executor builds
 //!    **no** per-query dataflow; it adds the member to the group's
@@ -36,6 +43,7 @@
 use crate::plan::QueryPlan;
 use crate::tuple::ColumnChunk;
 use crate::window_engine::{EngineSpec, MemberSpec};
+use pier_runtime::{Duration, WireSize};
 
 /// Constructor hook for a sharing layer, carried by
 /// [`PierConfig`](crate::node::PierConfig) (a plain function pointer so the
@@ -72,6 +80,32 @@ pub struct Membership {
     pub engine: Option<EngineSpec>,
     /// This query's member-level residue.
     pub member: MemberSpec,
+}
+
+/// A standing query on its way to join a share group that is live at its
+/// proxy: what differs from the group's other members — the group's
+/// fingerprint, the query's id and remaining lifetime, and its
+/// [`MemberSpec`] — and not the plan the group was formed from.  A node
+/// whose group is live joins it by these constants
+/// ([`MultiQuerySharing::join`]); any other pulls the whole plan from
+/// `member.proxy`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct MemberInstall {
+    /// The share group (plan fingerprint).
+    pub group: u64,
+    /// The query.
+    pub query_id: u64,
+    /// The query's remaining lifetime.
+    pub timeout: Duration,
+    /// The member-level residue: predicate, proxy, lease, output mode and
+    /// finishers.
+    pub member: MemberSpec,
+}
+
+impl WireSize for MemberInstall {
+    fn wire_size(&self) -> usize {
+        8 + 8 + 8 + self.member.wire_size()
+    }
 }
 
 /// Outcome of removing a member query (the default: it was not one).
@@ -113,8 +147,19 @@ pub trait MultiQuerySharing: std::fmt::Debug + Send {
     /// oblivious.
     fn set_telemetry(&mut self, _tel: pier_telemetry::Telemetry) {}
 
-    /// Offer a freshly disseminated plan for shared installation.
+    /// Offer a freshly disseminated plan for shared installation: a plan
+    /// that normalizes into a share group opens the group if it is not
+    /// live here and joins it as [`MultiQuerySharing::join`] does.
     fn try_install(&mut self, plan: &QueryPlan) -> InstallOutcome;
+
+    /// The member form of `plan`, when it normalizes into a share group
+    /// that is live here; `None` otherwise — the plan travels whole.
+    fn member_form(&self, plan: &QueryPlan) -> Option<MemberInstall>;
+
+    /// Join `query_id` to the live share group `group` as `member`; `None`
+    /// when the group is not live here (the executor pulls the plan).  The
+    /// membership names no engine: a live group has one.
+    fn join(&mut self, group: u64, query_id: u64, member: MemberSpec) -> Option<Membership>;
 
     /// Remove a member query (timeout or lease lapse), refcounting its
     /// group down and retiring the group when it was the last member.

@@ -43,7 +43,7 @@
 use crate::aggregate::{AggFunc, AggState};
 use crate::expr::{CmpOp, CompiledExpr, Expr};
 use crate::partial::{GroupAgg, PartialCodec};
-use crate::plan::{finish_rows, one_shot_panes, OperatorSpec, QueryPlan, SinkSpec};
+use crate::plan::{finish_rows, one_shot_panes, OperatorSpec, QueryPlan, SinkSpec, SPEC_BYTES};
 use crate::tuple::{
     ColumnChunk, ColumnRef, ColumnResolver, Schema, SchemaRegistry, Tuple, TupleBatch,
 };
@@ -128,6 +128,18 @@ pub struct MemberSpec {
     pub delta: DeltaMode,
     /// Finishers applied to the member's rows at the root (e.g. `TOP k`).
     pub final_ops: Vec<OperatorSpec>,
+}
+
+/// A member crosses the tree in a share group's member form
+/// ([`crate::sharing::MemberInstall`]), priced at the widths the plan model
+/// gives the same fields: the predicate one [`OperatorSpec`] behind its
+/// presence byte, the proxy's address, the lease, a byte for the output
+/// mode, and the finishers as a list of specs.
+impl WireSize for MemberSpec {
+    fn wire_size(&self) -> usize {
+        let derive = 1 + self.derive.as_ref().map_or(0, |_| SPEC_BYTES);
+        derive + self.proxy.wire_size() + 8 + 1 + self.final_ops.wire_size()
+    }
 }
 
 impl EngineSpec {

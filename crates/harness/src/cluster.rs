@@ -105,6 +105,12 @@ pub struct ClusterTelemetrySummary {
     /// Sum over nodes of the `mqo.rows_scanned` counter — rows times share
     /// groups covered by the sharing layer's predicate-index scans.
     pub mqo_rows_scanned: u64,
+    /// Sum over nodes of the `cq.member_installs` counter — standing
+    /// queries that joined a live share group from their member form.
+    pub member_installs: u64,
+    /// Sum over nodes of the `cq.plan_pulls` counter — plan requests sent
+    /// to proxies.
+    pub plan_pulls: u64,
     /// Sum over nodes of trace-ring **and** span-ring drops — records the
     /// bounded rings evicted because an export ran too long between reads.
     /// Nonzero drops mean a merged export is incomplete; experiments that
@@ -389,6 +395,8 @@ impl Cluster {
                 .sum::<u64>();
             s.selection_rows_in += tel.counter("op.selection.rows_in");
             s.mqo_rows_scanned += tel.counter("mqo.rows_scanned");
+            s.member_installs += tel.counter("cq.member_installs");
+            s.plan_pulls += tel.counter("cq.plan_pulls");
             s.trace_dropped += tel
                 .with(|h| h.trace_dropped() + h.spans_dropped())
                 .unwrap_or(0);

@@ -24,10 +24,10 @@ use crate::fingerprint::{normalize, ShareCandidate};
 use crate::index::PredicateIndex;
 use pier_core::plan::QueryPlan;
 use pier_core::sharing::{
-    InstallOutcome, Membership, MultiQuerySharing, SharingStats, UninstallOutcome,
+    InstallOutcome, MemberInstall, Membership, MultiQuerySharing, SharingStats, UninstallOutcome,
 };
 use pier_core::tuple::ColumnChunk;
-use pier_core::{EngineNames, EngineSpec, MemberSpec};
+use pier_core::{EngineNames, EngineSpec, Expr, MemberSpec, Value};
 use pier_telemetry::Telemetry;
 use std::collections::HashMap;
 
@@ -77,6 +77,18 @@ fn engine_spec(c: &ShareCandidate) -> EngineSpec {
     }
 }
 
+/// The member-level residue of `c`, normalized from `plan`: what a member
+/// of the group runs that its fellow members may not.
+fn member_spec(c: ShareCandidate, plan: &QueryPlan) -> MemberSpec {
+    MemberSpec {
+        derive: Some(c.predicate),
+        proxy: plan.proxy,
+        lease: c.lease,
+        delta: c.delta,
+        final_ops: c.final_ops,
+    }
+}
+
 /// The share-group registry implementing [`MultiQuerySharing`].
 #[derive(Debug, Default)]
 pub struct MqoLayer {
@@ -122,7 +134,6 @@ impl MultiQuerySharing for MqoLayer {
         let Some(candidate) = normalize(plan) else {
             return InstallOutcome::NotShareable;
         };
-        let query_id = plan.query_id;
         let fingerprint = candidate.fingerprint;
         let mut engine = None;
         if !self.groups.contains_key(&fingerprint) {
@@ -139,24 +150,39 @@ impl MultiQuerySharing for MqoLayer {
                 .push(fingerprint);
             engine = Some(engine_spec(&candidate));
         }
-        let group = self.groups.get_mut(&fingerprint).expect("present above");
+        let member = member_spec(candidate, plan);
+        let joined = self.join(fingerprint, plan.query_id, member);
+        let mut membership = joined.expect("the group is live: opened above");
+        membership.engine = engine;
+        InstallOutcome::Member(Box::new(membership))
+    }
+
+    fn member_form(&self, plan: &QueryPlan) -> Option<MemberInstall> {
+        let candidate = normalize(plan)?;
+        self.groups
+            .contains_key(&candidate.fingerprint)
+            .then(|| MemberInstall {
+                group: candidate.fingerprint,
+                query_id: plan.query_id,
+                timeout: plan.timeout,
+                member: member_spec(candidate, plan),
+            })
+    }
+
+    fn join(&mut self, group: u64, query_id: u64, member: MemberSpec) -> Option<Membership> {
+        let share = self.groups.get_mut(&group)?;
+        let predicate = (member.derive.clone()).unwrap_or(Expr::Const(Value::Bool(true)));
         // (A re-offer of a live member keeps the predicate it has.)
-        group.index.insert(query_id, candidate.predicate.clone());
-        let epoch = group.epoch;
-        self.by_query.insert(query_id, fingerprint);
-        self.sync_membership(Some(fingerprint));
-        InstallOutcome::Member(Box::new(Membership {
-            group: fingerprint,
+        share.index.insert(query_id, predicate);
+        let epoch = share.epoch;
+        self.by_query.insert(query_id, group);
+        self.sync_membership(Some(group));
+        Some(Membership {
+            group,
             epoch,
-            engine,
-            member: MemberSpec {
-                derive: Some(candidate.predicate),
-                proxy: plan.proxy,
-                lease: candidate.lease,
-                delta: candidate.delta,
-                final_ops: candidate.final_ops,
-            },
-        }))
+            engine: None,
+            member,
+        })
     }
 
     fn uninstall(&mut self, query_id: u64) -> UninstallOutcome {
@@ -237,7 +263,7 @@ impl MultiQuerySharing for MqoLayer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pier_core::{sqlish, Tuple, TupleBatch, Value, WindowEngine};
+    use pier_core::{sqlish, Tuple, TupleBatch, WindowEngine};
     use pier_runtime::NodeAddr;
 
     fn tenant_plan(query_id: u64, src: &str) -> QueryPlan {
@@ -438,6 +464,30 @@ mod tests {
             !layer.uninstall(4).was_member,
             "double uninstall is a no-op"
         );
+    }
+
+    #[test]
+    fn a_member_form_joins_a_live_group_as_its_plan_would() {
+        let (mut proxy, mut holder) = (MqoLayer::default(), MqoLayer::default());
+        let first = tenant_plan(1, "10.0.0.1");
+        assert!(proxy.member_form(&first).is_none(), "no group is live yet");
+        for layer in [&mut proxy, &mut holder] {
+            layer.try_install(&first);
+        }
+        let plan = tenant_plan(2, "10.0.0.2");
+        let form = proxy.member_form(&plan).expect("the group is live");
+        assert_eq!((form.query_id, form.timeout), (2, plan.timeout));
+        let by_form = holder.join(form.group, form.query_id, form.member.clone());
+        assert_eq!(by_form, Some(membership(proxy.try_install(&plan))));
+        assert_eq!(holder.stats().members, 2);
+        // A node without the group cannot join it by its constants.
+        let mut retired = MqoLayer::default();
+        assert!(retired.join(form.group, 2, form.member).is_none());
+        assert_eq!(retired.stats().members, 0);
+        // A shed plan is never a member.
+        let mut shed = tenant_plan(3, "10.0.0.3");
+        shed.sample_every = 4;
+        assert!(proxy.member_form(&shed).is_none());
     }
 
     #[test]

@@ -1,6 +1,7 @@
-//! Hostile bytes into the two decoders that read lengths off their input:
+//! Hostile bytes into the decoders that read lengths off their input:
 //! [`ColumnChunk::decode_body`] (the typed chunk wire format, every column
-//! tag) and [`SegmentLog::from_bytes`] → [`WindowStore::rehydrate_from`]
+//! tag), [`decode_roster`] (a proxy's lease roster) and
+//! [`SegmentLog::from_bytes`] → [`WindowStore::rehydrate_from`]
 //! (a node's disk after a crash) — and the framings that carry those chunks
 //! between nodes, which the program only prices (`DhtMessage::wire_size`):
 //! the dictionary-coded `PutBatch` and the keyed `GetRequest` /
@@ -22,6 +23,7 @@
 
 use pier::cq::{CqBudget, SegmentLog, WindowAccumulator, WindowSpec, WindowStore};
 use pier::dht::{DhtMessage, ObjectName, StoredObject};
+use pier::qp::proxy::{decode_roster, encode_roster, roster_len};
 use pier::qp::tuple::ColumnChunk;
 use pier::qp::{Column, GroupAgg, Schema, SchemaRegistry, Value, DICT_MAX};
 use pier::runtime::{NodeAddr, WireSize};
@@ -352,6 +354,143 @@ proptest! {
         check_chunk(&schema, &frame)?;
         let frame = damage(&mut rng, frame);
         check_chunk(&schema, &frame)?;
+    }
+}
+
+// ----- decode_roster ----------------------------------------------------------
+
+/// Decode a roster frame and hold the decoder to the three properties.
+fn check_roster(frame: &[u8]) -> Result<(), TestCaseError> {
+    let (decoded, requested) = requested_by(|| decode_roster(frame));
+    prop_assert!(
+        requested <= allowance(frame.len()),
+        "{requested} bytes requested for a {}-byte roster",
+        frame.len()
+    );
+    if let Some((ids, used)) = decoded {
+        let mut again = Vec::new();
+        encode_roster(&ids, &mut again);
+        prop_assert!(again[..] == frame[..used], "accepted but not canonical");
+    }
+    Ok(())
+}
+
+/// `n` ids within `span` of a random base (the full range when `span` is
+/// 0), as one proxy's `addr << 32 | sequence` ids are.
+fn roster_ids(rng: &mut Gen, n: usize, span: u64) -> Vec<u64> {
+    let base = rng.next();
+    let mut ids: Vec<u64> = (0..n)
+        .map(|_| match span {
+            0 => rng.next(),
+            span => base.wrapping_add(rng.next() % span),
+        })
+        .collect();
+    ids.sort_unstable();
+    ids
+}
+
+/// A roster written by hand: the count word (high bit for frame of
+/// reference), then `base`, `width` and the deltas, or the plain ids.
+fn framed_roster(base: i64, width: u8, deltas: &[u64]) -> Vec<u8> {
+    let mut frame = (deltas.len() as u32 | 1 << 31).to_le_bytes().to_vec();
+    frame.extend(base.to_le_bytes());
+    frame.push(width);
+    for d in deltas {
+        frame.extend(&d.to_le_bytes()[..usize::from(width).min(8)]);
+    }
+    frame
+}
+
+fn plain_roster(ids: &[u64]) -> Vec<u8> {
+    let mut frame = (ids.len() as u32).to_le_bytes().to_vec();
+    for id in ids {
+        frame.extend(id.to_le_bytes());
+    }
+    frame
+}
+
+/// A one-id roster is what it always was: the four-byte count and the
+/// eight-byte id, plain — so a single standing query's renewal costs what
+/// it did before rosters had a frame-of-reference layout.
+#[test]
+fn a_one_id_roster_is_twelve_plain_bytes() {
+    let id = (7u64 << 32) | 3;
+    assert_eq!(roster_len(&[id]), 4 + 8);
+    let mut frame = Vec::new();
+    encode_roster(&[id], &mut frame);
+    assert_eq!(frame, plain_roster(&[id]));
+    assert_eq!(decode_roster(&frame), Some((vec![id], 12)));
+    assert_eq!(roster_len(&[]), 4, "an empty roster is its count");
+}
+
+/// Only the encoder's own choice decodes: a wider width than the span
+/// needs, a base other than the minimum, the narrow layout where plain is
+/// shorter, plain where the narrow layout is shorter.
+#[test]
+fn a_roster_that_is_not_the_encoder_s_choice_is_refused() {
+    let p = 9u64 << 32;
+    let ids = [p + 1, p + 2, p + 40];
+    let base = (p + 1) as i64;
+    let decodes = |frame: &[u8]| decode_roster(frame).map(|(ids, _)| ids);
+    assert_eq!(
+        decodes(&framed_roster(base, 1, &[0, 1, 39])),
+        Some(ids.to_vec())
+    );
+    let mut encoded = Vec::new();
+    encode_roster(&ids, &mut encoded);
+    assert_eq!(encoded, framed_roster(base, 1, &[0, 1, 39]));
+    // A wider width than needed.
+    assert_eq!(decodes(&framed_roster(base, 2, &[0, 1, 39])), None);
+    // A base below the minimum.
+    assert_eq!(decodes(&framed_roster(base - 1, 1, &[1, 2, 40])), None);
+    // Plain where the frame is shorter.
+    assert_eq!(decodes(&plain_roster(&ids)), None);
+    // Narrow where plain is shorter: two ids a four-byte span apart, and a
+    // lone id.
+    let apart = [p, p + (1 << 20)];
+    assert_eq!(decodes(&plain_roster(&apart)), Some(apart.to_vec()));
+    assert_eq!(decodes(&framed_roster(p as i64, 4, &[0, 1 << 20])), None);
+    assert_eq!(decodes(&framed_roster(p as i64, 1, &[0])), None);
+    // Widths outside {1, 2, 4, 8}, and a count no frame can hold.
+    for width in [0, 3, 9, 255] {
+        assert_eq!(decodes(&framed_roster(base, width, &[0, 1, 39])), None);
+    }
+    let (decoded, requested) = requested_by(|| decode_roster(&[0xff, 0xff, 0xff, 0x7f, 0, 0]));
+    assert!(decoded.is_none() && requested <= 6, "{requested}");
+}
+
+proptest! {
+    /// A roster's price is the length of its encoding, and its encoding
+    /// decodes to it, for id sets spanning under 2^8, 2^16 and 2^32, and
+    /// the full range.
+    #[test]
+    fn a_roster_costs_its_encoded_length(seed in any::<u64>()) {
+        let mut rng = Gen(seed);
+        for span in [1 << 8, 1 << 16, 1 << 32, 0] {
+            let n = rng.below(40);
+            let ids = roster_ids(&mut rng, n, span);
+            let mut frame = Vec::new();
+            encode_roster(&ids, &mut frame);
+            prop_assert_eq!(roster_len(&ids), frame.len());
+            prop_assert!(frame.len() <= 4 + 8 * ids.len(), "never longer than plain");
+            prop_assert_eq!(decode_roster(&frame), Some((ids, frame.len())));
+        }
+    }
+
+    /// Arbitrary bytes, and valid rosters damaged.
+    #[test]
+    fn hostile_rosters_never_panic_or_over_reserve(seed in any::<u64>()) {
+        let mut rng = Gen(seed);
+        let len = rng.below(80);
+        check_roster(&rng.bytes(len))?;
+        let span = [1 << 8, 1 << 16, 1 << 32, 0][rng.below(4)];
+        let n = rng.below(40);
+        let ids = roster_ids(&mut rng, n, span);
+        let mut frame = Vec::new();
+        encode_roster(&ids, &mut frame);
+        check_roster(&frame)?;
+        let frame = damage(&mut rng, frame);
+        check_roster(&frame)?;
     }
 }
 

@@ -290,7 +290,8 @@ fn an_id_submitted_again_starts_over() {
 /// What the tests want to know about a message.
 #[derive(Debug, Clone, PartialEq)]
 enum Wire {
-    /// A tree broadcast hop carrying a whole plan alone.
+    /// A tree broadcast hop carrying a standing query alone: a whole plan,
+    /// or a member form.
     TreePlan,
     /// A hop of broadcast `id` carrying `proxy`'s roster, and the plan the
     /// round rides on, if it does.
@@ -310,7 +311,7 @@ enum Wire {
 
 fn classify(msg: &PierMsg) -> Option<Wire> {
     let tree = |id: &BroadcastId, payload: &QpObject| match payload {
-        QpObject::Plan(_) => Some(Wire::TreePlan),
+        QpObject::Plan(_) | QpObject::Member(_) => Some(Wire::TreePlan),
         QpObject::Renew {
             proxy,
             queries,
@@ -319,7 +320,7 @@ fn classify(msg: &PierMsg) -> Option<Wire> {
             id: *id,
             proxy: *proxy,
             queries: queries.clone(),
-            ride: plan.as_ref().map(|p| p.query_id),
+            ride: plan.as_ref().map(|p| p.query_id()),
         }),
         _ => None,
     };
