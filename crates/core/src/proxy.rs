@@ -243,7 +243,10 @@ fn run_pieces<'a>(rows: &'a TupleBatch, members: &[MemberRun]) -> Option<Vec<Run
 const FRAMED: u32 = 1 << 31;
 
 /// The layout `ids` go in: the column codec's frame of reference when
-/// that is shorter, plain otherwise.
+/// that is shorter, plain otherwise.  Ids travel as the `i64`s with their
+/// bits (`as` both ways), so any ids round-trip; ids on both sides of 2^63
+/// would merely go plain, and one proxy's ids (`addr << 32 | sequence`)
+/// share their high half, so they lie on one side.
 fn roster_frame(ids: &[u64]) -> Option<(i64, usize)> {
     int_frame(ids.iter().map(|&id| id as i64))
 }

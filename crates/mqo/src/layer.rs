@@ -171,7 +171,8 @@ impl MultiQuerySharing for MqoLayer {
 
     fn join(&mut self, group: u64, query_id: u64, member: MemberSpec) -> Option<Membership> {
         let share = self.groups.get_mut(&group)?;
-        let predicate = (member.derive.clone()).unwrap_or(Expr::Const(Value::Bool(true)));
+        let all = Expr::Const(Value::Bool(true));
+        let predicate = member.derive.clone().unwrap_or(all);
         // (A re-offer of a live member keeps the predicate it has.)
         share.index.insert(query_id, predicate);
         let epoch = share.epoch;

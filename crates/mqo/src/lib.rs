@@ -26,7 +26,9 @@
 //!   stream toward its window root, each member's per-window
 //!   snapshot/delta answer derived from the shared per-group accumulators
 //!   at flush — and the executor runs it, exactly as it runs an unshared
-//!   query's.
+//!   query's.  A plan whose group is live at its proxy travels as its
+//!   member form (fingerprint, id, lifetime, member spec), which a node
+//!   with the group joins without the plan.
 //!
 //! ## Soundness
 //!
