@@ -32,7 +32,7 @@ use crate::expr::{CompiledPredicate, Expr};
 use crate::operators::LocalOperator;
 use crate::tuple::{ColumnChunk, Tuple, TupleBatch};
 use pier_runtime::Rng64;
-use pier_telemetry::Telemetry;
+use pier_telemetry::{SpanRecord, Telemetry};
 
 /// Rows routed between two lottery re-draws inside one chunk.  Deciding the
 /// order once per chunk is cheap but lets a skewed stream lock in a stale
@@ -231,13 +231,20 @@ impl Eddy {
         let order = self.route_order();
         if self.tel.is_enabled() && order != self.last_order {
             self.tel.inc("eddy.reorders");
-            let order_str = order
+            // Four bits per position, for the first 16: operator
+            // `order[i]` at bits 4i..4i+4.
+            let packed = order
                 .iter()
-                .map(std::string::ToString::to_string)
-                .collect::<Vec<_>>()
-                .join(",");
-            self.tel
-                .event("eddy_reorder", || vec![("order", order_str)]);
+                .take(16)
+                .enumerate()
+                .fold(0u64, |acc, (i, &op)| acc | ((op as u64 & 0xF) << (4 * i)));
+            let values = [order.len() as u64, packed];
+            self.tel.record(SpanRecord::event(
+                "eddy_reorder",
+                0,
+                &["filters", "order"],
+                values,
+            ));
             self.last_order = order.clone();
         }
         order

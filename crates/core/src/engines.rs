@@ -17,7 +17,7 @@ use crate::window_engine::{Emission, EngineSpec, MemberSpec, WindowEngine, OCCUP
 use pier_cq::DurableStore;
 use pier_dht::{routing_id, DhtMessage, Id, ObjectName, Overlay, OverlayEffect};
 use pier_runtime::{Duration, NodeAddr, Rng64, SimTime, WireSize};
-use pier_telemetry::Telemetry;
+use pier_telemetry::{SpanRecord, Telemetry};
 use pier_trace::TraceContext;
 use std::collections::{BTreeMap, HashMap};
 
@@ -133,16 +133,17 @@ impl Engines {
             let mut engine = WindowEngine::new(spec);
             if let Some(report) = self.durable.as_ref().and_then(|d| engine.rehydrate(d)) {
                 self.tel.add("cq.rehydrated_windows", report.windows as u64);
-                self.tel.event("window.rehydrate", || {
-                    vec![
-                        ("query_id", query_id.to_string()),
-                        ("windows", report.windows.to_string()),
-                        ("groups", report.groups.to_string()),
-                        ("tuples", report.tuples.to_string()),
-                        ("skipped", report.skipped.to_string()),
-                        ("torn_tail", report.torn_tail.to_string()),
-                    ]
-                });
+                self.tel.add("cq.rehydrate_skipped", report.skipped as u64);
+                self.tel
+                    .add("cq.rehydrate_torn_tails", u64::from(report.torn_tail));
+                let counts = [report.windows as u64, report.groups as u64, report.tuples];
+                let names = &["windows", "groups", "tuples"];
+                self.tel.record(SpanRecord::event(
+                    "window.rehydrate",
+                    query_id,
+                    names,
+                    counts,
+                ));
             }
             let (namespace, root_key) = (&engine.spec().namespace, &engine.spec().root_key);
             let root_id = routing_id(namespace, root_key);
@@ -193,8 +194,8 @@ impl Engines {
         if let Some(lease) = slot.and_then(|s| s.engine.lease_mut(query_id)) {
             lease.renew(now);
             self.tel.inc("cq.lease_renewals");
-            let fields = || vec![("query_id", query_id.to_string())];
-            self.tel.event("lease_renew", fields);
+            self.tel
+                .record(SpanRecord::event("lease_renew", query_id, &[], []));
         }
         true
     }
@@ -412,12 +413,12 @@ impl Engines {
     ) -> Option<Duration> {
         if self.tel.is_enabled() {
             let pressure = [
-                ("window_shed", "shed", shed),
-                ("window_evict", "evicted", evicted),
+                ("window_shed", &["shed"], shed),
+                ("window_evict", &["evicted"], evicted),
             ];
-            for (event, field, n) in pressure.into_iter().filter(|p| p.2 > 0) {
-                let fields = || vec![("query_id", query_id.to_string()), (field, n.to_string())];
-                self.tel.event(event, fields);
+            for (event, name, n) in pressure.into_iter().filter(|p| p.2 > 0) {
+                self.tel
+                    .record(SpanRecord::event(event, query_id, name, [n]));
             }
             if self.gauges_at != Some(now) {
                 self.gauges_at = Some(now);

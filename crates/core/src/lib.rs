@@ -118,7 +118,7 @@ pub use operators::{
 };
 pub use partial::{GroupAgg, PartialCodec, PartialEncoder};
 pub use pier_cq::{CqBudget, DeltaMode, WindowSpec};
-pub use pier_telemetry::{SpanRecord, Telemetry, TelemetryConfig, TelemetryHub, TraceEvent};
+pub use pier_telemetry::{SpanRecord, Telemetry, TelemetryConfig, TelemetryHub};
 pub use pier_trace::{trace_id_for, TraceConfig, TraceContext};
 pub use plan::{
     finish_rows, CqSpec, Dissemination, Install, JoinSpec, OpGraph, OperatorSpec, PlanBuilder,

@@ -35,7 +35,7 @@ use pier_dht::{
     OverlayTimer,
 };
 use pier_runtime::{Duration, NodeAddr, Program, ProgramContext, Rng64, SimTime, WireSize};
-use pier_telemetry::{Telemetry, TelemetryConfig};
+use pier_telemetry::{SpanRecord, Telemetry, TelemetryConfig, SPAN_SLOTS};
 use pier_trace::{TraceConfig, TraceContext};
 use std::collections::HashMap;
 
@@ -67,7 +67,7 @@ pub struct PierConfig {
     /// Self-monitoring telemetry: disabled by default (zero overhead beyond
     /// one discriminant check per instrumentation point).  When enabled the
     /// node keeps a [`pier_telemetry::TelemetryHub`] of counters, gauges,
-    /// histograms and a bounded trace ring; when
+    /// histograms and a bounded ring of spans and events; when
     /// [`TelemetryConfig::publish_interval`] is also set the node
     /// periodically materialises its hub as tuples into the
     /// `system.metrics` DHT namespace so standing queries can monitor the
@@ -409,11 +409,20 @@ impl PierNode {
         span: TraceContext,
         parent: u64,
         stage: &'static str,
-        [rows, bytes, aux]: [u64; 3],
+        values: [u64; 3],
     ) {
-        let (t, s, q) = (span.trace_id, span.span_id, span.query_id);
-        self.tel
-            .record_span(now, now, t, s, parent, q, stage, rows, bytes, aux);
+        self.tel.record(SpanRecord {
+            start: now,
+            end: now,
+            ordinal: 0,
+            trace_id: span.trace_id,
+            span_id: span.span_id,
+            parent,
+            query_id: span.query_id,
+            stage,
+            names: SPAN_SLOTS,
+            values,
+        });
     }
 
     /// Record a `stage` span under `parent` and return its context, which
@@ -546,31 +555,24 @@ impl PierNode {
         if let Some(layer) = self.admission.as_mut() {
             let decision = layer.assess(&plan);
             let accepted = !matches!(decision.verdict, AdmissionVerdict::Reject { .. });
-            let (mut shed, mut why) = (false, None);
-            let kind = match decision.verdict {
-                AdmissionVerdict::Admit => "admission.admit",
+            let tenant = plan.tenant;
+            let event = match decision.verdict {
+                AdmissionVerdict::Admit => {
+                    SpanRecord::event("admission.admit", query_id, &["tenant"], [tenant])
+                }
                 AdmissionVerdict::Shed { sample_every } => {
                     plan.sample_every = sample_every.max(2);
-                    shed = true;
-                    "admission.shed"
+                    let values = [tenant, u64::from(plan.sample_every)];
+                    let names = &["tenant", "sample_every"];
+                    SpanRecord::event("admission.shed", query_id, names, values)
                 }
-                AdmissionVerdict::Reject { reason } => {
-                    why = Some(("reason", reason));
-                    "admission.reject"
+                // The reason rides the report, not the event.
+                AdmissionVerdict::Reject { .. } => {
+                    SpanRecord::event("admission.reject", query_id, &["tenant"], [tenant])
                 }
             };
-            self.tel.inc(kind);
-            self.tel.event(kind, || {
-                let mut fields = vec![
-                    ("query", query_id.to_string()),
-                    ("tenant", plan.tenant.to_string()),
-                ];
-                if shed {
-                    fields.push(("sample_every", plan.sample_every.to_string()));
-                }
-                fields.extend(why);
-                fields
-            });
+            self.tel.inc(event.stage);
+            self.tel.record(event);
             ctx.output(PierOut::Admission {
                 query_id,
                 tenant: plan.tenant,
@@ -1018,14 +1020,11 @@ impl PierNode {
             self.tel.inc("cq.roster_rides");
         }
         if round.attempt > 0 {
-            let queries = round.roster.len() + round.resend.len();
-            self.tel.event("lease.backoff", || {
-                vec![
-                    ("queries", queries.to_string()),
-                    ("attempt", round.attempt.to_string()),
-                    ("delay", delay.to_string()),
-                ]
-            });
+            let queries = (round.roster.len() + round.resend.len()) as u64;
+            let values = [queries, u64::from(round.attempt), delay];
+            let names = &["queries", "attempt", "delay"];
+            self.tel
+                .record(SpanRecord::event("lease.backoff", 0, names, values));
         }
         // A riding plan's own query is on the roster.
         if !round.roster.is_empty() {
@@ -1081,13 +1080,10 @@ impl PierNode {
         let lease = engine_timers.and_then(|(_, lease, _)| lease);
         let has_cq = lease.is_some();
         self.tel.inc("query.installs");
-        self.tel.event("query_install", || {
-            vec![
-                ("query_id", query_id.to_string()),
-                ("graphs", graphs.to_string()),
-                ("continuous", has_cq.to_string()),
-            ]
-        });
+        let values = [graphs as u64, u64::from(has_cq)];
+        let names = &["graphs", "continuous"];
+        self.tel
+            .record(SpanRecord::event("query_install", query_id, names, values));
         if trace && self.tel.is_enabled() {
             let counts = [graphs as u64, 0, 0];
             self.span(now, TraceContext::root(query_id), "query.install", counts);
@@ -1176,13 +1172,10 @@ impl PierNode {
         let open = engine.map(|spec| (epoch, spec));
         self.engines
             .join(key, open, query_id, member, trace, ctx.now());
-        self.tel.event("share_join", || {
-            vec![
-                ("query_id", query_id.to_string()),
-                ("group", format!("{group:016x}")),
-                ("new_group", tick.is_some().to_string()),
-            ]
-        });
+        let values = [group, u64::from(tick.is_some())];
+        let names = &["group", "new_group"];
+        self.tel
+            .record(SpanRecord::event("share_join", query_id, names, values));
         self.file_lifetime(ctx, query_id, timeout, Some(lease));
         if let Some(slide) = tick {
             ctx.set_timer(slide, PierTimer::ShareTick { group, epoch });
@@ -1294,9 +1287,8 @@ impl PierNode {
         self.engines.leave(query_id);
         if self.exec.uninstall(query_id).is_some() {
             self.tel.inc("query.teardowns");
-            self.tel.event("query_teardown", || {
-                vec![("query_id", query_id.to_string())]
-            });
+            self.tel
+                .record(SpanRecord::event("query_teardown", query_id, &[], []));
             return;
         }
         // Share-group members also leave the layer: the group's refcount
@@ -1304,16 +1296,13 @@ impl PierNode {
         if let Some(layer) = self.sharing.as_mut() {
             let out = layer.uninstall(query_id);
             if out.was_member {
-                self.tel.event("share_leave", || {
-                    let retired = out
-                        .retired_group
-                        .map(|g| format!("{g:016x}"))
-                        .unwrap_or_default();
-                    vec![
-                        ("query_id", query_id.to_string()),
-                        ("retired_group", retired),
-                    ]
-                });
+                let retired = [out.retired_group.unwrap_or(0)];
+                self.tel.record(SpanRecord::event(
+                    "share_leave",
+                    query_id,
+                    &["retired_group"],
+                    retired,
+                ));
             }
         }
     }
@@ -1506,8 +1495,7 @@ impl PierNode {
         };
         let metrics = self.tel.with(|hub| {
             // Ring drops also show as a gauge, for local summaries.
-            let dropped = hub.trace_dropped() + hub.spans_dropped();
-            hub.set_gauge("telemetry.trace_dropped", dropped as f64);
+            hub.set_gauge("telemetry.trace_dropped", hub.dropped() as f64);
             tuple("system.metrics", hub.metrics_row(&node, now))
         });
         let Some(metrics) = metrics else {

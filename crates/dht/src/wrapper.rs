@@ -39,7 +39,7 @@ use crate::router::{
 };
 use crate::tree::{BroadcastId, Direction, DistributionTree};
 use pier_runtime::{Duration, NodeAddr, SimTime, WireSize};
-use pier_telemetry::Telemetry;
+use pier_telemetry::{SpanRecord, Telemetry};
 use pier_trace::TraceContext;
 use std::collections::BTreeMap;
 use std::fmt::Debug;
@@ -676,12 +676,14 @@ impl<V: Clone + Debug + WireSize> Overlay<V> {
         if dropped.flushed > 0 {
             let epoch = self.router.membership_epoch();
             self.tel.inc("dht.owner_cache.invalidations");
-            self.tel.event("owner_cache_invalidate", || {
-                vec![
-                    ("epoch", epoch.to_string()),
-                    ("dropped", dropped.flushed.to_string()),
-                ]
-            });
+            let values = [epoch, dropped.flushed as u64];
+            let names = &["epoch", "dropped"];
+            self.tel.record(SpanRecord::event(
+                "owner_cache_invalidate",
+                0,
+                names,
+                values,
+            ));
         }
         if dropped.evicted > 0 {
             self.tel

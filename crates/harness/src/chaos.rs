@@ -21,14 +21,14 @@
 //!    rehydrated-window evidence.
 //!
 //! Every fault the simulator injects is mirrored into the netmon proxy's
-//! telemetry hub as a `fault.inject` / `partition.heal` trace event, so the
-//! outcome's trace can be reconciled against the plan's own log — and two
+//! telemetry hub as an event whose stage is the fault's label (`loss`,
+//! `partition_heal`, …), so the outcome's trace can be reconciled against the plan's own log — and two
 //! runs with equal seeds must produce **byte-identical** traces.
 
 use crate::cluster::{Cluster, ClusterConfig};
 use crate::continuous::WindowEmission;
 use crate::Table;
-use pier_core::{sqlish, PierConfig, PierOut, TelemetryConfig, Tuple, Value};
+use pier_core::{sqlish, PierConfig, PierOut, SpanRecord, TelemetryConfig, Tuple, Value};
 use pier_runtime::sim::{FaultCounts, FaultKind, FaultPlan, StormEvent};
 use pier_runtime::{NodeAddr, Rng64, SimTime, Zipf};
 use std::collections::BTreeMap;
@@ -147,7 +147,7 @@ pub struct ChaosOutcome {
     /// The netmon proxy's telemetry trace (JSONL), with every injected
     /// fault mirrored in — equal seeds must reproduce this byte-for-byte.
     pub trace: String,
-    /// Every node's event trace merged under the `(time, node, ordinal)`
+    /// Every node's records merged under the `(time, node, ordinal)`
     /// total order — the all-nodes form of [`ChaosOutcome::trace`], equally
     /// byte-reproducible under equal seeds.
     pub merged_trace: String,
@@ -227,32 +227,31 @@ fn source_addr(rank: usize) -> String {
     format!("10.0.{}.{}", (rank / 256) % 256, rank % 256)
 }
 
-/// Telemetry fields of one mirrored fault record.
-fn fault_fields(kind: &FaultKind) -> Vec<(&'static str, String)> {
-    let mut fields = vec![("kind", kind.label().to_string())];
+/// A fault as an event: its stable label, and the nodes, partition or
+/// delay it names.  The node a crash, restart or stall hits is its
+/// `target`: a merged export already keys each line by the recording
+/// `node`.
+fn fault_event(kind: &FaultKind) -> SpanRecord {
+    let label = kind.label();
+    let ix = |n: &NodeAddr| n.index() as u64;
     match kind {
         FaultKind::Loss { from, to } | FaultKind::PartitionDrop { from, to } => {
-            fields.push(("from", from.index().to_string()));
-            fields.push(("to", to.index().to_string()));
+            SpanRecord::event(label, 0, &["from", "to"], [ix(from), ix(to)])
         }
         FaultKind::Duplicate { from, to, extra }
         | FaultKind::Reorder { from, to, extra }
         | FaultKind::DelaySpike { from, to, extra } => {
-            fields.push(("from", from.index().to_string()));
-            fields.push(("to", to.index().to_string()));
-            fields.push(("extra", extra.to_string()));
+            let names = &["from", "to", "extra"];
+            SpanRecord::event(label, 0, names, [ix(from), ix(to), *extra])
         }
         FaultKind::PartitionStart { id } | FaultKind::PartitionHeal { id } => {
-            fields.push(("id", id.to_string()));
+            SpanRecord::event(label, 0, &["id"], [u64::from(*id)])
         }
         FaultKind::Crash { node }
         | FaultKind::Restart { node }
         | FaultKind::StallStart { node }
-        | FaultKind::StallEnd { node } => {
-            fields.push(("node", node.index().to_string()));
-        }
+        | FaultKind::StallEnd { node } => SpanRecord::event(label, 0, &["target"], [ix(node)]),
     }
-    fields
 }
 
 /// One riding tenant: query id, proxy, watched source and collected
@@ -276,10 +275,8 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosOutcome {
     let cluster_cfg = cluster_cfg
         .with_liveness_timeout(3_000_000)
         .with_telemetry(TelemetryConfig {
-            enabled: true,
-            trace_capacity: 65_536,
-            publish_interval: None,
-            ..TelemetryConfig::default()
+            capacity: 65_536,
+            ..TelemetryConfig::enabled()
         })
         .with_durable();
     let mut cluster = Cluster::start(&cluster_cfg);
@@ -381,11 +378,7 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosOutcome {
         .expect("netmon proxy has a telemetry hub");
     cluster.sim.set_fault_sink(move |rec| {
         tel.set_now(rec.time);
-        let kind = match rec.kind {
-            FaultKind::PartitionHeal { .. } => "partition.heal",
-            _ => "fault.inject",
-        };
-        tel.event(kind, || fault_fields(&rec.kind));
+        tel.record(fault_event(&rec.kind));
     });
     cluster.sim.set_fault_plan(plan);
 
@@ -527,9 +520,9 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosOutcome {
     };
     let trace = cluster
         .telemetry(proxy)
-        .map(|t| t.trace_jsonl())
+        .map(|t| t.jsonl())
         .unwrap_or_default();
-    let merged_trace = cluster.merged_trace_jsonl();
+    let merged_trace = cluster.merged_span_jsonl();
     ChaosOutcome {
         query_id,
         windows,

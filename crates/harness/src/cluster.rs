@@ -1,8 +1,7 @@
 //! Boot and drive a PIER cluster under the Simulation Environment.
 
 use pier_core::{
-    PierConfig, PierNode, PierOut, QueryPlan, SpanRecord, Telemetry, TelemetryConfig, TraceEvent,
-    Tuple,
+    PierConfig, PierNode, PierOut, QueryPlan, SpanRecord, Telemetry, TelemetryConfig, Tuple,
 };
 use pier_cq::DurableStore;
 use pier_dht::{make_ring_refs, NodeRef};
@@ -111,7 +110,7 @@ pub struct ClusterTelemetrySummary {
     /// Sum over nodes of the `cq.plan_pulls` counter — plan requests sent
     /// to proxies.
     pub plan_pulls: u64,
-    /// Sum over nodes of trace-ring **and** span-ring drops — records the
+    /// Sum over nodes of ring drops — records (spans and events) the
     /// bounded rings evicted because an export ran too long between reads.
     /// Nonzero drops mean a merged export is incomplete; experiments that
     /// assert on trace contents check [`ClusterTelemetrySummary::has_trace_drops`].
@@ -119,7 +118,7 @@ pub struct ClusterTelemetrySummary {
 }
 
 impl ClusterTelemetrySummary {
-    /// True when any node's bounded trace or span ring overflowed — the
+    /// True when any node's bounded ring overflowed — the
     /// flag the harness surfaces so a truncated export is never mistaken
     /// for a complete one.
     pub fn has_trace_drops(&self) -> bool {
@@ -397,67 +396,43 @@ impl Cluster {
             s.mqo_rows_scanned += tel.counter("mqo.rows_scanned");
             s.member_installs += tel.counter("cq.member_installs");
             s.plan_pulls += tel.counter("cq.plan_pulls");
-            s.trace_dropped += tel
-                .with(|h| h.trace_dropped() + h.spans_dropped())
-                .unwrap_or(0);
+            s.trace_dropped += tel.with(|h| h.dropped()).unwrap_or(0);
         }
         s
     }
 
-    /// Every live node's recorded spans, keyed by node address — the input
-    /// shape [`pier_trace::merge_spans`] expects.  Nodes without telemetry
-    /// contribute nothing; node order follows the ring (ascending address),
-    /// though the merger's total order makes collection order irrelevant.
+    /// Every live node's records (spans and events), keyed by node
+    /// address — the input shape [`pier_trace::merge_spans`] expects.  Nodes
+    /// without telemetry contribute nothing; node order follows the ring
+    /// (ascending address), though the merger's total order makes
+    /// collection order irrelevant.
     pub fn node_spans(&self) -> Vec<(u32, Vec<SpanRecord>)> {
         let mut per_node = Vec::new();
         for r in &self.refs {
-            let Some(spans) = self
+            let Some(records) = self
                 .telemetry(r.addr)
-                .and_then(|tel| tel.with(|h| h.spans().copied().collect::<Vec<_>>()))
+                .and_then(|tel| tel.with(|h| h.records().copied().collect::<Vec<_>>()))
             else {
                 continue;
             };
-            if !spans.is_empty() {
-                per_node.push((r.addr.0, spans));
+            if !records.is_empty() {
+                per_node.push((r.addr.0, records));
             }
         }
         per_node
     }
 
-    /// Every live node's structured trace events, keyed by node address —
-    /// the input shape [`pier_trace::merged_trace_jsonl`] expects.
-    pub fn node_traces(&self) -> Vec<(u32, Vec<TraceEvent>)> {
-        let mut per_node = Vec::new();
-        for r in &self.refs {
-            let Some(events) = self
-                .telemetry(r.addr)
-                .and_then(|tel| tel.with(|h| h.trace().cloned().collect::<Vec<_>>()))
-            else {
-                continue;
-            };
-            if !events.is_empty() {
-                per_node.push((r.addr.0, events));
-            }
-        }
-        per_node
-    }
-
-    /// The cluster-wide span stream under the merger's total order
+    /// The cluster-wide record stream under the merger's total order
     /// (`(start, node, ordinal)` ascending — equal seeds ⇒ identical).
     pub fn merged_spans(&self) -> Vec<pier_trace::NodeSpan> {
         pier_trace::merge_spans(&self.node_spans())
     }
 
-    /// The merged all-nodes span export as JSONL (one span per line, a
-    /// leading `"node"` key on each).
+    /// The merged all-nodes export as JSONL (one span or event per line, a
+    /// leading `"node"` key on each) — the cluster-wide form of a hub's
+    /// `jsonl`.
     pub fn merged_span_jsonl(&self) -> String {
         pier_trace::merged_span_jsonl(&self.merged_spans())
-    }
-
-    /// The merged all-nodes structured-event trace as JSONL — the
-    /// cluster-wide form of the per-node `trace_jsonl` export.
-    pub fn merged_trace_jsonl(&self) -> String {
-        pier_trace::merged_trace_jsonl(&self.node_traces())
     }
 }
 

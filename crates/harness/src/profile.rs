@@ -34,11 +34,12 @@ pub struct QueryProfileOutcome {
     /// The rendered `EXPLAIN ANALYZE` text: per-stage table, operator
     /// table, critical path, and the reconciliation verdict.
     pub explain: String,
-    /// The merged all-nodes span export (JSONL, stably ordered).
+    /// The merged all-nodes export of spans and events (JSONL, stably
+    /// ordered).
     pub span_jsonl: String,
     /// The merged span stream as a Chrome `trace_event` JSON document.
     pub chrome_json: String,
-    /// Sum of per-node trace/span ring drops (nonzero = incomplete export).
+    /// Sum of per-node ring drops (nonzero = incomplete export).
     pub trace_dropped: u64,
 }
 
@@ -103,7 +104,7 @@ pub fn explain_analyze_netmon(cfg: &ContinuousNetmonConfig) -> QueryProfileOutco
     }
     // A multi-window run records a few spans per node per slide; size the
     // ring so the export is complete rather than a sample.
-    cfg.pier.telemetry.span_capacity = cfg.pier.telemetry.span_capacity.max(65_536);
+    cfg.pier.telemetry.capacity = cfg.pier.telemetry.capacity.max(65_536);
     if !cfg.pier.trace.enabled() {
         cfg.pier.trace = TraceConfig::sample_all();
     }

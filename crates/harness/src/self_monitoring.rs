@@ -17,9 +17,9 @@
 //!
 //! A background packet stream keeps the DHT busy so the monitored metrics
 //! move.  The driver collects both queries' per-window result streams at
-//! the proxy and exports one node's structured event trace as JSONL — the
-//! artifact the CI schema check validates — plus the merged, stably
-//! ordered all-nodes trace and span exports (`pier-trace`'s merger).
+//! the proxy and exports one node's ring of events as JSONL — the artifact
+//! the CI schema check validates — plus the merged, stably ordered
+//! all-nodes export (`pier-trace`'s merger).
 
 use crate::cluster::{Cluster, ClusterConfig};
 use crate::Table;
@@ -79,14 +79,14 @@ pub struct SelfMonitoringOutcome {
     /// `telemetry.publishes` summed over all nodes (metrics tuples shipped
     /// into the DHT).
     pub publishes: u64,
-    /// Node 0's structured event trace as JSONL (one event per line).
-    pub trace_jsonl: String,
-    /// Every node's event trace merged under the `(time, node, ordinal)`
-    /// total order — the cluster-wide form of [`Self::trace_jsonl`]
-    /// (each line gains a leading `"node"` key).
-    pub merged_trace_jsonl: String,
-    /// Sum over nodes of trace/span ring drops; nonzero means the merged
-    /// exports are incomplete.
+    /// Node 0's records as JSONL (one event or span per line).
+    pub trace: String,
+    /// Every node's records merged under the `(time, node, ordinal)` total
+    /// order — the cluster-wide form of [`Self::trace`] (each line gains a
+    /// leading `"node"` key).
+    pub merged_trace: String,
+    /// Sum over nodes of ring drops; nonzero means the exports are
+    /// incomplete.
     pub trace_dropped: u64,
     /// Cluster size.
     pub nodes: usize,
@@ -245,18 +245,18 @@ pub fn self_monitoring(cfg: &SelfMonitoringConfig) -> SelfMonitoringOutcome {
             publishes += tel.counter("telemetry.publishes");
         }
     }
-    let trace_jsonl = cluster
+    let trace = cluster
         .telemetry(cluster.addr(0))
-        .map(|tel| tel.trace_jsonl())
+        .map(|tel| tel.jsonl())
         .unwrap_or_default();
-    let merged_trace_jsonl = cluster.merged_trace_jsonl();
+    let merged_trace = cluster.merged_span_jsonl();
     let trace_dropped = cluster.telemetry_summary().trace_dropped;
     SelfMonitoringOutcome {
         bytes_recv,
         lookup_p99,
         publishes,
-        trace_jsonl,
-        merged_trace_jsonl,
+        trace,
+        merged_trace,
         trace_dropped,
         nodes: cfg.nodes,
         events,
@@ -288,10 +288,10 @@ pub fn self_monitoring_table(run: &SelfMonitoringOutcome) -> String {
         ("nodes_reporting", run.nodes_reporting() as f64),
         ("peak_bytes_recv", run.peak_bytes_recv()),
         ("peak_lookup_p99_us", run.peak_lookup_p99()),
-        ("trace_events_node0", run.trace_jsonl.lines().count() as f64),
+        ("trace_events_node0", run.trace.lines().count() as f64),
         (
             "trace_events_all_nodes",
-            run.merged_trace_jsonl.lines().count() as f64,
+            run.merged_trace.lines().count() as f64,
         ),
         ("trace_dropped", run.trace_dropped as f64),
     ] {

@@ -13,9 +13,9 @@
 //! Each fault the simulator actually applies is appended to the plan's
 //! [`log`](FaultPlan::log) as a [`FaultRecord`].  The simulator forwards new
 //! records to an optional *fault sink* callback, which the harness uses to
-//! mirror injections into a node's telemetry hub (`fault.inject` /
-//! `partition.heal` trace events) — and tests reconcile the telemetry stream
-//! against the plan's own log.
+//! mirror injections into a node's telemetry hub (one event per fault, its
+//! stage the fault's [`label`](FaultKind::label)) — and tests reconcile
+//! the telemetry stream against the plan's own log.
 
 use super::topology::NetworkTopology;
 use crate::node::NodeAddr;

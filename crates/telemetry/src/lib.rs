@@ -4,22 +4,24 @@
 //! (§3.3.4) and pitches network monitoring as the flagship workload.  This
 //! crate is the reproduction's own monitoring substrate: every node owns a
 //! [`TelemetryHub`] holding typed counters, gauges, fixed-bucket histograms
-//! and a bounded ring buffer of structured [`TraceEvent`]s.
+//! and one bounded ring of [`SpanRecord`]s: the spans of sampled traces and
+//! structured events, an event being a zero-duration span.
 //!
 //! Two properties are load-bearing:
 //!
 //! * **Determinism.**  Nothing in this crate reads a wall clock or iterates
 //!   a hash map.  Events are stamped with the simulation's virtual time
-//!   (fed in via [`Telemetry::set_now`]) plus a monotonically increasing
-//!   per-hub ordinal, metric maps are `BTreeMap`s, and histogram buckets
-//!   are fixed at construction — so two identical sim runs export
-//!   byte-identical JSONL traces (pinned by an integration test).
+//!   (fed in via [`Telemetry::set_now`]), every record with a monotonically
+//!   increasing per-hub ordinal, metric maps are `BTreeMap`s, and histogram
+//!   buckets are fixed at construction — so two identical sim runs export
+//!   byte-identical JSONL (pinned by an integration test).
 //! * **Zero overhead when disabled.**  The [`Telemetry`] handle cloned into
 //!   each subsystem is an `Option<Arc<Mutex<TelemetryHub>>>`; disabled
 //!   telemetry is `None` and every recording call is a branch on that
-//!   discriminant.  Nothing is formatted, allocated or locked unless a hub
-//!   is attached.  What an *enabled* hub costs end to end is measured, not
-//!   budgeted: the benchmark reports it as
+//!   discriminant.  Nothing is locked unless a hub is attached, and a
+//!   record is plain numbers, so nothing is formatted or allocated either.
+//!   What an *enabled* hub costs end to end is measured, not budgeted: the
+//!   benchmark reports it as
 //!   `telemetry.hub.enabled_overhead_share`, an estimator that cannot be
 //!   read at today's run length (identical runs disagree; ROADMAP item 2).
 //!
@@ -27,11 +29,12 @@
 //! periodically materialise their hub as tuples into the `system.metrics`
 //! DHT namespace so standing `sqlish` queries can monitor the cluster
 //! through the query processor itself.  See `docs/OBSERVABILITY.md` for the
-//! metric catalogue and event schema.
+//! metric catalogue and the record schema.
 
 use pier_runtime::metrics::weighted_percentile;
 use pier_runtime::time::{Duration, SimTime};
 use std::collections::{BTreeMap, VecDeque};
+use std::fmt::Write;
 use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Bucket upper bounds (µs) for latency histograms: roughly logarithmic
@@ -80,25 +83,21 @@ pub struct TelemetryConfig {
     /// single null check and the node behaves bit-identically to a build
     /// without telemetry.
     pub enabled: bool,
-    /// Ring-buffer capacity of the structured event trace; the oldest
-    /// events are dropped (and counted) once the buffer is full.
-    pub trace_capacity: usize,
     /// When set (and `enabled`), the node periodically materialises its hub
     /// as a tuple published into the `system.metrics` DHT namespace — the
     /// dogfood loop that lets standing queries monitor the cluster.
     pub publish_interval: Option<Duration>,
-    /// Ring-buffer capacity of the per-query span ring (`pier-trace`);
-    /// the oldest spans are dropped (and counted) once the buffer is full.
-    pub span_capacity: usize,
+    /// Capacity of the record ring (events and spans alike); the oldest
+    /// records are dropped (and counted) once it is full.
+    pub capacity: usize,
 }
 
 impl Default for TelemetryConfig {
     fn default() -> Self {
         TelemetryConfig {
             enabled: false,
-            trace_capacity: 1024,
             publish_interval: None,
-            span_capacity: 4096,
+            capacity: 5_120,
         }
     }
 }
@@ -203,63 +202,6 @@ impl Histogram {
     }
 }
 
-/// One structured trace event: virtual-time stamp, per-hub ordinal, a
-/// static kind tag and pre-formatted key/value fields.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TraceEvent {
-    /// Virtual time the event was recorded at.
-    pub time: SimTime,
-    /// Monotonic per-hub sequence number (total order within a node even
-    /// when several events share a timestamp).
-    pub ordinal: u64,
-    /// Static event tag, e.g. `"query_install"`.
-    pub kind: &'static str,
-    /// Event payload; values are pre-formatted strings.
-    pub fields: Vec<(&'static str, String)>,
-}
-
-fn json_escape(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-}
-
-impl TraceEvent {
-    /// One JSON object (a JSONL line without the trailing newline).
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(64);
-        out.push_str("{\"time\":");
-        out.push_str(&self.time.to_string());
-        out.push_str(",\"ordinal\":");
-        out.push_str(&self.ordinal.to_string());
-        out.push_str(",\"kind\":\"");
-        json_escape(&mut out, self.kind);
-        out.push_str("\",\"fields\":{");
-        for (i, (k, v)) in self.fields.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('"');
-            json_escape(&mut out, k);
-            out.push_str("\":\"");
-            json_escape(&mut out, v);
-            out.push('"');
-        }
-        out.push_str("}}");
-        out
-    }
-}
-
 /// One cell of a self-monitoring row ([`TelemetryHub::metrics_row`],
 /// [`TelemetryHub::span_rows`]).  Telemetry sits below the query
 /// processor's value type, which converts from this.
@@ -280,116 +222,134 @@ pub type Row<'a> = Vec<(&'static str, Cell<'a>)>;
 /// itself is bounded too).
 pub const MAX_SPANS_PER_ROUND: usize = 64;
 
-/// One measured span of a sampled distributed trace (`pier-trace`): a
-/// virtual-time interval attributed to a query stage on one node, linked
-/// into a cross-node span tree through `parent`.
+/// The names of a span's three value slots.
+pub const SPAN_SLOTS: &[&str] = &["rows", "bytes", "aux"];
+
+/// One record of a node's telemetry ring: a span or an event.
 ///
-/// Spans are fixed-width numeric records (the stage tag is `&'static str`)
-/// so recording one is a ring push with no allocation beyond the ring slot;
-/// its cost is part of the measured `telemetry.hub.enabled_overhead_share`.
+/// A **span** is a virtual-time interval of a sampled distributed trace
+/// (`pier-trace`) attributed to a query stage on one node, linked into a
+/// cross-node span tree through `parent`; its slots are [`SPAN_SLOTS`].
+/// An **event** is a zero-duration record with no trace: `start == end` at
+/// the hub's time, `trace_id`, `span_id` and `parent` all 0, `stage` its
+/// kind, and up to three values under names of its own.
+///
+/// Records are fixed-width numbers (the stage tag and slot names are
+/// `&'static`), so recording one is a ring push with nothing formatted or
+/// allocated beyond the ring slot; its cost is part of the measured
+/// `telemetry.hub.enabled_overhead_share`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SpanRecord {
     /// Virtual time the stage began.
     pub start: SimTime,
     /// Virtual time the stage ended (≥ `start`; equal for instantaneous
-    /// stages such as an ingest routing decision).
+    /// stages such as an ingest routing decision, and for every event).
     pub end: SimTime,
-    /// Monotonic per-hub span sequence number (total order within a node).
+    /// Monotonic per-hub sequence number over spans and events alike
+    /// (total order within a node).
     pub ordinal: u64,
     /// Trace identifier (derived deterministically from the query id).
     pub trace_id: u64,
-    /// This span's identifier, unique across the cluster.
+    /// This span's identifier, unique across the cluster; 0 for an event.
     pub span_id: u64,
     /// Parent span identifier (the trace id itself for top-level spans).
     pub parent: u64,
-    /// Query the work is charged to.  For shared (MQO) work this is the
-    /// group's canonical member, not necessarily the query that triggered
-    /// the stage.
+    /// Query the work is charged to (0 when an event concerns none).  For
+    /// shared (MQO) work this is the group's canonical member, not
+    /// necessarily the query that triggered the stage.
     pub query_id: u64,
-    /// Static stage tag, e.g. `"window.flush"`.
+    /// Static stage tag, e.g. `"window.flush"`, or an event's kind.
     pub stage: &'static str,
-    /// Rows processed by the stage.
-    pub rows: u64,
-    /// Wire bytes attributable to the stage (0 for local stages).
-    pub bytes: u64,
-    /// Stage-specific auxiliary value (window start for window stages,
-    /// hop count for routed stages, 0 otherwise).
-    pub aux: u64,
+    /// The names of the value slots, in slot order; a slot with no name is
+    /// not exported.
+    pub names: &'static [&'static str],
+    /// The slot values: a span's rows processed, wire bytes attributable to
+    /// the stage (0 for local stages) and a stage-specific auxiliary value
+    /// (window start for window stages, hop count for routed stages).
+    pub values: [u64; 3],
 }
 
 impl SpanRecord {
+    /// An event of kind `stage` concerning query `query_id` (0 for none),
+    /// with `values` under `names`.  The hub stamps its time and ordinal.
+    pub fn event<const N: usize>(
+        stage: &'static str,
+        query_id: u64,
+        names: &'static [&'static str; N],
+        values: [u64; N],
+    ) -> Self {
+        const { assert!(N <= 3, "an event has at most three values") };
+        let mut slots = [0; 3];
+        slots[..N].copy_from_slice(&values);
+        SpanRecord {
+            start: 0,
+            end: 0,
+            ordinal: 0,
+            trace_id: 0,
+            span_id: 0,
+            parent: 0,
+            query_id,
+            stage,
+            names,
+            values: slots,
+        }
+    }
+
+    /// Whether this is an event rather than a span.
+    pub fn is_event(&self) -> bool {
+        self.span_id == 0
+    }
+
     /// One JSON object (a JSONL line without the trailing newline).  Key
-    /// order is fixed so equal runs export byte-identical span files.
+    /// order is fixed so equal runs export byte-identical files.  The stage
+    /// and slot names are code literals, written unescaped.
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(128);
-        out.push_str("{\"start\":");
-        out.push_str(&self.start.to_string());
-        out.push_str(",\"end\":");
-        out.push_str(&self.end.to_string());
-        out.push_str(",\"ordinal\":");
-        out.push_str(&self.ordinal.to_string());
-        out.push_str(",\"trace\":");
-        out.push_str(&self.trace_id.to_string());
-        out.push_str(",\"span\":");
-        out.push_str(&self.span_id.to_string());
-        out.push_str(",\"parent\":");
-        out.push_str(&self.parent.to_string());
-        out.push_str(",\"query\":");
-        out.push_str(&self.query_id.to_string());
-        out.push_str(",\"stage\":\"");
-        json_escape(&mut out, self.stage);
-        out.push_str("\",\"rows\":");
-        out.push_str(&self.rows.to_string());
-        out.push_str(",\"bytes\":");
-        out.push_str(&self.bytes.to_string());
-        out.push_str(",\"aux\":");
-        out.push_str(&self.aux.to_string());
+        let mut out = format!(
+            "{{\"start\":{},\"end\":{},\"ordinal\":{},\"trace\":{},\"span\":{},\"parent\":{},\"query\":{},\"stage\":\"{}\"",
+            self.start,
+            self.end,
+            self.ordinal,
+            self.trace_id,
+            self.span_id,
+            self.parent,
+            self.query_id,
+            self.stage
+        );
+        for (name, value) in self.names.iter().zip(self.values) {
+            let _ = write!(out, ",\"{name}\":{value}");
+        }
         out.push('}');
         out
     }
 }
 
-/// The per-node metric store: counters, gauges, histograms, the bounded
-/// event trace and the bounded span ring.  All maps are `BTreeMap`s so
-/// iteration (and therefore every export) is deterministic.
+/// The per-node metric store: counters, gauges, histograms and the bounded
+/// record ring.  All maps are `BTreeMap`s so iteration (and therefore
+/// every export) is deterministic.
 #[derive(Debug)]
 pub struct TelemetryHub {
     now: SimTime,
-    next_ordinal: u64,
     counters: BTreeMap<String, u64>,
     gauges: BTreeMap<String, f64>,
     hists: BTreeMap<String, Histogram>,
-    trace: VecDeque<TraceEvent>,
-    trace_capacity: usize,
-    trace_dropped: u64,
-    spans: VecDeque<SpanRecord>,
-    span_capacity: usize,
-    next_span_ordinal: u64,
-    spans_dropped: u64,
+    ring: VecDeque<SpanRecord>,
+    capacity: usize,
+    next_ordinal: u64,
+    dropped: u64,
 }
 
 impl TelemetryHub {
-    /// An empty hub with the given trace ring capacity (span ring defaults
-    /// to the `TelemetryConfig` default).
-    pub fn new(trace_capacity: usize) -> Self {
-        TelemetryHub::with_capacities(trace_capacity, TelemetryConfig::default().span_capacity)
-    }
-
-    /// An empty hub with explicit trace and span ring capacities.
-    pub fn with_capacities(trace_capacity: usize, span_capacity: usize) -> Self {
+    /// An empty hub whose ring holds `capacity` records.
+    pub fn new(capacity: usize) -> Self {
         TelemetryHub {
             now: 0,
-            next_ordinal: 0,
             counters: BTreeMap::new(),
             gauges: BTreeMap::new(),
             hists: BTreeMap::new(),
-            trace: VecDeque::new(),
-            trace_capacity: trace_capacity.max(1),
-            trace_dropped: 0,
-            spans: VecDeque::new(),
-            span_capacity: span_capacity.max(1),
-            next_span_ordinal: 0,
-            spans_dropped: 0,
+            ring: VecDeque::new(),
+            capacity: capacity.max(1),
+            next_ordinal: 0,
+            dropped: 0,
         }
     }
 
@@ -435,21 +395,22 @@ impl TelemetryHub {
         }
     }
 
-    /// Append a structured event to the trace ring, stamping it with the
-    /// hub's current time and the next ordinal.
-    pub fn event(&mut self, kind: &'static str, fields: Vec<(&'static str, String)>) {
-        let ev = TraceEvent {
-            time: self.now,
-            ordinal: self.next_ordinal,
-            kind,
-            fields,
-        };
-        self.next_ordinal += 1;
-        if self.trace.len() == self.trace_capacity {
-            self.trace.pop_front();
-            self.trace_dropped += 1;
+    /// Append a record to the ring, stamping it with the next ordinal; an
+    /// event also gets the hub's current time.  A span's `start`/`end` are
+    /// virtual times supplied by the caller (stage boundaries rarely
+    /// coincide with the hub's `now`).
+    pub fn record(&mut self, mut rec: SpanRecord) {
+        if rec.is_event() {
+            (rec.start, rec.end) = (self.now, self.now);
         }
-        self.trace.push_back(ev);
+        rec.end = rec.end.max(rec.start);
+        rec.ordinal = self.next_ordinal;
+        self.next_ordinal += 1;
+        if self.ring.len() == self.capacity {
+            self.ring.pop_front();
+            self.dropped += 1;
+        }
+        self.ring.push_back(rec);
     }
 
     /// Current value of a counter (0 if never touched).
@@ -487,78 +448,30 @@ impl TelemetryHub {
         self.hists.iter().map(|(k, v)| (k.as_str(), v))
     }
 
-    /// The retained trace events, oldest first.
-    pub fn trace(&self) -> impl Iterator<Item = &TraceEvent> {
-        self.trace.iter()
+    /// The retained records, oldest first.
+    pub fn records(&self) -> impl Iterator<Item = &SpanRecord> {
+        self.ring.iter()
     }
 
-    /// Events evicted from the ring because it was full.
-    pub fn trace_dropped(&self) -> u64 {
-        self.trace_dropped
+    /// Records evicted from the ring because it was full.
+    pub fn dropped(&self) -> u64 {
+        self.dropped
     }
 
-    /// The retained trace as JSONL (one event object per line, trailing
-    /// newline after each).  Byte-identical across identical runs.
-    pub fn trace_jsonl(&self) -> String {
+    /// The retained records as JSONL (one object per line, trailing newline
+    /// after each).  Byte-identical across identical runs.
+    pub fn jsonl(&self) -> String {
         let mut out = String::new();
-        for ev in &self.trace {
-            out.push_str(&ev.to_json());
+        for rec in &self.ring {
+            out.push_str(&rec.to_json());
             out.push('\n');
         }
         out
     }
 
-    /// Append a span to the span ring, stamping it with the next span
-    /// ordinal.  `start`/`end` are virtual times supplied by the caller
-    /// (stage boundaries rarely coincide with the hub's `now`).
-    #[allow(clippy::too_many_arguments)]
-    pub fn span(
-        &mut self,
-        start: SimTime,
-        end: SimTime,
-        trace_id: u64,
-        span_id: u64,
-        parent: u64,
-        query_id: u64,
-        stage: &'static str,
-        rows: u64,
-        bytes: u64,
-        aux: u64,
-    ) {
-        let rec = SpanRecord {
-            start,
-            end: end.max(start),
-            ordinal: self.next_span_ordinal,
-            trace_id,
-            span_id,
-            parent,
-            query_id,
-            stage,
-            rows,
-            bytes,
-            aux,
-        };
-        self.next_span_ordinal += 1;
-        if self.spans.len() == self.span_capacity {
-            self.spans.pop_front();
-            self.spans_dropped += 1;
-        }
-        self.spans.push_back(rec);
-    }
-
-    /// The retained spans, oldest first.
-    pub fn spans(&self) -> impl Iterator<Item = &SpanRecord> {
-        self.spans.iter()
-    }
-
-    /// Spans evicted from the ring because it was full.
-    pub fn spans_dropped(&self) -> u64 {
-        self.spans_dropped
-    }
-
     /// The hub as the one `system.metrics` row of node `node` at `now` — the
     /// self-monitoring dogfood loop publishes it into the DHT like any other
-    /// row.  Events or spans evicted from the bounded rings surface as the
+    /// row.  Records evicted from the bounded ring surface as the
     /// `trace_dropped` column, so a standing query can flag incomplete
     /// traces (a dropped span invalidates profile reconciliation).
     pub fn metrics_row<'a>(&self, node: &'a str, now: SimTime) -> Row<'a> {
@@ -568,7 +481,6 @@ impl TelemetryHub {
         let sum = |names: &[&str]| {
             Cell::Int(names.iter().map(|name| self.counter(name)).sum::<u64>() as i64)
         };
-        let dropped = self.trace_dropped() + self.spans_dropped();
         vec![
             ("node", Cell::Str(node)),
             ("ts", Cell::Int(now as i64)),
@@ -602,21 +514,29 @@ impl TelemetryHub {
             ("lookup_p99_us", lookup(99.0)),
             ("owner_cache_hits", count("dht.owner_cache.hits")),
             ("owner_cache_misses", count("dht.owner_cache.misses")),
-            ("trace_dropped", Cell::Int(dropped as i64)),
+            ("trace_dropped", Cell::Int(self.dropped as i64)),
         ]
     }
 
     /// The spans recorded at or after ordinal `cursor` as `system.spans`
     /// rows of node `node`, in recording order and at most
     /// [`MAX_SPANS_PER_ROUND`] of them, and the cursor of the next round (a
-    /// watermark, so nothing is published twice).
+    /// watermark past every record read, so nothing is published twice).
+    /// Events are stepped over: they are not spans.
     pub fn span_rows<'a>(&self, node: &'a str, cursor: u64) -> (Vec<Row<'a>>, u64) {
-        let fresh = self.spans().filter(|s| s.ordinal >= cursor);
+        let mut rows = Vec::new();
         let mut next = cursor;
-        let row = |s: &SpanRecord| {
+        for s in self.ring.iter().filter(|s| s.ordinal >= cursor) {
+            if rows.len() == MAX_SPANS_PER_ROUND {
+                break;
+            }
             next = s.ordinal + 1;
+            if s.is_event() {
+                continue;
+            }
             let int = |v: u64| Cell::Int(v as i64);
-            vec![
+            let [r, b, aux] = s.values;
+            rows.push(vec![
                 ("node", Cell::Str(node)),
                 ("start", int(s.start)),
                 ("end", int(s.end)),
@@ -626,23 +546,12 @@ impl TelemetryHub {
                 ("parent", int(s.parent)),
                 ("query", int(s.query_id)),
                 ("stage", Cell::Str(s.stage)),
-                ("rows", int(s.rows)),
-                ("bytes", int(s.bytes)),
-                ("aux", int(s.aux)),
-            ]
-        };
-        let rows = fresh.take(MAX_SPANS_PER_ROUND).map(row).collect();
-        (rows, next)
-    }
-
-    /// The retained spans as JSONL.  Byte-identical across identical runs.
-    pub fn span_jsonl(&self) -> String {
-        let mut out = String::new();
-        for sp in &self.spans {
-            out.push_str(&sp.to_json());
-            out.push('\n');
+                ("rows", int(r)),
+                ("bytes", int(b)),
+                ("aux", int(aux)),
+            ]);
         }
-        out
+        (rows, next)
     }
 }
 
@@ -650,8 +559,8 @@ impl TelemetryHub {
 ///
 /// Every instrumented subsystem (overlay, pipeline, eddy, sharing layer)
 /// holds a clone.  When telemetry is disabled the handle is empty and each
-/// recording call costs one discriminant check; event payloads are built
-/// inside closures so they are never formatted in that case.  The `Mutex`
+/// recording call costs one discriminant check; a record is plain numbers,
+/// so nothing is formatted or allocated in either case.  The `Mutex`
 /// is uncontended — a node and everything it owns run on one logical
 /// thread — it exists only to keep the handle `Send + Sync`.
 #[derive(Debug, Clone, Default)]
@@ -665,10 +574,7 @@ impl Telemetry {
     pub fn from_config(cfg: &TelemetryConfig) -> Self {
         if cfg.enabled {
             Telemetry {
-                inner: Some(Arc::new(Mutex::new(TelemetryHub::with_capacities(
-                    cfg.trace_capacity,
-                    cfg.span_capacity,
-                )))),
+                inner: Some(Arc::new(Mutex::new(TelemetryHub::new(cfg.capacity)))),
             }
         } else {
             Telemetry::disabled()
@@ -741,12 +647,13 @@ impl Telemetry {
         }
     }
 
-    /// Append a trace event.  `fields` is a closure so the payload is only
-    /// formatted when a hub is attached.
-    pub fn event(&self, kind: &'static str, fields: impl FnOnce() -> Vec<(&'static str, String)>) {
+    /// Append a span or an event to the ring (no-op when disabled).
+    /// Span callers gate on the query's sampling decision before reaching
+    /// this, so the disabled-path cost is one discriminant check.
+    #[inline]
+    pub fn record(&self, rec: SpanRecord) {
         if let Some(mut h) = self.hub() {
-            let f = fields();
-            h.event(kind, f);
+            h.record(rec);
         }
     }
 
@@ -765,38 +672,9 @@ impl Telemetry {
         self.hub().and_then(|h| h.percentile(name, p))
     }
 
-    /// Export the trace ring as JSONL (empty string when disabled).
-    pub fn trace_jsonl(&self) -> String {
-        self.hub().map(|h| h.trace_jsonl()).unwrap_or_default()
-    }
-
-    /// Record a span into the span ring (no-op when disabled).  Callers
-    /// gate on the query's sampling decision before reaching this, so the
-    /// disabled-path cost is one discriminant check.
-    #[allow(clippy::too_many_arguments)]
-    pub fn record_span(
-        &self,
-        start: SimTime,
-        end: SimTime,
-        trace_id: u64,
-        span_id: u64,
-        parent: u64,
-        query_id: u64,
-        stage: &'static str,
-        rows: u64,
-        bytes: u64,
-        aux: u64,
-    ) {
-        if let Some(mut h) = self.hub() {
-            h.span(
-                start, end, trace_id, span_id, parent, query_id, stage, rows, bytes, aux,
-            );
-        }
-    }
-
-    /// Export the span ring as JSONL (empty string when disabled).
-    pub fn span_jsonl(&self) -> String {
-        self.hub().map(|h| h.span_jsonl()).unwrap_or_default()
+    /// Export the ring as JSONL (empty string when disabled).
+    pub fn jsonl(&self) -> String {
+        self.hub().map(|h| h.jsonl()).unwrap_or_default()
     }
 }
 
@@ -829,10 +707,10 @@ mod tests {
         tel.inc("a");
         tel.gauge("g", 1.0);
         tel.observe_latency("lat", 5.0);
-        tel.event("never", || unreachable!("fields must not be built"));
+        tel.record(SpanRecord::event("never", 1, &["k"], [2]));
         assert_eq!(tel.counter("a"), 0);
         assert_eq!(tel.gauge_value("g"), None);
-        assert_eq!(tel.trace_jsonl(), "");
+        assert_eq!(tel.jsonl(), "");
     }
 
     #[test]
@@ -851,44 +729,82 @@ mod tests {
         assert_eq!(empty.percentile(50.0), None);
     }
 
+    fn ring_of(capacity: usize) -> Telemetry {
+        Telemetry::from_config(&TelemetryConfig {
+            capacity,
+            ..TelemetryConfig::enabled()
+        })
+    }
+
+    fn span(
+        start: u64,
+        end: u64,
+        trace_id: u64,
+        span_id: u64,
+        parent: u64,
+        stage: &'static str,
+        values: [u64; 3],
+    ) -> SpanRecord {
+        SpanRecord {
+            start,
+            end,
+            ordinal: 0,
+            trace_id,
+            span_id,
+            parent,
+            query_id: 42,
+            stage,
+            names: SPAN_SLOTS,
+            values,
+        }
+    }
+
     #[test]
     fn trace_ring_bounds_and_jsonl() {
-        let tel = Telemetry::from_config(&TelemetryConfig {
-            enabled: true,
-            trace_capacity: 2,
-            ..TelemetryConfig::default()
-        });
+        let tel = ring_of(2);
         tel.set_now(10);
-        tel.event("first", Vec::new);
+        tel.record(SpanRecord::event("first", 0, &[], []));
         tel.set_now(20);
-        tel.event("second", || vec![("k", "v\"x".to_string())]);
+        let names = &["queries", "attempt", "delay"];
+        tel.record(SpanRecord::event(
+            "lease.backoff",
+            7,
+            names,
+            [2, 1, 3_000_000],
+        ));
         tel.set_now(30);
-        tel.event("third", Vec::new);
-        let jsonl = tel.trace_jsonl();
+        tel.record(SpanRecord::event("share_leave", 7, &["retired_group"], [0]));
+        let jsonl = tel.jsonl();
         let lines: Vec<&str> = jsonl.lines().collect();
         assert_eq!(lines.len(), 2);
         assert_eq!(
             lines[0],
-            "{\"time\":20,\"ordinal\":1,\"kind\":\"second\",\"fields\":{\"k\":\"v\\\"x\"}}"
+            "{\"start\":20,\"end\":20,\"ordinal\":1,\"trace\":0,\"span\":0,\"parent\":0,\
+             \"query\":7,\"stage\":\"lease.backoff\",\"queries\":2,\"attempt\":1,\"delay\":3000000}"
         );
         assert_eq!(
             lines[1],
-            "{\"time\":30,\"ordinal\":2,\"kind\":\"third\",\"fields\":{}}"
+            "{\"start\":30,\"end\":30,\"ordinal\":2,\"trace\":0,\"span\":0,\"parent\":0,\
+             \"query\":7,\"stage\":\"share_leave\",\"retired_group\":0}"
         );
-        assert_eq!(tel.with(|h| h.trace_dropped()), Some(1));
+        assert_eq!(tel.with(|h| h.dropped()), Some(1));
     }
 
     #[test]
     fn span_ring_bounds_and_jsonl() {
-        let tel = Telemetry::from_config(&TelemetryConfig {
-            enabled: true,
-            span_capacity: 2,
-            ..TelemetryConfig::default()
-        });
-        tel.record_span(10, 20, 7, 100, 7, 42, "ingest", 1, 0, 0);
-        tel.record_span(20, 25, 7, 101, 100, 42, "window.flush", 3, 96, 1_000_000);
-        tel.record_span(25, 30, 7, 102, 101, 42, "window.emit", 2, 0, 1_000_000);
-        let lines: Vec<String> = tel.span_jsonl().lines().map(str::to_string).collect();
+        let tel = ring_of(2);
+        tel.record(span(10, 20, 7, 100, 7, "ingest", [1, 0, 0]));
+        tel.record(span(
+            20,
+            25,
+            7,
+            101,
+            100,
+            "window.flush",
+            [3, 96, 1_000_000],
+        ));
+        tel.record(span(25, 30, 7, 102, 101, "window.emit", [2, 0, 1_000_000]));
+        let lines: Vec<String> = tel.jsonl().lines().map(str::to_string).collect();
         assert_eq!(lines.len(), 2);
         assert_eq!(
             lines[0],
@@ -896,29 +812,78 @@ mod tests {
              \"parent\":100,\"query\":42,\"stage\":\"window.flush\",\"rows\":3,\
              \"bytes\":96,\"aux\":1000000}"
         );
-        assert_eq!(tel.with(|h| h.spans_dropped()), Some(1));
+        assert_eq!(tel.with(|h| h.dropped()), Some(1));
         // End is clamped to start for malformed intervals.
-        tel.record_span(50, 40, 7, 103, 7, 42, "ingest", 1, 0, 0);
-        let last = tel.with(|h| *h.spans().last().unwrap()).unwrap();
+        tel.record(span(50, 40, 7, 103, 7, "ingest", [1, 0, 0]));
+        let last = tel.with(|h| *h.records().last().unwrap()).unwrap();
         assert_eq!((last.start, last.end), (50, 50));
     }
 
     #[test]
     fn disabled_span_recording_is_inert() {
         let tel = Telemetry::disabled();
-        tel.record_span(0, 1, 1, 1, 1, 1, "ingest", 1, 0, 0);
-        assert_eq!(tel.span_jsonl(), "");
+        tel.record(span(0, 1, 1, 1, 1, "ingest", [1, 0, 0]));
+        assert_eq!(tel.jsonl(), "");
     }
 
     #[test]
     fn ordinals_are_monotonic_at_equal_times() {
         let tel = Telemetry::attached();
         tel.set_now(5);
-        tel.event("a", Vec::new);
-        tel.event("b", Vec::new);
+        tel.record(SpanRecord::event("a", 0, &[], []));
+        tel.record(SpanRecord::event("b", 0, &[], []));
         let ords: Vec<u64> = tel
-            .with(|h| h.trace().map(|e| e.ordinal).collect::<Vec<_>>())
+            .with(|h| h.records().map(|e| e.ordinal).collect::<Vec<_>>())
             .unwrap();
         assert_eq!(ords, vec![0, 1]);
+    }
+
+    #[test]
+    fn events_and_spans_share_one_capacity_drop_counter_and_ordinal_sequence() {
+        let tel = ring_of(3);
+        tel.set_now(5);
+        tel.record(SpanRecord::event("query_install", 1, &["graphs"], [1]));
+        tel.record(span(5, 9, 7, 100, 7, "ingest", [4, 0, 0]));
+        tel.record(SpanRecord::event("query_teardown", 1, &[], []));
+        tel.record(span(9, 9, 7, 101, 100, "window.flush", [2, 64, 1]));
+        let kept = tel
+            .with(|h| {
+                let kept: Vec<_> = h.records().map(|r| (r.ordinal, r.stage)).collect();
+                (kept, h.dropped())
+            })
+            .unwrap();
+        // The oldest record went first, an event here; one drop counted.
+        let stages = vec![(1, "ingest"), (2, "query_teardown"), (3, "window.flush")];
+        assert_eq!(kept, (stages, 1));
+        tel.record(SpanRecord::event("lease_renew", 1, &[], []));
+        // Now the oldest is a span, and it goes the same way.
+        let first = tel.with(|h| h.records().next().unwrap().stage).unwrap();
+        assert_eq!(
+            (first, tel.with(|h| h.dropped()).unwrap()),
+            ("query_teardown", 2)
+        );
+    }
+
+    #[test]
+    fn span_rows_publish_spans_only_and_the_cursor_steps_past_events() {
+        let tel = Telemetry::attached();
+        tel.record(SpanRecord::event("query_install", 1, &["graphs"], [1]));
+        tel.record(span(5, 9, 7, 100, 7, "ingest", [4, 0, 0]));
+        tel.record(SpanRecord::event("lease_renew", 1, &[], []));
+        let (rows, next) = tel.with(|h| h.span_rows("n0", 0)).unwrap();
+        assert_eq!(rows.len(), 1);
+        assert_eq!(rows[0][8], ("stage", Cell::Str("ingest")));
+        assert_eq!(next, 3, "the cursor passes the trailing event too");
+        let (rows, next) = tel.with(|h| h.span_rows("n0", next)).unwrap();
+        assert_eq!((rows.len(), next), (0, 3));
+        // A full round stops at its last span: the events behind it wait.
+        for i in 0..MAX_SPANS_PER_ROUND as u64 + 1 {
+            tel.record(span(10, 10, 7, 200 + i, 7, "ingest", [1, 0, 0]));
+            tel.record(SpanRecord::event("lease_renew", 1, &[], []));
+        }
+        let (rows, next) = tel.with(|h| h.span_rows("n0", 3)).unwrap();
+        assert_eq!(rows.len(), MAX_SPANS_PER_ROUND);
+        let (rest, _) = tel.with(|h| h.span_rows("n0", next)).unwrap();
+        assert_eq!(rest.len(), 1);
     }
 }

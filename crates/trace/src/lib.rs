@@ -20,8 +20,9 @@
 //!   plan, and carried with it — never a wall clock, never re-rolled
 //!   downstream.  Equal seeds therefore produce byte-identical span
 //!   exports (pinned by `tests/span_profile.rs`).
-//! * Spans land in the node's `pier-telemetry` hub (a bounded ring beside
-//!   the event trace, whose cost the benchmark measures as
+//! * Spans land in the node's `pier-telemetry` hub (one bounded ring with
+//!   the node's events, which are zero-duration spans no profile counts;
+//!   the benchmark measures its cost as
 //!   `telemetry.hub.enabled_overhead_share`) and are dogfooded
 //!   into the `system.spans` DHT namespace so ordinary sqlish standing
 //!   queries can compute per-query stage latency breakdowns through PIER
@@ -40,5 +41,5 @@ mod merge;
 mod profile;
 
 pub use context::{trace_id_for, TraceConfig, TraceContext};
-pub use merge::{chrome_trace_json, merge_spans, merged_span_jsonl, merged_trace_jsonl, NodeSpan};
+pub use merge::{chrome_trace_json, merge_spans, merged_span_jsonl, NodeSpan};
 pub use profile::{CriticalHop, OperatorStats, QueryProfile, StageStats, StaticBounds};

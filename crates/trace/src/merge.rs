@@ -1,14 +1,13 @@
 //! Deterministic multi-node export merging.
 //!
-//! Each node's hub keeps its own span and event rings.  For a cluster-wide
+//! Each node's hub keeps one ring of spans and events.  For a cluster-wide
 //! export the per-node streams are merged under a **total** order — virtual
 //! time first, then node address, then the node-local ordinal — so the
 //! merged file is stable across runs (equal seeds ⇒ byte-identical output)
 //! and independent of the collection order.  The same merger backs the
-//! span export, the all-nodes event export and the Chrome `trace_event`
-//! profile.
+//! all-nodes export and the Chrome `trace_event` profile.
 
-use pier_telemetry::{SpanRecord, TraceEvent};
+use pier_telemetry::SpanRecord;
 
 /// A span tagged with the node that recorded it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -19,7 +18,7 @@ pub struct NodeSpan {
     pub span: SpanRecord,
 }
 
-/// Merge per-node span collections into one totally ordered stream:
+/// Merge per-node record collections into one totally ordered stream:
 /// `(start, node, ordinal)` ascending.
 pub fn merge_spans(per_node: &[(u32, Vec<SpanRecord>)]) -> Vec<NodeSpan> {
     let mut merged: Vec<NodeSpan> = per_node
@@ -35,9 +34,9 @@ pub fn merge_spans(per_node: &[(u32, Vec<SpanRecord>)]) -> Vec<NodeSpan> {
     merged
 }
 
-/// The merged span stream as JSONL.  Each line is the span's own JSON with
-/// a leading `"node"` key injected, so per-node and merged exports share
-/// one schema apart from that key.
+/// The merged record stream as JSONL.  Each line is the record's own JSON
+/// with a leading `"node"` key injected, so per-node and merged exports
+/// share one schema apart from that key.
 pub fn merged_span_jsonl(merged: &[NodeSpan]) -> String {
     let mut out = String::new();
     for ns in merged {
@@ -51,38 +50,20 @@ pub fn merged_span_jsonl(merged: &[NodeSpan]) -> String {
     out
 }
 
-/// Merge per-node structured event traces into one stably ordered JSONL
-/// export — the all-nodes form of a hub's `trace_jsonl`.  Order: `(time, node, ordinal)` ascending; each line gains
-/// a leading `"node"` key.
-pub fn merged_trace_jsonl(per_node: &[(u32, Vec<TraceEvent>)]) -> String {
-    let mut merged: Vec<(u32, &TraceEvent)> = per_node
-        .iter()
-        .flat_map(|(node, evs)| evs.iter().map(|e| (*node, e)))
-        .collect();
-    merged.sort_by_key(|(node, ev)| (ev.time, *node, ev.ordinal));
-    let mut out = String::new();
-    for (node, ev) in merged {
-        let body = ev.to_json();
-        out.push_str("{\"node\":");
-        out.push_str(&node.to_string());
-        out.push(',');
-        out.push_str(&body[1..]);
-        out.push('\n');
-    }
-    out
-}
-
 /// Render a merged span stream as a Chrome `trace_event` JSON document
 /// (the "JSON Array Format" chrome://tracing and Perfetto load).  Each
 /// span becomes one complete event (`ph:"X"`): `pid` is the node, `tid`
-/// the query, `ts`/`dur` are virtual microseconds.
+/// the query, `ts`/`dur` are virtual microseconds.  Events are not spans
+/// and are left out.
 pub fn chrome_trace_json(merged: &[NodeSpan]) -> String {
     let mut out = String::from("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
-    for (i, ns) in merged.iter().enumerate() {
+    let spans = merged.iter().filter(|ns| !ns.span.is_event());
+    for (i, ns) in spans.enumerate() {
         if i > 0 {
             out.push(',');
         }
         let s = &ns.span;
+        let [rows, bytes, aux] = s.values;
         out.push_str("{\"name\":\"");
         out.push_str(s.stage);
         out.push_str("\",\"cat\":\"pier\",\"ph\":\"X\",\"ts\":");
@@ -100,11 +81,11 @@ pub fn chrome_trace_json(merged: &[NodeSpan]) -> String {
         out.push_str(",\"parent\":");
         out.push_str(&s.parent.to_string());
         out.push_str(",\"rows\":");
-        out.push_str(&s.rows.to_string());
+        out.push_str(&rows.to_string());
         out.push_str(",\"bytes\":");
-        out.push_str(&s.bytes.to_string());
+        out.push_str(&bytes.to_string());
         out.push_str(",\"aux\":");
-        out.push_str(&s.aux.to_string());
+        out.push_str(&aux.to_string());
         out.push_str("}}");
     }
     out.push_str("]}");
@@ -114,6 +95,7 @@ pub fn chrome_trace_json(merged: &[NodeSpan]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pier_telemetry::SPAN_SLOTS;
 
     fn span(start: u64, ordinal: u64, span_id: u64) -> SpanRecord {
         SpanRecord {
@@ -125,9 +107,8 @@ mod tests {
             parent: 9,
             query_id: 42,
             stage: "ingest",
-            rows: 1,
-            bytes: 0,
-            aux: 0,
+            names: SPAN_SLOTS,
+            values: [1, 0, 0],
         }
     }
 
@@ -153,18 +134,26 @@ mod tests {
         assert!(line.ends_with("}\n"));
     }
 
-    #[test]
-    fn merged_trace_jsonl_is_collection_order_independent() {
-        let ev = |time, ordinal| TraceEvent {
-            time,
+    /// An event at `time` with ordinal `ordinal`, as a hub stamps it.
+    fn event(time: u64, ordinal: u64) -> SpanRecord {
+        SpanRecord {
+            start: time,
+            end: time,
             ordinal,
-            kind: "query_install",
-            fields: vec![("query", "42".to_string())],
-        };
-        let a = vec![(0u32, vec![ev(5, 0)]), (1u32, vec![ev(5, 0), ev(9, 1)])];
+            ..SpanRecord::event("query_install", 42, &["graphs"], [1])
+        }
+    }
+
+    #[test]
+    fn merged_export_of_events_is_collection_order_independent() {
+        let a = vec![
+            (0u32, vec![event(5, 0)]),
+            (1u32, vec![event(5, 0), event(9, 1)]),
+        ];
         let b = vec![a[1].clone(), a[0].clone()];
-        assert_eq!(merged_trace_jsonl(&a), merged_trace_jsonl(&b));
-        assert!(merged_trace_jsonl(&a).starts_with("{\"node\":0,\"time\":5,"));
+        let jsonl = merged_span_jsonl(&merge_spans(&a));
+        assert_eq!(jsonl, merged_span_jsonl(&merge_spans(&b)));
+        assert!(jsonl.starts_with("{\"node\":0,\"start\":5,\"end\":5,"));
     }
 
     #[test]

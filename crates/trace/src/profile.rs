@@ -111,7 +111,7 @@ pub struct QueryProfile {
 impl QueryProfile {
     /// Fold a merged span stream into a profile for `query_id`.  Spans
     /// charged to other queries are ignored, so one export can serve many
-    /// profiles.
+    /// profiles, and so are events, which are not spans.
     pub fn build(query_id: u64, merged: &[NodeSpan]) -> Self {
         let mut profile = QueryProfile {
             query_id,
@@ -124,9 +124,10 @@ impl QueryProfile {
         let mut last: Option<NodeSpan> = None;
         for ns in merged {
             let s = &ns.span;
-            if s.query_id != query_id {
+            if s.is_event() || s.query_id != query_id {
                 continue;
             }
+            let [rows, bytes, aux] = s.values;
             profile.trace_id = s.trace_id;
             profile.total_spans += 1;
             let st = profile.stages.entry(s.stage).or_default();
@@ -134,26 +135,26 @@ impl QueryProfile {
                 st.first_start = s.start;
             }
             st.spans += 1;
-            st.rows += s.rows;
-            st.bytes += s.bytes;
-            st.max_rows = st.max_rows.max(s.rows);
-            st.max_bytes = st.max_bytes.max(s.bytes);
+            st.rows += rows;
+            st.bytes += bytes;
+            st.max_rows = st.max_rows.max(rows);
+            st.max_bytes = st.max_bytes.max(bytes);
             st.busy_us += s.end - s.start;
             st.first_start = st.first_start.min(s.start);
             st.last_end = st.last_end.max(s.end);
             stage_nodes.entry(s.stage).or_default().insert(ns.node);
             // Only the emit span's aux is a window stamp (flush reuses aux
             // for its bundled-window count, other stages leave it 0).
-            if s.stage == "window.emit" && s.aux != 0 {
-                windows.insert(s.aux);
+            if s.stage == "window.emit" && aux != 0 {
+                windows.insert(aux);
             }
             if s.stage == "window.flush" {
                 profile.max_flush_entries_per_window = profile
                     .max_flush_entries_per_window
-                    .max(s.rows.div_ceil(s.aux.max(1)));
+                    .max(rows.div_ceil(aux.max(1)));
             }
             if s.stage == "ingest" {
-                *ingest_rows_per_node.entry(ns.node).or_default() += s.rows;
+                *ingest_rows_per_node.entry(ns.node).or_default() += rows;
             }
             by_span_id.insert(s.span_id, *ns);
             if s.stage == "result.emit" {
@@ -185,8 +186,8 @@ impl QueryProfile {
                 stage: ns.span.stage,
                 start: ns.span.start,
                 end: ns.span.end,
-                rows: ns.span.rows,
-                bytes: ns.span.bytes,
+                rows: ns.span.values[0],
+                bytes: ns.span.values[1],
             });
             hops += 1;
             if ns.span.parent == ns.span.trace_id || ns.span.parent == 0 || hops > 64 {
@@ -292,7 +293,8 @@ impl QueryProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pier_telemetry::SpanRecord;
+    use crate::merge::chrome_trace_json;
+    use pier_telemetry::{SpanRecord, SPAN_SLOTS};
 
     fn ns(node: u32, span: SpanRecord) -> NodeSpan {
         NodeSpan { node, span }
@@ -315,15 +317,18 @@ mod tests {
             parent,
             query_id: 42,
             stage,
-            rows,
-            bytes: rows * 32,
+            names: SPAN_SLOTS,
             // Mirror the recorder: emit stamps the window start, flush
             // counts the windows it bundled, everything else leaves 0.
-            aux: match stage {
-                "window.emit" => 1_000_000,
-                "window.flush" => 1,
-                _ => 0,
-            },
+            values: [
+                rows,
+                rows * 32,
+                match stage {
+                    "window.emit" => 1_000_000,
+                    "window.flush" => 1,
+                    _ => 0,
+                },
+            ],
         }
     }
 
@@ -409,5 +414,40 @@ mod tests {
         assert!(text.contains("select"));
         assert!(text.contains("critical path (result latency 55 us)"));
         assert_eq!(text, p.explain_analyze(), "rendering must be stable");
+    }
+
+    #[test]
+    fn profiles_and_the_chrome_export_ignore_events() {
+        // Events of the profiled query, one at the last emit's instant
+        // with a later ordinal, interleaved as a merged export has them.
+        let event = |node, at, ordinal, stage| {
+            let rec = SpanRecord::event(stage, 42, &["graphs", "continuous"], [1, 1]);
+            ns(
+                node,
+                SpanRecord {
+                    start: at,
+                    end: at,
+                    ordinal,
+                    ..rec
+                },
+            )
+        };
+        let mut merged = sample_spans();
+        merged.insert(0, event(0, 0, 0, "query_install"));
+        merged.insert(4, event(1, 100, 200, "window_shed"));
+        merged.push(event(0, 155, 300, "query_teardown"));
+        let (with, without) = (
+            QueryProfile::build(42, &merged),
+            QueryProfile::build(42, &sample_spans()),
+        );
+        assert_eq!(with.explain_analyze(), without.explain_analyze());
+        assert_eq!(with.total_spans, 7);
+        assert_eq!(with.critical_path, without.critical_path);
+        let spans_only: Vec<NodeSpan> = merged
+            .iter()
+            .filter(|n| !n.span.is_event())
+            .copied()
+            .collect();
+        assert_eq!(chrome_trace_json(&merged), chrome_trace_json(&spans_only));
     }
 }

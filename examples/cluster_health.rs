@@ -59,13 +59,13 @@ fn main() {
         println!("{node:>6} {recv:>16.0} {lat:>18.0}");
     }
 
-    // A taste of the structured event trace the same run recorded.
-    println!("\nfirst trace events on node 0 (sim-time-stamped, deterministic):");
-    for line in out.trace_jsonl.lines().take(5) {
+    // A taste of the records the same run kept: events, zero-duration spans.
+    println!("\nfirst records on node 0 (sim-time-stamped, deterministic):");
+    for line in out.trace.lines().take(5) {
         println!("  {line}");
     }
     println!(
-        "({} trace events total; see docs/OBSERVABILITY.md for the schema)",
-        out.trace_jsonl.lines().count()
+        "({} records total; see docs/OBSERVABILITY.md for the schema)",
+        out.trace.lines().count()
     );
 }

@@ -36,7 +36,7 @@
 //! * [`gnutella`] — a Gnutella-style flooding-search baseline used by the
 //!   Figure-1 comparison.
 //! * [`telemetry`] — the self-monitoring layer: per-node metric hubs
-//!   (counters, gauges, histograms) and bounded structured event traces,
+//!   (counters, gauges, histograms) and one bounded ring of spans and events,
 //!   stamped with sim time for deterministic replay, queryable through
 //!   PIER itself via the `system.metrics` namespace (see
 //!   `docs/OBSERVABILITY.md`).

@@ -464,11 +464,11 @@ fn admission_trace_events_reconcile_with_counters() {
     cluster.sim.run_for(3_000_000);
 
     let tel = cluster.telemetry(proxy).expect("telemetry enabled");
-    let trace = tel.trace_jsonl();
+    let trace = tel.jsonl();
     for kind in ["admission.admit", "admission.shed", "admission.reject"] {
         let events = trace
             .lines()
-            .filter(|l| l.contains(&format!("\"kind\":\"{kind}\"")))
+            .filter(|l| l.contains(&format!("\"stage\":\"{kind}\"")))
             .count() as u64;
         assert_eq!(events, 1, "exactly one {kind} decision was made");
         assert_eq!(

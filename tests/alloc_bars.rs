@@ -1,7 +1,7 @@
 //! Allocation bars of the hot paths, counted by a counting allocator:
-//! cloning a tuple allocates nothing, and the gather join, the chunked
-//! selection → projection scan and the shared predicate-index scan allocate
-//! per chunk, never per row.  A count is a function of the code, so each
+//! cloning a tuple and recording telemetry allocate nothing, and the gather
+//! join, the chunked selection → projection scan and the shared
+//! predicate-index scan allocate per chunk, never per row.  A count is a function of the code, so each
 //! bar is a fixed threshold in debug and release builds alike; what the
 //! same paths cost in time is the end-to-end benchmark's probes.
 
@@ -12,9 +12,10 @@
 
 use pier::mqo::PredicateIndex;
 use pier::qp::{
-    CmpOp, Expr, JoinSide, LocalOperator, Pipeline, Projection, Selection, SymmetricHashJoin,
-    Tuple, TupleBatch, Value,
+    CmpOp, Expr, JoinSide, LocalOperator, Pipeline, Projection, Selection, SpanRecord,
+    SymmetricHashJoin, Telemetry, TelemetryConfig, Tuple, TupleBatch, Value,
 };
+use pier::telemetry::SPAN_SLOTS;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -82,6 +83,41 @@ fn tuple_clone_does_not_allocate() {
 /// tuple.  Left keys are even and right keys odd, so each 64-row push
 /// probes and inserts without a growing result; the join restarts every
 /// 512 pushes to bound its state.
+/// A record is plain numbers: once the ring is full, recording an event or
+/// a span evicts the oldest into the slot it frees.
+#[test]
+fn recording_an_event_or_a_span_on_a_full_ring_does_not_allocate() {
+    let tel = Telemetry::from_config(&TelemetryConfig {
+        capacity: 64,
+        ..TelemetryConfig::enabled()
+    });
+    let event = |i| {
+        let names = &["queries", "attempt", "delay"];
+        SpanRecord::event("lease.backoff", 7, names, [2, i, 3_000_000])
+    };
+    let span = |i| SpanRecord {
+        start: i,
+        end: i,
+        ordinal: 0,
+        trace_id: 9,
+        span_id: 100 + i,
+        parent: 9,
+        query_id: 7,
+        stage: "window.flush",
+        names: SPAN_SLOTS,
+        values: [i, 64, 1],
+    };
+    (0..64).for_each(|i| tel.record(event(i)));
+    let events = allocs_per_run(2_000, |i| {
+        tel.set_now(i);
+        tel.record(event(i));
+    });
+    let spans = allocs_per_run(2_000, |i| tel.record(span(i)));
+    assert_eq!(tel.with(|h| h.dropped()), Some(4_000));
+    assert!(events == 0.0, "an event allocated {events} times");
+    assert!(spans == 0.0, "a span allocated {spans} times");
+}
+
 #[test]
 fn gather_join_push_allocates_less_than_four_per_row() {
     let sides = [(JoinSide::Left, "r", "a"), (JoinSide::Right, "s", "c")];

@@ -8,7 +8,7 @@
 //!    telemetry traces.  Every message drop, partition and crash is driven
 //!    off the seeded [`FaultPlan`] RNG, and no send path may iterate a
 //!    hash-ordered container, or the replay diverges.
-//! 2. **Reconciliation** — the `fault.inject` / `partition.heal` events the
+//! 2. **Reconciliation** — the fault events (`loss` … `partition_heal`) the
 //!    trace records agree exactly with the fault plan's own applied-fault
 //!    counters: telemetry is a faithful journal of the schedule, not a
 //!    best-effort sample.
@@ -21,7 +21,7 @@
 use pier::harness::{run_chaos, ChaosConfig};
 
 mod common;
-use common::{assert_event_export, seeded};
+use common::{assert_export, seeded};
 
 /// A deliberately small gauntlet so the debug-build test stays fast while
 /// still exercising every phase: loss, partition + heal, and a one-node
@@ -39,16 +39,10 @@ fn small_config(seed: u64) -> ChaosConfig {
     cfg
 }
 
-/// Count trace lines whose event kind is `event` and (optionally) whose
-/// `kind` field carries the given fault label.
-fn count_events(trace: &str, event: &str, label: Option<&str>) -> u64 {
-    let event_pat = format!("\"kind\":\"{event}\"");
-    let label_pat = label.map(|l| format!("\"kind\":\"{l}\""));
-    trace
-        .lines()
-        .filter(|line| line.contains(&event_pat))
-        .filter(|line| label_pat.as_ref().is_none_or(|p| line.contains(p)))
-        .count() as u64
+/// Count trace lines whose stage is `stage` (a fault's label).
+fn count_events(trace: &str, stage: &str) -> u64 {
+    let pat = format!("\"stage\":\"{stage}\"");
+    trace.lines().filter(|line| line.contains(&pat)).count() as u64
 }
 
 #[test]
@@ -76,36 +70,27 @@ fn trace_fault_events_reconcile_with_the_plan() {
     let c = &out.fault_counts;
 
     // The mirrored fault events keep the export on its documented schema.
-    assert_event_export(&out.trace, false);
-    assert_event_export(&out.merged_trace, true);
+    assert_export(&out.trace, false);
+    assert_export(&out.merged_trace, true);
 
     // Every applied fault appears as exactly one trace event, labelled with
     // the plan's stable fault label.
     assert!(c.losses > 0 && c.partition_drops > 0, "faults must fire");
+    assert_eq!(count_events(&out.trace, "loss"), c.losses);
     assert_eq!(
-        count_events(&out.trace, "fault.inject", Some("loss")),
-        c.losses
-    );
-    assert_eq!(
-        count_events(&out.trace, "fault.inject", Some("partition_drop")),
+        count_events(&out.trace, "partition_drop"),
         c.partition_drops
     );
     assert_eq!(
-        count_events(&out.trace, "fault.inject", Some("partition_start")),
+        count_events(&out.trace, "partition_start"),
         c.partitions_started
     );
-    assert_eq!(
-        count_events(&out.trace, "fault.inject", Some("crash")),
-        c.crashes
-    );
-    assert_eq!(
-        count_events(&out.trace, "fault.inject", Some("restart")),
-        c.restarts
-    );
+    assert_eq!(count_events(&out.trace, "crash"), c.crashes);
+    assert_eq!(count_events(&out.trace, "restart"), c.restarts);
 
-    // Heals are surfaced as their own event kind (recovery, not a fault).
+    // Heals are surfaced as their own event (recovery, not a fault).
     assert_eq!(
-        count_events(&out.trace, "partition.heal", None),
+        count_events(&out.trace, "partition_heal"),
         c.partitions_healed
     );
     assert!(c.partitions_healed > 0, "the partition must heal");

@@ -15,50 +15,86 @@ pub fn seeded(default: u64) -> u64 {
     }
 }
 
-/// The trace-event kinds `docs/OBSERVABILITY.md` documents ("Trace events").
-pub const EVENT_KINDS: [&str; 16] = [
-    "query_install",
-    "query_teardown",
-    "lease_renew",
-    "share_join",
-    "share_leave",
-    "window_shed",
-    "window_evict",
-    "owner_cache_invalidate",
-    "eddy_reorder",
-    "fault.inject",
-    "partition.heal",
-    "window.rehydrate",
-    "lease.backoff",
-    "admission.admit",
-    "admission.shed",
-    "admission.reject",
+const SPAN: &[&str] = &["rows", "bytes", "aux"];
+
+/// The record catalogue `docs/OBSERVABILITY.md` documents ("Record
+/// catalogue"): each stage, whether it is a span or an event, and the
+/// names its values are written under.
+pub const CATALOGUE: [(&str, &str, &[&str]); 34] = [
+    ("query.disseminate", "span", SPAN),
+    ("query.install", "span", SPAN),
+    ("ingest", "span", SPAN),
+    ("window.flush", "span", SPAN),
+    ("window.combine", "span", SPAN),
+    ("window.upcall", "span", SPAN),
+    ("window.emit", "span", SPAN),
+    ("result.emit", "span", SPAN),
+    ("share.flush", "span", SPAN),
+    ("query_install", "event", &["graphs", "continuous"]),
+    ("query_teardown", "event", &[]),
+    ("lease_renew", "event", &[]),
+    ("share_join", "event", &["group", "new_group"]),
+    ("share_leave", "event", &["retired_group"]),
+    ("window_shed", "event", &["shed"]),
+    ("window_evict", "event", &["evicted"]),
+    ("owner_cache_invalidate", "event", &["epoch", "dropped"]),
+    ("eddy_reorder", "event", &["filters", "order"]),
+    (
+        "window.rehydrate",
+        "event",
+        &["windows", "groups", "tuples"],
+    ),
+    ("lease.backoff", "event", &["queries", "attempt", "delay"]),
+    ("admission.admit", "event", &["tenant"]),
+    ("admission.shed", "event", &["tenant", "sample_every"]),
+    ("admission.reject", "event", &["tenant"]),
+    ("loss", "event", &["from", "to"]),
+    ("partition_drop", "event", &["from", "to"]),
+    ("duplicate", "event", &["from", "to", "extra"]),
+    ("reorder", "event", &["from", "to", "extra"]),
+    ("delay_spike", "event", &["from", "to", "extra"]),
+    ("partition_start", "event", &["id"]),
+    ("partition_heal", "event", &["id"]),
+    ("crash", "event", &["target"]),
+    ("restart", "event", &["target"]),
+    ("stall_start", "event", &["target"]),
+    ("stall_end", "event", &["target"]),
 ];
 
-/// The span stages `docs/OBSERVABILITY.md` documents ("Stage catalogue").
-pub const SPAN_STAGES: [&str; 9] = [
-    "query.disseminate",
-    "query.install",
-    "ingest",
-    "window.flush",
-    "window.combine",
-    "window.upcall",
-    "window.emit",
-    "result.emit",
-    "share.flush",
-];
-
-/// The back-quoted first-column names of the table in
-/// `docs/OBSERVABILITY.md` whose header row starts `| <header> |`, so the
-/// lists above cannot drift from the documentation.
-pub fn documented(header: &str) -> Vec<String> {
+/// The record catalogue as `docs/OBSERVABILITY.md` has it, in
+/// [`CATALOGUE`]'s form, so that list cannot drift from the documentation.
+/// A row of the table may name several stages that share their values.
+pub fn documented() -> Vec<(String, String, Vec<String>)> {
     let doc = include_str!("../../docs/OBSERVABILITY.md");
-    doc.lines()
-        .skip_while(|l| !l.starts_with(&format!("| {header} |")))
+    let quoted = |cell: &str| -> Vec<String> {
+        cell.split('`')
+            .skip(1)
+            .step_by(2)
+            .map(str::to_string)
+            .collect()
+    };
+    let mut rows = Vec::new();
+    let table = doc
+        .lines()
+        .skip_while(|l| !l.starts_with("| Stage | Record |"))
         .skip(2)
-        .take_while(|l| l.starts_with('|'))
-        .map(|l| l.split('`').nth(1).expect("a back-quoted name").to_string())
-        .collect()
+        .take_while(|l| l.starts_with('|'));
+    for line in table {
+        let cells: Vec<&str> = line.split('|').map(str::trim).collect();
+        for stage in quoted(cells[1]) {
+            rows.push((stage, cells[2].to_string(), quoted(cells[3])));
+        }
+    }
+    rows
+}
+
+/// [`CATALOGUE`] in [`documented`]'s form.
+pub fn catalogue() -> Vec<(String, String, Vec<String>)> {
+    let owned = |names: &[&str]| names.iter().map(ToString::to_string).collect();
+    let entry = |(stage, record, names): &(&str, &str, &[&str])| {
+        (stage.to_string(), record.to_string(), owned(names))
+    };
+    CATALOGUE.iter().map(entry).collect()
 }
 
 /// True when `docs/OBSERVABILITY.md`'s metric catalogue has a row for the
@@ -101,39 +137,43 @@ fn tag<'a>(line: &'a str, key: &str) -> &'a str {
     &line[from..from + line[from..].find('"').expect(key)]
 }
 
-/// Every line of a non-empty event-trace export (node 0's, or the merged
-/// all-nodes form with its leading `node` key) is on the documented schema:
-/// integer time stamp and ordinal, a catalogued kind, string-valued fields.
-pub fn assert_event_export(jsonl: &str, merged: bool) {
+/// Every line of a non-empty export (a node's, or the merged all-nodes
+/// form with its leading `node` key) is on the documented schema: integer
+/// virtual-time bounds, ordinal, ids and query, a catalogued stage, and
+/// the integer values under that stage's names.  An event is
+/// zero-duration and carries no trace, span or parent.
+pub fn assert_export(jsonl: &str, merged: bool) {
     assert!(!jsonl.is_empty(), "the export must not be empty");
     let node = if merged { "\"node\":#," } else { "" };
-    let head = format!("{{{node}\"time\":#,\"ordinal\":#,\"kind\":$,\"fields\":{{");
     for line in jsonl.lines() {
-        let shape = shape(line);
-        let payload = shape.strip_prefix(&head).and_then(|s| s.strip_suffix("}}"));
-        let payload = payload.unwrap_or_else(|| panic!("off the documented schema: {line}"));
+        let stage = tag(line, "stage");
+        let Some((_, record, names)) = CATALOGUE.iter().find(|c| c.0 == stage) else {
+            panic!("uncatalogued stage: {line}");
+        };
+        let values: String = names.iter().map(|n| format!(",\"{n}\":#")).collect();
         assert!(
-            payload.is_empty() || payload.split(',').all(|f| f.ends_with("\":$")),
-            "fields must be string-valued: {line}"
+            !values.contains("\"node\""),
+            "a value named like the merger's key"
         );
-        let kind = tag(line, "kind");
-        assert!(EVENT_KINDS.contains(&kind), "uncatalogued kind: {line}");
-    }
-}
-
-/// Every line of a non-empty merged span export is on the documented
-/// schema: the merger's node key, integer virtual-time bounds, ids and
-/// counts, a catalogued stage.
-pub fn assert_span_export(jsonl: &str) {
-    assert!(!jsonl.is_empty(), "the export must not be empty");
-    for line in jsonl.lines() {
         assert_eq!(
             shape(line),
-            "{\"node\":#,\"start\":#,\"end\":#,\"ordinal\":#,\"trace\":#,\"span\":#,\
-             \"parent\":#,\"query\":#,\"stage\":$,\"rows\":#,\"bytes\":#,\"aux\":#}",
+            format!(
+                "{{{node}\"start\":#,\"end\":#,\"ordinal\":#,\"trace\":#,\"span\":#,\
+                 \"parent\":#,\"query\":#,\"stage\":${values}}}"
+            ),
             "off the documented schema: {line}"
         );
-        let stage = tag(line, "stage");
-        assert!(SPAN_STAGES.contains(&stage), "uncatalogued stage: {line}");
+        if *record == "event" {
+            assert!(
+                line.contains("\"trace\":0,\"span\":0,\"parent\":0,"),
+                "{line}"
+            );
+            let at = |key| {
+                line.split(&format!("\"{key}\":"))
+                    .nth(1)
+                    .map(|v| v.split(',').next())
+            };
+            assert_eq!(at("start"), at("end"), "an event has no duration: {line}");
+        }
     }
 }

@@ -28,7 +28,7 @@ use pier::cq::DurableStore;
 use pier::dht::{make_ring_refs, BroadcastId, DhtMessage, Id, NodeRef};
 use pier::qp::{
     sqlish, CqSpec, Dissemination, PierConfig, PierMsg, PierNode, PierOut, PierTimer, Proxy,
-    QpObject, QueryPlan, RenewalRound, TelemetryConfig, Tuple, Value, WindowBundle,
+    QpObject, QueryPlan, RenewalRound, SpanRecord, TelemetryConfig, Tuple, Value, WindowBundle,
 };
 use pier::runtime::{Action, Context, NodeAddr, Program, Rng64, SimConfig, SimTime, Simulator};
 use proptest::prelude::*;
@@ -921,27 +921,26 @@ fn a_stalled_stream_backs_the_proxys_one_clock_off_and_every_lease_stays_live() 
         cluster.sim.run_for(SEC / 4);
     }
     cluster.sim.run_for(60 * SEC);
-    let backoffs: Vec<Vec<(&str, String)>> = cluster
+    let backoffs: Vec<SpanRecord> = cluster
         .node(proxy)
         .telemetry()
         .with(|hub| {
-            let events = hub.trace().filter(|e| e.kind == "lease.backoff");
-            events.map(|e| e.fields.clone()).collect()
+            let events = hub.records().filter(|e| e.stage == "lease.backoff");
+            events.copied().collect()
         })
         .expect("telemetry on");
     assert!(
         backoffs.len() >= 3,
         "a stalled stream escalates: {backoffs:?}"
     );
-    for fields in &backoffs {
-        let names: Vec<&str> = fields.iter().map(|f| f.0).collect();
+    for event in &backoffs {
         assert_eq!(
-            names,
-            ["queries", "attempt", "delay"],
+            (event.query_id, event.names),
+            (0, &["queries", "attempt", "delay"][..]),
             "per proxy, not per query"
         );
-        assert_eq!(fields[0].1, "2", "both standing queries ride the one clock");
-        let delay: u64 = fields[2].1.parse().expect("a duration");
+        let [queries, _, delay] = event.values;
+        assert_eq!(queries, 2, "both standing queries ride the one clock");
         assert!(
             delay < 5 * SEC,
             "capped below lease − renew_every/2, got {delay}"

@@ -18,12 +18,12 @@ use pier::qp::{sqlish, PierOut, TelemetryConfig, TraceConfig, Tuple, Value};
 use std::collections::BTreeMap;
 
 mod common;
-use common::{assert_span_export, documented, SPAN_STAGES};
+use common::{assert_export, catalogue, documented};
 
 fn traced_cfg(nodes: usize, run_secs: u64, seed: u64) -> ContinuousNetmonConfig {
     let mut cfg = ContinuousNetmonConfig::steady(nodes, run_secs, seed);
     cfg.pier.telemetry = TelemetryConfig::enabled();
-    cfg.pier.telemetry.span_capacity = 65_536;
+    cfg.pier.telemetry.capacity = 65_536;
     cfg.pier.trace = TraceConfig::sample_all();
     cfg
 }
@@ -77,8 +77,7 @@ fn window_flush_spans_reconcile_one_for_one_against_cq_counters() {
     assert!(flushes > 0, "the standing query must flush windows");
 
     let merged = cluster.merged_spans();
-    for ns in &merged {
-        let s = &ns.span;
+    for s in merged.iter().map(|ns| &ns.span).filter(|s| !s.is_event()) {
         assert!(s.end >= s.start && s.trace_id > 0 && s.span_id > 0, "{s:?}");
     }
     let flush_spans: Vec<_> = merged
@@ -89,7 +88,7 @@ fn window_flush_spans_reconcile_one_for_one_against_cq_counters() {
     // span, and the spans' row totals are the counted partials.
     assert_eq!(flush_spans.len() as u64, flushes);
     assert_eq!(
-        flush_spans.iter().map(|ns| ns.span.rows).sum::<u64>(),
+        flush_spans.iter().map(|ns| ns.span.values[0]).sum::<u64>(),
         partials
     );
 }
@@ -110,11 +109,11 @@ fn ingest_spans_are_one_per_drain_and_account_for_every_row() {
         .filter(|ns| ns.span.stage == "ingest" && ns.span.query_id == out.query_id)
         .collect();
     assert_eq!(
-        ingest.iter().map(|ns| ns.span.rows).sum::<u64>(),
+        ingest.iter().map(|ns| ns.span.values[0]).sum::<u64>(),
         out.events
     );
     assert!(
-        ingest.iter().all(|ns| ns.span.rows == 10),
+        ingest.iter().all(|ns| ns.span.values[0] == 10),
         "one tick's rows each"
     );
     // Stamped with the instant the rows were ingested: a tick boundary.
@@ -129,8 +128,12 @@ fn sampling_off_means_zero_spans_zero_wire_change_identical_results() {
     off.pier.telemetry = TelemetryConfig::enabled();
     assert!(!off.pier.trace.enabled(), "tracing defaults off");
     let (out_off, cluster_off) = continuous_netmon_observed(&off);
-    assert!(cluster_off.merged_spans().is_empty(), "no sampled queries");
-    assert!(cluster_off.merged_span_jsonl().is_empty());
+    let records = cluster_off.merged_spans();
+    assert!(!records.is_empty(), "events are recorded");
+    assert!(
+        records.iter().all(|ns| ns.span.is_event()),
+        "no sampled queries, so no spans"
+    );
 
     let plain = ContinuousNetmonConfig::steady(8, 8, 41);
     let out_plain = continuous_netmon(&plain);
@@ -194,9 +197,9 @@ fn explain_analyze_profile_reconciles_measured_within_static_bounds() {
     assert!(profiled
         .explain
         .contains("reconciliation: OK (measured <= static everywhere)"));
-    // The merged span export is what `docs/OBSERVABILITY.md` says it is.
-    assert_eq!(documented("Stage"), SPAN_STAGES);
-    assert_span_export(&profiled.span_jsonl);
+    // The merged export is what `docs/OBSERVABILITY.md` says it is.
+    assert_eq!(documented(), catalogue());
+    assert_export(&profiled.span_jsonl, true);
     assert!(profiled
         .chrome_json
         .starts_with("{\"displayTimeUnit\":\"ms\",\"traceEvents\":["));
@@ -209,7 +212,7 @@ fn span_dogfood_standing_query_counts_stages_through_pier() {
     // sqlish standing query — PIER monitoring its own tracing layer.
     let mut cluster_cfg = ClusterConfig::lan(6, 67).with_liveness_timeout(3_000_000);
     cluster_cfg.pier.telemetry = TelemetryConfig::publishing(1_000_000);
-    cluster_cfg.pier.telemetry.span_capacity = 65_536;
+    cluster_cfg.pier.telemetry.capacity = 65_536;
     cluster_cfg.pier.trace = TraceConfig::publishing();
     let mut cluster = Cluster::start(&cluster_cfg);
     let proxy = cluster.addr(0);
@@ -279,7 +282,7 @@ fn span_ring_overflow_is_flagged_in_the_cluster_summary() {
     // must flag the drop so a truncated export is never mistaken for a
     // complete trace.
     let mut cfg = traced_cfg(6, 8, 71);
-    cfg.pier.telemetry.span_capacity = 2;
+    cfg.pier.telemetry.capacity = 2;
     let (out, _cluster) = continuous_netmon_observed(&cfg);
     assert!(out.telemetry.trace_dropped > 0);
     assert!(out.telemetry.has_trace_drops());

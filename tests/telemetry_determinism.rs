@@ -14,7 +14,7 @@ use pier::qp::TelemetryConfig;
 use std::collections::BTreeMap;
 
 mod common;
-use common::{assert_event_export, documented, EVENT_KINDS};
+use common::{assert_export, catalogue, documented};
 
 /// Canonical per-tenant window representation: sorted display strings per
 /// window, keyed by (tenant src, window bounds).
@@ -40,12 +40,9 @@ fn identical_seeds_produce_byte_identical_traces() {
     // The structured event trace is the strongest artifact: every event
     // carries its sim time and per-node ordinal, so byte equality proves
     // the whole instrumented execution replayed identically.
-    assert!(
-        !a.trace_jsonl.is_empty(),
-        "the traced node must record events"
-    );
+    assert!(!a.trace.is_empty(), "the traced node must record events");
     assert_eq!(
-        a.trace_jsonl, b.trace_jsonl,
+        a.trace, b.trace,
         "same seed must yield a byte-identical trace JSONL"
     );
 
@@ -65,18 +62,18 @@ fn identical_seeds_produce_byte_identical_traces() {
     }
 }
 
-/// The event-trace export is what `docs/OBSERVABILITY.md` says it is: the
-/// documented kind catalogue is the one the suites check against, and every
-/// line node 0 and the all-nodes merger export has an integer time stamp
-/// and ordinal, a catalogued kind and string-valued fields.
+/// The export is what `docs/OBSERVABILITY.md` says it is: the documented
+/// record catalogue is the one the suites check against, and every line
+/// node 0 and the all-nodes merger export has integer stamps and ids, a
+/// catalogued stage and that stage's values by name.
 #[test]
 fn exported_events_match_the_documented_schema() {
-    assert_eq!(documented("Kind"), EVENT_KINDS);
+    assert_eq!(documented(), catalogue());
     let out = self_monitoring(&SelfMonitoringConfig::new(8, 12, 11));
-    assert_event_export(&out.trace_jsonl, false);
-    assert_event_export(&out.merged_trace_jsonl, true);
+    assert_export(&out.trace, false);
+    assert_export(&out.merged_trace, true);
     assert!(
-        out.merged_trace_jsonl.lines().count() >= out.trace_jsonl.lines().count(),
+        out.merged_trace.lines().count() >= out.trace.lines().count(),
         "the merged all-nodes export must contain at least node 0's events"
     );
     assert_eq!(out.trace_dropped, 0, "the export must be complete");

@@ -1,7 +1,7 @@
 //! Seeded violation corpus for the lint's "effects out" markers.  Like its
 //! siblings, this file is NOT compiled.  A plain-struct executor sends
 //! nothing itself — it *returns* what its caller will send — so none of the
-//! `ctx.send` / `.event(` / `persist` markers appear in it; the lint must
+//! `ctx.send` / `.record(` / `persist` markers appear in it; the lint must
 //! know it by what it builds and returns, or by the overlay call it makes.
 
 use std::collections::HashMap;

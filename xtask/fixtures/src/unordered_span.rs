@@ -1,30 +1,21 @@
 //! Seeded violation corpus for the span-emit determinism lint markers.
 //! Like `unordered_send.rs`, this file is NOT compiled — it exists so CI
 //! can prove `cargo xtask lint xtask/fixtures` still flags hash-ordered
-//! iteration on the paths that feed the span ring: the merged span export
-//! must stay byte-identical under equal seeds, so span emission is as
-//! order-sensitive as a send.
+//! iteration on the paths that feed the record ring: the merged export
+//! must stay byte-identical under equal seeds, so recording a span or an
+//! event is as order-sensitive as a send.
 
 use std::collections::{HashMap, HashSet};
 
+struct SpanRecord;
+fn span(_at: u64, _stage: &'static str, _values: [u64; 3]) -> SpanRecord {
+    SpanRecord
+}
+
 struct Telemetry;
 impl Telemetry {
-    #[allow(clippy::too_many_arguments)]
-    fn record_span(
-        &self,
-        _start: u64,
-        _end: u64,
-        _trace: u64,
-        _span: u64,
-        _parent: u64,
-        _query: u64,
-        _stage: &'static str,
-        _rows: u64,
-        _bytes: u64,
-        _aux: u64,
-    ) {
-    }
-    fn span_jsonl(&self) -> String {
+    fn record(&self, _rec: SpanRecord) {}
+    fn jsonl(&self) -> String {
         String::new()
     }
 }
@@ -42,7 +33,7 @@ fn flush_with_span(tel: &Telemetry, now: u64, groups: &HashMap<String, u64>) {
         rows += n;
     }
     let _ = first;
-    tel.record_span(now, now, 1, 2, 1, 7, "window.flush", rows, 0, 0);
+    tel.record(span(now, "window.flush", [rows, 0, 0]));
 }
 
 /// VIOLATION: hash-set order reaches the span export path.
@@ -52,7 +43,7 @@ fn export_members(tel: &Telemetry) -> String {
     for m in &members {
         out.push_str(&m.to_string());
     }
-    out.push_str(&tel.span_jsonl());
+    out.push_str(&tel.jsonl());
     out
 }
 
@@ -60,5 +51,5 @@ fn export_members(tel: &Telemetry) -> String {
 fn flush_sorted(tel: &Telemetry, now: u64, groups: &HashMap<String, u64>) {
     let ordered: std::collections::BTreeMap<_, _> = groups.iter().collect();
     let rows = ordered.values().map(|n| **n).sum();
-    tel.record_span(now, now, 1, 2, 1, 7, "window.flush", rows, 0, 0);
+    tel.record(span(now, "window.flush", [rows, 0, 0]));
 }

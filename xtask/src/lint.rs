@@ -31,12 +31,10 @@ use std::path::{Path, PathBuf};
 const MARKERS: &[&str] = &[
     "ctx.send",
     "ctx.output",
-    ".event(",
+    ".record(",
     "persist",
     "write_segment",
-    "trace_jsonl",
-    ".record_span(",
-    "span_jsonl",
+    ".jsonl(",
     // "Effects out" code sends nothing itself: it builds or returns what
     // its caller will send, emit or deliver, or hands it to the overlay.
     "OverlayEffect",
@@ -510,12 +508,12 @@ fn flush_span(tel: &Telemetry, now: u64) {
     for (_, n) in per_group.iter() {
         rows += n;
     }
-    tel.record_span(now, now, 1, 2, 1, 7, "window.flush", rows, 0, 0);
+    tel.record(span(now, "window.flush", [rows, 0, 0]));
 }
 "#;
         let findings = lint_file("sp.rs", src);
         assert_eq!(findings.len(), 1);
-        assert_eq!(findings[0].marker, ".record_span(");
+        assert_eq!(findings[0].marker, ".record(");
     }
 
     #[test]

@@ -32,8 +32,8 @@ fn seeded_fixture_fails_with_expected_findings() {
         ("by_key", ".put_batch("),
         ("pending", "ctx.send"),
         ("peers", "ctx.output"),
-        ("groups", ".record_span("),
-        ("members", "span_jsonl"),
+        ("groups", ".record("),
+        ("members", ".jsonl("),
     ];
     assert_eq!(found, seeded);
 }
