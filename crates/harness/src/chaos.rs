@@ -22,8 +22,9 @@
 //!
 //! Every fault the simulator injects is mirrored into the netmon proxy's
 //! telemetry hub as an event whose stage is the fault's label (`loss`,
-//! `partition_heal`, …), so the outcome's trace can be reconciled against the plan's own log — and two
-//! runs with equal seeds must produce **byte-identical** traces.
+//! `partition_heal`, …), so the outcome's trace can be reconciled against
+//! the plan's own log — and two runs with equal seeds must produce
+//! **byte-identical** traces.
 
 use crate::cluster::{Cluster, ClusterConfig};
 use crate::continuous::WindowEmission;
