@@ -231,32 +231,16 @@ fn eq_constrained_columns(expr: &Expr, out: &mut BTreeSet<String>) {
     }
 }
 
-/// Columns pinned to a single value by every `Selection`/`Eddy` conjunct of
-/// the opgraph (an eddy's predicates are commutative conjuncts by
-/// construction).
+/// Columns pinned to a single value by every `Selection` conjunct of the
+/// opgraph.
 fn pinned_columns(graph: &OpGraph) -> BTreeSet<String> {
     let mut pinned = BTreeSet::new();
     for op in &graph.ops {
-        match op {
-            OperatorSpec::Selection(p) => eq_constrained_columns(p, &mut pinned),
-            OperatorSpec::Eddy { predicates, .. } => {
-                for (_, p) in predicates {
-                    eq_constrained_columns(p, &mut pinned);
-                }
-            }
-            _ => {}
+        if let OperatorSpec::Selection(p) = op {
+            eq_constrained_columns(p, &mut pinned);
         }
     }
     pinned
-}
-
-/// True when the opgraph contains duplicate elimination (unbounded state
-/// over an unbounded stream).
-fn has_distinct(graph: &OpGraph) -> bool {
-    graph
-        .ops
-        .iter()
-        .any(|op| matches!(op, OperatorSpec::Distinct(_)))
 }
 
 /// Derive the static [`CostReport`] for `plan` under `env`.  Total, never
@@ -439,9 +423,6 @@ pub fn analyze(plan: &QueryPlan, env: &EnvModel) -> CostReport {
                     let reason = if graph.join.is_some() {
                         "continuous join with no window on either side: \
                          symmetric-hash state grows with the stream"
-                    } else if has_distinct(graph) {
-                        "duplicate elimination over an unbounded stream: \
-                         the seen-set grows with the stream"
                     } else {
                         "standing query with no window: output and operator \
                          state grow with the stream"
@@ -449,15 +430,6 @@ pub fn analyze(plan: &QueryPlan, env: &EnvModel) -> CostReport {
                     unbounded_reason.get_or_insert_with(|| reason.to_string());
                 }
             }
-        }
-        // Distinct over a continuous stream is unbounded regardless of sink
-        // unless a window scopes the seen-set.
-        if continuous && windowed != Some(graph_index(plan, graph)) && has_distinct(graph) {
-            unbounded_reason.get_or_insert_with(|| {
-                "duplicate elimination over an unbounded stream: the seen-set \
-                 grows with the stream"
-                    .to_string()
-            });
         }
     }
 
@@ -513,14 +485,6 @@ pub fn analyze(plan: &QueryPlan, env: &EnvModel) -> CostReport {
         fingerprint,
         assumptions,
     }
-}
-
-/// Index of `graph` within the plan (pointer identity fallback to 0).
-fn graph_index(plan: &QueryPlan, graph: &OpGraph) -> usize {
-    plan.opgraphs
-        .iter()
-        .position(|g| std::ptr::eq(g, graph))
-        .unwrap_or(0)
 }
 
 #[cfg(test)]

@@ -4,9 +4,8 @@
 //! *partial* aggregate over its local data and intermediate nodes to combine
 //! partials as they flow toward the aggregation-tree root.  That works for
 //! *distributive* aggregates (COUNT, SUM, MIN, MAX) and *algebraic* ones
-//! (AVG, carried as sum+count); *holistic* aggregates (e.g. MEDIAN) cannot
-//! be combined from constant-size state, which the classification here makes
-//! explicit.
+//! (AVG, carried as sum+count), which are all [`AggFunc`] offers; *holistic*
+//! aggregates (e.g. MEDIAN) cannot be combined from constant-size state.
 
 use crate::tuple::{ColumnChunk, Schema, Tuple};
 use crate::value::{Value, ValueRef};
@@ -27,17 +26,6 @@ pub enum AggFunc {
     Avg(String),
 }
 
-/// The paper's classification of aggregates by how they distribute.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AggClass {
-    /// Constant-size partial state, combine = same function (COUNT/SUM/MIN/MAX).
-    Distributive,
-    /// Constant-size partial state, combine ≠ final function (AVG).
-    Algebraic,
-    /// Needs all the data (not supported by hierarchical aggregation).
-    Holistic,
-}
-
 impl AggFunc {
     /// Output column name (`count`, `sum_x`, …).
     pub fn output_column(&self) -> String {
@@ -47,16 +35,6 @@ impl AggFunc {
             AggFunc::Min(c) => format!("min_{c}"),
             AggFunc::Max(c) => format!("max_{c}"),
             AggFunc::Avg(c) => format!("avg_{c}"),
-        }
-    }
-
-    /// Distribution class of this aggregate.
-    pub fn class(&self) -> AggClass {
-        match self {
-            AggFunc::Count | AggFunc::Sum(_) | AggFunc::Min(_) | AggFunc::Max(_) => {
-                AggClass::Distributive
-            }
-            AggFunc::Avg(_) => AggClass::Algebraic,
         }
     }
 
@@ -386,13 +364,6 @@ mod tests {
         );
         state.update(&func, &Tuple::new("t", vec![("y", Value::Int(7))]));
         assert_eq!(state.finish(), Value::Float(5.0));
-    }
-
-    #[test]
-    fn classification() {
-        assert_eq!(AggFunc::Count.class(), AggClass::Distributive);
-        assert_eq!(AggFunc::Sum("x".into()).class(), AggClass::Distributive);
-        assert_eq!(AggFunc::Avg("x".into()).class(), AggClass::Algebraic);
     }
 
     #[test]

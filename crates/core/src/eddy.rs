@@ -30,9 +30,8 @@
 
 use crate::expr::{CompiledPredicate, Expr};
 use crate::operators::LocalOperator;
-use crate::tuple::{ColumnChunk, Tuple, TupleBatch};
+use crate::tuple::{ColumnChunk, TupleBatch};
 use pier_runtime::Rng64;
-use pier_telemetry::{SpanRecord, Telemetry};
 
 /// Rows routed between two lottery re-draws inside one chunk.  Deciding the
 /// order once per chunk is cheap but lets a skewed stream lock in a stale
@@ -174,12 +173,6 @@ pub struct Eddy {
     round_robin_offset: usize,
     /// Total operator invocations — the "work" metric of the ablation.
     invocations: u64,
-    tuples_in: u64,
-    tuples_out: u64,
-    /// Telemetry handle plus the last routing order it saw, so only actual
-    /// order changes are reported as `eddy_reorder` events.
-    tel: Telemetry,
-    last_order: Vec<usize>,
 }
 
 impl Eddy {
@@ -193,61 +186,7 @@ impl Eddy {
             rng: Rng64::new(seed ^ 0xEDD1),
             round_robin_offset: 0,
             invocations: 0,
-            tuples_in: 0,
-            tuples_out: 0,
-            tel: Telemetry::disabled(),
-            last_order: Vec::new(),
         }
-    }
-
-    /// Attach a telemetry hub: routing-order changes are counted (and
-    /// traced) as they happen, and the cumulative throughput/observation
-    /// counts are synced as `eddy.*` gauges on every [`Eddy::flush`] or
-    /// explicit [`Eddy::sync_telemetry`] call.
-    pub fn set_telemetry(&mut self, tel: Telemetry) {
-        self.tel = tel;
-    }
-
-    /// Publish the eddy's cumulative counters into the hub: total
-    /// invocations and tuples in/out as `eddy.*` gauges, plus per-operator
-    /// seen/dropped counts as `eddy.op<i>.*` gauges — the diagnostics the
-    /// adaptivity experiments read, now queryable.
-    pub fn sync_telemetry(&self) {
-        if !self.tel.is_enabled() {
-            return;
-        }
-        self.tel.gauge("eddy.invocations", self.invocations as f64);
-        self.tel.gauge("eddy.tuples_in", self.tuples_in as f64);
-        self.tel.gauge("eddy.tuples_out", self.tuples_out as f64);
-        for (i, obs) in self.observations.iter().enumerate() {
-            self.tel.gauge(&format!("eddy.op{i}.seen"), obs.seen as f64);
-            self.tel
-                .gauge(&format!("eddy.op{i}.dropped"), obs.dropped as f64);
-        }
-    }
-
-    /// Draw the next routing order, reporting a change of order to the hub.
-    fn next_order(&mut self) -> Vec<usize> {
-        let order = self.route_order();
-        if self.tel.is_enabled() && order != self.last_order {
-            self.tel.inc("eddy.reorders");
-            // Four bits per position, for the first 16: operator
-            // `order[i]` at bits 4i..4i+4.
-            let packed = order
-                .iter()
-                .take(16)
-                .enumerate()
-                .fold(0u64, |acc, (i, &op)| acc | ((op as u64 & 0xF) << (4 * i)));
-            let values = [order.len() as u64, packed];
-            self.tel.record(SpanRecord::event(
-                "eddy_reorder",
-                0,
-                &["filters", "order"],
-                values,
-            ));
-            self.last_order = order.clone();
-        }
-        order
     }
 
     /// Convenience: an eddy over named selection predicates.
@@ -313,10 +252,9 @@ impl Eddy {
     }
 
     /// Route one borrowed chunk row through the filters in the given order
-    /// with full observation/throughput bookkeeping and no tuple
-    /// materialisation.  Returns whether the row survives.
+    /// with full observation bookkeeping and no tuple materialisation.
+    /// Returns whether the row survives.
     fn route_row_in_chunk(&mut self, order: &[usize], chunk: &ColumnChunk, r: usize) -> bool {
-        self.tuples_in += 1;
         for &idx in order {
             self.invocations += 1;
             let passed = self.filters[idx].apply_row(chunk, r);
@@ -325,7 +263,6 @@ impl Eddy {
                 return false;
             }
         }
-        self.tuples_out += 1;
         true
     }
 
@@ -344,11 +281,11 @@ impl Eddy {
     pub fn route_batch(&mut self, batch: &TupleBatch) -> TupleBatch {
         let mut out = TupleBatch::default();
         for chunk in batch.chunks() {
-            let mut order = self.next_order();
+            let mut order = self.route_order();
             let mut mask = vec![false; chunk.rows()];
             for (r, kept) in mask.iter_mut().enumerate() {
                 if r > 0 && r % EDDY_REORDER_ROWS == 0 {
-                    order = self.next_order();
+                    order = self.route_order();
                 }
                 *kept = self.route_row_in_chunk(&order, chunk, r);
             }
@@ -366,28 +303,13 @@ impl LocalOperator for Eddy {
     fn push_batch(&mut self, batch: &TupleBatch) -> TupleBatch {
         self.route_batch(batch)
     }
-
-    /// The eddy buffers nothing, so flush is the natural moment to sync its
-    /// cumulative diagnostics into the hub (pipelines flush at window and
-    /// aggregation boundaries).
-    fn flush(&mut self) -> Vec<Tuple> {
-        self.sync_telemetry();
-        Vec::new()
-    }
-}
-
-#[cfg(test)]
-impl Eddy {
-    /// Tuples pushed in / tuples that survived every filter.
-    pub fn throughput(&self) -> (u64, u64) {
-        (self.tuples_in, self.tuples_out)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::operators::tests::{chunkings, one};
+    use crate::tuple::Tuple;
     use crate::value::Value;
 
     fn row(a: i64, b: i64, c: i64) -> Tuple {
@@ -468,7 +390,7 @@ mod tests {
     #[test]
     fn observations_record_selectivity() {
         let mut eddy = Eddy::over_predicates(three_predicates(), RoutingPolicy::Fixed, 1);
-        stream(&mut eddy, &workload(200));
+        let out = stream(&mut eddy, &workload(200));
         let obs = eddy.observations();
         assert_eq!(obs[0].seen, 200);
         assert!(
@@ -479,9 +401,7 @@ mod tests {
             obs[2].drop_rate() > 0.9,
             "strong predicate drops almost everything"
         );
-        let (seen, out) = eddy.throughput();
-        assert_eq!(seen, 200);
-        assert!(out <= 2);
+        assert!(out.len() <= 2);
     }
 
     #[test]
@@ -601,7 +521,9 @@ mod tests {
                     got.extend(out.into_tuples());
                 }
                 assert_eq!(got, expected, "{policy:?}");
-                assert_eq!(eddy.throughput(), (500, 3), "{policy:?}");
+                // Every row in was dropped by one filter or survived all.
+                let dropped: u64 = eddy.observations().iter().map(|o| o.dropped).sum();
+                assert_eq!(dropped + 3, 500, "{policy:?}");
                 assert!(eddy.flush().is_empty());
             }
         }
@@ -673,10 +595,14 @@ mod tests {
     fn telemetry_reconciles_with_pipeline_operator_counters() {
         use crate::operators::Pipeline;
 
+        use pier_telemetry::Telemetry;
+
         let tel = Telemetry::attached();
-        let mut eddy = Eddy::over_predicates(three_predicates(), RoutingPolicy::Lottery, 7);
-        eddy.set_telemetry(tel.clone());
-        let mut pipeline = Pipeline::new(vec![Box::new(eddy)]);
+        let mut pipeline = Pipeline::new(vec![Box::new(Eddy::over_predicates(
+            three_predicates(),
+            RoutingPolicy::Lottery,
+            7,
+        ))]);
         pipeline.set_telemetry(&tel);
 
         let mut batch = TupleBatch::default();
@@ -684,26 +610,11 @@ mod tests {
             batch.push_tuple(row(i, i % 100, i % 10));
         }
         let out = pipeline.push_batch(&batch);
-        pipeline.flush(); // triggers the eddy's gauge sync
+        assert!(pipeline.flush().is_empty());
 
-        // The pipeline's per-operator counters and the eddy's own cumulative
-        // diagnostics describe the same stream.
+        // The pipeline meters the eddy's stage like any other operator.
         assert_eq!(tel.counter("op.eddy.rows_in"), 200);
         assert_eq!(tel.counter("op.eddy.rows_out"), out.len() as u64);
-        assert_eq!(tel.gauge_value("eddy.tuples_in"), Some(200.0));
-        assert_eq!(tel.gauge_value("eddy.tuples_out"), Some(out.len() as f64));
-
-        // Per-operator drop counts account for every tuple the eddy lost.
-        let dropped: f64 = (0..3)
-            .map(|i| tel.gauge_value(&format!("eddy.op{i}.dropped")).unwrap())
-            .sum();
-        assert_eq!(dropped as u64, 200 - out.len() as u64);
-        // And every invocation is a row seen by some operator.
-        let seen: f64 = (0..3)
-            .map(|i| tel.gauge_value(&format!("eddy.op{i}.seen")).unwrap())
-            .sum();
-        assert_eq!(Some(seen), tel.gauge_value("eddy.invocations"));
-        // At least the initial order draw was reported.
-        assert!(tel.counter("eddy.reorders") >= 1);
+        assert_eq!(tel.counter("op.eddy.chunks_in"), 1);
     }
 }

@@ -86,19 +86,6 @@ impl CmpOp {
     }
 }
 
-/// Arithmetic operators.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ArithOp {
-    /// Addition.
-    Add,
-    /// Subtraction.
-    Sub,
-    /// Multiplication.
-    Mul,
-    /// Division (floating point).
-    Div,
-}
-
 /// A scalar or boolean expression over a tuple.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Expr {
@@ -108,8 +95,6 @@ pub enum Expr {
     Const(Value),
     /// Comparison of two sub-expressions.
     Cmp(CmpOp, Box<Expr>, Box<Expr>),
-    /// Arithmetic on two numeric sub-expressions.
-    Arith(ArithOp, Box<Expr>, Box<Expr>),
     /// Logical AND (both sides must evaluate to booleans).
     And(Box<Expr>, Box<Expr>),
     /// Logical OR.
@@ -165,35 +150,6 @@ impl Expr {
                     Some(ord) => Ok(Value::Bool(op.test(ord))),
                     None => Err(EvalError::TypeMismatch {
                         op: "compare",
-                        left: lv.type_name(),
-                        right: rv.type_name(),
-                    }),
-                }
-            }
-            Expr::Arith(op, l, r) => {
-                let lv = l.eval(tuple)?;
-                let rv = r.eval(tuple)?;
-                match (lv.as_f64(), rv.as_f64()) {
-                    (Some(a), Some(b)) => {
-                        let out = match op {
-                            ArithOp::Add => a + b,
-                            ArithOp::Sub => a - b,
-                            ArithOp::Mul => a * b,
-                            ArithOp::Div => a / b,
-                        };
-                        // Preserve integer-ness when both inputs were ints
-                        // and the operation is exact.
-                        if matches!((&lv, &rv), (Value::Int(_), Value::Int(_)))
-                            && out.fract() == 0.0
-                            && !matches!(op, ArithOp::Div)
-                        {
-                            Ok(Value::Int(out as i64))
-                        } else {
-                            Ok(Value::Float(out))
-                        }
-                    }
-                    _ => Err(EvalError::TypeMismatch {
-                        op: "arith",
                         left: lv.type_name(),
                         right: rv.type_name(),
                     }),
@@ -299,7 +255,6 @@ enum CompiledNode {
     Missing(String),
     Const(Value),
     Cmp(CmpOp, Box<CompiledNode>, Box<CompiledNode>),
-    Arith(ArithOp, Box<CompiledNode>, Box<CompiledNode>),
     And(Box<CompiledNode>, Box<CompiledNode>),
     Or(Box<CompiledNode>, Box<CompiledNode>),
     Not(Box<CompiledNode>),
@@ -316,11 +271,6 @@ impl CompiledNode {
             Expr::Column(name) => col(name),
             Expr::Const(v) => CompiledNode::Const(v.clone()),
             Expr::Cmp(op, l, r) => CompiledNode::Cmp(
-                *op,
-                Box::new(Self::build(l, schema)),
-                Box::new(Self::build(r, schema)),
-            ),
-            Expr::Arith(op, l, r) => CompiledNode::Arith(
                 *op,
                 Box::new(Self::build(l, schema)),
                 Box::new(Self::build(r, schema)),
@@ -380,33 +330,6 @@ impl CompiledNode {
                     Some(ord) => Ok(Value::Bool(op.test(ord))),
                     None => Err(EvalError::TypeMismatch {
                         op: "compare",
-                        left: lv.type_name(),
-                        right: rv.type_name(),
-                    }),
-                }
-            }
-            CompiledNode::Arith(op, l, r) => {
-                let lv = l.eval_with(get)?;
-                let rv = r.eval_with(get)?;
-                match (lv.as_f64(), rv.as_f64()) {
-                    (Some(a), Some(b)) => {
-                        let out = match op {
-                            ArithOp::Add => a + b,
-                            ArithOp::Sub => a - b,
-                            ArithOp::Mul => a * b,
-                            ArithOp::Div => a / b,
-                        };
-                        if matches!((&lv, &rv), (Value::Int(_), Value::Int(_)))
-                            && out.fract() == 0.0
-                            && !matches!(op, ArithOp::Div)
-                        {
-                            Ok(Value::Int(out as i64))
-                        } else {
-                            Ok(Value::Float(out))
-                        }
-                    }
-                    _ => Err(EvalError::TypeMismatch {
-                        op: "arith",
                         left: lv.type_name(),
                         right: rv.type_name(),
                     }),
@@ -625,7 +548,6 @@ impl CompiledNode {
                 }
                 _ => false,
             },
-            CompiledNode::Arith(..) => false,
         }
     }
 }
@@ -695,9 +617,9 @@ impl CompiledExpr {
     /// (`column op constant`, conjunctions/disjunctions thereof,
     /// `Contains`, boolean columns).
     ///
-    /// Shapes the vectoriser does not cover (arithmetic, nested comparisons)
-    /// fall back to the row-at-a-time walk, so the returned mask is always
-    /// exactly what per-row evaluation would produce — including the
+    /// Shapes the vectoriser does not cover (nested comparisons) fall back
+    /// to the row-at-a-time walk, so the returned mask is always exactly
+    /// what per-row evaluation would produce — including the
     /// best-effort discard semantics: a row whose evaluation errors (missing
     /// column, type mismatch, non-boolean operand) does not match.  This is
     /// the selection mask [`Selection`](crate::operators::Selection) filters
@@ -1039,26 +961,6 @@ mod tests {
     }
 
     #[test]
-    fn arithmetic() {
-        let e = Expr::cmp(
-            CmpOp::Eq,
-            Expr::Arith(
-                ArithOp::Add,
-                Box::new(Expr::col("a")),
-                Box::new(Expr::lit(1i64)),
-            ),
-            Expr::lit(6i64),
-        );
-        assert!(e.matches(&tup()));
-        let div = Expr::Arith(
-            ArithOp::Div,
-            Box::new(Expr::col("a")),
-            Box::new(Expr::lit(2i64)),
-        );
-        assert_eq!(div.eval(&tup()), Ok(Value::Float(2.5)));
-    }
-
-    #[test]
     fn best_effort_discard_on_missing_or_mismatched() {
         // Missing column: predicate simply does not match.
         assert!(!Expr::eq("nope", 1i64).matches(&tup()));
@@ -1104,6 +1006,16 @@ mod tests {
         assert!(Expr::all(vec![]).matches(&tup()));
     }
 
+    /// `Cmp(Eq, Cmp(Lt, a, k), true)`: a comparison of a comparison, the
+    /// shape the vectoriser refuses.
+    fn nested_cmp(k: i64) -> Expr {
+        Expr::cmp(
+            CmpOp::Eq,
+            Expr::cmp(CmpOp::Lt, Expr::col("a"), Expr::lit(k)),
+            Expr::lit(true),
+        )
+    }
+
     #[test]
     fn compiled_eval_agrees_with_interpreted_eval() {
         let t = tup();
@@ -1111,16 +1023,10 @@ mod tests {
             Expr::eq("a", 5i64),
             Expr::eq("a", 6i64),
             Expr::cmp(CmpOp::Gt, Expr::col("a"), Expr::lit(2.0)),
-            Expr::Arith(
-                ArithOp::Add,
-                Box::new(Expr::col("a")),
-                Box::new(Expr::lit(1i64)),
-            ),
-            Expr::Arith(
-                ArithOp::Div,
-                Box::new(Expr::col("a")),
-                Box::new(Expr::lit(2i64)),
-            ),
+            nested_cmp(3),
+            nested_cmp(9),
+            Expr::lit(3i64),
+            Expr::col("a"),
             Expr::And(
                 Box::new(Expr::eq("a", 99i64)),
                 Box::new(Expr::col("missing")),
@@ -1132,7 +1038,19 @@ mod tests {
             Expr::col("nope"),
             Expr::cmp(CmpOp::Eq, Expr::col("name"), Expr::lit(5i64)),
         ];
+        // Every form is among the cases: a form added later fails to
+        // compile here until it is.
+        let mut seen = [false; 7];
         for e in exprs {
+            seen[match &e {
+                Expr::Column(_) => 0,
+                Expr::Const(_) => 1,
+                Expr::Cmp(..) => 2,
+                Expr::And(..) => 3,
+                Expr::Or(..) => 4,
+                Expr::Not(_) => 5,
+                Expr::Contains(..) => 6,
+            }] = true;
             let compiled = e.compile(t.schema());
             assert_eq!(
                 compiled.eval(t.values()),
@@ -1140,6 +1058,7 @@ mod tests {
                 "compiled and interpreted eval must agree for {e:?}"
             );
         }
+        assert_eq!(seen, [true; 7]);
     }
 
     #[test]
@@ -1213,18 +1132,11 @@ mod tests {
             Expr::col("missing"),
             Expr::Const(Value::Int(3)),
             Expr::eq("missing", 1i64),
-            // Arithmetic forces the row-at-a-time fallback path.
-            Expr::cmp(
-                CmpOp::Eq,
-                Expr::Arith(
-                    ArithOp::Add,
-                    Box::new(Expr::col("b")),
-                    Box::new(Expr::lit(1i64)),
-                ),
-                Expr::lit(3i64),
-            ),
+            // A nested comparison forces the row-at-a-time fallback path.
+            nested_cmp(3),
         ];
         let batch = TupleBatch::new(rows.clone());
+        let mut fallbacks = 0;
         for e in exprs {
             for chunk in batch.chunks() {
                 let compiled = e.compile(chunk.schema());
@@ -1233,8 +1145,18 @@ mod tests {
                     .map(|r| compiled.matches_row(chunk, r))
                     .collect();
                 assert_eq!(mask, per_row, "column and row evaluation diverge for {e:?}");
+                let interpreted: Vec<bool> = chunk.iter_rows().map(|t| e.matches(&t)).collect();
+                assert_eq!(
+                    mask, interpreted,
+                    "column evaluation and the interpreter diverge for {e:?}"
+                );
+                let (mut truth, mut err) = (vec![false; chunk.rows()], vec![false; chunk.rows()]);
+                if !compiled.root.eval_column(chunk, &mut truth, &mut err) {
+                    fallbacks += 1;
+                }
             }
         }
+        assert!(fallbacks > 0, "the row-at-a-time fallback must be reached");
     }
 
     #[test]

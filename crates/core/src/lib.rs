@@ -17,15 +17,15 @@
 //!   ([`expr::CompiledExpr`]/[`expr::CompiledPredicate`]): column names
 //!   resolve to positional indices once per interned schema, so selections
 //!   and eddies evaluate by index over rows or columnar chunks.
-//! * [`aggregate`] — mergeable partial aggregates (distributive/algebraic
-//!   classification) used by hierarchical aggregation.
+//! * [`aggregate`] — mergeable partial aggregates (distributive and
+//!   algebraic functions only) used by hierarchical aggregation.
 //! * [`eddy`] — the adaptive eddy operator of §4.2.2: runtime reordering of
 //!   commutative filters with observation-driven (lottery) routing and
 //!   mergeable cross-node statistics.
 //! * [`operators`] — the local physical operators: selection, projection,
-//!   duplicate elimination, group-by, top-k, limit, queues, Bloom filters,
-//!   Symmetric Hash join, and the push-based [`operators::Pipeline`]
-//!   realising the non-blocking local dataflow of §3.3.5.
+//!   top-k, Symmetric Hash join, the group-by the tests check aggregates
+//!   against, and the push-based [`operators::Pipeline`] realising the
+//!   non-blocking local dataflow of §3.3.5.
 //! * [`partial`] — closed-window partials of continuous queries: the
 //!   per-group accumulator ([`partial::GroupAgg`]) and the one codec
 //!   ([`partial::PartialCodec`]) that ships drained windows as a columnar
@@ -103,18 +103,18 @@ pub use admission::{
     AdmissionControl, AdmissionDecision, AdmissionFactory, AdmissionVerdict, EnvModel, SloBudget,
     SloPolicy,
 };
-pub use aggregate::{AggClass, AggFunc, AggState, PartialDecoder};
+pub use aggregate::{AggFunc, AggState, PartialDecoder};
 pub use column::{Bitmap, Column, DICT_MAX};
 pub use eddy::{
     Eddy, EddyFilter, OperatorObservation, PredicateFilter, RoutingPolicy, EDDY_REORDER_ROWS,
     OBS_HALF_LIFE_ROWS,
 };
-pub use expr::{ArithOp, CmpOp, CompiledExpr, CompiledPredicate, EvalError, Expr};
+pub use expr::{CmpOp, CompiledExpr, CompiledPredicate, EvalError, Expr};
 pub use graph_exec::{ExecOut, GraphExec, GraphRef};
 pub use node::{PierConfig, PierMsg, PierNode, PierTimer};
 pub use operators::{
-    nested_loop_join, BloomFilter, Distinct, GroupBy, JoinSide, Limit, LocalOperator, Pipeline,
-    Projection, Queue, Selection, SymmetricHashJoin, TopK,
+    nested_loop_join, GroupBy, JoinSide, LocalOperator, Pipeline, Projection, Selection,
+    SymmetricHashJoin, TopK,
 };
 pub use partial::{GroupAgg, PartialCodec, PartialEncoder};
 pub use pier_cq::{CqBudget, DeltaMode, WindowSpec};

@@ -2,20 +2,20 @@
 //!
 //! PIER's local dataflow (§3.3.5) pushes tuples from children to parents
 //! through simple function calls; operators either pass a (possibly
-//! transformed) tuple on, absorb it into state (joins, group-by), or drop it
-//! (selection, duplicate elimination).  Here the unit of that call is the
+//! transformed) tuple on, absorb it into state (joins, group-by, top-k), or
+//! drop it (selection).  Here the unit of that call is the
 //! columnar chunk — a lone tuple is a one-row chunk — so there is exactly
 //! one way into an operator.  Stateful operators emit their
-//! buffered results when the dataflow is *flushed* — at a probe boundary for
-//! snapshot queries or periodically for continuous ones.
+//! buffered results when the dataflow is *flushed*: a root's finisher
+//! ([`crate::plan::finish_rows`]) flushes its [`TopK`]; the [`GroupBy`]
+//! here is the oracle the window engine's aggregates are checked against.
 //!
 //! The [`LocalOperator`] trait captures that contract.  The distributed
 //! operators of the paper — Put/Exchange (rehashing through the DHT),
 //! Fetch Matches index joins, hierarchical aggregation — are coordinated by
 //! the [`executor`](crate::node) because they need the overlay; the
-//! building blocks they use (Bloom filters, symmetric-hash join state,
-//! partial group-by) live here so they can be tested exhaustively in
-//! isolation.
+//! symmetric-hash join state they use lives here so it can be tested
+//! exhaustively in isolation.
 
 use crate::aggregate::{AggFunc, AggState};
 use crate::column::Column;
@@ -25,9 +25,7 @@ use crate::tuple::{
 };
 use crate::value::Value;
 use pier_telemetry::Telemetry;
-use std::collections::hash_map::DefaultHasher;
-use std::collections::{HashMap, HashSet};
-use std::hash::{Hash, Hasher};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// A push-based local operator.
@@ -160,118 +158,6 @@ impl LocalOperator for Projection {
             outputs.push_chunk(ColumnChunk::from_columns(out, columns, chunk.rows()));
         }
         outputs
-    }
-}
-
-/// Duplicate elimination on a set of key columns (all columns when empty).
-#[derive(Debug)]
-pub struct Distinct {
-    key: ColumnResolver,
-    seen: HashSet<String>,
-}
-
-impl Distinct {
-    /// Create a duplicate-elimination operator.
-    pub fn new(key: Vec<String>) -> Self {
-        Distinct {
-            key: ColumnResolver::new(key),
-            seen: HashSet::new(),
-        }
-    }
-}
-
-impl LocalOperator for Distinct {
-    fn name(&self) -> &'static str {
-        "distinct"
-    }
-
-    fn push_batch(&mut self, batch: &TupleBatch) -> TupleBatch {
-        // Key columns resolve once per chunk; first-seen rows survive as a
-        // whole filtered chunk.
-        let mut out = TupleBatch::default();
-        for chunk in batch.chunks() {
-            let mask: Vec<bool> = if self.key.columns().is_empty() {
-                // Full-row dedup: the key spans every column, in order.
-                let all: Vec<usize> = (0..chunk.schema().arity()).collect();
-                (0..chunk.rows())
-                    .map(|r| self.seen.insert(chunk.key_at(&all, r)))
-                    .collect()
-            } else {
-                match self.key.indices_for(chunk.schema()) {
-                    Some(idxs) => {
-                        let idxs = idxs.to_vec();
-                        (0..chunk.rows())
-                            .map(|r| self.seen.insert(chunk.key_at(&idxs, r)))
-                            .collect()
-                    }
-                    // Chunks missing a key column all key as "∅": only
-                    // the first such row ever survives.
-                    None => (0..chunk.rows())
-                        .map(|_| self.seen.insert("∅".into()))
-                        .collect(),
-                }
-            };
-            out.push_chunk(chunk.filter(&mask));
-        }
-        out
-    }
-}
-
-/// Pass at most `n` tuples, then drop the rest.
-#[derive(Debug)]
-pub struct Limit {
-    remaining: usize,
-}
-
-impl Limit {
-    /// Create a limit operator.
-    pub fn new(n: usize) -> Self {
-        Limit { remaining: n }
-    }
-}
-
-impl LocalOperator for Limit {
-    fn name(&self) -> &'static str {
-        "limit"
-    }
-
-    fn push_batch(&mut self, batch: &TupleBatch) -> TupleBatch {
-        let mut out = TupleBatch::default();
-        for chunk in batch.chunks() {
-            if self.remaining == 0 {
-                break;
-            }
-            let take = chunk.rows().min(self.remaining);
-            self.remaining -= take;
-            if take == chunk.rows() {
-                out.push_chunk(chunk.clone());
-            } else {
-                let mask: Vec<bool> = (0..chunk.rows()).map(|r| r < take).collect();
-                out.push_chunk(chunk.filter(&mask));
-            }
-        }
-        out
-    }
-}
-
-/// A queue: in the real engine this is where the dataflow "comes up for air"
-/// and yields back to the main scheduler (§3.3.5).  In this push model it is
-/// a pass-through that counts yield points, preserving plan shape.
-#[derive(Debug, Default)]
-pub struct Queue {
-    /// Number of tuples that crossed this yield point.
-    pub yields: u64,
-}
-
-impl LocalOperator for Queue {
-    fn name(&self) -> &'static str {
-        "queue"
-    }
-
-    fn push_batch(&mut self, batch: &TupleBatch) -> TupleBatch {
-        // One yield point per tuple, however the tuples were chunked.
-        self.yields += batch.len() as u64;
-        batch.clone()
     }
 }
 
@@ -435,59 +321,6 @@ impl LocalOperator for TopK {
             bv.partial_cmp(&av).unwrap_or(std::cmp::Ordering::Equal)
         });
         self.buffer.drain(..).take(self.k).collect()
-    }
-}
-
-fn hash_key(key: &str, seed: u64) -> u64 {
-    let mut h = DefaultHasher::new();
-    seed.hash(&mut h);
-    key.hash(&mut h);
-    h.finish()
-}
-
-/// A Bloom filter over join-key values, used to construct Bloom-join
-/// rewrites (§2.1.1): the filter for one relation is shipped to the other
-/// side, which forwards only the tuples whose key might match.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BloomFilter {
-    bits: Vec<u64>,
-    hashes: u32,
-}
-
-impl BloomFilter {
-    /// Create a filter with `bits` bits (rounded up to a multiple of 64) and
-    /// `hashes` hash functions.
-    pub fn new(bits: usize, hashes: u32) -> Self {
-        BloomFilter {
-            bits: vec![0; bits.div_ceil(64).max(1)],
-            hashes,
-        }
-    }
-
-    /// Number of bits in the filter.
-    pub fn bit_len(&self) -> usize {
-        self.bits.len() * 64
-    }
-
-    /// Insert a key.
-    pub fn insert(&mut self, key: &str) {
-        for i in 0..self.hashes {
-            let h = hash_key(key, i as u64) as usize % self.bit_len();
-            self.bits[h / 64] |= 1 << (h % 64);
-        }
-    }
-
-    /// Test a key; false positives are possible, false negatives are not.
-    pub fn contains(&self, key: &str) -> bool {
-        (0..self.hashes).all(|i| {
-            let h = hash_key(key, i as u64) as usize % self.bit_len();
-            self.bits[h / 64] & (1 << (h % 64)) != 0
-        })
-    }
-
-    /// Wire size in bytes (the filter is shipped across the network).
-    pub fn size_bytes(&self) -> usize {
-        self.bits.len() * 8
     }
 }
 
@@ -852,27 +685,10 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn projection_and_limit() {
+    fn projection_keeps_the_named_columns() {
         let mut proj = Projection::new(vec!["id".into()]);
         let out = proj.push_batch(&one(row("t", 7, "x", 1))).into_tuples();
         assert_eq!(out[0].columns(), &["id".to_string()]);
-        let mut lim = Limit::new(2);
-        assert_eq!(lim.push_batch(&one(row("t", 1, "a", 1))).len(), 1);
-        assert_eq!(lim.push_batch(&one(row("t", 2, "a", 1))).len(), 1);
-        assert_eq!(lim.push_batch(&one(row("t", 3, "a", 1))).len(), 0);
-    }
-
-    #[test]
-    fn distinct_deduplicates_on_key() {
-        let mut d = Distinct::new(vec!["category".into()]);
-        assert_eq!(d.push_batch(&one(row("t", 1, "a", 1))).len(), 1);
-        assert_eq!(d.push_batch(&one(row("t", 2, "a", 2))).len(), 0);
-        assert_eq!(d.push_batch(&one(row("t", 3, "b", 3))).len(), 1);
-        // Full-tuple dedup when no key given.
-        let mut d = Distinct::new(vec![]);
-        assert_eq!(d.push_batch(&one(row("t", 1, "a", 1))).len(), 1);
-        assert_eq!(d.push_batch(&one(row("t", 1, "a", 1))).len(), 0);
-        assert_eq!(d.push_batch(&one(row("t", 1, "a", 2))).len(), 1);
     }
 
     #[test]
@@ -908,24 +724,6 @@ pub(crate) mod tests {
         assert_eq!(out.len(), 2);
         assert_eq!(out[0].get("src"), Some(&Value::Str("b".into())));
         assert_eq!(out[1].get("src"), Some(&Value::Str("c".into())));
-    }
-
-    #[test]
-    fn bloom_filter_has_no_false_negatives() {
-        let mut f = BloomFilter::new(1024, 3);
-        let present: Vec<String> = (0..100).map(|i| format!("key-{i}")).collect();
-        for k in &present {
-            f.insert(k);
-        }
-        for k in &present {
-            assert!(f.contains(k));
-        }
-        // False-positive rate should be modest at this load factor.
-        let fp = (0..1000)
-            .filter(|i| f.contains(&format!("absent-{i}")))
-            .count();
-        assert!(fp < 200, "false positives {fp}");
-        assert_eq!(f.size_bytes() * 8, f.bit_len());
     }
 
     fn join_inputs(left: i64, right: i64) -> (Vec<Tuple>, Vec<Tuple>) {
@@ -987,7 +785,6 @@ pub(crate) mod tests {
                 Expr::col("amount"),
                 Expr::lit(10i64),
             ))),
-            Box::new(Queue::default()),
             Box::new(GroupBy::new(
                 vec!["category".into()],
                 vec![AggFunc::Count],
@@ -1002,7 +799,7 @@ pub(crate) mod tests {
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].get("category"), Some(&Value::Str("a".into())));
         assert_eq!(out[0].get("count"), Some(&Value::Int(2)));
-        assert_eq!(p.len(), 4);
+        assert_eq!(p.len(), 3);
     }
 
     #[test]
@@ -1198,7 +995,7 @@ pub(crate) mod tests {
 
     #[test]
     fn chunked_pipeline_stays_columnar_between_stages() {
-        // selection → projection → distinct over a single-schema batch: the
+        // selection → projection → selection over a single-schema batch: the
         // survivors leave every stage as one chunk (no per-tuple explosion).
         let rows: Vec<Tuple> = netmon_rows(110)
             .into_iter()
@@ -1212,37 +1009,27 @@ pub(crate) mod tests {
                 Expr::lit(512i64),
             ))) as Box<dyn LocalOperator + Send>,
             Box::new(Projection::new(vec!["src".into()])),
-            Box::new(Distinct::new(vec!["src".into()])),
+            Box::new(Selection::new(Expr::cmp(
+                CmpOp::Ne,
+                Expr::col("src"),
+                Expr::lit("10.0.0.0"),
+            ))),
         ]);
         let out = p.push_batch(&TupleBatch::new(rows));
         assert_eq!(out.chunks().len(), 1, "one chunk through the whole stack");
-        assert_eq!(out.len(), 7, "seven distinct sources");
+        assert_eq!(
+            out.len(),
+            86,
+            "ports below 512 from six of the seven sources"
+        );
         for chunk in out.chunks() {
             assert_eq!(chunk.schema().columns(), &["src".to_string()]);
         }
     }
 
     #[test]
-    fn limit_queue_distinct_and_top_k_chunking_is_invisible() {
+    fn top_k_chunking_is_invisible() {
         let rows = netmon_rows(150);
-        let (streamed, _) = assert_chunking_invisible(|| vec![Box::new(Limit::new(67))], &rows);
-        assert_eq!(streamed, rows[..67]);
-        let (streamed, _) = assert_chunking_invisible(|| vec![Box::new(Queue::default())], &rows);
-        assert_eq!(streamed, rows);
-        let mut q = Queue::default();
-        for b in cut(&rows, &PIECES) {
-            q.push_batch(&b);
-        }
-        assert_eq!(q.yields, 150, "one yield per row, however they were cut");
-        // Keyed dedup (audit rows lack the key: only the first survives),
-        // then full-row dedup.
-        let keyed = || vec![Box::new(Distinct::new(vec!["src".into()])) as _];
-        let (streamed, _) = assert_chunking_invisible(keyed, &rows);
-        assert_eq!(streamed.len(), 7 + 1);
-        let doubled: Vec<Tuple> = rows.iter().chain(&rows).cloned().collect();
-        let (streamed, _) =
-            assert_chunking_invisible(|| vec![Box::new(Distinct::new(vec![])) as _], &doubled);
-        assert_eq!(streamed, rows);
         let (streamed, flushed) =
             assert_chunking_invisible(|| vec![Box::new(TopK::new(5, "len")) as _], &rows);
         assert!(streamed.is_empty());

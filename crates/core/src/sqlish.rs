@@ -478,7 +478,7 @@ fn collect_columns(predicates: &[Expr]) -> Vec<String> {
     fn walk(e: &Expr, out: &mut Vec<String>) {
         match e {
             Expr::Column(c) => out.push(c.clone()),
-            Expr::Cmp(_, l, r) | Expr::Arith(_, l, r) | Expr::And(l, r) | Expr::Or(l, r) => {
+            Expr::Cmp(_, l, r) | Expr::And(l, r) | Expr::Or(l, r) => {
                 walk(l, out);
                 walk(r, out);
             }

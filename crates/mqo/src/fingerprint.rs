@@ -34,7 +34,7 @@
 //! share one store.
 
 use pier_core::plan::{Dissemination, QueryPlan, SinkSpec};
-use pier_core::{AggFunc, ArithOp, CmpOp, CqBudget, Expr, OperatorSpec, Value, WindowSpec};
+use pier_core::{AggFunc, CmpOp, CqBudget, Expr, OperatorSpec, Value, WindowSpec};
 use pier_cq::DeltaMode;
 use pier_runtime::Duration;
 use std::collections::hash_map::DefaultHasher;
@@ -145,7 +145,7 @@ pub fn predicate_columns(expr: &Expr) -> Vec<String> {
         match e {
             Expr::Column(c) => out.push(c.clone()),
             Expr::Const(_) => {}
-            Expr::Cmp(_, l, r) | Expr::Arith(_, l, r) | Expr::And(l, r) | Expr::Or(l, r) => {
+            Expr::Cmp(_, l, r) | Expr::And(l, r) | Expr::Or(l, r) => {
                 walk(l, out);
                 walk(r, out);
             }
@@ -197,12 +197,8 @@ fn hash_predicate_shape(e: &Expr, h: &mut DefaultHasher) {
             hash_predicate_shape(l, h);
             hash_predicate_shape(r, h);
         }
-        Expr::Arith(op, l, r) => {
-            3u8.hash(h);
-            arith_tag(*op).hash(h);
-            hash_predicate_shape(l, h);
-            hash_predicate_shape(r, h);
-        }
+        // Tag 3 stays unused: renumbering the tags below would change every
+        // share-group fingerprint and the `g{fp:016x}` namespaces named by it.
         Expr::And(l, r) => {
             4u8.hash(h);
             hash_predicate_shape(l, h);
@@ -232,15 +228,6 @@ fn cmp_tag(op: CmpOp) -> u8 {
         CmpOp::Le => 3,
         CmpOp::Gt => 4,
         CmpOp::Ge => 5,
-    }
-}
-
-fn arith_tag(op: ArithOp) -> u8 {
-    match op {
-        ArithOp::Add => 0,
-        ArithOp::Sub => 1,
-        ArithOp::Mul => 2,
-        ArithOp::Div => 3,
     }
 }
 

@@ -12,7 +12,7 @@
 //!   equals with one lookup — the per-row cost is O(1) in the member count;
 //! * ordering atoms (`<`, `<=`, `>`, `>=`, `!=`) each scan the column with
 //!   an inner loop specialised to the constant's type;
-//! * members whose predicate does not decompose (disjunctions, arithmetic)
+//! * members whose predicate does not decompose (disjunctions, negations)
 //!   fall back to `CompiledExpr::eval_column` — still column-at-a-time,
 //!   just not shared.
 //!

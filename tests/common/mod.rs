@@ -20,7 +20,7 @@ const SPAN: &[&str] = &["rows", "bytes", "aux"];
 /// The record catalogue `docs/OBSERVABILITY.md` documents ("Record
 /// catalogue"): each stage, whether it is a span or an event, and the
 /// names its values are written under.
-pub const CATALOGUE: [(&str, &str, &[&str]); 34] = [
+pub const CATALOGUE: [(&str, &str, &[&str]); 33] = [
     ("query.disseminate", "span", SPAN),
     ("query.install", "span", SPAN),
     ("ingest", "span", SPAN),
@@ -38,7 +38,6 @@ pub const CATALOGUE: [(&str, &str, &[&str]); 34] = [
     ("window_shed", "event", &["shed"]),
     ("window_evict", "event", &["evicted"]),
     ("owner_cache_invalidate", "event", &["epoch", "dropped"]),
-    ("eddy_reorder", "event", &["filters", "order"]),
     (
         "window.rehydrate",
         "event",
