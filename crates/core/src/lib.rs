@@ -124,7 +124,10 @@ pub use plan::{
     finish_rows, CqSpec, Dissemination, Install, JoinSpec, OpGraph, OperatorSpec, PlanBuilder,
     QpObject, QueryPlan, SinkSpec, SourceSpec,
 };
-pub use proxy::{window_result_schema, MemberRun, PierOut, Proxy, RenewalRound, WindowBundle};
+pub use proxy::{
+    window_result_schema, Directory, MemberRun, PierOut, Proxy, RenewalRound, WindowBundle,
+    WindowRuns,
+};
 pub use range_index::RangeIndexConfig;
 pub use recursive::TransitiveClosure;
 pub use rehash::Rehash;

@@ -23,7 +23,7 @@ use crate::deadlines::{Deadline, Deadlines, Due};
 use crate::engines::{EngineKey, Engines, Hop};
 use crate::graph_exec::{ExecOut, GraphExec, GraphRef};
 use crate::plan::{CqSpec, Dissemination, Install, QpObject, QueryPlan};
-use crate::proxy::{MemberRun, PierOut, Proxy, RenewalRound, WindowBundle};
+use crate::proxy::{directory_len, PierOut, Proxy, ProxyBundles, RenewalRound, WindowBundle};
 use crate::sharing::{
     InstallOutcome, MemberInstall, Membership, MultiQuerySharing, SharingFactory, SharingStats,
 };
@@ -137,22 +137,11 @@ pub enum PierMsg {
         /// The answer rows.
         rows: TupleBatch,
     },
-    /// One window's results streamed from a window root to a proxy: one
-    /// message per (proxy, window) per root tick, carrying every member
-    /// query of that proxy the tick emitted for.  Distinct windows stay
-    /// distinct messages, so a refinement of an older window never rides in
-    /// front of the newest window's rows.
-    WindowResults {
-        /// Window start (virtual-time microseconds, inclusive).
-        window_start: SimTime,
-        /// Window end (exclusive).  The rows do not repeat the bounds.
-        window_end: SimTime,
-        /// Every member's rows under the engine's `{tag}.win` schema — one
-        /// chunk — member by member, retractions before inserts.
-        rows: TupleBatch,
-        /// Per member query, in emission order: its run of `rows`.
-        members: Vec<MemberRun>,
-    },
+    /// A window root's results for one proxy: one message per (proxy, root
+    /// tick), carrying every window the tick emitted for that proxy's
+    /// member queries — windows ascending, those late panes refined before
+    /// the new one — in one batch under the run directory.
+    WindowResults(WindowBundle),
     /// A node that received a lease roster naming queries it does not hold
     /// asks their proxy for the plans (the "renew failed, put it again" of
     /// §3.2.4, pulled by the holder).
@@ -184,9 +173,7 @@ impl WireSize for PierMsg {
         1 + match self {
             PierMsg::Dht(m) => m.wire_size(),
             PierMsg::Results { rows, .. } => 8 + rows.wire_size(),
-            PierMsg::WindowResults { rows, members, .. } => {
-                16 + rows.wire_size() + members.iter().map(WireSize::wire_size).sum::<usize>()
-            }
+            PierMsg::WindowResults(b) => directory_len(&b.directory) + b.rows.wire_size(),
             PierMsg::PlanRequest { queries } => 4 + 8 * queries.len(),
             PierMsg::Plans { plans } => 4 + plans.iter().map(WireSize::wire_size).sum::<usize>(),
             PierMsg::PaneRequest {
@@ -1331,12 +1318,7 @@ impl PierNode {
                 let outs = self.proxy.receive(query_id, &rows);
                 self.deliver(ctx, outs);
             }
-            PierMsg::WindowResults {
-                window_start,
-                window_end,
-                rows,
-                members,
-            } => self.proxy_receive_window(ctx, window_start, window_end, &rows, &members),
+            PierMsg::WindowResults(bundle) => self.proxy_receive_window(ctx, &bundle),
             PierMsg::PlanRequest { queries } => self.serve_plans(ctx, from, &queries),
             PierMsg::PaneRequest {
                 namespace,
@@ -1408,10 +1390,9 @@ impl PierNode {
             .engines
             .ship(key, ticked.shipments, flush_ctx, now, overlay, rng);
         self.drive(ctx, effects);
-        // One results message per (proxy, window), in first-emission order:
-        // every member of a proxy the tick emitted for rides one message,
-        // distinct windows never share one.
-        let mut bundles: Vec<((NodeAddr, SimTime, SimTime), WindowBundle)> = Vec::new();
+        // One results message per proxy: every window and member the tick
+        // emitted for it.
+        let mut bundles = ProxyBundles::default();
         for e in ticked.emissions {
             // A traced member's per-window emission: the `window.emit` span
             // parents to the newest absorption at this root (shared work:
@@ -1425,21 +1406,9 @@ impl PierNode {
                 let rows = (e.retracts.len() + e.inserts.len()) as u64;
                 self.span(now, parent, "window.emit", [rows, 0, e.window_start])
             });
-            let to = (e.proxy, e.window_start, e.window_end);
-            let at = bundles.iter().position(|b| b.0 == to).unwrap_or_else(|| {
-                bundles.push((to, WindowBundle::default()));
-                bundles.len() - 1
-            });
-            let bundle = &mut bundles[at].1;
-            bundle.push(e.query_id, e.retracts, e.inserts, emit_ctx);
+            bundles.push(e, emit_ctx);
         }
-        for ((proxy, window_start, window_end), WindowBundle { rows, members }) in bundles {
-            let results = PierMsg::WindowResults {
-                window_start,
-                window_end,
-                rows,
-                members,
-            };
+        for (proxy, results) in bundles.into_messages() {
             self.post(ctx, proxy, results);
         }
         // 2. Window health, durable segments, and the next tick while the
@@ -1449,27 +1418,20 @@ impl PierNode {
         }
     }
 
-    /// Hand one window's results — off the wire, or straight from this
+    /// Hand a root tick's results — off the wire, or straight from this
     /// node's own tick when it is both root and proxy — to the client.
-    fn proxy_receive_window(
-        &mut self,
-        ctx: &mut ProgramContext<Self>,
-        window_start: SimTime,
-        window_end: SimTime,
-        rows: &TupleBatch,
-        members: &[MemberRun],
-    ) {
-        let outs = self
-            .proxy
-            .receive_window(window_start, window_end, rows, members);
+    fn proxy_receive_window(&mut self, ctx: &mut ProgramContext<Self>, bundle: &WindowBundle) {
+        let outs = self.proxy.receive_window(bundle);
         // The delivery at the proxy closes the span tree: `result.emit`
         // parents to the root's wire-carried `window.emit` span.
         if self.tel.is_enabled() && outs.is_some() {
             let now = ctx.now();
-            let live = members.iter().filter(|m| self.proxy.contains(m.query_id));
-            let traced: Vec<(TraceContext, u32)> =
-                live.filter_map(|m| Some((m.trace?, m.inserts))).collect();
-            for (t, rows) in traced {
+            let runs = bundle.directory.windowed();
+            let live = runs.filter(|(_, m)| self.proxy.contains(m.query_id));
+            let traced: Vec<(TraceContext, u32, SimTime)> = live
+                .filter_map(|(w, m)| Some((m.trace?, m.inserts, w.window_start)))
+                .collect();
+            for (t, rows, window_start) in traced {
                 self.span(now, t, "result.emit", [u64::from(rows), 0, window_start]);
             }
         }

@@ -50,18 +50,36 @@
 //! travels under its engine's schema (`{tag}.win`, no window bounds) and is
 //! re-labelled here `q{id}.win(window_start, window_end, …)`
 //! ([`window_result_schema`]), so clients cannot tell shared from unshared
-//! results.  The run directory of a window message is data from the wire:
-//! one that does not describe its batch drops the whole message.
+//! results.
+//!
+//! A window root answers each proxy once a tick ([`ProxyBundles`]): every
+//! window the tick emitted for it — the new one and those late panes
+//! refined — rides one message, the rows in one batch and a run
+//! [`Directory`] saying whose they are.  The directory is priced by its
+//! encoding ([`directory_len`]).  A layout byte leads: bit 0 says the
+//! runs' query ids go frame of reference, bit 1 that their counts do (by
+//! the roster's rule, `column::int_frame`), bit 2 that some run is traced.
+//! Then, seven bits a byte, the window count, the run count and each
+//! window's start, length and run count; then the ids and the counts
+//! (every run's retractions, then every run's insertions).  One proxy's
+//! ids share their high half, so an id costs a byte or two and a count
+//! about one.  When a run is traced, a presence mark per run (a bit, bytes
+//! rounded up) and each traced run's [`TraceContext`] follow; untraced,
+//! they cost nothing.  The decoder accepts only the encoder's choice
+//! ([`decode_directory`]).  The directory is data from the wire: one that
+//! does not describe its batch drops the whole message.
 //!
 //! Plain state, no `ProgramContext`: [`crate::node::PierNode`] does the
 //! wiring (timers, broadcasts, telemetry), tests drive it directly.
 
 use crate::column::{int_frame, ints_len, put_ints, take_ints};
+use crate::node::PierMsg;
 use crate::plan::{CqSpec, Dissemination, QueryPlan};
 use crate::tuple::{ColumnChunk, Schema, SchemaRegistry, Tuple, TupleBatch};
 use crate::value::Value;
+use crate::window_engine::Emission;
 use pier_cq::RenewalBackoff;
-use pier_runtime::{Duration, Rng64, SimTime, WireSize};
+use pier_runtime::{Duration, NodeAddr, Rng64, SimTime};
 use pier_trace::TraceContext;
 use std::collections::BTreeMap;
 use std::ops::Range;
@@ -117,11 +135,9 @@ pub enum PierOut {
     },
 }
 
-/// One member query's run in the `rows` of a
-/// [`crate::node::PierMsg::WindowResults`] message: `retracts` superseded
-/// rows (delta mode only) followed by `inserts` current rows.  The runs of a
-/// message's directory partition its rows, in order.
-#[derive(Debug, Clone, Copy)]
+/// One member query's run in a [`Directory`]: `retracts` superseded rows
+/// (delta mode only) followed by `inserts` current rows.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemberRun {
     /// Query the rows answer.
     pub query_id: u64,
@@ -140,35 +156,87 @@ impl MemberRun {
     }
 }
 
-impl WireSize for MemberRun {
-    fn wire_size(&self) -> usize {
-        8 + 4 + 4 + self.trace.map_or(0, |t| t.wire_size())
+/// One window of a [`Directory`]: its bounds, and how many of the
+/// directory's runs — the next ones, in order — answer it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct WindowRuns {
+    /// Window start (virtual-time microseconds, inclusive).
+    pub window_start: SimTime,
+    /// Window end (exclusive).  The rows do not repeat the bounds.
+    pub window_end: SimTime,
+    /// Runs of this window.
+    pub runs: u32,
+}
+
+/// The run directory of a results message: which window and member each
+/// row of its batch answers.  Windows ascending, each followed by its
+/// members' runs, members ascending; the runs partition the batch's rows,
+/// in order.  On the wire it is [`encode_directory`]'s bytes.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Directory {
+    /// The windows, each naming how many of `runs` are its.
+    pub windows: Vec<WindowRuns>,
+    /// Every window's runs, window by window.
+    pub runs: Vec<MemberRun>,
+}
+
+impl Directory {
+    /// Every run with its window, in order.
+    pub fn windowed(&self) -> impl Iterator<Item = (&WindowRuns, &MemberRun)> {
+        let windows = self.windows.iter();
+        let windows = windows.flat_map(|w| std::iter::repeat_n(w, w.runs as usize));
+        windows.zip(&self.runs)
+    }
+
+    /// The directory's windows ascend, none empty, and their runs are
+    /// exactly `runs`.
+    fn is_well_formed(&self) -> bool {
+        let bounds = |w: &WindowRuns| (w.window_start, w.window_end);
+        let ascending = self
+            .windows
+            .windows(2)
+            .all(|p| bounds(&p[0]) < bounds(&p[1]));
+        let counted = self.windows.iter().map(|w| w.runs as usize).sum::<usize>();
+        ascending && self.windows.iter().all(|w| w.runs > 0) && counted == self.runs.len()
     }
 }
 
-/// The payload of one (proxy, window) results message as a window root
-/// packs it: every member's rows appended to one batch — one chunk while
-/// they share the engine's schema — and the directory that says whose they
-/// are.
-#[derive(Debug, Default)]
+/// The payload of one results message as a window root packs it for one
+/// proxy: every emission of a tick for that proxy appended to one batch —
+/// one chunk while they share the engine's schema — and the directory that
+/// says whose rows they are.
+#[derive(Debug, Clone, Default)]
 pub struct WindowBundle {
-    /// Every member's rows, member by member, retractions before inserts.
+    /// Every run's rows, run by run, retractions before inserts.
     pub rows: TupleBatch,
     /// The run directory over `rows`.
-    pub members: Vec<MemberRun>,
+    pub directory: Directory,
 }
 
 impl WindowBundle {
-    /// Append one member's emission.
-    pub fn push(
-        &mut self,
-        query_id: u64,
-        retracts: Vec<Tuple>,
-        inserts: Vec<Tuple>,
-        trace: Option<TraceContext>,
-    ) {
+    /// Append one member's emission.  A tick emits windows ascending and,
+    /// within a window, members ascending; pushed in that order, the runs
+    /// of one window follow each other under one directory entry.
+    pub fn push(&mut self, emission: Emission, trace: Option<TraceContext>) {
         let count = |rows: &[Tuple]| u32::try_from(rows.len()).expect("under 2^32 rows a window");
-        self.members.push(MemberRun {
+        let Emission {
+            query_id,
+            window_start,
+            window_end,
+            retracts,
+            inserts,
+            ..
+        } = emission;
+        let windows = &mut self.directory.windows;
+        match windows.last_mut() {
+            Some(w) if (w.window_start, w.window_end) == (window_start, window_end) => w.runs += 1,
+            _ => windows.push(WindowRuns {
+                window_start,
+                window_end,
+                runs: 1,
+            }),
+        }
+        self.directory.runs.push(MemberRun {
             query_id,
             retracts: count(&retracts),
             inserts: count(&inserts),
@@ -177,6 +245,29 @@ impl WindowBundle {
         for row in retracts.into_iter().chain(inserts) {
             self.rows.push_tuple(row);
         }
+    }
+}
+
+/// What one root tick sends: a [`WindowBundle`] per proxy, in the order the
+/// proxies were first emitted for.
+#[derive(Debug, Default)]
+pub struct ProxyBundles(Vec<(NodeAddr, WindowBundle)>);
+
+impl ProxyBundles {
+    /// Add `emission` to its proxy's bundle.
+    pub fn push(&mut self, emission: Emission, trace: Option<TraceContext>) {
+        let at = self.0.iter().position(|(p, _)| *p == emission.proxy);
+        let at = at.unwrap_or_else(|| {
+            self.0.push((emission.proxy, WindowBundle::default()));
+            self.0.len() - 1
+        });
+        self.0[at].1.push(emission, trace);
+    }
+
+    /// One `WindowResults` message per proxy.
+    pub fn into_messages(self) -> impl Iterator<Item = (NodeAddr, PierMsg)> {
+        let message = |(proxy, bundle)| (proxy, PierMsg::WindowResults(bundle));
+        self.0.into_iter().map(message)
     }
 }
 
@@ -190,30 +281,32 @@ pub fn window_result_schema(query_id: u64, wire: &Schema) -> Arc<Schema> {
 }
 
 /// One piece of a member's run: rows `rows` of `chunk`, the first of them
-/// row `offset` of the run of member `member` of the directory.
+/// row `offset` of `run`, which answers `window`.
 struct RunPiece<'a> {
-    member: usize,
+    window: &'a WindowRuns,
+    run: &'a MemberRun,
     offset: usize,
     chunk: &'a ColumnChunk,
     rows: Range<usize>,
 }
 
-/// Every member's run over `rows`, in order, cut into pieces that each lie
-/// in one chunk.  `None` when the directory does not describe the batch: a
-/// malformed chunk, counts that do not sum to its rows, or a run that
-/// crosses from one schema into another.
-fn run_pieces<'a>(rows: &'a TupleBatch, members: &[MemberRun]) -> Option<Vec<RunPiece<'a>>> {
-    let named: usize = members.iter().map(MemberRun::rows).sum();
-    if named != rows.len() || !rows.is_well_formed() {
+/// Every run of `directory` over `rows`, in order, cut into pieces that
+/// each lie in one chunk.  `None` when the directory does not describe the
+/// batch: a malformed chunk, windows out of order, repeated or without a
+/// run, counts that do not sum to its rows, or a run that crosses from one
+/// schema into another.
+fn run_pieces<'a>(rows: &'a TupleBatch, directory: &'a Directory) -> Option<Vec<RunPiece<'a>>> {
+    let named: usize = directory.runs.iter().map(MemberRun::rows).sum();
+    if named != rows.len() || !rows.is_well_formed() || !directory.is_well_formed() {
         return None;
     }
-    let mut pieces = Vec::with_capacity(members.len());
+    let mut pieces = Vec::with_capacity(directory.runs.len());
     let mut chunks = rows.chunks().iter();
     let (mut current, mut at) = (chunks.next(), 0);
-    for (member, m) in members.iter().enumerate() {
+    for (window, run) in directory.windowed() {
         let mut offset = 0;
         let mut schema: Option<&Arc<Schema>> = None;
-        while offset < m.rows() {
+        while offset < run.rows() {
             // The counts sum to the rows, so there is a chunk.
             let chunk = current?;
             if at == chunk.rows() {
@@ -224,9 +317,10 @@ fn run_pieces<'a>(rows: &'a TupleBatch, members: &[MemberRun]) -> Option<Vec<Run
                 return None;
             }
             schema = Some(chunk.schema());
-            let take = (m.rows() - offset).min(chunk.rows() - at);
+            let take = (run.rows() - offset).min(chunk.rows() - at);
             pieces.push(RunPiece {
-                member,
+                window,
+                run,
                 offset,
                 chunk,
                 rows: at..at + take,
@@ -282,6 +376,165 @@ pub fn decode_roster(buf: &[u8]) -> Option<(Vec<u64>, usize)> {
         count & FRAMED != 0,
     )?;
     Some((ids.into_iter().map(|id| id as u64).collect(), at))
+}
+
+/// The layout byte's bit for a directory with a traced run: the presence
+/// marks and the contexts follow the run columns.
+const TRACED: u8 = 1 << 2;
+
+/// The runs' query ids, as the `i64`s with their bits.
+fn run_ids(runs: &[MemberRun]) -> impl ExactSizeIterator<Item = i64> + Clone + '_ {
+    runs.iter().map(|r| r.query_id as i64)
+}
+
+/// The runs' counts: every run's retractions, then every run's insertions.
+fn run_counts(runs: &[MemberRun]) -> impl ExactSizeIterator<Item = i64> + Clone + '_ {
+    let n = runs.len();
+    (0..2 * n).map(move |i| match runs.get(i) {
+        Some(r) => i64::from(r.retracts),
+        None => i64::from(runs[i - n].inserts),
+    })
+}
+
+/// Bytes of [`put_varint`]'s output for `n`.
+fn varint_len(n: u64) -> usize {
+    (64 - (n | 1).leading_zeros() as usize).div_ceil(7)
+}
+
+/// Append `n` seven bits a byte, low bits first, the high bit set on every
+/// byte but the last.
+fn put_varint(buf: &mut Vec<u8>, mut n: u64) {
+    while n >= 0x80 {
+        buf.push(n as u8 | 0x80);
+        n >>= 7;
+    }
+    buf.push(n as u8);
+}
+
+/// Read the [`put_varint`] integer at `*at`, advancing past it.  `None` on
+/// truncated input, a byte more than the integer needs, or bits past 64.
+fn take_varint(buf: &[u8], at: &mut usize) -> Option<u64> {
+    let mut n = 0;
+    for i in 0..10 {
+        let byte = *buf.get(*at + i)?;
+        if i == 9 && byte > 1 {
+            return None;
+        }
+        n |= u64::from(byte & 0x7f) << (7 * i);
+        if byte & 0x80 == 0 {
+            if i > 0 && byte == 0 {
+                return None;
+            }
+            *at += i + 1;
+            return Some(n);
+        }
+    }
+    None
+}
+
+/// A window's entry: its start, its length and its run count.  The length
+/// wraps, so any bounds round-trip.
+fn window_words(w: &WindowRuns) -> [u64; 3] {
+    let length = w.window_end.wrapping_sub(w.window_start);
+    [w.window_start, length, u64::from(w.runs)]
+}
+
+/// Exact length of [`encode_directory`]'s output for `d`: what a results
+/// message's directory costs on the wire.
+pub fn directory_len(d: &Directory) -> usize {
+    let counts = [d.windows.len(), d.runs.len()].map(|n| varint_len(n as u64));
+    let windows = d.windows.iter().flat_map(window_words).map(varint_len);
+    let ids = ints_len(d.runs.len(), int_frame(run_ids(&d.runs)));
+    let run_counts = ints_len(2 * d.runs.len(), int_frame(run_counts(&d.runs)));
+    let traced = d.runs.iter().filter(|r| r.trace.is_some()).count();
+    let marks = if traced > 0 {
+        d.runs.len().div_ceil(8) + traced * TraceContext::WIRE_BYTES
+    } else {
+        0
+    };
+    1 + counts.iter().sum::<usize>() + windows.sum::<usize>() + ids + run_counts + marks
+}
+
+/// Append the directory `d` (the module docs have the layout).
+pub fn encode_directory(d: &Directory, buf: &mut Vec<u8>) {
+    let (ids, counts) = (int_frame(run_ids(&d.runs)), int_frame(run_counts(&d.runs)));
+    let traced = d.runs.iter().any(|r| r.trace.is_some());
+    let framed = u8::from(ids.is_some()) | u8::from(counts.is_some()) << 1;
+    buf.push(framed | if traced { TRACED } else { 0 });
+    put_varint(buf, d.windows.len() as u64);
+    put_varint(buf, d.runs.len() as u64);
+    for word in d.windows.iter().flat_map(window_words) {
+        put_varint(buf, word);
+    }
+    put_ints(buf, run_ids(&d.runs), ids);
+    put_ints(buf, run_counts(&d.runs), counts);
+    if traced {
+        let at = buf.len();
+        buf.resize(at + d.runs.len().div_ceil(8), 0);
+        for (i, r) in d.runs.iter().enumerate() {
+            buf[at + i / 8] |= u8::from(r.trace.is_some()) << (i % 8);
+        }
+        for trace in d.runs.iter().filter_map(|r| r.trace) {
+            trace.encode(buf);
+        }
+    }
+}
+
+/// Decode a directory from the front of `buf`: it and the bytes consumed.
+/// `None` on truncated input and on any layout but the one
+/// [`encode_directory`] would have chosen for it: an integer with a byte
+/// more than it needs, ids or counts framed or plain against
+/// `column::int_frame`, presence marks where no run is traced, or a mark
+/// past the last run.
+pub fn decode_directory(buf: &[u8]) -> Option<(Directory, usize)> {
+    let layout = *buf.first()?;
+    if layout & !(TRACED | 0b11) != 0 {
+        return None;
+    }
+    let mut at = 1;
+    let windows = take_varint(buf, &mut at)?;
+    let runs = usize::try_from(take_varint(buf, &mut at)?).ok()?;
+    let windows = (0..windows)
+        .map(|_| {
+            let [start, length, runs] = [(); 3].map(|()| take_varint(buf, &mut at));
+            Some(WindowRuns {
+                window_start: start?,
+                window_end: start?.wrapping_add(length?),
+                runs: u32::try_from(runs?).ok()?,
+            })
+        })
+        .collect::<Option<Vec<_>>>()?;
+    let ids = take_ints(buf, &mut at, runs, layout & 1 != 0)?;
+    let counts = take_ints(buf, &mut at, runs.checked_mul(2)?, layout & 2 != 0)?;
+    let count = |n: i64| u32::try_from(n).ok();
+    let (retracts, inserts) = counts.split_at(runs);
+    let runs = ids.iter().zip(retracts).zip(inserts);
+    let runs = runs.map(|((&id, &retracts), &inserts)| {
+        Some(MemberRun {
+            query_id: id as u64,
+            retracts: count(retracts)?,
+            inserts: count(inserts)?,
+            trace: None,
+        })
+    });
+    let mut runs = runs.collect::<Option<Vec<_>>>()?;
+    if layout & TRACED != 0 {
+        let marks = buf.get(at..at + runs.len().div_ceil(8))?;
+        at += marks.len();
+        // At least one mark, and none past the last run.
+        let spare = runs.len() % 8;
+        let stray = spare != 0 && marks.last().is_some_and(|&m| m >> spare != 0);
+        if stray || marks.iter().all(|&m| m == 0) {
+            return None;
+        }
+        for (i, run) in runs.iter_mut().enumerate() {
+            if marks[i / 8] >> (i % 8) & 1 == 1 {
+                run.trace = Some(TraceContext::decode(buf.get(at..)?)?);
+                at += TraceContext::WIRE_BYTES;
+            }
+        }
+    }
+    Some((Directory { windows, runs }, at))
 }
 
 /// What one renewal round sends.
@@ -507,26 +760,18 @@ impl Proxy {
         Some(rows.iter().map(out).collect())
     }
 
-    /// One window's results arrived — `rows`, partitioned by the run
-    /// directory `members`: the outputs to hand the client, member by
-    /// member, retractions before inserts, every row re-labelled with its
-    /// member's client schema and the window's bounds.  A finished member's
-    /// rows are dropped — the others' are not — and no entry is created for
-    /// it.  `None`: the directory does not describe the batch (a malformed
-    /// chunk, counts that do not sum to its rows, a run crossing from one
-    /// schema into another); nothing is delivered and nothing is counted.
-    pub fn receive_window(
-        &mut self,
-        window_start: SimTime,
-        window_end: SimTime,
-        rows: &TupleBatch,
-        members: &[MemberRun],
-    ) -> Option<Vec<PierOut>> {
-        let pieces = run_pieces(rows, members)?;
-        let bounds = [window_start, window_end].map(|t| Value::Int(t as i64));
-        let mut out = Vec::with_capacity(rows.len());
+    /// A root tick's results arrived — `bundle.rows`, partitioned by its
+    /// run directory: the outputs to hand the client, window by window,
+    /// member by member, retractions before inserts, every row re-labelled
+    /// with its member's client schema and its window's bounds.  A finished
+    /// member's rows are dropped — the others' are not — and no entry is
+    /// created for it.  `None`: the directory does not describe the batch
+    /// (`run_pieces`); nothing is delivered and nothing is counted.
+    pub fn receive_window(&mut self, bundle: &WindowBundle) -> Option<Vec<PierOut>> {
+        let pieces = run_pieces(&bundle.rows, &bundle.directory)?;
+        let mut out = Vec::with_capacity(bundle.rows.len());
         for piece in pieces {
-            let m = &members[piece.member];
+            let (m, window) = (piece.run, piece.window);
             let Some(entry) = self.proxied.get_mut(&m.query_id) else {
                 continue;
             };
@@ -544,6 +789,8 @@ impl Proxy {
             let retracts = (m.retracts as usize).saturating_sub(piece.offset);
             let retracts = retracts.min(piece.rows.len());
             entry.results += (piece.rows.len() - retracts) as u64;
+            let (window_start, window_end) = (window.window_start, window.window_end);
+            let bounds = [window_start, window_end].map(|t| Value::Int(t as i64));
             for (i, r) in piece.rows.enumerate() {
                 let row = (0..wire.arity()).map(|c| piece.chunk.col(c).value(r));
                 let values: Arc<[Value]> = bounds.iter().cloned().chain(row).collect();
@@ -567,4 +814,91 @@ fn remaining(s: &Standing, now: SimTime) -> QueryPlan {
     let elapsed = now.saturating_sub(s.submitted_at);
     plan.timeout = plan.timeout.saturating_sub(elapsed).max(1);
     plan
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// A directory drawn from `seed`: up to four windows of any bounds and
+    /// run count, up to twenty runs with ids within 2^8, 2^16 or 2^32 of a
+    /// base or anywhere, counts of any size, one run in four traced.  Not
+    /// necessarily well-formed: the codec carries what it is given, and the
+    /// proxy judges it.
+    fn directory(seed: u64) -> Directory {
+        let mut rng = Rng64::new(seed);
+        let windows = (0..rng.next_below(5))
+            .map(|_| {
+                let window_start = rng.next_u64() >> rng.next_below(64);
+                WindowRuns {
+                    window_start,
+                    window_end: window_start.wrapping_add(rng.next_below(1 << 24)),
+                    runs: (rng.next_u64() >> rng.next_below(33)) as u32,
+                }
+            })
+            .collect();
+        let base = rng.next_u64();
+        let span = *rng.choose(&[1 << 8, 1 << 16, 1 << 32, 0]);
+        let count = |rng: &mut Rng64| (rng.next_u64() >> (32 + rng.next_below(32))) as u32;
+        let runs = (0..rng.next_below(21))
+            .map(|_| MemberRun {
+                query_id: match span {
+                    0 => rng.next_u64(),
+                    span => base.wrapping_add(rng.next_below(span)),
+                },
+                retracts: count(&mut rng),
+                inserts: count(&mut rng),
+                trace: rng.chance(0.25).then(|| TraceContext {
+                    trace_id: rng.next_u64(),
+                    span_id: rng.next_u64(),
+                    query_id: rng.next_u64(),
+                }),
+            })
+            .collect();
+        Directory { windows, runs }
+    }
+
+    proptest! {
+        /// A results message's directory is priced at the length of its
+        /// encoding, and the encoding decodes to it, whatever it holds.
+        #[test]
+        fn a_directory_costs_its_encoded_length_and_decodes_to_itself(seed: u64) {
+            let d = directory(seed);
+            let mut buf = Vec::new();
+            encode_directory(&d, &mut buf);
+            prop_assert_eq!(directory_len(&d), buf.len());
+            prop_assert_eq!(decode_directory(&buf), Some((d, buf.len())));
+        }
+    }
+
+    #[test]
+    fn a_directory_is_cheaper_than_sixteen_bytes_a_run_when_ids_share_their_high_half() {
+        // Three windows of one proxy's six members: ids `addr << 32 | seq`,
+        // one-digit counts, nothing traced.
+        let ids = (0..6).map(|seq| (7 << 32) | (40 + seq));
+        let runs: Vec<MemberRun> = ids
+            .cycle()
+            .take(18)
+            .map(|query_id| MemberRun {
+                query_id,
+                retracts: 0,
+                inserts: 3,
+                trace: None,
+            })
+            .collect();
+        let windows = (0..3)
+            .map(|w| WindowRuns {
+                window_start: (100 + w) * 1_000_000,
+                window_end: (102 + w) * 1_000_000,
+                runs: 6,
+            })
+            .collect();
+        let d = Directory { windows, runs };
+        // The layout byte and two one-byte counts; per window a four-byte
+        // start, a three-byte length and a one-byte run count; the ids and
+        // the counts framed at one byte.
+        assert_eq!(directory_len(&d), 3 + 3 * (4 + 3 + 1) + (9 + 18) + (9 + 36));
+        assert!(directory_len(&d) < 3 * 16 + 18 * 16);
+    }
 }

@@ -27,8 +27,8 @@
 //! forwards the emissions.  Every member's rows are built, sorted, finished
 //! and delta-tracked on the one engine-level schema `{tag}.win` (GROUP BY
 //! columns + aggregate outputs; the window's bounds are the emission's, not
-//! the row's), so a tick's emissions for one proxy and window pack into one
-//! chunk; which query a row answers is relabelled at its proxy
+//! the row's), so a tick's emissions for one proxy, every window's, pack
+//! into one chunk; which query a row answers is relabelled at its proxy
 //! ([`crate::proxy::window_result_schema`]).
 //!
 //! At the root a window's groups are walked once per emission, not once

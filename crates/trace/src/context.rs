@@ -42,6 +42,29 @@ impl TraceContext {
     pub fn child(&self, span_id: u64) -> Self {
         TraceContext { span_id, ..*self }
     }
+
+    /// Append the context's [`TraceContext::WIRE_BYTES`]: the trace, span
+    /// and query ids, little-endian.
+    pub fn encode(&self, buf: &mut Vec<u8>) {
+        for word in [self.trace_id, self.span_id, self.query_id] {
+            buf.extend_from_slice(&word.to_le_bytes());
+        }
+    }
+
+    /// Read a context from the front of `buf`; `None` when it is shorter
+    /// than [`TraceContext::WIRE_BYTES`].
+    pub fn decode(buf: &[u8]) -> Option<TraceContext> {
+        let word = |i: usize| {
+            Some(u64::from_le_bytes(
+                buf.get(8 * i..8 * i + 8)?.try_into().ok()?,
+            ))
+        };
+        Some(TraceContext {
+            trace_id: word(0)?,
+            span_id: word(1)?,
+            query_id: word(2)?,
+        })
+    }
 }
 
 impl WireSize for TraceContext {
@@ -146,6 +169,12 @@ mod tests {
 
     #[test]
     fn context_wire_size_is_fixed() {
-        assert_eq!(TraceContext::root(1).wire_size(), 24);
+        let ctx = TraceContext::root(1).child(99);
+        assert_eq!(ctx.wire_size(), 24);
+        let mut buf = Vec::new();
+        ctx.encode(&mut buf);
+        assert_eq!(buf.len(), ctx.wire_size());
+        assert_eq!(TraceContext::decode(&buf), Some(ctx));
+        assert_eq!(TraceContext::decode(&buf[..23]), None);
     }
 }

@@ -3,6 +3,29 @@
 // Each test file uses its own subset.
 #![allow(dead_code)]
 
+use pier::qp::window_engine::Emission;
+use pier::qp::Tuple;
+use pier::runtime::{NodeAddr, SimTime};
+
+/// A member's emission for `window`, as a window root's tick hands it to a
+/// `WindowBundle` (proxy and sampling flag are not the bundle's business).
+pub fn emission(
+    query_id: u64,
+    window: (SimTime, SimTime),
+    retracts: Vec<Tuple>,
+    inserts: Vec<Tuple>,
+) -> Emission {
+    Emission {
+        query_id,
+        proxy: NodeAddr(0),
+        trace: false,
+        window_start: window.0,
+        window_end: window.1,
+        retracts,
+        inserts,
+    }
+}
+
 /// Mix the CI seed matrix into a test's default seed: `PIER_SEED`, when
 /// set, perturbs the seed so the suites that assert structural properties —
 /// equal multisets between execution strategies, byte-identical replays,

@@ -1,7 +1,8 @@
 //! Hostile bytes into the decoders that read lengths off their input:
 //! [`ColumnChunk::decode_body`] (the typed chunk wire format, every column
-//! tag), [`decode_roster`] (a proxy's lease roster) and
-//! [`SegmentLog::from_bytes`] → [`WindowStore::rehydrate_from`]
+//! tag), [`decode_roster`] (a proxy's lease roster), [`decode_directory`]
+//! (a results message's run directory) with the [`TraceContext`] it
+//! carries, and [`SegmentLog::from_bytes`] → [`WindowStore::rehydrate_from`]
 //! (a node's disk after a crash) — and the framings that carry those chunks
 //! between nodes, which the program only prices (`DhtMessage::wire_size`):
 //! the dictionary-coded `PutBatch` and the keyed `GetRequest` /
@@ -23,9 +24,13 @@
 
 use pier::cq::{CqBudget, SegmentLog, WindowAccumulator, WindowSpec, WindowStore};
 use pier::dht::{DhtMessage, ObjectName, StoredObject};
-use pier::qp::proxy::{decode_roster, encode_roster, roster_len};
+use pier::qp::proxy::{
+    decode_directory, decode_roster, directory_len, encode_directory, encode_roster, roster_len,
+};
 use pier::qp::tuple::ColumnChunk;
-use pier::qp::{Column, GroupAgg, Schema, SchemaRegistry, Value, DICT_MAX};
+use pier::qp::{
+    Column, Directory, GroupAgg, MemberRun, Schema, SchemaRegistry, Value, WindowRuns, DICT_MAX,
+};
 use pier::runtime::{NodeAddr, WireSize};
 use pier::trace::TraceContext;
 use proptest::prelude::*;
@@ -494,6 +499,262 @@ proptest! {
     }
 }
 
+// ----- decode_directory and TraceContext --------------------------------------
+
+/// Decode a directory frame and hold the decoder to the three properties.
+fn check_directory(frame: &[u8]) -> Result<(), TestCaseError> {
+    let (decoded, requested) = requested_by(|| decode_directory(frame));
+    prop_assert!(
+        requested <= allowance(frame.len()),
+        "{requested} bytes requested for a {}-byte directory",
+        frame.len()
+    );
+    if let Some((directory, used)) = decoded {
+        let mut again = Vec::new();
+        encode_directory(&directory, &mut again);
+        prop_assert!(again[..] == frame[..used], "accepted but not canonical");
+    }
+    Ok(())
+}
+
+/// A directory as a root builds one: up to four windows a slide apart,
+/// each of one to eight runs with ids within `span` of one base (the full
+/// range when `span` is 0), one run in four traced.
+fn directory(rng: &mut Gen, span: u64) -> Directory {
+    let ids = roster_ids(rng, 8, span);
+    let mut start = rng.next() >> 20;
+    let (mut windows, mut runs) = (Vec::new(), Vec::new());
+    for _ in 0..rng.below(5) {
+        let n = 1 + rng.below(8);
+        windows.push(WindowRuns {
+            window_start: start,
+            window_end: start + 2_000_000,
+            runs: n as u32,
+        });
+        start += 1_000_000;
+        for &query_id in &ids[..n] {
+            let trace = (rng.below(4) == 0).then(|| TraceContext {
+                trace_id: rng.next(),
+                span_id: rng.next(),
+                query_id,
+            });
+            runs.push(MemberRun {
+                query_id,
+                retracts: rng.below(3) as u32,
+                inserts: rng.below(300) as u32,
+                trace,
+            });
+        }
+    }
+    Directory { windows, runs }
+}
+
+/// `n` seven bits a byte, low bits first, as a directory writes its
+/// counts and lengths.
+fn varint(mut n: u64) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    while n >= 0x80 {
+        bytes.push(n as u8 | 0x80);
+        n >>= 7;
+    }
+    bytes.push(n as u8);
+    bytes
+}
+
+/// A directory written by hand: the layout byte (bit 0 framed ids, bit 1
+/// framed counts, bit 2 traced), the window and run counts, each window's
+/// start, length and run count, the ids and the counts as given, then the
+/// marks and the contexts.
+fn hand_directory(d: &Directory, layout: u8, ids: &[u8], counts: &[u8], marks: &[u8]) -> Vec<u8> {
+    let mut frame = vec![layout];
+    frame.extend(varint(d.windows.len() as u64));
+    frame.extend(varint(d.runs.len() as u64));
+    for w in &d.windows {
+        frame.extend(varint(w.window_start));
+        frame.extend(varint(w.window_end - w.window_start));
+        frame.extend(varint(u64::from(w.runs)));
+    }
+    frame.extend(ids);
+    frame.extend(counts);
+    frame.extend(marks);
+    for trace in d.runs.iter().filter_map(|r| r.trace) {
+        trace.encode(&mut frame);
+    }
+    frame
+}
+
+/// Integers plain: eight bytes each.
+fn plain_ints(values: &[u64]) -> Vec<u8> {
+    values.iter().flat_map(|v| v.to_le_bytes()).collect()
+}
+
+/// Integers frame of reference: `base`, `width`, then `width` bytes of
+/// each delta.
+fn framed_ints(base: u64, width: u8, deltas: &[u64]) -> Vec<u8> {
+    let mut bytes = base.to_le_bytes().to_vec();
+    bytes.push(width);
+    for d in deltas {
+        bytes.extend(&d.to_le_bytes()[..usize::from(width)]);
+    }
+    bytes
+}
+
+/// One window, one run: the layout byte, two one-byte counts, the window
+/// (a four-byte start, a three-byte length, a one-byte run count), the id
+/// plain (a frame of one is longer) and the two counts framed — and a
+/// traced run adds its one mark byte and its context.
+#[test]
+fn a_one_run_directory_is_its_window_an_id_and_two_framed_counts() {
+    let query_id = (7u64 << 32) | 3;
+    let mut d = Directory {
+        windows: vec![WindowRuns {
+            window_start: 5_000_000,
+            window_end: 7_000_000,
+            runs: 1,
+        }],
+        runs: vec![MemberRun {
+            query_id,
+            retracts: 0,
+            inserts: 2,
+            trace: None,
+        }],
+    };
+    let (id, counts) = (plain_ints(&[query_id]), framed_ints(0, 1, &[0, 2]));
+    let mut frame = Vec::new();
+    encode_directory(&d, &mut frame);
+    assert_eq!(frame, hand_directory(&d, 0b10, &id, &counts, &[]));
+    assert_eq!((frame.len(), directory_len(&d)), (30, 30));
+    assert_eq!(decode_directory(&frame), Some((d.clone(), 30)));
+
+    d.runs[0].trace = Some(TraceContext::root(query_id));
+    let mut frame = Vec::new();
+    encode_directory(&d, &mut frame);
+    assert_eq!(frame, hand_directory(&d, 0b110, &id, &counts, &[1]));
+    assert_eq!(directory_len(&d), 30 + 1 + 24);
+    assert_eq!(decode_directory(&frame), Some((d, 55)));
+}
+
+/// Only the encoder's own choice decodes: plain where a frame is shorter
+/// and a frame where plain is, an integer with a byte more than it needs,
+/// marks with no run traced, a mark past the last run, and a layout bit
+/// the encoder never sets.
+#[test]
+fn a_directory_that_is_not_the_encoder_s_choice_is_refused() {
+    let p = 9u64 << 32;
+    let run = |query_id, trace| MemberRun {
+        query_id,
+        retracts: 0,
+        inserts: 4,
+        trace,
+    };
+    let one = Directory {
+        windows: vec![WindowRuns {
+            window_start: 40,
+            window_end: 42,
+            runs: 1,
+        }],
+        runs: vec![run(p + 1, None)],
+    };
+    let decodes = |frame: &[u8]| decode_directory(frame).map(|(d, _)| d);
+    let (id, counts) = (plain_ints(&[p + 1]), framed_ints(0, 1, &[0, 4]));
+    let sound = hand_directory(&one, 0b10, &id, &counts, &[]);
+    assert_eq!(decodes(&sound), Some(one.clone()));
+    // A frame of one id; two counts plain.
+    let framed_id = framed_ints(p + 1, 1, &[0]);
+    assert_eq!(
+        decodes(&hand_directory(&one, 0b11, &framed_id, &counts, &[])),
+        None
+    );
+    let plain_counts = plain_ints(&[0, 4]);
+    assert_eq!(
+        decodes(&hand_directory(&one, 0, &id, &plain_counts, &[])),
+        None
+    );
+    // A window count of one in two bytes.
+    let mut overlong = vec![0b10, 0x81, 0x00];
+    overlong.extend(&sound[2..]);
+    assert_eq!(decodes(&overlong), None);
+    // Three runs of one proxy: the encoder frames the ids, so plain ones
+    // are refused.
+    let mut three = one.clone();
+    three.windows[0].runs = 3;
+    three.runs = vec![run(p + 1, None), run(p + 2, None), run(p + 40, None)];
+    let mut encoded = Vec::new();
+    encode_directory(&three, &mut encoded);
+    assert_eq!(encoded[0], 0b11, "ids and counts go framed");
+    assert_eq!(decodes(&encoded), Some(three.clone()));
+    let counts = framed_ints(0, 1, &[0, 0, 0, 4, 4, 4]);
+    let ids = plain_ints(&[p + 1, p + 2, p + 40]);
+    assert_eq!(
+        decodes(&hand_directory(&three, 0b10, &ids, &counts, &[])),
+        None
+    );
+    // Marks when no run is traced, and a mark past the last run.
+    let counts = framed_ints(0, 1, &[0, 4]);
+    assert_eq!(
+        decodes(&hand_directory(&one, 0b110, &id, &counts, &[0])),
+        None
+    );
+    let traced = Directory {
+        runs: vec![run(p + 1, Some(TraceContext::root(p + 1)))],
+        ..one.clone()
+    };
+    let marked = hand_directory(&traced, 0b110, &id, &counts, &[1]);
+    assert_eq!(decodes(&marked), Some(traced.clone()));
+    let mut stray = hand_directory(&traced, 0b110, &id, &counts, &[0b11]);
+    stray.extend([0; 24]);
+    assert_eq!(decodes(&stray), None);
+    // A layout bit the encoder never sets.
+    assert_eq!(
+        decodes(&hand_directory(&one, 0b1010, &id, &counts, &[])),
+        None
+    );
+    // Counts no frame can hold reserve nothing.
+    let huge = [
+        0, 0xff, 0xff, 0xff, 0xff, 0x0f, 0xff, 0xff, 0xff, 0xff, 0x0f, 0,
+    ];
+    let (decoded, requested) = requested_by(|| decode_directory(&huge));
+    assert!(decoded.is_none() && requested <= huge.len(), "{requested}");
+}
+
+// A directory's price is the length of its encoding, and the encoding
+// decodes to it: `pier-core`'s `proxy` tests hold that for arbitrary
+// directories.
+
+proptest! {
+    /// Arbitrary bytes, and valid directories damaged.
+    #[test]
+    fn hostile_directories_never_panic_or_over_reserve(seed in any::<u64>()) {
+        let mut rng = Gen(seed);
+        let len = rng.below(160);
+        check_directory(&rng.bytes(len))?;
+        let span = [1 << 8, 1 << 16, 1 << 32, 0][rng.below(4)];
+        let mut frame = Vec::new();
+        encode_directory(&directory(&mut rng, span), &mut frame);
+        check_directory(&frame)?;
+        let frame = damage(&mut rng, frame);
+        check_directory(&frame)?;
+    }
+
+    /// A trace context is its 24 bytes: any 24 decode, and re-encode to
+    /// themselves; fewer decode to nothing.
+    #[test]
+    fn a_trace_context_is_its_twenty_four_bytes(seed in any::<u64>()) {
+        let mut rng = Gen(seed);
+        let len = rng.below(40);
+        let frame = rng.bytes(len);
+        let (decoded, requested) = requested_by(|| TraceContext::decode(&frame));
+        prop_assert_eq!(requested, 0);
+        prop_assert_eq!(decoded.is_some(), frame.len() >= TraceContext::WIRE_BYTES);
+        if let Some(ctx) = decoded {
+            let mut again = Vec::new();
+            ctx.encode(&mut again);
+            prop_assert_eq!(again.len(), ctx.wire_size());
+            prop_assert!(again[..] == frame[..TraceContext::WIRE_BYTES]);
+        }
+    }
+}
+
 // ----- SegmentLog::from_bytes → WindowStore::rehydrate_from --------------------
 
 fn fnv1a64(bytes: &[u8]) -> u64 {
@@ -654,9 +915,7 @@ fn encode_put_batch(entries: &[Entry], trace: Option<TraceContext>) -> Vec<u8> {
     let mut buf = vec![u8::from(trace.is_some())];
     buf.extend_from_slice(&(entries.len() as u32).to_le_bytes());
     if let Some(t) = trace {
-        for word in [t.trace_id, t.span_id, t.query_id] {
-            buf.extend_from_slice(&word.to_le_bytes());
-        }
+        t.encode(&mut buf);
     }
     let mut namespaces: Vec<&str> = Vec::new();
     for (name, value, lifetime) in entries {
@@ -686,13 +945,10 @@ fn decode_put_batch(frame: &[u8]) -> Option<(Vec<Entry>, Option<TraceContext>)> 
     };
     let count = take_u32(&mut frame)?;
     let trace = if traced {
-        let (trace_id, span_id, query_id) =
-            (word(&mut frame)?, word(&mut frame)?, word(&mut frame)?);
-        Some(TraceContext {
-            trace_id,
-            span_id,
-            query_id,
-        })
+        Some(TraceContext::decode(take(
+            &mut frame,
+            TraceContext::WIRE_BYTES,
+        )?)?)
     } else {
         None
     };

@@ -2,8 +2,8 @@
 //!
 //! A proxy keeps its standing queries alive with **one lease roster per
 //! renewal round** — holders renew what they have and pull what they lack —
-//! and a window root answers with **one results message per (proxy,
-//! window)**.  Three layers of evidence:
+//! and a window root answers with **one results message per proxy per
+//! tick**.  Three layers of evidence:
 //!
 //! 1. the renewal schedule, on [`Proxy`] alone (no simulator): whatever
 //!    the submissions, finishes and progress, every live standing query is
@@ -16,10 +16,10 @@
 //!    through one pull per proxy; lapse by silence when a proxy stops, at
 //!    each holder exactly one lease (plus the durable grace) after the last
 //!    roster it received;
-//! 3. the result path: a root tick sends at most one message per (proxy,
-//!    window) — one chunk its members' runs partition, the window's bounds
-//!    in the header only — and bundling is invisible in what tenants
-//!    receive.
+//! 3. the result path: a root tick sends at most one message per proxy —
+//!    one chunk its runs partition, windows ascending in its directory,
+//!    each window's bounds once — and bundling is invisible in what
+//!    tenants receive.
 //!
 //! The cluster tests watch the wire through [`Tap`], a node program that
 //! wraps a `PierNode` and journals what each handler invocation sends.
@@ -80,8 +80,11 @@ impl Live {
 fn one_row(proxy: &mut Proxy, query_id: u64) -> usize {
     let mut bundle = WindowBundle::default();
     let row = Tuple::new("r", vec![("v", Value::Int(1))]);
-    bundle.push(query_id, vec![], vec![row], None);
-    let outs = proxy.receive_window(0, SEC, &bundle.rows, &bundle.members);
+    bundle.push(
+        common::emission(query_id, (0, SEC), vec![], vec![row]),
+        None,
+    );
+    let outs = proxy.receive_window(&bundle);
     outs.expect("well-formed").len()
 }
 
@@ -303,10 +306,10 @@ enum Wire {
     },
     PlanRequest(Vec<u64>),
     Plans(Vec<u64>),
-    /// `(window_start, window_end)`, the members named, and whether the
-    /// payload is one chunk that the members' runs partition and that says
-    /// nothing of the window (the header does).
-    WindowResults((SimTime, SimTime), Vec<u64>, bool),
+    /// Per window, `(window_start, window_end)` and the members named,
+    /// and whether the payload is one chunk that the runs partition and
+    /// that says nothing of the window (the directory does).
+    WindowResults(Vec<((SimTime, SimTime), Vec<u64>)>, bool),
 }
 
 fn classify(msg: &PierMsg) -> Option<Wire> {
@@ -331,20 +334,23 @@ fn classify(msg: &PierMsg) -> Option<Wire> {
         ) => tree(id, payload),
         PierMsg::PlanRequest { queries } => Some(Wire::PlanRequest(queries.clone())),
         PierMsg::Plans { plans } => Some(Wire::Plans(plans.iter().map(|p| p.query_id).collect())),
-        PierMsg::WindowResults {
-            window_start,
-            window_end,
-            rows,
-            members,
-        } => {
-            let named: u32 = members.iter().map(|m| m.retracts + m.inserts).sum();
+        PierMsg::WindowResults(bundle) => {
+            let (rows, directory) = (&bundle.rows, &bundle.directory);
+            let named: u32 = directory.runs.iter().map(|m| m.retracts + m.inserts).sum();
             let [chunk] = rows.chunks() else {
                 panic!("one chunk per message, got {}", rows.chunks().len());
             };
             let columns = chunk.schema().columns();
+            let mut windows: Vec<((SimTime, SimTime), Vec<u64>)> = Vec::new();
+            for (w, m) in directory.windowed() {
+                let bounds = (w.window_start, w.window_end);
+                match windows.last_mut() {
+                    Some((of, named)) if *of == bounds => named.push(m.query_id),
+                    _ => windows.push((bounds, vec![m.query_id])),
+                }
+            }
             Some(Wire::WindowResults(
-                (*window_start, *window_end),
-                members.iter().map(|m| m.query_id).collect(),
+                windows,
                 named as usize == rows.len() && columns == ["src", "count"],
             ))
         }
@@ -961,7 +967,7 @@ fn a_stalled_stream_backs_the_proxys_one_clock_off_and_every_lease_stays_live() 
     }
 }
 
-// ----- (iii) one results message per (proxy, window) ---------------------------
+// ----- (iii) one results message per proxy per tick ---------------------------
 
 /// Final rows per (query, window) at the tenants' proxies: the last
 /// emission of a window wins (these queries emit snapshots).
@@ -1038,7 +1044,7 @@ fn sixteen_tenants(seed: u64, sharing: bool) -> (Vec<u64>, Answers, Vec<Sent>, S
 }
 
 #[test]
-fn a_root_tick_sends_one_results_message_per_proxy_and_window_and_tenants_see_no_difference() {
+fn a_root_tick_answers_each_proxy_once_and_tenants_see_no_difference() {
     let seed = seeded(0x23);
     let (ids, shared, sent, begin) = sixteen_tenants(seed, true);
     let (ids_alone, independent, _, begin_alone) = sixteen_tenants(seed, false);
@@ -1049,38 +1055,47 @@ fn a_root_tick_sends_one_results_message_per_proxy_and_window_and_tenants_see_no
     );
 
     // The wire: per handler invocation (a root's tick), one message per
-    // (proxy, window); every row inside a message is of its window.
-    let mut per_tick: BTreeMap<u64, Vec<(NodeAddr, SimTime)>> = BTreeMap::new();
-    let (mut messages, mut members) = (0usize, 0usize);
+    // proxy; its windows ascend, each once, and every row inside it is of
+    // the window its directory names.
+    let mut per_tick: BTreeMap<u64, Vec<NodeAddr>> = BTreeMap::new();
+    let (mut messages, mut windows, mut members) = (0usize, 0usize, 0usize);
     for s in &sent {
-        let Wire::WindowResults(window, named, one_chunk) = &s.wire else {
+        let Wire::WindowResults(named, one_chunk) = &s.wire else {
             continue;
         };
         assert!(s.on_timer, "results leave from a tick");
         assert!(
             one_chunk,
-            "one chunk, partitioned, the bounds in the header"
+            "one chunk, partitioned, the bounds in the directory"
         );
         assert!(
-            named.windows(2).all(|w| w[0] < w[1]),
-            "members once, ascending"
+            named.windows(2).all(|w| w[0].0 < w[1].0),
+            "windows once, ascending"
         );
-        per_tick
-            .entry(s.invocation)
-            .or_default()
-            .push((s.to, window.0));
+        for (_, ids) in named {
+            assert!(
+                ids.windows(2).all(|w| w[0] < w[1]),
+                "members once a window, ascending"
+            );
+            members += ids.len();
+        }
+        per_tick.entry(s.invocation).or_default().push(s.to);
         messages += 1;
-        members += named.len();
+        windows += named.len();
     }
-    for (tick, mut bundles) in per_tick {
-        let sends = bundles.len();
-        bundles.sort();
-        bundles.dedup();
-        assert_eq!(sends, bundles.len(), "tick {tick} split a (proxy, window)");
+    for (tick, mut proxies) in per_tick {
+        let sends = proxies.len();
+        proxies.sort();
+        proxies.dedup();
+        assert_eq!(sends, proxies.len(), "tick {tick} answered a proxy twice");
     }
     assert!(
-        members >= 3 * messages,
-        "bundling must be exercised: {members} member results in {messages} messages"
+        windows > messages,
+        "a message must carry several windows: {windows} windows in {messages} messages"
+    );
+    assert!(
+        members >= 3 * windows,
+        "bundling must be exercised: {members} member results in {windows} windows"
     );
 
     // The answers: every tenant, every window that opened after the group

@@ -7,14 +7,15 @@
 
 use pier::harness::{Cluster, ClusterConfig};
 use pier::qp::{
-    sqlish, Column, ColumnChunk, MemberRun, PierMsg, PierNode, PierOut, Proxy, TelemetryConfig,
-    Tuple, TupleBatch, Value, WindowBundle,
+    sqlish, Column, ColumnChunk, Directory, MemberRun, PierMsg, PierNode, PierOut, Proxy,
+    TelemetryConfig, Tuple, TupleBatch, Value, WindowBundle, WindowRuns,
 };
 use pier::runtime::{Action, Context, NodeAddr, Program};
 use proptest::prelude::*;
 use std::sync::Arc;
 
 mod common;
+use common::emission;
 
 const SEC: u64 = 1_000_000;
 
@@ -29,19 +30,14 @@ fn row() -> Tuple {
     Tuple::new("readings", vec![("v", Value::Int(1))])
 }
 
-/// One inserted row for each of `queries` in one window's message, as a
+/// One inserted row for each of `queries` in one window of a message, as a
 /// window root would report them.
 fn window_results(queries: &[u64]) -> PierMsg {
     let mut bundle = WindowBundle::default();
     for &query_id in queries {
-        bundle.push(query_id, vec![], vec![row()], None);
+        bundle.push(emission(query_id, (0, SEC), vec![], vec![row()]), None);
     }
-    PierMsg::WindowResults {
-        window_start: 0,
-        window_end: SEC,
-        rows: bundle.rows,
-        members: bundle.members,
-    }
+    PierMsg::WindowResults(bundle)
 }
 
 fn done_count(cluster: &mut Cluster) -> usize {
@@ -242,12 +238,14 @@ fn chunk(schema: bool, rows: usize, tag: i64, broken: bool) -> ColumnChunk {
 proptest! {
     /// Arbitrary directories over arbitrary batches: the proxy delivers all
     /// of a message or none of it, and says which by a model kept here —
+    /// the windows ascend, none is empty, their runs are the directory's,
     /// the counts sum to the rows, every chunk is sound, no member's run
     /// crosses from one schema into another.
     #[test]
     fn a_malformed_window_message_is_dropped_whole(
         chunks in proptest::collection::vec(((any::<bool>(), 0usize..6), 0u8..8), 0..5),
         runs in proptest::collection::vec((1u64..5, 0u32..4, 0u32..6), 0..6),
+        windows in proptest::collection::vec((0u64..4, 0u32..4), 0..4),
         exact: bool,
     ) {
         let mut rows = TupleBatch::default();
@@ -260,22 +258,45 @@ proptest! {
             rows.push_chunk(chunk(schema, len, i as i64, broken));
             schema_of_row.extend(std::iter::repeat_n(schema, len));
         }
-        let mut members: Vec<MemberRun> = runs
+        let mut runs: Vec<MemberRun> = runs
             .into_iter()
             .map(|(query_id, retracts, inserts)| MemberRun { query_id, retracts, inserts, trace: None })
             .collect();
+        let mut windows: Vec<WindowRuns> = windows
+            .into_iter()
+            .map(|(start, runs)| WindowRuns {
+                window_start: start * SEC,
+                window_end: (start + 2) * SEC,
+                runs,
+            })
+            .collect();
         if exact {
-            // Make the counts add up, so the other rules get exercised.
-            let named: usize = members.iter().map(|m| (m.retracts + m.inserts) as usize).sum();
+            // Make the counts add up and the windows ascend, so the other
+            // rules get exercised.
+            let named: usize = runs.iter().map(|m| (m.retracts + m.inserts) as usize).sum();
             if named < rows.len() {
                 let inserts = (rows.len() - named) as u32;
-                members.push(MemberRun { query_id: 2, retracts: 0, inserts, trace: None });
+                runs.push(MemberRun { query_id: 2, retracts: 0, inserts, trace: None });
+            }
+            windows.sort_by_key(|w| w.window_start);
+            windows.dedup_by_key(|w| w.window_start);
+            if windows.is_empty() {
+                windows.push(WindowRuns { window_start: 0, window_end: 2 * SEC, runs: 0 });
+            }
+            windows.truncate(runs.len());
+            let spare = runs.len().saturating_sub(windows.len());
+            for w in &mut windows {
+                w.runs = 1;
+            }
+            if let Some(w) = windows.last_mut() {
+                w.runs += spare as u32;
             }
         }
+        let directory = Directory { windows, runs };
         let mut at = 0;
-        let mut expected = 0;
+        let mut expected = Vec::new();
         let mut partitioned = true;
-        for m in &members {
+        for (w, m) in directory.windowed() {
             let run = at..at + (m.retracts + m.inserts) as usize;
             at = run.end;
             match schema_of_row.get(run) {
@@ -283,24 +304,35 @@ proptest! {
                 None => partitioned = false,
             }
             if LIVE.contains(&m.query_id) {
-                expected += (m.retracts + m.inserts) as usize;
+                let rows = (m.retracts + m.inserts) as usize;
+                expected.extend(std::iter::repeat_n((m.query_id, w.window_start), rows));
             }
         }
-        let well_formed = sound && partitioned && at == rows.len();
+        let bounds = |w: &WindowRuns| (w.window_start, w.window_end);
+        let counted: u32 = directory.windows.iter().map(|w| w.runs).sum();
+        let shaped = directory.windows.windows(2).all(|p| bounds(&p[0]) < bounds(&p[1]))
+            && directory.windows.iter().all(|w| w.runs > 0)
+            && counted as usize == directory.runs.len();
+        let well_formed = sound && shaped && partitioned && at == rows.len();
 
         let mut proxy = two_live_one_finished();
-        let outs = proxy.receive_window(0, SEC, &rows, &members);
+        let outs = proxy.receive_window(&WindowBundle { rows: rows.clone(), directory });
         prop_assert_eq!(outs.is_some(), well_formed);
         let outs = outs.unwrap_or_default();
         prop_assert!(outs.len() <= rows.len());
-        prop_assert_eq!(outs.len(), if well_formed { expected } else { 0 });
+        let mut got = Vec::new();
         for out in &outs {
-            let PierOut::WindowResult { query_id, tuple, .. } = out else {
+            let PierOut::WindowResult { query_id, window_start, window_end, tuple, .. } = out else {
                 panic!("a window message delivers window results, got {out:?}");
             };
             prop_assert!(LIVE.contains(query_id));
+            prop_assert_eq!(*window_end, window_start + 2 * SEC);
             prop_assert_eq!(tuple.table(), format!("q{query_id}.win"));
             prop_assert_eq!(tuple.columns(), ["window_start", "window_end", "v"]);
+            got.push((*query_id, *window_start));
+        }
+        if well_formed {
+            prop_assert_eq!(got, expected);
         }
         prop_assert_eq!(proxy.len(), 2, "no entry appears for anyone");
     }
@@ -320,14 +352,15 @@ proptest! {
                 (0..i64::from(n)).map(row).collect()
             };
             let tag = query_id as i64 * 100;
-            bundle.push(query_id, rows(retracts, tag), rows(inserts, tag + 50), None);
+            let e = emission(query_id, (0, SEC), rows(retracts, tag), rows(inserts, tag + 50));
+            bundle.push(e, None);
             if query_id != FINISHED {
                 expected.extend((0..i64::from(retracts)).map(|i| (query_id, true, tag + i)));
                 expected.extend((0..i64::from(inserts)).map(|i| (query_id, false, tag + 50 + i)));
             }
         }
         let mut proxy = two_live_one_finished();
-        let outs = proxy.receive_window(0, SEC, &bundle.rows, &bundle.members);
+        let outs = proxy.receive_window(&bundle);
         let got: Vec<(u64, bool, i64)> = outs
             .expect("well-formed")
             .iter()
@@ -362,29 +395,32 @@ fn a_node_counts_a_malformed_message_and_delivers_nothing_of_it() {
             let mut ctx = Context::new(now, proxy);
             // Two rows, a directory that names three.
             let mut short = WindowBundle::default();
-            short.push(query_id, vec![], vec![row(), row()], None);
-            short.members[0].inserts = 3;
+            short.push(
+                emission(query_id, (0, SEC), vec![], vec![row(), row()]),
+                None,
+            );
+            short.directory.runs[0].inserts = 3;
             // A chunk with a column its schema does not have, both ways.
             let broken = TupleBatch::from_chunks(vec![chunk(true, 2, 0, true)]);
-            let members = vec![MemberRun {
-                query_id,
-                retracts: 0,
-                inserts: 2,
-                trace: None,
-            }];
+            let directory = Directory {
+                windows: vec![WindowRuns {
+                    window_start: 0,
+                    window_end: SEC,
+                    runs: 1,
+                }],
+                runs: vec![MemberRun {
+                    query_id,
+                    retracts: 0,
+                    inserts: 2,
+                    trace: None,
+                }],
+            };
             for msg in [
-                PierMsg::WindowResults {
-                    window_start: 0,
-                    window_end: SEC,
-                    rows: short.rows,
-                    members: short.members,
-                },
-                PierMsg::WindowResults {
-                    window_start: 0,
-                    window_end: SEC,
+                PierMsg::WindowResults(short),
+                PierMsg::WindowResults(WindowBundle {
                     rows: broken.clone(),
-                    members,
-                },
+                    directory,
+                }),
                 PierMsg::Results {
                     query_id,
                     rows: broken,

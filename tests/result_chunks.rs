@@ -1,31 +1,38 @@
 //! A result is a chunk.
 //!
 //! `PierMsg::Results` and `PierMsg::WindowResults` carry one `TupleBatch`
-//! — the schema once per message, the window bounds in the header only —
-//! and the proxy turns its rows into the client's per-row `PierOut`s.  The
-//! row-coded messages they replaced live on *here*, as the reference:
+//! — the schema once per message, the window bounds in the directory only
+//! — and the proxy turns its rows into the client's per-row `PierOut`s.
+//! The row-coded per-window messages they replaced live on *here*, as the
+//! reference:
 //!
-//! 1. round trip: whatever a root packs ([`WindowBundle`]) a [`Proxy`]
-//!    delivers exactly as the row-coded message delivered it — order,
+//! 1. round trip: whatever a root packs for one proxy in one tick
+//!    ([`WindowBundle`], one to four windows) a [`Proxy`] delivers exactly
+//!    as the row-coded messages, one per window, delivered it — order,
 //!    `retract` flags, table and column names, values;
 //! 2. size: a message with at least one row is never larger than its
-//!    row-coded form, and a batch's `wire_size` is its schema header plus
-//!    the bytes `encode_body` writes;
+//!    row-coded form, a batch's `wire_size` is its schema header plus the
+//!    bytes `encode_body` writes, and a directory's is the bytes
+//!    `encode_directory` writes;
 //! 3. `Results`: a symmetric-hash join's output leaves the node as the
 //!    chunks the join emitted; a Fetch-Matches plan whose outer rows repeat
 //!    their keys — fetched once per key — still delivers the join's
 //!    multiset, the symmetric-hash plan's; and what one handler invocation
 //!    produces for a (proxy, query) is one message, a node that is its own
 //!    proxy handed the rows with nothing counted as received;
-//! 4. one message mixing a `DELTAS`, a snapshot and a `TOP k` member.
+//! 4. one message mixing a `DELTAS`, a snapshot and a `TOP k` member; a
+//!    root tick that emits three windows answers each proxy with one
+//!    message; a bundle whose directory does not describe it is dropped
+//!    whole.
 
 use pier::cq::{CqBudget, DeltaMode, WindowSpec};
 use pier::dht::{routing_id, DhtMessage, Id, NodeRef, ObjectName, StoredObject};
 use pier::harness::{Cluster, ClusterConfig};
+use pier::qp::proxy::{decode_directory, directory_len, encode_directory};
 use pier::qp::window_engine::QUERY_NAMES;
 use pier::qp::{
     nested_loop_join, sqlish, AggFunc, Dissemination, EngineSpec, Expr, JoinSide, JoinSpec,
-    MemberRun, MemberSpec, OpGraph, OperatorSpec, PierConfig, PierMsg, PierNode, PierOut,
+    MemberSpec, OpGraph, OperatorSpec, PierConfig, PierMsg, PierNode, PierOut, PierTimer,
     PlanBuilder, Proxy, QpObject, QueryPlan, Schema, SchemaRegistry, SinkSpec, SourceSpec,
     SymmetricHashJoin, TelemetryConfig, TraceContext, Tuple, TupleBatch, Value, WindowBundle,
     WindowEngine,
@@ -35,11 +42,21 @@ use proptest::prelude::*;
 use std::sync::Arc;
 
 mod common;
-use common::seeded;
+use common::{emission, seeded};
 
 const SEC: u64 = 1_000_000;
 
 // ----- the generated message and its row-coded reference ----------------------
+
+/// How a member's emissions are shaped: a `DELTAS` member retracts what it
+/// supersedes, a snapshot member re-sends its rows, a `TOP k` member sends
+/// at most `k`.
+#[derive(Debug, Clone, Copy)]
+enum Mode {
+    Deltas,
+    Snapshot,
+    Top(u64),
+}
 
 /// One member's emission for a window, as rows of values on the engine's
 /// columns.
@@ -51,14 +68,21 @@ struct Emitted {
     trace: Option<TraceContext>,
 }
 
-/// One (proxy, window) message's worth of emissions.
+/// One window's emissions.
+#[derive(Debug)]
+struct Window {
+    bounds: (SimTime, SimTime),
+    members: Vec<Emitted>,
+}
+
+/// One (proxy, root tick) message's worth of emissions: windows ascending,
+/// members ascending within each.
 #[derive(Debug)]
 struct Case {
     /// The engine's tag: `q{id}` (unshared) or `g{fp:016x}` (a share group).
     tag: String,
     columns: Vec<String>,
-    window: (SimTime, SimTime),
-    members: Vec<Emitted>,
+    windows: Vec<Window>,
 }
 
 /// What a column's values are drawn from.
@@ -96,9 +120,11 @@ fn draw_value(kind: Kind, rng: &mut Rng64) -> Value {
     }
 }
 
-/// A message of up to five members with up to `max_rows` rows each way —
-/// at least `min_inserts` inserted — over one or two GROUP BY columns of
-/// any kind and one or two aggregate outputs.
+/// A message of one to four windows over up to five members — `DELTAS`,
+/// snapshot and `TOP k` ones, one in five traced — each window naming at
+/// least one of them with up to `max_rows` rows each way (at least
+/// `min_inserts` inserted, a `TOP k` member at most `k`), over one or two
+/// GROUP BY columns of any kind and one or two aggregate outputs.
 fn draw_case(seed: u64, min_inserts: u64, max_rows: u64) -> Case {
     let mut rng = Rng64::new(seeded(seed));
     let group_kinds = [
@@ -137,47 +163,69 @@ fn draw_case(seed: u64, min_inserts: u64, max_rows: u64) -> Case {
     };
     let mut members = Vec::new();
     for _ in 0..1 + rng.next_below(5) {
-        let rows = |n: u64, rng: &mut Rng64| -> Vec<Vec<Value>> {
-            let row = |rng: &mut Rng64| kinds.iter().map(|k| draw_value(*k, rng)).collect();
-            (0..n).map(|_| row(rng)).collect()
+        let mode = match rng.next_below(3) {
+            0 => Mode::Deltas,
+            1 => Mode::Snapshot,
+            _ => Mode::Top(1 + rng.next_below(3)),
         };
-        let retracts = if rng.chance(0.3) {
-            rng.next_below(max_rows)
-        } else {
-            0
-        };
-        let retracts = rows(retracts, &mut rng);
-        let inserts = rows(rng.range(min_inserts, max_rows + 1), &mut rng);
-        let trace = rng.chance(0.2).then(|| TraceContext {
-            trace_id: rng.next_u64(),
-            span_id: rng.next_u64(),
-            query_id: next_id,
-        });
-        members.push(Emitted {
-            query_id: next_id,
-            retracts,
-            inserts,
-            trace,
-        });
+        members.push((next_id, mode, rng.chance(0.2)));
         next_id += 1 + rng.next_below(3);
     }
-    let start = rng.next_below(1000) * SEC;
+    let rows = |n: u64, rng: &mut Rng64| -> Vec<Vec<Value>> {
+        let row = |rng: &mut Rng64| kinds.iter().map(|k| draw_value(*k, rng)).collect();
+        (0..n).map(|_| row(rng)).collect()
+    };
+    let mut start = rng.next_below(1000) * SEC;
+    let mut windows = Vec::new();
+    for _ in 0..1 + rng.next_below(4) {
+        let mut emitted = Vec::new();
+        let first = rng.index(members.len());
+        for (i, &(query_id, mode, traced)) in members.iter().enumerate() {
+            if i != first && rng.chance(0.3) {
+                continue;
+            }
+            let (retracts, inserts) = match mode {
+                Mode::Deltas if rng.chance(0.5) => (
+                    rng.next_below(max_rows),
+                    rng.range(min_inserts, max_rows + 1),
+                ),
+                Mode::Deltas | Mode::Snapshot => (0, rng.range(min_inserts, max_rows + 1)),
+                Mode::Top(k) => (0, rng.range(min_inserts, k + 1)),
+            };
+            let trace = traced.then(|| TraceContext {
+                trace_id: query_id ^ 0x5eed,
+                span_id: rng.next_u64(),
+                query_id,
+            });
+            emitted.push(Emitted {
+                query_id,
+                retracts: rows(retracts, &mut rng),
+                inserts: rows(inserts, &mut rng),
+                trace,
+            });
+        }
+        windows.push(Window {
+            bounds: (start, start + 2 * SEC),
+            members: emitted,
+        });
+        start += (1 + rng.next_below(3)) * SEC;
+    }
     Case {
         tag,
         columns,
-        window: (start, start + 2 * SEC),
-        members,
+        windows,
     }
 }
 
 impl Case {
     fn rows(&self) -> usize {
         let rows = |m: &Emitted| m.retracts.len() + m.inserts.len();
-        self.members.iter().map(rows).sum()
+        let members = self.windows.iter().flat_map(|w| &w.members);
+        members.map(rows).sum()
     }
 
     /// The message as a window root packs it.
-    fn packed(&self) -> PierMsg {
+    fn packed(&self) -> WindowBundle {
         let names: Vec<&str> = self.columns.iter().map(String::as_str).collect();
         let schema = SchemaRegistry::global().intern(&format!("{}.win", self.tag), &names);
         let tuples = |rows: &[Vec<Value>]| -> Vec<Tuple> {
@@ -185,53 +233,59 @@ impl Case {
             rows.iter().map(tuple).collect()
         };
         let mut bundle = WindowBundle::default();
-        for m in &self.members {
-            bundle.push(m.query_id, tuples(&m.retracts), tuples(&m.inserts), m.trace);
+        for w in &self.windows {
+            for m in &w.members {
+                let e = emission(
+                    m.query_id,
+                    w.bounds,
+                    tuples(&m.retracts),
+                    tuples(&m.inserts),
+                );
+                bundle.push(e, m.trace);
+            }
         }
-        PierMsg::WindowResults {
-            window_start: self.window.0,
-            window_end: self.window.1,
-            rows: bundle.rows,
-            members: bundle.members,
-        }
+        bundle
     }
 
-    /// The row a client reads for one of `query_id`'s engine rows — the
-    /// tuple the row-coded message carried as is.
-    fn client_row(&self, query_id: u64, row: &[Value]) -> Tuple {
+    /// The row a client reads for one of `query_id`'s engine rows in
+    /// `window` — the tuple the row-coded message carried as is.
+    fn client_row(&self, query_id: u64, window: (SimTime, SimTime), row: &[Value]) -> Tuple {
         let mut names = vec!["window_start", "window_end"];
         names.extend(self.columns.iter().map(String::as_str));
         let schema = SchemaRegistry::global().intern(&format!("q{query_id}.win"), &names);
-        let mut values = vec![
-            Value::Int(self.window.0 as i64),
-            Value::Int(self.window.1 as i64),
-        ];
+        let mut values = vec![Value::Int(window.0 as i64), Value::Int(window.1 as i64)];
         values.extend(row.iter().cloned());
         Tuple::from_schema(schema, values)
     }
 
-    /// `wire_size` of the row-coded `PierMsg::WindowResults { window_start,
-    /// window_end, members: Vec<MemberResults { query_id, retracts, inserts:
-    /// Vec<Tuple>, trace }> }` this message used to be.
+    /// `wire_size` of the row-coded messages this one replaces, one per
+    /// window: `PierMsg::WindowResults { window_start, window_end, members:
+    /// Vec<MemberResults { query_id, retracts, inserts: Vec<Tuple>, trace
+    /// }> }`.
     fn row_coded_wire_size(&self) -> usize {
-        let member = |m: &Emitted| -> usize {
-            let rows = m.retracts.iter().chain(&m.inserts);
-            let rows = rows.map(|r| self.client_row(m.query_id, r).wire_size());
-            8 + rows.sum::<usize>() + m.trace.map_or(0, |t| t.wire_size())
+        let window = |w: &Window| -> usize {
+            let member = |m: &Emitted| -> usize {
+                let rows = m.retracts.iter().chain(&m.inserts);
+                let rows = rows.map(|r| self.client_row(m.query_id, w.bounds, r).wire_size());
+                8 + rows.sum::<usize>() + m.trace.map_or(0, |t| t.wire_size())
+            };
+            1 + 16 + w.members.iter().map(member).sum::<usize>()
         };
-        1 + 16 + self.members.iter().map(member).sum::<usize>()
+        self.windows.iter().map(window).sum()
     }
 
-    /// What the row-coded message delivered at a proxy where `live` says
-    /// which members are still proxied: member by member, retractions
-    /// before inserts.
+    /// What the row-coded messages delivered, window by window, at a proxy
+    /// where `live` says which members are still proxied: member by
+    /// member, retractions before inserts.
     fn row_coded_delivery(&self, live: impl Fn(u64) -> bool) -> Vec<Delivered> {
         let mut out = Vec::new();
-        for m in self.members.iter().filter(|m| live(m.query_id)) {
-            let rows = m.retracts.iter().map(|r| (true, r));
-            for (retract, row) in rows.chain(m.inserts.iter().map(|r| (false, r))) {
-                let tuple = self.client_row(m.query_id, row);
-                out.push(delivered(m.query_id, self.window, retract, &tuple));
+        for w in &self.windows {
+            for m in w.members.iter().filter(|m| live(m.query_id)) {
+                let rows = m.retracts.iter().map(|r| (true, r));
+                for (retract, row) in rows.chain(m.inserts.iter().map(|r| (false, r))) {
+                    let tuple = self.client_row(m.query_id, w.bounds, row);
+                    out.push(delivered(m.query_id, w.bounds, retract, &tuple));
+                }
             }
         }
         out
@@ -296,44 +350,52 @@ fn chunk_bytes(rows: &TupleBatch) -> usize {
 }
 
 proptest! {
-    /// (i) Packed at a root, received at a proxy: the row-coded delivery,
-    /// exactly — with one member in three already finished at the proxy.
+    /// (i) Packed at a root, received at a proxy: the row-coded per-window
+    /// deliveries, exactly and in order — with one member in three already
+    /// finished at the proxy.
     #[test]
     fn a_packed_window_message_delivers_what_the_row_coded_one_did(seed: u64, finish: u64) {
         // A root never sends an empty run; a proxy takes one all the same.
         let case = draw_case(seed, 0, 70);
         let live = |id: u64| !(id ^ finish).is_multiple_of(3);
-        let mut proxy = proxy_of(case.members.iter().map(|m| m.query_id).filter(|id| live(*id)));
-        let PierMsg::WindowResults { window_start, window_end, rows, members } = case.packed()
-        else {
-            unreachable!()
-        };
-        prop_assert_eq!(rows.len(), case.rows());
-        prop_assert!(rows.chunks().len() <= 1, "one schema, one chunk");
-        let outs = proxy.receive_window(window_start, window_end, &rows, &members);
+        let ids = case.windows.iter().flat_map(|w| w.members.iter().map(|m| m.query_id));
+        let mut proxy = proxy_of(ids.filter(|id| live(*id)));
+        let bundle = case.packed();
+        prop_assert_eq!(bundle.rows.len(), case.rows());
+        prop_assert!(bundle.rows.chunks().len() <= 1, "one schema, one chunk");
+        prop_assert_eq!(bundle.directory.windows.len(), case.windows.len(), "each window once");
+        let outs = proxy.receive_window(&bundle);
         let outs = spelled_out(outs.expect("what a root packs is well-formed"));
         prop_assert_eq!(outs, case.row_coded_delivery(live));
-        // A second window reuses the member's cached client schema.
-        let again = proxy.receive_window(window_start + SEC, window_end + SEC, &rows, &members);
+        // A second tick reuses the members' cached client schemas.
+        let again = proxy.receive_window(&bundle);
         prop_assert_eq!(again.expect("well-formed").len(), case.row_coded_delivery(live).len());
     }
 
     /// (ii) Never larger than the row-coded form, down to one row per
     /// member (a root names a member only when it has rows for it) — the
     /// property a chunk per *member* broke at one row (≈ 30 B of framing
-    /// per chunk against a tuple's 12) — and a batch is charged its schema
-    /// header once plus exactly the bytes its chunks encode to.
+    /// per chunk against a tuple's 12) — a batch is charged its schema
+    /// header once plus exactly the bytes its chunks encode to, and a
+    /// directory the bytes it encodes to.
     #[test]
     fn a_packed_window_message_is_no_larger_than_the_row_coded_one(seed: u64, small: bool) {
         let case = draw_case(seed, 1, if small { 1 } else { 40 });
-        let packed = case.packed();
-        let PierMsg::WindowResults { rows, members, .. } = &packed else {
+        let bundle = case.packed();
+        let header = bundle.rows.chunks().first().map_or(0, |c| c.schema().wire_size());
+        prop_assert_eq!(bundle.rows.wire_size(), 4 + header + chunk_bytes(&bundle.rows));
+        let mut directory = Vec::new();
+        encode_directory(&bundle.directory, &mut directory);
+        prop_assert_eq!(directory_len(&bundle.directory), directory.len());
+        prop_assert_eq!(
+            decode_directory(&directory),
+            Some((bundle.directory.clone(), directory.len()))
+        );
+        let packed = PierMsg::WindowResults(bundle);
+        let PierMsg::WindowResults(bundle) = &packed else {
             unreachable!()
         };
-        let header = rows.chunks().first().map_or(0, |c| c.schema().wire_size());
-        prop_assert_eq!(rows.wire_size(), 4 + header + chunk_bytes(rows));
-        let directory: usize = members.iter().map(MemberRun::wire_size).sum();
-        prop_assert_eq!(packed.wire_size(), 1 + 16 + rows.wire_size() + directory);
+        prop_assert_eq!(packed.wire_size(), 1 + directory.len() + bundle.rows.wire_size());
         prop_assert!(
             packed.wire_size() <= case.row_coded_wire_size(),
             "{} B packed, {} B row-coded: {case:?}",
@@ -673,7 +735,7 @@ fn one_invocation_answers_each_proxy_once() {
     assert_eq!(counter(&node, "query.results.sent"), 3);
 }
 
-// ----- (iv) one message, three kinds of member ---------------------------------
+// ----- (iv) one message: three kinds of member, three windows ------------------
 
 fn packets(rows: &[(u8, i64, u64)]) -> TupleBatch {
     let row = |&(h, len, ts): &(u8, i64, u64)| {
@@ -767,11 +829,13 @@ fn one_message_mixes_a_deltas_a_snapshot_and_a_top_k_member() {
             span_id: 2,
             query_id: e.query_id,
         });
-        bundle.push(e.query_id, e.retracts, e.inserts, trace);
+        bundle.push(e, trace);
     }
     assert_eq!(bundle.rows.chunks().len(), 1, "one chunk per message");
+    assert_eq!(bundle.directory.windows.len(), 1, "one window");
     let runs: Vec<(u64, u32, u32, bool)> = bundle
-        .members
+        .directory
+        .runs
         .iter()
         .map(|m| (m.query_id, m.retracts, m.inserts, m.trace.is_some()))
         .collect();
@@ -785,7 +849,7 @@ fn one_message_mixes_a_deltas_a_snapshot_and_a_top_k_member() {
     );
 
     let mut proxy = proxy_of([deltas, snapshot, top].into_iter());
-    let outs = proxy.receive_window(0, 2 * SEC, &bundle.rows, &bundle.members);
+    let outs = proxy.receive_window(&bundle);
     let outs = spelled_out(outs.expect("well-formed"));
     let rendered: Vec<(u64, bool, String)> = outs
         .iter()
@@ -808,5 +872,174 @@ fn one_message_mixes_a_deltas_a_snapshot_and_a_top_k_member() {
             row(snapshot, false, "src=10.0.0.2 count=3 sum_len=250"),
             row(top, false, "src=10.0.0.2 count=3 sum_len=250"),
         ]
+    );
+}
+
+/// The `WindowResults` a handler invocation sent, as `(to, bundle)`, and
+/// the window rows it handed its own client, as `(query, window_start)`.
+type Answered = (Vec<(NodeAddr, WindowBundle)>, Vec<(u64, SimTime)>);
+
+fn answered(ctx: Context<PierMsg, PierTimer, PierOut>) -> Answered {
+    let (mut sent, mut handed) = (Vec::new(), Vec::new());
+    for action in ctx.into_actions() {
+        match action {
+            Action::Send {
+                to,
+                msg: PierMsg::WindowResults(bundle),
+            } => sent.push((to, bundle)),
+            Action::Output(PierOut::WindowResult {
+                query_id,
+                window_start,
+                ..
+            }) => handed.push((query_id, window_start)),
+            _ => {}
+        }
+    }
+    (sent, handed)
+}
+
+#[test]
+fn one_tick_answers_each_proxy_once() {
+    // A share group of four tenants on a one-node ring, so this node is the
+    // group's root: two tenants proxied by node 1, one by node 2, one by
+    // this node.  `EVERY 3s` over 1 s windows: one tick emits three.
+    let me = NodeRef {
+        id: Id(seeded(0x77)),
+        addr: NodeAddr(0),
+    };
+    let config = PierConfig {
+        sharing: Some(pier::mqo::layer),
+        ..PierConfig::default()
+    };
+    let mut node = PierNode::with_static_ring(me, &[me], config);
+    let tenants = [
+        (NodeAddr(1), 1),
+        (NodeAddr(1), 2),
+        (NodeAddr(2), 3),
+        (me.addr, 4),
+    ];
+    let (mut armed, mut own) = (Vec::new(), 0);
+    for (i, &(proxy, tenant)) in tenants.iter().enumerate() {
+        let sql = format!(
+            "SELECT src, COUNT(*) FROM packets WHERE src = '10.0.0.{tenant}' \
+             GROUP BY src WINDOW 1s SLIDE 1s EVERY 3s"
+        );
+        let mut plan = sqlish::compile(&sql, proxy, 60 * SEC).expect("compiles");
+        let mut ctx = Context::new(0, me.addr);
+        if proxy == me.addr {
+            own = node.submit_query(&mut ctx, plan);
+        } else {
+            plan.query_id = (u64::from(proxy.0) << 32) | (10 + i as u64);
+            node.on_message(&mut ctx, proxy, PierMsg::Plans { plans: vec![plan] });
+        }
+        armed.extend(ctx.into_actions().into_iter().filter_map(|a| match a {
+            Action::SetTimer {
+                timer: timer @ PierTimer::ShareTick { .. },
+                ..
+            } => Some(timer),
+            _ => None,
+        }));
+    }
+    let [tick] = &armed[..] else {
+        panic!("one share group, one tick chain; got {armed:?}");
+    };
+    // Rows for every tenant in each of windows [0, 1 s), [1 s, 2 s) and
+    // [2 s, 3 s).
+    for w in 0..3 {
+        let at = w * SEC + SEC / 2;
+        let mut ctx = Context::new(at, me.addr);
+        for tenant in 1..=4 {
+            let row = Tuple::new(
+                "packets",
+                vec![
+                    ("src", Value::str(format!("10.0.0.{tenant}"))),
+                    ("ts", Value::Int(at as i64)),
+                ],
+            );
+            node.ingest(&mut ctx, "packets", row);
+        }
+        node.on_timer(&mut ctx, PierTimer::IngestFlush);
+    }
+    let mut ctx = Context::new(10 * SEC, me.addr);
+    node.on_timer(&mut ctx, tick.clone());
+    let (sent, handed) = answered(ctx);
+    let to: Vec<NodeAddr> = sent.iter().map(|(to, _)| *to).collect();
+    assert_eq!(
+        to,
+        [NodeAddr(1), NodeAddr(2)],
+        "one message per remote proxy"
+    );
+    let starts = [0, SEC, 2 * SEC];
+    for (proxy, bundle) in &sent {
+        let windows: Vec<SimTime> = bundle
+            .directory
+            .windows
+            .iter()
+            .map(|w| w.window_start)
+            .collect();
+        assert_eq!(windows, starts, "{proxy:?}: every window of the tick, once");
+        let ours = tenants.iter().filter(|(p, _)| p == proxy).count();
+        assert_eq!(
+            bundle.directory.runs.len(),
+            3 * ours,
+            "each tenant each window"
+        );
+        assert_eq!(bundle.rows.chunks().len(), 1, "one chunk");
+    }
+    // This node's own tenant is handed its three windows, not sent them.
+    assert_eq!(handed, starts.map(|start| (own, start)));
+}
+
+#[test]
+fn a_malformed_bundle_is_dropped_whole() {
+    // Three windows of two one-row members each, under the engine schema.
+    let schema = |table: &str| SchemaRegistry::global().intern(table, &["v"]);
+    let row = |table: &str| Tuple::from_schema(schema(table), vec![Value::Int(1)]);
+    let three = |second: &str| {
+        let mut bundle = WindowBundle::default();
+        for w in 0..3 {
+            for (query_id, table) in [(1, "g0000000000000bad.win"), (2, second)] {
+                let e = emission(query_id, (w * SEC, (w + 2) * SEC), vec![], vec![row(table)]);
+                bundle.push(e, None);
+            }
+        }
+        bundle
+    };
+    let mut proxy = proxy_of([1, 2].into_iter());
+    let base = three("g0000000000000bad.win");
+    assert_eq!(proxy.receive_window(&base).map(|o| o.len()), Some(6));
+    type Damage = fn(&mut WindowBundle);
+    let damaged: [(&str, Damage); 6] = [
+        ("runs naming more rows than the batch has", |b| {
+            b.directory.runs[5].inserts = 2;
+        }),
+        ("a window with no runs", |b| {
+            b.directory.windows[1].runs = 0;
+            b.directory.windows[2].runs = 4;
+        }),
+        ("windows out of order", |b| b.directory.windows.swap(0, 1)),
+        ("a window repeated", |b| {
+            b.directory.windows[1] = b.directory.windows[0];
+        }),
+        ("window counts not summing to the runs", |b| {
+            b.directory.windows[2].runs = 3;
+        }),
+        ("a run dropped from the directory", |b| {
+            b.directory.runs.pop();
+            b.directory.runs[4].inserts = 2;
+        }),
+    ];
+    for (what, damage) in damaged {
+        let mut bundle = base.clone();
+        damage(&mut bundle);
+        assert!(proxy.receive_window(&bundle).is_none(), "{what}");
+    }
+    // A run crossing from the engine's schema into another one's.
+    let mut crossing = three("q9.win");
+    crossing.directory.runs[0].inserts = 2;
+    crossing.directory.runs[1].inserts = 0;
+    assert!(
+        proxy.receive_window(&crossing).is_none(),
+        "a run crossing schemas"
     );
 }
