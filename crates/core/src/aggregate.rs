@@ -152,23 +152,21 @@ impl AggState {
     /// (the inverse of the encoding a `PartialCodec` ships partials in:
     /// one output column per aggregate, plus explicit `_sum`/`_count`
     /// companions for AVG).  `None` when the tuple lacks the column or its
-    /// type does not fit — the caller discards it, per the best-effort
-    /// policy.
+    /// type does not fit (a count below zero does not) — the caller
+    /// discards it, per the best-effort policy.
     pub fn from_partial_tuple(func: &AggFunc, tuple: &Tuple) -> Option<AggState> {
         let col = func.output_column();
         let v = tuple.get(&col)?;
         match (func, v) {
-            (AggFunc::Count, Value::Int(n)) => Some(AggState::Count(*n as u64)),
+            (AggFunc::Count, Value::Int(n)) => u64::try_from(*n).ok().map(AggState::Count),
             (AggFunc::Sum(_), v) => v.as_f64().map(AggState::Sum),
             (AggFunc::Min(_), v) => Some(AggState::Min(Some(v.clone()))),
             (AggFunc::Max(_), v) => Some(AggState::Max(Some(v.clone()))),
             (AggFunc::Avg(_), _) => {
                 let sum = tuple.get(&format!("{col}_sum")).and_then(Value::as_f64)?;
                 let count = tuple.get(&format!("{col}_count")).and_then(Value::as_i64)?;
-                Some(AggState::Avg {
-                    sum,
-                    count: count as u64,
-                })
+                let count = u64::try_from(count).ok()?;
+                Some(AggState::Avg { sum, count })
             }
             _ => None,
         }
@@ -264,7 +262,7 @@ impl PartialDecoder {
         let cell = chunk.col(self.value);
         match func {
             AggFunc::Count => match cell.value_ref(r) {
-                ValueRef::Int(n) => Some(AggState::Count(n as u64)),
+                ValueRef::Int(n) => u64::try_from(n).ok().map(AggState::Count),
                 _ => None,
             },
             AggFunc::Sum(_) => cell.value_ref(r).as_f64().map(AggState::Sum),
@@ -274,10 +272,8 @@ impl PartialDecoder {
                 let (sum_idx, count_idx) = self.avg?;
                 let sum = chunk.col(sum_idx).value_ref(r).as_f64()?;
                 let count = chunk.col(count_idx).value_ref(r).as_i64()?;
-                Some(AggState::Avg {
-                    sum,
-                    count: count as u64,
-                })
+                let count = u64::try_from(count).ok()?;
+                Some(AggState::Avg { sum, count })
             }
         }
     }

@@ -12,7 +12,7 @@
 use crate::node::{PierConfig, PierMsg};
 use crate::pane_link::{Inbox, Outbox};
 use crate::plan::QpObject;
-use crate::tuple::{ColumnChunk, Tuple};
+use crate::tuple::{ColumnChunk, Tuple, TupleBatch};
 use crate::window_engine::{Emission, EngineSpec, MemberSpec, WindowEngine, OCCUPANCY_GAUGES};
 use pier_cq::DurableStore;
 use pier_dht::{routing_id, DhtMessage, Id, ObjectName, Overlay, OverlayEffect};
@@ -70,11 +70,12 @@ pub(crate) struct Arrival {
 /// What one tick of an engine hands the node.
 #[derive(Debug)]
 pub(crate) struct Ticked {
-    /// The closed panes' shipments, for [`Engines::ship`].
-    pub shipments: Vec<QpObject>,
+    /// The closed panes' numbered shipment, for [`Engines::ship`]; none
+    /// when no pane closed with a row.
+    pub shipment: Option<QpObject>,
     /// A traced engine's flush span, `(query, stage, [partials, bytes,
     /// panes bundled or, for shared work, members])`, whose context rides
-    /// every shipment.
+    /// the shipment.
     pub flush_span: Option<(u64, &'static str, [u64; 3])>,
     /// Per-member emissions (only at the root).
     pub emissions: Vec<Emission>,
@@ -99,18 +100,16 @@ pub(crate) struct Engines {
     /// The instant the `cq.*` occupancy gauges were last summed.
     gauges_at: Option<SimTime>,
     publish_lifetime: Duration,
-    batching: bool,
     durable: Option<DurableStore>,
     tel: Telemetry,
 }
 
 impl Engines {
-    /// No engines, under `config`'s `publish_lifetime`, `batching` and
-    /// `durable` store, reporting to `tel`.
+    /// No engines, under `config`'s `publish_lifetime` and `durable`
+    /// store, reporting to `tel`.
     pub(crate) fn new(config: &PierConfig, tel: Telemetry) -> Self {
         Engines {
             publish_lifetime: config.publish_lifetime,
-            batching: config.batching,
             durable: config.durable.clone(),
             tel,
             ..Engines::default()
@@ -218,13 +217,15 @@ impl Engines {
         Some((key, self.slots.get_mut(&key)?, &self.tel))
     }
 
-    /// Closed-pane partials `value` arrive in `namespace` at `hop`.  A
-    /// numbered shipment is noted, asks its sender again for every
+    /// A numbered shipment of closed-pane partials, `value`, arrives in
+    /// `namespace` at `hop`.  It is noted, asks its sender again for every
     /// shipment its number shows missing, and is dropped when absorbed
-    /// before; then the engine absorbs it.  At an upcall hop, an arrival
+    /// before; then the engine absorbs it.  At an upcall hop, a shipment
     /// the engine took none of goes on whole, and the rows it refused
-    /// (budget shed, evicted pane) are re-shipped toward the root —
-    /// exactly as an unbatched per-tuple upcall would have routed them on.
+    /// (budget shed, evicted pane) are re-shipped toward the root as a
+    /// shipment of this hop's own.  Nothing unnumbered is an engine's: it
+    /// is not taken, so the node routes or forwards it as if no engine
+    /// were here.
     pub(crate) fn arrive(
         &mut self,
         namespace: &str,
@@ -234,43 +235,46 @@ impl Engines {
         overlay: &mut Overlay<QpObject>,
         rng: &mut Rng64,
     ) -> Arrival {
-        let partials = value.tuple_count();
         let mut arrival = Arrival::default();
+        let QpObject::Panes { stamp, batch } = value else {
+            return arrival;
+        };
         let upcall = matches!(hop, Hop::Upcall(_));
-        let reading = self.reading(namespace).filter(|_| !upcall || partials > 0);
+        let reading = self
+            .reading(namespace)
+            .filter(|_| !upcall || !batch.is_empty());
         let Some((key, slot, tel)) = reading else {
             return arrival;
         };
-        if let QpObject::Panes { stamp, .. } = value {
-            let heard = slot.heard.arrive(*stamp);
-            if !heard.fresh {
-                tel.inc("cq.panes.duplicates");
-            }
-            if !heard.ask.is_empty() {
-                tel.add("cq.panes.asked", heard.ask.len() as u64);
-                let request = PierMsg::PaneRequest {
-                    namespace: namespace.to_string(),
-                    epoch: stamp.epoch,
-                    seqs: heard.ask,
-                };
-                arrival.ask = Some((stamp.origin, request));
-            }
-            arrival.taken = !heard.fresh;
-            if arrival.taken {
-                return arrival;
-            }
+        let heard = slot.heard.arrive(*stamp);
+        if !heard.fresh {
+            tel.inc("cq.panes.duplicates");
         }
-        let chunks = value.chunks();
+        if !heard.ask.is_empty() {
+            tel.add("cq.panes.asked", heard.ask.len() as u64);
+            let request = PierMsg::PaneRequest {
+                namespace: namespace.to_string(),
+                epoch: stamp.epoch,
+                seqs: heard.ask,
+            };
+            arrival.ask = Some((stamp.origin, request));
+        }
+        if !heard.fresh {
+            arrival.taken = true;
+            return arrival;
+        }
+        let chunks = batch.chunks();
         let refused: Vec<Vec<u32>> = chunks.iter().map(|c| slot.engine.absorb_panes(c)).collect();
         let refused_rows = refused.iter().map(Vec::len).sum::<usize>();
-        arrival.taken = !upcall || refused_rows < partials;
+        arrival.taken = !upcall || refused_rows < batch.len();
         if let (Hop::Upcall(trace), true) = (hop, arrival.taken && refused_rows > 0) {
             let refused = (chunks.iter().zip(&refused))
                 .filter(|(_, rows)| !rows.is_empty())
                 .map(|(chunk, rows)| chunk.gather(rows))
                 .collect();
-            let shipments = self.pane_shipments(key, refused, overlay.me().addr);
-            arrival.effects = self.ship(key, shipments, trace, now, overlay, rng);
+            if let Some(shipment) = self.pane_shipment(key, refused, overlay.me().addr) {
+                arrival.effects = self.ship(key, shipment, trace, now, overlay, rng);
+            }
         }
         arrival
     }
@@ -294,64 +298,59 @@ impl Engines {
         copies
     }
 
-    /// The transfers that carry engine `key`'s closed-pane partials
-    /// `chunks` one hop from `me`: with batching one shipment, numbered in
-    /// the engine's stream; without, a bare tuple per row.
-    fn pane_shipments(
+    /// The shipment that carries engine `key`'s closed-pane partials
+    /// `chunks` one hop from `me`, numbered next in the engine's stream;
+    /// none when they hold no row.
+    fn pane_shipment(
         &mut self,
         key: EngineKey,
         chunks: Vec<ColumnChunk>,
         me: NodeAddr,
-    ) -> Vec<QpObject> {
+    ) -> Option<QpObject> {
         if chunks.iter().all(|c| c.rows() == 0) {
-            return Vec::new();
+            return None;
         }
-        let batched = self.slots.get_mut(&key).filter(|_| self.batching);
-        QpObject::pane_shipments(chunks, batched.map(|slot| slot.sent.stamp(me)))
+        let stamp = self.slots.get_mut(&key)?.sent.stamp(me);
+        let batch = TupleBatch::from_chunks(chunks);
+        Some(QpObject::Panes { stamp, batch })
     }
 
-    /// Send closed-pane partials one hop toward engine `key`'s window root
-    /// (upcalls combine them en route), or by `put` straight to it for a
-    /// `flat` engine.  A numbered shipment is kept, with the hop it went
-    /// to, for resending.  `trace` rides every shipment — armed per send,
+    /// Send a numbered shipment of engine `key` one hop toward its window
+    /// root (upcalls combine it en route), or by `put` straight to it for
+    /// a `flat` engine, and keep it, with the hop it went to, for
+    /// resending.  `trace` rides the shipment — armed for this send,
     /// because `set_trace` is consumed by the next overlay op and must not
     /// leak onto unrelated traffic.
     pub(crate) fn ship(
         &mut self,
         key: EngineKey,
-        shipments: Vec<QpObject>,
+        shipment: QpObject,
         trace: Option<TraceContext>,
         now: SimTime,
         overlay: &mut Overlay<QpObject>,
         rng: &mut Rng64,
     ) -> Vec<OverlayEffect<QpObject>> {
-        let Some(slot) = self.slots.get_mut(&key) else {
+        let (Some(slot), QpObject::Panes { stamp, .. }) = (self.slots.get_mut(&key), &shipment)
+        else {
             return Vec::new();
         };
+        let seq = stamp.seq;
         let spec = slot.engine.spec();
         let lifetime = spec.min_lifetime.max(self.publish_lifetime);
-        let mut effects = Vec::new();
-        for shipment in shipments {
-            let seq = match &shipment {
-                QpObject::Panes { stamp, .. } => Some(stamp.seq),
-                _ => None,
-            };
-            let (namespace, root_key) = (spec.namespace.clone(), spec.root_key.clone());
-            let name = ObjectName::new(namespace, root_key, rng.next_u64());
-            overlay.set_trace(trace);
-            let sent = if spec.flat {
-                overlay.put(name, shipment, lifetime, now)
-            } else {
-                overlay.send_routed(slot.root_id, name, shipment, lifetime, now)
-            };
-            for effect in &sent {
-                if let (Some(seq), OverlayEffect::Send { to, msg }) = (seq, effect) {
-                    slot.sent.keep(seq, *to, msg.clone());
-                }
+        let (namespace, root_key) = (spec.namespace.clone(), spec.root_key.clone());
+        let name = ObjectName::new(namespace, root_key, rng.next_u64());
+        overlay.set_trace(trace);
+        let sent = if spec.flat {
+            overlay.put(name, shipment, lifetime, now)
+        } else {
+            overlay.send_routed(slot.root_id, name, shipment, lifetime, now)
+        };
+        for effect in &sent {
+            if let OverlayEffect::Send { to, msg } = effect {
+                slot.sent.keep(seq, *to, msg.clone());
             }
-            effects.extend(sent);
         }
-        effects
+        sent
     }
 
     /// Tick engine `key` for the timer of incarnation `epoch`: close due
@@ -376,22 +375,22 @@ impl Engines {
         let members = members.len() as u64;
         let (shed, evicted) = slot.engine.take_shed_evicted();
         let partials = out.partials.into_iter().collect();
-        let shipments = self.pane_shipments(key, partials, overlay.me().addr);
+        let shipment = self.pane_shipment(key, partials, overlay.me().addr);
         // Every shipping flush ticks the engine's flush counters; a traced
         // engine's also records a span.
         let mut flush_span = None;
-        if self.tel.is_enabled() && !shipments.is_empty() {
-            let partials: u64 = shipments.iter().map(|s| s.tuple_count() as u64).sum();
+        if let Some(shipment) = shipment.as_ref().filter(|_| self.tel.is_enabled()) {
+            let partials = shipment.tuple_count() as u64;
             self.tel.inc(names.flushes);
             self.tel.add(names.flush_partials, partials);
             if let Some((query_id, true)) = charged {
-                let bytes: u64 = shipments.iter().map(|s| s.wire_size() as u64).sum();
+                let bytes = shipment.wire_size() as u64;
                 let aux = if names.shared { members } else { out.panes };
                 flush_span = Some((query_id, names.flush_span, [partials, bytes, aux]));
             }
         }
         Some(Ticked {
-            shipments,
+            shipment,
             flush_span,
             emissions: out.emissions,
             shared: names.shared,
@@ -532,8 +531,8 @@ mod tests {
     /// The one numbered shipment a tick of `engines` at `overlay` ships.
     fn shipped(engines: &mut Engines, overlay: &Overlay<QpObject>) -> QpObject {
         let ticked = engines.tick(EngineKey::Query(QUERY), 0, LATER, overlay);
-        let shipments = ticked.expect("a live engine").shipments;
-        let [shipment] = <[QpObject; 1]>::try_from(shipments).expect("one shipment");
+        let shipment = ticked.expect("a live engine").shipment;
+        let shipment = shipment.expect("one shipment");
         assert!(matches!(shipment, QpObject::Panes { .. }), "numbered");
         shipment
     }
@@ -569,7 +568,13 @@ mod tests {
         let (overlay, mut rng) = (&mut ring[root], Rng64::new(1));
         let mut engines = engines_for(&plan, &config, &[1, 2, 2]);
         let (key, namespace) = (EngineKey::Query(QUERY), plan.window_namespace());
-        let probe = QpObject::Batch(TupleBatch::default());
+        let stamp = PaneStamp {
+            origin: NodeAddr(1),
+            epoch: 0,
+            seq: 0,
+        };
+        let batch = TupleBatch::default();
+        let probe = QpObject::Panes { stamp, batch };
         let mut arrive = |engines: &mut Engines, overlay: &mut Overlay<QpObject>| {
             let arrival = engines.arrive(&namespace, &probe, Hop::Root, LATER, overlay, &mut rng);
             arrival.taken
@@ -582,7 +587,7 @@ mod tests {
         // Alone, the node is the root: the tick emits the closed window and
         // ships nothing; a stale incarnation's tick stops its chain.
         let ticked = engines.tick(key, 0, LATER, overlay).expect("live");
-        assert!(ticked.shipments.is_empty());
+        assert!(ticked.shipment.is_none());
         let counts: Vec<usize> = ticked.emissions.iter().map(|e| e.inserts.len()).collect();
         assert_eq!(counts, [2], "one window, two groups");
         assert!(engines.tick(key, 1, LATER, overlay).is_none());
@@ -645,6 +650,32 @@ mod tests {
         // Number 0 counted once, number 2 once.
         assert_eq!(counts_at_root(&mut at_root, &ring[root]), [2, 2, 2]);
         assert_eq!((to, epoch, seqs), (stamp.origin, stamp.epoch, vec![1]));
+    }
+
+    #[test]
+    fn unnumbered_partials_are_not_an_engine_s_at_the_root_or_an_upcall_hop() {
+        let plan = plan(CqBudget::default());
+        let config = PierConfig::default();
+        let (mut ring, root) = ring(8, &plan);
+        let [leaf, relay] = [1, 2].map(|i| (root + i) % ring.len());
+        let shipment = shipped(&mut engines_for(&plan, &config, &[1, 2, 3]), &ring[leaf]);
+        let QpObject::Panes { batch, .. } = shipment else {
+            unreachable!("checked by `shipped`");
+        };
+        let row = batch.iter().next().expect("a partial row");
+        let unnumbered = [QpObject::Batch(batch), QpObject::Tuple(row)];
+        let namespace = plan.window_namespace();
+        let mut rng = Rng64::new(1);
+        for (at, hop) in [(root, Hop::Root), (relay, Hop::Upcall(None))] {
+            let mut engines = engines_for(&plan, &config, &[]);
+            for value in &unnumbered {
+                let overlay = &mut ring[at];
+                let arrival = engines.arrive(&namespace, value, hop, LATER, overlay, &mut rng);
+                assert!(!arrival.taken, "{hop:?} took {value:?}");
+                assert!(arrival.ask.is_none() && arrival.effects.is_empty());
+                assert_eq!(groups(&engines), 0, "{hop:?} absorbed {value:?}");
+            }
+        }
     }
 
     #[test]

@@ -29,8 +29,8 @@ use crate::plan::{is_query_scoped_table, OperatorSpec, QpObject, QueryPlan, Sink
 use crate::rehash::Rehash;
 use crate::tuple::{Tuple, TupleBatch};
 use crate::window_engine::WindowEngine;
-use pier_dht::{ObjectName, Overlay, OverlayEffect, StoredObject};
-use pier_runtime::{Duration, NodeAddr, Rng64, SimTime};
+use pier_dht::{Overlay, OverlayEffect, StoredObject};
+use pier_runtime::{NodeAddr, Rng64, SimTime};
 use pier_telemetry::Telemetry;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -93,8 +93,6 @@ struct QueryState {
 /// The opgraph executor of one node.
 #[derive(Debug)]
 pub struct GraphExec {
-    publish_lifetime: Duration,
-    batching: bool,
     queries: HashMap<u64, QueryState>,
     /// The opgraphs reading each source namespace, ascending.
     sources: HashMap<String, Vec<GraphRef>>,
@@ -106,17 +104,15 @@ pub struct GraphExec {
 }
 
 impl GraphExec {
-    /// An executor under `config`'s `publish_lifetime`, `batching` and
-    /// `batch_max_tuples`, reporting to `tel`.
+    /// An executor whose rehashed rows live `config`'s `publish_lifetime`,
+    /// reporting to `tel`.
     pub fn new(config: &PierConfig, tel: Telemetry) -> Self {
         GraphExec {
             tel,
-            publish_lifetime: config.publish_lifetime,
-            batching: config.batching,
             queries: HashMap::new(),
             sources: HashMap::new(),
             pending_fetches: HashMap::new(),
-            rehash: Rehash::new(config.batch_max_tuples, config.publish_lifetime),
+            rehash: Rehash::new(config.publish_lifetime),
         }
     }
 
@@ -403,26 +399,13 @@ impl GraphExec {
             SinkSpec::Rehash {
                 namespace,
                 key_cols,
-            } if self.batching => {
+            } => {
                 // Coalesce: buffer per (namespace, partition key); one
                 // overlay put per key per flush.
                 let (flushes, arm) = self.rehash.push(namespace, key_cols, &rows, rng);
                 out.arm_batch_flush = arm;
                 let puts = flushes.into_iter().map(|f| overlay.put_batch(f, now));
                 out.effects.extend(puts.flatten());
-            }
-            SinkSpec::Rehash {
-                namespace,
-                key_cols,
-            } => {
-                for t in rows.iter() {
-                    let Some(key) = t.partition_key(key_cols) else {
-                        continue;
-                    };
-                    let name = ObjectName::new(namespace.clone(), key, rng.next_u64());
-                    let put = overlay.put(name, QpObject::Tuple(t), self.publish_lifetime, now);
-                    out.effects.extend(put);
-                }
             }
             // Absorbed in `feed`, which leaves such a graph no output.
             SinkSpec::HierarchicalAgg { .. } | SinkSpec::WindowedAgg { .. } => {}

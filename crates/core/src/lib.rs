@@ -66,7 +66,8 @@
 //!   parallel to its schema's columns and of equal length.
 //! * **Batch equivalence**: every `push_batch`/`push_chunk` override
 //!   produces exactly the tuples per-row dispatch would (pinned by the
-//!   batching-equivalence tests); batches preserve row order across the
+//!   chunking-invariance tests of `tests/batching_equivalence.rs`);
+//!   batches preserve row order across the
 //!   columnar round trip bit-for-bit (property-tested).
 //! * **Best effort everywhere** (§3.3.4): malformed tuples (missing
 //!   columns, incompatible types) are silently discarded by the operator

@@ -24,6 +24,7 @@ use crate::engines::{EngineKey, Engines, Hop};
 use crate::graph_exec::{ExecOut, GraphExec, GraphRef};
 use crate::plan::{CqSpec, Dissemination, Install, QpObject, QueryPlan};
 use crate::proxy::{directory_len, PierOut, Proxy, ProxyBundles, RenewalRound, WindowBundle};
+use crate::rehash::BATCH_FLUSH_INTERVAL;
 use crate::sharing::{
     InstallOutcome, MemberInstall, Membership, MultiQuerySharing, SharingFactory, SharingStats,
 };
@@ -39,10 +40,6 @@ use pier_telemetry::{SpanRecord, Telemetry, TelemetryConfig, SPAN_SLOTS};
 use pier_trace::{TraceConfig, TraceContext};
 use std::collections::HashMap;
 
-/// Upper bound on how long a rehash tuple may sit in the batch buffer before
-/// the periodic flush tick ships it.
-const BATCH_FLUSH_INTERVAL: Duration = 100_000;
-
 /// Tuning knobs for a PIER node.
 #[derive(Debug, Clone)]
 pub struct PierConfig {
@@ -50,14 +47,6 @@ pub struct PierConfig {
     pub overlay: OverlayConfig,
     /// Soft-state lifetime used when publishing tuples and partial results.
     pub publish_lifetime: Duration,
-    /// Coalesce same-destination tuples into [`TupleBatch`] transfers on the
-    /// rehash/exchange and partial-aggregate paths (one overlay operation
-    /// per destination per flush instead of one per tuple).  Disable to get
-    /// the paper's original per-tuple `put` behaviour (the baseline of the
-    /// batching-equivalence tests).
-    pub batching: bool,
-    /// Rehash tuples buffered per node before an early flush.
-    pub batch_max_tuples: usize,
     /// Optional multi-query sharing layer constructor (`pier_mqo::layer`):
     /// when set, disseminated plans are offered to the layer first and
     /// constant-varied continuous queries execute as share-group members
@@ -109,8 +98,6 @@ impl Default for PierConfig {
         PierConfig {
             overlay: OverlayConfig::default(),
             publish_lifetime: 600_000_000,
-            batching: true,
-            batch_max_tuples: 64,
             sharing: None,
             telemetry: TelemetryConfig::default(),
             durable: None,
@@ -1377,18 +1364,20 @@ impl PierNode {
         };
         // 1. Ship partials one hop toward the root and stream emissions to
         //    the proxies.  Every partial of a tick shares the window-root
-        //    destination, so batching collapses the per-group message train
-        //    into one transfer per tick.  A traced engine's flush span
-        //    parents every shipment of the tick; its `aux` lets the
-        //    per-*pane* static bound be reconciled against a per-*tick*
-        //    measurement.
+        //    destination, so the tick ships them all as one numbered
+        //    shipment.  A traced engine's flush span parents it; its `aux`
+        //    lets the per-*pane* static bound be reconciled against a
+        //    per-*tick* measurement.
         let flush_ctx = ticked.flush_span.map(|(query_id, stage, counts)| {
             self.span(now, TraceContext::root(query_id), stage, counts)
         });
         let (overlay, rng) = (&mut self.overlay, &mut self.rng);
-        let effects = self
-            .engines
-            .ship(key, ticked.shipments, flush_ctx, now, overlay, rng);
+        let effects = match ticked.shipment {
+            Some(shipment) => self
+                .engines
+                .ship(key, shipment, flush_ctx, now, overlay, rng),
+            None => Vec::new(),
+        };
         self.drive(ctx, effects);
         // One results message per proxy: every window and member the tick
         // emitted for it.

@@ -833,7 +833,7 @@ pub(crate) mod tests {
 
     /// Piece lengths the chunking-invariance checks cut their input at,
     /// cycled: empty pieces, single rows, and the lengths around the eddy's
-    /// re-draw stride (32) and the ingest stage / `batch_max_tuples` (64).
+    /// re-draw stride (32) and the ingest stage / `rehash::MAX_TUPLES` (64).
     const PIECES: [usize; 7] = [0, 1, 31, 32, 33, 64, 65];
 
     /// Cut `rows` into consecutive batches of the given lengths (cycled).

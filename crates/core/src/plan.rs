@@ -400,7 +400,8 @@ impl WireSize for QueryPlan {
 /// Values stored in (and routed through) the DHT by the query processor.
 #[derive(Debug, Clone, PartialEq)]
 pub enum QpObject {
-    /// A base or derived data tuple.
+    /// A base or derived data tuple: a lone published row, or the one row
+    /// a rehash flush holds for a partition key.
     Tuple(Tuple),
     /// A batch of same-destination tuples coalesced into one transfer (the
     /// executor's rehash/exchange path); unpacked back into per-tuple
@@ -500,22 +501,6 @@ impl QpObject {
             QpObject::Tuple(t) => Cow::Owned(vec![ColumnChunk::from_tuple(t)]),
             QpObject::Batch(b) | QpObject::Panes { batch: b, .. } => Cow::Borrowed(b.chunks()),
             QpObject::Plan(_) | QpObject::Member(_) | QpObject::Renew { .. } => Cow::Borrowed(&[]),
-        }
-    }
-
-    /// The transfers that carry closed-pane partials `chunks` one hop: all
-    /// of them in one [`QpObject::Panes`] stamped `stamp` (batching), or
-    /// each row as its own unnumbered [`QpObject::Tuple`].
-    pub fn pane_shipments(chunks: Vec<ColumnChunk>, stamp: Option<PaneStamp>) -> Vec<QpObject> {
-        if let Some(stamp) = stamp {
-            let batch = TupleBatch::from_chunks(chunks);
-            vec![QpObject::Panes { stamp, batch }]
-        } else {
-            chunks
-                .iter()
-                .flat_map(ColumnChunk::iter_rows)
-                .map(QpObject::Tuple)
-                .collect()
         }
     }
 

@@ -3,9 +3,9 @@
 //! key instead of one per row.
 //!
 //! One policy, stated **per appended row**: the moment a namespace's buffer
-//! holds `max_tuples` rows it is handed back as a [`Flush`]; otherwise the
-//! periodic flush tick must be armed, and [`Rehash::push`] says so the first
-//! time.  Nothing in that rule looks at chunk boundaries, so the flushes and
+//! holds [`MAX_TUPLES`] rows it is handed back as a [`Flush`]; otherwise the
+//! periodic flush tick, [`BATCH_FLUSH_INTERVAL`] later, must be armed, and
+//! [`Rehash::push`] says so the first time.  Nothing in that rule looks at chunk boundaries, so the flushes and
 //! the arming do not depend on how the rows were chunked on their way here.
 //! A flush is ordered — keys ascending, [`Rehash::flush_all`] namespaces
 //! ascending — because that order feeds the RNG stream (name suffixes) and
@@ -20,6 +20,14 @@ use pier_dht::ObjectName;
 use pier_runtime::{Duration, Rng64};
 use std::collections::HashMap;
 
+/// Rows a namespace's buffer holds before it ships without waiting for the
+/// flush tick.
+pub const MAX_TUPLES: usize = 64;
+
+/// Upper bound on how long a rehash row may sit in the buffer before the
+/// periodic flush tick ships it.
+pub const BATCH_FLUSH_INTERVAL: Duration = 100_000;
+
 /// One namespace's buffered rows as `put_batch` entries, one per partition
 /// key (a [`TupleBatch`], or a bare tuple when only one accumulated).
 pub type Flush = Vec<(ObjectName, QpObject, Duration)>;
@@ -33,7 +41,6 @@ struct Buffer {
 /// The per-namespace rehash buffers of one node.
 #[derive(Debug)]
 pub struct Rehash {
-    max_tuples: usize,
     /// Soft-state lifetime of the published rows.
     lifetime: Duration,
     buffers: HashMap<String, Buffer>,
@@ -41,10 +48,9 @@ pub struct Rehash {
 }
 
 impl Rehash {
-    /// Buffers that ship at `max_tuples` rows a namespace.
-    pub fn new(max_tuples: usize, lifetime: Duration) -> Self {
+    /// Buffers whose rows are published for `lifetime`.
+    pub fn new(lifetime: Duration) -> Self {
         Rehash {
-            max_tuples,
             lifetime,
             buffers: HashMap::new(),
             tick_armed: false,
@@ -86,7 +92,7 @@ impl Rehash {
             };
             buf.by_key.entry(key).or_default().push(t);
             buf.tuples += 1;
-            if buf.tuples >= self.max_tuples {
+            if buf.tuples >= MAX_TUPLES {
                 flushes.push(self.flush(namespace, std::mem::take(&mut buf), rng));
             } else if !self.tick_armed {
                 (self.tick_armed, arm) = (true, true);

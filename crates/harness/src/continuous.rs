@@ -36,9 +36,8 @@ pub struct ContinuousNetmonConfig {
     /// Churn: `(at_sec, kills, joins)` — at virtual second `at_sec`, fail
     /// `kills` non-proxy nodes and boot `joins` fresh nodes.
     pub churn: Option<(u64, usize, usize)>,
-    /// Per-node configuration (batching knobs, publish lifetimes); the
-    /// batching-equivalence tests run the same stream with batching on and
-    /// off and compare results and traffic.
+    /// Per-node configuration (the profiled runs turn on telemetry and
+    /// tracing).
     pub pier: PierConfig,
 }
 
@@ -330,7 +329,7 @@ pub fn continuous_netmon_observed(cfg: &ContinuousNetmonConfig) -> (ContinuousOu
 }
 
 /// The EXP-L table: the standing netmon query in steady state on 10, 25 and
-/// 50 nodes, with batching off, and under churn.  Every figure is in
+/// 50 nodes, and under churn.  Every figure is in
 /// virtual time, so the table is a function of the seeds.
 pub fn cq_continuous_table() -> String {
     let mut t = Table::new(
@@ -375,13 +374,6 @@ pub fn cq_continuous_table() -> String {
     for nodes in [10, 25, 50] {
         row("steady", &steady(nodes, 11));
     }
-    // The same steady workload with batching disabled — pins what the
-    // coalesced `TupleBatch`/`PutBatch` path buys the window pipeline (the
-    // batched run must not deliver fewer windows, and moves fewer messages;
-    // the batching-equivalence tests assert the result multisets match).
-    let mut unbatched = steady(25, 11);
-    unbatched.pier.batching = false;
-    row("steady unbatched", &unbatched);
     let mut churn = steady(25, 13);
     churn.churn = Some((18, 5, 3));
     row("churn (kill 5, join 3)", &churn);

@@ -1,13 +1,20 @@
-//! Batched vs per-tuple DHT transfer equivalence: the netmon workload
-//! (snapshot hierarchical aggregation, rehash join, and the continuous
-//! windowed query) must produce *identical result multisets* whether the
-//! executor coalesces same-destination tuples into `TupleBatch` transfers
-//! or performs one overlay `put` per tuple — while the batched run moves
-//! strictly fewer messages and bytes.
+//! Batched transfer, held to exact answers.  Every hop ships coalesced
+//! rows — `TupleBatch` / `PutBatch` on the rehash path, one numbered pane
+//! shipment per tick on the aggregation path — and the netmon workload
+//! still answers with what an oracle built here from the rows it added
+//! says: the snapshot aggregate's per-`src` counts, the rehash join's hash
+//! join of the published tables, the continuous query's per-window totals.
+//! The rehash buffer flushes every `rehash::MAX_TUPLES` rows however the
+//! rows were chunked, and the operators see no chunk boundaries (arrival
+//! batches against one-row arrivals, chunk-wise join probes, gather joins).
+//!
+//! Eight constant-varied tenants sharing one group are held against the
+//! same tenants run independently in `tests/mqo_sharing.rs`.
 
 use pier::harness::continuous::{continuous_netmon, ContinuousNetmonConfig};
-use pier::harness::{many_tenants, Cluster, ClusterConfig, ManyTenantsConfig};
+use pier::harness::{Cluster, ClusterConfig};
 use pier::qp::{sqlish, JoinSpec, OpGraph, PlanBuilder, SinkSpec, SourceSpec, Tuple, Value};
+use std::collections::{BTreeMap, HashMap};
 
 mod common;
 use common::seeded;
@@ -23,17 +30,18 @@ fn multiset(tuples: &[Tuple]) -> Vec<String> {
 }
 
 /// The Figure-2 snapshot query (per-source counts via hierarchical
-/// aggregation) over node-local event logs.
-fn run_netmon_snapshot(batching: bool) -> (Vec<String>, u64, u64) {
-    let mut cfg = ClusterConfig::lan(14, seeded(707));
-    cfg.pier.batching = batching;
-    let mut cluster = Cluster::start(&cfg);
-    // Enough distinct sources that every periodic flush ships a real pile
-    // of per-group partials (the batched path collapses each pile into one
-    // transfer per hop).
+/// aggregation) over node-local event logs counts every row the test
+/// added, per `src`.
+#[test]
+fn netmon_snapshot_counts_every_added_row_per_src() {
+    let mut cluster = Cluster::start(&ClusterConfig::lan(14, seeded(707)));
+    // Enough distinct sources that every flush ships a real pile of
+    // per-group partials in its one shipment per hop.
+    let mut added: BTreeMap<String, i64> = BTreeMap::new();
     for i in 0..cluster.len() {
         for j in 0..24 {
             let src = format!("10.0.0.{}", j % 12);
+            *added.entry(src.clone()).or_default() += 1;
             let addr = cluster.addr(i);
             cluster.add_local_row(
                 addr,
@@ -55,42 +63,43 @@ fn run_netmon_snapshot(batching: bool) -> (Vec<String>, u64, u64) {
         20_000_000,
     )
     .expect("snapshot netmon query must compile");
-    cluster.reset_stats();
     let outcome = cluster.run_query(proxy, plan);
-    let stats = cluster.sim.stats();
-    (
-        multiset(&outcome.tuples()),
-        stats.total_msgs,
-        stats.total_bytes,
-    )
+    let mut counted: Vec<(String, i64)> = outcome
+        .tuples()
+        .iter()
+        .map(|t| {
+            let src = t.get("src").and_then(Value::as_str).expect("a src");
+            let count = t.get("count").and_then(Value::as_i64).expect("a count");
+            (src.to_string(), count)
+        })
+        .collect();
+    counted.sort();
+    let added: Vec<(String, i64)> = added.into_iter().collect();
+    assert_eq!(counted, added, "one row per src, counting every added row");
 }
 
-/// A rehash (Put/Exchange) symmetric-hash join — the other batched path.
-fn run_rehash_join(batching: bool) -> (Vec<String>, u64, u64) {
-    let mut cfg = ClusterConfig::lan(12, seeded(909));
-    cfg.pier.batching = batching;
-    let mut cluster = Cluster::start(&cfg);
+/// A rehash (Put/Exchange) symmetric-hash join answers with exactly the
+/// hash join of the published `r` and `s`, built here.
+#[test]
+fn rehash_join_equals_a_hash_join_of_the_published_tables() {
+    let mut cluster = Cluster::start(&ClusterConfig::lan(12, seeded(909)));
     let key = vec!["b".to_string()];
-    for i in 0..40i64 {
-        let from = cluster.addr((i as usize) % cluster.len());
-        cluster.publish(
-            from,
-            "r",
-            &key,
-            Tuple::new("r", vec![("a", Value::Int(i)), ("b", Value::Int(i % 8))]),
-        );
+    let r: Vec<Tuple> = (0..40i64)
+        .map(|i| Tuple::new("r", vec![("a", Value::Int(i)), ("b", Value::Int(i % 8))]))
+        .collect();
+    let s: Vec<Tuple> = (0..30i64)
+        .map(|i| {
+            let fields = vec![("b", Value::Int(i % 8)), ("c", Value::Int(i * 10))];
+            Tuple::new("s", fields)
+        })
+        .collect();
+    for (i, row) in r.iter().enumerate() {
+        let from = cluster.addr(i % cluster.len());
+        cluster.publish(from, "r", &key, row.clone());
     }
-    for i in 0..30i64 {
-        let from = cluster.addr((i as usize + 5) % cluster.len());
-        cluster.publish(
-            from,
-            "s",
-            &key,
-            Tuple::new(
-                "s",
-                vec![("b", Value::Int(i % 8)), ("c", Value::Int(i * 10))],
-            ),
-        );
+    for (i, row) in s.iter().enumerate() {
+        let from = cluster.addr((i + 5) % cluster.len());
+        cluster.publish(from, "s", &key, row.clone());
     }
     cluster.settle(3_000_000);
     let proxy = cluster.addr(0);
@@ -127,132 +136,56 @@ fn run_rehash_join(batching: bool) -> (Vec<String>, u64, u64) {
             sink: SinkSpec::ToProxy,
         })
         .build();
-    cluster.reset_stats();
     let outcome = cluster.run_query(proxy, plan);
-    let stats = cluster.sim.stats();
-    (
-        multiset(&outcome.tuples()),
-        stats.total_msgs,
-        stats.total_bytes,
-    )
-}
 
-/// The continuous (standing) netmon query: per-window per-source counts.
-fn run_continuous(batching: bool) -> (Vec<String>, u64, u64) {
-    let mut cfg = ContinuousNetmonConfig::steady(10, 12, seeded(42));
-    cfg.pier.batching = batching;
-    let out = continuous_netmon(&cfg);
-    let mut rows: Vec<String> = out
-        .windows
-        .iter()
-        .flat_map(|(&(start, end), w)| w.rows.iter().map(move |t| format!("[{start},{end}) {t}")))
-        .collect();
-    rows.sort();
-    (rows, out.total_msgs, out.total_bytes)
-}
-
-fn assert_equivalent_and_cheaper(
-    what: &str,
-    unbatched: (Vec<String>, u64, u64),
-    batched: (Vec<String>, u64, u64),
-) {
-    assert!(
-        !batched.0.is_empty(),
-        "{what}: batched run must produce results"
-    );
-    println!(
-        "{what}: rows={} msgs {} -> {} ({:.1}% fewer), bytes {} -> {} ({:.1}% fewer)",
-        batched.0.len(),
-        unbatched.1,
-        batched.1,
-        100.0 * (unbatched.1 - batched.1) as f64 / unbatched.1 as f64,
-        unbatched.2,
-        batched.2,
-        100.0 * (unbatched.2 - batched.2) as f64 / unbatched.2 as f64,
-    );
-    assert_eq!(
-        unbatched.0, batched.0,
-        "{what}: result multisets must be identical with and without batching"
-    );
-    assert!(
-        batched.1 < unbatched.1,
-        "{what}: batching must move strictly fewer messages ({} vs {})",
-        batched.1,
-        unbatched.1
-    );
-    assert!(
-        batched.2 < unbatched.2,
-        "{what}: batching must move strictly fewer bytes ({} vs {})",
-        batched.2,
-        unbatched.2
-    );
-}
-
-#[test]
-fn netmon_snapshot_batching_preserves_results_with_less_traffic() {
-    assert_equivalent_and_cheaper(
-        "snapshot netmon",
-        run_netmon_snapshot(false),
-        run_netmon_snapshot(true),
-    );
-}
-
-#[test]
-fn rehash_join_batching_preserves_results_with_less_traffic() {
-    assert_equivalent_and_cheaper("rehash join", run_rehash_join(false), run_rehash_join(true));
-}
-
-#[test]
-fn continuous_netmon_batching_preserves_results_with_less_traffic() {
-    assert_equivalent_and_cheaper(
-        "continuous netmon",
-        run_continuous(false),
-        run_continuous(true),
-    );
-}
-
-/// Eight constant-varied tenants through one `pier-mqo` share group: every
-/// tenant's final per-window rows, plus the run's traffic.
-fn run_shared_tenants(batching: bool) -> (Vec<String>, u64, u64) {
-    let mut cfg = ManyTenantsConfig::new(8, 8, 12, seeded(77));
-    cfg.pier.batching = batching;
-    let out = many_tenants(&cfg);
-    assert_eq!(out.max_shared_groups, 1, "the tenants must share one group");
-    let mut rows: Vec<String> = out
-        .tenants
-        .iter()
-        .flat_map(|t| {
-            t.windows.iter().flat_map(move |(&(start, end), rows)| {
-                rows.iter()
-                    .map(move |row| format!("q{} [{start},{end}) {row}", t.query_id))
-            })
+    // The oracle: build on `s`, probe with `r`.
+    let b = |t: &Tuple| t.get("b").and_then(Value::as_i64).expect("a b");
+    let mut build: HashMap<i64, Vec<&Tuple>> = HashMap::new();
+    for row in &s {
+        build.entry(b(row)).or_default().push(row);
+    }
+    let joined: Vec<Tuple> = (r.iter())
+        .flat_map(|l| {
+            build
+                .get(&b(l))
+                .into_iter()
+                .flatten()
+                .map(|r| l.join_with(r, "r_s"))
         })
         .collect();
-    rows.sort();
-    (rows, out.total_msgs, out.total_bytes)
+    assert_eq!(
+        joined.len(),
+        150,
+        "every `b` matches 5 rows of r and 3–4 of s"
+    );
+    assert_eq!(multiset(&outcome.tuples()), multiset(&joined));
 }
 
-/// The share group's tick ships its closed windows through the same codec
-/// as the per-query tick: one chunk per tick with batching, the chunk's
-/// rows as bare tuples without — same per-tenant answers either way.
+/// The continuous (standing) netmon query: every window the stream
+/// generated rows into — the half-filled first and last ones too — totals
+/// exactly those rows, and no other window is emitted.
 #[test]
-fn shared_tenants_batching_preserves_results_with_less_traffic() {
-    assert_equivalent_and_cheaper(
-        "8 shared tenants",
-        run_shared_tenants(false),
-        run_shared_tenants(true),
-    );
+fn continuous_netmon_windows_total_what_was_generated() {
+    let out = continuous_netmon(&ContinuousNetmonConfig::steady(10, 12, seeded(42)));
+    let emitted: Vec<_> = out.windows.keys().collect();
+    assert_eq!(emitted, out.generated.keys().collect::<Vec<_>>());
+    assert!(emitted.len() >= 12, "a 12 s stream, 1 s slide: {emitted:?}");
+    for (&window, &generated) in &out.generated {
+        let delivered = out.total_for(window);
+        assert_eq!(delivered, generated as i64, "window {window:?}");
+    }
 }
 
 /// The rehash buffer's policy is stated per appended row, so a plan installed
 /// on a node that already holds N rows — scanned as **one** chunk — ships
 /// them exactly as N single-row feeds would: a flush the moment the buffer
-/// holds `batch_max_tuples`, the remainder left behind one armed
+/// holds `rehash::MAX_TUPLES`, the remainder left behind one armed
 /// `BatchFlush`.  Driven by hand on a bare node: its ring peer owns every
 /// rehash key, so each flush is one DHT put message whose rows can be counted.
 #[test]
 fn an_install_time_scan_flushes_the_rehash_buffer_every_batch_max_tuples() {
     use pier::dht::{DhtMessage, Id, NodeRef};
+    use pier::qp::rehash::MAX_TUPLES as MAX;
     use pier::qp::{Dissemination, PierConfig, PierMsg, PierNode, PierTimer};
     use pier::runtime::{Action, Context, NodeAddr, Program};
 
@@ -283,7 +216,6 @@ fn an_install_time_scan_flushes_the_rehash_buffer_every_batch_max_tuples() {
         (puts, timers)
     }
 
-    const MAX: usize = 64;
     // `me` owns the single identifier 1; the peer owns the rest of the ring.
     let me = NodeRef {
         id: Id(1),
@@ -294,12 +226,7 @@ fn an_install_time_scan_flushes_the_rehash_buffer_every_batch_max_tuples() {
         addr: NodeAddr(1),
     };
     for held in [0, 1, MAX - 1, MAX, MAX + 1, 200] {
-        let config = PierConfig {
-            batch_max_tuples: MAX,
-            ..PierConfig::default()
-        };
-        assert!(config.batching);
-        let mut node = PierNode::with_static_ring(me, &[me, peer], config);
+        let mut node = PierNode::with_static_ring(me, &[me, peer], PierConfig::default());
         for i in 0..held as i64 {
             let row = Tuple::new("r", vec![("a", Value::Int(i)), ("b", Value::Int(i % 8))]);
             node.add_local_row("r", row);
@@ -356,8 +283,8 @@ fn netmon_stream(n: i64) -> Vec<Tuple> {
 
 /// Chunk boundaries are invisible to the operator path: the netmon workload
 /// arriving in DHT-transfer-sized batches yields exactly the rows it yields
-/// arriving one tuple at a time (one-row batches — what `batching = false`
-/// delivers) — filter, project and aggregate alike.
+/// arriving one tuple at a time (one-row batches — what a lone published
+/// row delivers) — filter, project and aggregate alike.
 #[test]
 fn arrival_batches_match_single_tuple_arrivals_on_the_operator_path() {
     use pier::qp::{
@@ -389,8 +316,8 @@ fn arrival_batches_match_single_tuple_arrivals_on_the_operator_path() {
                 .into_tuples(),
         );
     }
-    // Feed the same stream as DHT-arrival-sized batches (64, the default
-    // `batch_max_tuples`), as the executor's PutBatch receive path would.
+    // Feed the same stream as DHT-arrival-sized batches (64,
+    // `rehash::MAX_TUPLES`), as the executor's PutBatch receive path would.
     let mut batch_out = Vec::new();
     for window in rows.chunks(64) {
         batch_out.extend(

@@ -128,16 +128,12 @@ struct Rehashed {
     next_draw: u64,
 }
 
-fn rehash(rows: &[Tuple], lens: &[usize], max: usize, seed: u64) -> Rehashed {
-    let config = PierConfig {
-        batch_max_tuples: max,
-        ..PierConfig::default()
-    };
+fn rehash(rows: &[Tuple], lens: &[usize], seed: u64) -> Rehashed {
     let sink = SinkSpec::Rehash {
         namespace: format!("q{QUERY}.rh"),
         key_cols: vec!["k".to_string()],
     };
-    let mut exec = installed(&config, plan("r", Vec::new(), sink));
+    let mut exec = installed(&PierConfig::default(), plan("r", Vec::new(), sink));
     let mut ring = ring_of(2, seed);
     let overlay = &mut ring[0];
     let mut rng = Rng64::new(seed);
@@ -175,18 +171,19 @@ proptest! {
 
     /// One chunk, row by row or any split: the same puts in the same order
     /// under the same names, and the flush tick asked for at the same row.
+    /// Up to 399 rows, so the `rehash::MAX_TUPLES` threshold fires up to
+    /// six times a case.
     #[test]
     fn rehash_does_not_see_chunk_boundaries(
-        rows in proptest::collection::vec((0u8..12, any::<u16>()), 1..160),
+        rows in proptest::collection::vec((0u8..12, any::<u16>()), 1..400),
         lens in proptest::collection::vec(1usize..40, 1..8),
-        max in 2usize..24,
     ) {
         let seed = seeded(0x5EED_0001);
         let rows = rows_of("r", &rows);
-        let by_row = rehash(&rows, &[1], max, seed);
+        let by_row = rehash(&rows, &[1], seed);
         prop_assert!(by_row.armed.len() <= 1);
         for lens in [&[rows.len()][..], &lens] {
-            let split = rehash(&rows, lens, max, seed);
+            let split = rehash(&rows, lens, seed);
             prop_assert_eq!(&split.effects, &by_row.effects);
             prop_assert_eq!(split.next_draw, by_row.next_draw);
             // The call that asked for the tick holds the row that did.

@@ -309,7 +309,7 @@ fn assert_encode_matches_reference(shape: &Shape, closed: &Closed, what: &str) {
         reference.wire_size(),
         "{what}: wire_size"
     );
-    // Shipped row by row (`batching = false`, or a lone partial) the rows
+    // Read back row by row, as a shipment hands out its tuples, the rows
     // are the reference tuples.
     let rows: Vec<Tuple> = encoded.iter_rows().collect();
     assert_eq!(rows, reference.into_tuples(), "{what}: rows as tuples");
@@ -504,8 +504,8 @@ fn foreign_schemas_and_wrong_typed_cells_are_refused_without_mutation() {
     let (mut store, before) = preloaded(&shape);
     let mut codec = shape.codec();
     let good = codec
-        .encode(&closed_windows(&shape, &[0], 4, 1, 9))
-        .expect("4 rows");
+        .encode(&closed_windows(&shape, &[0], 6, 1, 9))
+        .expect("6 rows");
 
     // A chunk of some other relation: no `_w`, every row refused.
     let foreign = TupleBatch::new(
@@ -525,8 +525,9 @@ fn foreign_schemas_and_wrong_typed_cells_are_refused_without_mutation() {
     assert_eq!(segment_bytes(&store), before);
 
     // The right shape with one cell of each row corrupted: `_w` a string,
-    // COUNT a float, SUM a string, AVG's `_count` NULL.  Every row names an
-    // existing group and must leave it untouched.
+    // COUNT a float, SUM a string, AVG's `_count` NULL, COUNT and AVG's
+    // `_count` below zero (which would wrap to a count near 2^64).  No row
+    // may touch the group it names.
     let schema = shape.schema();
     let pos = |c: &str| schema.position(c).expect("column");
     let corruptions = [
@@ -534,6 +535,8 @@ fn foreign_schemas_and_wrong_typed_cells_are_refused_without_mutation() {
         (pos("count"), Value::Float(2.0)),
         (pos("sum_len"), Value::str("many")),
         (pos("avg_len_count"), Value::Null),
+        (pos("count"), Value::Int(-1)),
+        (pos("avg_len_count"), Value::Int(-1)),
     ];
     let bad: Vec<Tuple> = good
         .iter_rows()
@@ -545,7 +548,10 @@ fn foreign_schemas_and_wrong_typed_cells_are_refused_without_mutation() {
         })
         .collect();
     let bad = TupleBatch::new(bad);
-    assert_eq!(codec.absorb(&bad.chunks()[0], &mut store), [0, 1, 2, 3]);
+    assert_eq!(
+        codec.absorb(&bad.chunks()[0], &mut store),
+        [0, 1, 2, 3, 4, 5]
+    );
     assert_eq!(segment_bytes(&store), before, "refused rows must not merge");
 
     // The codec still accepts well-formed rows afterwards (the layout cache

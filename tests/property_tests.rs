@@ -18,7 +18,7 @@ use std::collections::BTreeMap;
 
 /// The piece lengths a drawn partition cuts its input at: empty pieces,
 /// single rows, and the lengths around the eddy's re-draw stride (32) and
-/// the ingest stage / `batch_max_tuples` (64).
+/// the ingest stage / `rehash::MAX_TUPLES` (64).
 const PIECES: [usize; 7] = [0, 1, 31, 32, 33, 64, 65];
 
 /// Cut `rows` into consecutive batches whose lengths are `PIECES[cuts[i]]`
