@@ -51,8 +51,8 @@ fn plan(source: &str, ops: Vec<OperatorSpec>, sink: SinkSpec) -> QueryPlan {
     plan
 }
 
-fn installed(config: &PierConfig, plan: QueryPlan) -> GraphExec {
-    let mut exec = GraphExec::new(config, Telemetry::disabled());
+fn installed(plan: QueryPlan) -> GraphExec {
+    let mut exec = GraphExec::new(&PierConfig::default(), Telemetry::disabled());
     exec.install(plan);
     exec
 }
@@ -133,7 +133,7 @@ fn rehash(rows: &[Tuple], lens: &[usize], seed: u64) -> Rehashed {
         namespace: format!("q{QUERY}.rh"),
         key_cols: vec!["k".to_string()],
     };
-    let mut exec = installed(&PierConfig::default(), plan("r", Vec::new(), sink));
+    let mut exec = installed(plan("r", Vec::new(), sink));
     let mut ring = ring_of(2, seed);
     let overlay = &mut ring[0];
     let mut rng = Rng64::new(seed);
@@ -212,7 +212,7 @@ proptest! {
         for lens in [&[1][..], &[source.len()], &lens] {
             let mut shed = plan("events", Vec::new(), SinkSpec::ToProxy);
             shed.sample_every = every;
-            let mut exec = installed(&PierConfig::default(), shed);
+            let mut exec = installed(shed);
             let mut ring = ring_of(1, seeded(0x5EED_0002));
             let overlay = &mut ring[0];
             let mut rng = Rng64::new(1);
@@ -380,11 +380,10 @@ fn one_shot_aggregation_by_hand_equals_one_group_by() {
         assert_eq!(spec.window, WindowSpec::tumbling(HOLD), "panes of the hold");
         assert!(spec.emit_once);
         assert_eq!(spec.flat, flat);
-        let config = PierConfig::default();
         let site = || {
             let mut engine = WindowEngine::new(spec.clone());
             engine.add_member(QUERY, member.clone(), false, NOW);
-            (installed(&config, plan.clone()), engine)
+            (installed(plan.clone()), engine)
         };
         let [mut leaf, mut relay, mut root] = [site(), site(), site()];
         let mut overlay = ring_of(1, 1).remove(0);
