@@ -228,19 +228,25 @@ pub enum PierTimer {
     /// `system.metrics` tuple into the DHT (the dogfood loop — armed only
     /// when [`TelemetryConfig::publish_interval`] is set).
     MetricsPublish,
-    /// Zero-delay drain of the rows [`PierNode::ingest`] staged at this
-    /// virtual instant and no earlier trigger absorbed (armed on the first
-    /// staged row, like [`PierTimer::BatchFlush`]).
+    /// Zero-delay drain of what [`PierNode::ingest`] and
+    /// [`PierNode::publish_keyed`] staged at this virtual instant and no
+    /// earlier trigger drained (armed on the first staged row, like
+    /// [`PierTimer::BatchFlush`]).
     IngestFlush,
 }
 
-/// Rows handed to [`PierNode::ingest`] that have not been absorbed yet: one
-/// table at a time, all observed at the virtual instant `at`.
+/// Rows handed to [`PierNode::ingest`] or [`PierNode::publish_keyed`] that
+/// have not left yet, all handed over at the virtual instant `at`: one kind
+/// at a time — streamed rows of one table, or published rows of any — so
+/// effects leave in the order they were called.
 #[derive(Debug, Default)]
 struct IngestStage {
     table: String,
     at: SimTime,
     rows: TupleBatch,
+    /// Published rows, named and with their lifetimes: one
+    /// [`Overlay::put_batch`] when drained.
+    puts: Vec<(ObjectName, QpObject, Duration)>,
     /// A zero-delay [`PierTimer::IngestFlush`] is in flight.
     flush_armed: bool,
 }
@@ -269,7 +275,9 @@ pub struct PierNode {
     next_query_seq: u64,
     /// Every window engine at this node and its pane traffic.
     engines: Engines,
-    /// Streamed rows staged by `ingest`, drained through the chunk path.
+    /// Streamed rows staged by `ingest`, drained through the chunk path,
+    /// or published rows staged by `publish_keyed`, drained as one
+    /// `put_batch`.
     stage: IngestStage,
     /// The multi-query sharing layer (`pier-mqo`), when configured.
     sharing: Option<Box<dyn MultiQuerySharing + Send>>,
@@ -446,7 +454,16 @@ impl PierNode {
 
     /// Publish a tuple under an explicit partition key instead of one derived
     /// from its columns.  Used by the range index (the key is the PHT bucket
-    /// label) and by any access method that wants custom placement.
+    /// label) and by any access method that wants custom placement; every
+    /// other `publish*` comes through here.
+    ///
+    /// The row is named now (its suffix drawn at the call) and *staged*:
+    /// the rows published at one virtual instant leave as one
+    /// [`Overlay::put_batch`] — one `PutBatch` per owner — at the top of
+    /// the node's next entry point, on a zero-delay
+    /// [`PierTimer::IngestFlush`], or when the node stops, always as of
+    /// the instant they were published.  Rows [`PierNode::ingest`] staged
+    /// before leave first.
     pub fn publish_keyed(
         &mut self,
         ctx: &mut ProgramContext<Self>,
@@ -454,13 +471,17 @@ impl PierNode {
         key: String,
         tuple: Tuple,
     ) {
-        self.drain_ingest(ctx);
+        let now = ctx.now();
+        if self.stage.at != now || !self.stage.rows.is_empty() {
+            self.drain_stage(ctx);
+            self.stage.at = now;
+        }
         let name = ObjectName::new(table, key, self.rng.next_u64());
         let lifetime = self.config.publish_lifetime;
-        let effects = self
-            .overlay
-            .put(name, QpObject::Tuple(tuple), lifetime, ctx.now());
-        self.drive(ctx, effects);
+        self.stage
+            .puts
+            .push((name, QpObject::Tuple(tuple), lifetime));
+        self.arm_stage_flush(ctx);
     }
 
     /// Publish a tuple together with secondary-index entries on `index_cols`
@@ -508,7 +529,7 @@ impl PierNode {
     /// assigned query id; results arrive as [`PierOut::Result`] outputs and
     /// the stream is terminated by [`PierOut::Done`].
     pub fn submit_query(&mut self, ctx: &mut ProgramContext<Self>, mut plan: QueryPlan) -> u64 {
-        self.drain_ingest(ctx);
+        self.drain_stage(ctx);
         if plan.query_id == 0 {
             self.next_query_seq += 1;
             plan.query_id = ((ctx.me().0 as u64) << 32) | self.next_query_seq;
@@ -656,29 +677,45 @@ impl PierNode {
     /// The row is *staged*, not absorbed: rows of one table observed at one
     /// virtual instant accumulate into a columnar chunk that drains through
     /// the chunk path (`PierNode::route_new_batch`) when it is full, when
-    /// a row of another table or instant arrives, at the top of every other
-    /// entry point, and on a zero-delay [`PierTimer::IngestFlush`] — always
-    /// with the instant the rows were observed as `now`, so windows, results
-    /// and traffic are those of absorbing each row on arrival.
+    /// a row of another table or instant arrives, when a row is published,
+    /// at the top of every other entry point, and on a zero-delay
+    /// [`PierTimer::IngestFlush`] — always with the instant the rows were
+    /// observed as `now`, so windows, results and traffic are those of
+    /// absorbing each row on arrival.  Rows
+    /// [`PierNode::publish_keyed`] staged before leave first.
     pub fn ingest(&mut self, ctx: &mut ProgramContext<Self>, table: &str, tuple: Tuple) {
         let now = ctx.now();
-        if self.stage.at != now || self.stage.table != table {
-            self.drain_ingest(ctx);
+        if self.stage.at != now || self.stage.table != table || !self.stage.puts.is_empty() {
+            self.drain_stage(ctx);
             self.stage.at = now;
             self.stage.table.clear();
             self.stage.table.push_str(table);
         }
         self.stage.rows.push_tuple(tuple);
         if self.stage.rows.len() >= Self::INGEST_STAGE_ROWS {
-            self.drain_ingest(ctx);
-        } else if !self.stage.flush_armed {
+            self.drain_stage(ctx);
+        } else {
+            self.arm_stage_flush(ctx);
+        }
+    }
+
+    /// Arm the zero-delay [`PierTimer::IngestFlush`] that drains the
+    /// stage, unless one is in flight.
+    fn arm_stage_flush(&mut self, ctx: &mut ProgramContext<Self>) {
+        if !self.stage.flush_armed {
             self.stage.flush_armed = true;
             ctx.set_timer(0, PierTimer::IngestFlush);
         }
     }
 
-    /// Absorb the staged rows, as of the instant they were staged at.
-    fn drain_ingest(&mut self, ctx: &mut ProgramContext<Self>) {
+    /// Send the staged puts on as one `put_batch`, or absorb the staged
+    /// rows, as of the instant they were staged at.
+    fn drain_stage(&mut self, ctx: &mut ProgramContext<Self>) {
+        if !self.stage.puts.is_empty() {
+            let puts = std::mem::take(&mut self.stage.puts);
+            let effects = self.overlay.put_batch(puts, self.stage.at);
+            self.drive(ctx, effects);
+        }
         if self.stage.rows.is_empty() {
             return;
         }
@@ -1497,7 +1534,7 @@ impl Program for PierNode {
     }
 
     fn on_message(&mut self, ctx: &mut ProgramContext<Self>, from: NodeAddr, msg: Self::Msg) {
-        self.drain_ingest(ctx);
+        self.drain_stage(ctx);
         if self.tel.is_enabled() {
             self.tel.set_now(ctx.now());
             self.tel.inc("net.msgs_recv");
@@ -1507,7 +1544,7 @@ impl Program for PierNode {
     }
 
     fn on_timer(&mut self, ctx: &mut ProgramContext<Self>, timer: Self::Timer) {
-        self.drain_ingest(ctx);
+        self.drain_stage(ctx);
         self.tel.set_now(ctx.now());
         match timer {
             PierTimer::IngestFlush => self.stage.flush_armed = false,
@@ -1537,6 +1574,6 @@ impl Program for PierNode {
     }
 
     fn on_stop(&mut self, ctx: &mut ProgramContext<Self>) {
-        self.drain_ingest(ctx);
+        self.drain_stage(ctx);
     }
 }

@@ -706,20 +706,26 @@ impl<V: Clone + Debug + WireSize> Overlay<V> {
         now: SimTime,
     ) -> Vec<OverlayEffect<V>> {
         let trace = self.pending_trace.take();
-        self.put_entries(entries, trace, now)
+        self.put_entries(entries, trace, None, now)
     }
 
     /// [`Overlay::put_batch`] under an explicit trace context — also how the
-    /// puts parked behind an arc's refresh leave once it is answered.
+    /// puts parked behind an arc's refresh leave once it is answered.  A
+    /// `carried` entry goes to the owner it names, unresolved, at the head
+    /// of whatever else goes there.
     fn put_entries(
         &mut self,
         entries: Vec<PutEntry<V>>,
         trace: Option<TraceContext>,
+        carried: Option<(NodeAddr, PutEntry<V>)>,
         now: SimTime,
     ) -> Vec<OverlayEffect<V>> {
-        let total = entries.len() as u64;
+        let total = (entries.len() + usize::from(carried.is_some())) as u64;
         let id = |(name, ..): &PutEntry<V>| name.routing_id();
-        let grouped = self.resolve_each(entries, id, now);
+        let mut grouped = self.resolve_each(entries, id, now);
+        if let Some((to, entry)) = carried {
+            grouped.remote.entry(to).or_default().insert(0, entry);
+        }
         self.tel
             .add("dht.put_batch.local", grouped.local.len() as u64);
         let mut effects = Vec::new();
@@ -1136,6 +1142,10 @@ impl<V: Clone + Debug + WireSize> Overlay<V> {
         out
     }
 
+    /// A routed lookup came back naming `owner` for `(arc_start, owner]`:
+    /// remember the arc, finish the operation the lookup carried and
+    /// release what parked behind it — a carried put leaves with the
+    /// parked puts bound for `owner` ([`Overlay::release`]).
     fn finish_lookup(
         &mut self,
         lookup_id: u64,
@@ -1160,21 +1170,25 @@ impl<V: Clone + Debug + WireSize> Overlay<V> {
             now.saturating_sub(lookup.issued_at) as f64,
         );
         self.count_dropped(dropped);
-        let mut effects = match lookup.op {
-            None => vec![OverlayEffect::Event(OverlayEvent::LookupDone {
+        let mut effects = Vec::new();
+        let mut carried = None;
+        match lookup.op {
+            None => effects.push(OverlayEffect::Event(OverlayEvent::LookupDone {
                 request_id: lookup_id,
                 owner,
                 hops,
-            })],
+            })),
             // The ring says this node owns it, whatever its own predecessor
             // pointer says: serve, or a forwarded operation would circle.
-            Some(op) if owner.addr == self.me.addr => self.serve(op, now),
-            Some(op) => vec![OverlayEffect::Send {
+            Some(op) if owner.addr == self.me.addr => effects = self.serve(op, now),
+            // A put leaves with the parked puts bound for the same owner.
+            Some(Op::Put { entry, trace }) => carried = Some((owner.addr, entry, trace)),
+            Some(op) => effects.push(OverlayEffect::Send {
                 to: owner.addr,
                 msg: op.into_message(),
-            }],
-        };
-        effects.extend(self.release(lookup.parked, now));
+            }),
+        }
+        effects.extend(self.release(lookup.parked, carried, now));
         effects
     }
 
@@ -1184,9 +1198,29 @@ impl<V: Clone + Debug + WireSize> Overlay<V> {
     /// share a `PutBatch`), the gets as one batch per namespace and asker
     /// (so they share a `GetRequest`), renewals one by one.  What the
     /// answer did not cover — the arc shrank, or was not vouched for — pays
-    /// its own routed lookup.
-    fn release(&mut self, parked: Vec<Op<V>>, now: SimTime) -> Vec<OverlayEffect<V>> {
+    /// its own routed lookup.  The put `carried` by the lookup goes to the
+    /// owner its answer named, never resolved again: in the `PutBatch` of
+    /// the parked puts of its trace context bound there, or alone in a
+    /// `PutRequest` when none is.
+    fn release(
+        &mut self,
+        parked: Vec<Op<V>>,
+        carried: Option<(NodeAddr, PutEntry<V>, Option<TraceContext>)>,
+        now: SimTime,
+    ) -> Vec<OverlayEffect<V>> {
         let mut effects = Vec::new();
+        let parked_with = |trace| {
+            let put_of = |op: &Op<V>| matches!(op, Op::Put { trace: t, .. } if *t == trace);
+            parked.iter().any(put_of)
+        };
+        let mut carried = match carried {
+            Some((to, entry, trace)) if !parked_with(trace) => {
+                let msg = Op::Put { entry, trace }.into_message();
+                effects.push(OverlayEffect::Send { to, msg });
+                None
+            }
+            carried => carried,
+        };
         let mut puts: Vec<(Option<TraceContext>, Vec<PutEntry<V>>)> = Vec::new();
         let mut gets: Vec<((String, NodeAddr), Vec<GetKey>)> = Vec::new();
         for op in parked {
@@ -1201,7 +1235,9 @@ impl<V: Clone + Debug + WireSize> Overlay<V> {
             }
         }
         for (trace, entries) in puts {
-            effects.extend(self.put_entries(entries, trace, now));
+            let carrier = carried.take_if(|(.., t)| *t == trace);
+            let carrier = carrier.map(|(to, entry, _)| (to, entry));
+            effects.extend(self.put_entries(entries, trace, carrier, now));
         }
         for ((namespace, reply_to), keys) in gets {
             effects.extend(self.get_keys(&namespace, reply_to, keys, now));
@@ -2154,9 +2190,9 @@ mod tests {
         assert_eq!(lookups_in(&msgs), 1);
         assert_eq!(tel.counter("dht.owner_cache.refreshes"), 1);
         assert_eq!(tel.counter("dht.owner_cache.parked"), 6);
-        // The answer releases the put that carried the lookup, the get and
-        // the renewal as one direct message each, and the four parked puts
-        // as one PutBatch.  No second lookup.
+        // The answer releases the put that carried the lookup together with
+        // the four parked puts as one PutBatch of 5, and the get and the
+        // renewal as one direct message each.  No second lookup.
         let transfers = settle(&mut overlays, NodeAddr(0), effects, None, EXPIRED);
         assert!(transfers
             .iter()
@@ -2164,8 +2200,7 @@ mod tests {
         let mut kinds: Vec<&str> = transfers
             .iter()
             .map(|(_, _, m)| match m {
-                DhtMessage::PutRequest { .. } => "put",
-                DhtMessage::PutBatch { entries, .. } if entries.len() == 4 => "batch of 4",
+                DhtMessage::PutBatch { entries, .. } if entries.len() == 5 => "batch of 5",
                 DhtMessage::GetRequest { keys, .. }
                     if keys[..] == [(keys_of[1].clone(), get_id)] =>
                 {
@@ -2176,7 +2211,7 @@ mod tests {
             })
             .collect();
         kinds.sort_unstable();
-        assert_eq!(kinds, ["batch of 4", "get", "put", "renew"]);
+        assert_eq!(kinds, ["batch of 5", "get", "renew"]);
         assert_eq!(tel.counter("dht.lookups"), 1);
         assert_eq!(overlays[0].resolver.in_flight(), 0);
         // Gets share too: k of them — one call or k — cost one lookup, the
@@ -2232,14 +2267,17 @@ mod tests {
             hops: 2,
         });
         let effects = overlays[0].on_message(refs[3].addr, shrunk, EXPIRED);
-        // Keys 0..3 lie above the split: the carrier alone, two in a batch.
-        // Keys 3..6 lie at or below it: a lookup each (the first of which
-        // nothing parks behind: no arc covers them any more).
+        // Keys 0..3 lie above the split: the carrier and the two parked
+        // there in one batch.  Keys 3..6 lie at or below it: a lookup each
+        // (the first of which nothing parks behind: no arc covers them any
+        // more).
         let msgs = sends(&effects);
         assert_eq!(lookups_in(&msgs), 3, "{msgs:?}");
-        assert_eq!(msgs.len(), 5);
+        assert_eq!(msgs.len(), 4);
+        assert!(msgs.iter().any(|(to, m)| *to == refs[3].addr
+            && matches!(m, DhtMessage::PutBatch { entries, .. } if entries.len() == 3)));
         let transfers = settle(&mut overlays, NodeAddr(0), effects, None, EXPIRED);
-        assert_eq!(transfers.len(), 5);
+        assert_eq!(transfers.len(), 4);
         for (from, to, msg) in transfers {
             assert_eq!(to, refs[3].addr, "the ring's true owner");
             overlays[3].on_message(from, msg, EXPIRED);

@@ -5,8 +5,18 @@
 mod common;
 
 use common::seeded;
+use pier::dht::{make_ring_refs, routing_id, DhtMessage, Id, NodeRef};
 use pier::harness::{Cluster, ClusterConfig};
-use pier::qp::{sqlish, Expr, JoinSpec, OpGraph, PlanBuilder, SinkSpec, SourceSpec, Tuple, Value};
+use pier::qp::{
+    sqlish, Expr, JoinSpec, OpGraph, PierConfig, PierMsg, PierNode, PierOut, PierTimer,
+    PlanBuilder, SinkSpec, SourceSpec, Tuple, Value,
+};
+use pier::runtime::{Action, Context, NodeAddr, Program, SimConfig, SimTime, Simulator};
+use std::cell::RefCell;
+use std::collections::BTreeMap;
+use std::rc::Rc;
+
+const SEC: u64 = 1_000_000;
 
 #[test]
 fn sql_keyword_search_end_to_end() {
@@ -328,5 +338,263 @@ fn query_survives_minority_node_failures() {
         outcome.results.len() >= 20,
         "expected most rows to survive, got {}",
         outcome.results.len()
+    );
+}
+
+// ----- publishing: what one instant's publishes put on the wire ------------
+
+type Ctx = Context<PierMsg, PierTimer, PierOut>;
+
+/// One logged put or results message: when, from where, to whom, and how
+/// many rows it carried.
+#[derive(Debug, Clone, PartialEq)]
+struct Sent {
+    at: SimTime,
+    from: NodeAddr,
+    to: NodeAddr,
+    kind: &'static str,
+    rows: usize,
+}
+
+type Log = Rc<RefCell<Vec<Sent>>>;
+
+/// A `PierNode` whose put and results messages are logged as it sends them.
+struct Logged {
+    node: PierNode,
+    log: Log,
+}
+
+impl Logged {
+    fn run(&mut self, ctx: &mut Ctx, f: impl FnOnce(&mut PierNode, &mut Ctx)) {
+        let mut inner = Context::new(ctx.now(), ctx.me());
+        f(&mut self.node, &mut inner);
+        for action in inner.into_actions() {
+            match action {
+                Action::Send { to, msg } => {
+                    let logged = match &msg {
+                        PierMsg::Dht(DhtMessage::PutRequest { .. }) => Some(("put", 1)),
+                        PierMsg::Dht(DhtMessage::PutBatch { entries, .. }) => {
+                            Some(("put", entries.len()))
+                        }
+                        PierMsg::Results { rows, .. } => Some(("results", rows.len())),
+                        _ => None,
+                    };
+                    if let Some((kind, rows)) = logged {
+                        let (at, from) = (ctx.now(), ctx.me());
+                        let sent = Sent {
+                            at,
+                            from,
+                            to,
+                            kind,
+                            rows,
+                        };
+                        self.log.borrow_mut().push(sent);
+                    }
+                    ctx.send(to, msg);
+                }
+                Action::SetTimer { delay, timer } => ctx.set_timer(delay, timer),
+                Action::Output(out) => ctx.output(out),
+            }
+        }
+    }
+}
+
+impl Program for Logged {
+    type Msg = PierMsg;
+    type Timer = PierTimer;
+    type Out = PierOut;
+
+    fn on_start(&mut self, ctx: &mut Ctx) {
+        self.run(ctx, Program::on_start);
+    }
+
+    fn on_message(&mut self, ctx: &mut Ctx, from: NodeAddr, msg: PierMsg) {
+        self.run(ctx, |node, ctx| node.on_message(ctx, from, msg));
+    }
+
+    fn on_timer(&mut self, ctx: &mut Ctx, timer: PierTimer) {
+        self.run(ctx, |node, ctx| node.on_timer(ctx, timer));
+    }
+
+    fn on_stop(&mut self, ctx: &mut Ctx) {
+        self.run(ctx, Program::on_stop);
+    }
+}
+
+/// A LAN of logged nodes on a converged ring, its distribution tree warm.
+fn logged_lan(nodes: usize, seed: u64) -> (Simulator<Logged>, Vec<NodeRef>, Log) {
+    let refs = make_ring_refs(nodes, seed);
+    let log = Log::default();
+    let mut sim = Simulator::new(SimConfig::lan(seed));
+    for r in &refs {
+        sim.add_node(Logged {
+            node: PierNode::with_static_ring(*r, &refs, PierConfig::default()),
+            log: Rc::clone(&log),
+        });
+    }
+    sim.run_for(6 * SEC);
+    (sim, refs, log)
+}
+
+/// The node whose arc covers `id` on the ring `refs`: the first at or
+/// clockwise after it.
+fn true_owner(refs: &[NodeRef], id: Id) -> NodeAddr {
+    let owner = refs.iter().min_by_key(|r| id.distance_to(r.id));
+    owner.expect("a ring has nodes").addr
+}
+
+/// A row of table `t` keyed by its `k` column.
+fn keyed_row(key: &str, v: i64) -> Tuple {
+    Tuple::new("t", vec![("k", Value::str(key)), ("v", Value::Int(v))])
+}
+
+fn key_cols() -> Vec<String> {
+    vec!["k".to_string()]
+}
+
+/// The ring's owner of `keyed_row(key, _)` once published.
+fn row_owner(refs: &[NodeRef], key: &str) -> NodeAddr {
+    let partition = keyed_row(key, 0).partition_key(&key_cols()).expect("keyed");
+    true_owner(refs, routing_id("t", &partition))
+}
+
+fn publish_rows(sim: &mut Simulator<Logged>, at: NodeAddr, keys: &[String]) {
+    sim.invoke(at, |logged, ctx| {
+        logged.run(ctx, |node, ctx| {
+            for (i, key) in keys.iter().enumerate() {
+                node.publish(ctx, "t", &key_cols(), keyed_row(key, i as i64));
+            }
+        });
+    });
+}
+
+#[test]
+fn rows_published_in_one_instant_leave_as_one_put_per_owner() {
+    const OWNERS: usize = 6;
+    const PER_OWNER: usize = 5;
+    let (mut sim, refs, log) = logged_lan(16, seeded(0x51));
+    let publisher = refs[0].addr;
+    // Keys for six remote owners, five each.
+    let mut keys: BTreeMap<NodeAddr, Vec<String>> = BTreeMap::new();
+    for i in 0..1_000_000 {
+        let key = format!("k{i}");
+        let owner = row_owner(&refs, &key);
+        let known = keys.contains_key(&owner);
+        if owner == publisher || (!known && keys.len() == OWNERS) {
+            continue;
+        }
+        let of = keys.entry(owner).or_default();
+        if of.len() < PER_OWNER {
+            of.push(key);
+        }
+        if keys.len() == OWNERS && keys.values().all(|k| k.len() == PER_OWNER) {
+            break;
+        }
+    }
+    assert!(keys.values().all(|k| k.len() == PER_OWNER), "{keys:?}");
+    // The first key of each owner teaches the publisher that owner's arc;
+    // the other four of each are published together, in one instant.
+    let first: Vec<String> = keys.values().map(|k| k[0].clone()).collect();
+    publish_rows(&mut sim, publisher, &first);
+    sim.run_for(SEC);
+    log.borrow_mut().clear();
+    let rest: Vec<String> = keys.values().flat_map(|k| k[1..].to_vec()).collect();
+    publish_rows(&mut sim, publisher, &rest);
+    sim.run_for(2 * SEC);
+    let puts: Vec<Sent> = log
+        .borrow()
+        .iter()
+        .filter(|s| s.from == publisher && s.kind == "put")
+        .cloned()
+        .collect();
+    assert!(
+        puts.len() <= OWNERS,
+        "{} rows for {OWNERS} owners took {} put messages: {puts:?}",
+        rest.len(),
+        puts.len()
+    );
+    assert_eq!(puts.iter().map(|s| s.rows).sum::<usize>(), rest.len());
+    // Every row is stored once, at its true owner.
+    let now = sim.now();
+    for (owner, keys) in &keys {
+        for key in keys {
+            let partition = keyed_row(key, 0).partition_key(&key_cols()).unwrap();
+            let holders: Vec<(NodeAddr, usize)> = refs
+                .iter()
+                .map(|r| {
+                    let node = &sim.node(r.addr).expect("alive").node;
+                    let held = node.overlay().objects().get("t", &partition, now);
+                    (r.addr, held.len())
+                })
+                .filter(|(_, held)| *held > 0)
+                .collect();
+            assert_eq!(holders, [(*owner, 1)], "row {key}");
+        }
+    }
+}
+
+#[test]
+fn a_node_s_own_query_counts_the_rows_it_published_in_the_same_instant() {
+    let mut cluster = Cluster::start(&ClusterConfig::lan(16, seeded(0x52)));
+    let proxy = cluster.addr(5);
+    let key_cols = vec!["src".to_string()];
+    for i in 0..40i64 {
+        let src = Value::str(format!("10.0.0.{}", i % 8));
+        let tuple = Tuple::new("events", vec![("src", src), ("port", Value::Int(i))]);
+        cluster.publish(proxy, "events", &key_cols, tuple);
+    }
+    // No time passes: the query is submitted in the instant the rows were
+    // published, at the node that published them.
+    let sql = "SELECT src, COUNT(*) FROM events GROUP BY src";
+    let plan = sqlish::compile(sql, proxy, 8 * SEC).unwrap();
+    let outcome = cluster.run_query(proxy, plan);
+    let rows = outcome.tuples();
+    assert_eq!(rows.len(), 8, "one row per source: {rows:?}");
+    for row in &rows {
+        assert_eq!(row.get("count").and_then(Value::as_i64), Some(5), "{row:?}");
+    }
+}
+
+#[test]
+fn ingest_publish_ingest_in_one_instant_leave_in_call_order() {
+    let (mut sim, refs, log) = logged_lan(12, seeded(0x53));
+    let (proxy, node) = (refs[1].addr, refs[4].addr);
+    let plan = sqlish::compile("SELECT src FROM packets", proxy, 30 * SEC).unwrap();
+    sim.invoke(proxy, |logged, ctx| {
+        logged.run(ctx, |n, ctx| {
+            n.submit_query(ctx, plan);
+        });
+    });
+    sim.run_for(2 * SEC);
+    // A row owned by the node's successor, which it knows without asking.
+    let successor = true_owner(&refs, Id(refs[4].id.0.wrapping_add(1)));
+    let key = (0..)
+        .map(|i| format!("k{i}"))
+        .find(|k| row_owner(&refs, k) == successor)
+        .unwrap();
+    let packet = |src: &str| Tuple::new("packets", vec![("src", Value::str(src))]);
+    log.borrow_mut().clear();
+    let at = sim.now();
+    sim.invoke(node, |logged, ctx| {
+        logged.run(ctx, |n, ctx| {
+            n.ingest(ctx, "packets", packet("10.0.0.1"));
+            n.publish(ctx, "t", &key_cols(), keyed_row(&key, 0));
+            n.ingest(ctx, "packets", packet("10.0.0.2"));
+        });
+    });
+    sim.run_for(SEC);
+    let sent: Vec<(SimTime, NodeAddr, &str, usize)> = log
+        .borrow()
+        .iter()
+        .filter(|s| s.from == node)
+        .map(|s| (s.at, s.to, s.kind, s.rows))
+        .collect();
+    assert_eq!(
+        sent,
+        [
+            (at, proxy, "results", 1),
+            (at, successor, "put", 1),
+            (at, proxy, "results", 1),
+        ]
     );
 }

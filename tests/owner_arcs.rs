@@ -14,7 +14,8 @@
 //! node's arc is taken over by its successor.  The property holds the resolver
 //! against the true owner on converged rings of every size, and every `put`
 //! against the store it must end up in — an arc's refresh parks operations,
-//! and parking may neither lose nor duplicate one.  The cache rules
+//! and parking may neither lose nor duplicate one, nor split what the
+//! refresh carried from the puts parked for the same owner.  The cache rules
 //! themselves are held on a bare `Resolver`, with no ring under it, and
 //! the rule the arcs rest on — one owner per identifier — on bare
 //! `Router`s that join, crash and stabilize with no overlay above them.
@@ -519,8 +520,118 @@ impl Ring {
     }
 }
 
+impl Ring {
+    /// Carry every message until nothing is in flight, as `pump` does with
+    /// no loss, letting `shrink` rewrite each lookup answer bound for
+    /// `watched` first; returns, per answer `watched` took, the put
+    /// messages it sent straight to the owner that answer named.
+    fn pump_answers(
+        &mut self,
+        watched: NodeAddr,
+        effects: Vec<OverlayEffect<String>>,
+        now: SimTime,
+        mut shrink: impl FnMut(&mut RouterMessage),
+    ) -> Vec<usize> {
+        let mut puts_per_answer = Vec::new();
+        let mut queue = vec![(watched, effects)];
+        while let Some((from, effects)) = queue.pop() {
+            for effect in effects {
+                let OverlayEffect::Send { to, mut msg } = effect else {
+                    continue;
+                };
+                let mut answered = None;
+                if let DhtMessage::Routing(reply @ RouterMessage::FindSuccessorReply { .. }) =
+                    &mut msg
+                {
+                    if to == watched {
+                        shrink(reply);
+                        if let RouterMessage::FindSuccessorReply { owner, .. } = reply {
+                            answered = Some(owner.addr);
+                        }
+                    }
+                }
+                let effects = self.overlays[to.index()].on_message(from, msg, now);
+                if let Some(owner) = answered {
+                    let puts = effects.iter().filter(|e| {
+                        matches!(e, OverlayEffect::Send {
+                            to,
+                            msg: DhtMessage::PutRequest { .. } | DhtMessage::PutBatch { .. },
+                        } if *to == owner)
+                    });
+                    puts_per_answer.push(puts.count());
+                }
+                queue.push((to, effects));
+            }
+        }
+        puts_per_answer
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Flushes into fresh arcs, expired ones and ones whose refresh is
+    /// answered for a shrunken arc: every entry is stored exactly once, at
+    /// its true owner, and no lookup answer sends its owner more than one
+    /// put message — what a refresh carried leaves with the puts parked
+    /// behind it that the answer also sends there.
+    #[test]
+    fn a_refresh_sends_its_owner_one_put_message(
+        nodes in 4usize..20,
+        ring_seed: u64,
+        rounds in proptest::collection::vec((0u8..3, 1usize..40, 1u64..256), 1..6),
+    ) {
+        let refs = make_ring_refs(nodes, ring_seed);
+        // One successor known: every other arc takes a lookup or the cache.
+        let config = OverlayConfig {
+            router: RouterConfig { successor_list_len: 1, ..RouterConfig::default() },
+        };
+        let mut ring = Ring {
+            overlays: refs.iter().map(|r| Overlay::with_static_ring(*r, &refs, config)).collect(),
+        };
+        let publisher = refs[0].addr;
+        let ttl = 2 * RouterConfig::default().liveness_timeout;
+        let (mut now, mut published) = (0, Vec::new());
+        for (round, &(kind, entries, share)) in rounds.iter().enumerate() {
+            // 0: within the arcs' TTL; 1: past it; 2: past it, and every
+            // answer vouches for the upper `share / 256` of its arc only.
+            now += if kind == 0 { SECOND } else { ttl + 1 };
+            let batch: Vec<(ObjectName, String, u64)> = (0..entries)
+                .map(|i| {
+                    let name = ObjectName::new(NS, format!("k{round}.{i}"), round as u64);
+                    (name, "v".to_string(), LIFETIME)
+                })
+                .collect();
+            published.extend(batch.iter().map(|(name, ..)| name.clone()));
+            let effects = ring.overlays[publisher.index()].put_batch(batch, now);
+            let answers = ring.pump_answers(publisher, effects, now, |reply| {
+                if let RouterMessage::FindSuccessorReply { owner, arc_start, .. } = reply {
+                    if kind == 2 {
+                        let arc = arc_start.distance_to(owner.id);
+                        let cut = (u128::from(arc) * u128::from(256 - share) / 256) as u64;
+                        *arc_start = Id(arc_start.0.wrapping_add(cut));
+                    }
+                }
+            });
+            prop_assert!(
+                answers.iter().all(|&puts| puts <= 1),
+                "round {round}: put messages per answered owner {answers:?}"
+            );
+        }
+        for name in published {
+            let truth = true_owner(&refs, name.routing_id()).addr;
+            for r in &refs {
+                let copies = ring.overlays[r.addr.index()]
+                    .objects()
+                    .get(NS, &name.key, now)
+                    .iter()
+                    .filter(|o| o.name.suffix == name.suffix)
+                    .count();
+                let expected = usize::from(r.addr == truth);
+                prop_assert_eq!(copies, expected, "{} at node {}, owned by {}", name.key, r.addr, truth);
+            }
+        }
+    }
 
     /// A flush into expired arcs whose lookups — refreshes among them — are
     /// lost at random: once the next `Expire` sweep has run, every entry is
