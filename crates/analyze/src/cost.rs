@@ -212,32 +212,14 @@ const WINDOW_OVERHEAD: u64 = 256;
 /// out at 17 for AVG; 32 leaves headroom for MIN/MAX over strings).
 const AGG_STATE_BYTES: u64 = 32;
 
-/// Walk the top-level conjunction of `expr`, recording columns pinned by an
-/// equality atom (`col = const` or `const = col`).  Only conjuncts count:
-/// an equality under OR/NOT pins nothing.
-fn eq_constrained_columns(expr: &Expr, out: &mut BTreeSet<String>) {
-    match expr {
-        Expr::And(l, r) => {
-            eq_constrained_columns(l, out);
-            eq_constrained_columns(r, out);
-        }
-        Expr::Cmp(CmpOp::Eq, l, r) => match (l.as_ref(), r.as_ref()) {
-            (Expr::Column(c), Expr::Const(_)) | (Expr::Const(_), Expr::Column(c)) => {
-                out.insert(c.clone());
-            }
-            _ => {}
-        },
-        _ => {}
-    }
-}
-
-/// Columns pinned to a single value by every `Selection` conjunct of the
-/// opgraph.
+/// Columns pinned to a single value by a `Selection` conjunct of the
+/// opgraph: an equality atom (`col = const` or `const = col`).
 fn pinned_columns(graph: &OpGraph) -> BTreeSet<String> {
     let mut pinned = BTreeSet::new();
     for op in &graph.ops {
         if let OperatorSpec::Selection(p) = op {
-            eq_constrained_columns(p, &mut pinned);
+            let atoms = p.conjuncts().filter_map(Expr::atom);
+            pinned.extend(atoms.filter(|a| a.op == CmpOp::Eq).map(|a| a.column));
         }
     }
     pinned

@@ -78,7 +78,7 @@ impl EddyFilter for PredicateFilter {
     fn apply_row(&mut self, chunk: &ColumnChunk, r: usize) -> bool {
         self.predicate
             .for_schema(chunk.schema())
-            .matches_view(&chunk.row_view(r))
+            .matches_row(chunk, r)
     }
 }
 
@@ -267,9 +267,9 @@ impl Eddy {
     }
 
     /// Route a batch, emitting the survivors as re-chunked columnar output:
-    /// rows are decided over borrowed [`ChunkRow`](crate::tuple::ChunkRow)
-    /// views and survivors leave as one filtered chunk per input chunk —
-    /// zero per-row tuple materialisations.
+    /// rows are decided in place in the chunk's columns and survivors leave
+    /// as one filtered chunk per input chunk — zero per-row tuple
+    /// materialisations.
     ///
     /// The visiting order is drawn at the start of every chunk and re-drawn
     /// every [`EDDY_REORDER_ROWS`] rows inside it, so observations keep

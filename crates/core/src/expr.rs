@@ -1,5 +1,16 @@
 //! Predicate and scalar expressions.
 //!
+//! **Shape.**  Every planner builds a selection predicate as a conjunction
+//! of atoms, `column op constant` ([`Atom`]): sqlish parses only such
+//! conjuncts, and `PlanBuilder` composes only them.  [`Expr::conjuncts`],
+//! [`Expr::atom`] and [`Expr::atoms`] are the one walker of that shape —
+//! dissemination's equality key ([`Expr::equality_constant`]), the cost
+//! analyzer's pinned columns, share-group normalization, the predicate
+//! index and the window engine's member filing all read a predicate
+//! through them.  The evaluator still takes the other trees the enum can
+//! express (column against column, a bare column, a comparison of a
+//! comparison), with the same semantics.
+//!
 //! Expressions are evaluated against self-describing tuples with the
 //! *best-effort* policy of §3.3.4: a missing field or an incompatible type
 //! does not raise an error to the client — the evaluating operator simply
@@ -17,7 +28,7 @@
 //! selections and eddies use it.
 
 use crate::column::{Bitmap, Column};
-use crate::tuple::{ChunkRow, ColumnChunk, Schema, Tuple};
+use crate::tuple::{ColumnChunk, Schema, Tuple};
 use crate::value::{Value, ValueRef};
 use std::sync::Arc;
 
@@ -97,13 +108,18 @@ pub enum Expr {
     Cmp(CmpOp, Box<Expr>, Box<Expr>),
     /// Logical AND (both sides must evaluate to booleans).
     And(Box<Expr>, Box<Expr>),
-    /// Logical OR.
-    Or(Box<Expr>, Box<Expr>),
-    /// Logical negation.
-    Not(Box<Expr>),
-    /// True when the named string column contains the given substring
-    /// (used by keyword-search queries).
-    Contains(String, String),
+}
+
+/// One `column op constant` conjunct of a predicate (`constant op column`
+/// is read with the comparison swapped).
+#[derive(Debug, Clone, PartialEq)]
+pub struct Atom {
+    /// The column compared.
+    pub column: String,
+    /// The comparison.
+    pub op: CmpOp,
+    /// The constant compared against.
+    pub constant: Value,
 }
 
 impl Expr {
@@ -163,32 +179,6 @@ impl Expr {
                 let rv = self.expect_bool(r.eval(tuple)?)?;
                 Ok(Value::Bool(rv))
             }
-            Expr::Or(l, r) => {
-                let lv = self.expect_bool(l.eval(tuple)?)?;
-                if lv {
-                    return Ok(Value::Bool(true));
-                }
-                let rv = self.expect_bool(r.eval(tuple)?)?;
-                Ok(Value::Bool(rv))
-            }
-            Expr::Not(e) => {
-                let v = self.expect_bool(e.eval(tuple)?)?;
-                Ok(Value::Bool(!v))
-            }
-            Expr::Contains(column, needle) => {
-                let v = tuple
-                    .get(column)
-                    .cloned()
-                    .ok_or_else(|| EvalError::MissingColumn(column.clone()))?;
-                match v {
-                    Value::Str(s) => Ok(Value::Bool(s.contains(needle.as_str()))),
-                    other => Err(EvalError::TypeMismatch {
-                        op: "contains",
-                        left: other.type_name(),
-                        right: "string",
-                    }),
-                }
-            }
         }
     }
 
@@ -218,21 +208,55 @@ impl Expr {
         }
     }
 
-    /// If this predicate constrains `column` to a single constant via
-    /// equality (possibly inside a conjunction), return that constant.  Used
-    /// by query dissemination to pick the equality index (§3.3.3).
+    /// The conjuncts of this predicate's top-level `AND` chain, left to
+    /// right; any other expression is its own single conjunct.
+    pub fn conjuncts(&self) -> impl Iterator<Item = &Expr> {
+        let mut stack = vec![self];
+        std::iter::from_fn(move || loop {
+            match stack.pop()? {
+                Expr::And(l, r) => stack.extend([r.as_ref(), l.as_ref()]),
+                conjunct => return Some(conjunct),
+            }
+        })
+    }
+
+    /// This expression as an [`Atom`]: `column op constant` as written,
+    /// `constant op column` with the comparison swapped; `None` for any
+    /// other shape.
+    pub fn atom(&self) -> Option<Atom> {
+        let Expr::Cmp(op, l, r) = self else {
+            return None;
+        };
+        let (column, op, constant) = match (l.as_ref(), r.as_ref()) {
+            (Expr::Column(c), Expr::Const(v)) => (c, *op, v),
+            (Expr::Const(v), Expr::Column(c)) => (c, op.swapped(), v),
+            _ => return None,
+        };
+        Some(Atom {
+            column: column.clone(),
+            op,
+            constant: constant.clone(),
+        })
+    }
+
+    /// The predicate as a conjunction of [`Atom`]s, or `None` when some
+    /// conjunct is neither an atom nor `TRUE`.  `TRUE` conjuncts contribute
+    /// no atom, so `TRUE` itself is the empty conjunction.
+    pub fn atoms(&self) -> Option<Vec<Atom>> {
+        self.conjuncts()
+            .filter(|c| !matches!(c, Expr::Const(Value::Bool(true))))
+            .map(Expr::atom)
+            .collect()
+    }
+
+    /// The constant of the first conjunct `column = constant` (either
+    /// operand order), if any.  Used by query dissemination to pick the
+    /// equality index (§3.3.3).
     pub fn equality_constant(&self, column: &str) -> Option<Value> {
-        match self {
-            Expr::Cmp(CmpOp::Eq, l, r) => match (l.as_ref(), r.as_ref()) {
-                (Expr::Column(c), Expr::Const(v)) if c == column => Some(v.clone()),
-                (Expr::Const(v), Expr::Column(c)) if c == column => Some(v.clone()),
-                _ => None,
-            },
-            Expr::And(l, r) => l
-                .equality_constant(column)
-                .or_else(|| r.equality_constant(column)),
-            _ => None,
-        }
+        self.conjuncts()
+            .filter_map(Expr::atom)
+            .find(|a| a.op == CmpOp::Eq && a.column == column)
+            .map(|a| a.constant)
     }
 }
 
@@ -256,19 +280,15 @@ enum CompiledNode {
     Const(Value),
     Cmp(CmpOp, Box<CompiledNode>, Box<CompiledNode>),
     And(Box<CompiledNode>, Box<CompiledNode>),
-    Or(Box<CompiledNode>, Box<CompiledNode>),
-    Not(Box<CompiledNode>),
-    Contains(Box<CompiledNode>, String),
 }
 
 impl CompiledNode {
     fn build(expr: &Expr, schema: &Schema) -> CompiledNode {
-        let col = |name: &str| match schema.position(name) {
-            Some(i) => CompiledNode::Col(i),
-            None => CompiledNode::Missing(name.to_string()),
-        };
         match expr {
-            Expr::Column(name) => col(name),
+            Expr::Column(name) => match schema.position(name) {
+                Some(i) => CompiledNode::Col(i),
+                None => CompiledNode::Missing(name.clone()),
+            },
             Expr::Const(v) => CompiledNode::Const(v.clone()),
             Expr::Cmp(op, l, r) => CompiledNode::Cmp(
                 *op,
@@ -279,14 +299,6 @@ impl CompiledNode {
                 Box::new(Self::build(l, schema)),
                 Box::new(Self::build(r, schema)),
             ),
-            Expr::Or(l, r) => CompiledNode::Or(
-                Box::new(Self::build(l, schema)),
-                Box::new(Self::build(r, schema)),
-            ),
-            Expr::Not(e) => CompiledNode::Not(Box::new(Self::build(e, schema))),
-            Expr::Contains(column, needle) => {
-                CompiledNode::Contains(Box::new(col(column)), needle.clone())
-            }
         }
     }
 
@@ -340,24 +352,6 @@ impl CompiledNode {
                     return Ok(Value::Bool(false));
                 }
                 Ok(Value::Bool(expect_bool(r.eval_with(get)?)?))
-            }
-            CompiledNode::Or(l, r) => {
-                if expect_bool(l.eval_with(get)?)? {
-                    return Ok(Value::Bool(true));
-                }
-                Ok(Value::Bool(expect_bool(r.eval_with(get)?)?))
-            }
-            CompiledNode::Not(e) => Ok(Value::Bool(!expect_bool(e.eval_with(get)?)?)),
-            CompiledNode::Contains(column, needle) => {
-                let v = column.eval_with(get)?;
-                match v {
-                    Value::Str(s) => Ok(Value::Bool(s.contains(needle.as_str()))),
-                    other => Err(EvalError::TypeMismatch {
-                        op: "contains",
-                        left: other.type_name(),
-                        right: "string",
-                    }),
-                }
             }
         }
     }
@@ -467,87 +461,6 @@ impl CompiledNode {
                 }
                 true
             }
-            CompiledNode::Or(l, r) => {
-                if !l.eval_column(chunk, truth, err) {
-                    return false;
-                }
-                let mut rt = vec![false; truth.len()];
-                let mut re = vec![false; truth.len()];
-                if !r.eval_column(chunk, &mut rt, &mut re) {
-                    return false;
-                }
-                // A cleanly-true left side short-circuits past any error on
-                // the right.
-                for i in 0..truth.len() {
-                    let e = err[i] || (!truth[i] && re[i]);
-                    truth[i] = !e && (truth[i] || rt[i]);
-                    err[i] = e;
-                }
-                true
-            }
-            CompiledNode::Not(e) => {
-                if !e.eval_column(chunk, truth, err) {
-                    return false;
-                }
-                for i in 0..truth.len() {
-                    truth[i] = !err[i] && !truth[i];
-                }
-                true
-            }
-            CompiledNode::Contains(col, needle) => match col.as_ref() {
-                CompiledNode::Col(i) => {
-                    match chunk.col(*i) {
-                        Column::Dict {
-                            codes,
-                            dict,
-                            validity,
-                            ..
-                        } => {
-                            // One substring scan per *distinct* value, then a
-                            // code-indexed table lookup per row.
-                            let verdicts: Vec<bool> =
-                                dict.iter().map(|s| s.contains(needle.as_str())).collect();
-                            for (r, &code) in codes.iter().enumerate() {
-                                truth[r] = verdicts[code as usize];
-                            }
-                            mask_invalid(validity.as_ref(), truth, err);
-                        }
-                        Column::Str {
-                            arena,
-                            offsets,
-                            validity,
-                        } => {
-                            // One arena-wide UTF-8 validation, then
-                            // per-row slicing (as in `cmp_col_const`).
-                            let arena = std::str::from_utf8(arena).expect("arena holds UTF-8");
-                            for r in 0..offsets.len() - 1 {
-                                let s = &arena[offsets[r] as usize..offsets[r + 1] as usize];
-                                truth[r] = s.contains(needle.as_str());
-                            }
-                            mask_invalid(validity.as_ref(), truth, err);
-                        }
-                        Column::Values(vals) => {
-                            for (r, v) in vals.iter().enumerate() {
-                                match v {
-                                    Value::Str(s) => truth[r] = s.contains(needle.as_str()),
-                                    _ => err[r] = true,
-                                }
-                            }
-                        }
-                        _ => {
-                            truth.fill(false);
-                            err.fill(true);
-                        }
-                    }
-                    true
-                }
-                CompiledNode::Missing(_) => {
-                    truth.fill(false);
-                    err.fill(true);
-                    true
-                }
-                _ => false,
-            },
         }
     }
 }
@@ -584,13 +497,6 @@ impl CompiledExpr {
         self.root.eval_with(&|i| chunk.col(i).value_ref(r))
     }
 
-    /// Evaluate a borrowed [`ChunkRow`] view (positional, allocation-free on
-    /// the leaf-compare fast path — the survivor-path entry point).
-    pub fn eval_view(&self, row: &ChunkRow<'_>) -> Result<Value, EvalError> {
-        debug_assert!(self.is_for(row.schema()));
-        self.root.eval_with(&|i| row.get(i))
-    }
-
     /// Predicate view over a row-major value slice: `true` only on a clean
     /// boolean true (the best-effort discard policy).
     pub fn matches(&self, values: &[Value]) -> bool {
@@ -602,20 +508,15 @@ impl CompiledExpr {
         matches!(self.eval_row(chunk, r), Ok(Value::Bool(true)))
     }
 
-    /// Predicate view over a borrowed [`ChunkRow`].
-    pub fn matches_view(&self, row: &ChunkRow<'_>) -> bool {
-        matches!(self.eval_view(row), Ok(Value::Bool(true)))
-    }
-
     /// **Column-at-a-time** predicate evaluation: the per-row outcomes of
     /// [`CompiledExpr::matches_row`] over the whole chunk, computed by
     /// layout-specialised inner loops over each referenced column's typed
     /// buffers (raw `i64`/`f64` slices, dictionary code tables, validity
     /// words) and combined with bitwise mask operations — no per-row
     /// expression-tree walk and no per-element enum dispatch on the
-    /// comparison shapes that dominate selection predicates
-    /// (`column op constant`, conjunctions/disjunctions thereof,
-    /// `Contains`, boolean columns).
+    /// comparison shapes that make up selection predicates
+    /// (`column op constant` and conjunctions thereof; column against
+    /// column and boolean columns too).
     ///
     /// Shapes the vectoriser does not cover (nested comparisons) fall back
     /// to the row-at-a-time walk, so the returned mask is always exactly
@@ -954,13 +855,6 @@ mod tests {
     }
 
     #[test]
-    fn or_and_not() {
-        let e = Expr::Or(Box::new(Expr::eq("a", 99i64)), Box::new(Expr::col("ok")));
-        assert!(e.matches(&tup()));
-        assert!(Expr::Not(Box::new(Expr::eq("a", 99i64))).matches(&tup()));
-    }
-
-    #[test]
     fn best_effort_discard_on_missing_or_mismatched() {
         // Missing column: predicate simply does not match.
         assert!(!Expr::eq("nope", 1i64).matches(&tup()));
@@ -978,13 +872,6 @@ mod tests {
     }
 
     #[test]
-    fn contains_for_keyword_search() {
-        assert!(Expr::Contains("name".into(), "beta".into()).matches(&tup()));
-        assert!(!Expr::Contains("name".into(), "gamma".into()).matches(&tup()));
-        assert!(!Expr::Contains("a".into(), "5".into()).matches(&tup()));
-    }
-
-    #[test]
     fn equality_constant_extraction_for_dissemination() {
         let pred = Expr::all(vec![
             Expr::cmp(CmpOp::Gt, Expr::col("b"), Expr::lit(0i64)),
@@ -998,6 +885,17 @@ mod tests {
         assert_eq!(
             Expr::eq("x", 3i64).equality_constant("x"),
             Some(Value::Int(3))
+        );
+        // Either operand order; the first conjunct pinning the column wins;
+        // a comparison nested in a comparison is not a conjunct.
+        let pred = Expr::all(vec![
+            Expr::cmp(CmpOp::Eq, Expr::lit(2i64), Expr::col("x")),
+            Expr::eq("x", 3i64),
+        ]);
+        assert_eq!(pred.equality_constant("x"), Some(Value::Int(2)));
+        assert_eq!(
+            Expr::cmp(CmpOp::Eq, Expr::eq("x", 3i64), Expr::lit(true)).equality_constant("x"),
+            None
         );
     }
 
@@ -1031,25 +929,19 @@ mod tests {
                 Box::new(Expr::eq("a", 99i64)),
                 Box::new(Expr::col("missing")),
             ),
-            Expr::Or(Box::new(Expr::eq("a", 99i64)), Box::new(Expr::col("ok"))),
-            Expr::Not(Box::new(Expr::col("ok"))),
-            Expr::Contains("name".into(), "beta".into()),
-            Expr::Contains("a".into(), "5".into()),
+            Expr::And(Box::new(Expr::eq("a", 5i64)), Box::new(Expr::col("ok"))),
             Expr::col("nope"),
             Expr::cmp(CmpOp::Eq, Expr::col("name"), Expr::lit(5i64)),
         ];
         // Every form is among the cases: a form added later fails to
         // compile here until it is.
-        let mut seen = [false; 7];
+        let mut seen = [false; 4];
         for e in exprs {
             seen[match &e {
                 Expr::Column(_) => 0,
                 Expr::Const(_) => 1,
                 Expr::Cmp(..) => 2,
                 Expr::And(..) => 3,
-                Expr::Or(..) => 4,
-                Expr::Not(_) => 5,
-                Expr::Contains(..) => 6,
             }] = true;
             let compiled = e.compile(t.schema());
             assert_eq!(
@@ -1058,7 +950,7 @@ mod tests {
                 "compiled and interpreted eval must agree for {e:?}"
             );
         }
-        assert_eq!(seen, [true; 7]);
+        assert_eq!(seen, [true; 4]);
     }
 
     #[test]
@@ -1116,18 +1008,14 @@ mod tests {
                 Box::new(Expr::cmp(CmpOp::Ge, Expr::col("b"), Expr::lit(2i64))),
                 Box::new(Expr::col("ok")),
             ),
-            Expr::Or(
+            Expr::And(
                 Box::new(Expr::col("missing")),
                 Box::new(Expr::eq("b", 3i64)),
             ),
-            Expr::Or(
+            Expr::And(
                 Box::new(Expr::eq("b", 3i64)),
                 Box::new(Expr::col("missing")),
             ),
-            Expr::Not(Box::new(Expr::eq("b", 1i64))),
-            Expr::Contains("name".into(), "7 be".into()),
-            Expr::Contains("a".into(), "s1".into()),
-            Expr::Contains("missing".into(), "x".into()),
             Expr::col("ok"),
             Expr::col("missing"),
             Expr::Const(Value::Int(3)),

@@ -110,7 +110,7 @@ pub use eddy::{
     Eddy, EddyFilter, OperatorObservation, PredicateFilter, RoutingPolicy, EDDY_REORDER_ROWS,
     OBS_HALF_LIFE_ROWS,
 };
-pub use expr::{CmpOp, CompiledExpr, CompiledPredicate, EvalError, Expr};
+pub use expr::{Atom, CmpOp, CompiledExpr, CompiledPredicate, EvalError, Expr};
 pub use graph_exec::{ExecOut, GraphExec, GraphRef};
 pub use node::{PierConfig, PierMsg, PierNode, PierTimer};
 pub use operators::{
@@ -137,7 +137,7 @@ pub use sharing::{
     UninstallOutcome,
 };
 pub use tuple::{
-    ChunkRow, ColumnChunk, ColumnRef, ColumnResolver, Schema, SchemaRegistry, Tuple, TupleBatch,
+    ColumnChunk, ColumnRef, ColumnResolver, Schema, SchemaRegistry, Tuple, TupleBatch,
 };
 pub use value::{Value, ValueRef};
 pub use window_engine::{

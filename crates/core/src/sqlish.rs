@@ -391,10 +391,10 @@ pub fn plan_checked(
     // (assuming the table is published hashed on that column).  An
     // aggregate broadcasts, one-shot or windowed: its answer is combined
     // from every node's rows, and a keyed plan is installed at one node.
-    let columns = collect_columns(&statement.predicates);
-    let key = columns
-        .iter()
-        .find_map(|col| predicate.equality_constant(col));
+    let key = predicate
+        .conjuncts()
+        .filter_map(Expr::atom)
+        .find_map(|a| predicate.equality_constant(&a.column));
     let dissemination = match key {
         Some(v) if statement.aggregates.is_empty() => Dissemination::ByKey {
             namespace: statement.table.clone(),
@@ -472,26 +472,6 @@ pub fn plan_checked(
             sink,
         })
         .build())
-}
-
-fn collect_columns(predicates: &[Expr]) -> Vec<String> {
-    fn walk(e: &Expr, out: &mut Vec<String>) {
-        match e {
-            Expr::Column(c) => out.push(c.clone()),
-            Expr::Cmp(_, l, r) | Expr::And(l, r) | Expr::Or(l, r) => {
-                walk(l, out);
-                walk(r, out);
-            }
-            Expr::Not(inner) => walk(inner, out),
-            Expr::Contains(c, _) => out.push(c.clone()),
-            Expr::Const(_) => {}
-        }
-    }
-    let mut out = Vec::new();
-    for p in predicates {
-        walk(p, &mut out);
-    }
-    out
 }
 
 /// Strip a leading `EXPLAIN ANALYZE` prefix (case-insensitive), returning

@@ -50,7 +50,7 @@
 //! and all of equal length.
 
 use crate::column::Column;
-use crate::value::{Value, ValueRef};
+use crate::value::Value;
 use pier_runtime::WireSize;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
@@ -584,13 +584,6 @@ impl ColumnChunk {
         Tuple::from_schema(Arc::clone(&self.schema), values)
     }
 
-    /// Borrow row `r` as a [`ChunkRow`] — the allocation-free counterpart of
-    /// [`ColumnChunk::row`] for operators that only need to *read* the row.
-    pub fn row_view(&self, r: usize) -> ChunkRow<'_> {
-        debug_assert!(r < self.rows);
-        ChunkRow { chunk: self, r }
-    }
-
     /// Copy the rows selected by `mask` (parallel to the chunk's rows) into
     /// a new chunk of the same schema.  The survivor indices are computed
     /// once and every column is gathered through its typed layout — emitting
@@ -699,54 +692,6 @@ impl WireSize for ColumnChunk {
     fn wire_size(&self) -> usize {
         // A chunk on its own carries its schema header plus the body.
         self.schema.wire_size() + self.body_wire_size()
-    }
-}
-
-/// A borrowed view of one row of a [`ColumnChunk`]: positional access to the
-/// row's values without materialising a [`Tuple`] (no `Arc<[Value]>`, no
-/// value clones).  This is what selection masks, eddy filters and compiled
-/// expressions ([`crate::expr::CompiledExpr::eval_view`]) read on the
-/// survivor hot path.
-#[derive(Debug, Clone, Copy)]
-pub struct ChunkRow<'a> {
-    chunk: &'a ColumnChunk,
-    r: usize,
-}
-
-impl<'a> ChunkRow<'a> {
-    /// The schema shared by every row of the underlying chunk.
-    pub fn schema(&self) -> &'a Arc<Schema> {
-        &self.chunk.schema
-    }
-
-    /// The chunk this row belongs to.
-    pub fn chunk(&self) -> &'a ColumnChunk {
-        self.chunk
-    }
-
-    /// This row's index within its chunk.
-    pub fn index(&self) -> usize {
-        self.r
-    }
-
-    /// Number of columns.
-    pub fn arity(&self) -> usize {
-        self.chunk.schema.arity()
-    }
-
-    /// The value of column `idx` — positional, the resolved-index access
-    /// every per-schema cache ([`ColumnResolver`], compiled expressions)
-    /// boils down to.  Returns a borrowed [`ValueRef`] (the typed layouts
-    /// have no stored [`Value`] to point at); the view is copy-free on every
-    /// layout.
-    pub fn get(&self, idx: usize) -> ValueRef<'a> {
-        self.chunk.columns[idx].value_ref(self.r)
-    }
-
-    /// Canonical key string over pre-resolved column indices — identical to
-    /// [`Tuple::key_at`] on the materialised row.
-    pub fn key_at(&self, indices: &[usize]) -> String {
-        self.chunk.key_at(indices, self.r)
     }
 }
 
@@ -1379,7 +1324,7 @@ mod tests {
     }
 
     #[test]
-    fn chunk_filter_and_row_view_match_materialised_rows() {
+    fn chunk_filter_matches_materialised_rows() {
         let tuples: Vec<Tuple> = (0..10)
             .map(|i| {
                 Tuple::new(
@@ -1393,16 +1338,8 @@ mod tests {
             .collect();
         let batch = TupleBatch::new(tuples.clone());
         let chunk = &batch.chunks()[0];
-        // Row views read the same values positionally and by name.
         for (r, t) in tuples.iter().enumerate() {
-            let view = chunk.row_view(r);
-            assert_eq!(view.get(1), ValueRef::Int(r as i64));
-            assert_eq!(Some(&view.get(0).to_value()), t.get("src"));
-            assert_eq!(view.key_at(&[1, 0]), t.key_at(&[1, 0]));
             assert_eq!(chunk.row(r), *t);
-            assert_eq!(view.arity(), 2);
-            assert_eq!(view.index(), r);
-            assert!(Arc::ptr_eq(view.schema(), t.schema()));
         }
         // Filtering by mask keeps exactly the selected rows, in order.
         let mask: Vec<bool> = (0..10).map(|r| r % 3 == 0).collect();

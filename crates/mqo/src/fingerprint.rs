@@ -16,10 +16,12 @@
 //! per-group accumulators at flush, which is exact only when every member's
 //! residual predicate references GROUP BY columns alone (the predicate is
 //! then constant within each group, so a member's answer is precisely the
-//! subset of shared groups its predicate accepts).  [`normalize`] returns
-//! `None` for anything else — joins, rehash sinks,
-//! predicates over non-grouping columns — and the executor falls back to
-//! independent execution, so sharing never changes results, only cost.
+//! subset of shared groups its predicate accepts).  The predicate must also
+//! be a conjunction of `column op constant` atoms ([`Expr::atoms`]): the
+//! group's predicate index evaluates members atom by atom.  [`normalize`]
+//! returns `None` for anything else — joins, rehash sinks, predicates over
+//! non-grouping columns or with no atom form — and the executor falls back
+//! to independent execution, so sharing never changes results, only cost.
 //!
 //! A plan admission shed to sampling (`sample_every > 1`) is not shared
 //! either: a group's store is fed every selected row, and thinning is a
@@ -103,9 +105,10 @@ pub fn normalize(plan: &QueryPlan) -> Option<ShareCandidate> {
     };
     // Soundness: the predicate must be decidable from the group columns
     // alone, so it is constant within each shared accumulator group.
-    if !predicate_columns(&predicate)
+    if !predicate
+        .atoms()?
         .iter()
-        .all(|c| group_cols.contains(c))
+        .all(|a| group_cols.contains(&a.column))
     {
         return None;
     }
@@ -139,25 +142,6 @@ pub fn normalize(plan: &QueryPlan) -> Option<ShareCandidate> {
     })
 }
 
-/// Every column a predicate references.
-pub fn predicate_columns(expr: &Expr) -> Vec<String> {
-    fn walk(e: &Expr, out: &mut Vec<String>) {
-        match e {
-            Expr::Column(c) => out.push(c.clone()),
-            Expr::Const(_) => {}
-            Expr::Cmp(_, l, r) | Expr::And(l, r) | Expr::Or(l, r) => {
-                walk(l, out);
-                walk(r, out);
-            }
-            Expr::Not(inner) => walk(inner, out),
-            Expr::Contains(c, _) => out.push(c.clone()),
-        }
-    }
-    let mut out = Vec::new();
-    walk(expr, &mut out);
-    out
-}
-
 fn hash_agg(agg: &AggFunc, h: &mut DefaultHasher) {
     match agg {
         AggFunc::Count => 0u8.hash(h),
@@ -181,9 +165,8 @@ fn hash_agg(agg: &AggFunc, h: &mut DefaultHasher) {
 }
 
 /// Hash a predicate's *shape*: structure, operators and column names, with
-/// every constant (comparison literals, `Contains` needles) abstracted to a
-/// placeholder — the whole point of the fingerprint is that
-/// constant-only-different predicates collide.
+/// every constant abstracted to a placeholder — the whole point of the
+/// fingerprint is that constant-only-different predicates collide.
 fn hash_predicate_shape(e: &Expr, h: &mut DefaultHasher) {
     match e {
         Expr::Column(c) => {
@@ -197,25 +180,12 @@ fn hash_predicate_shape(e: &Expr, h: &mut DefaultHasher) {
             hash_predicate_shape(l, h);
             hash_predicate_shape(r, h);
         }
-        // Tag 3 stays unused: renumbering the tags below would change every
-        // share-group fingerprint and the `g{fp:016x}` namespaces named by it.
+        // Tag 3 stays unused: renumbering would change every share-group
+        // fingerprint and the `g{fp:016x}` namespaces named by it.
         Expr::And(l, r) => {
             4u8.hash(h);
             hash_predicate_shape(l, h);
             hash_predicate_shape(r, h);
-        }
-        Expr::Or(l, r) => {
-            5u8.hash(h);
-            hash_predicate_shape(l, h);
-            hash_predicate_shape(r, h);
-        }
-        Expr::Not(inner) => {
-            6u8.hash(h);
-            hash_predicate_shape(inner, h);
-        }
-        Expr::Contains(c, _) => {
-            7u8.hash(h);
-            c.hash(h);
         }
     }
 }
@@ -313,6 +283,33 @@ mod tests {
         );
         shed.sample_every = 4;
         assert!(normalize(&shed).is_none());
+        // A selection with no atom form, here a column against a column —
+        // both GROUP BY columns, so the predicate is constant per group —
+        // is no member: the plan runs unshared.
+        use pier_core::{CqSpec, OpGraph, PlanBuilder, SourceSpec, WindowSpec};
+        let src_is_dst = Expr::cmp(CmpOp::Eq, Expr::col("src"), Expr::col("dst"));
+        let plan = PlanBuilder::new(NodeAddr(1))
+            .cq(CqSpec::default())
+            .timeout(60_000_000)
+            .opgraph(OpGraph {
+                id: 0,
+                source: SourceSpec::Table {
+                    namespace: "packets".into(),
+                },
+                join: None,
+                ops: vec![OperatorSpec::Selection(src_is_dst.clone())],
+                sink: SinkSpec::WindowedAgg {
+                    window: WindowSpec::sliding(2_000_000, 1_000_000),
+                    group_cols: vec!["src".into(), "dst".into()],
+                    aggs: vec![AggFunc::Count],
+                    time_col: Some("ts".into()),
+                    delta: DeltaMode::Snapshot,
+                    final_ops: Vec::new(),
+                },
+            })
+            .build();
+        assert!(normalize(&plan).is_none());
+        assert!(!crate::PredicateIndex::new().insert(1, src_is_dst));
     }
 
     #[test]

@@ -3,25 +3,27 @@
 //! A share group's members are near-identical predicates differing in
 //! constants (`src = '10.0.0.1'`, `src = '10.0.0.2'`, …).  Evaluating them
 //! independently costs N expression walks per row; the [`PredicateIndex`]
-//! instead **decomposes** each member predicate into a conjunction of
-//! `column op constant` atoms, groups the atoms **by column**, and scans
-//! each referenced column once per chunk with a type-specialised kernel:
+//! instead takes each member predicate as its conjunction of
+//! `column op constant` atoms ([`Expr::atoms`]), groups the atoms **by
+//! column**, and scans each referenced column once per chunk with a
+//! type-specialised kernel:
 //!
 //! * equality atoms on a column form a hash kernel (`i64`- and
 //!   `&str`-keyed), so a scan row finds *all* members whose constant it
 //!   equals with one lookup — the per-row cost is O(1) in the member count;
 //! * ordering atoms (`<`, `<=`, `>`, `>=`, `!=`) each scan the column with
-//!   an inner loop specialised to the constant's type;
-//! * members whose predicate does not decompose (disjunctions, negations)
-//!   fall back to `CompiledExpr::eval_column` — still column-at-a-time,
-//!   just not shared.
+//!   an inner loop specialised to the constant's type.
+//!
+//! A predicate with no atom form is not a member:
+//! [`normalize`](crate::normalize) refuses its plan, which then runs
+//! unshared, and [`PredicateIndex::insert`] refuses it.
 //!
 //! Every atom's outcome lands in word-packed [`SelMask`]s combined with
 //! bitwise ops: ANDing a member's atoms, ORing members into the union mask
 //! the shared window store absorbs.  The masks are exactly what per-member
-//! [`CompiledPredicate`] evaluation would produce row by row — including
-//! best-effort discard on missing columns and type mismatches — which the
-//! equivalence and property tests pin.
+//! [`CompiledPredicate`](pier_core::CompiledPredicate) evaluation would
+//! produce row by row — including best-effort discard on missing columns
+//! and type mismatches — which the equivalence and property tests pin.
 //!
 //! The kernels are compiled once per schema and then edited as members
 //! come and go: an insert appends its atoms (its equality atoms taking the
@@ -32,7 +34,7 @@
 
 use crate::mask::SelMask;
 use pier_core::tuple::{ColumnChunk, Schema};
-use pier_core::{CmpOp, Column, CompiledPredicate, Expr, Value, ValueRef};
+use pier_core::{Atom, CmpOp, Column, Expr, Value, ValueRef};
 use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -46,64 +48,11 @@ use std::sync::Arc;
 /// integer constant the way per-row evaluation would.
 const F64_EXACT_INT_MAX: f64 = 9_007_199_254_740_992.0;
 
-/// One `column op constant` conjunct of a member predicate.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Atom {
-    /// The column compared.
-    pub column: String,
-    /// The comparison.
-    pub op: CmpOp,
-    /// The constant compared against.
-    pub constant: Value,
-}
-
-/// Decompose a predicate into a conjunction of [`Atom`]s, or `None` when
-/// its shape does not permit it (the member then evaluates through the
-/// vectorised fallback).  `TRUE` decomposes to the empty conjunction.
-pub fn decompose(expr: &Expr) -> Option<Vec<Atom>> {
-    match expr {
-        Expr::Const(Value::Bool(true)) => Some(Vec::new()),
-        Expr::Cmp(op, l, r) => match (l.as_ref(), r.as_ref()) {
-            (Expr::Column(c), Expr::Const(v)) => Some(vec![Atom {
-                column: c.clone(),
-                op: *op,
-                constant: v.clone(),
-            }]),
-            (Expr::Const(v), Expr::Column(c)) => Some(vec![Atom {
-                column: c.clone(),
-                op: flip(*op),
-                constant: v.clone(),
-            }]),
-            _ => None,
-        },
-        Expr::And(l, r) => {
-            let mut atoms = decompose(l)?;
-            atoms.extend(decompose(r)?);
-            Some(atoms)
-        }
-        _ => None,
-    }
-}
-
-/// `const op col` ⇔ `col flip(op) const`.
-fn flip(op: CmpOp) -> CmpOp {
-    match op {
-        CmpOp::Eq => CmpOp::Eq,
-        CmpOp::Ne => CmpOp::Ne,
-        CmpOp::Lt => CmpOp::Gt,
-        CmpOp::Le => CmpOp::Ge,
-        CmpOp::Gt => CmpOp::Lt,
-        CmpOp::Ge => CmpOp::Le,
-    }
-}
-
 #[derive(Debug)]
 struct IndexedMember {
     id: u64,
-    /// Conjunction decomposition; `None` routes through `fallback`.
-    atoms: Option<Vec<Atom>>,
-    /// The full predicate, for the vectorised fallback path.
-    fallback: CompiledPredicate,
+    /// The member predicate's conjunction.
+    atoms: Vec<Atom>,
 }
 
 /// One column's compiled kernels.  Equality atoms index into the global
@@ -227,8 +176,6 @@ struct CompiledIndex {
     /// error on every row, so their mask is all-false (best-effort
     /// discard).
     always_false: Vec<u32>,
-    /// Members whose predicate did not decompose.
-    fallback: Vec<u32>,
     /// Members served by the atom kernels (mask starts all-true).
     atom_slots: Vec<u32>,
     /// Equality entry → member slot ([`RETIRED`] once its member left).
@@ -245,7 +192,6 @@ impl CompiledIndex {
             schema: Arc::clone(schema),
             kernels: Vec::new(),
             always_false: Vec::new(),
-            fallback: Vec::new(),
             atom_slots: Vec::new(),
             entry_slot: Vec::new(),
             retired: Vec::new(),
@@ -258,10 +204,7 @@ impl CompiledIndex {
 
     /// Compile `member`, which occupies `slot`, into the kernels.
     fn add(&mut self, slot: u32, member: &IndexedMember) {
-        let Some(atoms) = &member.atoms else {
-            self.fallback.push(slot);
-            return;
-        };
+        let atoms = &member.atoms;
         let resolved: Option<Vec<usize>> = atoms
             .iter()
             .map(|a| self.schema.position(&a.column))
@@ -318,11 +261,7 @@ impl CompiledIndex {
                 *s = slot;
             }
         };
-        for list in [
-            &mut self.always_false,
-            &mut self.fallback,
-            &mut self.atom_slots,
-        ] {
+        for list in [&mut self.always_false, &mut self.atom_slots] {
             list.retain(|s| *s != slot);
             list.iter_mut().for_each(renumber);
         }
@@ -345,8 +284,7 @@ impl CompiledIndex {
             kernel.misc_eq.retain(|(e, _)| live(e));
         }
         // The hash kernels hold its entries under its own constants.
-        let atoms = removed.atoms.iter().flatten();
-        for atom in atoms.filter(|a| a.op == CmpOp::Eq) {
+        for atom in removed.atoms.iter().filter(|a| a.op == CmpOp::Eq) {
             let Some(col) = self.schema.position(&atom.column) else {
                 continue;
             };
@@ -405,18 +343,18 @@ impl PredicateIndex {
         self.members.is_empty()
     }
 
-    /// Register a member predicate.  `false` when the id already exists.
+    /// Register a member predicate.  `false` when the id already exists or
+    /// the predicate is not a conjunction of atoms ([`Expr::atoms`]).
     pub fn insert(&mut self, id: u64, predicate: Expr) -> bool {
         if self.by_id.contains_key(&id) {
             return false;
         }
+        let Some(atoms) = predicate.atoms() else {
+            return false;
+        };
         let slot = self.members.len();
         self.by_id.insert(id, slot);
-        self.members.push(IndexedMember {
-            id,
-            atoms: decompose(&predicate),
-            fallback: CompiledPredicate::new(predicate),
-        });
+        self.members.push(IndexedMember { id, atoms });
         if let Some(compiled) = self.compiled.as_mut() {
             compiled.add(slot as u32, &self.members[slot]);
         }
@@ -467,12 +405,6 @@ impl PredicateIndex {
         }
         for &slot in &compiled.always_false {
             self.masks[slot as usize].reset(rows, false);
-        }
-        // Fallback members: whole-predicate vectorised evaluation.
-        for &slot in &compiled.fallback {
-            let member = &mut self.members[slot as usize];
-            let bools = member.fallback.for_schema(schema).eval_column(chunk);
-            self.masks[slot as usize].load_bools(&bools);
         }
         // Equality scratch masks: one per (member, eq-atom) pair.
         while self.scratch.len() < compiled.entry_slot.len() {
@@ -612,7 +544,7 @@ impl PredicateIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pier_core::{Tuple, TupleBatch};
+    use pier_core::{CompiledPredicate, Tuple, TupleBatch};
 
     fn chunk(rows: Vec<Tuple>) -> TupleBatch {
         TupleBatch::new(rows)
@@ -679,7 +611,7 @@ mod tests {
     }
 
     #[test]
-    fn mixed_atom_shapes_and_fallbacks_match_per_row_eval() {
+    fn mixed_atom_shapes_match_per_row_eval() {
         let mut index = PredicateIndex::new();
         let preds: Vec<(u64, Expr)> = vec![
             (1, Expr::eq("port", 40i64)),
@@ -693,13 +625,10 @@ mod tests {
                     Box::new(Expr::cmp(CmpOp::Le, Expr::col("len"), Expr::lit(500i64))),
                 ),
             ),
-            // Disjunction: not decomposable, served by the fallback path.
+            // A `TRUE` conjunct adds no atom.
             (
                 6,
-                Expr::Or(
-                    Box::new(Expr::eq("src", "10.0.0.1")),
-                    Box::new(Expr::eq("src", "10.0.0.2")),
-                ),
+                Expr::all(vec![Expr::eq("src", "10.0.0.1"), Expr::lit(true)]),
             ),
             // Missing column: all rows discard.
             (7, Expr::eq("nope", 1i64)),
@@ -815,19 +744,28 @@ mod tests {
 
     #[test]
     fn decompose_recognises_conjunctions_of_atoms() {
-        let atoms = decompose(&Expr::all(vec![
+        let atoms = Expr::all(vec![
             Expr::eq("a", 1i64),
             Expr::cmp(CmpOp::Lt, Expr::lit(5i64), Expr::col("b")),
-        ]))
+        ])
+        .atoms()
         .expect("decomposes");
         assert_eq!(atoms.len(), 2);
         assert_eq!(atoms[1].op, CmpOp::Gt, "const < col flips to col > const");
-        assert_eq!(decompose(&Expr::Const(Value::Bool(true))), Some(vec![]));
-        assert!(decompose(&Expr::Or(
-            Box::new(Expr::eq("a", 1i64)),
-            Box::new(Expr::eq("a", 2i64)),
-        ))
-        .is_none());
-        assert!(decompose(&Expr::Contains("a".into(), "x".into())).is_none());
+        assert_eq!(Expr::Const(Value::Bool(true)).atoms(), Some(vec![]));
+        // Anything else is no member: the index refuses it.
+        let mut index = PredicateIndex::new();
+        for other in [
+            Expr::cmp(CmpOp::Lt, Expr::col("a"), Expr::col("b")),
+            Expr::col("a"),
+            Expr::lit(false),
+            Expr::cmp(CmpOp::Eq, Expr::eq("a", 1i64), Expr::lit(true)),
+            Expr::all(vec![Expr::eq("a", 1i64), Expr::col("ok")]),
+        ] {
+            assert_eq!(other.atoms(), None, "{other:?}");
+            assert!(!index.insert(1, other));
+        }
+        assert!(index.is_empty());
+        assert!(index.insert(1, Expr::eq("a", 1i64)));
     }
 }

@@ -34,11 +34,12 @@
 //!
 //! Sharing is an optimization, never a semantics change.  A plan only
 //! normalizes into a group when per-member derivation is *exact*: a single
-//! windowed-aggregate opgraph whose selection predicate references GROUP BY
-//! columns only (so the predicate is constant within each group, and a
-//! member's answer is precisely the subset of shared groups its predicate
-//! accepts, with bit-identical accumulators).  Everything else—joins,
-//! predicates over non-grouping columns—answers
+//! windowed-aggregate opgraph whose selection predicate is a conjunction of
+//! `column op constant` atoms over GROUP BY columns only (so the predicate
+//! is constant within each group, and a member's answer is precisely the
+//! subset of shared groups its predicate accepts, with bit-identical
+//! accumulators).  Everything else—joins, predicates over non-grouping
+//! columns or with no atom form—answers
 //! `NotShareable` and runs independently.  The equivalence suite pins that
 //! shared and independent execution produce identical per-query result
 //! multisets, including under mid-stream install/uninstall and node churn.
@@ -56,7 +57,7 @@ pub mod index;
 pub mod layer;
 pub mod mask;
 
-pub use fingerprint::{normalize, predicate_columns, ShareCandidate};
-pub use index::{decompose, Atom, PredicateIndex};
+pub use fingerprint::{normalize, ShareCandidate};
+pub use index::PredicateIndex;
 pub use layer::{layer, MqoLayer};
 pub use mask::SelMask;

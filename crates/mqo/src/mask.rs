@@ -100,18 +100,6 @@ impl SelMask {
     pub fn to_bools(&self) -> Vec<bool> {
         (0..self.rows).map(|r| self.get(r)).collect()
     }
-
-    /// Overwrite from a `Vec<bool>`-shaped slice (used to absorb the
-    /// fallback path's [`CompiledExpr::eval_column`](pier_core::CompiledExpr)
-    /// output into the bitwise world).
-    pub fn load_bools(&mut self, bools: &[bool]) {
-        self.reset(bools.len(), false);
-        for (r, b) in bools.iter().enumerate() {
-            if *b {
-                self.set(r);
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -162,8 +150,10 @@ mod tests {
     #[test]
     fn bool_round_trip() {
         let bools: Vec<bool> = (0..77).map(|r| r % 5 == 0 || r % 7 == 0).collect();
-        let mut m = SelMask::new(1, true);
-        m.load_bools(&bools);
+        let mut m = SelMask::new(77, false);
+        for (r, _) in bools.iter().enumerate().filter(|(_, b)| **b) {
+            m.set(r);
+        }
         assert_eq!(m.to_bools(), bools);
         assert_eq!(m.count(), bools.iter().filter(|b| **b).count());
     }

@@ -472,7 +472,7 @@ fn mixed_packets<'a>(rows: impl IntoIterator<Item = &'a (u8, u16, u64)>) -> Vec<
 /// Member predicate `draw % 9`, its constants and delta mode drawn from the
 /// rest.  Filed on the GROUP BY that each pins whole (0–1 on `src`, 2–3 on
 /// `src, up`); scanned otherwise: a partial pin, an `Int` constant, a
-/// range, an `OR`, a column pinned twice, and no predicate at all.
+/// range, an inequality, a column pinned twice, and no predicate at all.
 fn mixed_member(draw: u64) -> MemberSpec {
     let src = || Expr::col("src");
     let lit = |k: u64| Expr::lit(SOURCES[(k % 4) as usize]);
@@ -486,10 +486,7 @@ fn mixed_member(draw: u64) -> MemberSpec {
         3 => Some(and(Expr::eq("up", up), eq(lit(a), src()))),
         4 => Some(Expr::eq("n", 5i64)),
         5 => Some(Expr::cmp(CmpOp::Lt, src(), lit(a))),
-        6 => Some(Expr::Or(
-            Box::new(eq(src(), lit(a))),
-            Box::new(eq(src(), lit(b))),
-        )),
+        6 => Some(Expr::cmp(CmpOp::Ne, src(), lit(b))),
         7 => Some(and(eq(src(), lit(a)), eq(src(), lit(b)))),
         _ => None,
     };
