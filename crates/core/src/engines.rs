@@ -8,6 +8,20 @@
 //! go in; overlay effects, shipments, requests for lost shipments and
 //! emissions come out.  Plain state: [`crate::node::PierNode`] arms the
 //! tick timers, records the spans and posts what comes out.
+//!
+//! Every engine ticks at its window's close instants (end + grace,
+//! [`pier_cq::WindowSpec::next_close`]), so every node's engines for one
+//! spec close together, and each tick opens a **round**.  An engine that
+//! absorbed no child's shipment last round releases at once: it ships its
+//! closed panes or, at the root, emits.  One that did holds the round until
+//! every origin it heard last round has shipped again, or for half a slide,
+//! whichever comes first; the arrival that completes the set releases it.
+//! This is TAG's depth slotting (Madden et al., OSDI 2002), clocked by
+//! arrivals instead of a depth estimate: a leaf ships at the close, each
+//! relay as soon as its children have, and the root emits each window once,
+//! a few link latencies after it closes.  A partial that misses the hold
+//! refines its pane and rides the next round's one shipment, or the next
+//! emission: a late child costs latency, never a message.
 
 use crate::node::{PierConfig, PierMsg};
 use crate::pane_link::{Inbox, Outbox};
@@ -43,6 +57,54 @@ struct EngineSlot {
     sent: Outbox<DhtMessage<QpObject>>,
     /// The senders whose pane shipments this engine absorbed.
     heard: Inbox,
+    /// The instant the engine's one tick timer in flight is armed for: a
+    /// firing before it is a stale chain's, and stops it.  (A stalled node
+    /// fires its timers late.)
+    armed: SimTime,
+    /// The window close at which the next round opens.
+    next_close: SimTime,
+    /// The round the engine is in.
+    round: Round,
+}
+
+/// Which children one engine's round waits for.
+#[derive(Debug, Default)]
+struct Round {
+    /// The origins whose fresh shipments the engine absorbed last round,
+    /// ascending: the hold waits to hear from each again.
+    expect: Vec<NodeAddr>,
+    /// The origins heard from since this round opened, ascending.
+    heard: Vec<NodeAddr>,
+    /// How many of `expect` are not in `heard` yet.
+    missing: usize,
+    /// While the round is held, the instant the hold ends at the latest.
+    held_until: Option<SimTime>,
+}
+
+impl Round {
+    /// Open the round at `now`, holding it for at most `hold` when any
+    /// child shipped last round; `true` when it is held.
+    fn open(&mut self, now: SimTime, hold: Duration) -> bool {
+        self.expect = std::mem::take(&mut self.heard);
+        self.missing = self.expect.len();
+        let held = self.missing > 0 && hold > 0;
+        self.held_until = held.then_some(now + hold);
+        held
+    }
+
+    /// A fresh shipment from `origin` was absorbed; `true` when that ends
+    /// the hold.
+    fn hear(&mut self, origin: NodeAddr) -> bool {
+        if let Err(at) = self.heard.binary_search(&origin) {
+            self.heard.insert(at, origin);
+            self.missing -= usize::from(self.expect.binary_search(&origin).is_ok());
+        }
+        let ends = self.missing == 0 && self.held_until.is_some();
+        if ends {
+            self.held_until = None;
+        }
+        ends
+    }
 }
 
 /// Where closed-pane partials arrive: at their engine's root (`NewData`),
@@ -65,9 +127,12 @@ pub(crate) struct Arrival {
     pub ask: Option<(NodeAddr, PierMsg)>,
     /// Refused rows re-shipped from an upcall hop.
     pub effects: Vec<OverlayEffect<QpObject>>,
+    /// The arrival completed its engine's held round: what the release
+    /// ships and emits, to post as a tick's.
+    pub released: Option<(EngineKey, Ticked)>,
 }
 
-/// What one tick of an engine hands the node.
+/// What one release of an engine hands the node.
 #[derive(Debug)]
 pub(crate) struct Ticked {
     /// The closed panes' numbered shipment, for [`Engines::ship`]; none
@@ -118,7 +183,8 @@ impl Engines {
 
     /// `query_id` becomes a member of engine `key`.  The first member
     /// `open`s it, as incarnation `epoch` of `spec`: cold, or rehydrated
-    /// warm from the durable segments.
+    /// warm from the durable segments; then the instant to arm its first
+    /// tick at, its window's next close.
     pub(crate) fn join(
         &mut self,
         key: EngineKey,
@@ -127,7 +193,8 @@ impl Engines {
         member: MemberSpec,
         trace: bool,
         now: SimTime,
-    ) {
+    ) -> Option<SimTime> {
+        let mut first_tick = None;
         if let Some((epoch, spec)) = open {
             let mut engine = WindowEngine::new(spec);
             if let Some(report) = self.durable.as_ref().and_then(|d| engine.rehydrate(d)) {
@@ -149,12 +216,17 @@ impl Engines {
             self.partials.insert(namespace.clone(), key);
             self.pane_epoch = now.max(self.pane_epoch + 1);
             let (sent, heard) = (Outbox::new(self.pane_epoch), Inbox::default());
+            let next_close = engine.spec().window.next_close(now);
+            first_tick = Some(next_close);
             let slot = EngineSlot {
                 engine,
                 root_id,
                 epoch,
                 sent,
                 heard,
+                armed: next_close,
+                next_close,
+                round: Round::default(),
             };
             self.slots.insert(key, slot);
         }
@@ -162,6 +234,7 @@ impl Engines {
             slot.engine.add_member(query_id, member, trace, now);
             self.engine_of.insert(query_id, key);
         }
+        first_tick
     }
 
     /// `query_id` leaves its engine.  The last member out retires it, and
@@ -223,7 +296,9 @@ impl Engines {
     /// before; then the engine absorbs it.  At an upcall hop, a shipment
     /// the engine took none of goes on whole, and the rows it refused
     /// (budget shed, evicted pane) are re-shipped toward the root as a
-    /// shipment of this hop's own.  Nothing unnumbered is an engine's: it
+    /// shipment of this hop's own.  A shipment taken is heard from its
+    /// origin, and may end the engine's held round: the arrival carries
+    /// the release.  Nothing unnumbered is an engine's: it
     /// is not taken, so the node routes or forwards it as if no engine
     /// were here.
     pub(crate) fn arrive(
@@ -275,6 +350,13 @@ impl Engines {
             if let Some(shipment) = self.pane_shipment(key, refused, overlay.me().addr) {
                 arrival.effects = self.ship(key, shipment, trace, now, overlay, rng);
             }
+        }
+        let slot = self
+            .slots
+            .get_mut(&key)
+            .expect("the engine read the arrival");
+        if arrival.taken && slot.round.hear(stamp.origin) {
+            arrival.released = self.release(key, now, overlay).map(|t| (key, t));
         }
         arrival
     }
@@ -353,10 +435,15 @@ impl Engines {
         sent
     }
 
-    /// Tick engine `key` for the timer of incarnation `epoch`: close due
-    /// panes into numbered shipments and, at the root, emit each member's
-    /// windows.  `None` when the engine is retired or re-created since the
-    /// timer was armed: the chain stops, and a stale timer must not stack a
+    /// Engine `key`'s tick timer of incarnation `epoch` fired at `now`.  A
+    /// held round whose hold ran out releases.  Otherwise, at (or, stalled,
+    /// past) a window close the round opens: this node's closed panes roll
+    /// up, and the engine releases at once or holds.  A hold an arrival
+    /// already ended only re-arms.  What a release ships and emits, if one
+    /// happened, and the instant to arm the next tick at: the hold's end
+    /// while held, else the next close.  `None` when the engine is retired
+    /// or re-created since the timer was armed, or the timer is not the one
+    /// in flight: the chain stops, and a stale timer must not stack a
     /// duplicate one.
     pub(crate) fn tick(
         &mut self,
@@ -364,8 +451,40 @@ impl Engines {
         epoch: u64,
         now: SimTime,
         overlay: &Overlay<QpObject>,
+    ) -> Option<(Option<Ticked>, SimTime)> {
+        let slot = self.slots.get_mut(&key);
+        let slot = slot.filter(|s| s.epoch == epoch && now >= s.armed)?;
+        let window = slot.engine.spec().window;
+        let release = if slot.round.held_until.take().is_some() {
+            true
+        } else if now >= slot.next_close {
+            slot.next_close = window.next_close(now);
+            slot.engine.open_round(now);
+            !slot.round.open(now, window.slide / 2)
+        } else {
+            false
+        };
+        // A stall may have fired this tick past the next close: that round
+        // opens at once.
+        slot.armed = slot.round.held_until.unwrap_or(slot.next_close).max(now);
+        let armed = slot.armed;
+        let ticked = if release {
+            self.release(key, now, overlay)
+        } else {
+            None
+        };
+        Some((ticked, armed))
+    }
+
+    /// Release engine `key`'s round: close its due panes into one numbered
+    /// shipment and, at the root, emit each member's windows.
+    fn release(
+        &mut self,
+        key: EngineKey,
+        now: SimTime,
+        overlay: &Overlay<QpObject>,
     ) -> Option<Ticked> {
-        let slot = self.slots.get_mut(&key).filter(|s| s.epoch == epoch)?;
+        let slot = self.slots.get_mut(&key)?;
         let is_root = overlay.router().is_responsible(slot.root_id);
         let out = slot.engine.tick(now, is_root);
         let names = slot.engine.spec().names;
@@ -398,18 +517,17 @@ impl Engines {
         })
     }
 
-    /// Close a tick of engine `key` once its results are posted: report
-    /// window health — the tick's `health` deltas as trace events and,
-    /// once per instant however many engines tick at it, occupancy gauges
-    /// summed over every engine — and persist the surviving state as
-    /// durable segments, so a crash after this tick restarts warm.  The
-    /// slide to re-arm the tick after, while the engine lives.
+    /// Close a release of engine `key` once its results are posted: report
+    /// window health — the release's `health` deltas as trace events and,
+    /// once per instant however many engines release at it, occupancy
+    /// gauges summed over every engine — and persist the surviving state as
+    /// durable segments, so a crash after this release restarts warm.
     pub(crate) fn tock(
         &mut self,
         key: EngineKey,
         now: SimTime,
         (query_id, shed, evicted): (u64, u64, u64),
-    ) -> Option<Duration> {
+    ) {
         if self.tel.is_enabled() {
             let pressure = [
                 ("window_shed", &["shed"], shed),
@@ -432,11 +550,9 @@ impl Engines {
                 }
             }
         }
-        let slot = self.slots.get(&key)?;
-        if let Some(durable) = self.durable.as_ref() {
+        if let (Some(slot), Some(durable)) = (self.slots.get(&key), self.durable.as_ref()) {
             slot.engine.persist(durable);
         }
-        Some(slot.engine.spec().window.slide)
     }
 
     /// One-shot aggregate `query_id` reached its final instant: at its
@@ -462,6 +578,7 @@ mod tests {
     use crate::value::Value;
     use pier_cq::{CqBudget, DeltaMode, WindowSpec};
     use pier_dht::{make_ring_refs, OverlayConfig};
+    use proptest::prelude::*;
 
     const QUERY: u64 = 7;
     const PANE: SimTime = 1_000_000;
@@ -528,10 +645,25 @@ mod tests {
         (ring, root.expect("someone owns the root"))
     }
 
+    /// Fire the tick of `engines`' engine at `now`, as if its timer in
+    /// flight were armed there: what a release produced, and the instant
+    /// the next tick is armed at.
+    fn fire(
+        engines: &mut Engines,
+        now: SimTime,
+        overlay: &Overlay<QpObject>,
+    ) -> (Option<Ticked>, SimTime) {
+        let key = EngineKey::Query(QUERY);
+        engines.slots.get_mut(&key).expect("a live engine").armed = now;
+        engines
+            .tick(key, 0, now, overlay)
+            .expect("the timer in flight")
+    }
+
     /// The one numbered shipment a tick of `engines` at `overlay` ships.
     fn shipped(engines: &mut Engines, overlay: &Overlay<QpObject>) -> QpObject {
-        let ticked = engines.tick(EngineKey::Query(QUERY), 0, LATER, overlay);
-        let shipment = ticked.expect("a live engine").shipment;
+        let ticked = fire(engines, LATER, overlay).0;
+        let shipment = ticked.expect("released at once").shipment;
         let shipment = shipment.expect("one shipment");
         assert!(matches!(shipment, QpObject::Panes { .. }), "numbered");
         shipment
@@ -544,8 +676,9 @@ mod tests {
 
     /// The counts the root's tick emits for the first window, by group.
     fn counts_at_root(engines: &mut Engines, overlay: &Overlay<QpObject>) -> Vec<i64> {
-        let ticked = engines.tick(EngineKey::Query(QUERY), 0, LATER, overlay);
-        let [window] = &ticked.expect("a live engine").emissions[..] else {
+        let (ticked, hold_end) = fire(engines, LATER, overlay);
+        let ticked = ticked.or_else(|| fire(engines, hold_end, overlay).0);
+        let [window] = &ticked.expect("released").emissions[..] else {
             panic!("one window emitted");
         };
         let count = |t: &Tuple| t.get("count").and_then(Value::as_i64);
@@ -584,18 +717,24 @@ mod tests {
             "the partial namespace is read"
         );
 
-        // Alone, the node is the root: the tick emits the closed window and
-        // ships nothing; a stale incarnation's tick stops its chain.
-        let ticked = engines.tick(key, 0, LATER, overlay).expect("live");
+        // The first tick is armed at the window's first close.
+        assert_eq!(engines.slots[&key].armed, PANE);
+        // Alone, the node is the root.  It heard the probe's sender, so its
+        // round holds for half a slide; then the tick emits the closed
+        // window and ships nothing, and the next close is armed.  A stale
+        // incarnation's tick, or one not in flight, stops its chain.
+        let (held, hold_end) = fire(&mut engines, LATER, overlay);
+        assert!(held.is_none());
+        assert_eq!(hold_end, LATER + PANE / 2, "held half a slide at most");
+        let (ticked, next) = fire(&mut engines, hold_end, overlay);
+        let ticked = ticked.expect("released at the hold's end");
         assert!(ticked.shipment.is_none());
         let counts: Vec<usize> = ticked.emissions.iter().map(|e| e.inserts.len()).collect();
         assert_eq!(counts, [2], "one window, two groups");
-        assert!(engines.tick(key, 1, LATER, overlay).is_none());
-        assert_eq!(
-            engines.tock(key, LATER, ticked.health),
-            Some(PANE),
-            "re-armed"
-        );
+        assert_eq!(next, LATER + PANE, "re-armed at the next close");
+        assert!(engines.tick(key, 1, next, overlay).is_none());
+        assert!(engines.tick(key, 0, LATER, overlay).is_none());
+        engines.tock(key, LATER, ticked.health);
         assert!(!durable.keys().is_empty(), "the surviving state persisted");
 
         // A second member keeps the engine; the last one out retires it.
@@ -609,7 +748,7 @@ mod tests {
         assert!(!arrive(&mut engines, overlay), "no longer read");
         assert!(durable.keys().is_empty(), "its segments forgotten");
         assert!(
-            engines.tick(key, 0, LATER, overlay).is_none(),
+            engines.tick(key, 0, next, overlay).is_none(),
             "the chain stops"
         );
     }
@@ -731,5 +870,274 @@ mod tests {
         let arrival = at_root.arrive(&namespace, &shipment, Hop::Root, LATER, overlay, &mut rng);
         assert!(arrival.taken && arrival.effects.is_empty());
         assert_eq!(groups(&at_root), 1);
+    }
+
+    /// Fold a row of each of `keys` into pane `pane` of `engines`' engine.
+    fn feed(engines: &mut Engines, pane: u64, keys: &[i64]) {
+        let ts = pane * PANE + PANE / 2;
+        let row = |k: &i64| {
+            let fields = vec![("k", Value::Int(*k)), ("ts", Value::Int(ts as i64))];
+            Tuple::new("packets", fields)
+        };
+        let rows = TupleBatch::new(keys.iter().map(row).collect());
+        let engine = engines.engine(EngineKey::Query(QUERY)).expect("opened");
+        for chunk in rows.chunks() {
+            engine.absorb(chunk, None, ts);
+        }
+    }
+
+    /// `(pane, key, count)` of every partial row `shipment` carries, sorted.
+    fn partial_rows(shipment: &QpObject) -> Vec<(i64, i64, i64)> {
+        let QpObject::Panes { batch, .. } = shipment else {
+            panic!("a numbered shipment: {shipment:?}");
+        };
+        let cell = |t: &Tuple, column| t.get(column).and_then(Value::as_i64).expect("an integer");
+        let mut rows: Vec<_> = (batch.iter())
+            .map(|t| (cell(&t, "_w"), cell(&t, "k"), cell(&t, "count")))
+            .collect();
+        rows.sort_unstable();
+        rows
+    }
+
+    /// The shipment a leaf's tick at `now` releases at once.
+    fn leaf_ships(engines: &mut Engines, now: SimTime, overlay: &Overlay<QpObject>) -> QpObject {
+        let ticked = fire(engines, now, overlay)
+            .0
+            .expect("a leaf releases at once");
+        ticked.shipment.expect("a pane with rows")
+    }
+
+    #[test]
+    fn a_held_relay_ships_once_after_its_children_and_a_silent_one_costs_half_a_slide() {
+        let plan = plan(CqBudget::default());
+        let config = PierConfig::default();
+        let (mut ring, root) = ring(8, &plan);
+        let [relay, a, b] = [1, 2, 3].map(|i| (root + i) % ring.len());
+        let namespace = plan.window_namespace();
+        let mut rng = Rng64::new(1);
+        let mut at_relay = engines_for(&plan, &config, &[1]);
+        let mut children = [
+            engines_for(&plan, &config, &[1, 2]),
+            engines_for(&plan, &config, &[1]),
+        ];
+        let mut arrive = |at_relay: &mut Engines, shipment: &QpObject, now, ring: &mut [_]| {
+            let hop = Hop::Upcall(None);
+            let overlay = &mut ring[relay];
+            let arrival = at_relay.arrive(&namespace, shipment, hop, now, overlay, &mut rng);
+            assert!(arrival.taken);
+            arrival.released.map(|(key, ticked)| {
+                assert_eq!(key, EngineKey::Query(QUERY));
+                ticked
+            })
+        };
+
+        // Round 1, pane 0 closing: nothing was heard before, so the relay
+        // ships its own pane at once, and its children's land after it.
+        let (ticked, next) = fire(&mut at_relay, PANE, &ring[relay]);
+        let shipment = ticked.expect("released at once").shipment;
+        assert_eq!(partial_rows(&shipment.expect("its pane")), [(0, 1, 1)]);
+        assert_eq!(next, 2 * PANE);
+        for (child, at) in children.iter_mut().zip([a, b]) {
+            let shipment = leaf_ships(child, PANE, &ring[at]);
+            assert!(arrive(&mut at_relay, &shipment, PANE + 1, &mut ring).is_none());
+        }
+
+        // Round 2: the relay holds for both children...
+        feed(&mut at_relay, 1, &[1, 2]);
+        feed(&mut children[0], 1, &[2, 3]);
+        feed(&mut children[1], 1, &[3]);
+        let (held, hold_end) = fire(&mut at_relay, 2 * PANE, &ring[relay]);
+        assert!(held.is_none());
+        assert_eq!(hold_end, 2 * PANE + PANE / 2, "half a slide at most");
+        let first = leaf_ships(&mut children[0], 2 * PANE, &ring[a]);
+        assert!(arrive(&mut at_relay, &first, 2 * PANE + 1, &mut ring).is_none());
+        let second = leaf_ships(&mut children[1], 2 * PANE, &ring[b]);
+        let released = arrive(&mut at_relay, &second, 2 * PANE + 2, &mut ring);
+        // ...and the second one's arrival releases it: one shipment, each
+        // pane once — pane 0's late partials, merged, riding along, and
+        // pane 1 with its own groups and its children's merged.
+        let shipment = released.expect("released").shipment.expect("panes");
+        let rows = [(0, 1, 2), (0, 2, 1), (1, 1, 1), (1, 2, 2), (1, 3, 2)];
+        assert_eq!(partial_rows(&shipment), rows);
+        // The hold's own timer, still in flight, only arms the next close.
+        let (nothing, next) = fire(&mut at_relay, hold_end, &ring[relay]);
+        assert!(nothing.is_none());
+        assert_eq!(next, 3 * PANE);
+
+        // Round 3: child b has nothing to ship.  The relay waits for it half
+        // a slide, then ships what it has.
+        feed(&mut children[0], 2, &[4]);
+        let (held, hold_end) = fire(&mut at_relay, 3 * PANE, &ring[relay]);
+        assert!(held.is_none());
+        assert_eq!(hold_end, 3 * PANE + PANE / 2);
+        let only = leaf_ships(&mut children[0], 3 * PANE, &ring[a]);
+        assert!(arrive(&mut at_relay, &only, 3 * PANE + 1, &mut ring).is_none());
+        let (ticked, next) = fire(&mut at_relay, hold_end, &ring[relay]);
+        let shipment = ticked.expect("released at the hold's end").shipment;
+        assert_eq!(partial_rows(&shipment.expect("panes")), [(2, 4, 1)]);
+        assert_eq!(next, 4 * PANE);
+
+        // Round 4: only child a, heard last round, is waited for.
+        feed(&mut children[0], 3, &[5]);
+        assert!(fire(&mut at_relay, 4 * PANE, &ring[relay]).0.is_none());
+        let only = leaf_ships(&mut children[0], 4 * PANE, &ring[a]);
+        let released = arrive(&mut at_relay, &only, 4 * PANE + 1, &mut ring);
+        let shipment = released.expect("released").shipment;
+        assert_eq!(partial_rows(&shipment.expect("panes")), [(3, 5, 1)]);
+    }
+
+    /// A tree of engines on a static ring, for the hold property: tree
+    /// node 0 is the window root, every other node relays to its parent,
+    /// an earlier node.
+    struct Tree {
+        engines: Vec<Engines>,
+        ring: Vec<Overlay<QpObject>>,
+        /// Each tree node's overlay in `ring`.
+        at: Vec<usize>,
+        parent: Vec<Option<usize>>,
+        namespace: String,
+        rng: Rng64,
+        /// Per node, the shipments it sent in the current round.
+        shipped: Vec<u32>,
+        /// Shipments sent and not yet delivered, with their receiver.
+        flight: Vec<(usize, QpObject)>,
+        /// Per window, how often the root emitted it and its last answer's
+        /// `(key, count)` rows.
+        answers: BTreeMap<u64, (u32, Vec<(i64, i64)>)>,
+    }
+
+    impl Tree {
+        fn new(nodes: usize, rng: &mut Rng64) -> Tree {
+            let plan = plan(CqBudget::default());
+            let (ring, root) = ring(8, &plan);
+            let config = PierConfig::default();
+            Tree {
+                engines: (0..nodes)
+                    .map(|_| engines_for(&plan, &config, &[]))
+                    .collect(),
+                at: (0..nodes).map(|j| (root + j) % ring.len()).collect(),
+                parent: (0..nodes).map(|j| (j > 0).then(|| rng.index(j))).collect(),
+                ring,
+                namespace: plan.window_namespace(),
+                rng: Rng64::new(1),
+                shipped: vec![0; nodes],
+                flight: Vec::new(),
+                answers: BTreeMap::new(),
+            }
+        }
+
+        /// Node `j`'s tick at `now`; `true` when it released.
+        fn fire(&mut self, j: usize, now: SimTime) -> (bool, SimTime) {
+            let (ticked, next) = fire(&mut self.engines[j], now, &self.ring[self.at[j]]);
+            let released = ticked.map(|ticked| self.release(j, ticked)).is_some();
+            (released, next)
+        }
+
+        /// Deliver a shipment to node `to` at `now`; `true` when its arrival
+        /// released a held round.
+        fn deliver(&mut self, to: usize, shipment: &QpObject, now: SimTime) -> bool {
+            let hop = if to == 0 {
+                Hop::Root
+            } else {
+                Hop::Upcall(None)
+            };
+            let (overlay, rng) = (&mut self.ring[self.at[to]], &mut self.rng);
+            let arrival =
+                self.engines[to].arrive(&self.namespace, shipment, hop, now, overlay, rng);
+            assert!(arrival.taken && arrival.ask.is_none());
+            let released = arrival.released.map(|(_, ticked)| self.release(to, ticked));
+            released.is_some()
+        }
+
+        /// Node `j` released `ticked`: the root's emissions are answers, a
+        /// shipment goes in flight to the parent.
+        fn release(&mut self, j: usize, ticked: Ticked) {
+            let cell =
+                |t: &Tuple, column| t.get(column).and_then(Value::as_i64).expect("an integer");
+            for e in ticked.emissions {
+                let rows = e.inserts.iter().map(|t| (cell(t, "k"), cell(t, "count")));
+                let answer = self.answers.entry(e.window_start / PANE).or_default();
+                *answer = (answer.0 + 1, rows.collect());
+            }
+            if let Some(shipment) = ticked.shipment {
+                self.shipped[j] += 1;
+                let parent = self.parent[j].expect("the root ships nothing");
+                self.flight.push((parent, shipment));
+            }
+        }
+    }
+
+    proptest! {
+        /// Over any tree of two to eight nodes, rows at every node every
+        /// round, and any order of arrivals, some of them past the hold's
+        /// end: every node ships at most once a round and the root's last
+        /// answer for each window is exact.  When no arrival is late, no
+        /// hold runs out while rows flow, and every window after the first
+        /// (whose children's partials land after everyone released at
+        /// once) is emitted once.
+        #[test]
+        fn a_held_round_ships_once_and_the_root_answers_each_window_once(
+            seed in any::<u64>(),
+            nodes in 2usize..9,
+            late in 0u64..3,
+        ) {
+            let mut rng = Rng64::new(seed);
+            let mut tree = Tree::new(nodes, &mut rng);
+            let mut truth: BTreeMap<u64, BTreeMap<i64, i64>> = BTreeMap::new();
+            let rounds = 8;
+            // Then rounds without rows carry what was late to the root: a
+            // level a round, as a silent round's holds all run out at once.
+            for r in 1..=rounds + nodes as u64 {
+                let (close, pane) = (r * PANE, r - 1);
+                let hold_end = close + PANE / 2;
+                for engines in tree.engines.iter_mut().filter(|_| r <= rounds) {
+                    let keys: Vec<i64> = (0..=rng.index(3)).map(|_| rng.index(4) as i64).collect();
+                    for k in &keys {
+                        *truth.entry(pane).or_default().entry(*k).or_default() += 1;
+                    }
+                    feed(engines, pane, &keys);
+                }
+                tree.shipped = vec![0; nodes];
+                let mut order: Vec<usize> = (0..nodes).collect();
+                for i in (1..nodes).rev() {
+                    order.swap(i, rng.index(i + 1));
+                }
+                for j in order {
+                    let (released, next) = tree.fire(j, close);
+                    prop_assert_eq!(next, if released { close + PANE } else { hold_end });
+                }
+                // Deliveries in any order; a late one waits past the hold.
+                let mut late_ones = Vec::new();
+                while !tree.flight.is_empty() {
+                    let pick = rng.index(tree.flight.len());
+                    let (to, shipment) = tree.flight.swap_remove(pick);
+                    if late > 0 && rng.next_below(4 * late) == 0 {
+                        late_ones.push((to, shipment));
+                    } else {
+                        tree.deliver(to, &shipment, close + 1);
+                    }
+                }
+                // The holds still open run out.
+                for j in 0..nodes {
+                    let (released, next) = tree.fire(j, hold_end);
+                    prop_assert_eq!(next, close + PANE);
+                    let rows_flow = r <= rounds;
+                    prop_assert!(!released || late > 0 || !rows_flow, "round {} node {}", r, j);
+                }
+                late_ones.append(&mut tree.flight);
+                for (to, shipment) in late_ones {
+                    prop_assert!(!tree.deliver(to, &shipment, hold_end + 1), "no hold is open");
+                }
+                prop_assert!(tree.shipped.iter().all(|&n| n <= 1), "{:?}", tree.shipped);
+            }
+            for (window, counts) in &truth {
+                let answer = tree.answers.get(window).map(|a| a.1.clone());
+                let expected: Vec<(i64, i64)> = counts.iter().map(|(k, n)| (*k, *n)).collect();
+                prop_assert_eq!(answer, Some(expected), "window {}", window);
+                if late == 0 && *window > 0 {
+                    prop_assert_eq!(tree.answers[window].0, 1, "window {} emitted once", window);
+                }
+            }
+        }
     }
 }

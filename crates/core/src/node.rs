@@ -20,7 +20,7 @@
 
 use crate::admission::{AdmissionControl, AdmissionFactory, AdmissionVerdict, SloPolicy};
 use crate::deadlines::{Deadline, Deadlines, Due};
-use crate::engines::{EngineKey, Engines, Hop};
+use crate::engines::{EngineKey, Engines, Hop, Ticked};
 use crate::graph_exec::{ExecOut, GraphExec, GraphRef};
 use crate::plan::{CqSpec, Dissemination, Install, QpObject, QueryPlan};
 use crate::proxy::{directory_len, PierOut, Proxy, ProxyBundles, RenewalRound, WindowBundle};
@@ -197,8 +197,10 @@ pub enum PierTimer {
     ProxyDone,
     /// Periodic window maintenance for a continuous query or a one-shot
     /// aggregate: close due panes, forward partials toward the root, emit
-    /// per-window results at a continuous query's root.  Fires every
-    /// window slide (a one-shot aggregate's hold).
+    /// per-window results at a continuous query's root.  Fires at each
+    /// window close (end + grace; a one-shot aggregate's hold boundaries)
+    /// and, while the round that opens there is held for the engine's
+    /// children, at the hold's end.
     WindowTick {
         /// Query being ticked.
         query_id: u64,
@@ -899,7 +901,14 @@ impl PierNode {
         if let Some((origin, ask)) = arrival.ask {
             self.post(ctx, origin, ask);
         }
-        arrival.taken.then_some(arrival.effects)
+        let mut effects = arrival.effects;
+        if let Some((key, ticked)) = arrival.released {
+            // Refused rows' re-shipment is numbered before the release's
+            // shipment: it leaves first.
+            self.drive(ctx, std::mem::take(&mut effects));
+            self.post_release(ctx, key, ticked);
+        }
+        arrival.taken.then_some(effects)
     }
 
     /// Record one `ingest` span per *sampled* query fed by an arriving
@@ -1081,10 +1090,11 @@ impl PierNode {
             let (hold, once) = (engine.window.slide, engine.emit_once);
             let lease = (!once).then_some(member.lease);
             let final_at = once.then(|| plan.timeout.saturating_sub(hold));
-            engine_timers = Some((hold, lease, final_at));
             let open = Some((0, engine));
-            self.engines
+            let first_tick = self
+                .engines
                 .join(key, open, query_id, member, plan.trace, now);
+            engine_timers = Some((first_tick, lease, final_at));
         }
         let (timeout, trace, graphs) = (plan.timeout, plan.trace, plan.opgraphs.len());
         self.exec.install(plan);
@@ -1100,8 +1110,10 @@ impl PierNode {
             self.span(now, TraceContext::root(query_id), "query.install", counts);
         }
         self.file_lifetime(ctx, query_id, timeout, lease);
-        if let Some((slide, _, final_at)) = engine_timers {
-            ctx.set_timer(slide, PierTimer::WindowTick { query_id });
+        if let Some((first_tick, _, final_at)) = engine_timers {
+            if let Some(at) = first_tick {
+                ctx.set_timer(at - now, PierTimer::WindowTick { query_id });
+            }
             if let Some(at) = final_at {
                 ctx.set_timer(at, PierTimer::AggFinal { query_id });
             }
@@ -1173,23 +1185,21 @@ impl PierNode {
             member,
         } = membership;
         let key = EngineKey::Group(group);
-        let lease = member.lease;
-        // The group's first member opens its engine and, below, starts its
-        // tick chain.
-        let tick = engine.as_ref().map(|spec| spec.window.slide);
+        let (lease, now) = (member.lease, ctx.now());
         // Per-query sampling decisions are meaningless for work N queries
         // share: a group's members trace in trace-all mode only.
         let trace = self.config.trace.sample_every == 1;
         let open = engine.map(|spec| (epoch, spec));
-        self.engines
-            .join(key, open, query_id, member, trace, ctx.now());
+        // The group's first member opens its engine and, below, starts its
+        // tick chain.
+        let tick = self.engines.join(key, open, query_id, member, trace, now);
         let values = [group, u64::from(tick.is_some())];
         let names = &["group", "new_group"];
         self.tel
             .record(SpanRecord::event("share_join", query_id, names, values));
         self.file_lifetime(ctx, query_id, timeout, Some(lease));
-        if let Some(slide) = tick {
-            ctx.set_timer(slide, PierTimer::ShareTick { group, epoch });
+        if let Some(at) = tick {
+            ctx.set_timer(at - now, PierTimer::ShareTick { group, epoch });
         }
     }
 
@@ -1381,13 +1391,11 @@ impl PierNode {
         }
     }
 
-    /// Periodic window maintenance of one engine (fires every slide, once
-    /// per engine however many member queries it serves): close due
-    /// windows, ship their partials one hop toward the engine's window root
-    /// — combining en route — and, at the root, stream each member's
-    /// per-window results to its proxy; then report window health, persist
-    /// the surviving state and re-arm `timer`.  `epoch` is the incarnation
-    /// the firing timer was armed for.
+    /// Window maintenance of one engine (once per engine however many
+    /// member queries it serves), at each window close and at the end of a
+    /// round held for the engine's children: open or release the round
+    /// ([`Engines::tick`]), post what a release produced, and re-arm
+    /// `timer`.  `epoch` is the incarnation the firing timer was armed for.
     fn engine_tick(
         &mut self,
         ctx: &mut ProgramContext<Self>,
@@ -1396,9 +1404,22 @@ impl PierNode {
         timer: PierTimer,
     ) {
         let now = ctx.now();
-        let Some(ticked) = self.engines.tick(key, epoch, now, &self.overlay) else {
+        let Some((released, next)) = self.engines.tick(key, epoch, now, &self.overlay) else {
             return; // engine retired or re-created: this tick chain stops
         };
+        if let Some(ticked) = released {
+            self.post_release(ctx, key, ticked);
+        }
+        ctx.set_timer(next - now, timer);
+    }
+
+    /// Post what one release of engine `key` produced — at its tick, or on
+    /// the arrival that ended its hold: ship its partials one hop toward
+    /// the engine's window root — combining en route — and, at the root,
+    /// stream each member's per-window results to its proxy; then report
+    /// window health and persist the surviving state.
+    fn post_release(&mut self, ctx: &mut ProgramContext<Self>, key: EngineKey, ticked: Ticked) {
+        let now = ctx.now();
         // 1. Ship partials one hop toward the root and stream emissions to
         //    the proxies.  Every partial of a tick shares the window-root
         //    destination, so the tick ships them all as one numbered
@@ -1437,14 +1458,11 @@ impl PierNode {
         for (proxy, results) in bundles.into_messages() {
             self.post(ctx, proxy, results);
         }
-        // 2. Window health, durable segments, and the next tick while the
-        //    engine lives.
-        if let Some(slide) = self.engines.tock(key, now, ticked.health) {
-            ctx.set_timer(slide, timer);
-        }
+        // 2. Window health and durable segments.
+        self.engines.tock(key, now, ticked.health);
     }
 
-    /// Hand a root tick's results — off the wire, or straight from this
+    /// Hand a root release's results — off the wire, or straight from this
     /// node's own tick when it is both root and proxy — to the client.
     fn proxy_receive_window(&mut self, ctx: &mut ProgramContext<Self>, bundle: &WindowBundle) {
         let outs = self.proxy.receive_window(bundle);

@@ -246,8 +246,8 @@ pub struct TickOutput {
     /// Closed-pane partials to ship one hop toward the root, one row per
     /// (pane, group) (`None` at the root, or when nothing closed).
     pub partials: Option<ColumnChunk>,
-    /// Distinct panes `partials` bundles (a tick catching up after an
-    /// EVERY-cadence gap, or a slide longer than a pane, ships several).
+    /// Distinct panes `partials` bundles (a slide longer than a pane, or a
+    /// refined pane riding the next round, ships several).
     pub panes: u64,
     /// Per-member emissions (non-empty only at the root).
     pub emissions: Vec<Emission>,
@@ -274,8 +274,12 @@ pub struct CqDiagnostics {
     /// Lease renewals observed since installation.
     pub lease_renewals: u32,
     /// Panes rehydrated from durable segments at installation (0 on a
-    /// cold install): nonzero means this node restarted warm.
+    /// cold install).
     pub rehydrated_windows: u64,
+    /// The engine was rebuilt from durable segments at installation — this
+    /// node restarted warm — even when no pane came back: a snapshot taken
+    /// at a release, before the next row, holds only the close horizons.
+    pub warm: bool,
 }
 
 /// The occupancy gauges, in the order of [`WindowEngine::occupancy`].
@@ -394,7 +398,9 @@ pub struct WindowEngine {
     /// One root emission's `(member, group)` pairs the index matched,
     /// reused across windows.
     filed: Vec<(u64, usize)>,
-    rehydrated_windows: u64,
+    /// Panes rehydrated at installation, when the engine was rebuilt from
+    /// durable segments.
+    rehydrated: Option<u64>,
     /// Shed tuples+groups / evicted windows already handed out by
     /// [`WindowEngine::take_shed_evicted`].
     reported: (u64, u64),
@@ -434,7 +440,7 @@ impl WindowEngine {
             members: BTreeMap::new(),
             index: HashMap::new(),
             filed: Vec::new(),
-            rehydrated_windows: 0,
+            rehydrated: None,
             reported: (0, 0),
             agg_idxs: Vec::new(),
             key: String::new(),
@@ -585,11 +591,21 @@ impl WindowEngine {
         self.codec.absorb(chunk, self.state.root_mut())
     }
 
-    /// One window-maintenance tick.  Away from the root: drain every due
-    /// pane of both stores into one partial stream.  At the root: roll
-    /// the local panes up into the retained root panes, put every due
-    /// window that is new or covers a refined pane together from its panes
-    /// and derive each member's rows from it — the
+    /// A round opens at its close instant: this node's closed panes roll
+    /// up into the relay/root store at once, ahead of any child's partial
+    /// for them, so a tight budget holds this node's own groups and turns
+    /// the children's away (an upcall hop re-ships what it refuses).
+    pub fn open_round(&mut self, now: SimTime) {
+        self.state.roll_up_local(now);
+    }
+
+    /// One window-maintenance release, at the close instant or when the
+    /// round's hold ends.  Away from the root: roll the local panes up and
+    /// drain every due pane of the relay store into one partial stream,
+    /// each pane once, this node's groups and its children's merged.  At
+    /// the root: roll the local panes up into the retained root panes, put
+    /// every due window that is new or covers a refined pane together from
+    /// its panes and derive each member's rows from it — the
     /// member's groups (looked up in the index for a filed member, tested
     /// one by one for the others), in display order, through its finishers
     /// — which the member's delta tracker turns into its snapshot or
@@ -599,17 +615,12 @@ impl WindowEngine {
         let mut out = TickOutput::default();
         if !is_root {
             let mut partials = self.codec.encoder();
-            let mut panes = Vec::new();
             self.state.drain_closed(now, |pane, groups| {
-                panes.push(pane);
+                out.panes += 1;
                 for g in groups {
                     partials.push(pane, &g.identity.vals, &g.acc.states);
                 }
             });
-            // Each store drains ascending; both may hold the same pane.
-            panes.sort_unstable();
-            panes.dedup();
-            out.panes = panes.len() as u64;
             out.partials = partials.finish();
             return out;
         }
@@ -748,7 +759,7 @@ impl WindowEngine {
         if report.records == 0 && !report.torn_tail {
             return None;
         }
-        self.rehydrated_windows = report.windows as u64;
+        self.rehydrated = Some(report.windows as u64);
         Some(report)
     }
 
@@ -774,7 +785,8 @@ impl WindowEngine {
             tracked_emissions: m.tracker.tracked_windows(),
             windows_emitted: m.windows_emitted,
             lease_renewals: m.lease.renewals,
-            rehydrated_windows: self.rehydrated_windows,
+            rehydrated_windows: self.rehydrated.unwrap_or(0),
+            warm: self.rehydrated.is_some(),
         })
     }
 
@@ -971,6 +983,7 @@ mod tests {
         let member = *cold.members().keys().next().expect("one member");
         let diag = cold.diagnostics(member).expect("member");
         assert_eq!(diag.rehydrated_windows, report.windows as u64);
+        assert!(diag.warm);
         assert_eq!(drain_canonical(&mut cold), drain_canonical(&mut engine));
         // A deliberate teardown leaves no "disk" behind, and nothing
         // durable means a cold start.

@@ -39,14 +39,22 @@ use std::cell::RefCell;
 /// window together, from the panes it spans, when it emits.  Per-row work,
 /// leaf and relay state and shipped partials are those of a tumbling
 /// window of one pane, whatever the window/slide ratio.
+///
+/// Both stores close with the query's grace.  A closed local pane rolls up
+/// into the root-side store ([`SharedWindowState::roll_up_local`]) — at the
+/// window root to be emitted, at a relay to leave merged with what its
+/// children relayed, each pane once ([`SharedWindowState::drain_closed`]).
+/// How long a relay or root waits for its children before it drains or
+/// emits is its caller's (`pier-core`'s engines hold each round until the
+/// children heard last round have shipped again, or half a slide).
 #[derive(Debug)]
 pub struct SharedWindowState<A> {
     window: WindowSpec,
     /// This node's share of the stream, one pane per `window.pane()`,
-    /// drained toward the root each slide.
+    /// rolled up into `root` as its panes close.
     local: WindowStore<A>,
-    /// Pane partials combined at (or relayed toward) the window root;
-    /// closes one slide after `local` so relayed partials can arrive.
+    /// Pane partials combined at (or relayed toward) the window root: this
+    /// node's own, rolled up, and its children's.
     root: WindowStore<A>,
     /// The newest window that was due at an emission pass: the windows
     /// past it have never been put together here.
@@ -63,7 +71,7 @@ impl<A: WindowAccumulator> SharedWindowState<A> {
         SharedWindowState {
             window,
             local: WindowStore::new(panes.with_grace(window.grace), budget),
-            root: WindowStore::new(panes.with_grace(window.grace + window.slide), budget),
+            root: WindowStore::new(panes.with_grace(window.grace), budget),
             emitted_through: None,
             evicted: 0,
         }
@@ -73,8 +81,8 @@ impl<A: WindowAccumulator> SharedWindowState<A> {
     /// the caller folds the union of the members' selected rows, once per
     /// row, into the pane of `event_time` (see [`WindowStore::push_with`]
     /// for `init` and `fold`).  A row whose pane has already closed here
-    /// re-opens it as a refinement, shipped (or rolled up) at the next tick
-    /// like a late relayed partial, until the root retires the pane.
+    /// re-opens it as a refinement, rolled up at the next tick like a late
+    /// relayed partial, until the root retires the pane.
     pub fn fold_local(
         &mut self,
         event_time: SimTime,
@@ -108,21 +116,23 @@ impl<A: WindowAccumulator> SharedWindowState<A> {
         &mut self.root
     }
 
-    /// Non-root tick: drain every due pane from both stores for shipment
-    /// toward the root — **one** partial stream, however many members the
-    /// state serves and however many windows cover a pane — lending `visit`
-    /// each pane's groups in key order, the local store's panes first.
-    pub fn drain_closed(&mut self, now: SimTime, mut visit: impl FnMut(WindowId, &[Group<'_, A>])) {
+    /// Relay release: roll this node's due panes up into the relay store
+    /// and drain every due pane of it for shipment toward the root — **one**
+    /// partial stream, however many members the state serves and however
+    /// many windows cover a pane, each pane once with this node's groups
+    /// and its children's merged — lending `visit` each pane's groups in key
+    /// order, oldest pane first.  A pane refined since it was drained (a
+    /// late row or partial) drains again.
+    pub fn drain_closed(&mut self, now: SimTime, visit: impl FnMut(WindowId, &[Group<'_, A>])) {
+        self.roll_up_local(now);
         if let Some(at) = self.closing_instant(now, self.window.grace) {
-            self.local.close_due_with(at, &mut visit);
-        }
-        if let Some(at) = self.closing_instant(now, self.window.grace + self.window.slide) {
-            self.root.close_due_with(at, &mut visit);
+            self.root.close_due_with(at, visit);
         }
     }
 
-    /// Root tick, step 1: fold this node's own due panes into the retained
-    /// root panes.
+    /// Fold this node's own due panes into the root-side store: at the
+    /// root, into the retained panes it emits from; at a relay, into the
+    /// panes it ships.  A group the store's budget refuses is shed.
     pub fn roll_up_local(&mut self, now: SimTime) {
         let Some(at) = self.closing_instant(now, self.window.grace) else {
             return;
@@ -144,12 +154,14 @@ impl<A: WindowAccumulator> SharedWindowState<A> {
         Some(window.bounds(window.last_closable(now)?).1 + grace)
     }
 
-    /// Root tick, step 2: put together every due window that is new here or
+    /// Root release: put together every due window that is new here or
     /// covers a pane refined since the last pass, and lend `emit` each
     /// non-empty one, oldest first, its groups merged across its panes in
     /// key order (panes are retained, so late partials keep refining and
-    /// re-emit every retained window over them).  A window is due one slide
-    /// after its local panes close.  Then retire the panes below the oldest
+    /// re-emit every retained window over them).  A window is due when its
+    /// panes close, at its end plus the grace; the caller rolls the local
+    /// panes up first ([`SharedWindowState::roll_up_local`]).  Then retire
+    /// the panes below the oldest
     /// window kept for refinement, bounding memory.  Returns the window
     /// through which the caller's per-member trackers should retire too,
     /// when the horizon moved.
@@ -162,9 +174,7 @@ impl<A: WindowAccumulator> SharedWindowState<A> {
         A: Clone,
     {
         let window = self.window;
-        let last = window
-            .with_grace(window.grace + window.slide)
-            .last_closable(now)?;
+        let last = window.last_closable(now)?;
         // Panes the budget evicted leave every window over them short:
         // those retire, as if their horizon had passed.
         let evicted = self.root.stats().evicted_windows;
@@ -284,8 +294,8 @@ impl<A: WindowAccumulator> SharedWindowState<A> {
     /// Rebuild both stores from their logs (warm restart; a missing log
     /// leaves its store cold) and report what came back in total.  The
     /// local store's close horizon names the last window closed here, and
-    /// so the last one a root put together: a restarted root does not put
-    /// it together again.
+    /// so the last one a root put together: a restarted root neither puts
+    /// it together again nor skips the one after it.
     pub fn rehydrate(
         &mut self,
         local: Option<&SegmentLog>,
@@ -305,12 +315,13 @@ impl<A: WindowAccumulator> SharedWindowState<A> {
             total.skipped += report.skipped;
             total.torn_tail |= report.torn_tail;
         }
-        // Closed through window `c` here means due at the root through
-        // `c - 1` (its grace is one slide longer).
+        // Both stores close with the same grace, and a root emits at the
+        // release that rolls its local panes up: closed through window `c`
+        // here means emitted through `c`.
         let window = self.window;
         let closed_end = self.local.closed_through().map(|p| (p + 1) * window.pane());
         let closed = closed_end.and_then(|end| end.checked_sub(window.size));
-        let emitted = closed.and_then(|start| (start / window.slide).checked_sub(1));
+        let emitted = closed.map(|start| start / window.slide);
         self.emitted_through = self.emitted_through.max(emitted);
         total
     }
@@ -482,6 +493,32 @@ mod tests {
             out.extend(groups.iter().map(|g| (g.key.to_string(), g.acc.0)));
         });
         assert_eq!(out, [("a".to_string(), 7), ("b".to_string(), 1)]);
+    }
+
+    #[test]
+    fn a_restarted_root_neither_reemits_nor_skips_the_last_window_it_emitted() {
+        // 20 / 10 with a grace of 5: window w closes, and is due, at
+        // 10 w + 25.
+        let window = WindowSpec::sliding(20, 10).with_grace(5);
+        let release = |s: &mut SharedWindowState<Count>, now| -> Vec<(WindowId, u64)> {
+            s.roll_up_local(now);
+            let out = emitted(s, now).into_iter();
+            out.map(|(w, _, n)| (w, n)).collect()
+        };
+        let mut s = SharedWindowState::new(window, CqBudget::default());
+        for t in [3, 13, 23, 33] {
+            s.fold_local(t, "a", |_| Count(0), |c| c.0 += 1);
+        }
+        assert_eq!(release(&mut s, 35), [(0, 2), (1, 2)]);
+        let (mut local, mut root) = (SegmentLog::new(), SegmentLog::new());
+        s.write_segments(&mut local, &mut root);
+        let mut warm = SharedWindowState::new(window, CqBudget::default());
+        warm.rehydrate(Some(&local), Some(&root));
+        // Window 1 was emitted: not again...
+        assert!(release(&mut warm, 35).is_empty());
+        // ...and window 2 is emitted at its close, as by the root that ran on.
+        assert_eq!(release(&mut s, 45), [(2, 2)]);
+        assert_eq!(release(&mut warm, 45), [(2, 2)]);
     }
 
     #[test]

@@ -110,6 +110,18 @@ impl WindowSpec {
         }
         Some(horizon / self.slide)
     }
+
+    /// The first instant after `now` at which a window closes (its end plus
+    /// the grace): the instants every node's engines for this window tick
+    /// at, together.
+    pub fn next_close(&self, now: SimTime) -> SimTime {
+        let first = self.size.saturating_add(self.grace);
+        if now < first {
+            return first;
+        }
+        let closed = (now - first) / self.slide + 1;
+        first.saturating_add(closed.saturating_mul(self.slide))
+    }
 }
 
 impl WireSize for WindowSpec {
@@ -172,6 +184,23 @@ mod tests {
         assert_eq!(w.last_closable(35), Some(0));
         assert_eq!(w.last_closable(54), Some(1));
         assert_eq!(w.last_closable(55), Some(2));
+    }
+
+    #[test]
+    fn the_next_close_is_the_first_window_end_plus_grace_after_now() {
+        let w = WindowSpec::sliding(30, 10).with_grace(5);
+        assert_eq!(w.next_close(0), 35);
+        assert_eq!(w.next_close(34), 35);
+        assert_eq!(w.next_close(35), 45, "strictly after now");
+        assert_eq!(w.next_close(44), 45);
+        for now in 0..200 {
+            let at = w.next_close(now);
+            assert!(at > now && (now < 35 || at - now <= w.slide));
+            assert_eq!(
+                w.last_closable(at),
+                w.last_closable(at - 1).map_or(Some(0), |c| Some(c + 1))
+            );
+        }
     }
 
     #[test]

@@ -107,19 +107,19 @@ fn trace_fault_events_reconcile_with_the_plan() {
 
 /// Shared window state is durable: no plan is marked exclusive — the netmon
 /// query runs as a share group of one beside the tenants' group — and a
-/// crashed-and-restarted node rehydrates the windows of both from its
-/// segment logs instead of starting them cold.
+/// crashed-and-restarted node rebuilds the engines of both from its segment
+/// logs instead of starting them cold.  (How many panes come back depends
+/// on the instant of the crash: a node away from the root holds only the
+/// pane filling since its last release, which a sparse group may have no
+/// row in.)
 #[test]
 fn a_restarted_node_rehydrates_share_group_windows_warm() {
     let out = run_chaos(&small_config(seeded(7)));
     assert!(!out.restarted.is_empty(), "the storm must restart a node");
-    assert!(
-        out.rehydrated_windows > 0,
-        "the netmon group of one restarts warm"
-    );
-    assert!(
-        out.tenant_rehydrated_windows > 0,
-        "a shared tenant restarts warm"
+    assert_eq!(
+        out.restarted_warm,
+        (true, true),
+        "the netmon group of one and a shared tenant restart warm"
     );
 }
 

@@ -4,8 +4,13 @@
 //! and keeping per-node state bounded.
 
 use pier::harness::continuous::{continuous_netmon, ContinuousNetmonConfig};
-use pier::qp::{sqlish, CqBudget, DeltaMode, Dissemination, SinkSpec, Value};
-use pier::runtime::NodeAddr;
+use pier::harness::{Cluster, ClusterConfig};
+use pier::qp::{sqlish, CqBudget, DeltaMode, Dissemination, PierOut, SinkSpec, Tuple, Value};
+use pier::runtime::{NodeAddr, Rng64, SimTime};
+use std::collections::BTreeMap;
+
+mod common;
+use common::seeded;
 
 #[test]
 fn sqlish_window_clauses_compile_to_continuous_plans() {
@@ -206,4 +211,77 @@ fn delta_mode_retracts_refined_rows() {
             assert!(row.get("count").and_then(Value::as_i64).unwrap_or(0) > 0);
         }
     }
+}
+
+#[test]
+fn on_a_quiet_lan_each_window_is_answered_once_right_after_it_closes() {
+    // 16 nodes, each ingesting rows of eight sources every 250 ms for 20 s.
+    // Every engine ticks at the window closes (end + half a slide of
+    // grace), and a relay or the root holds only until the children it
+    // heard last round have shipped again: with nothing lost or late, the
+    // root emits each window once, a few link latencies after its close,
+    // never as late as the hold's bound of half a slide more.
+    const SEC: u64 = 1_000_000;
+    let (grace, slide) = (SEC / 2, SEC);
+    let mut cluster = Cluster::start(&ClusterConfig::lan(16, seeded(45)));
+    let proxy = cluster.addr(0);
+    let sql = "SELECT src, COUNT(*) FROM packets GROUP BY src WINDOW 2s SLIDE 1s";
+    let plan = sqlish::compile(sql, proxy, 120 * SEC).expect("compiles");
+    cluster.sim.invoke(proxy, |n, ctx| {
+        n.submit_query(ctx, plan);
+    });
+    cluster.settle(SEC);
+    let begin = cluster.sim.now();
+    let mut rng = Rng64::new(seeded(46));
+    while cluster.sim.now() < begin + 20 * SEC {
+        let now = cluster.sim.now();
+        for i in 0..cluster.len() {
+            let addr = cluster.addr(i);
+            for _ in 0..4 {
+                let src = format!("10.0.0.{}", rng.next_below(8));
+                let fields = vec![("src", Value::str(src)), ("ts", Value::Int(now as i64))];
+                let row = Tuple::new("packets", fields);
+                cluster
+                    .sim
+                    .invoke(addr, |n, ctx| n.ingest(ctx, "packets", row));
+            }
+        }
+        cluster.sim.run_for(SEC / 4);
+    }
+    cluster.sim.run_for(5 * SEC);
+
+    // The windows wholly inside the stream, past its first round (whose
+    // children's partials land after everyone released at once).
+    let steady = |start: SimTime, end: SimTime| start >= begin + 2 * SEC && end <= begin + 20 * SEC;
+    let mut arrivals: BTreeMap<(SimTime, String), u32> = BTreeMap::new();
+    for out in cluster.sim.drain_outputs() {
+        let PierOut::WindowResult {
+            window_start,
+            window_end,
+            retract: false,
+            tuple,
+            ..
+        } = out.value
+        else {
+            continue;
+        };
+        if !steady(window_start, window_end) {
+            continue;
+        }
+        let latency = out.time - window_end;
+        assert!(
+            latency <= grace + slide / 2,
+            "window [{window_start}, {window_end}) answered {latency} µs after its end"
+        );
+        let src = tuple.get("src").and_then(Value::as_str).expect("a src");
+        *arrivals.entry((window_start, src.to_string())).or_default() += 1;
+    }
+    let windows = arrivals.keys().map(|(start, _)| start);
+    let windows = windows.collect::<std::collections::BTreeSet<_>>().len();
+    assert!(windows >= 15, "only {windows} steady windows answered");
+    let repeated: Vec<_> = arrivals.iter().filter(|(_, &n)| n != 1).collect();
+    assert!(
+        repeated.is_empty(),
+        "rows answered more than once: {repeated:?}"
+    );
 }

@@ -423,14 +423,14 @@ fn one_shot_aggregation_by_hand_equals_one_group_by() {
                 tick(&mut relay.1, HOLD).expect("the relay's pane"),
             ]
         } else {
-            // Hop by hop: the relay folds the leaf's pane in at the upcall,
-            // ships its own pane when it closes and the relayed one a hold
-            // later, one partial per group each.
+            // Hop by hop: the relay folds the leaf's pane in at the upcall
+            // and ships it merged with its own when the pane closes, one
+            // partial per group.
             assert!(relay.1.absorb_panes(&from_leaf).is_empty());
-            let own = tick(&mut relay.1, HOLD).expect("the relay's pane");
-            let relayed = tick(&mut relay.1, 2 * HOLD).expect("the relayed pane");
-            assert!(own.rows() <= 5 && relayed.rows() <= 5);
-            vec![own, relayed]
+            let merged = tick(&mut relay.1, HOLD).expect("the relay's pane");
+            assert!(merged.rows() <= 5);
+            assert!(tick(&mut relay.1, 2 * HOLD).is_none(), "shipped once");
+            vec![merged]
         };
         let (_, engine) = &mut root;
         for chunk in &at_root {

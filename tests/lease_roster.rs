@@ -1054,16 +1054,16 @@ fn a_root_tick_answers_each_proxy_once_and_tenants_see_no_difference() {
         "same seed, same run"
     );
 
-    // The wire: per handler invocation (a root's tick), one message per
-    // proxy; its windows ascend, each once, and every row inside it is of
-    // the window its directory names.
+    // The wire: per handler invocation (a root's release: its tick, or the
+    // arrival that ends its round's hold), one message per proxy; its
+    // windows ascend, each once, and every row inside it is of the window
+    // its directory names.
     let mut per_tick: BTreeMap<u64, Vec<NodeAddr>> = BTreeMap::new();
     let (mut messages, mut windows, mut members) = (0usize, 0usize, 0usize);
     for s in &sent {
         let Wire::WindowResults(named, one_chunk) = &s.wire else {
             continue;
         };
-        assert!(s.on_timer, "results leave from a tick");
         assert!(
             one_chunk,
             "one chunk, partitioned, the bounds in the directory"

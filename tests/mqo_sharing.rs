@@ -202,12 +202,8 @@ fn shared_execution_matches_independent_under_install_uninstall_mid_stream() {
 #[test]
 fn shared_execution_matches_independent_under_node_churn() {
     // 28 s of stream keeps the post-repair comparison span (churn + 12 s
-    // onward) wide enough that the equivalence check is not vacuous.  The
-    // seed stays pinned: which in-flight partials a kill loses depends on
-    // where each mode's window roots sit, so unlike the two tests above
-    // this comparison is calibrated, not an any-seed property (under
-    // `PIER_SEED=987654321` the two modes differ past the guard band).
-    let mut cfg = ManyTenantsConfig::new(10, 12, 28, 93);
+    // onward) wide enough that the equivalence check is not vacuous.
+    let mut cfg = ManyTenantsConfig::new(10, 12, 28, seeded(93));
     cfg.churn = Some((6, 2, 2));
     cfg.pier.telemetry = TelemetryConfig::enabled();
     cfg.sharing = true;
@@ -268,16 +264,9 @@ struct RetiredRun {
 /// member form.  With `replay`, `b` is submitted at the given node and
 /// instant instead (the independent run has no groups to watch).  Rows of
 /// four sources stream throughout.
-///
-/// The seed stays pinned, as in the node-churn test: under
-/// `PIER_SEED=12345` the second query's windows differ between shared and
-/// independent execution by a few rows either way, and they differ the
-/// same with no member form sent and with `a` outliving the run (nothing
-/// retired) — a divergence of shared execution on that layout, not of this
-/// path.
 fn retired_group_run(sharing: bool, replay: Option<(NodeAddr, SimTime)>) -> RetiredRun {
     const SEC: u64 = 1_000_000;
-    let seed = 0x3E7;
+    let seed = seeded(0x3E7);
     let mut cfg = ClusterConfig::lan(8, seed).with_telemetry(TelemetryConfig::enabled());
     cfg.pier.sharing = sharing.then_some(pier::mqo::layer as _);
     let mut cluster = Cluster::start(&cfg);

@@ -78,12 +78,11 @@ struct Reference {
 
 impl Reference {
     fn new(window: WindowSpec) -> Self {
-        let root = window.with_grace(window.grace + window.slide);
         Reference {
             window,
             local: BTreeMap::new(),
             closed: None,
-            windows: WindowStore::new(root, ROOMY),
+            windows: WindowStore::new(window, ROOMY),
         }
     }
 
@@ -317,8 +316,8 @@ fn the_schedules_refine_restart_and_retire() {
 #[test]
 fn a_row_late_for_its_closed_pane_reopens_it_until_the_root_retires_it() {
     // 2 s / 1 s with half a second of grace: pane p closes here at p + 2.5
-    // (with the window ending there), window w is due at the root at
-    // w + 3.5 and retires once the newest emitted window is six ahead.
+    // (with the window ending there), window w is due at the root then too,
+    // at w + 2.5, and retires once the newest emitted window is six ahead.
     let window = WindowSpec::sliding(2 * SEC, SEC).with_grace(SEC / 2);
     let mut s = Subject::new(window);
     s.row(10 * SEC, "a");
