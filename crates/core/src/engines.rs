@@ -339,7 +339,8 @@ impl Engines {
             return arrival;
         }
         let chunks = batch.chunks();
-        let refused: Vec<Vec<u32>> = chunks.iter().map(|c| slot.engine.absorb_panes(c)).collect();
+        let absorb = |c| slot.engine.absorb_panes(c, !upcall);
+        let refused: Vec<Vec<u32>> = chunks.iter().map(absorb).collect();
         let refused_rows = refused.iter().map(Vec::len).sum::<usize>();
         arrival.taken = !upcall || refused_rows < batch.len();
         if let (Hop::Upcall(trace), true) = (hop, arrival.taken && refused_rows > 0) {
@@ -437,8 +438,8 @@ impl Engines {
 
     /// Engine `key`'s tick timer of incarnation `epoch` fired at `now`.  A
     /// held round whose hold ran out releases.  Otherwise, at (or, stalled,
-    /// past) a window close the round opens: this node's closed panes roll
-    /// up, and the engine releases at once or holds.  A hold an arrival
+    /// past) a window close the round opens, and the engine releases at
+    /// once or holds.  A hold an arrival
     /// already ended only re-arms.  What a release ships and emits, if one
     /// happened, and the instant to arm the next tick at: the hold's end
     /// while held, else the next close.  `None` when the engine is retired
@@ -459,7 +460,6 @@ impl Engines {
             true
         } else if now >= slot.next_close {
             slot.next_close = window.next_close(now);
-            slot.engine.open_round(now);
             !slot.round.open(now, window.slide / 2)
         } else {
             false

@@ -584,28 +584,26 @@ impl WindowEngine {
         }
     }
 
-    /// Merge a chunk of relayed closed-pane partials into the root store
-    /// and return the indices of the rows it refused
-    /// ([`PartialCodec::absorb`]).
-    pub fn absorb_panes(&mut self, chunk: &ColumnChunk) -> Vec<u32> {
-        self.codec.absorb(chunk, self.state.root_mut())
-    }
-
-    /// A round opens at its close instant: this node's closed panes roll
-    /// up into the relay/root store at once, ahead of any child's partial
-    /// for them, so a tight budget holds this node's own groups and turns
-    /// the children's away (an upcall hop re-ships what it refuses).
-    pub fn open_round(&mut self, now: SimTime) {
-        self.state.roll_up_local(now);
+    /// Merge a chunk of closed-pane partials and return the indices of the
+    /// rows refused ([`PartialCodec::absorb`]): at the window root into the
+    /// retained root panes, away from it into the local store, where a
+    /// child's groups merge with this node's own and ship with them.
+    pub fn absorb_panes(&mut self, chunk: &ColumnChunk, at_root: bool) -> Vec<u32> {
+        let store = if at_root {
+            self.state.root_mut()
+        } else {
+            self.state.local_mut()
+        };
+        self.codec.absorb(chunk, store)
     }
 
     /// One window-maintenance release, at the close instant or when the
-    /// round's hold ends.  Away from the root: roll the local panes up and
-    /// drain every due pane of the relay store into one partial stream,
-    /// each pane once, this node's groups and its children's merged.  At
-    /// the root: roll the local panes up into the retained root panes, put
-    /// every due window that is new or covers a refined pane together from
-    /// its panes and derive each member's rows from it — the
+    /// round's hold ends.  Away from the root: drain every due pane into
+    /// one partial stream, each pane once, this node's groups and its
+    /// children's merged.  At the root: roll the local panes up into the
+    /// retained root panes, put every due window that is new or covers a
+    /// refined pane together from its panes and derive each member's rows
+    /// from it — the
     /// member's groups (looked up in the index for a filed member, tested
     /// one by one for the others), in display order, through its finishers
     /// — which the member's delta tracker turns into its snapshot or

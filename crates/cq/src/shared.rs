@@ -40,21 +40,24 @@ use std::cell::RefCell;
 /// leaf and relay state and shipped partials are those of a tumbling
 /// window of one pane, whatever the window/slide ratio.
 ///
-/// Both stores close with the query's grace.  A closed local pane rolls up
-/// into the root-side store ([`SharedWindowState::roll_up_local`]) — at the
-/// window root to be emitted, at a relay to leave merged with what its
-/// children relayed, each pane once ([`SharedWindowState::drain_closed`]).
-/// How long a relay or root waits for its children before it drains or
-/// emits is its caller's (`pier-core`'s engines hold each round until the
-/// children heard last round have shipped again, or half a slide).
+/// Both stores close with the query's grace.  Away from the window root the
+/// partials a node's children relay merge into its local store, so a relay
+/// ships each pane once, its groups and its children's merged
+/// ([`SharedWindowState::drain_closed`]); at the root they merge into the
+/// retained root panes, and the root's own closed panes roll up into them
+/// ([`SharedWindowState::roll_up_local`]).  How long a relay or root waits
+/// for its children before it drains or emits is its caller's
+/// (`pier-core`'s engines hold each round until the children heard last
+/// round have shipped again, or half a slide).
 #[derive(Debug)]
 pub struct SharedWindowState<A> {
     window: WindowSpec,
-    /// This node's share of the stream, one pane per `window.pane()`,
-    /// rolled up into `root` as its panes close.
+    /// This node's share of the stream, one pane per `window.pane()`, and
+    /// away from the root what its children relay: what this node ships.
     local: WindowStore<A>,
-    /// Pane partials combined at (or relayed toward) the window root: this
-    /// node's own, rolled up, and its children's.
+    /// Pane partials combined at the window root, retained for emission;
+    /// away from the root, only what arrived while this node was the root,
+    /// drained toward the new one.
     root: WindowStore<A>,
     /// The newest window that was due at an emission pass: the windows
     /// past it have never been put together here.
@@ -81,8 +84,9 @@ impl<A: WindowAccumulator> SharedWindowState<A> {
     /// the caller folds the union of the members' selected rows, once per
     /// row, into the pane of `event_time` (see [`WindowStore::push_with`]
     /// for `init` and `fold`).  A row whose pane has already closed here
-    /// re-opens it as a refinement, rolled up at the next tick like a late
-    /// relayed partial, until the root retires the pane.
+    /// re-opens it as a refinement, shipped (or rolled up) at the next
+    /// release like a late relayed partial, until the root retires the
+    /// pane.
     pub fn fold_local(
         &mut self,
         event_time: SimTime,
@@ -109,30 +113,38 @@ impl<A: WindowAccumulator> SharedWindowState<A> {
         }
     }
 
-    /// The shared root-side store (the relay entry point: closed-pane
-    /// partials arriving at, or relayed through, the window root merge into
-    /// it as refinements).
+    /// The shared root-side store (the window root's entry point:
+    /// closed-pane partials arriving at the root merge into it as
+    /// refinements).
     pub fn root_mut(&mut self) -> &mut WindowStore<A> {
         &mut self.root
     }
 
-    /// Relay release: roll this node's due panes up into the relay store
-    /// and drain every due pane of it for shipment toward the root — **one**
-    /// partial stream, however many members the state serves and however
-    /// many windows cover a pane, each pane once with this node's groups
-    /// and its children's merged — lending `visit` each pane's groups in key
-    /// order, oldest pane first.  A pane refined since it was drained (a
-    /// late row or partial) drains again.
-    pub fn drain_closed(&mut self, now: SimTime, visit: impl FnMut(WindowId, &[Group<'_, A>])) {
-        self.roll_up_local(now);
+    /// The local store (the relay entry point: closed-pane partials relayed
+    /// through a node away from the root merge into it, an open pane in
+    /// place, a drained one re-opened as a refinement).
+    pub fn local_mut(&mut self) -> &mut WindowStore<A> {
+        &mut self.local
+    }
+
+    /// Non-root release: drain every due pane for shipment toward the root
+    /// — **one** partial stream, however many members the state serves and
+    /// however many windows cover a pane, each pane once with this node's
+    /// groups and its children's merged — lending `visit` each pane's
+    /// groups in key order, oldest pane first.  A pane refined since it was
+    /// drained (a late row or partial) drains again.  Then the panes this
+    /// node retained while it was the window root, if any, so the new root
+    /// gets them.
+    pub fn drain_closed(&mut self, now: SimTime, mut visit: impl FnMut(WindowId, &[Group<'_, A>])) {
         if let Some(at) = self.closing_instant(now, self.window.grace) {
+            self.local.close_due_with(at, &mut visit);
             self.root.close_due_with(at, visit);
         }
     }
 
-    /// Fold this node's own due panes into the root-side store: at the
-    /// root, into the retained panes it emits from; at a relay, into the
-    /// panes it ships.  A group the store's budget refuses is shed.
+    /// Root release, step 1: fold this node's due panes — its own, and
+    /// what it relayed before it was the root — into the retained root
+    /// panes.
     pub fn roll_up_local(&mut self, now: SimTime) {
         let Some(at) = self.closing_instant(now, self.window.grace) else {
             return;
@@ -154,17 +166,16 @@ impl<A: WindowAccumulator> SharedWindowState<A> {
         Some(window.bounds(window.last_closable(now)?).1 + grace)
     }
 
-    /// Root release: put together every due window that is new here or
-    /// covers a pane refined since the last pass, and lend `emit` each
-    /// non-empty one, oldest first, its groups merged across its panes in
-    /// key order (panes are retained, so late partials keep refining and
+    /// Root release, step 2: put together every due window that is new
+    /// here or covers a pane refined since the last pass, and lend `emit`
+    /// each non-empty one, oldest first, its groups merged across its panes
+    /// in key order (panes are retained, so late partials keep refining and
     /// re-emit every retained window over them).  A window is due when its
     /// panes close, at its end plus the grace; the caller rolls the local
     /// panes up first ([`SharedWindowState::roll_up_local`]).  Then retire
-    /// the panes below the oldest
-    /// window kept for refinement, bounding memory.  Returns the window
-    /// through which the caller's per-member trackers should retire too,
-    /// when the horizon moved.
+    /// the panes below the oldest window kept for refinement, bounding
+    /// memory.  Returns the window through which the caller's per-member
+    /// trackers should retire too, when the horizon moved.
     pub fn emit_due(
         &mut self,
         now: SimTime,

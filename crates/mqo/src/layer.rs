@@ -433,7 +433,7 @@ mod tests {
         );
         // The root absorbs the relayed partials and derives per-member
         // results from them.
-        assert!(root_engine.absorb_panes(&partials).is_empty());
+        assert!(root_engine.absorb_panes(&partials, true).is_empty());
         let out = root_engine.tick(120_000_000, true);
         assert!(out.emissions.iter().any(|e| e.query_id == 1));
         assert!(out.emissions.iter().any(|e| e.query_id == 2));

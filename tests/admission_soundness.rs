@@ -176,7 +176,7 @@ fn filled_to_the_cap(
         root.absorb(&batch.chunks()[0], None, (20 + w) * 1_000_000);
     }
     let relayed = relay.tick(60_000_000, false).partials.expect("partials");
-    assert!(root.absorb_panes(&relayed).is_empty());
+    assert!(root.absorb_panes(&relayed, true).is_empty());
     (report, root.occupancy())
 }
 
@@ -244,7 +244,7 @@ fn a_one_shot_engine_filled_for_its_whole_life_measures_within_the_static_state_
         root.absorb(&batch.chunks()[0], None, now);
         now += hold;
         if let Some(relayed) = relay.tick(now, false).partials {
-            assert!(root.absorb_panes(&relayed).is_empty());
+            assert!(root.absorb_panes(&relayed, true).is_empty());
         }
         assert!(root.tick(now, true).emissions.is_empty());
     }

@@ -426,7 +426,7 @@ fn one_shot_aggregation_by_hand_equals_one_group_by() {
             // Hop by hop: the relay folds the leaf's pane in at the upcall
             // and ships it merged with its own when the pane closes, one
             // partial per group.
-            assert!(relay.1.absorb_panes(&from_leaf).is_empty());
+            assert!(relay.1.absorb_panes(&from_leaf, false).is_empty());
             let merged = tick(&mut relay.1, HOLD).expect("the relay's pane");
             assert!(merged.rows() <= 5);
             assert!(tick(&mut relay.1, 2 * HOLD).is_none(), "shipped once");
@@ -434,7 +434,7 @@ fn one_shot_aggregation_by_hand_equals_one_group_by() {
         };
         let (_, engine) = &mut root;
         for chunk in &at_root {
-            assert!(engine.absorb_panes(chunk).is_empty());
+            assert!(engine.absorb_panes(chunk, true).is_empty());
         }
 
         // The root's ticks only roll its own pane up; its answer is every
@@ -504,7 +504,10 @@ fn a_one_shot_aggregate_counts_past_a_windowed_query_s_group_cap() {
         root.absorb(chunk, None, NOW);
     }
     let shipped = leaf.tick(NOW + 2 * HOLD, false).partials.expect("a pane");
-    assert!(root.absorb_panes(&shipped).is_empty(), "nothing refused");
+    assert!(
+        root.absorb_panes(&shipped, true).is_empty(),
+        "nothing refused"
+    );
     let (_, rows) = root.finish().expect("an answer");
     assert_eq!(rows.len(), KEYS as usize);
     assert!(rows.iter().all(|r| r.get("count") == Some(&Value::Int(4))));

@@ -806,7 +806,7 @@ fn one_message_mixes_a_deltas_a_snapshot_and_a_top_k_member() {
     let mut relay = WindowEngine::new(root.spec().clone());
     relay.absorb(&packets(&[(2, 50, 40)]).chunks()[0], None, 0);
     let late = relay.tick(10 * SEC, false).partials.expect("relay ships");
-    assert!(root.absorb_panes(&late).is_empty());
+    assert!(root.absorb_panes(&late, true).is_empty());
     let emissions = root.tick(11 * SEC, true).emissions;
     assert_eq!(emissions.len(), 3, "every member's answer changed");
 

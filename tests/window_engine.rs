@@ -210,7 +210,7 @@ fn populated() -> WindowEngine {
     for chunk in cut(&packets(&rows[60..]), &[64]) {
         engine.absorb(&chunk, None, 0);
     }
-    assert!(engine.absorb_panes(&relayed).is_empty());
+    assert!(engine.absorb_panes(&relayed, true).is_empty());
     engine
 }
 
@@ -280,7 +280,7 @@ fn a_late_partial_reemits_only_to_the_members_it_affects_and_deltas_retract() {
         &[(1, 100, 10), (2, 100, 20), (2, 100, 30)],
         10 * SEC,
     );
-    assert!(root.absorb_panes(&first).is_empty());
+    assert!(root.absorb_panes(&first, true).is_empty());
     let out = root.tick(10 * SEC, true);
     for id in 1..=3 {
         assert_eq!(rendered(&out.emissions, id).len(), 1, "member {id}");
@@ -289,7 +289,7 @@ fn a_late_partial_reemits_only_to_the_members_it_affects_and_deltas_retract() {
     // refinement is built on a second relay.)
     let mut relay = WindowEngine::new(spec("g00000000000000cc"));
     let late = ship(&mut relay, &[(2, 50, 40)], 10 * SEC);
-    assert!(root.absorb_panes(&late).is_empty());
+    assert!(root.absorb_panes(&late, true).is_empty());
     let out = root.tick(11 * SEC, true);
     assert!(
         rendered(&out.emissions, 1).is_empty(),
@@ -320,7 +320,7 @@ fn retirement_bounds_the_root_store_and_every_members_tracker() {
         let rows = [(1u8, 10u16, w * SEC + 1), (2, 10, w * SEC + 2)];
         relay.absorb(&TupleBatch::new(packets(&rows)).chunks()[0], None, 0);
         let partials = relay.tick((w + 10) * SEC, false).partials.unwrap();
-        root.absorb_panes(&partials);
+        root.absorb_panes(&partials, true);
         root.tick((w + 4) * SEC, true);
     }
     // Sliding 2s/1s: two windows per event, so six are kept for refinement.
@@ -561,9 +561,9 @@ proptest! {
                 relay.absorb(&chunk, None, now);
             }
             if let Some(partials) = relay.tick(now.saturating_sub(lag * SEC), false).partials {
-                let refused = mixed.absorb_panes(&partials);
+                let refused = mixed.absorb_panes(&partials, true);
                 for engine in &mut alone {
-                    prop_assert_eq!(&engine.absorb_panes(&partials), &refused);
+                    prop_assert_eq!(&engine.absorb_panes(&partials, true), &refused);
                 }
             }
             let got = mixed.tick(now, true).emissions;
