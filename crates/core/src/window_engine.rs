@@ -246,8 +246,9 @@ pub struct TickOutput {
     /// Closed-pane partials to ship one hop toward the root, one row per
     /// (pane, group) (`None` at the root, or when nothing closed).
     pub partials: Option<ColumnChunk>,
-    /// Distinct panes `partials` bundles (a slide longer than a pane, or a
-    /// refined pane riding the next round, ships several).
+    /// Panes `partials` bundles (a slide longer than a pane, or a refined
+    /// pane riding the next round, ships several; a pane this node also
+    /// retained as the window root counts twice).
     pub panes: u64,
     /// Per-member emissions (non-empty only at the root).
     pub emissions: Vec<Emission>,
