@@ -275,12 +275,8 @@ pub struct CqDiagnostics {
     /// Lease renewals observed since installation.
     pub lease_renewals: u32,
     /// Panes rehydrated from durable segments at installation (0 on a
-    /// cold install).
+    /// cold install): nonzero means this node restarted warm.
     pub rehydrated_windows: u64,
-    /// The engine was rebuilt from durable segments at installation — this
-    /// node restarted warm — even when no pane came back: a snapshot taken
-    /// at a release, before the next row, holds only the close horizons.
-    pub warm: bool,
 }
 
 /// The occupancy gauges, in the order of [`WindowEngine::occupancy`].
@@ -399,9 +395,7 @@ pub struct WindowEngine {
     /// One root emission's `(member, group)` pairs the index matched,
     /// reused across windows.
     filed: Vec<(u64, usize)>,
-    /// Panes rehydrated at installation, when the engine was rebuilt from
-    /// durable segments.
-    rehydrated: Option<u64>,
+    rehydrated_windows: u64,
     /// Shed tuples+groups / evicted windows already handed out by
     /// [`WindowEngine::take_shed_evicted`].
     reported: (u64, u64),
@@ -441,7 +435,7 @@ impl WindowEngine {
             members: BTreeMap::new(),
             index: HashMap::new(),
             filed: Vec::new(),
-            rehydrated: None,
+            rehydrated_windows: 0,
             reported: (0, 0),
             agg_idxs: Vec::new(),
             key: String::new(),
@@ -758,7 +752,7 @@ impl WindowEngine {
         if report.records == 0 && !report.torn_tail {
             return None;
         }
-        self.rehydrated = Some(report.windows as u64);
+        self.rehydrated_windows = report.windows as u64;
         Some(report)
     }
 
@@ -784,8 +778,7 @@ impl WindowEngine {
             tracked_emissions: m.tracker.tracked_windows(),
             windows_emitted: m.windows_emitted,
             lease_renewals: m.lease.renewals,
-            rehydrated_windows: self.rehydrated.unwrap_or(0),
-            warm: self.rehydrated.is_some(),
+            rehydrated_windows: self.rehydrated_windows,
         })
     }
 
@@ -982,13 +975,51 @@ mod tests {
         let member = *cold.members().keys().next().expect("one member");
         let diag = cold.diagnostics(member).expect("member");
         assert_eq!(diag.rehydrated_windows, report.windows as u64);
-        assert!(diag.warm);
         assert_eq!(drain_canonical(&mut cold), drain_canonical(&mut engine));
         // A deliberate teardown leaves no "disk" behind, and nothing
         // durable means a cold start.
         engine.forget(&durable);
         assert!(durable.keys().is_empty());
         assert!(netmon_engine().rehydrate(&durable).is_none());
+    }
+
+    #[test]
+    fn a_relays_pane_of_its_own_rows_and_a_childs_partials_rehydrates_exactly() {
+        // 30 s / 10 s with a grace of 5 s: pane 0 (rows 0..40) closes with
+        // window 0, at 35 s, on every node.  The relay folds the first half of the
+        // pane's rows, its child the second; the child's closed pane
+        // merges into the relay's before the relay releases.
+        let rows = netmon_rows(40);
+        let (mut relay, mut child, mut whole) = (netmon_engine(), netmon_engine(), netmon_engine());
+        for (engine, rows) in [(&mut relay, &rows[..20]), (&mut child, &rows[20..])] {
+            for chunk in TupleBatch::new(rows.to_vec()).chunks() {
+                engine.absorb(chunk, None, 0);
+            }
+        }
+        for chunk in TupleBatch::new(rows).chunks() {
+            whole.absorb(chunk, None, 0);
+        }
+        let close = 35_000_000;
+        let shipped = child.tick(close, false).partials.expect("the child's pane");
+        assert!(relay.absorb_panes(&shipped, false).is_empty());
+        let durable = DurableStore::new();
+        relay.persist(&durable);
+
+        // Restarted, the relay holds the one pane, every group's count
+        // and sum its own rows' and the child's together.
+        let mut warm = netmon_engine();
+        let report = warm.rehydrate(&durable).expect("snapshot was written");
+        assert_eq!(report.windows, 1);
+        let member = *warm.members().keys().next().expect("one member");
+        assert_eq!(
+            warm.diagnostics(member).map(|d| d.rehydrated_windows),
+            Some(1)
+        );
+        let expected = drain_canonical(&mut whole);
+        assert_eq!(expected.len(), 5, "five sources, eight rows each");
+        assert!(expected.iter().all(|g| g.0 == 0 && g.3[0] == Value::Int(8)));
+        assert_eq!(drain_canonical(&mut warm), expected);
+        assert_eq!(drain_canonical(&mut relay), expected);
     }
 
     #[test]

@@ -141,9 +141,6 @@ pub struct ChaosOutcome {
     pub rehydrated_windows: u64,
     /// The same for the riding tenants' share group.
     pub tenant_rehydrated_windows: u64,
-    /// Whether a restarted node rebuilt the netmon query's engine, and the
-    /// tenants' group's, from its durable segments (warm) rather than cold.
-    pub restarted_warm: (bool, bool),
     /// Fraction of expected tenant windows that received at least one row.
     pub tenant_coverage: f64,
     /// Aggregate fault-injection counts from the plan's log.
@@ -497,15 +494,6 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosOutcome {
     let rehydrated_windows = rehydrated(query_id);
     let tenant_rehydrated_windows = tenants.iter().map(|t| rehydrated(t.query_id)).max();
     let tenant_rehydrated_windows = tenant_rehydrated_windows.unwrap_or(0);
-    let warm = |query: u64| {
-        let mut nodes = restarted.iter().map(|&i| cluster.sim.node(cluster.addr(i)));
-        nodes.any(|n| {
-            n.and_then(|n| n.cq_diagnostics(query))
-                .is_some_and(|d| d.warm)
-        })
-    };
-    let tenant_warm = tenants.iter().any(|t| warm(t.query_id));
-    let restarted_warm = (warm(query_id), tenant_warm);
     // Tenant liveness: of the windows a tenant's source actually appeared
     // in (and that closed before the stream ended), how many produced at
     // least one row at that tenant's proxy?
@@ -554,7 +542,6 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosOutcome {
         restarted,
         rehydrated_windows,
         tenant_rehydrated_windows,
-        restarted_warm,
         tenant_coverage,
         fault_counts,
         trace,
