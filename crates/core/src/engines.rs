@@ -4,9 +4,9 @@
 //! own, a share group's, a one-shot aggregate's — the numbered shipments
 //! that carry their closed panes toward each engine's root
 //! ([`crate::pane_link`]), and an index of the window-partial namespaces
-//! they read.  Arrivals, instants and a lent `&mut Overlay` / `&mut Rng64`
-//! go in; overlay effects, shipments, requests for lost shipments and
-//! emissions come out.  Plain state: [`crate::node::PierNode`] arms the
+//! they read.  Arrivals, instants and a lent `&mut Overlay` go in;
+//! overlay effects, shipments, requests for lost shipments and emissions
+//! come out.  Plain state: [`crate::node::PierNode`] arms the
 //! tick timers, records the spans and posts what comes out.
 //!
 //! Every engine ticks at its window's close instants (end + grace,
@@ -30,7 +30,7 @@ use crate::tuple::{ColumnChunk, Tuple, TupleBatch};
 use crate::window_engine::{Emission, EngineSpec, MemberSpec, WindowEngine, OCCUPANCY_GAUGES};
 use pier_cq::DurableStore;
 use pier_dht::{routing_id, DhtMessage, Id, ObjectName, Overlay, OverlayEffect};
-use pier_runtime::{Duration, NodeAddr, Rng64, SimTime, WireSize};
+use pier_runtime::{Duration, NodeAddr, SimTime, WireSize};
 use pier_telemetry::{SpanRecord, Telemetry};
 use pier_trace::TraceContext;
 use std::collections::{BTreeMap, HashMap};
@@ -308,7 +308,6 @@ impl Engines {
         hop: Hop,
         now: SimTime,
         overlay: &mut Overlay<QpObject>,
-        rng: &mut Rng64,
     ) -> Arrival {
         let mut arrival = Arrival::default();
         let QpObject::Panes { stamp, batch } = value else {
@@ -349,7 +348,7 @@ impl Engines {
                 .map(|(chunk, rows)| chunk.gather(rows))
                 .collect();
             if let Some(shipment) = self.pane_shipment(key, refused, overlay.me().addr) {
-                arrival.effects = self.ship(key, shipment, trace, now, overlay, rng);
+                arrival.effects = self.ship(key, shipment, trace, now, overlay);
             }
         }
         let slot = self
@@ -411,17 +410,16 @@ impl Engines {
         trace: Option<TraceContext>,
         now: SimTime,
         overlay: &mut Overlay<QpObject>,
-        rng: &mut Rng64,
     ) -> Vec<OverlayEffect<QpObject>> {
         let (Some(slot), QpObject::Panes { stamp, .. }) = (self.slots.get_mut(&key), &shipment)
         else {
             return Vec::new();
         };
-        let seq = stamp.seq;
+        let (seq, suffix) = (stamp.seq, stamp.name_suffix());
         let spec = slot.engine.spec();
         let lifetime = spec.min_lifetime.max(self.publish_lifetime);
         let (namespace, root_key) = (spec.namespace.clone(), spec.root_key.clone());
-        let name = ObjectName::new(namespace, root_key, rng.next_u64());
+        let name = ObjectName::new(namespace, root_key, suffix);
         overlay.set_trace(trace);
         let sent = if spec.flat {
             overlay.put(name, shipment, lifetime, now)
@@ -578,6 +576,7 @@ mod tests {
     use crate::value::Value;
     use pier_cq::{CqBudget, DeltaMode, WindowSpec};
     use pier_dht::{make_ring_refs, OverlayConfig};
+    use pier_runtime::Rng64;
     use proptest::prelude::*;
 
     const QUERY: u64 = 7;
@@ -698,7 +697,7 @@ mod tests {
         };
         let plan = plan(CqBudget::default());
         let (mut ring, root) = ring(1, &plan);
-        let (overlay, mut rng) = (&mut ring[root], Rng64::new(1));
+        let overlay = &mut ring[root];
         let mut engines = engines_for(&plan, &config, &[1, 2, 2]);
         let (key, namespace) = (EngineKey::Query(QUERY), plan.window_namespace());
         let stamp = PaneStamp {
@@ -708,8 +707,8 @@ mod tests {
         };
         let batch = TupleBatch::default();
         let probe = QpObject::Panes { stamp, batch };
-        let mut arrive = |engines: &mut Engines, overlay: &mut Overlay<QpObject>| {
-            let arrival = engines.arrive(&namespace, &probe, Hop::Root, LATER, overlay, &mut rng);
+        let arrive = |engines: &mut Engines, overlay: &mut Overlay<QpObject>| {
+            let arrival = engines.arrive(&namespace, &probe, Hop::Root, LATER, overlay);
             arrival.taken
         };
         assert!(
@@ -767,11 +766,9 @@ mod tests {
         };
         assert_eq!((stamp.origin, stamp.seq), (ring[leaf].me().addr, 0));
         let namespace = plan.window_namespace();
-        let mut rng = Rng64::new(1);
         for _copy in 0..2 {
             let overlay = &mut ring[root];
-            let arrival =
-                at_root.arrive(&namespace, &shipment, Hop::Root, LATER, overlay, &mut rng);
+            let arrival = at_root.arrive(&namespace, &shipment, Hop::Root, LATER, overlay);
             assert!(arrival.taken && arrival.ask.is_none() && arrival.effects.is_empty());
         }
 
@@ -781,7 +778,7 @@ mod tests {
         let batch = batch.clone();
         let later = QpObject::Panes { stamp, batch };
         let overlay = &mut ring[root];
-        let arrival = at_root.arrive(&namespace, &later, Hop::Root, LATER, overlay, &mut rng);
+        let arrival = at_root.arrive(&namespace, &later, Hop::Root, LATER, overlay);
         assert!(arrival.taken);
         let Some((to, PierMsg::PaneRequest { epoch, seqs, .. })) = arrival.ask else {
             panic!("a gap is asked for: {:?}", arrival.ask);
@@ -804,12 +801,11 @@ mod tests {
         let row = batch.iter().next().expect("a partial row");
         let unnumbered = [QpObject::Batch(batch), QpObject::Tuple(row)];
         let namespace = plan.window_namespace();
-        let mut rng = Rng64::new(1);
         for (at, hop) in [(root, Hop::Root), (relay, Hop::Upcall(None))] {
             let mut engines = engines_for(&plan, &config, &[]);
             for value in &unnumbered {
                 let overlay = &mut ring[at];
-                let arrival = engines.arrive(&namespace, value, hop, LATER, overlay, &mut rng);
+                let arrival = engines.arrive(&namespace, value, hop, LATER, overlay);
                 assert!(!arrival.taken, "{hop:?} took {value:?}");
                 assert!(arrival.ask.is_none() && arrival.effects.is_empty());
                 assert_eq!(groups(&engines), 0, "{hop:?} absorbed {value:?}");
@@ -829,7 +825,6 @@ mod tests {
         let [leaf, other_leaf, relay] = [1, 2, 3].map(|i| (root + i) % ring.len());
         let shipment = shipped(&mut engines_for(&roomy, &config, &[1, 2, 3]), &ring[leaf]);
         let namespace = roomy.window_namespace();
-        let mut rng = Rng64::new(1);
         let (mut at_relay, mut at_root) = (Engines::default(), Engines::default());
         for engines in [&mut at_relay, &mut at_root] {
             *engines = engines_for(&tight, &config, &[]);
@@ -839,7 +834,7 @@ mod tests {
         // on toward the root as a shipment of its own.
         let hop = Hop::Upcall(None);
         let overlay = &mut ring[relay];
-        let arrival = at_relay.arrive(&namespace, &shipment, hop, LATER, overlay, &mut rng);
+        let arrival = at_relay.arrive(&namespace, &shipment, hop, LATER, overlay);
         assert!(arrival.taken);
         assert_eq!(groups(&at_relay), 1);
         let sent: Vec<&QpObject> = (arrival.effects.iter())
@@ -862,12 +857,12 @@ mod tests {
             &ring[other_leaf],
         );
         let overlay = &mut ring[relay];
-        let arrival = at_relay.arrive(&namespace, &others, hop, LATER, overlay, &mut rng);
+        let arrival = at_relay.arrive(&namespace, &others, hop, LATER, overlay);
         assert!(!arrival.taken && arrival.effects.is_empty());
 
         // At the root what its cap refuses goes nowhere.
         let overlay = &mut ring[root];
-        let arrival = at_root.arrive(&namespace, &shipment, Hop::Root, LATER, overlay, &mut rng);
+        let arrival = at_root.arrive(&namespace, &shipment, Hop::Root, LATER, overlay);
         assert!(arrival.taken && arrival.effects.is_empty());
         assert_eq!(groups(&at_root), 1);
     }
@@ -914,16 +909,15 @@ mod tests {
         let (mut ring, root) = ring(8, &plan);
         let [relay, a, b] = [1, 2, 3].map(|i| (root + i) % ring.len());
         let namespace = plan.window_namespace();
-        let mut rng = Rng64::new(1);
         let mut at_relay = engines_for(&plan, &config, &[1]);
         let mut children = [
             engines_for(&plan, &config, &[1, 2]),
             engines_for(&plan, &config, &[1]),
         ];
-        let mut arrive = |at_relay: &mut Engines, shipment: &QpObject, now, ring: &mut [_]| {
+        let arrive = |at_relay: &mut Engines, shipment: &QpObject, now, ring: &mut [_]| {
             let hop = Hop::Upcall(None);
             let overlay = &mut ring[relay];
-            let arrival = at_relay.arrive(&namespace, shipment, hop, now, overlay, &mut rng);
+            let arrival = at_relay.arrive(&namespace, shipment, hop, now, overlay);
             assert!(arrival.taken);
             arrival.released.map(|(key, ticked)| {
                 assert_eq!(key, EngineKey::Query(QUERY));
@@ -996,7 +990,6 @@ mod tests {
         at: Vec<usize>,
         parent: Vec<Option<usize>>,
         namespace: String,
-        rng: Rng64,
         /// Per node, the shipments it sent in the current round.
         shipped: Vec<u32>,
         /// Shipments sent and not yet delivered, with their receiver.
@@ -1019,7 +1012,6 @@ mod tests {
                 parent: (0..nodes).map(|j| (j > 0).then(|| rng.index(j))).collect(),
                 ring,
                 namespace: plan.window_namespace(),
-                rng: Rng64::new(1),
                 shipped: vec![0; nodes],
                 flight: Vec::new(),
                 answers: BTreeMap::new(),
@@ -1041,9 +1033,8 @@ mod tests {
             } else {
                 Hop::Upcall(None)
             };
-            let (overlay, rng) = (&mut self.ring[self.at[to]], &mut self.rng);
-            let arrival =
-                self.engines[to].arrive(&self.namespace, shipment, hop, now, overlay, rng);
+            let overlay = &mut self.ring[self.at[to]];
+            let arrival = self.engines[to].arrive(&self.namespace, shipment, hop, now, overlay);
             assert!(arrival.taken && arrival.ask.is_none());
             let released = arrival.released.map(|(_, ticked)| self.release(to, ticked));
             released.is_some()

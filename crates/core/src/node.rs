@@ -894,10 +894,8 @@ impl PierNode {
         value: &QpObject,
         hop: Hop,
     ) -> Option<Vec<OverlayEffect<QpObject>>> {
-        let (now, overlay, rng) = (ctx.now(), &mut self.overlay, &mut self.rng);
-        let arrival = self
-            .engines
-            .arrive(namespace, value, hop, now, overlay, rng);
+        let (now, overlay) = (ctx.now(), &mut self.overlay);
+        let arrival = self.engines.arrive(namespace, value, hop, now, overlay);
         if let Some((origin, ask)) = arrival.ask {
             self.post(ctx, origin, ask);
         }
@@ -1429,11 +1427,9 @@ impl PierNode {
         let flush_ctx = ticked.flush_span.map(|(query_id, stage, counts)| {
             self.span(now, TraceContext::root(query_id), stage, counts)
         });
-        let (overlay, rng) = (&mut self.overlay, &mut self.rng);
+        let overlay = &mut self.overlay;
         let effects = match ticked.shipment {
-            Some(shipment) => self
-                .engines
-                .ship(key, shipment, flush_ctx, now, overlay, rng),
+            Some(shipment) => self.engines.ship(key, shipment, flush_ctx, now, overlay),
             None => Vec::new(),
         };
         self.drive(ctx, effects);

@@ -45,6 +45,16 @@ pub struct PaneStamp {
     pub seq: u32,
 }
 
+impl PaneStamp {
+    /// The suffix of the shipment's object name: the stamp, which no other
+    /// shipment of the incarnation shares, folded into 64 bits.  Naming a
+    /// shipment draws nothing from its node's random stream.
+    pub(crate) fn name_suffix(&self) -> u64 {
+        let stream = u64::from(self.origin.0) << 32 | u64::from(self.seq);
+        stream ^ self.epoch.wrapping_mul(0x9E37_79B9_7F4A_7C15)
+    }
+}
+
 impl WireSize for PaneStamp {
     fn wire_size(&self) -> usize {
         16

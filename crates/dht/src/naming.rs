@@ -27,7 +27,8 @@ pub struct ObjectName {
     pub namespace: String,
     /// Canonical string form of the hashing attribute(s).
     pub key: PartitionKey,
-    /// Random uniquifier distinguishing objects with equal (namespace, key).
+    /// Uniquifier distinguishing objects with equal (namespace, key): drawn
+    /// at random, or derived from what already tells the object apart.
     pub suffix: u64,
 }
 
