@@ -21,7 +21,9 @@
 //! relay as soon as its children have, and the root emits each window once,
 //! a few link latencies after it closes.  A partial that misses the hold
 //! refines its pane and rides the next round's one shipment, or the next
-//! emission: a late child costs latency, never a message.
+//! emission: a late child costs latency, never a message.  A one-shot
+//! aggregate's engine ticks one hold apart from its install, unheld (see
+//! `rounds`).
 
 use crate::node::{PierConfig, PierMsg};
 use crate::pane_link::{Inbox, Outbox};
@@ -65,6 +67,23 @@ struct EngineSlot {
     next_close: SimTime,
     /// The round the engine is in.
     round: Round,
+}
+
+/// When the round after `now` opens for an engine of `spec`, and how long
+/// a round may be held: a window's next close and half a slide.  A one-shot
+/// aggregate keeps the phase of its install and opens its rounds unheld,
+/// one hold apart.  Its answer is due at a fixed instant, so a close-aligned
+/// round buys it nothing, while a leaf that shipped at a close just after
+/// its install could reach the root before the query's broadcast did, and
+/// be dropped there; and its leaves ship once, so a relay's hold would only
+/// wait for children with nothing more to send.
+fn rounds(spec: &EngineSpec, now: SimTime) -> (SimTime, Duration) {
+    let window = spec.window;
+    if spec.emit_once {
+        (now + window.slide, 0)
+    } else {
+        (window.next_close(now), window.slide / 2)
+    }
 }
 
 /// Which children one engine's round waits for.
@@ -216,7 +235,7 @@ impl Engines {
             self.partials.insert(namespace.clone(), key);
             self.pane_epoch = now.max(self.pane_epoch + 1);
             let (sent, heard) = (Outbox::new(self.pane_epoch), Inbox::default());
-            let next_close = engine.spec().window.next_close(now);
+            let (next_close, _) = rounds(engine.spec(), now);
             first_tick = Some(next_close);
             let slot = EngineSlot {
                 engine,
@@ -453,12 +472,12 @@ impl Engines {
     ) -> Option<(Option<Ticked>, SimTime)> {
         let slot = self.slots.get_mut(&key);
         let slot = slot.filter(|s| s.epoch == epoch && now >= s.armed)?;
-        let window = slot.engine.spec().window;
         let release = if slot.round.held_until.take().is_some() {
             true
         } else if now >= slot.next_close {
-            slot.next_close = window.next_close(now);
-            !slot.round.open(now, window.slide / 2)
+            let (next_close, hold) = rounds(slot.engine.spec(), now);
+            slot.next_close = next_close;
+            !slot.round.open(now, hold)
         } else {
             false
         };
@@ -978,6 +997,60 @@ mod tests {
         let released = arrive(&mut at_relay, &only, 4 * PANE + 1, &mut ring);
         let shipment = released.expect("released").shipment;
         assert_eq!(partial_rows(&shipment.expect("panes")), [(3, 5, 1)]);
+    }
+
+    #[test]
+    fn a_one_shot_ticks_a_hold_after_its_install_and_never_holds() {
+        // `plan`'s count as a one-shot with a hold of one pane, installed a
+        // quarter into the pane at a relay and at its child.
+        let mut plan = plan(CqBudget::default());
+        plan.cq = None;
+        plan.opgraphs[0].sink = SinkSpec::HierarchicalAgg {
+            group_cols: vec!["k".to_string()],
+            aggs: vec![AggFunc::Count],
+            hold: PANE,
+            final_ops: Vec::new(),
+            flat: false,
+        };
+        let install = PANE / 4;
+        let open = |keys: &[i64]| {
+            let (_, spec, member) = EngineSpec::unshared(&plan).expect("a one-shot sink");
+            let mut engines = Engines::new(&PierConfig::default(), Telemetry::default());
+            let key = EngineKey::Query(QUERY);
+            let first = engines.join(key, Some((0, spec)), QUERY, member, false, install);
+            // A hold after install, not at the pane's close.
+            assert_eq!(first, Some(install + PANE));
+            feed(&mut engines, 0, keys);
+            engines
+        };
+        let (mut at_relay, mut at_child) = (open(&[1]), open(&[1, 2]));
+        let spec = at_relay.holding(QUERY).expect("a member").spec();
+        let namespace = spec.namespace.clone();
+        let root_id = routing_id(&namespace, &spec.root_key);
+        let (mut ring, _) = ring(8, &plan);
+        let mut away = (0..ring.len()).filter(|&i| !ring[i].router().is_responsible(root_id));
+        let [relay, child] = [(); 2].map(|_| away.next().expect("a node away from the root"));
+
+        // Round 1: both ship their pane at once.
+        let (ticked, next) = fire(&mut at_relay, install + PANE, &ring[relay]);
+        let own = ticked.expect("released at once").shipment;
+        assert_eq!(partial_rows(&own.expect("its pane")), [(0, 1, 1)]);
+        assert_eq!(next, install + 2 * PANE);
+        let shipment = leaf_ships(&mut at_child, install + PANE, &ring[child]);
+        let overlay = &mut ring[relay];
+        let hop = Hop::Upcall(None);
+        let arrival = at_relay.arrive(&namespace, &shipment, hop, install + PANE + 1, overlay);
+        assert!(arrival.taken && arrival.released.is_none());
+
+        // Round 2: the relay heard its child last round, and still ships
+        // what it absorbed at once, a hold on.
+        let (ticked, next) = fire(&mut at_relay, install + 2 * PANE, &ring[relay]);
+        let relayed = ticked.expect("released at once, unheld").shipment;
+        assert_eq!(
+            partial_rows(&relayed.expect("the child's pane")),
+            [(0, 1, 1), (0, 2, 1)]
+        );
+        assert_eq!(next, install + 3 * PANE);
     }
 
     /// A tree of engines on a static ring, for the hold property: tree

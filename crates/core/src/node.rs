@@ -198,9 +198,9 @@ pub enum PierTimer {
     /// Periodic window maintenance for a continuous query or a one-shot
     /// aggregate: close due panes, forward partials toward the root, emit
     /// per-window results at a continuous query's root.  Fires at each
-    /// window close (end + grace; a one-shot aggregate's hold boundaries)
-    /// and, while the round that opens there is held for the engine's
-    /// children, at the hold's end.
+    /// window close (end + grace; a one-shot aggregate's every hold from
+    /// its install) and, while the round that opens there is held for the
+    /// engine's children, at the hold's end.
     WindowTick {
         /// Query being ticked.
         query_id: u64,

@@ -124,18 +124,29 @@ fn a_short_one_shot_aggregate_counts_the_whole_tree() {
     // nodes and on a tree deep enough that a hold of an eighth of the
     // timeout missed some of 256.
     for nodes in [32, 256] {
+        let config = ClusterConfig::lan(nodes, seeded(505));
         assert_eq!(
-            one_shot_count(nodes, 8_000_000),
+            one_shot_count(&config, 8_000_000),
             10 * nodes as i64,
             "{nodes} nodes"
         );
     }
 }
 
+#[test]
+fn a_short_one_shot_aggregate_counts_the_whole_wide_area_tree() {
+    // On the transit-stub topology the query's broadcast takes up to half a
+    // second to reach every node: no leaf may ship before the root can take
+    // its partials, and the deepest relay's must still reach the root by
+    // its answer, one hold before the timeout.
+    let config = ClusterConfig::internet(200, seeded(505));
+    assert_eq!(one_shot_count(&config, 8_000_000), 2000);
+}
+
 /// The rows `SELECT src, COUNT(*) FROM events GROUP BY src` counts within
-/// `timeout` on a LAN of `nodes` that store ten rows each.
-fn one_shot_count(nodes: usize, timeout: u64) -> i64 {
-    let mut cluster = Cluster::start(&ClusterConfig::lan(nodes, seeded(505)));
+/// `timeout` on a cluster of `config` whose nodes store ten rows each.
+fn one_shot_count(config: &ClusterConfig, timeout: u64) -> i64 {
+    let mut cluster = Cluster::start(config);
     for i in 0..cluster.len() {
         let addr = cluster.addr(i);
         for j in 0..10i64 {
