@@ -19,7 +19,10 @@
 //! differential oracle suite (tests/columnar_oracle.rs) pins each typed arm
 //! to the fallback arm over arbitrary mixed chunks with nulls: it builds
 //! the reference side with [`Column::values_layout`], in the same process
-//! as the typed side, so no build switch forces a layout.
+//! as the typed side, so no build switch forces a layout.  A column
+//! emptied by [`Column::clear`] keeps its layout for the next fill, and
+//! the first value that layout does not fit starts it over, so it infers
+//! what a fresh column would.
 //!
 //! **Wire format.**  [`Column::encode_body`] / [`Column::decode_body`] give
 //! each layout a real byte encoding, used by the durable window snapshots
@@ -179,6 +182,11 @@ impl DictIndex {
                 Some((dict.len() - 1) as u8)
             }
         }
+    }
+
+    /// Forget every entry, keeping the slots (zeroed) for the next fill.
+    fn clear(&mut self) {
+        self.slots.fill(0);
     }
 
     fn hash(s: &str) -> u64 {
@@ -452,6 +460,44 @@ impl Column {
         self.len() == 0
     }
 
+    /// Empty the column, keeping its layout and its buffers' capacity (a
+    /// dictionary column also keeps its index's slots, zeroed), so a
+    /// refill of the same types allocates nothing once the buffers have
+    /// grown.  A refilled column equals, layout for layout, a fresh one fed
+    /// the same values: a first value the kept layout does not fit —
+    /// another type, or a NULL — starts it over as [`Column::new`], and an
+    /// arena column starts over at once, since a fresh string column is
+    /// dictionary-encoded.
+    pub fn clear(&mut self) {
+        match self {
+            Column::Int { data, validity } => {
+                data.clear();
+                *validity = None;
+            }
+            Column::Float { data, validity } => {
+                data.clear();
+                *validity = None;
+            }
+            Column::Bool { data, validity } => {
+                data.clear();
+                *validity = None;
+            }
+            Column::Dict {
+                codes,
+                dict,
+                validity,
+                index,
+            } => {
+                codes.clear();
+                dict.clear();
+                *validity = None;
+                index.clear();
+            }
+            Column::Str { .. } => *self = Column::new(),
+            Column::Values(vals) => vals.clear(),
+        }
+    }
+
     /// Short layout name (`int`, `float`, `bool`, `dict`, `str`, `values`)
     /// for tests and trace output.
     pub fn layout_name(&self) -> &'static str {
@@ -547,6 +593,12 @@ impl Column {
         let len = self.len();
         match self {
             Column::Values(vals) => vals.push(Value::Null),
+            // A cleared typed column: a fresh one holds leading NULLs in
+            // the fallback layout.
+            _ if len == 0 => {
+                *self = Column::new();
+                self.push_null();
+            }
             Column::Int { data, validity } => {
                 data.push(0);
                 validity_push(validity, len, false);
@@ -621,6 +673,11 @@ impl Column {
                     validity: promo_validity(nulls),
                 };
             }
+            // A cleared column of another layout: start over, as fresh.
+            _ if self.is_empty() => {
+                *self = Column::new();
+                self.push_int(i);
+            }
             _ => {
                 self.degrade();
                 let Column::Values(vals) = self else {
@@ -648,6 +705,10 @@ impl Column {
                     validity: promo_validity(nulls),
                 };
             }
+            _ if self.is_empty() => {
+                *self = Column::new();
+                self.push_float(f);
+            }
             _ => {
                 self.degrade();
                 let Column::Values(vals) = self else {
@@ -674,6 +735,10 @@ impl Column {
                     data,
                     validity: promo_validity(nulls),
                 };
+            }
+            _ if self.is_empty() => {
+                *self = Column::new();
+                self.push_bool(b);
             }
             _ => {
                 self.degrade();
@@ -735,6 +800,10 @@ impl Column {
                     validity: promo_validity(nulls),
                     index,
                 };
+            }
+            _ if self.is_empty() => {
+                *self = Column::new();
+                self.push_str_inner(s, arc);
             }
             _ => {
                 self.degrade();

@@ -117,7 +117,7 @@ pub use operators::{
     nested_loop_join, GroupBy, JoinSide, LocalOperator, Pipeline, Projection, Selection,
     SymmetricHashJoin, TopK,
 };
-pub use partial::{GroupAgg, PartialCodec, PartialEncoder};
+pub use partial::{AggStates, GroupAgg, PartialCodec, PartialEncoder};
 pub use pier_cq::{CqBudget, DeltaMode, WindowSpec};
 pub use pier_telemetry::{SpanRecord, Telemetry, TelemetryConfig, TelemetryHub};
 pub use pier_trace::{trace_id_for, TraceConfig, TraceContext};

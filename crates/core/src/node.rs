@@ -666,9 +666,11 @@ impl PierNode {
 
     /// Rows [`PierNode::ingest`] stages before an early drain.  64 is one
     /// dictionary's worth (`column::DICT_MAX`): a staged string column never
-    /// spills to the arena layout.  Measured on the end-to-end benchmark,
-    /// 256- and 1,024-row stages are no faster and cost 7–9 % resident
-    /// memory on `netmon_stream`.
+    /// spills to the arena layout.  Measured on the end-to-end benchmark
+    /// while every drain still dropped the stage and grew a fresh one,
+    /// 256- and 1,024-row stages were no faster and cost 7–9 % resident
+    /// memory on `netmon_stream`; a stage that keeps its buffers
+    /// ([`TupleBatch::clear`]) has not been measured at those sizes.
     const INGEST_STAGE_ROWS: usize = 64;
 
     /// Feed a streamed tuple to every installed opgraph reading `table`
@@ -721,9 +723,12 @@ impl PierNode {
         if self.stage.rows.is_empty() {
             return;
         }
-        let rows = std::mem::take(&mut self.stage.rows);
+        let mut rows = std::mem::take(&mut self.stage.rows);
         let table = std::mem::take(&mut self.stage.table);
         let effects = self.route_new_batch(ctx, &table, &rows, self.stage.at, || rows.wire_size());
+        // The stage keeps its buffers: the next drain's chunk refills them.
+        rows.clear();
+        self.stage.rows = rows;
         self.stage.table = table;
         self.drive(ctx, effects);
     }

@@ -32,7 +32,85 @@ pub struct GroupAgg {
     /// The grouping-column values identifying this group.
     pub vals: Vec<Value>,
     /// One mergeable partial per aggregate.
-    pub states: Vec<AggState>,
+    pub states: AggStates,
+}
+
+/// The partials of one group's aggregates, read as a slice of
+/// [`AggState`]s.  One state is held inline, so the accumulator of a
+/// one-aggregate plan owns no heap block: a known group entering a pane,
+/// a relayed partial's new group and a root's merge allocate nothing.
+#[derive(Clone, Default)]
+pub struct AggStates(Held);
+
+/// At most one state in place, more on the heap (never fewer than two).
+#[derive(Clone)]
+enum Held {
+    One(Option<AggState>),
+    Many(Vec<AggState>),
+}
+
+impl Default for Held {
+    fn default() -> Self {
+        Held::One(None)
+    }
+}
+
+impl std::ops::Deref for AggStates {
+    type Target = [AggState];
+
+    fn deref(&self) -> &[AggState] {
+        match &self.0 {
+            Held::One(state) => state.as_slice(),
+            Held::Many(states) => states,
+        }
+    }
+}
+
+impl std::ops::DerefMut for AggStates {
+    fn deref_mut(&mut self) -> &mut [AggState] {
+        match &mut self.0 {
+            Held::One(state) => state.as_mut_slice(),
+            Held::Many(states) => states,
+        }
+    }
+}
+
+impl FromIterator<AggState> for AggStates {
+    fn from_iter<I: IntoIterator<Item = AggState>>(iter: I) -> Self {
+        let mut iter = iter.into_iter().fuse();
+        AggStates(match (iter.next(), iter.next()) {
+            (first, None) => Held::One(first),
+            (Some(first), Some(second)) => {
+                let mut states = Vec::with_capacity(2 + iter.size_hint().0);
+                states.extend([first, second]);
+                states.extend(iter);
+                Held::Many(states)
+            }
+            (None, Some(_)) => unreachable!("a fused iterator stays exhausted"),
+        })
+    }
+}
+
+impl From<Vec<AggState>> for AggStates {
+    fn from(mut states: Vec<AggState>) -> Self {
+        AggStates(if states.len() < 2 {
+            Held::One(states.pop())
+        } else {
+            Held::Many(states)
+        })
+    }
+}
+
+impl PartialEq for AggStates {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl std::fmt::Debug for AggStates {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
 }
 
 impl WindowAccumulator for GroupAgg {
@@ -43,7 +121,7 @@ impl WindowAccumulator for GroupAgg {
     fn take_identity(&mut self) -> Option<Self> {
         Some(GroupAgg {
             vals: std::mem::take(&mut self.vals),
-            states: Vec::new(),
+            states: AggStates::default(),
         })
     }
 
@@ -164,7 +242,7 @@ impl SegmentCodec for GroupAgg {
             v.encode(buf);
         }
         seg_put_u64(buf, self.states.len() as u64);
-        for s in &self.states {
+        for s in self.states.iter() {
             seg_put_state(buf, s);
         }
     }
@@ -190,7 +268,10 @@ impl SegmentCodec for GroupAgg {
         if r.pos != bytes.len() {
             return None; // trailing garbage: not a clean snapshot
         }
-        Some(GroupAgg { vals, states })
+        Some(GroupAgg {
+            vals,
+            states: states.into(),
+        })
     }
 }
 
@@ -282,8 +363,11 @@ impl PartialCodec {
     /// (a chunk whose schema lacks `_w`, a group or an aggregate column; a
     /// cell of the wrong type) — best effort, as everywhere.  A refused row
     /// leaves the store untouched.  The layout resolves once per chunk
-    /// schema; a row for a known group merges in place and allocates
-    /// nothing, only a new group builds an accumulator.
+    /// schema; a row for a group its window holds merges in place and
+    /// allocates nothing (`tests/alloc_bars.rs`), and a group new to the
+    /// window builds an accumulator whose one inline state, in a
+    /// one-aggregate plan, allocates nothing either — only a group new to
+    /// the store allocates, for its values.
     pub fn absorb(&mut self, chunk: &ColumnChunk, store: &mut WindowStore<GroupAgg>) -> Vec<u32> {
         let schema = chunk.schema();
         if !self
@@ -345,7 +429,7 @@ impl PartialCodec {
                             } else {
                                 Vec::new()
                             },
-                            states: states.clone(),
+                            states: states.iter().cloned().collect(),
                         },
                     )
                 }
@@ -440,7 +524,9 @@ mod tests {
             src.to_string(),
             GroupAgg {
                 vals: vec![Value::str(src)],
-                states: vec![AggState::Count(count), AggState::Avg { sum, count }],
+                states: [AggState::Count(count), AggState::Avg { sum, count }]
+                    .into_iter()
+                    .collect(),
             },
         )
     }
@@ -508,7 +594,7 @@ mod tests {
         let (key, acc) = &closed[0].1[0];
         assert_eq!(key, "s:a", "the canonical group key");
         assert_eq!(
-            acc.states,
+            acc.states[..],
             [
                 AggState::Count(5),
                 AggState::Avg {
@@ -555,7 +641,7 @@ mod tests {
         assert_eq!(c.absorb(&mixed.chunks()[0], &mut s), [0]);
         let closed = s.close_due(1_000);
         assert_eq!(
-            closed[0].1[0].1.states,
+            closed[0].1[0].1.states[..],
             [
                 AggState::Count(3),
                 AggState::Avg {
@@ -584,7 +670,8 @@ mod tests {
                 AggState::Min(Some(Value::Int(-9))),
                 AggState::Max(None),
                 AggState::Avg { sum: 2.0, count: 4 },
-            ],
+            ]
+            .into(),
         };
         let mut buf = Vec::new();
         agg.encode_state(&mut buf);

@@ -482,13 +482,20 @@ pub struct ColumnChunk {
 }
 
 impl ColumnChunk {
-    fn with_capacity(schema: Arc<Schema>, _capacity: usize) -> Self {
+    fn empty(schema: Arc<Schema>) -> Self {
         let columns = (0..schema.arity()).map(|_| Column::new()).collect();
         ColumnChunk {
             schema,
             columns,
             rows: 0,
         }
+    }
+
+    /// Empty the chunk, keeping its schema and each column's layout and
+    /// capacity ([`Column::clear`]).
+    pub fn clear(&mut self) {
+        self.columns.iter_mut().for_each(Column::clear);
+        self.rows = 0;
     }
 
     fn push_row(&mut self, tuple: &Tuple) {
@@ -502,7 +509,7 @@ impl ColumnChunk {
     /// Build a one-row chunk holding just `tuple` (how single-tuple pushes
     /// enter chunk-native operator state, e.g. the symmetric hash join's).
     pub fn from_tuple(tuple: &Tuple) -> Self {
-        let mut chunk = ColumnChunk::with_capacity(Arc::clone(tuple.schema()), 1);
+        let mut chunk = ColumnChunk::empty(Arc::clone(tuple.schema()));
         chunk.push_row(tuple);
         chunk
     }
@@ -707,10 +714,19 @@ impl WireSize for ColumnChunk {
 /// extra).  Row order is preserved across the columnar round-trip:
 /// `TupleBatch::new(rows).into_tuples() == rows`, which the property tests
 /// pin bit-for-bit.
-#[derive(Debug, Clone, PartialEq, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct TupleBatch {
+    /// The runs, in row order, none of them empty — except that a cleared
+    /// batch keeps its first chunk, emptied, for the next run of its
+    /// schema ([`TupleBatch::clear`]); while `len` is 0 nothing sees it.
     chunks: Vec<ColumnChunk>,
     len: usize,
+}
+
+impl PartialEq for TupleBatch {
+    fn eq(&self, other: &Self) -> bool {
+        self.chunks() == other.chunks()
+    }
 }
 
 impl TupleBatch {
@@ -721,16 +737,14 @@ impl TupleBatch {
         let mut chunks: Vec<ColumnChunk> = Vec::new();
         let mut i = 0;
         while i < len {
-            // Measure the same-schema run first (pointer compares), so each
-            // chunk's column vectors are allocated at exactly the run
-            // length — an interleaved mixed-schema batch costs one exact
-            // allocation per column per run, never `len`-sized reserves.
+            // Measure the same-schema run first (pointer compares): one
+            // chunk per run.
             let schema = tuples[i].schema();
             let mut end = i + 1;
             while end < len && Arc::ptr_eq(tuples[end].schema(), schema) {
                 end += 1;
             }
-            let mut chunk = ColumnChunk::with_capacity(Arc::clone(schema), end - i);
+            let mut chunk = ColumnChunk::empty(Arc::clone(schema));
             for t in &tuples[i..end] {
                 chunk.push_row(t);
             }
@@ -757,6 +771,7 @@ impl TupleBatch {
         if chunk.rows() == 0 {
             return;
         }
+        self.drop_kept();
         self.len += chunk.rows();
         self.chunks.push(chunk);
     }
@@ -767,7 +782,8 @@ impl TupleBatch {
         match self.chunks.last_mut() {
             Some(last) if Arc::ptr_eq(&last.schema, tuple.schema()) => last.push_row(&tuple),
             _ => {
-                let mut chunk = ColumnChunk::with_capacity(Arc::clone(tuple.schema()), 1);
+                self.drop_kept();
+                let mut chunk = ColumnChunk::empty(Arc::clone(tuple.schema()));
                 chunk.push_row(&tuple);
                 self.chunks.push(chunk);
             }
@@ -775,33 +791,58 @@ impl TupleBatch {
         self.len += 1;
     }
 
+    /// Empty the batch, keeping its first chunk — schema, column layouts
+    /// and capacity ([`ColumnChunk::clear`]) — for the next run of that
+    /// schema: a batch refilled with rows of the shape it held allocates
+    /// nothing once its columns have grown, and builds the chunks a fresh
+    /// batch would.
+    pub fn clear(&mut self) {
+        self.chunks.truncate(1);
+        if let Some(first) = self.chunks.first_mut() {
+            first.clear();
+        }
+        self.len = 0;
+    }
+
+    /// A cleared batch gives way to a run of another schema.
+    fn drop_kept(&mut self) {
+        if self.len == 0 {
+            self.chunks.clear();
+        }
+    }
+
     /// Append every row of `other` after this batch's rows.
     pub fn append(&mut self, other: TupleBatch) {
-        for chunk in other.chunks {
+        for chunk in other.into_chunks() {
             self.push_chunk(chunk);
         }
     }
 
     /// The columnar chunks, in row order.
     pub fn chunks(&self) -> &[ColumnChunk] {
-        &self.chunks
+        if self.len == 0 {
+            &[]
+        } else {
+            &self.chunks
+        }
     }
 
     /// True when every chunk [`ColumnChunk::is_well_formed`] — what a
     /// receiver asks of a batch it did not build before reading its rows.
     pub fn is_well_formed(&self) -> bool {
-        self.chunks.iter().all(ColumnChunk::is_well_formed)
+        self.chunks().iter().all(ColumnChunk::is_well_formed)
     }
 
     /// Consume the batch into its chunks, in row order.
-    pub fn into_chunks(self) -> Vec<ColumnChunk> {
+    pub fn into_chunks(mut self) -> Vec<ColumnChunk> {
+        self.drop_kept();
         self.chunks
     }
 
     /// Iterate the batched tuples in their original order (rows are
     /// materialised on the fly; the values are shared, not copied).
     pub fn iter(&self) -> impl Iterator<Item = Tuple> + '_ {
-        self.chunks.iter().flat_map(ColumnChunk::iter_rows)
+        self.chunks().iter().flat_map(ColumnChunk::iter_rows)
     }
 
     /// Consume the batch back into row-major tuples.
@@ -830,7 +871,7 @@ impl WireSize for TupleBatch {
         // the header once per run).
         let mut seen: Vec<*const Schema> = Vec::new();
         let mut size = 4;
-        for chunk in &self.chunks {
+        for chunk in self.chunks() {
             let ptr = Arc::as_ptr(&chunk.schema);
             if !seen.contains(&ptr) {
                 seen.push(ptr);

@@ -162,6 +162,12 @@ pub struct WindowStore<A> {
     /// ([`WindowStore::accept_refinement`]) are refused, so memory stays
     /// bounded no matter how late a partial straggles in.
     retired_through: Option<WindowId>,
+    /// The last window taken out, emptied with its buffers' capacity kept:
+    /// the next window to open reuses it, so a pane opening as another
+    /// closes allocates nothing.  A window whose buffers were more than
+    /// twice what it held — grown by a burst of keys that has passed — is
+    /// not kept, so what a burst grew still goes with its windows.
+    spare: Option<OpenWindow<A>>,
     stats: WindowStats,
 }
 
@@ -176,6 +182,7 @@ impl<A: WindowAccumulator> WindowStore<A> {
             ids: Vec::new(),
             closed_through: None,
             retired_through: None,
+            spare: None,
             stats: WindowStats::default(),
         }
     }
@@ -467,10 +474,14 @@ impl<A: WindowAccumulator> WindowStore<A> {
 
     /// `gone` are closed, retired or evicted: every group no other window
     /// holds leaves the directory, and should that leave most ids free the
-    /// open windows re-map their slots by the renumbered ones.
-    fn release(&mut self, gone: &[OpenWindow<A>]) {
-        let held = gone.iter().flat_map(|win| &win.gids);
-        held.for_each(|&gid| self.dir.release(gid));
+    /// open windows re-map their slots by the renumbered ones.  The last of
+    /// them becomes the spare, if its buffers fit what it held.
+    fn release(&mut self, gone: impl IntoIterator<Item = OpenWindow<A>>) {
+        let mut last = None;
+        for win in gone {
+            win.gids.iter().for_each(|&gid| self.dir.release(gid));
+            last = Some(win);
+        }
         if let Some(renumbered) = self.dir.compact() {
             for win in &mut self.windows {
                 let gids = win.gids.iter_mut();
@@ -478,6 +489,19 @@ impl<A: WindowAccumulator> WindowStore<A> {
                 win.slot_of = Vec::new();
                 win.index(0);
             }
+        }
+        let fits = |capacity: usize, len: usize| capacity <= 2 * len.max(8);
+        let last = last.filter(|win: &OpenWindow<A>| {
+            fits(win.gids.capacity(), win.gids.len())
+                && fits(win.slot_of.capacity(), win.slot_of.len())
+                && fits(win.seen.capacity(), win.seen.len())
+        });
+        if let Some(mut win) = last {
+            win.slot_of.clear();
+            win.gids.clear();
+            win.accs.clear();
+            win.seen.clear();
+            self.spare = Some(win);
         }
     }
 
@@ -511,7 +535,7 @@ impl<A: WindowAccumulator> WindowStore<A> {
         let due = self.take_due(now);
         let full = due.iter().filter(|win| !win.accs.is_empty());
         Self::walk(&self.dir, full, |win, groups| visit(win.id, groups));
-        self.release(&due);
+        self.release(due);
     }
 
     /// [`WindowStore::close_due_with`] handing the accumulators over, whole:
@@ -531,7 +555,7 @@ impl<A: WindowAccumulator> WindowStore<A> {
             });
             out.push((win.id, whole.collect()));
         }
-        self.release(&due);
+        self.release(due);
         out
     }
 
@@ -568,7 +592,7 @@ impl<A: WindowAccumulator> WindowStore<A> {
         let gone = self.ids.partition_point(|&id| id < horizon);
         self.ids.drain(..gone);
         let gone: Vec<_> = self.windows.drain(..gone).collect();
-        self.release(&gone);
+        self.release(gone);
         self.closed_through = self.closed_through.max(Some(horizon - 1));
         self.retired_through = self.retired_through.max(Some(horizon - 1));
     }
@@ -663,7 +687,7 @@ impl<A: WindowAccumulator> WindowStore<A> {
             match self.ids.binary_search(&id) {
                 Ok(pos) => {
                     let stale = std::mem::replace(&mut self.windows[pos], win);
-                    self.release(&[stale]);
+                    self.release([stale]);
                 }
                 Err(pos) => {
                     self.ids.insert(pos, id);
@@ -690,12 +714,19 @@ impl<A: WindowAccumulator> WindowStore<A> {
             }
             self.ids.remove(0);
             let oldest = self.windows.remove(0);
-            self.release(&[oldest]);
+            self.release([oldest]);
             self.stats.evicted_windows += 1;
         }
         let pos = self.ids.partition_point(|&open| open < id);
         self.ids.insert(pos, id);
-        self.windows.insert(pos, OpenWindow::new(id, 0, false));
+        let win = match self.spare.take() {
+            Some(mut win) => {
+                (win.id, win.tuples, win.dirty) = (id, 0, false);
+                win
+            }
+            None => OpenWindow::new(id, 0, false),
+        };
+        self.windows.insert(pos, win);
         Some(pos)
     }
 }

@@ -331,7 +331,7 @@ fn chaos_static_reports_bound_measured_telemetry() {
 #[test]
 fn rejected_tenant_has_zero_effect_on_admitted_tenants() {
     let base = || {
-        let mut cfg = ManyTenantsConfig::new(8, 5, 16, 11);
+        let mut cfg = ManyTenantsConfig::new(8, 5, 16, seeded(11));
         cfg.sharing = false;
         cfg.pier.admission = Some(admission_factory);
         cfg

@@ -1,19 +1,26 @@
 //! Allocation bars of the hot paths, counted by a counting allocator:
-//! cloning a tuple and recording telemetry allocate nothing, and the gather
-//! join, the chunked selection → projection scan and the shared
-//! predicate-index scan allocate per chunk, never per row.  A count is a function of the code, so each
-//! bar is a fixed threshold in debug and release builds alike; what the
-//! same paths cost in time is the end-to-end benchmark's probes.
+//! cloning a tuple and recording telemetry allocate nothing; a streamed
+//! row allocates nothing on its way into a pane — the ingest stage refills
+//! the chunk it kept, and a known group's accumulator holds its one
+//! partial inline — and neither does a relayed partial for a group its
+//! pane holds; the gather join, the chunked selection → projection scan
+//! and the shared predicate-index scan allocate per chunk, never per row.
+//! A count is a function of the code, so each bar is a fixed threshold in
+//! debug and release builds alike; what the same paths cost in time is the
+//! end-to-end benchmark's probes.
 
 // The counting allocator delegates to the system allocator verbatim and
 // only adds to a thread-local counter, so the alloc/dealloc contracts are
 // inherited.
 #![allow(unsafe_code)]
 
+use pier::cq::{CqBudget, WindowSpec, WindowStore};
 use pier::mqo::PredicateIndex;
+use pier::qp::window_engine::QUERY_NAMES;
 use pier::qp::{
-    CmpOp, Expr, JoinSide, LocalOperator, Pipeline, Projection, Selection, SpanRecord,
-    SymmetricHashJoin, Telemetry, TelemetryConfig, Tuple, TupleBatch, Value,
+    AggFunc, AggState, CmpOp, ColumnChunk, EngineSpec, Expr, GroupAgg, JoinSide, LocalOperator,
+    PartialCodec, Pipeline, Projection, Selection, SpanRecord, SymmetricHashJoin, Telemetry,
+    TelemetryConfig, Tuple, TupleBatch, Value, WindowEngine,
 };
 use pier::telemetry::SPAN_SLOTS;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -79,10 +86,6 @@ fn tuple_clone_does_not_allocate() {
     assert!(allocs == 0.0, "Tuple::clone must not allocate ({allocs})");
 }
 
-/// The join gathers its output into typed chunks and builds no per-row
-/// tuple.  Left keys are even and right keys odd, so each 64-row push
-/// probes and inserts without a growing result; the join restarts every
-/// 512 pushes to bound its state.
 /// A record is plain numbers: once the ring is full, recording an event or
 /// a span evicts the oldest into the slot it frees.
 #[test]
@@ -118,6 +121,119 @@ fn recording_an_event_or_a_span_on_a_full_ring_does_not_allocate() {
     assert!(spans == 0.0, "a span allocated {spans} times");
 }
 
+const SEC: u64 = 1_000_000;
+
+/// Row `i` of a stream of `packets(src, ts, len)`: sixteen sources, event
+/// time `ts`.
+fn packet(i: i64, ts: u64) -> Tuple {
+    let cols = [
+        ("src", Value::Str(format!("10.0.0.{}", i % 16).into())),
+        ("ts", Value::Int(ts as i64)),
+        ("len", Value::Int(40 + i % 1400)),
+    ];
+    Tuple::new("packets", cols.into())
+}
+
+/// What `PierNode::ingest` does to its stage between drains: a cleared
+/// batch keeps its chunk's typed columns (the dictionary's index too), and
+/// refilling it with rows of that shape grows nothing.
+#[test]
+fn refilling_a_cleared_stage_of_one_schema_does_not_allocate() {
+    let fills: Vec<Vec<Tuple>> = (0..8)
+        .map(|f| (0..64).map(|i| packet(i + f, i as u64)).collect())
+        .collect();
+    let mut stage = TupleBatch::default();
+    fills[0].iter().for_each(|t| stage.push_tuple(t.clone()));
+    let allocs = allocs_per_run(200, |f| {
+        stage.clear();
+        let fill = &fills[f as usize % fills.len()];
+        fill.iter().for_each(|t| stage.push_tuple(t.clone()));
+    });
+    assert_eq!(stage.len(), 64);
+    assert!(allocs == 0.0, "a refill allocated {allocs} times");
+}
+
+/// `SELECT src, COUNT(*) FROM packets GROUP BY src WINDOW 2s SLIDE 1s` on
+/// event time `ts`: one aggregate.
+fn count_by_src() -> EngineSpec {
+    EngineSpec {
+        tag: "q7".to_string(),
+        namespace: "q7.windows".to_string(),
+        root_key: "q7.root".to_string(),
+        window: WindowSpec::sliding(2 * SEC, SEC),
+        budget: CqBudget::default(),
+        group_cols: vec!["src".to_string()],
+        aggs: vec![AggFunc::Count],
+        time_col: Some("ts".to_string()),
+        min_lifetime: 0,
+        names: QUERY_NAMES,
+        emit_once: false,
+        flat: false,
+    }
+}
+
+/// A chunk of the pane that starts at second `pane` reaches groups the
+/// store holds in the pane before: each group enters the new pane with an
+/// accumulator whose one partial is inline, and the pane opens in the
+/// buffers of the one the last tick closed.
+#[test]
+fn absorbing_known_groups_into_a_new_pane_does_not_allocate() {
+    let chunk = |pane: u64| {
+        let rows = (0..64).map(|i| packet(i, pane * SEC + i as u64)).collect();
+        TupleBatch::new(rows).chunks()[0].clone()
+    };
+    let chunks: Vec<ColumnChunk> = (0..40).map(chunk).collect();
+    let mut engine = WindowEngine::new(count_by_src());
+    for (pane, chunk) in chunks[..3].iter().enumerate() {
+        engine.absorb(chunk, None, pane as u64 * SEC);
+    }
+    assert_eq!(
+        engine.tick(2 * SEC, false).panes,
+        2,
+        "the first window closes"
+    );
+    let mut allocs = 0.0;
+    for pane in 3..chunks.len() as u64 {
+        let chunk = &chunks[pane as usize];
+        allocs += allocs_per_run(1, |_| engine.absorb(chunk, None, pane * SEC));
+        // Close the pane before; its groups live on in this one.
+        assert_eq!(engine.tick(pane * SEC, false).panes, 1);
+    }
+    assert!(
+        allocs == 0.0,
+        "absorbing into new panes allocated {allocs} times"
+    );
+}
+
+/// A relayed partial for a group its pane already holds merges in place:
+/// the layout is resolved, the group key goes into the codec's buffer,
+/// and nothing is refused.
+#[test]
+fn absorbing_partials_of_held_groups_does_not_allocate() {
+    let mut codec = PartialCodec::new("q7.wp".into(), vec!["src".into()], vec![AggFunc::Count]);
+    let mut partials = codec.encoder();
+    for g in 0..16 {
+        let vals = [Value::Str(format!("10.0.0.{g}").into())];
+        partials.push(3, &vals, &[AggState::Count(g + 1)]);
+    }
+    let chunk = partials.finish().expect("sixteen groups");
+    let mut store: WindowStore<GroupAgg> =
+        WindowStore::new(WindowSpec::tumbling(SEC), CqBudget::default());
+    assert!(codec.absorb(&chunk, &mut store).is_empty());
+    let allocs = allocs_per_run(200, |_| {
+        assert!(codec.absorb(&chunk, &mut store).is_empty());
+    });
+    assert!(
+        allocs == 0.0,
+        "merging held groups allocated {allocs} times"
+    );
+    assert_eq!(store.total_groups(), 16);
+}
+
+/// The join gathers its output into typed chunks and builds no per-row
+/// tuple.  Left keys are even and right keys odd, so each 64-row push
+/// probes and inserts without a growing result; the join restarts every
+/// 512 pushes to bound its state.
 #[test]
 fn gather_join_push_allocates_less_than_four_per_row() {
     let sides = [(JoinSide::Left, "r", "a"), (JoinSide::Right, "s", "c")];

@@ -195,7 +195,7 @@ fn orphaned_query_profile(sharing: bool, durable: bool) -> [(bool, usize); 2] {
     use pier::qp::sqlish;
     const SEC: u64 = 1_000_000;
 
-    let mut cfg = ClusterConfig::lan(6, 4242);
+    let mut cfg = ClusterConfig::lan(6, seeded(4242));
     cfg.pier.sharing = sharing.then_some(pier::mqo::layer);
     let cfg = if durable { cfg.with_durable() } else { cfg };
     let mut cluster = Cluster::start(&cfg);

@@ -784,7 +784,8 @@ fn store_payloads(rng: &mut Gen) -> Vec<Vec<u8>> {
             states: vec![
                 AggState::Count(1),
                 AggState::Min(Some(Value::Int(rng.below(9) as i64))),
-            ],
+            ]
+            .into(),
         };
         let at = rng.below(5_000_000) as u64;
         store.push(at, &key, None, || acc.clone(), |a| a.merge(&acc));

@@ -10,10 +10,16 @@
 //! what the per-row path did before staging.  *Batched* hands a node's
 //! whole tick over in one `invoke`, so the stage fills and drains in
 //! stage-size chunks with a remainder left to the timer.
+//!
+//! The stage keeps its buffers between drains ([`TupleBatch::clear`]), so
+//! a refilled stage must build the chunks a fresh one would, layout for
+//! layout: the reuse property feeds one batch cleared between fills and a
+//! fresh batch per fill the same rows, and compares their encodings.
 
 use pier::harness::{Cluster, ClusterConfig};
-use pier::qp::{sqlish, PierConfig, PierOut, PierTimer, QueryPlan, Tuple, Value};
+use pier::qp::{sqlish, PierConfig, PierOut, PierTimer, QueryPlan, Tuple, TupleBatch, Value};
 use pier::runtime::{Context, FaultPlan, NodeAddr, Program, Rng64, SimTime};
+use proptest::prelude::*;
 
 const SEC: u64 = 1_000_000;
 const TICK: u64 = 250_000;
@@ -410,4 +416,90 @@ fn rows_staged_at_t_are_windowed_at_t_even_if_a_later_handler_drains_them() {
         vec![(7 * SEC, 5)],
         "all five rows belong to the window containing the ingest instant"
     );
+}
+
+/// The shapes a fill's rows take: two schemas of one table and another
+/// table, so a fill switches schema now and then.
+const SHAPES: [(&str, &[&str]); 3] = [
+    ("packets", &["src", "len", "ts"]),
+    ("packets", &["src", "len"]),
+    ("flows", &["ts", "src"]),
+];
+
+/// One cell of kind `kind`: NULL, an integer, a float, a bool, a string
+/// of eight or of 200 (more than `DICT_MAX`, so a long fill spills its
+/// dictionary to the arena), or bytes.
+fn cell(kind: usize, rng: &mut Rng64) -> Value {
+    match kind {
+        0 => Value::Null,
+        1 => Value::Int(rng.next_below(1 << 40) as i64 - (1 << 39)),
+        2 => Value::Float(rng.next_below(1_000) as f64 / 8.0),
+        3 => Value::Bool(rng.chance(0.5)),
+        4 => Value::str(format!("10.0.0.{}", rng.index(8))),
+        5 => Value::str(format!("host-{}", rng.index(200))),
+        _ => Value::bytes(vec![rng.index(256) as u8; rng.index(4)]),
+    }
+}
+
+/// `rows` rows drawn from `seed`: each column keeps one kind — a fill's
+/// layouts are mostly typed — but a tenth of the cells are of any kind.
+fn fill(seed: u64, rows: usize) -> Vec<Tuple> {
+    let mut rng = Rng64::new(seed);
+    let kinds: Vec<usize> = (0..3).map(|_| rng.index(7)).collect();
+    let mut shape = rng.index(SHAPES.len());
+    (0..rows)
+        .map(|_| {
+            if rng.chance(1.0 / 16.0) {
+                shape = rng.index(SHAPES.len());
+            }
+            let (table, columns) = SHAPES[shape];
+            let fields = columns.iter().zip(&kinds).map(|(&column, &kind)| {
+                let kind = if rng.chance(0.1) { rng.index(7) } else { kind };
+                (column, cell(kind, &mut rng))
+            });
+            Tuple::new(table, fields.collect())
+        })
+        .collect()
+}
+
+/// Each chunk's schema, each column's layout and the chunk's encoding.
+fn layouts(batch: &TupleBatch) -> Vec<(String, Vec<&'static str>, Vec<u8>)> {
+    batch
+        .chunks()
+        .iter()
+        .map(|chunk| {
+            let schema = chunk.schema();
+            let columns = (0..schema.arity()).map(|c| chunk.col(c).layout_name());
+            let mut body = Vec::new();
+            chunk.encode_body(&mut body);
+            (
+                format!("{}{:?}", schema.table(), schema.columns()),
+                columns.collect(),
+                body,
+            )
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// A stage cleared and refilled builds, fill after fill, the chunks a
+    /// fresh stage builds from the same rows: same runs, same layouts,
+    /// same bytes — whatever layout the last fill left in its columns.
+    #[test]
+    fn a_refilled_stage_builds_the_chunks_a_fresh_one_does(
+        fills in prop::collection::vec((any::<u64>(), 0usize..160), 1..8),
+    ) {
+        let mut kept = TupleBatch::default();
+        for (seed, rows) in fills {
+            let rows = fill(seed, rows);
+            kept.clear();
+            rows.iter().for_each(|t| kept.push_tuple(t.clone()));
+            let fresh = TupleBatch::new(rows);
+            prop_assert_eq!(kept.len(), fresh.len());
+            prop_assert_eq!(layouts(&kept), layouts(&fresh));
+            prop_assert!(kept == fresh);
+        }
+    }
 }

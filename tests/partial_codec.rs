@@ -55,7 +55,7 @@ fn partial_schema(table: &str, group_cols: &[String], aggs: &[AggFunc]) -> Arc<S
 fn encode_ref(schema: &Arc<Schema>, wid: WindowId, acc: &GroupAgg) -> Tuple {
     let mut values = vec![Value::Int(wid as i64)];
     values.extend(acc.vals.iter().cloned());
-    for state in &acc.states {
+    for state in acc.states.iter() {
         values.push(state.finish());
         if let AggState::Avg { sum, count } = state {
             values.push(Value::Float(*sum));
@@ -85,7 +85,10 @@ fn decode_ref(
     Some((
         wid.max(0) as u64,
         tuple.key_at(&idxs),
-        GroupAgg { vals, states },
+        GroupAgg {
+            vals,
+            states: states.into(),
+        },
     ))
 }
 
@@ -229,7 +232,7 @@ fn closed_windows(shape: &Shape, flavours: &[u64], groups: u64, windows: u64, sa
             }
             let acc = GroupAgg {
                 vals,
-                states: states_for(&shape.aggs, g + salt, 1 + (g + wid) % 9),
+                states: states_for(&shape.aggs, g + salt, 1 + (g + wid) % 9).into(),
             };
             assert!(store.accept_refinement(wid, &key, acc));
         }
@@ -261,7 +264,7 @@ fn state_of(
         .flat_map(|(wid, groups)| {
             groups
                 .into_iter()
-                .map(move |(key, acc)| (wid, key, acc.vals, acc.states))
+                .map(move |(key, acc)| (wid, key, acc.vals, acc.states.to_vec()))
         })
         .collect();
     (bytes, drained)

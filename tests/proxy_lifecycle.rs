@@ -15,7 +15,7 @@ use proptest::prelude::*;
 use std::sync::Arc;
 
 mod common;
-use common::emission;
+use common::{emission, seeded};
 
 const SEC: u64 = 1_000_000;
 
@@ -377,7 +377,7 @@ proptest! {
 
 #[test]
 fn a_node_counts_a_malformed_message_and_delivers_nothing_of_it() {
-    let cfg = ClusterConfig::lan(3, 17).with_telemetry(TelemetryConfig::enabled());
+    let cfg = ClusterConfig::lan(3, seeded(17)).with_telemetry(TelemetryConfig::enabled());
     let mut cluster = Cluster::start(&cfg);
     let proxy = cluster.addr(0);
     let sql = "SELECT src, COUNT(*) FROM packets GROUP BY src WINDOW 1s SLIDE 1s EVERY 1s";

@@ -18,7 +18,7 @@ use pier::qp::{sqlish, PierOut, TelemetryConfig, TraceConfig, Tuple, Value};
 use std::collections::BTreeMap;
 
 mod common;
-use common::{assert_export, catalogue, documented};
+use common::{assert_export, catalogue, documented, seeded};
 
 fn traced_cfg(nodes: usize, run_secs: u64, seed: u64) -> ContinuousNetmonConfig {
     let mut cfg = ContinuousNetmonConfig::steady(nodes, run_secs, seed);
@@ -210,7 +210,7 @@ fn explain_analyze_profile_reconciles_measured_within_static_bounds() {
 fn span_dogfood_standing_query_counts_stages_through_pier() {
     // Spans published into `system.spans` must be queryable by an ordinary
     // sqlish standing query — PIER monitoring its own tracing layer.
-    let mut cluster_cfg = ClusterConfig::lan(6, 67).with_liveness_timeout(3_000_000);
+    let mut cluster_cfg = ClusterConfig::lan(6, seeded(67)).with_liveness_timeout(3_000_000);
     cluster_cfg.pier.telemetry = TelemetryConfig::publishing(1_000_000);
     cluster_cfg.pier.telemetry.capacity = 65_536;
     cluster_cfg.pier.trace = TraceConfig::publishing();

@@ -14,7 +14,7 @@ use pier::qp::TelemetryConfig;
 use std::collections::BTreeMap;
 
 mod common;
-use common::{assert_export, catalogue, documented};
+use common::{assert_export, catalogue, documented, seeded};
 
 /// Canonical per-tenant window representation: sorted display strings per
 /// window, keyed by (tenant src, window bounds).
@@ -84,7 +84,7 @@ fn enabled_telemetry_does_not_perturb_query_results() {
     // Same seeded workload twice: telemetry disabled (the default), then
     // enabled with publishing OFF — recording only, no metrics tuples, no
     // extra DHT traffic, no extra rng draws.  Results must be identical.
-    let mut cfg = ManyTenantsConfig::new(6, 8, 6, 71);
+    let mut cfg = ManyTenantsConfig::new(6, 8, 6, seeded(71));
     cfg.events_per_node_per_sec = 6;
 
     let disabled = many_tenants(&cfg);
