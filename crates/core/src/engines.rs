@@ -9,7 +9,7 @@
 //! come out.  Plain state: [`crate::node::PierNode`] arms the
 //! tick timers, records the spans and posts what comes out.
 //!
-//! Every engine ticks at its window's close instants (end + grace,
+//! Every engine ticks at its window's close instants (its end,
 //! [`pier_cq::WindowSpec::next_close`]), so every node's engines for one
 //! spec close together, and each tick opens a **round**.  An engine that
 //! absorbed no child's shipment last round releases at once: it ships its
@@ -24,6 +24,11 @@
 //! emission: a late child costs latency, never a message.  A one-shot
 //! aggregate's engine ticks one hold apart from its install, unheld (see
 //! `rounds`).
+//!
+//! A durable node persists each engine where its round's hold ends, or
+//! would end had it held: half a slide after each close, once the pane the
+//! close opened has half filled (a one-shot's unheld rounds persist at
+//! their release).  A node without durable segments arms no such tick.
 
 use crate::node::{PierConfig, PierMsg};
 use crate::pane_link::{Inbox, Outbox};
@@ -65,6 +70,9 @@ struct EngineSlot {
     armed: SimTime,
     /// The window close at which the next round opens.
     next_close: SimTime,
+    /// On a node with durable segments, the instant this round's snapshot
+    /// is due: where its hold ends, or would end had it held.
+    persist_at: Option<SimTime>,
     /// The round the engine is in.
     round: Round,
 }
@@ -245,6 +253,7 @@ impl Engines {
                 heard,
                 armed: next_close,
                 next_close,
+                persist_at: None,
                 round: Round::default(),
             };
             self.slots.insert(key, slot);
@@ -456,13 +465,14 @@ impl Engines {
     /// Engine `key`'s tick timer of incarnation `epoch` fired at `now`.  A
     /// held round whose hold ran out releases.  Otherwise, at (or, stalled,
     /// past) a window close the round opens, and the engine releases at
-    /// once or holds.  A hold an arrival
-    /// already ended only re-arms.  What a release ships and emits, if one
+    /// once or holds.  A hold an arrival already ended only re-arms.  On a
+    /// durable node, the tick where the hold ends or would end persists the
+    /// engine, after any release.  What a release ships and emits, if one
     /// happened, and the instant to arm the next tick at: the hold's end
-    /// while held, else the next close.  `None` when the engine is retired
-    /// or re-created since the timer was armed, or the timer is not the one
-    /// in flight: the chain stops, and a stale timer must not stack a
-    /// duplicate one.
+    /// while held, then the snapshot's instant while one is due, else the
+    /// next close.  `None` when the engine is retired or re-created since
+    /// the timer was armed, or the timer is not the one in flight: the
+    /// chain stops, and a stale timer must not stack a duplicate one.
     pub(crate) fn tick(
         &mut self,
         key: EngineKey,
@@ -470,6 +480,7 @@ impl Engines {
         now: SimTime,
         overlay: &Overlay<QpObject>,
     ) -> Option<(Option<Ticked>, SimTime)> {
+        let durable = self.durable.is_some();
         let slot = self.slots.get_mut(&key);
         let slot = slot.filter(|s| s.epoch == epoch && now >= s.armed)?;
         let release = if slot.round.held_until.take().is_some() {
@@ -477,19 +488,25 @@ impl Engines {
         } else if now >= slot.next_close {
             let (next_close, hold) = rounds(slot.engine.spec(), now);
             slot.next_close = next_close;
+            slot.persist_at = durable.then_some(now + hold);
             !slot.round.open(now, hold)
         } else {
             false
         };
+        let persist = slot.persist_at.take_if(|at| now >= *at).is_some();
         // A stall may have fired this tick past the next close: that round
         // opens at once.
-        slot.armed = slot.round.held_until.unwrap_or(slot.next_close).max(now);
+        let due = slot.round.held_until.or(slot.persist_at);
+        slot.armed = due.unwrap_or(slot.next_close).max(now);
         let armed = slot.armed;
         let ticked = if release {
             self.release(key, now, overlay)
         } else {
             None
         };
+        if let (true, Some(slot), Some(durable)) = (persist, self.slots.get(&key), &self.durable) {
+            slot.engine.persist(durable);
+        }
         Some((ticked, armed))
     }
 
@@ -534,17 +551,11 @@ impl Engines {
         })
     }
 
-    /// Close a release of engine `key` once its results are posted: report
-    /// window health — the release's `health` deltas as trace events and,
-    /// once per instant however many engines release at it, occupancy
-    /// gauges summed over every engine — and persist the surviving state as
-    /// durable segments, so a crash after this release restarts warm.
-    pub(crate) fn tock(
-        &mut self,
-        key: EngineKey,
-        now: SimTime,
-        (query_id, shed, evicted): (u64, u64, u64),
-    ) {
+    /// Close a release once its results are posted: report window health —
+    /// the release's `health` deltas as trace events and, once per instant
+    /// however many engines release at it, occupancy gauges summed over
+    /// every engine.
+    pub(crate) fn tock(&mut self, now: SimTime, (query_id, shed, evicted): (u64, u64, u64)) {
         if self.tel.is_enabled() {
             let pressure = [
                 ("window_shed", &["shed"], shed),
@@ -566,9 +577,6 @@ impl Engines {
                     self.tel.gauge(name, total as f64);
                 }
             }
-        }
-        if let (Some(slot), Some(durable)) = (self.slots.get(&key), self.durable.as_ref()) {
-            slot.engine.persist(durable);
         }
     }
 
@@ -739,8 +747,9 @@ mod tests {
         assert_eq!(engines.slots[&key].armed, PANE);
         // Alone, the node is the root.  It heard the probe's sender, so its
         // round holds for half a slide; then the tick emits the closed
-        // window and ships nothing, and the next close is armed.  A stale
-        // incarnation's tick, or one not in flight, stops its chain.
+        // window, ships nothing and persists, and the next close is armed.
+        // A stale incarnation's tick, or one not in flight, stops its
+        // chain.
         let (held, hold_end) = fire(&mut engines, LATER, overlay);
         assert!(held.is_none());
         assert_eq!(hold_end, LATER + PANE / 2, "held half a slide at most");
@@ -752,7 +761,6 @@ mod tests {
         assert_eq!(next, LATER + PANE, "re-armed at the next close");
         assert!(engines.tick(key, 1, next, overlay).is_none());
         assert!(engines.tick(key, 0, LATER, overlay).is_none());
-        engines.tock(key, LATER, ticked.health);
         assert!(!durable.keys().is_empty(), "the surviving state persisted");
 
         // A second member keeps the engine; the last one out retires it.
@@ -919,6 +927,75 @@ mod tests {
             .0
             .expect("a leaf releases at once");
         ticked.shipment.expect("a pane with rows")
+    }
+
+    /// `(pane, key, count)` of every partial that a node restarted from
+    /// `durable` holds: what its rehydrated engine ships as a leaf once
+    /// every pane has closed.
+    fn restarted(
+        plan: &QueryPlan,
+        durable: &DurableStore,
+        overlay: &Overlay<QpObject>,
+    ) -> Vec<(i64, i64, i64)> {
+        let config = PierConfig {
+            durable: Some(durable.clone()),
+            ..PierConfig::default()
+        };
+        let mut engines = engines_for(plan, &config, &[]);
+        partial_rows(&leaf_ships(&mut engines, 10 * PANE, overlay))
+    }
+
+    #[test]
+    fn a_durable_engine_persists_half_a_slide_after_each_close_held_or_not() {
+        let durable = DurableStore::default();
+        let config = PierConfig {
+            durable: Some(durable.clone()),
+            ..PierConfig::default()
+        };
+        let plan = plan(CqBudget::default());
+        let (mut ring, root) = ring(8, &plan);
+        let [relay, child] = [1, 2].map(|i| (root + i) % ring.len());
+        let mut engines = engines_for(&plan, &config, &[1, 2]);
+
+        // Round 1 opens unheld: the engine ships pane 0 at its close, and
+        // its next tick is the snapshot's, half a slide on.
+        let (ticked, next) = fire(&mut engines, PANE, &ring[relay]);
+        assert!(ticked.expect("released at once").shipment.is_some());
+        assert_eq!(next, PANE + PANE / 2, "the snapshot's instant");
+        assert!(durable.keys().is_empty(), "nothing persisted at the close");
+        // The snapshot holds the rows absorbed since the close.
+        feed(&mut engines, 1, &[3]);
+        let (nothing, next) = fire(&mut engines, PANE + PANE / 2, &ring[relay]);
+        assert!(nothing.is_none());
+        assert_eq!(next, 2 * PANE, "then the next close");
+        assert_eq!(restarted(&plan, &durable, &ring[relay]), [(1, 3, 1)]);
+
+        // A child ships pane 0 late: round 2 is held for it, and persists
+        // at the hold's end, where it releases.
+        let mut at_child = engines_for(&plan, &config, &[5]);
+        let shipment = leaf_ships(&mut at_child, PANE, &ring[child]);
+        let namespace = plan.window_namespace();
+        let (hop, overlay) = (Hop::Upcall(None), &mut ring[relay]);
+        let arrival = engines.arrive(&namespace, &shipment, hop, PANE + PANE / 2, overlay);
+        assert!(arrival.taken && arrival.released.is_none());
+        let (held, hold_end) = fire(&mut engines, 2 * PANE, &ring[relay]);
+        assert!(held.is_none());
+        assert_eq!(hold_end, 2 * PANE + PANE / 2, "the same instant");
+        assert_eq!(restarted(&plan, &durable, &ring[relay]), [(1, 3, 1)]);
+        feed(&mut engines, 2, &[4]);
+        let (ticked, next) = fire(&mut engines, hold_end, &ring[relay]);
+        let shipment = ticked.expect("released at the hold's end").shipment;
+        let rows = [(0, 5, 1), (1, 3, 1)];
+        assert_eq!(partial_rows(&shipment.expect("panes")), rows);
+        assert_eq!(next, 3 * PANE);
+        assert_eq!(restarted(&plan, &durable, &ring[relay]), [(2, 4, 1)]);
+
+        // Without durable segments, the tick after a release is armed at
+        // the next close.
+        let mut soft = engines_for(&plan, &PierConfig::default(), &[1]);
+        let (ticked, next) = fire(&mut soft, PANE, &ring[relay]);
+        assert!(ticked.expect("released at once").shipment.is_some());
+        assert_eq!(next, 2 * PANE);
     }
 
     #[test]

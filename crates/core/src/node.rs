@@ -198,9 +198,9 @@ pub enum PierTimer {
     /// Periodic window maintenance for a continuous query or a one-shot
     /// aggregate: close due panes, forward partials toward the root, emit
     /// per-window results at a continuous query's root.  Fires at each
-    /// window close (end + grace; a one-shot aggregate's every hold from
-    /// its install) and, while the round that opens there is held for the
-    /// engine's children, at the hold's end.
+    /// window close (its end; a one-shot aggregate's every hold from its
+    /// install) and half a slide later, when the round that opens there is
+    /// held for the engine's children or the node keeps durable segments.
     WindowTick {
         /// Query being ticked.
         query_id: u64,
@@ -1395,10 +1395,11 @@ impl PierNode {
     }
 
     /// Window maintenance of one engine (once per engine however many
-    /// member queries it serves), at each window close and at the end of a
-    /// round held for the engine's children: open or release the round
-    /// ([`Engines::tick`]), post what a release produced, and re-arm
-    /// `timer`.  `epoch` is the incarnation the firing timer was armed for.
+    /// member queries it serves), at each window close and half a slide
+    /// later while its round is held or, on a durable node, its snapshot is
+    /// due: open, release or persist the engine ([`Engines::tick`]), post
+    /// what a release produced, and re-arm `timer`.  `epoch` is the
+    /// incarnation the firing timer was armed for.
     fn engine_tick(
         &mut self,
         ctx: &mut ProgramContext<Self>,
@@ -1420,7 +1421,7 @@ impl PierNode {
     /// the arrival that ended its hold: ship its partials one hop toward
     /// the engine's window root — combining en route — and, at the root,
     /// stream each member's per-window results to its proxy; then report
-    /// window health and persist the surviving state.
+    /// window health.
     fn post_release(&mut self, ctx: &mut ProgramContext<Self>, key: EngineKey, ticked: Ticked) {
         let now = ctx.now();
         // 1. Ship partials one hop toward the root and stream emissions to
@@ -1459,8 +1460,8 @@ impl PierNode {
         for (proxy, results) in bundles.into_messages() {
             self.post(ctx, proxy, results);
         }
-        // 2. Window health and durable segments.
-        self.engines.tock(key, now, ticked.health);
+        // 2. Window health.
+        self.engines.tock(now, ticked.health);
     }
 
     /// Hand a root release's results — off the wire, or straight from this

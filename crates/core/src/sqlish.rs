@@ -22,9 +22,9 @@
 //! is exactly the state of the system the paper describes.
 //!
 //! The windowing clauses register a *continuous* query (the `pier-cq`
-//! subsystem): `WINDOW` sets the window size (`SLIDE` defaults to tumbling),
-//! `EVERY` sets the soft-state renewal period the proxy names the standing
-//! query on its lease roster at, and `DELTAS` switches per-window output from snapshots
+//! subsystem): `WINDOW` sets the window size (`SLIDE` defaults to tumbling;
+//! a window closes at its end), `EVERY` sets the soft-state renewal period
+//! the proxy names the standing query on its lease roster at, and `DELTAS` switches per-window output from snapshots
 //! to insert/retract streams.  Durations accept `us`, `ms`, `s` and `m`
 //! suffixes (a bare number is seconds).
 //!
@@ -422,7 +422,7 @@ pub fn plan_checked(
         // A standing windowed aggregate: every node must see the stream, so
         // the plan broadcasts and the proxy keeps renewing it.
         let slide = slide.unwrap_or(size);
-        let window = WindowSpec::sliding(size, slide).with_grace(slide / 2);
+        let window = WindowSpec::sliding(size, slide);
         cq = Some(
             statement
                 .every

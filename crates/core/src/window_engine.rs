@@ -985,8 +985,8 @@ mod tests {
 
     #[test]
     fn a_relays_pane_of_its_own_rows_and_a_childs_partials_rehydrates_exactly() {
-        // 30 s / 10 s with a grace of 5 s: pane 0 (rows 0..40) closes with
-        // window 0, at 35 s, on every node.  The relay folds the first half of the
+        // 30 s / 10 s: pane 0 (rows 0..40) closes with window 0, at its
+        // end, 30 s, on every node.  The relay folds the first half of the
         // pane's rows, its child the second; the child's closed pane
         // merges into the relay's before the relay releases.
         let rows = netmon_rows(40);
@@ -999,7 +999,7 @@ mod tests {
         for chunk in TupleBatch::new(rows).chunks() {
             whole.absorb(chunk, None, 0);
         }
-        let close = 35_000_000;
+        let close = 30_000_000;
         let shipped = child.tick(close, false).partials.expect("the child's pane");
         assert!(relay.absorb_panes(&shipped, false).is_empty());
         let durable = DurableStore::new();

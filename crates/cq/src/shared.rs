@@ -27,7 +27,7 @@ use crate::lifecycle::CqBudget;
 use crate::segment::{RehydrateReport, SegmentCodec, SegmentLog};
 use crate::state::{Group, WindowAccumulator, WindowStats, WindowStore};
 use crate::window::{WindowId, WindowSpec};
-use pier_runtime::{Duration, SimTime};
+use pier_runtime::SimTime;
 use std::cell::RefCell;
 
 /// A single local/root [`WindowStore`] pair serving every member query of
@@ -40,9 +40,10 @@ use std::cell::RefCell;
 /// leaf and relay state and shipped partials are those of a tumbling
 /// window of one pane, whatever the window/slide ratio.
 ///
-/// Both stores close with the query's grace.  Away from the window root the
-/// partials a node's children relay merge into its local store, so a relay
-/// ships each pane once, its groups and its children's merged
+/// Both stores close a pane with the first window ending at or after it,
+/// at that window's end.  Away from the window root the partials a node's
+/// children relay merge into its local store, so a relay ships each pane
+/// once, its groups and its children's merged
 /// ([`SharedWindowState::drain_closed`]); at the root they merge into the
 /// retained root panes, and the root's own closed panes roll up into them
 /// ([`SharedWindowState::roll_up_local`]).  How long a relay or root waits
@@ -73,8 +74,8 @@ impl<A: WindowAccumulator> SharedWindowState<A> {
         let panes = WindowSpec::tumbling(window.pane());
         SharedWindowState {
             window,
-            local: WindowStore::new(panes.with_grace(window.grace), budget),
-            root: WindowStore::new(panes.with_grace(window.grace), budget),
+            local: WindowStore::new(panes, budget),
+            root: WindowStore::new(panes, budget),
             emitted_through: None,
             evicted: 0,
         }
@@ -136,7 +137,7 @@ impl<A: WindowAccumulator> SharedWindowState<A> {
     /// node retained while it was the window root, if any, so the new root
     /// gets them.
     pub fn drain_closed(&mut self, now: SimTime, mut visit: impl FnMut(WindowId, &[Group<'_, A>])) {
-        if let Some(at) = self.closing_instant(now, self.window.grace) {
+        if let Some(at) = self.closing_instant(now) {
             self.local.close_due_with(at, &mut visit);
             self.root.close_due_with(at, visit);
         }
@@ -146,7 +147,7 @@ impl<A: WindowAccumulator> SharedWindowState<A> {
     /// what it relayed before it was the root — into the retained root
     /// panes.
     pub fn roll_up_local(&mut self, now: SimTime) {
-        let Some(at) = self.closing_instant(now, self.window.grace) else {
+        let Some(at) = self.closing_instant(now) else {
             return;
         };
         for (pane, groups) in self.local.close_due(at) {
@@ -156,14 +157,14 @@ impl<A: WindowAccumulator> SharedWindowState<A> {
         }
     }
 
-    /// The instant at which a pane store kept with `grace` closes exactly
-    /// the panes of the windows that close at `now` under that grace: a
+    /// The instant at which a pane store closes exactly the panes of the
+    /// windows that have closed at `now`, the end of the last of them: a
     /// pane closes with the first window ending at or after it, so a store
     /// ships or rolls up at the instants — and in the bundles — a window
     /// store would, and its close horizon names the last window closed.
-    fn closing_instant(&self, now: SimTime, grace: Duration) -> Option<SimTime> {
-        let window = self.window.with_grace(grace);
-        Some(window.bounds(window.last_closable(now)?).1 + grace)
+    fn closing_instant(&self, now: SimTime) -> Option<SimTime> {
+        let window = self.window;
+        Some(window.bounds(window.last_closable(now)?).1)
     }
 
     /// Root release, step 2: put together every due window that is new
@@ -171,8 +172,8 @@ impl<A: WindowAccumulator> SharedWindowState<A> {
     /// each non-empty one, oldest first, its groups merged across its panes
     /// in key order (panes are retained, so late partials keep refining and
     /// re-emit every retained window over them).  A window is due when its
-    /// panes close, at its end plus the grace; the caller rolls the local
-    /// panes up first ([`SharedWindowState::roll_up_local`]).  Then retire
+    /// panes close, at its end; the caller rolls the local panes up first
+    /// ([`SharedWindowState::roll_up_local`]).  Then retire
     /// the panes below the oldest window kept for refinement, bounding
     /// memory.  Returns the window through which the caller's per-member
     /// trackers should retire too, when the horizon moved.
@@ -326,7 +327,7 @@ impl<A: WindowAccumulator> SharedWindowState<A> {
             total.skipped += report.skipped;
             total.torn_tail |= report.torn_tail;
         }
-        // Both stores close with the same grace, and a root emits at the
+        // Both stores close at the same instants, and a root emits at the
         // release that rolls its local panes up: closed through window `c`
         // here means emitted through `c`.
         let window = self.window;
@@ -508,9 +509,8 @@ mod tests {
 
     #[test]
     fn a_restarted_root_neither_reemits_nor_skips_the_last_window_it_emitted() {
-        // 20 / 10 with a grace of 5: window w closes, and is due, at
-        // 10 w + 25.
-        let window = WindowSpec::sliding(20, 10).with_grace(5);
+        // 20 / 10: window w closes, and is due, at 10 w + 20.
+        let window = WindowSpec::sliding(20, 10);
         let release = |s: &mut SharedWindowState<Count>, now| -> Vec<(WindowId, u64)> {
             s.roll_up_local(now);
             let out = emitted(s, now).into_iter();
@@ -520,16 +520,16 @@ mod tests {
         for t in [3, 13, 23, 33] {
             s.fold_local(t, "a", |_| Count(0), |c| c.0 += 1);
         }
-        assert_eq!(release(&mut s, 35), [(0, 2), (1, 2)]);
+        assert_eq!(release(&mut s, 30), [(0, 2), (1, 2)]);
         let (mut local, mut root) = (SegmentLog::new(), SegmentLog::new());
         s.write_segments(&mut local, &mut root);
         let mut warm = SharedWindowState::new(window, CqBudget::default());
         warm.rehydrate(Some(&local), Some(&root));
         // Window 1 was emitted: not again...
-        assert!(release(&mut warm, 35).is_empty());
+        assert!(release(&mut warm, 30).is_empty());
         // ...and window 2 is emitted at its close, as by the root that ran on.
-        assert_eq!(release(&mut s, 45), [(2, 2)]);
-        assert_eq!(release(&mut warm, 45), [(2, 2)]);
+        assert_eq!(release(&mut s, 40), [(2, 2)]);
+        assert_eq!(release(&mut warm, 40), [(2, 2)]);
     }
 
     #[test]

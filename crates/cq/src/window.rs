@@ -12,7 +12,7 @@
 //! [`WindowSpec::panes_of`] names, and state kept per pane is folded,
 //! shipped and combined once however many windows cover it.
 
-use pier_runtime::{Duration, SimTime, WireSize};
+use pier_runtime::{Duration, SimTime};
 
 /// Identifier of one window instance: window `w` covers
 /// `[w * slide, w * slide + size)` on the virtual-time axis.
@@ -26,9 +26,6 @@ pub struct WindowSpec {
     pub size: Duration,
     /// Distance between consecutive window starts; `slide == size` tumbles.
     pub slide: Duration,
-    /// Extra time after a window's end before it is closed, giving in-flight
-    /// tuples and relayed partials time to arrive.
-    pub grace: Duration,
 }
 
 impl WindowSpec {
@@ -37,7 +34,6 @@ impl WindowSpec {
         WindowSpec {
             size: size.max(1),
             slide: size.max(1),
-            grace: 0,
         }
     }
 
@@ -47,14 +43,7 @@ impl WindowSpec {
         WindowSpec {
             size,
             slide: slide.clamp(1, size),
-            grace: 0,
         }
-    }
-
-    /// Set the close grace period.
-    pub fn with_grace(mut self, grace: Duration) -> Self {
-        self.grace = grace;
-        self
     }
 
     /// True when the window tumbles (no overlap).
@@ -101,32 +90,20 @@ impl WindowSpec {
         first..=last
     }
 
-    /// The newest window that is closable at `now` (its close time has
-    /// passed), if any.
+    /// The newest window that is closable at `now` (it has ended), if any.
     pub fn last_closable(&self, now: SimTime) -> Option<WindowId> {
-        let horizon = now.saturating_sub(self.size.saturating_add(self.grace));
-        if now < self.size.saturating_add(self.grace) {
-            return None;
-        }
-        Some(horizon / self.slide)
+        Some(now.checked_sub(self.size)? / self.slide)
     }
 
-    /// The first instant after `now` at which a window closes (its end plus
-    /// the grace): the instants every node's engines for this window tick
-    /// at, together.
+    /// The first instant after `now` at which a window closes (at its
+    /// end): the instants every node's engines for this window tick at,
+    /// together.
     pub fn next_close(&self, now: SimTime) -> SimTime {
-        let first = self.size.saturating_add(self.grace);
-        if now < first {
-            return first;
+        if now < self.size {
+            return self.size;
         }
-        let closed = (now - first) / self.slide + 1;
-        first.saturating_add(closed.saturating_mul(self.slide))
-    }
-}
-
-impl WireSize for WindowSpec {
-    fn wire_size(&self) -> usize {
-        24
+        let closed = (now - self.size) / self.slide + 1;
+        self.size.saturating_add(closed.saturating_mul(self.slide))
     }
 }
 
@@ -178,24 +155,15 @@ mod tests {
     }
 
     #[test]
-    fn close_time_includes_grace() {
-        let w = WindowSpec::sliding(30, 10).with_grace(5);
-        assert_eq!(w.last_closable(34), None);
-        assert_eq!(w.last_closable(35), Some(0));
-        assert_eq!(w.last_closable(54), Some(1));
-        assert_eq!(w.last_closable(55), Some(2));
-    }
-
-    #[test]
-    fn the_next_close_is_the_first_window_end_plus_grace_after_now() {
-        let w = WindowSpec::sliding(30, 10).with_grace(5);
-        assert_eq!(w.next_close(0), 35);
-        assert_eq!(w.next_close(34), 35);
-        assert_eq!(w.next_close(35), 45, "strictly after now");
-        assert_eq!(w.next_close(44), 45);
+    fn the_next_close_is_the_first_window_end_after_now() {
+        let w = WindowSpec::sliding(30, 10);
+        assert_eq!(w.next_close(0), 30);
+        assert_eq!(w.next_close(29), 30);
+        assert_eq!(w.next_close(30), 40, "strictly after now");
+        assert_eq!(w.next_close(39), 40);
         for now in 0..200 {
             let at = w.next_close(now);
-            assert!(at > now && (now < 35 || at - now <= w.slide));
+            assert!(at > now && (now < 30 || at - now <= w.slide));
             assert_eq!(
                 w.last_closable(at),
                 w.last_closable(at - 1).map_or(Some(0), |c| Some(c + 1))

@@ -424,7 +424,7 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosOutcome {
     }
     // Drain: trailing windows close and travel; restarted nodes have had
     // their roster, pull and rehydration by the end.
-    let drain = window_spec.size + window_spec.grace + 4 * window_spec.slide + 10_000_000;
+    let drain = window_spec.size + 4 * window_spec.slide + 10_000_000;
     cluster.sim.run_for(drain);
     let total_msgs = cluster.sim.stats().total_msgs;
     let total_bytes = cluster.sim.stats().total_bytes;

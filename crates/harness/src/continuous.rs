@@ -246,7 +246,7 @@ pub fn continuous_netmon_observed(cfg: &ContinuousNetmonConfig) -> (ContinuousOu
         (panes.max(d.open_windows), groups.max(d.total_groups))
     });
     // Drain: let trailing windows close, travel and emit.
-    let drain = window_spec.size + window_spec.grace + 4 * window_spec.slide + 2_000_000;
+    let drain = window_spec.size + 4 * window_spec.slide + 2_000_000;
     cluster.sim.run_for(drain);
     let total_msgs = cluster.sim.stats().total_msgs;
     let total_bytes = cluster.sim.stats().total_bytes;

@@ -114,7 +114,7 @@ pub fn normalize(plan: &QueryPlan) -> Option<ShareCandidate> {
     }
     let mut h = DefaultHasher::new();
     graph.source.namespace().hash(&mut h);
-    (window.size, window.slide, window.grace).hash(&mut h);
+    (window.size, window.slide).hash(&mut h);
     group_cols.hash(&mut h);
     for agg in aggs {
         hash_agg(agg, &mut h);

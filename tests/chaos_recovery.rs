@@ -108,9 +108,9 @@ fn trace_fault_events_reconcile_with_the_plan() {
 /// Shared window state is durable: no plan is marked exclusive — the netmon
 /// query runs as a share group of one beside the tenants' group — and a
 /// crashed-and-restarted node rehydrates the windows of both from its
-/// segment logs instead of starting them cold.  A node persists at each
-/// release, after its closed panes ship, so its snapshot holds the pane
-/// filling since the window end: every source here is a tenant's, so the
+/// segment logs instead of starting them cold.  A node persists half a
+/// slide after each window close, so its snapshot holds the half pane
+/// filled since the window end: every source here is a tenant's, so the
 /// tenants' group fills that pane as the netmon group does.
 #[test]
 fn a_restarted_node_rehydrates_share_group_windows_warm() {

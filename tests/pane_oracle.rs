@@ -206,11 +206,10 @@ struct Seen {
 
 /// The windows of the property: 2 s / 1 s and 60 s / 1 s (panes of one
 /// slide), 30 s / 10 s, 5 s / 2 s (panes of 1 s, shorter than the slide),
-/// and a tumbling window; the grace is half a slide, as sqlish sets it.
+/// and a tumbling window; each closes at its end, as sqlish's do.
 fn specs() -> [WindowSpec; 5] {
-    [(2, 1), (30, 10), (5, 2), (60, 1), (3, 3)].map(|(size, slide)| {
-        WindowSpec::sliding(size * SEC, slide * SEC).with_grace(slide * SEC / 2)
-    })
+    [(2, 1), (30, 10), (5, 2), (60, 1), (3, 3)]
+        .map(|(size, slide)| WindowSpec::sliding(size * SEC, slide * SEC))
 }
 
 fn run(window: WindowSpec, rng: &mut TestRng, seen: &mut Seen) {
@@ -315,10 +314,10 @@ fn the_schedules_refine_restart_and_retire() {
 
 #[test]
 fn a_row_late_for_its_closed_pane_reopens_it_until_the_root_retires_it() {
-    // 2 s / 1 s with half a second of grace: pane p closes here at p + 2.5
-    // (with the window ending there), window w is due at the root then too,
-    // at w + 2.5, and retires once the newest emitted window is six ahead.
-    let window = WindowSpec::sliding(2 * SEC, SEC).with_grace(SEC / 2);
+    // 2 s / 1 s: pane p closes here at p + 1, with window p - 1 ending
+    // there; window w is due at the root at its end, w + 2, and retires
+    // once the newest emitted window is six ahead.
+    let window = WindowSpec::sliding(2 * SEC, SEC);
     let mut s = Subject::new(window);
     s.row(10 * SEC, "a");
     let (out, _) = s.tick(14 * SEC);
@@ -343,7 +342,7 @@ fn a_row_late_for_its_closed_pane_reopens_it_until_the_root_retires_it() {
 
 #[test]
 fn a_sixty_second_window_is_sixty_one_second_panes() {
-    let window = WindowSpec::sliding(60 * SEC, SEC).with_grace(SEC / 2);
+    let window = WindowSpec::sliding(60 * SEC, SEC);
     assert_eq!((window.pane(), window.panes_of(5)), (SEC, 5..65));
     let mut s = Subject::new(window);
     for t in 0..120 {

@@ -340,7 +340,7 @@ fn retirement_bounds_the_root_store_and_every_members_tracker() {
 #[test]
 fn at_sixty_seconds_over_one_each_row_is_folded_once() {
     let mut spec = spec("q60");
-    spec.window = WindowSpec::sliding(60 * SEC, SEC).with_grace(SEC / 2);
+    spec.window = WindowSpec::sliding(60 * SEC, SEC);
     let mut engine = WindowEngine::new(spec);
     engine.add_member(1, member(None, DeltaMode::Snapshot), false, 0);
     // One window's worth: 60 seconds of rows, 5 a second, 5 sources.

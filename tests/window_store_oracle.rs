@@ -592,7 +592,7 @@ fn specs() -> [WindowSpec; 3] {
     [
         WindowSpec::tumbling(10),
         WindowSpec::sliding(30, 10),
-        WindowSpec::sliding(25, 10).with_grace(7),
+        WindowSpec::sliding(25, 10),
     ]
 }
 
