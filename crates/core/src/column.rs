@@ -38,15 +38,32 @@
 //! | 6 | `Int`, frame of reference | `base: i64`, width `w ∈ {1, 2, 4, 8}`, then `w` bytes a row of `value − base` |
 //! | 2 | `Float` | eight bytes a row |
 //! | 3 | `Bool` | packed `u64` words |
-//! | 4 | `Dict` | `u16` entry count, `u32`-length-prefixed entries, one code byte a row |
-//! | 5 | `Str` | `u32` arena length, the arena, then `rows + 1` offsets of 1, 2 or 4 bytes — the fewest that hold the arena's length |
+//! | 4 | `Dict`, plain | `u16` entry count, `u32`-length-prefixed entries, one code byte a row |
+//! | 7 | `Dict`, front-coded | `u16` entry count, the entries front-coded, one code byte a row |
+//! | 5 | `Str`, plain | `u32` arena length, the arena, then `rows + 1` offsets of 1, 2 or 4 bytes — the fewest that hold the arena's length |
+//! | 8 | `Str`, front-coded | the rows front-coded |
 //!
 //! An `Int` column goes as frame of reference when that is shorter than
 //! plain, with `base` its minimum and `w` the fewest bytes that hold its
-//! span (a NULL row counts as the zero it holds); plain wins ties.  The
-//! decoder accepts only that choice, so `decode(encode(c))` re-encodes bit
-//! for bit, and since `w` is never 0 a frame decodes to at most eight times
-//! its length.  All integers are little-endian.
+//! span (a NULL row counts as the zero it holds); plain wins ties.  Since
+//! `w` is never 0, a frame decodes to at most eight times its length.
+//!
+//! A front-coded run of strings (Witten, Moffat & Bell, *Managing
+//! Gigabytes*) writes each string as the length of the longest prefix it
+//! shares with the string before it, the length of the rest, and the rest:
+//! both lengths LEB128 varints.  A dictionary page (its entries in code
+//! order) and an arena (its rows in order, a NULL row the empty string it
+//! holds) each go front-coded when that is shorter than plain and the run
+//! rebuilds at most [`FRONT_CODED_GAIN`] times its own length; plain wins
+//! ties.  Group keys leave a node in key order, so
+//! neighbouring keys share their stems: a dotted quad costs its last few
+//! bytes, not all of them.
+//!
+//! The decoder accepts only the encoder's choices — the shorter layout,
+//! the fewest bytes, the longest shared prefix, valid UTF-8 in every
+//! rebuilt string — so `decode(encode(c))` re-encodes bit for bit, and no
+//! frame decodes to more than eight times its length.  Fixed-width
+//! integers are little-endian.
 
 use crate::value::{Value, ValueRef};
 use std::sync::Arc;
@@ -412,6 +429,144 @@ fn take<'a>(buf: &'a [u8], at: &mut usize, len: usize) -> Option<&'a [u8]> {
     let bytes = buf.get(*at..end)?;
     *at = end;
     Some(bytes)
+}
+
+/// Bytes of [`put_varint`]'s output for `n`.
+pub(crate) fn varint_len(n: u64) -> usize {
+    (64 - (n | 1).leading_zeros() as usize).div_ceil(7)
+}
+
+/// Append `n` seven bits a byte, low bits first, the high bit set on every
+/// byte but the last (LEB128).
+pub(crate) fn put_varint(buf: &mut Vec<u8>, mut n: u64) {
+    while n >= 0x80 {
+        buf.push(n as u8 | 0x80);
+        n >>= 7;
+    }
+    buf.push(n as u8);
+}
+
+/// Read the [`put_varint`] integer at `*at`, advancing past it.  `None` on
+/// truncated input, a byte more than the integer needs, or bits past 64.
+pub(crate) fn take_varint(buf: &[u8], at: &mut usize) -> Option<u64> {
+    let mut n = 0;
+    for i in 0..10 {
+        let byte = *buf.get(*at + i)?;
+        if i == 9 && byte > 1 {
+            return None;
+        }
+        n |= u64::from(byte & 0x7f) << (7 * i);
+        if byte & 0x80 == 0 {
+            if i > 0 && byte == 0 {
+                return None;
+            }
+            *at += i + 1;
+            return Some(n);
+        }
+    }
+    None
+}
+
+/// The most a front-coded run may rebuild, per byte it takes on the wire.
+/// The encoder front-codes only inside it and the decoder refuses a run
+/// past it, so a long first string shared by thousands of two-byte
+/// successors cannot make a small frame allocate much.
+pub const FRONT_CODED_GAIN: usize = 8;
+
+/// The length of the longest prefix `a` and `b` share.
+fn shared_prefix(a: &[u8], b: &[u8]) -> usize {
+    a.iter().zip(b).take_while(|(x, y)| x == y).count()
+}
+
+/// Whether a run of `strings` goes front-coded against a plain spelling of
+/// `plain` bytes, and its length on the wire when it does — one pass,
+/// nothing allocated.  Front-coded when strictly shorter and rebuilding at
+/// most [`FRONT_CODED_GAIN`] times its length.
+fn front_coding<'a>(plain: usize, strings: impl Iterator<Item = &'a [u8]>) -> Option<usize> {
+    let (mut wire, mut rebuilt, mut prev) = (0, 0, &[][..]);
+    for s in strings {
+        let shared = shared_prefix(prev, s);
+        let rest = s.len() - shared;
+        wire += varint_len(shared as u64) + varint_len(rest as u64) + rest;
+        rebuilt += s.len();
+        prev = s;
+    }
+    (wire < plain && rebuilt <= FRONT_CODED_GAIN * wire).then_some(wire)
+}
+
+/// Append `strings` front-coded (the module docs have the layout).
+fn put_front_coded<'a>(buf: &mut Vec<u8>, strings: impl Iterator<Item = &'a [u8]>) {
+    let mut prev = &[][..];
+    for s in strings {
+        let shared = shared_prefix(prev, s);
+        put_varint(buf, shared as u64);
+        put_varint(buf, (s.len() - shared) as u64);
+        buf.extend_from_slice(&s[shared..]);
+        prev = s;
+    }
+}
+
+/// Read a run of `n` front-coded strings at `*at`, advancing past it: the
+/// strings rebuilt into one arena, `n + 1` offsets into it, and the run's
+/// length on the wire.  The lengths are walked first, so nothing is
+/// reserved for a run that is cut short (each string takes at least two
+/// bytes, so `n` past the frame fails at once) or that rebuilds more than
+/// [`FRONT_CODED_GAIN`] times its length.  `None` on those, on a varint
+/// with a byte more than it needs, a prefix that is not the longest the
+/// string shares with the one before, and a rebuilt string that is not
+/// UTF-8.
+fn take_front_coded(buf: &[u8], at: &mut usize, n: usize) -> Option<(Vec<u8>, Vec<u32>, usize)> {
+    let len = |at: &mut usize| usize::try_from(take_varint(buf, at)?).ok();
+    let (start, mut end, mut prev, mut rebuilt) = (*at, *at, 0usize, 0usize);
+    for _ in 0..n {
+        let (shared, rest) = (len(&mut end)?, len(&mut end)?);
+        take(buf, &mut end, rest)?;
+        if shared > prev {
+            return None;
+        }
+        prev = shared + rest;
+        rebuilt = rebuilt.checked_add(prev)?;
+    }
+    let wire = end - start;
+    if rebuilt > FRONT_CODED_GAIN * wire || u32::try_from(rebuilt).is_err() {
+        return None;
+    }
+    let mut arena = Vec::with_capacity(rebuilt);
+    let mut offsets = Vec::with_capacity(n + 1);
+    offsets.push(0);
+    let mut prev = 0;
+    for _ in 0..n {
+        let (shared, rest) = (len(at)?, len(at)?);
+        let rest = take(buf, at, rest)?;
+        let from = arena.len();
+        // Longest: the rest does not go on as the string before did.
+        if shared < from - prev && rest.first() == Some(&arena[prev + shared]) {
+            return None;
+        }
+        arena.extend_from_within(prev..prev + shared);
+        arena.extend_from_slice(rest);
+        std::str::from_utf8(&arena[from..]).ok()?;
+        offsets.push(arena.len() as u32);
+        prev = from;
+    }
+    Some((arena, offsets, wire))
+}
+
+/// The rows of an arena column.
+fn arena_rows<'a>(arena: &'a [u8], offsets: &'a [u32]) -> impl Iterator<Item = &'a [u8]> + Clone {
+    offsets
+        .windows(2)
+        .map(|w| &arena[w[0] as usize..w[1] as usize])
+}
+
+/// Plain length of an arena of `arena` bytes over `rows` rows.
+fn plain_arena_len(rows: usize, arena: usize) -> usize {
+    4 + arena + (rows + 1) * width_of(arena as u64)
+}
+
+/// Plain length of a dictionary page's entries.
+fn plain_page_len<'a>(entries: impl Iterator<Item = &'a [u8]>) -> usize {
+    entries.map(|s| 4 + s.len()).sum()
 }
 
 /// The little-endian unsigned word in `bytes` (at most eight).
@@ -931,13 +1086,19 @@ impl Column {
             Column::Float { validity, .. } => validity_len(validity) + rows * 8,
             Column::Bool { validity, .. } => validity_len(validity) + rows.div_ceil(64) * 8,
             Column::Dict { dict, validity, .. } => {
-                validity_len(validity) + 2 + dict.iter().map(|s| 4 + s.len()).sum::<usize>() + rows
+                let entries = || dict.iter().map(|s| s.as_bytes());
+                let plain = plain_page_len(entries());
+                let page = front_coding(plain, entries()).unwrap_or(plain);
+                validity_len(validity) + 2 + page + rows
             }
             Column::Str {
-                arena, validity, ..
+                arena,
+                offsets,
+                validity,
             } => {
-                let offsets = (rows + 1) * width_of(arena.len() as u64);
-                validity_len(validity) + 4 + arena.len() + offsets
+                let plain = plain_arena_len(rows, arena.len());
+                validity_len(validity)
+                    + front_coding(plain, arena_rows(arena, offsets)).unwrap_or(plain)
             }
             Column::Values(vals) => vals
                 .iter()
@@ -950,10 +1111,10 @@ impl Column {
     /// (presence byte + packed `u64` LE words), then the layout payload —
     /// raw LE buffers for floats, plain or frame-of-reference buffers for
     /// integers (whichever is shorter), packed words for bools, dictionary
-    /// page (entry count + length-prefixed entries) + codes for
-    /// dictionaries, arena bytes + offsets as wide as the arena needs for
-    /// arena strings, tagged values for the fallback (the module docs have
-    /// the table).  The row count is *not* encoded; it travels in the chunk
+    /// page (entry count + entries, length-prefixed or front-coded) + codes
+    /// for dictionaries, arena bytes + offsets as wide as the arena needs or
+    /// the rows front-coded for arena strings, tagged values for the
+    /// fallback (the module docs have the table).  The row count is *not* encoded; it travels in the chunk
     /// header.
     pub fn encode_body(&self, buf: &mut Vec<u8>) {
         fn encode_validity(buf: &mut Vec<u8>, validity: &Option<Bitmap>) {
@@ -998,12 +1159,18 @@ impl Column {
                 validity,
                 ..
             } => {
-                buf.push(4);
+                let entries = || dict.iter().map(|s| s.as_bytes());
+                let front_coded = front_coding(plain_page_len(entries()), entries()).is_some();
+                buf.push(if front_coded { 7 } else { 4 });
                 encode_validity(buf, validity);
                 buf.extend_from_slice(&(dict.len() as u16).to_le_bytes());
-                for entry in dict {
-                    buf.extend_from_slice(&(entry.len() as u32).to_le_bytes());
-                    buf.extend_from_slice(entry.as_bytes());
+                if front_coded {
+                    put_front_coded(buf, entries());
+                } else {
+                    for entry in dict {
+                        buf.extend_from_slice(&(entry.len() as u32).to_le_bytes());
+                        buf.extend_from_slice(entry.as_bytes());
+                    }
                 }
                 buf.extend_from_slice(codes);
             }
@@ -1012,13 +1179,19 @@ impl Column {
                 offsets,
                 validity,
             } => {
-                buf.push(5);
+                let plain = plain_arena_len(offsets.len() - 1, arena.len());
+                let front_coded = front_coding(plain, arena_rows(arena, offsets)).is_some();
+                buf.push(if front_coded { 8 } else { 5 });
                 encode_validity(buf, validity);
-                buf.extend_from_slice(&(arena.len() as u32).to_le_bytes());
-                buf.extend_from_slice(arena);
-                let width = width_of(arena.len() as u64);
-                for o in offsets {
-                    buf.extend_from_slice(&o.to_le_bytes()[..width]);
+                if front_coded {
+                    put_front_coded(buf, arena_rows(arena, offsets));
+                } else {
+                    buf.extend_from_slice(&(arena.len() as u32).to_le_bytes());
+                    buf.extend_from_slice(arena);
+                    let width = width_of(arena.len() as u64);
+                    for o in offsets {
+                        buf.extend_from_slice(&o.to_le_bytes()[..width]);
+                    }
                 }
             }
             Column::Values(vals) => {
@@ -1092,19 +1265,37 @@ impl Column {
                 let data = (0..rows).map(|r| packed.get(r)).collect();
                 Column::Bool { data, validity }
             }
-            4 => {
+            4 | 7 => {
                 let validity = decode_validity(rows, buf, &mut at)?;
                 let dict_len = u16::from_le_bytes(take(buf, &mut at, 2)?.try_into().ok()?) as usize;
                 if dict_len > 256 {
                     return None;
                 }
-                // Every entry takes at least its four-byte length.
-                let mut dict = Vec::with_capacity(dict_len.min((buf.len() - at) / 4));
-                for _ in 0..dict_len {
-                    let len = u32::from_le_bytes(take(buf, &mut at, 4)?.try_into().ok()?) as usize;
-                    let s = std::str::from_utf8(take(buf, &mut at, len)?).ok()?;
-                    dict.push(Arc::<str>::from(s));
-                }
+                let dict: Vec<Arc<str>> = if tag == 7 {
+                    let (arena, offsets, wire) = take_front_coded(buf, &mut at, dict_len)?;
+                    let entries = arena_rows(&arena, &offsets);
+                    if front_coding(plain_page_len(entries.clone()), entries.clone()) != Some(wire)
+                    {
+                        return None;
+                    }
+                    entries
+                        .map(|e| Arc::from(std::str::from_utf8(e).expect("checked UTF-8")))
+                        .collect()
+                } else {
+                    // Every entry takes at least its four-byte length.
+                    let mut dict = Vec::with_capacity(dict_len.min((buf.len() - at) / 4));
+                    for _ in 0..dict_len {
+                        let len =
+                            u32::from_le_bytes(take(buf, &mut at, 4)?.try_into().ok()?) as usize;
+                        let s = std::str::from_utf8(take(buf, &mut at, len)?).ok()?;
+                        dict.push(Arc::<str>::from(s));
+                    }
+                    let entries = || dict.iter().map(|s| s.as_bytes());
+                    if front_coding(plain_page_len(entries()), entries()).is_some() {
+                        return None;
+                    }
+                    dict
+                };
                 let codes = take(buf, &mut at, rows)?.to_vec();
                 if codes.iter().any(|&c| c as usize >= dict_len.max(1)) {
                     return None;
@@ -1133,10 +1324,27 @@ impl Column {
                 {
                     return None;
                 }
-                for w in offsets.windows(2) {
-                    if std::str::from_utf8(&arena[w[0] as usize..w[1] as usize]).is_err() {
-                        return None;
-                    }
+                if arena_rows(&arena, &offsets).any(|row| std::str::from_utf8(row).is_err())
+                    || front_coding(
+                        plain_arena_len(rows, arena_len),
+                        arena_rows(&arena, &offsets),
+                    )
+                    .is_some()
+                {
+                    return None;
+                }
+                Column::Str {
+                    arena,
+                    offsets,
+                    validity,
+                }
+            }
+            8 => {
+                let validity = decode_validity(rows, buf, &mut at)?;
+                let (arena, offsets, wire) = take_front_coded(buf, &mut at, rows)?;
+                let plain = plain_arena_len(rows, arena.len());
+                if front_coding(plain, arena_rows(&arena, &offsets)) != Some(wire) {
+                    return None;
                 }
                 Column::Str {
                     arena,
@@ -1317,9 +1525,45 @@ mod tests {
                     .map(|i| Value::str(format!("s{i}")))
                     .collect(),
             ),
+            // Front-coded: a page of entries sharing stems, an arena with
+            // NULLs between its rows, an empty arena.
+            Column::from_values(
+                (0..40)
+                    .map(|i| Value::str(format!("10.0.{}.{}", i / 7, i % 7)))
+                    .collect(),
+            ),
+            Column::from_values(
+                (0..2 * DICT_MAX)
+                    .map(|i| match i % 5 {
+                        0 => Value::Null,
+                        _ => Value::str(format!("host-{:04}.é", i * 3)),
+                    })
+                    .collect(),
+            ),
+            Column::from_values(
+                (0..DICT_MAX as i64 + 2)
+                    .map(|i| Value::str(format!("s{i}")))
+                    .collect(),
+            )
+            .gather(&[]),
+            // Plain again: a page that would rebuild past the bound.
+            Column::from_values(
+                (0..DICT_MAX)
+                    .map(|i| Value::str(format!("{}{i:02}", "x".repeat(1_000))))
+                    .collect(),
+            ),
             Column::values_layout(vec![Value::Int(1), Value::bytes([9, 9]), Value::Null]),
             Column::new(),
         ];
+        let tags: Vec<u8> = columns
+            .iter()
+            .map(|col| {
+                let mut buf = Vec::new();
+                col.encode_body(&mut buf);
+                buf[0]
+            })
+            .collect();
+        assert_eq!(tags[5..11], [7, 8, 7, 8, 8, 4]);
         for col in &columns {
             let mut buf = Vec::new();
             col.encode_body(&mut buf);
@@ -1361,21 +1605,115 @@ mod tests {
 
     #[test]
     fn arena_offsets_take_the_arena_s_width() {
-        // Past the dictionary cap, rows whose arena is `len` bytes: an
-        // offset a row and one more, each as wide as `len` needs.
-        for (len, width) in [(255, 1), (256, 2), (65_535, 2), (65_536, 4)] {
-            let rows = 3 + DICT_MAX;
-            let mut vals: Vec<Value> = (0..rows).map(|i| Value::str(format!("{i:03}"))).collect();
-            vals.push(Value::str("x".repeat(len - 3 * rows)));
-            let col = Column::from_values(vals);
+        // Past the dictionary cap, rows that share no prefix with the row
+        // before (their first letters alternate) and whose arena is `len`
+        // bytes.  Plain is the arena and an offset a row and one more, each
+        // as wide as `len` needs; front coding is a zero, a length and the
+        // row, and a length takes two bytes from 128 up.  So plain wins at
+        // the top of each offset width and loses to front coding just past
+        // it: an offset one byte narrower than `len` needs flips the choice.
+        let rows = 3 + DICT_MAX;
+        for (len, width, plain) in [
+            (255, 1, true),
+            (256, 2, false),
+            (65_535, 2, true),
+            (65_536, 4, false),
+        ] {
+            let row = |i: usize| {
+                let pad = len / rows - 3 + usize::from(i == 0) * (len % rows);
+                let letter = ["a", "b"][i % 2];
+                Value::str(format!("{letter}{i:02}{}", "x".repeat(pad)))
+            };
+            let col = Column::from_values((0..rows).map(row).collect());
+            assert_eq!(col.layout_name(), "str");
             let mut buf = Vec::new();
             col.encode_body(&mut buf);
-            assert_eq!(col.layout_name(), "str");
-            assert_eq!(buf.len(), 2 + 4 + len + (rows + 2) * width, "{len}");
+            let plain_len = 4 + len + (rows + 1) * width;
+            let front_coded_len: usize = (0..rows)
+                .map(|r| match col.value_ref(r) {
+                    ValueRef::Str(s) => 1 + varint_len(s.len() as u64) + s.len(),
+                    other => panic!("{other:?}"),
+                })
+                .sum();
+            assert_eq!(plain, plain_len <= front_coded_len, "{len}");
+            let expected = match plain {
+                true => (5, 2 + plain_len),
+                false => (8, 2 + front_coded_len),
+            };
+            assert_eq!((buf[0], buf.len()), expected, "{len}");
             assert_eq!(buf.len(), col.encoded_len());
-            let (back, used) = Column::decode_body(rows + 1, &buf).unwrap();
+            let (back, used) = Column::decode_body(rows, &buf).unwrap();
             assert_eq!((used, back), (buf.len(), col));
         }
+        assert_eq!(width_of(255), 1);
+        assert_eq!(width_of(256), 2);
+        assert_eq!(width_of(65_535), 2);
+        assert_eq!(width_of(65_536), 4);
+    }
+
+    #[test]
+    fn a_string_column_ships_its_distinct_bytes_front_coded() {
+        // Tag, validity byte, entry count, then each entry as the prefix it
+        // shares with the one before, the rest's length and the rest; then
+        // the codes.
+        let page = Column::from_values(
+            ["10.0.0.1", "10.0.0.2", "10.0.0.17"]
+                .map(Value::str)
+                .to_vec(),
+        );
+        let mut buf = Vec::new();
+        page.encode_body(&mut buf);
+        let expected = [
+            &[7, 0, 3, 0][..],
+            &[0, 8],
+            b"10.0.0.1",
+            &[7, 1, b'2', 7, 2, b'1', b'7'],
+            &[0, 1, 2],
+        ]
+        .concat();
+        assert_eq!(buf, expected);
+        assert_eq!(buf.len(), page.encoded_len());
+
+        // 1,024 sorted dotted quads: an arena that costs 11,856 bytes plain
+        // (the header, its length, its 9,800 bytes and 1,025 two-byte
+        // offsets) ships its distinct tails: 3,087 bytes, header included.
+        let mut quads: Vec<String> = (0..1_024)
+            .map(|i| format!("10.0.{}.{}", i / 256, i % 256))
+            .collect();
+        quads.sort();
+        let col = Column::from_values(quads.iter().map(Value::str).collect());
+        assert_eq!(col.layout_name(), "str");
+        let arena: usize = quads.iter().map(String::len).sum();
+        assert_eq!(arena, 9_800);
+        let plain = 2 + 4 + arena + 1_025 * 2;
+        let mut front_coded = 2;
+        for (i, q) in quads.iter().enumerate() {
+            let before = if i == 0 { "" } else { quads[i - 1].as_str() };
+            let shared = q.bytes().zip(before.bytes()).take_while(|(a, b)| a == b);
+            let rest = q.len() - shared.count();
+            front_coded += 2 + rest;
+        }
+        let mut buf = Vec::new();
+        col.encode_body(&mut buf);
+        assert_eq!((plain, front_coded), (11_856, 3_087));
+        assert_eq!((buf[0], buf.len()), (8, front_coded));
+        assert_eq!(buf.len(), col.encoded_len());
+        assert!(2 * buf.len() < plain);
+        let (back, used) = Column::decode_body(col.len(), &buf).unwrap();
+        assert_eq!((used, &back), (buf.len(), &col));
+
+        // A run that rebuilds more than `FRONT_CODED_GAIN` times its
+        // length goes plain, however much shorter front coding would be.
+        let long = "q".repeat(1_000);
+        let repeated = Column::Str {
+            arena: long.repeat(20).into_bytes(),
+            offsets: (0..=20).map(|i| i * 1_000).collect(),
+            validity: None,
+        };
+        let mut buf = Vec::new();
+        repeated.encode_body(&mut buf);
+        assert_eq!((buf[0], buf.len()), (5, 2 + 4 + 20_000 + 21 * 2));
+        assert_eq!(buf.len(), repeated.encoded_len());
     }
 
     #[test]
@@ -1394,6 +1732,26 @@ mod tests {
         let last = bad.len() - 1;
         bad[last] = 7;
         assert!(Column::decode_body(1, &bad).is_none());
+        // Two entries, "ab" then "ac": front-coded is 2 + 4 bytes, plain
+        // 2 × 6.  Plain is refused, and so is a prefix one short of the
+        // longest, one past the string before, and an overlong varint.
+        let page = |entries: &[u8]| [&[4, 0, 2, 0][..], entries, &[0, 1]].concat();
+        let plain = page(&[2, 0, 0, 0, b'a', b'b', 2, 0, 0, 0, b'a', b'c']);
+        let front_coded = |entries: &[u8]| {
+            let mut frame = page(entries);
+            frame[0] = 7;
+            frame
+        };
+        let ok = front_coded(&[0, 2, b'a', b'b', 1, 1, b'c']);
+        assert!(Column::decode_body(2, &ok).is_some());
+        for bad in [
+            plain,
+            front_coded(&[0, 2, b'a', b'b', 0, 2, b'a', b'c']),
+            front_coded(&[0, 2, b'a', b'b', 3, 0]),
+            front_coded(&[0, 2, b'a', b'b', 0x81, 0, 1, b'c']),
+        ] {
+            assert!(Column::decode_body(2, &bad).is_none(), "{bad:?}");
+        }
     }
 
     #[test]

@@ -105,7 +105,7 @@ pub use admission::{
     SloPolicy,
 };
 pub use aggregate::{AggFunc, AggState, PartialDecoder};
-pub use column::{Bitmap, Column, DICT_MAX};
+pub use column::{Bitmap, Column, DICT_MAX, FRONT_CODED_GAIN};
 pub use eddy::{
     Eddy, EddyFilter, OperatorObservation, PredicateFilter, RoutingPolicy, EDDY_REORDER_ROWS,
     OBS_HALF_LIFE_ROWS,

@@ -59,9 +59,9 @@
 //! encoding ([`directory_len`]).  A layout byte leads: bit 0 says the
 //! runs' query ids go frame of reference, bit 1 that their counts do (by
 //! the roster's rule, `column::int_frame`), bit 2 that some run is traced.
-//! Then, seven bits a byte, the window count, the run count and each
-//! window's start, length and run count; then the ids and the counts
-//! (every run's retractions, then every run's insertions).  One proxy's
+//! Then, as LEB128 varints (`column::put_varint`), the window count, the
+//! run count and each window's start, length and run count; then the ids
+//! and the counts (every run's retractions, then every run's insertions).  One proxy's
 //! ids share their high half, so an id costs a byte or two and a count
 //! about one.  When a run is traced, a presence mark per run (a bit, bytes
 //! rounded up) and each traced run's [`TraceContext`] follow; untraced,
@@ -72,7 +72,9 @@
 //! Plain state, no `ProgramContext`: [`crate::node::PierNode`] does the
 //! wiring (timers, broadcasts, telemetry), tests drive it directly.
 
-use crate::column::{int_frame, ints_len, put_ints, take_ints};
+use crate::column::{
+    int_frame, ints_len, put_ints, put_varint, take_ints, take_varint, varint_len,
+};
 use crate::node::PierMsg;
 use crate::plan::{CqSpec, Dissemination, QueryPlan};
 use crate::tuple::{ColumnChunk, Schema, SchemaRegistry, Tuple, TupleBatch};
@@ -394,42 +396,6 @@ fn run_counts(runs: &[MemberRun]) -> impl ExactSizeIterator<Item = i64> + Clone 
         Some(r) => i64::from(r.retracts),
         None => i64::from(runs[i - n].inserts),
     })
-}
-
-/// Bytes of [`put_varint`]'s output for `n`.
-fn varint_len(n: u64) -> usize {
-    (64 - (n | 1).leading_zeros() as usize).div_ceil(7)
-}
-
-/// Append `n` seven bits a byte, low bits first, the high bit set on every
-/// byte but the last.
-fn put_varint(buf: &mut Vec<u8>, mut n: u64) {
-    while n >= 0x80 {
-        buf.push(n as u8 | 0x80);
-        n >>= 7;
-    }
-    buf.push(n as u8);
-}
-
-/// Read the [`put_varint`] integer at `*at`, advancing past it.  `None` on
-/// truncated input, a byte more than the integer needs, or bits past 64.
-fn take_varint(buf: &[u8], at: &mut usize) -> Option<u64> {
-    let mut n = 0;
-    for i in 0..10 {
-        let byte = *buf.get(*at + i)?;
-        if i == 9 && byte > 1 {
-            return None;
-        }
-        n |= u64::from(byte & 0x7f) << (7 * i);
-        if byte & 0x80 == 0 {
-            if i > 0 && byte == 0 {
-                return None;
-            }
-            *at += i + 1;
-            return Some(n);
-        }
-    }
-    None
 }
 
 /// A window's entry: its start, its length and its run count.  The length

@@ -433,6 +433,28 @@ mod tests {
         );
     }
 
+    /// A pane ships its groups in key order whatever order they entered
+    /// in: the chunk codec front-codes a shipment's group column, so each
+    /// key costs only what it does not share with the key before.
+    #[test]
+    fn a_pane_drains_its_groups_in_key_order_whatever_order_they_entered() {
+        let mut s = shared();
+        let mut keys: Vec<String> = (0..300).map(|i| format!("10.0.{}.{}", i / 50, i)).collect();
+        keys.sort();
+        for key in keys.iter().rev() {
+            s.fold_local(3, key, |_| Count(0), |c| c.0 += 1);
+        }
+        // A child's partial for a key between two of this node's.
+        s.local_mut().accept_refinement(0, "10.0.2.1000", Count(5));
+        keys.push("10.0.2.1000".into());
+        keys.sort();
+        let order: Vec<String> = drained(&mut s, 100)
+            .into_iter()
+            .map(|(_, k, _)| k)
+            .collect();
+        assert_eq!(order, keys);
+    }
+
     #[test]
     fn retirement_bounds_the_root_store_and_names_the_tracker_horizon() {
         let mut s = shared();

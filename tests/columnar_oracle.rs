@@ -541,22 +541,111 @@ proptest! {
 
     /// An arena column's offsets are as wide as its arena needs — one byte
     /// up to 255 bytes of arena, two up to 65,535, else four — and the
-    /// column costs exactly what it writes and reads back as itself.
+    /// column costs exactly what it writes and reads back as itself.  Its
+    /// rows share no prefix with the row before (their first letters
+    /// alternate), so front coding costs a zero, a length and the row: it
+    /// wins where the offsets widen, and plain where they are narrow.
     #[test]
     fn arena_offsets_take_the_arena_s_width(seed: u64, extra in 0usize..8, len in 0usize..4) {
         let mut rng = Gen::new(seed);
         let rows = pier::qp::DICT_MAX + 1 + extra;
         let arena = [256, 65_536, 3 * rows + 4, 300_000][len] + rng.below(9) as usize - 4;
+        let row_len = |r: usize| arena / rows + usize::from(r == 0) * (arena % rows);
         let vals: Vec<Value> = (0..rows)
             .map(|r| {
-                let pad = arena / rows - 3 + usize::from(r == 0) * (arena % rows);
-                Value::Str(format!("{r:03}{}", "y".repeat(pad)).into())
+                let letter = ["a", "b"][r % 2];
+                Value::Str(format!("{letter}{r:02}{}", "y".repeat(row_len(r) - 3)).into())
             })
             .collect();
         let col = Column::from_values(vals);
         prop_assert_eq!(col.layout_name(), "str");
         let bytes = encode_checked(&col)?;
-        prop_assert_eq!(bytes.len(), 2 + 4 + arena + (rows + 1) * width(arena as u64));
+        let plain = 4 + arena + (rows + 1) * width(arena as u64);
+        let front_coded: usize = (0..rows).map(|r| 1 + varint_len(row_len(r)) + row_len(r)).sum();
+        let expected = if front_coded < plain { (8, front_coded) } else { (5, plain) };
+        prop_assert_eq!((bytes[0], bytes.len()), (expected.0, 2 + expected.1));
+    }
+
+    /// A string column of sorted, prefix-sharing keys — dotted quads, or
+    /// `k{i}` words padded to a shared stem — with NULLs mixed in, as a
+    /// dictionary page (few distinct) or an arena (many): it costs exactly
+    /// what it writes, reads back as itself, and takes the shorter of plain
+    /// and front-coded, unless front coding would rebuild more than
+    /// `FRONT_CODED_GAIN` times its length.
+    #[test]
+    fn a_string_column_takes_its_shortest_layout(seed: u64, rows in 0usize..200, nulls in 0u64..30) {
+        let mut rng = Gen::new(seed);
+        let stem = "_".repeat(rng.below(40) as usize);
+        let distinct = 1 + rng.below(2 * pier::qp::DICT_MAX as u64);
+        let quads = rng.chance(50);
+        let mut keys: Vec<String> = (0..rows)
+            .map(|_| {
+                let i = rng.below(distinct);
+                match quads {
+                    true => format!("10.{}.{}.{}", i / 300, i / 20 % 15, i % 20),
+                    false => format!("k{stem}{i}"),
+                }
+            })
+            .collect();
+        keys.sort();
+        let vals: Vec<Value> = keys
+            .iter()
+            .map(|k| if rng.chance(nulls) { Value::Null } else { Value::str(k) })
+            .collect();
+        let col = Column::from_values(vals.clone());
+        let bytes = encode_checked(&col)?;
+        let text = |v: &Value| v.as_str().unwrap_or("").to_string();
+        let head = 2 + vals.iter().any(Value::is_null) as usize * rows.div_ceil(64) * 8;
+        match col.layout_name() {
+            "dict" => {
+                let mut entries: Vec<String> = Vec::new();
+                for v in vals.iter().filter(|v| !v.is_null()) {
+                    if !entries.contains(&text(v)) {
+                        entries.push(text(v));
+                    }
+                }
+                let plain: usize = entries.iter().map(|e| 4 + e.len()).sum();
+                let (tag, page) = shortest(4, 7, plain, &entries);
+                prop_assert_eq!((bytes[0], bytes.len()), (tag, head + 2 + page + rows));
+            }
+            "str" => {
+                let row_text: Vec<String> = vals.iter().map(text).collect();
+                let arena: usize = row_text.iter().map(String::len).sum();
+                let plain = 4 + arena + (rows + 1) * width(arena as u64);
+                let (tag, payload) = shortest(5, 8, plain, &row_text);
+                prop_assert_eq!((bytes[0], bytes.len()), (tag, head + payload));
+            }
+            other => prop_assert!(rows == 0 || vals.iter().all(Value::is_null), "{}", other),
+        }
+    }
+}
+
+/// Bytes of a LEB128 varint of `n`.
+fn varint_len(n: usize) -> usize {
+    let bits = usize::BITS - (n | 1).leading_zeros();
+    bits.div_ceil(7) as usize
+}
+
+/// The layout a run of `strings` takes, and its length: `front_coded_tag`
+/// when front coding them — each the longest prefix shared with the one
+/// before, the rest's length, the rest — is shorter than `plain` and
+/// rebuilds at most `FRONT_CODED_GAIN` times its length; else `plain_tag`.
+fn shortest(plain_tag: u8, front_coded_tag: u8, plain: usize, strings: &[String]) -> (u8, usize) {
+    let mut front_coded = 0;
+    for (i, s) in strings.iter().enumerate() {
+        let before = if i == 0 { "" } else { strings[i - 1].as_str() };
+        let shared = s
+            .bytes()
+            .zip(before.bytes())
+            .take_while(|(a, b)| a == b)
+            .count();
+        front_coded += varint_len(shared) + varint_len(s.len() - shared) + s.len() - shared;
+    }
+    let rebuilt: usize = strings.iter().map(String::len).sum();
+    if front_coded < plain && rebuilt <= pier::qp::FRONT_CODED_GAIN * front_coded {
+        (front_coded_tag, front_coded)
+    } else {
+        (plain_tag, plain)
     }
 }
 

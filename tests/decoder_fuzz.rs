@@ -142,13 +142,33 @@ fn cells(rng: &mut Gen, rows: usize, value: impl Fn(&mut Gen, usize) -> Value) -
     (0..rows).map(|i| cell(rng, i)).collect()
 }
 
+/// `n` distinct keys in sorted order that share their stems, as a group
+/// column leaves a node: dotted quads, or `k{i}` words padded to a shared
+/// stem.
+fn sorted_keys(rng: &mut Gen, n: usize) -> Vec<String> {
+    let stem = "_".repeat(rng.below(24));
+    let (quads, stride) = (rng.below(2) == 0, 1 + rng.below(300));
+    let mut keys: Vec<String> = (0..n)
+        .map(|i| match (quads, i * stride) {
+            (true, i) => format!("10.{}.{}.{}", i >> 16, i >> 8 & 255, i & 255),
+            (false, i) => format!("k{stem}{i}"),
+        })
+        .collect();
+    keys.sort();
+    keys
+}
+
 /// A column of `rows` rows of one layout (0 the tagged `Values` fallback,
 /// 1 `Int`, 2 `Float`, 3 `Bool`, 4 `Dict`, 5 arena `Str`), NULLs mixed in.
 /// `Int` values span less than 2⁸, 2¹⁶ or 2³², or the whole of `i64`, from
 /// a base of any sign and size, so they encode in either `Int` layout and
-/// at every width.  An arena holds just under or just over 256 or 65,536
-/// bytes, so its offsets take every width; it has no NULLs, and more rows
-/// than a dictionary page holds.
+/// at every width.  Half the string columns are sorted keys sharing their
+/// stems ([`sorted_keys`]), so they go front-coded: a dictionary page of
+/// up to `DICT_MAX` of them, repeated, or an arena of more, a few rows
+/// NULL.  The other half share little: a dictionary of seven words, or an
+/// arena that holds just under or just over 256 or 65,536 bytes, so its
+/// offsets take every width; it has no NULLs.  An arena has more rows than
+/// a dictionary page holds.
 fn column(rng: &mut Gen, tag: usize, rows: usize) -> Column {
     match tag {
         0 => Column::values_layout(cells(rng, rows, |_, i| match i % 5 {
@@ -168,7 +188,24 @@ fn column(rng: &mut Gen, tag: usize, rows: usize) -> Column {
         }
         2 => Column::from_values(cells(rng, rows, |_, i| Value::Float(i as f64 / 8.0))),
         3 => Column::from_values(cells(rng, rows, |_, i| Value::Bool(i % 3 == 0))),
+        4 if rng.below(2) == 0 => {
+            let n = 1 + rng.below(DICT_MAX);
+            let page = sorted_keys(rng, n);
+            let key = |i: usize| Value::str(&page[i * page.len() / rows]);
+            Column::from_values(cells(rng, rows, |_, i| key(i)))
+        }
         4 => Column::from_values(cells(rng, rows, |_, i| Value::str(format!("k{}", i % 7)))),
+        _ if rng.below(2) == 0 => {
+            // Every key distinct and at most `rows - DICT_MAX - 1` NULLs:
+            // still past the dictionary cap.
+            let rows = rows.max(DICT_MAX + 2);
+            let mut vals: Vec<Value> = sorted_keys(rng, rows).iter().map(Value::str).collect();
+            for _ in 0..rng.below(rows - DICT_MAX) {
+                let at = rng.below(rows);
+                vals[at] = Value::Null;
+            }
+            Column::from_values(vals)
+        }
         _ => {
             let rows = rows.max(DICT_MAX + 2);
             let arena = [256, 65_536][rng.below(2)] + rng.below(9) - 4;
@@ -228,7 +265,7 @@ fn a_row_count_the_frame_cannot_hold_is_refused_before_anything_is_reserved() {
     );
     // The same promise under each of the other tags, with and without a
     // validity block.
-    for tag in 0..=6u8 {
+    for tag in 0..=8u8 {
         for validity in [0u8, 1] {
             let frame = [1, 0, 0xff, 0xff, 0xff, 0xff, tag, validity, 0, 0, 0, 0];
             let (decoded, requested) =
@@ -298,7 +335,9 @@ fn a_row_count_the_frame_cannot_hold_is_refused_under_the_narrow_layouts() {
 /// width, a base below the minimum, the plain layout — and the narrow
 /// layout is refused where it is no shorter than plain.
 /// Widths outside {1, 2, 4, 8} and a delta that overflows `i64` are
-/// refused, and so are arena offsets wider than the arena needs.
+/// refused, and so are arena offsets wider than the arena needs.  Strings
+/// go front-coded exactly where that is shorter, each with the longest
+/// prefix it shares, in the fewest varint bytes, and UTF-8 once rebuilt.
 #[test]
 fn a_frame_that_is_not_the_encoder_s_choice_is_refused() {
     let decodes = |rows: u32, column: &[u8]| {
@@ -326,10 +365,98 @@ fn a_frame_that_is_not_the_encoder_s_choice_is_refused() {
         );
     }
     assert!(!decodes(3, &int_column(i64::MAX - 1, 1, &[0, 1, 2])));
-    // One row of a three-byte arena takes one-byte offsets, not four.
-    let arena = |offsets: &[u8]| [&[5, 0, 3, 0, 0, 0, b'a', b'b', b'c'][..], offsets].concat();
-    assert!(decodes(1, &arena(&[0, 3])));
-    assert!(!decodes(1, &arena(&[0, 0, 0, 0, 3, 0, 0, 0])));
+    // Six rows of a six-byte arena that share nothing take one-byte
+    // offsets, not four — and go plain, a byte shorter than front-coded.
+    let arena = |offsets: &[u8]| [&[5, 0, 6, 0, 0, 0][..], b"abcdef", offsets].concat();
+    assert!(decodes(6, &arena(&[0, 1, 2, 3, 4, 5, 6])));
+    let wide: Vec<u8> = (0..=6u32).flat_map(u32::to_le_bytes).collect();
+    assert!(!decodes(6, &arena(&wide)));
+    let letters: Vec<(u8, &[u8])> = (0..6).map(|i| (0, &b"abcdef"[i..=i])).collect();
+    assert!(!decodes(6, &front_coded(8, &letters)));
+
+    // Three sorted dotted quads front-code to 17 bytes against 33 plain:
+    // the plain spelling is refused, and so is every other spelling of the
+    // front-coded one — a prefix shorter than the longest shared, one
+    // longer than the string before, an overlong varint.
+    let quads: [&[u8]; 3] = [b"10.0.0.1", b"10.0.0.2", b"10.0.0.17"];
+    let sound = front_coded(8, &[(0, quads[0]), (7, b"2"), (7, b"17")]);
+    assert!(decodes(3, &sound));
+    let plain = [&[5, 0, 25, 0, 0, 0][..], &quads.concat(), &[0, 8, 16, 25]].concat();
+    assert!(!decodes(3, &plain));
+    assert!(!decodes(
+        3,
+        &front_coded(8, &[(0, quads[0]), (6, b".2"), (7, b"17")])
+    ));
+    assert!(!decodes(
+        3,
+        &front_coded(8, &[(0, quads[0]), (9, b"2"), (7, b"17")])
+    ));
+    let mut overlong = sound.clone();
+    overlong.splice(12..13, [0x87, 0x00]);
+    assert!(!decodes(3, &overlong));
+    // The same rows as a dictionary page: front-coded, never plain.
+    let page = |tag: u8, entries: &[u8]| [&[tag, 0, 3, 0][..], entries, &[0, 1, 2]].concat();
+    assert!(decodes(3, &page(7, &sound[2..])));
+    let plain_entries: Vec<u8> = quads
+        .iter()
+        .flat_map(|q| [&(q.len() as u32).to_le_bytes()[..], q].concat())
+        .collect();
+    assert!(!decodes(3, &page(4, &plain_entries)));
+    // A rebuilt string must be UTF-8 once joined: "é" then "è" shares the
+    // lead byte, and the continuation byte alone is no string; "é" then a
+    // lead byte's prefix and "a" is a string only as the suffix.
+    assert!(decodes(
+        2,
+        &front_coded(8, &[(0, "é".as_bytes()), (1, &[0xA8])])
+    ));
+    assert!(!decodes(
+        2,
+        &front_coded(8, &[(0, "é".as_bytes()), (1, b"a")])
+    ));
+}
+
+/// A string column front-coded by hand: `tag`, no NULLs, then each string
+/// as its shared prefix length, its rest's length (both one-byte varints)
+/// and the rest.
+fn front_coded(tag: u8, strings: &[(u8, &[u8])]) -> Vec<u8> {
+    let mut column = vec![tag, 0];
+    for (shared, rest) in strings {
+        column.extend([*shared, rest.len() as u8]);
+        column.extend(*rest);
+    }
+    column
+}
+
+/// A 4 KiB first string, then strings that share all of it and add
+/// nothing: three bytes each on the wire, 4 KiB each rebuilt.  The decoder
+/// refuses the run before it reserves anything for it.
+#[test]
+fn a_front_coded_run_that_rebuilds_past_its_bound_is_refused() {
+    let run = |repeats: usize| {
+        let mut run = vec![0, 0x80, 0x20];
+        run.extend(vec![b'z'; 4_096]);
+        for _ in 0..repeats {
+            run.extend([0x80, 0x20, 0]);
+        }
+        run
+    };
+    let arena = [&[8, 0][..], &run(10_000)].concat();
+    let entries = [&[7, 0, 0, 1][..], &run(255), &[0; 256]].concat();
+    for (rows, column) in [(10_001, arena), (256, entries)] {
+        let frame = one_column(rows, &column);
+        let (decoded, requested) = requested_by(|| ColumnChunk::decode_body(schema_of(1), &frame));
+        assert!(decoded.is_none(), "tag {}", column[0]);
+        assert!(
+            requested <= allowance(frame.len()),
+            "tag {}: {requested} bytes requested for a {}-byte frame",
+            column[0],
+            frame.len()
+        );
+    }
+    // Inside the bound, the same shape decodes: seven repeats rebuild
+    // 32 KiB from 4,120 bytes.
+    let frame = one_column(8, &[&[8, 0][..], &run(7)].concat());
+    assert!(ColumnChunk::decode_body(schema_of(1), &frame).is_some());
 }
 
 proptest! {

@@ -15,6 +15,8 @@
 //! * per-member output state (the trackers `pier-cq`'s shared state used to
 //!   keep): a late partial re-emits only to the members it affects, as
 //!   retract + insert in delta mode, and retirement bounds every tracker;
+//! * a relay ships each pane's groups in key order, so the group column
+//!   front-codes on the wire;
 //! * the root's member index changes cost, not answers: every member of a
 //!   mixed engine — filed or scanned, joining and leaving between ticks —
 //!   emits what it emits as the sole member of an engine of its own.
@@ -357,6 +359,48 @@ fn at_sixty_seconds_over_one_each_row_is_folded_once() {
     let out = engine.tick(1_000 * SEC, false);
     assert_eq!(out.panes, 60);
     assert_eq!(out.partials.expect("panes ship").rows(), 300);
+}
+
+/// A relay ships each pane's groups in key order — its own rows and its
+/// child's partials merged — whatever order they arrived in, so the chunk
+/// codec front-codes the group column and a source costs the bytes it
+/// does not share with the one before.  A drain in slot order would skip
+/// the close's sort and give those bytes back: this test names that trade.
+#[test]
+fn a_relay_ships_its_partial_chunk_with_the_group_column_sorted() {
+    // Two panes of rows, every source descending, half of them relayed.
+    let rows: Vec<(u8, u16, u64)> = (0..2u64)
+        .flat_map(|pane| (0..=255u8).rev().map(move |h| (h, 40, pane * SEC + 10)))
+        .collect();
+    let (own, child_rows): (Vec<_>, Vec<_>) = rows.iter().partition(|r| r.0 % 2 == 0);
+    let mut child = WindowEngine::new(spec("g00000000000000dd"));
+    child.absorb(&TupleBatch::new(packets(&child_rows)).chunks()[0], None, 0);
+    let relayed = child.tick(10 * SEC, false).partials.expect("child ships");
+    let mut relay = WindowEngine::new(spec("g00000000000000dd"));
+    for chunk in cut(&packets(&own), &[64]) {
+        relay.absorb(&chunk, None, 0);
+    }
+    assert!(relay.absorb_panes(&relayed, false).is_empty());
+    let shipped = relay.tick(10 * SEC, false).partials.expect("relay ships");
+    assert_eq!(shipped.schema().columns()[..2], ["_w", "src"]);
+    let cells: Vec<(Value, Value)> = (0..shipped.rows())
+        .map(|r| (shipped.col(0).value(r), shipped.col(1).value(r)))
+        .collect();
+    assert_eq!(cells.len(), 2 * 256, "every source of both panes, once");
+    let mut sorted = cells.clone();
+    sorted.sort_by_key(|(pane, src)| (pane.as_i64(), src.as_str().map(str::to_string)));
+    assert_eq!(
+        cells, sorted,
+        "panes oldest first, each pane's sources in key order"
+    );
+    // The sources front-code: the group column costs under half its plain
+    // price (its arena, the arena's length and 513 two-byte offsets).
+    let arena: usize = cells
+        .iter()
+        .map(|(_, src)| src.as_str().unwrap().len())
+        .sum();
+    assert_eq!(arena, 4_900);
+    assert!(2 * shipped.col(1).encoded_len() < 2 + 4 + arena + 513 * 2);
 }
 
 proptest! {
