@@ -55,9 +55,8 @@
 //! order) and an arena (its rows in order, a NULL row the empty string it
 //! holds) each go front-coded when that is shorter than plain and the run
 //! rebuilds at most [`FRONT_CODED_GAIN`] times its own length; plain wins
-//! ties.  Group keys leave a node in key order, so
-//! neighbouring keys share their stems: a dotted quad costs its last few
-//! bytes, not all of them.
+//! ties.  Group keys leave a node in key order, so neighbouring keys share
+//! their stems: a dotted quad costs its last few bytes, not all of them.
 //!
 //! The decoder accepts only the encoder's choices — the shorter layout,
 //! the fewest bytes, the longest shared prefix, valid UTF-8 in every
@@ -473,9 +472,25 @@ pub(crate) fn take_varint(buf: &[u8], at: &mut usize) -> Option<u64> {
 /// successors cannot make a small frame allocate much.
 pub const FRONT_CODED_GAIN: usize = 8;
 
-/// The length of the longest prefix `a` and `b` share.
+/// The length of the longest prefix `a` and `b` share, compared a word at
+/// a time (a dotted quad's stem is one word): every shipment's price walks
+/// its string columns with it.
 fn shared_prefix(a: &[u8], b: &[u8]) -> usize {
-    a.iter().zip(b).take_while(|(x, y)| x == y).count()
+    let len = a.len().min(b.len());
+    let (a, b) = (&a[..len], &b[..len]);
+    for (i, (x, y)) in a.chunks_exact(8).zip(b.chunks_exact(8)).enumerate() {
+        let diff = le_word(x) ^ le_word(y);
+        if diff != 0 {
+            return 8 * i + diff.trailing_zeros() as usize / 8;
+        }
+    }
+    let words = len / 8 * 8;
+    words
+        + a[words..]
+            .iter()
+            .zip(&b[words..])
+            .take_while(|(x, y)| x == y)
+            .count()
 }
 
 /// Whether a run of `strings` goes front-coded against a plain spelling of
@@ -1114,8 +1129,8 @@ impl Column {
     /// page (entry count + entries, length-prefixed or front-coded) + codes
     /// for dictionaries, arena bytes + offsets as wide as the arena needs or
     /// the rows front-coded for arena strings, tagged values for the
-    /// fallback (the module docs have the table).  The row count is *not* encoded; it travels in the chunk
-    /// header.
+    /// fallback (the module docs have the table).  The row count is *not*
+    /// encoded; it travels in the chunk header.
     pub fn encode_body(&self, buf: &mut Vec<u8>) {
         fn encode_validity(buf: &mut Vec<u8>, validity: &Option<Bitmap>) {
             match validity {
@@ -1279,8 +1294,8 @@ impl Column {
                         return None;
                     }
                     entries
-                        .map(|e| Arc::from(std::str::from_utf8(e).expect("checked UTF-8")))
-                        .collect()
+                        .map(|e| std::str::from_utf8(e).ok().map(Arc::from))
+                        .collect::<Option<_>>()?
                 } else {
                     // Every entry takes at least its four-byte length.
                     let mut dict = Vec::with_capacity(dict_len.min((buf.len() - at) / 4));

@@ -394,6 +394,12 @@ fn a_frame_that_is_not_the_encoder_s_choice_is_refused() {
     let mut overlong = sound.clone();
     overlong.splice(12..13, [0x87, 0x00]);
     assert!(!decodes(3, &overlong));
+    // Where the shared length crosses a varint byte, a prefix one short is
+    // exactly as long on the wire (a one-byte 127 and two bytes of rest
+    // against a two-byte 128 and one), and is still refused.
+    let first = [&[8, 0, 0, 0x81, 0x01][..], &[b'a'; 128], b"x"].concat();
+    assert!(decodes(2, &[&first[..], &[0x80, 0x01, 1, b'y']].concat()));
+    assert!(!decodes(2, &[&first[..], &[0x7f, 2, b'a', b'y']].concat()));
     // The same rows as a dictionary page: front-coded, never plain.
     let page = |tag: u8, entries: &[u8]| [&[tag, 0, 3, 0][..], entries, &[0, 1, 2]].concat();
     assert!(decodes(3, &page(7, &sound[2..])));
