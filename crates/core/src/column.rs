@@ -568,20 +568,27 @@ fn take_front_coded(buf: &[u8], at: &mut usize, n: usize) -> Option<(Vec<u8>, Ve
 }
 
 /// The rows of an arena column.
-fn arena_rows<'a>(arena: &'a [u8], offsets: &'a [u32]) -> impl Iterator<Item = &'a [u8]> + Clone {
+fn arena_rows<'a>(arena: &'a [u8], offsets: &'a [u32]) -> impl Iterator<Item = &'a [u8]> {
     offsets
         .windows(2)
         .map(|w| &arena[w[0] as usize..w[1] as usize])
 }
 
-/// Plain length of an arena of `arena` bytes over `rows` rows.
-fn plain_arena_len(rows: usize, arena: usize) -> usize {
-    4 + arena + (rows + 1) * width_of(arena as u64)
+/// An arena's plain length, and its front-coded length when that is its
+/// layout ([`front_coding`]).
+fn arena_coding(arena: &[u8], offsets: &[u32]) -> (usize, Option<usize>) {
+    let plain = 4 + arena.len() + offsets.len() * width_of(arena.len() as u64);
+    (plain, front_coding(plain, arena_rows(arena, offsets)))
 }
 
-/// Plain length of a dictionary page's entries.
-fn plain_page_len<'a>(entries: impl Iterator<Item = &'a [u8]>) -> usize {
-    entries.map(|s| 4 + s.len()).sum()
+/// A dictionary page's plain length (its entries after the count), and its
+/// front-coded length when that is its layout ([`front_coding`]).
+fn page_coding(dict: &[Arc<str>]) -> (usize, Option<usize>) {
+    let plain = dict.iter().map(|s| 4 + s.len()).sum();
+    (
+        plain,
+        front_coding(plain, dict.iter().map(|s| s.as_bytes())),
+    )
 }
 
 /// The little-endian unsigned word in `bytes` (at most eight).
@@ -1101,19 +1108,16 @@ impl Column {
             Column::Float { validity, .. } => validity_len(validity) + rows * 8,
             Column::Bool { validity, .. } => validity_len(validity) + rows.div_ceil(64) * 8,
             Column::Dict { dict, validity, .. } => {
-                let entries = || dict.iter().map(|s| s.as_bytes());
-                let plain = plain_page_len(entries());
-                let page = front_coding(plain, entries()).unwrap_or(plain);
-                validity_len(validity) + 2 + page + rows
+                let (plain, front_coded) = page_coding(dict);
+                validity_len(validity) + 2 + front_coded.unwrap_or(plain) + rows
             }
             Column::Str {
                 arena,
                 offsets,
                 validity,
             } => {
-                let plain = plain_arena_len(rows, arena.len());
-                validity_len(validity)
-                    + front_coding(plain, arena_rows(arena, offsets)).unwrap_or(plain)
+                let (plain, front_coded) = arena_coding(arena, offsets);
+                validity_len(validity) + front_coded.unwrap_or(plain)
             }
             Column::Values(vals) => vals
                 .iter()
@@ -1174,13 +1178,12 @@ impl Column {
                 validity,
                 ..
             } => {
-                let entries = || dict.iter().map(|s| s.as_bytes());
-                let front_coded = front_coding(plain_page_len(entries()), entries()).is_some();
+                let front_coded = page_coding(dict).1.is_some();
                 buf.push(if front_coded { 7 } else { 4 });
                 encode_validity(buf, validity);
                 buf.extend_from_slice(&(dict.len() as u16).to_le_bytes());
                 if front_coded {
-                    put_front_coded(buf, entries());
+                    put_front_coded(buf, dict.iter().map(|s| s.as_bytes()));
                 } else {
                     for entry in dict {
                         buf.extend_from_slice(&(entry.len() as u32).to_le_bytes());
@@ -1194,8 +1197,7 @@ impl Column {
                 offsets,
                 validity,
             } => {
-                let plain = plain_arena_len(offsets.len() - 1, arena.len());
-                let front_coded = front_coding(plain, arena_rows(arena, offsets)).is_some();
+                let front_coded = arena_coding(arena, offsets).1.is_some();
                 buf.push(if front_coded { 8 } else { 5 });
                 encode_validity(buf, validity);
                 if front_coded {
@@ -1286,16 +1288,12 @@ impl Column {
                 if dict_len > 256 {
                     return None;
                 }
-                let dict: Vec<Arc<str>> = if tag == 7 {
+                let (dict, front_coded) = if tag == 7 {
                     let (arena, offsets, wire) = take_front_coded(buf, &mut at, dict_len)?;
-                    let entries = arena_rows(&arena, &offsets);
-                    if front_coding(plain_page_len(entries.clone()), entries.clone()) != Some(wire)
-                    {
-                        return None;
-                    }
-                    entries
+                    let dict = arena_rows(&arena, &offsets)
                         .map(|e| std::str::from_utf8(e).ok().map(Arc::from))
-                        .collect::<Option<_>>()?
+                        .collect::<Option<Vec<Arc<str>>>>()?;
+                    (dict, Some(wire))
                 } else {
                     // Every entry takes at least its four-byte length.
                     let mut dict = Vec::with_capacity(dict_len.min((buf.len() - at) / 4));
@@ -1305,12 +1303,11 @@ impl Column {
                         let s = std::str::from_utf8(take(buf, &mut at, len)?).ok()?;
                         dict.push(Arc::<str>::from(s));
                     }
-                    let entries = || dict.iter().map(|s| s.as_bytes());
-                    if front_coding(plain_page_len(entries()), entries()).is_some() {
-                        return None;
-                    }
-                    dict
+                    (dict, None)
                 };
+                if page_coding(&dict).1 != front_coded {
+                    return None;
+                }
                 let codes = take(buf, &mut at, rows)?.to_vec();
                 if codes.iter().any(|&c| c as usize >= dict_len.max(1)) {
                     return None;
@@ -1322,43 +1319,31 @@ impl Column {
                     index: DictIndex::default(),
                 }
             }
-            5 => {
+            5 | 8 => {
                 let validity = decode_validity(rows, buf, &mut at)?;
-                let arena_len =
-                    u32::from_le_bytes(take(buf, &mut at, 4)?.try_into().ok()?) as usize;
-                let arena = take(buf, &mut at, arena_len)?.to_vec();
-                let width = width_of(arena_len as u64);
-                let offsets = take(buf, &mut at, rows.checked_add(1)?.checked_mul(width)?)?;
-                let offsets: Vec<u32> = offsets
-                    .chunks_exact(width)
-                    .map(|o| le_word(o) as u32)
-                    .collect();
-                if offsets[0] != 0
-                    || offsets[rows] as usize != arena.len()
-                    || offsets.windows(2).any(|w| w[0] > w[1])
-                {
-                    return None;
-                }
-                if arena_rows(&arena, &offsets).any(|row| std::str::from_utf8(row).is_err())
-                    || front_coding(
-                        plain_arena_len(rows, arena_len),
-                        arena_rows(&arena, &offsets),
-                    )
-                    .is_some()
-                {
-                    return None;
-                }
-                Column::Str {
-                    arena,
-                    offsets,
-                    validity,
-                }
-            }
-            8 => {
-                let validity = decode_validity(rows, buf, &mut at)?;
-                let (arena, offsets, wire) = take_front_coded(buf, &mut at, rows)?;
-                let plain = plain_arena_len(rows, arena.len());
-                if front_coding(plain, arena_rows(&arena, &offsets)) != Some(wire) {
+                let (arena, offsets, front_coded) = if tag == 8 {
+                    let (arena, offsets, wire) = take_front_coded(buf, &mut at, rows)?;
+                    (arena, offsets, Some(wire))
+                } else {
+                    let arena_len =
+                        u32::from_le_bytes(take(buf, &mut at, 4)?.try_into().ok()?) as usize;
+                    let arena = take(buf, &mut at, arena_len)?.to_vec();
+                    let width = width_of(arena_len as u64);
+                    let offsets = take(buf, &mut at, rows.checked_add(1)?.checked_mul(width)?)?;
+                    let offsets: Vec<u32> = offsets
+                        .chunks_exact(width)
+                        .map(|o| le_word(o) as u32)
+                        .collect();
+                    if offsets[0] != 0
+                        || offsets[rows] as usize != arena.len()
+                        || offsets.windows(2).any(|w| w[0] > w[1])
+                        || arena_rows(&arena, &offsets).any(|row| std::str::from_utf8(row).is_err())
+                    {
+                        return None;
+                    }
+                    (arena, offsets, None)
+                };
+                if arena_coding(&arena, &offsets).1 != front_coded {
                     return None;
                 }
                 Column::Str {
