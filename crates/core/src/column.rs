@@ -472,25 +472,9 @@ pub(crate) fn take_varint(buf: &[u8], at: &mut usize) -> Option<u64> {
 /// successors cannot make a small frame allocate much.
 pub const FRONT_CODED_GAIN: usize = 8;
 
-/// The length of the longest prefix `a` and `b` share, compared a word at
-/// a time (a dotted quad's stem is one word): every shipment's price walks
-/// its string columns with it.
+/// The length of the longest prefix `a` and `b` share.
 fn shared_prefix(a: &[u8], b: &[u8]) -> usize {
-    let len = a.len().min(b.len());
-    let (a, b) = (&a[..len], &b[..len]);
-    for (i, (x, y)) in a.chunks_exact(8).zip(b.chunks_exact(8)).enumerate() {
-        let diff = le_word(x) ^ le_word(y);
-        if diff != 0 {
-            return 8 * i + diff.trailing_zeros() as usize / 8;
-        }
-    }
-    let words = len / 8 * 8;
-    words
-        + a[words..]
-            .iter()
-            .zip(&b[words..])
-            .take_while(|(x, y)| x == y)
-            .count()
+    a.iter().zip(b).take_while(|(x, y)| x == y).count()
 }
 
 /// Whether a run of `strings` goes front-coded against a plain spelling of
@@ -1309,7 +1293,11 @@ impl Column {
                     return None;
                 }
                 let codes = take(buf, &mut at, rows)?.to_vec();
-                if codes.iter().any(|&c| c as usize >= dict_len.max(1)) {
+                // A row's code names an entry; only a NULL row's 0 may name
+                // none, on an empty page.
+                let valid = |r: usize| validity.as_ref().is_none_or(|v| v.get(r));
+                let names = |r: usize, c: u8| usize::from(c) < dict_len || c == 0 && !valid(r);
+                if !codes.iter().enumerate().all(|(r, &c)| names(r, c)) {
                     return None;
                 }
                 Column::Dict {
@@ -1732,6 +1720,10 @@ mod tests {
         let last = bad.len() - 1;
         bad[last] = 7;
         assert!(Column::decode_body(1, &bad).is_none());
+        // So is a row's code 0 on an empty page, unless the row is NULL.
+        assert!(Column::decode_body(1, &[4, 0, 0, 0, 0]).is_none());
+        let null = Column::decode_body(1, &[4, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]);
+        assert_eq!(null.map(|(c, _)| c.value(0)), Some(Value::Null));
         // Two entries, "ab" then "ac": front-coded is 2 + 4 bytes, plain
         // 2 × 6.  Plain is refused, and so is a prefix one short of the
         // longest, one past the string before, and an overlong varint.
