@@ -36,6 +36,7 @@ use pier::trace::TraceContext;
 use proptest::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 struct CountingAlloc;
@@ -162,13 +163,17 @@ fn sorted_keys(rng: &mut Gen, n: usize) -> Vec<String> {
 /// 1 `Int`, 2 `Float`, 3 `Bool`, 4 `Dict`, 5 arena `Str`), NULLs mixed in.
 /// `Int` values span less than 2⁸, 2¹⁶ or 2³², or the whole of `i64`, from
 /// a base of any sign and size, so they encode in either `Int` layout and
-/// at every width.  Half the string columns are sorted keys sharing their
-/// stems ([`sorted_keys`]), so they go front-coded: a dictionary page of
-/// up to `DICT_MAX` of them, repeated, or an arena of more, a few rows
-/// NULL.  The other half share little: a dictionary of seven words, or an
-/// arena that holds just under or just over 256 or 65,536 bytes, so its
-/// offsets take every width; it has no NULLs.  An arena has more rows than
-/// a dictionary page holds.
+/// at every width.  String columns take both spellings of both string
+/// layouts ([`the_generator_draws_every_string_layout`]).  A dictionary
+/// page is sorted keys sharing their stems ([`sorted_keys`]) or seven
+/// `k{i}` words, both front-coded, or twenty entries on a 200-byte stem,
+/// which go plain once ten or more are present: front-coded they would
+/// rebuild more than `FRONT_CODED_GAIN` times their length.  An arena has
+/// more rows than a dictionary page holds: sorted keys, a few rows NULL;
+/// or, with no NULLs, rows that share no prefix with the row before in an
+/// arena of just under 256 or 65,536 bytes (plain, offsets one or two
+/// bytes wide), or rows on one long stem in an arena of just over 65,536
+/// bytes (plain past the bound, offsets four bytes wide).
 fn column(rng: &mut Gen, tag: usize, rows: usize) -> Column {
     match tag {
         0 => Column::values_layout(cells(rng, rows, |_, i| match i % 5 {
@@ -188,13 +193,17 @@ fn column(rng: &mut Gen, tag: usize, rows: usize) -> Column {
         }
         2 => Column::from_values(cells(rng, rows, |_, i| Value::Float(i as f64 / 8.0))),
         3 => Column::from_values(cells(rng, rows, |_, i| Value::Bool(i % 3 == 0))),
-        4 if rng.below(2) == 0 => {
-            let n = 1 + rng.below(DICT_MAX);
-            let page = sorted_keys(rng, n);
-            let key = |i: usize| Value::str(&page[i * page.len() / rows]);
-            Column::from_values(cells(rng, rows, |_, i| key(i)))
+        4 => {
+            let page = match rng.below(3) {
+                0 => {
+                    let n = 1 + rng.below(DICT_MAX);
+                    sorted_keys(rng, n)
+                }
+                1 => (0..7).map(|i| format!("k{i}")).collect(),
+                _ => (0..20).map(|i| format!("{}{i}", "s".repeat(200))).collect(),
+            };
+            Column::from_values(cells(rng, rows, |_, i| Value::str(&page[i % page.len()])))
         }
-        4 => Column::from_values(cells(rng, rows, |_, i| Value::str(format!("k{}", i % 7)))),
         _ if rng.below(2) == 0 => {
             // Every key distinct and at most `rows - DICT_MAX - 1` NULLs:
             // still past the dictionary cap.
@@ -208,13 +217,32 @@ fn column(rng: &mut Gen, tag: usize, rows: usize) -> Column {
         }
         _ => {
             let rows = rows.max(DICT_MAX + 2);
-            let arena = [256, 65_536][rng.below(2)] + rng.below(9) - 4;
+            let (arena, stem) = [(256, false), (65_536, false), (65_536, true)][rng.below(3)];
+            let arena = if stem {
+                arena + rng.below(4)
+            } else {
+                arena - 1 - rng.below(4)
+            };
             let row = |i: usize| {
-                let pad = arena / rows - 3 + usize::from(i == 0) * (arena % rows);
-                Value::str(format!("{i:03}{}", "x".repeat(pad)))
+                let pad = "x".repeat(arena / rows - 3 + usize::from(i == 0) * (arena % rows));
+                // Unshared rows lead with the digit that changes every row.
+                match stem {
+                    true => Value::str(format!("{pad}{i:03}")),
+                    false => Value::str(format!("{}{:02}{pad}", i % 10, i / 10)),
+                }
             };
             Column::from_values((0..rows).map(row).collect())
         }
+    }
+}
+
+/// The rows of a chunk whose columns have `tags`: past the dictionary cap
+/// when one of them is an arena.
+fn chunk_rows(rng: &mut Gen, tags: &[usize]) -> usize {
+    if tags.contains(&5) {
+        DICT_MAX + 2 + rng.below(8)
+    } else {
+        rng.below(70)
     }
 }
 
@@ -222,16 +250,39 @@ fn column(rng: &mut Gen, tag: usize, rows: usize) -> Column {
 fn chunk_frame(rng: &mut Gen) -> (Arc<Schema>, Vec<u8>) {
     let arity = 1 + rng.below(3);
     let tags: Vec<usize> = (0..arity).map(|_| rng.below(6)).collect();
-    let rows = if tags.contains(&5) {
-        DICT_MAX + 2 + rng.below(8)
-    } else {
-        rng.below(70)
-    };
+    let rows = chunk_rows(rng, &tags);
     let schema = schema_of(arity);
     let columns = tags.iter().map(|&t| column(rng, t, rows)).collect();
     let mut frame = Vec::new();
     ColumnChunk::from_columns(Arc::clone(&schema), columns, rows).encode_body(&mut frame);
     (schema, frame)
+}
+
+/// The damaged-frame property starts from both spellings of both string
+/// layouts: plain pages (tag 4) and arenas (tag 5) as well as front-coded
+/// ones (7 and 8), and plain arenas whose offsets are one, two and four
+/// bytes wide.
+#[test]
+fn the_generator_draws_every_string_layout() {
+    let (mut tags, mut widths) = (BTreeSet::new(), BTreeSet::new());
+    let mut rng = Gen(0);
+    for _ in 0..300 {
+        let tag = 4 + rng.below(2);
+        let rows = chunk_rows(&mut rng, &[tag]);
+        let mut body = Vec::new();
+        column(&mut rng, tag, rows).encode_body(&mut body);
+        tags.insert(body[0]);
+        // A plain arena with no NULLs: tag, validity byte, length, arena,
+        // then `rows + 1` offsets.
+        if body[..2] == [5, 0] {
+            let arena = u32::from_le_bytes(body[2..6].try_into().unwrap()) as usize;
+            widths.insert((body.len() - 6 - arena) / (rows + 1));
+        }
+    }
+    for tag in [4, 5, 7, 8] {
+        assert!(tags.contains(&tag), "tag {tag} never drawn: {tags:?}");
+    }
+    assert_eq!(widths, BTreeSet::from([1, 2, 4]));
 }
 
 /// Decode `frame` and hold the decoder to the three properties.
